@@ -34,19 +34,6 @@
 // scale, and CI runs at small scale where full re-execution is cheap.
 //
 //	perfgate -watch-baseline BENCH_watch_ci.json current.json [...]
-//
-// With -cluster-baseline the gate compares cluster scale-out reports
-// (benchexp -exp cluster): for each shard count in the baseline, the best
-// aggregate QPS across the current reports must stay above (1-tol)×baseline,
-// and — the scale-out claim itself — the best speedup over the single-shard
-// level must not fall below the baseline's recorded speedup. The baseline
-// speedups are absolute floors with no tolerance applied: the committed CI
-// baseline records the minimum acceptable scaling (1.7× at 2 shards, 3× at
-// 4), not an observed run, so eroding them would erode the acceptance
-// criterion. Tail latency is reported but not gated — per-shard p99 follows
-// data volume per shard, which the speedup floor already polices.
-//
-//	perfgate -cluster-baseline BENCH_cluster_ci.json current.json [...]
 package main
 
 import (
@@ -63,7 +50,6 @@ func main() {
 	baseline := flag.String("baseline", "BENCH_serve_ci.json", "committed baseline serve report")
 	ingestBaseline := flag.String("ingest-baseline", "", "committed baseline ingest report; when set, gate ingest throughput instead of serve")
 	watchBaseline := flag.String("watch-baseline", "", "committed baseline watch report; when set, gate delta propagation p99 instead of serve")
-	clusterBaseline := flag.String("cluster-baseline", "", "committed baseline cluster report; when set, gate scale-out QPS and speedup instead of serve")
 	tol := flag.Float64("tol", 0.20, "relative tolerance for QPS and p99 (serve) or elements/sec (ingest)")
 	floor := flag.Float64("floor-ms", 2, "absolute p99 slack in milliseconds, added on top of the relative tolerance")
 	flag.Parse()
@@ -78,10 +64,6 @@ func main() {
 	}
 	if *watchBaseline != "" {
 		gateWatch(*watchBaseline, flag.Args(), *tol, *floor)
-		return
-	}
-	if *clusterBaseline != "" {
-		gateCluster(*clusterBaseline, flag.Args(), *tol)
 		return
 	}
 
@@ -257,101 +239,6 @@ func watchGate(base *serveload.WatchReport, curs []*serveload.WatchReport, tol, 
 		}
 	}
 	return violations, summary
-}
-
-// gateCluster compares cluster scale-out reports against the committed
-// baseline and exits: 0 when every baseline shard level keeps best QPS within
-// tolerance and best speedup at or above the baseline floor, 1 on regression,
-// 2 on bad input.
-func gateCluster(baselinePath string, curPaths []string, tol float64) {
-	base, err := readClusterReport(baselinePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perfgate: baseline: %v\n", err)
-		os.Exit(2)
-	}
-	var curs []*serveload.ClusterReport
-	for _, path := range curPaths {
-		r, err := readClusterReport(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
-			os.Exit(2)
-		}
-		curs = append(curs, r)
-	}
-
-	violations, summary := clusterGate(base, curs, tol)
-	for _, line := range summary {
-		fmt.Println(line)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", v)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("perfgate: ok (%d cluster levels within %.0f%% of %s, speedup floors held)\n", len(base.Levels), tol*100, baselinePath)
-}
-
-// clusterGate scores every baseline shard level on the best observation
-// across the current reports: highest aggregate QPS, and — for multi-shard
-// levels — highest speedup over that report's own single-shard baseline.
-// QPS is gated with the relative tolerance; the speedup floor is absolute,
-// because the committed baseline records the minimum acceptable scaling
-// rather than a measured run. Tail latency is reported but never gated.
-func clusterGate(base *serveload.ClusterReport, curs []*serveload.ClusterReport, tol float64) (violations, summary []string) {
-	summary = append(summary, fmt.Sprintf("%-8s %12s %12s %12s %12s %10s %10s",
-		"shards", "base qps", "best qps", "base p99", "best p99", "floor", "best x"))
-	for _, bl := range base.Levels {
-		bestQPS, bestP99, bestSpeedup := 0.0, 0.0, 0.0
-		seen := false
-		for _, cur := range curs {
-			for _, cl := range cur.Levels {
-				if cl.Shards != bl.Shards {
-					continue
-				}
-				if !seen || cl.QPS > bestQPS {
-					bestQPS = cl.QPS
-				}
-				if !seen || cl.P99MS < bestP99 {
-					bestP99 = cl.P99MS
-				}
-				if !seen || cl.Speedup > bestSpeedup {
-					bestSpeedup = cl.Speedup
-				}
-				seen = true
-			}
-		}
-		if !seen {
-			violations = append(violations, fmt.Sprintf("level %d shards: missing from current reports", bl.Shards))
-			continue
-		}
-		summary = append(summary, fmt.Sprintf("%-8d %12.0f %12.0f %10.1fms %10.1fms %9.2fx %9.2fx",
-			bl.Shards, bl.QPS, bestQPS, bl.P99MS, bestP99, bl.Speedup, bestSpeedup))
-		if minQPS := bl.QPS * (1 - tol); bestQPS < minQPS {
-			violations = append(violations, fmt.Sprintf("level %d shards: QPS %.0f < %.0f (baseline %.0f - %.0f%%)",
-				bl.Shards, bestQPS, minQPS, bl.QPS, tol*100))
-		}
-		if bl.Shards > 1 && bestSpeedup < bl.Speedup {
-			violations = append(violations, fmt.Sprintf("level %d shards: speedup %.2fx < %.2fx floor over the single-shard baseline",
-				bl.Shards, bestSpeedup, bl.Speedup))
-		}
-	}
-	return violations, summary
-}
-
-func readClusterReport(path string) (*serveload.ClusterReport, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r serveload.ClusterReport
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(r.Levels) == 0 {
-		return nil, fmt.Errorf("%s: no levels", path)
-	}
-	return &r, nil
 }
 
 func readWatchReport(path string) (*serveload.WatchReport, error) {

@@ -123,88 +123,3 @@ func TestIngestGateIgnoresRSS(t *testing.T) {
 		t.Fatalf("violations: %v", v)
 	}
 }
-
-func clusterReport(levels ...serveload.ClusterResult) *serveload.ClusterReport {
-	return &serveload.ClusterReport{Levels: levels}
-}
-
-func clusterLevel(shards int, qps, p99, speedup float64) serveload.ClusterResult {
-	return serveload.ClusterResult{Shards: shards, QPS: qps, P99MS: p99, Speedup: speedup}
-}
-
-func TestClusterGatePassesWithinTolerance(t *testing.T) {
-	base := clusterReport(clusterLevel(1, 30, 60, 1), clusterLevel(2, 51, 40, 1.7), clusterLevel(4, 90, 20, 3))
-	cur := clusterReport(clusterLevel(1, 45, 40, 1), clusterLevel(2, 84, 24, 1.85), clusterLevel(4, 196, 12, 4.3))
-	v, _ := clusterGate(base, []*serveload.ClusterReport{cur}, 0.20)
-	if len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
-func TestClusterGateFailsOnQPSRegression(t *testing.T) {
-	base := clusterReport(clusterLevel(4, 90, 20, 3))
-	cur := clusterReport(clusterLevel(4, 60, 20, 3.2)) // 33% down
-	v, _ := clusterGate(base, []*serveload.ClusterReport{cur}, 0.20)
-	if len(v) != 1 || !strings.Contains(v[0], "QPS") {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
-func TestClusterGateSpeedupFloorIsAbsolute(t *testing.T) {
-	// QPS holds but scaling collapsed: 1.5x at 2 shards is below the 1.7x
-	// floor even though it is within 20% of it — the floor takes no tolerance.
-	base := clusterReport(clusterLevel(2, 51, 40, 1.7))
-	cur := clusterReport(clusterLevel(2, 52, 40, 1.5))
-	v, _ := clusterGate(base, []*serveload.ClusterReport{cur}, 0.20)
-	if len(v) != 1 || !strings.Contains(v[0], "speedup") {
-		t.Fatalf("violations: %v", v)
-	}
-	// The single-shard level never gates on speedup.
-	base = clusterReport(clusterLevel(1, 30, 60, 1))
-	cur = clusterReport(clusterLevel(1, 30, 60, 0))
-	v, _ = clusterGate(base, []*serveload.ClusterReport{cur}, 0.20)
-	if len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
-func TestClusterGateIgnoresP99(t *testing.T) {
-	base := clusterReport(clusterLevel(2, 51, 40, 1.7))
-	cur := clusterReport(clusterLevel(2, 55, 400, 1.8)) // 10x the tail, still ok
-	v, _ := clusterGate(base, []*serveload.ClusterReport{cur}, 0.20)
-	if len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
-func TestClusterGateBestOfN(t *testing.T) {
-	base := clusterReport(clusterLevel(2, 51, 40, 1.7))
-	noisy := clusterReport(clusterLevel(2, 30, 90, 1.3))
-	healthy := clusterReport(clusterLevel(2, 80, 30, 1.9))
-	v, _ := clusterGate(base, []*serveload.ClusterReport{noisy, healthy}, 0.20)
-	if len(v) != 0 {
-		t.Fatalf("violations: %v", v)
-	}
-	v, _ = clusterGate(base, []*serveload.ClusterReport{noisy}, 0.20)
-	if len(v) != 2 {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
-func TestClusterGateMissingLevel(t *testing.T) {
-	base := clusterReport(clusterLevel(1, 30, 60, 1), clusterLevel(4, 90, 20, 3))
-	cur := clusterReport(clusterLevel(1, 30, 60, 1))
-	v, _ := clusterGate(base, []*serveload.ClusterReport{cur}, 0.20)
-	if len(v) != 1 || !strings.Contains(v[0], "missing") {
-		t.Fatalf("violations: %v", v)
-	}
-}
-
-func TestIngestGateMissingLevel(t *testing.T) {
-	base := ingestReport(ingestRun("stream", 1, 100000, 200), ingestRun("stream", 4, 300000, 250))
-	cur := ingestReport(ingestRun("stream", 1, 100000, 200))
-	v, _ := ingestGate(base, []*bench.IngestReport{cur}, 0.20)
-	if len(v) != 1 || !strings.Contains(v[0], "missing") {
-		t.Fatalf("violations: %v", v)
-	}
-}

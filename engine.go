@@ -344,6 +344,19 @@ func (t *Translation) WithParallelism(workers int) *Translation {
 	return &c
 }
 
+// InDocument returns a copy of the translation whose executions are scoped
+// to the document rooted at node ID root: the answer is the query evaluated
+// over that document alone, and the run reads only that document's share of
+// the database, however many documents it holds. The plan is shared — scope is
+// a run parameter, not part of the translation. A root that is not a document
+// root of the executed snapshot returns ErrNotDocumentRoot; 0 removes the
+// scope.
+func (t *Translation) InDocument(root int) *Translation {
+	c := *t
+	c.doc = root
+	return &c
+}
+
 // Execute runs the translated program on the engine's configured backend
 // (WithBackend), pinning a fresh snapshot for the run. It returns
 // ErrNoBackend when the engine was built without one.
@@ -379,6 +392,9 @@ func (t *Translation) ExecuteOn(ctx context.Context, b Backend) (*Answer, error)
 //     (Answer.Explain renders it); runs never share mutable state.
 //   - Cancellation: honored between statements and fixpoint iterations,
 //     returning the context's error.
+//   - Scope: a translation bound to a document (InDocument) runs over that
+//     document's sub-database; a backend that cannot scope refuses with
+//     ErrUnsupportedPlan rather than answer from the whole image.
 func (t *Translation) executeSnap(ctx context.Context, snap BackendSnapshot) (*Answer, error) {
 	trace := &obs.Trace{}
 	res, err := snap.Execute(ctx, t.res.Program, backend.ExecOptions{
@@ -386,6 +402,7 @@ func (t *Translation) executeSnap(ctx context.Context, snap BackendSnapshot) (*A
 		Limits:    t.limits,
 		Trace:     trace,
 		Intervals: t.intervals,
+		Doc:       t.doc,
 	})
 	if err != nil {
 		return nil, err

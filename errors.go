@@ -4,6 +4,7 @@ import (
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/ra"
+	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/xpath"
 )
@@ -30,4 +31,10 @@ var (
 	// ErrUnsupportedPlan: the program contains a plan with no SQL form in
 	// the requested dialect.
 	ErrUnsupportedPlan = ra.ErrUnsupportedPlan
+	// ErrNotDocumentRoot: a document-scoped execution (InDocument) named a
+	// node that is not a document root of the executed snapshot.
+	ErrNotDocumentRoot = rdb.ErrNotDocumentRoot
+	// ErrScopeNeedsIntervals: a document-scoped execution ran on a database
+	// without a valid document-order interval encoding.
+	ErrScopeNeedsIntervals = rdb.ErrScopeNeedsIntervals
 )

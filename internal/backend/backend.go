@@ -54,6 +54,13 @@ type ExecOptions struct {
 	// rdb.IntervalMode); the zero value is IntervalAuto. Backends without an
 	// interval kernel (e.g. the SQL backend) may ignore it.
 	Intervals rdb.IntervalMode
+	// Doc, when non-zero, scopes the run to one document: the node ID of its
+	// root. The answer is the program evaluated over that document's
+	// sub-database alone, at the cost of the document, not of the image
+	// (rdb/scope.go). A node that is not a document root of the snapshot
+	// returns rdb.ErrNotDocumentRoot. No backend may ignore a scope: one that
+	// cannot honor it returns ra.ErrUnsupportedPlan.
+	Doc int
 }
 
 // Result is one execution's answer: node IDs ascending (virtual root

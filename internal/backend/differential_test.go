@@ -9,6 +9,7 @@ import (
 	"xpath2sql/internal/backend"
 	"xpath2sql/internal/backend/fakedb"
 	"xpath2sql/internal/backend/sqlbe"
+	"xpath2sql/internal/cluster"
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
@@ -243,6 +244,111 @@ func TestDifferentialBackends(t *testing.T) {
 			// answers and queries with empty answers.
 			if answered == 0 || empties == 0 {
 				t.Fatalf("degenerate query mix: %d answered, %d empty", answered, empties)
+			}
+		})
+	}
+}
+
+// TestDifferentialScoped is the document-scope property test: over
+// multi-document collections of the workload DTDs and of random recursive
+// DTDs, for random queries of the whole fragment — unanchored //x, unions, ε,
+// qualifiers with negation and text() tests — and all three strategies, an
+// execution scoped to one document must equal (a) the native evaluator on
+// that document alone and (b) the unscoped answer cut to the document's ID
+// range, serially and on the scheduler, on the interval kernel and on the
+// fixpoint path. (The SQL backend refuses a scope: sqlbe.TestScopeRefused.)
+func TestDifferentialScoped(t *testing.T) {
+	dtds := map[string]*dtd.DTD{
+		"dept":  workload.Dept(),
+		"cross": workload.Cross(),
+		"gedml": workload.GedML(),
+		"rand1": randDTD(101),
+		"rand2": randDTD(202),
+		"rand3": randDTD(303),
+	}
+	queriesPerDTD := 16
+	if testing.Short() {
+		queriesPerDTD = 6
+	}
+	ctx := context.Background()
+	for name, d := range dtds {
+		t.Run(name, func(t *testing.T) {
+			types := d.Types()
+			r := rand.New(rand.NewSource(int64(len(name)) * 104729))
+			var docs []*xmltree.Document
+			var parts []*rdb.DB
+			var offsets []int
+			total := 0
+			for docSeed := int64(1); docSeed <= 4; docSeed++ {
+				doc, err := xmlgen.Generate(d, xmlgen.Options{
+					XL: 6, XR: 3, Seed: docSeed, MaxNodes: 60 + 40*int(docSeed), ValueFunc: valueFunc,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				db, err := shred.Shred(doc, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				docs, parts, offsets = append(docs, doc), append(parts, db), append(offsets, total)
+				total += db.NumNodes()
+			}
+			coll, err := cluster.BuildCollection(d, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := backend.AdoptDB(coll, 0)
+
+			answered := 0
+			for i := 0; i < queriesPerDTD; i++ {
+				q := randQuery(r, types, 3)
+				for _, s := range allStrategies {
+					res, err := core.Translate(q, d, core.Options{Strategy: s, SQL: core.DefaultSQLOptions()})
+					if err != nil {
+						t.Fatalf("[%v] Translate(%s): %v", s, q, err)
+					}
+					whole, err := snap.Execute(ctx, res.Program, backend.ExecOptions{})
+					if err != nil {
+						t.Fatalf("[%v] unscoped Execute(%s): %v", s, q, err)
+					}
+					for di, doc := range docs {
+						root, end := offsets[di]+1, offsets[di]+parts[di].NumNodes()
+						want := []int{}
+						for _, id := range oracle(q, doc) {
+							want = append(want, id+offsets[di])
+						}
+						cut := []int{}
+						for _, id := range whole.IDs {
+							if id >= root && id <= end {
+								cut = append(cut, id)
+							}
+						}
+						if !equalInts(cut, want) {
+							t.Fatalf("[%v] unscoped %s cut to document %d = %v, native evaluator %v", s, q, di, cut, want)
+						}
+						if len(want) > 0 {
+							answered++
+						}
+						for _, opts := range []backend.ExecOptions{
+							{Doc: root},
+							{Doc: root, Workers: 4},
+							{Doc: root, Intervals: rdb.IntervalOff},
+							{Doc: root, Intervals: rdb.IntervalOff, Workers: 4},
+						} {
+							got, err := snap.Execute(ctx, res.Program, opts)
+							if err != nil {
+								t.Fatalf("[%v] %s scoped to document %d (%+v): %v", s, q, di, opts, err)
+							}
+							if !equalInts(got.IDs, want) {
+								t.Fatalf("[%v] %s scoped to document %d (workers %d, intervals %v) = %v, native evaluator on it alone %v\n%s",
+									s, q, di, opts.Workers, opts.Intervals, got.IDs, want, res.Program)
+							}
+						}
+					}
+				}
+			}
+			if answered == 0 {
+				t.Fatal("every query answered empty in every document")
 			}
 		})
 	}

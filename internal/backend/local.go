@@ -93,7 +93,9 @@ func (s *localSnap) Close() error { return nil }
 // copied out before the state is released.
 func (s *localSnap) Execute(ctx context.Context, prog *ra.Program, opts ExecOptions) (*Result, error) {
 	if opts.Workers > 1 {
-		rel, stats, err := rdb.RunParallelIntervalsCtx(ctx, s.db, prog, opts.Workers, opts.Limits, opts.Trace, opts.Intervals)
+		rel, stats, err := rdb.RunParallelWith(ctx, s.db, prog, rdb.RunConfig{
+			Workers: opts.Workers, Limits: opts.Limits, Trace: opts.Trace, Intervals: opts.Intervals, Doc: opts.Doc,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -104,6 +106,7 @@ func (s *localSnap) Execute(ctx context.Context, prog *ra.Program, opts ExecOpti
 	ex := st.Exec()
 	ex.Limits = opts.Limits
 	ex.IntervalMode = opts.Intervals
+	ex.Doc = opts.Doc
 	rel, err := ex.RunCtx(ctx, prog, opts.Trace)
 	if err != nil {
 		return nil, err

@@ -240,6 +240,13 @@ func (s *snap) Execute(ctx context.Context, prog *ra.Program, opts backend.ExecO
 	if closed {
 		return nil, backend.ErrClosed
 	}
+	if opts.Doc != 0 {
+		// The SQL image has no interval columns, so the only conjunct it could
+		// carry (F = '_' AND T = <root> on root selections) scopes root-anchored
+		// plans and silently leaves //x unscoped. Refuse rather than answer
+		// from the whole image.
+		return nil, fmt.Errorf("sqlbe: document scope %d: %w", opts.Doc, ra.ErrUnsupportedPlan)
+	}
 	start := time.Now()
 	deadline := time.Duration(0)
 	if opts.Limits.Timeout > 0 {

@@ -154,6 +154,37 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
+// TestScopeRefused: the SQL image carries no interval columns, so a
+// document scope cannot be honored — and must not be silently dropped.
+func TestScopeRefused(t *testing.T) {
+	d := workload.Dept()
+	_, db := makeDoc(t, d, 5, nil)
+	be := openBackend(t, "scope")
+	ctx := context.Background()
+	if err := be.Load(ctx, db); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := be.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	q, err := xpath.Parse("dept//course")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Translate(q, d, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.Execute(ctx, res.Program, backend.ExecOptions{Doc: 1}); !errors.Is(err, ra.ErrUnsupportedPlan) {
+		t.Fatalf("scoped run on the SQL backend: err = %v, want ErrUnsupportedPlan", err)
+	}
+	if got := runOn(t, snap, res.Program, backend.ExecOptions{}); len(got) == 0 {
+		t.Fatal("the same program unscoped answered empty")
+	}
+}
+
 func mustSQL(t *testing.T, p *ra.Program) string {
 	t.Helper()
 	rs, err := p.RenderSQL(ra.SQLRenderOptions{Dialect: ra.DialectDB2})

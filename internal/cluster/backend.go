@@ -54,6 +54,7 @@ func (s clusterSnap) Execute(ctx context.Context, prog *ra.Program, opts backend
 		Workers: opts.Workers,
 		Limits:  opts.Limits,
 		Trace:   opts.Trace,
+		Doc:     opts.Doc,
 	})
 	if err != nil {
 		return nil, err

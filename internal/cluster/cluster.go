@@ -105,9 +105,9 @@ type ExecOptions struct {
 	// per statement across shards) plus one gather event per shard.
 	Trace *obs.Trace
 	// Doc, when > 0, routes the query to the single shard owning that
-	// document root and restricts the answer to the document — the
-	// document-scoped fast path that turns a scatter into one 1/N-sized
-	// execution.
+	// document root and scopes its execution to the document
+	// (backend.ExecOptions.Doc): one execution that costs what the document
+	// costs, whatever else the shard holds.
 	Doc int
 }
 
@@ -325,8 +325,9 @@ func (c *Cluster) judge(answered int, results []shardResult, ans *Answer) error 
 	return nil
 }
 
-// execDoc runs the document-scoped fast path: one owner-shard execution,
-// answer restricted to the document's subtree.
+// execDoc runs a document-scoped query: one execution on the owner shard
+// with the scope passed down, so the executor reads the document's
+// sub-database and the shard's answer is the document's answer as it stands.
 func (c *Cluster) execDoc(ctx context.Context, prog *ra.Program, opts ExecOptions) (*Answer, error) {
 	c.docQueries.Add(1)
 	shardID, ok := c.dir.owner(opts.Doc)
@@ -336,48 +337,16 @@ func (c *Cluster) execDoc(ctx context.Context, prog *ra.Program, opts ExecOption
 	sh := c.shards[shardID]
 	r := c.execShard(ctx, sh, prog, opts)
 	if r.err != nil {
+		if errors.Is(r.err, rdb.ErrNotDocumentRoot) {
+			// The request named a node that is no document: its fault, not
+			// the shard's.
+			return nil, fmt.Errorf("%w: %v", store.ErrUnknownNode, r.err)
+		}
 		sh.failures.Add(1)
 		c.failures.Add(1)
 		return nil, r.err
 	}
-	db := r.epoch.DB
-	if p, ok := db.ParentOf[opts.Doc]; !ok || p != 0 {
-		return nil, fmt.Errorf("%w: node %d is not a document root", store.ErrUnknownNode, opts.Doc)
-	}
-	ids := make([]int, 0, len(r.res.IDs))
-	if rootIV, ok := db.Interval(opts.Doc); ok {
-		// Interval containment: id is inside the document iff its preorder
-		// position falls in the root's half-open interval — O(1) per answer
-		// node instead of an ancestor walk, and this filter runs over the
-		// whole shard answer on every document-scoped query.
-		for _, id := range r.res.IDs {
-			if iv, ok := db.Interval(id); ok {
-				if iv.Begin >= rootIV.Begin && iv.Begin < rootIV.End {
-					ids = append(ids, id)
-				}
-				continue
-			}
-			root, err := docRootOf(db, id, map[int]int{})
-			if err != nil {
-				return nil, err
-			}
-			if root == opts.Doc {
-				ids = append(ids, id)
-			}
-		}
-	} else {
-		memo := map[int]int{}
-		for _, id := range r.res.IDs {
-			root, err := docRootOf(db, id, memo)
-			if err != nil {
-				return nil, err
-			}
-			if root == opts.Doc {
-				ids = append(ids, id)
-			}
-		}
-	}
-	ans := &Answer{IDs: ids, Stats: r.res.Stats, Watermark: r.epoch.Seq}
+	ans := &Answer{IDs: r.res.IDs, Stats: r.res.Stats, Watermark: r.epoch.Seq}
 	if r.fromReplica {
 		ans.ReplicaReads = 1
 	}
@@ -411,6 +380,7 @@ func (c *Cluster) execShard(ctx context.Context, sh *Shard, prog *ra.Program, op
 				Limits:    pickLimits(opts.Limits, c.cfg.Limits),
 				Trace:     trace,
 				Intervals: c.cfg.Intervals,
+				Doc:       opts.Doc,
 			}
 			res, epoch, fromReplica, err := sh.exec(sctx, prog, c.cfg.MaxReplicaLag, attempt, beOpts)
 			attempts <- shardResult{shard: sh, res: res, epoch: epoch, fromReplica: fromReplica,

@@ -163,7 +163,14 @@ func topoStmts(p *Program) []Stmt {
 // TempRefs lists the temp-table names referenced by a plan, sorted; it
 // defines the statement dependency graph used by parallel execution and the
 // SQL renderer's topological ordering.
-func TempRefs(p Plan) []string {
+func TempRefs(p Plan) []string { return tempRefs(p, true) }
+
+// KernelTempRefs is TempRefs for an engine that answers every DescScan with
+// its interval kernel: the fixpoint alternative Alt is never read, so the
+// temps only it mentions are not dependencies.
+func KernelTempRefs(p Plan) []string { return tempRefs(p, false) }
+
+func tempRefs(p Plan, alt bool) []string {
 	set := map[string]bool{}
 	var walk func(Plan)
 	walk = func(p Plan) {
@@ -186,7 +193,9 @@ func TempRefs(p Plan) []string {
 				walk(p.End)
 			}
 		case DescScan:
-			walk(p.Alt)
+			if alt {
+				walk(p.Alt)
+			}
 			if p.Start != nil {
 				walk(p.Start)
 			}

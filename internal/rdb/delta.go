@@ -752,11 +752,11 @@ func (vs *ViewState) evalDescScan(n *viewNode, pl ra.DescScan) error {
 		}
 		jlo, jhi := toIdx.rangeOf(iv.Begin, iv.End)
 		for j := jlo; j < jhi; j++ {
-			t := toIdx.ids[j]
+			t := toIdx.rows[j].t
 			if endIdx != nil && !endIdx.contains(t) {
 				continue
 			}
-			if out.addRow(row{f: x, t: t, v: toIdx.vs[j]}) {
+			if out.addRow(row{f: x, t: t, v: toIdx.rows[j].v}) {
 				vs.ex.Stats.TuplesOut++
 			}
 		}
@@ -1257,11 +1257,11 @@ func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, kd []*Relation, bd *
 		vs.ex.Stats.DescScans++
 		jlo, jhi := toIdx.rangeOf(iv.Begin, iv.End)
 		for j := jlo; j < jhi; j++ {
-			t := toIdx.ids[j]
+			t := toIdx.rows[j].t
 			if endIdx != nil && !endIdx.contains(t) {
 				continue
 			}
-			add(row{f: x, t: t, v: toIdx.vs[j]})
+			add(row{f: x, t: t, v: toIdx.rows[j].v})
 		}
 		return nil
 	}

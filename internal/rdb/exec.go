@@ -83,11 +83,22 @@ type Exec struct {
 	// prove the fast path ran.
 	IntervalMode IntervalMode
 
+	// Doc, when non-zero, scopes the next Run/RunCtx to one document: the
+	// node ID of its root. The executor then sees exactly the document's
+	// sub-database (see scope.go); a node that is not a document root returns
+	// ErrNotDocumentRoot, a database without a valid interval encoding
+	// ErrScopeNeedsIntervals. Runs sharing an environment (RunMore) must
+	// share the scope.
+	Doc int
+
 	prog    *ra.Program
 	env     map[string]*Relation
-	ident   *Relation // cached R_id
+	ident   *Relation // cached R_id (unscoped runs)
 	running map[string]bool
-	arena   *ExecState // non-nil for pooled executors (AcquireState)
+	scope   *docScope   // resolved from Doc per run; nil = whole database
+	views   []*Relation // the run's scoped views of stored relations
+	docID   *Relation   // the run's R_id under a scope
+	arena   *ExecState  // non-nil for pooled executors (AcquireState)
 
 	// Cancellation, limit and trace state (RunCtx).
 	ctx      context.Context
@@ -124,8 +135,17 @@ func (e *Exec) newRel(name string) *Relation {
 	return newRelation(name, e.DB.Syms)
 }
 
-// prepare arms the cancellation/limit/trace state for one run.
-func (e *Exec) prepare(ctx context.Context, trace *obs.Trace) {
+// prepare arms the cancellation/limit/trace state for one run and resolves
+// its document scope.
+func (e *Exec) prepare(ctx context.Context, trace *obs.Trace) error {
+	e.scope, e.views, e.docID = nil, e.views[:0], nil
+	if e.Doc != 0 {
+		sc, err := e.DB.resolveScope(e.Doc)
+		if err != nil {
+			return err
+		}
+		e.scope = sc
+	}
 	e.ctx = ctx
 	e.trace = trace
 	e.start = time.Now()
@@ -135,6 +155,7 @@ func (e *Exec) prepare(ctx context.Context, trace *obs.Trace) {
 	}
 	e.cur = e.cur[:0]
 	e.frames = e.frames[:0]
+	return nil
 }
 
 // RunMore evaluates a program against the executor's existing memoized
@@ -153,7 +174,9 @@ func (e *Exec) RunMoreCtx(ctx context.Context, p *ra.Program, trace *obs.Trace) 
 		e.env = map[string]*Relation{}
 		e.running = map[string]bool{}
 	}
-	e.prepare(ctx, trace)
+	if err := e.prepare(ctx, trace); err != nil {
+		return nil, err
+	}
 	return e.stmt(p.Result)
 }
 
@@ -179,7 +202,9 @@ func (e *Exec) RunCtx(ctx context.Context, p *ra.Program, trace *obs.Trace) (*Re
 		clear(e.env)
 		clear(e.running)
 	}
-	e.prepare(ctx, trace)
+	if err := e.prepare(ctx, trace); err != nil {
+		return nil, err
+	}
 	if !e.Lazy {
 		for _, s := range p.Stmts {
 			if _, err := e.stmt(s.Name); err != nil {
@@ -296,7 +321,9 @@ func (e *Exec) inputCard(pl ra.Plan) int {
 	base := func(rel string) {
 		if !seen["b\x00"+rel] {
 			seen["b\x00"+rel] = true
-			total += e.DB.Rel(rel).Len()
+			if r, err := e.stored(rel); err == nil {
+				total += r.Len()
+			}
 		}
 	}
 	var walk func(p ra.Plan)
@@ -314,7 +341,11 @@ func (e *Exec) inputCard(pl ra.Plan) int {
 		case ra.Ident:
 			if !seen["\x00id"] {
 				seen["\x00id"] = true
-				total += len(e.DB.Vals) + 1
+				if e.docID != nil {
+					total += e.docID.Len()
+				} else {
+					total += len(e.DB.Vals) + 1
+				}
 			}
 		case ra.RootSeed:
 			if !seen["\x00root"] {
@@ -380,11 +411,11 @@ func (e *Exec) inputCard(pl ra.Plan) int {
 func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 	switch pl := pl.(type) {
 	case ra.Base:
-		return e.DB.Rel(pl.Rel), nil
+		return e.stored(pl.Rel)
 	case ra.Temp:
 		return e.stmt(pl.Name)
 	case ra.Ident:
-		return e.identRel(), nil
+		return e.identRel()
 	case ra.IdentOf:
 		child, err := e.eval(pl.Child)
 		if err != nil {
@@ -480,7 +511,7 @@ func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 			// filters against one shared closure), where L's index snapshot
 			// is built once and amortized across every filter probing it.
 			idx := l.tIndex()
-			lrows := l.rows
+			lrows := l.probeRows()
 			seen := e.idScratch(r.distinctHint(r.idxF.Load()))
 			for _, w := range r.rows {
 				if _, dup := seen[w.f]; dup {
@@ -535,7 +566,7 @@ func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 		}
 		out := e.newRel("")
 		for _, w := range l.rows {
-			if !r.set.has(packPair(w.f, w.t)) {
+			if !r.hasPair(packPair(w.f, w.t)) {
 				out.addFrom(l, w)
 			}
 		}
@@ -586,7 +617,17 @@ func (e *Exec) valSym(id int) int32 {
 // virtual document root (0, 0) so that ε holds at the top-level context.
 // A query answer of node 0 is filtered out at extraction time — the virtual
 // root is a context, never a result.
-func (e *Exec) identRel() *Relation {
+func (e *Exec) identRel() (*Relation, error) {
+	if e.scope != nil {
+		if e.docID == nil {
+			r, err := e.scopedIdent()
+			if err != nil {
+				return nil, err
+			}
+			e.docID = r
+		}
+		return e.docID, nil
+	}
 	if e.ident == nil {
 		// Allocated off-arena: pooled executors retain R_id across requests
 		// against the same DB (AcquireState drops it on a rebind).
@@ -602,7 +643,7 @@ func (e *Exec) identRel() *Relation {
 		}
 		e.ident = r
 	}
-	return e.ident
+	return e.ident, nil
 }
 
 // compose performs the path join π_{l.F, r.T, r.V}(l ⋈_{l.T=r.F} r): the
@@ -613,8 +654,12 @@ func (e *Exec) identRel() *Relation {
 func (e *Exec) compose(l, r *Relation) (*Relation, error) {
 	e.Stats.Joins++
 	out := e.newRel("")
+	// The probe side is scanned, the build side resolves index positions.
 	probeL := l.Len() <= r.Len()
-	lrows, rrows := l.rows, r.rows
+	lrows, rrows := l.probeRows(), r.rows
+	if probeL {
+		lrows, rrows = l.rows, r.probeRows()
+	}
 	n := len(rrows)
 	if probeL {
 		n = len(lrows)
@@ -900,7 +945,7 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, tra
 	} else {
 		idx = seed.tIndex()
 	}
-	srows := seed.rows
+	srows := seed.probeRows()
 	if workers := e.parWorkers(len(delta)); workers > 1 {
 		scan := func(lo, hi int, buf []cand) []cand {
 			for i := lo; i < hi; i++ {
@@ -1046,21 +1091,29 @@ func (e *Exec) descScan(pl ra.DescScan) (*Relation, error) {
 // over-answer), or a relation node the encoding cannot place.
 func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relation, bool, error) {
 	db := e.DB
-	if e.prog == nil || e.prog.DTDFP == "" || e.prog.DTDFP != db.DTDFP {
+	if !db.fingerprintMatches(e.prog) {
 		return nil, false, nil
 	}
 	st := db.ivs.Load()
+	if e.scope != nil {
+		st = e.scope.st
+	}
 	if st == nil {
 		return nil, false, nil
 	}
-	toIdx, ok := db.descIndexFor(db.Rel(pl.To))
+	// The To side is read only inside a source's interval, which a scope
+	// contains: no bound of its own.
+	toIdx, ok := st.indexFor(db.Rel(pl.To))
 	if !ok {
 		return nil, false, nil
 	}
 	// Distinct source nodes: the T values of R_From, in row order, filtered
 	// by the pushed start constraint. A source the encoding cannot place
 	// invalidates the whole scan (the encoding is stale for this document).
-	fromRel := db.Rel(pl.From)
+	fromRel, err := e.stored(pl.From)
+	if err != nil {
+		return nil, false, err
+	}
 	frows := fromRel.rows
 	seen := e.idScratch(fromRel.distinctHint(fromRel.idxT.Load()))
 	type src struct {
@@ -1094,11 +1147,11 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 			x := srcs[i]
 			jlo, jhi := toIdx.rangeOf(x.begin, x.end)
 			for j := jlo; j < jhi; j++ {
-				t := toIdx.ids[j]
-				if endIdx != nil && !endIdx.contains(t) {
+				to := toIdx.rows[j]
+				if endIdx != nil && !endIdx.contains(to.t) {
 					continue
 				}
-				buf = append(buf, cand{out: row{f: x.id, t: t, v: toIdx.vs[j]}})
+				buf = append(buf, cand{out: row{f: x.id, t: to.t, v: to.v}})
 			}
 		}
 		return buf
@@ -1232,7 +1285,7 @@ func (e *Exec) recUnion(pl ra.RecUnion) (*Relation, error) {
 			e.Stats.Unions++
 			rel := edgeRels[i]
 			idx := rel.fIndex()
-			rrows := rel.rows
+			rrows := rel.probeRows()
 			from, to := edgeFrom[i], edgeTo[i]
 			pairs := pl.Pairs
 			scan := func(lo, hi int, buf []cand) []cand {

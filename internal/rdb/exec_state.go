@@ -48,6 +48,7 @@ func AcquireState(db *DB) *ExecState {
 	e.Limits = obs.Limits{}
 	e.Stats = Stats{}
 	e.IntervalMode = IntervalAuto
+	e.Doc = 0
 	e.arena = s
 	return s
 }
@@ -72,6 +73,7 @@ func (s *ExecState) Release() {
 	e.prog = nil
 	e.ctx = nil
 	e.trace = nil
+	e.scope, e.views, e.docID = nil, e.views[:0], nil
 	statePool.Put(s)
 }
 

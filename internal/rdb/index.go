@@ -21,6 +21,13 @@ type colIndex struct {
 	built    int
 	extra    map[int32][]int32
 	distinct int // number of distinct keys at build time
+
+	// scoped marks the F index of a document-scoped view (scope.go): a copy
+	// of the base relation's index in which key 0 — the virtual root, the one
+	// key that is in every document's scope — finds only the scope's own
+	// root row (rootSnap/rootOver, positions in the base's rows).
+	scoped             bool
+	rootSnap, rootOver []int32
 }
 
 // denseLimit: build CSR when maxKey is within this factor of the tuple
@@ -127,6 +134,9 @@ func buildColIndexInto(idx *colIndex, rows []row, onF bool) {
 // positions). Callers iterate both slices; keeping them separate avoids an
 // allocation on the hot probe path.
 func (idx *colIndex) lookup(k int32) (snap, over []int32) {
+	if k == 0 && idx.scoped {
+		return idx.rootSnap, idx.rootOver
+	}
 	if idx.sparse != nil {
 		snap = idx.sparse[k]
 	} else if k >= 0 && int(k)+1 < len(idx.offs) {

@@ -3,6 +3,8 @@ package rdb
 import (
 	"sort"
 	"sync"
+
+	"xpath2sql/internal/ra"
 )
 
 // Document-order interval encoding. Every stored node carries (begin, end,
@@ -78,13 +80,14 @@ type ivState struct {
 }
 
 // descIndex lists a stored relation's live rows sorted by the T node's
-// begin position: begins[i] is the document-order key, ids[i]/vs[i] the T
-// node ID and interned V symbol of that row. A range [lo, hi) of begins
-// inside a context node's interval is exactly its typed descendant set.
+// begin position: begins[i] is the document-order key of rows[i]. A range
+// [lo, hi) of begins inside a context node's interval is exactly its typed
+// descendant set, and the range inside a document root's interval is the
+// relation's share of that document — the run a document-scoped execution
+// iterates in place of the whole relation (see scope.go).
 type descIndex struct {
 	begins []int64
-	ids    []int32
-	vs     []int32
+	rows   []row
 }
 
 // AdoptIntervals installs a complete interval encoding, replacing any
@@ -97,6 +100,13 @@ func (db *DB) AdoptIntervals(iv map[int]NodeInterval) {
 // HasIntervals reports whether the database carries a valid interval
 // encoding.
 func (db *DB) HasIntervals() bool { return db.ivs.Load() != nil }
+
+// fingerprintMatches reports whether the program was translated against the
+// DTD the database was shredded under — the soundness gate of the DescScan
+// interval kernel (see DB.DTDFP).
+func (db *DB) fingerprintMatches(p *ra.Program) bool {
+	return p != nil && p.DTDFP != "" && p.DTDFP == db.DTDFP
+}
 
 // Interval returns the document-order interval of a node, when the database
 // carries a valid encoding that covers it.
@@ -195,6 +205,11 @@ func (db *DB) descIndexFor(rel *Relation) (*descIndex, bool) {
 	if st == nil {
 		return nil, false
 	}
+	return st.indexFor(rel)
+}
+
+// indexFor is descIndexFor against one pinned encoding.
+func (st *ivState) indexFor(rel *Relation) (*descIndex, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if idx, ok := st.byRel[rel]; ok {
@@ -214,8 +229,7 @@ func buildDescIndex(iv map[int]NodeInterval, rel *Relation) *descIndex {
 	n := rel.Len()
 	idx := &descIndex{
 		begins: make([]int64, 0, n),
-		ids:    make([]int32, 0, n),
-		vs:     make([]int32, 0, n),
+		rows:   make([]row, 0, n),
 	}
 	for i := range rel.rows {
 		if rel.isDead(i) {
@@ -227,8 +241,7 @@ func buildDescIndex(iv map[int]NodeInterval, rel *Relation) *descIndex {
 			return nil
 		}
 		idx.begins = append(idx.begins, nv.Begin)
-		idx.ids = append(idx.ids, w.t)
-		idx.vs = append(idx.vs, w.v)
+		idx.rows = append(idx.rows, w)
 	}
 	sort.Sort((*descIndexSort)(idx))
 	return idx
@@ -242,12 +255,19 @@ func (d *descIndex) rangeOf(begin, end int64) (lo, hi int) {
 	return lo, hi
 }
 
+// runOf returns the index slice [lo, hi) of nodes whose begin lies in the
+// half-open interval [begin, end) — the owner of the interval included.
+func (d *descIndex) runOf(begin, end int64) (lo, hi int) {
+	lo = sort.Search(len(d.begins), func(i int) bool { return d.begins[i] >= begin })
+	hi = lo + sort.Search(len(d.begins)-lo, func(i int) bool { return d.begins[lo+i] >= end })
+	return lo, hi
+}
+
 type descIndexSort descIndex
 
 func (s *descIndexSort) Len() int           { return len(s.begins) }
 func (s *descIndexSort) Less(i, j int) bool { return s.begins[i] < s.begins[j] }
 func (s *descIndexSort) Swap(i, j int) {
 	s.begins[i], s.begins[j] = s.begins[j], s.begins[i]
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.vs[i], s.vs[j] = s.vs[j], s.vs[i]
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 }

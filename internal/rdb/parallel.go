@@ -36,14 +36,26 @@ func RunParallel(db *DB, p *ra.Program, workers int) (*Relation, *Stats, error) 
 // the run, so a parallel trace is byte-for-byte reproducible regardless of
 // scheduling.
 func RunParallelCtx(ctx context.Context, db *DB, p *ra.Program, workers int, limits obs.Limits, trace *obs.Trace) (*Relation, *Stats, error) {
-	return RunParallelIntervalsCtx(ctx, db, p, workers, limits, trace, IntervalAuto)
+	return RunParallelWith(ctx, db, p, RunConfig{Workers: workers, Limits: limits, Trace: trace})
 }
 
-// RunParallelIntervalsCtx is RunParallelCtx with an explicit interval mode
-// for the per-statement executors (see Exec.IntervalMode); the differential
-// harness uses IntervalOff/IntervalForce to pin the physical path.
-func RunParallelIntervalsCtx(ctx context.Context, db *DB, p *ra.Program, workers int, limits obs.Limits, trace *obs.Trace, mode IntervalMode) (*Relation, *Stats, error) {
-	done, stats, err := runParallelRoots(ctx, db, p, []string{p.Result}, workers, limits, trace, mode)
+// RunConfig is one scheduler run's settings: what RunParallelCtx takes
+// positionally, plus the two the per-statement executors inherit as
+// Exec.IntervalMode and Exec.Doc.
+type RunConfig struct {
+	Workers   int
+	Limits    obs.Limits
+	Trace     *obs.Trace
+	Intervals IntervalMode
+	Doc       int
+}
+
+// RunParallelWith is RunParallelCtx under a full RunConfig: an explicit
+// interval mode (the differential harness pins the physical path with
+// IntervalOff/IntervalForce) and a document scope, resolved once and shared by
+// every statement's executor.
+func RunParallelWith(ctx context.Context, db *DB, p *ra.Program, cfg RunConfig) (*Relation, *Stats, error) {
+	done, stats, err := runParallelRoots(ctx, db, p, []string{p.Result}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,7 +68,7 @@ func RunParallelIntervalsCtx(ctx context.Context, db *DB, p *ra.Program, workers
 // common sub-queries of a batch — are scheduled and evaluated exactly once.
 // Cancellation, limits and tracing behave as in RunParallelCtx.
 func RunParallelMultiCtx(ctx context.Context, db *DB, p *ra.Program, results []string, workers int, limits obs.Limits, trace *obs.Trace) ([]*Relation, *Stats, error) {
-	done, stats, err := runParallelRoots(ctx, db, p, results, workers, limits, trace, IntervalAuto)
+	done, stats, err := runParallelRoots(ctx, db, p, results, RunConfig{Workers: workers, Limits: limits, Trace: trace})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -69,9 +81,17 @@ func RunParallelMultiCtx(ctx context.Context, db *DB, p *ra.Program, results []s
 
 // runParallelRoots is the shared scheduler: it evaluates every statement
 // reachable from any root and returns the completed relations by name.
-func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string, workers int, limits obs.Limits, trace *obs.Trace, mode IntervalMode) (map[string]*Relation, *Stats, error) {
+func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string, cfg RunConfig) (map[string]*Relation, *Stats, error) {
+	workers, limits, trace := cfg.Workers, cfg.Limits, cfg.Trace
 	if workers < 1 {
 		workers = 1
+	}
+	var scope *docScope
+	if cfg.Doc != 0 {
+		var err error
+		if scope, err = db.resolveScope(cfg.Doc); err != nil {
+			return nil, nil, err
+		}
 	}
 	byName := map[string]ra.Plan{}
 	for _, s := range p.Stmts {
@@ -86,7 +106,16 @@ func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string
 		}
 	}
 
-	// Dependencies restricted to statements reachable from some root.
+	// Dependencies restricted to statements reachable from some root. When
+	// DescScans will take the interval kernel, the statements only their
+	// fixpoint alternatives mention are not scheduled — the serial executor
+	// never reaches them either. Should the kernel bail at run time (a
+	// relation node the encoding cannot place), the statement's executor
+	// evaluates what it then needs itself, lazily, from the full program.
+	refs := ra.TempRefs
+	if cfg.Intervals != IntervalOff && db.HasIntervals() && db.fingerprintMatches(p) {
+		refs = ra.KernelTempRefs
+	}
 	deps := map[string][]string{}
 	var reach func(name string) error
 	visiting := map[string]int{} // 0 new, 1 visiting, 2 done
@@ -99,7 +128,7 @@ func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string
 		}
 		visiting[name] = 1
 		var ds []string
-		for _, d := range ra.TempRefs(byName[name]) {
+		for _, d := range refs(byName[name]) {
 			if _, ok := byName[d]; !ok {
 				return fmt.Errorf("rdb: unknown statement %q", d)
 			}
@@ -201,10 +230,9 @@ func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string
 			ex := NewExec(db)
 			ex.Limits = limits
 			ex.Parallelism = workers
-			ex.IntervalMode = mode
-			// Keep the program-level DTD fingerprint visible to the single
-			// statement's executor: the DescScan gate reads it.
-			ex.prog = &ra.Program{Stmts: []ra.Stmt{{Name: name, Plan: byName[name]}}, Result: name, DTDFP: p.DTDFP}
+			ex.IntervalMode = cfg.Intervals
+			ex.scope = scope
+			ex.prog = p
 			ex.env = env
 			ex.running = map[string]bool{}
 			ex.ctx = ctx

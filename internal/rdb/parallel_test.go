@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"math/rand"
 	"testing"
 
 	"xpath2sql/internal/ra"
@@ -110,5 +111,97 @@ func TestRunParallelManyStatements(t *testing.T) {
 	}
 	if stats.StmtsRun != 41 {
 		t.Fatalf("ran %d statements", stats.StmtsRun)
+	}
+}
+
+// TestSchedulerDoesTheSerialWorkOnDescScan: with the interval kernel usable,
+// the statements only a DescScan's fixpoint alternative mentions are dead —
+// the lazy serial executor never reaches them — and the scheduler must not
+// run them either: every counter but the morsel count agrees.
+func TestSchedulerDoesTheSerialWorkOnDescScan(t *testing.T) {
+	altOnly := 0
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nRels := 1 + r.Intn(3)
+		td := makeTree(r, 4+r.Intn(30), nRels)
+		p := randTreeProgram(r, nRels, true)
+		serial := NewExec(td.db)
+		want, err := serial.Run(p)
+		if err != nil {
+			t.Fatalf("seed %d: serial: %v", seed, err)
+		}
+		got, stats, err := RunParallel(td.db, p, 4)
+		if err != nil {
+			t.Fatalf("seed %d: scheduler: %v", seed, err)
+		}
+		if !sameTuples(want.Tuples(), got.Tuples()) {
+			t.Fatalf("seed %d: scheduler answer differs from serial\n%s", seed, p)
+		}
+		ss, ps := serial.Stats, *stats
+		ss.Morsels, ps.Morsels = 0, 0
+		if ss != ps {
+			t.Fatalf("seed %d: scheduler did other work than the serial executor\n%sserial:    %+v\nscheduler: %+v", seed, p, ss, ps)
+		}
+		// How often the property had something to say: a run that skipped a
+		// statement the full dependency walk reaches.
+		if reachable(p) > ss.StmtsRun {
+			altOnly++
+		}
+	}
+	if altOnly == 0 {
+		t.Fatal("no generated program had an Alt-only statement: the test compared nothing")
+	}
+}
+
+// reachable counts the statements ra.TempRefs reaches from the result.
+func reachable(p *ra.Program) int {
+	seen := map[string]bool{}
+	var walk func(name string)
+	walk = func(name string) {
+		if seen[name] {
+			return
+		}
+		seen[name] = true
+		for _, d := range ra.TempRefs(p.Lookup(name)) {
+			walk(d)
+		}
+	}
+	walk(p.Result)
+	return len(seen)
+}
+
+// TestSchedulerEvaluatesAltWhenKernelBails: the dependency walk skipped the
+// alternative's statements because the kernel looked usable; a relation the
+// encoding turns out not to cover makes it bail at run time, and the
+// statement's own executor then evaluates what the alternative needs.
+func TestSchedulerEvaluatesAltWhenKernelBails(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	td := makeTree(r, 25, 1)
+	db := cowDB(td.db)
+	db.Insert("R0", 1, 99, "") // stored after the encoding was built
+	p := &ra.Program{
+		Stmts: []ra.Stmt{
+			{Name: "edges", Plan: ra.Base{Rel: "R0"}},
+			{Name: "result", Plan: ra.DescScan{From: "R0", To: "R0", Alt: ra.Fix{Seed: ra.Temp{Name: "edges"}}}},
+		},
+		Result: "result", DTDFP: db.DTDFP,
+	}
+	serial := NewExec(db)
+	want, err := serial.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Stats.DescScans != 0 || serial.Stats.LFPs != 1 {
+		t.Fatalf("serial stats %+v: the kernel was meant to bail to the fixpoint", serial.Stats)
+	}
+	got, stats, err := RunParallel(db, p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTuples(want.Tuples(), got.Tuples()) {
+		t.Fatalf("scheduler answered %v after the kernel bailed, serial %v", canonTuples(got.Tuples()), canonTuples(want.Tuples()))
+	}
+	if stats.StmtsRun != 2 || stats.LFPs != 1 {
+		t.Fatalf("scheduler stats %+v, want both statements run and one fixpoint", *stats)
 	}
 }

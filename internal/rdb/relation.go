@@ -20,6 +20,7 @@ package rdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,13 @@ type Relation struct {
 	// readers may hold indefinitely.
 	pooled             bool
 	fScratch, tScratch *colIndex
+
+	// base, when non-nil, marks a document-scoped view of the stored relation
+	// base (see scope.go): rows aliases the in-scope run of base's
+	// begin-sorted index and is what scans iterate, while index probes go to
+	// base's own shared indexes and resolve positions against base.rows
+	// (probeRows). A view is read-only and lives for one run.
+	base *Relation
 }
 
 // NewRelation returns an empty relation with the given name. Relations
@@ -160,7 +168,25 @@ func (r *Relation) grow(n int) {
 
 // Has reports whether (f, t) is present.
 func (r *Relation) Has(f, t int) bool {
-	return r.set.has(packPair(int32(f), int32(t)))
+	return r.hasPair(packPair(int32(f), int32(t)))
+}
+
+// hasPair is Has on a packed key. A scoped view answers from its base: a pair
+// whose endpoints are in scope is in the base iff it is in the view.
+func (r *Relation) hasPair(key uint64) bool {
+	if r.base != nil {
+		return r.base.set.has(key)
+	}
+	return r.set.has(key)
+}
+
+// probeRows returns the row array index positions refer to: the relation's
+// own rows, or the base relation's for a scoped view.
+func (r *Relation) probeRows() []row {
+	if r.base != nil {
+		return r.base.rows
+	}
+	return r.rows
 }
 
 // Len returns the live tuple count (tombstoned rows excluded).
@@ -338,7 +364,9 @@ func (r *Relation) fIndex() *colIndex {
 		return idx
 	}
 	var idx *colIndex
-	if r.pooled {
+	if r.base != nil {
+		idx = r.scopedFIndex()
+	} else if r.pooled {
 		if r.fScratch == nil {
 			r.fScratch = &colIndex{}
 		}
@@ -360,6 +388,13 @@ func (r *Relation) tIndex() *colIndex {
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
 	if idx := r.idxT.Load(); idx != nil {
+		return idx
+	}
+	if r.base != nil {
+		// Keyed by an in-scope node, a T probe of the base finds in-scope
+		// rows only: the base's shared index serves the view as it is.
+		idx := r.base.tIndex()
+		r.idxT.Store(idx)
 		return idx
 	}
 	var idx *colIndex
@@ -435,6 +470,16 @@ func (r *Relation) distinctHint(idx *colIndex) int {
 // CSR offsets already sorted, so no re-sort (or oversized map) is needed;
 // callers must not sort the result again.
 func (r *Relation) TIDs() []int {
+	if r.base != nil {
+		// A scoped view's T index is its base's; the view's own rows are the
+		// answer.
+		out := make([]int, 0, len(r.rows))
+		for _, w := range r.rows {
+			out = append(out, int(w.t))
+		}
+		sort.Ints(out)
+		return slices.Compact(out)
+	}
 	idx := r.tIndex()
 	if idx.offs != nil {
 		out := make([]int, 0, idx.distinct+len(idx.extra))
@@ -513,6 +558,11 @@ func (r *Relation) Clone() *Relation {
 // ExecState drops the relation instead when it is rebound to another DB.
 func (r *Relation) reset() {
 	r.Name = ""
+	if r.base != nil {
+		// A view's rows alias a shared index; keeping the capacity would let
+		// the next request append into it.
+		r.rows, r.base = nil, nil
+	}
 	r.rows = r.rows[:0]
 	r.set.clear()
 	r.idxF.Store(nil)

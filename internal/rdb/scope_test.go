@@ -1,0 +1,228 @@
+package rdb
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"xpath2sql/internal/ra"
+)
+
+// Differential tests for document scope: over random forests and random
+// programs — every operator, DescScan on both physical paths — a run scoped
+// to one document must equal, tuple for tuple and counter for counter, the
+// same program run on a database holding that document alone.
+
+// makeForest builds n typed nodes as a forest of nDocs trees under the
+// virtual root. Parents are random earlier nodes, so neither node IDs nor
+// insertion order follow document order: a view's run is contiguous only in
+// the begin-sorted index.
+func makeForest(r *rand.Rand, n, nDocs, nRels int) *DB {
+	db := NewDB()
+	vocab := []string{"", "a", "b", "c"}
+	for ri := 0; ri < nRels; ri++ {
+		db.Rel(fmt.Sprintf("R%d", ri))
+	}
+	for id := 1; id <= n; id++ {
+		parent := 0
+		if id > nDocs {
+			parent = 1 + r.Intn(id-1)
+		}
+		db.Insert(fmt.Sprintf("R%d", r.Intn(nRels)), parent, id, vocab[r.Intn(len(vocab))])
+	}
+	db.DTDFP = "fp-tree-test"
+	db.RebuildIntervals()
+	return db
+}
+
+// docAlone extracts the document under root into a database of its own, node
+// IDs kept.
+func docAlone(db *DB, root int) *DB {
+	in := map[int]bool{}
+	for id := range db.ParentOf {
+		top := id
+		for db.ParentOf[top] != 0 {
+			top = db.ParentOf[top]
+		}
+		in[id] = top == root
+	}
+	out := NewDB()
+	for name, rel := range db.Rels {
+		out.Rel(name)
+		for _, tp := range rel.Tuples() {
+			if in[tp.T] {
+				out.Insert(name, tp.F, tp.T, tp.V)
+			}
+		}
+	}
+	out.DTDFP = db.DTDFP
+	out.RebuildIntervals()
+	return out
+}
+
+func docRoots(db *DB) []int {
+	var roots []int
+	for id, p := range db.ParentOf {
+		if p == 0 {
+			roots = append(roots, id)
+		}
+	}
+	sort.Ints(roots)
+	return roots
+}
+
+// scopeProgram draws from both generators: randProgram covers every operator
+// but DescScan (RecUnion, Diff and Antijoin included), randTreeProgram adds
+// DescScan.
+func scopeProgram(r *rand.Rand, nRels int) *ra.Program {
+	if r.Intn(2) == 0 {
+		p := randProgram(r, nRels)
+		p.DTDFP = "fp-tree-test"
+		return p
+	}
+	return randTreeProgram(r, nRels, true)
+}
+
+func TestScopedRunEqualsDocumentAlone(t *testing.T) {
+	forceTinyMorsels(t)
+	ctx := context.Background()
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		nRels := 1 + r.Intn(3)
+		nDocs := 2 + r.Intn(4)
+		db := makeForest(r, nDocs+r.Intn(40), nDocs, nRels)
+		p := scopeProgram(r, nRels)
+		roots := docRoots(db)
+		root := roots[r.Intn(len(roots))]
+		alone := docAlone(db, root)
+
+		for _, mode := range []IntervalMode{IntervalAuto, IntervalOff} {
+			want := NewExec(alone)
+			want.IntervalMode = mode
+			wantRel, err := want.Run(p)
+			if err != nil {
+				t.Logf("alone (seed=%d): %v", seed, err)
+				return false
+			}
+			check := func(name string, got *Relation, stats Stats, err error) bool {
+				if err != nil {
+					t.Logf("%s (seed=%d, %v): %v", name, seed, mode, err)
+					return false
+				}
+				if !sameTuples(wantRel.Tuples(), got.Tuples()) || !sameIDs(wantRel.TIDs(), got.TIDs()) {
+					t.Logf("%s differs from the document alone (seed=%d, %v, doc %d)\nprogram:\n%salone:  %v\nscoped: %v",
+						name, seed, mode, root, p, canonTuples(wantRel.Tuples()), canonTuples(got.Tuples()))
+					return false
+				}
+				ws := want.Stats
+				ws.Morsels, stats.Morsels = 0, 0
+				if ws != stats {
+					t.Logf("%s did other work than the document alone (seed=%d, %v)\nprogram:\n%salone:  %+v\nscoped: %+v",
+						name, seed, mode, p, ws, stats)
+					return false
+				}
+				return true
+			}
+
+			serial := NewExec(db)
+			serial.IntervalMode, serial.Doc = mode, root
+			rel, err := serial.Run(p)
+			if !check("serial", rel, serial.Stats, err) {
+				return false
+			}
+			morsel := NewExec(db)
+			morsel.IntervalMode, morsel.Doc, morsel.Parallelism = mode, root, 4
+			rel, err = morsel.Run(p)
+			if !check("morsel", rel, morsel.Stats, err) {
+				return false
+			}
+			rel, stats, err := RunParallelWith(ctx, db, p, RunConfig{Workers: 4, Intervals: mode, Doc: root})
+			if err != nil {
+				t.Logf("scheduler (seed=%d, %v): %v", seed, mode, err)
+				return false
+			}
+			if !check("scheduler", rel, *stats, nil) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScopedPooledStateKeepsIndexIntact: a view's rows alias the shared
+// begin-sorted index; recycling the view through the arena must not let a
+// later request's temporaries grow into it.
+func TestScopedPooledStateKeepsIndexIntact(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	db := makeForest(r, 60, 3, 2)
+	p := &ra.Program{
+		Stmts: []ra.Stmt{{Name: "result", Plan: ra.UnionAll{Kids: []ra.Plan{
+			ra.Base{Rel: "R0"}, ra.Compose{L: ra.Base{Rel: "R0"}, R: ra.Base{Rel: "R1"}},
+		}}}},
+		Result: "result", DTDFP: db.DTDFP,
+	}
+	run := func(doc int) []Tuple {
+		st := AcquireState(db)
+		defer st.Release()
+		st.Exec().Doc = doc
+		rel, err := st.Exec().Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return canonTuples(rel.Tuples())
+	}
+	roots := docRoots(db)
+	first := map[int][]Tuple{}
+	for _, root := range roots {
+		first[root] = run(root)
+	}
+	whole := run(0)
+	for round := 0; round < 3; round++ {
+		for _, root := range roots {
+			if got := run(root); !sameTuples(got, first[root]) {
+				t.Fatalf("round %d: document %d answered %v, first run %v", round, root, got, first[root])
+			}
+		}
+		if got := run(0); !sameTuples(got, whole) {
+			t.Fatalf("round %d: the unscoped answer changed after scoped runs on the same pooled state", round)
+		}
+	}
+}
+
+func TestScopeErrors(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	db := makeForest(r, 20, 2, 2)
+	p := &ra.Program{Stmts: []ra.Stmt{{Name: "result", Plan: ra.Base{Rel: "R0"}}}, Result: "result"}
+	ctx := context.Background()
+	run := func(db *DB, doc int) (serial, sched error) {
+		ex := NewExec(db)
+		ex.Doc = doc
+		_, serial = ex.Run(p)
+		_, _, sched = RunParallelWith(ctx, db, p, RunConfig{Workers: 2, Doc: doc})
+		return serial, sched
+	}
+	for _, doc := range []int{3, 999, -1} { // an inner node, an unknown one, nonsense
+		if s, p := run(db, doc); !errors.Is(s, ErrNotDocumentRoot) || !errors.Is(p, ErrNotDocumentRoot) {
+			t.Fatalf("doc %d: serial %v, scheduler %v, want ErrNotDocumentRoot", doc, s, p)
+		}
+	}
+	bare := cowDB(db)
+	bare.InvalidateIntervals()
+	if s, p := run(bare, 1); !errors.Is(s, ErrScopeNeedsIntervals) || !errors.Is(p, ErrScopeNeedsIntervals) {
+		t.Fatalf("no encoding: serial %v, scheduler %v, want ErrScopeNeedsIntervals", s, p)
+	}
+	// A node stored after the encoding was built: the encoding is stale for
+	// its relation, and a scoped read of it says so instead of guessing.
+	stale := cowDB(db)
+	stale.Insert("R0", 1, 99, "")
+	if s, p := run(stale, 1); !errors.Is(s, ErrScopeNeedsIntervals) || !errors.Is(p, ErrScopeNeedsIntervals) {
+		t.Fatalf("stale encoding: serial %v, scheduler %v, want ErrScopeNeedsIntervals", s, p)
+	}
+}

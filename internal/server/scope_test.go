@@ -1,0 +1,241 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"xpath2sql"
+	"xpath2sql/internal/backend/fakedb"
+	"xpath2sql/internal/cluster"
+	"xpath2sql/internal/store"
+)
+
+// deptCollection is the dept example three times over as one collection, and
+// the root of each copy. Every query answers the same nodes in each document,
+// shifted by the document's offset.
+func deptCollection(t *testing.T) (*xpath2sql.DTD, *xpath2sql.DB, []int) {
+	t.Helper()
+	d, err := xpath2sql.ParseDTD(deptDTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xpath2sql.ParseXML(deptXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []*xpath2sql.DB
+	var roots []int
+	for i := 0; i < 3; i++ {
+		db, err := xpath2sql.Shred(doc, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots = append(roots, 1+i*db.NumNodes())
+		docs = append(docs, db)
+	}
+	coll, err := cluster.BuildCollection(d, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, coll, roots
+}
+
+func scopedQuery(t *testing.T, url, q string, doc int) (int, queryResponse, errorResponse) {
+	t.Helper()
+	resp, body := postJSON(t, url+"/v1/query", queryRequest{Query: q, Doc: doc})
+	var qr queryResponse
+	var er errorResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatalf("%v in %s", err, body)
+		}
+	} else if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	return resp.StatusCode, qr, er
+}
+
+// TestDocScopeOnSingleSources: "doc" works on a static database and on a live
+// store — the answer is the document's part of the unscoped answer — names a
+// non-root as 404, and is refused, not ignored, by a source that cannot scope.
+func TestDocScopeOnSingleSources(t *testing.T) {
+	d, coll, roots := deptCollection(t)
+	st, err := store.Open(store.Config{DTD: d, Seed: coll, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sources := map[string]Source{"FromDB": FromDB(coll), "FromStore": FromStore(st)}
+	for name, src := range sources {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(Config{Engine: xpath2sql.New(d), Source: src})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for _, q := range []string{"dept//project", "dept//course", "//cno", "dept/course[not(.//project)]"} {
+				_, whole, _ := scopedQuery(t, ts.URL, q, 0)
+				var union []int
+				for i, root := range roots {
+					code, qr, er := scopedQuery(t, ts.URL, q, root)
+					if code != http.StatusOK {
+						t.Fatalf("%s in document %d: status %d: %+v", q, root, code, er)
+					}
+					var want []int
+					for _, id := range whole.IDs {
+						if id >= root && id < root+roots[1]-roots[0] {
+							want = append(want, id)
+						}
+					}
+					if !slices.Equal(qr.IDs, want) && len(qr.IDs)+len(want) > 0 {
+						t.Fatalf("%s in document %d (#%d) = %v, the unscoped answer holds %v there", q, root, i, qr.IDs, want)
+					}
+					union = append(union, qr.IDs...)
+				}
+				if !slices.Equal(union, whole.IDs) {
+					t.Fatalf("%s: the documents' answers %v do not add up to the unscoped %v", q, union, whole.IDs)
+				}
+			}
+			for _, doc := range []int{roots[0] + 1, 100000} { // an inner node, an unknown one
+				if code, _, er := scopedQuery(t, ts.URL, "dept//course", doc); code != http.StatusNotFound || er.Kind != "unknown_node" {
+					t.Fatalf("doc %d: status %d kind %q, want 404 unknown_node", doc, code, er.Kind)
+				}
+			}
+			if code, _, er := scopedQuery(t, ts.URL, "dept//course", -1); code != http.StatusBadRequest {
+				t.Fatalf("negative doc: status %d (%+v), want 400", code, er)
+			}
+		})
+	}
+
+	t.Run("FromStore sees updates", func(t *testing.T) {
+		s, err := New(Config{Engine: xpath2sql.New(d), Source: sources["FromStore"]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		before := make([]int, len(roots))
+		for i, root := range roots {
+			_, qr, _ := scopedQuery(t, ts.URL, "dept//cno", root)
+			before[i] = qr.Count
+		}
+		// A course under the middle document's root moves every later
+		// interval, the last document's root included.
+		const frag = "<course><cno>new</cno><title>t</title><prereq></prereq><takenBy></takenBy></course>"
+		if resp, body := postJSON(t, ts.URL+"/v1/update", updateRequest{Op: "insert_subtree", Parent: roots[1], Fragment: frag}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert: status %d: %s", resp.StatusCode, body)
+		}
+		for i, root := range roots {
+			_, qr, _ := scopedQuery(t, ts.URL, "dept//cno", root)
+			want := before[i]
+			if i == 1 {
+				want++
+			}
+			if qr.Count != want {
+				t.Fatalf("after the insert, document %d has %d cno, want %d", root, qr.Count, want)
+			}
+		}
+	})
+
+	t.Run("FromBackend refuses", func(t *testing.T) {
+		ctx := context.Background()
+		dsn := "memory://server-scope"
+		fakedb.Reset(dsn)
+		defer fakedb.Reset(dsn)
+		be, err := xpath2sql.OpenSQLBackend(ctx, fakedb.DriverName, dsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		if err := be.Load(ctx, coll); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Engine: xpath2sql.New(d), Source: FromBackend(be)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if code, _, er := scopedQuery(t, ts.URL, "dept//course", roots[1]); code != http.StatusUnprocessableEntity || er.Kind != "unsupported" {
+			t.Fatalf("scoped query on a SQL backend: status %d kind %q, want 422 unsupported", code, er.Kind)
+		}
+		if code, qr, _ := scopedQuery(t, ts.URL, "dept//course", 0); code != http.StatusOK || qr.Count == 0 {
+			t.Fatalf("unscoped query on the same backend: status %d count %d", code, qr.Count)
+		}
+	})
+}
+
+// TestDocScopeBypassesBatcher: a merged batch runs once over the whole
+// database, so scoped requests never join one — under the same concurrency
+// that sends their unscoped neighbours through the batcher.
+func TestDocScopeBypassesBatcher(t *testing.T) {
+	d, coll, roots := deptCollection(t)
+	const n = 8
+	s, err := New(Config{
+		Engine: xpath2sql.New(d), Source: FromDB(coll),
+		BatchWindow: 20 * time.Millisecond, MaxBatch: n, MaxConcurrent: n, QueueDepth: 4 * n,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu       sync.Mutex
+		admitted int
+		all      = sync.NewCond(&mu)
+	)
+	s.hookAfterAdmit = func() {
+		mu.Lock()
+		admitted++
+		all.Broadcast()
+		for admitted < n {
+			all.Wait()
+		}
+		mu.Unlock()
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	// The dept example holds two courses per document.
+	const perDoc = 2
+	results := make([]queryResponse, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := `{"query": "dept//course"}`
+			if i%2 == 1 {
+				body = fmt.Sprintf(`{"query": "dept//course", "doc": %d}`, roots[2])
+			}
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&results[i]); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d: %v", i, resp.StatusCode, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, qr := range results {
+		if i%2 == 1 {
+			if qr.Batched || qr.Count != perDoc {
+				t.Fatalf("scoped request %d: batched=%v count=%d, want unbatched with %d answers", i, qr.Batched, qr.Count, perDoc)
+			}
+		} else if !qr.Batched || qr.Count != len(roots)*perDoc {
+			t.Fatalf("unscoped request %d: batched=%v count=%d, want batched with %d answers", i, qr.Batched, qr.Count, len(roots)*perDoc)
+		}
+	}
+}

@@ -176,7 +176,7 @@ type Server struct {
 	execBe  xpath2sql.Backend
 	dbFn    func() *xpath2sql.DB
 	store   *store.Store
-	cluster *cluster.Cluster // non-nil for FromCluster sources
+	cluster *cluster.Cluster    // non-nil for FromCluster sources
 	hub     *xpath2sql.WatchHub // nil when read-only (no live store)
 	adm     *admission
 	batcher *batcher // nil when micro-batching is disabled
@@ -372,9 +372,11 @@ type queryRequest struct {
 	// TimeoutMS shortens (never extends) the server's request timeout.
 	TimeoutMS int  `json:"timeout_ms,omitempty"`
 	Explain   bool `json:"explain,omitempty"`
-	// Doc, on a cluster source, scopes the query to one document root: it
-	// routes to the single shard owning that document instead of scattering
-	// to all of them, and the answer is restricted to the document.
+	// Doc scopes the query to one document, named by its root's node ID: the
+	// answer is the query evaluated over that document alone, at the cost of
+	// the document, not of the collection. A cluster source routes it to the
+	// single shard owning the document instead of scattering. An ID that is
+	// not a document root of the version the request pins is 404.
 	Doc int `json:"doc,omitempty"`
 }
 
@@ -556,7 +558,7 @@ func mapError(err error) (int, string) {
 		return http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, xpath2sql.ErrQueryParse):
 		return http.StatusBadRequest, "parse"
-	case errors.Is(err, store.ErrUnknownNode):
+	case errors.Is(err, store.ErrUnknownNode), errors.Is(err, xpath2sql.ErrNotDocumentRoot):
 		return http.StatusNotFound, "unknown_node"
 	case errors.Is(err, store.ErrInvalid):
 		return http.StatusUnprocessableEntity, "invalid_update"
@@ -570,7 +572,10 @@ func mapError(err error) (int, string) {
 		return http.StatusServiceUnavailable, "degraded"
 	case errors.Is(err, cluster.ErrShardDown):
 		return http.StatusServiceUnavailable, "shard_down"
-	case errors.Is(err, xpath2sql.ErrUnsupportedQuery):
+	case errors.Is(err, xpath2sql.ErrUnsupportedQuery), errors.Is(err, xpath2sql.ErrUnsupportedPlan),
+		errors.Is(err, xpath2sql.ErrScopeNeedsIntervals):
+		// The last two are what a document-scoped query gets from a source
+		// that cannot scope: a SQL backend, a database without intervals.
 		return http.StatusUnprocessableEntity, "unsupported"
 	case errors.As(err, &le), errors.Is(err, xpath2sql.ErrLimit):
 		return http.StatusUnprocessableEntity, "limit"
@@ -652,10 +657,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", `missing "query"`)
 		return
 	}
-	if req.Doc != 0 && s.cluster == nil {
-		writeError(w, http.StatusBadRequest, "bad_request", `"doc" requires a cluster source`)
-		return
-	}
 	if req.Doc < 0 {
 		writeError(w, http.StatusBadRequest, "bad_request", `"doc" must be a document root node ID`)
 		return
@@ -709,7 +710,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Explain needs the Answer (trace + plan), so it always takes the
-	// direct path; plain queries go through the micro-batcher when enabled.
+	// direct path, and so does a document-scoped query: a merged batch runs
+	// once over the whole database, and scope is a property of a run. Plain
+	// queries go through the micro-batcher when enabled.
 	// Solo bypass: a request executing alone (admission says nobody else
 	// holds a slot) skips the batcher entirely — no collection-window
 	// latency when there is nothing to coalesce with. Under sustained
@@ -717,7 +720,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// answers every client at once, so the first client to come back
 	// momentarily sees itself alone — so recent batching activity keeps
 	// requests routed to the batcher through that gap.
-	if s.batcher != nil && !req.Explain && (s.adm.executing() > 1 || s.batcher.recentlyBatching()) {
+	if s.batcher != nil && !req.Explain && req.Doc == 0 && (s.adm.executing() > 1 || s.batcher.recentlyBatching()) {
 		ids, stats, err := s.batcher.submit(ctx, req.Query)
 		if err != nil {
 			s.fail(w, err)
@@ -739,7 +742,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	ans, err := s.execute(ctx, &p.Translation)
+	t := &p.Translation
+	if req.Doc != 0 {
+		t = t.InDocument(req.Doc)
+	}
+	ans, err := s.execute(ctx, t)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -32,8 +32,8 @@ type Source interface {
 	liveStore() *store.Store
 	// clusterRouter returns the scatter-gather cluster behind the source;
 	// nil for single-node sources. Cluster sources enable the update
-	// endpoint (writes route to owning primaries) and the degraded-answer
-	// and document-scoped query fields.
+	// endpoint (writes route to owning primaries), carry degraded-answer
+	// metadata, and route a document-scoped query to the owning shard.
 	clusterRouter() *cluster.Cluster
 }
 
@@ -74,10 +74,10 @@ type dbSource struct {
 	be xpath2sql.Backend
 }
 
-func (s dbSource) execBackend() xpath2sql.Backend   { return s.be }
-func (s dbSource) liveDB() func() *xpath2sql.DB     { return func() *xpath2sql.DB { return s.db } }
-func (s dbSource) liveStore() *store.Store          { return nil }
-func (s dbSource) clusterRouter() *cluster.Cluster  { return nil }
+func (s dbSource) execBackend() xpath2sql.Backend  { return s.be }
+func (s dbSource) liveDB() func() *xpath2sql.DB    { return func() *xpath2sql.DB { return s.db } }
+func (s dbSource) liveStore() *store.Store         { return nil }
+func (s dbSource) clusterRouter() *cluster.Cluster { return nil }
 
 type storeSource struct {
 	st *store.Store

@@ -151,6 +151,8 @@ type Translation struct {
 	// (WithIntervalMode); the zero value IntervalAuto uses the interval
 	// kernel whenever the database carries a matching encoding.
 	intervals IntervalMode
+	// doc scopes every execution to one document (InDocument); 0 = none.
+	doc int
 }
 
 // Strategy reports which translation strategy produced this plan.
