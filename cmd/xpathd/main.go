@@ -297,7 +297,7 @@ func run(o options) error {
 			return err
 		}
 		defer st.Close()
-		cfg.Store = st
+		cfg.Source = server.FromStore(st)
 		nodes = st.View().DB.NumNodes()
 		mode = "ephemeral"
 		if st.Durable() {
@@ -330,7 +330,7 @@ func run(o options) error {
 		if err := be.Load(context.Background(), db); err != nil {
 			return err
 		}
-		cfg.Backend = be
+		cfg.Source = server.FromBackend(be)
 		nodes = db.NumNodes()
 		mode = fmt.Sprintf("sql backend (driver=%s, read-only, loaded in %v)",
 			o.sqlDriver, time.Since(t0).Round(time.Millisecond))

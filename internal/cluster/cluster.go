@@ -263,7 +263,7 @@ func (c *Cluster) Exec(ctx context.Context, prog *ra.Program, opts ExecOptions) 
 		}
 		answered++
 		parts = append(parts, r.res.IDs)
-		addStats(&ans.Stats, r.res.Stats)
+		ans.Stats.Add(r.res.Stats)
 		if r.fromReplica {
 			ans.ReplicaReads++
 		}
@@ -608,19 +608,6 @@ func gatherTrace(dst *obs.Trace, results []shardResult) {
 		}
 		dst.Add(obs.StmtEvent{Stmt: r.shard.name, Op: "gather", Out: out, Wall: r.elapsed})
 	}
-}
-
-// addStats accumulates one shard's execution counters into the merged answer.
-func addStats(dst *rdb.Stats, s rdb.Stats) {
-	dst.Joins += s.Joins
-	dst.Unions += s.Unions
-	dst.LFPs += s.LFPs
-	dst.LFPIters += s.LFPIters
-	dst.RecFixes += s.RecFixes
-	dst.TuplesOut += s.TuplesOut
-	dst.StmtsRun += s.StmtsRun
-	dst.Morsels += s.Morsels
-	dst.DescScans += s.DescScans
 }
 
 func joinNames(names []string) string {

@@ -308,74 +308,92 @@ func (c OpCounts) All() int {
 	return c.LFP + c.RecFix + c.Joins + c.Unions + c.Diffs + c.Sels + c.DescScan
 }
 
+// Inputs returns an operator's operand plans in the one canonical order
+// every consumer agrees on: declaration order, with the optional constraints
+// of Fix (Seed, Start?, End?) and DescScan (Alt, Start?, End?) present only
+// when non-nil, and RecUnion listing its Init plans before its edge
+// relations. Leaves (Base, Temp, Ident, RootSeed) have none. This is the only
+// place that lists an operator's children: structural walks (dependency
+// graphs, operator counts, the engine's operand resolution) all go through it.
+func Inputs(pl Plan) []Plan { return AppendInputs(nil, pl) }
+
+// AppendInputs is Inputs appending to dst, for callers that walk plans on a
+// hot path with a stack buffer.
+func AppendInputs(dst []Plan, pl Plan) []Plan {
+	switch pl := pl.(type) {
+	case IdentOf:
+		return append(dst, pl.Child)
+	case SelectVal:
+		return append(dst, pl.Child)
+	case SelectRoot:
+		return append(dst, pl.Child)
+	case TypeFilter:
+		return append(dst, pl.Child)
+	case Compose:
+		return append(dst, pl.L, pl.R)
+	case Semijoin:
+		return append(dst, pl.L, pl.R)
+	case Antijoin:
+		return append(dst, pl.L, pl.R)
+	case Diff:
+		return append(dst, pl.L, pl.R)
+	case UnionAll:
+		return append(dst, pl.Kids...)
+	case Fix:
+		return appendConstrained(dst, pl.Seed, pl.Start, pl.End)
+	case DescScan:
+		return appendConstrained(dst, pl.Alt, pl.Start, pl.End)
+	case RecUnion:
+		for _, t := range pl.Init {
+			dst = append(dst, t.Plan)
+		}
+		for _, e := range pl.Edges {
+			dst = append(dst, e.Rel)
+		}
+	}
+	return dst
+}
+
+// appendConstrained appends a Fix/DescScan operand list: the main operand,
+// then the pushed constraints that are present.
+func appendConstrained(dst []Plan, first, start, end Plan) []Plan {
+	dst = append(dst, first)
+	if start != nil {
+		dst = append(dst, start)
+	}
+	if end != nil {
+		dst = append(dst, end)
+	}
+	return dst
+}
+
 // Count tallies the operators of every statement in the program.
 func (p *Program) Count() OpCounts {
 	var c OpCounts
 	var walk func(pl Plan)
 	walk = func(pl Plan) {
 		switch pl := pl.(type) {
-		case Compose:
+		case Compose, Semijoin, Antijoin, TypeFilter:
 			c.Joins++
-			walk(pl.L)
-			walk(pl.R)
 		case UnionAll:
 			if len(pl.Kids) > 1 {
 				c.Unions += len(pl.Kids) - 1
 			}
-			for _, k := range pl.Kids {
-				walk(k)
-			}
 		case Fix:
 			c.LFP++
-			walk(pl.Seed)
-			if pl.Start != nil {
-				walk(pl.Start)
-			}
-			if pl.End != nil {
-				walk(pl.End)
-			}
-		case SelectVal:
+		case SelectVal, SelectRoot:
 			c.Sels++
-			walk(pl.Child)
-		case SelectRoot:
-			c.Sels++
-			walk(pl.Child)
-		case Semijoin:
-			c.Joins++
-			walk(pl.L)
-			walk(pl.R)
-		case Antijoin:
-			c.Joins++
-			walk(pl.L)
-			walk(pl.R)
 		case Diff:
 			c.Diffs++
-			walk(pl.L)
-			walk(pl.R)
-		case IdentOf:
-			walk(pl.Child)
-		case TypeFilter:
-			c.Joins++
-			walk(pl.Child)
 		case DescScan:
 			c.DescScan++
-			walk(pl.Alt)
-			if pl.Start != nil {
-				walk(pl.Start)
-			}
-			if pl.End != nil {
-				walk(pl.End)
-			}
 		case RecUnion:
 			c.RecFix++
-			for _, t := range pl.Init {
-				walk(t.Plan)
-			}
 			c.Joins += len(pl.Edges)
 			c.Unions += len(pl.Edges)
-			for _, e := range pl.Edges {
-				walk(e.Rel)
-			}
+		}
+		for _, k := range Inputs(pl) {
+			walk(k)
 		}
 	}
 	for _, s := range p.Stmts {

@@ -174,58 +174,16 @@ func tempRefs(p Plan, alt bool) []string {
 	set := map[string]bool{}
 	var walk func(Plan)
 	walk = func(p Plan) {
-		switch p := p.(type) {
-		case Temp:
-			set[p.Name] = true
-		case Compose:
-			walk(p.L)
-			walk(p.R)
-		case UnionAll:
-			for _, k := range p.Kids {
-				walk(k)
-			}
-		case Fix:
-			walk(p.Seed)
-			if p.Start != nil {
-				walk(p.Start)
-			}
-			if p.End != nil {
-				walk(p.End)
-			}
-		case DescScan:
-			if alt {
-				walk(p.Alt)
-			}
-			if p.Start != nil {
-				walk(p.Start)
-			}
-			if p.End != nil {
-				walk(p.End)
-			}
-		case SelectVal:
-			walk(p.Child)
-		case SelectRoot:
-			walk(p.Child)
-		case Semijoin:
-			walk(p.L)
-			walk(p.R)
-		case Antijoin:
-			walk(p.L)
-			walk(p.R)
-		case Diff:
-			walk(p.L)
-			walk(p.R)
-		case IdentOf:
-			walk(p.Child)
-		case TypeFilter:
-			walk(p.Child)
-		case RecUnion:
-			for _, t := range p.Init {
-				walk(t.Plan)
-			}
-			for _, e := range p.Edges {
-				walk(e.Rel)
-			}
+		if t, ok := p.(Temp); ok {
+			set[t.Name] = true
+			return
+		}
+		in := Inputs(p)
+		if _, ok := p.(DescScan); ok && !alt {
+			in = in[1:]
+		}
+		for _, k := range in {
+			walk(k)
 		}
 	}
 	walk(p)

@@ -40,6 +40,7 @@ package rdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"xpath2sql/internal/ra"
@@ -65,14 +66,16 @@ type BaseDelta struct {
 	NewIDs []int
 }
 
-// ViewState is a standing query's materialized operator tree plus its
-// maintained answer multiset. Build one with BuildViewState against a
-// database snapshot, then advance it epoch by epoch with ApplyInsert /
-// ApplyDelete / ApplyText, or recompute with Rebuild.
+// ViewState is the push driver of the operator kernels (ops.go): a standing
+// query's materialized operator tree plus its maintained answer multiset.
+// Full materialization applies each operator's kernel to its kids' outputs;
+// insert maintenance applies the same kernels to the kids' deltas wherever
+// the operator distributes over ∪ (see nodeDelta). Build one with
+// BuildViewState against a database snapshot, then advance it epoch by epoch
+// with ApplyInsert / ApplyDelete / ApplyText, or recompute with Rebuild.
 type ViewState struct {
 	prog *ra.Program
-	db   *DB
-	ex   *Exec     // internal executor: compose/fixExpand kernels + stats
+	ex   *Exec     // runs the operator kernels (ops.go) on ex.DB, the view's epoch
 	syms *Interner // the shared interner every epoch must carry
 
 	opaque     bool // no operator tree: maintained by Rebuild only
@@ -107,8 +110,8 @@ type viewStmt struct {
 // its statement's root).
 type viewNode struct {
 	plan ra.Plan
-	kids []*viewNode
-	stmt *viewStmt // Temp target
+	kids []*viewNode // ra.Inputs order (minus Alt under useFast)
+	stmt *viewStmt   // Temp target
 
 	out *Relation
 	// aux, on a Fix with both constraints pushed, is the unfiltered
@@ -130,45 +133,22 @@ type viewNode struct {
 func BuildViewState(db *DB, prog *ra.Program) (*ViewState, error) {
 	vs := &ViewState{
 		prog:   prog,
-		db:     db,
-		ex:     &Exec{DB: db, Lazy: true, Parallelism: 1},
+		ex:     &Exec{DB: db, prog: prog, Parallelism: 1},
 		syms:   db.Syms,
 		stmts:  map[string]*viewStmt{},
 		counts: map[int32]int{},
 	}
 	vs.classify()
-	if vs.insertable {
-		st, err := vs.buildStmt(prog.Result)
-		if errors.Is(err, ErrNonIncremental) {
-			vs.opaque = true
-			vs.insertable, vs.deletable = false, false
-		} else if err != nil {
+	vs.opaque = !vs.insertable
+	if !vs.opaque {
+		var err error
+		if vs.result, err = vs.buildStmt(prog.Result); err != nil {
 			return nil, err
-		} else {
-			vs.result = st
 		}
-	} else {
-		vs.opaque = true
 	}
-	if vs.opaque {
-		if err := vs.rebuildOpaque(); err != nil {
-			return nil, err
-		}
-		return vs, nil
+	if err := vs.refresh(); err != nil {
+		return nil, err
 	}
-	snap := vs.ex.Stats
-	if err := vs.evalStmt(vs.result); err != nil {
-		if !errors.Is(err, ErrNonIncremental) {
-			return nil, err
-		}
-		vs.degradeToOpaque()
-		if err := vs.rebuildOpaque(); err != nil {
-			return nil, err
-		}
-		return vs, nil
-	}
-	vs.FullStats = addDelta(vs.FullStats, vs.ex.Stats.Minus(snap))
-	vs.refreshCounts()
 	return vs, nil
 }
 
@@ -207,22 +187,15 @@ func (vs *ViewState) AnswerIDs() []int {
 func (vs *ViewState) classify() {
 	vs.insertable, vs.deletable, vs.textImmune = true, true, true
 	seen := map[string]bool{}
-	var walkStmt func(name string)
 	var walk func(p ra.Plan)
-	walkStmt = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		if pl := vs.prog.Lookup(name); pl != nil {
-			walk(pl)
-		}
-	}
 	walk = func(p ra.Plan) {
 		switch p := p.(type) {
-		case ra.Base, ra.Ident, ra.RootSeed:
+		case ra.Base, ra.Ident, ra.RootSeed, ra.Compose, ra.UnionAll, ra.SelectRoot, ra.TypeFilter:
 		case ra.Temp:
-			walkStmt(p.Name)
+			if pl := vs.prog.Lookup(p.Name); pl != nil && !seen[p.Name] {
+				seen[p.Name] = true
+				walk(pl)
+			}
 		case ra.IdentOf:
 			if p.OnF {
 				// (f, f) rows keep an existential witness on the child's F
@@ -230,14 +203,6 @@ func (vs *ViewState) classify() {
 				// while f stays alive. The OnT projection is safe: t alive
 				// implies its ancestor-side f is alive too.
 				vs.deletable = false
-			}
-			walk(p.Child)
-		case ra.Compose:
-			walk(p.L)
-			walk(p.R)
-		case ra.UnionAll:
-			for _, k := range p.Kids {
-				walk(k)
 			}
 		case ra.Fix:
 			if p.TrackPaths {
@@ -250,56 +215,24 @@ func (vs *ViewState) classify() {
 				// not exact.
 				vs.deletable = false
 			}
-			walk(p.Seed)
-			if p.Start != nil {
-				walk(p.Start)
-			}
-			if p.End != nil {
-				walk(p.End)
-			}
-		case ra.SelectVal:
-			vs.textImmune = false
-			walk(p.Child)
-		case ra.SelectRoot:
-			walk(p.Child)
-		case ra.Semijoin:
-			vs.deletable = false
-			walk(p.L)
-			walk(p.R)
-		case ra.Antijoin:
-			vs.insertable, vs.deletable = false, false
-			walk(p.L)
-			walk(p.R)
-		case ra.Diff:
-			vs.insertable, vs.deletable = false, false
-			walk(p.L)
-			walk(p.R)
-		case ra.TypeFilter:
-			walk(p.Child)
 		case ra.DescScan:
 			if p.End != nil {
 				vs.deletable = false // see ra.Fix: π_F(end) witness loss
 			}
-			walk(p.Alt)
-			if p.Start != nil {
-				walk(p.Start)
-			}
-			if p.End != nil {
-				walk(p.End)
-			}
-		case ra.RecUnion:
+		case ra.SelectVal:
+			vs.textImmune = false
+		case ra.Semijoin:
+			vs.deletable = false
+		case ra.Antijoin, ra.Diff, ra.RecUnion:
 			vs.insertable, vs.deletable = false, false
-			for _, t := range p.Init {
-				walk(t.Plan)
-			}
-			for _, ed := range p.Edges {
-				walk(ed.Rel)
-			}
 		default:
 			vs.insertable, vs.deletable, vs.textImmune = false, false, false
 		}
+		for _, k := range ra.Inputs(p) {
+			walk(k)
+		}
 	}
-	walkStmt(vs.prog.Result)
+	walk(ra.Temp{Name: vs.prog.Result})
 }
 
 // --- tree construction ---------------------------------------------------
@@ -326,100 +259,30 @@ func (vs *ViewState) buildStmt(name string) (*viewStmt, error) {
 	return st, nil
 }
 
+// buildNode builds the node of a plan classify admitted as insertable, so
+// every operator below has a Δ rule.
 func (vs *ViewState) buildNode(pl ra.Plan) (*viewNode, error) {
 	n := &viewNode{plan: pl}
-	addKid := func(p ra.Plan) error {
-		k, err := vs.buildNode(p)
-		if err != nil {
-			return err
-		}
-		n.kids = append(n.kids, k)
-		return nil
-	}
+	kids := ra.Inputs(pl)
 	switch pl := pl.(type) {
-	case ra.Base, ra.Ident, ra.RootSeed:
 	case ra.Temp:
 		st, err := vs.buildStmt(pl.Name)
-		if err != nil {
-			return nil, err
-		}
 		n.stmt = st
-	case ra.IdentOf:
-		if err := addKid(pl.Child); err != nil {
-			return nil, err
-		}
-	case ra.Compose:
-		if err := addKid(pl.L); err != nil {
-			return nil, err
-		}
-		if err := addKid(pl.R); err != nil {
-			return nil, err
-		}
-	case ra.UnionAll:
-		for _, k := range pl.Kids {
-			if err := addKid(k); err != nil {
-				return nil, err
-			}
-		}
-	case ra.Fix:
-		if pl.TrackPaths {
-			return nil, ErrNonIncremental
-		}
-		if err := addKid(pl.Seed); err != nil {
-			return nil, err
-		}
-		if pl.Start != nil {
-			if err := addKid(pl.Start); err != nil {
-				return nil, err
-			}
-		}
-		if pl.End != nil {
-			if err := addKid(pl.End); err != nil {
-				return nil, err
-			}
-		}
-	case ra.SelectVal:
-		if err := addKid(pl.Child); err != nil {
-			return nil, err
-		}
-	case ra.SelectRoot:
-		if err := addKid(pl.Child); err != nil {
-			return nil, err
-		}
-	case ra.Semijoin:
-		if err := addKid(pl.L); err != nil {
-			return nil, err
-		}
-		if err := addKid(pl.R); err != nil {
-			return nil, err
-		}
-	case ra.TypeFilter:
-		if err := addKid(pl.Child); err != nil {
-			return nil, err
-		}
+		return n, err
 	case ra.DescScan:
 		// Decide the maintenance strategy now: through the interval kernel
 		// when the database carries a matching encoding, else through the
 		// fixpoint alternative subtree.
-		n.useFast = vs.descFastUsable(pl)
-		if !n.useFast {
-			if err := addKid(pl.Alt); err != nil {
-				return nil, err
-			}
+		if n.useFast = vs.descFastUsable(pl); n.useFast {
+			kids = kids[1:]
 		}
-		if pl.Start != nil {
-			if err := addKid(pl.Start); err != nil {
-				return nil, err
-			}
+	}
+	for _, p := range kids {
+		k, err := vs.buildNode(p)
+		if err != nil {
+			return nil, err
 		}
-		if pl.End != nil {
-			if err := addKid(pl.End); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		// Antijoin, Diff, RecUnion, unknown: not tree-maintainable.
-		return nil, ErrNonIncremental
+		n.kids = append(n.kids, k)
 	}
 	return n, nil
 }
@@ -427,10 +290,11 @@ func (vs *ViewState) buildNode(pl ra.Plan) (*viewNode, error) {
 // descFastUsable mirrors descScanFast's gate: a matching DTD fingerprint, a
 // valid encoding, and a buildable begin-sorted index over the To relation.
 func (vs *ViewState) descFastUsable(pl ra.DescScan) bool {
-	if vs.prog.DTDFP == "" || vs.prog.DTDFP != vs.db.DTDFP || !vs.db.HasIntervals() {
+	db := vs.ex.DB
+	if !db.fingerprintMatches(vs.prog) {
 		return false
 	}
-	_, ok := vs.db.descIndexFor(vs.db.Rel(pl.To))
+	_, ok := db.descIndexFor(db.Rel(pl.To))
 	return ok
 }
 
@@ -443,346 +307,118 @@ func (vs *ViewState) newRel() *Relation { return newRelation("", vs.syms) }
 func (vs *ViewState) nodeOut(n *viewNode) *Relation {
 	switch pl := n.plan.(type) {
 	case ra.Base:
-		return vs.db.Rel(pl.Rel)
+		return vs.ex.DB.Rel(pl.Rel)
 	case ra.Temp:
 		return vs.nodeOut(n.stmt.root)
 	}
 	return n.out
 }
 
-func (vs *ViewState) evalStmt(st *viewStmt) error {
-	if st.root.evaluated() {
-		return nil
+// operands returns the kids' current outputs in ra.Inputs order. A DescScan
+// maintained through the interval kernel has no Alt kid; its slot stays nil,
+// which is how apply is asked for the kernel.
+func (vs *ViewState) operands(n *viewNode) []*Relation {
+	in := make([]*Relation, 0, len(n.kids)+1)
+	if n.useFast {
+		in = append(in, nil)
 	}
-	return vs.evalNode(st.root)
+	for _, k := range n.kids {
+		in = append(in, vs.nodeOut(k))
+	}
+	return in
 }
 
-func (n *viewNode) evaluated() bool {
-	switch n.plan.(type) {
-	case ra.Base:
-		return true
-	case ra.Temp:
-		return n.stmt.root.evaluated()
+// eachNode visits every operator node of the tree, kids first.
+func (vs *ViewState) eachNode(visit func(n *viewNode)) {
+	var walk func(n *viewNode)
+	walk = func(n *viewNode) {
+		for _, k := range n.kids {
+			walk(k)
+		}
+		visit(n)
 	}
-	return n.out != nil
+	for _, st := range vs.stmts {
+		walk(st.root)
+	}
 }
 
-// evalNode fully materializes n's output (post-order) against vs.db.
-func (vs *ViewState) evalNode(n *viewNode) error {
+// materialize fully evaluates n's output (post-order) against the view's epoch: the
+// operator's kernel applied to the kids' outputs.
+func (vs *ViewState) materialize(n *viewNode) error {
 	switch n.plan.(type) {
 	case ra.Base:
 		return nil
 	case ra.Temp:
-		return vs.evalStmt(n.stmt)
+		return vs.materialize(n.stmt.root)
 	}
 	if n.out != nil {
 		return nil
 	}
 	for _, k := range n.kids {
-		if err := vs.evalNode(k); err != nil {
+		if err := vs.materialize(k); err != nil {
 			return err
 		}
 	}
-	ex := vs.ex
+	in := vs.operands(n)
+	var err error
 	switch pl := n.plan.(type) {
 	case ra.Ident:
-		out := vs.newRel()
-		out.grow(len(vs.db.Vals) + 1)
-		out.addRow(row{})
-		for id := range vs.db.Vals {
-			out.addRow(row{f: int32(id), t: int32(id), v: vs.valSym(id)})
-		}
-		ex.Stats.TuplesOut += out.Len()
-		n.out = out
-	case ra.IdentOf:
-		child := vs.nodeOut(n.kids[0])
-		out := vs.newRel()
-		for i := range child.rows {
-			if child.isDead(i) {
-				continue
-			}
-			id := child.rows[i].t
-			if pl.OnF {
-				id = child.rows[i].f
-			}
-			out.addRow(row{f: id, t: id, v: vs.valSym(int(id))})
-		}
-		ex.Stats.TuplesOut += out.Len()
-		n.out = out
-	case ra.Compose:
-		out, err := ex.compose(vs.nodeOut(n.kids[0]), vs.nodeOut(n.kids[1]))
-		if err != nil {
-			return err
-		}
-		n.out = out
-	case ra.UnionAll:
-		out := vs.newRel()
-		for i, k := range n.kids {
-			if i > 0 {
-				ex.Stats.Unions++
-			}
-			kr := vs.nodeOut(k)
-			for j := range kr.rows {
-				if kr.isDead(j) {
-					continue
-				}
-				if out.addFrom(kr, kr.rows[j]) {
-					ex.Stats.TuplesOut++
-				}
-			}
-		}
-		n.out = out
+		// A private R_id: delta rounds advance it.
+		n.out = vs.ex.newIdent()
 	case ra.Fix:
-		return vs.evalFix(n, pl)
-	case ra.SelectVal:
-		child := vs.nodeOut(n.kids[0])
-		out := vs.newRel()
-		if sym, ok := child.symOf(pl.Val); ok {
-			for i := range child.rows {
-				if !child.isDead(i) && child.rows[i].v == sym {
-					out.addFrom(child, child.rows[i])
-				}
+		if pl.Start != nil && pl.End != nil {
+			// Keep the unfiltered start-restricted closure as aux — what
+			// delta rounds advance — and project it through the end filter.
+			// Without its End the same Φ is exactly that closure, and has no
+			// end nodes to prune its frontier against.
+			pl.End = nil
+			if n.aux, err = vs.ex.apply(pl, in[:2]); err == nil {
+				n.out = vs.ex.fixEndFilter(n.aux, in[2], false)
 			}
-		}
-		ex.Stats.TuplesOut += out.Len()
-		n.out = out
-	case ra.SelectRoot:
-		child := vs.nodeOut(n.kids[0])
-		out := vs.newRel()
-		for i := range child.rows {
-			if !child.isDead(i) && child.rows[i].f == 0 {
-				out.addFrom(child, child.rows[i])
-			}
-		}
-		ex.Stats.TuplesOut += out.Len()
-		n.out = out
-	case ra.Semijoin:
-		l, r := vs.nodeOut(n.kids[0]), vs.nodeOut(n.kids[1])
-		ex.Stats.Joins++
-		wit := r.fIndex()
-		out := vs.newRel()
-		for i := range l.rows {
-			if !l.isDead(i) && wit.contains(l.rows[i].t) {
-				out.addFrom(l, l.rows[i])
-			}
-		}
-		ex.Stats.TuplesOut += out.Len()
-		n.out = out
-	case ra.RootSeed:
-		out := vs.newRel()
-		out.addRow(row{})
-		n.out = out
-	case ra.TypeFilter:
-		child := vs.nodeOut(n.kids[0])
-		ex.Stats.Joins++
-		typed := vs.db.Rel(pl.Rel).tIndex()
-		out := vs.newRel()
-		for i := range child.rows {
-			if child.isDead(i) {
-				continue
-			}
-			w := child.rows[i]
-			col := w.t
-			if pl.OnF {
-				col = w.f
-			}
-			if typed.contains(col) {
-				out.addFrom(child, w)
-			}
-		}
-		ex.Stats.TuplesOut += out.Len()
-		n.out = out
-	case ra.DescScan:
-		return vs.evalDescScan(n, pl)
-	default:
-		return fmt.Errorf("rdb: unsupported view plan %T", n.plan)
-	}
-	return nil
-}
-
-func (vs *ViewState) valSym(id int) int32 {
-	v, ok := vs.db.Vals[id]
-	if !ok || v == "" {
-		return 0
-	}
-	return vs.syms.Intern(v)
-}
-
-// fixIndexes resolves a Fix node's pushed constraint indexes from the
-// materialized constraint subtrees.
-func (vs *ViewState) fixIndexes(n *viewNode, pl ra.Fix) (startIdx, endIdx *colIndex) {
-	ki := 1
-	if pl.Start != nil {
-		startIdx = vs.nodeOut(n.kids[ki]).tIndex()
-		ki++
-	}
-	if pl.End != nil {
-		endIdx = vs.nodeOut(n.kids[ki]).fIndex()
-	}
-	return startIdx, endIdx
-}
-
-// evalFix materializes Φ(R) for a view. Unlike the executor's fix it never
-// applies interval frontier pruning: with both constraints pushed the full
-// start-restricted closure is kept as the node's aux relation (what delta
-// rounds advance) and the end filter projects it into out.
-func (vs *ViewState) evalFix(n *viewNode, pl ra.Fix) error {
-	ex := vs.ex
-	seed := vs.nodeOut(n.kids[0])
-	startIdx, endIdx := vs.fixIndexes(n, pl)
-	ex.Stats.LFPs++
-	out := vs.newRel()
-	var delta []row
-	dir := fixFwd
-	switch {
-	case startIdx != nil:
-		for i := range seed.rows {
-			w := seed.rows[i]
-			if !seed.isDead(i) && startIdx.contains(w.f) && out.addRow(w) {
-				ex.Stats.TuplesOut++
-				delta = append(delta, w)
-			}
-		}
-	case endIdx != nil:
-		dir = fixBwd
-		for i := range seed.rows {
-			w := seed.rows[i]
-			if !seed.isDead(i) && endIdx.contains(w.t) && out.addRow(w) {
-				ex.Stats.TuplesOut++
-				delta = append(delta, w)
-			}
+		} else {
+			n.out, err = vs.ex.apply(pl, in)
 		}
 	default:
-		for i := range seed.rows {
-			w := seed.rows[i]
-			if !seed.isDead(i) && out.addRow(w) {
-				ex.Stats.TuplesOut++
-				delta = append(delta, w)
-			}
-		}
+		n.out, err = vs.ex.apply(n.plan, in)
 	}
-	var next []row
-	var err error
-	for len(delta) > 0 {
-		ex.Stats.LFPIters++
-		ex.Stats.Joins++
-		if next, err = ex.fixExpand(seed, out, delta, next[:0], dir, false, nil); err != nil {
-			return err
-		}
-		ex.Stats.Unions++
-		delta, next = next, delta
-	}
-	if startIdx != nil && endIdx != nil {
-		n.aux = out
-		filtered := vs.newRel()
-		for i := range out.rows {
-			if endIdx.contains(out.rows[i].t) {
-				filtered.addRow(out.rows[i])
-			}
-		}
-		n.out = filtered
-		return nil
-	}
-	n.out = out
-	return nil
-}
-
-// descIndexes resolves a DescScan node's constraint indexes; kid layout is
-// [Alt,] Start?, End? depending on useFast.
-func (vs *ViewState) descIndexes(n *viewNode, pl ra.DescScan) (startIdx, endIdx *colIndex) {
-	ki := 0
-	if !n.useFast {
-		ki = 1
-	}
-	if pl.Start != nil {
-		startIdx = vs.nodeOut(n.kids[ki]).tIndex()
-		ki++
-	}
-	if pl.End != nil {
-		endIdx = vs.nodeOut(n.kids[ki]).fIndex()
-	}
-	return startIdx, endIdx
-}
-
-func (vs *ViewState) evalDescScan(n *viewNode, pl ra.DescScan) error {
-	startIdx, endIdx := vs.descIndexes(n, pl)
-	out := vs.newRel()
-	if !n.useFast {
-		alt := vs.nodeOut(n.kids[0])
-		for i := range alt.rows {
-			if alt.isDead(i) {
-				continue
-			}
-			w := alt.rows[i]
-			if startIdx != nil && !startIdx.contains(w.f) {
-				continue
-			}
-			if endIdx != nil && !endIdx.contains(w.t) {
-				continue
-			}
-			out.addFrom(alt, w)
-		}
-		vs.ex.Stats.TuplesOut += out.Len()
-		n.out = out
-		return nil
-	}
-	db := vs.db
-	toIdx, ok := db.descIndexFor(db.Rel(pl.To))
-	if !ok {
+	if errors.Is(err, errNoDescKernel) {
+		// The kernel chosen at build time bailed (a node the encoding cannot
+		// place): the tree cannot be maintained as built.
 		return ErrNonIncremental
 	}
-	fromRel := db.Rel(pl.From)
-	seen := map[int32]struct{}{}
-	vs.ex.Stats.DescScans++
-	for i := range fromRel.rows {
-		if fromRel.isDead(i) {
-			continue
-		}
-		x := fromRel.rows[i].t
-		if _, dup := seen[x]; dup {
-			continue
-		}
-		seen[x] = struct{}{}
-		if startIdx != nil && !startIdx.contains(x) {
-			continue
-		}
-		iv, has := db.Interval(int(x))
-		if !has {
-			return ErrNonIncremental
-		}
-		jlo, jhi := toIdx.rangeOf(iv.Begin, iv.End)
-		for j := jlo; j < jhi; j++ {
-			t := toIdx.rows[j].t
-			if endIdx != nil && !endIdx.contains(t) {
-				continue
-			}
-			if out.addRow(row{f: x, t: t, v: toIdx.rows[j].v}) {
-				vs.ex.Stats.TuplesOut++
-			}
-		}
+	if err == nil && slices.Contains(in, n.out) {
+		// A kernel may hand back an operand unchanged (a DescScan over its
+		// Alt with no constraint to apply); the node advances its own copy.
+		n.out = n.out.Clone()
 	}
-	n.out = out
+	return err
+}
+
+// refresh (re)computes the whole view against its epoch: bottom-up through the
+// operator tree when there is one — degrading to opaque if it cannot be
+// materialized as built — and by a plain execution otherwise.
+func (vs *ViewState) refresh() error {
+	if !vs.opaque {
+		snap := vs.ex.Stats
+		err := vs.materialize(vs.result.root)
+		if err == nil {
+			vs.FullStats.Add(vs.ex.Stats.Minus(snap))
+			vs.counts = countRows(vs.nodeOut(vs.result.root).rows)
+			return nil
+		}
+		if !errors.Is(err, ErrNonIncremental) {
+			return err
+		}
+		vs.degradeToOpaque()
+	}
+	ex := NewExec(vs.ex.DB)
+	rel, err := ex.Run(vs.prog)
+	if err != nil {
+		return err
+	}
+	vs.FullStats.Add(ex.Stats)
+	vs.counts = countRows(rel.rows)
 	return nil
-}
-
-// refreshCounts recomputes the answer multiset from the result relation.
-func (vs *ViewState) refreshCounts() {
-	vs.counts = countRows(vs.resultRows())
-}
-
-// resultRows returns the result node's live rows.
-func (vs *ViewState) resultRows() []row {
-	r := vs.nodeOut(vs.result.root)
-	if r.nDead == 0 {
-		return r.rows
-	}
-	live := make([]row, 0, r.Len())
-	for i := range r.rows {
-		if !r.isDead(i) {
-			live = append(live, r.rows[i])
-		}
-	}
-	return live
 }
 
 func countRows(rows []row) map[int32]int {
@@ -807,16 +443,14 @@ func (vs *ViewState) ApplyInsert(newDB *DB, bd BaseDelta) ([]int, error) {
 	if newDB.Syms != vs.syms {
 		return nil, ErrNonIncremental
 	}
-	vs.db = newDB
 	vs.ex.DB = newDB
-	vs.ex.ident = nil
 	vs.round++
 	snap := vs.ex.Stats
 	d, err := vs.nodeDelta(vs.result.root, &bd)
 	if err != nil {
 		return nil, err
 	}
-	vs.DeltaStats = addDelta(vs.DeltaStats, vs.ex.Stats.Minus(snap))
+	vs.DeltaStats.Add(vs.ex.Stats.Minus(snap))
 	var added []int
 	for _, w := range d.rows {
 		c := vs.counts[w.t]
@@ -829,166 +463,125 @@ func (vs *ViewState) ApplyInsert(newDB *DB, bd BaseDelta) ([]int, error) {
 	return added, nil
 }
 
-// foldInto adds every candidate row to out, returning the genuinely-new ones
-// as the node's propagated delta.
-func (vs *ViewState) foldInto(out *Relation, cand *Relation) *Relation {
-	d := vs.newRel()
-	for i := range cand.rows {
-		if out.addRow(cand.rows[i]) {
-			vs.ex.Stats.TuplesOut++
-			d.addRow(cand.rows[i])
+// admit adds w to n's materialization; a genuinely new row is counted and
+// joins d, the delta n propagates.
+func (vs *ViewState) admit(n *viewNode, d *Relation, w row) {
+	if n.out.addRow(w) {
+		vs.ex.Stats.TuplesOut++
+		d.addRow(w)
+	}
+}
+
+// distribute is the Δ rule of an operator in an operand it distributes over
+// ∪ in — op(A ∪ ΔA, B) = op(A, B) ∪ op(ΔA, B) — which needs no code of its
+// own: the operator's kernel is applied to ops, the node's operands with that
+// operand replaced by its delta (for an operator linear in all its operands
+// at once, every one of them), and the result admitted into n.
+func (vs *ViewState) distribute(n *viewNode, d *Relation, ops []*Relation) error {
+	cand, err := vs.ex.apply(n.plan, ops)
+	if err != nil {
+		return err
+	}
+	for _, w := range cand.rows {
+		vs.admit(n, d, w)
+	}
+	return nil
+}
+
+// withDelta returns the operand list in with operand i replaced by its delta.
+func withDelta(in, kd []*Relation, i int) []*Relation {
+	ops := slices.Clone(in)
+	ops[i] = kd[i]
+	return ops
+}
+
+// rowsAt visits the rows of r whose F (onF) or T column holds key, in
+// insertion order. visit may append to r.
+func (r *Relation) rowsAt(onF bool, key int32, visit func(row)) {
+	idx := r.tIndex()
+	if onF {
+		idx = r.fIndex()
+	}
+	snap, over := idx.lookup(key)
+	for _, part := range [2][]int32{snap, over} {
+		for _, pos := range part {
+			visit(r.rows[pos])
 		}
 	}
-	return d
+}
+
+// deltaRows are the rows of an operand's delta; an operand the plan does not
+// carry (nil) has none.
+func deltaRows(d *Relation) []row {
+	if d == nil {
+		return nil
+	}
+	return d.rows
 }
 
 // nodeDelta computes (once per round, post-order) the genuinely-new rows of
-// n's output under the insert and advances the materialization.
+// n's output under the insert and advances the materialization. Operators
+// that distribute over ∪ reuse their kernel on the operands' deltas
+// (distribute); hand-written rules remain only where an old row can newly
+// qualify without any operand row carrying it in: a Semijoin's new
+// witnesses, a Fix frontier, a DescScan's ancestors and grown constraints.
 func (vs *ViewState) nodeDelta(n *viewNode, bd *BaseDelta) (*Relation, error) {
+	if n.stmt != nil {
+		return vs.nodeDelta(n.stmt.root, bd)
+	}
 	if n.round == vs.round {
 		return n.delta, nil
 	}
-	kd := make([]*Relation, len(n.kids))
+	// kd holds the operands' deltas, aligned with in.
+	in := vs.operands(n)
+	kd := make([]*Relation, len(in))
 	for i, k := range n.kids {
-		d, err := vs.nodeDelta(k, bd)
+		kdi, err := vs.nodeDelta(k, bd)
 		if err != nil {
 			return nil, err
 		}
-		kd[i] = d
+		kd[len(in)-len(n.kids)+i] = kdi
 	}
-	var d *Relation
+	d := vs.newRel()
 	var err error
 	switch pl := n.plan.(type) {
 	case ra.Base:
-		d = vs.newRel()
 		for _, e := range bd.Rows[pl.Rel] {
 			d.Add(e.F, e.T, e.V)
 		}
-	case ra.Temp:
-		if d, err = vs.nodeDelta(n.stmt.root, bd); err != nil {
-			return nil, err
-		}
 	case ra.Ident:
-		cand := vs.newRel()
 		for _, id := range bd.NewIDs {
-			cand.addRow(row{f: int32(id), t: int32(id), v: vs.valSym(id)})
+			vs.admit(n, d, row{f: int32(id), t: int32(id), v: vs.ex.valSym(id)})
 		}
-		d = vs.foldInto(n.out, cand)
-	case ra.IdentOf:
-		cand := vs.newRel()
-		for i := range kd[0].rows {
-			id := kd[0].rows[i].t
-			if pl.OnF {
-				id = kd[0].rows[i].f
-			}
-			cand.addRow(row{f: id, t: id, v: vs.valSym(int(id))})
-		}
-		d = vs.foldInto(n.out, cand)
+	case ra.RootSeed:
+	case ra.IdentOf, ra.SelectVal, ra.SelectRoot, ra.TypeFilter, ra.UnionAll:
+		// Linear in every operand at once: Δop(A, …) = op(ΔA, …).
+		err = vs.distribute(n, d, kd)
 	case ra.Compose:
-		// Δ(L∘R) = ΔL∘R ∪ L∘ΔR over the advanced child outputs.
-		lOut, rOut := vs.nodeOut(n.kids[0]), vs.nodeOut(n.kids[1])
-		d = vs.newRel()
-		for _, pair := range [2][2]*Relation{{kd[0], rOut}, {lOut, kd[1]}} {
-			if pair[0].Len() == 0 || pair[1].Len() == 0 {
-				continue
-			}
-			c, cerr := vs.ex.compose(pair[0], pair[1])
-			if cerr != nil {
-				return nil, cerr
-			}
-			for i := range c.rows {
-				if n.out.addRow(c.rows[i]) {
-					vs.ex.Stats.TuplesOut++
-					d.addRow(c.rows[i])
-				}
+		// Bilinear: Δ(L∘R) = ΔL∘R ∪ L∘ΔR over the advanced operands.
+		for i := range in {
+			if err == nil && kd[i].Len() > 0 {
+				err = vs.distribute(n, d, withDelta(in, kd, i))
 			}
 		}
-	case ra.UnionAll:
-		d = vs.newRel()
-		for _, k := range kd {
-			for i := range k.rows {
-				if n.out.addRow(k.rows[i]) {
-					vs.ex.Stats.TuplesOut++
-					d.addRow(k.rows[i])
-				}
+	case ra.Semijoin:
+		// Distributive in L: ΔL ⋉ R. Not in R — an old L row newly passes
+		// when a fresh R row gives its T a first witness in π_F(R) — so all
+		// of L is probed with ΔR's witnesses.
+		if err = vs.distribute(n, d, withDelta(in, kd, 0)); err == nil {
+			for _, w := range kd[1].rows {
+				in[0].rowsAt(false, w.f, func(l row) { vs.admit(n, d, l) })
 			}
 		}
 	case ra.Fix:
-		if d, err = vs.fixDelta(n, pl, kd); err != nil {
-			return nil, err
-		}
-	case ra.SelectVal:
-		cand := vs.newRel()
-		if sym, ok := kd[0].symOf(pl.Val); ok {
-			for i := range kd[0].rows {
-				if kd[0].rows[i].v == sym {
-					cand.addRow(kd[0].rows[i])
-				}
-			}
-		}
-		d = vs.foldInto(n.out, cand)
-	case ra.SelectRoot:
-		cand := vs.newRel()
-		for i := range kd[0].rows {
-			if kd[0].rows[i].f == 0 {
-				cand.addRow(kd[0].rows[i])
-			}
-		}
-		d = vs.foldInto(n.out, cand)
-	case ra.Semijoin:
-		// ΔL against all of R, plus all of L against ΔR's new witnesses:
-		// an old L row can newly pass when a fresh row gives its T a first
-		// witness in π_F(R).
-		lOut, rOut := vs.nodeOut(n.kids[0]), vs.nodeOut(n.kids[1])
-		vs.ex.Stats.Joins++
-		cand := vs.newRel()
-		wit := rOut.fIndex()
-		for i := range kd[0].rows {
-			if wit.contains(kd[0].rows[i].t) {
-				cand.addRow(kd[0].rows[i])
-			}
-		}
-		if kd[1].Len() > 0 {
-			lIdx := lOut.tIndex()
-			seen := map[int32]struct{}{}
-			for i := range kd[1].rows {
-				f := kd[1].rows[i].f
-				if _, dup := seen[f]; dup {
-					continue
-				}
-				seen[f] = struct{}{}
-				snap, over := lIdx.lookup(f)
-				for _, part := range [2][]int32{snap, over} {
-					for _, pos := range part {
-						cand.addRow(lOut.rows[pos])
-					}
-				}
-			}
-		}
-		d = vs.foldInto(n.out, cand)
-	case ra.RootSeed:
-		d = vs.newRel()
-	case ra.TypeFilter:
-		vs.ex.Stats.Joins++
-		typed := vs.db.Rel(pl.Rel).tIndex()
-		cand := vs.newRel()
-		for i := range kd[0].rows {
-			w := kd[0].rows[i]
-			col := w.t
-			if pl.OnF {
-				col = w.f
-			}
-			if typed.contains(col) {
-				cand.addRow(w)
-			}
-		}
-		d = vs.foldInto(n.out, cand)
+		err = vs.fixDelta(n, pl, d, in, kd)
 	case ra.DescScan:
-		if d, err = vs.descDelta(n, pl, kd, bd); err != nil {
-			return nil, err
-		}
+		err = vs.descDelta(n, pl, d, in, kd, bd)
 	default:
-		return nil, ErrNonIncremental
+		err = ErrNonIncremental
+	}
+	if err != nil {
+		return nil, err
 	}
 	n.delta = d
 	n.round = vs.round
@@ -996,28 +589,26 @@ func (vs *ViewState) nodeDelta(n *viewNode, bd *BaseDelta) (*Relation, error) {
 }
 
 // fixDelta advances Φ(R) under an insert with delta-seeded semi-naive
-// rounds: the new seed edges (prefixed by the already-known closure) and the
-// newly admitted constraint nodes form the initial frontier, then the
-// executor's fixExpand kernel iterates exactly as a from-scratch run would —
-// but starting from a frontier proportional to the update, not the seed.
-func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, kd []*Relation) (*Relation, error) {
+// rounds: the new seed edges (joined to the already-known closure) and the
+// seed edges of newly admitted constraint nodes form the initial frontier,
+// then the executor's fixExpand kernel iterates exactly as a from-scratch run
+// would — but starting from a frontier proportional to the update, not the
+// seed.
+func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Relation) error {
 	ex := vs.ex
-	seedOut := vs.nodeOut(n.kids[0])
-	seedDelta := kd[0]
-	var startDelta, endDelta *Relation
-	ki := 1
-	if pl.Start != nil {
-		startDelta = kd[ki]
-		ki++
+	seed, seedDelta := in[0], kd[0]
+	start, end := constraintOperands(pl.Start, pl.End, in[1:])
+	startDelta, endDelta := constraintOperands(pl.Start, pl.End, kd[1:])
+	dir, gate := fixGate(start, end)
+	gateDelta := startDelta
+	if dir == fixBwd {
+		gateDelta = endDelta
 	}
-	if pl.End != nil {
-		endDelta = kd[ki]
-	}
-	startIdx, endIdx := vs.fixIndexes(n, pl)
 	// O is the closure the rounds advance: the aux relation when both
 	// constraints are pushed (end filtering is projected afterwards).
+	filtered := start != nil && end != nil
 	O := n.out
-	if startIdx != nil && endIdx != nil {
+	if filtered {
 		O = n.aux
 	}
 	ex.Stats.LFPs++
@@ -1029,90 +620,29 @@ func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, kd []*Relation) (*Relation
 			all = append(all, w)
 		}
 	}
-	switch {
-	case startIdx != nil:
-		// New edges, prefixed by every known start-rooted path reaching
-		// their F (the first-new-edge decomposition), plus the full
-		// expansion frontier of newly admitted start nodes.
-		for i := range seedDelta.rows {
-			d := seedDelta.rows[i]
-			if startIdx.contains(d.f) {
-				collect(d)
-			}
-			snap, over := O.tIndex().lookup(d.f)
-			for _, part := range [2][]int32{snap, over} {
-				for _, pos := range part {
-					o := O.rows[pos]
-					collect(row{f: o.f, t: d.t, v: d.v})
-				}
-			}
+	// The first-new-edge decomposition. Running forward, a new edge enters
+	// the closure if its F passes the gate, and every known path reaching its
+	// F extends over it; running backward the same holds at its T, with the
+	// known paths leaving it.
+	for _, e := range seedDelta.rows {
+		if gate == nil || gate.contains(dir.anchor(e)) {
+			collect(e)
 		}
-		if startDelta != nil && startDelta.Len() > 0 {
-			sIdx := seedOut.fIndex()
-			seen := map[int32]struct{}{}
-			for i := range startDelta.rows {
-				s := startDelta.rows[i].t
-				if _, dup := seen[s]; dup {
-					continue
-				}
-				seen[s] = struct{}{}
-				snap, over := sIdx.lookup(s)
-				for _, part := range [2][]int32{snap, over} {
-					for _, pos := range part {
-						collect(seedOut.rows[pos])
-					}
-				}
+		O.rowsAt(dir == fixBwd, dir.anchor(e), func(o row) {
+			if dir == fixFwd {
+				collect(row{f: o.f, t: e.t, v: e.v})
+			} else {
+				collect(row{f: e.f, t: o.t, v: o.v})
 			}
-		}
-	case endIdx != nil:
-		// Backward: new edges suffixed by known end-reaching paths from
-		// their T, plus seed edges reaching newly admitted end nodes.
-		for i := range seedDelta.rows {
-			d := seedDelta.rows[i]
-			if endIdx.contains(d.t) {
-				collect(d)
-			}
-			snap, over := O.fIndex().lookup(d.t)
-			for _, part := range [2][]int32{snap, over} {
-				for _, pos := range part {
-					o := O.rows[pos]
-					collect(row{f: d.f, t: o.t, v: o.v})
-				}
-			}
-		}
-		if endDelta != nil && endDelta.Len() > 0 {
-			sIdx := seedOut.tIndex()
-			seen := map[int32]struct{}{}
-			for i := range endDelta.rows {
-				e := endDelta.rows[i].f
-				if _, dup := seen[e]; dup {
-					continue
-				}
-				seen[e] = struct{}{}
-				snap, over := sIdx.lookup(e)
-				for _, part := range [2][]int32{snap, over} {
-					for _, pos := range part {
-						collect(seedOut.rows[pos])
-					}
-				}
-			}
-		}
-	default:
-		for i := range seedDelta.rows {
-			d := seedDelta.rows[i]
-			collect(d)
-			snap, over := O.tIndex().lookup(d.f)
-			for _, part := range [2][]int32{snap, over} {
-				for _, pos := range part {
-					o := O.rows[pos]
-					collect(row{f: o.f, t: d.t, v: d.v})
-				}
-			}
-		}
+		})
 	}
-	dir := fixFwd
-	if startIdx == nil && endIdx != nil {
-		dir = fixBwd
+	// A newly admitted gate node brings in the seed edges anchored at it.
+	for _, g := range deltaRows(gateDelta) {
+		if dir == fixFwd {
+			seed.rowsAt(true, g.t, collect)
+		} else {
+			seed.rowsAt(false, g.f, collect)
+		}
 	}
 	delta := frontier
 	var next []row
@@ -1120,52 +650,31 @@ func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, kd []*Relation) (*Relation
 	for len(delta) > 0 {
 		ex.Stats.LFPIters++
 		ex.Stats.Joins++
-		if next, err = ex.fixExpand(seedOut, O, delta, next[:0], dir, false, nil); err != nil {
-			return nil, err
+		if next, err = ex.fixExpand(seed, O, delta, next[:0], dir, false, nil); err != nil {
+			return err
 		}
 		ex.Stats.Unions++
 		all = append(all, next...)
 		delta, next = next, delta
 	}
-	if startIdx != nil && endIdx != nil {
-		// Project the closure delta through the end filter, and admit the
-		// already-closed tuples whose T newly became an end node.
-		d := vs.newRel()
-		addOut := func(w row) {
-			if n.out.addRow(w) {
-				ex.Stats.TuplesOut++
-				d.addRow(w)
-			}
-		}
+	if !filtered {
 		for _, w := range all {
-			if endIdx.contains(w.t) {
-				addOut(w)
-			}
+			d.addRow(w)
 		}
-		if endDelta != nil && endDelta.Len() > 0 {
-			aIdx := n.aux.tIndex()
-			seen := map[int32]struct{}{}
-			for i := range endDelta.rows {
-				e := endDelta.rows[i].f
-				if _, dup := seen[e]; dup {
-					continue
-				}
-				seen[e] = struct{}{}
-				snap, over := aIdx.lookup(e)
-				for _, part := range [2][]int32{snap, over} {
-					for _, pos := range part {
-						addOut(n.aux.rows[pos])
-					}
-				}
-			}
-		}
-		return d, nil
+		return nil
 	}
-	d := vs.newRel()
+	// Project the closure delta through the end filter, and admit the
+	// already-closed tuples whose T newly became an end node.
+	endIdx := end.fIndex()
 	for _, w := range all {
-		d.addRow(w)
+		if endIdx.contains(w.t) {
+			vs.admit(n, d, w)
+		}
 	}
-	return d, nil
+	for _, g := range endDelta.rows {
+		n.aux.rowsAt(false, g.f, func(w row) { vs.admit(n, d, w) })
+	}
+	return nil
 }
 
 // descDelta advances a DescScan under an insert. On the interval path the
@@ -1173,72 +682,42 @@ func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, kd []*Relation) (*Relation
 // descendants with one range scan, new To nodes find their typed ancestors
 // by walking the parent catalog, and newly admitted constraint nodes replay
 // the same two shapes.
-func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, kd []*Relation, bd *BaseDelta) (*Relation, error) {
-	startIdx, endIdx := vs.descIndexes(n, pl)
-	var startDelta, endDelta *Relation
-	ki := 0
-	if !n.useFast {
-		ki = 1
+func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, d *Relation, in, kd []*Relation, bd *BaseDelta) error {
+	var startIdx, endIdx *colIndex
+	start, end := constraintOperands(pl.Start, pl.End, in[1:])
+	startDelta, endDelta := constraintOperands(pl.Start, pl.End, kd[1:])
+	if start != nil {
+		startIdx = start.tIndex()
 	}
-	if pl.Start != nil {
-		startDelta = kd[ki]
-		ki++
-	}
-	if pl.End != nil {
-		endDelta = kd[ki]
-	}
-	d := vs.newRel()
-	add := func(w row) {
-		if n.out.addRow(w) {
-			vs.ex.Stats.TuplesOut++
-			d.addRow(w)
-		}
+	if end != nil {
+		endIdx = end.fIndex()
 	}
 	if !n.useFast {
-		alt := vs.nodeOut(n.kids[0])
-		altDelta := kd[0]
-		for i := range altDelta.rows {
-			w := altDelta.rows[i]
-			if startIdx != nil && !startIdx.contains(w.f) {
-				continue
-			}
-			if endIdx != nil && !endIdx.contains(w.t) {
-				continue
-			}
-			add(w)
+		// The constraint filter distributes over ∪ in Alt; old pairs newly
+		// passing a grown constraint are probed out of Alt by the new nodes.
+		if err := vs.distribute(n, d, withDelta(in, kd, 0)); err != nil {
+			return err
 		}
-		// Old pairs newly passing a grown constraint.
-		if startDelta != nil && startDelta.Len() > 0 {
-			newStarts := colSet(startDelta, false)
-			for i := range alt.rows {
-				w := alt.rows[i]
-				if _, ok := newStarts[w.f]; !ok {
-					continue
+		alt := in[0]
+		for _, g := range deltaRows(startDelta) {
+			alt.rowsAt(true, g.t, func(w row) {
+				if endIdx == nil || endIdx.contains(w.t) {
+					vs.admit(n, d, w)
 				}
-				if endIdx != nil && !endIdx.contains(w.t) {
-					continue
-				}
-				add(w)
-			}
+			})
 		}
-		if endDelta != nil && endDelta.Len() > 0 {
-			newEnds := colSet(endDelta, true)
-			for i := range alt.rows {
-				w := alt.rows[i]
-				if _, ok := newEnds[w.t]; !ok {
-					continue
+		for _, g := range deltaRows(endDelta) {
+			alt.rowsAt(false, g.f, func(w row) {
+				if startIdx == nil || startIdx.contains(w.f) {
+					vs.admit(n, d, w)
 				}
-				if startIdx != nil && !startIdx.contains(w.f) {
-					continue
-				}
-				add(w)
-			}
+			})
 		}
-		return d, nil
+		return nil
 	}
-	db := vs.db
-	if vs.prog.DTDFP == "" || vs.prog.DTDFP != db.DTDFP || !db.HasIntervals() {
-		return nil, ErrNonIncremental
+	db := vs.ex.DB
+	if !db.fingerprintMatches(vs.prog) || !db.HasIntervals() {
+		return ErrNonIncremental
 	}
 	fromRel, toRel := db.Rel(pl.From), db.Rel(pl.To)
 	var toIdx *descIndex
@@ -1257,74 +736,53 @@ func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, kd []*Relation, bd *
 		vs.ex.Stats.DescScans++
 		jlo, jhi := toIdx.rangeOf(iv.Begin, iv.End)
 		for j := jlo; j < jhi; j++ {
-			t := toIdx.rows[j].t
-			if endIdx != nil && !endIdx.contains(t) {
-				continue
+			to := toIdx.rows[j]
+			if endIdx == nil || endIdx.contains(to.t) {
+				vs.admit(n, d, row{f: x, t: to.t, v: to.v})
 			}
-			add(row{f: x, t: t, v: toIdx.rows[j].v})
 		}
 		return nil
 	}
 	walkUp := func(t int32) {
 		fIdx := fromRel.tIndex()
 		for anc := int32(db.ParentOf[int(t)]); anc != 0; anc = int32(db.ParentOf[int(anc)]) {
-			if !fIdx.contains(anc) {
-				continue
+			if fIdx.contains(anc) && (startIdx == nil || startIdx.contains(anc)) {
+				vs.admit(n, d, row{f: anc, t: t, v: vs.ex.valSym(int(t))})
 			}
-			if startIdx != nil && !startIdx.contains(anc) {
-				continue
-			}
-			add(row{f: anc, t: t, v: vs.valSym(int(t))})
 		}
 	}
 	for _, e := range bd.Rows[pl.From] {
-		x := int32(e.T)
-		if startIdx != nil && !startIdx.contains(x) {
-			continue
-		}
-		if err := scanDown(x); err != nil {
-			return nil, err
+		if x := int32(e.T); startIdx == nil || startIdx.contains(x) {
+			if err := scanDown(x); err != nil {
+				return err
+			}
 		}
 	}
 	for _, e := range bd.Rows[pl.To] {
-		t := int32(e.T)
-		if endIdx != nil && !endIdx.contains(t) {
-			continue
-		}
-		walkUp(t)
-	}
-	if startDelta != nil && startDelta.Len() > 0 {
-		fIdx := fromRel.tIndex()
-		for s := range colSet(startDelta, false) {
-			if !fIdx.contains(s) {
-				continue
-			}
-			if err := scanDown(s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if endDelta != nil && endDelta.Len() > 0 {
-		tIdx := toRel.tIndex()
-		for t := range colSet(endDelta, true) {
-			if !tIdx.contains(t) {
-				continue
-			}
+		if t := int32(e.T); endIdx == nil || endIdx.contains(t) {
 			walkUp(t)
 		}
 	}
-	return d, nil
+	for s := range colSet(deltaRows(startDelta), false) {
+		if fromRel.tIndex().contains(s) {
+			if err := scanDown(s); err != nil {
+				return err
+			}
+		}
+	}
+	for t := range colSet(deltaRows(endDelta), true) {
+		if toRel.tIndex().contains(t) {
+			walkUp(t)
+		}
+	}
+	return nil
 }
 
-// colSet returns the distinct F (onF) or T values of a relation's rows.
-func colSet(r *Relation, onF bool) map[int32]struct{} {
-	out := make(map[int32]struct{}, len(r.rows))
-	for i := range r.rows {
-		if onF {
-			out[r.rows[i].f] = struct{}{}
-		} else {
-			out[r.rows[i].t] = struct{}{}
-		}
+// colSet returns the distinct F (onF) or T values of rows.
+func colSet(rows []row, onF bool) map[int32]struct{} {
+	out := make(map[int32]struct{}, len(rows))
+	for _, w := range rows {
+		out[colKey(w, onF)] = struct{}{}
 	}
 	return out
 }
@@ -1352,36 +810,22 @@ func (vs *ViewState) ApplyDelete(newDB, prevDB *DB, root int, deleted []int) ([]
 	resNode := resolveNode(vs.result.root)
 	var removedRows []row
 	if base, ok := resNode.plan.(ra.Base); ok {
-		prev := prevDB.Rel(base.Rel)
-		for i := range prev.rows {
-			if prev.isDead(i) {
-				continue
-			}
-			w := prev.rows[i]
+		for _, w := range prevDB.Rel(base.Rel).rows {
 			if dead(w.f) || dead(w.t) {
 				removedRows = append(removedRows, w)
 			}
 		}
 	}
-	vs.db = newDB
 	vs.ex.DB = newDB
-	vs.ex.ident = nil
 	vs.round++
-	for _, st := range vs.stmts {
-		var walk func(n *viewNode)
-		walk = func(n *viewNode) {
-			for _, k := range n.kids {
-				walk(k)
-			}
-			if n.out != nil {
-				n.out = vs.pruneRel(n.out, dead, n == resNode, &removedRows)
-			}
-			if n.aux != nil {
-				n.aux = vs.pruneRel(n.aux, dead, false, nil)
-			}
+	vs.eachNode(func(n *viewNode) {
+		if n.out != nil {
+			n.out = vs.pruneRel(n.out, dead, n == resNode, &removedRows)
 		}
-		walk(st.root)
-	}
+		if n.aux != nil {
+			n.aux = vs.pruneRel(n.aux, dead, false, nil)
+		}
+	})
 	var removed []int
 	for _, w := range removedRows {
 		c := vs.counts[w.t] - 1
@@ -1439,11 +883,7 @@ func deadTest(prevDB *DB, root int, deleted []int) func(int32) bool {
 // compacted.
 func (vs *ViewState) pruneRel(r *Relation, dead func(int32) bool, collect bool, removed *[]row) *Relation {
 	nDead := 0
-	for i := range r.rows {
-		if r.isDead(i) {
-			continue
-		}
-		w := r.rows[i]
+	for _, w := range r.rows {
 		if dead(w.f) || dead(w.t) {
 			nDead++
 		}
@@ -1453,11 +893,7 @@ func (vs *ViewState) pruneRel(r *Relation, dead func(int32) bool, collect bool, 
 	}
 	out := vs.newRel()
 	out.grow(r.Len() - nDead)
-	for i := range r.rows {
-		if r.isDead(i) {
-			continue
-		}
-		w := r.rows[i]
+	for _, w := range r.rows {
 		if dead(w.f) || dead(w.t) {
 			if collect {
 				*removed = append(*removed, w)
@@ -1482,9 +918,7 @@ func (vs *ViewState) ApplyText(newDB *DB) error {
 	if !vs.opaque && newDB.Syms != vs.syms {
 		return ErrNonIncremental
 	}
-	vs.db = newDB
 	vs.ex.DB = newDB
-	vs.ex.ident = nil
 	return nil
 }
 
@@ -1497,67 +931,18 @@ func (vs *ViewState) ApplyText(newDB *DB) error {
 // than) re-registering the view.
 func (vs *ViewState) Rebuild(newDB *DB) (added, removed []int, err error) {
 	old := vs.counts
-	vs.db = newDB
 	vs.ex.DB = newDB
-	vs.ex.ident = nil
-	vs.ex.env = nil
 	vs.round++
-	if vs.opaque || newDB.Syms != vs.syms {
-		if !vs.opaque {
-			// The interner changed under a tree view (not a store epoch):
-			// degrade rather than mix symbol spaces.
-			vs.degradeToOpaque()
-		}
-		if err := vs.rebuildOpaque(); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for _, st := range vs.stmts {
-			var clearNode func(n *viewNode)
-			clearNode = func(n *viewNode) {
-				for _, k := range n.kids {
-					clearNode(k)
-				}
-				n.out, n.aux, n.delta = nil, nil, nil
-			}
-			clearNode(st.root)
-		}
-		snap := vs.ex.Stats
-		if err := vs.evalStmt(vs.result); err != nil {
-			if !errors.Is(err, ErrNonIncremental) {
-				return nil, nil, err
-			}
-			vs.degradeToOpaque()
-			if err := vs.rebuildOpaque(); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			vs.FullStats = addDelta(vs.FullStats, vs.ex.Stats.Minus(snap))
-			vs.refreshCounts()
-		}
+	if !vs.opaque && newDB.Syms != vs.syms {
+		// The interner changed under a tree view (not a store epoch):
+		// degrade rather than mix symbol spaces.
+		vs.degradeToOpaque()
+	}
+	vs.eachNode(func(n *viewNode) { n.out, n.aux, n.delta = nil, nil, nil })
+	if err := vs.refresh(); err != nil {
+		return nil, nil, err
 	}
 	return diffCounts(old, vs.counts)
-}
-
-// rebuildOpaque recomputes an opaque view's answer with a fresh executor.
-func (vs *ViewState) rebuildOpaque() error {
-	ex := &Exec{DB: vs.db, Lazy: true, Parallelism: 1}
-	rel, err := ex.Run(vs.prog)
-	if err != nil {
-		return err
-	}
-	vs.FullStats = addDelta(vs.FullStats, ex.Stats)
-	live := rel.rows
-	if rel.nDead > 0 {
-		live = make([]row, 0, rel.Len())
-		for i := range rel.rows {
-			if !rel.isDead(i) {
-				live = append(live, rel.rows[i])
-			}
-		}
-	}
-	vs.counts = countRows(live)
-	return nil
 }
 
 // diffCounts returns the answer IDs entering and leaving between two answer
@@ -1580,19 +965,4 @@ func diffCounts(old, new map[int32]int) (added, removed []int, err error) {
 	sort.Ints(added)
 	sort.Ints(removed)
 	return added, removed, nil
-}
-
-// addDelta accumulates b into a fieldwise (Stats has no Add method variant
-// returning a value for struct fields used here).
-func addDelta(a, b Stats) Stats {
-	a.Joins += b.Joins
-	a.Unions += b.Unions
-	a.LFPs += b.LFPs
-	a.LFPIters += b.LFPIters
-	a.RecFixes += b.RecFixes
-	a.TuplesOut += b.TuplesOut
-	a.StmtsRun += b.StmtsRun
-	a.Morsels += b.Morsels
-	a.DescScans += b.DescScans
-	return a
 }

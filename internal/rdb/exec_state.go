@@ -115,7 +115,8 @@ func (e *Exec) putRowBuf(b []row) {
 }
 
 // idScratch returns an empty int32 set for a single tight dedup loop. The
-// arena keeps one; callers must not hold it across a nested eval.
+// arena keeps one; a kernel (ops.go) holds it for one loop and never across
+// another kernel call.
 func (e *Exec) idScratch(hint int) map[int32]struct{} {
 	if e.arena != nil {
 		if e.arena.seen == nil {

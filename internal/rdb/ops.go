@@ -1,0 +1,847 @@
+package rdb
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+
+	"xpath2sql/internal/obs"
+	"xpath2sql/internal/ra"
+)
+
+// The operator kernels. Every ra operator is implemented exactly once, here,
+// as a function of its materialized operands; nothing in this file decides
+// where an operand comes from. Two drivers resolve operands and call apply:
+//
+//   - Exec.eval (exec.go) pulls: it evaluates ra.Inputs recursively, memoises
+//     statements, cuts stored relations to the run's document scope and draws
+//     temporaries from the request arena.
+//   - ViewState (delta.go) pushes: it keeps every operator's output
+//     materialized, builds the tree bottom-up through apply, and advances it
+//     under inserts with Δ rules — which, for an operator that distributes
+//     over ∪ in an operand, are apply again with that operand replaced by its
+//     delta.
+//
+// naive.go is deliberately not a third driver: it is the independent oracle
+// the differential suites compare both against.
+
+// errNoDescKernel reports that a DescScan asked for the interval kernel
+// (no Alt operand) on a database that cannot serve it. The executor recovers
+// by resolving Alt and applying again; a view, which chose the kernel when it
+// was built, gives up incremental maintenance.
+var errNoDescKernel = errors.New("rdb: interval kernel unusable for this descendant scan")
+
+// apply evaluates one operator over its materialized operands, given in
+// ra.Inputs order. Leaves that name stored state (Base, Temp, Ident) are the
+// drivers' to resolve and never reach it. apply does not retain in.
+func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
+	switch pl := pl.(type) {
+	case ra.RootSeed:
+		out := e.newRel("")
+		out.addRow(row{})
+		return out, nil
+	case ra.IdentOf:
+		child := in[0]
+		out := e.newRel("")
+		seen := e.idScratch(child.distinctHint(nil))
+		for i := range child.rows {
+			id := child.rows[i].t
+			if pl.OnF {
+				id = child.rows[i].f
+			}
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			seen[id] = struct{}{}
+			out.addRow(row{f: id, t: id, v: e.valSym(int(id))})
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	case ra.Compose:
+		return e.compose(in[0], in[1])
+	case ra.UnionAll:
+		out := e.newRel("")
+		for i, kr := range in {
+			if i > 0 {
+				e.Stats.Unions++
+			}
+			for _, w := range kr.rows {
+				if out.addFrom(kr, w) {
+					e.Stats.TuplesOut++
+				}
+			}
+		}
+		return out, nil
+	case ra.Fix:
+		return e.fix(pl, in)
+	case ra.SelectVal:
+		child := in[0]
+		out := e.newRel("")
+		if sym, ok := child.symOf(pl.Val); ok {
+			for _, w := range child.rows {
+				if w.v == sym {
+					out.addFrom(child, w)
+				}
+			}
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	case ra.SelectRoot:
+		child := in[0]
+		out := e.newRel("")
+		for _, w := range child.rows {
+			if w.f == 0 {
+				out.addFrom(child, w)
+			}
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	case ra.Semijoin:
+		l, r := in[0], in[1]
+		e.Stats.Joins++
+		out := e.newRel("")
+		if r.Len()*8 < l.Len() {
+			// Small witness side: probe L's T index with R's distinct F
+			// values — O(|R| + |out|) instead of a full scan of L. This is
+			// the shape merged batch programs produce (many per-query end
+			// filters against one shared closure), where L's index snapshot
+			// is built once and amortized across every filter probing it.
+			idx := l.tIndex()
+			lrows := l.probeRows()
+			seen := e.idScratch(r.distinctHint(r.idxF.Load()))
+			for _, w := range r.rows {
+				if _, dup := seen[w.f]; dup {
+					continue
+				}
+				seen[w.f] = struct{}{}
+				snap, over := idx.lookup(w.f)
+				for _, part := range [2][]int32{snap, over} {
+					for _, pos := range part {
+						out.addFrom(l, lrows[pos])
+					}
+				}
+			}
+			e.Stats.TuplesOut += out.Len()
+			return out, nil
+		}
+		wit := r.fIndex()
+		for _, w := range l.rows {
+			if wit.contains(w.t) {
+				out.addFrom(l, w)
+			}
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	case ra.Antijoin:
+		l, r := in[0], in[1]
+		e.Stats.Joins++
+		wit := r.fIndex()
+		out := e.newRel("")
+		for _, w := range l.rows {
+			if !wit.contains(w.t) {
+				out.addFrom(l, w)
+			}
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	case ra.Diff:
+		l, r := in[0], in[1]
+		out := e.newRel("")
+		for _, w := range l.rows {
+			if !r.hasPair(packPair(w.f, w.t)) {
+				out.addFrom(l, w)
+			}
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	case ra.TypeFilter:
+		child := in[0]
+		e.Stats.Joins++
+		typed := e.DB.Rel(pl.Rel).tIndex()
+		out := e.newRel("")
+		for _, w := range child.rows {
+			col := w.t
+			if pl.OnF {
+				col = w.f
+			}
+			if typed.contains(col) {
+				out.addFrom(child, w)
+			}
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	case ra.RecUnion:
+		return e.recUnion(pl, in)
+	case ra.DescScan:
+		return e.descScan(pl, in)
+	}
+	return nil, fmt.Errorf("rdb: unsupported plan %T", pl)
+}
+
+// constraintOperands picks the pushed Start/End constraints of a Fix or
+// DescScan out of the operands that follow its main one: ra.Inputs lists
+// only the constraints the plan carries, Start before End. It serves operand
+// lists and their per-operand deltas alike.
+func constraintOperands(start, end ra.Plan, rest []*Relation) (s, e *Relation) {
+	if start != nil {
+		s, rest = rest[0], rest[1:]
+	}
+	if end != nil {
+		e = rest[0]
+	}
+	return s, e
+}
+
+// compose performs the path join π_{l.F, r.T, r.V}(l ⋈_{l.T=r.F} r): the
+// smaller side is scanned as the probe, the larger side's CSR index is the
+// build side. Large probes run morsel-parallel; serial probes fold matches
+// straight into the output with no candidate buffer and no closure state,
+// producing the identical tuple order.
+func (e *Exec) compose(l, r *Relation) (*Relation, error) {
+	e.Stats.Joins++
+	out := e.newRel("")
+	// The probe side is scanned, the build side resolves index positions.
+	probeL := l.Len() <= r.Len()
+	lrows, rrows := l.probeRows(), r.rows
+	if probeL {
+		lrows, rrows = l.rows, r.probeRows()
+	}
+	n := len(rrows)
+	if probeL {
+		n = len(lrows)
+	}
+	if workers := e.parWorkers(n); workers > 1 {
+		var scan func(lo, hi int, buf []cand) []cand
+		if probeL {
+			idx := r.fIndex()
+			scan = func(lo, hi int, buf []cand) []cand {
+				for i := lo; i < hi; i++ {
+					lt := lrows[i]
+					snap, over := idx.lookup(lt.t)
+					for _, part := range [2][]int32{snap, over} {
+						for _, pos := range part {
+							rt := rrows[pos]
+							buf = append(buf, cand{out: row{f: lt.f, t: rt.t, v: rt.v}})
+						}
+					}
+				}
+				return buf
+			}
+		} else {
+			idx := l.tIndex()
+			scan = func(lo, hi int, buf []cand) []cand {
+				for i := lo; i < hi; i++ {
+					rt := rrows[i]
+					snap, over := idx.lookup(rt.f)
+					for _, part := range [2][]int32{snap, over} {
+						for _, pos := range part {
+							lt := lrows[pos]
+							buf = append(buf, cand{out: row{f: lt.f, t: rt.t, v: rt.v}})
+						}
+					}
+				}
+				return buf
+			}
+		}
+		bufs, err := e.scanMorsels(n, workers, scan)
+		if err != nil {
+			return nil, err
+		}
+		for _, buf := range bufs {
+			for _, c := range buf {
+				if out.addRow(c.out) {
+					e.Stats.TuplesOut++
+				}
+			}
+		}
+		return out, nil
+	}
+	if probeL {
+		idx := r.fIndex()
+		for i := range lrows {
+			lt := lrows[i]
+			snap, over := idx.lookup(lt.t)
+			for _, part := range [2][]int32{snap, over} {
+				for _, pos := range part {
+					rt := rrows[pos]
+					if out.addRow(row{f: lt.f, t: rt.t, v: rt.v}) {
+						e.Stats.TuplesOut++
+					}
+				}
+			}
+		}
+	} else {
+		idx := l.tIndex()
+		for i := range rrows {
+			rt := rrows[i]
+			snap, over := idx.lookup(rt.f)
+			for _, part := range [2][]int32{snap, over} {
+				for _, pos := range part {
+					lt := lrows[pos]
+					if out.addRow(row{f: lt.f, t: rt.t, v: rt.v}) {
+						e.Stats.TuplesOut++
+					}
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// fixDir is the iteration direction of a constrained fixpoint.
+type fixDir int
+
+const (
+	fixFwd fixDir = iota // probe seed.F with delta.T; new (d.F, s.T)
+	fixBwd               // probe seed.T with delta.F; new (s.F, d.T)
+)
+
+// anchor is the endpoint of a tuple the iteration grows away from, and the one
+// a pushed constraint tests: F running forward, T running backward.
+func (d fixDir) anchor(w row) int32 {
+	if d == fixBwd {
+		return w.t
+	}
+	return w.f
+}
+
+// fixGate resolves how a constrained fixpoint iterates (§5.2): forward from
+// the frontier R.F ∈ π_T(Start) whenever a start constraint is pushed — an
+// end constraint then only post-filters the closure — and backward from
+// R.T ∈ π_F(End) when the end constraint stands alone. gate is the index a
+// tuple's anchor must be in to seed the iteration; nil admits every tuple
+// (the unconstrained transitive closure).
+func fixGate(start, end *Relation) (fixDir, *colIndex) {
+	switch {
+	case start != nil:
+		return fixFwd, start.tIndex()
+	case end != nil:
+		return fixBwd, end.fIndex()
+	}
+	return fixFwd, nil
+}
+
+// fixExtendPath / fixPrependPath maintain the P attribute of §5.2 ("XML
+// reconstruction"): the path of a new tuple concatenates the extending edge
+// onto the witnessing path.
+func fixExtendPath(out *Relation, baseF, baseT, newT int32) {
+	prev := out.PathOf(int(baseF), int(baseT))
+	path := make([]int, len(prev)+1)
+	copy(path, prev)
+	path[len(prev)] = int(newT)
+	out.SetPath(int(baseF), int(newT), path)
+}
+
+func fixPrependPath(out *Relation, newF, baseF, baseT int32) {
+	prev := out.PathOf(int(baseF), int(baseT))
+	path := make([]int, 0, len(prev)+1)
+	path = append(path, int(baseF))
+	path = append(path, prev...)
+	out.SetPath(int(newF), int(baseT), path)
+}
+
+// fix evaluates Φ(R) (Eq. 2): the transitive closure of the seed relation,
+// with optional pushed start/end constraints (§5.2). It is the closure kernel
+// followed, when both constraints are pushed, by the end filter; a caller that
+// wants the unfiltered start-restricted closure (a view, whose delta rounds
+// advance it) applies the same plan without its End and filters separately.
+func (e *Exec) fix(pl ra.Fix, in []*Relation) (*Relation, error) {
+	start, end := constraintOperands(pl.Start, pl.End, in[1:])
+	closure, err := e.fixClosure(pl, in[0], start, end)
+	if err != nil || start == nil || end == nil {
+		return closure, err
+	}
+	return e.fixEndFilter(closure, end, pl.TrackPaths), nil
+}
+
+// fixClosure is the semi-naive iteration: each round joins only the previous
+// delta against the seed's CSR index; large deltas expand morsel-parallel,
+// with the per-worker candidate buffers merged in morsel order so results and
+// statistics match a serial run. Constraint membership probes go through the
+// constraint relation's column index instead of materializing per-Φ value-set
+// maps, and the serial path is free of heap-escaping closures — both for the
+// pooled zero-allocation serving contract (see ExecState).
+func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, error) {
+	e.Stats.LFPs++
+	dir, gate := fixGate(start, end)
+	var prune func(t int32) bool
+	if pl.Desc && start != nil && end != nil && e.IntervalMode != IntervalOff {
+		prune = e.fixPrune(end)
+	}
+
+	out := e.newRel("")
+	track := pl.TrackPaths
+	delta := e.getRowBuf()
+	for _, w := range seed.rows {
+		if (gate == nil || gate.contains(dir.anchor(w))) && out.addRow(w) {
+			e.Stats.TuplesOut++
+			if track {
+				out.SetPath(int(w.f), int(w.t), []int{int(w.t)})
+			}
+			if prune == nil || !prune(w.t) {
+				delta = append(delta, w)
+			}
+		}
+	}
+
+	iters := 0
+	next := e.getRowBuf()
+	var err error
+	for len(delta) > 0 {
+		// Cancellation and limit checks happen here, between iterations, so
+		// an abandoned Φ leaves no shared state behind.
+		iters++
+		e.Stats.LFPIters++
+		if e.Limits.MaxLFPIters > 0 && iters > e.Limits.MaxLFPIters {
+			return nil, &obs.LimitError{
+				Kind: obs.LimitLFPIters, Stmt: e.curStmt(),
+				Limit: int64(e.Limits.MaxLFPIters), Actual: int64(iters),
+			}
+		}
+		if err := e.check(); err != nil {
+			return nil, err
+		}
+		e.Stats.Joins++
+		if next, err = e.fixExpand(seed, out, delta, next[:0], dir, track, prune); err != nil {
+			return nil, err
+		}
+		e.Stats.Unions++
+		delta, next = next, delta
+	}
+	e.putRowBuf(delta)
+	e.putRowBuf(next)
+	return out, nil
+}
+
+// fixPrune builds the interval frontier test of a descendant-closure fixpoint
+// running forward between both pushed constraints. Every tuple produced by
+// expanding from node t has its target inside t's subtree, so when no
+// end-constraint node lies strictly inside (begin(t), end(t)) the whole
+// expansion from t would be discarded by the end filter. prune(t) reports
+// that, and the iteration drops such tuples from the delta (they still enter
+// the closure — t itself may satisfy the end constraint). It returns nil when
+// the database has no encoding or the encoding cannot place an end node (e.g.
+// the virtual root), where pruning would be unsound.
+func (e *Exec) fixPrune(endRel *Relation) func(t int32) bool {
+	st := e.DB.ivs.Load()
+	if st == nil {
+		return nil
+	}
+	begins := make([]int64, 0, endRel.Len())
+	seen := e.idScratch(endRel.distinctHint(endRel.idxF.Load()))
+	for _, w := range endRel.rows {
+		if _, dup := seen[w.f]; dup {
+			continue
+		}
+		seen[w.f] = struct{}{}
+		iv, has := st.iv[int(w.f)]
+		if !has {
+			return nil
+		}
+		begins = append(begins, iv.Begin)
+	}
+	sort.Slice(begins, func(i, j int) bool { return begins[i] < begins[j] })
+	iv := st.iv
+	return func(t int32) bool {
+		tiv, has := iv[int(t)]
+		if !has {
+			return false
+		}
+		i := sort.Search(len(begins), func(i int) bool { return begins[i] > tiv.Begin })
+		return i >= len(begins) || begins[i] >= tiv.End
+	}
+}
+
+// fixEndFilter keeps the closure tuples whose T is in π_F(End): with both
+// constraints pushed the forward closure is post-filtered by the end
+// constraint.
+func (e *Exec) fixEndFilter(closure, end *Relation, track bool) *Relation {
+	endIdx := end.fIndex()
+	out := e.newRel("")
+	for _, w := range closure.rows {
+		if endIdx.contains(w.t) {
+			out.addRow(w)
+			if track {
+				out.SetPath(int(w.f), int(w.t), closure.PathOf(int(w.f), int(w.t)))
+			}
+		}
+	}
+	return out
+}
+
+// fixExpand runs one semi-naive iteration: every delta row probes the seed
+// index and the new tuples are folded into out in scan order, appending the
+// genuinely new ones to next. The parallel path scans into per-morsel
+// candidate buffers merged in morsel order, so results and statistics are
+// byte-identical to the serial fold.
+func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, track bool, prune func(t int32) bool) ([]row, error) {
+	var idx *colIndex
+	if dir == fixFwd {
+		idx = seed.fIndex()
+	} else {
+		idx = seed.tIndex()
+	}
+	srows := seed.probeRows()
+	if workers := e.parWorkers(len(delta)); workers > 1 {
+		scan := func(lo, hi int, buf []cand) []cand {
+			for i := lo; i < hi; i++ {
+				d := delta[i]
+				key := d.t
+				if dir == fixBwd {
+					key = d.f
+				}
+				snap, over := idx.lookup(key)
+				for _, part := range [2][]int32{snap, over} {
+					for _, pos := range part {
+						st := srows[pos]
+						var nw row
+						if dir == fixFwd {
+							nw = row{f: d.f, t: st.t, v: st.v}
+						} else {
+							nw = row{f: st.f, t: d.t, v: d.v}
+						}
+						buf = append(buf, cand{out: nw, baseF: d.f, baseT: d.t})
+					}
+				}
+			}
+			return buf
+		}
+		bufs, err := e.scanMorsels(len(delta), workers, scan)
+		if err != nil {
+			return next, err
+		}
+		for _, buf := range bufs {
+			for _, c := range buf {
+				if out.addRow(c.out) {
+					e.Stats.TuplesOut++
+					if track {
+						if dir == fixFwd {
+							fixExtendPath(out, c.baseF, c.baseT, c.out.t)
+						} else {
+							fixPrependPath(out, c.out.f, c.baseF, c.baseT)
+						}
+					}
+					if prune == nil || !prune(c.out.t) {
+						next = append(next, c.out)
+					}
+				}
+			}
+		}
+		return next, nil
+	}
+	for i := range delta {
+		d := delta[i]
+		key := d.t
+		if dir == fixBwd {
+			key = d.f
+		}
+		snap, over := idx.lookup(key)
+		for _, part := range [2][]int32{snap, over} {
+			for _, pos := range part {
+				st := srows[pos]
+				var nw row
+				if dir == fixFwd {
+					nw = row{f: d.f, t: st.t, v: st.v}
+				} else {
+					nw = row{f: st.f, t: d.t, v: d.v}
+				}
+				if out.addRow(nw) {
+					e.Stats.TuplesOut++
+					if track {
+						if dir == fixFwd {
+							fixExtendPath(out, d.f, d.t, nw.t)
+						} else {
+							fixPrependPath(out, nw.f, d.f, d.t)
+						}
+					}
+					if prune == nil || !prune(nw.t) {
+						next = append(next, nw)
+					}
+				}
+			}
+		}
+	}
+	return next, nil
+}
+
+// descScan evaluates the interval-containment descendant scan. Without an Alt
+// operand (nil) it runs the interval kernel: with a valid document-order
+// encoding stamped with the program's DTD fingerprint, each From-typed source
+// node answers its To-typed proper descendants with one binary-searched range
+// over the To relation's begin-sorted index — no fixpoint iteration at all.
+// Given the materialized fixpoint alternative instead, the pushed constraints
+// are applied to it as post-filters, so the result is identical on every path.
+func (e *Exec) descScan(pl ra.DescScan, in []*Relation) (*Relation, error) {
+	// startIdx answers w.f ∈ π_T(Start); endIdx answers w.t ∈ π_F(End).
+	var startIdx, endIdx *colIndex
+	start, end := constraintOperands(pl.Start, pl.End, in[1:])
+	if start != nil {
+		startIdx = start.tIndex()
+	}
+	if end != nil {
+		endIdx = end.fIndex()
+	}
+	alt := in[0]
+	if alt == nil {
+		return e.descScanFast(pl, startIdx, endIdx)
+	}
+	if startIdx == nil && endIdx == nil {
+		return alt, nil
+	}
+	out := e.newRel("")
+	for _, w := range alt.rows {
+		if startIdx != nil && !startIdx.contains(w.f) {
+			continue
+		}
+		if endIdx != nil && !endIdx.contains(w.t) {
+			continue
+		}
+		out.addFrom(alt, w)
+	}
+	e.Stats.TuplesOut += out.Len()
+	return out, nil
+}
+
+// descScanFast is the interval kernel behind descScan. It returns
+// errNoDescKernel when the fast path cannot be taken: no stored encoding, a
+// DTD fingerprint mismatch (a program translated against a sub-DTD
+// under-approximates the descendant relation, so containment would
+// over-answer), or a relation node the encoding cannot place.
+func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relation, error) {
+	db := e.DB
+	if !db.fingerprintMatches(e.prog) {
+		return nil, errNoDescKernel
+	}
+	st := db.ivs.Load()
+	if e.scope != nil {
+		st = e.scope.st
+	}
+	if st == nil {
+		return nil, errNoDescKernel
+	}
+	// The To side is read only inside a source's interval, which a scope
+	// contains: no bound of its own.
+	toIdx, ok := st.indexFor(db.Rel(pl.To))
+	if !ok {
+		return nil, errNoDescKernel
+	}
+	// Distinct source nodes: the T values of R_From, in row order, filtered
+	// by the pushed start constraint. A source the encoding cannot place
+	// invalidates the whole scan (the encoding is stale for this document).
+	fromRel, err := e.stored(pl.From)
+	if err != nil {
+		return nil, err
+	}
+	frows := fromRel.rows
+	seen := e.idScratch(fromRel.distinctHint(fromRel.idxT.Load()))
+	type src struct {
+		id         int32
+		begin, end int64
+	}
+	srcs := make([]src, 0, len(seen))
+	for i := range frows {
+		t := frows[i].t
+		if _, dup := seen[t]; dup {
+			continue
+		}
+		seen[t] = struct{}{}
+		if startIdx != nil && !startIdx.contains(t) {
+			continue
+		}
+		iv, has := st.iv[int(t)]
+		if !has {
+			return nil, errNoDescKernel
+		}
+		srcs = append(srcs, src{id: t, begin: iv.Begin, end: iv.End})
+	}
+	e.Stats.DescScans++
+	out := e.newRel("")
+	n := len(srcs)
+	if workers := e.parWorkers(n); workers > 1 {
+		scan := func(lo, hi int, buf []cand) []cand {
+			for i := lo; i < hi; i++ {
+				x := srcs[i]
+				jlo, jhi := toIdx.rangeOf(x.begin, x.end)
+				for j := jlo; j < jhi; j++ {
+					to := toIdx.rows[j]
+					if endIdx != nil && !endIdx.contains(to.t) {
+						continue
+					}
+					buf = append(buf, cand{out: row{f: x.id, t: to.t, v: to.v}})
+				}
+			}
+			return buf
+		}
+		bufs, err := e.scanMorsels(n, workers, scan)
+		if err != nil {
+			return nil, err
+		}
+		for _, buf := range bufs {
+			for _, c := range buf {
+				if out.addRow(c.out) {
+					e.Stats.TuplesOut++
+				}
+			}
+		}
+		return out, nil
+	}
+	// A serial scan folds matches straight into the output, in the same
+	// order, with no candidate buffer.
+	for _, x := range srcs {
+		jlo, jhi := toIdx.rangeOf(x.begin, x.end)
+		for j := jlo; j < jhi; j++ {
+			to := toIdx.rows[j]
+			if endIdx != nil && !endIdx.contains(to.t) {
+				continue
+			}
+			if out.addRow(row{f: x.id, t: to.t, v: to.v}) {
+				e.Stats.TuplesOut++
+			}
+		}
+	}
+	return out, nil
+}
+
+// recUnion evaluates the SQL'99-style multi-relation fixpoint of SQLGen-R.
+// In edge mode (Pairs false) the result accumulates *edges* reachable from
+// the seed exactly as in Fig 2 / Table 2; in pair mode it accumulates
+// (origin, current) pairs, the product-automaton form. Either way each tuple
+// carries an Rid tag and every iteration performs one join and one union per
+// edge relation against the *entire accumulated relation*, per Eq. (1):
+// R_i ← R_{i−1} ∪ (R_{i−1} ⋈ R_1) ∪ … ∪ (R_{i−1} ⋈ R_k). The operator is a
+// black box ("the relation in the center keeps growing, but one can do
+// little to optimize the operations inside the with…recursion expression",
+// §3.1), so no delta optimization is applied — that asymmetry against the
+// single-input Φ(R), which CONNECT BY evaluates level by level, is exactly
+// the effect the paper's experiments measure. The per-edge scan of the
+// accumulated relation does run morsel-parallel (an engine-level freedom the
+// black box leaves open), with the same join/union accounting.
+func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
+	e.Stats.RecFixes++
+	type tagged struct {
+		w   row
+		tag int32
+	}
+	tagIdx := map[string]int32{}
+	tagOf := func(tag string) int32 {
+		i, ok := tagIdx[tag]
+		if !ok {
+			i = int32(len(tagIdx))
+			tagIdx[tag] = i
+		}
+		return i
+	}
+	// seen deduplicates (tag, F, T) with one open-addressing pair set per
+	// tag — tags are few (one per DTD type on a cycle).
+	var seen []pairSet
+	all := e.newRel("")
+	result := all
+	if pl.ResultTag != "" {
+		result = e.newRel("")
+	}
+	resultTag := int32(-1)
+	if pl.ResultTag != "" {
+		resultTag = tagOf(pl.ResultTag)
+	}
+	// acc is the growing star-center relation R of Eq. (1)/Fig 2.
+	var acc []tagged
+	grew := false
+	add := func(tag int32, w row) {
+		for int(tag) >= len(seen) {
+			seen = append(seen, pairSet{})
+		}
+		if !seen[tag].insert(packPair(w.f, w.t)) {
+			return
+		}
+		all.addRow(w)
+		if tag == resultTag {
+			result.addRow(w)
+		}
+		e.Stats.TuplesOut++
+		acc = append(acc, tagged{w: w, tag: tag})
+		grew = true
+	}
+	// Operands arrive in ra.Inputs order: the Init relations, then the edge
+	// relations (base tables in SQLGen-R plans).
+	for i, init := range pl.Init {
+		r := in[i]
+		tag := tagOf(init.Tag)
+		for _, w := range r.rows {
+			if r.syms != all.syms && w.v != 0 {
+				w.v = all.interner().Intern(r.interner().Str(w.v))
+			}
+			add(tag, w)
+		}
+	}
+	edgeFrom := make([]int32, len(pl.Edges))
+	edgeTo := make([]int32, len(pl.Edges))
+	for i, ed := range pl.Edges {
+		edgeFrom[i] = tagOf(ed.FromTag)
+		edgeTo[i] = tagOf(ed.ToTag)
+	}
+	iters := 0
+	for grew = true; grew; {
+		grew = false
+		iters++
+		e.Stats.LFPIters++
+		if e.Limits.MaxLFPIters > 0 && iters > e.Limits.MaxLFPIters {
+			return nil, &obs.LimitError{
+				Kind: obs.LimitLFPIters, Stmt: e.curStmt(),
+				Limit: int64(e.Limits.MaxLFPIters), Actual: int64(iters),
+			}
+		}
+		if err := e.check(); err != nil {
+			return nil, err
+		}
+		// One join + one union per edge relation against the whole of R:
+		// the star-shaped body of Fig 2.
+		snapshot := len(acc)
+		for i := range pl.Edges {
+			e.Stats.Joins++
+			e.Stats.Unions++
+			rel := in[len(pl.Init)+i]
+			idx := rel.fIndex()
+			rrows := rel.probeRows()
+			from, to := edgeFrom[i], edgeTo[i]
+			pairs := pl.Pairs
+			scan := func(lo, hi int, buf []cand) []cand {
+				for j := lo; j < hi; j++ {
+					d := acc[j]
+					if d.tag != from {
+						continue
+					}
+					snap, over := idx.lookup(d.w.t)
+					for _, part := range [2][]int32{snap, over} {
+						for _, pos := range part {
+							et := rrows[pos]
+							if pairs {
+								// Keep the origin: (d.F, edge.T).
+								buf = append(buf, cand{out: row{f: d.w.f, t: et.t, v: et.v}})
+							} else {
+								// Fig 2: insert the edge's own (F, T).
+								buf = append(buf, cand{out: et})
+							}
+						}
+					}
+				}
+				return buf
+			}
+			if workers := e.parWorkers(snapshot); workers > 1 {
+				bufs, err := e.scanMorsels(snapshot, workers, scan)
+				if err != nil {
+					return nil, err
+				}
+				for _, buf := range bufs {
+					for _, c := range buf {
+						add(to, c.out)
+					}
+				}
+			} else {
+				for _, c := range scan(0, snapshot, nil) {
+					add(to, c.out)
+				}
+			}
+		}
+	}
+	return result, nil
+}

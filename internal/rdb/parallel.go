@@ -186,7 +186,7 @@ func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string
 			firstEr = err
 		}
 		done[name] = rel
-		addStats(&total, st)
+		total.Add(st)
 		if tr != nil {
 			traces = append(traces, tr)
 		}
@@ -263,16 +263,4 @@ func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string
 		return nil, nil, firstEr
 	}
 	return done, &total, nil
-}
-
-func addStats(total *Stats, s Stats) {
-	total.Joins += s.Joins
-	total.Unions += s.Unions
-	total.LFPs += s.LFPs
-	total.LFPIters += s.LFPIters
-	total.RecFixes += s.RecFixes
-	total.TuplesOut += s.TuplesOut
-	total.StmtsRun += s.StmtsRun
-	total.Morsels += s.Morsels
-	total.DescScans += s.DescScans
 }

@@ -15,7 +15,7 @@
 // array, (F, T) dedup runs through an open-addressing pair set, and the
 // per-column indexes are CSR offset/position arrays built once per snapshot
 // and extended incrementally as fixpoint deltas append rows. Operators may
-// run morsel-parallel; see exec.go and morsel.go.
+// run morsel-parallel; see ops.go (the operator kernels) and morsel.go.
 package rdb
 
 import (

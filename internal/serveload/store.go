@@ -110,7 +110,7 @@ func RunStore(c bench.Config, writeFrac float64) (*StoreReport, error) {
 		Timeout:     c.Limits.Timeout,
 	}))
 	maxClients := serveLevels[len(serveLevels)-1]
-	srv, err := server.New(server.Config{Engine: eng, Store: st, QueueDepth: 2 * maxClients})
+	srv, err := server.New(server.Config{Engine: eng, Source: server.FromStore(st), QueueDepth: 2 * maxClients})
 	if err != nil {
 		return nil, err
 	}

@@ -148,7 +148,7 @@ func RunWatch(c bench.Config) (*WatchReport, error) {
 	}
 
 	// Propagation over the real HTTP service.
-	srv, err := server.New(server.Config{Engine: eng, Store: st})
+	srv, err := server.New(server.Config{Engine: eng, Source: server.FromStore(st)})
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func newBackendServer(t *testing.T) *Server {
 	if err := be.Load(ctx, db); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Engine: xpath2sql.New(d), Backend: be})
+	s, err := New(Config{Engine: xpath2sql.New(d), Source: FromBackend(be)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +163,10 @@ func TestBackendConfigValidation(t *testing.T) {
 	if _, err := New(Config{Engine: eng}); err == nil {
 		t.Fatal("no data source accepted")
 	}
-	if _, err := New(Config{Engine: eng, DB: db, Backend: be}); err == nil {
-		t.Fatal("two data sources accepted")
-	}
-	if _, err := New(Config{Engine: eng, Backend: be, BatchWindow: time.Millisecond}); err == nil {
+	if _, err := New(Config{Engine: eng, Source: FromBackend(be), BatchWindow: time.Millisecond}); err == nil {
 		t.Fatal("BatchWindow with Backend accepted")
 	}
-	if _, err := New(Config{Engine: eng, Backend: be}); err != nil {
+	if _, err := New(Config{Engine: eng, Source: FromBackend(be)}); err != nil {
 		t.Fatalf("backend-only config rejected: %v", err)
 	}
 }

@@ -32,7 +32,7 @@ func newLiveServer(t *testing.T, dir string, mutate func(*Config)) (*Server, *st
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	cfg := Config{Engine: xpath2sql.New(d), Store: st}
+	cfg := Config{Engine: xpath2sql.New(d), Source: FromStore(st)}
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -27,7 +27,7 @@
 // faults follow the same "user faults never 500" rule: a non-conforming
 // update is 422, an unknown node ID 404, a malformed fragment 400.
 //
-// With Config.Backend the server executes through a storage-neutral
+// With Source: FromBackend(b) the server executes through a storage-neutral
 // Backend instead — e.g. the database/sql executor that ships the generated
 // WITH RECURSIVE text to a real RDBMS. Backend mode is read-only and serves
 // /v1/query, /v1/batch and /v1/translate only.
@@ -78,8 +78,8 @@ const (
 	epMetrics   = "metrics"
 )
 
-// Config assembles a Server. Engine and a data source (Source, or one
-// legacy field) are required; everything else has serving-grade defaults.
+// Config assembles a Server. Engine and Source are required; everything else
+// has serving-grade defaults.
 type Config struct {
 	// Engine answers queries; its plan cache, limits and parallelism are
 	// the server's. Required.
@@ -87,25 +87,8 @@ type Config struct {
 	// Source is the data source queries execute against: FromDB for a
 	// static shredded database, FromStore for a live store (update and
 	// snapshot endpoints enabled), FromBackend for a storage-neutral
-	// Backend (read-only, no micro-batching). Required unless one legacy
-	// field below is set.
+	// Backend (read-only, no micro-batching). Required.
 	Source Source
-
-	// DB is a legacy shim for Source: when set (and Source is nil) it
-	// populates Source with FromDB(DB).
-	//
-	// Deprecated: use Source: FromDB(db).
-	DB *xpath2sql.DB
-	// Store is a legacy shim for Source: when set (and Source is nil) it
-	// populates Source with FromStore(Store).
-	//
-	// Deprecated: use Source: FromStore(st).
-	Store *store.Store
-	// Backend is a legacy shim for Source: when set (and Source is nil) it
-	// populates Source with FromBackend(Backend).
-	//
-	// Deprecated: use Source: FromBackend(b).
-	Backend xpath2sql.Backend
 
 	// MaxConcurrent bounds simultaneously executing requests (admission
 	// semaphore). Default: GOMAXPROCS.
@@ -192,42 +175,14 @@ type Server struct {
 	hookAfterAdmit func()
 }
 
-// resolveSource returns the config's Source, populating it from the legacy
-// DB/Store/Backend shims when Source is nil.
-func resolveSource(cfg Config) (Source, error) {
-	legacy := 0
-	for _, set := range []bool{cfg.DB != nil, cfg.Store != nil, cfg.Backend != nil} {
-		if set {
-			legacy++
-		}
-	}
-	if cfg.Source != nil {
-		if legacy > 0 {
-			return nil, errors.New("server: Config.Source excludes the deprecated DB/Store/Backend fields")
-		}
-		return cfg.Source, nil
-	}
-	if legacy != 1 {
-		return nil, errors.New("server: Config.Source is required (FromDB, FromStore or FromBackend)")
-	}
-	switch {
-	case cfg.Store != nil:
-		return FromStore(cfg.Store), nil
-	case cfg.Backend != nil:
-		return FromBackend(cfg.Backend), nil
-	default:
-		return FromDB(cfg.DB), nil
-	}
-}
-
 // New validates the config and builds a ready-to-serve Server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("server: Config.Engine is required")
 	}
-	src, err := resolveSource(cfg)
-	if err != nil {
-		return nil, err
+	src := cfg.Source
+	if src == nil {
+		return nil, errors.New("server: Config.Source is required (FromDB, FromStore or FromBackend)")
 	}
 	if cfg.BatchWindow > 0 && src.liveDB() == nil {
 		return nil, errors.New("server: BatchWindow requires an in-process source (FromDB or FromStore); micro-batching merges queries into one in-process run")
@@ -390,20 +345,6 @@ type execStatsJSON struct {
 	TuplesOut int `json:"tuples_out"`
 	Morsels   int `json:"morsels"`
 	DescScans int `json:"desc_scans"`
-}
-
-// addStats accumulates per-query work counters into a batch total.
-func addStats(a, b xpath2sql.ExecStats) xpath2sql.ExecStats {
-	a.StmtsRun += b.StmtsRun
-	a.Joins += b.Joins
-	a.Unions += b.Unions
-	a.LFPs += b.LFPs
-	a.LFPIters += b.LFPIters
-	a.RecFixes += b.RecFixes
-	a.TuplesOut += b.TuplesOut
-	a.Morsels += b.Morsels
-	a.DescScans += b.DescScans
-	return a
 }
 
 func statsJSON(st xpath2sql.ExecStats) execStatsJSON {
@@ -812,7 +753,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.fail(w, fmt.Errorf("query %d: %w", i, err))
 				return
 			}
-			total = addStats(total, ans.Stats)
+			total.Add(ans.Stats)
 			results[i] = batchItem{IDs: ans.IDs, Count: len(ans.IDs), Stats: statsJSON(ans.Stats)}
 		}
 		s.m.recordExec(total)

@@ -64,7 +64,7 @@ func newDeptServer(t *testing.T, mutate func(*Config)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Engine: xpath2sql.New(d), DB: db}
+	cfg := Config{Engine: xpath2sql.New(d), Source: FromDB(db)}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -281,7 +281,7 @@ func TestLimitBreachIs422(t *testing.T) {
 	eng := xpath2sql.New(d,
 		xpath2sql.WithLimits(xpath2sql.Limits{MaxLFPIters: 1}),
 		xpath2sql.WithIntervalMode(xpath2sql.IntervalOff))
-	s, err := New(Config{Engine: eng, DB: db})
+	s, err := New(Config{Engine: eng, Source: FromDB(db)})
 	if err != nil {
 		t.Fatal(err)
 	}
