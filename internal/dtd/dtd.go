@@ -180,6 +180,32 @@ func subelements(c Content) []string {
 	return out
 }
 
+// mentions counts the occurrences of each subelement type in a content model.
+func mentions(c Content) map[string]int {
+	out := map[string]int{}
+	var walk func(Content)
+	walk = func(c Content) {
+		switch c := c.(type) {
+		case Name:
+			if !c.Text {
+				out[c.Type]++
+			}
+		case Seq:
+			for _, it := range c.Items {
+				walk(it)
+			}
+		case Alt:
+			for _, it := range c.Items {
+				walk(it)
+			}
+		case Star:
+			walk(c.Item)
+		}
+	}
+	walk(c)
+	return out
+}
+
 // starred reports, for each subelement type of c, whether some occurrence is
 // enclosed in a starred subexpression (§2.1: the '*' edge label).
 func starred(c Content) map[string]bool {
@@ -292,6 +318,20 @@ func MatchesUnordered(c Content, counts map[string]int) bool {
 // matchesUnordered decides whether some word in L(c) has exactly the given
 // label multiset. Exponential in the worst case but productions are tiny.
 func matchesUnordered(c Content, counts map[string]int) bool {
+	return matchUnordered(c, counts, true)
+}
+
+// matchUnordered is matchesUnordered with its one shortcut switchable, so a
+// test can hold it equal to the plain fixpoint. A starred name that is the
+// production's only mention of its type must take every child of that type —
+// nothing else can — so with absorb it yields that one residual instead of
+// peeling a child per fixpoint round, and checking a parent costs the same
+// however many children it has.
+func matchUnordered(c Content, counts map[string]int, absorb bool) bool {
+	var once map[string]int
+	if absorb {
+		once = mentions(c)
+	}
 	key := func(m map[string]int) string {
 		ks := make([]string, 0, len(m))
 		for k, v := range m {
@@ -367,6 +407,11 @@ func matchesUnordered(c Content, counts map[string]int) bool {
 			}
 			return out
 		case Star:
+			if n, ok := c.Item.(Name); ok && once[n.Type] == 1 {
+				r := clone(m)
+				delete(r, n.Type)
+				return []map[string]int{r}
+			}
 			// Fixpoint: zero or more consumptions.
 			out := []map[string]int{clone(m)}
 			seen := map[string]bool{key(m): true}

@@ -246,7 +246,12 @@ type StoreStats struct {
 	WALRecords  int64
 	Replayed    int64 // WAL records replayed during the last recovery
 	Checkpoints int64
-	Apply       HistogramSnapshot
+	// Relabels counts the inserts that found no free interval labels before
+	// their parent's end and had to respread a subtree (or the database) to
+	// make room; RelabelledNodes is how many labels those rewrote in all.
+	Relabels        int64
+	RelabelledNodes int64
+	Apply           HistogramSnapshot
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -336,6 +341,8 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("store_wal_records_total", "Records appended to the write-ahead log.", st.WALRecords)
 		counter("store_replayed_records_total", "WAL records replayed during recovery.", st.Replayed)
 		counter("store_checkpoints_total", "Snapshots written.", st.Checkpoints)
+		counter("store_relabels_total", "Inserts that had to relabel a subtree to make room for their interval labels.", st.Relabels)
+		counter("store_relabelled_nodes_total", "Interval labels rewritten by relabels.", st.RelabelledNodes)
 		fmt.Fprintf(w, "# HELP %s_store_apply_seconds Update apply latency (validate+log+apply+publish).\n", p)
 		fmt.Fprintf(w, "# TYPE %s_store_apply_seconds histogram\n", p)
 		var cum int64

@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -8,9 +9,9 @@ import (
 )
 
 // Document-order interval encoding. Every stored node carries (begin, end,
-// level): begin is the node's preorder position, end is begin plus the size
-// of its subtree (half-open), level its depth under the root element. The
-// containment test
+// level): begins increase in document order, a node's half-open interval
+// [begin, end) holds the begins of exactly its subtree, level is its depth
+// under the root element. The containment test
 //
 //	y is a proper descendant of x  ⟺  begin[x] < begin[y] < end[x]
 //
@@ -19,15 +20,19 @@ import (
 // with two binary searches, skipping the least-fixpoint entirely. See
 // DESIGN.md "Ordered storage & interval fast path".
 //
-// The encoding is a property of one document snapshot. It is adopted
-// wholesale (AdoptIntervals after a bulk shred, RebuildIntervals from the
-// ParentOf catalog) and invalidated wholesale on structural updates; a DB
-// without a valid encoding simply answers every descendant step through the
-// fixpoint, so staleness costs performance, never correctness.
+// Labels are compared, never subtracted: every consumer needs only that they
+// are in document order. A bulk load (the shredders, RebuildIntervals) labels
+// densely — begin is the preorder position, end − begin the subtree size — and
+// a live store lets the labels drift apart from there: a delete leaves a gap,
+// an insert takes labels out of the free range before its parent's end, and
+// a relabel spreads a subtree out to make such room (relabel.go). So
+// end − begin ≥ subtree size is all that holds in general. A DB without a
+// valid encoding answers every descendant step through the fixpoint, so a
+// missing encoding costs performance, never correctness.
 
 // NodeInterval is the document-order encoding of one node.
 type NodeInterval struct {
-	Begin, End int64 // half-open preorder interval; End-Begin = subtree size
+	Begin, End int64 // half-open interval over the begins of the node's subtree
 	Level      int32 // depth under the root element (root = 0)
 }
 
@@ -62,21 +67,30 @@ func (m IntervalMode) String() string {
 	return "IntervalMode(?)"
 }
 
-// descIndexCacheCap bounds the per-snapshot descendant-index cache. The
-// cache is keyed by relation pointer, so a long-lived DB whose relations are
-// cloned by updates would otherwise accumulate dead entries.
-const descIndexCacheCap = 64
-
-// ivState is one immutable interval encoding plus its lazily built
-// per-relation descendant indexes. The whole value is swapped atomically on
-// adopt/rebuild/invalidate, so readers pin a consistent encoding; the index
-// cache inside is mutex-guarded because concurrent queries may race to
-// build the first index for a relation.
+// ivState is one database's view of an interval encoding: the immutable node
+// table (shared between the epochs of a store for as long as no label changes)
+// plus this database's lazily built per-relation descendant indexes. The whole
+// value is swapped atomically on adopt/rebuild/invalidate, so readers pin a
+// consistent encoding; the index cache inside is mutex-guarded because
+// concurrent queries may race to build the first index for a relation.
 type ivState struct {
-	iv map[int]NodeInterval
+	tab *ivTable
 
 	mu    sync.Mutex
 	byRel map[*Relation]*descIndex
+}
+
+// inherit seeds the cache with prev's indexes of the relations db still
+// shares with it: same rows, and the caller vouches that none of their labels
+// moved. A relation the update cloned is re-indexed on its first read.
+func (st *ivState) inherit(prev *ivState, db *DB) {
+	prev.mu.Lock()
+	defer prev.mu.Unlock()
+	for rel, idx := range prev.byRel {
+		if db.Rels[rel.Name] == rel {
+			st.byRel[rel] = idx
+		}
+	}
 }
 
 // descIndex lists a stored relation's live rows sorted by the T node's
@@ -91,10 +105,14 @@ type descIndex struct {
 }
 
 // AdoptIntervals installs a complete interval encoding, replacing any
-// previous one. The map is adopted, not copied; the caller must not mutate
-// it afterwards.
+// previous one. Bulk loaders fill an IntervalBuilder directly instead of
+// collecting a map first.
 func (db *DB) AdoptIntervals(iv map[int]NodeInterval) {
-	db.ivs.Store(&ivState{iv: iv, byRel: map[*Relation]*descIndex{}})
+	b := db.NewIntervalBuilder()
+	for id, n := range iv {
+		b.Set(id, n)
+	}
+	b.Adopt()
 }
 
 // HasIntervals reports whether the database carries a valid interval
@@ -115,8 +133,7 @@ func (db *DB) Interval(id int) (NodeInterval, bool) {
 	if st == nil {
 		return NodeInterval{}, false
 	}
-	n, ok := st.iv[id]
-	return n, ok
+	return st.tab.get(id)
 }
 
 // IntervalCount returns the number of encoded nodes (0 when invalid).
@@ -125,75 +142,44 @@ func (db *DB) IntervalCount() int {
 	if st == nil {
 		return 0
 	}
-	return len(st.iv)
+	return st.tab.n
 }
 
-// InvalidateIntervals drops the interval encoding. Structural updates call
-// it on the epoch they produce; queries on that epoch fall back to the
+// InvalidateIntervals drops the interval encoding; queries fall back to the
 // fixpoint until RebuildIntervals runs.
 func (db *DB) InvalidateIntervals() { db.ivs.Store(nil) }
 
 // ShareIntervalsFrom adopts src's encoding (and DTD fingerprint) by
-// reference — the copy-on-write hand-off between store epochs whose
-// structure is unchanged. Relations cloned by the new epoch get fresh
-// pointers and therefore fresh descendant indexes; untouched relations keep
-// reusing the cached ones.
+// reference — the hand-off between store epochs whose structure is unchanged.
+// db gets a descendant-index cache of its own, seeded with src's indexes of
+// the relations the two still share, so call it once db's relations are
+// final; a relation db cloned is re-indexed on its first read.
 func (db *DB) ShareIntervalsFrom(src *DB) {
-	db.DTDFP = src.DTDFP
-	db.ivs.Store(src.ivs.Load())
+	if b := db.deriveIntervals(src); b != nil {
+		b.Adopt()
+	}
 }
 
-// RebuildIntervals recomputes the interval encoding from the ParentOf
+// RebuildIntervals recomputes the dense interval encoding from the ParentOf
 // catalog: a depth-first walk from the root element(s) with children visited
-// in node-ID order. On a freshly shredded document (dense preorder IDs) this
-// reproduces the original encoding exactly — begin = ID-1 — which is how
-// pre-interval snapshots get their encoding on boot.
+// in node-ID order, begin the preorder position, end − begin the subtree size.
+// On a freshly shredded document (dense preorder IDs) this reproduces the
+// original encoding exactly — begin = ID-1 — which is how pre-interval
+// snapshots get their encoding on boot.
 func (db *DB) RebuildIntervals() {
-	children := make(map[int][]int, len(db.ParentOf))
-	var roots []int
+	children := make(map[int32][]int32, len(db.ParentOf))
 	for id, p := range db.ParentOf {
-		if p == 0 {
-			roots = append(roots, id)
-			continue
-		}
-		children[p] = append(children[p], id)
+		children[int32(p)] = append(children[int32(p)], int32(id))
 	}
 	for _, kids := range children {
-		sort.Ints(kids)
+		slices.Sort(kids)
 	}
-	sort.Ints(roots)
-
-	iv := make(map[int]NodeInterval, len(db.ParentOf))
-	var pos int64
-	// Iterative DFS: a frame is open while its children are being walked;
-	// End is stamped when the frame pops.
-	type frame struct {
-		id   int
-		next int // next child offset
-	}
-	var stack []frame
-	for _, root := range roots {
-		iv[root] = NodeInterval{Begin: pos, Level: 0}
-		pos++
-		stack = append(stack[:0], frame{id: root})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			kids := children[f.id]
-			if f.next < len(kids) {
-				c := kids[f.next]
-				f.next++
-				iv[c] = NodeInterval{Begin: pos, Level: int32(len(stack))}
-				pos++
-				stack = append(stack, frame{id: c})
-				continue
-			}
-			n := iv[f.id]
-			n.End = pos
-			iv[f.id] = n
-			stack = stack[:len(stack)-1]
-		}
-	}
-	db.AdoptIntervals(iv)
+	w := walkTree(0, func(buf []int32, f int32) []int32 { return append(buf, children[f]...) })
+	b := db.NewIntervalBuilder()
+	// The walk opens with the virtual root, which has no label: the first
+	// root element is position 0, level 0.
+	b.spread(w, 1, -1, 0, -1)
+	b.Adopt()
 }
 
 // descIndexFor returns the begin-sorted descendant index of a stored
@@ -215,17 +201,14 @@ func (st *ivState) indexFor(rel *Relation) (*descIndex, bool) {
 	if idx, ok := st.byRel[rel]; ok {
 		return idx, idx != nil
 	}
-	idx := buildDescIndex(st.iv, rel)
-	if len(st.byRel) >= descIndexCacheCap {
-		clear(st.byRel)
-	}
+	idx := buildDescIndex(st.tab, rel)
 	st.byRel[rel] = idx // nil caches the negative answer too
 	return idx, idx != nil
 }
 
 // buildDescIndex sorts a relation's live rows by the T node's begin
 // position. Returns nil when some live T node has no interval.
-func buildDescIndex(iv map[int]NodeInterval, rel *Relation) *descIndex {
+func buildDescIndex(tab *ivTable, rel *Relation) *descIndex {
 	n := rel.Len()
 	idx := &descIndex{
 		begins: make([]int64, 0, n),
@@ -236,7 +219,7 @@ func buildDescIndex(iv map[int]NodeInterval, rel *Relation) *descIndex {
 			continue
 		}
 		w := rel.rows[i]
-		nv, ok := iv[int(w.t)]
+		nv, ok := tab.get(int(w.t))
 		if !ok {
 			return nil
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,6 +22,12 @@ import (
 // the identity on the text form. The O/D records are format version 2: a
 // pre-interval (v1) image loads with no encoding, and boot-time owners (e.g.
 // store.Open) call RebuildIntervals to give old snapshots the fast path.
+//
+// O records hold dense document-order ranks, not the labels in memory: begin
+// is written as the number of begins below it, end as the number of begins
+// below end. The image is therefore canonical — two databases holding the same
+// document save the same bytes whatever slack a live store's labels carry —
+// and a dense encoding (every bulk load's) is written as it is.
 func (db *DB) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var names []string
@@ -61,16 +68,32 @@ func (db *DB) Save(w io.Writer) error {
 		}
 	}
 	if st := db.ivs.Load(); st != nil {
-		ivIDs := make([]int, 0, len(st.iv))
-		for id := range st.iv {
-			ivIDs = append(ivIDs, id)
+		// A bulk load's begins are 0…n−1 and are their own ranks: the set-up
+		// checkpoint of a freshly loaded store pays no sort.
+		n := int64(st.tab.n)
+		dense := true
+		st.tab.each(func(_ int, iv NodeInterval) { dense = dense && 0 <= iv.Begin && iv.Begin < n })
+		var begins []int64
+		if !dense {
+			begins = make([]int64, 0, n)
+			st.tab.each(func(_ int, iv NodeInterval) { begins = append(begins, iv.Begin) })
+			slices.Sort(begins)
 		}
-		sort.Ints(ivIDs)
-		for _, id := range ivIDs {
-			n := st.iv[id]
-			if _, err := fmt.Fprintf(bw, "O %d %d %d %d\n", id, n.Begin, n.End, n.Level); err != nil {
-				return err
+		rank := func(label int64) int64 {
+			if dense {
+				return min(max(label, 0), n)
 			}
+			i, _ := slices.BinarySearch(begins, label)
+			return int64(i)
+		}
+		var err error
+		st.tab.each(func(id int, iv NodeInterval) {
+			if err == nil {
+				_, err = fmt.Fprintf(bw, "O %d %d %d %d\n", id, rank(iv.Begin), rank(iv.End), iv.Level)
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	if db.DTDFP != "" {
@@ -89,7 +112,7 @@ func Load(r io.Reader) (*DB, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	lineNo := 0
-	var iv map[int]NodeInterval
+	var iv *IntervalBuilder
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
@@ -178,10 +201,13 @@ func Load(r io.Reader) (*DB, error) {
 			if end < begin {
 				return nil, fmt.Errorf("rdb: line %d: inverted interval [%d, %d)", lineNo, begin, end)
 			}
-			if iv == nil {
-				iv = map[int]NodeInterval{}
+			if level < 0 {
+				return nil, fmt.Errorf("rdb: line %d: negative level %d", lineNo, level)
 			}
-			iv[id] = NodeInterval{Begin: begin, End: end, Level: int32(level)}
+			if iv == nil {
+				iv = db.NewIntervalBuilder()
+			}
+			iv.Set(id, NodeInterval{Begin: begin, End: end, Level: int32(level)})
 		case "D":
 			db.DTDFP = strings.TrimSpace(rest)
 		default:
@@ -192,7 +218,7 @@ func Load(r io.Reader) (*DB, error) {
 		return nil, err
 	}
 	if iv != nil {
-		db.AdoptIntervals(iv)
+		iv.Adopt()
 	}
 	return db, nil
 }

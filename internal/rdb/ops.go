@@ -434,16 +434,16 @@ func (e *Exec) fixPrune(endRel *Relation) func(t int32) bool {
 			continue
 		}
 		seen[w.f] = struct{}{}
-		iv, has := st.iv[int(w.f)]
+		iv, has := st.tab.get(int(w.f))
 		if !has {
 			return nil
 		}
 		begins = append(begins, iv.Begin)
 	}
 	sort.Slice(begins, func(i, j int) bool { return begins[i] < begins[j] })
-	iv := st.iv
+	tab := st.tab
 	return func(t int32) bool {
-		tiv, has := iv[int(t)]
+		tiv, has := tab.get(int(t))
 		if !has {
 			return false
 		}
@@ -648,7 +648,7 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 		if startIdx != nil && !startIdx.contains(t) {
 			continue
 		}
-		iv, has := st.iv[int(t)]
+		iv, has := st.tab.get(int(t))
 		if !has {
 			return nil, errNoDescKernel
 		}

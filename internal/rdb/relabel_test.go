@@ -1,0 +1,246 @@
+package rdb
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// Tests of the derived interval encoding: across random inserts and deletes
+// the labels a database carries must stay order-isomorphic to the dense ones
+// RebuildIntervals computes from scratch — same document order, same
+// containment, same levels — whatever slack they hold.
+
+func saved(t *testing.T, db *DB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkIsomorphic compares db's labels with a dense rebuild on a copy: equal
+// canonical images (Save writes ranks), equal levels, and every interval at
+// least as wide as its dense counterpart, the subtree size.
+func checkIsomorphic(t *testing.T, step string, db *DB) {
+	t.Helper()
+	dense := cowDB(db)
+	dense.RebuildIntervals()
+	if db.IntervalCount() != db.NumNodes() {
+		t.Fatalf("%s: %d labels for %d nodes", step, db.IntervalCount(), db.NumNodes())
+	}
+	if got, want := saved(t, db), saved(t, dense); !bytes.Equal(got, want) {
+		t.Fatalf("%s: derived labels are not in the dense labels' order\nderived:\n%s\ndense:\n%s", step, got, want)
+	}
+	for id := range db.Vals {
+		iv, _ := db.Interval(id)
+		div, _ := dense.Interval(id)
+		if iv.Level != div.Level || iv.End-iv.Begin < div.End-div.Begin {
+			t.Fatalf("%s: node %d: derived %+v, dense %+v", step, id, iv, div)
+		}
+	}
+}
+
+// graft stores a random subtree of n fresh nodes as the last child of parent,
+// store-style, and derives the new epoch's labels.
+func (td *treeDoc) graft(r *rand.Rand, parent, n int) (db2 *DB, base, relabelled int) {
+	db2 = cowDB(td.db)
+	base = td.nextID
+	for i := 0; i < n; i++ {
+		id, f := td.nextID, parent
+		if i > 0 {
+			f = base + r.Intn(i)
+		}
+		td.nextID++
+		rel := fmt.Sprintf("R%d", r.Intn(3))
+		td.relOf[id] = rel
+		db2.Insert(rel, f, id, "")
+	}
+	return db2, base, db2.DeriveInsert(td.db, parent, base)
+}
+
+// prune removes the subtree of root, store-style, and derives the labels.
+func (td *treeDoc) prune(root int) *DB {
+	deleted := td.subtree(root)
+	db2 := cowDB(td.db)
+	touched := map[string]bool{}
+	for _, id := range deleted {
+		db2.Rel(td.relOf[id]).Delete(db2.ParentOf[id], id)
+		touched[td.relOf[id]] = true
+		delete(db2.Vals, id)
+		delete(db2.ParentOf, id)
+	}
+	for rel := range touched {
+		db2.Rel(rel).Compact()
+	}
+	db2.DeriveDelete(td.db, deleted)
+	return db2
+}
+
+func (td *treeDoc) nodes() []int {
+	ids := make([]int, 0, len(td.db.Vals))
+	for id := range td.db.Vals {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+func TestDerivedIntervalsStayInDocumentOrder(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		td := makeTree(r, 30+r.Intn(40), 3)
+		whole, local := 0, 0
+		for step := 0; step < 200; step++ {
+			ids := td.nodes()
+			name := fmt.Sprintf("seed %d step %d", seed, step)
+			if r.Intn(5) == 0 && len(ids) > 1 {
+				td.db = td.prune(ids[1+r.Intn(len(ids)-1)])
+			} else {
+				// Most inserts go under the newest node, so chains grow and
+				// free ranges run out; the rest land anywhere.
+				parent := ids[len(ids)-1]
+				if r.Intn(4) == 0 {
+					parent = ids[r.Intn(len(ids))]
+				}
+				db2, _, n := td.graft(r, parent, 1+r.Intn(4))
+				td.db = db2
+				switch {
+				case n == td.db.NumNodes():
+					whole++
+				case n > 0:
+					local++
+				}
+			}
+			checkIsomorphic(t, name, td.db)
+		}
+		t.Logf("seed %d: %d whole-database and %d local relabels", seed, whole, local)
+		if whole == 0 || local == 0 {
+			t.Errorf("seed %d: the walk does not reach both kinds of relabel", seed)
+		}
+	}
+}
+
+// TestInsertTakesSlackNotNeighbours: once a relabel has left slack, an insert
+// writes the labels of its own nodes and no others, and a delete writes none.
+func TestInsertTakesSlackNotNeighbours(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	td := makeTree(r, 200, 3)
+	db2, _, n := td.graft(r, 1, 3)
+	if n != db2.NumNodes() {
+		t.Fatalf("the first insert into a dense database relabelled %d of %d nodes", n, db2.NumNodes())
+	}
+	td.db = db2
+	for step := 0; step < 100; step++ {
+		before := map[int]NodeInterval{}
+		for id := range td.db.Vals {
+			before[id], _ = td.db.Interval(id)
+		}
+		ids := td.nodes()
+		var now *DB
+		if step%3 == 2 {
+			now = td.prune(ids[1+r.Intn(len(ids)-1)])
+		} else {
+			var n int
+			if now, _, n = td.graft(r, ids[r.Intn(len(ids))], 1+r.Intn(3)); n != 0 {
+				t.Fatalf("step %d: insert relabelled %d nodes with slack everywhere", step, n)
+			}
+		}
+		for id := range now.Vals {
+			if was, old := before[id]; old {
+				if iv, _ := now.Interval(id); iv != was {
+					t.Fatalf("step %d: node %d moved from %+v to %+v", step, id, was, iv)
+				}
+			}
+		}
+		td.db = now
+		checkIsomorphic(t, fmt.Sprintf("step %d", step), td.db)
+	}
+}
+
+// TestDescIndexesSurviveUntouchedEpochs: an epoch derived without moving a
+// label keeps the previous epoch's descendant indexes for the relations the
+// two share, re-sorts only what the update cloned, and never holds an index
+// of a relation it does not store; a relabel carries nothing over.
+func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	td := makeTree(r, 120, 3)
+	share := func(prev *DB, touch string) *DB {
+		nd := &DB{Rels: map[string]*Relation{}, Syms: prev.Syms, Vals: prev.Vals, Labels: prev.Labels, ParentOf: prev.ParentOf}
+		for name, rel := range prev.Rels {
+			if name == touch {
+				rel = rel.Clone()
+			}
+			nd.Rels[name] = rel
+		}
+		nd.ShareIntervalsFrom(prev)
+		return nd
+	}
+	warm := func(db *DB) map[string]*descIndex {
+		out := map[string]*descIndex{}
+		for name, rel := range db.Rels {
+			idx, ok := db.descIndexFor(rel)
+			if !ok {
+				t.Fatalf("no index for %s", name)
+			}
+			out[name] = idx
+		}
+		return out
+	}
+	warmed := warm(td.db)
+	db := td.db
+	for i := 0; i < 200; i++ { // a text-update stream: one relation cloned per epoch
+		touch := fmt.Sprintf("R%d", i%3)
+		db = share(db, touch)
+		if n := len(db.ivs.Load().byRel); n != 2 {
+			t.Fatalf("epoch %d inherited %d indexes, want the 2 untouched relations'", i, n)
+		}
+		warmed = warm(db)
+		if n := len(db.ivs.Load().byRel); n != len(db.Rels) {
+			t.Fatalf("epoch %d caches %d indexes for %d relations", i, n, len(db.Rels))
+		}
+	}
+	next := share(db, "R0")
+	for name, idx := range warm(next) {
+		if same := idx == warmed[name]; same == (name == "R0") {
+			t.Errorf("%s: index reused = %v", name, same)
+		}
+	}
+	// A relabel moves labels under every relation: nothing is inherited.
+	td.db = next
+	db2, _, n := td.graft(r, 1, 2)
+	if n == 0 {
+		t.Fatal("the first insert into a dense database did not relabel")
+	}
+	if got := len(db2.ivs.Load().byRel); got != 0 {
+		t.Fatalf("%d indexes carried across a relabel", got)
+	}
+}
+
+// TestEmptiedChunksAreDropped: node IDs are never reused, so a store that
+// inserts and deletes for long enough must not keep a chunk for every 1024 IDs
+// it ever assigned.
+func TestEmptiedChunksAreDropped(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	td := makeTree(r, 50, 3)
+	chunks := func() int { return len(td.db.ivs.Load().tab.chunks) }
+	if chunks() != 1 {
+		t.Fatalf("%d chunks for 50 nodes", chunks())
+	}
+	for round := 0; round < 5; round++ {
+		td.nextID = (round + 2) * ivChunkLen // a chunk of its own
+		db2, base, _ := td.graft(r, 1, 4)
+		td.db = db2
+		if chunks() != 2 {
+			t.Fatalf("round %d: %d chunks after the insert, want 2", round, chunks())
+		}
+		td.db = td.prune(base)
+		if chunks() != 1 || td.db.IntervalCount() != 50 {
+			t.Fatalf("round %d: %d chunks, %d labels after the delete, want 1 and 50", round, chunks(), td.db.IntervalCount())
+		}
+		checkIsomorphic(t, fmt.Sprintf("round %d", round), td.db)
+	}
+}

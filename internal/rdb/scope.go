@@ -59,7 +59,7 @@ func (db *DB) resolveScope(root int) (*docScope, error) {
 	if st == nil {
 		return nil, ErrScopeNeedsIntervals
 	}
-	iv, ok := st.iv[root]
+	iv, ok := st.tab.get(root)
 	if !ok {
 		return nil, fmt.Errorf("%w: it does not cover document root %d", ErrScopeNeedsIntervals, root)
 	}

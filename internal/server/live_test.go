@@ -232,6 +232,8 @@ func TestStoreMetricsExposed(t *testing.T) {
 		"xpathd_store_rejected_total 1",
 		"xpathd_store_apply_seconds_count 1",
 		"xpathd_store_nodes",
+		"xpathd_store_relabels_total 0", // a text update moves no label
+		"xpathd_store_relabelled_nodes_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics lack %q", want)

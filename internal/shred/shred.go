@@ -53,7 +53,7 @@ func Shred(doc *xmltree.Document, d *dtd.DTD) (*rdb.DB, error) {
 		}
 	}
 	levels := make([]int32, len(nodes)+1)
-	iv := make(map[int]rdb.NodeInterval, len(nodes))
+	iv := db.NewIntervalBuilder()
 	for _, n := range nodes {
 		if !d.Has(n.Label) {
 			return nil, fmt.Errorf("shred: element type %q %w", n.Label, ErrNotInDTD)
@@ -65,9 +65,9 @@ func Shred(doc *xmltree.Document, d *dtd.DTD) (*rdb.DB, error) {
 		}
 		ld.Insert(RelName(n.Label), n.Label, f, int(n.ID), n.Val)
 		begin := int64(n.ID) - 1
-		iv[int(n.ID)] = rdb.NodeInterval{Begin: begin, End: begin + sizes[n.ID], Level: levels[n.ID]}
+		iv.Set(int(n.ID), rdb.NodeInterval{Begin: begin, End: begin + sizes[n.ID], Level: levels[n.ID]})
 	}
-	db.AdoptIntervals(iv)
+	iv.Adopt()
 	db.DTDFP = d.Fingerprint()
 	return db, nil
 }

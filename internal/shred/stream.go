@@ -90,7 +90,7 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	var wg sync.WaitGroup
 	// The catalog goroutine is the single writer of the DB's plain maps
 	// (Vals, Labels, ParentOf) and of the interval table.
-	iv := map[int]rdb.NodeInterval{}
+	iv := db.NewIntervalBuilder()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -100,7 +100,7 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 				db.Vals[rec.t] = rec.val
 				db.Labels[rec.t] = rec.label
 				db.ParentOf[rec.t] = rec.f
-				iv[rec.t] = rdb.NodeInterval{Begin: rec.begin, End: rec.end, Level: rec.level}
+				iv.Set(rec.t, rdb.NodeInterval{Begin: rec.begin, End: rec.end, Level: rec.level})
 			}
 		}
 	}()
@@ -153,7 +153,7 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	if perr != nil {
 		return nil, perr
 	}
-	db.AdoptIntervals(iv)
+	iv.Adopt()
 	db.DTDFP = d.Fingerprint()
 	return db, nil
 }

@@ -1,0 +1,277 @@
+package store
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"xpath2sql/internal/core"
+	"xpath2sql/internal/dtd"
+	"xpath2sql/internal/rdb"
+	"xpath2sql/internal/shred"
+	"xpath2sql/internal/workload"
+	"xpath2sql/internal/xmltree"
+	"xpath2sql/internal/xpath"
+)
+
+// Tests of the interval labels a live store carries: what an update writes,
+// what happens when the slack runs out, and that neither shows in an answer,
+// a pinned epoch or a saved image.
+
+// openCourses opens an ephemeral store over a dept document of the given
+// number of courses, 21 elements each, with its mirror.
+func openCourses(t *testing.T, courses int) (*Store, *mirror) {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<dept>")
+	for c := 0; c < courses; c++ {
+		fmt.Fprintf(&sb, "<course><cno>c%d</cno><title>t%d</title><prereq></prereq><takenBy>", c, c)
+		for k := 0; k < 3; k++ {
+			fmt.Fprintf(&sb, "<student><sno>s%d-%d</sno><name>n</name><qualified></qualified></student>", c, k)
+		}
+		fmt.Fprintf(&sb, "</takenBy><project><pno>p%d</pno><ptitle>pt</ptitle><required></required></project></course>", c)
+	}
+	sb.WriteString("</dept>")
+	doc, err := xmltree.Parse(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := workload.Dept()
+	db, err := shred.Shred(doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMirror()
+	m.insert(1, 0, doc)
+	s, err := Open(Config{DTD: d, Seed: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, m
+}
+
+// insertBoth inserts the fragment into the store and the mirror.
+func insertBoth(t *testing.T, s *Store, m *mirror, parent int, frag string) UpdateResult {
+	t.Helper()
+	res, err := s.InsertSubtree(parent, frag)
+	if err != nil {
+		t.Fatalf("insert under %d: %v", parent, err)
+	}
+	doc, err := xmltree.Parse(frag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.insert(res.NodeID, parent, doc)
+	return res
+}
+
+// Offsets of a fragCourse's prereq and takenBy from the course's own ID.
+const (
+	coursePrereq  = 3
+	courseTakenBy = 4
+)
+
+// TestLabelWritesAreTheInsertsOwn is the counted test of "a write costs what
+// it touches" for interval labels: after the one relabel that gives a densely
+// loaded database its slack, a stream of root appends with interleaved
+// deletes and a create-then-fill stream write a bounded number of labels per
+// inserted node — the same bound at 1×, 4× and 16× the database size — and
+// never relabel the database again.
+func TestLabelWritesAreTheInsertsOwn(t *testing.T) {
+	const perInsertedNode = 2 // labels written per node inserted, relabels included
+	for _, scale := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("%dx", scale), func(t *testing.T) {
+			s, m := openCourses(t, 20*scale)
+			dept := m.byLabel("dept")[0]
+			insertBoth(t, s, m, dept, fragCourse(-1))
+			if st := s.Stats(); st.Relabels != 1 || st.RelabelledNodes != st.Nodes {
+				t.Fatalf("the first insert into a dense store: %d relabels of %d labels, want 1 of all %d", st.Relabels, st.RelabelledNodes, st.Nodes)
+			}
+			base := s.Stats()
+			inserted := int64(0)
+			insert := func(parent int, frag string) int {
+				before := s.Stats()
+				res := insertBoth(t, s, m, parent, frag)
+				inserted += int64(res.Nodes)
+				if moved := s.Stats().RelabelledNodes - before.RelabelledNodes; moved >= before.Nodes {
+					t.Fatalf("insert under %d relabelled the database again (%d labels, %d nodes)", parent, moved, before.Nodes)
+				}
+				return res.NodeID
+			}
+			// Root appends, every third followed by the delete of an earlier one.
+			var mine []int
+			for i := 0; i < 150; i++ {
+				mine = append(mine, insert(dept, fragCourse(i)))
+				if i%3 == 2 {
+					victim := mine[len(mine)/2]
+					mine = append(mine[:len(mine)/2], mine[len(mine)/2+1:]...)
+					if _, err := s.DeleteSubtree(victim); err != nil {
+						t.Fatal(err)
+					}
+					m.deleteSubtree(victim)
+				}
+			}
+			// Create, then fill: a course, then 40 students one at a time.
+			for c := 0; c < 5; c++ {
+				takenBy := insert(dept, fragCourse(1000+c)) + courseTakenBy
+				for k := 0; k < 40; k++ {
+					insert(takenBy, fragStudent(100*c+k))
+				}
+			}
+			st := s.Stats()
+			written := inserted + st.RelabelledNodes - base.RelabelledNodes
+			t.Logf("%d nodes: %d inserted, %d labels written, %d relabels", st.Nodes, inserted, written, st.Relabels-base.Relabels)
+			if written > perInsertedNode*inserted {
+				t.Errorf("%d labels written for %d inserted nodes, want at most %d each", written, inserted, perInsertedNode)
+			}
+			if got, want := saveBytes(t, s.View().DB), saveBytes(t, m.buildDB(workload.Dept())); !bytes.Equal(got, want) {
+				t.Fatal("store diverges from the re-shredded mirror")
+			}
+		})
+	}
+}
+
+// document rebuilds the mirrored document as a tree, children in node-ID
+// order, and lists the store's node IDs in the tree's preorder: the native
+// evaluator answers with positions in that list.
+func (m *mirror) document() (*xmltree.Document, []int) {
+	var order []int
+	var build func(id int) *xmltree.Node
+	build = func(id int) *xmltree.Node {
+		order = append(order, id)
+		n := &xmltree.Node{Label: m.labels[id], Val: m.vals[id]}
+		for _, c := range m.children[id] { // appended in ID order, deletes keep it
+			n.Children = append(n.Children, build(c))
+		}
+		return n
+	}
+	return xmltree.NewDocument(build(m.children[0][0])), order
+}
+
+// checkAgainstOracle runs the differential queries on the store's current
+// epoch with the interval kernel allowed and with it mandatory, and compares
+// both with the native evaluator on the mirrored document.
+func checkAgainstOracle(t *testing.T, step string, s *Store, m *mirror, d *dtd.DTD) {
+	t.Helper()
+	doc, order := m.document()
+	db := s.View().DB
+	for _, qs := range diffQueries {
+		q, err := xpath.Parse(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		for _, id := range xpath.EvalDoc(q, doc).IDs() {
+			want = append(want, order[id-1])
+		}
+		sort.Ints(want)
+		res, err := core.Translate(q, d, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []rdb.IntervalMode{rdb.IntervalAuto, rdb.IntervalForce} {
+			ex := rdb.NewExec(db)
+			ex.IntervalMode = mode
+			rel, err := ex.Run(res.Program)
+			if err != nil {
+				t.Fatalf("%s: %q (intervals %v): %v", step, qs, mode, err)
+			}
+			if got := core.ExtractIDs(rel); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: %q (intervals %v): store %v, native evaluator %v", step, qs, mode, got, want)
+			}
+		}
+	}
+}
+
+// TestLabelExhaustion drives the two shapes that use slack up — a chain, each
+// course inserted under the previous one's prereq, and a hot spot, students
+// appended to one takenBy at the chain's end where the labels are scarcest —
+// through relabel after relabel. Answers must stay the native evaluator's and
+// the image the re-shredded mirror's throughout.
+func TestLabelExhaustion(t *testing.T) {
+	d := workload.Dept()
+	s, m := openSeeded(t, "", 5, 200, Config{})
+	check := func(step string) {
+		t.Helper()
+		if got, want := saveBytes(t, s.View().DB), saveBytes(t, m.buildDB(d)); !bytes.Equal(got, want) {
+			t.Fatalf("%s: store diverges from the re-shredded mirror", step)
+		}
+		checkAgainstOracle(t, step, s, m, d)
+	}
+	course := insertBoth(t, s, m, m.byLabel("prereq")[0], fragCourse(0)).NodeID
+	for depth := 1; depth < 300; depth++ {
+		course = insertBoth(t, s, m, course+coursePrereq, fragCourse(depth)).NodeID
+		if depth%60 == 0 {
+			check(fmt.Sprintf("chain depth %d", depth))
+		}
+	}
+	chain := s.Stats()
+	if chain.Relabels < 10 {
+		t.Errorf("a 300-deep chain forced %d relabels; it does not exhaust anything", chain.Relabels)
+	}
+	for k := 0; k < 300; k++ {
+		insertBoth(t, s, m, course+courseTakenBy, fragStudent(k))
+		if k%100 == 99 {
+			check(fmt.Sprintf("hot spot append %d", k))
+		}
+	}
+	spot := s.Stats()
+	if spot.Relabels == chain.Relabels {
+		t.Error("300 appends under the deepest course forced no relabel")
+	}
+	t.Logf("chain: %d relabels of %d labels; hot spot: %d of %d; %d nodes", chain.Relabels, chain.RelabelledNodes,
+		spot.Relabels-chain.Relabels, spot.RelabelledNodes-chain.RelabelledNodes, spot.Nodes)
+}
+
+// scopedAnswers runs the query scoped to one document.
+func scopedAnswers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, doc int) []int {
+	t.Helper()
+	q, err := xpath.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Translate(q, d, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _, err := rdb.RunParallelWith(context.Background(), db, res.Program, rdb.RunConfig{Workers: 1, Doc: doc})
+	if err != nil {
+		t.Fatalf("scoped %q: %v", query, err)
+	}
+	return core.ExtractIDs(rel)
+}
+
+// TestCanonicalImage: the saved image does not show the slack. A gapped
+// store saves the bytes a dense relabel of the same database saves, and
+// loading that image and saving it again is the identity.
+func TestCanonicalImage(t *testing.T) {
+	s, m := openSeeded(t, "", 29, 250, Config{})
+	dept := m.byLabel("dept")[0]
+	for i := 0; i < 40; i++ {
+		insertBoth(t, s, m, dept, fragCourse(i))
+	}
+	db := s.View().DB
+	if iv, _ := db.Interval(dept); iv.End-iv.Begin == int64(db.NumNodes()) {
+		t.Fatalf("the store's labels are dense (%+v for %d nodes): nothing to canonicalize", iv, db.NumNodes())
+	}
+	gapped := saveBytes(t, db)
+	dense := &rdb.DB{Rels: db.Rels, Syms: db.Syms, Vals: db.Vals, Labels: db.Labels, ParentOf: db.ParentOf, DTDFP: db.DTDFP}
+	dense.RebuildIntervals()
+	if iv, _ := dense.Interval(dept); iv.End-iv.Begin != int64(db.NumNodes()) {
+		t.Fatalf("RebuildIntervals is not dense: %+v for %d nodes", iv, db.NumNodes())
+	}
+	if !bytes.Equal(gapped, saveBytes(t, dense)) {
+		t.Fatal("a gapped store and its dense relabel save different images")
+	}
+	loaded, err := rdb.Load(bytes.NewReader(gapped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gapped, saveBytes(t, loaded)) {
+		t.Fatal("Load∘Save is not the identity on a v2 image")
+	}
+}

@@ -12,8 +12,10 @@
 // Concurrency. One writer at a time (serialized by a mutex) builds each new
 // database version as a copy-on-write epoch: touched relations are cloned
 // (deletes tombstone rows on the clone and compact before publication,
-// inserts extend the clone), untouched relations are shared, and the node
-// catalog maps are copied. The finished epoch is published with one atomic
+// inserts extend the clone), untouched relations and node catalog maps are
+// shared, a catalog map the update writes is copied first, and the interval
+// encoding is derived from the previous epoch's by patching the chunks the
+// update touches. The finished epoch is published with one atomic
 // pointer swap; readers pin an epoch with View and never observe a
 // half-applied update, take no locks, and keep executing against their
 // pinned epoch even as newer ones land.
@@ -223,6 +225,8 @@ type Store struct {
 	walRecords  atomic.Int64
 	replayed    atomic.Int64
 	checkpoints atomic.Int64
+	relabels    atomic.Int64
+	relabelled  atomic.Int64
 	applyHist   *obs.Histogram
 }
 
@@ -476,12 +480,21 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 		s.textUpdates.Add(1)
 	}
 	t.compact()
-	if rec.Op != opUpdateText {
-		// A structural change shifts the dense preorder positions globally:
-		// rebuild the interval encoding for the new epoch (the parent
-		// epoch's copy is untouched). Recovery replays through this same
-		// path, so a replayed store matches the pre-crash encoding exactly.
-		t.db.RebuildIntervals()
+	// The new epoch's interval encoding is the previous one's, patched: a text
+	// update shares it, a delete clears its nodes' labels, an insert labels
+	// the new subtree out of the slack before its parent's end — relabelling
+	// around it only when there is none left. Recovery and replicas replay
+	// through this same path.
+	switch rec.Op {
+	case opInsert:
+		if n := t.db.DeriveInsert(ep.DB, rec.Parent, rec.Base); n > 0 {
+			s.relabels.Add(1)
+			s.relabelled.Add(int64(n))
+		}
+	case opDelete:
+		t.db.DeriveDelete(ep.DB, td.Deleted)
+	case opUpdateText:
+		t.db.ShareIntervalsFrom(ep.DB)
 	}
 
 	next := &Epoch{DB: t.db, Seq: ep.Seq + 1, LSN: rec.LSN}
@@ -504,38 +517,45 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 }
 
 // txn accumulates one update's copy-on-write state: a fresh DB sharing every
-// untouched relation with the parent epoch, with touched relations cloned
-// exactly once and the catalog maps copied.
+// relation and catalog map with the parent epoch, each cloned exactly once,
+// the first time the update writes it.
 type txn struct {
 	db     *rdb.DB
 	cloned map[string]*rdb.Relation
+	// Which catalog maps are the transaction's own copies by now.
+	ownVals, ownLabels, ownParents bool
 }
 
 func newTxn(old *rdb.DB) *txn {
 	nd := &rdb.DB{
 		Rels:     make(map[string]*rdb.Relation, len(old.Rels)),
 		Syms:     old.Syms,
-		Vals:     make(map[int]string, len(old.Vals)+8),
-		Labels:   make(map[int]string, len(old.Labels)+8),
-		ParentOf: make(map[int]int, len(old.ParentOf)+8),
+		Vals:     old.Vals,
+		Labels:   old.Labels,
+		ParentOf: old.ParentOf,
 	}
 	for k, v := range old.Rels {
 		nd.Rels[k] = v
 	}
-	for k, v := range old.Vals {
-		nd.Vals[k] = v
-	}
-	for k, v := range old.Labels {
-		nd.Labels[k] = v
-	}
-	for k, v := range old.ParentOf {
-		nd.ParentOf[k] = v
-	}
-	// Text-only transactions keep the parent epoch's interval encoding (the
-	// structure is unchanged); structural ones rebuild it before publishing.
-	nd.ShareIntervalsFrom(old)
 	return &txn{db: nd, cloned: map[string]*rdb.Relation{}}
 }
+
+// own returns the transaction's private copy of a catalog map, made on the
+// first call.
+func own[V any](m *map[int]V, owned *bool) map[int]V {
+	if !*owned {
+		c := make(map[int]V, len(*m)+8)
+		for k, v := range *m {
+			c[k] = v
+		}
+		*m, *owned = c, true
+	}
+	return *m
+}
+
+func (t *txn) vals() map[int]string   { return own(&t.db.Vals, &t.ownVals) }
+func (t *txn) labels() map[int]string { return own(&t.db.Labels, &t.ownLabels) }
+func (t *txn) parents() map[int]int   { return own(&t.db.ParentOf, &t.ownParents) }
 
 // rel returns the transaction's private clone of the named relation.
 func (t *txn) rel(name string) *rdb.Relation {
@@ -572,9 +592,9 @@ func applyInsert(t *txn, parentID, base int, frag *xmltree.Document) int {
 			f = base + int(n.Parent.ID) - 1
 		}
 		t.rel(shred.RelName(n.Label)).Add(f, id, n.Val)
-		t.db.Vals[id] = n.Val
-		t.db.Labels[id] = n.Label
-		t.db.ParentOf[id] = f
+		t.vals()[id] = n.Val
+		t.labels()[id] = n.Label
+		t.parents()[id] = f
 	}
 	return len(nodes)
 }
@@ -587,9 +607,9 @@ func applyDelete(t *txn, d *dtd.DTD, nodeID int) []int {
 		label := t.db.Labels[id]
 		f := t.db.ParentOf[id]
 		t.rel(shred.RelName(label)).Delete(f, id)
-		delete(t.db.Vals, id)
-		delete(t.db.Labels, id)
-		delete(t.db.ParentOf, id)
+		delete(t.vals(), id)
+		delete(t.labels(), id)
+		delete(t.parents(), id)
 	}
 	return ids
 }
@@ -600,7 +620,7 @@ func applyUpdateText(t *txn, nodeID int, value string) {
 	label := t.db.Labels[nodeID]
 	f := t.db.ParentOf[nodeID]
 	t.rel(shred.RelName(label)).UpdateValue(f, nodeID, value)
-	t.db.Vals[nodeID] = value
+	t.vals()[nodeID] = value
 }
 
 // collectSubtree returns the IDs of the subtree rooted at id, in preorder,
@@ -766,18 +786,20 @@ func (s *Store) crash() {
 func (s *Store) Stats() obs.StoreStats {
 	ep := s.View()
 	return obs.StoreStats{
-		Epoch:       ep.Seq,
-		LSN:         ep.LSN,
-		Nodes:       int64(ep.DB.NumNodes()),
-		Inserts:     s.inserts.Load(),
-		Deletes:     s.deletes.Load(),
-		TextUpdates: s.textUpdates.Load(),
-		Rejected:    s.rejected.Load(),
-		WALBytes:    s.walBytes.Load(),
-		WALRecords:  s.walRecords.Load(),
-		Replayed:    s.replayed.Load(),
-		Checkpoints: s.checkpoints.Load(),
-		Apply:       s.applyHist.Snapshot(),
+		Epoch:           ep.Seq,
+		LSN:             ep.LSN,
+		Nodes:           int64(ep.DB.NumNodes()),
+		Inserts:         s.inserts.Load(),
+		Deletes:         s.deletes.Load(),
+		TextUpdates:     s.textUpdates.Load(),
+		Rejected:        s.rejected.Load(),
+		WALBytes:        s.walBytes.Load(),
+		WALRecords:      s.walRecords.Load(),
+		Replayed:        s.replayed.Load(),
+		Checkpoints:     s.checkpoints.Load(),
+		Relabels:        s.relabels.Load(),
+		RelabelledNodes: s.relabelled.Load(),
+		Apply:           s.applyHist.Snapshot(),
 	}
 }
 

@@ -381,11 +381,21 @@ func TestEpochIsolation(t *testing.T) {
 
 	old := s.View()
 	oldAns := answers(t, old.DB, d, "dept//course", core.StrategyCycleEX, 1)
+	oldScoped := scopedAnswers(t, old.DB, d, "dept//course", dept)
 	oldNodes := old.DB.NumNodes()
+	oldLabels := map[int]rdb.NodeInterval{}
+	for id := range old.DB.Vals {
+		oldLabels[id], _ = old.DB.Interval(id)
+	}
 
+	// The first insert into a densely loaded store relabels the whole
+	// database for the new epoch; the pinned one must not see any of it.
 	res, err := s.InsertSubtree(dept, fragCourse(1))
 	if err != nil {
 		t.Fatalf("insert: %v", err)
+	}
+	if st := s.Stats(); st.Relabels != 1 || st.RelabelledNodes != st.Nodes {
+		t.Fatalf("%d relabels of %d labels, want one of all %d", st.Relabels, st.RelabelledNodes, st.Nodes)
 	}
 	cur := s.View()
 	if cur.Seq != old.Seq+1 || cur == old {
@@ -396,6 +406,21 @@ func TestEpochIsolation(t *testing.T) {
 	}
 	if got := answers(t, old.DB, d, "dept//course", core.StrategyCycleEX, 1); fmt.Sprint(got) != fmt.Sprint(oldAns) {
 		t.Fatalf("pinned epoch answers changed: %v -> %v", oldAns, got)
+	}
+	if got := scopedAnswers(t, old.DB, d, "dept//course", dept); fmt.Sprint(got) != fmt.Sprint(oldScoped) || fmt.Sprint(got) != fmt.Sprint(oldAns) {
+		t.Fatalf("pinned epoch scoped answers changed: %v -> %v (unscoped %v)", oldScoped, got, oldAns)
+	}
+	moved := 0
+	for id, was := range oldLabels {
+		if iv, ok := old.DB.Interval(id); !ok || iv != was {
+			t.Fatalf("pinned epoch label of node %d changed: %+v -> %+v", id, was, iv)
+		}
+		if iv, _ := cur.DB.Interval(id); iv != was {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the relabel moved no label in the new epoch: the test pins nothing")
 	}
 	newAns := answers(t, cur.DB, d, "dept//course", core.StrategyCycleEX, 1)
 	if len(newAns) != len(oldAns)+1 {
