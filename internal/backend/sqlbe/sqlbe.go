@@ -155,15 +155,10 @@ func (b *Backend) Load(ctx context.Context, src *rdb.DB) error {
 	b.tables = append(b.tables, nodes)
 	// The catalog mirrors rdb's R_id: every stored node plus the virtual
 	// document root, so ε holds at the top-level context.
-	ids := make([]int, 0, len(src.Vals))
-	for id := range src.Vals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	nodeRows := [][]any{{ra.RootMarker, ""}}
-	for _, id := range ids {
-		nodeRows = append(nodeRows, []any{ra.EncodeNodeID(id), src.Vals[id]})
-	}
+	src.EachNode(func(id int) {
+		nodeRows = append(nodeRows, []any{ra.EncodeNodeID(id), src.Val(id)})
+	})
 	if err := b.insertRows(ctx, nodes, []string{"ID", "VAL"}, nodeRows); err != nil {
 		return err
 	}

@@ -206,12 +206,12 @@ func (c *Cluster) DocRoots() []int {
 	seen := map[int]bool{}
 	for _, sh := range c.shards {
 		db := sh.primary.View().DB
-		for id, p := range db.ParentOf {
-			if p == 0 && !seen[id] {
+		db.EachNode(func(id int) {
+			if db.Parent(id) == 0 && !seen[id] {
 				seen[id] = true
 				roots = append(roots, id)
 			}
-		}
+		})
 	}
 	sort.Ints(roots)
 	return roots

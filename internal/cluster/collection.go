@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
@@ -29,11 +28,11 @@ func BuildCollection(d *dtd.DTD, docs []*rdb.DB) (*rdb.DB, error) {
 			if !ok {
 				return nil, fmt.Errorf("cluster: document %d node %d has no label (was it built by Shred?)", di, id)
 			}
-			f := doc.ParentOf[id]
+			f := doc.Parent(id)
 			if f != 0 {
 				f += offset
 			}
-			ld.Insert(shred.RelName(label), label, f, id+offset, doc.Vals[id])
+			ld.Insert(shred.RelName(label), label, f, id+offset, doc.Val(id))
 		}
 		offset += len(ids)
 	}
@@ -63,8 +62,8 @@ func SplitCollection(d *dtd.DTD, collection *rdb.DB, shards int, p Placement) ([
 		loaders[i] = parts[i].NewLoader()
 	}
 
-	owner := make(map[int]int, len(collection.ParentOf))
-	rootOf := make(map[int]int, len(collection.ParentOf))
+	owner := make(map[int]int, collection.NumNodes())
+	rootOf := make(map[int]int, collection.NumNodes())
 	ids := sortedNodeIDs(collection)
 	for _, id := range ids {
 		root, err := docRootOf(collection, id, rootOf)
@@ -80,7 +79,7 @@ func SplitCollection(d *dtd.DTD, collection *rdb.DB, shards int, p Placement) ([
 		if !ok {
 			return nil, nil, fmt.Errorf("cluster: node %d has no label in the collection catalog", id)
 		}
-		loaders[sh].Insert(shred.RelName(label), label, collection.ParentOf[id], id, collection.Vals[id])
+		loaders[sh].Insert(shred.RelName(label), label, collection.Parent(id), id, collection.Val(id))
 	}
 	for i := range parts {
 		parts[i].RebuildIntervals()
@@ -108,18 +107,18 @@ func Rebase(d *dtd.DTD, db *rdb.DB, base int) (*rdb.DB, error) {
 		if !ok {
 			return nil, fmt.Errorf("cluster: node %d has no label in the catalog (was it built by Shred?)", id)
 		}
-		f := db.ParentOf[id]
+		f := db.Parent(id)
 		if f != 0 {
 			f += base
 		}
-		ld.Insert(shred.RelName(label), label, f, id+base, db.Vals[id])
+		ld.Insert(shred.RelName(label), label, f, id+base, db.Val(id))
 	}
 	out.RebuildIntervals()
 	out.DTDFP = db.DTDFP
 	return out, nil
 }
 
-// docRootOf walks the ParentOf catalog up to the document root (the ancestor
+// docRootOf walks the catalog's parents up to the document root (the ancestor
 // whose parent is the virtual root), memoizing every node on the path.
 func docRootOf(db *rdb.DB, id int, memo map[int]int) (int, error) {
 	var path []int
@@ -131,10 +130,10 @@ func docRootOf(db *rdb.DB, id int, memo map[int]int) (int, error) {
 			}
 			return r, nil
 		}
-		p, ok := db.ParentOf[cur]
-		if !ok {
+		if !db.HasNode(cur) {
 			return 0, fmt.Errorf("cluster: node %d has no parent entry in the catalog", cur)
 		}
+		p := db.Parent(cur)
 		if p == 0 {
 			memo[cur] = cur
 			for _, n := range path {
@@ -149,10 +148,7 @@ func docRootOf(db *rdb.DB, id int, memo map[int]int) (int, error) {
 
 // sortedNodeIDs lists a database's node IDs ascending.
 func sortedNodeIDs(db *rdb.DB) []int {
-	ids := make([]int, 0, len(db.Vals))
-	for id := range db.Vals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	ids := make([]int, 0, db.NumNodes())
+	db.EachNode(func(id int) { ids = append(ids, id) })
 	return ids
 }

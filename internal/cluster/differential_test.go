@@ -197,7 +197,7 @@ func oracleAnswer(t *testing.T, tr *xpath2sql.Translation, st *store.Store) []in
 // oracleDocRoot walks the oracle catalog up to the document root.
 func oracleDocRoot(db *rdb.DB, id int) int {
 	for {
-		p := db.ParentOf[id]
+		p := db.Parent(id)
 		if p == 0 {
 			return id
 		}
@@ -246,7 +246,7 @@ func applyBoth(t *testing.T, r *rand.Rand, c *cluster.Cluster, st *store.Store, 
 	case 2: // delete a non-root subtree
 		var cands []int
 		for _, id := range ids {
-			if db.ParentOf[id] != 0 {
+			if db.Parent(id) != 0 {
 				cands = append(cands, id)
 			}
 		}

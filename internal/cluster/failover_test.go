@@ -54,12 +54,11 @@ func TestFailoverToReplica(t *testing.T) {
 	// records before the kill (document roots round-robin across shards).
 	d := st.View().DB
 	var roots []int
-	for id, p := range d.ParentOf {
-		if p == 0 {
+	d.EachNode(func(id int) {
+		if d.Parent(id) == 0 {
 			roots = append(roots, id)
 		}
-	}
-	slices.Sort(roots)
+	})
 	// Every randRecDTD document admits <t0> under its root (kids["doc"] is
 	// exactly {t0}, star-quantified).
 	const frag = "<t0></t0>"

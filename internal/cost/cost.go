@@ -43,8 +43,8 @@ func Gather(db *rdb.DB) DBStats {
 		if d, ok := depth[id]; ok {
 			return d
 		}
-		parent, ok := db.ParentOf[id]
-		if !ok || parent == id {
+		parent := db.Parent(id)
+		if !db.HasNode(id) || parent == id {
 			depth[id] = 1
 			return 1
 		}
@@ -53,13 +53,13 @@ func Gather(db *rdb.DB) DBStats {
 		return d
 	}
 	total := 0
-	for id := range db.ParentOf {
+	db.EachNode(func(id int) {
 		d := depthOf(id)
 		total += d
 		if d > s.MaxDepth {
 			s.MaxDepth = d
 		}
-	}
+	})
 	if s.Nodes > 0 {
 		s.AvgDepth = float64(total) / float64(s.Nodes)
 	}

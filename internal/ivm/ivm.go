@@ -320,7 +320,7 @@ func BaseDeltaOf(td store.TxnDelta) rdb.BaseDelta {
 	for _, id := range td.Inserted {
 		rel := shred.RelName(td.DB.Labels[id])
 		bd.Rows[rel] = append(bd.Rows[rel], rdb.DeltaEdge{
-			F: td.DB.ParentOf[id], T: id, V: td.DB.Vals[id],
+			F: td.DB.Parent(id), T: id, V: td.DB.Val(id),
 		})
 	}
 	return bd

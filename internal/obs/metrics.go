@@ -251,7 +251,11 @@ type StoreStats struct {
 	// make room; RelabelledNodes is how many labels those rewrote in all.
 	Relabels        int64
 	RelabelledNodes int64
-	Apply           HistogramSnapshot
+	// CatalogChunksCopied counts the node-table chunks (1024 node IDs each:
+	// parent, value, interval) updates copied before writing them — what the
+	// catalog and label side of a write costs, whatever the database's size.
+	CatalogChunksCopied int64
+	Apply               HistogramSnapshot
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -343,6 +347,7 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("store_checkpoints_total", "Snapshots written.", st.Checkpoints)
 		counter("store_relabels_total", "Inserts that had to relabel a subtree to make room for their interval labels.", st.Relabels)
 		counter("store_relabelled_nodes_total", "Interval labels rewritten by relabels.", st.RelabelledNodes)
+		counter("store_catalog_chunks_copied_total", "Node-table chunks copied by updates before writing them.", st.CatalogChunksCopied)
 		fmt.Fprintf(w, "# HELP %s_store_apply_seconds Update apply latency (validate+log+apply+publish).\n", p)
 		fmt.Fprintf(w, "# TYPE %s_store_apply_seconds histogram\n", p)
 		var cum int64

@@ -551,7 +551,7 @@ func (vs *ViewState) nodeDelta(n *viewNode, bd *BaseDelta) (*Relation, error) {
 		}
 	case ra.Ident:
 		for _, id := range bd.NewIDs {
-			vs.admit(n, d, row{f: int32(id), t: int32(id), v: vs.ex.valSym(id)})
+			vs.admit(n, d, row{f: int32(id), t: int32(id), v: vs.ex.DB.ValSym(id)})
 		}
 	case ra.RootSeed:
 	case ra.IdentOf, ra.SelectVal, ra.SelectRoot, ra.TypeFilter, ra.UnionAll:
@@ -745,9 +745,9 @@ func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, d *Relation, in, kd 
 	}
 	walkUp := func(t int32) {
 		fIdx := fromRel.tIndex()
-		for anc := int32(db.ParentOf[int(t)]); anc != 0; anc = int32(db.ParentOf[int(anc)]) {
+		for anc := int32(db.Parent(int(t))); anc != 0; anc = int32(db.Parent(int(anc))) {
 			if fIdx.contains(anc) && (startIdx == nil || startIdx.contains(anc)) {
-				vs.admit(n, d, row{f: anc, t: t, v: vs.ex.valSym(int(t))})
+				vs.admit(n, d, row{f: anc, t: t, v: db.ValSym(int(t))})
 			}
 		}
 	}

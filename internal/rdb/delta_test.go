@@ -3,7 +3,6 @@ package rdb
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -17,21 +16,22 @@ import (
 // exactly the answer a full re-execution computes on the updated database,
 // and the published (added, removed) deltas must equal the answer set diffs.
 
-// cowDB mirrors the store's copy-on-write transaction: cloned relations and
-// catalogs over the SAME interner, so view symbol spaces stay compatible.
+// cowDB mirrors the store's copy-on-write transaction: a derived database
+// with every relation cloned, over the SAME interner, so view symbol spaces
+// stay compatible.
 func cowDB(db *DB) *DB {
-	nd := &DB{
-		Rels:     make(map[string]*Relation, len(db.Rels)),
-		Syms:     db.Syms,
-		Vals:     maps.Clone(db.Vals),
-		Labels:   maps.Clone(db.Labels),
-		ParentOf: maps.Clone(db.ParentOf),
-	}
+	nd := db.Derive()
 	for name, r := range db.Rels {
 		nd.Rels[name] = r.Clone()
 	}
-	nd.ShareIntervalsFrom(db)
 	return nd
+}
+
+// nodeIDs lists the stored nodes in ascending order.
+func nodeIDs(db *DB) []int {
+	ids := make([]int, 0, db.NumNodes())
+	db.EachNode(func(id int) { ids = append(ids, id) })
+	return ids
 }
 
 // fullAnswer is the oracle: translate-free full re-execution on the current
@@ -262,12 +262,7 @@ func makeTree(r *rand.Rand, n, nRels int) *treeDoc {
 
 func (td *treeDoc) subtree(root int) []int {
 	children := map[int][]int{}
-	for id, p := range td.db.ParentOf {
-		children[p] = append(children[p], id)
-	}
-	for _, kids := range children {
-		sort.Ints(kids)
-	}
+	td.db.EachNode(func(id int) { children[td.db.Parent(id)] = append(children[td.db.Parent(id)], id) })
 	var out []int
 	var walk func(id int)
 	walk = func(id int) {
@@ -284,11 +279,7 @@ func (td *treeDoc) subtree(root int) []int {
 // returns the new epoch plus the base delta, store-style.
 func (td *treeDoc) insert(r *rand.Rand) (*DB, BaseDelta) {
 	vocab := []string{"", "a", "b", "c"}
-	existing := make([]int, 0, len(td.db.Vals))
-	for id := range td.db.Vals {
-		existing = append(existing, id)
-	}
-	sort.Ints(existing)
+	existing := nodeIDs(td.db)
 	parent := existing[r.Intn(len(existing))]
 	db2 := cowDB(td.db)
 	bd := BaseDelta{Rows: map[string][]DeltaEdge{}}
@@ -315,7 +306,7 @@ func (td *treeDoc) insert(r *rand.Rand) (*DB, BaseDelta) {
 // node exists.
 func (td *treeDoc) del(r *rand.Rand) (*DB, int, []int) {
 	var candidates []int
-	for id := range td.db.Vals {
+	for _, id := range nodeIDs(td.db) {
 		if id != 1 {
 			candidates = append(candidates, id)
 		}
@@ -323,18 +314,14 @@ func (td *treeDoc) del(r *rand.Rand) (*DB, int, []int) {
 	if len(candidates) == 0 {
 		return nil, 0, nil
 	}
-	sort.Ints(candidates)
 	root := candidates[r.Intn(len(candidates))]
 	deleted := td.subtree(root)
 	db2 := cowDB(td.db)
 	touched := map[string]bool{}
 	for _, id := range deleted {
 		rel := td.relOf[id]
-		db2.Rel(rel).Delete(db2.ParentOf[id], id)
+		db2.Delete(rel, db2.Parent(id), id)
 		touched[rel] = true
-		delete(db2.Vals, id)
-		delete(db2.ParentOf, id)
-		delete(db2.Labels, id)
 	}
 	for rel := range touched {
 		db2.Rel(rel).Compact()
@@ -346,16 +333,11 @@ func (td *treeDoc) del(r *rand.Rand) (*DB, int, []int) {
 // text rewrites one node's value in place, store-style (structure and
 // intervals untouched).
 func (td *treeDoc) text(r *rand.Rand) (*DB, int) {
-	existing := make([]int, 0, len(td.db.Vals))
-	for id := range td.db.Vals {
-		existing = append(existing, id)
-	}
-	sort.Ints(existing)
+	existing := nodeIDs(td.db)
 	id := existing[r.Intn(len(existing))]
 	db2 := cowDB(td.db)
 	v := []string{"", "a", "b", "z"}[r.Intn(4)]
-	db2.Rel(td.relOf[id]).UpdateValue(db2.ParentOf[id], id, v)
-	db2.Vals[id] = v
+	db2.UpdateValue(td.relOf[id], db2.Parent(id), id, v)
 	return db2, id
 }
 

@@ -358,7 +358,7 @@ func (e *Exec) inputCard(pl ra.Plan) int {
 				if e.docID != nil {
 					total += e.docID.Len()
 				} else {
-					total += len(e.DB.Vals) + 1
+					total += e.DB.NumNodes() + 1
 				}
 			}
 		case ra.RootSeed:
@@ -424,16 +424,6 @@ func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 	return out, err
 }
 
-// valSym returns the interned symbol of a stored node's value ("" for
-// unknown nodes, e.g. the virtual root).
-func (e *Exec) valSym(id int) int32 {
-	v, ok := e.DB.Vals[id]
-	if !ok || v == "" {
-		return 0
-	}
-	return e.DB.Syms.Intern(v)
-}
-
 // identRel materializes R_id: (v, v, v.val) for every stored node, plus the
 // virtual document root (0, 0) so that ε holds at the top-level context.
 // A query answer of node 0 is filtered out at extraction time — the virtual
@@ -460,14 +450,11 @@ func (e *Exec) identRel() (*Relation, error) {
 // rebind), and a view node keeps its own copy to advance.
 func (e *Exec) newIdent() *Relation {
 	r := newRelation("Rid", e.DB.Syms)
-	r.grow(len(e.DB.Vals) + 1)
+	tab := e.DB.nodes.Load().tab
+	r.grow(tab.nodes + 1)
 	r.addRow(row{})
-	for id, v := range e.DB.Vals {
-		var sym int32
-		if v != "" {
-			sym = e.DB.Syms.Intern(v)
-		}
-		r.addRow(row{f: int32(id), t: int32(id), v: sym})
-	}
+	tab.eachNode(func(id int, _, val int32) {
+		r.addRow(row{f: int32(id), t: int32(id), v: val})
+	})
 	return r
 }

@@ -1,0 +1,198 @@
+package rdb
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+)
+
+// Tests of the column index across a relation's copy-on-write life: clones,
+// appends, deletes and compactions carry the index along instead of rebuilding
+// it, and what they carry must be what a rebuild would give.
+
+// checkCarriedIndexes compares both indexes r carries with fresh builds over
+// its rows: the same positions for every key — stored or not — in the same
+// (insertion) order, and the same key list.
+func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
+	t.Helper()
+	for _, onF := range []bool{true, false} {
+		idx := r.tIndex()
+		if onF {
+			idx = r.fIndex()
+		}
+		fresh := buildColIndex(r.rows, onF)
+		for _, k := range keys {
+			snap, over := idx.lookup(k)
+			want, _ := fresh.lookup(k)
+			if got := mergedPositions(snap, over); !slices.Equal(got, want) {
+				t.Fatalf("%s: onF=%v key %d: carried index finds rows %v, a rebuild %v", step, onF, k, got, want)
+			}
+			if idx.contains(k) != (len(want) > 0) {
+				t.Fatalf("%s: onF=%v key %d: contains disagrees with lookup", step, onF, k)
+			}
+		}
+		if idx.built == len(r.rows) && idx.distinct != fresh.distinct {
+			t.Fatalf("%s: onF=%v: %d distinct keys carried, %d rebuilt", step, onF, idx.distinct, fresh.distinct)
+		}
+	}
+	if r.Tombstones() == 0 {
+		rebuilt := NewRelation("rebuilt")
+		for _, w := range r.rows {
+			rebuilt.addRow(w)
+		}
+		if got, want := r.TIDs(), rebuilt.TIDs(); !slices.Equal(got, want) {
+			t.Fatalf("%s: TIDs %v from the carried index, %v rebuilt", step, got, want)
+		}
+	}
+}
+
+// TestCarriedIndexMatchesRebuild: random add / delete / Compact / Clone
+// sequences over relations whose keys make the index dense, sparse, sparse
+// because negative, and overflowed (the snapshot is taken early and nearly
+// everything is appended after it). The relation that ends the walk never
+// built an index of its own.
+func TestCarriedIndexMatchesRebuild(t *testing.T) {
+	shapes := []struct {
+		name      string
+		key       func(r *rand.Rand) int32
+		probeFrom int // rows present when the indexes are first built
+	}{
+		{"dense", func(r *rand.Rand) int32 { return int32(r.Intn(40)) }, 50},
+		{"sparse", func(r *rand.Rand) int32 { return int32(r.Intn(40)) * 100_003 }, 50},
+		{"negative", func(r *rand.Rand) int32 { return int32(r.Intn(40)) - 20 }, 50},
+		{"overflowed", func(r *rand.Rand) int32 { return int32(r.Intn(40)) }, 3},
+		{"dense-then-sparse", func(r *rand.Rand) int32 {
+			if r.Intn(30) == 0 {
+				return 1 << 28
+			}
+			return int32(r.Intn(40))
+		}, 50},
+	}
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			r := NewRelation("R")
+			var keys []int32
+			for len(r.rows) < sh.probeFrom {
+				r.addRow(row{f: sh.key(rng), t: sh.key(rng)})
+			}
+			for k := int32(-25); k < 45; k++ {
+				keys = append(keys, k, k*100_003)
+			}
+			keys = append(keys, 1<<28, 1<<28+1)
+			r.ByF(0)
+			r.ByT(0)
+			var pinned *Relation // what a reader of an earlier epoch still holds
+			for step := 0; step < 300; step++ {
+				name := fmt.Sprintf("%s seed %d step %d", sh.name, seed, step)
+				switch op := rng.Intn(10); {
+				case op < 5:
+					for i := 1 + rng.Intn(4); i > 0; i-- {
+						r.addRow(row{f: sh.key(rng), t: sh.key(rng)})
+					}
+				case op < 7 && r.Len() > 0:
+					for i := 1 + rng.Intn(3); i > 0 && r.Len() > 0; i-- {
+						p := rng.Intn(len(r.rows))
+						for r.isDead(p) {
+							p = (p + 1) % len(r.rows)
+						}
+						if w := r.rows[p]; !r.Delete(int(w.f), int(w.t)) {
+							t.Fatalf("%s: Delete(%d, %d) of a live row failed", name, w.f, w.t)
+						}
+					}
+				case op < 8:
+					r.Compact()
+				default:
+					if r.Tombstones() == 0 {
+						pinned = r
+					}
+					r = r.Clone()
+				}
+				checkCarriedIndexes(t, name, r, keys)
+				if pinned != nil {
+					checkCarriedIndexes(t, name+", the relation cloned from", pinned, keys)
+				}
+			}
+			r = r.Clone()
+			r.Compact()
+			checkCarriedIndexes(t, sh.name+" at the end", r, keys)
+			if n := r.IndexBuilds(); n != 0 {
+				t.Errorf("%s seed %d: the last clone built %d indexes, want both carried", sh.name, seed, n)
+			}
+		}
+	}
+}
+
+// TestOverflowStaysBounded: a relation that is only ever cloned and appended
+// to — a store under inserts — folds its index overflow into the snapshot
+// before it outgrows a fixed share of it, so what a clone copies does not grow
+// with the number of inserts so far. Nothing is ever rebuilt, and the relation
+// a reader holds is not the one that changes.
+func TestOverflowStaysBounded(t *testing.T) {
+	const perUpdate = 9
+	r := NewRelation("R")
+	for i := 0; i < 500; i++ {
+		r.addRow(row{f: int32(i / 4), t: int32(i + 1)})
+	}
+	r.ByF(0)
+	r.ByT(0)
+	folds := 0
+	for update := 0; update < 2000; update++ {
+		pinned, pinnedF, pinnedOver := r, r.idxF.Load(), len(r.idxF.Load().extra)
+		r = r.Clone()
+		if r.idxF.Load().built > pinnedF.built {
+			folds++
+		}
+		for i := 0; i < perUpdate; i++ {
+			id := int32(len(r.rows) + 1)
+			r.addRow(row{f: id / 4, t: id})
+		}
+		if pinned.idxF.Load() != pinnedF || len(pinnedF.extra) != pinnedOver {
+			t.Fatalf("update %d: the clone changed the index of the relation it was cloned from", update)
+		}
+		for _, idx := range []*colIndex{r.idxF.Load(), r.idxT.Load()} {
+			over, bound := len(r.rows)-idx.built, idx.built/foldShare+foldSlack+perUpdate
+			if over > bound {
+				t.Fatalf("update %d: %d overflow entries over a snapshot of %d, want at most %d", update, over, idx.built, bound)
+			}
+		}
+	}
+	if r.IndexBuilds() != 0 || folds < 10 {
+		t.Fatalf("%d index builds and %d folds over 2000 appends; want none, and a fold now and then", r.IndexBuilds(), folds)
+	}
+	checkCarriedIndexes(t, "after 2000 appends", r, []int32{0, 1, 100, 4000, 18000, 1 << 20})
+}
+
+// TestSharedChunksDoNotPinTheirEpoch: the newest database shares node-table
+// chunks with every database it descends from, and must keep none of them
+// reachable — or a store would hold every chunk it ever copied.
+func TestSharedChunksDoNotPinTheirEpoch(t *testing.T) {
+	db := NewDB()
+	for id := 1; id <= 3*nodeChunkLen; id++ {
+		db.Insert("R", id/2, id, "")
+	}
+	freed := make(chan struct{})
+	mid := db.Derive()
+	mid.Rels["R"] = mid.Rels["R"].Clone()
+	mid.UpdateValue("R", 0, 1, "first chunk, copied here and shared from here on")
+	runtime.SetFinalizer(mid.nodes.Load().tab, func(*nodeTable) { close(freed) })
+	last := mid.Derive()
+	last.Rels["R"] = last.Rels["R"].Clone()
+	last.UpdateValue("R", nodeChunkLen, 2*nodeChunkLen, "another chunk")
+	mid = nil
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if last.Val(1) == "" || last.NumNodes() != 3*nodeChunkLen {
+				t.Fatal("the surviving database lost rows")
+			}
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Fatal("a chunk shared with the newest database keeps the table that copied it alive")
+}

@@ -1,7 +1,6 @@
 package rdb
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -67,23 +66,37 @@ func (m IntervalMode) String() string {
 	return "IntervalMode(?)"
 }
 
-// ivState is one database's view of an interval encoding: the immutable node
-// table (shared between the epochs of a store for as long as no label changes)
-// plus this database's lazily built per-relation descendant indexes. The whole
+// nodeState is one database's view of its node table: the table (immutable once
+// the database is published, and sharing its chunks with the neighbouring
+// epochs of a store), whether its label columns are a valid interval encoding,
+// and this database's lazily built per-relation descendant indexes. The whole
 // value is swapped atomically on adopt/rebuild/invalidate, so readers pin a
 // consistent encoding; the index cache inside is mutex-guarded because
 // concurrent queries may race to build the first index for a relation.
-type ivState struct {
-	tab *ivTable
+type nodeState struct {
+	tab      *nodeTable
+	labelled bool
 
 	mu    sync.Mutex
 	byRel map[*Relation]*descIndex
 }
 
+func newNodeState(tab *nodeTable, labelled bool) *nodeState {
+	return &nodeState{tab: tab, labelled: labelled, byRel: map[*Relation]*descIndex{}}
+}
+
+// encoding pins the database's interval encoding, nil when it has no valid one.
+func (db *DB) encoding() *nodeState {
+	if st := db.nodes.Load(); st.labelled {
+		return st
+	}
+	return nil
+}
+
 // inherit seeds the cache with prev's indexes of the relations db still
 // shares with it: same rows, and the caller vouches that none of their labels
 // moved. A relation the update cloned is re-indexed on its first read.
-func (st *ivState) inherit(prev *ivState, db *DB) {
+func (st *nodeState) inherit(prev *nodeState, db *DB) {
 	prev.mu.Lock()
 	defer prev.mu.Unlock()
 	for rel, idx := range prev.byRel {
@@ -104,6 +117,42 @@ type descIndex struct {
 	rows   []row
 }
 
+// IntervalBuilder writes the label columns of a database's node table: a fresh
+// encoding for a bulk load (DB.NewIntervalBuilder; the shredders fill it node
+// by node instead of collecting a map first), or the patch a structural update
+// makes to the encoding its database was derived with. It has one writer and
+// is dead once adopted.
+type IntervalBuilder struct {
+	db  *DB
+	tab *nodeTable
+	// prev is the encoding a patched one started from; relabelled counts the
+	// labels a relabel moved since (see relabel.go).
+	prev       *nodeState
+	relabelled int
+}
+
+// NewIntervalBuilder starts an empty encoding for a database under
+// construction, written into its node table in place beside the catalog.
+func (db *DB) NewIntervalBuilder() *IntervalBuilder {
+	tab := db.nodes.Load().tab
+	tab.clearLabels()
+	return &IntervalBuilder{db: db, tab: tab}
+}
+
+// Set records the interval of one node; iv.Level must not be negative.
+func (b *IntervalBuilder) Set(id int, iv NodeInterval) { b.tab.setLabel(id, iv) }
+
+// Adopt installs the built encoding on the database, replacing any previous
+// one. A patched encoding that moved no label keeps the descendant indexes of
+// the relations the database shares with the one it was derived from.
+func (b *IntervalBuilder) Adopt() {
+	st := newNodeState(b.tab, true)
+	if b.prev != nil && b.relabelled == 0 {
+		st.inherit(b.prev, b.db)
+	}
+	b.db.nodes.Store(st)
+}
+
 // AdoptIntervals installs a complete interval encoding, replacing any
 // previous one. Bulk loaders fill an IntervalBuilder directly instead of
 // collecting a map first.
@@ -117,7 +166,7 @@ func (db *DB) AdoptIntervals(iv map[int]NodeInterval) {
 
 // HasIntervals reports whether the database carries a valid interval
 // encoding.
-func (db *DB) HasIntervals() bool { return db.ivs.Load() != nil }
+func (db *DB) HasIntervals() bool { return db.encoding() != nil }
 
 // fingerprintMatches reports whether the program was translated against the
 // DTD the database was shredded under — the soundness gate of the DescScan
@@ -129,7 +178,7 @@ func (db *DB) fingerprintMatches(p *ra.Program) bool {
 // Interval returns the document-order interval of a node, when the database
 // carries a valid encoding that covers it.
 func (db *DB) Interval(id int) (NodeInterval, bool) {
-	st := db.ivs.Load()
+	st := db.encoding()
 	if st == nil {
 		return NodeInterval{}, false
 	}
@@ -138,44 +187,43 @@ func (db *DB) Interval(id int) (NodeInterval, bool) {
 
 // IntervalCount returns the number of encoded nodes (0 when invalid).
 func (db *DB) IntervalCount() int {
-	st := db.ivs.Load()
+	st := db.encoding()
 	if st == nil {
 		return 0
 	}
-	return st.tab.n
+	return st.tab.labels
 }
 
 // InvalidateIntervals drops the interval encoding; queries fall back to the
 // fixpoint until RebuildIntervals runs.
-func (db *DB) InvalidateIntervals() { db.ivs.Store(nil) }
+func (db *DB) InvalidateIntervals() { db.nodes.Store(newNodeState(db.nodes.Load().tab, false)) }
 
-// ShareIntervalsFrom adopts src's encoding (and DTD fingerprint) by
-// reference — the hand-off between store epochs whose structure is unchanged.
-// db gets a descendant-index cache of its own, seeded with src's indexes of
-// the relations the two still share, so call it once db's relations are
-// final; a relation db cloned is re-indexed on its first read.
-func (db *DB) ShareIntervalsFrom(src *DB) {
-	if b := db.deriveIntervals(src); b != nil {
-		b.Adopt()
+// ShareDescIndexes ends an update that moved no label — a delete, a text
+// update: db, derived from prev, takes over prev's descendant indexes of the
+// relations the two still share, so call it once db's relations are final; a
+// relation db cloned is re-indexed on its first read.
+func (db *DB) ShareDescIndexes(prev *DB) {
+	if st, was := db.encoding(), prev.encoding(); st != nil && was != nil {
+		st.inherit(was, db)
 	}
 }
 
-// RebuildIntervals recomputes the dense interval encoding from the ParentOf
-// catalog: a depth-first walk from the root element(s) with children visited
-// in node-ID order, begin the preorder position, end − begin the subtree size.
-// On a freshly shredded document (dense preorder IDs) this reproduces the
-// original encoding exactly — begin = ID-1 — which is how pre-interval
-// snapshots get their encoding on boot.
+// RebuildIntervals recomputes the dense interval encoding from the catalog's
+// parent column: a depth-first walk from the root element(s) with children
+// visited in node-ID order, begin the preorder position, end − begin the
+// subtree size. On a freshly shredded document (dense preorder IDs) this
+// reproduces the original encoding exactly — begin = ID-1 — which is how
+// pre-interval snapshots get their encoding on boot. The new labels go into a
+// table of their own, swapped in whole: a reader keeps the encoding it pinned.
 func (db *DB) RebuildIntervals() {
-	children := make(map[int32][]int32, len(db.ParentOf))
-	for id, p := range db.ParentOf {
-		children[int32(p)] = append(children[int32(p)], int32(id))
-	}
-	for _, kids := range children {
-		slices.Sort(kids)
-	}
+	tab := db.nodes.Load().tab.derive()
+	children := make(map[int32][]int32, tab.nodes)
+	tab.eachNode(func(id int, parent, _ int32) { // ascending, so every list comes out sorted
+		children[parent] = append(children[parent], int32(id))
+	})
 	w := walkTree(0, func(buf []int32, f int32) []int32 { return append(buf, children[f]...) })
-	b := db.NewIntervalBuilder()
+	tab.clearLabels()
+	b := &IntervalBuilder{db: db, tab: tab}
 	// The walk opens with the virtual root, which has no label: the first
 	// root element is position 0, level 0.
 	b.spread(w, 1, -1, 0, -1)
@@ -187,7 +235,7 @@ func (db *DB) RebuildIntervals() {
 // database has no valid encoding or the relation holds a node the encoding
 // does not cover (a stale encoding after an uncoordinated mutation).
 func (db *DB) descIndexFor(rel *Relation) (*descIndex, bool) {
-	st := db.ivs.Load()
+	st := db.encoding()
 	if st == nil {
 		return nil, false
 	}
@@ -195,7 +243,7 @@ func (db *DB) descIndexFor(rel *Relation) (*descIndex, bool) {
 }
 
 // indexFor is descIndexFor against one pinned encoding.
-func (st *ivState) indexFor(rel *Relation) (*descIndex, bool) {
+func (st *nodeState) indexFor(rel *Relation) (*descIndex, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if idx, ok := st.byRel[rel]; ok {
@@ -208,7 +256,7 @@ func (st *ivState) indexFor(rel *Relation) (*descIndex, bool) {
 
 // buildDescIndex sorts a relation's live rows by the T node's begin
 // position. Returns nil when some live T node has no interval.
-func buildDescIndex(tab *ivTable, rel *Relation) *descIndex {
+func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 	n := rel.Len()
 	idx := &descIndex{
 		begins: make([]int64, 0, n),

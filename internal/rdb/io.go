@@ -56,27 +56,27 @@ func (db *DB) Save(w io.Writer) error {
 			}
 		}
 	}
-	var ids []int
-	for id := range db.Vals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, err := fmt.Fprintf(bw, "N %d %d %s %s\n",
-			id, db.ParentOf[id], strconv.Quote(db.Labels[id]), strconv.Quote(db.Vals[id])); err != nil {
-			return err
+	st := db.nodes.Load()
+	var err error
+	st.tab.eachNode(func(id int, parent, val int32) {
+		if err == nil {
+			_, err = fmt.Fprintf(bw, "N %d %d %s %s\n",
+				id, parent, strconv.Quote(db.Labels[id]), strconv.Quote(db.Syms.Str(val)))
 		}
+	})
+	if err != nil {
+		return err
 	}
-	if st := db.ivs.Load(); st != nil {
+	if st.labelled {
 		// A bulk load's begins are 0…n−1 and are their own ranks: the set-up
 		// checkpoint of a freshly loaded store pays no sort.
-		n := int64(st.tab.n)
+		n := int64(st.tab.labels)
 		dense := true
-		st.tab.each(func(_ int, iv NodeInterval) { dense = dense && 0 <= iv.Begin && iv.Begin < n })
+		st.tab.eachLabel(func(_ int, iv NodeInterval) { dense = dense && 0 <= iv.Begin && iv.Begin < n })
 		var begins []int64
 		if !dense {
 			begins = make([]int64, 0, n)
-			st.tab.each(func(_ int, iv NodeInterval) { begins = append(begins, iv.Begin) })
+			st.tab.eachLabel(func(_ int, iv NodeInterval) { begins = append(begins, iv.Begin) })
 			slices.Sort(begins)
 		}
 		rank := func(label int64) int64 {
@@ -86,8 +86,7 @@ func (db *DB) Save(w io.Writer) error {
 			i, _ := slices.BinarySearch(begins, label)
 			return int64(i)
 		}
-		var err error
-		st.tab.each(func(id int, iv NodeInterval) {
+		st.tab.eachLabel(func(id int, iv NodeInterval) {
 			if err == nil {
 				_, err = fmt.Fprintf(bw, "O %d %d %d %d\n", id, rank(iv.Begin), rank(iv.End), iv.Level)
 			}
@@ -174,9 +173,8 @@ func Load(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
-			db.Vals[id] = val
+			db.nodes.Load().tab.put(id, int32(parent), db.sym(val))
 			db.Labels[id] = label
-			db.ParentOf[id] = parent
 		case "O":
 			parts := strings.Fields(rest)
 			if len(parts) != 4 {

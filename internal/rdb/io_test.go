@@ -35,8 +35,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	if got.Vals[2] != db.Vals[2] || got.Labels[2] != "b" || got.ParentOf[3] != 1 {
-		t.Fatalf("catalog mismatch: %v %v %v", got.Vals, got.Labels, got.ParentOf)
+	if got.Val(2) != db.Val(2) || got.Labels[2] != "b" || got.Parent(3) != 1 {
+		t.Fatalf("catalog mismatch: %q %v %d", got.Val(2), got.Labels, got.Parent(3))
 	}
 	// Determinism: saving again produces identical text.
 	var sb2 strings.Builder
@@ -77,10 +77,7 @@ func TestSaveLoadProperty(t *testing.T) {
 			// Occasionally tombstone a row: Save writes live tuples only.
 			if rel := db.Rel(name); rng.Intn(2) == 0 && rel.Len() > 1 {
 				tp := rel.Tuples()[0]
-				rel.Delete(tp.F, tp.T)
-				delete(db.Vals, tp.T)
-				delete(db.Labels, tp.T)
-				delete(db.ParentOf, tp.T)
+				db.Delete(name, tp.F, tp.T)
 			}
 		}
 		var sb strings.Builder

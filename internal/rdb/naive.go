@@ -220,11 +220,11 @@ func (e *NaiveExec) eval(pl ra.Plan) (*naiveRel, error) {
 		out := newNaiveRel()
 		if pl.OnF {
 			for f := range child.fSet() {
-				out.add(f, f, e.DB.Vals[f])
+				out.add(f, f, e.DB.Val(f))
 			}
 		} else {
 			for t := range child.tSet() {
-				out.add(t, t, e.DB.Vals[t])
+				out.add(t, t, e.DB.Val(t))
 			}
 		}
 		e.Stats.TuplesOut += len(out.tuples)
@@ -414,9 +414,7 @@ func (e *NaiveExec) identRel() *naiveRel {
 	if e.ident == nil {
 		r := newNaiveRel()
 		r.add(0, 0, "")
-		for id, v := range e.DB.Vals {
-			r.add(id, id, v)
-		}
+		e.DB.EachNode(func(id int) { r.add(id, id, e.DB.Val(id)) })
 		e.ident = r
 	}
 	return e.ident

@@ -53,7 +53,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 				continue
 			}
 			seen[id] = struct{}{}
-			out.addRow(row{f: id, t: id, v: e.valSym(int(id))})
+			out.addRow(row{f: id, t: id, v: e.DB.ValSym(int(id))})
 		}
 		e.Stats.TuplesOut += out.Len()
 		return out, nil
@@ -423,7 +423,7 @@ func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, err
 // the database has no encoding or the encoding cannot place an end node (e.g.
 // the virtual root), where pruning would be unsound.
 func (e *Exec) fixPrune(endRel *Relation) func(t int32) bool {
-	st := e.DB.ivs.Load()
+	st := e.DB.encoding()
 	if st == nil {
 		return nil
 	}
@@ -612,7 +612,7 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 	if !db.fingerprintMatches(e.prog) {
 		return nil, errNoDescKernel
 	}
-	st := db.ivs.Load()
+	st := db.encoding()
 	if e.scope != nil {
 		st = e.scope.st
 	}

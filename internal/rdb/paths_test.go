@@ -62,7 +62,7 @@ func TestDBLabelsAndParents(t *testing.T) {
 	if db.Labels[2] != "b" || db.Labels[1] != "a" {
 		t.Fatalf("labels = %v", db.Labels)
 	}
-	if db.ParentOf[2] != 1 || db.ParentOf[1] != 0 {
-		t.Fatalf("parents = %v", db.ParentOf)
+	if db.Parent(2) != 1 || db.Parent(1) != 0 || !db.HasNode(1) {
+		t.Fatalf("parents = %d, %d", db.Parent(2), db.Parent(1))
 	}
 }

@@ -19,8 +19,8 @@ func chainDB(n int, extra ...[2]int) *DB {
 		db.Insert("E", e[0], e[1], "")
 	}
 	for i := 1; i <= n; i++ {
-		if _, ok := db.Vals[i]; !ok {
-			db.Vals[i] = ""
+		if !db.HasNode(i) {
+			db.nodes.Load().tab.put(i, 0, 0)
 		}
 	}
 	return db

@@ -5,8 +5,8 @@ import "slices"
 // Update maintenance of the interval encoding. A structural update derives
 // the next epoch's node table from the previous one instead of rebuilding it:
 //
-//   - A delete clears its nodes' entries and moves nothing; the labels around
-//     a gap are still in document order.
+//   - A delete removes its nodes' rows, labels included, and moves nothing; the
+//     labels around a gap are still in document order.
 //   - An insert labels the new subtree out of the free range before its
 //     parent's end. Siblings are ordered by node ID and IDs are allocated
 //     monotonically, so a store only ever adds a subtree as its parent's last
@@ -120,35 +120,23 @@ func (b *IntervalBuilder) spread(w treeWalk, from int, base, gap int64, level in
 	}
 }
 
-// DeriveInsert gives db its interval encoding: prev's, plus labels for the
-// subtree rooted at base that db stores as the last child of parent. It
-// returns how many labels a relabel had to write to make room, 0 when the
-// subtree fitted the parent's free range. When prev has no encoding, or it does
-// not cover the place of the insert, db gets none.
+// DeriveInsert ends an insert: db, derived from prev, has stored the subtree
+// rooted at base as the last child of parent, and gets labels for it beside the
+// ones it shares with prev. It returns how many labels a relabel had to write
+// to make room, 0 when the subtree fitted the parent's free range. When prev has
+// no encoding, or it does not cover the place of the insert, db has none.
 func (db *DB) DeriveInsert(prev *DB, parent, base int) int {
-	b := db.deriveIntervals(prev)
-	if b == nil {
+	st := db.encoding()
+	if st == nil {
 		return 0
 	}
+	b := &IntervalBuilder{db: db, tab: st.tab, prev: prev.encoding()}
 	if !b.insert(db.children(), int32(parent), int32(base)) {
-		db.ivs.Store(nil)
+		db.InvalidateIntervals()
 		return 0
 	}
 	b.Adopt()
 	return b.relabelled
-}
-
-// DeriveDelete gives db its interval encoding: prev's without the deleted
-// nodes.
-func (db *DB) DeriveDelete(prev *DB, deleted []int) {
-	b := db.deriveIntervals(prev)
-	if b == nil {
-		return
-	}
-	for _, id := range deleted {
-		b.clear(id)
-	}
-	b.Adopt()
 }
 
 // tail counts the children of f with IDs below limit, naming the greatest —
@@ -170,7 +158,7 @@ func (ci *childIndex) tail(f, limit int32) (below int, last int32, rest int) {
 func (b *IntervalBuilder) insert(ci *childIndex, parent, base int32) bool {
 	pv, ok := b.tab.get(int(parent))
 	older, last, rest := ci.tail(parent, base)
-	if !ok || rest != 1 || b.db.ParentOf[int(base)] != int(parent) {
+	if !ok || rest != 1 || b.tab.parentOf(int(base)) != parent {
 		return false
 	}
 	lo := pv.Begin + 1
@@ -204,7 +192,7 @@ func (b *IntervalBuilder) insert(ci *childIndex, parent, base int32) bool {
 // collection grows.
 func (b *IntervalBuilder) relabel(ci *childIndex, parent int32) {
 	inner := int64(0) // size of the last subtree walked, which every later one contains
-	for a := parent; a != 0; a = int32(b.db.ParentOf[int(a)]) {
+	for a := parent; a != 0; a = b.tab.parentOf(int(a)) {
 		av, ok := b.tab.get(int(a))
 		if !ok {
 			break

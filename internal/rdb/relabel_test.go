@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -35,7 +34,7 @@ func checkIsomorphic(t *testing.T, step string, db *DB) {
 	if got, want := saved(t, db), saved(t, dense); !bytes.Equal(got, want) {
 		t.Fatalf("%s: derived labels are not in the dense labels' order\nderived:\n%s\ndense:\n%s", step, got, want)
 	}
-	for id := range db.Vals {
+	for _, id := range nodeIDs(db) {
 		iv, _ := db.Interval(id)
 		div, _ := dense.Interval(id)
 		if iv.Level != div.Level || iv.End-iv.Begin < div.End-div.Begin {
@@ -68,26 +67,17 @@ func (td *treeDoc) prune(root int) *DB {
 	db2 := cowDB(td.db)
 	touched := map[string]bool{}
 	for _, id := range deleted {
-		db2.Rel(td.relOf[id]).Delete(db2.ParentOf[id], id)
+		db2.Delete(td.relOf[id], db2.Parent(id), id)
 		touched[td.relOf[id]] = true
-		delete(db2.Vals, id)
-		delete(db2.ParentOf, id)
 	}
 	for rel := range touched {
 		db2.Rel(rel).Compact()
 	}
-	db2.DeriveDelete(td.db, deleted)
+	db2.ShareDescIndexes(td.db)
 	return db2
 }
 
-func (td *treeDoc) nodes() []int {
-	ids := make([]int, 0, len(td.db.Vals))
-	for id := range td.db.Vals {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
+func (td *treeDoc) nodes() []int { return nodeIDs(td.db) }
 
 func TestDerivedIntervalsStayInDocumentOrder(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
@@ -136,7 +126,7 @@ func TestInsertTakesSlackNotNeighbours(t *testing.T) {
 	td.db = db2
 	for step := 0; step < 100; step++ {
 		before := map[int]NodeInterval{}
-		for id := range td.db.Vals {
+		for _, id := range td.nodes() {
 			before[id], _ = td.db.Interval(id)
 		}
 		ids := td.nodes()
@@ -149,7 +139,7 @@ func TestInsertTakesSlackNotNeighbours(t *testing.T) {
 				t.Fatalf("step %d: insert relabelled %d nodes with slack everywhere", step, n)
 			}
 		}
-		for id := range now.Vals {
+		for _, id := range nodeIDs(now) {
 			if was, old := before[id]; old {
 				if iv, _ := now.Interval(id); iv != was {
 					t.Fatalf("step %d: node %d moved from %+v to %+v", step, id, was, iv)
@@ -169,14 +159,9 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	td := makeTree(r, 120, 3)
 	share := func(prev *DB, touch string) *DB {
-		nd := &DB{Rels: map[string]*Relation{}, Syms: prev.Syms, Vals: prev.Vals, Labels: prev.Labels, ParentOf: prev.ParentOf}
-		for name, rel := range prev.Rels {
-			if name == touch {
-				rel = rel.Clone()
-			}
-			nd.Rels[name] = rel
-		}
-		nd.ShareIntervalsFrom(prev)
+		nd := prev.Derive()
+		nd.Rels[touch] = nd.Rels[touch].Clone()
+		nd.ShareDescIndexes(prev)
 		return nd
 	}
 	warm := func(db *DB) map[string]*descIndex {
@@ -195,11 +180,11 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	for i := 0; i < 200; i++ { // a text-update stream: one relation cloned per epoch
 		touch := fmt.Sprintf("R%d", i%3)
 		db = share(db, touch)
-		if n := len(db.ivs.Load().byRel); n != 2 {
+		if n := len(db.nodes.Load().byRel); n != 2 {
 			t.Fatalf("epoch %d inherited %d indexes, want the 2 untouched relations'", i, n)
 		}
 		warmed = warm(db)
-		if n := len(db.ivs.Load().byRel); n != len(db.Rels) {
+		if n := len(db.nodes.Load().byRel); n != len(db.Rels) {
 			t.Fatalf("epoch %d caches %d indexes for %d relations", i, n, len(db.Rels))
 		}
 	}
@@ -215,7 +200,7 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	if n == 0 {
 		t.Fatal("the first insert into a dense database did not relabel")
 	}
-	if got := len(db2.ivs.Load().byRel); got != 0 {
+	if got := len(db2.nodes.Load().byRel); got != 0 {
 		t.Fatalf("%d indexes carried across a relabel", got)
 	}
 }
@@ -226,12 +211,12 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 func TestEmptiedChunksAreDropped(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	td := makeTree(r, 50, 3)
-	chunks := func() int { return len(td.db.ivs.Load().tab.chunks) }
+	chunks := func() int { return len(td.db.nodes.Load().tab.chunks) }
 	if chunks() != 1 {
 		t.Fatalf("%d chunks for 50 nodes", chunks())
 	}
 	for round := 0; round < 5; round++ {
-		td.nextID = (round + 2) * ivChunkLen // a chunk of its own
+		td.nextID = (round + 2) * nodeChunkLen // a chunk of its own
 		db2, base, _ := td.graft(r, 1, 4)
 		td.db = db2
 		if chunks() != 2 {

@@ -20,6 +20,7 @@ package rdb
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -282,12 +283,17 @@ func (r *Relation) Delete(f, t int) bool {
 // whether it was present. V is not indexed, so no index maintenance is
 // needed; (F, T) identity is unchanged.
 func (r *Relation) UpdateValue(f, t int, v string) bool {
-	if !r.set.has(packPair(int32(f), int32(t))) {
-		return false
-	}
 	var sym int32
 	if v != "" {
 		sym = r.interner().Intern(v)
+	}
+	return r.updateSym(f, t, sym)
+}
+
+// updateSym is UpdateValue with the value interned already.
+func (r *Relation) updateSym(f, t int, sym int32) bool {
+	if !r.set.has(packPair(int32(f), int32(t))) {
+		return false
 	}
 	for _, p := range r.ByT(t) {
 		w := r.rows[p]
@@ -320,32 +326,71 @@ func (r *Relation) ChildrenOf(f int) []Tuple {
 	return out
 }
 
+// AppendChildIDs appends to dst the T of every live tuple whose F attribute
+// equals f, in insertion order, resolving no value and copying no bucket.
+func (r *Relation) AppendChildIDs(dst []int, f int) []int {
+	snap, over := r.fIndex().lookup(int32(f))
+	for _, part := range [2][]int32{snap, over} {
+		for _, p := range part {
+			if !r.isDead(int(p)) {
+				dst = append(dst, int(r.rows[p].t))
+			}
+		}
+	}
+	return dst
+}
+
+// CountF returns the number of live tuples whose F attribute equals f.
+func (r *Relation) CountF(f int) int {
+	snap, over := r.fIndex().lookup(int32(f))
+	n := len(snap) + len(over)
+	if r.nDead > 0 {
+		for _, part := range [2][]int32{snap, over} {
+			for _, p := range part {
+				if r.isDead(int(p)) {
+					n--
+				}
+			}
+		}
+	}
+	return n
+}
+
 // Tombstones reports the number of deleted-but-not-compacted rows.
 func (r *Relation) Tombstones() int { return r.nDead }
 
 // Compact rewrites the relation without its tombstoned rows, restoring the
-// invariant query operators rely on (every stored row is live). Indexes are
-// dropped and rebuilt lazily on the next probe; the pair set is rebuilt
-// exactly sized.
+// invariant query operators rely on (every stored row is live). Built indexes
+// are carried over, each position moving down by the dead rows before it. The
+// pair set dropped the pairs when they were deleted, and is rehashed only once
+// the tombstones they left fill a quarter of it, to keep its probes short.
 func (r *Relation) Compact() {
 	if r.nDead == 0 {
 		return
 	}
 	live := make([]row, 0, len(r.rows)-r.nDead)
+	remap := make([]int32, len(r.rows))
+	firstDead := -1
 	for i, w := range r.rows {
-		if !r.isDead(i) {
-			live = append(live, w)
+		if r.isDead(i) {
+			if remap[i] = -1; firstDead < 0 {
+				firstDead = i
+			}
+			continue
 		}
+		remap[i] = int32(len(live))
+		live = append(live, w)
 	}
 	r.rows = live
 	r.dead, r.nDead = nil, 0
-	set := newPairSet(len(live))
-	for _, w := range live {
-		set.insert(packPair(w.f, w.t))
+	if r.set.dels*4 > len(r.set.slots) {
+		r.set.grow()
 	}
-	r.set = set
-	r.idxF.Store(nil)
-	r.idxT.Store(nil)
+	for _, idx := range [2]*colIndex{r.idxF.Load(), r.idxT.Load()} {
+		if idx != nil {
+			idx.compact(remap, firstDead)
+		}
+	}
 }
 
 // IndexBuilds reports how many index snapshot builds the relation has
@@ -466,9 +511,9 @@ func (r *Relation) distinctHint(idx *colIndex) int {
 }
 
 // TIDs returns the sorted distinct T values: the answer node IDs when the
-// relation is a query result. With a dense T index the keys come out of the
-// CSR offsets already sorted, so no re-sort (or oversized map) is needed;
-// callers must not sort the result again.
+// relation is a query result. The keys come out of the T index's snapshot
+// already sorted, so no re-sort (or oversized map) is needed; callers must not
+// sort the result again.
 func (r *Relation) TIDs() []int {
 	if r.base != nil {
 		// A scoped view's T index is its base's; the view's own rows are the
@@ -481,30 +526,23 @@ func (r *Relation) TIDs() []int {
 		return slices.Compact(out)
 	}
 	idx := r.tIndex()
-	if idx.offs != nil {
-		out := make([]int, 0, idx.distinct+len(idx.extra))
+	out := make([]int, 0, idx.distinct+len(idx.extra))
+	if idx.sparse {
+		for _, k := range idx.keys {
+			out = append(out, int(k))
+		}
+	} else {
 		for k := 0; k+1 < len(idx.offs); k++ {
 			if idx.offs[k+1] > idx.offs[k] {
 				out = append(out, k)
 			}
 		}
-		if len(idx.extra) == 0 {
-			return out
-		}
-		for k := range idx.extra {
-			if int(k)+1 >= len(idx.offs) || idx.offs[k+1] == idx.offs[k] {
-				out = append(out, int(k))
-			}
-		}
-		sort.Ints(out)
+	}
+	if len(idx.extra) == 0 {
 		return out
 	}
-	out := make([]int, 0, len(idx.sparse)+len(idx.extra))
-	for k := range idx.sparse {
-		out = append(out, int(k))
-	}
 	for k := range idx.extra {
-		if _, dup := idx.sparse[k]; !dup {
+		if snap, _ := idx.lookup(k); len(snap) == 0 {
 			out = append(out, int(k))
 		}
 	}
@@ -528,7 +566,8 @@ func (r *Relation) PathOf(f, t int) []int {
 // Clone returns a deep copy sharing the interner. Tombstone state and built
 // indexes are carried over: the index snapshot arrays are immutable once
 // built (non-pooled relations never rebuild in place), so the clone shares
-// them and copies only the overflow table its own appends will extend.
+// them and copies only the overflow table its own appends will extend — or
+// folds it into a snapshot of its own once it has outgrown its bound.
 // Without this, every copy-on-write epoch pays an O(n) index rebuild on the
 // first probe after a constant-size update.
 func (r *Relation) Clone() *Relation {
@@ -543,10 +582,10 @@ func (r *Relation) Clone() *Relation {
 		// Pooled relations rebuild indexes into scratch backings in place;
 		// those may not be shared across lifetimes.
 		if idx := r.idxF.Load(); idx != nil {
-			c.idxF.Store(idx.clone())
+			c.idxF.Store(idx.cloneFor(len(r.rows)))
 		}
 		if idx := r.idxT.Load(); idx != nil {
-			c.idxT.Store(idx.clone())
+			c.idxT.Store(idx.cloneFor(len(r.rows)))
 		}
 	}
 	return c
@@ -578,42 +617,56 @@ func (r *Relation) String() string {
 }
 
 // DB is a shredded database: one stored relation per element type plus the
-// node-value catalog used to materialize identity relations.
+// node catalog used to materialize identity relations and rebuild answers.
 type DB struct {
 	Rels map[string]*Relation
 	// Syms dictionary-encodes every V string stored in the database; all
 	// relations of the DB — stored and temporary — share it, so operator
 	// pipelines move int32 symbols instead of strings.
 	Syms *Interner
-	// Vals maps every stored node ID to its text value; it defines the
-	// domain of the R_id identity relation (§5.1).
-	Vals map[int]string
 	// Labels maps every stored node ID to its element type; it supports
-	// XML reconstruction of query answers (§5.2).
+	// XML reconstruction of query answers (§5.2). A derived database shares
+	// the map with its parent until one of its own methods writes it, so only
+	// a database built with NewDB may be written through the field.
 	Labels map[int]string
-	// ParentOf maps every stored node to its parent (0 for the root
-	// element); with Labels it reconstructs paths without re-scanning.
-	ParentOf map[int]int
 	// DTDFP is the fingerprint of the DTD the document was shredded
 	// against ("" when unknown). The interval fast path compares it with
 	// the translated program's fingerprint: translations against a sub-DTD
 	// under-approximate the descendant relation, so raw containment is only
 	// sound when translation and shredding agree on the DTD.
 	DTDFP string
-	// ivs holds the document-order interval encoding (see intervals.go);
-	// nil means no valid encoding. Atomic because rebuilds race readers.
-	ivs atomic.Pointer[ivState]
+	// nodes holds the node table (nodetable.go): per stored node its parent
+	// and text value — the domain of the R_id identity relation (§5.1), read
+	// through HasNode, Parent, Val, EachNode — and its document-order interval
+	// (intervals.go). Atomic because interval rebuilds race readers.
+	nodes atomic.Pointer[nodeState]
+	// sharedLabels says Labels is still the map of the database this one was
+	// derived from.
+	sharedLabels bool
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{
-		Rels:     map[string]*Relation{},
-		Syms:     NewInterner(),
-		Vals:     map[int]string{},
-		Labels:   map[int]string{},
-		ParentOf: map[int]int{},
+	db := &DB{
+		Rels:   map[string]*Relation{},
+		Syms:   NewInterner(),
+		Labels: map[int]string{},
 	}
+	db.nodes.Store(newNodeState(newNodeTable(), false))
+	return db
+}
+
+// Derive starts the next version of a published database: the result holds
+// everything db holds and shares all of it. Its catalog and interval writes
+// copy the node-table chunks they touch, a structural write copies Labels, and
+// a relation must be replaced by its Clone before it is written; db itself
+// never changes. An update that stored a subtree ends with DeriveInsert, any
+// other with ShareDescIndexes.
+func (db *DB) Derive() *DB {
+	st := db.nodes.Load()
+	nd := &DB{Rels: maps.Clone(db.Rels), Syms: db.Syms, Labels: db.Labels, DTDFP: db.DTDFP, sharedLabels: true}
+	nd.nodes.Store(newNodeState(st.tab.derive(), st.labelled))
+	return nd
 }
 
 // Rel returns the stored relation, creating an empty one on first use so
@@ -627,23 +680,72 @@ func (db *DB) Rel(name string) *Relation {
 	return r
 }
 
-// Insert adds a tuple to the named stored relation and records the node
-// value in the catalog.
+// ownLabels returns Labels for writing.
+func (db *DB) ownLabels() map[int]string {
+	if db.sharedLabels {
+		own := make(map[int]string, len(db.Labels)+8) // maps.Clone costs a third more
+		for id, label := range db.Labels {
+			own[id] = label
+		}
+		db.Labels, db.sharedLabels = own, false
+	}
+	return db.Labels
+}
+
+// sym interns a text value in the database's dictionary.
+func (db *DB) sym(v string) int32 {
+	if v == "" {
+		return 0
+	}
+	return db.Syms.Intern(v)
+}
+
+// Insert adds a tuple to the named stored relation and records the node in
+// the catalog.
 func (db *DB) Insert(rel string, f, t int, v string) {
-	db.Rel(rel).Add(f, t, v)
-	db.Vals[t] = v
-	db.ParentOf[t] = f
+	w := row{f: int32(f), t: int32(t), v: db.sym(v)}
+	db.Rel(rel).addRow(w)
+	db.nodes.Load().tab.put(t, w.f, w.v)
 }
 
 // InsertLabeled is Insert plus the node's element type, enabling XML
 // reconstruction of answers.
 func (db *DB) InsertLabeled(rel, label string, f, t int, v string) {
 	db.Insert(rel, f, t, v)
-	db.Labels[t] = label
+	db.ownLabels()[t] = label
 }
 
-// NumNodes returns the number of stored nodes.
-func (db *DB) NumNodes() int { return len(db.Vals) }
+// Delete tombstones the tuple (f, t) of the named stored relation (see
+// Relation.Delete) and removes node t from the catalog, label and interval
+// included.
+func (db *DB) Delete(rel string, f, t int) {
+	db.Rel(rel).Delete(f, t)
+	db.nodes.Load().tab.remove(t)
+	if _, ok := db.Labels[t]; ok {
+		delete(db.ownLabels(), t)
+	}
+}
+
+// UpdateValue replaces the text value of node t, in its tuple (f, t) of the
+// named stored relation and in the catalog.
+func (db *DB) UpdateValue(rel string, f, t int, v string) {
+	sym := db.sym(v)
+	db.Rel(rel).updateSym(f, t, sym)
+	db.nodes.Load().tab.put(t, int32(f), sym)
+}
+
+// CatalogFromRows records every stored row (f, t, v) as node t of the catalog:
+// parent f, value v. It serves the bulk loader whose relation writers run
+// apart from its catalog writer (shred.StreamShred); every other writer
+// records the node with the row.
+func (db *DB) CatalogFromRows() {
+	tab := db.nodes.Load().tab
+	for _, rel := range db.Rels {
+		for _, w := range rel.rows {
+			tab.put(int(w.t), w.f, w.v)
+		}
+	}
+}
 
 // Loader amortizes per-insert lookups for bulk shredding: it caches the
 // relation handle per name and interns each value exactly once per tuple
@@ -665,14 +767,10 @@ func (l *Loader) Insert(rel, label string, f, t int, v string) {
 		r = l.db.Rel(rel)
 		l.rels[rel] = r
 	}
-	var sym int32
-	if v != "" {
-		sym = l.db.Syms.Intern(v)
-	}
-	r.addRow(row{f: int32(f), t: int32(t), v: sym})
-	l.db.Vals[t] = v
-	l.db.ParentOf[t] = f
+	w := row{f: int32(f), t: int32(t), v: l.db.sym(v)}
+	r.addRow(w)
+	l.db.nodes.Load().tab.put(t, w.f, w.v)
 	if label != "" {
-		l.db.Labels[t] = label
+		l.db.ownLabels()[t] = label
 	}
 }

@@ -47,15 +47,15 @@ var (
 type docScope struct {
 	root       int32
 	begin, end int64
-	st         *ivState
+	st         *nodeState
 }
 
 // resolveScope resolves a document root to its scope.
 func (db *DB) resolveScope(root int) (*docScope, error) {
-	if p, ok := db.ParentOf[root]; !ok || p != 0 {
+	if !db.HasNode(root) || db.Parent(root) != 0 {
 		return nil, fmt.Errorf("%w: node %d", ErrNotDocumentRoot, root)
 	}
-	st := db.ivs.Load()
+	st := db.encoding()
 	if st == nil {
 		return nil, ErrScopeNeedsIntervals
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -43,10 +42,10 @@ func makeForest(r *rand.Rand, n, nDocs, nRels int) *DB {
 // IDs kept.
 func docAlone(db *DB, root int) *DB {
 	in := map[int]bool{}
-	for id := range db.ParentOf {
+	for _, id := range nodeIDs(db) {
 		top := id
-		for db.ParentOf[top] != 0 {
-			top = db.ParentOf[top]
+		for db.Parent(top) != 0 {
+			top = db.Parent(top)
 		}
 		in[id] = top == root
 	}
@@ -66,12 +65,11 @@ func docAlone(db *DB, root int) *DB {
 
 func docRoots(db *DB) []int {
 	var roots []int
-	for id, p := range db.ParentOf {
-		if p == 0 {
+	for _, id := range nodeIDs(db) {
+		if db.Parent(id) == 0 {
 			roots = append(roots, id)
 		}
 	}
-	sort.Ints(roots)
 	return roots
 }
 

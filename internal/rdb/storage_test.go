@@ -220,7 +220,7 @@ func TestLoaderMatchesInsertLabeled(t *testing.T) {
 	if !sameTuples(a.Rel("R").Tuples(), b.Rel("R").Tuples()) {
 		t.Fatal("Loader produced different relation content than InsertLabeled")
 	}
-	if fmt.Sprint(a.Labels) != fmt.Sprint(b.Labels) || fmt.Sprint(a.Vals) != fmt.Sprint(b.Vals) {
+	if fmt.Sprint(a.Labels) != fmt.Sprint(b.Labels) || string(saved(t, a)) != string(saved(t, b)) {
 		t.Fatal("Loader produced different node metadata than InsertLabeled")
 	}
 }

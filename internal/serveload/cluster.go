@@ -118,11 +118,11 @@ func RunCluster(c bench.Config) (*ClusterReport, error) {
 	// Ordinal placement balances the 8 documents exactly (4/4 and 2/2/2/2);
 	// modulo on raw root IDs would skew the split and understate scaling.
 	var roots []int
-	for id, p := range collection.ParentOf {
-		if p == 0 {
+	collection.EachNode(func(id int) {
+		if collection.Parent(id) == 0 {
 			roots = append(roots, id)
 		}
-	}
+	})
 	placement := cluster.NewOrdinalPlacement(roots)
 
 	eng := xpath2sql.New(d)

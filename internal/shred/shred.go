@@ -94,7 +94,7 @@ func Reconstruct(db *rdb.DB, answers []int) (*xmltree.Document, error) {
 		if !ok {
 			return nil, fmt.Errorf("shred: node %d has no label in the catalog (was the database built by Shred?)", id)
 		}
-		n := &xmltree.Node{Label: label, Val: db.Vals[id]}
+		n := &xmltree.Node{Label: label, Val: db.Val(id)}
 		for _, c := range children[id] {
 			child, err := build(c.T)
 			if err != nil {
@@ -118,7 +118,7 @@ func Reconstruct(db *rdb.DB, answers []int) (*xmltree.Document, error) {
 }
 
 // AncestorPath returns the label path from the document root to the node,
-// reconstructed from the ParentOf catalog, e.g. "dept/course/project".
+// reconstructed from the catalog's parents, e.g. "dept/course/project".
 func AncestorPath(db *rdb.DB, id int) (string, error) {
 	var labels []string
 	for cur := id; cur != 0; {
@@ -127,11 +127,10 @@ func AncestorPath(db *rdb.DB, id int) (string, error) {
 			return "", fmt.Errorf("shred: node %d has no label in the catalog", cur)
 		}
 		labels = append(labels, label)
-		parent, ok := db.ParentOf[cur]
-		if !ok {
+		if !db.HasNode(cur) {
 			return "", fmt.Errorf("shred: node %d has no parent entry", cur)
 		}
-		cur = parent
+		cur = db.Parent(cur)
 	}
 	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
 		labels[i], labels[j] = labels[j], labels[i]

@@ -88,8 +88,10 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	}
 
 	var wg sync.WaitGroup
-	// The catalog goroutine is the single writer of the DB's plain maps
-	// (Vals, Labels, ParentOf) and of the interval table.
+	// The catalog goroutine is the single writer of the DB's Labels map and of
+	// the node table, where it leaves the intervals; the table's parent and
+	// value columns are filled from the finished relations, whose workers
+	// interned the values.
 	iv := db.NewIntervalBuilder()
 	wg.Add(1)
 	go func() {
@@ -97,9 +99,7 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 		for batch := range catCh {
 			for i := range batch {
 				rec := &batch[i]
-				db.Vals[rec.t] = rec.val
 				db.Labels[rec.t] = rec.label
-				db.ParentOf[rec.t] = rec.f
 				iv.Set(rec.t, rdb.NodeInterval{Begin: rec.begin, End: rec.end, Level: rec.level})
 			}
 		}
@@ -153,6 +153,7 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	if perr != nil {
 		return nil, perr
 	}
+	db.CatalogFromRows()
 	iv.Adopt()
 	db.DTDFP = d.Fingerprint()
 	return db, nil

@@ -127,11 +127,11 @@ func TestStreamShredDialect(t *testing.T) {
 	}
 	// The mixed content concatenates across the comment and children, with
 	// entities resolved and the whole trimmed.
-	if v := got.Vals[1]; !strings.HasPrefix(v, "pre <x>  mid") || !strings.HasSuffix(v, `tail "q'`) {
+	if v := got.Val(1); !strings.HasPrefix(v, "pre <x>  mid") || !strings.HasSuffix(v, `tail "q'`) {
 		t.Fatalf("root value = %q", v)
 	}
-	if got.Vals[2] != "one & two" || got.Vals[3] != "" || got.Vals[4] != "spaced" {
-		t.Fatalf("child values = %q %q %q", got.Vals[2], got.Vals[3], got.Vals[4])
+	if got.Val(2) != "one & two" || got.Val(3) != "" || got.Val(4) != "spaced" {
+		t.Fatalf("child values = %q %q %q", got.Val(2), got.Val(3), got.Val(4))
 	}
 }
 

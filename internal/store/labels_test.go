@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,6 +26,11 @@ import (
 // openCourses opens an ephemeral store over a dept document of the given
 // number of courses, 21 elements each, with its mirror.
 func openCourses(t *testing.T, courses int) (*Store, *mirror) {
+	t.Helper()
+	return openCoursesWith(t, courses, Config{})
+}
+
+func openCoursesWith(t *testing.T, courses int, cfg Config) (*Store, *mirror) {
 	t.Helper()
 	var sb strings.Builder
 	sb.WriteString("<dept>")
@@ -46,7 +53,8 @@ func openCourses(t *testing.T, courses int) (*Store, *mirror) {
 	}
 	m := newMirror()
 	m.insert(1, 0, doc)
-	s, err := Open(Config{DTD: d, Seed: db})
+	cfg.DTD, cfg.Seed = d, db
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +141,101 @@ func TestLabelWritesAreTheInsertsOwn(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCatalogWritesAreTheUpdatesOwn is the counted test of "a write costs what
+// it touches" for the node catalog and the column indexes. The same stream of
+// root appends, deletes and text updates, given the same node IDs by a common
+// allocator floor, copies the same node-table chunks update for update at 1×,
+// 4× and 16× the database; a text update copies one chunk and no map; and the
+// relations the updates cloned and compacted carry their indexes, never
+// building one.
+func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
+	const floor = 1 << 20 // above every scale's seed, on a chunk boundary
+	labelsOf := func(db *rdb.DB) uintptr { return reflect.ValueOf(db.Labels).Pointer() }
+	var streams [][]int64
+	for _, scale := range []int{1, 4, 16} {
+		s, m := openCoursesWith(t, 20*scale, Config{MinNextID: floor})
+		dept := m.byLabel("dept")[0]
+		leaves := m.byLabel("cno")
+		insertBoth(t, s, m, dept, fragCourse(-1)) // the one relabel, which copies every chunk
+		warm := map[string]*rdb.Relation{}
+		for name, rel := range s.View().DB.Rels {
+			rel.ByF(0)
+			rel.ByT(0)
+			warm[name] = rel
+		}
+		var copied []int64
+		count := func(update func()) int64 {
+			before := s.Stats().CatalogChunksCopied
+			update()
+			n := s.Stats().CatalogChunksCopied - before
+			copied = append(copied, n)
+			return n
+		}
+		var mine []int
+		for i := 0; i < 240; i++ {
+			count(func() { mine = append(mine, insertBoth(t, s, m, dept, fragCourse(i)).NodeID) })
+			if i%3 == 2 {
+				victim := mine[len(mine)/2]
+				mine = append(mine[:len(mine)/2], mine[len(mine)/2+1:]...)
+				count(func() {
+					if _, err := s.DeleteSubtree(victim); err != nil {
+						t.Fatal(err)
+					}
+					m.deleteSubtree(victim)
+				})
+			}
+			// A text update, of a node the seed stored or one the stream did.
+			node := leaves[i%len(leaves)]
+			if i%2 == 1 {
+				node = mine[len(mine)-1] + 1
+			}
+			was := s.View().DB
+			n := count(func() {
+				if _, err := s.UpdateText(node, fmt.Sprintf("v%d", i)); err != nil {
+					t.Fatal(err)
+				}
+				m.vals[node] = fmt.Sprintf("v%d", i)
+			})
+			if now := s.View().DB; n != 1 || labelsOf(now) != labelsOf(was) {
+				t.Fatalf("%dx: text update %d copied %d chunks, Labels shared = %v; want one chunk and the same map",
+					scale, i, n, labelsOf(now) == labelsOf(was))
+			}
+		}
+		streams = append(streams, copied)
+		if st := s.Stats(); st.Relabels != 1 {
+			t.Fatalf("%dx: %d relabels, want only the first insert's", scale, st.Relabels)
+		}
+		cloned := 0
+		for name, rel := range s.View().DB.Rels {
+			if rel == warm[name] {
+				continue // never written: its builds are the warm-up's
+			}
+			cloned++
+			rel.ByF(dept)
+			rel.ByT(dept)
+			if n := rel.IndexBuilds(); n != 0 {
+				t.Errorf("%dx: %s built %d indexes after the updates cloned and compacted it; want them carried", scale, name, n)
+			}
+		}
+		if cloned != 5 {
+			t.Errorf("%dx: the updates cloned %d relations, a fragCourse has elements of 5 types", scale, cloned)
+		}
+		if got, want := saveBytes(t, s.View().DB), saveBytes(t, m.buildDB(workload.Dept())); !bytes.Equal(got, want) {
+			t.Fatalf("%dx: store diverges from the re-shredded mirror", scale)
+		}
+	}
+	for i, stream := range streams[1:] {
+		if !slices.Equal(stream, streams[0]) {
+			t.Errorf("chunks copied per update differ between 1x and %dx the database:\n%v\n%v", []int{4, 16}[i], streams[0], stream)
+		}
+	}
+	total := int64(0)
+	for _, n := range streams[0] {
+		total += n
+	}
+	t.Logf("%d updates copied %d chunks at every scale", len(streams[0]), total)
 }
 
 // document rebuilds the mirrored document as a tree, children in node-ID
@@ -259,7 +362,7 @@ func TestCanonicalImage(t *testing.T) {
 		t.Fatalf("the store's labels are dense (%+v for %d nodes): nothing to canonicalize", iv, db.NumNodes())
 	}
 	gapped := saveBytes(t, db)
-	dense := &rdb.DB{Rels: db.Rels, Syms: db.Syms, Vals: db.Vals, Labels: db.Labels, ParentOf: db.ParentOf, DTDFP: db.DTDFP}
+	dense := db.Derive()
 	dense.RebuildIntervals()
 	if iv, _ := dense.Interval(dept); iv.End-iv.Begin != int64(db.NumNodes()) {
 		t.Fatalf("RebuildIntervals is not dense: %+v for %d nodes", iv, db.NumNodes())

@@ -10,15 +10,15 @@
 // inserts, the new subtree's interior need re-checking).
 //
 // Concurrency. One writer at a time (serialized by a mutex) builds each new
-// database version as a copy-on-write epoch: touched relations are cloned
-// (deletes tombstone rows on the clone and compact before publication,
-// inserts extend the clone), untouched relations and node catalog maps are
-// shared, a catalog map the update writes is copied first, and the interval
-// encoding is derived from the previous epoch's by patching the chunks the
-// update touches. The finished epoch is published with one atomic
-// pointer swap; readers pin an epoch with View and never observe a
-// half-applied update, take no locks, and keep executing against their
-// pinned epoch even as newer ones land.
+// database version as a copy-on-write epoch, derived from the current one
+// (rdb.DB.Derive): touched relations are cloned (deletes tombstone rows on
+// the clone and compact before publication, inserts extend the clone),
+// untouched relations are shared, and so is the node table — parents, values
+// and interval labels — but for the 1024-node chunks the update writes; a
+// structural update also copies the label map. The finished epoch is
+// published with one atomic pointer swap; readers pin an epoch with View and
+// never observe a half-applied update, take no locks, and keep executing
+// against their pinned epoch even as newer ones land.
 //
 // Durability. Every update is appended to a length-prefixed, CRC-checked
 // write-ahead log before it is applied (see wal.go), with a configurable
@@ -200,8 +200,11 @@ type CheckpointInfo struct {
 // Store is the live document store. Build with Open.
 type Store struct {
 	dtd *dtd.DTD
-	cfg Config
-	dir string
+	// kids lists, per element type, the child types its production mentions:
+	// the only relations that can hold a child of a node of that type.
+	kids map[string][]childType
+	cfg  Config
+	dir  string
 
 	cur atomic.Pointer[Epoch]
 
@@ -217,17 +220,18 @@ type Store struct {
 
 	ckptMu sync.Mutex // serializes snapshot file writes
 
-	inserts     atomic.Int64
-	deletes     atomic.Int64
-	textUpdates atomic.Int64
-	rejected    atomic.Int64
-	walBytes    atomic.Int64
-	walRecords  atomic.Int64
-	replayed    atomic.Int64
-	checkpoints atomic.Int64
-	relabels    atomic.Int64
-	relabelled  atomic.Int64
-	applyHist   *obs.Histogram
+	inserts      atomic.Int64
+	deletes      atomic.Int64
+	textUpdates  atomic.Int64
+	rejected     atomic.Int64
+	walBytes     atomic.Int64
+	walRecords   atomic.Int64
+	replayed     atomic.Int64
+	checkpoints  atomic.Int64
+	relabels     atomic.Int64
+	relabelled   atomic.Int64
+	chunksCopied atomic.Int64
+	applyHist    *obs.Histogram
 }
 
 // Open builds the store: from cfg.SnapshotPath if set, else from the newest
@@ -247,7 +251,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.FsyncInterval <= 0 {
 		cfg.FsyncInterval = 50 * time.Millisecond
 	}
-	s := &Store{dtd: cfg.DTD, cfg: cfg, dir: cfg.Dir, applyHist: obs.NewHistogram(nil)}
+	s := &Store{dtd: cfg.DTD, kids: childTypes(cfg.DTD), cfg: cfg, dir: cfg.Dir, applyHist: obs.NewHistogram(nil)}
 
 	if s.dir != "" {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
@@ -284,7 +288,7 @@ func Open(cfg Config) (*Store, error) {
 		}
 	}
 	if next <= 0 {
-		next = maxNodeID(db) + 1
+		next = db.MaxNodeID() + 1
 	}
 	if next < cfg.MinNextID {
 		next = cfg.MinNextID
@@ -470,7 +474,7 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 		}
 		s.inserts.Add(1)
 	case opDelete:
-		ids := applyDelete(t, s.dtd, rec.Node)
+		ids := applyDelete(t, s.kids, rec.Node)
 		res.NodeID, res.Nodes = rec.Node, len(ids)
 		td.Deleted = ids
 		s.deletes.Add(1)
@@ -481,21 +485,17 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	}
 	t.compact()
 	// The new epoch's interval encoding is the previous one's, patched: a text
-	// update shares it, a delete clears its nodes' labels, an insert labels
-	// the new subtree out of the slack before its parent's end — relabelling
-	// around it only when there is none left. Recovery and replicas replay
-	// through this same path.
-	switch rec.Op {
-	case opInsert:
-		if n := t.db.DeriveInsert(ep.DB, rec.Parent, rec.Base); n > 0 {
-			s.relabels.Add(1)
-			s.relabelled.Add(int64(n))
-		}
-	case opDelete:
-		t.db.DeriveDelete(ep.DB, td.Deleted)
-	case opUpdateText:
-		t.db.ShareIntervalsFrom(ep.DB)
+	// update shares it, a delete's nodes took their labels with them, an insert
+	// labels the new subtree out of the slack before its parent's end —
+	// relabelling around it only when there is none left. Recovery and replicas
+	// replay through this same path.
+	if rec.Op != opInsert {
+		t.db.ShareDescIndexes(ep.DB)
+	} else if n := t.db.DeriveInsert(ep.DB, rec.Parent, rec.Base); n > 0 {
+		s.relabels.Add(1)
+		s.relabelled.Add(int64(n))
 	}
+	s.chunksCopied.Add(int64(t.db.ChunksCopied()))
 
 	next := &Epoch{DB: t.db, Seq: ep.Seq + 1, LSN: rec.LSN}
 	s.lsn = rec.LSN
@@ -516,61 +516,28 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	return res, nil
 }
 
-// txn accumulates one update's copy-on-write state: a fresh DB sharing every
-// relation and catalog map with the parent epoch, each cloned exactly once,
-// the first time the update writes it.
+// txn accumulates one update's copy-on-write state: a database derived from
+// the parent epoch's, which shares the node catalog with it but for what the
+// update writes, and every relation but those the update writes, each cloned
+// exactly once, the first time it does.
 type txn struct {
 	db     *rdb.DB
 	cloned map[string]*rdb.Relation
-	// Which catalog maps are the transaction's own copies by now.
-	ownVals, ownLabels, ownParents bool
 }
 
 func newTxn(old *rdb.DB) *txn {
-	nd := &rdb.DB{
-		Rels:     make(map[string]*rdb.Relation, len(old.Rels)),
-		Syms:     old.Syms,
-		Vals:     old.Vals,
-		Labels:   old.Labels,
-		ParentOf: old.ParentOf,
-	}
-	for k, v := range old.Rels {
-		nd.Rels[k] = v
-	}
-	return &txn{db: nd, cloned: map[string]*rdb.Relation{}}
+	return &txn{db: old.Derive(), cloned: map[string]*rdb.Relation{}}
 }
 
-// own returns the transaction's private copy of a catalog map, made on the
-// first call.
-func own[V any](m *map[int]V, owned *bool) map[int]V {
-	if !*owned {
-		c := make(map[int]V, len(*m)+8)
-		for k, v := range *m {
-			c[k] = v
-		}
-		*m, *owned = c, true
+// rel makes the relation of an element type the transaction's private clone
+// and returns its name.
+func (t *txn) rel(label string) string {
+	name := shred.RelName(label)
+	if _, ok := t.cloned[name]; !ok {
+		c := t.db.Rel(name).Clone()
+		t.db.Rels[name], t.cloned[name] = c, c
 	}
-	return *m
-}
-
-func (t *txn) vals() map[int]string   { return own(&t.db.Vals, &t.ownVals) }
-func (t *txn) labels() map[int]string { return own(&t.db.Labels, &t.ownLabels) }
-func (t *txn) parents() map[int]int   { return own(&t.db.ParentOf, &t.ownParents) }
-
-// rel returns the transaction's private clone of the named relation.
-func (t *txn) rel(name string) *rdb.Relation {
-	if r, ok := t.cloned[name]; ok {
-		return r
-	}
-	var c *rdb.Relation
-	if r, ok := t.db.Rels[name]; ok {
-		c = r.Clone()
-		t.db.Rels[name] = c
-	} else {
-		c = t.db.Rel(name)
-	}
-	t.cloned[name] = c
-	return c
+	return name
 }
 
 // compact restores the no-tombstone invariant on every touched relation
@@ -591,25 +558,17 @@ func applyInsert(t *txn, parentID, base int, frag *xmltree.Document) int {
 		if n.Parent != nil {
 			f = base + int(n.Parent.ID) - 1
 		}
-		t.rel(shred.RelName(n.Label)).Add(f, id, n.Val)
-		t.vals()[id] = n.Val
-		t.labels()[id] = n.Label
-		t.parents()[id] = f
+		t.db.InsertLabeled(t.rel(n.Label), n.Label, f, id, n.Val)
 	}
 	return len(nodes)
 }
 
 // applyDelete tombstones every edge of the subtree rooted at nodeID and
 // removes its catalog entries. Returns the deleted IDs in preorder.
-func applyDelete(t *txn, d *dtd.DTD, nodeID int) []int {
-	ids := collectSubtree(t.db, d, nodeID)
+func applyDelete(t *txn, kids map[string][]childType, nodeID int) []int {
+	ids := collectSubtree(t.db, kids, nodeID)
 	for _, id := range ids {
-		label := t.db.Labels[id]
-		f := t.db.ParentOf[id]
-		t.rel(shred.RelName(label)).Delete(f, id)
-		delete(t.vals(), id)
-		delete(t.labels(), id)
-		delete(t.parents(), id)
+		t.db.Delete(t.rel(t.db.Labels[id]), t.db.Parent(id), id)
 	}
 	return ids
 }
@@ -617,31 +576,36 @@ func applyDelete(t *txn, d *dtd.DTD, nodeID int) []int {
 // applyUpdateText rewrites the V attribute of nodeID's edge tuple and its
 // catalog value.
 func applyUpdateText(t *txn, nodeID int, value string) {
-	label := t.db.Labels[nodeID]
-	f := t.db.ParentOf[nodeID]
-	t.rel(shred.RelName(label)).UpdateValue(f, nodeID, value)
-	t.vals()[nodeID] = value
+	t.db.UpdateValue(t.rel(t.db.Labels[nodeID]), t.db.Parent(nodeID), nodeID, value)
 }
 
-// collectSubtree returns the IDs of the subtree rooted at id, in preorder,
-// discovered through the edge relations (children of n hold it as F).
-func collectSubtree(db *rdb.DB, d *dtd.DTD, id int) []int {
+// childType is one child type of a production and the relation storing it.
+type childType struct{ typ, rel string }
+
+func childTypes(d *dtd.DTD) map[string][]childType {
+	g := d.BuildGraph()
+	kids := make(map[string][]childType, len(g.Nodes))
+	for _, typ := range g.Nodes {
+		for _, c := range g.Children(typ) {
+			kids[typ] = append(kids[typ], childType{c, shred.RelName(c)})
+		}
+	}
+	return kids
+}
+
+// collectSubtree returns the IDs of the subtree rooted at id, level by level
+// with siblings in ID order, discovered through the edge relations of the
+// child types each node's production admits (children of n hold it as F).
+func collectSubtree(db *rdb.DB, kids map[string][]childType, id int) []int {
 	out := []int{id}
-	types := d.Types()
 	for i := 0; i < len(out); i++ {
-		cur := out[i]
-		var kids []int
-		for _, typ := range types {
-			rel, ok := db.Rels[shred.RelName(typ)]
-			if !ok {
-				continue
-			}
-			for _, tup := range rel.ChildrenOf(cur) {
-				kids = append(kids, tup.T)
+		at := len(out)
+		for _, k := range kids[db.Labels[out[i]]] {
+			if rel, ok := db.Rels[k.rel]; ok {
+				out = rel.AppendChildIDs(out, out[i])
 			}
 		}
-		sort.Ints(kids)
-		out = append(out, kids...)
+		sort.Ints(out[at:])
 	}
 	return out
 }
@@ -786,20 +750,21 @@ func (s *Store) crash() {
 func (s *Store) Stats() obs.StoreStats {
 	ep := s.View()
 	return obs.StoreStats{
-		Epoch:           ep.Seq,
-		LSN:             ep.LSN,
-		Nodes:           int64(ep.DB.NumNodes()),
-		Inserts:         s.inserts.Load(),
-		Deletes:         s.deletes.Load(),
-		TextUpdates:     s.textUpdates.Load(),
-		Rejected:        s.rejected.Load(),
-		WALBytes:        s.walBytes.Load(),
-		WALRecords:      s.walRecords.Load(),
-		Replayed:        s.replayed.Load(),
-		Checkpoints:     s.checkpoints.Load(),
-		Relabels:        s.relabels.Load(),
-		RelabelledNodes: s.relabelled.Load(),
-		Apply:           s.applyHist.Snapshot(),
+		Epoch:               ep.Seq,
+		LSN:                 ep.LSN,
+		Nodes:               int64(ep.DB.NumNodes()),
+		Inserts:             s.inserts.Load(),
+		Deletes:             s.deletes.Load(),
+		TextUpdates:         s.textUpdates.Load(),
+		Rejected:            s.rejected.Load(),
+		WALBytes:            s.walBytes.Load(),
+		WALRecords:          s.walRecords.Load(),
+		Replayed:            s.replayed.Load(),
+		Checkpoints:         s.checkpoints.Load(),
+		Relabels:            s.relabels.Load(),
+		RelabelledNodes:     s.relabelled.Load(),
+		CatalogChunksCopied: s.chunksCopied.Load(),
+		Apply:               s.applyHist.Snapshot(),
 	}
 }
 
@@ -939,15 +904,4 @@ func loadSnapshotFile(path string) (db *rdb.DB, seq, lsn uint64, next int, err e
 		return nil, 0, 0, 0, fmt.Errorf("store: snapshot %s: %w", path, err)
 	}
 	return db, seq, lsn, next, nil
-}
-
-// maxNodeID returns the largest node ID in the catalog.
-func maxNodeID(db *rdb.DB) int {
-	max := 0
-	for id := range db.Vals {
-		if id > max {
-			max = id
-		}
-	}
-	return max
 }

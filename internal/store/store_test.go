@@ -384,9 +384,7 @@ func TestEpochIsolation(t *testing.T) {
 	oldScoped := scopedAnswers(t, old.DB, d, "dept//course", dept)
 	oldNodes := old.DB.NumNodes()
 	oldLabels := map[int]rdb.NodeInterval{}
-	for id := range old.DB.Vals {
-		oldLabels[id], _ = old.DB.Interval(id)
-	}
+	old.DB.EachNode(func(id int) { oldLabels[id], _ = old.DB.Interval(id) })
 
 	// The first insert into a densely loaded store relabels the whole
 	// database for the new epoch; the pinned one must not see any of it.
@@ -443,6 +441,85 @@ func TestEpochIsolation(t *testing.T) {
 		if rel.Tombstones() != 0 {
 			t.Errorf("published relation %s has %d tombstones", name, rel.Tombstones())
 		}
+	}
+
+	// The catalog is shared by chunk between epochs. An epoch pinned now keeps
+	// its own parents and values while later updates rewrite the values of the
+	// nodes it holds, delete them, and insert beside them — read all the while
+	// by concurrent readers, so -race sees any write to a shared chunk.
+	course, err := s.InsertSubtree(dept, fragCourse(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := s.View().DB
+	type entry struct {
+		parent int
+		val    string
+	}
+	pinned := map[int]entry{}
+	pin.EachNode(func(id int) { pinned[id] = entry{pin.Parent(id), pin.Val(id)} })
+	pinNodes, pinMax := pin.NumNodes(), pin.MaxNodeID()
+	if len(pinned) != pinNodes || pinMax != course.NodeID+course.Nodes-1 {
+		t.Fatalf("pinned epoch: %d nodes visited of %d, max ID %d", len(pinned), pinNodes, pinMax)
+	}
+	check := func() {
+		if pin.NumNodes() != pinNodes || pin.MaxNodeID() != pinMax {
+			t.Errorf("pinned epoch now has %d nodes up to %d, had %d up to %d", pin.NumNodes(), pin.MaxNodeID(), pinNodes, pinMax)
+		}
+		for id, was := range pinned {
+			if !pin.HasNode(id) || pin.Parent(id) != was.parent || pin.Val(id) != was.val {
+				t.Errorf("pinned node %d: present %v, parent %d, value %q; was parent %d, value %q",
+					id, pin.HasNode(id), pin.Parent(id), pin.Val(id), was.parent, was.val)
+				return
+			}
+		}
+		if pin.HasNode(pinMax+1) || pin.HasNode(0) {
+			t.Errorf("pinned epoch holds a node it never stored")
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					check()
+				}
+			}
+		}()
+	}
+	for id := range pinned {
+		if _, err := s.UpdateText(id, fmt.Sprintf("rewritten-%d", id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := s.InsertSubtree(dept, fragCourse(10+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.DeleteSubtree(course.NodeID); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range m.children[dept] { // the seed's top-level courses
+		if _, err := s.DeleteSubtree(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	check()
+	now := s.View().DB
+	if now.HasNode(course.NodeID) || now.Val(course.NodeID+1) != "" || now.NumNodes() >= pinNodes+20*course.Nodes {
+		t.Fatalf("the newest epoch still holds what was deleted: %d nodes", now.NumNodes())
+	}
+	if got := now.Val(dept); got != fmt.Sprintf("rewritten-%d", dept) {
+		t.Fatalf("the newest epoch lost a text update: dept value %q", got)
 	}
 }
 

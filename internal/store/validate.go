@@ -5,7 +5,6 @@ import (
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
-	"xpath2sql/internal/shred"
 	"xpath2sql/internal/xmltree"
 )
 
@@ -16,17 +15,16 @@ import (
 // touches, and — for inserts — the interior of the new subtree. Nothing else
 // in the document can change conformance.
 
-// childCounts returns the child-label multiset of node id, read from the
-// epoch's edge relations (children of id are the tuples holding it as F).
-func childCounts(db *rdb.DB, d *dtd.DTD, id int) map[string]int {
+// childCounts returns the child-label multiset of node id, whose type is
+// label, read from the epoch's edge relations of the child types the
+// production mentions (children of id are the tuples holding it as F).
+func (s *Store) childCounts(db *rdb.DB, label string, id int) map[string]int {
 	counts := map[string]int{}
-	for _, typ := range d.Types() {
-		rel, ok := db.Rels[shred.RelName(typ)]
-		if !ok {
-			continue
-		}
-		if n := len(rel.ByF(id)); n > 0 {
-			counts[typ] = n
+	for _, k := range s.kids[label] {
+		if rel, ok := db.Rels[k.rel]; ok {
+			if n := rel.CountF(id); n > 0 {
+				counts[k.typ] = n
+			}
 		}
 	}
 	return counts
@@ -47,7 +45,7 @@ func (s *Store) validateInsert(db *rdb.DB, parentID int, frag *xmltree.Document)
 	if !ok {
 		return fmt.Errorf("%w: parent type %q has no production", ErrInvalid, plabel)
 	}
-	counts := childCounts(db, s.dtd, parentID)
+	counts := s.childCounts(db, plabel, parentID)
 	counts[frag.Root.Label]++
 	if !dtd.MatchesUnordered(prod, counts) {
 		return fmt.Errorf("%w: children of %s#%d would not match production %s after inserting <%s>",
@@ -86,7 +84,7 @@ func (s *Store) validateDelete(db *rdb.DB, nodeID int) error {
 	if !ok {
 		return fmt.Errorf("%w: node %d", ErrUnknownNode, nodeID)
 	}
-	parent := db.ParentOf[nodeID]
+	parent := db.Parent(nodeID)
 	if parent == 0 {
 		return fmt.Errorf("%w: cannot delete the root element", ErrInvalid)
 	}
@@ -95,7 +93,7 @@ func (s *Store) validateDelete(db *rdb.DB, nodeID int) error {
 	if !ok {
 		return fmt.Errorf("%w: parent type %q has no production", ErrInvalid, plabel)
 	}
-	counts := childCounts(db, s.dtd, parent)
+	counts := s.childCounts(db, plabel, parent)
 	counts[label]--
 	if counts[label] <= 0 {
 		delete(counts, label)
