@@ -7,16 +7,17 @@
 // against the current epoch — advanced update by update:
 //
 //   - InsertSubtree, when the plan is monotone, seeds the fixpoint kernels
-//     with exactly the new base rows and re-derives only the affected tuples
+//     with exactly the new base rows and derives only the affected tuples
 //     (delta-seeded semi-naive rounds);
-//   - DeleteSubtree, when the plan is witness-free, prunes the deleted
-//     subtree out of every materialization via the document-order interval
-//     encoding;
+//   - DeleteSubtree, when the plan is monotone, takes out of every
+//     materialization the tuples that lost their last derivation: the same
+//     pass over the operator tree, with the removed rows as the delta and a
+//     point probe per candidate deciding whether it is derived again;
 //   - UpdateText is a no-op for plans without value selection;
-//   - everything else — non-monotone plans, witness-carrying deletes, epoch
-//     gaps, any maintenance error — falls back to full re-evaluation with an
-//     answer diff (the DRed-style re-derivation fallback), so subscribers
-//     always see exact deltas.
+//   - what is left falls back to full re-evaluation with an answer diff, so
+//     subscribers always see exact deltas, and is counted by reason
+//     (obs.RerunReasons): a non-monotone plan, a text update under a
+//     value-selecting plan, an epoch gap, a maintenance error.
 //
 // Subscribers receive an initial snapshot followed by per-epoch ordered
 // deltas (epoch, added, removed). Each subscription owns a bounded buffer; a
@@ -153,12 +154,14 @@ type Hub struct {
 	reruns           atomic.Int64
 	maintainedTuples atomic.Int64
 	rerunTuples      atomic.Int64
+	rerunsBy         obs.RerunReasons // guarded by mu
 	prop             *obs.Histogram
 }
 
 type queued struct {
 	td store.TxnDelta
 	at time.Time
+	bd rdb.BaseDelta // of an insert, built once by run for every view
 }
 
 // NewHub attaches a hub to the store's update hook and starts the
@@ -222,6 +225,9 @@ func (h *Hub) run() {
 		if len(h.queue) == 0 {
 			h.queue = nil // let a drained backlog be collected
 		}
+		if q.td.Op == store.OpInsert {
+			q.bd = BaseDeltaOf(q.td)
+		}
 		for _, v := range h.views {
 			h.maintainView(v, q)
 		}
@@ -236,23 +242,32 @@ func (h *Hub) maintainView(v *view, q queued) {
 	}
 	dT, fT := v.vs.DeltaStats.TuplesOut, v.vs.FullStats.TuplesOut
 	var added, removed []int
-	err := rdb.ErrNonIncremental
-	if td.Epoch == v.epoch+1 {
-		switch {
-		case td.Op == store.OpInsert && v.vs.Insertable():
-			added, err = v.vs.ApplyInsert(td.DB, BaseDeltaOf(td))
-		case td.Op == store.OpDelete && v.vs.Deletable():
-			removed, err = v.vs.ApplyDelete(td.DB, td.Prev, td.Root, td.Deleted)
-		case td.Op == store.OpUpdateText && v.vs.TextImmune():
-			err = v.vs.ApplyText(td.DB)
-		}
+	var err error
+	var why *int64 // the reason counter, when the update cannot be a delta
+	switch {
+	case td.Epoch != v.epoch+1:
+		why = &h.rerunsBy.EpochGap
+	case td.Op == store.OpUpdateText && v.vs.TextImmune():
+		err = v.vs.ApplyText(td.DB)
+	case td.Op == store.OpUpdateText:
+		why = &h.rerunsBy.Text
+	case !v.vs.Insertable():
+		why = &h.rerunsBy.NonMonotone
+	case td.Op == store.OpInsert:
+		added, err = v.vs.ApplyInsert(td.DB, q.bd)
+	case td.Op == store.OpDelete:
+		removed, err = v.vs.ApplyDelete(td.DB, td.Prev, td.Root, td.Deleted)
+	default:
+		err = rdb.ErrNonIncremental // an operation this matrix does not know
 	}
-	if err == nil {
+	if err != nil {
+		why = &h.rerunsBy.Error
+	}
+	if why == nil {
 		h.maintained.Add(1)
 		h.maintainedTuples.Add(int64(v.vs.DeltaStats.TuplesOut - dT))
 	} else {
-		// Epoch gap, fragment mismatch or maintenance error: full
-		// re-evaluation with an answer diff keeps the stream exact.
+		// Full re-evaluation with an answer diff keeps the stream exact.
 		added, removed, err = v.vs.Rebuild(td.DB)
 		if err != nil {
 			// The program cannot run on this epoch at all. The view is
@@ -261,6 +276,7 @@ func (h *Hub) maintainView(v *view, q queued) {
 			return
 		}
 		h.reruns.Add(1)
+		*why++
 		h.rerunTuples.Add(int64(v.vs.FullStats.TuplesOut - fT))
 	}
 	v.epoch = td.Epoch
@@ -431,7 +447,7 @@ func (s *Subscription) Close() {
 // Stats snapshots the hub's counters for the metrics endpoint.
 func (h *Hub) Stats() obs.WatchStats {
 	h.mu.Lock()
-	subs, views := h.nSubs, len(h.views)
+	subs, views, rerunsBy := h.nSubs, len(h.views), h.rerunsBy
 	h.mu.Unlock()
 	return obs.WatchStats{
 		ActiveSubscriptions: int64(subs),
@@ -441,6 +457,7 @@ func (h *Hub) Stats() obs.WatchStats {
 		Resyncs:             h.resyncs.Load(),
 		Maintained:          h.maintained.Load(),
 		Reruns:              h.reruns.Load(),
+		RerunsByReason:      rerunsBy,
 		MaintainedTuples:    h.maintainedTuples.Load(),
 		RerunTuples:         h.rerunTuples.Load(),
 		Propagation:         h.prop.Snapshot(),

@@ -193,12 +193,27 @@ type WatchStats struct {
 	Reruns           int64
 	MaintainedTuples int64
 	RerunTuples      int64
+	// RerunsByReason splits Reruns by why the view could not take the update
+	// as a delta.
+	RerunsByReason RerunReasons
 	// Propagation is the update-applied → delta-published latency.
 	Propagation HistogramSnapshot
 	// SharedPlans counts Watch registrations that attached to an existing
 	// view instead of materializing a new one — identical standing queries
 	// (same plan key) share one ViewState and one maintenance pass.
 	SharedPlans int64
+}
+
+// RerunReasons counts full re-evaluations of standing views by cause: the plan
+// is not monotone (negation, SQLGen-R's recursion, tracked paths), so no
+// structural update is a delta to it; a text update reached a view that
+// selects on values; the view was not at the epoch right before the update's;
+// or delta maintenance itself failed. They add up to WatchStats.Reruns.
+type RerunReasons struct {
+	NonMonotone int64
+	Text        int64
+	EpochGap    int64
+	Error       int64
 }
 
 // ClusterStats snapshots the scale-out router (internal/cluster): deployment
@@ -370,6 +385,19 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("watch_resyncs_total", "Subscriptions degraded to snapshot resync by buffer overflow.", ws.Resyncs)
 		counter("watch_maintained_total", "Updates applied to views incrementally.", ws.Maintained)
 		counter("watch_reruns_total", "Updates applied to views by full re-evaluation.", ws.Reruns)
+		fmt.Fprintf(w, "# HELP %s_watch_reruns_by_reason_total Full re-evaluations of views, by why the update was not applied as a delta.\n", p)
+		fmt.Fprintf(w, "# TYPE %s_watch_reruns_by_reason_total counter\n", p)
+		for _, r := range []struct {
+			reason string
+			n      int64
+		}{
+			{"non_monotone", ws.RerunsByReason.NonMonotone},
+			{"text", ws.RerunsByReason.Text},
+			{"epoch_gap", ws.RerunsByReason.EpochGap},
+			{"error", ws.RerunsByReason.Error},
+		} {
+			fmt.Fprintf(w, "%s_watch_reruns_by_reason_total{reason=%q} %d\n", p, r.reason, r.n)
+		}
 		counter("watch_maintained_tuples_total", "Operator tuples produced by incremental maintenance.", ws.MaintainedTuples)
 		counter("watch_rerun_tuples_total", "Operator tuples produced by full re-evaluation fallbacks.", ws.RerunTuples)
 		counter("watch_shared_plans_total", "Watch registrations deduplicated onto an existing view with the same plan.", ws.SharedPlans)

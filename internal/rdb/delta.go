@@ -2,37 +2,28 @@ package rdb
 
 // Incremental view maintenance over translated programs. A ViewState
 // materializes the output of every operator in a program's reachable plan
-// tree and advances those materializations under document updates using the
-// same semi-naive delta machinery the fixpoint executor runs internally —
-// instead of re-running Φ from scratch, an insert seeds the closure's
-// frontier with exactly the tuples the new edges admit, and a delete prunes
-// whole subtrees out of every materialization via the document-order
-// interval encoding.
+// tree and advances those materializations under document updates with one
+// post-order pass per update (nodeDelta): every node takes the rows its
+// operands gained or lost and hands up the rows its own output gained or lost.
+// An insert seeds the closure's frontier with exactly the tuples the new edges
+// admit, using the same semi-naive machinery the fixpoint executor runs
+// internally; a delete removes what lost its derivation — over-delete the
+// candidates, keep the ones a point probe of the advanced operands re-derives
+// — so neither re-runs Φ from scratch.
 //
-// Maintainability is a property of the plan. Three independent classes:
+// Maintainability is a property of the plan. Two independent classes:
 //
-//   - insertable: no Antijoin/Diff/RecUnion and no path tracking — the plan
-//     is monotone, so an insert can only add tuples and per-operator delta
-//     rules are exact. The store assigns fresh node IDs to inserted nodes
-//     (IDs are never reused), which the rules rely on: an old tuple can
-//     never newly enter a type relation or identity relation.
-//   - deletable: insertable, no Semijoin, and no pushed end constraints.
-//     Deleting a subtree removes exactly the tuples that touch a deleted
-//     node: in this fragment every relation pairs an ancestor-side F with a
-//     descendant-side T, so a tuple whose endpoints survive has its whole
-//     witnessing path intact and every materialization stays exact after
-//     pruning dead rows. A Semijoin breaks this — a surviving tuple can lose
-//     its only witness in π_F(R) when the witness row's descendant side dies
-//     — and a Fix/DescScan end constraint is the same semijoin in disguise,
-//     as is any non-monotone operator.
+//   - monotone: no Antijoin/Diff/RecUnion and no path tracking. An insert can
+//     only add tuples and a delete only remove them, and per-operator delta
+//     rules are exact for both. The store assigns fresh node IDs to inserted
+//     nodes (IDs are never reused), which the insert rules rely on: an old
+//     tuple can never newly enter a type relation or identity relation.
 //   - text-immune: no SelectVal — answers are node-ID sets and membership
 //     never depends on a V attribute, so UpdateText is a no-op.
 //
 // Anything outside a class falls back to full re-evaluation (Rebuild), which
 // diffs the fresh answer against the maintained one so subscribers still see
-// exact per-epoch deltas. That is the DRed-style re-derivation fallback: a
-// deleted tuple with possible alternate derivations (Semijoin witnesses) is
-// re-derived by recomputation rather than counted.
+// exact per-epoch deltas.
 //
 // A ViewState is not safe for concurrent use; the ivm layer serializes all
 // access through its maintainer goroutine.
@@ -69,8 +60,8 @@ type BaseDelta struct {
 // ViewState is the push driver of the operator kernels (ops.go): a standing
 // query's materialized operator tree plus its maintained answer multiset.
 // Full materialization applies each operator's kernel to its kids' outputs;
-// insert maintenance applies the same kernels to the kids' deltas wherever
-// the operator distributes over ∪ (see nodeDelta). Build one with
+// maintenance applies the same kernels to the kids' deltas wherever the
+// operator distributes over ∪ (see nodeDelta). Build one with
 // BuildViewState against a database snapshot, then advance it epoch by epoch
 // with ApplyInsert / ApplyDelete / ApplyText, or recompute with Rebuild.
 type ViewState struct {
@@ -78,9 +69,9 @@ type ViewState struct {
 	ex   *Exec     // runs the operator kernels (ops.go) on ex.DB, the view's epoch
 	syms *Interner // the shared interner every epoch must carry
 
-	opaque     bool // no operator tree: maintained by Rebuild only
-	insertable bool
-	deletable  bool
+	// opaque: no operator tree — the plan is not monotone, or could not be
+	// materialized as built — so the view is maintained by Rebuild only.
+	opaque     bool
 	textImmune bool
 
 	stmts  map[string]*viewStmt
@@ -122,7 +113,7 @@ type viewNode struct {
 	// (decided at build time); otherwise its Alt subtree is maintained.
 	useFast bool
 
-	delta *Relation // this round's genuinely-new rows
+	delta *Relation // the rows this round's update added to out, or removed from it
 	round uint64
 }
 
@@ -138,8 +129,9 @@ func BuildViewState(db *DB, prog *ra.Program) (*ViewState, error) {
 		stmts:  map[string]*viewStmt{},
 		counts: map[int32]int{},
 	}
-	vs.classify()
-	vs.opaque = !vs.insertable
+	var monotone bool
+	monotone, vs.textImmune = vs.classify()
+	vs.opaque = !monotone
 	if !vs.opaque {
 		var err error
 		if vs.result, err = vs.buildStmt(prog.Result); err != nil {
@@ -156,18 +148,33 @@ func BuildViewState(db *DB, prog *ra.Program) (*ViewState, error) {
 // every update goes through Rebuild.
 func (vs *ViewState) degradeToOpaque() {
 	vs.opaque = true
-	vs.insertable, vs.deletable = false, false
 	vs.stmts, vs.result = nil, nil
 }
 
 // Insertable reports whether InsertSubtree updates apply as deltas.
-func (vs *ViewState) Insertable() bool { return vs.insertable }
+func (vs *ViewState) Insertable() bool { return !vs.opaque }
 
-// Deletable reports whether DeleteSubtree updates apply as subtree pruning.
-func (vs *ViewState) Deletable() bool { return vs.deletable }
+// Deletable reports whether DeleteSubtree updates apply as deltas: exactly
+// when inserts do, the plan being monotone either way.
+func (vs *ViewState) Deletable() bool { return !vs.opaque }
 
 // TextImmune reports whether UpdateText updates are no-ops for this view.
 func (vs *ViewState) TextImmune() bool { return vs.textImmune }
+
+// IndexBuilds sums Relation.IndexBuilds over the view's materializations: the
+// regression stat that maintenance carries their indexes from epoch to epoch —
+// across a delete's compaction too — instead of building them again.
+func (vs *ViewState) IndexBuilds() int {
+	builds := 0
+	vs.eachNode(func(n *viewNode) {
+		for _, r := range [2]*Relation{n.out, n.aux} {
+			if r != nil {
+				builds += r.IndexBuilds()
+			}
+		}
+	})
+	return builds
+}
 
 // AnswerIDs returns the maintained answer: ascending node IDs, virtual root
 // excluded — identical to executing the program and extracting IDs.
@@ -184,55 +191,36 @@ func (vs *ViewState) AnswerIDs() []int {
 
 // classify walks every plan reachable from the result statement and derives
 // the view's maintainability classes.
-func (vs *ViewState) classify() {
-	vs.insertable, vs.deletable, vs.textImmune = true, true, true
+func (vs *ViewState) classify() (monotone, textImmune bool) {
+	monotone, textImmune = true, true
 	seen := map[string]bool{}
 	var walk func(p ra.Plan)
 	walk = func(p ra.Plan) {
 		switch p := p.(type) {
-		case ra.Base, ra.Ident, ra.RootSeed, ra.Compose, ra.UnionAll, ra.SelectRoot, ra.TypeFilter:
+		case ra.Base, ra.Ident, ra.RootSeed, ra.Compose, ra.UnionAll, ra.SelectRoot, ra.TypeFilter,
+			ra.IdentOf, ra.Semijoin, ra.DescScan:
 		case ra.Temp:
 			if pl := vs.prog.Lookup(p.Name); pl != nil && !seen[p.Name] {
 				seen[p.Name] = true
 				walk(pl)
 			}
-		case ra.IdentOf:
-			if p.OnF {
-				// (f, f) rows keep an existential witness on the child's F
-				// column; the witness row can die (descendant side deleted)
-				// while f stays alive. The OnT projection is safe: t alive
-				// implies its ancestor-side f is alive too.
-				vs.deletable = false
-			}
 		case ra.Fix:
 			if p.TrackPaths {
-				vs.insertable, vs.deletable = false, false
-			}
-			if p.End != nil {
-				// An end constraint is a semijoin on π_F(end): an alive
-				// closure node can lose its last witness when the witness
-				// row's descendant side dies, so subtree pruning alone is
-				// not exact.
-				vs.deletable = false
-			}
-		case ra.DescScan:
-			if p.End != nil {
-				vs.deletable = false // see ra.Fix: π_F(end) witness loss
+				monotone = false
 			}
 		case ra.SelectVal:
-			vs.textImmune = false
-		case ra.Semijoin:
-			vs.deletable = false
+			textImmune = false
 		case ra.Antijoin, ra.Diff, ra.RecUnion:
-			vs.insertable, vs.deletable = false, false
+			monotone = false
 		default:
-			vs.insertable, vs.deletable, vs.textImmune = false, false, false
+			monotone, textImmune = false, false
 		}
 		for _, k := range ra.Inputs(p) {
 			walk(k)
 		}
 	}
 	walk(ra.Temp{Name: vs.prog.Result})
+	return monotone, textImmune
 }
 
 // --- tree construction ---------------------------------------------------
@@ -259,8 +247,8 @@ func (vs *ViewState) buildStmt(name string) (*viewStmt, error) {
 	return st, nil
 }
 
-// buildNode builds the node of a plan classify admitted as insertable, so
-// every operator below has a Δ rule.
+// buildNode builds the node of a plan classify admitted as monotone, so every
+// operator below has its Δ rules.
 func (vs *ViewState) buildNode(pl ra.Plan) (*viewNode, error) {
 	n := &viewNode{plan: pl}
 	kids := ra.Inputs(pl)
@@ -429,7 +417,16 @@ func countRows(rows []row) map[int32]int {
 	return counts
 }
 
-// --- insert maintenance --------------------------------------------------
+// --- delta maintenance ---------------------------------------------------
+
+// update is one transaction as the operator tree sees it: the base rows and
+// node IDs an insert added (bd), or the nodes a delete removed (deleted) from
+// prev, the epoch the view was at.
+type update struct {
+	bd      *BaseDelta
+	deleted []int
+	prev    *DB
+}
 
 // ApplyInsert advances the view to newDB, which must be the epoch
 // immediately following the one the view is at, produced by one
@@ -437,20 +434,10 @@ func countRows(rows []row) map[int32]int {
 // answer, ascending. On any error the materializations may be inconsistent
 // and the caller must Rebuild.
 func (vs *ViewState) ApplyInsert(newDB *DB, bd BaseDelta) ([]int, error) {
-	if vs.opaque || !vs.insertable {
-		return nil, ErrNonIncremental
-	}
-	if newDB.Syms != vs.syms {
-		return nil, ErrNonIncremental
-	}
-	vs.ex.DB = newDB
-	vs.round++
-	snap := vs.ex.Stats
-	d, err := vs.nodeDelta(vs.result.root, &bd)
+	d, err := vs.advance(newDB, &update{bd: &bd})
 	if err != nil {
 		return nil, err
 	}
-	vs.DeltaStats.Add(vs.ex.Stats.Minus(snap))
 	var added []int
 	for _, w := range d.rows {
 		c := vs.counts[w.t]
@@ -462,6 +449,144 @@ func (vs *ViewState) ApplyInsert(newDB *DB, bd BaseDelta) ([]int, error) {
 	sort.Ints(added)
 	return added, nil
 }
+
+// ApplyDelete advances the view to newDB, which must be the epoch immediately
+// following the one the view is at, produced by one DeleteSubtree of the nodes
+// in deleted: the subtree under root, every node of it. The base delta is the
+// rows the view's own epoch stores for those nodes, so neither prevDB, that
+// same epoch, nor root is read; no interval encoding is either. It returns the
+// node IDs that left the answer, ascending. On error the caller must Rebuild.
+func (vs *ViewState) ApplyDelete(newDB, prevDB *DB, root int, deleted []int) ([]int, error) {
+	d, err := vs.advance(newDB, &update{deleted: deleted})
+	if err != nil {
+		return nil, err
+	}
+	var removed []int
+	for _, w := range d.rows {
+		c := vs.counts[w.t] - 1
+		if c <= 0 {
+			delete(vs.counts, w.t)
+			if w.t != 0 {
+				removed = append(removed, int(w.t))
+			}
+		} else {
+			vs.counts[w.t] = c
+		}
+	}
+	sort.Ints(removed)
+	return removed, nil
+}
+
+// advance runs one maintenance round against newDB and returns the rows the
+// result relation gained (an insert) or lost (a delete).
+func (vs *ViewState) advance(newDB *DB, u *update) (*Relation, error) {
+	if vs.opaque || newDB.Syms != vs.syms {
+		return nil, ErrNonIncremental
+	}
+	u.prev, vs.ex.DB = vs.ex.DB, newDB
+	vs.round++
+	snap := vs.ex.Stats
+	d, err := vs.nodeDelta(vs.result.root, u)
+	if err != nil {
+		return nil, err
+	}
+	vs.DeltaStats.Add(vs.ex.Stats.Minus(snap))
+	return d, nil
+}
+
+// nodeDelta computes (once per round, post-order) the rows n's output gains
+// under an insert or loses under a delete, and advances the materialization:
+// the operands are advanced first, so every rule reads them as they are in the
+// new epoch, next to what each of them gained or lost.
+func (vs *ViewState) nodeDelta(n *viewNode, u *update) (*Relation, error) {
+	if n.stmt != nil {
+		return vs.nodeDelta(n.stmt.root, u)
+	}
+	if n.round == vs.round {
+		return n.delta, nil
+	}
+	// kd holds the operands' deltas, aligned with in. A node that reads no
+	// stored state of its own is quiet, and left alone, when all are empty.
+	in := vs.operands(n)
+	kd := make([]*Relation, len(in))
+	quiet := len(n.kids) > 0 && !n.useFast
+	for i, k := range n.kids {
+		kdi, err := vs.nodeDelta(k, u)
+		if err != nil {
+			return nil, err
+		}
+		kd[len(in)-len(n.kids)+i] = kdi
+		quiet = quiet && kdi.Len() == 0
+	}
+	d := vs.newRel()
+	var err error
+	switch {
+	case quiet:
+	case u.bd != nil:
+		err = vs.grow(n, d, in, kd, u.bd)
+	default:
+		err = vs.shrink(n, d, in, kd, u)
+	}
+	if err != nil {
+		return nil, err
+	}
+	n.delta, n.round = d, vs.round
+	return d, nil
+}
+
+// rowsAt visits the rows of r whose F (onF) or T column holds key, in
+// insertion order. visit may append to r.
+func (r *Relation) rowsAt(onF bool, key int32, visit func(row)) {
+	idx := r.tIndex()
+	if onF {
+		idx = r.fIndex()
+	}
+	snap, over := idx.lookup(key)
+	for _, part := range [2][]int32{snap, over} {
+		for _, pos := range part {
+			visit(r.rows[pos])
+		}
+	}
+}
+
+// deltaRows are the rows of an operand's delta; an operand the plan does not
+// carry (nil) has none.
+func deltaRows(d *Relation) []row {
+	if d == nil {
+		return nil
+	}
+	return d.rows
+}
+
+// colSet returns the distinct F (onF) or T values of rows.
+func colSet(rows []row, onF bool) map[int32]struct{} {
+	out := make(map[int32]struct{}, len(rows))
+	for _, w := range rows {
+		out[colKey(w, onF)] = struct{}{}
+	}
+	return out
+}
+
+// fixRounds runs Φ's semi-naive rounds from frontier, rows already in out,
+// with the executor's fixExpand kernel: what they derive over seed is appended
+// to out. frontier is consumed as scratch.
+func (vs *ViewState) fixRounds(seed, out *Relation, frontier []row, dir fixDir) error {
+	ex := vs.ex
+	delta, next := frontier, []row(nil)
+	var err error
+	for len(delta) > 0 {
+		ex.Stats.LFPIters++
+		ex.Stats.Joins++
+		if next, err = ex.fixExpand(seed, out, delta, next[:0], dir, false, nil); err != nil {
+			return err
+		}
+		ex.Stats.Unions++
+		delta, next = next, delta
+	}
+	return nil
+}
+
+// --- insert rules --------------------------------------------------------
 
 // admit adds w to n's materialization; a genuinely new row is counted and
 // joins d, the delta n propagates.
@@ -495,55 +620,13 @@ func withDelta(in, kd []*Relation, i int) []*Relation {
 	return ops
 }
 
-// rowsAt visits the rows of r whose F (onF) or T column holds key, in
-// insertion order. visit may append to r.
-func (r *Relation) rowsAt(onF bool, key int32, visit func(row)) {
-	idx := r.tIndex()
-	if onF {
-		idx = r.fIndex()
-	}
-	snap, over := idx.lookup(key)
-	for _, part := range [2][]int32{snap, over} {
-		for _, pos := range part {
-			visit(r.rows[pos])
-		}
-	}
-}
-
-// deltaRows are the rows of an operand's delta; an operand the plan does not
-// carry (nil) has none.
-func deltaRows(d *Relation) []row {
-	if d == nil {
-		return nil
-	}
-	return d.rows
-}
-
-// nodeDelta computes (once per round, post-order) the genuinely-new rows of
-// n's output under the insert and advances the materialization. Operators
-// that distribute over ∪ reuse their kernel on the operands' deltas
-// (distribute); hand-written rules remain only where an old row can newly
-// qualify without any operand row carrying it in: a Semijoin's new
-// witnesses, a Fix frontier, a DescScan's ancestors and grown constraints.
-func (vs *ViewState) nodeDelta(n *viewNode, bd *BaseDelta) (*Relation, error) {
-	if n.stmt != nil {
-		return vs.nodeDelta(n.stmt.root, bd)
-	}
-	if n.round == vs.round {
-		return n.delta, nil
-	}
-	// kd holds the operands' deltas, aligned with in.
-	in := vs.operands(n)
-	kd := make([]*Relation, len(in))
-	for i, k := range n.kids {
-		kdi, err := vs.nodeDelta(k, bd)
-		if err != nil {
-			return nil, err
-		}
-		kd[len(in)-len(n.kids)+i] = kdi
-	}
-	d := vs.newRel()
-	var err error
+// grow is the insert rule of n: it admits into n's materialization, and into
+// d, the genuinely-new rows of its output. Operators that distribute over ∪
+// reuse their kernel on the operands' deltas (distribute); hand-written rules
+// remain only where an old row can newly qualify without any operand row
+// carrying it in: a Semijoin's new witnesses, a Fix frontier, a DescScan's
+// ancestors and grown constraints.
+func (vs *ViewState) grow(n *viewNode, d *Relation, in, kd []*Relation, bd *BaseDelta) error {
 	switch pl := n.plan.(type) {
 	case ra.Base:
 		for _, e := range bd.Rows[pl.Rel] {
@@ -556,45 +639,43 @@ func (vs *ViewState) nodeDelta(n *viewNode, bd *BaseDelta) (*Relation, error) {
 	case ra.RootSeed:
 	case ra.IdentOf, ra.SelectVal, ra.SelectRoot, ra.TypeFilter, ra.UnionAll:
 		// Linear in every operand at once: Δop(A, …) = op(ΔA, …).
-		err = vs.distribute(n, d, kd)
+		return vs.distribute(n, d, kd)
 	case ra.Compose:
 		// Bilinear: Δ(L∘R) = ΔL∘R ∪ L∘ΔR over the advanced operands.
 		for i := range in {
-			if err == nil && kd[i].Len() > 0 {
-				err = vs.distribute(n, d, withDelta(in, kd, i))
+			if kd[i].Len() > 0 {
+				if err := vs.distribute(n, d, withDelta(in, kd, i)); err != nil {
+					return err
+				}
 			}
 		}
 	case ra.Semijoin:
 		// Distributive in L: ΔL ⋉ R. Not in R — an old L row newly passes
 		// when a fresh R row gives its T a first witness in π_F(R) — so all
 		// of L is probed with ΔR's witnesses.
-		if err = vs.distribute(n, d, withDelta(in, kd, 0)); err == nil {
-			for _, w := range kd[1].rows {
-				in[0].rowsAt(false, w.f, func(l row) { vs.admit(n, d, l) })
-			}
+		if err := vs.distribute(n, d, withDelta(in, kd, 0)); err != nil {
+			return err
+		}
+		for _, w := range kd[1].rows {
+			in[0].rowsAt(false, w.f, func(l row) { vs.admit(n, d, l) })
 		}
 	case ra.Fix:
-		err = vs.fixDelta(n, pl, d, in, kd)
+		return vs.fixGrow(n, pl, d, in, kd)
 	case ra.DescScan:
-		err = vs.descDelta(n, pl, d, in, kd, bd)
+		return vs.descGrow(n, pl, d, in, kd, bd)
 	default:
-		err = ErrNonIncremental
+		return ErrNonIncremental
 	}
-	if err != nil {
-		return nil, err
-	}
-	n.delta = d
-	n.round = vs.round
-	return d, nil
+	return nil
 }
 
-// fixDelta advances Φ(R) under an insert with delta-seeded semi-naive
+// fixGrow advances Φ(R) under an insert with delta-seeded semi-naive
 // rounds: the new seed edges (joined to the already-known closure) and the
 // seed edges of newly admitted constraint nodes form the initial frontier,
 // then the executor's fixExpand kernel iterates exactly as a from-scratch run
 // would — but starting from a frontier proportional to the update, not the
 // seed.
-func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Relation) error {
+func (vs *ViewState) fixGrow(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Relation) error {
 	ex := vs.ex
 	seed, seedDelta := in[0], kd[0]
 	start, end := constraintOperands(pl.Start, pl.End, in[1:])
@@ -612,12 +693,12 @@ func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Rel
 		O = n.aux
 	}
 	ex.Stats.LFPs++
-	var frontier, all []row
+	known := len(O.rows)
+	var frontier []row
 	collect := func(w row) {
 		if O.addRow(w) {
 			ex.Stats.TuplesOut++
 			frontier = append(frontier, w)
-			all = append(all, w)
 		}
 	}
 	// The first-new-edge decomposition. Running forward, a new edge enters
@@ -644,21 +725,12 @@ func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Rel
 			seed.rowsAt(false, g.f, collect)
 		}
 	}
-	delta := frontier
-	var next []row
-	var err error
-	for len(delta) > 0 {
-		ex.Stats.LFPIters++
-		ex.Stats.Joins++
-		if next, err = ex.fixExpand(seed, O, delta, next[:0], dir, false, nil); err != nil {
-			return err
-		}
-		ex.Stats.Unions++
-		all = append(all, next...)
-		delta, next = next, delta
+	if err := vs.fixRounds(seed, O, frontier, dir); err != nil {
+		return err
 	}
+	grown := O.rows[known:]
 	if !filtered {
-		for _, w := range all {
+		for _, w := range grown {
 			d.addRow(w)
 		}
 		return nil
@@ -666,7 +738,7 @@ func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Rel
 	// Project the closure delta through the end filter, and admit the
 	// already-closed tuples whose T newly became an end node.
 	endIdx := end.fIndex()
-	for _, w := range all {
+	for _, w := range grown {
 		if endIdx.contains(w.t) {
 			vs.admit(n, d, w)
 		}
@@ -677,12 +749,12 @@ func (vs *ViewState) fixDelta(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Rel
 	return nil
 }
 
-// descDelta advances a DescScan under an insert. On the interval path the
+// descGrow advances a DescScan under an insert. On the interval path the
 // candidates are all update-sized: new From sources answer their typed
 // descendants with one range scan, new To nodes find their typed ancestors
 // by walking the parent catalog, and newly admitted constraint nodes replay
 // the same two shapes.
-func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, d *Relation, in, kd []*Relation, bd *BaseDelta) error {
+func (vs *ViewState) descGrow(n *viewNode, pl ra.DescScan, d *Relation, in, kd []*Relation, bd *BaseDelta) error {
 	var startIdx, endIdx *colIndex
 	start, end := constraintOperands(pl.Start, pl.End, in[1:])
 	startDelta, endDelta := constraintOperands(pl.Start, pl.End, kd[1:])
@@ -734,13 +806,9 @@ func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, d *Relation, in, kd 
 			return ErrNonIncremental
 		}
 		vs.ex.Stats.DescScans++
-		jlo, jhi := toIdx.rangeOf(iv.Begin, iv.End)
-		for j := jlo; j < jhi; j++ {
-			to := toIdx.rows[j]
-			if endIdx == nil || endIdx.contains(to.t) {
-				vs.admit(n, d, row{f: x, t: to.t, v: to.v})
-			}
-		}
+		toIdx.descendants(iv.Begin, iv.End, endIdx, func(to row) {
+			vs.admit(n, d, row{f: x, t: to.t, v: to.v})
+		})
 		return nil
 	}
 	walkUp := func(t int32) {
@@ -778,131 +846,236 @@ func (vs *ViewState) descDelta(n *viewNode, pl ra.DescScan, d *Relation, in, kd 
 	return nil
 }
 
-// colSet returns the distinct F (onF) or T values of rows.
-func colSet(rows []row, onF bool) map[int32]struct{} {
-	out := make(map[int32]struct{}, len(rows))
-	for _, w := range rows {
-		out[colKey(w, onF)] = struct{}{}
-	}
-	return out
-}
+// --- delete rules --------------------------------------------------------
 
-// --- delete maintenance --------------------------------------------------
-
-// ApplyDelete advances the view to newDB, produced by one DeleteSubtree that
-// removed the subtree rooted at root (deleted lists every removed node, in
-// preorder; prevDB is the epoch the delete ran against). Every
-// materialization is pruned of rows touching a deleted node — via interval
-// containment against the previous epoch's encoding when available, the
-// explicit ID set otherwise. It returns the node IDs that left the answer,
-// ascending. On error the caller must Rebuild.
-func (vs *ViewState) ApplyDelete(newDB, prevDB *DB, root int, deleted []int) ([]int, error) {
-	if vs.opaque || !vs.deletable {
-		return nil, ErrNonIncremental
-	}
-	if newDB.Syms != vs.syms {
-		return nil, ErrNonIncremental
-	}
-	dead := deadTest(prevDB, root, deleted)
-	// Rows removed from the result relation must be observed before memos
-	// are replaced; when the result is a stored relation the previous
-	// epoch's copy still holds them.
-	resNode := resolveNode(vs.result.root)
-	var removedRows []row
-	if base, ok := resNode.plan.(ra.Base); ok {
-		for _, w := range prevDB.Rel(base.Rel).rows {
-			if dead(w.f) || dead(w.t) {
-				removedRows = append(removedRows, w)
-			}
-		}
-	}
-	vs.ex.DB = newDB
-	vs.round++
-	vs.eachNode(func(n *viewNode) {
-		if n.out != nil {
-			n.out = vs.pruneRel(n.out, dead, n == resNode, &removedRows)
-		}
-		if n.aux != nil {
-			n.aux = vs.pruneRel(n.aux, dead, false, nil)
-		}
-	})
-	var removed []int
-	for _, w := range removedRows {
-		c := vs.counts[w.t] - 1
-		if c <= 0 {
-			delete(vs.counts, w.t)
-			if w.t != 0 {
-				removed = append(removed, int(w.t))
-			}
-		} else {
-			vs.counts[w.t] = c
-		}
-	}
-	sort.Ints(removed)
-	return removed, nil
-}
-
-// resolveNode follows Temp aliases to the node owning the materialization.
-func resolveNode(n *viewNode) *viewNode {
-	for {
-		if _, ok := n.plan.(ra.Temp); !ok {
-			return n
-		}
-		n = n.stmt.root
+// retract removes the pair of w from n's materialization; a row that was
+// there is counted and joins d, the delta n propagates, as it was stored. The
+// row is tombstoned: shrink compacts the materialization before anything reads
+// it.
+func (vs *ViewState) retract(n *viewNode, d *Relation, w row) {
+	if w, ok := n.out.take(w.f, w.t); ok {
+		vs.ex.Stats.TuplesOut++
+		d.addRow(w)
 	}
 }
 
-// deadTest returns a membership test for the deleted subtree: interval
-// containment against the pre-delete encoding when it covers the subtree
-// root, the explicit ID set otherwise. The virtual root (0) is never dead.
-func deadTest(prevDB *DB, root int, deleted []int) func(int32) bool {
-	if prevDB != nil {
-		if rootIv, ok := prevDB.Interval(root); ok {
-			r32 := int32(root)
-			return func(id int32) bool {
-				if id == r32 {
+// lostKeys visits the distinct F (onF) or T values of gone, the rows an
+// operand lost, that no row of now, the operand as it is, still holds in that
+// column: the nodes whose last witness the delete took. A constraint the plan
+// does not carry (nil) lost none.
+func lostKeys(gone, now *Relation, onF bool, visit func(key int32)) {
+	if gone == nil || gone.Len() == 0 {
+		return
+	}
+	idx := now.tIndex()
+	if onF {
+		idx = now.fIndex()
+	}
+	for k := range colSet(gone.rows, onF) {
+		if !idx.contains(k) {
+			visit(k)
+		}
+	}
+}
+
+// joins reports whether l∘r derives (f, t) — some m has (f, m) in l and
+// (m, t) in r — by walking the shorter of the two index buckets and probing
+// the other relation's pair set.
+func joins(l, r *Relation, f, t int32) bool {
+	ls, lo := l.fIndex().lookup(f)
+	rs, ro := r.tIndex().lookup(t)
+	if len(ls)+len(lo) <= len(rs)+len(ro) {
+		for _, part := range [2][]int32{ls, lo} {
+			for _, pos := range part {
+				if r.hasPair(packPair(l.rows[pos].t, t)) {
 					return true
 				}
-				iv, has := prevDB.Interval(int(id))
-				return has && rootIv.Begin < iv.Begin && iv.Begin < rootIv.End
+			}
+		}
+		return false
+	}
+	for _, part := range [2][]int32{rs, ro} {
+		for _, pos := range part {
+			if l.hasPair(packPair(f, r.rows[pos].f)) {
+				return true
 			}
 		}
 	}
-	set := make(map[int32]struct{}, len(deleted))
-	for _, id := range deleted {
-		set[int32(id)] = struct{}{}
-	}
-	return func(id int32) bool {
-		_, ok := set[id]
-		return ok
-	}
+	return false
 }
 
-// pruneRel removes rows touching a deleted node. Untouched relations are
-// returned as-is (keeping their indexes warm); touched ones are rebuilt
-// compacted.
-func (vs *ViewState) pruneRel(r *Relation, dead func(int32) bool, collect bool, removed *[]row) *Relation {
-	nDead := 0
-	for _, w := range r.rows {
-		if dead(w.f) || dead(w.t) {
-			nDead++
-		}
-	}
-	if nDead == 0 {
-		return r
-	}
-	out := vs.newRel()
-	out.grow(r.Len() - nDead)
-	for _, w := range r.rows {
-		if dead(w.f) || dead(w.t) {
-			if collect {
-				*removed = append(*removed, w)
+// shrink is the delete rule of n: it retracts from n's materialization, and
+// hands up in d, the rows of its output that lost their last derivation. The
+// candidates are the rows some derivation of which used a removed operand row
+// — found, as under an insert, by the operator's kernel on the operands'
+// deltas, or read off an index of the materialization — and a candidate stays
+// if a point probe of the advanced operands derives it again. Where the output
+// is a subset of one operand, or a removed key was necessary to every row
+// anchored at it, a candidate has nothing to be re-derived from.
+func (vs *ViewState) shrink(n *viewNode, d *Relation, in, kd []*Relation, u *update) error {
+	drop := func(w row) { vs.retract(n, d, w) }
+	switch pl := n.plan.(type) {
+	case ra.Base:
+		// The stored rows of the removed nodes, out of the epoch that had them.
+		if prev, ok := u.prev.Rels[pl.Rel]; ok {
+			for _, id := range u.deleted {
+				prev.rowsAt(false, int32(id), func(w row) { d.addRow(w) })
 			}
-			continue
 		}
-		out.addRow(w)
+		return nil
+	case ra.Ident:
+		for _, id := range u.deleted {
+			drop(row{f: int32(id), t: int32(id)})
+		}
+	case ra.RootSeed:
+	case ra.SelectVal, ra.SelectRoot, ra.TypeFilter:
+		for _, w := range kd[0].rows {
+			drop(w)
+		}
+	case ra.IdentOf:
+		lostKeys(kd[0], in[0], pl.OnF, func(k int32) { drop(row{f: k, t: k}) })
+	case ra.UnionAll:
+		for _, gone := range kd {
+			for _, w := range gone.rows {
+				held := func(kid *Relation) bool { return kid.hasPair(packPair(w.f, w.t)) }
+				if !slices.ContainsFunc(in, held) {
+					drop(w)
+				}
+			}
+		}
+	case ra.Compose:
+		// Bilinear, and R_old = R′ ∪ Δ⁻R: every pair that lost a derivation is
+		// in Δ⁻L∘R′ ∪ L′∘Δ⁻R ∪ Δ⁻L∘Δ⁻R, and goes unless L′∘R′ still has it.
+		for _, ops := range [3][2]*Relation{{kd[0], in[1]}, {in[0], kd[1]}, {kd[0], kd[1]}} {
+			if ops[0].Len() == 0 || ops[1].Len() == 0 {
+				continue
+			}
+			cand, err := vs.ex.apply(pl, ops[:])
+			if err != nil {
+				return err
+			}
+			for _, w := range cand.rows {
+				if !joins(in[0], in[1], w.f, w.t) {
+					drop(w)
+				}
+			}
+		}
+	case ra.Semijoin:
+		for _, w := range kd[0].rows {
+			drop(w)
+		}
+		lostKeys(kd[1], in[1], true, func(k int32) { n.out.rowsAt(false, k, drop) })
+	case ra.Fix:
+		if err := vs.fixShrink(n, pl, d, in, kd); err != nil {
+			return err
+		}
+	case ra.DescScan:
+		if n.useFast {
+			// The kernel pairs stored nodes: the pairs at a removed node go,
+			// and the materialization's own indexes say which those are.
+			for _, id := range u.deleted {
+				n.out.rowsAt(true, int32(id), drop)
+				n.out.rowsAt(false, int32(id), drop)
+			}
+		} else {
+			for _, w := range kd[0].rows {
+				drop(w)
+			}
+		}
+		start, end := constraintOperands(pl.Start, pl.End, in[1:])
+		startGone, endGone := constraintOperands(pl.Start, pl.End, kd[1:])
+		lostKeys(startGone, start, false, func(s int32) { n.out.rowsAt(true, s, drop) })
+		lostKeys(endGone, end, true, func(g int32) { n.out.rowsAt(false, g, drop) })
+	default:
+		return ErrNonIncremental
 	}
-	return out
+	n.out.Compact()
+	return nil
+}
+
+// fixShrink retracts from Φ(R) what a delete took, by delete and re-derive —
+// the one operator where a row can have derivations no operand delta names.
+// Every closure row with a derivation over a removed seed edge is over-deleted:
+// the first-removed-edge decomposition of fixGrow finds the rows one step
+// past such an edge and the executor's fixExpand follows them through the
+// surviving seed. A row anchored at a lost gate node goes with it. Then a row
+// comes back if the surviving seed and closure still derive it in one step,
+// and fixExpand closes over what came back; on a tree-shaped seed nothing does.
+func (vs *ViewState) fixShrink(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Relation) error {
+	seed, seedGone := in[0], kd[0]
+	start, end := constraintOperands(pl.Start, pl.End, in[1:])
+	startGone, endGone := constraintOperands(pl.Start, pl.End, kd[1:])
+	dir, gate := fixGate(start, end)
+	fwd := dir == fixFwd
+	gateNow, gateGone := start, startGone
+	if !fwd {
+		gateNow, gateGone = end, endGone
+	}
+	filtered := start != nil && end != nil
+	O := n.out
+	if filtered {
+		O = n.aux
+	}
+	vs.ex.Stats.LFPs++
+	over := vs.newRel()
+	var frontier []row
+	mark := func(w row) {
+		if over.addRow(w) {
+			frontier = append(frontier, w)
+		}
+	}
+	for _, e := range seedGone.rows {
+		if O.hasPair(packPair(e.f, e.t)) {
+			mark(e)
+		}
+		O.rowsAt(!fwd, dir.anchor(e), func(o row) {
+			if fwd {
+				mark(row{f: o.f, t: e.t})
+			} else {
+				mark(row{f: e.f, t: o.t})
+			}
+		})
+	}
+	if err := vs.fixRounds(seed, over, frontier, dir); err != nil {
+		return err
+	}
+	lostKeys(gateGone, gateNow, !fwd, func(g int32) {
+		O.rowsAt(fwd, g, func(o row) { over.addRow(o) })
+	})
+	taken := make([]row, 0, over.Len())
+	for _, w := range over.rows {
+		if w, ok := O.take(w.f, w.t); ok {
+			taken = append(taken, w)
+		}
+	}
+	O.Compact()
+	frontier = frontier[:0]
+	for _, w := range taken {
+		direct := seed.hasPair(packPair(w.f, w.t)) && (gate == nil || gate.contains(dir.anchor(w)))
+		if direct || (fwd && joins(O, seed, w.f, w.t)) || (!fwd && joins(seed, O, w.f, w.t)) {
+			O.addRow(w)
+			frontier = append(frontier, w)
+		}
+	}
+	if err := vs.fixRounds(seed, O, frontier, dir); err != nil {
+		return err
+	}
+	for _, w := range taken {
+		switch {
+		case O.hasPair(packPair(w.f, w.t)): // re-derived
+		case filtered:
+			vs.retract(n, d, w)
+		default:
+			vs.ex.Stats.TuplesOut++
+			d.addRow(w)
+		}
+	}
+	if filtered {
+		lostKeys(endGone, end, true, func(g int32) {
+			n.out.rowsAt(false, g, func(w row) { vs.retract(n, d, w) })
+		})
+	}
+	return nil
 }
 
 // --- text updates --------------------------------------------------------

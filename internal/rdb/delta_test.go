@@ -75,8 +75,8 @@ func diffIDs(old, new []int) (added, removed []int) {
 
 // randInsertablePlan generates plans inside the insert-maintainable fragment
 // (no Antijoin/Diff/RecUnion, no tracked paths); Semijoin and SelectVal are
-// in, so the generated views span the deletable/text-immune sub-fragments
-// too.
+// in, so the generated views span the text-immune sub-fragment and its
+// complement.
 func randInsertablePlan(r *rand.Rand, depth, nRels int, temps []string) ra.Plan {
 	baseRel := func() string { return fmt.Sprintf("R%d", r.Intn(nRels)) }
 	if depth <= 0 {
@@ -315,6 +315,13 @@ func (td *treeDoc) del(r *rand.Rand) (*DB, int, []int) {
 		return nil, 0, nil
 	}
 	root := candidates[r.Intn(len(candidates))]
+	db2, deleted := td.delSubtree(root)
+	return db2, root, deleted
+}
+
+// delSubtree removes the subtree under root, store-style, and returns the new
+// epoch and the preorder deleted IDs. td stays at the old epoch.
+func (td *treeDoc) delSubtree(root int) (*DB, []int) {
 	deleted := td.subtree(root)
 	db2 := cowDB(td.db)
 	touched := map[string]bool{}
@@ -327,7 +334,7 @@ func (td *treeDoc) del(r *rand.Rand) (*DB, int, []int) {
 		db2.Rel(rel).Compact()
 	}
 	db2.RebuildIntervals()
-	return db2, root, deleted
+	return db2, deleted
 }
 
 // text rewrites one node's value in place, store-style (structure and
@@ -342,8 +349,8 @@ func (td *treeDoc) text(r *rand.Rand) (*DB, int) {
 }
 
 // randTreePlan adds DescScan (both the interval kernel and the generic
-// fallback) to the insertable fragment; withSemi gates Semijoin so the same
-// generator covers the deletable fragment.
+// fallback) to the insertable fragment; withSemi gates Semijoin, whose rows
+// can lose a witness between two live nodes.
 func randTreePlan(r *rand.Rand, depth, nRels int, temps []string, withSemi bool) ra.Plan {
 	baseRel := func() string { return fmt.Sprintf("R%d", r.Intn(nRels)) }
 	if depth <= 0 {
@@ -510,6 +517,206 @@ func TestViewMixedUpdateDifferential(t *testing.T) {
 	}
 }
 
+// forestDoc wraps an encoded forest (makeForest) as a miniature live store.
+func forestDoc(db *DB) *treeDoc {
+	td := &treeDoc{db: db, relOf: map[int]string{}}
+	for name, rel := range db.Rels {
+		for _, tp := range rel.Tuples() {
+			td.relOf[tp.T] = name
+			td.nextID = max(td.nextID, tp.T+1)
+		}
+	}
+	return td
+}
+
+// multiDerivationPlan draws one of the shapes whose rows have several
+// derivations, some through rows that a delete removes between two live nodes
+// — what the re-derivation probes exist for, and what the uniform generator
+// draws too rarely to test them: a union one side of which hangs on a witness,
+// a join of closures one of which does, a descendant scan whose start nodes are each admitted by several
+// such rows, and Φ over a seed whose edges, self-loops or shortcut edges do.
+func multiDerivationPlan(r *rand.Rand, nRels int, temps []string) ra.Plan {
+	// One edge relation throughout, so the pieces meet; a node is witnessed
+	// while it has a child of the next type, which a delete can take from it
+	// without touching the edges.
+	ri := r.Intn(nRels)
+	rel := fmt.Sprintf("R%d", ri)
+	base := ra.Base{Rel: rel}
+	any := func() ra.Plan { return randTreePlan(r, r.Intn(2), nRels, temps, true) }
+	witnessed := func(l ra.Plan) ra.Plan {
+		return ra.Semijoin{L: l, R: ra.Base{Rel: fmt.Sprintf("R%d", (ri+1)%nRels)}}
+	}
+	seed := witnessed(base)
+	switch r.Intn(6) {
+	case 0:
+		return ra.UnionAll{Kids: []ra.Plan{seed, base}}
+	case 1:
+		return ra.Compose{L: witnessed(ra.Fix{Seed: base}), R: ra.Fix{Seed: base}}
+	case 2:
+		ds := ra.DescScan{From: rel, To: rel, Alt: ra.Fix{Seed: base},
+			Start: ra.Compose{L: witnessed(base), R: ra.Fix{Seed: base}}}
+		if r.Intn(2) == 0 {
+			ds.End = any()
+		}
+		return ds
+	case 3:
+		seed = ra.UnionAll{Kids: []ra.Plan{base, ra.IdentOf{Child: seed, OnF: r.Intn(2) == 0}}}
+	case 4:
+		seed = ra.UnionAll{Kids: []ra.Plan{base, ra.Compose{L: seed, R: base}}}
+	}
+	fx := ra.Fix{Seed: seed}
+	if r.Intn(2) == 0 {
+		fx.Start = any()
+	}
+	if r.Intn(2) == 0 {
+		fx.End = any()
+	}
+	return fx
+}
+
+// materializations lists every relation the view maintains, keyed by the
+// path of its operator node: statement name, then child indexes.
+func (vs *ViewState) materializations() map[string]*Relation {
+	out := map[string]*Relation{}
+	var walk func(path string, n *viewNode)
+	walk = func(path string, n *viewNode) {
+		if n.out != nil {
+			out[path] = n.out
+		}
+		if n.aux != nil {
+			out[path+" aux"] = n.aux
+		}
+		for i, k := range n.kids {
+			walk(fmt.Sprintf("%s.%d", path, i), k)
+		}
+	}
+	for name, st := range vs.stmts {
+		walk(name, st.root)
+	}
+	return out
+}
+
+// checkAgainstFreshBuild compares a maintained view with a fresh build on the
+// same epoch: every operator node's materialization, aux closures included,
+// compacted and equal as (F, T, V) sets — an answer can stay right over a
+// wrong materialization for many steps — and the published delta equal to the
+// set difference of the answers.
+func checkAgainstFreshBuild(t *testing.T, label string, vs *ViewState, db *DB, p *ra.Program, prev, added, removed []int) {
+	t.Helper()
+	fresh, err := BuildViewState(db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := vs.materializations(), fresh.materializations()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d materializations, a fresh build has %d", label, len(got), len(want))
+	}
+	for path, rel := range got {
+		if rel.Tombstones() != 0 {
+			t.Fatalf("%s: %s left %d tombstones", label, path, rel.Tombstones())
+		}
+		if !sameTuples(rel.Tuples(), want[path].Tuples()) {
+			t.Fatalf("%s: materialization %s differs from a fresh build\nmaintained: %v\nfresh:      %v\n%s",
+				label, path, canonTuples(rel.Tuples()), canonTuples(want[path].Tuples()), p)
+		}
+	}
+	wantAdd, wantRem := diffIDs(prev, fresh.AnswerIDs())
+	if !sameIDs(added, wantAdd) || !sameIDs(removed, wantRem) {
+		t.Fatalf("%s: published (+%v, -%v), the answers differ by (+%v, -%v)\n%s", label, added, removed, wantAdd, wantRem, p)
+	}
+}
+
+// TestViewWalkEveryMaterialization is the delta rules' own oracle. Random
+// monotone programs — every operator, Semijoin, IdentOf on F, Fix and DescScan
+// with pushed End constraints, Φ over composed and semijoined seeds, shared
+// Temp statements — are walked through interleaved inserts and subtree deletes
+// over random forests, once with DescScan on the interval kernel (what
+// IntervalAuto picks on an encoded database) and once on its fixpoint
+// alternative (what IntervalOff runs); then, from the epoch the walk reached,
+// every single subtree delete is tried on a view of its own. No maintenance
+// call may fail, and after each the view must pass checkAgainstFreshBuild.
+// Disabling any one re-derivation probe of shrink/fixShrink (a lostKeys test,
+// a joins probe, the UnionAll pair probe, Φ's put-back or either of its
+// fixRounds) fails it.
+func TestViewWalkEveryMaterialization(t *testing.T) {
+	for _, mode := range []string{"interval kernel", "fixpoint alternative"} {
+		t.Run(mode, func(t *testing.T) {
+			var applies, kernelNodes, auxNodes, retracted int
+			for seed := int64(0); seed < 600; seed++ {
+				r := rand.New(rand.NewSource(seed))
+				nRels := 1 + r.Intn(3)
+				td := forestDoc(makeForest(r, 5+r.Intn(14), 1+r.Intn(2), nRels))
+				p := randTreeProgram(r, nRels, true)
+				if seed%4 != 0 {
+					var temps []string
+					for _, st := range p.Stmts {
+						temps = append(temps, st.Name)
+					}
+					p.Stmts = append(p.Stmts, ra.Stmt{Name: "multi", Plan: multiDerivationPlan(r, nRels, temps)})
+					p.Result = "multi"
+				}
+				if mode == "fixpoint alternative" {
+					p.DTDFP = "fp-of-another-dtd" // the kernel's soundness gate fails
+				}
+				build := func() *ViewState {
+					vs, err := BuildViewState(td.db, p)
+					if err != nil || vs.opaque {
+						t.Fatalf("seed %d: build: opaque=%v err=%v\n%s", seed, vs != nil && vs.opaque, err, p)
+					}
+					return vs
+				}
+				vs := build()
+				vs.eachNode(func(n *viewNode) {
+					if n.useFast {
+						kernelNodes++
+					}
+					if n.aux != nil {
+						auxNodes++
+					}
+				})
+				for step := 0; step < 8; step++ {
+					prev := vs.AnswerIDs()
+					var added, removed []int
+					var err error
+					if r.Intn(5) < 2 && td.db.NumNodes() > 1 {
+						root := nodeIDs(td.db)[1+r.Intn(td.db.NumNodes()-1)]
+						db2, deleted := td.delSubtree(root)
+						removed, err = vs.ApplyDelete(db2, td.db, root, deleted)
+						td.db = db2
+					} else {
+						db2, bd := td.insert(r)
+						added, err = vs.ApplyInsert(db2, bd)
+						td.db = db2
+					}
+					label := fmt.Sprintf("seed %d step %d", seed, step)
+					if err != nil {
+						t.Fatalf("%s: %v\n%s", label, err, p)
+					}
+					applies++
+					retracted += len(removed)
+					checkAgainstFreshBuild(t, label, vs, td.db, p, prev, added, removed)
+				}
+				for _, root := range nodeIDs(td.db)[1:] {
+					vs := build()
+					prev := vs.AnswerIDs()
+					db2, deleted := td.delSubtree(root)
+					label := fmt.Sprintf("seed %d, after the walk, step delete %d", seed, root)
+					removed, err := vs.ApplyDelete(db2, td.db, root, deleted)
+					if err != nil {
+						t.Fatalf("%s: %v\n%s", label, err, p)
+					}
+					applies++
+					checkAgainstFreshBuild(t, label, vs, db2, p, prev, nil, removed)
+				}
+			}
+			t.Logf("%d applies, %d kernel scans, %d filtered closures, %d answers retracted", applies, kernelNodes, auxNodes, retracted)
+			if (kernelNodes > 0) != (mode == "interval kernel") || auxNodes == 0 || retracted == 0 {
+				t.Fatalf("sample misses a path: %d kernel scans, %d filtered closures, %d answers retracted", kernelNodes, auxNodes, retracted)
+			}
+		})
+	}
+}
+
 // TestViewOpaqueFallback: non-monotone plans must classify as opaque and
 // still maintain exact answers through Rebuild diffs.
 func TestViewOpaqueFallback(t *testing.T) {
@@ -568,8 +775,8 @@ func TestViewClassification(t *testing.T) {
 		t.Fatal("plain fixpoint should be fully maintainable")
 	}
 	vs = mk(ra.Semijoin{L: ra.Base{Rel: "R0"}, R: ra.Base{Rel: "R1"}})
-	if !vs.Insertable() || vs.Deletable() {
-		t.Fatal("semijoin: insertable but not deletable")
+	if !vs.Insertable() || !vs.Deletable() {
+		t.Fatal("semijoin: monotone, so insertable and deletable")
 	}
 	vs = mk(ra.SelectVal{Child: ra.Base{Rel: "R0"}, Val: "a"})
 	if vs.TextImmune() {

@@ -286,6 +286,20 @@ func (d *descIndex) rangeOf(begin, end int64) (lo, hi int) {
 	return lo, hi
 }
 
+// descendants visits the rows whose T node lies strictly inside (begin, end) —
+// the typed proper descendants of the node owning that interval — and, when
+// endIdx is given, is a key of it. This is the interval kernel's one loop: the
+// executor runs it per source node, folding serially or buffering per morsel,
+// and a view runs it for a source an insert admits.
+func (d *descIndex) descendants(begin, end int64, endIdx *colIndex, visit func(to row)) {
+	lo, hi := d.rangeOf(begin, end)
+	for _, to := range d.rows[lo:hi] {
+		if endIdx == nil || endIdx.contains(to.t) {
+			visit(to)
+		}
+	}
+}
+
 // runOf returns the index slice [lo, hi) of nodes whose begin lies in the
 // half-open interval [begin, end) — the owner of the interval included.
 func (d *descIndex) runOf(begin, end int64) (lo, hi int) {

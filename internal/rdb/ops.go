@@ -18,9 +18,9 @@ import (
 //     temporaries from the request arena.
 //   - ViewState (delta.go) pushes: it keeps every operator's output
 //     materialized, builds the tree bottom-up through apply, and advances it
-//     under inserts with Δ rules — which, for an operator that distributes
-//     over ∪ in an operand, are apply again with that operand replaced by its
-//     delta.
+//     under inserts and deletes with Δ rules — which, for an operator that
+//     distributes over ∪ in an operand, are apply again with that operand
+//     replaced by its delta.
 //
 // naive.go is deliberately not a third driver: it is the independent oracle
 // the differential suites compare both against.
@@ -659,16 +659,10 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 	n := len(srcs)
 	if workers := e.parWorkers(n); workers > 1 {
 		scan := func(lo, hi int, buf []cand) []cand {
-			for i := lo; i < hi; i++ {
-				x := srcs[i]
-				jlo, jhi := toIdx.rangeOf(x.begin, x.end)
-				for j := jlo; j < jhi; j++ {
-					to := toIdx.rows[j]
-					if endIdx != nil && !endIdx.contains(to.t) {
-						continue
-					}
+			for _, x := range srcs[lo:hi] {
+				toIdx.descendants(x.begin, x.end, endIdx, func(to row) {
 					buf = append(buf, cand{out: row{f: x.id, t: to.t, v: to.v}})
-				}
+				})
 			}
 			return buf
 		}
@@ -688,16 +682,11 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 	// A serial scan folds matches straight into the output, in the same
 	// order, with no candidate buffer.
 	for _, x := range srcs {
-		jlo, jhi := toIdx.rangeOf(x.begin, x.end)
-		for j := jlo; j < jhi; j++ {
-			to := toIdx.rows[j]
-			if endIdx != nil && !endIdx.contains(to.t) {
-				continue
-			}
+		toIdx.descendants(x.begin, x.end, endIdx, func(to row) {
 			if out.addRow(row{f: x.id, t: to.t, v: to.v}) {
 				e.Stats.TuplesOut++
 			}
-		}
+		})
 	}
 	return out, nil
 }

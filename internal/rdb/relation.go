@@ -240,22 +240,29 @@ func (r *Relation) isDead(i int) bool {
 // write side of the store's copy-on-write epochs: deletes run on private
 // clones and every published relation is compacted.
 func (r *Relation) Delete(f, t int) bool {
-	if !r.set.remove(packPair(int32(f), int32(t))) {
-		return false
+	_, ok := r.take(int32(f), int32(t))
+	return ok
+}
+
+// take is Delete handing back the row it tombstoned.
+func (r *Relation) take(f, t int32) (row, bool) {
+	if !r.set.remove(packPair(f, t)) {
+		return row{}, false
 	}
 	pos := -1
-	for _, p := range r.ByT(t) {
-		w := r.rows[p]
-		if w.t == int32(t) && w.f == int32(f) && !r.isDead(int(p)) {
-			pos = int(p)
-			break
+	snap, over := r.tIndex().lookup(t)
+	for _, part := range [2][]int32{snap, over} {
+		for _, p := range part {
+			if w := r.rows[p]; w.t == t && w.f == f && !r.isDead(int(p)) {
+				pos = int(p)
+			}
 		}
 	}
 	if pos < 0 {
 		// The pair set said present, so a live row must exist; scan as a
 		// belt-and-braces fallback (e.g. an index keyed before a Compact).
 		for i, w := range r.rows {
-			if w.t == int32(t) && w.f == int32(f) && !r.isDead(i) {
+			if w.t == t && w.f == f && !r.isDead(i) {
 				pos = i
 				break
 			}
@@ -263,8 +270,8 @@ func (r *Relation) Delete(f, t int) bool {
 	}
 	if pos < 0 {
 		// Inconsistent set/rows state; undo the set removal.
-		r.set.insert(packPair(int32(f), int32(t)))
-		return false
+		r.set.insert(packPair(f, t))
+		return row{}, false
 	}
 	if r.dead == nil {
 		r.dead = make([]bool, len(r.rows))
@@ -274,9 +281,9 @@ func (r *Relation) Delete(f, t int) bool {
 	r.dead[pos] = true
 	r.nDead++
 	if r.paths != nil {
-		delete(r.paths, packPair(int32(f), int32(t)))
+		delete(r.paths, packPair(f, t))
 	}
-	return true
+	return r.rows[pos], true
 }
 
 // UpdateValue replaces the V attribute of the live tuple (f, t), reporting

@@ -26,7 +26,7 @@ import (
 //
 //  1. Maintenance vs full re-execution: for each standing query, every
 //     single-subtree update is applied to a materialized rdb.ViewState
-//     (delta-seeded semi-naive insert, interval-pruned delete, or the
+//     (delta-seeded semi-naive insert, delete-and-re-derive delete, or the
 //     rebuild fallback — whatever the maintenance matrix selects) and, for
 //     comparison, the answer is recomputed from scratch through the normal
 //     serving path on the same epoch. The ratio is the payoff of standing
@@ -40,9 +40,10 @@ import (
 var watchSubLevels = []int{1, 4, 16}
 
 // watchQueries is the serving mix plus one child-axis path: the descendant
-// queries carry a pushed end constraint and so fall in the rebuild-on-delete
-// class, while dept/course/prereq/course is deletable and exercises
-// interval-pruned delete maintenance.
+// queries carry a pushed end constraint, which a delete maintains by dropping
+// the pairs anchored at an end node that lost its last witness, while
+// dept/course/prereq/course is a chain of joins whose candidates are probed
+// for a surviving derivation.
 var watchQueries = append(append([]string{}, serveQueries...), "dept/course/prereq/course")
 
 // WatchMaintResult compares incremental maintenance against full
@@ -219,10 +220,8 @@ func watchMaintain(eng *xpath2sql.Engine, st *store.Store, query string, updates
 	ins := WatchMaintResult{Query: query, Op: "insert", Updates: updates}
 	del := WatchMaintResult{Query: query, Op: "delete", Updates: updates}
 	var insInc, insFull, delInc, delFull time.Duration
-	// All inserts first, then the matching deletes: interleaving would make
-	// every non-deletable view's rebuild (on the delete) discard the memo
-	// indexes the next insert probes, charging steady-state insert
-	// maintenance with a cold-start penalty on each sample.
+	// All inserts first, then the matching deletes, oldest first: the view
+	// grows to its largest before the first delete compacts it.
 	roots := make([]int, 0, updates)
 	for i := 0; i < updates; i++ {
 		ur, err := st.InsertSubtree(1, storeFragment)

@@ -155,6 +155,55 @@ func TestWatchSSEStream(t *testing.T) {
 	}
 }
 
+// TestWatchRerunReasonsExposed: /metrics says why a view fell back to full
+// re-evaluation. Three views take an insert, a text update and a delete: the
+// monotone, text-immune one absorbs all three as deltas; the value-selecting
+// one reruns on the text update only; the negated one reruns on both structural
+// updates and shrugs off the text update. No delete on a monotone plan reruns.
+func TestWatchRerunReasonsExposed(t *testing.T) {
+	s, _ := newLiveServer(t, "", nil)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	var streams []*sseStream
+	for _, q := range []string{"dept//course", "dept//cno[text()='cs11x']", "dept/course[not(prereq/course)]"} {
+		stream := openSSE(t, ts.URL, q)
+		if snap := stream.next(t); snap.Type != xpath2sql.WatchSnapshot {
+			t.Fatalf("%s: first event = %+v, want snapshot", q, snap)
+		}
+		streams = append(streams, stream)
+	}
+	ins := doUpdate(t, ts.URL, updateRequest{Op: "insert_subtree", Parent: 1, Fragment: watchCourseFragment})
+	doUpdate(t, ts.URL, updateRequest{Op: "update_text", Node: 3, Value: "cs11x"})
+	del := doUpdate(t, ts.URL, updateRequest{Op: "delete_subtree", Node: ins.NodeID})
+	for _, stream := range streams {
+		for stream.next(t).Epoch < del.Epoch {
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for _, metric := range []string{
+		"xpathd_watch_maintained_total 6",
+		"xpathd_watch_reruns_total 3",
+		`xpathd_watch_reruns_by_reason_total{reason="non_monotone"} 2`,
+		`xpathd_watch_reruns_by_reason_total{reason="text"} 1`,
+		`xpathd_watch_reruns_by_reason_total{reason="epoch_gap"} 0`,
+		`xpathd_watch_reruns_by_reason_total{reason="error"} 0`,
+	} {
+		if !strings.Contains(out.String(), metric+"\n") {
+			t.Fatalf("metrics missing %q:\n%s", metric, out.String())
+		}
+	}
+}
+
 // TestWatchPoll: the long-poll fallback returns the snapshot immediately
 // and picks up deltas that land within its wait window; a second poll
 // re-anchors at a fresh snapshot that includes the change.
