@@ -1,6 +1,6 @@
 // Command xpathd is the query service daemon: it loads a DTD, builds a live
 // document store — booting from a snapshot + WAL tail when one exists, or by
-// parsing/shredding (or generating) a document otherwise — wraps it in an
+// stream-shredding (or generating) a document otherwise — wraps it in an
 // Engine (plan cache, limits, morsel parallelism) and serves XPath queries
 // and updates over HTTP via internal/server.
 //
@@ -139,15 +139,35 @@ func main() {
 	}
 }
 
-// loadDocument builds the document to serve from -xml or -gen.
-func loadDocument(o options, d *xpath2sql.DTD) (*xpath2sql.Document, error) {
+// loadSeed builds the database a fresh boot serves, rebased to
+// -node-id-base. -xml is shredded in one streaming pass over the file, so
+// neither the document text nor an element tree is held; -gen generates in
+// memory.
+func loadSeed(o options, d *xpath2sql.DTD) (*xpath2sql.DB, error) {
+	var db *xpath2sql.DB
 	if o.xmlPath != "" {
-		xsrc, err := os.ReadFile(o.xmlPath)
+		f, err := os.Open(o.xmlPath)
 		if err != nil {
 			return nil, err
 		}
-		return xpath2sql.ParseXML(string(xsrc))
+		defer f.Close()
+		if db, err = xpath2sql.StreamShred(f, d, xpath2sql.ShredStreamOptions{}); err != nil {
+			return nil, fmt.Errorf("%s: %w", o.xmlPath, err)
+		}
+	} else {
+		doc, err := generate(o, d)
+		if err != nil {
+			return nil, err
+		}
+		if db, err = xpath2sql.Shred(doc, d); err != nil {
+			return nil, err
+		}
 	}
+	return cluster.Rebase(d, db, o.nodeIDBase)
+}
+
+// generate builds the synthetic -gen document.
+func generate(o options, d *xpath2sql.DTD) (*xpath2sql.Document, error) {
 	if o.gen <= 0 {
 		flag.Usage()
 		return nil, errors.New("one of -xml or -gen is required")
@@ -205,14 +225,7 @@ func boot(o options, d *xpath2sql.DTD) (*store.Store, error) {
 			flag.Usage()
 			return nil, errors.New("one of -xml, -gen or -snapshot is required (or a -wal-dir with prior state)")
 		}
-		doc, err := loadDocument(o, d)
-		if err != nil {
-			return nil, err
-		}
-		if seed, err = xpath2sql.Shred(doc, d); err != nil {
-			return nil, err
-		}
-		if seed, err = cluster.Rebase(d, seed, o.nodeIDBase); err != nil {
+		if seed, err = loadSeed(o, d); err != nil {
 			return nil, err
 		}
 	}
@@ -239,7 +252,7 @@ func boot(o options, d *xpath2sql.DTD) (*store.Store, error) {
 		log.Printf("booted from snapshot %s + WAL replay: %d nodes, epoch %d, lsn %d (%v)",
 			src, ep.DB.NumNodes(), ep.Seq, ep.LSN, time.Since(start).Round(time.Millisecond))
 	} else {
-		log.Printf("booted from document parse+shred: %d nodes (%v)",
+		log.Printf("booted from document: %d nodes (%v)",
 			ep.DB.NumNodes(), time.Since(start).Round(time.Millisecond))
 	}
 	return st, nil
@@ -310,15 +323,8 @@ func run(o options) error {
 		if o.walDir != "" || o.snapshot != "" {
 			return errors.New("-backend sql is read-only: -wal-dir and -snapshot are not supported")
 		}
-		doc, err := loadDocument(o, d)
+		db, err := loadSeed(o, d)
 		if err != nil {
-			return err
-		}
-		db, err := xpath2sql.Shred(doc, d)
-		if err != nil {
-			return err
-		}
-		if db, err = cluster.Rebase(d, db, o.nodeIDBase); err != nil {
 			return err
 		}
 		be, err := xpath2sql.OpenSQLBackend(context.Background(), o.sqlDriver, o.sqlDSN)

@@ -19,9 +19,6 @@ type Local struct {
 	closed bool
 }
 
-// NewLocal returns an empty Local backend; Load it before executing.
-func NewLocal() *Local { return &Local{} }
-
 // NewLocalDB returns a Local backend pre-loaded with db at epoch 1.
 func NewLocalDB(db *rdb.DB) *Local {
 	return &Local{db: db, epoch: 1}

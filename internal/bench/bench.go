@@ -63,9 +63,6 @@ type Config struct {
 	// prints the per-row breakdown (the most expensive statements) under
 	// each table row.
 	Trace bool
-	// CacheSize bounds the plan cache of the cache experiment (ExpCache);
-	// <= 0 selects the engine default.
-	CacheSize int
 }
 
 func (c Config) printf(format string, args ...any) {

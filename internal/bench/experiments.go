@@ -398,8 +398,5 @@ func RunAll(c Config) error {
 	if _, err := Exp5(c); err != nil {
 		return fmt.Errorf("exp5: %w", err)
 	}
-	if _, err := ExpCache(c); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,25 +196,6 @@ func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
 // Mode returns the configured partial-failure policy.
 func (c *Cluster) Mode() ReadMode { return c.cfg.Mode }
-
-// DocRoots lists the document roots currently in the routing directory's
-// seed ranges, ascending — the population document-scoped load generators
-// sample from.
-func (c *Cluster) DocRoots() []int {
-	var roots []int
-	seen := map[int]bool{}
-	for _, sh := range c.shards {
-		db := sh.primary.View().DB
-		db.EachNode(func(id int) {
-			if db.Parent(id) == 0 && !seen[id] {
-				seen[id] = true
-				roots = append(roots, id)
-			}
-		})
-	}
-	sort.Ints(roots)
-	return roots
-}
 
 // shardResult is one shard's contribution to a scatter.
 type shardResult struct {

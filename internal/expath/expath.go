@@ -395,15 +395,6 @@ func MkStar(e Expr) Expr {
 	return Star{E: e}
 }
 
-// MkUnionAll folds MkUnion over a list (∅ for the empty list).
-func MkUnionAll(items []Expr) Expr {
-	var out Expr = Zero{}
-	for _, it := range items {
-		out = MkUnion(out, it)
-	}
-	return out
-}
-
 // MkQual builds E[q], simplifying statically-decided qualifiers:
 // E[⊤] = E and E[⊥] = ∅ (XPathToEXp case 7).
 func MkQual(e Expr, q Qual) Expr {

@@ -9,15 +9,9 @@ import (
 
 // This file retains the seed engine verbatim in spirit: map[uint64]struct{}
 // dedup, lazy map[int][]int32 indexes invalidated on every insert, 40-byte
-// string-carrying tuples, and strictly single-threaded operators. It exists
-// for two reasons:
-//
-//  1. It is the reference of the differential property tests — the compact
-//     morsel-parallel engine must produce identical (F, T) sets on random
-//     programs.
-//  2. It is the baseline of the BENCH_rdb.json microbenchmarks — "speedup
-//     vs seed" is measured against this evaluator at run time rather than
-//     against numbers recorded on different hardware.
+// string-carrying tuples, and strictly single-threaded operators. It is the
+// oracle of the differential property tests — the compact morsel-parallel
+// engine must produce identical (F, T) sets on random programs.
 //
 // It must stay dumb. Do not optimize it.
 
@@ -131,8 +125,7 @@ func (n *NaiveResult) TIDs() []int {
 }
 
 // NaiveExec is the retained seed evaluator; see the file comment. Base
-// relations are converted out of the compact store once, on first touch
-// (Prime converts them eagerly so benchmarks can exclude the conversion).
+// relations are converted out of the compact store once, on first touch.
 type NaiveExec struct {
 	DB    *DB
 	Stats Stats
@@ -147,14 +140,6 @@ type NaiveExec struct {
 // NewNaiveExec returns a naive evaluator over the database.
 func NewNaiveExec(db *DB) *NaiveExec {
 	return &NaiveExec{DB: db, base: map[string]*naiveRel{}}
-}
-
-// Prime converts the named stored relations to the seed's tuple form ahead
-// of time, so a timed run measures evaluation, not conversion.
-func (e *NaiveExec) Prime(rels ...string) {
-	for _, name := range rels {
-		e.baseRel(name)
-	}
 }
 
 func (e *NaiveExec) baseRel(name string) *naiveRel {

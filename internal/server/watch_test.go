@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,9 +49,9 @@ func openSSE(t *testing.T, url, query string) *sseStream {
 	return &sseStream{resp: resp, sc: bufio.NewScanner(resp.Body)}
 }
 
-// next decodes one SSE message (event: + data: lines up to a blank line).
-func (s *sseStream) next(t *testing.T) xpath2sql.WatchEvent {
-	t.Helper()
+// read decodes one SSE message (event: + data: lines up to a blank line).
+func (s *sseStream) read() (xpath2sql.WatchEvent, error) {
+	var ev xpath2sql.WatchEvent
 	var data string
 	for s.sc.Scan() {
 		line := s.sc.Text()
@@ -57,15 +59,23 @@ func (s *sseStream) next(t *testing.T) xpath2sql.WatchEvent {
 		case strings.HasPrefix(line, "data: "):
 			data = strings.TrimPrefix(line, "data: ")
 		case line == "" && data != "":
-			var ev xpath2sql.WatchEvent
 			if err := json.Unmarshal([]byte(data), &ev); err != nil {
-				t.Fatalf("bad SSE data %q: %v", data, err)
+				return ev, fmt.Errorf("bad SSE data %q: %v", data, err)
 			}
-			return ev
+			return ev, nil
 		}
 	}
-	t.Fatalf("SSE stream ended early: %v", s.sc.Err())
-	return xpath2sql.WatchEvent{}
+	return ev, fmt.Errorf("SSE stream ended early: %v", s.sc.Err())
+}
+
+// next is read for the test's own goroutine: a broken stream is fatal.
+func (s *sseStream) next(t *testing.T) xpath2sql.WatchEvent {
+	t.Helper()
+	ev, err := s.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
 }
 
 // closed reports whether the stream ends without another message.
@@ -89,6 +99,20 @@ func doUpdate(t *testing.T, url string, req updateRequest) updateResponse {
 		t.Fatal(err)
 	}
 	return ur
+}
+
+func scrapeMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out bytes.Buffer
+	if _, err := out.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
 }
 
 // TestWatchSSEStream: the SSE transport delivers the snapshot and then one
@@ -139,19 +163,110 @@ func TestWatchSSEStream(t *testing.T) {
 	}
 
 	// The watch counters surface on /metrics.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	metrics := scrapeMetrics(t, ts.URL)
 	for _, metric := range []string{"xpathd_watch_subscriptions 1", "xpathd_watch_views 1", "xpathd_watch_deltas_total 3"} {
-		if !strings.Contains(out.String(), metric) {
-			t.Fatalf("metrics missing %q:\n%s", metric, out.String())
+		if !strings.Contains(metrics, metric) {
+			t.Fatalf("metrics missing %q:\n%s", metric, metrics)
 		}
+	}
+}
+
+// TestWatchFanoutDeliversEveryEpoch: sixteen concurrent SSE subscribers over
+// seven standing queries — descendant, child-axis, one value-selecting, one
+// negated, so delta-maintained and rerun views share the fan-out — each see
+// every acknowledged epoch of forty updates exactly once, in order, and never
+// a resync. Subscriber 0 is read by the writer itself, which paces the
+// updates on the hub's own output; the others read concurrently.
+func TestWatchFanoutDeliversEveryEpoch(t *testing.T) {
+	s, _ := newLiveServer(t, "", nil)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	queries := []string{
+		"dept//project", "dept//course", "dept//student", "dept//cno",
+		"dept/course/prereq/course", "dept//cno[text()='cs11x']", "dept/course[not(prereq/course)]",
+	}
+	const subscribers, updates = 16, 40
+	streams := make([]*sseStream, subscribers)
+	var base uint64
+	for i := range streams {
+		streams[i] = openSSE(t, ts.URL, queries[i%len(queries)])
+		snap := streams[i].next(t)
+		if snap.Type != xpath2sql.WatchSnapshot || snap.Resync {
+			t.Fatalf("subscriber %d: first event = %+v, want plain snapshot", i, snap)
+		}
+		base = snap.Epoch
+	}
+	// A lost delivery would leave a reader waiting for good: end the streams
+	// instead, so it fails with what it saw. Every exit path ends them too
+	// and waits for the readers, so none reports after the test is over.
+	closeStreams := func() {
+		for _, stream := range streams {
+			stream.resp.Body.Close()
+		}
+	}
+	watchdog := time.AfterFunc(30*time.Second, closeStreams)
+	seen := make([][]xpath2sql.WatchEvent, subscribers)
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		watchdog.Stop()
+		closeStreams()
+		wg.Wait()
+	})
+	for i := 1; i < subscribers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for len(seen[i]) == 0 || seen[i][len(seen[i])-1].Epoch < base+updates {
+				ev, err := streams[i].read()
+				if err != nil {
+					t.Errorf("subscriber %d after %d events: %v", i, len(seen[i]), err)
+					return
+				}
+				seen[i] = append(seen[i], ev)
+			}
+		}(i)
+	}
+
+	// Ten rounds of: insert a course, point its cno at the value the
+	// selecting view watches, point it away again, delete the course.
+	var acked []uint64
+	var course int
+	for i := 0; i < updates; i++ {
+		var req updateRequest
+		switch i % 4 {
+		case 0:
+			req = updateRequest{Op: "insert_subtree", Parent: 1, Fragment: watchCourseFragment}
+		case 1:
+			req = updateRequest{Op: "update_text", Node: course + 1, Value: "cs11x"}
+		case 2:
+			req = updateRequest{Op: "update_text", Node: course + 1, Value: "cs99"}
+		case 3:
+			req = updateRequest{Op: "delete_subtree", Node: course}
+		}
+		ur := doUpdate(t, ts.URL, req)
+		if i%4 == 0 {
+			course = ur.NodeID
+		}
+		acked = append(acked, ur.Epoch)
+		seen[0] = append(seen[0], streams[0].next(t))
+	}
+	wg.Wait()
+
+	for i, events := range seen {
+		var epochs []uint64
+		for _, ev := range events {
+			if ev.Type != xpath2sql.WatchDelta || ev.Resync {
+				t.Errorf("subscriber %d (%s): event %+v, want a plain delta", i, queries[i%len(queries)], ev)
+			}
+			epochs = append(epochs, ev.Epoch)
+		}
+		if !slices.Equal(epochs, acked) {
+			t.Errorf("subscriber %d (%s): saw epochs %v, acknowledged %v", i, queries[i%len(queries)], epochs, acked)
+		}
+	}
+	if metrics := scrapeMetrics(t, ts.URL); !strings.Contains(metrics, "xpathd_watch_resyncs_total 0\n") {
+		t.Errorf("resyncs counted:\n%s", metrics)
 	}
 }
 
@@ -181,15 +296,7 @@ func TestWatchRerunReasonsExposed(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if _, err := out.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	metrics := scrapeMetrics(t, ts.URL)
 	for _, metric := range []string{
 		"xpathd_watch_maintained_total 6",
 		"xpathd_watch_reruns_total 3",
@@ -198,8 +305,8 @@ func TestWatchRerunReasonsExposed(t *testing.T) {
 		`xpathd_watch_reruns_by_reason_total{reason="epoch_gap"} 0`,
 		`xpathd_watch_reruns_by_reason_total{reason="error"} 0`,
 	} {
-		if !strings.Contains(out.String(), metric+"\n") {
-			t.Fatalf("metrics missing %q:\n%s", metric, out.String())
+		if !strings.Contains(metrics, metric+"\n") {
+			t.Fatalf("metrics missing %q:\n%s", metric, metrics)
 		}
 	}
 }

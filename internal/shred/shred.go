@@ -347,12 +347,3 @@ func InlineShred(doc *xmltree.Document, d *dtd.DTD) (*InlineStore, error) {
 	}
 	return store, nil
 }
-
-// EdgeView reconstructs the per-type (F, T, V) database from per-type
-// shredding; provided so tests can confirm the two storage layers agree on
-// the data they share. (Inlined storage drops the node identity of inlined
-// types, which is exactly the information the paper's simplified per-type
-// mapping keeps; see DESIGN.md.)
-func EdgeView(doc *xmltree.Document, d *dtd.DTD) (*rdb.DB, error) {
-	return Shred(doc, d)
-}
