@@ -46,12 +46,9 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
 	"xpath2sql"
@@ -355,25 +352,5 @@ func run(o options) error {
 	log.Printf("serving %d nodes on http://%s (strategy=%s parallel=%d max-concurrent=%d queue-depth=%d, %s)",
 		nodes, l.Addr(), strat, eng.Parallelism(), o.maxConcurrent, o.queueDepth, mode)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(l) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("signal received; draining in-flight requests (budget %v)", o.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	log.Print("drained; bye")
-	return nil
+	return srv.Run(l, o.drainTimeout)
 }

@@ -311,6 +311,14 @@ type Answer struct {
 	IDs   []int
 	Stats ExecStats
 	Trace *Trace
+	// Epoch identifies the document version the answer was read at (0 when
+	// the backend does not know): the snapshot's, or — from a sharded backend
+	// — the oldest among the shards that answered. Degraded reports that some
+	// shard did not answer and the read mode allowed serving without it;
+	// FailedShards names them.
+	Epoch        uint64
+	Degraded     bool
+	FailedShards []string
 
 	prog  *Program
 	cache *CacheStats
@@ -407,7 +415,8 @@ func (t *Translation) executeSnap(ctx context.Context, snap BackendSnapshot) (*A
 	if err != nil {
 		return nil, err
 	}
-	ans := &Answer{IDs: res.IDs, Stats: res.Stats, Trace: trace, prog: t.res.Program}
+	ans := &Answer{IDs: res.IDs, Stats: res.Stats, Trace: trace, Epoch: max(snap.Epoch(), res.Epoch),
+		Degraded: res.Degraded, FailedShards: res.Failed, prog: t.res.Program}
 	if t.cache != nil {
 		cs := t.cache.Stats()
 		ans.cache = &cs

@@ -68,6 +68,14 @@ type ExecOptions struct {
 type Result struct {
 	IDs   []int
 	Stats rdb.Stats
+	// A sharded backend's account of the scatter, zero from any other:
+	// Degraded when some shard did not answer and the read mode allowed
+	// serving without it, Failed naming those shards, and Epoch the oldest
+	// epoch among the shards that answered — such a backend pins an epoch per
+	// execution and shard, not per Snapshot.
+	Degraded bool
+	Failed   []string
+	Epoch    uint64
 }
 
 // Snapshot is an immutable view of one loaded epoch.

@@ -13,9 +13,8 @@ import (
 // every existing execution path — Translation.ExecuteOn, the server's batch
 // handler, the differential harnesses — can run against an N-shard deployment
 // unchanged. Each Execute scatters independently (per-shard epochs are pinned
-// per call, not per Snapshot); degraded-answer metadata is available only
-// through Cluster.Exec, so serving layers that surface it call the cluster
-// directly and use this adapter for everything else.
+// per call, not per Snapshot) and reports the scatter's degraded-answer
+// metadata and watermark on its Result.
 func (c *Cluster) Backend() backend.Backend { return clusterBackend{c: c} }
 
 type clusterBackend struct{ c *Cluster }
@@ -36,18 +35,10 @@ func (b clusterBackend) Close() error { return nil }
 
 type clusterSnap struct{ c *Cluster }
 
-// Epoch reports the scatter watermark: the minimum primary epoch across
-// shards.
-func (s clusterSnap) Epoch() uint64 {
-	var min uint64
-	for i, sh := range s.c.shards {
-		p, _ := sh.Watermark()
-		if i == 0 || p < min {
-			min = p
-		}
-	}
-	return min
-}
+// Epoch is 0, "unknown": a cluster pins no epoch per Snapshot (each Execute
+// reads every shard at whatever epoch it finds there); the watermark of a
+// read is on its Result.
+func (s clusterSnap) Epoch() uint64 { return 0 }
 
 func (s clusterSnap) Execute(ctx context.Context, prog *ra.Program, opts backend.ExecOptions) (*backend.Result, error) {
 	ans, err := s.c.Exec(ctx, prog, ExecOptions{
@@ -59,7 +50,7 @@ func (s clusterSnap) Execute(ctx context.Context, prog *ra.Program, opts backend
 	if err != nil {
 		return nil, err
 	}
-	return &backend.Result{IDs: ans.IDs, Stats: ans.Stats}, nil
+	return &backend.Result{IDs: ans.IDs, Stats: ans.Stats, Degraded: ans.Degraded, Failed: ans.Failed, Epoch: ans.Watermark}, nil
 }
 
 func (s clusterSnap) Close() error { return nil }

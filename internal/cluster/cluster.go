@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"xpath2sql/internal/ra"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/store"
-	"xpath2sql/internal/xmltree"
 )
 
 // ErrDegraded reports that too few shards answered for the configured read
@@ -79,26 +79,16 @@ type Config struct {
 	// shard has not answered within this duration (0 = no hedging; failed
 	// attempts are still retried once either way).
 	HedgeAfter time.Duration
-	// MaxReplicaLag is the staleness bound: replicas more than this many
-	// epochs behind their primary are skipped for reads. Default 64.
-	MaxReplicaLag uint64
-	// MaxConcurrentPerShard bounds concurrent executions per shard
-	// (the per-shard admission semaphore; 0 = 4).
-	MaxConcurrentPerShard int
-	// Workers is the default intra-query parallelism per shard execution.
-	Workers int
-	// Limits is the default resource bound per shard execution.
-	Limits obs.Limits
 	// Intervals selects the physical path for descendant steps.
 	Intervals rdb.IntervalMode
 }
 
-// ExecOptions configures one routed execution. Zero values inherit the
-// cluster defaults.
+// ExecOptions configures one routed execution.
 type ExecOptions struct {
-	// Workers overrides Config.Workers for this run.
+	// Workers is the intra-query parallelism of each in-process shard
+	// execution (<= 1 is serial).
 	Workers int
-	// Limits overrides Config.Limits for this run when non-zero.
+	// Limits bounds each in-process shard execution.
 	Limits obs.Limits
 	// Trace, when non-nil, receives the per-shard statement events (summed
 	// per statement across shards) plus one gather event per shard.
@@ -129,21 +119,37 @@ type Answer struct {
 	ReplicaReads int
 }
 
-// Cluster is an N-shard deployment of the engine with router-side global
-// node-ID allocation. Build with Open; it is safe for concurrent use.
+// Cluster is the router over N shards: it sends a translated program to the
+// shard that owns the document, or to all of them and merges the node-ID
+// sets, and sends a write to the shard that owns the node. Open builds it over
+// in-process shards with router-side global node-ID allocation, Connect over a
+// running xpathd fleet; it is safe for concurrent use.
 type Cluster struct {
 	cfg    Config
-	shards []*Shard
+	shards []*routedShard
 	dir    *directory
 
-	mu     sync.Mutex // serializes writes and the global ID allocator
-	nextID int
+	// Open only: the router allocates node IDs, from nextID, and serializes
+	// writes to do so. Under Connect each shard allocates inside its own range.
+	allocates bool
+	mu        sync.Mutex
+	nextID    int
 
 	scatters   atomic.Int64
 	docQueries atomic.Int64
 	updates    atomic.Int64
 	degraded   atomic.Int64
-	failures   atomic.Int64
+}
+
+// routedShard is a shard as the router sees it: the client, the name answers
+// and metrics report it by, and the router's own counters for it.
+type routedShard struct {
+	shardClient
+	name string
+
+	queries  atomic.Int64
+	failures atomic.Int64
+	hedges   atomic.Int64
 }
 
 // Open splits the collection across cfg.Shards primaries under the placement
@@ -161,9 +167,6 @@ func Open(cfg Config, collection *rdb.DB) (*Cluster, error) {
 	if cfg.Placement == nil {
 		cfg.Placement = HashPlacement{}
 	}
-	if cfg.MaxReplicaLag == 0 {
-		cfg.MaxReplicaLag = 64
-	}
 	parts, owner, err := SplitCollection(cfg.DTD, collection, cfg.Shards, cfg.Placement)
 	if err != nil {
 		return nil, err
@@ -174,16 +177,15 @@ func Open(cfg Config, collection *rdb.DB) (*Cluster, error) {
 			next = id + 1
 		}
 	}
-	c := &Cluster{cfg: cfg, dir: buildDirectory(owner), nextID: next}
+	c := &Cluster{cfg: cfg, dir: buildDirectory(owner), allocates: true, nextID: next}
 	for i, db := range parts {
-		sh, err := newShard(i, cfg.DTD, db, cfg.Replicas, cfg.MaxConcurrentPerShard, next)
+		name := fmt.Sprintf("shard%d", i)
+		sh, err := newShard(name, cfg.DTD, db, cfg.Replicas, next)
 		if err != nil {
-			for _, prev := range c.shards {
-				prev.close()
-			}
+			c.Close()
 			return nil, err
 		}
-		c.shards = append(c.shards, sh)
+		c.shards = append(c.shards, &routedShard{shardClient: sh, name: name})
 	}
 	return c, nil
 }
@@ -191,21 +193,17 @@ func Open(cfg Config, collection *rdb.DB) (*Cluster, error) {
 // Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.shards) }
 
-// Shard returns shard i — the failure-injection seam the kill tests use.
-func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
-
-// Mode returns the configured partial-failure policy.
-func (c *Cluster) Mode() ReadMode { return c.cfg.Mode }
+// Shard returns in-process shard i — the failure-injection seam the kill
+// tests use on a cluster built by Open.
+func (c *Cluster) Shard(i int) *Shard { return c.shards[i].shardClient.(*Shard) }
 
 // shardResult is one shard's contribution to a scatter.
 type shardResult struct {
-	shard       *Shard
-	res         *backend.Result
-	epoch       *store.Epoch
-	fromReplica bool
-	trace       *obs.Trace
-	elapsed     time.Duration
-	err         error
+	shard   *routedShard
+	ans     shardAnswer
+	trace   *obs.Trace
+	elapsed time.Duration
+	err     error
 }
 
 // Exec routes one translated program: to the owner shard when opts.Doc is
@@ -224,7 +222,7 @@ func (c *Cluster) Exec(ctx context.Context, prog *ra.Program, opts ExecOptions) 
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
 		wg.Add(1)
-		go func(i int, sh *Shard) {
+		go func(i int, sh *routedShard) {
 			defer wg.Done()
 			results[i] = c.execShard(ctx, sh, prog, opts)
 		}(i, sh)
@@ -233,25 +231,16 @@ func (c *Cluster) Exec(ctx context.Context, prog *ra.Program, opts ExecOptions) 
 
 	var parts [][]int
 	ans := &Answer{}
-	answered := 0
 	for i := range results {
 		r := &results[i]
 		if r.err != nil {
-			r.shard.failures.Add(1)
 			ans.Failed = append(ans.Failed, r.shard.name)
 			continue
 		}
-		answered++
-		parts = append(parts, r.res.IDs)
-		ans.Stats.Add(r.res.Stats)
-		if r.fromReplica {
-			ans.ReplicaReads++
-		}
-		if ans.Watermark == 0 || r.epoch.Seq < ans.Watermark {
-			ans.Watermark = r.epoch.Seq
-		}
+		parts = append(parts, r.ans.ids)
+		ans.absorb(r.ans, len(parts) == 1)
 	}
-	if err := c.judge(answered, results, ans); err != nil {
+	if err := c.judge(results, ans); err != nil {
 		return nil, err
 	}
 	ans.IDs = mergeSorted(parts)
@@ -261,44 +250,54 @@ func (c *Cluster) Exec(ctx context.Context, prog *ra.Program, opts ExecOptions) 
 	return ans, nil
 }
 
+// absorb accounts one shard's answer; the watermark is the oldest epoch read.
+func (a *Answer) absorb(sa shardAnswer, first bool) {
+	a.Stats.Add(sa.stats)
+	if sa.fromReplica {
+		a.ReplicaReads++
+	}
+	if first || sa.epoch < a.Watermark {
+		a.Watermark = sa.epoch
+	}
+}
+
+// tolerates reports whether the read mode serves with only this many of the
+// shards answering: all of them under ReadStrict, a majority under
+// ReadQuorum, one under ReadBestEffort.
+func (c *Cluster) tolerates(answering int) bool {
+	switch c.cfg.Mode {
+	case ReadQuorum:
+		return answering >= len(c.shards)/2+1
+	case ReadBestEffort:
+		return answering >= 1
+	}
+	return answering == len(c.shards)
+}
+
 // judge applies the read mode to the scatter outcome: it decides between a
 // full answer, a degraded one, and a typed ErrDegraded failure. The first
-// shard error is attached so limit and cancellation causes stay inspectable.
-func (c *Cluster) judge(answered int, results []shardResult, ans *Answer) error {
-	missed := len(c.shards) - answered
+// shard error is attached so the cause stays inspectable.
+func (c *Cluster) judge(results []shardResult, ans *Answer) error {
+	missed := len(ans.Failed)
 	if missed == 0 {
 		return nil
 	}
 	var firstErr error
 	for i := range results {
-		if results[i].err != nil {
-			firstErr = results[i].err
-			break
+		err := results[i].err
+		// The request's own fault is reported as such regardless of mode (a
+		// degraded answer would silently drop the very shards the query
+		// overloads).
+		if err != nil && requestFault(err) {
+			return err
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	// A deterministic resource-limit trip is the query's fault, not a shard
-	// failure: report it as such regardless of mode (a degraded answer would
-	// silently drop the very shards the query overloads).
-	var le *obs.LimitError
-	if errors.As(firstErr, &le) {
-		return firstErr
-	}
-	fail := func() error {
-		c.failures.Add(int64(missed))
+	if !c.tolerates(len(c.shards) - missed) {
 		return fmt.Errorf("%w: %d of %d shards missing (%s), mode %s: %v",
-			ErrDegraded, missed, len(c.shards), joinNames(ans.Failed), c.cfg.Mode, firstErr)
-	}
-	switch c.cfg.Mode {
-	case ReadStrict:
-		return fail()
-	case ReadQuorum:
-		if answered < len(c.shards)/2+1 {
-			return fail()
-		}
-	case ReadBestEffort:
-		if answered == 0 {
-			return fail()
-		}
+			ErrDegraded, missed, len(c.shards), strings.Join(ans.Failed, ", "), c.cfg.Mode, firstErr)
 	}
 	ans.Degraded = true
 	c.degraded.Add(1)
@@ -314,33 +313,38 @@ func (c *Cluster) execDoc(ctx context.Context, prog *ra.Program, opts ExecOption
 	if !ok {
 		return nil, fmt.Errorf("%w: document root %d is not in the cluster directory", store.ErrUnknownNode, opts.Doc)
 	}
-	sh := c.shards[shardID]
-	r := c.execShard(ctx, sh, prog, opts)
+	r := c.execShard(ctx, c.shards[shardID], prog, opts)
 	if r.err != nil {
 		if errors.Is(r.err, rdb.ErrNotDocumentRoot) {
 			// The request named a node that is no document: its fault, not
 			// the shard's.
 			return nil, fmt.Errorf("%w: %v", store.ErrUnknownNode, r.err)
 		}
-		sh.failures.Add(1)
-		c.failures.Add(1)
 		return nil, r.err
 	}
-	ans := &Answer{IDs: r.res.IDs, Stats: r.res.Stats, Watermark: r.epoch.Seq}
-	if r.fromReplica {
-		ans.ReplicaReads = 1
-	}
+	ans := &Answer{IDs: r.ans.ids}
+	ans.absorb(r.ans, true)
 	if opts.Trace != nil {
 		gatherTrace(opts.Trace, []shardResult{r})
 	}
 	return ans, nil
 }
 
-// execShard runs the program on one shard with a per-shard timeout, one
-// retry on a retryable failure, and an optional hedged second attempt racing
-// the first after HedgeAfter.
-func (c *Cluster) execShard(ctx context.Context, sh *Shard, prog *ra.Program, opts ExecOptions) shardResult {
+// execShard is tryShard, counted: the query on the shard, and the failure if
+// it is the shard's.
+func (c *Cluster) execShard(ctx context.Context, sh *routedShard, prog *ra.Program, opts ExecOptions) shardResult {
 	sh.queries.Add(1)
+	r := c.tryShard(ctx, sh, prog, opts)
+	if r.err != nil && !requestFault(r.err) {
+		sh.failures.Add(1)
+	}
+	return r
+}
+
+// tryShard runs the program on one shard with a per-shard timeout, one retry
+// on a retryable failure, and an optional hedged second attempt racing the
+// first after HedgeAfter.
+func (c *Cluster) tryShard(ctx context.Context, sh *routedShard, prog *ra.Program, opts ExecOptions) shardResult {
 	sctx := ctx
 	if c.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
@@ -355,16 +359,14 @@ func (c *Cluster) execShard(ctx context.Context, sh *Shard, prog *ra.Program, op
 			if opts.Trace != nil {
 				trace = &obs.Trace{}
 			}
-			beOpts := backend.ExecOptions{
-				Workers:   pick(opts.Workers, c.cfg.Workers),
-				Limits:    pickLimits(opts.Limits, c.cfg.Limits),
+			ans, err := sh.exec(sctx, prog, attempt, backend.ExecOptions{
+				Workers:   opts.Workers,
+				Limits:    opts.Limits,
 				Trace:     trace,
 				Intervals: c.cfg.Intervals,
 				Doc:       opts.Doc,
-			}
-			res, epoch, fromReplica, err := sh.exec(sctx, prog, c.cfg.MaxReplicaLag, attempt, beOpts)
-			attempts <- shardResult{shard: sh, res: res, epoch: epoch, fromReplica: fromReplica,
-				trace: trace, elapsed: time.Since(t0), err: err}
+			})
+			attempts <- shardResult{shard: sh, ans: ans, trace: trace, elapsed: time.Since(t0), err: err}
 		}()
 	}
 	launch(0)
@@ -402,15 +404,20 @@ func (c *Cluster) execShard(ctx context.Context, sh *Shard, prog *ra.Program, op
 	return <-attempts
 }
 
-// retryable reports whether a shard failure may succeed on another read
-// target. Deterministic outcomes — resource limits, caller cancellation —
-// are returned as-is.
-func retryable(err error) bool {
+// requestFault reports a shard outcome that is the request's doing, not the
+// shard's, and would reproduce on any read target: a resource-limit trip, a
+// node that is no document, a remote shard's 4xx. It is not retried, not
+// degraded around and not counted against the shard.
+func requestFault(err error) bool {
 	var le *obs.LimitError
-	if errors.As(err, &le) {
-		return false
-	}
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
+	var se *ShardError
+	return errors.As(err, &le) || errors.As(err, &se) || errors.Is(err, rdb.ErrNotDocumentRoot)
+}
+
+// retryable reports whether a shard failure may succeed on another read
+// target: not the request's own fault, not the caller's cancellation.
+func retryable(err error) bool {
+	return !requestFault(err) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
 
 // UpdateRequest is one routed write.
@@ -422,54 +429,76 @@ type UpdateRequest struct {
 	Value    string // update_text: new value
 }
 
-// Update routes one write to the owning shard. Inserts allocate their node
-// IDs from the router's global counter — the same sequence a single store
-// over the whole collection would assign — and extend the routing directory
-// with the new range. Writes are serialized cluster-wide; a write to a
-// downed shard returns ErrShardDown.
+// Update routes one write to the shard owning its target node. Under Open an
+// insert takes its node IDs from the router's global counter — the same
+// sequence a single store over the whole collection would assign — and writes
+// are serialized cluster-wide; under Connect the owner allocates. Either way
+// the directory learns the new range from the ack. A write to a downed shard
+// returns ErrShardDown.
 func (c *Cluster) Update(ctx context.Context, req UpdateRequest) (store.UpdateResult, error) {
-	_ = ctx
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.updates.Add(1)
+	target := req.Node
 	switch req.Op {
 	case store.OpInsert:
-		frag, err := xmltree.Parse(req.Fragment)
-		if err != nil {
-			return store.UpdateResult{}, fmt.Errorf("%w: %v", store.ErrBadFragment, err)
-		}
-		shardID, ok := c.dir.owner(req.Parent)
-		if !ok {
-			return store.UpdateResult{}, fmt.Errorf("%w: node %d is not in the cluster directory", store.ErrUnknownNode, req.Parent)
-		}
-		sh := c.shards[shardID]
-		if sh.Down() {
-			return store.UpdateResult{}, fmt.Errorf("%w (%s)", ErrShardDown, sh.name)
-		}
-		base := c.nextID
-		res, err := sh.primary.InsertSubtreeAt(req.Parent, req.Fragment, base)
-		if err != nil {
-			return store.UpdateResult{}, err
-		}
-		n := len(frag.Nodes())
-		c.nextID = base + n
-		c.dir.add(base, base+n, shardID)
-		return res, nil
+		target = req.Parent
 	case store.OpDelete, store.OpUpdateText:
-		shardID, ok := c.dir.owner(req.Node)
-		if !ok {
-			return store.UpdateResult{}, fmt.Errorf("%w: node %d is not in the cluster directory", store.ErrUnknownNode, req.Node)
-		}
-		sh := c.shards[shardID]
-		if sh.Down() {
-			return store.UpdateResult{}, fmt.Errorf("%w (%s)", ErrShardDown, sh.name)
-		}
-		if req.Op == store.OpDelete {
-			return sh.primary.DeleteSubtree(req.Node)
-		}
-		return sh.primary.UpdateText(req.Node, req.Value)
+	default:
+		return store.UpdateResult{}, fmt.Errorf("cluster: unknown update op %q", req.Op)
 	}
-	return store.UpdateResult{}, fmt.Errorf("cluster: unknown update op %q", req.Op)
+	shardID, ok := c.dir.owner(target)
+	if !ok {
+		return store.UpdateResult{}, fmt.Errorf("%w: node %d is not in the cluster directory", store.ErrUnknownNode, target)
+	}
+	base := 0
+	if c.allocates {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		base = c.nextID
+	}
+	res, err := c.shards[shardID].update(ctx, req, base)
+	if err != nil || req.Op != store.OpInsert {
+		return res, err
+	}
+	c.dir.add(res.NodeID, res.NodeID+res.Nodes, shardID)
+	if c.allocates {
+		c.nextID = res.NodeID + res.Nodes
+	}
+	return res, nil
+}
+
+// probe asks every shard for its status at once, so one unreachable shard
+// costs the caller one timeout, not one per shard.
+func (c *Cluster) probe(ctx context.Context) []shardStatus {
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	out := make([]shardStatus, len(c.shards))
+	var wg sync.WaitGroup
+	for i, sh := range c.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = sh.status(ctx)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// Ready reports whether a scatter read issued now would be served under the
+// read mode — the same rule judge applies to an answer. Serving layers map an
+// error to 503 on /readyz.
+func (c *Cluster) Ready(ctx context.Context) error {
+	var unreadable []string
+	for i, st := range c.probe(ctx) {
+		if !st.readable {
+			unreadable = append(unreadable, c.shards[i].name)
+		}
+	}
+	if up := len(c.shards) - len(unreadable); !c.tolerates(up) {
+		return fmt.Errorf("%w: %d of %d shards up, mode %s (down: %s)",
+			ErrDegraded, up, len(c.shards), c.cfg.Mode, strings.Join(unreadable, ", "))
+	}
+	return nil
 }
 
 // Stats snapshots the cluster's counters for the metrics endpoint.
@@ -478,27 +507,31 @@ func (c *Cluster) Stats() obs.ClusterStats {
 		ShardCount:   len(c.shards),
 		ReplicaCount: c.cfg.Replicas,
 		Mode:         c.cfg.Mode.String(),
-		Placement:    c.cfg.Placement.Name(),
+		Placement:    "external", // a fleet: whoever loaded the shards placed the documents
 		Scatters:     c.scatters.Load(),
 		DocQueries:   c.docQueries.Load(),
 		Updates:      c.updates.Load(),
 		Degraded:     c.degraded.Load(),
-		Failures:     c.failures.Load(),
 	}
-	for _, sh := range c.shards {
-		pw, rw := sh.Watermark()
-		s.Shards = append(s.Shards, obs.ClusterShardStats{
+	if c.cfg.Placement != nil {
+		s.Placement = c.cfg.Placement.Name()
+	}
+	for i, st := range c.probe(context.Background()) {
+		sh := c.shards[i]
+		row := obs.ClusterShardStats{
 			Name:         sh.name,
-			Down:         sh.Down(),
-			PrimaryEpoch: pw,
-			ReplicaEpoch: rw,
+			Down:         st.down,
+			PrimaryEpoch: st.primaryEpoch,
+			ReplicaEpoch: st.replicaEpoch,
 			Queries:      sh.queries.Load(),
 			Failures:     sh.failures.Load(),
-			ReplicaReads: sh.replicaReads.Load(),
-			Failovers:    sh.failovers.Load(),
+			ReplicaReads: st.replicaReads,
+			Failovers:    st.failovers,
 			Hedges:       sh.hedges.Load(),
-			Nodes:        int64(sh.primary.View().DB.NumNodes()),
-		})
+			Nodes:        st.nodes,
+		}
+		s.Failures += row.Failures
+		s.Shards = append(s.Shards, row)
 	}
 	return s
 }
@@ -582,35 +615,6 @@ func gatherTrace(dst *obs.Trace, results []shardResult) {
 		if r.err != nil {
 			continue
 		}
-		out := 0
-		if r.res != nil {
-			out = len(r.res.IDs)
-		}
-		dst.Add(obs.StmtEvent{Stmt: r.shard.name, Op: "gather", Out: out, Wall: r.elapsed})
+		dst.Add(obs.StmtEvent{Stmt: r.shard.name, Op: "gather", Out: len(r.ans.ids), Wall: r.elapsed})
 	}
-}
-
-func joinNames(names []string) string {
-	if len(names) == 0 {
-		return "none"
-	}
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
-}
-
-func pick(v, def int) int {
-	if v > 0 {
-		return v
-	}
-	return def
-}
-
-func pickLimits(v, def obs.Limits) obs.Limits {
-	if v.Unlimited() {
-		return def
-	}
-	return v
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -8,7 +9,7 @@ import (
 // directory maps node-ID ranges to owning shards. The seed collection
 // contributes one coalesced run per stretch of consecutively-placed nodes
 // (documents shredded in sequence are contiguous preorder ID ranges), and
-// every routed insert appends its freshly allocated [base, base+n) range.
+// every routed insert adds its freshly allocated [base, base+n) range.
 // Deletions leave entries behind; a lookup that lands on a deleted node is
 // answered by the owning shard's own catalog (ErrUnknownNode), so staleness
 // costs one hop, never correctness.
@@ -53,18 +54,23 @@ func (d *directory) owner(id int) (int, bool) {
 	return 0, false
 }
 
-// add records a freshly allocated range [lo, hi) on the shard. Allocations
-// are monotonically increasing, so the range lands at the tail (coalescing
-// with it when adjacent and same-shard).
+// add records a freshly allocated range [lo, hi) on the shard, coalescing
+// with an adjacent same-shard range below it. A range already routed — inside
+// the static range Connect seeds for the shard that allocated it — adds
+// nothing.
 func (d *directory) add(lo, hi, shard int) {
 	if hi <= lo {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n := len(d.ranges); n > 0 && d.ranges[n-1].hi == lo && d.ranges[n-1].shard == shard {
-		d.ranges[n-1].hi = hi
+	i := sort.Search(len(d.ranges), func(i int) bool { return d.ranges[i].hi > lo })
+	if i < len(d.ranges) && d.ranges[i].lo <= lo {
 		return
 	}
-	d.ranges = append(d.ranges, dirRange{lo: lo, hi: hi, shard: shard})
+	if i > 0 && d.ranges[i-1].hi == lo && d.ranges[i-1].shard == shard {
+		d.ranges[i-1].hi = hi
+		return
+	}
+	d.ranges = slices.Insert(d.ranges, i, dirRange{lo: lo, hi: hi, shard: shard})
 }

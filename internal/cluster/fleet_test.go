@@ -12,14 +12,15 @@ import (
 
 	"xpath2sql"
 	"xpath2sql/internal/cluster"
+	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/server"
 	"xpath2sql/internal/store"
 )
 
-// The HTTP router tests drive cluster.HTTPRouter against real internal/server
-// instances — the same servers cmd/xpathd boots — each serving one document
-// over a disjoint node-ID range, exactly like an xpathd fleet started with
-// disjoint -node-id-base values.
+// The fleet tests drive what cmd/xpathrouter runs — a server over
+// cluster.Connect — against real internal/server instances, the same servers
+// cmd/xpathd boots, each serving one document over a disjoint node-ID range,
+// exactly like an xpathd fleet started with disjoint -node-id-base values.
 
 const shardIDSpace = 1 << 20
 
@@ -77,15 +78,27 @@ func shardDoc(i int) string {
 
 func newRouter(t *testing.T, servers []*httptest.Server, mode cluster.ReadMode) *httptest.Server {
 	t.Helper()
-	urls := make([]string, len(servers))
+	shards := make([]cluster.RemoteShard, len(servers))
 	for i, s := range servers {
-		urls[i] = s.URL
+		shards[i] = cluster.RemoteShard{URL: s.URL, Base: i * shardIDSpace}
 	}
-	rt, err := cluster.NewHTTPRouter(cluster.HTTPRouterConfig{Shards: urls, Mode: mode})
+	cl, err := cluster.Connect(cluster.Config{Mode: mode}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { cl.Close() })
+	d, _, _ := randRecDTD(41)
+	return serveCluster(t, d, cl)
+}
+
+// serveCluster puts the server cmd/xpathrouter builds in front of a cluster.
+func serveCluster(t *testing.T, d *dtd.DTD, cl *cluster.Cluster, opts ...xpath2sql.EngineOption) *httptest.Server {
+	t.Helper()
+	srv, err := server.New(server.Config{Engine: xpath2sql.New(d, opts...), Source: server.FromCluster(cl), Service: "xpathrouter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -130,10 +143,10 @@ type wireBatch struct {
 	Results []wireQuery `json:"results"`
 }
 
-// TestHTTPRouterScatterMerge: the router's merged /v1/query answer must be
+// TestFleetScatterMerge: the router's merged /v1/query answer must be
 // exactly the sorted union of the per-shard answers, and /v1/batch must merge
 // per-query.
-func TestHTTPRouterScatterMerge(t *testing.T) {
+func TestFleetScatterMerge(t *testing.T) {
 	servers, _ := newHTTPFleet(t, 2)
 	router := newRouter(t, servers, cluster.ReadStrict)
 
@@ -179,17 +192,17 @@ func TestHTTPRouterScatterMerge(t *testing.T) {
 		}
 	}
 
-	// A parse error is deterministic: forwarded as the shard's 4xx, not
-	// treated as a shard failure.
+	// A parse error is the request's fault: a 4xx (now at the edge, before
+	// any shard is asked), not a shard failure.
 	if code, body := postJSON(t, router.URL+"/v1/query", map[string]any{"query": "doc//"}, nil); code < 400 || code >= 500 {
 		t.Fatalf("malformed query through router: %d %s, want a forwarded 4xx", code, body)
 	}
 }
 
-// TestHTTPRouterUpdateOwnership: an update broadcast lands on exactly the
-// shard owning the node; the ack is forwarded verbatim and later reads see
-// the write. Unknown nodes yield the shards' 404.
-func TestHTTPRouterUpdateOwnership(t *testing.T) {
+// TestFleetUpdateOwnership: an update lands on exactly the shard owning the
+// node; the ack is the owner's and later reads see the write. Unknown nodes
+// yield the 404 of the shard whose range they fall in.
+func TestFleetUpdateOwnership(t *testing.T) {
 	servers, stores := newHTTPFleet(t, 2)
 	router := newRouter(t, servers, cluster.ReadStrict)
 
@@ -224,17 +237,18 @@ func TestHTTPRouterUpdateOwnership(t *testing.T) {
 		t.Fatalf("routed delete of %d: %d", ur.NodeID, code)
 	}
 
-	// A node no shard owns: every shard answers 404 and the router forwards it.
+	// A node no shard holds: the shard whose range it falls in answers 404 and
+	// the router forwards it.
 	if code, body := postJSON(t, router.URL+"/v1/update",
 		map[string]any{"op": "delete_subtree", "node": 5 * shardIDSpace}, nil); code != http.StatusNotFound {
 		t.Fatalf("delete of unowned node: %d %s, want 404", code, body)
 	}
 }
 
-// TestHTTPRouterDegradation: with a shard process gone, strict mode fails
+// TestFleetDegradation: with a shard process gone, strict mode fails
 // with 503, best-effort serves the survivors' union marked degraded, and
 // /readyz follows the mode.
-func TestHTTPRouterDegradation(t *testing.T) {
+func TestFleetDegradation(t *testing.T) {
 	servers, _ := newHTTPFleet(t, 2)
 	strict := newRouter(t, servers, cluster.ReadStrict)
 	bestEffort := newRouter(t, servers, cluster.ReadBestEffort)

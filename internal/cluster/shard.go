@@ -18,17 +18,59 @@ import (
 // replicas are read-only and never accept writes).
 var ErrShardDown = errors.New("cluster: shard down: primary unavailable and no usable replica")
 
-// replicaFeedDepth is the per-replica ship-record buffer. A replica that
-// falls further behind than the buffer absorbs has lost WAL continuity and is
-// marked broken (it would need a full resync); reads stop being routed to it.
-const replicaFeedDepth = 1024
+const (
+	// replicaFeedDepth is the per-replica ship-record buffer. A replica that
+	// falls further behind than the buffer absorbs has lost WAL continuity and
+	// is marked broken (it would need a full resync); reads stop being routed
+	// to it.
+	replicaFeedDepth = 1024
+	// maxReplicaLag is the staleness bound: a replica more than this many
+	// epochs behind its primary is skipped for reads.
+	maxReplicaLag = 64
+	// shardConcurrency bounds concurrent executions on one in-process shard.
+	shardConcurrency = 4
+)
+
+// shardClient is what the router needs of a shard, wherever it runs: Shard
+// holds its relations in this process, remoteShard speaks to an xpathd over
+// HTTP. Which one a Cluster routes over is decided by its constructor (Open,
+// Connect) and by nothing else.
+type shardClient interface {
+	// exec runs the program on the shard's read target for this attempt
+	// (attempt > 0 is a hedge or retry and should land elsewhere if the shard
+	// has an elsewhere).
+	exec(ctx context.Context, prog *ra.Program, attempt int, opts backend.ExecOptions) (shardAnswer, error)
+	// update applies one write the router has routed here. base is the node
+	// ID the router allocated for an insert; 0 leaves allocation to the shard.
+	update(ctx context.Context, req UpdateRequest, base int) (store.UpdateResult, error)
+	status(ctx context.Context) shardStatus
+	close()
+}
+
+// shardAnswer is one shard's answer to one program.
+type shardAnswer struct {
+	ids         []int
+	stats       rdb.Stats
+	epoch       uint64 // the epoch the answer was read at
+	fromReplica bool
+}
+
+// shardStatus is one shard's health row.
+type shardStatus struct {
+	down         bool // the primary (or the remote process) is not serving
+	readable     bool // a read routed here now would find a target
+	primaryEpoch uint64
+	replicaEpoch uint64
+	nodes        int64
+	replicaReads int64
+	failovers    int64
+}
 
 // Shard is one store/engine pair owning a document subset: a primary store
 // (the only write target), its read replicas, and a per-shard admission
 // semaphore bounding concurrent executions — the per-shard form of the
 // server's admission control.
 type Shard struct {
-	id      int
 	name    string
 	primary *store.Store
 	reps    []*replica
@@ -36,11 +78,8 @@ type Shard struct {
 	down    atomic.Bool   // primary considered failed (KillPrimary)
 	rr      atomic.Uint32 // read-target round-robin cursor
 
-	queries      atomic.Int64
-	failures     atomic.Int64
 	replicaReads atomic.Int64
 	failovers    atomic.Int64
-	hedges       atomic.Int64
 }
 
 // replica is one in-process read replica: an ephemeral store seeded from the
@@ -54,21 +93,16 @@ type replica struct {
 }
 
 // newShard opens the primary store over the shard's database slice, spins up
-// nReplicas read replicas and wires the WAL shipping feed. maxConcurrent
-// bounds concurrent executions on the shard (0 = 4).
-func newShard(id int, d *dtd.DTD, db *rdb.DB, nReplicas, maxConcurrent, minNextID int) (*Shard, error) {
-	if maxConcurrent <= 0 {
-		maxConcurrent = 4
-	}
+// nReplicas read replicas and wires the WAL shipping feed.
+func newShard(name string, d *dtd.DTD, db *rdb.DB, nReplicas, minNextID int) (*Shard, error) {
 	primary, err := store.Open(store.Config{DTD: d, Seed: db, MinNextID: minNextID})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d primary: %w", id, err)
+		return nil, fmt.Errorf("cluster: %s primary: %w", name, err)
 	}
 	sh := &Shard{
-		id:      id,
-		name:    fmt.Sprintf("shard%d", id),
+		name:    name,
 		primary: primary,
-		sem:     make(chan struct{}, maxConcurrent),
+		sem:     make(chan struct{}, shardConcurrency),
 	}
 	// Replicas boot from the primary's current epoch — shared immutable DB
 	// pointer, copy-on-write from there — before any update can ship, so the
@@ -77,7 +111,7 @@ func newShard(id int, d *dtd.DTD, db *rdb.DB, nReplicas, maxConcurrent, minNextI
 		rst, err := store.Open(store.Config{DTD: d, Seed: primary.View().DB, MinNextID: minNextID})
 		if err != nil {
 			sh.close()
-			return nil, fmt.Errorf("cluster: shard %d replica %d: %w", id, i, err)
+			return nil, fmt.Errorf("cluster: %s replica %d: %w", name, i, err)
 		}
 		r := &replica{st: rst, feed: make(chan store.ShipRecord, replicaFeedDepth), done: make(chan struct{})}
 		go r.run()
@@ -133,27 +167,35 @@ func (sh *Shard) KillPrimary() {
 // Down reports whether the primary has been killed.
 func (sh *Shard) Down() bool { return sh.down.Load() }
 
-// Watermark returns the primary's current epoch sequence and the freshest
-// usable replica's (0 when there is none).
-func (sh *Shard) Watermark() (primary, replica uint64) {
-	primary = sh.primary.View().Seq
+// status reads the shard's health off its stores.
+func (sh *Shard) status(context.Context) shardStatus {
+	ep := sh.primary.View()
+	st := shardStatus{
+		down:         sh.Down(),
+		readable:     !sh.Down(),
+		primaryEpoch: ep.Seq,
+		nodes:        int64(ep.DB.NumNodes()),
+		replicaReads: sh.replicaReads.Load(),
+		failovers:    sh.failovers.Load(),
+	}
 	for _, r := range sh.reps {
 		if r.broken.Load() {
 			continue
 		}
-		if seq := r.st.View().Seq; seq > replica {
-			replica = seq
+		st.readable = true
+		if seq := r.st.View().Seq; seq > st.replicaEpoch {
+			st.replicaEpoch = seq
 		}
 	}
-	return primary, replica
+	return st
 }
 
 // readTarget picks the epoch one read should execute against. A healthy
-// shard round-robins across the primary and every replica within maxLag
+// shard round-robins across the primary and every replica within maxReplicaLag
 // epochs of it; attempt > 0 (a hedged retry) advances the cursor so the
 // second attempt lands elsewhere. A downed shard serves the freshest usable
 // replica and reports the failover.
-func (sh *Shard) readTarget(maxLag uint64, attempt int) (*store.Epoch, bool, error) {
+func (sh *Shard) readTarget(attempt int) (*store.Epoch, bool, error) {
 	if sh.down.Load() {
 		var best *store.Epoch
 		for _, r := range sh.reps {
@@ -177,7 +219,7 @@ func (sh *Shard) readTarget(maxLag uint64, attempt int) (*store.Epoch, bool, err
 		if r.broken.Load() {
 			continue
 		}
-		if ep := r.st.View(); pep.Seq-ep.Seq <= maxLag {
+		if ep := r.st.View(); pep.Seq-ep.Seq <= maxReplicaLag {
 			candidates = append(candidates, ep)
 			fromReplica = append(fromReplica, true)
 		}
@@ -187,26 +229,40 @@ func (sh *Shard) readTarget(maxLag uint64, attempt int) (*store.Epoch, bool, err
 }
 
 // exec runs one program against the shard under its admission semaphore.
-func (sh *Shard) exec(ctx context.Context, prog *ra.Program, maxLag uint64, attempt int, opts backend.ExecOptions) (*backend.Result, *store.Epoch, bool, error) {
-	ep, fromReplica, err := sh.readTarget(maxLag, attempt)
+func (sh *Shard) exec(ctx context.Context, prog *ra.Program, attempt int, opts backend.ExecOptions) (shardAnswer, error) {
+	ep, fromReplica, err := sh.readTarget(attempt)
 	if err != nil {
-		return nil, nil, false, err
+		return shardAnswer{}, err
 	}
 	select {
 	case sh.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, nil, false, ctx.Err()
+		return shardAnswer{}, ctx.Err()
 	}
 	defer func() { <-sh.sem }()
-	snap := backend.AdoptDB(ep.DB, ep.Seq)
-	res, err := snap.Execute(ctx, prog, opts)
+	res, err := backend.AdoptDB(ep.DB, ep.Seq).Execute(ctx, prog, opts)
 	if err != nil {
-		return nil, nil, false, err
+		return shardAnswer{}, err
 	}
 	if fromReplica {
 		sh.replicaReads.Add(1)
 	}
-	return res, ep, fromReplica, nil
+	return shardAnswer{ids: res.IDs, stats: res.Stats, epoch: ep.Seq, fromReplica: fromReplica}, nil
+}
+
+// update applies a routed write to the primary — replicas are read-only — at
+// the node ID the router allocated.
+func (sh *Shard) update(_ context.Context, req UpdateRequest, base int) (store.UpdateResult, error) {
+	if sh.Down() {
+		return store.UpdateResult{}, fmt.Errorf("%w (%s)", ErrShardDown, sh.name)
+	}
+	switch req.Op {
+	case store.OpInsert:
+		return sh.primary.InsertSubtreeAt(req.Parent, req.Fragment, base)
+	case store.OpDelete:
+		return sh.primary.DeleteSubtree(req.Node)
+	}
+	return sh.primary.UpdateText(req.Node, req.Value)
 }
 
 // close releases the primary and every replica.

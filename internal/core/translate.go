@@ -80,7 +80,7 @@ func Translate(q xpath.Path, d *dtd.DTD, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog.DTDFP = d.Fingerprint()
+		prog.DTDFP, prog.Query = d.Fingerprint(), CanonicalQuery(q)
 		return &Result{Strategy: opts.Strategy, Program: prog}, nil
 	case StrategyCycleE, StrategyCycleEX:
 		rec := RecFlat
@@ -100,8 +100,9 @@ func Translate(q xpath.Path, d *dtd.DTD, opts Options) (*Result, error) {
 		}
 		// Stamp the translation DTD so engines can check that a stored
 		// interval encoding (shredded against some DTD) matches before
-		// taking the DescScan fast path.
-		prog.DTDFP = d.Fingerprint()
+		// taking the DescScan fast path, and the query text for executors
+		// that ship text, not plans.
+		prog.DTDFP, prog.Query = d.Fingerprint(), CanonicalQuery(q)
 		return &Result{Strategy: opts.Strategy, EQ: eq, Program: prog}, nil
 	}
 	return nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)

@@ -54,8 +54,33 @@ func OpKind(pl ra.Plan) string {
 // "not run". A nil trace renders the bare plan. A non-nil cache adds the
 // plan-cache counters to the footer, so a trace read in isolation shows
 // whether its translation was served from the prepared-query cache.
+//
+// Events that name no statement of the program — a cluster router's one
+// "gather" per answering shard — follow the statements, one line each, and
+// stay out of the footer's totals. A trace holding only those is a fleet's:
+// the statements ran, on the shards, and are marked so.
 func Explain(p *ra.Program, t *Trace, cache *CacheStats) string {
 	var b strings.Builder
+	var stmts Trace
+	var others []StmtEvent
+	if t != nil {
+		inPlan := make(map[string]bool, len(p.Stmts))
+		for _, s := range p.Stmts {
+			inPlan[s.Name] = true
+		}
+		for _, ev := range t.Events {
+			if inPlan[ev.Stmt] {
+				stmts.Add(ev)
+			} else {
+				others = append(others, ev)
+			}
+		}
+		t = &stmts
+	}
+	notRun := "  (not run)\n"
+	if len(stmts.Events) == 0 && len(others) > 0 {
+		notRun, t = "  (run on the shards)\n", nil // and no totals to report
+	}
 	for i, s := range p.Stmts {
 		plan := s.Plan.String()
 		if r := []rune(plan); len(r) > 56 {
@@ -67,7 +92,7 @@ func Explain(p *ra.Program, t *Trace, cache *CacheStats) string {
 			ev = t.Event(s.Name)
 		}
 		if ev == nil {
-			b.WriteString("  (not run)\n")
+			b.WriteString(notRun)
 			continue
 		}
 		fmt.Fprintf(&b, "  in=%-8d out=%-8d tuples=%-8d iters=%-5d %v",
@@ -79,6 +104,9 @@ func Explain(p *ra.Program, t *Trace, cache *CacheStats) string {
 			fmt.Fprintf(&b, " descscans=%d", ev.Ops.DescScans)
 		}
 		b.WriteString("\n")
+	}
+	for _, ev := range others {
+		fmt.Fprintf(&b, "     %-14s %-11s %-58s  out=%-8d %v\n", ev.Stmt, ev.Op, "", ev.Out, ev.Wall.Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "result: %s", p.Result)
 	if t != nil {

@@ -228,7 +228,7 @@ type ClusterStats struct {
 	DocQueries   int64  // document-scoped queries routed to one owner shard
 	Updates      int64  // writes routed to owning primaries
 	Degraded     int64  // answers served with shards missing
-	Failures     int64  // per-shard execution failures observed by the router
+	Failures     int64  // the sum of Shards[i].Failures (exposed per shard, not as a second family)
 	Shards       []ClusterShardStats
 }
 
@@ -426,7 +426,6 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("cluster_doc_queries_total", "Document-scoped queries routed to one owner shard.", cs.DocQueries)
 		counter("cluster_updates_total", "Writes routed to owning primaries.", cs.Updates)
 		counter("cluster_degraded_answers_total", "Answers served with one or more shards missing.", cs.Degraded)
-		counter("cluster_shard_failures_total", "Per-shard execution failures observed by the router.", cs.Failures)
 		perShard := func(name, help, typ string, value func(ClusterShardStats) int64) {
 			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n", p, name, help, p, name, typ)
 			for _, sh := range cs.Shards {

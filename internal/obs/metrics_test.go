@@ -95,6 +95,12 @@ func TestWritePrometheusFormat(t *testing.T) {
 		Engine:         EngineStats{Cache: CacheStats{Hits: 5, Misses: 2, Entries: 2}, Parallelism: 1, Backend: "rdb"},
 		Exec:           OpStats{Joins: 10, TuplesOut: 1000, LFPIters: 12, Morsels: 4},
 		StmtsRun:       20,
+		// Every optional section filled in: a metric family declared twice
+		// makes a Prometheus parser reject the scrape.
+		Store: &StoreStats{Epoch: 3, Nodes: 100, Inserts: 2, Apply: h.Snapshot()},
+		Watch: &WatchStats{ActiveViews: 1, Reruns: 1, Propagation: h.Snapshot()},
+		Cluster: &ClusterStats{ShardCount: 2, Mode: "quorum", Placement: "external", Scatters: 4, Degraded: 1, Failures: 1,
+			Shards: []ClusterShardStats{{Name: "shard0", Queries: 4}, {Name: "shard1", Down: true, Queries: 4, Failures: 1}}},
 	}
 	var b strings.Builder
 	m.WritePrometheus(&b)
@@ -102,8 +108,16 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 	sc := bufio.NewScanner(strings.NewReader(out))
 	samples := 0
+	typed := map[string]bool{}
 	for sc.Scan() {
 		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if typed[name] {
+				t.Fatalf("metric family %s is declared twice:\n%s", name, out)
+			}
+			typed[name] = true
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -124,6 +138,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"xpathd_exec_tuples_total 1000",
 		"xpathd_inflight_requests 1",
 		"xpathd_uptime_seconds 3",
+		`xpathd_cluster_shard_failures_total{shard="shard1"} 1`,
+		`xpathd_cluster_shard_up{shard="shard1"} 0`,
+		"xpathd_store_epoch 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

@@ -270,6 +270,12 @@ type Program struct {
 	// descendant relation, so containment is only sound when they agree. It
 	// is metadata, not part of the printed plan.
 	DTDFP string
+	// Query is the canonical text of the query the program translates
+	// (core.CanonicalQuery; "" for a merged batch program or one built by
+	// hand). An executor that holds no relations of its own — a router's
+	// client to a remote shard — ships it in place of the plan. Metadata, like
+	// DTDFP.
+	Query string
 }
 
 func (p *Program) String() string {

@@ -11,17 +11,19 @@ import (
 )
 
 // Stats records the work an execution performed; the benchmark harness
-// reports these alongside wall-clock time.
+// reports these alongside wall-clock time. The JSON tags are the "stats"
+// object of the HTTP API: the server encodes this struct and a router decodes
+// a shard's answer into it.
 type Stats struct {
-	Joins     int // hash joins performed (compose/semi/anti + fixpoint steps)
-	Unions    int // two-way unions performed
-	LFPs      int // Φ(R) operators evaluated
-	LFPIters  int // total fixpoint iterations across all Φ and RecUnion
-	RecFixes  int // multi-relation fixpoints evaluated (SQLGen-R)
-	TuplesOut int // tuples produced across all operators
-	StmtsRun  int // statements actually evaluated (lazy evaluation skips some)
-	Morsels   int // morsels scanned by intra-operator parallel sections
-	DescScans int // descendant closures answered by the interval kernel
+	StmtsRun  int `json:"stmts_run"`  // statements actually evaluated (lazy evaluation skips some)
+	Joins     int `json:"joins"`      // hash joins performed (compose/semi/anti + fixpoint steps)
+	Unions    int `json:"unions"`     // two-way unions performed
+	LFPs      int `json:"lfps"`       // Φ(R) operators evaluated
+	LFPIters  int `json:"lfp_iters"`  // total fixpoint iterations across all Φ and RecUnion
+	RecFixes  int `json:"rec_fixes"`  // multi-relation fixpoints evaluated (SQLGen-R)
+	TuplesOut int `json:"tuples_out"` // tuples produced across all operators
+	Morsels   int `json:"morsels"`    // morsels scanned by intra-operator parallel sections
+	DescScans int `json:"desc_scans"` // descendant closures answered by the interval kernel
 }
 
 // Ops converts the counters to the per-statement shape of the obs layer.

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"xpath2sql"
 )
 
 // jsonBufPool recycles response buffers: a recursive-query answer carries
@@ -25,8 +27,8 @@ func appendIDs(b []byte, ids []int) []byte {
 }
 
 // appendStats appends the execution-statistics object, mirroring the JSON
-// tags of execStatsJSON.
-func appendStats(b []byte, st *execStatsJSON) []byte {
+// tags of rdb.Stats.
+func appendStats(b []byte, st *xpath2sql.ExecStats) []byte {
 	b = append(b, `{"stmts_run":`...)
 	b = strconv.AppendInt(b, int64(st.StmtsRun), 10)
 	b = append(b, `,"joins":`...)

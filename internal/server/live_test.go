@@ -106,6 +106,16 @@ func TestUpdateEndpoint(t *testing.T) {
 	if dr.Nodes != 5 {
 		t.Fatalf("delete removed %d nodes, want 5", dr.Nodes)
 	}
+	// A read says which epoch it read, so it can be checked against the
+	// epoch a write returned.
+	_, body = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: "dept//course"})
+	var qr queryResponse
+	if err := json.Unmarshal(body, &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Watermark != dr.Epoch {
+		t.Fatalf("read after the delete reports watermark %d; the delete was epoch %d", qr.Watermark, dr.Epoch)
+	}
 	if got := queryCount(t, ts.URL, "dept//course"); got != before {
 		t.Fatalf("dept//course = %d after delete, want %d", got, before)
 	}

@@ -239,3 +239,68 @@ func TestDocScopeBypassesBatcher(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterBatchScattersConcurrently: a /v1/batch of Q queries through a
+// cluster source has all Q scatters in flight at once — over a fleet, one
+// round trip's wait, not Q of them. No clock decides it: each fake shard holds
+// every /v1/query until Q of them have arrived and fails them all if that
+// never happens, so a batch run query by query cannot pass. Answers come back
+// in request order.
+func TestClusterBatchScattersConcurrently(t *testing.T) {
+	d, err := xpath2sql.ParseDTD(deptDTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"dept//course", "dept//project", "dept//cno", "dept//student"}
+	var fleet []cluster.RemoteShard
+	for k := 0; k < 2; k++ {
+		var mu sync.Mutex
+		arrived, all := 0, make(chan struct{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req queryRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			if arrived++; arrived == len(queries) {
+				close(all)
+			}
+			mu.Unlock()
+			select {
+			case <-all:
+			case <-time.After(5 * time.Second):
+				http.Error(w, "the batch's other queries never arrived: it is not running them concurrently", http.StatusInternalServerError)
+				return
+			}
+			fmt.Fprintf(w, `{"ids":[%d]}`, k*100+slices.Index(queries, req.Query))
+		}))
+		defer ts.Close()
+		fleet = append(fleet, cluster.RemoteShard{URL: ts.URL, Base: k << 20})
+	}
+	cl, err := cluster.Connect(cluster.Config{}, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	s, err := New(Config{Engine: xpath2sql.New(d), Source: FromCluster(cl)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: queries})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch through the cluster: %d %s", resp.StatusCode, body)
+	}
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	for i := range queries {
+		if want := []int{i, 100 + i}; len(br.Results) != len(queries) || !slices.Equal(br.Results[i].IDs, want) {
+			t.Fatalf("results[%d] (%s) = %+v, want ids %v: answers are not in request order", i, queries[i], br.Results, want)
+		}
+	}
+}

@@ -20,7 +20,7 @@
 //	GET  /readyz        readiness (503 while draining)
 //	GET  /metrics       Prometheus text exposition (obs.MetricsSnapshot)
 //
-// When built with a live document store (Config.Store), every query pins the
+// When built over a live document store (Source: FromStore), every query pins the
 // store's current epoch — an immutable snapshot — so readers never block on
 // writers and never see a half-applied update; updates are DTD-validated,
 // WAL-logged and applied by the store's single serialized writer. Update
@@ -31,6 +31,12 @@
 // Backend instead — e.g. the database/sql executor that ships the generated
 // WITH RECURSIVE text to a real RDBMS. Backend mode is read-only and serves
 // /v1/query, /v1/batch and /v1/translate only.
+//
+// With Source: FromCluster(c) the server is the edge of a sharded deployment
+// — in-process shards (cluster.Open) or an xpathd fleet (cluster.Connect,
+// what cmd/xpathrouter runs): it parses and translates here and hands the
+// program to the cluster's router, /v1/update goes to the owning shard, and
+// /readyz follows the cluster's read mode.
 //
 // Robustness model:
 //
@@ -52,18 +58,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
+	"os"
+	"os/signal"
 	"runtime"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"xpath2sql"
 	"xpath2sql/internal/cluster"
 	"xpath2sql/internal/ivm"
-	"xpath2sql/internal/obs"
 	"xpath2sql/internal/store"
 )
+
+// batchFanout bounds the queries of one /v1/batch in flight through a cluster
+// source at once.
+const batchFanout = 16
 
 // Endpoint names used for metrics labels.
 const (
@@ -150,12 +164,12 @@ func (c *Config) fillDefaults() {
 // http.Server or test harness) or Serve/ListenAndServe (managed listener
 // with graceful Shutdown).
 type Server struct {
-	cfg    Config
-	eng    *xpath2sql.Engine
-	source Source
-	// Derived from source at New: the one execution backend, the in-process
-	// DB resolver (nil in backend mode) and the live store (nil when
-	// read-only).
+	cfg Config
+	eng *xpath2sql.Engine
+	// The source's parts: the one execution backend, the in-process DB
+	// resolver (nil in backend mode; with a live store it pins the current
+	// epoch, so a merged batch run sees one version however many updates land
+	// meanwhile) and the live store (nil when read-only).
 	execBe  xpath2sql.Backend
 	dbFn    func() *xpath2sql.DB
 	store   *store.Store
@@ -181,32 +195,31 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: Config.Engine is required")
 	}
 	src := cfg.Source
-	if src == nil {
-		return nil, errors.New("server: Config.Source is required (FromDB, FromStore or FromBackend)")
+	if src.be == nil {
+		return nil, errors.New("server: Config.Source is required (FromDB, FromStore, FromBackend or FromCluster)")
 	}
-	if cfg.BatchWindow > 0 && src.liveDB() == nil {
+	if cfg.BatchWindow > 0 && src.db == nil {
 		return nil, errors.New("server: BatchWindow requires an in-process source (FromDB or FromStore); micro-batching merges queries into one in-process run")
 	}
 	cfg.fillDefaults()
 	endpoints := []string{epQuery, epBatch, epTranslate}
-	if src.liveStore() != nil {
+	if src.st != nil {
 		endpoints = append(endpoints, epUpdate, epWatch, epSnapshot)
-	} else if src.clusterRouter() != nil {
+	} else if src.cl != nil {
 		endpoints = append(endpoints, epUpdate)
 	}
 	s := &Server{
 		cfg:     cfg,
 		eng:     cfg.Engine,
-		source:  src,
-		execBe:  src.execBackend(),
-		dbFn:    src.liveDB(),
-		store:   src.liveStore(),
-		cluster: src.clusterRouter(),
+		execBe:  src.be,
+		dbFn:    src.db,
+		store:   src.st,
+		cluster: src.cl,
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
 		m:       newMetrics(endpoints),
 	}
 	if cfg.BatchWindow > 0 {
-		s.batcher = newBatcher(s.eng, s.database, cfg.BatchWindow, cfg.MaxBatch, cfg.RequestTimeout, s.m)
+		s.batcher = newBatcher(s.eng, s.dbFn, cfg.BatchWindow, cfg.MaxBatch, cfg.RequestTimeout, s.m)
 	}
 	if s.store != nil {
 		hub, err := cfg.Engine.NewWatchHub(s.store, xpath2sql.WatchConfig{
@@ -234,14 +247,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
 	return s, nil
-}
-
-// database resolves the in-process database for one merged batch run. With
-// a live store it pins the current epoch — immutable, so the whole
-// execution sees one consistent version however many updates land
-// meanwhile. Nil source DB means backend mode (handlers branch on s.dbFn).
-func (s *Server) database() *xpath2sql.DB {
-	return s.dbFn()
 }
 
 // effectiveWorkers is the admission-aware intra-query parallelism policy:
@@ -298,6 +303,32 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
+// Run is a daemon's main loop over a Server: it serves on l until SIGINT or
+// SIGTERM, then drains in-flight requests within drainTimeout, logging both.
+func (s *Server) Run(l net.Listener, drainTimeout time.Duration) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() { errc <- s.Serve(l) }()
+
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("signal received; draining in-flight requests (budget %v)", drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := s.Shutdown(drainCtx); err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	log.Print("drained; bye")
+	return nil
+}
+
 // Shutdown drains the server: /readyz starts answering 503 (so load
 // balancers stop routing here), watch subscriptions are closed (their
 // streams end cleanly, so SSE connections count down as in-flight requests),
@@ -335,44 +366,22 @@ type queryRequest struct {
 	Doc int `json:"doc,omitempty"`
 }
 
-type execStatsJSON struct {
-	StmtsRun  int `json:"stmts_run"`
-	Joins     int `json:"joins"`
-	Unions    int `json:"unions"`
-	LFPs      int `json:"lfps"`
-	LFPIters  int `json:"lfp_iters"`
-	RecFixes  int `json:"rec_fixes"`
-	TuplesOut int `json:"tuples_out"`
-	Morsels   int `json:"morsels"`
-	DescScans int `json:"desc_scans"`
-}
-
-func statsJSON(st xpath2sql.ExecStats) execStatsJSON {
-	return execStatsJSON{
-		StmtsRun:  st.StmtsRun,
-		Joins:     st.Joins,
-		Unions:    st.Unions,
-		LFPs:      st.LFPs,
-		LFPIters:  st.LFPIters,
-		RecFixes:  st.RecFixes,
-		TuplesOut: st.TuplesOut,
-		Morsels:   st.Morsels,
-		DescScans: st.DescScans,
-	}
-}
-
 type queryResponse struct {
-	IDs       []int         `json:"ids"`
-	Count     int           `json:"count"`
-	ElapsedMS float64       `json:"elapsed_ms"`
-	Stats     execStatsJSON `json:"stats"`
-	Batched   bool          `json:"batched,omitempty"`
-	Explain   string        `json:"explain,omitempty"`
-	// Cluster sources only: the partial-failure and staleness metadata of
-	// the scatter (field order here must match writeQueryResponse).
+	IDs       []int               `json:"ids"`
+	Count     int                 `json:"count"`
+	ElapsedMS float64             `json:"elapsed_ms"`
+	Stats     xpath2sql.ExecStats `json:"stats"`
+	Batched   bool                `json:"batched,omitempty"`
+	Explain   string              `json:"explain,omitempty"`
+	// Cluster sources only: the partial-failure metadata of the scatter
+	// (field order here must match writeQueryResponse).
 	Degraded     bool     `json:"degraded,omitempty"`
 	FailedShards []string `json:"failed_shards,omitempty"`
-	Watermark    uint64   `json:"watermark,omitempty"`
+	// Watermark is the epoch the answer was read at — of a cluster, the
+	// oldest among the shards that answered — to check a read against the
+	// epoch a /v1/update returned. Omitted at 0 (nothing written yet) and on
+	// micro-batched answers.
+	Watermark uint64 `json:"watermark,omitempty"`
 }
 
 type batchRequest struct {
@@ -381,15 +390,15 @@ type batchRequest struct {
 }
 
 type batchItem struct {
-	IDs   []int         `json:"ids"`
-	Count int           `json:"count"`
-	Stats execStatsJSON `json:"stats"`
+	IDs   []int               `json:"ids"`
+	Count int                 `json:"count"`
+	Stats xpath2sql.ExecStats `json:"stats"`
 }
 
 type batchResponse struct {
-	Results   []batchItem   `json:"results"`
-	ElapsedMS float64       `json:"elapsed_ms"`
-	Stats     execStatsJSON `json:"stats"` // aggregate; PerQuery sums to it
+	Results   []batchItem         `json:"results"`
+	ElapsedMS float64             `json:"elapsed_ms"`
+	Stats     xpath2sql.ExecStats `json:"stats"` // aggregate; PerQuery sums to it
 }
 
 type translateRequest struct {
@@ -488,7 +497,11 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 // invariant "user faults never 500" lives here.
 func mapError(err error) (int, string) {
 	var le *xpath2sql.LimitError
+	var se *cluster.ShardError
 	switch {
+	case errors.As(err, &se):
+		// A remote shard's own 4xx verdict on the request, forwarded as is.
+		return se.Status, se.Kind
 	case errors.Is(err, errSaturated):
 		return http.StatusTooManyRequests, "saturated"
 	case errors.Is(err, xpath2sql.ErrSubscriptionLimit):
@@ -614,42 +627,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
-	// Cluster sources execute through the router directly: the scatter's
-	// degraded-answer metadata and the document-scoped fast path exist only
-	// on Cluster.Exec, not behind the Backend seam.
-	if s.cluster != nil {
-		p, err := s.eng.PrepareString(ctx, req.Query)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		copts := cluster.ExecOptions{Workers: s.effectiveWorkers(), Doc: req.Doc}
-		var trace *obs.Trace
-		if req.Explain {
-			trace = &obs.Trace{}
-			copts.Trace = trace
-		}
-		ans, err := s.cluster.Exec(ctx, p.Program(), copts)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		s.m.recordExec(ans.Stats)
-		resp := queryResponse{
-			IDs:          ans.IDs,
-			Count:        len(ans.IDs),
-			ElapsedMS:    time.Since(t0).Seconds() * 1000,
-			Stats:        statsJSON(ans.Stats),
-			Degraded:     ans.Degraded,
-			FailedShards: ans.Failed,
-			Watermark:    ans.Watermark,
-		}
-		if req.Explain {
-			resp.Explain = obs.Explain(p.Program(), trace, nil)
-		}
-		writeQueryResponse(w, &resp)
-		return
-	}
 	// Explain needs the Answer (trace + plan), so it always takes the
 	// direct path, and so does a document-scoped query: a merged batch runs
 	// once over the whole database, and scope is a property of a run. Plain
@@ -672,7 +649,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			IDs:       ids,
 			Count:     len(ids),
 			ElapsedMS: time.Since(t0).Seconds() * 1000,
-			Stats:     statsJSON(stats),
+			Stats:     stats,
 			Batched:   true,
 		})
 		return
@@ -694,10 +671,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.recordExec(ans.Stats)
 	resp := queryResponse{
-		IDs:       ans.IDs,
-		Count:     len(ans.IDs),
-		ElapsedMS: time.Since(t0).Seconds() * 1000,
-		Stats:     statsJSON(ans.Stats),
+		IDs:          ans.IDs,
+		Count:        len(ans.IDs),
+		ElapsedMS:    time.Since(t0).Seconds() * 1000,
+		Stats:        ans.Stats,
+		Degraded:     ans.Degraded,
+		FailedShards: ans.FailedShards,
+		Watermark:    ans.Epoch,
 	}
 	if req.Explain {
 		resp.Explain = ans.Explain()
@@ -738,28 +718,58 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	if s.dbFn == nil {
-		// Backend mode has no merged-program executor, so the batch keeps
-		// its one admission slot and runs query by query on the backend.
-		var total xpath2sql.ExecStats
+		// No merged-program executor behind this source, so the batch keeps
+		// its one admission slot and runs query by query: in turn on a
+		// backend, batchFanout at a time through a cluster, where a query is
+		// mostly a wait for shards — Q round trips overlap instead of adding
+		// up. Results are in request order, and so is the error reported.
 		results := make([]batchItem, len(queries))
-		for i, q := range queries {
-			p, err := s.eng.Prepare(ctx, q)
+		errs := make([]error, len(queries))
+		runOne := func(i int) {
+			p, err := s.eng.Prepare(ctx, queries[i])
 			if err != nil {
-				s.fail(w, fmt.Errorf("query %d: %w", i, err))
+				errs[i] = err
 				return
 			}
 			ans, err := s.execute(ctx, &p.Translation)
 			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i] = batchItem{IDs: ans.IDs, Count: len(ans.IDs), Stats: ans.Stats}
+		}
+		if s.cluster == nil {
+			for i := range queries {
+				if runOne(i); errs[i] != nil {
+					break
+				}
+			}
+		} else {
+			var wg sync.WaitGroup
+			slots := make(chan struct{}, batchFanout)
+			for i := range queries {
+				wg.Add(1)
+				slots <- struct{}{}
+				go func() {
+					defer wg.Done()
+					runOne(i)
+					<-slots
+				}()
+			}
+			wg.Wait()
+		}
+		var total xpath2sql.ExecStats
+		for i, err := range errs {
+			if err != nil {
 				s.fail(w, fmt.Errorf("query %d: %w", i, err))
 				return
 			}
-			total.Add(ans.Stats)
-			results[i] = batchItem{IDs: ans.IDs, Count: len(ans.IDs), Stats: statsJSON(ans.Stats)}
+			total.Add(results[i].Stats)
 		}
 		s.m.recordExec(total)
 		writeJSON(w, http.StatusOK, batchResponse{
 			ElapsedMS: time.Since(t0).Seconds() * 1000,
-			Stats:     statsJSON(total),
+			Stats:     total,
 			Results:   results,
 		})
 		return
@@ -772,7 +782,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if ew := s.effectiveWorkers(); ew != s.eng.Parallelism() {
 		b = b.WithParallelism(ew)
 	}
-	ans, err := b.ExecuteContext(ctx, s.database())
+	ans, err := b.ExecuteContext(ctx, s.dbFn())
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -780,11 +790,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.recordExec(ans.Stats)
 	resp := batchResponse{
 		ElapsedMS: time.Since(t0).Seconds() * 1000,
-		Stats:     statsJSON(ans.Stats),
+		Stats:     ans.Stats,
 		Results:   make([]batchItem, len(ans.IDs)),
 	}
 	for i, ids := range ans.IDs {
-		resp.Results[i] = batchItem{IDs: ids, Count: len(ids), Stats: statsJSON(ans.PerQuery[i])}
+		resp.Results[i] = batchItem{IDs: ids, Count: len(ids), Stats: ans.PerQuery[i]}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -941,6 +951,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
 		return
+	}
+	if s.cluster != nil {
+		if err := s.cluster.Ready(r.Context()); err != nil {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintln(w, "not ready:", err)
+			return
+		}
 	}
 	fmt.Fprintln(w, "ready")
 }

@@ -11,43 +11,38 @@ import (
 )
 
 // Source is the server's data source: where queries execute and, for live
-// sources, where updates go. Build one with FromDB, FromStore or
-// FromBackend and put it in Config.Source — each adapter carries its own
-// serving rules (micro-batching availability, read-only-ness), so Config
-// validation no longer enumerates field combinations.
-//
-// The interface is sealed (unexported methods): the three adapters are the
-// only implementations, because the server relies on their pinning and
-// batching semantics.
-type Source interface {
-	// execBackend is the execution target every single-query request runs
-	// on — the one execution path.
-	execBackend() xpath2sql.Backend
-	// liveDB resolves the in-process database for one merged micro-batch or
+// sources, where updates go. Build one with FromDB, FromStore, FromBackend or
+// FromCluster and put it in Config.Source — each constructor fills in what
+// its kind of source can do, and the server offers the endpoints that go with
+// it. The zero Source is not one.
+type Source struct {
+	// be is the execution target every single-query request runs on — the
+	// one execution path.
+	be xpath2sql.Backend
+	// db resolves the in-process database for one merged micro-batch or
 	// /v1/batch run, pinning the current version; nil when the source has no
 	// in-process *DB (micro-batching and merged batch execution unavailable).
-	liveDB() func() *xpath2sql.DB
-	// liveStore returns the live document store behind the source, enabling
-	// the update/snapshot endpoints; nil for read-only sources.
-	liveStore() *store.Store
-	// clusterRouter returns the scatter-gather cluster behind the source;
-	// nil for single-node sources. Cluster sources enable the update
-	// endpoint (writes route to owning primaries), carry degraded-answer
-	// metadata, and route a document-scoped query to the owning shard.
-	clusterRouter() *cluster.Cluster
+	db func() *xpath2sql.DB
+	// st is the live document store behind the source, enabling the update,
+	// watch and snapshot endpoints; nil for read-only sources.
+	st *store.Store
+	// cl is the cluster behind the source; nil for single-node sources. It
+	// enables the update endpoint (writes route to owning shards), decides
+	// /readyz by its read mode and lets a batch scatter its queries at once.
+	cl *cluster.Cluster
 }
 
 // FromDB serves a static shredded database through the bundled in-process
 // engine: micro-batching available, no update endpoints.
 func FromDB(db *xpath2sql.DB) Source {
-	return dbSource{db: db, be: backend.NewLocalDB(db)}
+	return Source{be: backend.NewLocalDB(db), db: func() *xpath2sql.DB { return db }}
 }
 
 // FromStore serves a live document store: every request (and every merged
 // batch run) pins the store's current epoch — an immutable snapshot — and
 // the update/snapshot endpoints are enabled. Micro-batching available.
 func FromStore(st *store.Store) Source {
-	return storeSource{st: st, be: storeBackend{st: st}}
+	return Source{be: storeBackend{st: st}, db: func() *xpath2sql.DB { return st.View().DB }, st: st}
 }
 
 // FromBackend serves through a storage-neutral Backend (e.g. the
@@ -56,59 +51,19 @@ func FromStore(st *store.Store) Source {
 // batch program needs the in-process executor, so /v1/batch runs query by
 // query and Config.BatchWindow is rejected.
 func FromBackend(b xpath2sql.Backend) Source {
-	return backendSource{be: b}
+	return Source{be: b}
 }
 
-// FromCluster serves an N-shard scatter-gather cluster: queries fan out to
-// every shard (or to the single owner when the request is document-scoped)
-// and merge by sorted union, updates route to the owning primary with
-// router-allocated node IDs, and answers carry the cluster's degraded-read
-// metadata. No micro-batching (there is no single in-process database to
-// merge against); /v1/batch runs query by query through the cluster.
+// FromCluster serves a cluster (cluster.Open's in-process shards or
+// cluster.Connect's fleet): queries fan out to every shard (or to the single
+// owner when the request is document-scoped) and merge by sorted union,
+// updates route to the owning shard, and answers carry the cluster's
+// degraded-read metadata and watermark. No micro-batching (there is no single
+// in-process database to merge against); /v1/batch runs its queries
+// concurrently through the cluster.
 func FromCluster(c *cluster.Cluster) Source {
-	return clusterSource{c: c, be: c.Backend()}
+	return Source{be: c.Backend(), cl: c}
 }
-
-type dbSource struct {
-	db *xpath2sql.DB
-	be xpath2sql.Backend
-}
-
-func (s dbSource) execBackend() xpath2sql.Backend  { return s.be }
-func (s dbSource) liveDB() func() *xpath2sql.DB    { return func() *xpath2sql.DB { return s.db } }
-func (s dbSource) liveStore() *store.Store         { return nil }
-func (s dbSource) clusterRouter() *cluster.Cluster { return nil }
-
-type storeSource struct {
-	st *store.Store
-	be xpath2sql.Backend
-}
-
-func (s storeSource) execBackend() xpath2sql.Backend { return s.be }
-func (s storeSource) liveDB() func() *xpath2sql.DB {
-	return func() *xpath2sql.DB { return s.st.View().DB }
-}
-func (s storeSource) liveStore() *store.Store         { return s.st }
-func (s storeSource) clusterRouter() *cluster.Cluster { return nil }
-
-type backendSource struct {
-	be xpath2sql.Backend
-}
-
-func (s backendSource) execBackend() xpath2sql.Backend  { return s.be }
-func (s backendSource) liveDB() func() *xpath2sql.DB    { return nil }
-func (s backendSource) liveStore() *store.Store         { return nil }
-func (s backendSource) clusterRouter() *cluster.Cluster { return nil }
-
-type clusterSource struct {
-	c  *cluster.Cluster
-	be xpath2sql.Backend
-}
-
-func (s clusterSource) execBackend() xpath2sql.Backend  { return s.be }
-func (s clusterSource) liveDB() func() *xpath2sql.DB    { return nil }
-func (s clusterSource) liveStore() *store.Store         { return nil }
-func (s clusterSource) clusterRouter() *cluster.Cluster { return s.c }
 
 // storeBackend adapts a live store to the Backend interface: Snapshot pins
 // the store's current epoch, so one request's whole execution sees one

@@ -9,10 +9,7 @@
 // translation.
 package xpath
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Path is a node of the XPath AST.
 type Path interface {
@@ -143,7 +140,7 @@ func (QAnd) isQual()  {}
 func (QOr) isQual()   {}
 
 func (q QPath) String() string { return q.P.String() }
-func (q QText) String() string { return fmt.Sprintf("text()=%q", q.C) }
+func (q QText) String() string { return "text()=" + quoteLiteral(q.C) }
 func (q QNot) String() string  { return "not(" + q.Q.String() + ")" }
 
 func (q QAnd) String() string {
@@ -151,6 +148,20 @@ func (q QAnd) String() string {
 }
 
 func (q QOr) String() string { return q.L.String() + " or " + q.R.String() }
+
+// quoteLiteral prints a string literal so that the parser reads back exactly
+// its bytes. The syntax has no escapes, so a literal is delimited by the quote
+// it does not contain, and one holding both is split at its double quotes into
+// XPath 1.0's concat("…",'"',"…").
+func quoteLiteral(c string) string {
+	if !strings.Contains(c, `"`) {
+		return `"` + c + `"`
+	}
+	if !strings.Contains(c, "'") {
+		return "'" + c + "'"
+	}
+	return `concat("` + strings.ReplaceAll(c, `"`, `",'"',"`) + `")`
+}
 
 func parenOr(q Qual) string {
 	if _, ok := q.(QOr); ok {

@@ -15,7 +15,11 @@ import (
 //	prim  := '.' | '*' | NAME | '(' path ')'
 //	qual  := and ('or' and)*
 //	and   := unary ('and' unary)*
-//	unary := 'not' '(' qual ')' | 'text' '()' '=' STRING | '(' qual ')' | path
+//	unary := 'not' '(' qual ')' | 'text' '()' '=' lit | '(' qual ')' | path
+//	lit   := STRING | 'concat' '(' STRING (',' STRING)* ')'
+//
+// A STRING is delimited by either quote and has no escapes; concat is how a
+// literal holding both quotes is written.
 //
 // A leading '//' applies the descendant-or-self axis to the context node, so
 // "//B" parses to Desc{B} and "A//B" to Seq{A, Desc{B}}.
@@ -252,7 +256,7 @@ func (p *parser) parseQualUnary() (Qual, error) {
 			if !p.eat("=") {
 				return nil, p.errf("expected '=' after text()")
 			}
-			c, err := p.parseString()
+			c, err := p.parseLiteral()
 			if err != nil {
 				return nil, err
 			}
@@ -306,6 +310,30 @@ func (p *parser) peekWord(w string) bool {
 	}
 	next := p.pos + len(w)
 	return next >= len(p.src) || !isNameChar(p.src[next])
+}
+
+func (p *parser) parseLiteral() (string, error) {
+	if !p.eatWord("concat") {
+		return p.parseString()
+	}
+	if !p.eat("(") {
+		return "", p.errf("expected '(' after concat")
+	}
+	var lit strings.Builder
+	for {
+		s, err := p.parseString()
+		if err != nil {
+			return "", err
+		}
+		lit.WriteString(s)
+		if !p.eat(",") {
+			break
+		}
+	}
+	if !p.eat(")") {
+		return "", p.errf("expected ')' to close concat")
+	}
+	return lit.String(), nil
 }
 
 func (p *parser) parseString() (string, error) {

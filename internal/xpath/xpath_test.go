@@ -2,6 +2,8 @@ package xpath
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +74,41 @@ func TestPrintParseRoundtrip(t *testing.T) {
 		if p2.String() != s {
 			t.Fatalf("roundtrip: %q -> %q", s, p2.String())
 		}
+	}
+}
+
+// TestLiteralRoundtrip: whatever bytes a text() literal holds — both quotes,
+// backslashes, control bytes, invalid UTF-8 — Parse(p.String()) is
+// structurally p, so the canonical text can stand in for the AST (plan-cache
+// key, the query a router ships to a shard), and distinct literals never
+// print alike.
+func TestLiteralRoundtrip(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	classes := []string{`"`, "'", `\`, "x", " ", "]", ")", ",", "\n", "\x00", "\xff\xfe", "é", "concat("}
+	printed := map[string]string{}
+	for i := 0; i < 2000; i++ {
+		var lit strings.Builder
+		for n := r.Intn(8); n > 0; n-- {
+			if r.Intn(4) == 0 {
+				lit.WriteByte(byte(r.Intn(256)))
+			} else {
+				lit.WriteString(classes[r.Intn(len(classes))])
+			}
+		}
+		var p Path = Seq{L: Label{Name: "a"}, R: Filter{P: Desc{P: Label{Name: "b"}},
+			Q: QAnd{L: QText{C: lit.String()}, R: QNot{Q: QText{C: lit.String() + "'"}}}}}
+		s := p.String()
+		p2, err := Parse(s)
+		if err != nil {
+			t.Fatalf("literal %q prints as %q, which does not parse: %v", lit.String(), s, err)
+		}
+		if !reflect.DeepEqual(p2, p) {
+			t.Fatalf("literal %q prints as %q, which parses to %#v", lit.String(), s, p2)
+		}
+		if prev, ok := printed[s]; ok && prev != lit.String() {
+			t.Fatalf("literals %q and %q both print as %q", prev, lit.String(), s)
+		}
+		printed[s] = lit.String()
 	}
 }
 
