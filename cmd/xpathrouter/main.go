@@ -27,7 +27,6 @@
 //	xpathrouter -dtd dept.dtd [-addr :8080]
 //	            -shards 0=http://127.0.0.1:8081,16777216=http://127.0.0.1:8082
 //	            [-mode strict|quorum|best-effort] [-shard-timeout 10s]
-//	            [-hedge-after 0]
 package main
 
 import (
@@ -53,13 +52,12 @@ func main() {
 		shards       = flag.String("shards", "", "comma-separated base=URL, one per shard: the -node-id-base it was booted on and its base URL (required)")
 		mode         = flag.String("mode", "strict", "partial-failure read mode: strict, quorum or best-effort")
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "per-shard call budget")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "relaunch a slow shard call after this duration (0 disables hedging)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("xpathrouter: ")
-	if err := run(*addr, *dtdPath, *shards, *mode, *shardTimeout, *hedgeAfter, *drainTimeout); err != nil {
+	if err := run(*addr, *dtdPath, *shards, *mode, *shardTimeout, *drainTimeout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -81,7 +79,7 @@ func parseShards(spec string) ([]cluster.RemoteShard, error) {
 	return out, nil
 }
 
-func run(addr, dtdPath, shards, mode string, shardTimeout, hedgeAfter, drainTimeout time.Duration) error {
+func run(addr, dtdPath, shards, mode string, shardTimeout, drainTimeout time.Duration) error {
 	if dtdPath == "" || shards == "" {
 		flag.Usage()
 		return errors.New("-dtd and -shards are required")
@@ -102,7 +100,7 @@ func run(addr, dtdPath, shards, mode string, shardTimeout, hedgeAfter, drainTime
 	if err != nil {
 		return err
 	}
-	cl, err := cluster.Connect(cluster.Config{Mode: rm, ShardTimeout: shardTimeout, HedgeAfter: hedgeAfter}, fleet)
+	cl, err := cluster.Connect(cluster.Config{Mode: rm, ShardTimeout: shardTimeout}, fleet)
 	if err != nil {
 		return err
 	}
@@ -116,8 +114,7 @@ func run(addr, dtdPath, shards, mode string, shardTimeout, hedgeAfter, drainTime
 	if err != nil {
 		return err
 	}
-	log.Printf("routing %d shards on http://%s (mode=%s shard-timeout=%v hedge-after=%v)",
-		len(fleet), l.Addr(), rm, shardTimeout, hedgeAfter)
+	log.Printf("routing %d shards on http://%s (mode=%s shard-timeout=%v)", len(fleet), l.Addr(), rm, shardTimeout)
 	for i, sh := range fleet {
 		log.Printf("  shard%d -> %s (node IDs from %d)", i, sh.URL, sh.Base)
 	}

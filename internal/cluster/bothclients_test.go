@@ -196,8 +196,12 @@ func TestRouterSameOverBothClients(t *testing.T) {
 			for _, v := range hostile {
 				b.askedOnlyOwner(t, "update_text", leaf, func() {
 					for _, c := range []*cluster.Cluster{b.local, b.remote} {
-						if _, err := c.Update(ctx, cluster.UpdateRequest{Op: store.OpUpdateText, Node: leaf, Value: v}); err != nil {
+						ack, err := c.Update(ctx, cluster.UpdateRequest{Op: store.OpUpdateText, Node: leaf, Value: v})
+						if err != nil {
 							t.Fatalf("update_text %q: %v", v, err)
+						}
+						if got := c.Stats().Shards[b.owner[leaf]].Epoch; got != ack.Epoch {
+							t.Fatalf("update_text %q acked epoch %d, and the router reports its shard at epoch %d", v, ack.Epoch, got)
 						}
 					}
 				})
@@ -232,7 +236,7 @@ func TestRouterSameOverBothClients(t *testing.T) {
 			// One shard dies on both sides. Whatever the mode makes of that, it
 			// makes the same of it through both clients.
 			const victim = 1
-			b.local.Shard(victim).KillPrimary()
+			b.local.Shard(victim).Kill()
 			b.servers[victim].Close()
 			compareAll("shard1 dead")
 			lerr, rerr := b.local.Ready(ctx), b.remote.Ready(ctx)
@@ -265,11 +269,8 @@ func TestRequestFaultsThroughBothClients(t *testing.T) {
 			nonRoot = id
 		}
 	})
-	// A union: the serial executor checks the tuple bound as each statement
-	// starts, so the second branch starts over the bound the first one broke.
-	union := "doc//" + types[1] + " | doc//" + types[2]
 	for name, ts := range routers {
-		code, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"query": union}, nil)
+		code, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"query": "doc//" + types[1]}, nil)
 		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), `"kind":"limit"`) {
 			t.Fatalf("%s: a MaxTuples trip on one shard under best-effort: %d %s, want 422 limit", name, code, body)
 		}

@@ -64,10 +64,8 @@ func ParseReadMode(s string) (ReadMode, error) {
 type Config struct {
 	// DTD validates every update and types the relations. Required.
 	DTD *dtd.DTD
-	// Shards is the number of primary shards (>= 1).
+	// Shards is the number of shards (>= 1).
 	Shards int
-	// Replicas is the number of read replicas per shard (0 = none).
-	Replicas int
 	// Placement assigns document roots to shards. Default: HashPlacement.
 	Placement Placement
 	// Mode selects the partial-failure policy for scatter reads.
@@ -75,10 +73,6 @@ type Config struct {
 	// ShardTimeout bounds each shard's execution of one scatter read
 	// (0 = only the request context bounds it).
 	ShardTimeout time.Duration
-	// HedgeAfter launches a second attempt on another read target when a
-	// shard has not answered within this duration (0 = no hedging; failed
-	// attempts are still retried once either way).
-	HedgeAfter time.Duration
 	// Intervals selects the physical path for descendant steps.
 	Intervals rdb.IntervalMode
 }
@@ -111,12 +105,9 @@ type Answer struct {
 	// serving without it; Failed names the missing shards.
 	Degraded bool
 	Failed   []string
-	// Watermark is the minimum epoch sequence across the views that
-	// answered — the bounded-staleness signal (a replica-served shard
-	// reports its replica's epoch).
+	// Watermark is the minimum epoch sequence across the shards that
+	// answered: the answer holds every write acknowledged at or below it.
 	Watermark uint64
-	// ReplicaReads counts shards served by a replica instead of the primary.
-	ReplicaReads int
 }
 
 // Cluster is the router over N shards: it sends a translated program to the
@@ -152,11 +143,10 @@ type routedShard struct {
 	hedges   atomic.Int64
 }
 
-// Open splits the collection across cfg.Shards primaries under the placement
-// function, opens each shard with cfg.Replicas read replicas, and seeds the
-// routing directory and the global node-ID allocator (which continues where
-// the collection's densest ID left off — exactly where a single store over
-// the same collection would).
+// Open splits the collection across cfg.Shards stores under the placement
+// function and seeds the routing directory and the global node-ID allocator
+// (which continues where the collection's densest ID left off — exactly where
+// a single store over the same collection would).
 func Open(cfg Config, collection *rdb.DB) (*Cluster, error) {
 	if cfg.DTD == nil {
 		return nil, errors.New("cluster: Config.DTD is required")
@@ -180,7 +170,7 @@ func Open(cfg Config, collection *rdb.DB) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, dir: buildDirectory(owner), allocates: true, nextID: next}
 	for i, db := range parts {
 		name := fmt.Sprintf("shard%d", i)
-		sh, err := newShard(name, cfg.DTD, db, cfg.Replicas, next)
+		sh, err := newShard(name, cfg.DTD, db, next)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -253,9 +243,6 @@ func (c *Cluster) Exec(ctx context.Context, prog *ra.Program, opts ExecOptions) 
 // absorb accounts one shard's answer; the watermark is the oldest epoch read.
 func (a *Answer) absorb(sa shardAnswer, first bool) {
 	a.Stats.Add(sa.stats)
-	if sa.fromReplica {
-		a.ReplicaReads++
-	}
 	if first || sa.epoch < a.Watermark {
 		a.Watermark = sa.epoch
 	}
@@ -341,81 +328,53 @@ func (c *Cluster) execShard(ctx context.Context, sh *routedShard, prog *ra.Progr
 	return r
 }
 
-// tryShard runs the program on one shard with a per-shard timeout, one retry
-// on a retryable failure, and an optional hedged second attempt racing the
-// first after HedgeAfter.
+// tryShard runs the program on one shard under the per-shard timeout, with
+// one retry on a retryable failure. The retry follows the failure and never
+// races a slow first attempt: a shard is one store, so a second attempt beside
+// the first would re-run the program on exactly the store that is slow.
 func (c *Cluster) tryShard(ctx context.Context, sh *routedShard, prog *ra.Program, opts ExecOptions) shardResult {
-	sctx := ctx
 	if c.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(ctx, c.cfg.ShardTimeout)
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.ShardTimeout)
 		defer cancel()
 	}
-	attempts := make(chan shardResult, 2)
-	launch := func(attempt int) {
-		go func() {
-			t0 := time.Now()
-			var trace *obs.Trace
-			if opts.Trace != nil {
-				trace = &obs.Trace{}
-			}
-			ans, err := sh.exec(sctx, prog, attempt, backend.ExecOptions{
-				Workers:   opts.Workers,
-				Limits:    opts.Limits,
-				Trace:     trace,
-				Intervals: c.cfg.Intervals,
-				Doc:       opts.Doc,
-			})
-			attempts <- shardResult{shard: sh, ans: ans, trace: trace, elapsed: time.Since(t0), err: err}
-		}()
-	}
-	launch(0)
-
-	var first shardResult
-	if c.cfg.HedgeAfter > 0 {
-		timer := time.NewTimer(c.cfg.HedgeAfter)
-		defer timer.Stop()
-		select {
-		case first = <-attempts:
-			if first.err == nil || !retryable(first.err) {
-				return first
-			}
-		case <-timer.C:
-			// The straggler keeps running; whichever attempt answers first
-			// wins, and the loser's channel slot is buffered so its goroutine
-			// never leaks.
-			sh.hedges.Add(1)
-			launch(1)
-			first = <-attempts
-			if first.err == nil || !retryable(first.err) {
-				return first
-			}
-			return <-attempts
+	call := func() shardResult {
+		t0 := time.Now()
+		var trace *obs.Trace
+		if opts.Trace != nil {
+			trace = &obs.Trace{}
 		}
-	} else {
-		first = <-attempts
-		if first.err == nil || !retryable(first.err) {
-			return first
-		}
+		ans, err := sh.exec(ctx, prog, backend.ExecOptions{
+			Workers:   opts.Workers,
+			Limits:    opts.Limits,
+			Trace:     trace,
+			Intervals: c.cfg.Intervals,
+			Doc:       opts.Doc,
+		})
+		return shardResult{shard: sh, ans: ans, trace: trace, elapsed: time.Since(t0), err: err}
 	}
-	// One retry on a different read target.
-	sh.hedges.Add(1)
-	launch(1)
-	return <-attempts
+	r := call()
+	if r.err != nil && retryable(r.err) {
+		sh.hedges.Add(1)
+		r = call()
+	}
+	return r
 }
 
 // requestFault reports a shard outcome that is the request's doing, not the
-// shard's, and would reproduce on any read target: a resource-limit trip, a
-// node that is no document, a remote shard's 4xx. It is not retried, not
-// degraded around and not counted against the shard.
+// shard's, and would reproduce on a second call: a resource-limit trip, a
+// node that is no document, a remote shard's 4xx — its 429 included, which is
+// forwarded to the caller: a shard is one store, so there is nowhere else to
+// take the request. It is not retried, not degraded around and not counted
+// against the shard.
 func requestFault(err error) bool {
 	var le *obs.LimitError
 	var se *ShardError
 	return errors.As(err, &le) || errors.As(err, &se) || errors.Is(err, rdb.ErrNotDocumentRoot)
 }
 
-// retryable reports whether a shard failure may succeed on another read
-// target: not the request's own fault, not the caller's cancellation.
+// retryable reports whether a shard failure may succeed on a second call: not
+// the request's own fault, not the caller's cancellation.
 func retryable(err error) bool {
 	return !requestFault(err) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
 }
@@ -488,15 +447,15 @@ func (c *Cluster) probe(ctx context.Context) []shardStatus {
 // read mode — the same rule judge applies to an answer. Serving layers map an
 // error to 503 on /readyz.
 func (c *Cluster) Ready(ctx context.Context) error {
-	var unreadable []string
+	var down []string
 	for i, st := range c.probe(ctx) {
-		if !st.readable {
-			unreadable = append(unreadable, c.shards[i].name)
+		if st.down {
+			down = append(down, c.shards[i].name)
 		}
 	}
-	if up := len(c.shards) - len(unreadable); !c.tolerates(up) {
+	if up := len(c.shards) - len(down); !c.tolerates(up) {
 		return fmt.Errorf("%w: %d of %d shards up, mode %s (down: %s)",
-			ErrDegraded, up, len(c.shards), c.cfg.Mode, strings.Join(unreadable, ", "))
+			ErrDegraded, up, len(c.shards), c.cfg.Mode, strings.Join(down, ", "))
 	}
 	return nil
 }
@@ -504,14 +463,13 @@ func (c *Cluster) Ready(ctx context.Context) error {
 // Stats snapshots the cluster's counters for the metrics endpoint.
 func (c *Cluster) Stats() obs.ClusterStats {
 	s := obs.ClusterStats{
-		ShardCount:   len(c.shards),
-		ReplicaCount: c.cfg.Replicas,
-		Mode:         c.cfg.Mode.String(),
-		Placement:    "external", // a fleet: whoever loaded the shards placed the documents
-		Scatters:     c.scatters.Load(),
-		DocQueries:   c.docQueries.Load(),
-		Updates:      c.updates.Load(),
-		Degraded:     c.degraded.Load(),
+		ShardCount: len(c.shards),
+		Mode:       c.cfg.Mode.String(),
+		Placement:  "external", // a fleet: whoever loaded the shards placed the documents
+		Scatters:   c.scatters.Load(),
+		DocQueries: c.docQueries.Load(),
+		Updates:    c.updates.Load(),
+		Degraded:   c.degraded.Load(),
 	}
 	if c.cfg.Placement != nil {
 		s.Placement = c.cfg.Placement.Name()
@@ -519,16 +477,12 @@ func (c *Cluster) Stats() obs.ClusterStats {
 	for i, st := range c.probe(context.Background()) {
 		sh := c.shards[i]
 		row := obs.ClusterShardStats{
-			Name:         sh.name,
-			Down:         st.down,
-			PrimaryEpoch: st.primaryEpoch,
-			ReplicaEpoch: st.replicaEpoch,
-			Queries:      sh.queries.Load(),
-			Failures:     sh.failures.Load(),
-			ReplicaReads: st.replicaReads,
-			Failovers:    st.failovers,
-			Hedges:       sh.hedges.Load(),
-			Nodes:        st.nodes,
+			Name:     sh.name,
+			Down:     st.down,
+			Epoch:    st.epoch,
+			Queries:  sh.queries.Load(),
+			Failures: sh.failures.Load(),
+			Hedges:   sh.hedges.Load(),
 		}
 		s.Failures += row.Failures
 		s.Shards = append(s.Shards, row)
@@ -536,7 +490,7 @@ func (c *Cluster) Stats() obs.ClusterStats {
 	return s
 }
 
-// Close releases every shard and replica.
+// Close releases every shard.
 func (c *Cluster) Close() error {
 	for _, sh := range c.shards {
 		sh.close()

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"xpath2sql"
 	"xpath2sql/internal/cluster"
@@ -21,8 +20,7 @@ import (
 // collections, random placements and mixed query/update sequences, an N-shard
 // cluster must answer byte-identically to a single store over the same
 // collection — scatter reads, document-scoped reads and router-allocated
-// writes alike. Run under -race in CI it also exercises the replica apply
-// goroutines against concurrent scatter reads.
+// writes alike.
 
 // randRecDTD synthesizes a random recursive DTD: a chain t0 → t1 → … → tN
 // closed into a cycle by a back edge, random chord edges, and text leaves.
@@ -282,33 +280,6 @@ func applyBoth(t *testing.T, r *rand.Rand, c *cluster.Cluster, st *store.Store, 
 	return true
 }
 
-// waitReplication blocks until every shard's freshest replica has applied up
-// to its primary's epoch. Replica reads are bounded-stale by design, so an
-// exact differential comparison must drain the WAL shipping feeds first.
-func waitReplication(t *testing.T, c *cluster.Cluster) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := c.Stats()
-		if s.ReplicaCount == 0 {
-			return
-		}
-		lagging := false
-		for _, sh := range s.Shards {
-			if !sh.Down && sh.ReplicaEpoch < sh.PrimaryEpoch {
-				lagging = true
-			}
-		}
-		if !lagging {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replication stalled: %+v", c.Stats().Shards)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestClusterDifferential is the randomized differential property test:
 // N-shard merged answers ≡ single-store execution over random recursive
 // DTDs, random placements and mixed query/update sequences, for N ∈ {2,3,4}.
@@ -342,7 +313,7 @@ func TestClusterDifferential(t *testing.T) {
 					intervals = rdb.IntervalOff
 				}
 				c, err := cluster.Open(cluster.Config{
-					DTD: d, Shards: shards, Replicas: r.Intn(2), Placement: pl, Intervals: intervals,
+					DTD: d, Shards: shards, Placement: pl, Intervals: intervals,
 				}, collection)
 				if err != nil {
 					t.Fatal(err)
@@ -381,7 +352,6 @@ func TestClusterDifferential(t *testing.T) {
 				nonEmpty, scopedNonEmpty := 0, 0
 				compare := func(when string) {
 					t.Helper()
-					waitReplication(t, c)
 					for i, tr := range trs {
 						want := oracleAnswer(t, tr, st)
 						if len(want) > 0 {

@@ -2,14 +2,13 @@ package cluster
 
 import "sort"
 
-// DocRoots lists the document roots the in-process shards' primaries hold,
-// ascending: the population the scope and differential tests sample documents
-// from.
+// DocRoots lists the document roots the in-process shards hold, ascending: the
+// population the scope and differential tests sample documents from.
 func (c *Cluster) DocRoots() []int {
 	var roots []int
 	seen := map[int]bool{}
 	for i := range c.shards {
-		db := c.Shard(i).primary.View().DB
+		db := c.Shard(i).st.View().DB
 		db.EachNode(func(id int) {
 			if db.Parent(id) == 0 && !seen[id] {
 				seen[id] = true

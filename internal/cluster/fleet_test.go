@@ -2,12 +2,16 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"xpath2sql"
@@ -301,5 +305,68 @@ func TestFleetDegradation(t *testing.T) {
 		if !strings.Contains(buf.String(), metric) {
 			t.Fatalf("router metrics missing %q:\n%s", metric, buf.String())
 		}
+	}
+}
+
+// TestFleetRetry: a shard call that fails as the shard's fault is made once
+// more and no further; one that fails as the request's fault is not repeated.
+// Hedges counts the second calls, Failures the calls that stayed failed.
+func TestFleetRetry(t *testing.T) {
+	servers, _ := newHTTPFleet(t, 2)
+	ctx := context.Background()
+	d, _, _ := randRecDTD(41)
+	tr, err := xpath2sql.New(d).TranslateString(ctx, "doc//t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		status int   // what shard 1 answers ...
+		faulty int64 // ... to its first this-many /v1/query calls
+		// What that comes to: the calls shard 1 received, the router's
+		// counters for it, and the outcome of the scatter.
+		calls, hedges, failures int64
+		outcome                 func(ans *cluster.Answer, err error) bool
+	}{
+		{"500 once, then 200", http.StatusInternalServerError, 1, 2, 1, 0, func(ans *cluster.Answer, err error) bool {
+			return err == nil && !ans.Degraded && len(ans.IDs) == 2+4 // shardDoc(0) and shardDoc(1) hold 2 and 4 t1 elements
+		}},
+		{"500 every time", http.StatusInternalServerError, math.MaxInt64, 2, 1, 1, func(_ *cluster.Answer, err error) bool {
+			return errors.Is(err, cluster.ErrDegraded)
+		}},
+		{"429", http.StatusTooManyRequests, math.MaxInt64, 1, 0, 0, func(_ *cluster.Answer, err error) bool {
+			var se *cluster.ShardError
+			return errors.As(err, &se) && se.Status == http.StatusTooManyRequests && se.Shard == "shard1"
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/query" && calls.Add(1) <= tc.faulty {
+					w.WriteHeader(tc.status)
+					fmt.Fprint(w, `{"error":"injected","kind":"saturated"}`)
+					return
+				}
+				servers[1].Config.Handler.ServeHTTP(w, r)
+			}))
+			defer flaky.Close()
+			cl, err := cluster.Connect(cluster.Config{Mode: cluster.ReadStrict}, []cluster.RemoteShard{
+				{URL: servers[0].URL, Base: 0}, {URL: flaky.URL, Base: shardIDSpace},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			ans, err := cl.Exec(ctx, tr.Program(), cluster.ExecOptions{})
+			if !tc.outcome(ans, err) {
+				t.Fatalf("scatter: answer %+v, err %v", ans, err)
+			}
+			s := cl.Stats()
+			if got := calls.Load(); got != tc.calls || s.Shards[1].Hedges != tc.hedges || s.Failures != tc.failures {
+				t.Fatalf("shard1 was called %d times, %d of them retries, and charged %d failures; want %d, %d, %d",
+					got, s.Shards[1].Hedges, s.Failures, tc.calls, tc.hedges, tc.failures)
+			}
+		})
 	}
 }

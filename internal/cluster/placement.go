@@ -1,6 +1,5 @@
 // Package cluster is the scale-out layer: it runs N shards of the existing
-// store/engine stack behind a scatter-gather router, with per-shard read
-// replicas fed by WAL shipping.
+// store/engine stack behind a scatter-gather router. A shard is one store.
 //
 // Sharding model. The unit of placement is the document: a collection is a
 // forest of top-level elements under the virtual root (ID 0), and a
@@ -14,18 +13,12 @@
 // byte-identically to the same collection in a single store — the property
 // the differential suite in this package proves.
 //
-// Replication. Each primary store ships its WAL records (store.SetOnShip) to
-// in-process read replicas that apply them into their own copy-on-write
-// epochs (store.ApplyShipped). The router fans reads across the primary and
-// its fresh replicas, bounds staleness by epoch lag, and fails reads over to
-// replicas when a primary is down; writes to a downed shard return
-// ErrShardDown.
-//
-// Failure handling. Scatter reads run under per-shard timeouts with optional
-// hedged second attempts. A shard that cannot answer is reported by name;
-// ReadStrict turns any miss into an error, ReadQuorum tolerates a minority,
-// ReadBestEffort serves whatever answered — both of the latter mark the
-// answer Degraded.
+// Failure handling. Scatter reads run under per-shard timeouts, and a call
+// that fails as the shard's fault is made once more. A shard that still cannot
+// answer is reported by name; ReadStrict turns any miss into an error,
+// ReadQuorum tolerates a minority, ReadBestEffort serves whatever answered —
+// both of the latter mark the answer Degraded. A downed shard fails the reads
+// and the writes routed to it: placement is ownership, nothing reroutes.
 package cluster
 
 import (

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -44,12 +45,12 @@ func (e *ShardError) Error() string {
 }
 
 // Connect builds the router over a running fleet. The same Cluster routes —
-// scatter, hedge, judge, merge, document and update routing are the code Open
+// scatter, retry, judge, merge, document and update routing are the code Open
 // runs — but the shards hold the relations and allocate their own node IDs,
 // each inside the range its base opens, so the directory is seeded with those
-// ranges and the router allocates nothing. Of cfg, Mode, ShardTimeout and
-// HedgeAfter apply; what bounds an execution (workers, limits, admission) is
-// each shard's own configuration.
+// ranges and the router allocates nothing. Of cfg, Mode and ShardTimeout
+// apply; what bounds an execution (workers, limits, admission) is each shard's
+// own configuration.
 func Connect(cfg Config, shards []RemoteShard) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("cluster: Connect needs at least one shard")
@@ -76,7 +77,7 @@ func Connect(cfg Config, shards []RemoteShard) (*Cluster, error) {
 
 // connect is Connect over a given directory.
 func connect(cfg Config, urls []string, dir *directory) (*Cluster, error) {
-	cfg.Shards, cfg.Replicas, cfg.Placement = len(urls), 0, nil
+	cfg.Shards, cfg.Placement = len(urls), nil
 	client := &http.Client{Transport: &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 16}}
 	c := &Cluster{cfg: cfg, dir: dir}
 	for i, u := range urls {
@@ -96,6 +97,19 @@ type remoteShard struct {
 	name   string
 	url    string
 	client *http.Client
+	// epoch is the newest epoch decoded from a /v1/query watermark or a
+	// /v1/update ack: what the router has seen of the shard, at no extra call.
+	epoch atomic.Uint64
+}
+
+// sawEpoch records an epoch the shard reported, keeping the newest.
+func (r *remoteShard) sawEpoch(epoch uint64) {
+	for {
+		cur := r.epoch.Load()
+		if epoch <= cur || r.epoch.CompareAndSwap(cur, epoch) {
+			return
+		}
+	}
 }
 
 // post sends one JSON request and decodes a 200 answer into out. A 4xx comes
@@ -144,7 +158,7 @@ func timeoutMS(ctx context.Context) int {
 	return max(1, int(time.Until(dl)/time.Millisecond))
 }
 
-func (r *remoteShard) exec(ctx context.Context, prog *ra.Program, _ int, opts backend.ExecOptions) (shardAnswer, error) {
+func (r *remoteShard) exec(ctx context.Context, prog *ra.Program, opts backend.ExecOptions) (shardAnswer, error) {
 	// JSON cannot carry other bytes: they would arrive as U+FFFD and select
 	// different nodes.
 	if prog.Query == "" || !utf8.ValidString(prog.Query) {
@@ -163,6 +177,7 @@ func (r *remoteShard) exec(ctx context.Context, prog *ra.Program, _ int, opts ba
 	if err := r.post(ctx, "/v1/query", in, &out); err != nil {
 		return shardAnswer{}, err
 	}
+	r.sawEpoch(out.Watermark)
 	return shardAnswer{ids: out.IDs, stats: out.Stats, epoch: out.Watermark}, nil
 }
 
@@ -191,11 +206,12 @@ func (r *remoteShard) update(ctx context.Context, req UpdateRequest, _ int) (sto
 	if err := r.post(ctx, "/v1/update", in, &out); err != nil {
 		return store.UpdateResult{}, err
 	}
+	r.sawEpoch(out.Epoch)
 	return store.UpdateResult{NodeID: out.NodeID, Nodes: out.Nodes, Epoch: out.Epoch, LSN: out.LSN}, nil
 }
 
-// status asks the shard's /readyz; epochs and sizes are the shard's own
-// /metrics to report.
+// status asks the shard's /readyz and adds the epoch the client last saw; the
+// shard's size is its own /metrics to report (store_nodes).
 func (r *remoteShard) status(ctx context.Context) shardStatus {
 	up := false
 	if req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+"/readyz", nil); err == nil {
@@ -205,7 +221,7 @@ func (r *remoteShard) status(ctx context.Context) shardStatus {
 			up = resp.StatusCode == http.StatusOK
 		}
 	}
-	return shardStatus{down: !up, readable: up}
+	return shardStatus{down: !up, epoch: r.epoch.Load()}
 }
 
 func (r *remoteShard) close() { r.client.CloseIdleConnections() }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"xpath2sql"
@@ -108,17 +109,18 @@ func TestScopedWorkIsTheDocumentsWork(t *testing.T) {
 	}
 }
 
-// TestScopedReadAtTheEpochItPinned: with a replica per shard and no wait for
-// replication, a scoped read lands on whichever of primary and replica the
-// round-robin picks — possibly an epoch behind. Whatever it pinned, the
-// answer must be the oracle's for that document as of that epoch: the scope's
-// interval comes from the pinned epoch's own encoding, never from a newer one.
+// TestScopedReadAtTheEpochItPinned: scoped readers race a writer, so a read
+// pins its shard's epoch and an update may publish a newer one before the read
+// has executed — the one way a read answers from an epoch older than the
+// newest. Whatever it pinned, the answer must be the oracle's for that document
+// as of the Watermark it reports: the scope's interval comes from the pinned
+// epoch's own encoding, never from a newer one.
 func TestScopedReadAtTheEpochItPinned(t *testing.T) {
 	d, kids, types := randRecDTD(41)
 	collection := randCollection(t, d, 42, 4)
 	const shards = 2
 	pl := cluster.RoundRobinPlacement{}
-	c, err := cluster.Open(cluster.Config{DTD: d, Shards: shards, Replicas: 1, Placement: pl}, collection)
+	c, err := cluster.Open(cluster.Config{DTD: d, Shards: shards, Placement: pl}, collection)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +140,39 @@ func TestScopedReadAtTheEpochItPinned(t *testing.T) {
 		}
 		trs = append(trs, tr)
 	}
+	// No update creates or deletes a document, so the roots stay put.
+	roots := c.DocRoots()
+
+	// A reader waits after each read for the writer to take note of it, which
+	// the writer does between two updates: so a read starts as an update does,
+	// and races it. The reader only records what it read, to be checked once
+	// the writer has the history to check it against.
+	type scopedRead struct {
+		root, query int
+		ans         *cluster.Answer
+		err         error
+	}
+	const readers = 2
+	reads := make([][]scopedRead, readers)
+	done, tick := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range reads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for {
+				root, query := roots[r.Intn(len(roots))], r.Intn(len(trs))
+				ans, err := c.Exec(ctx, trs[query].Program(), cluster.ExecOptions{Doc: root})
+				reads[w] = append(reads[w], scopedRead{root, query, ans, err})
+				select {
+				case tick <- struct{}{}:
+				case <-done:
+					return
+				}
+			}
+		}()
+	}
 
 	// history[shard][epoch] is the oracle database as of the update that took
 	// that shard to that epoch. Later updates to other shards leave the
@@ -145,56 +180,59 @@ func TestScopedReadAtTheEpochItPinned(t *testing.T) {
 	history := make([]map[uint64]*rdb.DB, shards)
 	epochs := make([]uint64, shards)
 	for i, sh := range c.Stats().Shards {
-		epochs[i] = sh.PrimaryEpoch
-		history[i] = map[uint64]*rdb.DB{sh.PrimaryEpoch: st.View().DB}
+		epochs[i] = sh.Epoch
+		history[i] = map[uint64]*rdb.DB{sh.Epoch: st.View().DB}
 	}
-	r := rand.New(rand.NewSource(9))
-	stale, reads := 0, 0
-	for step := 0; step < 60; step++ {
-		if !applyBoth(t, r, c, st, kids) {
-			continue
-		}
-		for i, sh := range c.Stats().Shards {
-			if sh.PrimaryEpoch != epochs[i] {
-				epochs[i] = sh.PrimaryEpoch
-				history[i][sh.PrimaryEpoch] = st.View().DB
+	func() {
+		defer wg.Wait()
+		defer close(done)
+		r := rand.New(rand.NewSource(9))
+		for step := 0; step < 60; step++ {
+			if !applyBoth(t, r, c, st, kids) {
+				continue
 			}
-		}
-		roots := c.DocRoots()
-		for k := 0; k < 4; k++ {
-			root := roots[r.Intn(len(roots))]
-			owner := pl.Owner(root, shards)
-			tr := trs[r.Intn(len(trs))]
-			ans, err := c.Exec(ctx, tr.Program(), cluster.ExecOptions{Doc: root})
-			if err != nil {
-				t.Fatalf("step %d: scoped read of document %d: %v", step, root, err)
-			}
-			odb, ok := history[owner][ans.Watermark]
-			if !ok {
-				t.Fatalf("step %d: answer pinned epoch %d of shard %d, which no update produced", step, ans.Watermark, owner)
-			}
-			res, err := backend.AdoptDB(odb, 0).Execute(ctx, tr.Program(), backend.ExecOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := []int{}
-			for _, id := range res.IDs {
-				if oracleDocRoot(odb, id) == root {
-					want = append(want, id)
+			for i, sh := range c.Stats().Shards {
+				if sh.Epoch != epochs[i] {
+					epochs[i] = sh.Epoch
+					history[i][sh.Epoch] = st.View().DB
 				}
 			}
-			if !slices.Equal(append([]int{}, ans.IDs...), want) {
-				t.Fatalf("step %d: document %d at epoch %d (replica read: %v) = %v, the oracle of that epoch has %v",
-					step, root, ans.Watermark, ans.ReplicaReads > 0, ans.IDs, want)
-			}
-			reads++
-			if ans.Watermark < epochs[owner] {
-				stale++
+			for range readers {
+				<-tick
 			}
 		}
+	}()
+
+	checked, stale := 0, 0
+	for _, rd := range slices.Concat(reads...) {
+		if rd.err != nil {
+			t.Fatalf("scoped read of document %d: %v", rd.root, rd.err)
+		}
+		owner := pl.Owner(rd.root, shards)
+		odb, ok := history[owner][rd.ans.Watermark]
+		if !ok {
+			t.Fatalf("an answer pinned epoch %d of shard %d, which no update produced", rd.ans.Watermark, owner)
+		}
+		res, err := backend.AdoptDB(odb, 0).Execute(ctx, trs[rd.query].Program(), backend.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []int{}
+		for _, id := range res.IDs {
+			if oracleDocRoot(odb, id) == rd.root {
+				want = append(want, id)
+			}
+		}
+		if !slices.Equal(append([]int{}, rd.ans.IDs...), want) {
+			t.Fatalf("document %d at epoch %d = %v, the oracle of that epoch has %v", rd.root, rd.ans.Watermark, rd.ans.IDs, want)
+		}
+		checked++
+		if rd.ans.Watermark < epochs[owner] {
+			stale++
+		}
 	}
-	if reads == 0 {
-		t.Fatal("no scoped read was checked")
+	if stale == 0 {
+		t.Fatal("every read pinned its shard's last epoch: none ran while the writer did")
 	}
-	t.Logf("%d scoped reads checked, %d of them an epoch or more behind their primary", reads, stale)
+	t.Logf("%d scoped reads checked, %d of them at an epoch older than their shard's last", checked, stale)
 }

@@ -220,30 +220,25 @@ type RerunReasons struct {
 // shape, routing counters, degraded-read accounting and the per-shard health
 // rows the smoke tests and dashboards read.
 type ClusterStats struct {
-	ShardCount   int
-	ReplicaCount int    // read replicas per shard
-	Mode         string // partial-failure policy: strict, quorum or best-effort
-	Placement    string // document placement function
-	Scatters     int64  // queries fanned to every shard
-	DocQueries   int64  // document-scoped queries routed to one owner shard
-	Updates      int64  // writes routed to owning primaries
-	Degraded     int64  // answers served with shards missing
-	Failures     int64  // the sum of Shards[i].Failures (exposed per shard, not as a second family)
-	Shards       []ClusterShardStats
+	ShardCount int
+	Mode       string // partial-failure policy: strict, quorum or best-effort
+	Placement  string // document placement function
+	Scatters   int64  // queries fanned to every shard
+	DocQueries int64  // document-scoped queries routed to one owner shard
+	Updates    int64  // writes routed to owning shards
+	Degraded   int64  // answers served with shards missing
+	Failures   int64  // the sum of Shards[i].Failures (exposed per shard, not as a second family)
+	Shards     []ClusterShardStats
 }
 
 // ClusterShardStats is one shard's row in the cluster snapshot.
 type ClusterShardStats struct {
-	Name         string
-	Down         bool   // primary killed; reads fail over to replicas
-	PrimaryEpoch uint64 // primary's published epoch sequence
-	ReplicaEpoch uint64 // freshest usable replica's epoch sequence
-	Queries      int64
-	Failures     int64
-	ReplicaReads int64 // reads served by a replica instead of the primary
-	Failovers    int64 // reads redirected to a replica because the primary is down
-	Hedges       int64 // hedged or retried attempts launched
-	Nodes        int64 // nodes in the primary's published catalog
+	Name     string
+	Down     bool   // the shard is not serving: reads and writes routed to it fail
+	Epoch    uint64 // newest epoch sequence the router has seen the shard publish
+	Queries  int64
+	Failures int64
+	Hedges   int64 // second calls made after a retryable failure (the router's one retry)
 }
 
 // StoreStats snapshots the document store: the published epoch, WAL volume,
@@ -417,14 +412,13 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 	}
 
 	if cs := m.Cluster; cs != nil {
-		gauge("cluster_shards", "Primary shards in the cluster.", int64(cs.ShardCount))
-		gauge("cluster_replicas_per_shard", "Read replicas per shard.", int64(cs.ReplicaCount))
+		gauge("cluster_shards", "Shards in the cluster.", int64(cs.ShardCount))
 		fmt.Fprintf(w, "# HELP %s_cluster_mode Partial-failure read mode, as an info-style gauge.\n", p)
 		fmt.Fprintf(w, "# TYPE %s_cluster_mode gauge\n", p)
 		fmt.Fprintf(w, "%s_cluster_mode{mode=%q,placement=%q} 1\n", p, cs.Mode, cs.Placement)
 		counter("cluster_scatter_queries_total", "Queries fanned to every shard.", cs.Scatters)
 		counter("cluster_doc_queries_total", "Document-scoped queries routed to one owner shard.", cs.DocQueries)
-		counter("cluster_updates_total", "Writes routed to owning primaries.", cs.Updates)
+		counter("cluster_updates_total", "Writes routed to owning shards.", cs.Updates)
 		counter("cluster_degraded_answers_total", "Answers served with one or more shards missing.", cs.Degraded)
 		perShard := func(name, help, typ string, value func(ClusterShardStats) int64) {
 			fmt.Fprintf(w, "# HELP %s_%s %s\n# TYPE %s_%s %s\n", p, name, help, p, name, typ)
@@ -432,28 +426,20 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s_%s{shard=%q} %d\n", p, name, sh.Name, value(sh))
 			}
 		}
-		perShard("cluster_shard_up", "Whether the shard's primary is serving (1) or failed over (0).", "gauge",
+		perShard("cluster_shard_up", "Whether the shard is serving (1) or down (0).", "gauge",
 			func(sh ClusterShardStats) int64 {
 				if sh.Down {
 					return 0
 				}
 				return 1
 			})
-		perShard("cluster_shard_primary_epoch", "Primary's published epoch sequence.", "gauge",
-			func(sh ClusterShardStats) int64 { return int64(sh.PrimaryEpoch) })
-		perShard("cluster_shard_replica_epoch", "Freshest usable replica's epoch sequence.", "gauge",
-			func(sh ClusterShardStats) int64 { return int64(sh.ReplicaEpoch) })
-		perShard("cluster_shard_nodes", "Nodes in the primary's published catalog.", "gauge",
-			func(sh ClusterShardStats) int64 { return sh.Nodes })
+		perShard("cluster_shard_epoch", "Newest epoch sequence the router has seen the shard publish.", "gauge",
+			func(sh ClusterShardStats) int64 { return int64(sh.Epoch) })
 		perShard("cluster_shard_queries_total", "Executions routed to the shard.", "counter",
 			func(sh ClusterShardStats) int64 { return sh.Queries })
 		perShard("cluster_shard_failures_total", "Executions the shard failed.", "counter",
 			func(sh ClusterShardStats) int64 { return sh.Failures })
-		perShard("cluster_shard_replica_reads_total", "Reads served by a replica instead of the primary.", "counter",
-			func(sh ClusterShardStats) int64 { return sh.ReplicaReads })
-		perShard("cluster_shard_failovers_total", "Reads redirected to a replica because the primary is down.", "counter",
-			func(sh ClusterShardStats) int64 { return sh.Failovers })
-		perShard("cluster_shard_hedges_total", "Hedged or retried attempts launched against the shard.", "counter",
+		perShard("cluster_shard_hedges_total", "Retried attempts launched against the shard.", "counter",
 			func(sh ClusterShardStats) int64 { return sh.Hedges })
 	}
 

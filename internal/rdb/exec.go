@@ -239,9 +239,9 @@ func (e *Exec) curStmt() string {
 	return e.cur[len(e.cur)-1]
 }
 
-// check enforces the context and the global limits. It is called between
-// statements and between fixpoint iterations — the points where execution
-// can be abandoned without leaving shared state corrupted.
+// check enforces the context and the global limits. It is called as each
+// statement starts and finishes and between fixpoint iterations — the points
+// where execution can be abandoned without leaving shared state corrupted.
 func (e *Exec) check() error {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
@@ -288,6 +288,9 @@ func (e *Exec) stmt(name string) (*Relation, error) {
 	r, err := e.eval(pl)
 	if err == nil {
 		e.Stats.StmtsRun++
+		// The bounds again, over what the statement produced: under Lazy every
+		// statement of a dependency chain starts before any tuple exists.
+		err = e.check()
 	}
 	delete(e.running, name)
 	e.cur = e.cur[:len(e.cur)-1]

@@ -173,6 +173,41 @@ func TestMaxTuples(t *testing.T) {
 	}
 }
 
+// TestMaxTuplesWhateverTheProgramShape: the tuple bound holds on programs with
+// no fixpoint to check it between iterations — a lone statement, a chain whose
+// statements all start (lazily, from the result down) before any has produced
+// a tuple, a union of two — and the serial executor and the scheduler report
+// the same trip.
+func TestMaxTuplesWhateverTheProgramShape(t *testing.T) {
+	db := chainDB(50)
+	hop := func(l ra.Plan) ra.Plan { return ra.Compose{L: l, R: ra.Base{Rel: "E"}} }
+	limits := obs.Limits{MaxTuples: 10}
+	for name, p := range map[string]*ra.Program{
+		"single statement": prog(hop(ra.Base{Rel: "E"})),
+		"chain": {Result: "result", Stmts: []ra.Stmt{
+			{Name: "a", Plan: hop(ra.Base{Rel: "E"})},
+			{Name: "b", Plan: hop(ra.Temp{Name: "a"})},
+			{Name: "result", Plan: hop(ra.Temp{Name: "b"})},
+		}},
+		"union": {Result: "result", Stmts: []ra.Stmt{
+			{Name: "a", Plan: hop(ra.Base{Rel: "E"})},
+			{Name: "b", Plan: hop(hop(ra.Base{Rel: "E"}))},
+			{Name: "result", Plan: ra.UnionAll{Kids: []ra.Plan{ra.Temp{Name: "a"}, ra.Temp{Name: "b"}}}},
+		}},
+	} {
+		ex := NewExec(db)
+		ex.Limits = limits
+		_, serial := ex.RunCtx(context.Background(), p, nil)
+		_, _, scheduled := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 2, Limits: limits})
+		for driver, err := range map[string]error{"RunCtx": serial, "RunParallelWith": scheduled} {
+			var le *obs.LimitError
+			if !errors.As(err, &le) || le.Kind != obs.LimitTuples || le.Limit != int64(limits.MaxTuples) || le.Actual <= le.Limit {
+				t.Errorf("%s, %s: err = %v, want a tuple-count LimitError over %d", name, driver, err, limits.MaxTuples)
+			}
+		}
+	}
+}
+
 func TestParallelTraceDeterministic(t *testing.T) {
 	db := chainDB(40, [2]int{40, 7})
 	p := &ra.Program{

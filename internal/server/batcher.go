@@ -34,14 +34,16 @@ type batchEntry struct {
 type batchReply struct {
 	ids   []int
 	stats xpath2sql.ExecStats
+	epoch uint64 // of the database version the answer was read from
 	err   error
 }
 
 type batcher struct {
 	eng *xpath2sql.Engine
 	// db resolves the database per run: with a live store behind the server
-	// each batch pins the current epoch, without one it returns the static DB.
-	db       func() *xpath2sql.DB
+	// each batch pins the current epoch, without one it returns the static DB
+	// (as epoch 0).
+	db       func() (*xpath2sql.DB, uint64)
 	window   time.Duration
 	maxBatch int
 	timeout  time.Duration // execution budget for a batch run
@@ -76,7 +78,7 @@ type cachedBatch struct {
 	ans *xpath2sql.BatchAnswer // materialized per-slot answers
 }
 
-func newBatcher(eng *xpath2sql.Engine, db func() *xpath2sql.DB, window time.Duration, maxBatch int, timeout time.Duration, m *metrics) *batcher {
+func newBatcher(eng *xpath2sql.Engine, db func() (*xpath2sql.DB, uint64), window time.Duration, maxBatch int, timeout time.Duration, m *metrics) *batcher {
 	if maxBatch < 2 {
 		maxBatch = 2
 	}
@@ -99,20 +101,20 @@ func newBatcher(eng *xpath2sql.Engine, db func() *xpath2sql.DB, window time.Dura
 // caller's context bounds the wait: if it expires while the entry is queued
 // or executing, submit returns the context error (the batch run itself
 // finishes on its own budget and serves the other entries).
-func (b *batcher) submit(ctx context.Context, query string) ([]int, xpath2sql.ExecStats, error) {
+func (b *batcher) submit(ctx context.Context, query string) batchReply {
 	e := &batchEntry{query: query, ctx: ctx, reply: make(chan batchReply, 1)}
 	select {
 	case b.ch <- e:
 	case <-b.done:
-		return nil, xpath2sql.ExecStats{}, errBatcherClosed
+		return batchReply{err: errBatcherClosed}
 	case <-ctx.Done():
-		return nil, xpath2sql.ExecStats{}, ctx.Err()
+		return batchReply{err: ctx.Err()}
 	}
 	select {
 	case r := <-e.reply:
-		return r.ids, r.stats, r.err
+		return r
 	case <-ctx.Done():
-		return nil, xpath2sql.ExecStats{}, ctx.Err()
+		return batchReply{err: ctx.Err()}
 	}
 }
 
@@ -194,8 +196,7 @@ func (b *batcher) run(batch []*batchEntry) {
 	}
 	if len(batch) == 1 {
 		e := batch[0]
-		ids, stats, err := b.runSingle(e.ctx, e.query)
-		e.reply <- batchReply{ids: ids, stats: stats, err: err}
+		e.reply <- b.runSingle(e.ctx, e.query)
 		return
 	}
 
@@ -230,7 +231,7 @@ func (b *batcher) run(batch []*batchEntry) {
 		b.fallback(batch)
 		return
 	}
-	db := b.db()
+	db, epoch := b.db()
 	if entry.ans == nil || entry.db != db {
 		ans, err := entry.bt.ExecuteContext(ctx, db)
 		if err != nil {
@@ -241,18 +242,18 @@ func (b *batcher) run(batch []*batchEntry) {
 		b.m.batchRuns.Add(1)
 		b.m.batchedQueries.Add(int64(len(batch)))
 		for i, e := range batch {
-			e.reply <- batchReply{ids: ans.IDs[entrySlot[i]], stats: ans.PerQuery[entrySlot[i]]}
+			e.reply <- batchReply{ids: ans.IDs[entrySlot[i]], stats: ans.PerQuery[entrySlot[i]], epoch: epoch}
 		}
 		return
 	}
-	// Materialized answers still valid for this database version: serve them
-	// without executing. Stats are zero — no execution work was performed
-	// for these requests, and the work that built the answers was already
-	// charged to the run that performed it.
+	// Materialized answers still valid for this database version (the same
+	// *DB, so the same epoch): serve them without executing. Stats are zero —
+	// no execution work was performed for these requests, and the work that
+	// built the answers was already charged to the run that performed it.
 	b.m.batchedQueries.Add(int64(len(batch)))
 	b.m.batchAnswerHits.Add(int64(len(batch)))
 	for i, e := range batch {
-		e.reply <- batchReply{ids: entry.ans.IDs[entrySlot[i]]}
+		e.reply <- batchReply{ids: entry.ans.IDs[entrySlot[i]], epoch: epoch}
 	}
 }
 
@@ -291,20 +292,20 @@ func (b *batcher) translateUniq(ctx context.Context, uniq []string) (*cachedBatc
 // execution fails, so each query gets its own precise error (or answer).
 func (b *batcher) fallback(batch []*batchEntry) {
 	for _, e := range batch {
-		ids, stats, err := b.runSingle(e.ctx, e.query)
-		e.reply <- batchReply{ids: ids, stats: stats, err: err}
+		e.reply <- b.runSingle(e.ctx, e.query)
 	}
 }
 
 // runSingle is the ordinary prepared single-query path.
-func (b *batcher) runSingle(ctx context.Context, query string) ([]int, xpath2sql.ExecStats, error) {
+func (b *batcher) runSingle(ctx context.Context, query string) batchReply {
 	p, err := b.eng.PrepareString(ctx, query)
 	if err != nil {
-		return nil, xpath2sql.ExecStats{}, err
+		return batchReply{err: err}
 	}
-	ans, err := p.ExecuteOn(ctx, xpath2sql.NewLocalBackend(b.db()))
+	db, epoch := b.db()
+	ans, err := p.ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
 	if err != nil {
-		return nil, xpath2sql.ExecStats{}, err
+		return batchReply{err: err}
 	}
-	return ans.IDs, ans.Stats, nil
+	return batchReply{ids: ans.IDs, stats: ans.Stats, epoch: epoch}
 }

@@ -195,14 +195,14 @@ func TestBatcherSingleEntryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newMetrics(nil)
-	b := newBatcher(xpath2sql.New(d), func() *xpath2sql.DB { return db }, time.Millisecond, 4, time.Second, m)
+	b := newBatcher(xpath2sql.New(d), func() (*xpath2sql.DB, uint64) { return db, 0 }, time.Millisecond, 4, time.Second, m)
 	defer b.close()
-	ids, stats, err := b.submit(context.Background(), "dept//project")
-	if err != nil {
-		t.Fatal(err)
+	r := b.submit(context.Background(), "dept//project")
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if len(ids) != 1 || stats.StmtsRun == 0 {
-		t.Fatalf("ids %v stats %+v", ids, stats)
+	if len(r.ids) != 1 || r.stats.StmtsRun == 0 {
+		t.Fatalf("ids %v stats %+v", r.ids, r.stats)
 	}
 	if m.batchRuns.Load() != 0 {
 		t.Fatalf("batchRuns = %d for a single-entry window", m.batchRuns.Load())
@@ -240,24 +240,16 @@ func TestBatcherAnswerCache(t *testing.T) {
 	var cur atomic.Pointer[xpath2sql.DB]
 	cur.Store(db1)
 	m := newMetrics(nil)
-	b := newBatcher(xpath2sql.New(d), cur.Load, 50*time.Millisecond, 2, time.Second, m)
+	b := newBatcher(xpath2sql.New(d), func() (*xpath2sql.DB, uint64) { return cur.Load(), 0 }, 50*time.Millisecond, 2, time.Second, m)
 	defer b.close()
 
 	// submitPair coalesces two concurrent queries into one batch (maxBatch 2,
 	// so the window closes as soon as both arrive) and returns the count and
 	// stats of the dept//project entry.
 	submitPair := func() (int, xpath2sql.ExecStats) {
-		type res struct {
-			ids   []int
-			stats xpath2sql.ExecStats
-			err   error
-		}
-		ch := make(chan res, 1)
-		go func() {
-			ids, stats, err := b.submit(context.Background(), "dept//project")
-			ch <- res{ids, stats, err}
-		}()
-		if _, _, err := b.submit(context.Background(), "dept//cno"); err != nil {
+		ch := make(chan batchReply, 1)
+		go func() { ch <- b.submit(context.Background(), "dept//project") }()
+		if err := b.submit(context.Background(), "dept//cno").err; err != nil {
 			t.Fatal(err)
 		}
 		r := <-ch
@@ -321,12 +313,11 @@ func TestBatcherClosedRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBatcher(xpath2sql.New(d), func() *xpath2sql.DB { return db }, 10*time.Millisecond, 4, time.Second, newMetrics(nil))
+	b := newBatcher(xpath2sql.New(d), func() (*xpath2sql.DB, uint64) { return db, 0 }, 10*time.Millisecond, 4, time.Second, newMetrics(nil))
 	b.close()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := b.submit(context.Background(), "dept//project")
-		done <- err
+		done <- b.submit(context.Background(), "dept//project").err
 	}()
 	select {
 	case err := <-done:

@@ -171,7 +171,7 @@ type Server struct {
 	// epoch, so a merged batch run sees one version however many updates land
 	// meanwhile) and the live store (nil when read-only).
 	execBe  xpath2sql.Backend
-	dbFn    func() *xpath2sql.DB
+	dbFn    func() (*xpath2sql.DB, uint64)
 	store   *store.Store
 	cluster *cluster.Cluster    // non-nil for FromCluster sources
 	hub     *xpath2sql.WatchHub // nil when read-only (no live store)
@@ -379,8 +379,7 @@ type queryResponse struct {
 	FailedShards []string `json:"failed_shards,omitempty"`
 	// Watermark is the epoch the answer was read at — of a cluster, the
 	// oldest among the shards that answered — to check a read against the
-	// epoch a /v1/update returned. Omitted at 0 (nothing written yet) and on
-	// micro-batched answers.
+	// epoch a /v1/update returned. Omitted at 0 (nothing written yet).
 	Watermark uint64 `json:"watermark,omitempty"`
 }
 
@@ -639,18 +638,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// momentarily sees itself alone — so recent batching activity keeps
 	// requests routed to the batcher through that gap.
 	if s.batcher != nil && !req.Explain && req.Doc == 0 && (s.adm.executing() > 1 || s.batcher.recentlyBatching()) {
-		ids, stats, err := s.batcher.submit(ctx, req.Query)
-		if err != nil {
-			s.fail(w, err)
+		r := s.batcher.submit(ctx, req.Query)
+		if r.err != nil {
+			s.fail(w, r.err)
 			return
 		}
-		s.m.recordExec(stats)
+		s.m.recordExec(r.stats)
 		writeQueryResponse(w, &queryResponse{
-			IDs:       ids,
-			Count:     len(ids),
+			IDs:       r.ids,
+			Count:     len(r.ids),
 			ElapsedMS: time.Since(t0).Seconds() * 1000,
-			Stats:     stats,
+			Stats:     r.stats,
 			Batched:   true,
+			Watermark: r.epoch,
 		})
 		return
 	}
@@ -782,7 +782,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if ew := s.effectiveWorkers(); ew != s.eng.Parallelism() {
 		b = b.WithParallelism(ew)
 	}
-	ans, err := b.ExecuteContext(ctx, s.dbFn())
+	db, _ := s.dbFn()
+	ans, err := b.ExecuteContext(ctx, db)
 	if err != nil {
 		s.fail(w, err)
 		return

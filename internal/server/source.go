@@ -20,9 +20,10 @@ type Source struct {
 	// one execution path.
 	be xpath2sql.Backend
 	// db resolves the in-process database for one merged micro-batch or
-	// /v1/batch run, pinning the current version; nil when the source has no
-	// in-process *DB (micro-batching and merged batch execution unavailable).
-	db func() *xpath2sql.DB
+	// /v1/batch run, pinning the current version and naming its epoch (0 for a
+	// database that has none); nil when the source has no in-process *DB
+	// (micro-batching and merged batch execution unavailable).
+	db func() (*xpath2sql.DB, uint64)
 	// st is the live document store behind the source, enabling the update,
 	// watch and snapshot endpoints; nil for read-only sources.
 	st *store.Store
@@ -35,14 +36,18 @@ type Source struct {
 // FromDB serves a static shredded database through the bundled in-process
 // engine: micro-batching available, no update endpoints.
 func FromDB(db *xpath2sql.DB) Source {
-	return Source{be: backend.NewLocalDB(db), db: func() *xpath2sql.DB { return db }}
+	return Source{be: backend.NewLocalDB(db), db: func() (*xpath2sql.DB, uint64) { return db, 0 }}
 }
 
 // FromStore serves a live document store: every request (and every merged
 // batch run) pins the store's current epoch — an immutable snapshot — and
 // the update/snapshot endpoints are enabled. Micro-batching available.
 func FromStore(st *store.Store) Source {
-	return Source{be: storeBackend{st: st}, db: func() *xpath2sql.DB { return st.View().DB }, st: st}
+	pin := func() (*xpath2sql.DB, uint64) {
+		v := st.View()
+		return v.DB, v.Seq
+	}
+	return Source{be: storeBackend{st: st}, db: pin, st: st}
 }
 
 // FromBackend serves through a storage-neutral Backend (e.g. the

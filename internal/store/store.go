@@ -144,51 +144,6 @@ func (s *Store) SetOnApply(fn func(TxnDelta)) {
 	s.onApply = fn
 }
 
-// ShipRecord is one logical update in shippable form: the WAL record a
-// primary applied, complete with its assigned LSN and (for inserts) base node
-// ID. Replicas replay ShipRecords through ApplyShipped and converge on the
-// primary's exact epochs — same node IDs, same relation contents.
-type ShipRecord struct {
-	LSN      uint64
-	Op       string // OpInsert, OpDelete or OpUpdateText
-	Parent   int    // insert: parent of the new subtree
-	Node     int    // delete/update_text: the target node
-	Base     int    // insert: first assigned node ID
-	Fragment string // insert: the XML fragment
-	Value    string // update_text: the new text value
-}
-
-// SetOnShip registers fn to be called after every live applied update, in LSN
-// order, under the writer lock — the replication feed. fn must not block
-// (hand off to a queue) and must not call back into the store's write path.
-// A nil fn unregisters. WAL replay during Open does not invoke the hook;
-// replicas attaching after Open start from the then-current epoch.
-func (s *Store) SetOnShip(fn func(ShipRecord)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onShip = fn
-}
-
-// ApplyShipped applies a primary's ShipRecord to this store (the replica
-// side of SetOnShip). Records must arrive in LSN order with no gaps; a gap
-// returns ErrCorrupt and the replica must resync from a fresh primary epoch.
-// The update is re-validated and applied through the ordinary copy-on-write
-// path, so replica epochs are bit-identical to the primary's.
-func (s *Store) ApplyShipped(rec ShipRecord) (UpdateResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return UpdateResult{}, ErrClosed
-	}
-	if rec.LSN != s.lsn+1 {
-		return UpdateResult{}, fmt.Errorf("%w: shipped record LSN %d, want %d", ErrCorrupt, rec.LSN, s.lsn+1)
-	}
-	return s.applyRecord(walRecord{
-		LSN: rec.LSN, Op: rec.Op, Parent: rec.Parent, Node: rec.Node,
-		Base: rec.Base, Fragment: rec.Fragment, Value: rec.Value,
-	}, false)
-}
-
 // CheckpointInfo describes one written snapshot.
 type CheckpointInfo struct {
 	Path    string
@@ -216,7 +171,6 @@ type Store struct {
 	sinceCkpt int
 	closed    bool
 	onApply   func(TxnDelta)
-	onShip    func(ShipRecord)
 
 	ckptMu sync.Mutex // serializes snapshot file writes
 
@@ -487,8 +441,8 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	// The new epoch's interval encoding is the previous one's, patched: a text
 	// update shares it, a delete's nodes took their labels with them, an insert
 	// labels the new subtree out of the slack before its parent's end —
-	// relabelling around it only when there is none left. Recovery and replicas
-	// replay through this same path.
+	// relabelling around it only when there is none left. Recovery replays
+	// through this same path.
 	if rec.Op != opInsert {
 		t.db.ShareDescIndexes(ep.DB)
 	} else if n := t.db.DeriveInsert(ep.DB, rec.Parent, rec.Base); n > 0 {
@@ -505,12 +459,6 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	if s.onApply != nil {
 		td.Epoch, td.LSN, td.DB = next.Seq, next.LSN, t.db
 		s.onApply(td)
-	}
-	if log && s.onShip != nil {
-		s.onShip(ShipRecord{
-			LSN: rec.LSN, Op: rec.Op, Parent: rec.Parent, Node: rec.Node,
-			Base: rec.Base, Fragment: rec.Fragment, Value: rec.Value,
-		})
 	}
 	s.applyHist.Observe(time.Since(t0))
 	return res, nil
