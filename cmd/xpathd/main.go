@@ -34,7 +34,6 @@
 //	       [-checkpoint-every 1000]
 //	       [-strategy X] [-parallel n] [-cache-size n]
 //	       [-max-concurrent n] [-queue-depth n] [-request-timeout 30s]
-//	       [-batch-window 0] [-max-batch 16]
 //	       [-watch-max-subs 1024] [-watch-buffer 64]
 //	       [-max-lfp-iters n] [-max-tuples n] [-drain-timeout 10s]
 package main
@@ -87,8 +86,6 @@ type options struct {
 	maxConcurrent int
 	queueDepth    int
 	reqTimeout    time.Duration
-	batchWindow   time.Duration
-	maxBatch      int
 	watchMaxSubs  int
 	watchBuffer   int
 	maxLFPIters   int
@@ -120,8 +117,6 @@ func main() {
 	flag.IntVar(&o.maxConcurrent, "max-concurrent", runtime.GOMAXPROCS(0), "admission: concurrently executing requests")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "admission: waiting requests before 429 (default 4x max-concurrent)")
 	flag.DurationVar(&o.reqTimeout, "request-timeout", 30*time.Second, "per-request execution budget")
-	flag.DurationVar(&o.batchWindow, "batch-window", 0, "micro-batching window for /v1/query (0 disables)")
-	flag.IntVar(&o.maxBatch, "max-batch", 16, "queries coalesced per micro-batch run")
 	flag.IntVar(&o.watchMaxSubs, "watch-max-subs", 0, "concurrent /v1/watch subscriptions before 429 (0 = default cap, negative = unlimited)")
 	flag.IntVar(&o.watchBuffer, "watch-buffer", 0, "per-subscription pending-event buffer before snapshot resync (0 = default)")
 	flag.IntVar(&o.maxLFPIters, "max-lfp-iters", 0, "cap iterations per fixpoint operator (0 = unlimited)")
@@ -292,8 +287,6 @@ func run(o options) error {
 		MaxConcurrent:  o.maxConcurrent,
 		QueueDepth:     o.queueDepth,
 		RequestTimeout: o.reqTimeout,
-		BatchWindow:    o.batchWindow,
-		MaxBatch:       o.maxBatch,
 
 		WatchMaxSubscriptions: o.watchMaxSubs,
 		WatchBuffer:           o.watchBuffer,

@@ -468,7 +468,7 @@ func (b *Batch) ExecuteContext(ctx context.Context, db *DB) (*BatchAnswer, error
 		err   error
 	)
 	if b.workers > 1 {
-		ids, per, total, err = b.b.ExecuteParallelCtx(ctx, db, b.workers, b.limits, trace)
+		ids, per, total, err = b.b.ExecuteParallelCtx(ctx, db, rdb.RunConfig{Workers: b.workers, Limits: b.limits, Trace: trace})
 	} else {
 		ids, per, total, err = b.b.ExecuteCtx(ctx, db, b.limits, trace)
 	}

@@ -57,7 +57,7 @@ func TranslateBatch(queries []xpath.Path, d *dtd.DTD, opts Options) (*BatchResul
 // form as the forward closure from start followed by an end filter (§5.2),
 // so the split is cost-neutral for one query, while the expensive closure
 // becomes textually identical across queries that differ only in their end
-// constraint — the common case for a micro-batch of //-queries over one
+// constraint — the common case for a batch of //-queries over one
 // DTD — and is then computed once per batch.
 func MergeBatch(results []*Result) (*BatchResult, error) {
 	if len(results) == 0 {
@@ -185,28 +185,29 @@ func (b *BatchResult) ExecuteCtx(ctx context.Context, db *rdb.DB, limits obs.Lim
 }
 
 // ExecuteParallelCtx answers every query of the batch in one parallel pass:
-// the merged program's statement DAG is scheduled across up to workers
-// concurrent evaluators (rdb.RunParallelMultiCtx), so shared sub-queries are
+// the merged program's statement DAG is scheduled across up to cfg.Workers
+// concurrent evaluators (rdb.RunParallelRoots), so shared sub-queries are
 // evaluated exactly once and independent per-query sections run
 // concurrently. Per-query statistics are recovered from the statement trace
 // by charging each executed statement to the first (lowest-index) query
 // whose result reaches it — the same owner the serial executor's lazy
 // memoization produces when every reachable statement is needed — so the
 // per-query stats again sum to the total. Cancellation, limits and trace
-// determinism follow RunParallelMultiCtx.
-func (b *BatchResult) ExecuteParallelCtx(ctx context.Context, db *rdb.DB, workers int, limits obs.Limits, trace *obs.Trace) ([][]int, []rdb.Stats, *rdb.Stats, error) {
-	if trace == nil {
-		trace = &obs.Trace{} // attribution needs the per-statement events
+// determinism, interval mode and document scope are cfg's, as in any other
+// scheduler run (rdb.RunConfig).
+func (b *BatchResult) ExecuteParallelCtx(ctx context.Context, db *rdb.DB, cfg rdb.RunConfig) ([][]int, []rdb.Stats, *rdb.Stats, error) {
+	if cfg.Trace == nil {
+		cfg.Trace = &obs.Trace{} // attribution needs the per-statement events
 	}
-	rels, total, err := rdb.RunParallelMultiCtx(ctx, db, b.Program, b.ResultNames, workers, limits, trace)
+	done, total, err := rdb.RunParallelRoots(ctx, db, b.Program, b.ResultNames, cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	answers := make([][]int, len(rels))
-	for i, rel := range rels {
-		answers[i] = ExtractIDs(rel)
+	answers := make([][]int, len(b.ResultNames))
+	for i, name := range b.ResultNames {
+		answers[i] = ExtractIDs(done[name])
 	}
-	return answers, b.attributeStats(trace), total, nil
+	return answers, b.attributeStats(cfg.Trace), total, nil
 }
 
 // attributeStats charges each traced statement event to the first query (in

@@ -133,10 +133,10 @@ type EndpointLatency struct {
 }
 
 // MetricsSnapshot aggregates every counter the serving layer exposes:
-// HTTP-level request accounting, admission-control pressure, micro-batching
-// effectiveness, the engine's plan-cache counters, and the data plane's
-// aggregate operator work across all served executions. internal/server
-// assembles one per scrape and renders it with WritePrometheus.
+// HTTP-level request accounting, admission-control pressure, the engine's
+// plan-cache counters, and the data plane's aggregate operator work across
+// all served executions. internal/server assembles one per scrape and renders
+// it with WritePrometheus.
 type MetricsSnapshot struct {
 	// Service prefixes every metric name; empty defaults to "xpathd".
 	Service string
@@ -148,13 +148,10 @@ type MetricsSnapshot struct {
 	InFlight int64
 	Queued   int64
 
-	// Admission, fault and batching counters.
-	Rejections      int64 // 429s: admission queue overflow
-	LimitErrors     int64 // 422s: typed *LimitError from execution
-	Panics          int64 // handler panics converted to 500s
-	BatchRuns       int64 // micro-batch scheduler runs covering >1 query
-	BatchedQueries  int64 // single queries coalesced into those runs
-	BatchAnswerHits int64 // batched queries answered from materialized answers
+	// Admission and fault counters.
+	Rejections  int64 // 429s: admission queue overflow
+	LimitErrors int64 // 422s: typed *LimitError from execution
+	Panics      int64 // handler panics converted to 500s
 
 	// Engine carries the engine's aggregate stats surface (Engine.Stats):
 	// plan-cache counters, configured parallelism and the execution backend.
@@ -320,9 +317,6 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 	counter("admission_rejected_total", "Requests rejected with 429 by admission control.", m.Rejections)
 	counter("limit_errors_total", "Executions aborted by a resource limit (422).", m.LimitErrors)
 	counter("panics_total", "Handler panics converted to 500s.", m.Panics)
-	counter("batch_runs_total", "Micro-batch runs covering more than one query.", m.BatchRuns)
-	counter("batched_queries_total", "Single queries coalesced into micro-batch runs.", m.BatchedQueries)
-	counter("batch_answer_hits_total", "Batched queries served from materialized answers without execution.", m.BatchAnswerHits)
 
 	counter("plancache_hits_total", "Plan-cache lookups served from cache.", m.Engine.Cache.Hits)
 	counter("plancache_misses_total", "Plan-cache lookups that ran a translation.", m.Engine.Cache.Misses)

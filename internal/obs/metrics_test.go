@@ -86,15 +86,13 @@ func TestWritePrometheusFormat(t *testing.T) {
 			{Endpoint: "query", Code: 200, Count: 7},
 			{Endpoint: "batch", Code: 429, Count: 2},
 		},
-		Latency:        []EndpointLatency{{Endpoint: "query", Hist: h.Snapshot()}},
-		InFlight:       1,
-		Rejections:     2,
-		LimitErrors:    1,
-		BatchRuns:      3,
-		BatchedQueries: 9,
-		Engine:         EngineStats{Cache: CacheStats{Hits: 5, Misses: 2, Entries: 2}, Parallelism: 1, Backend: "rdb"},
-		Exec:           OpStats{Joins: 10, TuplesOut: 1000, LFPIters: 12, Morsels: 4},
-		StmtsRun:       20,
+		Latency:     []EndpointLatency{{Endpoint: "query", Hist: h.Snapshot()}},
+		InFlight:    1,
+		Rejections:  2,
+		LimitErrors: 1,
+		Engine:      EngineStats{Cache: CacheStats{Hits: 5, Misses: 2, Entries: 2}, Parallelism: 1, Backend: "rdb"},
+		Exec:        OpStats{Joins: 10, TuplesOut: 1000, LFPIters: 12, Morsels: 4},
+		StmtsRun:    20,
 		// Every optional section filled in: a metric family declared twice
 		// makes a Prometheus parser reject the scrape.
 		Store: &StoreStats{Epoch: 3, Nodes: 100, Inserts: 2, Apply: h.Snapshot()},

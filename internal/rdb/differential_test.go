@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -196,7 +197,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			t.Logf("parallel: %v", err)
 			return false
 		}
-		sched, _, err := RunParallel(db, p, 4)
+		sched, _, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4})
 		if err != nil {
 			t.Logf("scheduler: %v", err)
 			return false

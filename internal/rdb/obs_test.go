@@ -221,7 +221,7 @@ func TestParallelTraceDeterministic(t *testing.T) {
 	var ref []string
 	for round := 0; round < 5; round++ {
 		var tr obs.Trace
-		rel, stats, err := RunParallelCtx(context.Background(), db, p, 4, obs.Limits{}, &tr)
+		rel, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4, Trace: &tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,12 +250,12 @@ func TestParallelTraceDeterministic(t *testing.T) {
 func TestParallelLimits(t *testing.T) {
 	db := chainDB(200)
 	p := prog(ra.Fix{Seed: ra.Base{Rel: "E"}})
-	_, _, err := RunParallelCtx(context.Background(), db, p, 4, obs.Limits{MaxLFPIters: 1}, nil)
+	_, _, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4, Limits: obs.Limits{MaxLFPIters: 1}})
 	var le *obs.LimitError
 	if !errors.As(err, &le) || le.Kind != obs.LimitLFPIters {
 		t.Fatalf("parallel err = %v, want LFP-iters LimitError", err)
 	}
-	_, _, err = RunParallelCtx(context.Background(), db, p, 4, obs.Limits{MaxTuples: 10}, nil)
+	_, _, err = RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4, Limits: obs.Limits{MaxTuples: 10}})
 	if !errors.Is(err, obs.ErrLimit) {
 		t.Fatalf("parallel err = %v, want ErrLimit", err)
 	}
@@ -269,7 +269,7 @@ func TestParallelCancel(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, _, err := RunParallelCtx(ctx, db, prog(ra.Fix{Seed: ra.Base{Rel: "E"}}), 2, obs.Limits{}, nil)
+	_, _, err := RunParallelWith(ctx, db, prog(ra.Fix{Seed: ra.Base{Rel: "E"}}), RunConfig{Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -11,37 +11,18 @@ import (
 	"xpath2sql/internal/ra"
 )
 
-// RunParallel evaluates the program with up to workers concurrent statement
-// evaluations. Statements form a DAG through their temp references; a
-// statement is scheduled once all statements it references have finished,
-// so independent branches — the per-cycle edge relations of a closure seed,
-// the per-query sections of a batch — run concurrently. Only statements
-// reachable from the result are evaluated (the top-down strategy of §5.2).
+// RunConfig is one scheduler run's settings. Workers below 1 is 1;
+// Intervals and Doc are what the per-statement executors inherit as
+// Exec.IntervalMode and Exec.Doc (the differential harness pins the physical
+// path with IntervalOff/IntervalForce; a document scope is resolved once and
+// shared by every statement's executor).
 //
-// Every statement runs in its own evaluator over an immutable snapshot of
-// its dependencies; inside a statement, large joins and fixpoint deltas may
-// additionally fan out morsel-parallel (Exec.Parallelism is set to the same
-// worker count). Statistics are summed across workers.
-func RunParallel(db *DB, p *ra.Program, workers int) (*Relation, *Stats, error) {
-	return RunParallelCtx(context.Background(), db, p, workers, obs.Limits{}, nil)
-}
-
-// RunParallelCtx is RunParallel with cancellation, resource limits and
-// tracing. ctx.Err() is checked before each statement and between fixpoint
-// iterations inside statements. Limits.Timeout and Limits.MaxLFPIters are
-// enforced exactly as in the serial engine; Limits.MaxTuples is enforced
-// per statement while it runs and against the cross-worker total as each
-// statement completes. When trace is non-nil, each statement's evaluator
-// records its own events, merged deterministically (program order) after
-// the run, so a parallel trace is byte-for-byte reproducible regardless of
-// scheduling.
-func RunParallelCtx(ctx context.Context, db *DB, p *ra.Program, workers int, limits obs.Limits, trace *obs.Trace) (*Relation, *Stats, error) {
-	return RunParallelWith(ctx, db, p, RunConfig{Workers: workers, Limits: limits, Trace: trace})
-}
-
-// RunConfig is one scheduler run's settings: what RunParallelCtx takes
-// positionally, plus the two the per-statement executors inherit as
-// Exec.IntervalMode and Exec.Doc.
+// Limits.Timeout and Limits.MaxLFPIters are enforced exactly as in the serial
+// engine; Limits.MaxTuples is enforced per statement while it runs and against
+// the cross-worker total as each statement completes. When Trace is non-nil,
+// each statement's evaluator records its own events, merged deterministically
+// (program order) after the run, so a parallel trace is byte-for-byte
+// reproducible regardless of scheduling.
 type RunConfig struct {
 	Workers   int
 	Limits    obs.Limits
@@ -50,38 +31,32 @@ type RunConfig struct {
 	Doc       int
 }
 
-// RunParallelWith is RunParallelCtx under a full RunConfig: an explicit
-// interval mode (the differential harness pins the physical path with
-// IntervalOff/IntervalForce) and a document scope, resolved once and shared by
-// every statement's executor.
+// RunParallelWith evaluates the program's result with up to cfg.Workers
+// concurrent statement evaluations: RunParallelRoots with the one root
+// p.Result.
 func RunParallelWith(ctx context.Context, db *DB, p *ra.Program, cfg RunConfig) (*Relation, *Stats, error) {
-	done, stats, err := runParallelRoots(ctx, db, p, []string{p.Result}, cfg)
+	done, stats, err := RunParallelRoots(ctx, db, p, []string{p.Result}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	return done[p.Result], stats, nil
 }
 
-// RunParallelMultiCtx evaluates the program once with up to workers
-// concurrent statement evaluations and returns the relation of every named
-// result, in order. Statements shared between results — the cross-query
-// common sub-queries of a batch — are scheduled and evaluated exactly once.
-// Cancellation, limits and tracing behave as in RunParallelCtx.
-func RunParallelMultiCtx(ctx context.Context, db *DB, p *ra.Program, results []string, workers int, limits obs.Limits, trace *obs.Trace) ([]*Relation, *Stats, error) {
-	done, stats, err := runParallelRoots(ctx, db, p, results, RunConfig{Workers: workers, Limits: limits, Trace: trace})
-	if err != nil {
-		return nil, nil, err
-	}
-	rels := make([]*Relation, len(results))
-	for i, name := range results {
-		rels[i] = done[name]
-	}
-	return rels, stats, nil
-}
-
-// runParallelRoots is the shared scheduler: it evaluates every statement
-// reachable from any root and returns the completed relations by name.
-func runParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string, cfg RunConfig) (map[string]*Relation, *Stats, error) {
+// RunParallelRoots is the scheduler. Statements form a DAG through their temp
+// references; a statement is scheduled once all statements it references have
+// finished, so independent branches — the per-cycle edge relations of a
+// closure seed, the per-query sections of a batch — run concurrently. Only
+// statements reachable from a root are evaluated (the top-down strategy of
+// §5.2), each exactly once however many roots reach it — the cross-query
+// common sub-queries of a batch — and the completed relations are returned by
+// statement name.
+//
+// Every statement runs in its own evaluator over an immutable snapshot of
+// its dependencies; inside a statement, large joins and fixpoint deltas may
+// additionally fan out morsel-parallel (Exec.Parallelism is set to the same
+// worker count). Statistics are summed across workers. ctx.Err() is checked
+// before each statement and between fixpoint iterations inside statements.
+func RunParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string, cfg RunConfig) (map[string]*Relation, *Stats, error) {
 	workers, limits, trace := cfg.Workers, cfg.Limits, cfg.Trace
 	if workers < 1 {
 		workers = 1

@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		par, stats, err := RunParallel(db, p, workers)
+		par, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -60,7 +61,7 @@ func TestRunParallelErrors(t *testing.T) {
 		Stmts:  []ra.Stmt{{Name: "result", Plan: ra.Temp{Name: "ghost"}}},
 		Result: "result",
 	}
-	if _, _, err := RunParallel(db, bad, 4); err == nil {
+	if _, _, err := RunParallelWith(context.Background(), db, bad, RunConfig{Workers: 4}); err == nil {
 		t.Fatal("unknown dependency accepted")
 	}
 	cyc := &ra.Program{
@@ -71,11 +72,11 @@ func TestRunParallelErrors(t *testing.T) {
 		},
 		Result: "result",
 	}
-	if _, _, err := RunParallel(db, cyc, 4); err == nil {
+	if _, _, err := RunParallelWith(context.Background(), db, cyc, RunConfig{Workers: 4}); err == nil {
 		t.Fatal("cycle accepted")
 	}
 	noResult := &ra.Program{Result: "nope"}
-	if _, _, err := RunParallel(db, noResult, 4); err == nil {
+	if _, _, err := RunParallelWith(context.Background(), db, noResult, RunConfig{Workers: 4}); err == nil {
 		t.Fatal("missing result accepted")
 	}
 	dup := &ra.Program{
@@ -85,7 +86,7 @@ func TestRunParallelErrors(t *testing.T) {
 		},
 		Result: "x",
 	}
-	if _, _, err := RunParallel(db, dup, 4); err == nil {
+	if _, _, err := RunParallelWith(context.Background(), db, dup, RunConfig{Workers: 4}); err == nil {
 		t.Fatal("duplicate statement accepted")
 	}
 }
@@ -102,7 +103,7 @@ func TestRunParallelManyStatements(t *testing.T) {
 	}
 	stmts = append(stmts, ra.Stmt{Name: "result", Plan: ra.UnionAll{Kids: kids}})
 	p := &ra.Program{Stmts: stmts, Result: "result"}
-	rel, stats, err := RunParallel(db, p, 4)
+	rel, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestSchedulerDoesTheSerialWorkOnDescScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
-		got, stats, err := RunParallel(td.db, p, 4)
+		got, stats, err := RunParallelWith(context.Background(), td.db, p, RunConfig{Workers: 4})
 		if err != nil {
 			t.Fatalf("seed %d: scheduler: %v", seed, err)
 		}
@@ -194,7 +195,7 @@ func TestSchedulerEvaluatesAltWhenKernelBails(t *testing.T) {
 	if serial.Stats.DescScans != 0 || serial.Stats.LFPs != 1 {
 		t.Fatalf("serial stats %+v: the kernel was meant to bail to the fixpoint", serial.Stats)
 	}
-	got, stats, err := RunParallel(db, p, 4)
+	got, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,8 +142,8 @@ func TestBackendModeTranslate(t *testing.T) {
 	}
 }
 
-// TestBackendConfigValidation: exactly one data source, and no
-// micro-batching with a Backend.
+// TestBackendConfigValidation: exactly one data source, and the removed
+// BatchWindow setting is refused rather than ignored, whatever the source.
 func TestBackendConfigValidation(t *testing.T) {
 	d, err := xpath2sql.ParseDTD(deptDTD)
 	if err != nil {
@@ -163,8 +163,14 @@ func TestBackendConfigValidation(t *testing.T) {
 	if _, err := New(Config{Engine: eng}); err == nil {
 		t.Fatal("no data source accepted")
 	}
-	if _, err := New(Config{Engine: eng, Source: FromBackend(be), BatchWindow: time.Millisecond}); err == nil {
-		t.Fatal("BatchWindow with Backend accepted")
+	for name, src := range map[string]Source{"FromDB": FromDB(db), "FromBackend": FromBackend(be)} {
+		if _, err := New(Config{Engine: eng, Source: src, BatchWindow: time.Millisecond}); err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Fatalf("%s: BatchWindow > 0 gave %v, want an error saying micro-batching was removed", name, err)
+		}
+		// What benchmark/layers.go passes.
+		if _, err := New(Config{Engine: eng, Source: src, BatchWindow: 0, MaxBatch: 16}); err != nil {
+			t.Fatalf("%s: BatchWindow 0, MaxBatch 16 rejected: %v", name, err)
+		}
 	}
 	if _, err := New(Config{Engine: eng, Source: FromBackend(be)}); err != nil {
 		t.Fatalf("backend-only config rejected: %v", err)

@@ -53,10 +53,9 @@ func appendStats(b []byte, st *xpath2sql.ExecStats) []byte {
 // writeQueryResponse writes a 200 query answer by hand. The ids array
 // dominates the body of a large answer, and encoding/json's reflective
 // path over []int costs several milliseconds at answer sizes recursive
-// queries produce — on a batched serving path that encode runs once per
-// request and competes with query execution for the same cores. The output
-// is byte-compatible JSON for the queryResponse shape (see
-// TestWriteQueryResponseMatchesEncodingJSON).
+// queries produce — an encode that runs once per request and competes with
+// query execution for the same cores. The output is byte-compatible JSON for
+// the queryResponse shape (see TestWriteQueryResponseMatchesEncodingJSON).
 func writeQueryResponse(w http.ResponseWriter, resp *queryResponse) {
 	bp := jsonBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
@@ -68,9 +67,6 @@ func writeQueryResponse(w http.ResponseWriter, resp *queryResponse) {
 	b = strconv.AppendFloat(b, resp.ElapsedMS, 'g', -1, 64)
 	b = append(b, `,"stats":`...)
 	b = appendStats(b, &resp.Stats)
-	if resp.Batched {
-		b = append(b, `,"batched":true`...)
-	}
 	if resp.Explain != "" {
 		// Explain text needs real string escaping; it is off the hot path.
 		eb, err := json.Marshal(resp.Explain)

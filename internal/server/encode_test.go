@@ -18,7 +18,7 @@ func TestWriteQueryResponseMatchesEncodingJSON(t *testing.T) {
 		{},
 		{IDs: []int{}, Count: 0, ElapsedMS: 0.0425},
 		{IDs: []int{7}, Count: 1, ElapsedMS: 1.5, Stats: xpath2sql.ExecStats{StmtsRun: 3, Joins: 2, LFPs: 1, LFPIters: 9, TuplesOut: 12345}},
-		{IDs: []int{1, 2, 3, 99999, 100000}, Count: 5, ElapsedMS: 123.456, Batched: true},
+		{IDs: []int{1, 2, 3, 99999, 100000}, Count: 5, ElapsedMS: 123.456},
 		{IDs: []int{5, 6}, Count: 2, Explain: "line1\n\"quoted\" <tag> & unicode ✓"},
 		{IDs: make([]int, 5000), Count: 5000, ElapsedMS: 0.000001},
 	}

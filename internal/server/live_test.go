@@ -1,16 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"xpath2sql"
 	"xpath2sql/internal/store"
@@ -120,6 +115,16 @@ func TestUpdateEndpoint(t *testing.T) {
 	}
 	if qr.Watermark != dr.Epoch {
 		t.Fatalf("read after the delete reports watermark %d; the delete was epoch %d", qr.Watermark, dr.Epoch)
+	}
+	// So does a batch: it pins one version for all its queries.
+	_, body = postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: []string{"dept//course", "dept//project"}})
+	var br batchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 2 || br.Results[0].Count != before || br.Watermark != dr.Epoch {
+		t.Fatalf("batch after the delete: %d results, watermark %d; want 2 results (%d courses) at the delete's epoch %d: %s",
+			len(br.Results), br.Watermark, before, dr.Epoch, body)
 	}
 	if got := queryCount(t, ts.URL, "dept//course"); got != before {
 		t.Fatalf("dept//course = %d after delete, want %d", got, before)
@@ -260,12 +265,10 @@ func TestStoreMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestBatchedQueriesPinEpochs: with micro-batching on, concurrent queries
-// against a live store still answer correctly while updates land.
-func TestBatchedQueriesPinEpochs(t *testing.T) {
-	s, st := newLiveServer(t, "", func(c *Config) {
-		c.BatchWindow = 2_000_000 // 2ms
-	})
+// TestQueriesPinEpochs: queries against a live store answer correctly while
+// updates land — each sees one whole epoch, never a torn one.
+func TestQueriesPinEpochs(t *testing.T) {
+	s, st := newLiveServer(t, "", nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -292,74 +295,4 @@ func TestBatchedQueriesPinEpochs(t *testing.T) {
 		}
 	}
 	<-done
-}
-
-// TestBatchedAnswersCarryTheWatermark: a micro-batched answer names the epoch
-// it was read at like any other, so read-your-writes can be checked against
-// it — a query sent after /v1/update acknowledged epoch E answers at E,
-// whether its batch executed or was served from the answers of the last.
-func TestBatchedAnswersCarryTheWatermark(t *testing.T) {
-	const clients = 4
-	s, _ := newLiveServer(t, "", func(c *Config) {
-		c.BatchWindow = 2 * time.Millisecond
-		c.MaxConcurrent = clients
-	})
-	// Hold each query of a wave after admission until the whole wave is in, so
-	// that none takes the solo bypass; the update between waves passes.
-	var (
-		wave    sync.WaitGroup
-		holding atomic.Bool
-	)
-	s.hookAfterAdmit = func() {
-		if holding.Load() {
-			wave.Done()
-			wave.Wait()
-		}
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Shutdown(context.Background())
-
-	var batched atomic.Int64
-	for i := 0; i < 5; i++ {
-		holding.Store(false)
-		resp, body := postJSON(t, ts.URL+"/v1/update", updateRequest{Op: "update_text", Node: 3, Value: fmt.Sprint("v", i)})
-		var ur updateResponse
-		if err := json.Unmarshal(body, &ur); err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("update: status %d: %s", resp.StatusCode, body)
-		}
-		holding.Store(true)
-		// Two waves an update: the first executes on the new version, the
-		// second is served from the answers the first left.
-		for w := 0; w < 2; w++ {
-			var wg sync.WaitGroup
-			wave.Add(clients)
-			for g := 0; g < clients; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(`{"query": "dept//course"}`))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					defer resp.Body.Close()
-					var qr queryResponse
-					if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil || resp.StatusCode != http.StatusOK {
-						t.Errorf("query: status %d, decode error %v", resp.StatusCode, err)
-					} else if qr.Batched {
-						batched.Add(1)
-						if qr.Watermark != ur.Epoch {
-							t.Errorf("a batched answer reports watermark %d after the update acknowledged epoch %d", qr.Watermark, ur.Epoch)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	}
-	if batched.Load() == 0 || s.m.batchAnswerHits.Load() == 0 {
-		t.Fatalf("%d answers were micro-batched, %d of them from a batch's last answers: both paths must be exercised",
-			batched.Load(), s.m.batchAnswerHits.Load())
-	}
 }

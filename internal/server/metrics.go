@@ -29,10 +29,6 @@ type metrics struct {
 	limitErrors atomic.Int64
 	panics      atomic.Int64
 
-	batchRuns       atomic.Int64
-	batchedQueries  atomic.Int64
-	batchAnswerHits atomic.Int64
-
 	// Data-plane work summed over every served execution.
 	stmtsRun  atomic.Int64
 	joins     atomic.Int64
@@ -113,17 +109,14 @@ func (m *metrics) recordExec(st xpath2sql.ExecStats) {
 // live gauges.
 func (m *metrics) snapshot(service string, eng obs.EngineStats, adm *admission) *obs.MetricsSnapshot {
 	s := &obs.MetricsSnapshot{
-		Service:         service,
-		Uptime:          time.Since(m.start),
-		InFlight:        m.inFlight.Load(),
-		Rejections:      m.rejections.Load(),
-		LimitErrors:     m.limitErrors.Load(),
-		Panics:          m.panics.Load(),
-		BatchRuns:       m.batchRuns.Load(),
-		BatchedQueries:  m.batchedQueries.Load(),
-		BatchAnswerHits: m.batchAnswerHits.Load(),
-		Engine:          eng,
-		StmtsRun:        m.stmtsRun.Load(),
+		Service:     service,
+		Uptime:      time.Since(m.start),
+		InFlight:    m.inFlight.Load(),
+		Rejections:  m.rejections.Load(),
+		LimitErrors: m.limitErrors.Load(),
+		Panics:      m.panics.Load(),
+		Engine:      eng,
+		StmtsRun:    m.stmtsRun.Load(),
 		Exec: obs.OpStats{
 			Joins:     int(m.joins.Load()),
 			Unions:    int(m.unions.Load()),

@@ -146,6 +146,40 @@ func TestDocScopeOnSingleSources(t *testing.T) {
 		}
 	})
 
+	// Scope is a property of one run: scoped and unscoped requests in flight
+	// side by side each get their own count.
+	t.Run("scoped and unscoped interleave", func(t *testing.T) {
+		s, err := New(Config{Engine: xpath2sql.New(d), Source: sources["FromDB"], MaxConcurrent: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		const perDoc = 2 // the dept example holds two courses per document
+		var wg sync.WaitGroup
+		for i := 0; i < 32; i++ {
+			body, want := `{"query": "dept//course"}`, len(roots)*perDoc
+			if i%2 == 1 {
+				body, want = fmt.Sprintf(`{"query": "dept//course", "doc": %d}`, roots[2]), perDoc
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var qr queryResponse
+				if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil || qr.Count != want {
+					t.Errorf("request %d (%s): status %d, %d answers (decode error %v), want %d", i, body, resp.StatusCode, qr.Count, err, want)
+				}
+			}()
+		}
+		wg.Wait()
+	})
+
 	t.Run("FromBackend refuses", func(t *testing.T) {
 		ctx := context.Background()
 		dsn := "memory://server-scope"
@@ -172,72 +206,6 @@ func TestDocScopeOnSingleSources(t *testing.T) {
 			t.Fatalf("unscoped query on the same backend: status %d count %d", code, qr.Count)
 		}
 	})
-}
-
-// TestDocScopeBypassesBatcher: a merged batch runs once over the whole
-// database, so scoped requests never join one — under the same concurrency
-// that sends their unscoped neighbours through the batcher.
-func TestDocScopeBypassesBatcher(t *testing.T) {
-	d, coll, roots := deptCollection(t)
-	const n = 8
-	s, err := New(Config{
-		Engine: xpath2sql.New(d), Source: FromDB(coll),
-		BatchWindow: 20 * time.Millisecond, MaxBatch: n, MaxConcurrent: n, QueueDepth: 4 * n,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu       sync.Mutex
-		admitted int
-		all      = sync.NewCond(&mu)
-	)
-	s.hookAfterAdmit = func() {
-		mu.Lock()
-		admitted++
-		all.Broadcast()
-		for admitted < n {
-			all.Wait()
-		}
-		mu.Unlock()
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Shutdown(context.Background())
-
-	// The dept example holds two courses per document.
-	const perDoc = 2
-	results := make([]queryResponse, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := `{"query": "dept//course"}`
-			if i%2 == 1 {
-				body = fmt.Sprintf(`{"query": "dept//course", "doc": %d}`, roots[2])
-			}
-			resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			if err := json.NewDecoder(resp.Body).Decode(&results[i]); err != nil || resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d: %v", i, resp.StatusCode, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, qr := range results {
-		if i%2 == 1 {
-			if qr.Batched || qr.Count != perDoc {
-				t.Fatalf("scoped request %d: batched=%v count=%d, want unbatched with %d answers", i, qr.Batched, qr.Count, perDoc)
-			}
-		} else if !qr.Batched || qr.Count != len(roots)*perDoc {
-			t.Fatalf("unscoped request %d: batched=%v count=%d, want batched with %d answers", i, qr.Batched, qr.Count, len(roots)*perDoc)
-		}
-	}
 }
 
 // TestClusterBatchScattersConcurrently: a /v1/batch of Q queries through a
@@ -273,7 +241,8 @@ func TestClusterBatchScattersConcurrently(t *testing.T) {
 				http.Error(w, "the batch's other queries never arrived: it is not running them concurrently", http.StatusInternalServerError)
 				return
 			}
-			fmt.Fprintf(w, `{"ids":[%d]}`, k*100+slices.Index(queries, req.Query))
+			i := slices.Index(queries, req.Query)
+			fmt.Fprintf(w, `{"ids":[%d],"watermark":%d}`, k*100+i, 10*(k+1)+i)
 		}))
 		defer ts.Close()
 		fleet = append(fleet, cluster.RemoteShard{URL: ts.URL, Base: k << 20})
@@ -302,5 +271,8 @@ func TestClusterBatchScattersConcurrently(t *testing.T) {
 		if want := []int{i, 100 + i}; len(br.Results) != len(queries) || !slices.Equal(br.Results[i].IDs, want) {
 			t.Fatalf("results[%d] (%s) = %+v, want ids %v: answers are not in request order", i, queries[i], br.Results, want)
 		}
+	}
+	if br.Watermark != 10 {
+		t.Fatalf("batch watermark %d, want 10: the oldest epoch any shard answered any of the queries at", br.Watermark)
 	}
 }

@@ -50,7 +50,7 @@
 //     breaches and unsupported queries 422, deadline expiry 504, saturation
 //     429. Handler panics become a 500 plus a metric, not a dead process.
 //   - Graceful shutdown: Shutdown flips /readyz to 503, stops accepting,
-//     drains in-flight requests, then stops the micro-batcher.
+//     drains in-flight requests.
 package server
 
 import (
@@ -64,6 +64,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -101,7 +102,7 @@ type Config struct {
 	// Source is the data source queries execute against: FromDB for a
 	// static shredded database, FromStore for a live store (update and
 	// snapshot endpoints enabled), FromBackend for a storage-neutral
-	// Backend (read-only, no micro-batching). Required.
+	// Backend (read-only). Required.
 	Source Source
 
 	// MaxConcurrent bounds simultaneously executing requests (admission
@@ -116,12 +117,12 @@ type Config struct {
 	// MaxBodyBytes caps request bodies. Default: 1 MiB.
 	MaxBodyBytes int64
 
-	// BatchWindow > 0 enables micro-batching: concurrent /v1/query
-	// requests arriving within the window are coalesced into one
-	// Engine.TranslateBatch run. 0 disables it.
+	// BatchWindow and MaxBatch configured /v1/query micro-batching, which was
+	// removed (DESIGN.md "Serving concurrency"). The names stay because
+	// benchmark/layers.go sets them; nothing reads MaxBatch, and New refuses
+	// BatchWindow > 0.
 	BatchWindow time.Duration
-	// MaxBatch caps the queries coalesced into one run. Default: 16.
-	MaxBatch int
+	MaxBatch    int
 
 	// WatchMaxSubscriptions caps concurrently active /v1/watch
 	// subscriptions (live store only); arrivals beyond it get 429.
@@ -152,9 +153,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
 	if c.Service == "" {
 		c.Service = "xpathd"
 	}
@@ -168,15 +166,14 @@ type Server struct {
 	eng *xpath2sql.Engine
 	// The source's parts: the one execution backend, the in-process DB
 	// resolver (nil in backend mode; with a live store it pins the current
-	// epoch, so a merged batch run sees one version however many updates land
-	// meanwhile) and the live store (nil when read-only).
+	// epoch, so a merged /v1/batch run sees one version however many updates
+	// land meanwhile) and the live store (nil when read-only).
 	execBe  xpath2sql.Backend
 	dbFn    func() (*xpath2sql.DB, uint64)
 	store   *store.Store
 	cluster *cluster.Cluster    // non-nil for FromCluster sources
 	hub     *xpath2sql.WatchHub // nil when read-only (no live store)
 	adm     *admission
-	batcher *batcher // nil when micro-batching is disabled
 	m       *metrics
 	mux     *http.ServeMux
 
@@ -198,8 +195,8 @@ func New(cfg Config) (*Server, error) {
 	if src.be == nil {
 		return nil, errors.New("server: Config.Source is required (FromDB, FromStore, FromBackend or FromCluster)")
 	}
-	if cfg.BatchWindow > 0 && src.db == nil {
-		return nil, errors.New("server: BatchWindow requires an in-process source (FromDB or FromStore); micro-batching merges queries into one in-process run")
+	if cfg.BatchWindow > 0 {
+		return nil, errors.New("server: Config.BatchWindow > 0: micro-batching was removed, every /v1/query executes directly; leave it 0")
 	}
 	cfg.fillDefaults()
 	endpoints := []string{epQuery, epBatch, epTranslate}
@@ -217,9 +214,6 @@ func New(cfg Config) (*Server, error) {
 		cluster: src.cl,
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
 		m:       newMetrics(endpoints),
-	}
-	if cfg.BatchWindow > 0 {
-		s.batcher = newBatcher(s.eng, s.dbFn, cfg.BatchWindow, cfg.MaxBatch, cfg.RequestTimeout, s.m)
 	}
 	if s.store != nil {
 		hub, err := cfg.Engine.NewWatchHub(s.store, xpath2sql.WatchConfig{
@@ -332,23 +326,18 @@ func (s *Server) Run(l net.Listener, drainTimeout time.Duration) error {
 // Shutdown drains the server: /readyz starts answering 503 (so load
 // balancers stop routing here), watch subscriptions are closed (their
 // streams end cleanly, so SSE connections count down as in-flight requests),
-// the listener stops accepting, in-flight requests run to completion
-// (bounded by ctx), and the micro-batcher stops. Safe to call when serving
-// via Handler too — it then only flips readiness, closes the hub and stops
-// the batcher.
+// the listener stops accepting and in-flight requests run to completion
+// (bounded by ctx). Safe to call when serving via Handler too — it then only
+// flips readiness and closes the hub.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if s.hub != nil {
 		s.hub.Close()
 	}
-	var err error
 	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
+		return s.httpSrv.Shutdown(ctx)
 	}
-	if s.batcher != nil {
-		s.batcher.close()
-	}
-	return err
+	return nil
 }
 
 // --- request/response shapes -------------------------------------------
@@ -371,7 +360,6 @@ type queryResponse struct {
 	Count     int                 `json:"count"`
 	ElapsedMS float64             `json:"elapsed_ms"`
 	Stats     xpath2sql.ExecStats `json:"stats"`
-	Batched   bool                `json:"batched,omitempty"`
 	Explain   string              `json:"explain,omitempty"`
 	// Cluster sources only: the partial-failure metadata of the scatter
 	// (field order here must match writeQueryResponse).
@@ -398,6 +386,10 @@ type batchResponse struct {
 	Results   []batchItem         `json:"results"`
 	ElapsedMS float64             `json:"elapsed_ms"`
 	Stats     xpath2sql.ExecStats `json:"stats"` // aggregate; PerQuery sums to it
+	// Watermark is the epoch the batch was read at: the one pinned version of
+	// a merged run, the oldest among the queries of a query-by-query run.
+	// Omitted at 0, as on /v1/query.
+	Watermark uint64 `json:"watermark,omitempty"`
 }
 
 type translateRequest struct {
@@ -506,8 +498,6 @@ func mapError(err error) (int, string) {
 	case errors.Is(err, xpath2sql.ErrSubscriptionLimit):
 		return http.StatusTooManyRequests, "watch_limit"
 	case errors.Is(err, ivm.ErrClosed):
-		return http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, errBatcherClosed):
 		return http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, xpath2sql.ErrQueryParse):
 		return http.StatusBadRequest, "parse"
@@ -626,35 +616,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
-	// Explain needs the Answer (trace + plan), so it always takes the
-	// direct path, and so does a document-scoped query: a merged batch runs
-	// once over the whole database, and scope is a property of a run. Plain
-	// queries go through the micro-batcher when enabled.
-	// Solo bypass: a request executing alone (admission says nobody else
-	// holds a slot) skips the batcher entirely — no collection-window
-	// latency when there is nothing to coalesce with. Under sustained
-	// concurrency the in-flight count is a flickering signal — a batch run
-	// answers every client at once, so the first client to come back
-	// momentarily sees itself alone — so recent batching activity keeps
-	// requests routed to the batcher through that gap.
-	if s.batcher != nil && !req.Explain && req.Doc == 0 && (s.adm.executing() > 1 || s.batcher.recentlyBatching()) {
-		r := s.batcher.submit(ctx, req.Query)
-		if r.err != nil {
-			s.fail(w, r.err)
-			return
-		}
-		s.m.recordExec(r.stats)
-		writeQueryResponse(w, &queryResponse{
-			IDs:       r.ids,
-			Count:     len(r.ids),
-			ElapsedMS: time.Since(t0).Seconds() * 1000,
-			Stats:     r.stats,
-			Batched:   true,
-			Watermark: r.epoch,
-		})
-		return
-	}
-
 	p, err := s.eng.PrepareString(ctx, req.Query)
 	if err != nil {
 		s.fail(w, err)
@@ -724,6 +685,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// mostly a wait for shards — Q round trips overlap instead of adding
 		// up. Results are in request order, and so is the error reported.
 		results := make([]batchItem, len(queries))
+		epochs := make([]uint64, len(queries))
 		errs := make([]error, len(queries))
 		runOne := func(i int) {
 			p, err := s.eng.Prepare(ctx, queries[i])
@@ -737,6 +699,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			results[i] = batchItem{IDs: ans.IDs, Count: len(ans.IDs), Stats: ans.Stats}
+			epochs[i] = ans.Epoch
 		}
 		if s.cluster == nil {
 			for i := range queries {
@@ -771,6 +734,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ElapsedMS: time.Since(t0).Seconds() * 1000,
 			Stats:     total,
 			Results:   results,
+			Watermark: slices.Min(epochs),
 		})
 		return
 	}
@@ -782,7 +746,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if ew := s.effectiveWorkers(); ew != s.eng.Parallelism() {
 		b = b.WithParallelism(ew)
 	}
-	db, _ := s.dbFn()
+	db, epoch := s.dbFn()
 	ans, err := b.ExecuteContext(ctx, db)
 	if err != nil {
 		s.fail(w, err)
@@ -793,6 +757,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: time.Since(t0).Seconds() * 1000,
 		Stats:     ans.Stats,
 		Results:   make([]batchItem, len(ans.IDs)),
+		Watermark: epoch,
 	}
 	for i, ids := range ans.IDs {
 		resp.Results[i] = batchItem{IDs: ids, Count: len(ids), Stats: ans.PerQuery[i]}

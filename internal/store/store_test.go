@@ -270,7 +270,7 @@ func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Stra
 		t.Fatalf("translate %q (%v): %v", query, strat, err)
 	}
 	if workers > 1 {
-		rel, _, err := rdb.RunParallelCtx(context.Background(), db, res.Program, workers, obs.Limits{}, nil)
+		rel, _, err := rdb.RunParallelWith(context.Background(), db, res.Program, rdb.RunConfig{Workers: workers})
 		if err != nil {
 			t.Fatalf("run %q parallel: %v", query, err)
 		}
