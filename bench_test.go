@@ -5,11 +5,13 @@
 package xpath2sql
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"xpath2sql/internal/bench"
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/ra"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/workload"
@@ -192,8 +194,24 @@ func BenchmarkTable5(b *testing.B) {
 	}
 }
 
+// gedmlCold is a sample of the shapes the translate-cold workload streams over
+// the 9-cycle GedML DTD: two to four steps, a third of them //, a constant
+// qualifier and the odd path qualifier.
+var gedmlCold = []string{
+	"Even/Obje/Sour[text()='k0']//Data",
+	"Even//Note[not(text()='k1')]/Data//Sour",
+	"Even/Obje[.//Data and not(Note)]/Even//Obje[text()='k2']",
+	"Even//Sour/Data[.//Note/Even or Sour]//Note[not(text()='k3')]",
+	"Even/Obje/Note//Even[text()='k4']/Obje/Sour",
+	"Even//Data[not(.//Sour//Even)]/Note[text()='k5']",
+	"Even/Obje//Obje[Sour/Data]/Even[not(text()='k6')]//Data",
+	"Even//Obje/Sour[.//Even]/Note/Data[text()='k7']//Sour",
+}
+
 // BenchmarkTranslate measures translation time alone (Theorem 4.2's
-// polynomial bound in practice) for each strategy over the dept DTD.
+// polynomial bound in practice) for each strategy over the dept DTD, and —
+// the two layers of a cold /v1/translate — a translation over GedML with
+// nothing cached and the SQL rendering of its program.
 func BenchmarkTranslate(b *testing.B) {
 	d := workload.Dept()
 	q := xpath.MustParse("dept/course[.//prereq/course[cno[text()='cs66']] and not(.//project)]//project")
@@ -208,6 +226,34 @@ func BenchmarkTranslate(b *testing.B) {
 			}
 		})
 	}
+	gedml := workload.GedML()
+	queries := make([]xpath.Path, len(gedmlCold))
+	progs := make([]*ra.Program, len(gedmlCold))
+	for i, s := range gedmlCold {
+		queries[i] = xpath.MustParse(s)
+		res, err := core.Translate(queries[i], gedml, core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = res.Program
+	}
+	b.Run("GedML/cold", func(b *testing.B) {
+		eng, ctx := New(gedml, WithCacheSize(0)), context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Translate(ctx, queries[i%len(queries)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("GedML/render", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := progs[i%len(progs)].RenderSQL(ra.SQLRenderOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkEngine exercises the engine primitives: the single-input LFP

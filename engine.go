@@ -83,7 +83,7 @@ type Engine struct {
 	workers   int
 	cacheSize int
 	cache     *plancache.Cache
-	dtdFP     string
+	schema    *core.Schema // what translation derives from the DTD alone
 	backend   Backend
 	intervals IntervalMode
 }
@@ -94,13 +94,14 @@ type EngineOption func(*Engine)
 // New builds an Engine for the DTD with the recommended defaults (the
 // CycleEX strategy, DB2 dialect, no limits, serial execution, a plan cache
 // of DefaultCacheSize entries), then applies the options. The DTD is
-// fingerprinted once here and must not be mutated afterwards.
+// analyzed once here — validity, graph, component structure, fingerprint —
+// and must not be mutated afterwards.
 func New(d *DTD, options ...EngineOption) *Engine {
 	e := &Engine{dtd: d, opts: DefaultOptions(), dialect: DialectDB2, workers: 1, cacheSize: DefaultCacheSize}
 	for _, o := range options {
 		o(e)
 	}
-	e.dtdFP = d.Fingerprint()
+	e.schema = core.NewSchema(d)
 	if e.cacheSize > 0 {
 		e.cache = plancache.New(e.cacheSize)
 	}
@@ -176,10 +177,10 @@ func (e *Engine) translate(ctx context.Context, q Query) (*core.Result, error) {
 		return nil, err
 	}
 	if e.cache == nil {
-		return core.Translate(q, e.dtd, e.opts)
+		return e.schema.Translate(q, e.opts)
 	}
-	v, err := e.cache.Do(ctx, core.PlanKey(e.dtdFP, q, e.opts), func() (any, error) {
-		return core.Translate(q, e.dtd, e.opts)
+	v, err := e.cache.Do(ctx, core.PlanKey(e.schema.Fingerprint(), q, e.opts), func() (any, error) {
+		return e.schema.Translate(q, e.opts)
 	})
 	if err != nil {
 		return nil, err

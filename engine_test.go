@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -393,4 +394,45 @@ func TestEngineBatchParallelAgrees(t *testing.T) {
 	if len(pAns.Trace.Events) == 0 {
 		t.Fatal("parallel batch recorded no trace")
 	}
+}
+
+// TestEngineSharedSchemaConcurrent: what an Engine derives from its DTD once
+// (core.Schema: graph, reachability lists, component structure — the last two
+// filled in on first use) is shared by concurrent translations. With the plan
+// cache off every call translates, so goroutines race on a fresh schema; each
+// program must print exactly as a fresh engine's serial translation does.
+func TestEngineSharedSchemaConcurrent(t *testing.T) {
+	d, _, _ := deptSetup(t)
+	queries := []string{"dept//project", "dept/course//student[qualified]", "//course[not(.//project)]//cno",
+		"dept//prereq/course | dept//takenBy//*", "dept/course[.//prereq/course]//title"}
+	ctx := context.Background()
+	want := make([]string, len(queries))
+	for i, qs := range queries {
+		tr, err := xpath2sql.New(d, xpath2sql.WithCacheSize(0)).TranslateString(ctx, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = tr.Program().String()
+	}
+	eng := xpath2sql.New(d, xpath2sql.WithCacheSize(0))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (g + i) % len(queries)
+				tr, err := eng.TranslateString(ctx, queries[k])
+				if err != nil {
+					t.Errorf("%q: %v", queries[k], err)
+					return
+				}
+				if got := tr.Program().String(); got != want[k] {
+					t.Errorf("%q: concurrent translation differs from the serial one\ngot:\n%s\nwant:\n%s", queries[k], got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

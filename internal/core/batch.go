@@ -60,6 +60,19 @@ func TranslateBatch(queries []xpath.Path, d *dtd.DTD, opts Options) (*BatchResul
 // constraint — the common case for a batch of //-queries over one
 // DTD — and is then computed once per batch.
 func MergeBatch(results []*Result) (*BatchResult, error) {
+	out, err := mergeStmts(results)
+	if err != nil {
+		return nil, err
+	}
+	// Sub-statement sharing: identical inline sub-plans (now spelled
+	// identically thanks to canonical temp names) get shared temps.
+	ExtractCommon(out.Program)
+	return out, nil
+}
+
+// mergeStmts is MergeBatch up to, not including, the extraction of common
+// sub-plans from the merged statements.
+func mergeStmts(results []*Result) (*BatchResult, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
@@ -75,7 +88,8 @@ func MergeBatch(results []*Result) (*BatchResult, error) {
 			break
 		}
 	}
-	defs := map[string]string{} // canonical plan string -> merged stmt name
+	in := ra.NewInterner()
+	defs := map[int]string{} // canonical plan (its interned number) -> merged stmt name
 	out := &BatchResult{}
 	for qi, res := range results {
 		prog := res.Program
@@ -90,7 +104,7 @@ func MergeBatch(results []*Result) (*BatchResult, error) {
 				}
 				return ra.Temp{Name: nm}, nil
 			}
-			kids := children(pl)
+			kids := ra.Inputs(pl)
 			ck := make([]ra.Plan, len(kids))
 			for i, k := range kids {
 				var err error
@@ -98,9 +112,8 @@ func MergeBatch(results []*Result) (*BatchResult, error) {
 					return nil, err
 				}
 			}
-			p := rebuild(pl, ck)
+			p := ra.WithInputs(pl, ck)
 			if f, ok := p.(ra.Fix); ok {
-				f.TrackPaths = pl.(ra.Fix).TrackPaths
 				if f.Start != nil && f.End != nil && !f.TrackPaths {
 					return ra.Semijoin{L: ra.Fix{Seed: f.Seed, Start: f.Start, Desc: f.Desc}, R: f.End}, nil
 				}
@@ -120,7 +133,7 @@ func MergeBatch(results []*Result) (*BatchResult, error) {
 			if err != nil {
 				return "", err
 			}
-			key := plan.String()
+			key := in.ID(plan)
 			nm, ok := defs[key]
 			if !ok {
 				nm = fmt.Sprintf("m%d", len(defs)+1)
@@ -137,9 +150,6 @@ func MergeBatch(results []*Result) (*BatchResult, error) {
 		out.ResultNames = append(out.ResultNames, rn)
 		out.Strategies = append(out.Strategies, res.Strategy)
 	}
-	// Sub-statement sharing: identical inline sub-plans (now spelled
-	// identically thanks to canonical temp names) get shared temps.
-	ExtractCommon(merged)
 	merged.Result = out.ResultNames[len(out.ResultNames)-1]
 	out.Program = merged
 	return out, nil

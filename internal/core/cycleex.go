@@ -7,6 +7,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
@@ -18,11 +20,16 @@ import (
 // uniformly as a child step from the document root.
 const DocType = "#doc"
 
-// transGraph is the DTD graph augmented with the virtual document root.
+// transGraph is the DTD graph augmented with the virtual document root, plus
+// what translation derives from it alone, each computed on first use. It is
+// safe for concurrent use: an Engine's queries share one (Schema).
 type transGraph struct {
 	*dtd.Graph
-	nodes []string // #doc first, then the DTD's nodes (Tarjan numbering)
-	num   map[string]int
+	nodes    []string // #doc first, then the DTD's nodes (Tarjan numbering)
+	num      map[string]int
+	reach    []reachList // reachOrSelf of nodes[i]
+	condOnce sync.Once
+	cond     *condensation
 }
 
 func newTransGraph(g *dtd.Graph) *transGraph {
@@ -32,7 +39,13 @@ func newTransGraph(g *dtd.Graph) *transGraph {
 	for i, n := range t.nodes {
 		t.num[n] = i
 	}
+	t.reach = make([]reachList, len(t.nodes))
 	return t
+}
+
+type reachList struct {
+	once  sync.Once
+	types []string
 }
 
 // hasEdge extends the DTD graph with the #doc → root edge.
@@ -54,25 +67,31 @@ func (t *transGraph) children(from string) []string {
 	return t.Graph.Children(from)
 }
 
-// reachOrSelf returns {A} ∪ {types reachable from A}.
+// reachOrSelf returns {A} ∪ {types reachable from A}: A first, the rest
+// sorted — the order fixes which rec(A, C) binds the next counter-named
+// variable and the operand order of the unions built over it. The slice is
+// shared; callers only read it.
 func (t *transGraph) reachOrSelf(a string) []string {
-	var out []string
-	out = append(out, a)
-	if a == DocType {
-		out = append(out, t.Root)
-		for r := range t.Graph.Reachable(t.Root) {
-			if r != t.Root {
-				out = append(out, r)
+	i, ok := t.num[a]
+	if !ok {
+		return []string{a}
+	}
+	r := &t.reach[i]
+	r.once.Do(func() {
+		from := a
+		r.types = []string{a}
+		if a == DocType {
+			from = t.Root
+			r.types = append(r.types, t.Root)
+		}
+		for c := range t.Graph.Reachable(from) {
+			if c != from {
+				r.types = append(r.types, c)
 			}
 		}
-		return out
-	}
-	for r := range t.Graph.Reachable(a) {
-		if r != a {
-			out = append(out, r)
-		}
-	}
-	return out
+		sort.Strings(r.types[1:])
+	})
+	return r.types
 }
 
 // RecSet is the output of CycleEX: a shared equation system from which

@@ -23,27 +23,31 @@ import (
 // Contrast CycleEX (Fig 7), whose nested equations give the formal
 // polynomial bound; both define the same path language.
 type flatRec struct {
-	g   *transGraph
+	g *transGraph
+	*condensation
 	eqs []expath.Equation
-
-	sccOf   map[string]int
-	members map[int][]string
-	cyclic  map[int]bool // component has an internal edge (size > 1 or self-loop)
 
 	starVar map[int]expath.Expr    // per-SCC closure expression
 	dMemo   map[string]expath.Expr // "x→B" -> expression for D(x → B)
 	counter int
 }
 
+// condensation is the DTD graph's decomposition into strongly connected
+// components, #doc a component of its own: the part of flatRec that depends
+// on the DTD alone.
+type condensation struct {
+	sccOf   map[string]int
+	members map[int][]string
+	cyclic  map[int]bool // component has an internal edge (size > 1 or self-loop)
+}
+
 func newFlatRec(g *transGraph) *flatRec {
-	f := &flatRec{
-		g:       g,
-		sccOf:   map[string]int{},
-		members: map[int][]string{},
-		cyclic:  map[int]bool{},
-		starVar: map[int]expath.Expr{},
-		dMemo:   map[string]expath.Expr{},
-	}
+	g.condOnce.Do(func() { g.cond = condense(g) })
+	return &flatRec{g: g, condensation: g.cond, starVar: map[int]expath.Expr{}, dMemo: map[string]expath.Expr{}}
+}
+
+func condense(g *transGraph) *condensation {
+	f := &condensation{sccOf: map[string]int{}, members: map[int][]string{}, cyclic: map[int]bool{}}
 	// Condensation over the augmented graph: #doc is its own component.
 	comps := g.Graph.SCCs()
 	for i, comp := range comps {

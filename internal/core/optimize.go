@@ -17,6 +17,13 @@ import (
 // The engine's Φ then iterates only over paths anchored at the constrained
 // frontier, exactly the connect-by/with-recursion join condition of §5.2.
 func Optimize(p *ra.Program) {
+	pushSelections(p)
+	ExtractCommon(p)
+}
+
+// pushSelections is Optimize up to, not including, the extraction of common
+// sub-queries.
+func pushSelections(p *ra.Program) {
 	// Temporary-table boundaries block constraint pushing, so statements
 	// referenced exactly once are first inlined into their use site (shared
 	// temps — the common sub-queries variables exist for — are kept).
@@ -27,7 +34,6 @@ func Optimize(p *ra.Program) {
 		p.Stmts[i].Plan = o.opt(p.Stmts[i].Plan)
 	}
 	p.Stmts = append(p.Stmts, o.extra...)
-	ExtractCommon(p)
 }
 
 // ExtractCommon factors structurally identical non-trivial subplans that
@@ -35,51 +41,100 @@ func Optimize(p *ra.Program) {
 // RDBMS) computes each once — the "extracting common sub-queries"
 // optimization of EXpToSQL (Fig 10, lines 27–28). It runs after constraint
 // pushing so differently-constrained fixpoints keep distinct definitions.
-func ExtractCommon(p *ra.Program) {
-	counts := map[string]int{}
-	var tally func(pl ra.Plan)
-	tally = func(pl ra.Plan) {
-		if shareable(pl) {
-			counts[pl.String()]++
-		}
-		for _, k := range children(pl) {
-			tally(k)
+//
+// Plans are compared by interned number (ra.Interner), not by printed form,
+// in two linear walks: the first numbers every node in pre-order, the second
+// rewrites in the same order, so cse1 … cseN and the statement order are
+// those a comparison of printed plans gives.
+func ExtractCommon(p *ra.Program) { extractCommon(p, ra.NewInterner()) }
+
+// cse is the state of one ExtractCommon run.
+type cse struct {
+	in    *ra.Interner
+	nodes []cseNode // every node of every statement, in pre-order
+	kids  []int     // stack of operand numbers under construction
+	// uses counts, per plan number, the shareable nodes that carry it; name
+	// is the statement defining it once it is shared ("" before).
+	uses  []int
+	name  []string
+	pos   int // the rewrite's cursor into nodes
+	n     int // cse statements named so far
+	extra []ra.Stmt
+}
+
+type cseNode struct {
+	id    int  // the node's plan number
+	end   int  // index in nodes just past the node's subtree
+	share bool // worth materializing as a temp
+}
+
+func extractCommon(p *ra.Program, in *ra.Interner) {
+	c := &cse{in: in}
+	starts := make([]int, len(p.Stmts))
+	for i, s := range p.Stmts {
+		starts[i] = len(c.nodes)
+		c.number(s.Plan)
+	}
+	c.uses, c.name = make([]int, in.Len()), make([]string, in.Len())
+	for _, n := range c.nodes {
+		if n.share {
+			c.uses[n.id]++
 		}
 	}
-	for _, s := range p.Stmts {
-		tally(s.Plan)
-	}
-	shared := map[string]string{} // plan key -> temp name
 	// Reuse existing statements as the shared definition of their plan.
-	for _, s := range p.Stmts {
-		if shareable(s.Plan) {
-			if _, dup := shared[s.Plan.String()]; !dup {
-				shared[s.Plan.String()] = s.Name
-				counts[s.Plan.String()] += 2 // force dedup against the stmt
-			}
+	for i, s := range p.Stmts {
+		if n := c.nodes[starts[i]]; n.share && c.name[n.id] == "" {
+			c.name[n.id] = s.Name
+			c.uses[n.id] += 2 // force dedup against the stmt
 		}
-	}
-	var extra []ra.Stmt
-	n := 0
-	var rewrite func(pl ra.Plan) ra.Plan
-	rewrite = func(pl ra.Plan) ra.Plan {
-		if shareable(pl) && counts[pl.String()] >= 2 {
-			key := pl.String()
-			if name, ok := shared[key]; ok {
-				return ra.Temp{Name: name}
-			}
-			n++
-			name := fmt.Sprintf("cse%d", n)
-			shared[key] = name
-			extra = append(extra, ra.Stmt{Name: name, Plan: rebuild(pl, rewriteKids(pl, rewrite))})
-			return ra.Temp{Name: name}
-		}
-		return rebuild(pl, rewriteKids(pl, rewrite))
 	}
 	for i := range p.Stmts {
-		p.Stmts[i].Plan = rebuild(p.Stmts[i].Plan, rewriteKids(p.Stmts[i].Plan, rewrite))
+		p.Stmts[i].Plan = c.rewriteInputs(p.Stmts[i].Plan)
 	}
-	p.Stmts = append(p.Stmts, extra...)
+	p.Stmts = append(p.Stmts, c.extra...)
+}
+
+// number records pl's subtree in c.nodes and returns pl's plan number.
+func (c *cse) number(pl ra.Plan) int {
+	pos, base := len(c.nodes), len(c.kids)
+	c.nodes = append(c.nodes, cseNode{share: shareable(pl)})
+	var buf [4]ra.Plan
+	for _, k := range ra.AppendInputs(buf[:0], pl) {
+		id := c.number(k)
+		c.kids = append(c.kids, id)
+	}
+	id := c.in.Node(pl, c.kids[base:])
+	c.kids = c.kids[:base]
+	c.nodes[pos].id, c.nodes[pos].end = id, len(c.nodes)
+	return id
+}
+
+// rewrite replaces the node under the cursor by a reference to its shared
+// statement when it occurs more than once, defining the statement at the
+// first occurrence.
+func (c *cse) rewrite(pl ra.Plan) ra.Plan {
+	n := c.nodes[c.pos]
+	if !n.share || c.uses[n.id] < 2 {
+		return c.rewriteInputs(pl)
+	}
+	if c.name[n.id] == "" {
+		c.n++
+		name := fmt.Sprintf("cse%d", c.n)
+		c.name[n.id] = name
+		// The definition is computed before extra is read: rewriting it
+		// appends the statements of the common sub-plans inside it.
+		def := c.rewriteInputs(pl)
+		c.extra = append(c.extra, ra.Stmt{Name: name, Plan: def})
+	} else {
+		c.pos = n.end
+	}
+	return ra.Temp{Name: c.name[n.id]}
+}
+
+// rewriteInputs steps the cursor past pl and rewrites its operands.
+func (c *cse) rewriteInputs(pl ra.Plan) ra.Plan {
+	c.pos++
+	return mapInputs(pl, c.rewrite)
 }
 
 // shareable reports whether a plan is worth materializing as a temp.
@@ -90,128 +145,6 @@ func shareable(pl ra.Plan) bool {
 		return true
 	}
 	return false
-}
-
-// children returns a plan's direct sub-plans.
-func children(pl ra.Plan) []ra.Plan {
-	switch pl := pl.(type) {
-	case ra.Compose:
-		return []ra.Plan{pl.L, pl.R}
-	case ra.UnionAll:
-		return pl.Kids
-	case ra.Fix:
-		out := []ra.Plan{pl.Seed}
-		if pl.Start != nil {
-			out = append(out, pl.Start)
-		}
-		if pl.End != nil {
-			out = append(out, pl.End)
-		}
-		return out
-	case ra.DescScan:
-		out := []ra.Plan{pl.Alt}
-		if pl.Start != nil {
-			out = append(out, pl.Start)
-		}
-		if pl.End != nil {
-			out = append(out, pl.End)
-		}
-		return out
-	case ra.SelectVal:
-		return []ra.Plan{pl.Child}
-	case ra.SelectRoot:
-		return []ra.Plan{pl.Child}
-	case ra.Semijoin:
-		return []ra.Plan{pl.L, pl.R}
-	case ra.Antijoin:
-		return []ra.Plan{pl.L, pl.R}
-	case ra.Diff:
-		return []ra.Plan{pl.L, pl.R}
-	case ra.IdentOf:
-		return []ra.Plan{pl.Child}
-	case ra.TypeFilter:
-		return []ra.Plan{pl.Child}
-	case ra.RecUnion:
-		var out []ra.Plan
-		for _, t := range pl.Init {
-			out = append(out, t.Plan)
-		}
-		for _, e := range pl.Edges {
-			out = append(out, e.Rel)
-		}
-		return out
-	}
-	return nil
-}
-
-// rewriteKids maps f over a plan's direct sub-plans.
-func rewriteKids(pl ra.Plan, f func(ra.Plan) ra.Plan) []ra.Plan {
-	kids := children(pl)
-	out := make([]ra.Plan, len(kids))
-	for i, k := range kids {
-		out[i] = f(k)
-	}
-	return out
-}
-
-// rebuild reconstructs a plan with replaced sub-plans (in children order).
-func rebuild(pl ra.Plan, kids []ra.Plan) ra.Plan {
-	switch pl := pl.(type) {
-	case ra.Compose:
-		return ra.Compose{L: kids[0], R: kids[1]}
-	case ra.UnionAll:
-		return ra.UnionAll{Kids: kids}
-	case ra.Fix:
-		f := ra.Fix{Seed: kids[0], TrackPaths: pl.TrackPaths, Desc: pl.Desc}
-		i := 1
-		if pl.Start != nil {
-			f.Start = kids[i]
-			i++
-		}
-		if pl.End != nil {
-			f.End = kids[i]
-		}
-		return f
-	case ra.DescScan:
-		d := ra.DescScan{From: pl.From, To: pl.To, Alt: kids[0]}
-		i := 1
-		if pl.Start != nil {
-			d.Start = kids[i]
-			i++
-		}
-		if pl.End != nil {
-			d.End = kids[i]
-		}
-		return d
-	case ra.SelectVal:
-		return ra.SelectVal{Child: kids[0], Val: pl.Val}
-	case ra.SelectRoot:
-		return ra.SelectRoot{Child: kids[0]}
-	case ra.Semijoin:
-		return ra.Semijoin{L: kids[0], R: kids[1]}
-	case ra.Antijoin:
-		return ra.Antijoin{L: kids[0], R: kids[1]}
-	case ra.Diff:
-		return ra.Diff{L: kids[0], R: kids[1]}
-	case ra.IdentOf:
-		return ra.IdentOf{Child: kids[0], OnF: pl.OnF}
-	case ra.TypeFilter:
-		return ra.TypeFilter{Child: kids[0], Rel: pl.Rel, OnF: pl.OnF}
-	case ra.RecUnion:
-		out := ra.RecUnion{Pairs: pl.Pairs, ResultTag: pl.ResultTag}
-		i := 0
-		for _, t := range pl.Init {
-			out.Init = append(out.Init, ra.Tagged{Tag: t.Tag, Plan: kids[i]})
-			i++
-		}
-		for _, e := range pl.Edges {
-			out.Edges = append(out.Edges, ra.RecEdge{FromTag: e.FromTag, ToTag: e.ToTag, Rel: kids[i]})
-			i++
-		}
-		return out
-	default:
-		return pl
-	}
 }
 
 // sinkRoot pushes the final σ_{F='_'} selection (Fig 10 line 26) down the
@@ -296,56 +229,12 @@ func InlineSingleUse(p *ra.Program) {
 		refs := map[string]int{}
 		var count func(pl ra.Plan)
 		count = func(pl ra.Plan) {
-			switch pl := pl.(type) {
-			case ra.Temp:
-				refs[pl.Name]++
-			case ra.Compose:
-				count(pl.L)
-				count(pl.R)
-			case ra.UnionAll:
-				for _, k := range pl.Kids {
-					count(k)
-				}
-			case ra.Fix:
-				count(pl.Seed)
-				if pl.Start != nil {
-					count(pl.Start)
-				}
-				if pl.End != nil {
-					count(pl.End)
-				}
-			case ra.DescScan:
-				count(pl.Alt)
-				if pl.Start != nil {
-					count(pl.Start)
-				}
-				if pl.End != nil {
-					count(pl.End)
-				}
-			case ra.SelectVal:
-				count(pl.Child)
-			case ra.SelectRoot:
-				count(pl.Child)
-			case ra.Semijoin:
-				count(pl.L)
-				count(pl.R)
-			case ra.Antijoin:
-				count(pl.L)
-				count(pl.R)
-			case ra.Diff:
-				count(pl.L)
-				count(pl.R)
-			case ra.IdentOf:
-				count(pl.Child)
-			case ra.TypeFilter:
-				count(pl.Child)
-			case ra.RecUnion:
-				for _, init := range pl.Init {
-					count(init.Plan)
-				}
-				for _, e := range pl.Edges {
-					count(e.Rel)
-				}
+			if t, ok := pl.(ra.Temp); ok {
+				refs[t.Name]++
+			}
+			var buf [4]ra.Plan
+			for _, k := range ra.AppendInputs(buf[:0], pl) {
+				count(k)
 			}
 		}
 		for _, s := range p.Stmts {
@@ -362,64 +251,12 @@ func InlineSingleUse(p *ra.Program) {
 		}
 		var subst func(pl ra.Plan) ra.Plan
 		subst = func(pl ra.Plan) ra.Plan {
-			switch pl := pl.(type) {
-			case ra.Temp:
-				if def, ok := inline[pl.Name]; ok {
+			if t, ok := pl.(ra.Temp); ok {
+				if def, ok := inline[t.Name]; ok {
 					return subst(def)
 				}
-				return pl
-			case ra.Compose:
-				return ra.Compose{L: subst(pl.L), R: subst(pl.R)}
-			case ra.UnionAll:
-				kids := make([]ra.Plan, len(pl.Kids))
-				for i, k := range pl.Kids {
-					kids[i] = subst(k)
-				}
-				return ra.UnionAll{Kids: kids}
-			case ra.Fix:
-				f := ra.Fix{Seed: subst(pl.Seed), TrackPaths: pl.TrackPaths, Desc: pl.Desc}
-				if pl.Start != nil {
-					f.Start = subst(pl.Start)
-				}
-				if pl.End != nil {
-					f.End = subst(pl.End)
-				}
-				return f
-			case ra.DescScan:
-				d := ra.DescScan{From: pl.From, To: pl.To, Alt: subst(pl.Alt)}
-				if pl.Start != nil {
-					d.Start = subst(pl.Start)
-				}
-				if pl.End != nil {
-					d.End = subst(pl.End)
-				}
-				return d
-			case ra.SelectVal:
-				return ra.SelectVal{Child: subst(pl.Child), Val: pl.Val}
-			case ra.SelectRoot:
-				return ra.SelectRoot{Child: subst(pl.Child)}
-			case ra.Semijoin:
-				return ra.Semijoin{L: subst(pl.L), R: subst(pl.R)}
-			case ra.Antijoin:
-				return ra.Antijoin{L: subst(pl.L), R: subst(pl.R)}
-			case ra.Diff:
-				return ra.Diff{L: subst(pl.L), R: subst(pl.R)}
-			case ra.IdentOf:
-				return ra.IdentOf{Child: subst(pl.Child), OnF: pl.OnF}
-			case ra.TypeFilter:
-				return ra.TypeFilter{Child: subst(pl.Child), Rel: pl.Rel, OnF: pl.OnF}
-			case ra.RecUnion:
-				out := ra.RecUnion{Pairs: pl.Pairs, ResultTag: pl.ResultTag}
-				for _, init := range pl.Init {
-					out.Init = append(out.Init, ra.Tagged{Tag: init.Tag, Plan: subst(init.Plan)})
-				}
-				for _, e := range pl.Edges {
-					out.Edges = append(out.Edges, ra.RecEdge{FromTag: e.FromTag, ToTag: e.ToTag, Rel: subst(e.Rel)})
-				}
-				return out
-			default:
-				return pl
 			}
+			return mapInputs(pl, subst)
 		}
 		var kept []ra.Stmt
 		for _, s := range p.Stmts {
@@ -430,6 +267,20 @@ func InlineSingleUse(p *ra.Program) {
 		}
 		p.Stmts = kept
 	}
+}
+
+// mapInputs returns pl with f applied to each of its operands (pl itself
+// when it has none).
+func mapInputs(pl ra.Plan, f func(ra.Plan) ra.Plan) ra.Plan {
+	var in, out [4]ra.Plan
+	kids := out[:0]
+	for _, k := range ra.AppendInputs(in[:0], pl) {
+		kids = append(kids, f(k))
+	}
+	if len(kids) == 0 {
+		return pl
+	}
+	return ra.WithInputs(pl, kids)
 }
 
 type optimizer struct {
@@ -549,7 +400,7 @@ func containsOpenFix(p ra.Plan) bool {
 	case ra.RecUnion:
 		return false
 	default:
-		for _, k := range children(p) {
+		for _, k := range ra.Inputs(p) {
 			if containsOpenFix(k) {
 				return true
 			}

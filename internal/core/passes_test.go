@@ -157,7 +157,7 @@ func TestLeftDeepNormalization(t *testing.T) {
 			fix = &f
 			return
 		}
-		for _, k := range children(pl) {
+		for _, k := range ra.Inputs(pl) {
 			find(k)
 		}
 	}

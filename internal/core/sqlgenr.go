@@ -23,10 +23,14 @@ import (
 // qualifiers use the same relational encoding as EXpToSQL while all
 // recursion goes through the multi-relation fixpoint.
 func SQLGenR(q xpath.Path, d *dtd.DTD) (*ra.Program, error) {
-	if err := d.Check(); err != nil {
-		return nil, err
+	return NewSchema(d).sqlGenR(q)
+}
+
+func (s *Schema) sqlGenR(q xpath.Path) (*ra.Program, error) {
+	if s.err != nil {
+		return nil, s.err
 	}
-	t := &rTranslator{g: newTransGraph(d.BuildGraph())}
+	t := &rTranslator{g: s.g}
 	alts, err := flattenAlts(q)
 	if err != nil {
 		return nil, err

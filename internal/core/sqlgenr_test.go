@@ -105,7 +105,7 @@ func findRecUnion(p ra.Plan, out **ra.RecUnion) {
 	case ra.RecUnion:
 		*out = &p
 	default:
-		for _, k := range children(p) {
+		for _, k := range ra.Inputs(p) {
 			findRecUnion(k, out)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
@@ -69,18 +70,51 @@ type Result struct {
 	Program *ra.Program
 }
 
+// Schema is what translation derives from a DTD alone — its validity, its
+// graph under the virtual document root with the reachability and
+// component structure the descendant axis needs, and the fingerprint
+// programs are stamped with — each but the first two on first use. An Engine,
+// whose DTD is frozen, derives it once; Translate derives it per call. A
+// Schema is safe for concurrent use.
+type Schema struct {
+	d      *dtd.DTD
+	g      *transGraph // nil when err is not
+	err    error       // the DTD's Check
+	fpOnce sync.Once
+	fp     string
+}
+
+// NewSchema analyzes the DTD, which must not be mutated afterwards.
+func NewSchema(d *dtd.DTD) *Schema {
+	if err := d.Check(); err != nil {
+		return &Schema{d: d, err: err}
+	}
+	return &Schema{d: d, g: newTransGraph(d.BuildGraph())}
+}
+
+// Fingerprint returns the DTD's content hash (dtd.Fingerprint).
+func (s *Schema) Fingerprint() string {
+	s.fpOnce.Do(func() { s.fp = s.d.Fingerprint() })
+	return s.fp
+}
+
 // Translate rewrites an XPath query over a DTD into a sequence of relational
 // queries per the selected strategy. The program's result holds the answer
 // when evaluated over any database produced by shred.Shred from a document
 // conforming to the DTD (or any DTD containing it).
 func Translate(q xpath.Path, d *dtd.DTD, opts Options) (*Result, error) {
+	return NewSchema(d).Translate(q, opts)
+}
+
+// Translate is the package-level Translate over the schema's DTD.
+func (s *Schema) Translate(q xpath.Path, opts Options) (*Result, error) {
 	switch opts.Strategy {
 	case StrategySQLGenR:
-		prog, err := SQLGenR(q, d)
+		prog, err := s.sqlGenR(q)
 		if err != nil {
 			return nil, err
 		}
-		prog.DTDFP, prog.Query = d.Fingerprint(), CanonicalQuery(q)
+		prog.DTDFP, prog.Query = s.Fingerprint(), CanonicalQuery(q)
 		return &Result{Strategy: opts.Strategy, Program: prog}, nil
 	case StrategyCycleE, StrategyCycleEX:
 		rec := RecFlat
@@ -90,7 +124,7 @@ func Translate(q xpath.Path, d *dtd.DTD, opts Options) (*Result, error) {
 		if opts.Strategy == StrategyCycleE {
 			rec = RecCycleE
 		}
-		eq, err := XPathToEXp(q, d, rec)
+		eq, err := s.xpathToEXp(q, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +136,7 @@ func Translate(q xpath.Path, d *dtd.DTD, opts Options) (*Result, error) {
 		// interval encoding (shredded against some DTD) matches before
 		// taking the DescScan fast path, and the query text for executors
 		// that ship text, not plans.
-		prog.DTDFP, prog.Query = d.Fingerprint(), CanonicalQuery(q)
+		prog.DTDFP, prog.Query = s.Fingerprint(), CanonicalQuery(q)
 		return &Result{Strategy: opts.Strategy, EQ: eq, Program: prog}, nil
 	}
 	return nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)

@@ -34,10 +34,14 @@ const (
 // anchored at the virtual document root: its result relation holds pairs
 // (root, answer).
 func XPathToEXp(q xpath.Path, d *dtd.DTD, strategy RecStrategy) (*expath.Query, error) {
-	if err := d.Check(); err != nil {
-		return nil, err
+	return NewSchema(d).xpathToEXp(q, strategy)
+}
+
+func (s *Schema) xpathToEXp(q xpath.Path, strategy RecStrategy) (*expath.Query, error) {
+	if s.err != nil {
+		return nil, s.err
 	}
-	t := newTransGraph(d.BuildGraph())
+	t := s.g
 	tr := &exTranslator{
 		g:        t,
 		strategy: strategy,
@@ -54,22 +58,12 @@ func XPathToEXp(q xpath.Path, d *dtd.DTD, strategy RecStrategy) (*expath.Query, 
 	case RecFlat:
 		tr.flat = newFlatRec(t)
 	}
-	// Postorder over sub-queries (the list L of Fig 8): operands before
-	// operators, qualifiers' paths included.
-	subs := xpath.Subpaths(q)
-	// Local translations are computed on demand per (sub-query, A) because
-	// only reachable contexts matter; the postorder list guarantees the
-	// dynamic program's dependencies exist when requested.
-	_ = subs
-
+	// Local translations (Fig 8's postorder list L of sub-queries) are
+	// computed on demand per (sub-query, A), memoized: only reachable
+	// contexts matter.
 	exprs := tr.translate(q, DocType)
-	var targets []string
-	for b := range exprs {
-		targets = append(targets, b)
-	}
-	sort.Strings(targets)
 	var result expath.Expr = expath.Zero{}
-	for _, b := range targets {
+	for _, b := range exprs.targets() {
 		result = expath.MkUnion(result, exprs[b])
 	}
 	eqs := tr.eqs
@@ -156,6 +150,18 @@ func pKey(p xpath.Path, a string) string { return p.String() + "\x00" + a }
 // reach(p, A), returning the map B -> expression. Memoized on (p, A).
 type exprMap map[string]expath.Expr
 
+// targets lists the map's types in sorted order. Every loop whose body binds
+// a counter-named variable, emits an equation or extends a union walks the
+// map through it, so a translation's text never depends on map order.
+func (m exprMap) targets() []string {
+	out := make([]string, 0, len(m))
+	for b := range m {
+		out = append(out, b)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func (tr *exTranslator) translate(p xpath.Path, a string) exprMap {
 	key := pKey(p, a)
 	if tr.reach[key] != nil {
@@ -167,7 +173,8 @@ func (tr *exTranslator) translate(p xpath.Path, a string) exprMap {
 	}
 	out := tr.translateUncached(p, a)
 	reach := map[string]bool{}
-	for b, e := range out {
+	for _, b := range out.targets() {
+		e := out[b]
 		if _, zero := e.(expath.Zero); zero {
 			delete(out, b)
 			continue
@@ -196,12 +203,7 @@ func (tr *exTranslator) translateUncached(p xpath.Path, a string) exprMap {
 		}
 	case xpath.Seq: // case (4): p1/p2
 		left := tr.translate(p.L, a)
-		var cs []string
-		for c := range left {
-			cs = append(cs, c)
-		}
-		sort.Strings(cs)
-		for _, c := range cs {
+		for _, c := range left.targets() {
 			right := tr.translate(p.R, c)
 			for b, re := range right {
 				cat := expath.MkCat(left[c], re)
@@ -219,12 +221,7 @@ func (tr *exTranslator) translateUncached(p xpath.Path, a string) exprMap {
 				continue
 			}
 			inner := tr.translate(p.P, c)
-			var bs []string
-			for b := range inner {
-				bs = append(bs, b)
-			}
-			sort.Strings(bs)
-			for _, b := range bs {
+			for _, b := range inner.targets() {
 				cat := expath.MkCat(recE, inner[b])
 				if prev, ok := out[b]; ok {
 					out[b] = expath.MkUnion(prev, cat)
@@ -245,9 +242,9 @@ func (tr *exTranslator) translateUncached(p xpath.Path, a string) exprMap {
 			}
 		}
 	case xpath.Filter: // case (7): p1[q]
-		for b, e := range tr.translate(p.P, a) {
-			q := tr.rewQual(p.Q, b)
-			out[b] = expath.MkQual(e, q)
+		inner := tr.translate(p.P, a)
+		for _, b := range inner.targets() {
+			out[b] = expath.MkQual(inner[b], tr.rewQual(p.Q, b))
 		}
 	}
 	return out
@@ -265,14 +262,9 @@ func (tr *exTranslator) rewQual(q xpath.Qual, at string) expath.Qual {
 			// statically false.
 			return expath.QFalse{}
 		}
-		var bs []string
-		for b := range exprs {
-			bs = append(bs, b)
-		}
-		sort.Strings(bs)
 		var u expath.Expr = expath.Zero{}
 		nullable := false
-		for _, b := range bs {
+		for _, b := range exprs.targets() {
 			if tr.isNullable(exprs[b]) {
 				nullable = true
 			}

@@ -373,6 +373,69 @@ func appendConstrained(dst []Plan, first, start, end Plan) []Plan {
 	return dst
 }
 
+// WithInputs is the inverse of Inputs: pl with its operands replaced by kids,
+// which must hold as many plans as Inputs(pl) — an optional constraint of a
+// Fix or DescScan is replaced, never added or dropped. Every other attribute
+// is kept, the ones outside the printed form (Fix.TrackPaths, Fix.Desc,
+// RecUnion.Pairs and ResultTag) included; a leaf is returned as it is. kids
+// is not retained.
+func WithInputs(pl Plan, kids []Plan) Plan {
+	switch pl := pl.(type) {
+	case Compose:
+		return Compose{L: kids[0], R: kids[1]}
+	case UnionAll:
+		return UnionAll{Kids: append([]Plan(nil), kids...)}
+	case Fix:
+		start, end := constraints(kids, pl.Start, pl.End)
+		return Fix{Seed: kids[0], Start: start, End: end, TrackPaths: pl.TrackPaths, Desc: pl.Desc}
+	case DescScan:
+		start, end := constraints(kids, pl.Start, pl.End)
+		return DescScan{From: pl.From, To: pl.To, Alt: kids[0], Start: start, End: end}
+	case SelectVal:
+		return SelectVal{Child: kids[0], Val: pl.Val}
+	case SelectRoot:
+		return SelectRoot{Child: kids[0]}
+	case Semijoin:
+		return Semijoin{L: kids[0], R: kids[1]}
+	case Antijoin:
+		return Antijoin{L: kids[0], R: kids[1]}
+	case Diff:
+		return Diff{L: kids[0], R: kids[1]}
+	case IdentOf:
+		return IdentOf{Child: kids[0], OnF: pl.OnF}
+	case TypeFilter:
+		return TypeFilter{Child: kids[0], Rel: pl.Rel, OnF: pl.OnF}
+	case RecUnion:
+		out := RecUnion{Pairs: pl.Pairs, ResultTag: pl.ResultTag}
+		i := 0
+		for _, t := range pl.Init {
+			out.Init = append(out.Init, Tagged{Tag: t.Tag, Plan: kids[i]})
+			i++
+		}
+		for _, e := range pl.Edges {
+			out.Edges = append(out.Edges, RecEdge{FromTag: e.FromTag, ToTag: e.ToTag, Rel: kids[i]})
+			i++
+		}
+		return out
+	default:
+		return pl
+	}
+}
+
+// constraints reads back what appendConstrained wrote: the replacements in
+// kids of the constraints that are present.
+func constraints(kids []Plan, start, end Plan) (Plan, Plan) {
+	i := 1
+	if start != nil {
+		start = kids[i]
+		i++
+	}
+	if end != nil {
+		end = kids[i]
+	}
+	return start, end
+}
+
 // Count tallies the operators of every statement in the program.
 func (p *Program) Count() OpCounts {
 	var c OpCounts

@@ -252,3 +252,19 @@ func TestPlanStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestSQLMultiLineLiteral: a text()= constant holding a newline reaches the
+// SQL as it is, however deep the selection is nested. The renderer used to
+// indent an operand's text line by line, which pushed spaces into the second
+// line of such a literal — a different constant than the query's.
+func TestSQLMultiLineLiteral(t *testing.T) {
+	sel := SelectVal{Child: Base{Rel: "R_a"}, Val: "x\n\ny'z"}
+	p := &Program{Result: "r", Stmts: []Stmt{{Name: "r",
+		Plan: Compose{L: Semijoin{L: sel, R: Base{Rel: "R_b"}}, R: Fix{Seed: sel, End: sel}}}}}
+	for _, d := range []Dialect{DialectDB2, DialectOracle} {
+		sql := p.SQL(SQLRenderOptions{Dialect: d})
+		if got, all := strings.Count(sql, ".V = 'x\n\ny''z'"), strings.Count(sql, ".V = '"); got != all || all < 3 {
+			t.Errorf("%v: %d of %d literals intact:\n%s", d, got, all, sql)
+		}
+	}
+}

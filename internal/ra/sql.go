@@ -2,7 +2,9 @@ package ra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -98,14 +100,12 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 	if opts.NodesTable == "" {
 		opts.NodesTable = "all_nodes"
 	}
-	r := &sqlRenderer{opts: opts, names: map[string]string{}, used: map[string]bool{}, baseSeq: map[string]int{}}
+	r := &sqlRenderer{opts: opts, names: map[string]string{}, lifted: map[int]string{}, in: NewInterner(),
+		used: map[string]bool{}, baseSeq: map[string]int{}}
 	// Pre-assign sanitized names for all statements.
 	for _, s := range p.Stmts {
 		r.names[s.Name] = r.fresh(s.Name)
 	}
-	// Topologically order statements (the optimizer may append shared
-	// temps after their uses).
-	ordered := topoStmts(p)
 	rs := &RenderedSQL{}
 	if opts.MaxRecIters > 0 && opts.Dialect == DialectDB2 {
 		// DB2 bounds WITH RECURSIVE depth per session; Oracle renderings
@@ -115,21 +115,15 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 		rs.SessionReset = append(rs.SessionReset,
 			"SET MAX_RECURSIVE_ITERATIONS = 0")
 	}
-	for _, s := range ordered {
-		for _, pre := range r.lift(s.Plan) {
-			rs.Stmts = append(rs.Stmts, SQLStmt{
-				Table: pre.name,
-				SQL:   fmt.Sprintf("CREATE TEMPORARY TABLE %s AS\n%s", pre.name, pre.sql),
-			})
-		}
-		sql := r.render(s.Plan, 0)
-		rs.Stmts = append(rs.Stmts, SQLStmt{
-			Table: r.names[s.Name],
-			SQL:   fmt.Sprintf("CREATE TEMPORARY TABLE %s AS\n%s", r.names[s.Name], sql),
-		})
+	// Topologically ordered: the optimizer may append shared temps after
+	// their uses.
+	for _, s := range topoStmts(p) {
+		r.lift(s.Plan)
+		r.statement(r.names[s.Name], func() { r.render(s.Plan, 0) })
 	}
+	rs.Stmts = r.stmts
 	rs.ResultTable = r.names[p.Result]
-	rs.ResultQuery = fmt.Sprintf("SELECT DISTINCT T FROM %s", rs.ResultTable)
+	rs.ResultQuery = "SELECT DISTINCT T FROM " + rs.ResultTable
 	return rs, r.err
 }
 
@@ -171,59 +165,58 @@ func TempRefs(p Plan) []string { return tempRefs(p, true) }
 func KernelTempRefs(p Plan) []string { return tempRefs(p, false) }
 
 func tempRefs(p Plan, alt bool) []string {
-	set := map[string]bool{}
-	var walk func(Plan)
-	walk = func(p Plan) {
-		if t, ok := p.(Temp); ok {
-			set[t.Name] = true
-			return
-		}
-		in := Inputs(p)
-		if _, ok := p.(DescScan); ok && !alt {
-			in = in[1:]
-		}
-		for _, k := range in {
-			walk(k)
-		}
-	}
-	walk(p)
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
+	out := appendTempRefs(nil, p, alt)
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
-type lifted struct {
-	name string
-	sql  string
+func appendTempRefs(dst []string, p Plan, alt bool) []string {
+	if t, ok := p.(Temp); ok {
+		return append(dst, t.Name)
+	}
+	var buf [4]Plan
+	in := AppendInputs(buf[:0], p)
+	if _, ok := p.(DescScan); ok && !alt {
+		in = in[1:]
+	}
+	for _, k := range in {
+		dst = appendTempRefs(dst, k, alt)
+	}
+	return dst
 }
 
+// sqlRenderer writes a program's statements. Every statement is written once,
+// front to back, into one buffer: render takes the depth its text sits at and
+// pads each line as it starts it, so no operator re-indents what an operand
+// wrote.
 type sqlRenderer struct {
-	opts    SQLRenderOptions
-	names   map[string]string
+	opts  SQLRenderOptions
+	names map[string]string // statement name -> its table
+	// lifted maps a Fix or RecUnion, by its number in in, to the table of the
+	// statement it was lifted into: one per distinct plan, however often and
+	// wherever in the program it occurs.
+	lifted  map[int]string
+	in      *Interner
 	used    map[string]bool
 	baseSeq map[string]int // next numeric suffix per colliding base name
-	counter int
-	lifts   []lifted
 	aliasN  int
 	err     error
+	buf     []byte // the statement being written
+	stmts   []SQLStmt
 }
 
 // fresh sanitizes a statement name into a unique SQL identifier, applying
 // the configured temporary-table prefix.
 func (r *sqlRenderer) fresh(name string) string {
-	var b strings.Builder
-	for _, c := range name {
+	s := strings.Trim(strings.Map(func(c rune) rune {
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			b.WriteRune(c)
+			return c
 		case c == '[', c == ',', c == ']':
-			b.WriteRune('_')
+			return '_'
 		}
-	}
-	s := strings.Trim(b.String(), "_")
+		return -1
+	}, name), "_")
 	if s == "" {
 		s = "t"
 	}
@@ -253,198 +246,217 @@ func (r *sqlRenderer) fresh(name string) string {
 
 func (r *sqlRenderer) alias() string {
 	r.aliasN++
-	return fmt.Sprintf("q%d", r.aliasN)
+	return "q" + strconv.Itoa(r.aliasN)
 }
 
-// lift extracts every Fix and RecUnion in the plan into its own statement
-// and returns their definitions in dependency order; the original plan's
-// recursive nodes are replaced by temp references (mutating via names map is
-// avoided: render recognizes lifted nodes by pointer identity through the
-// liftNames map).
-func (r *sqlRenderer) lift(p Plan) []lifted {
-	r.lifts = nil
-	r.liftPlan(p)
-	return r.lifts
+// statement writes CREATE TEMPORARY TABLE table AS followed by what body
+// renders, and appends it to the output.
+func (r *sqlRenderer) statement(table string, body func()) {
+	r.buf = r.buf[:0]
+	r.w("CREATE TEMPORARY TABLE ", table, " AS\n")
+	body()
+	r.stmts = append(r.stmts, SQLStmt{Table: table, SQL: string(r.buf)})
 }
 
-// liftNames maps rendered recursive nodes (by their String form, which is
-// structural) to the lifted temp name. Within a single statement this is
-// both sound and deduplicating.
+// aside renders p and takes the text back out of the statement — for an
+// operand that takes its aliases before text preceding its own is written.
+func (r *sqlRenderer) aside(p Plan, depth int) string {
+	mark := len(r.buf)
+	r.render(p, depth)
+	s := string(r.buf[mark:])
+	r.buf = r.buf[:mark]
+	return s
+}
 
-func (r *sqlRenderer) liftPlan(p Plan) {
-	switch p := p.(type) {
+// w appends the parts to the statement being written.
+func (r *sqlRenderer) w(parts ...string) {
+	for _, s := range parts {
+		r.buf = append(r.buf, s...)
+	}
+}
+
+// head starts the first line of a rendering at the given depth; the text so
+// far ends in a newline.
+func (r *sqlRenderer) head(depth int, parts ...string) {
+	for ; depth > 0; depth-- {
+		r.buf = append(r.buf, "  "...)
+	}
+	r.w(parts...)
+}
+
+// line ends the current line and starts the next at the given depth.
+func (r *sqlRenderer) line(depth int, parts ...string) {
+	r.buf = append(r.buf, '\n')
+	r.head(depth, parts...)
+}
+
+// sub renders p as a parenthesized subselect one level deeper: the open
+// parenthesis ends the current line, the closing one starts a line at depth.
+func (r *sqlRenderer) sub(p Plan, depth int) {
+	r.w("(\n")
+	r.render(p, depth+1)
+	r.line(depth, ")")
+}
+
+// lift gives every Fix and RecUnion in the plan a statement of its own,
+// operands first, so each statement carries at most one recursive construct;
+// render then references them by table. Plans are values, so an occurrence is
+// recognized by structure (its interned number), which also makes equal
+// fixpoints share one statement.
+func (r *sqlRenderer) lift(p Plan) {
+	var buf [4]Plan
+	for _, k := range AppendInputs(buf[:0], p) {
+		r.lift(k)
+	}
+	var prefix string
+	switch p.(type) {
 	case Fix:
-		r.liftPlan(p.Seed)
-		if p.Start != nil {
-			r.liftPlan(p.Start)
-		}
-		if p.End != nil {
-			r.liftPlan(p.End)
-		}
-		key := p.String()
-		if _, done := r.names[key]; !done {
-			name := r.fresh("fix")
-			r.names[key] = name
-			r.lifts = append(r.lifts, lifted{name: name, sql: r.renderFix(p)})
-		}
+		prefix = "fix"
 	case RecUnion:
-		for _, t := range p.Init {
-			r.liftPlan(t.Plan)
-		}
-		for _, e := range p.Edges {
-			r.liftPlan(e.Rel)
-		}
-		key := p.String()
-		if _, done := r.names[key]; !done {
-			name := r.fresh("rec")
-			r.names[key] = name
-			r.lifts = append(r.lifts, lifted{name: name, sql: r.renderRecUnion(p)})
-		}
-	case DescScan:
-		r.liftPlan(p.Alt)
-		if p.Start != nil {
-			r.liftPlan(p.Start)
-		}
-		if p.End != nil {
-			r.liftPlan(p.End)
-		}
-	case Compose:
-		r.liftPlan(p.L)
-		r.liftPlan(p.R)
-	case UnionAll:
-		for _, k := range p.Kids {
-			r.liftPlan(k)
-		}
-	case SelectVal:
-		r.liftPlan(p.Child)
-	case SelectRoot:
-		r.liftPlan(p.Child)
-	case Semijoin:
-		r.liftPlan(p.L)
-		r.liftPlan(p.R)
-	case Antijoin:
-		r.liftPlan(p.L)
-		r.liftPlan(p.R)
-	case Diff:
-		r.liftPlan(p.L)
-		r.liftPlan(p.R)
-	case IdentOf:
-		r.liftPlan(p.Child)
-	case TypeFilter:
-		r.liftPlan(p.Child)
+		prefix = "rec"
+	default:
+		return
+	}
+	if id := r.in.ID(p); r.lifted[id] == "" {
+		r.lifted[id] = r.fresh(prefix)
+		r.statement(r.lifted[id], func() { r.renderRec(p, 0) })
 	}
 }
 
-func indent(s string, n int) string {
-	pad := strings.Repeat("  ", n)
-	lines := strings.Split(s, "\n")
-	for i, l := range lines {
-		if l != "" {
-			lines[i] = pad + l
-		}
+// renderRec renders a recursive construct itself, not a reference to it.
+func (r *sqlRenderer) renderRec(p Plan, depth int) {
+	if f, ok := p.(Fix); ok {
+		r.renderFix(f, depth)
+	} else {
+		r.renderRecUnion(p.(RecUnion), depth)
 	}
-	return strings.Join(lines, "\n")
 }
 
-// render produces a SELECT with columns F, T, V for the plan.
-func (r *sqlRenderer) render(p Plan, depth int) string {
+// col names the column an OnF attribute selects.
+func col(onF bool) string {
+	if onF {
+		return "F"
+	}
+	return "T"
+}
+
+// render writes a SELECT with columns F, T, V for the plan, every line of it
+// at the given depth or deeper.
+func (r *sqlRenderer) render(p Plan, depth int) {
 	switch p := p.(type) {
 	case Base:
-		return fmt.Sprintf("SELECT F, T, V FROM %s", p.Rel)
+		r.head(depth, "SELECT F, T, V FROM ", p.Rel)
 	case Temp:
-		return fmt.Sprintf("SELECT F, T, V FROM %s", r.names[p.Name])
+		r.head(depth, "SELECT F, T, V FROM ", r.names[p.Name])
 	case RootSeed:
-		return "SELECT '_' AS F, '_' AS T, '' AS V"
+		r.head(depth, "SELECT '_' AS F, '_' AS T, '' AS V")
 	case Ident:
-		return fmt.Sprintf("SELECT ID AS F, ID AS T, VAL AS V FROM %s", r.opts.NodesTable)
+		r.head(depth, "SELECT ID AS F, ID AS T, VAL AS V FROM ", r.opts.NodesTable)
 	case IdentOf:
-		col := "T"
-		if p.OnF {
-			col = "F"
-		}
-		a := r.alias()
-		return fmt.Sprintf("SELECT DISTINCT %s.%s AS F, %s.%s AS T, %s.V AS V FROM (\n%s\n) %s",
-			a, col, a, col, a, indent(r.render(p.Child, depth+1), 1), a)
+		a, c := r.alias(), col(p.OnF)
+		r.head(depth, "SELECT DISTINCT ", a, ".", c, " AS F, ", a, ".", c, " AS T, ", a, ".V AS V FROM ")
+		r.sub(p.Child, depth)
+		r.w(" ", a)
 	case Compose:
 		l, rt := r.alias(), r.alias()
-		return fmt.Sprintf("SELECT DISTINCT %s.F, %s.T, %s.V FROM (\n%s\n) %s JOIN (\n%s\n) %s ON %s.T = %s.F",
-			l, rt, rt,
-			indent(r.render(p.L, depth+1), 1), l,
-			indent(r.render(p.R, depth+1), 1), rt,
-			l, rt)
+		r.head(depth, "SELECT DISTINCT ", l, ".F, ", rt, ".T, ", rt, ".V FROM ")
+		r.sub(p.L, depth)
+		r.w(" ", l, " JOIN ")
+		r.sub(p.R, depth)
+		r.w(" ", rt, " ON ", l, ".T = ", rt, ".F")
 	case UnionAll:
 		if len(p.Kids) == 0 {
-			return "SELECT F, T, V FROM (SELECT '_' AS F, '_' AS T, '' AS V) z WHERE 1 = 0"
+			r.head(depth, "SELECT F, T, V FROM (SELECT '_' AS F, '_' AS T, '' AS V) z WHERE 1 = 0")
 		}
-		parts := make([]string, len(p.Kids))
 		for i, k := range p.Kids {
-			parts[i] = r.setOperand(k, depth+1)
+			if i > 0 {
+				r.line(depth, "UNION\n")
+			}
+			r.setOperand(k, depth)
 		}
-		return strings.Join(parts, "\nUNION\n")
 	case SelectVal:
-		a := r.alias()
-		return fmt.Sprintf("SELECT %s.F, %s.T, %s.V FROM (\n%s\n) %s WHERE %s.V = '%s'",
-			a, a, a, indent(r.render(p.Child, depth+1), 1), a, a, escapeSQL(p.Val))
+		a := r.selectFrom(p.Child, depth)
+		r.w(" WHERE ", a, ".V = '", escapeSQL(p.Val), "'")
 	case SelectRoot:
-		a := r.alias()
-		return fmt.Sprintf("SELECT %s.F, %s.T, %s.V FROM (\n%s\n) %s WHERE %s.F = '_'",
-			a, a, a, indent(r.render(p.Child, depth+1), 1), a, a)
+		a := r.selectFrom(p.Child, depth)
+		r.w(" WHERE ", a, ".F = '_'")
 	case Semijoin:
-		l, w := r.alias(), r.alias()
-		return fmt.Sprintf("SELECT %s.F, %s.T, %s.V FROM (\n%s\n) %s WHERE EXISTS (SELECT 1 FROM (\n%s\n) %s WHERE %s.F = %s.T)",
-			l, l, l, indent(r.render(p.L, depth+1), 1), l,
-			indent(r.render(p.R, depth+1), 1), w, w, l)
+		r.exists(p.L, p.R, "", depth)
 	case Antijoin:
-		l, w := r.alias(), r.alias()
-		return fmt.Sprintf("SELECT %s.F, %s.T, %s.V FROM (\n%s\n) %s WHERE NOT EXISTS (SELECT 1 FROM (\n%s\n) %s WHERE %s.F = %s.T)",
-			l, l, l, indent(r.render(p.L, depth+1), 1), l,
-			indent(r.render(p.R, depth+1), 1), w, w, l)
+		r.exists(p.L, p.R, "NOT ", depth)
 	case Diff:
-		return fmt.Sprintf("%s\nEXCEPT\n%s", r.setOperand(p.L, depth+1), r.setOperand(p.R, depth+1))
+		r.setOperand(p.L, depth)
+		r.line(depth, "EXCEPT\n")
+		r.setOperand(p.R, depth)
 	case TypeFilter:
-		a := r.alias()
-		col := "T"
-		if p.OnF {
-			col = "F"
-		}
-		return fmt.Sprintf("SELECT %s.F, %s.T, %s.V FROM (\n%s\n) %s WHERE EXISTS (SELECT 1 FROM %s w WHERE w.T = %s.%s)",
-			a, a, a, indent(r.render(p.Child, depth+1), 1), a, p.Rel, a, col)
-	case Fix:
+		a := r.selectFrom(p.Child, depth)
+		r.w(" WHERE EXISTS (SELECT 1 FROM ", p.Rel, " w WHERE w.T = ", a, ".", col(p.OnF), ")")
+	case Fix, RecUnion:
 		// Rendered via a lifted statement.
-		if name, ok := r.names[p.String()]; ok {
-			return fmt.Sprintf("SELECT F, T, V FROM %s", name)
+		if name := r.lifted[r.in.ID(p)]; name != "" {
+			r.head(depth, "SELECT F, T, V FROM ", name)
+		} else {
+			r.renderRec(p, depth)
 		}
-		return r.renderFix(p)
-	case RecUnion:
-		if name, ok := r.names[p.String()]; ok {
-			return fmt.Sprintf("SELECT F, T, V FROM %s", name)
-		}
-		return r.renderRecUnion(p)
 	case DescScan:
 		// A foreign RDBMS holds no interval encoding: the scan renders as
 		// its equivalent fixpoint alternative, with the pushed constraints
 		// as explicit filters (the alternative may be a shared temp that
 		// does not carry them itself).
 		if p.Start == nil && p.End == nil {
-			return r.render(p.Alt, depth)
+			r.render(p.Alt, depth)
+			return
 		}
+		// The constraints take their aliases before the alternative does,
+		// and their text follows its.
 		a := r.alias()
-		var conds []string
+		var st, en string
 		if p.Start != nil {
-			conds = append(conds, fmt.Sprintf("%s.F IN (SELECT T FROM (\n%s\n) st)",
-				a, indent(r.render(p.Start, depth+2), 1)))
+			st = r.aside(p.Start, depth+1)
 		}
 		if p.End != nil {
-			conds = append(conds, fmt.Sprintf("%s.T IN (SELECT F FROM (\n%s\n) en)",
-				a, indent(r.render(p.End, depth+2), 1)))
+			en = r.aside(p.End, depth+1)
 		}
-		return fmt.Sprintf("SELECT %s.F, %s.T, %s.V FROM (\n%s\n) %s WHERE %s",
-			a, a, a, indent(r.render(p.Alt, depth+1), 1), a, strings.Join(conds, " AND "))
+		r.head(depth, "SELECT ", a, ".F, ", a, ".T, ", a, ".V FROM ")
+		r.sub(p.Alt, depth)
+		r.w(" ", a, " WHERE ")
+		if p.Start != nil {
+			r.w(a, ".F IN (SELECT T FROM (\n", st)
+			r.line(depth, ") st)")
+		}
+		if p.Start != nil && p.End != nil {
+			r.w(" AND ")
+		}
+		if p.End != nil {
+			r.w(a, ".T IN (SELECT F FROM (\n", en)
+			r.line(depth, ") en)")
+		}
+	default:
+		if r.err == nil {
+			r.err = fmt.Errorf("%w: %T", ErrUnsupportedPlan, p)
+		}
+		r.head(depth, "-- unsupported plan")
 	}
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %T", ErrUnsupportedPlan, p)
-	}
-	return "-- unsupported plan"
+}
+
+// selectFrom writes SELECT a.F, a.T, a.V FROM (p) a under a fresh alias a
+// and returns it, for the caller to append its WHERE.
+func (r *sqlRenderer) selectFrom(p Plan, depth int) string {
+	a := r.alias()
+	r.head(depth, "SELECT ", a, ".F, ", a, ".T, ", a, ".V FROM ")
+	r.sub(p, depth)
+	r.w(" ", a)
+	return a
+}
+
+// exists renders the semijoin (not = "") or antijoin (not = "NOT ") of l by r.
+func (r *sqlRenderer) exists(l, w Plan, not string, depth int) {
+	la, wa := r.alias(), r.alias()
+	r.head(depth, "SELECT ", la, ".F, ", la, ".T, ", la, ".V FROM ")
+	r.sub(l, depth)
+	r.w(" ", la, " WHERE ", not, "EXISTS (SELECT 1 FROM ")
+	r.sub(w, depth)
+	r.w(" ", wa, " WHERE ", wa, ".F = ", la, ".T)")
 }
 
 // setOperand renders a plan as an operand of UNION / EXCEPT. SQL gives the
@@ -452,7 +464,7 @@ func (r *sqlRenderer) render(p Plan, depth int) string {
 // that is itself a set operation must be wrapped in a subselect: a bare
 // "a EXCEPT b UNION c" parses as "(a EXCEPT b) UNION c" regardless of the
 // plan shape that produced it.
-func (r *sqlRenderer) setOperand(p Plan, depth int) string {
+func (r *sqlRenderer) setOperand(p Plan, depth int) {
 	compound := false
 	switch p := p.(type) {
 	case UnionAll:
@@ -460,110 +472,118 @@ func (r *sqlRenderer) setOperand(p Plan, depth int) string {
 	case Diff:
 		compound = true
 	}
-	if !compound {
-		return r.render(p, depth)
+	if compound {
+		r.selectFrom(p, depth)
+	} else {
+		r.render(p, depth)
 	}
-	a := r.alias()
-	return fmt.Sprintf("SELECT %s.F, %s.T, %s.V FROM (\n%s\n) %s",
-		a, a, a, indent(r.render(p, depth+1), 1), a)
 }
 
 // renderFix renders the single-input LFP operator Φ(R) (Eq. 2 / Fig 4).
-func (r *sqlRenderer) renderFix(p Fix) string {
-	seed := r.render(p.Seed, 1)
-	startCond := ""
-	if p.Start != nil {
-		startCond = fmt.Sprintf(" WHERE s.F IN (SELECT T FROM (\n%s\n) st)", indent(r.render(p.Start, 2), 1))
-	}
-	endSel := "SELECT DISTINCT F, T, V FROM fp"
-	if p.End != nil {
-		endSel = fmt.Sprintf("SELECT DISTINCT fp.F, fp.T, fp.V FROM fp WHERE fp.T IN (SELECT F FROM (\n%s\n) en)", indent(r.render(p.End, 2), 1))
+func (r *sqlRenderer) renderFix(p Fix, depth int) {
+	// in writes "<col> IN (SELECT <of> FROM (c) <as>)", c one level deeper.
+	in := func(col, of string, c Plan, as string) {
+		r.w(col, " IN (SELECT ", of, " FROM (\n")
+		r.render(c, depth+1)
+		r.line(depth, ") ", as, ")")
 	}
 	if r.opts.Dialect == DialectOracle {
 		// Fig 4, Oracle: CONNECT BY with the seed as the edge relation.
-		start := "s.F IN (SELECT F FROM seed)"
-		if p.Start != nil {
-			start = fmt.Sprintf("s.F IN (SELECT T FROM (\n%s\n) st)", indent(r.render(p.Start, 2), 1))
+		if p.End != nil {
+			r.head(depth, "SELECT * FROM (\n")
+			depth++
 		}
-		connectBy := "CONNECT BY NOCYCLE PRIOR s.T = s.F"
+		r.head(depth, "WITH seed (F, T, V) AS (\n")
+		r.render(p.Seed, depth+1)
+		// The DB2 form's constraints were rendered here, and dropped, before
+		// this form's own: the aliases they took stay taken.
+		for _, c := range []Plan{p.Start, p.End} {
+			if c != nil {
+				r.aside(c, 0)
+			}
+		}
+		r.line(depth, ")")
+		r.line(depth, "SELECT DISTINCT CONNECT_BY_ROOT s.F AS F, s.T AS T, s.V AS V")
+		r.line(depth, "FROM seed s")
+		r.line(depth, "START WITH ")
+		if p.Start != nil {
+			in("s.F", "T", p.Start, "st")
+		} else {
+			r.w("s.F IN (SELECT F FROM seed)")
+		}
+		r.line(depth, "CONNECT BY NOCYCLE PRIOR s.T = s.F")
 		if r.opts.MaxRecIters > 0 {
 			// LEVEL n reaches paths of n edges — the same frontier the
 			// engine's n-th fixpoint iteration produces.
-			connectBy += fmt.Sprintf(" AND LEVEL <= %d", r.opts.MaxRecIters)
+			r.w(" AND LEVEL <= ", strconv.Itoa(r.opts.MaxRecIters))
 		}
-		sql := fmt.Sprintf(`WITH seed (F, T, V) AS (
-%s
-)
-SELECT DISTINCT CONNECT_BY_ROOT s.F AS F, s.T AS T, s.V AS V
-FROM seed s
-START WITH %s
-%s`, indent(seed, 1), start, connectBy)
 		if p.End != nil {
-			sql = fmt.Sprintf("SELECT * FROM (\n%s\n) cb WHERE cb.T IN (SELECT F FROM (\n%s\n) en)",
-				indent(sql, 1), indent(r.render(p.End, 2), 1))
+			depth--
+			r.line(depth, ") cb WHERE ")
+			in("cb.T", "F", p.End, "en")
 		}
-		return sql
+		return
 	}
+	// The P attribute of §5.2: path reconstruction by string concatenation
+	// (supported by both DB2 and Oracle).
+	cols, first, step, last := "F, T, V", "", "", ""
 	if p.TrackPaths {
-		// The P attribute of §5.2: path reconstruction by string
-		// concatenation (supported by both DB2 and Oracle).
-		endSelP := strings.Replace(endSel, "fp.V", "fp.V, fp.P", 1)
-		endSelP = strings.Replace(endSelP, "F, T, V FROM fp", "F, T, V, P FROM fp", 1)
-		return fmt.Sprintf(`WITH RECURSIVE fp (F, T, V, P) AS (
-  SELECT s.F, s.T, s.V, CAST(s.T AS VARCHAR(1000)) FROM (
-%s
-  ) s%s
-  UNION ALL
-  SELECT fp.F, s.T, s.V, fp.P || '/' || s.T FROM fp JOIN (
-%s
-  ) s ON fp.T = s.F
-)
-%s`, indent(seed, 1), startCond, indent(seed, 1), endSelP)
+		cols, first, step, last = "F, T, V, P", ", CAST(s.T AS VARCHAR(1000))", ", fp.P || '/' || s.T", ", fp.P"
 	}
-	return fmt.Sprintf(`WITH RECURSIVE fp (F, T, V) AS (
-  SELECT s.F, s.T, s.V FROM (
-%s
-  ) s%s
-  UNION ALL
-  SELECT fp.F, s.T, s.V FROM fp JOIN (
-%s
-  ) s ON fp.T = s.F
-)
-%s`, indent(seed, 1), startCond, indent(seed, 1), endSel)
+	r.head(depth, "WITH RECURSIVE fp (", cols, ") AS (")
+	r.line(depth+1, "SELECT s.F, s.T, s.V", first, " FROM (\n")
+	from := len(r.buf)
+	r.render(p.Seed, depth+1)
+	to := len(r.buf)
+	r.line(depth+1, ") s")
+	if p.Start != nil {
+		r.w(" WHERE ")
+		in("s.F", "T", p.Start, "st")
+	}
+	r.line(depth+1, "UNION ALL")
+	r.line(depth+1, "SELECT fp.F, s.T, s.V", step, " FROM fp JOIN (\n")
+	r.buf = append(r.buf, r.buf[from:to]...)
+	r.line(depth+1, ") s ON fp.T = s.F")
+	r.line(depth, ")")
+	if p.End == nil {
+		r.line(depth, "SELECT DISTINCT ", cols, " FROM fp")
+		return
+	}
+	r.line(depth, "SELECT DISTINCT fp.F, fp.T, fp.V", last, " FROM fp WHERE ")
+	in("fp.T", "F", p.End, "en")
 }
 
 // renderRecUnion renders the SQLGen-R multi-relation fixpoint exactly in the
 // style of Fig 2: one select per edge inside the recursive body, Rid tags.
-func (r *sqlRenderer) renderRecUnion(p RecUnion) string {
-	var init []string
-	for _, t := range p.Init {
-		init = append(init, fmt.Sprintf("SELECT i.F, i.T, '%s' AS Rid, i.V FROM (\n%s\n) i",
-			escapeSQL(t.Tag), indent(r.render(t.Plan, 2), 1)))
-	}
-	var body []string
-	for _, e := range p.Edges {
-		fcol := "e.F"
-		if p.Pairs {
-			fcol = "R.F"
-		}
-		body = append(body, fmt.Sprintf(
-			"SELECT %s AS F, e.T, '%s' AS Rid, e.V FROM R, (\n%s\n) e WHERE R.T = e.F AND R.Rid = '%s'",
-			fcol, escapeSQL(e.ToTag), indent(r.render(e.Rel, 2), 1), escapeSQL(e.FromTag)))
-	}
-	final := "SELECT DISTINCT F, T, V FROM R"
-	if p.ResultTag != "" {
-		final = fmt.Sprintf("SELECT DISTINCT F, T, V FROM R WHERE Rid = '%s'", escapeSQL(p.ResultTag))
-	}
+func (r *sqlRenderer) renderRecUnion(p RecUnion, depth int) {
+	r.head(depth, "WITH RECURSIVE R (F, T, Rid, V) AS (")
 	// A fixpoint can degenerate to seeds only (no recursive edges reach the
-	// result); emitting a bare "UNION ALL" arm would be invalid SQL.
-	rec := indent(strings.Join(init, "\nUNION ALL\n"), 1)
-	if len(body) > 0 {
-		rec += "\n  UNION ALL\n" + indent(strings.Join(body, "\nUNION ALL\n"), 1)
+	// result): arms are joined, never a bare "UNION ALL" emitted.
+	arms := 0
+	arm := func(sel string, c Plan) {
+		if arms++; arms > 1 {
+			r.line(depth+1, "UNION ALL")
+		}
+		r.line(depth+1, sel)
+		r.sub(c, depth+1)
 	}
-	return fmt.Sprintf(`WITH RECURSIVE R (F, T, Rid, V) AS (
-%s
-)
-%s`, rec, final)
+	for _, t := range p.Init {
+		arm("SELECT i.F, i.T, '"+escapeSQL(t.Tag)+"' AS Rid, i.V FROM ", t.Plan)
+		r.w(" i")
+	}
+	fcol := "e.F"
+	if p.Pairs {
+		fcol = "R.F"
+	}
+	for _, e := range p.Edges {
+		arm("SELECT "+fcol+" AS F, e.T, '"+escapeSQL(e.ToTag)+"' AS Rid, e.V FROM R, ", e.Rel)
+		r.w(" e WHERE R.T = e.F AND R.Rid = '", escapeSQL(e.FromTag), "'")
+	}
+	r.line(depth, ")")
+	r.line(depth, "SELECT DISTINCT F, T, V FROM R")
+	if p.ResultTag != "" {
+		r.w(" WHERE Rid = '", escapeSQL(p.ResultTag), "'")
+	}
 }
 
 // escapeSQL escapes a value for embedding in a standard SQL string literal.

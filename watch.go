@@ -67,7 +67,7 @@ func (e *Engine) NewWatchHub(st *store.Store, cfg WatchConfig) (*WatchHub, error
 			}
 			// The plan-cache key doubles as the view-sharing key: queries
 			// that canonicalize to the same plan share one standing view.
-			return res.Program, core.PlanKey(e.dtdFP, q, e.opts), nil
+			return res.Program, core.PlanKey(e.schema.Fingerprint(), q, e.opts), nil
 		},
 		MaxSubscriptions:   cfg.MaxSubscriptions,
 		SubscriptionBuffer: cfg.SubscriptionBuffer,
