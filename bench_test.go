@@ -7,6 +7,7 @@ package xpath2sql
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"xpath2sql/internal/bench"
@@ -250,6 +251,57 @@ func BenchmarkTranslate(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := progs[i%len(progs)].RenderSQL(ra.SQLRenderOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// readMix is the read-desc workload's query mix (benchmark/gen.go) with its
+// text selection listed once.
+var readMix = []string{
+	"dept//project",
+	"dept//cno",
+	"dept//course//title",
+	"dept//student[qualified//course]",
+	"dept/course[cno and not(.//project)]",
+	"dept/course/prereq//course/prereq/course",
+	"dept//cno[text()='cno-5']",
+	"dept//sno | dept//pno",
+}
+
+// BenchmarkExecute measures what a warm /v1/query executes, without the
+// harness or the server: the read-desc mix, one query per iteration, over a
+// generated dept document of the workload's size (35k elements, X_L 8, X_R 4)
+// through NewLocalBackend's serial pooled path.
+func BenchmarkExecute(b *testing.B) {
+	d, err := ParseDTD(workload.DeptText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc strings.Builder
+	if _, err := StreamGenerate(&doc, d, GenStreamOptions{XL: 8, XR: 4, Seed: 1, TargetBytes: 35000 * 20}); err != nil {
+		b.Fatal(err)
+	}
+	parsed, err := ParseXML(doc.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := Shred(parsed, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, ctx, be := New(d), context.Background(), NewLocalBackend(db)
+	plans := make([]*Translation, len(readMix))
+	for i, q := range readMix {
+		if plans[i], err = eng.TranslateString(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("read-mix", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := plans[i%len(plans)].ExecuteOn(ctx, be); err != nil {
 				b.Fatal(err)
 			}
 		}

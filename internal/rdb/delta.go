@@ -537,11 +537,7 @@ func (vs *ViewState) nodeDelta(n *viewNode, u *update) (*Relation, error) {
 // rowsAt visits the rows of r whose F (onF) or T column holds key, in
 // insertion order. visit may append to r.
 func (r *Relation) rowsAt(onF bool, key int32, visit func(row)) {
-	idx := r.tIndex()
-	if onF {
-		idx = r.fIndex()
-	}
-	snap, over := idx.lookup(key)
+	snap, over := r.index(onF, true).lookup(key)
 	for _, part := range [2][]int32{snap, over} {
 		for _, pos := range part {
 			visit(r.rows[pos])
@@ -867,10 +863,7 @@ func lostKeys(gone, now *Relation, onF bool, visit func(key int32)) {
 	if gone == nil || gone.Len() == 0 {
 		return
 	}
-	idx := now.tIndex()
-	if onF {
-		idx = now.fIndex()
-	}
+	idx := now.index(onF, true)
 	for k := range colSet(gone.rows, onF) {
 		if !idx.contains(k) {
 			visit(k)

@@ -185,7 +185,8 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			return false
 		}
 
-		serial, err := NewExec(db).Run(p)
+		se := NewExec(db)
+		serial, err := se.Run(p)
 		if err != nil {
 			t.Logf("serial: %v", err)
 			return false
@@ -195,6 +196,10 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		parRel, err := par.Run(p)
 		if err != nil {
 			t.Logf("parallel: %v", err)
+			return false
+		}
+		if msg := distinctRuns(db, p, want.Tuples(), se, par); msg != "" {
+			t.Logf("seed=%d: %s\nprogram:\n%s", seed, msg, p)
 			return false
 		}
 		sched, _, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4})
@@ -241,6 +246,105 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// repeatedPair describes an (F, T) pair r holds twice, or returns "". No
+// relation may: kernels append without hashing on the strength of it.
+func repeatedPair(r *Relation) string {
+	seen := make(map[uint64]bool, len(r.rows))
+	for _, w := range r.rows {
+		k := packPair(w.f, w.t)
+		if seen[k] {
+			return fmt.Sprintf("relation %q holds (%d, %d) twice", r.Name, w.f, w.t)
+		}
+		seen[k] = true
+	}
+	return ""
+}
+
+// distinctRuns checks the duplicate-free invariant over every relation p's
+// runs built: the statements of the executors that already ran it, and every
+// temporary of a pooled run at parallelism 1 and 4 — whose answer must also
+// be the naive evaluator's.
+func distinctRuns(db *DB, p *ra.Program, want []Tuple, ran ...*Exec) string {
+	for _, ex := range ran {
+		for _, r := range ex.env {
+			if msg := repeatedPair(r); msg != "" {
+				return fmt.Sprintf("parallelism %d: %s", ex.Parallelism, msg)
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		st := AcquireState(db)
+		ex := st.Exec()
+		ex.Parallelism = workers
+		got, err := ex.Run(p)
+		msg := ""
+		switch {
+		case err != nil:
+			msg = err.Error()
+		case !sameTuples(want, got.Tuples()):
+			msg = fmt.Sprintf("tuples differ from naive\nnaive:  %v\npooled: %v", canonTuples(want), canonTuples(got.Tuples()))
+		}
+		for _, r := range st.owned {
+			if msg == "" {
+				msg = repeatedPair(r)
+			}
+		}
+		st.Release()
+		if msg != "" {
+			return fmt.Sprintf("pooled, parallelism %d: %s", workers, msg)
+		}
+	}
+	return ""
+}
+
+// TestDistinctWhereDuplicatesArise runs, through every executor the random
+// suite drives, programs that do derive a pair twice: a compose over twenty
+// paths a→b_i→c, neither side keyed (both as stored relations and as
+// temporaries), unions of overlapping operands, and a Diff whose right operand
+// is a filter's unhashed output.
+func TestDistinctWhereDuplicatesArise(t *testing.T) {
+	forceTinyMorsels(t)
+	db := NewDB()
+	for b := 10; b < 30; b++ {
+		db.Insert("L", 1, b, "")
+		db.Insert("R", b, 100, "c")
+	}
+	db.Insert("M", 1, 10, "")
+	db.Insert("M", 2, 10, "")
+	base := func(rel string) ra.Plan { return ra.Base{Rel: rel} }
+	for name, stmts := range map[string][]ra.Stmt{
+		"compose": {{Name: "s", Plan: ra.Compose{L: base("L"), R: base("R")}}},
+		"compose of temporaries": {
+			{Name: "l", Plan: ra.UnionAll{Kids: []ra.Plan{base("L"), base("M")}}},
+			{Name: "r", Plan: ra.SelectVal{Child: base("R"), Val: "c"}},
+			{Name: "s", Plan: ra.Compose{L: ra.Temp{Name: "l"}, R: ra.Temp{Name: "r"}}},
+		},
+		"union":         {{Name: "s", Plan: ra.UnionAll{Kids: []ra.Plan{base("L"), base("M"), base("L")}}}},
+		"union of maps": {{Name: "s", Plan: ra.UnionAll{Kids: []ra.Plan{ra.IdentOf{Child: base("L")}, ra.IdentOf{Child: base("M"), OnF: true}}}}},
+		"diff":          {{Name: "s", Plan: ra.Diff{L: base("L"), R: ra.Semijoin{L: base("L"), R: base("R")}}}},
+	} {
+		p := &ra.Program{Stmts: stmts, Result: "s"}
+		want, err := NewNaiveExec(db).Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, par := NewExec(db), NewExec(db)
+		par.Parallelism = 4
+		for _, ex := range []*Exec{se, par} {
+			got, err := ex.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameTuples(want.Tuples(), got.Tuples()) {
+				t.Errorf("%s, parallelism %d: tuples differ from naive\nnaive: %v\ngot:   %v", name, ex.Parallelism, canonTuples(want.Tuples()), canonTuples(got.Tuples()))
+			}
+		}
+		if msg := distinctRuns(db, p, want.Tuples(), se, par); msg != "" {
+			t.Errorf("%s: %s", name, msg)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 	switch pl := pl.(type) {
 	case ra.RootSeed:
 		out := e.newRel("")
-		out.addRow(row{})
+		out.appendDistinct(row{})
 		return out, nil
 	case ra.IdentOf:
 		child := in[0]
@@ -53,7 +53,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 				continue
 			}
 			seen[id] = struct{}{}
-			out.addRow(row{f: id, t: id, v: e.DB.ValSym(int(id))})
+			out.appendDistinct(row{f: id, t: id, v: e.DB.ValSym(int(id))})
 		}
 		e.Stats.TuplesOut += out.Len()
 		return out, nil
@@ -66,9 +66,13 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 				e.Stats.Unions++
 			}
 			for _, w := range kr.rows {
-				if out.addFrom(kr, w) {
-					e.Stats.TuplesOut++
+				// The first operand is a set: only the others can repeat a pair.
+				if i == 0 {
+					out.appendFrom(kr, w)
+				} else if !out.addFrom(kr, w) {
+					continue
 				}
+				e.Stats.TuplesOut++
 			}
 		}
 		return out, nil
@@ -80,7 +84,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		if sym, ok := child.symOf(pl.Val); ok {
 			for _, w := range child.rows {
 				if w.v == sym {
-					out.addFrom(child, w)
+					out.appendFrom(child, w)
 				}
 			}
 		}
@@ -91,7 +95,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		out := e.newRel("")
 		for _, w := range child.rows {
 			if w.f == 0 {
-				out.addFrom(child, w)
+				out.appendFrom(child, w)
 			}
 		}
 		e.Stats.TuplesOut += out.Len()
@@ -117,7 +121,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 				snap, over := idx.lookup(w.f)
 				for _, part := range [2][]int32{snap, over} {
 					for _, pos := range part {
-						out.addFrom(l, lrows[pos])
+						out.appendFrom(l, lrows[pos])
 					}
 				}
 			}
@@ -127,7 +131,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		wit := r.fIndex()
 		for _, w := range l.rows {
 			if wit.contains(w.t) {
-				out.addFrom(l, w)
+				out.appendFrom(l, w)
 			}
 		}
 		e.Stats.TuplesOut += out.Len()
@@ -139,7 +143,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		out := e.newRel("")
 		for _, w := range l.rows {
 			if !wit.contains(w.t) {
-				out.addFrom(l, w)
+				out.appendFrom(l, w)
 			}
 		}
 		e.Stats.TuplesOut += out.Len()
@@ -149,7 +153,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		out := e.newRel("")
 		for _, w := range l.rows {
 			if !r.hasPair(packPair(w.f, w.t)) {
-				out.addFrom(l, w)
+				out.appendFrom(l, w)
 			}
 		}
 		e.Stats.TuplesOut += out.Len()
@@ -165,7 +169,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 				col = w.f
 			}
 			if typed.contains(col) {
-				out.addFrom(child, w)
+				out.appendFrom(child, w)
 			}
 		}
 		e.Stats.TuplesOut += out.Len()
@@ -197,6 +201,8 @@ func constraintOperands(start, end ra.Plan, rest []*Relation) (s, e *Relation) {
 // build side. Large probes run morsel-parallel; serial probes fold matches
 // straight into the output with no candidate buffer and no closure state,
 // producing the identical tuple order.
+// An output pair has one derivation, so needs no dedup, when l is keyed on F
+// or r on T. Stored edge relations are keyed on T (a node has one parent).
 func (e *Exec) compose(l, r *Relation) (*Relation, error) {
 	e.Stats.Joins++
 	out := e.newRel("")
@@ -206,6 +212,24 @@ func (e *Exec) compose(l, r *Relation) (*Relation, error) {
 	if probeL {
 		lrows, rrows = l.rows, r.probeRows()
 	}
+	// A probe of at most one row, which keys the output, scans a request
+	// temporary with no index on the join column rather than sort it into one.
+	probe, build := lrows, r
+	if !probeL {
+		probe, build = rrows, l
+	}
+	if len(probe) <= 1 && build.pooled && build.base == nil && build.index(probeL, false) == nil {
+		for _, lt := range lrows {
+			for _, rt := range rrows {
+				if lt.t == rt.f {
+					out.appendDistinct(row{f: lt.f, t: rt.t, v: rt.v})
+				}
+			}
+		}
+		e.Stats.TuplesOut += out.Len()
+		return out, nil
+	}
+	distinct := r.keyed(false) || l.keyed(true)
 	n := len(rrows)
 	if probeL {
 		n = len(lrows)
@@ -249,7 +273,7 @@ func (e *Exec) compose(l, r *Relation) (*Relation, error) {
 		}
 		for _, buf := range bufs {
 			for _, c := range buf {
-				if out.addRow(c.out) {
+				if out.put(c.out, distinct) {
 					e.Stats.TuplesOut++
 				}
 			}
@@ -264,7 +288,7 @@ func (e *Exec) compose(l, r *Relation) (*Relation, error) {
 			for _, part := range [2][]int32{snap, over} {
 				for _, pos := range part {
 					rt := rrows[pos]
-					if out.addRow(row{f: lt.f, t: rt.t, v: rt.v}) {
+					if out.put(row{f: lt.f, t: rt.t, v: rt.v}, distinct) {
 						e.Stats.TuplesOut++
 					}
 				}
@@ -278,7 +302,7 @@ func (e *Exec) compose(l, r *Relation) (*Relation, error) {
 			for _, part := range [2][]int32{snap, over} {
 				for _, pos := range part {
 					lt := lrows[pos]
-					if out.addRow(row{f: lt.f, t: rt.t, v: rt.v}) {
+					if out.put(row{f: lt.f, t: rt.t, v: rt.v}, distinct) {
 						e.Stats.TuplesOut++
 					}
 				}
@@ -460,7 +484,7 @@ func (e *Exec) fixEndFilter(closure, end *Relation, track bool) *Relation {
 	out := e.newRel("")
 	for _, w := range closure.rows {
 		if endIdx.contains(w.t) {
-			out.addRow(w)
+			out.appendDistinct(w)
 			if track {
 				out.SetPath(int(w.f), int(w.t), closure.PathOf(int(w.f), int(w.t)))
 			}
@@ -596,7 +620,7 @@ func (e *Exec) descScan(pl ra.DescScan, in []*Relation) (*Relation, error) {
 		if endIdx != nil && !endIdx.contains(w.t) {
 			continue
 		}
-		out.addFrom(alt, w)
+		out.appendFrom(alt, w)
 	}
 	e.Stats.TuplesOut += out.Len()
 	return out, nil
@@ -620,31 +644,37 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 		return nil, errNoDescKernel
 	}
 	// The To side is read only inside a source's interval, which a scope
-	// contains: no bound of its own.
+	// contains: no bound of its own. Distinct sources pair with distinct
+	// descendants unless a node is the T of two To rows.
 	toIdx, ok := st.indexFor(db.Rel(pl.To))
 	if !ok {
 		return nil, errNoDescKernel
 	}
+	distinct := db.Rel(pl.To).keyed(false)
 	// Distinct source nodes: the T values of R_From, in row order, filtered
-	// by the pushed start constraint. A source the encoding cannot place
-	// invalidates the whole scan (the encoding is stale for this document).
+	// by the pushed start constraint (keyed on T, R_From lists each once). A
+	// source the encoding cannot place invalidates the whole scan.
 	fromRel, err := e.stored(pl.From)
 	if err != nil {
 		return nil, err
 	}
 	frows := fromRel.rows
-	seen := e.idScratch(fromRel.distinctHint(fromRel.idxT.Load()))
+	var seen map[int32]struct{}
+	if !fromRel.keyed(false) {
+		seen = e.idScratch(fromRel.distinctHint(fromRel.idxT.Load()))
+	}
 	type src struct {
 		id         int32
 		begin, end int64
 	}
-	srcs := make([]src, 0, len(seen))
+	var srcs []src
 	for i := range frows {
 		t := frows[i].t
 		if _, dup := seen[t]; dup {
 			continue
+		} else if seen != nil {
+			seen[t] = struct{}{}
 		}
-		seen[t] = struct{}{}
 		if startIdx != nil && !startIdx.contains(t) {
 			continue
 		}
@@ -672,7 +702,7 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 		}
 		for _, buf := range bufs {
 			for _, c := range buf {
-				if out.addRow(c.out) {
+				if out.put(c.out, distinct) {
 					e.Stats.TuplesOut++
 				}
 			}
@@ -683,7 +713,7 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 	// order, with no candidate buffer.
 	for _, x := range srcs {
 		toIdx.descendants(x.begin, x.end, endIdx, func(to row) {
-			if out.addRow(row{f: x.id, t: to.t, v: to.v}) {
+			if out.put(row{f: x.id, t: to.t, v: to.v}, distinct) {
 				e.Stats.TuplesOut++
 			}
 		})

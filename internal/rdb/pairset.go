@@ -5,8 +5,8 @@ import "math/bits"
 // pairSet is an open-addressing hash set of packed (F, T) pairs — the dedup
 // structure behind Relation.Add. Compared with the seed's
 // map[uint64]struct{} it stores one uint64 per slot, probes linearly with a
-// Fibonacci-hashed start slot, and never allocates per insert, which matters
-// because every tuple an operator produces passes through it.
+// Fibonacci-hashed start slot, and never allocates per insert: every tuple
+// of an operator that can repeat a pair passes through it.
 //
 // The empty-slot sentinel is ^uint64(0) and the deleted-slot sentinel is
 // ^uint64(0)-1; the two keys equal to the sentinels (which node IDs never
@@ -21,6 +21,7 @@ type pairSet struct {
 	maxUsed int // grow threshold: 7/8 of len(slots)
 	hasMax  bool
 	hasDel  bool // membership of the key equal to pairDeleted
+	inserts int  // insert calls since the last clear (a regression stat)
 }
 
 const (
@@ -76,6 +77,7 @@ func (s *pairSet) has(k uint64) bool {
 
 // insert adds k and reports whether it was new.
 func (s *pairSet) insert(k uint64) bool {
+	s.inserts++
 	switch k {
 	case pairEmpty:
 		if s.hasMax {
@@ -112,7 +114,7 @@ func (s *pairSet) insert(k uint64) bool {
 			}
 			s.used++
 			if s.used+s.dels >= s.maxUsed {
-				s.grow()
+				s.grow(s.used * 2)
 			}
 			return true
 		}
@@ -149,11 +151,20 @@ func (s *pairSet) remove(k uint64) bool {
 	}
 }
 
-func (s *pairSet) grow() {
+// reserve makes room for n more keys, so inserting them rehashes nothing.
+func (s *pairSet) reserve(n int) {
+	if s.used+s.dels+n >= s.maxUsed {
+		s.grow(s.used + n)
+	}
+}
+
+// grow rehashes the set for capHint keys, dropping its tombstones.
+func (s *pairSet) grow(capHint int) {
 	old := s.slots
-	next := newPairSet(s.used * 2)
+	next := newPairSet(capHint)
 	next.hasMax = s.hasMax
 	next.hasDel = s.hasDel
+	next.inserts = s.inserts
 	mask := len(next.slots) - 1
 	for _, k := range old {
 		if k == pairEmpty || k == pairDeleted {
@@ -171,13 +182,32 @@ func (s *pairSet) grow() {
 
 // clear empties the set keeping its slot array, so a pooled relation's next
 // use starts from the capacity the previous request grew it to instead of
-// re-walking the power-of-two ladder.
-func (s *pairSet) clear() {
-	for i := range s.slots {
-		s.slots[i] = pairEmpty
+// re-walking the power-of-two ladder. It returns the slots it wrote, which
+// follow the keys held, not the capacity: an untouched set returns at once;
+// one under an eighth full, its keys all pairs of rows, is cleared from each
+// key's home to the next empty slot (the cleared part of a cluster is then
+// always a suffix of it, so each key's slot goes with its home's run).
+func (s *pairSet) clear(rows []row) int {
+	n := 0
+	switch {
+	case s.used == 0 && s.dels == 0:
+	case s.dels == 0 && len(rows)*8 < len(s.slots):
+		mask := len(s.slots) - 1
+		for _, w := range rows {
+			for i := s.slot(packPair(w.f, w.t)); s.slots[i] != pairEmpty; i = (i + 1) & mask {
+				s.slots[i] = pairEmpty
+				n++
+			}
+		}
+	default:
+		for i := range s.slots {
+			s.slots[i] = pairEmpty
+		}
+		n = len(s.slots)
 	}
-	s.used, s.dels = 0, 0
+	s.used, s.dels, s.inserts = 0, 0, 0
 	s.hasMax, s.hasDel = false, false
+	return n
 }
 
 // clone returns a deep copy.

@@ -219,6 +219,9 @@ func RunParallelRoots(ctx context.Context, db *DB, p *ra.Program, roots []string
 				ex.trace = tr
 			}
 			rel, err := ex.stmt(name)
+			if err == nil {
+				rel.ensureSet() // dependents probe it from other goroutines
+			}
 			complete(name, rel, ex.Stats, tr, err)
 		}
 	}

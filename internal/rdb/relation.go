@@ -12,10 +12,11 @@
 //
 // Storage is compact: V strings are dictionary-encoded into int32 symbols by
 // a DB-level Interner, tuples are stored as three int32 columns in one row
-// array, (F, T) dedup runs through an open-addressing pair set, and the
-// per-column indexes are CSR offset/position arrays built once per snapshot
-// and extended incrementally as fixpoint deltas append rows. Operators may
-// run morsel-parallel; see ops.go (the operator kernels) and morsel.go.
+// array, (F, T) dedup runs through an open-addressing pair set only where a
+// duplicate can arise (see appendDistinct), and the per-column indexes are
+// CSR offset/position arrays built once per snapshot and extended as fixpoint
+// deltas append rows. Operators may run morsel-parallel; see ops.go (the
+// operator kernels) and morsel.go.
 package rdb
 
 import (
@@ -50,7 +51,11 @@ type Relation struct {
 
 	syms *Interner // shared with the owning DB; lazily private otherwise
 	rows []row
-	set  pairSet
+	// set holds the (F, T) pair of every live row once ensureSet has run. A
+	// stored relation, and one shared across goroutines, is never left short.
+	set pairSet
+	// within is the relation a filter kernel copied all r's rows from, if any.
+	within *Relation
 
 	// Index snapshots are built lazily on first probe. The pointers are
 	// atomic and the build is mutex-serialized because base relations are
@@ -120,12 +125,30 @@ func (r *Relation) Add(f, t int, v string) bool {
 }
 
 // addRow inserts a stored-form row whose v symbol is already in r's
-// interner. It extends any built index incrementally instead of discarding
-// it — the fix for the seed's invalidate-on-every-insert behavior.
+// interner, ignoring a duplicate (F, T), and reports whether it was new.
 func (r *Relation) addRow(w row) bool {
+	r.ensureSet()
 	if !r.set.insert(packPair(w.f, w.t)) {
 		return false
 	}
+	r.within = nil
+	r.appendDistinct(w)
+	return true
+}
+
+// put is appendDistinct where a join cannot derive w twice, else addRow.
+func (r *Relation) put(w row, distinct bool) bool {
+	if distinct {
+		r.appendDistinct(w)
+		return true
+	}
+	return r.addRow(w)
+}
+
+// appendDistinct appends, without hashing, a row the caller knows r does not
+// hold: a kernel's output that is a subset of a set, or distinct by how it is
+// enumerated. Built indexes are extended, not discarded (the seed's bug).
+func (r *Relation) appendDistinct(w row) {
 	pos := int32(len(r.rows))
 	r.rows = append(r.rows, w)
 	if idx := r.idxF.Load(); idx != nil {
@@ -134,7 +157,20 @@ func (r *Relation) addRow(w row) bool {
 	if idx := r.idxT.Load(); idx != nil {
 		idx.add(w.t, pos)
 	}
-	return true
+}
+
+// ensureSet hashes the rows distinct appends left out of the pair set. It is
+// the one funnel: everything that reads or writes the set calls it first.
+func (r *Relation) ensureSet() {
+	if r.base != nil || r.set.used == r.Len() {
+		return
+	}
+	r.set.reserve(r.Len())
+	for i, w := range r.rows {
+		if !r.isDead(i) {
+			r.set.insert(packPair(w.f, w.t))
+		}
+	}
 }
 
 // addFrom inserts the i-th row of src, translating the V symbol only when
@@ -146,6 +182,15 @@ func (r *Relation) addFrom(src *Relation, w row) bool {
 	return r.Add(int(w.f), int(w.t), src.interner().Str(w.v))
 }
 
+// appendFrom is appendDistinct of a row of src, which r's rows all come from.
+func (r *Relation) appendFrom(src *Relation, w row) {
+	if r.syms != src.syms && w.v != 0 {
+		w.v = r.interner().Intern(src.interner().Str(w.v))
+	}
+	r.within = src
+	r.appendDistinct(w)
+}
+
 // grow reserves capacity for about n additional tuples.
 func (r *Relation) grow(n int) {
 	if cap(r.rows)-len(r.rows) < n {
@@ -153,18 +198,19 @@ func (r *Relation) grow(n int) {
 		copy(rows, r.rows)
 		r.rows = rows
 	}
-	if r.set.used+r.set.dels+n >= r.set.maxUsed {
-		need := r.set.used + n
-		s := newPairSet(need)
-		s.hasMax = r.set.hasMax
-		s.hasDel = r.set.hasDel
-		for _, k := range r.set.slots {
-			if k != pairEmpty && k != pairDeleted {
-				s.insert(k)
-			}
-		}
-		r.set = s
+	r.ensureSet()
+	r.set.reserve(n)
+}
+
+// keyed reports whether no two rows of r share their F (onF) or T: r has at
+// most one row, is within a keyed relation, or that column's index has a
+// bucket per row. Only an index that outlives the request is built for this.
+func (r *Relation) keyed(onF bool) bool {
+	if len(r.rows) <= 1 || r.within != nil && r.within.keyed(onF) {
+		return true
 	}
+	idx := r.index(onF, !r.pooled || r.base != nil)
+	return idx != nil && len(idx.extra) == 0 && idx.distinct == idx.built && idx.built == len(r.probeRows())
 }
 
 // Has reports whether (f, t) is present.
@@ -176,8 +222,9 @@ func (r *Relation) Has(f, t int) bool {
 // whose endpoints are in scope is in the base iff it is in the view.
 func (r *Relation) hasPair(key uint64) bool {
 	if r.base != nil {
-		return r.base.set.has(key)
+		return r.base.hasPair(key)
 	}
+	r.ensureSet()
 	return r.set.has(key)
 }
 
@@ -246,6 +293,7 @@ func (r *Relation) Delete(f, t int) bool {
 
 // take is Delete handing back the row it tombstoned.
 func (r *Relation) take(f, t int32) (row, bool) {
+	r.ensureSet()
 	if !r.set.remove(packPair(f, t)) {
 		return row{}, false
 	}
@@ -299,7 +347,7 @@ func (r *Relation) UpdateValue(f, t int, v string) bool {
 
 // updateSym is UpdateValue with the value interned already.
 func (r *Relation) updateSym(f, t int, sym int32) bool {
-	if !r.set.has(packPair(int32(f), int32(t))) {
+	if !r.hasPair(packPair(int32(f), int32(t))) {
 		return false
 	}
 	for _, p := range r.ByT(t) {
@@ -390,8 +438,8 @@ func (r *Relation) Compact() {
 	}
 	r.rows = live
 	r.dead, r.nDead = nil, 0
-	if r.set.dels*4 > len(r.set.slots) {
-		r.set.grow()
+	if r.ensureSet(); r.set.dels*4 > len(r.set.slots) {
+		r.set.grow(r.set.used * 2)
 	}
 	for _, idx := range [2]*colIndex{r.idxF.Load(), r.idxT.Load()} {
 		if idx != nil {
@@ -464,6 +512,20 @@ func (r *Relation) tIndex() *colIndex {
 	return idx
 }
 
+// index returns the F (onF) or T column's index, built on first use — or,
+// unless build, nil if it has not been.
+func (r *Relation) index(onF, build bool) *colIndex {
+	switch {
+	case onF && build:
+		return r.fIndex()
+	case build:
+		return r.tIndex()
+	case onF:
+		return r.idxF.Load()
+	}
+	return r.idxT.Load()
+}
+
 // ByF returns the positions of tuples with the given F value, in insertion
 // order. When rows were appended after the index snapshot the two parts are
 // merged; hot paths use fIndex().lookup directly to avoid the copy.
@@ -518,21 +580,19 @@ func (r *Relation) distinctHint(idx *colIndex) int {
 }
 
 // TIDs returns the sorted distinct T values: the answer node IDs when the
-// relation is a query result. The keys come out of the T index's snapshot
-// already sorted, so no re-sort (or oversized map) is needed; callers must not
-// sort the result again.
+// relation is a query result: the keys of a built T index, else the T column
+// sorted — not into an index read once. (A scoped view's T index is its
+// base's: the view's own rows are the answer.)
 func (r *Relation) TIDs() []int {
-	if r.base != nil {
-		// A scoped view's T index is its base's; the view's own rows are the
-		// answer.
-		out := make([]int, 0, len(r.rows))
-		for _, w := range r.rows {
-			out = append(out, int(w.t))
+	idx := r.idxT.Load()
+	if idx == nil || r.base != nil {
+		out := make([]int, len(r.rows))
+		for i, w := range r.rows {
+			out[i] = int(w.t)
 		}
-		sort.Ints(out)
+		slices.Sort(out)
 		return slices.Compact(out)
 	}
-	idx := r.tIndex()
 	out := make([]int, 0, idx.distinct+len(idx.extra))
 	if idx.sparse {
 		for _, k := range idx.keys {
@@ -580,6 +640,7 @@ func (r *Relation) PathOf(f, t int) []int {
 func (r *Relation) Clone() *Relation {
 	c := newRelation(r.Name, r.syms)
 	c.rows = append([]row(nil), r.rows...)
+	r.ensureSet()
 	c.set = r.set.clone()
 	if r.nDead > 0 {
 		c.dead = append([]bool(nil), r.dead...)
@@ -609,8 +670,8 @@ func (r *Relation) reset() {
 		// the next request append into it.
 		r.rows, r.base = nil, nil
 	}
-	r.rows = r.rows[:0]
-	r.set.clear()
+	r.set.clear(r.rows)
+	r.rows, r.within = r.rows[:0], nil
 	r.idxF.Store(nil)
 	r.idxT.Store(nil)
 	if r.paths != nil {
