@@ -255,6 +255,22 @@ func BenchmarkTranslate(b *testing.B) {
 			}
 		}
 	})
+	// What a /v1/translate miss does, without HTTP or JSON: parse and
+	// translate, print the extended XPath, render the DB2 script.
+	b.Run("GedML/request", func(b *testing.B) {
+		eng, ctx := New(gedml, WithCacheSize(0)), context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := eng.PrepareString(ctx, gedmlCold[i%len(gedmlCold)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = p.ExtendedXPath().String()
+			if _, err := p.SQL(DialectDB2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // readMix is the read-desc workload's query mix (benchmark/gen.go) with its

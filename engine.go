@@ -84,6 +84,7 @@ type Engine struct {
 	cacheSize int
 	cache     *plancache.Cache
 	schema    *core.Schema // what translation derives from the DTD alone
+	keyPrefix string       // the plan-cache key up to the query: DTD and options fingerprints
 	backend   Backend
 	intervals IntervalMode
 }
@@ -102,6 +103,8 @@ func New(d *DTD, options ...EngineOption) *Engine {
 		o(e)
 	}
 	e.schema = core.NewSchema(d)
+	// Options are frozen from here on, so their fingerprint is taken once.
+	e.keyPrefix = e.schema.Fingerprint() + "\x1f" + core.FingerprintOptions(e.opts) + "\x1f"
 	if e.cacheSize > 0 {
 		e.cache = plancache.New(e.cacheSize)
 	}
@@ -179,7 +182,7 @@ func (e *Engine) translate(ctx context.Context, q Query) (*core.Result, error) {
 	if e.cache == nil {
 		return e.schema.Translate(q, e.opts)
 	}
-	v, err := e.cache.Do(ctx, core.PlanKey(e.schema.Fingerprint(), q, e.opts), func() (any, error) {
+	v, err := e.cache.Do(ctx, e.planKey(q), func() (any, error) {
 		return e.schema.Translate(q, e.opts)
 	})
 	if err != nil {
@@ -187,6 +190,10 @@ func (e *Engine) translate(ctx context.Context, q Query) (*core.Result, error) {
 	}
 	return v.(*core.Result), nil
 }
+
+// planKey is core.PlanKey(fingerprint, q, options) for the engine's DTD and
+// options, with the query's canonical form the only part computed per call.
+func (e *Engine) planKey(q Query) string { return e.keyPrefix + core.CanonicalQuery(q) }
 
 // Translate rewrites an XPath query over the engine's DTD into a sequence of
 // relational queries, resolving through the plan cache. The returned

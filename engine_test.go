@@ -398,21 +398,30 @@ func TestEngineBatchParallelAgrees(t *testing.T) {
 
 // TestEngineSharedSchemaConcurrent: what an Engine derives from its DTD once
 // (core.Schema: graph, reachability lists, component structure — the last two
-// filled in on first use) is shared by concurrent translations. With the plan
-// cache off every call translates, so goroutines race on a fresh schema; each
-// program must print exactly as a fresh engine's serial translation does.
+// filled in on first use) is shared by concurrent translations, and the
+// scratch a translation or a rendering recycles (term tables, the renderer's
+// buffer) is never shared. With the plan cache off every call translates, so
+// goroutines race on a fresh schema; each program, its extended XPath and its
+// SQL must print exactly as a fresh engine's serial translation does.
 func TestEngineSharedSchemaConcurrent(t *testing.T) {
 	d, _, _ := deptSetup(t)
 	queries := []string{"dept//project", "dept/course//student[qualified]", "//course[not(.//project)]//cno",
 		"dept//prereq/course | dept//takenBy//*", "dept/course[.//prereq/course]//title"}
 	ctx := context.Background()
+	text := func(tr *xpath2sql.Translation) string {
+		sql, err := tr.SQL(xpath2sql.DialectDB2)
+		if err != nil {
+			t.Error(err)
+		}
+		return tr.Program().String() + tr.ExtendedXPath().String() + sql
+	}
 	want := make([]string, len(queries))
 	for i, qs := range queries {
 		tr, err := xpath2sql.New(d, xpath2sql.WithCacheSize(0)).TranslateString(ctx, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = tr.Program().String()
+		want[i] = text(tr)
 	}
 	eng := xpath2sql.New(d, xpath2sql.WithCacheSize(0))
 	var wg sync.WaitGroup
@@ -427,7 +436,7 @@ func TestEngineSharedSchemaConcurrent(t *testing.T) {
 					t.Errorf("%q: %v", queries[k], err)
 					return
 				}
-				if got := tr.Program().String(); got != want[k] {
+				if got := text(tr); got != want[k] {
 					t.Errorf("%q: concurrent translation differs from the serial one\ngot:\n%s\nwant:\n%s", queries[k], got, want[k])
 					return
 				}

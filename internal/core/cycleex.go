@@ -6,12 +6,12 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
+	"xpath2sql/internal/shred"
 )
 
 // DocType is the reserved element-type name of the virtual document root.
@@ -20,205 +20,134 @@ import (
 // uniformly as a child step from the document root.
 const DocType = "#doc"
 
-// transGraph is the DTD graph augmented with the virtual document root, plus
-// what translation derives from it alone, each computed on first use. It is
+// transGraph is the DTD graph augmented with the virtual document root, with
+// its types numbered and the facts translation reads of it as tables by type
+// number: the children, the edges, the relations, and — each on first use —
+// the reachable types and the component structure. #doc is type 0 and the
+// DTD's types follow in sorted order, so number order is name order. It is
 // safe for concurrent use: an Engine's queries share one (Schema).
 type transGraph struct {
 	*dtd.Graph
-	nodes    []string // #doc first, then the DTD's nodes (Tarjan numbering)
-	num      map[string]int
-	reach    []reachList // reachOrSelf of nodes[i]
+	nodes    []string // by type number
+	num      map[string]int32
+	kids     [][]int32 // the child types of each type, sorted; #doc's is the root
+	edges    []bool    // edges[from*len(nodes)+to]
+	rels     []string  // the stored relation of each type
+	reach    []reachList
 	condOnce sync.Once
 	cond     *condensation
 }
 
 func newTransGraph(g *dtd.Graph) *transGraph {
-	t := &transGraph{Graph: g, num: map[string]int{}}
-	t.nodes = append(t.nodes, DocType)
-	t.nodes = append(t.nodes, g.Nodes...)
-	for i, n := range t.nodes {
-		t.num[n] = i
+	n := len(g.Nodes) + 1
+	t := &transGraph{Graph: g, nodes: append(append(make([]string, 0, n), DocType), g.Nodes...),
+		num: make(map[string]int32, n), kids: make([][]int32, n), edges: make([]bool, n*n),
+		rels: make([]string, n), reach: make([]reachList, n)}
+	for i, name := range t.nodes {
+		t.num[name], t.rels[i] = int32(i), shred.RelName(name)
 	}
-	t.reach = make([]reachList, len(t.nodes))
+	t.kids[0] = []int32{t.num[g.Root]}
+	for i, name := range g.Nodes {
+		for _, e := range g.Out[name] {
+			t.kids[i+1] = append(t.kids[i+1], t.num[e.To])
+		}
+		slices.Sort(t.kids[i+1])
+	}
+	for i, kids := range t.kids {
+		for _, c := range kids {
+			t.edges[i*n+int(c)] = true
+		}
+	}
 	return t
 }
 
 type reachList struct {
 	once  sync.Once
-	types []string
+	types []int32
 }
 
-// hasEdge extends the DTD graph with the #doc → root edge.
-func (t *transGraph) hasEdge(from, to string) bool {
-	if from == DocType {
-		return to == t.Root
-	}
-	if to == DocType {
-		return false
-	}
-	return t.Graph.HasEdge(from, to)
+// hasEdge reports whether the graph under #doc has the edge from → to.
+func (t *transGraph) hasEdge(from, to int32) bool { return t.edges[int(from)*len(t.nodes)+int(to)] }
+
+// hasEdgeNamed is hasEdge by type name; a name that is no type has no edge.
+func (t *transGraph) hasEdgeNamed(from, to string) bool {
+	f, ok1 := t.num[from]
+	c, ok2 := t.num[to]
+	return ok1 && ok2 && t.hasEdge(f, c)
 }
 
-// children lists the child types of a node including the virtual edge.
-func (t *transGraph) children(from string) []string {
-	if from == DocType {
-		return []string{t.Root}
+// relName is shred.RelName read off the table.
+func (t *transGraph) relName(typ string) string {
+	if i, ok := t.num[typ]; ok {
+		return t.rels[i]
 	}
-	return t.Graph.Children(from)
+	return shred.RelName(typ)
 }
 
-// reachOrSelf returns {A} ∪ {types reachable from A}: A first, the rest
-// sorted — the order fixes which rec(A, C) binds the next counter-named
+// reachOrSelf returns {A} ∪ {types reachable from A}: A first, the rest in
+// order — the order fixes which rec(A, C) binds the next counter-named
 // variable and the operand order of the unions built over it. The slice is
 // shared; callers only read it.
-func (t *transGraph) reachOrSelf(a string) []string {
-	i, ok := t.num[a]
-	if !ok {
-		return []string{a}
-	}
-	r := &t.reach[i]
+func (t *transGraph) reachOrSelf(a int32) []int32 {
+	r := &t.reach[a]
 	r.once.Do(func() {
-		from := a
-		r.types = []string{a}
-		if a == DocType {
-			from = t.Root
-			r.types = append(r.types, t.Root)
-		}
-		for c := range t.Graph.Reachable(from) {
-			if c != from {
-				r.types = append(r.types, c)
+		seen := make([]bool, len(t.nodes))
+		seen[a], r.types = true, []int32{a}
+		for i := 0; i < len(r.types); i++ { // breadth first, the list its own queue
+			for _, c := range t.kids[r.types[i]] {
+				if !seen[c] {
+					seen[c], r.types = true, append(r.types, c)
+				}
 			}
 		}
-		sort.Strings(r.types[1:])
+		slices.Sort(r.types[1:])
 	})
 	return r.types
 }
 
-// RecSet is the output of CycleEX: a shared equation system from which
-// rec(A, B) — the extended-XPath representation of all DTD paths from A to
-// B — is a single variable reference. One CycleEX run serves every '//' in a
-// query (Theorem 4.1).
-type RecSet struct {
-	// Eqs is the full equation list in dependency order; the final query is
-	// assembled from these and pruned to the variables actually used.
-	Eqs []expath.Equation
-	// final[A][B] is the expression (usually a Var) denoting all paths from
-	// A to B, ε included when A == B.
-	final map[string]map[string]expath.Expr
-}
-
-// Rec returns the expression denoting all paths from A to B (Zero when B is
-// not reachable-or-self from A).
-func (r *RecSet) Rec(a, b string) expath.Expr {
-	if m, ok := r.final[a]; ok {
-		if e, ok2 := m[b]; ok2 {
-			return e
-		}
-	}
-	return expath.Zero{}
-}
-
-func recVarName(i, j, k int) string { return fmt.Sprintf("X[%d,%d,%d]", i, j, k) }
-
-// CycleEX computes rec(A, B) for all pairs of the translation graph in
-// O(n³ log n) time (Fig 7): the dynamic program of Tarjan's algorithm with
-// every intermediate expression M[i,j,k] replaced by a variable, so each
-// equation has constant size. The returned equations still contain trivial
-// and ∅ bindings; the caller prunes after assembling the final query
-// (Fig 7, line 15 is implemented by expath's Prune).
-func CycleEX(t *transGraph) *RecSet {
-	n := len(t.nodes)
-	eqs := make([]expath.Equation, 0, n*n*(n+1))
-	// cur[i][j] is the expression to reference M[i,j,k] at the current k:
-	// a Var for composite bindings, or the trivial expression inlined.
-	cur := make([][]expath.Expr, n)
-	bind := func(i, j, k int, e expath.Expr) expath.Expr {
-		switch e.(type) {
-		case expath.Zero, expath.Eps, expath.Label, expath.Edge, expath.Var:
-			// Trivial: inline, no equation (pruning rules 1–2 up front).
-			return e
-		}
-		x := recVarName(i, j, k)
-		eqs = append(eqs, expath.Equation{X: x, E: e})
-		return expath.Var{Name: x}
-	}
-	// Initialization (Fig 7 lines 1–7): M[i,j,0] covers the empty path when
-	// i == j and the single edge (i,j).
-	for i := 0; i < n; i++ {
-		cur[i] = make([]expath.Expr, n)
-		for j := 0; j < n; j++ {
-			var e expath.Expr = expath.Zero{}
+// tarjan is the dynamic program of Tarjan's algorithm (CycleE, Fig 6) over
+// the translation graph: M[i,j,0] covers the empty path when i == j and the
+// single edge (i,j), and M[i,j,k] = M[i,j,k-1] ∪
+// M[i,k,k-1]/(M[k,k,k-1])*/M[k,j,k-1]. It returns M[·,·,n]: rec(A, B) for
+// every pair. Each M[i,j,k] that differs from M[i,j,k-1] passes through
+// bind. CycleE leaves it as it is, a variable-free expression of size Θ(2ⁿ)
+// in the worst case (Lemma 4.1): the experimental strawman ("E"). CycleEX
+// (Fig 7) binds it to the variable X[i,j,k] unless it is trivial (pruning
+// rules 1–2 up front), so each equation has constant size — at most four
+// variables — and all pairs take O(n³ log n) time (Theorem 4.1); one run
+// serves every '//' in a query. The rest of the pruning waits for the final
+// query (Fig 7, line 15).
+func (tr *exTranslator) tarjan(bind func(i, j, k int, e expath.Term) expath.Term) [][]expath.Term {
+	t, n := tr.t, len(tr.g.nodes)
+	cur := make([][]expath.Term, n)
+	for i := range cur {
+		cur[i] = make([]expath.Term, n)
+		for j := range cur[i] {
+			e := expath.ZeroTerm
 			if i == j {
-				e = expath.Eps{}
+				e = expath.EpsTerm
 			}
-			if t.hasEdge(t.nodes[i], t.nodes[j]) {
-				e = expath.MkUnion(e, expath.Label{Name: t.nodes[j]})
+			if tr.g.hasEdge(int32(i), int32(j)) {
+				e = t.Union(e, tr.label(int32(j)))
 			}
 			cur[i][j] = bind(i, j, 0, e)
 		}
 	}
-	// Expansion (lines 8–13): M[i,j,k] = M[i,j,k-1] ∪
-	// M[i,k,k-1]/(M[k,k,k-1])*/M[k,j,k-1]. Each right-hand side references
-	// at most four variables.
 	for k := 0; k < n; k++ {
-		next := make([][]expath.Expr, n)
-		loop := expath.MkStar(cur[k][k])
-		for i := 0; i < n; i++ {
-			next[i] = make([]expath.Expr, n)
-			for j := 0; j < n; j++ {
-				through := expath.MkCat(cur[i][k], expath.MkCat(loop, cur[k][j]))
-				e := expath.MkUnion(cur[i][j], through)
-				// Avoid rebinding when unchanged.
-				if e.String() == cur[i][j].String() {
-					next[i][j] = cur[i][j]
-					continue
+		next := make([][]expath.Term, n)
+		loop := t.Star(cur[k][k])
+		for i := range next {
+			next[i] = make([]expath.Term, n)
+			for j := range next[i] {
+				through := t.Cat(cur[i][k], t.Cat(loop, cur[k][j]))
+				if e := t.Union(cur[i][j], through); e != cur[i][j] {
+					next[i][j] = bind(i, j, k+1, e)
+				} else {
+					next[i][j] = e
 				}
-				next[i][j] = bind(i, j, k+1, e)
 			}
 		}
 		cur = next
 	}
-	rs := &RecSet{Eqs: eqs, final: map[string]map[string]expath.Expr{}}
-	for i, a := range t.nodes {
-		rs.final[a] = map[string]expath.Expr{}
-		for j, b := range t.nodes {
-			rs.final[a][b] = cur[i][j]
-		}
-	}
-	return rs
-}
-
-// CycleE is Tarjan's algorithm unmodified (Fig 6): it returns a single
-// variable-free regular-XPath expression representing all paths from A to B.
-// Expression size is Θ(2ⁿ) in the worst case (Lemma 4.1); it exists as the
-// experimental strawman ("E") and for differential testing against CycleEX.
-func CycleE(t *transGraph, a, b string) expath.Expr {
-	n := len(t.nodes)
-	cur := make([][]expath.Expr, n)
-	for i := 0; i < n; i++ {
-		cur[i] = make([]expath.Expr, n)
-		for j := 0; j < n; j++ {
-			var e expath.Expr = expath.Zero{}
-			if i == j {
-				e = expath.Eps{}
-			}
-			if t.hasEdge(t.nodes[i], t.nodes[j]) {
-				e = expath.MkUnion(e, expath.Label{Name: t.nodes[j]})
-			}
-			cur[i][j] = e
-		}
-	}
-	for k := 0; k < n; k++ {
-		next := make([][]expath.Expr, n)
-		loop := expath.MkStar(cur[k][k])
-		for i := 0; i < n; i++ {
-			next[i] = make([]expath.Expr, n)
-			for j := 0; j < n; j++ {
-				through := expath.MkCat(cur[i][k], expath.MkCat(loop, cur[k][j]))
-				next[i][j] = expath.MkUnion(cur[i][j], through)
-			}
-		}
-		cur = next
-	}
-	return cur[t.num[a]][t.num[b]]
+	return cur
 }

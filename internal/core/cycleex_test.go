@@ -12,6 +12,41 @@ import (
 	"xpath2sql/internal/xmltree"
 )
 
+// RecSet is CycleEX read back as values: the whole equation system, with
+// rec(A, B) by type name (Zero for a name that is no type).
+type RecSet struct {
+	Eqs   []expath.Equation
+	g     *transGraph
+	final [][]expath.Expr
+}
+
+func (r *RecSet) Rec(a, b string) expath.Expr {
+	i, ok1 := r.g.num[a]
+	j, ok2 := r.g.num[b]
+	if !ok1 || !ok2 {
+		return expath.Zero{}
+	}
+	return r.final[i][j]
+}
+
+// CycleEX runs Fig 7 over the translation graph, unpruned.
+func CycleEX(t *transGraph) *RecSet {
+	tr := newExTranslator(t, RecCycleEX)
+	rs := &RecSet{Eqs: tr.t.Equations(tr.recVars), g: t, final: make([][]expath.Expr, len(tr.recs))}
+	for i, row := range tr.recs {
+		for _, e := range row {
+			rs.final[i] = append(rs.final[i], tr.t.Expr(e))
+		}
+	}
+	return rs
+}
+
+// CycleE is Tarjan's variable-free rec(A, B) (Fig 6).
+func CycleE(t *transGraph, a, b string) expath.Expr {
+	tr := newExTranslator(t, RecCycleE)
+	return tr.t.Expr(tr.rec(t.num[a], t.num[b]))
+}
+
 // recQuery wraps a rec(A,B) expression from CycleEX into a standalone query.
 func recQuery(rs *RecSet, a, b string) *expath.Query {
 	q := &expath.Query{Eqs: rs.Eqs, Result: rs.Rec(a, b)}

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 
 	"xpath2sql/internal/expath"
 )
@@ -23,155 +22,129 @@ import (
 // Contrast CycleEX (Fig 7), whose nested equations give the formal
 // polynomial bound; both define the same path language.
 type flatRec struct {
-	g *transGraph
+	tr *exTranslator
 	*condensation
-	eqs []expath.Equation
-
-	starVar map[int]expath.Expr    // per-SCC closure expression
-	dMemo   map[string]expath.Expr // "x→B" -> expression for D(x → B)
+	star    []expath.Term // per component: its closure, ∅ until bound
+	dMemo   []expath.Term // per (x, B): D(x → B), -1 until computed
+	wMemo   []expath.Term // per (x, y): W(x, y), -1 until computed
 	counter int
 }
 
 // condensation is the DTD graph's decomposition into strongly connected
 // components, #doc a component of its own: the part of flatRec that depends
-// on the DTD alone.
+// on the DTD alone, by type number.
 type condensation struct {
-	sccOf   map[string]int
-	members map[int][]string
-	cyclic  map[int]bool // component has an internal edge (size > 1 or self-loop)
+	sccOf   []int32   // per type
+	members [][]int32 // per component, sorted
+	cyclic  []bool    // component has an internal edge (size > 1 or self-loop)
 }
 
-func newFlatRec(g *transGraph) *flatRec {
+func newFlatRec(tr *exTranslator) *flatRec {
+	g := tr.g
 	g.condOnce.Do(func() { g.cond = condense(g) })
-	return &flatRec{g: g, condensation: g.cond, starVar: map[int]expath.Expr{}, dMemo: map[string]expath.Expr{}}
+	n := len(g.nodes)
+	memo := make([]expath.Term, 2*n*n)
+	for i := range memo {
+		memo[i] = -1
+	}
+	return &flatRec{tr: tr, condensation: g.cond, star: make([]expath.Term, len(g.cond.members)),
+		dMemo: memo[:n*n], wMemo: memo[n*n:]}
 }
 
 func condense(g *transGraph) *condensation {
-	f := &condensation{sccOf: map[string]int{}, members: map[int][]string{}, cyclic: map[int]bool{}}
 	// Condensation over the augmented graph: #doc is its own component.
 	comps := g.Graph.SCCs()
+	f := &condensation{sccOf: make([]int32, len(g.nodes)), members: make([][]int32, len(comps)+1),
+		cyclic: make([]bool, len(comps)+1)}
 	for i, comp := range comps {
-		f.members[i] = comp
-		for _, n := range comp {
-			f.sccOf[n] = i
+		for _, name := range comp {
+			f.members[i] = append(f.members[i], g.num[name])
+			f.sccOf[g.num[name]] = int32(i)
 		}
-		if len(comp) > 1 {
-			f.cyclic[i] = true
-		} else if g.Graph.HasEdge(comp[0], comp[0]) {
-			f.cyclic[i] = true
-		}
+		first := f.members[i][0]
+		f.cyclic[i] = len(comp) > 1 || g.hasEdge(first, first)
 	}
-	doc := len(comps)
-	f.sccOf[DocType] = doc
-	f.members[doc] = []string{DocType}
+	f.sccOf[0], f.members[len(comps)] = int32(len(comps)), []int32{0}
 	return f
 }
 
-// star returns the shared closure expression (⟨u₁→v₁⟩ ∪ … ∪ ⟨u_k→v_k⟩)* of
+// starOf returns the shared closure expression (⟨u₁→v₁⟩ ∪ … ∪ ⟨u_k→v_k⟩)* of
 // a cyclic component — one source-typed edge step per intra-component DTD
 // edge, the expression form of Example 3.5's per-cycle joins — binding the
 // union to an equation on first use. Source typing keeps the closure inside
 // the DTD's edge set even on documents of a containing DTD (§3.4).
-func (f *flatRec) star(scc int) expath.Expr {
-	if e, ok := f.starVar[scc]; ok {
+func (f *flatRec) starOf(scc int32) expath.Term {
+	if e := f.star[scc]; e != expath.ZeroTerm {
 		return e
 	}
-	members := append([]string{}, f.members[scc]...)
-	sort.Strings(members)
-	var u expath.Expr = expath.Zero{}
-	for _, src := range members {
-		for _, dst := range members {
-			if f.g.hasEdge(src, dst) {
-				u = expath.MkUnion(u, expath.Edge{From: src, To: dst})
+	t, g, u := f.tr.t, f.tr.g, expath.ZeroTerm
+	for _, src := range f.members[scc] {
+		for _, dst := range f.members[scc] {
+			if g.hasEdge(src, dst) {
+				u = t.Union(u, t.Edge(g.nodes[src], g.nodes[dst]))
 			}
 		}
 	}
 	f.counter++
-	x := fmt.Sprintf("Xscc%d", f.counter)
-	f.eqs = append(f.eqs, expath.Equation{X: x, E: u})
-	e := expath.MkStar(expath.Var{Name: x})
-	f.starVar[scc] = e
-	return e
+	f.star[scc] = t.Star(f.tr.bindVar("Xscc"+strconv.Itoa(f.counter), u, &f.tr.recVars))
+	return f.star[scc]
 }
 
 // walks returns W(x, y): walks from an x-typed node to a y-typed node that
 // stay within their (shared) component; ε included iff x == y. A non-empty
 // walk is (edges)*/last-edge-into-y, with the final step edge-typed so only
 // DTD parents of y conclude it.
-func (f *flatRec) walks(x, y string) expath.Expr {
-	if f.sccOf[x] != f.sccOf[y] {
-		return expath.Zero{}
+func (f *flatRec) walks(x, y int32) expath.Term {
+	k := x*int32(len(f.sccOf)) + y
+	if e := f.wMemo[k]; e >= 0 {
+		return e
 	}
-	var e expath.Expr = expath.Zero{}
-	if x == y {
-		e = expath.Eps{}
-	}
-	if f.cyclic[f.sccOf[x]] {
-		var into expath.Expr = expath.Zero{}
-		for _, src := range f.members[f.sccOf[x]] {
-			if f.g.hasEdge(src, y) {
-				into = expath.MkUnion(into, expath.Edge{From: src, To: y})
+	t, g, e := f.tr.t, f.tr.g, expath.ZeroTerm
+	if c := f.sccOf[x]; c == f.sccOf[y] {
+		if x == y {
+			e = expath.EpsTerm
+		}
+		if f.cyclic[c] {
+			into := expath.ZeroTerm
+			for _, src := range f.members[c] {
+				if g.hasEdge(src, y) {
+					into = t.Union(into, t.Edge(g.nodes[src], g.nodes[y]))
+				}
+			}
+			if into != expath.ZeroTerm {
+				e = t.Union(e, t.Cat(f.starOf(c), into))
 			}
 		}
-		if _, zero := into.(expath.Zero); !zero {
-			e = expath.MkUnion(e, expath.MkCat(f.star(f.sccOf[x]), into))
-		}
 	}
+	f.wMemo[k] = e
 	return e
-}
-
-// Rec returns the expression for all DTD paths from a to b.
-func (f *flatRec) Rec(a, b string) expath.Expr {
-	if !f.g.Graph.HasNode(a) && a != DocType {
-		return expath.Zero{}
-	}
-	if !f.g.Graph.HasNode(b) && b != DocType {
-		return expath.Zero{}
-	}
-	return f.d(a, b)
 }
 
 // d computes D(x → B), memoized per (x, B) and bound to an equation when
 // composite so diamond-shaped condensations stay polynomial.
-func (f *flatRec) d(x, b string) expath.Expr {
-	key := x + "\x00" + b
-	if e, ok := f.dMemo[key]; ok {
+func (f *flatRec) d(x, b int32) expath.Term {
+	k := x*int32(len(f.sccOf)) + b
+	if e := f.dMemo[k]; e >= 0 {
 		return e
 	}
-	var out expath.Expr = f.walks(x, b)
+	t := f.tr.t
+	out := f.walks(x, b)
 	// Leaving edges of x's component, grouped per (u, v).
 	sx := f.sccOf[x]
 	for _, u := range f.members[sx] {
-		var outs []string
-		if u == DocType {
-			outs = []string{f.g.Root}
-		} else {
-			outs = f.g.Graph.Children(u)
-		}
-		for _, v := range outs {
+		for _, v := range f.tr.g.kids[u] {
 			if f.sccOf[v] == sx {
 				continue
 			}
-			rest := f.d(v, b)
-			if _, zero := rest.(expath.Zero); zero {
-				continue
+			if rest := f.d(v, b); rest != expath.ZeroTerm {
+				out = t.Union(out, t.Cat(f.walks(x, u), t.Cat(f.tr.label(v), rest)))
 			}
-			seg := expath.MkCat(f.walks(x, u), expath.MkCat(expath.Label{Name: v}, rest))
-			out = expath.MkUnion(out, seg)
 		}
 	}
-	out = f.bind(out)
-	f.dMemo[key] = out
-	return out
-}
-
-func (f *flatRec) bind(e expath.Expr) expath.Expr {
-	switch e.(type) {
-	case expath.Zero, expath.Eps, expath.Label, expath.Edge, expath.Var:
-		return e
+	if !t.Trivial(out) {
+		f.counter++
+		out = f.tr.bindVar("Xrec"+strconv.Itoa(f.counter), out, &f.tr.recVars)
 	}
-	f.counter++
-	x := fmt.Sprintf("Xrec%d", f.counter)
-	f.eqs = append(f.eqs, expath.Equation{X: x, E: e})
-	return expath.Var{Name: x}
+	f.dMemo[k] = out
+	return out
 }

@@ -84,3 +84,47 @@ func TestOptimizeRenderLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestTranslateLinear counts the allocations of a translation on the same
+// chains, one Schema built beforehand: XPathToEXp (RecFlat) and the whole
+// Schema.Translate are at most 4.5× as many at 4k steps as at k. A memo key
+// that prints its sub-query, or a union that prints its operands, grows with
+// size × depth instead: the code before the translator numbered its
+// sub-queries and terms allocated ×5.9 (XPathToEXp) and ×5.6 (Translate) from
+// k = 16 to 64 on the child-step chain (EXPERIMENTS.md).
+func TestTranslateLinear(t *testing.T) {
+	d := workload.GedML()
+	s := core.NewSchema(d)
+	measure := func(k int, mixed bool) (exp, all float64) {
+		q := gedmlChain(k, mixed)
+		exp = testing.AllocsPerRun(10, func() {
+			if _, err := core.XPathToEXp(q, d, core.RecFlat); err != nil {
+				t.Fatal(err)
+			}
+		})
+		all = testing.AllocsPerRun(10, func() {
+			if _, err := s.Translate(q, core.DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return exp, all
+	}
+	for _, mixed := range []bool{false, true} {
+		e4, a4 := measure(4, mixed)
+		e16, a16 := measure(16, mixed)
+		e64, a64 := measure(64, mixed)
+		t.Logf("mixed=%v: allocs of XPathToEXp: k=4 %.0f, k=16 %.0f (×%.2f), k=64 %.0f (×%.2f)", mixed, e4, e16, e16/e4, e64, e64/e16)
+		t.Logf("mixed=%v: allocs of Translate: k=4 %.0f, k=16 %.0f (×%.2f), k=64 %.0f (×%.2f)", mixed, a4, a16, a16/a4, a64, a64/a16)
+		for _, r := range []struct {
+			what     string
+			at, at4k float64
+		}{
+			{"XPathToEXp, k=4→16", e4, e16}, {"XPathToEXp, k=16→64", e16, e64},
+			{"Translate, k=4→16", a4, a16}, {"Translate, k=16→64", a16, a64},
+		} {
+			if r.at4k > 4.5*r.at {
+				t.Errorf("mixed=%v: allocations of %s: %.0f → %.0f is ×%.2f, want ≤ ×4.5", mixed, r.what, r.at, r.at4k, r.at4k/r.at)
+			}
+		}
+	}
+}

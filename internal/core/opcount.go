@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
 )
@@ -24,23 +22,20 @@ type RecPairOps struct {
 func AllRecPairs(d *dtd.DTD) []RecPairOps {
 	g := d.BuildGraph()
 	tg := newTransGraph(g)
-	rs := CycleEX(tg)
-	nodes := append([]string{}, g.Nodes...)
-	sort.Strings(nodes)
+	x, e := newExTranslator(tg, RecCycleEX), newExTranslator(tg, RecCycleE)
 	var out []RecPairOps
-	for _, a := range nodes {
+	for _, a := range g.Nodes {
 		reach := g.Reachable(a)
-		for _, b := range nodes {
+		for _, b := range g.Nodes {
 			if a == b || !reach[b] {
 				continue
 			}
-			e := CycleE(tg, a, b)
-			qe := &expath.Query{Result: e}
-			qx := (&expath.Query{Eqs: rs.Eqs, Result: rs.Rec(a, b)}).Prune()
+			i, j := tg.num[a], tg.num[b]
+			qx, _ := x.t.Prune(x.recVars, x.recs[i][j])
 			out = append(out, RecPairOps{
 				A:       a,
 				B:       b,
-				CycleE:  qe.CountOps(),
+				CycleE:  (&expath.Query{Result: e.t.Expr(e.rec(i, j))}).CountOps(),
 				CycleEX: qx.CountOps(),
 			})
 		}

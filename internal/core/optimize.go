@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"xpath2sql/internal/ra"
 )
@@ -46,7 +48,23 @@ func pushSelections(p *ra.Program) {
 // in two linear walks: the first numbers every node in pre-order, the second
 // rewrites in the same order, so cse1 … cseN and the statement order are
 // those a comparison of printed plans gives.
-func ExtractCommon(p *ra.Program) { extractCommon(p, ra.NewInterner()) }
+func ExtractCommon(p *ra.Program) {
+	c := cses.Get().(*cse)
+	if c.extract(p); len(c.nodes) > 1<<16 {
+		return // a huge program's scratch is left to the collector
+	}
+	c.in.Reset()
+	clear(c.name)
+	clear(c.extra)
+	*c = cse{in: c.in, nodes: c.nodes[:0], kids: c.kids[:0], uses: c.uses[:0], name: c.name[:0], extra: c.extra[:0]}
+	cses.Put(c)
+}
+
+// cses recycles ExtractCommon's scratch — its node list, the counts and names
+// per plan number, the interner — emptied when put back, up to 64k nodes.
+var cses = sync.Pool{New: func() any { return &cse{in: ra.NewInterner()} }}
+
+func extractCommon(p *ra.Program, in *ra.Interner) { (&cse{in: in}).extract(p) }
 
 // cse is the state of one ExtractCommon run.
 type cse struct {
@@ -68,14 +86,15 @@ type cseNode struct {
 	share bool // worth materializing as a temp
 }
 
-func extractCommon(p *ra.Program, in *ra.Interner) {
-	c := &cse{in: in}
+func (c *cse) extract(p *ra.Program) {
 	starts := make([]int, len(p.Stmts))
 	for i, s := range p.Stmts {
 		starts[i] = len(c.nodes)
 		c.number(s.Plan)
 	}
-	c.uses, c.name = make([]int, in.Len()), make([]string, in.Len())
+	n := c.in.Len()
+	c.uses, c.name = slices.Grow(c.uses, n)[:n], slices.Grow(c.name, n)[:n]
+	clear(c.uses)
 	for _, n := range c.nodes {
 		if n.share {
 			c.uses[n.id]++
@@ -153,120 +172,90 @@ func shareable(pl ra.Plan) bool {
 // (the cross-cycle DTD's 'a') this turns an all-contexts closure into a
 // single-source one.
 func sinkRoot(p ra.Plan) ra.Plan {
-	switch p := p.(type) {
+	switch q := p.(type) {
 	case ra.SelectRoot:
-		return sinkRootInto(p.Child)
-	case ra.Compose:
-		return ra.Compose{L: sinkRoot(p.L), R: sinkRoot(p.R)}
-	case ra.UnionAll:
-		kids := make([]ra.Plan, len(p.Kids))
-		for i, k := range p.Kids {
-			kids[i] = sinkRoot(k)
-		}
-		return ra.UnionAll{Kids: kids}
-	case ra.SelectVal:
-		return ra.SelectVal{Child: sinkRoot(p.Child), Val: p.Val}
-	case ra.Semijoin:
-		return ra.Semijoin{L: sinkRoot(p.L), R: sinkRoot(p.R)}
-	case ra.Antijoin:
-		return ra.Antijoin{L: sinkRoot(p.L), R: sinkRoot(p.R)}
-	case ra.Diff:
-		return ra.Diff{L: sinkRoot(p.L), R: sinkRoot(p.R)}
+		return sinkRootInto(q.Child)
 	case ra.Fix:
-		return ra.Fix{Seed: sinkRoot(p.Seed), Start: p.Start, End: p.End,
-			TrackPaths: p.TrackPaths, Desc: p.Desc}
-	case ra.IdentOf:
-		return ra.IdentOf{Child: sinkRoot(p.Child), OnF: p.OnF}
-	case ra.TypeFilter:
-		return ra.TypeFilter{Child: sinkRoot(p.Child), Rel: p.Rel, OnF: p.OnF}
-	default:
+		q.Seed = sinkRoot(q.Seed)
+		return q
+	case ra.DescScan, ra.RecUnion:
 		return p
 	}
+	return mapInputs(p, sinkRoot)
 }
 
 // sinkRootInto rewrites a plan to its σ_{F='_'} restriction, descending the
-// operators whose F column is inherited from their left/only child.
+// operators whose F column is inherited from their left/only child: σ(L ∘ R)
+// = σ(L) ∘ R, and σ(L \ R) = σ(L) \ R since a root tuple of L is in R iff it
+// is in σ(R).
 func sinkRootInto(p ra.Plan) ra.Plan {
-	switch p := p.(type) {
-	case ra.Compose:
-		return ra.Compose{L: sinkRootInto(p.L), R: sinkRoot(p.R)}
-	case ra.UnionAll:
-		kids := make([]ra.Plan, len(p.Kids))
-		for i, k := range p.Kids {
-			kids[i] = sinkRootInto(k)
-		}
-		return ra.UnionAll{Kids: kids}
-	case ra.SelectVal:
-		return ra.SelectVal{Child: sinkRootInto(p.Child), Val: p.Val}
+	switch q := p.(type) {
 	case ra.SelectRoot:
-		return sinkRootInto(p.Child)
-	case ra.Semijoin:
-		return ra.Semijoin{L: sinkRootInto(p.L), R: sinkRoot(p.R)}
-	case ra.Antijoin:
-		return ra.Antijoin{L: sinkRootInto(p.L), R: sinkRoot(p.R)}
-	case ra.Diff:
-		// σ(L \ R) = σ(L) \ R: a root tuple of L is in R iff it is in σ(R).
-		return ra.Diff{L: sinkRootInto(p.L), R: sinkRoot(p.R)}
-	case ra.TypeFilter:
-		return ra.TypeFilter{Child: sinkRootInto(p.Child), Rel: p.Rel, OnF: p.OnF}
-	case ra.Fix:
-		if p.Start == nil {
-			// σ_{F='_'}(Φ(R)) = paths starting at the virtual root.
-			return ra.Fix{Seed: sinkRoot(p.Seed), Start: ra.RootSeed{}, End: p.End,
-				TrackPaths: p.TrackPaths, Desc: p.Desc}
+		return sinkRootInto(q.Child)
+	case ra.UnionAll:
+		return mapInputs(p, sinkRootInto)
+	case ra.Compose, ra.SelectVal, ra.Semijoin, ra.Antijoin, ra.Diff, ra.TypeFilter:
+		var in, out [4]ra.Plan
+		kids := ra.AppendInputs(in[:0], p)
+		out[0] = sinkRootInto(kids[0])
+		for i := 1; i < len(kids); i++ {
+			out[i] = sinkRoot(kids[i])
 		}
-		return ra.SelectRoot{Child: sinkRoot(p)}
-	default:
-		return ra.SelectRoot{Child: sinkRoot(p)}
+		return ra.WithInputs(p, out[:len(kids)])
+	case ra.Fix:
+		if q.Start == nil {
+			// σ_{F='_'}(Φ(R)) = paths starting at the virtual root.
+			q.Seed, q.Start = sinkRoot(q.Seed), ra.RootSeed{}
+			return q
+		}
 	}
+	return ra.SelectRoot{Child: sinkRoot(p)}
 }
 
 // InlineSingleUse substitutes the plan of every statement referenced exactly
-// once into its single use site, iterating to a fixpoint. The result
-// statement is never inlined.
+// once into its single use site. The result statement is never inlined. One
+// pass suffices: inlining moves a plan, with the references inside it, to its
+// one use, so no reference count changes and no new single use appears.
 func InlineSingleUse(p *ra.Program) {
-	for {
-		refs := map[string]int{}
-		var count func(pl ra.Plan)
-		count = func(pl ra.Plan) {
-			if t, ok := pl.(ra.Temp); ok {
-				refs[t.Name]++
-			}
-			var buf [4]ra.Plan
-			for _, k := range ra.AppendInputs(buf[:0], pl) {
-				count(k)
+	refs := make(map[string]int, len(p.Stmts))
+	var count func(pl ra.Plan)
+	count = func(pl ra.Plan) {
+		if t, ok := pl.(ra.Temp); ok {
+			refs[t.Name]++
+		}
+		var buf [4]ra.Plan
+		for _, k := range ra.AppendInputs(buf[:0], pl) {
+			count(k)
+		}
+	}
+	for _, s := range p.Stmts {
+		count(s.Plan)
+	}
+	inline := map[string]ra.Plan{}
+	for _, s := range p.Stmts {
+		if s.Name != p.Result && refs[s.Name] == 1 {
+			inline[s.Name] = s.Plan
+		}
+	}
+	if len(inline) == 0 {
+		return
+	}
+	var subst func(pl ra.Plan) ra.Plan
+	subst = func(pl ra.Plan) ra.Plan {
+		if t, ok := pl.(ra.Temp); ok {
+			if def, ok := inline[t.Name]; ok {
+				return subst(def)
 			}
 		}
-		for _, s := range p.Stmts {
-			count(s.Plan)
-		}
-		inline := map[string]ra.Plan{}
-		for _, s := range p.Stmts {
-			if s.Name != p.Result && refs[s.Name] == 1 {
-				inline[s.Name] = s.Plan
-			}
-		}
-		if len(inline) == 0 {
-			return
-		}
-		var subst func(pl ra.Plan) ra.Plan
-		subst = func(pl ra.Plan) ra.Plan {
-			if t, ok := pl.(ra.Temp); ok {
-				if def, ok := inline[t.Name]; ok {
-					return subst(def)
-				}
-			}
-			return mapInputs(pl, subst)
-		}
-		var kept []ra.Stmt
-		for _, s := range p.Stmts {
-			if _, gone := inline[s.Name]; gone {
-				continue
-			}
+		return mapInputs(pl, subst)
+	}
+	kept := make([]ra.Stmt, 0, len(p.Stmts)-len(inline))
+	for _, s := range p.Stmts {
+		if _, gone := inline[s.Name]; !gone {
 			kept = append(kept, ra.Stmt{Name: s.Name, Plan: subst(s.Plan)})
 		}
-		p.Stmts = kept
 	}
+	p.Stmts = kept
 }
 
 // mapInputs returns pl with f applied to each of its operands (pl itself
@@ -330,58 +319,38 @@ func (o *optimizer) opt(p ra.Plan) ra.Plan {
 		l := o.opt(p.L)
 		r := o.opt(p.R)
 		// R1 ⋈ Φ: constrain the fixpoint's start nodes to π_T(R1).
-		if hasOpenStart(r) {
+		if hasOpen(r, false) {
 			l = o.asTemp(l)
-			r = pushStart(r, l)
+			r = push(r, l, false)
 		}
 		// Φ ⋈ R1: constrain the fixpoint's end nodes to π_F(R1).
-		if hasOpenEnd(l) {
+		if hasOpen(l, true) {
 			r = o.asTemp(r)
-			l = pushEnd(l, r)
+			l = push(l, r, true)
 		}
 		return ra.Compose{L: l, R: r}
-	case ra.Semijoin:
-		l := o.opt(p.L)
-		r := o.opt(p.R)
-		if hasOpenStart(r) {
+	case ra.Semijoin, ra.Antijoin:
+		var in [4]ra.Plan
+		kids := ra.AppendInputs(in[:0], p)
+		l, r := o.opt(kids[0]), o.opt(kids[1])
+		if hasOpen(r, false) {
 			l = o.asTemp(l)
-			r = pushStart(r, l)
+			r = push(r, l, false)
 		}
-		return ra.Semijoin{L: l, R: r}
-	case ra.Antijoin:
-		l := o.opt(p.L)
-		r := o.opt(p.R)
-		if hasOpenStart(r) {
-			l = o.asTemp(l)
-			r = pushStart(r, l)
-		}
-		return ra.Antijoin{L: l, R: r}
-	case ra.UnionAll:
-		kids := make([]ra.Plan, len(p.Kids))
-		for i, k := range p.Kids {
-			kids[i] = o.opt(k)
-		}
-		return ra.UnionAll{Kids: kids}
+		return ra.WithInputs(p, []ra.Plan{l, r})
 	case ra.Fix:
-		return ra.Fix{Seed: o.opt(p.Seed), Start: p.Start, End: p.End,
-			TrackPaths: p.TrackPaths, Desc: p.Desc}
-	case ra.DescScan:
-		return ra.DescScan{From: p.From, To: p.To, Alt: o.opt(p.Alt),
-			Start: p.Start, End: p.End}
-	case ra.SelectVal:
-		return ra.SelectVal{Child: o.opt(p.Child), Val: p.Val}
-	case ra.SelectRoot:
-		return ra.SelectRoot{Child: o.opt(p.Child)}
-	case ra.Diff:
-		// Never push into Diff.R: shrinking the subtrahend is unsound.
-		return ra.Diff{L: o.opt(p.L), R: o.opt(p.R)}
-	case ra.IdentOf:
-		return ra.IdentOf{Child: o.opt(p.Child), OnF: p.OnF}
-	case ra.RecUnion:
-		// with…recursive is a black box (§3.1): nothing is pushed inside,
-		// which is precisely the limitation the paper contrasts against.
+		p.Seed = o.opt(p.Seed)
 		return p
+	case ra.DescScan:
+		p.Alt = o.opt(p.Alt)
+		return p
+	case ra.UnionAll, ra.SelectVal, ra.SelectRoot, ra.IdentOf, ra.Diff:
+		// Never push into Diff.R: shrinking the subtrahend is unsound.
+		return mapInputs(p, o.opt)
 	default:
+		// with…recursive is a black box (§3.1): nothing is pushed inside a
+		// RecUnion, which is precisely the limitation the paper contrasts
+		// against.
 		return p
 	}
 }
@@ -390,7 +359,7 @@ func (o *optimizer) opt(p ra.Plan) ra.Plan {
 // occurs anywhere in the plan (other than inside a black-box RecUnion or a
 // fixpoint seed, where pushing cannot reach). It triggers the
 // join-over-union distribution; soundness of the actual push is still
-// governed by hasOpenStart.
+// governed by hasOpen.
 func containsOpenFix(p ra.Plan) bool {
 	switch p := p.(type) {
 	case ra.Fix:
@@ -409,129 +378,80 @@ func containsOpenFix(p ra.Plan) bool {
 	}
 }
 
-// hasOpenStart reports whether the plan contains, at a position that
-// determines its F column, a fixpoint without a start constraint.
-func hasOpenStart(p ra.Plan) bool {
+// hasOpen reports whether the plan contains, at a position that determines
+// its F column (end false) or its T column (end true), a fixpoint without
+// that constraint.
+func hasOpen(p ra.Plan, end bool) bool {
 	switch p := p.(type) {
 	case ra.Fix:
-		return p.Start == nil
+		return *side(&p.Start, &p.End, end) == nil
 	case ra.DescScan:
-		return p.Start == nil
+		return *side(&p.Start, &p.End, end) == nil
 	case ra.Compose:
-		return hasOpenStart(p.L)
+		if end {
+			return hasOpen(p.R, end)
+		}
+		return hasOpen(p.L, end)
 	case ra.UnionAll:
 		for _, k := range p.Kids {
-			if hasOpenStart(k) {
+			if hasOpen(k, end) {
 				return true
 			}
 		}
 		return false
 	case ra.SelectVal:
-		return hasOpenStart(p.Child)
+		return hasOpen(p.Child, end)
 	case ra.Semijoin:
-		return hasOpenStart(p.L)
+		return hasOpen(p.L, end)
 	case ra.Antijoin:
-		return hasOpenStart(p.L)
+		return hasOpen(p.L, end)
 	default:
 		return false
 	}
 }
 
-// pushStart adds the start constraint (F ∈ π_T(start)) to every reachable
-// open fixpoint that determines the plan's F column.
-func pushStart(p ra.Plan, start ra.Plan) ra.Plan {
+// side is the start or, when isEnd, the end constraint of a fixpoint.
+func side(start, end *ra.Plan, isEnd bool) *ra.Plan {
+	if isEnd {
+		return end
+	}
+	return start
+}
+
+// push adds the start constraint F ∈ π_T(c) (end false) or the end
+// constraint T ∈ π_F(c) (end true) to every reachable open fixpoint that
+// determines the plan's F or T column. A DescScan takes the constraint
+// itself, and its fallback alternative inherits it too, so a non-interval
+// engine also benefits.
+func push(p ra.Plan, c ra.Plan, end bool) ra.Plan {
 	switch p := p.(type) {
 	case ra.Fix:
-		if p.Start == nil {
-			return ra.Fix{Seed: p.Seed, Start: start, End: p.End,
-				TrackPaths: p.TrackPaths, Desc: p.Desc}
+		if s := side(&p.Start, &p.End, end); *s == nil {
+			*s = c
 		}
 		return p
 	case ra.DescScan:
-		if p.Start == nil {
-			// The scan takes the constraint itself; the fallback alternative
-			// inherits it too, so a non-interval engine also benefits.
-			return ra.DescScan{From: p.From, To: p.To,
-				Alt: pushStart(p.Alt, start), Start: start, End: p.End}
+		if s := side(&p.Start, &p.End, end); *s == nil {
+			*s, p.Alt = c, push(p.Alt, c, end)
 		}
 		return p
 	case ra.Compose:
-		return ra.Compose{L: pushStart(p.L, start), R: p.R}
+		if end {
+			return ra.Compose{L: p.L, R: push(p.R, c, end)}
+		}
+		return ra.Compose{L: push(p.L, c, end), R: p.R}
 	case ra.UnionAll:
 		kids := make([]ra.Plan, len(p.Kids))
 		for i, k := range p.Kids {
-			kids[i] = pushStart(k, start)
+			kids[i] = push(k, c, end)
 		}
 		return ra.UnionAll{Kids: kids}
 	case ra.SelectVal:
-		return ra.SelectVal{Child: pushStart(p.Child, start), Val: p.Val}
+		return ra.SelectVal{Child: push(p.Child, c, end), Val: p.Val}
 	case ra.Semijoin:
-		return ra.Semijoin{L: pushStart(p.L, start), R: p.R}
+		return ra.Semijoin{L: push(p.L, c, end), R: p.R}
 	case ra.Antijoin:
-		return ra.Antijoin{L: pushStart(p.L, start), R: p.R}
-	default:
-		return p
-	}
-}
-
-// hasOpenEnd reports whether the plan contains, at a position that
-// determines its T column, a fixpoint without an end constraint.
-func hasOpenEnd(p ra.Plan) bool {
-	switch p := p.(type) {
-	case ra.Fix:
-		return p.End == nil
-	case ra.DescScan:
-		return p.End == nil
-	case ra.Compose:
-		return hasOpenEnd(p.R)
-	case ra.UnionAll:
-		for _, k := range p.Kids {
-			if hasOpenEnd(k) {
-				return true
-			}
-		}
-		return false
-	case ra.SelectVal:
-		return hasOpenEnd(p.Child)
-	case ra.Semijoin:
-		return hasOpenEnd(p.L)
-	case ra.Antijoin:
-		return hasOpenEnd(p.L)
-	default:
-		return false
-	}
-}
-
-// pushEnd adds the end constraint (T ∈ π_F(end)) to every reachable open
-// fixpoint that determines the plan's T column.
-func pushEnd(p ra.Plan, end ra.Plan) ra.Plan {
-	switch p := p.(type) {
-	case ra.Fix:
-		if p.End == nil {
-			return ra.Fix{Seed: p.Seed, Start: p.Start, End: end,
-				TrackPaths: p.TrackPaths, Desc: p.Desc}
-		}
-		return p
-	case ra.DescScan:
-		if p.End == nil {
-			return ra.DescScan{From: p.From, To: p.To,
-				Alt: pushEnd(p.Alt, end), Start: p.Start, End: end}
-		}
-		return p
-	case ra.Compose:
-		return ra.Compose{L: p.L, R: pushEnd(p.R, end)}
-	case ra.UnionAll:
-		kids := make([]ra.Plan, len(p.Kids))
-		for i, k := range p.Kids {
-			kids[i] = pushEnd(k, end)
-		}
-		return ra.UnionAll{Kids: kids}
-	case ra.SelectVal:
-		return ra.SelectVal{Child: pushEnd(p.Child, end), Val: p.Val}
-	case ra.Semijoin:
-		return ra.Semijoin{L: pushEnd(p.L, end), R: p.R}
-	case ra.Antijoin:
-		return ra.Antijoin{L: pushEnd(p.L, end), R: p.R}
+		return ra.Antijoin{L: push(p.L, c, end), R: p.R}
 	default:
 		return p
 	}

@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 
+	"xpath2sql/internal/dtd"
+	"xpath2sql/internal/expath"
 	"xpath2sql/internal/ra"
+	"xpath2sql/internal/xpath"
 )
 
 // This file keeps the common-sub-query extraction as it stood through PR 23 —
@@ -199,4 +202,16 @@ func oracleRebuild(pl ra.Plan, kids []ra.Plan) ra.Plan {
 	default:
 		return pl
 	}
+}
+
+// TranslationTerms translates q as XPathToEXp does and hands back the term
+// table the translation built, for tests that inspect every term of it.
+func TranslationTerms(q xpath.Path, d *dtd.DTD, strategy RecStrategy) (*expath.Table, error) {
+	tr := newExTranslator(NewSchema(d).g, strategy)
+	result := expath.ZeroTerm
+	for _, x := range tr.translate(tr.number(q), 0) {
+		result = tr.t.Union(result, x.e)
+	}
+	_, err := tr.t.Prune(append(tr.recVars, tr.vars...), result)
+	return tr.t, err
 }

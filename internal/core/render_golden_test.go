@@ -10,12 +10,16 @@ import (
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/expath"
 	"xpath2sql/internal/ra"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite internal/ra/testdata/render_golden.txt from the renderer under test")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files (render_golden.txt, extended_xpath_golden.txt) from the code under test")
 
-const renderGoldenPath = "../ra/testdata/render_golden.txt"
+const (
+	renderGoldenPath = "../ra/testdata/render_golden.txt"
+	expathGoldenPath = "testdata/extended_xpath_golden.txt"
+)
 
 // sum is "byte length:FNV-64a" of a rendered text.
 func sum(s string) string {
@@ -40,6 +44,7 @@ type goldenCase struct {
 	name string
 	prog *ra.Program
 	opts ra.SQLRenderOptions
+	eq   *expath.Query // the extended-XPath form of an X-form or nested program
 }
 
 // handBuilt covers what no translation produces: every operator of ra in
@@ -134,7 +139,11 @@ func renderCorpus(t *testing.T) []goldenCase {
 				ro.NodesTable = "nodes"
 			}
 			name := fmt.Sprintf("%s/%s/%s", c.name, form, q)
-			out = append(out, goldenCase{name: name, prog: res.Program, opts: ro})
+			gc := goldenCase{name: name, prog: res.Program, opts: ro}
+			if form == "X" || form == "nested" {
+				gc.eq = res.EQ
+			}
+			out = append(out, gc)
 			if form == "X" && i%4 == 0 {
 				tracked := &ra.Program{Result: res.Program.Result}
 				for _, s := range res.Program.Stmts {
@@ -182,15 +191,38 @@ func TestRenderGolden(t *testing.T) {
 				len(rs.Stmts), sum(stmts.String()))
 		}
 	}
-	got := b.String()
+	checkGolden(t, renderGoldenPath, b.String(), len(cases))
+}
+
+// TestExtendedXPathGolden pins the extended-XPath text /v1/translate returns
+// (Result.EQ.String()) for every X-form and nested program of the corpus, one
+// "length:FNV-64a" line per program, as the code printed it before the
+// translator numbered its sub-queries and expressions. Run with -update to
+// regenerate after an intended change of text.
+func TestExtendedXPathGolden(t *testing.T) {
+	var b strings.Builder
+	n := 0
+	for _, c := range renderCorpus(t) {
+		if c.eq != nil {
+			fmt.Fprintf(&b, "%s\t%s\t%d eqs\n", c.name, sum(c.eq.String()), len(c.eq.Eqs))
+			n++
+		}
+	}
+	checkGolden(t, expathGoldenPath, b.String(), n)
+}
+
+// checkGolden compares got with the golden file at path line by line, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, path, got string, cases int) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(renderGoldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d lines (%d programs × 2 dialects) to %s", strings.Count(got, "\n"), len(cases), renderGoldenPath)
+		t.Logf("wrote %d lines (%d programs) to %s", strings.Count(got, "\n"), cases, path)
 		return
 	}
-	want, err := os.ReadFile(renderGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,5 +241,5 @@ func TestRenderGolden(t *testing.T) {
 			}
 		}
 	}
-	t.Fatalf("%d of %d lines differ from %s", bad, len(gl), renderGoldenPath)
+	t.Fatalf("%d of %d lines differ from %s", bad, len(gl), path)
 }

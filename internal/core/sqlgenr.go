@@ -77,7 +77,7 @@ func (t *rTranslator) anchoredSpine(steps []rStep) (ra.Plan, error) {
 		curTypes = []string{t.g.Root}
 		rootFilter = true
 	default:
-		if !t.g.hasEdge(DocType, first.label) {
+		if !t.g.hasEdgeNamed(DocType, first.label) {
 			return empty(), nil
 		}
 		ctx = ra.Base{Rel: shred.RelName(first.label)}
@@ -249,8 +249,8 @@ func (t *rTranslator) spine(steps []rStep, ctx ra.Plan, curTypes []string) (ra.P
 func (t *rTranslator) descOrSelf(ctx ra.Plan, curTypes []string) (ra.Plan, []string) {
 	comp := map[string]bool{}
 	for _, c := range curTypes {
-		for _, r := range t.g.reachOrSelf(c) {
-			comp[r] = true
+		for _, r := range t.g.reachOrSelf(t.g.num[c]) {
+			comp[t.g.nodes[r]] = true
 		}
 	}
 	var compList []string
@@ -280,7 +280,7 @@ func (t *rTranslator) descOrSelf(ctx ra.Plan, curTypes []string) (ra.Plan, []str
 	var edges []ra.RecEdge
 	for _, from := range compList {
 		for _, to := range compList {
-			if t.g.hasEdge(from, to) {
+			if t.g.hasEdgeNamed(from, to) {
 				edges = append(edges, ra.RecEdge{
 					FromTag: from,
 					ToTag:   to,
@@ -376,7 +376,7 @@ func (t *rTranslator) witness(p xpath.Path, ctx ra.Plan, curTypes []string) (ra.
 func (t *rTranslator) childStep(ctx ra.Plan, curTypes []string, label string) ra.Plan {
 	var parents []string
 	for _, c := range curTypes {
-		if t.g.hasEdge(c, label) {
+		if t.g.hasEdgeNamed(c, label) {
 			parents = append(parents, c)
 		}
 	}
@@ -406,8 +406,8 @@ func (t *rTranslator) childStep(ctx ra.Plan, curTypes []string, label string) ra
 func (t *rTranslator) childTypes(types []string) []string {
 	set := map[string]bool{}
 	for _, c := range types {
-		for _, ch := range t.g.children(c) {
-			set[ch] = true
+		for _, ch := range t.g.kids[t.g.num[c]] {
+			set[t.g.nodes[ch]] = true
 		}
 	}
 	var out []string

@@ -128,7 +128,11 @@ func (s *Schema) Translate(q xpath.Path, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog, err := EXpToSQL(eq, opts.SQL)
+		sqlOpts := opts.SQL
+		if sqlOpts.RelName == nil {
+			sqlOpts.RelName = s.g.relName // shred.RelName off the schema's table
+		}
+		prog, err := EXpToSQL(eq, sqlOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"sync"
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
@@ -41,295 +43,294 @@ func (s *Schema) xpathToEXp(q xpath.Path, strategy RecStrategy) (*expath.Query, 
 	if s.err != nil {
 		return nil, s.err
 	}
-	t := s.g
-	tr := &exTranslator{
-		g:        t,
-		strategy: strategy,
-		x2e:      map[string]expath.Expr{},
-		reach:    map[string]map[string]bool{},
-		defs:     map[string]expath.Expr{},
-	}
-	switch strategy {
-	case RecCycleEX:
-		tr.recs = CycleEX(t)
-		for _, eq := range tr.recs.Eqs {
-			tr.defs[eq.X] = eq.E
-		}
-	case RecFlat:
-		tr.flat = newFlatRec(t)
-	}
+	tr := newExTranslator(s.g, strategy)
+	defer tr.release()
 	// Local translations (Fig 8's postorder list L of sub-queries) are
 	// computed on demand per (sub-query, A), memoized: only reachable
 	// contexts matter.
-	exprs := tr.translate(q, DocType)
-	var result expath.Expr = expath.Zero{}
-	for _, b := range exprs.targets() {
-		result = expath.MkUnion(result, exprs[b])
+	result := expath.ZeroTerm
+	for _, x := range tr.translate(tr.number(q), 0) {
+		result = tr.t.Union(result, x.e)
 	}
-	eqs := tr.eqs
-	switch {
-	case tr.recs != nil:
-		eqs = append(append([]expath.Equation{}, tr.recs.Eqs...), eqs...)
-	case tr.flat != nil:
-		eqs = append(append([]expath.Equation{}, tr.flat.eqs...), eqs...)
-	}
-	out := &expath.Query{Eqs: eqs, Result: result}
-	out = out.Prune()
-	if err := out.Validate(); err != nil {
+	out, err := tr.t.Prune(append(tr.recVars, tr.vars...), result)
+	if err != nil {
 		return nil, fmt.Errorf("core: internal error: %w", err)
 	}
 	return out, nil
 }
 
+// exTranslator is one run of XPathToEXp. Inside it every name is a number:
+// types are the schema's type numbers, sub-queries are numbered once, and
+// expressions are terms of one expath.Table, materialized as values only at
+// the end. Nothing of it outlives the translation.
 type exTranslator struct {
 	g        *transGraph
+	t        *expath.Table
 	strategy RecStrategy
-	recs     *RecSet
+	subs     []sub
+	memo     []span // per (sub-path class, type): its local translation's pairs, from -1 until made
+	pairs    []typed
+	labels   []expath.Term   // per type: its label step, ∅ until made
+	recs     [][]expath.Term // rec(A, B) per type pair, for RecCycleEX and RecCycleE
 	flat     *flatRec
-	eqs      []expath.Equation
-	// x2e memoizes the dynamic program: key "pA→B" -> expression (a Var for
-	// composite bindings). reach memoizes reach(p, A). defs indexes every
-	// equation for nullability analysis.
-	x2e     map[string]expath.Expr
-	reach   map[string]map[string]bool
-	defs    map[string]expath.Expr
-	counter int
+	recVars  []expath.Term   // the variables of rec(A, B), in binding order
+	vars     []expath.Term   // the query's own (Xp) variables, in binding order
+	free     [][]expath.Term // per-type accumulators, all ∅
+}
+
+// sub is one node of the query: a sub-path, or a qualifier (p nil).
+type sub struct {
+	p    xpath.Path
+	q    xpath.Qual
+	l, r int32 // operand nodes; a label step's type, -1 when the name is none
+	cls  int32 // a sub-path's memo class: shared exactly by sub-paths that print alike
+}
+
+// typed is one (B, x2e(p, A, B)) pair of a local translation.
+type typed struct {
+	b int32
+	e expath.Term
+}
+
+type span struct{ from, to int32 }
+
+// translators recycles the scratch of a translation — its term table,
+// numbered query, memo and accumulators — emptied when put back: no query
+// outlives its translation in it.
+var translators = sync.Pool{New: func() any { return &exTranslator{t: expath.NewTable()} }}
+
+func newExTranslator(g *transGraph, strategy RecStrategy) *exTranslator {
+	tr := translators.Get().(*exTranslator)
+	tr.g, tr.strategy = g, strategy
+	tr.labels = slices.Grow(tr.labels[:0], len(g.nodes))[:len(g.nodes)]
+	clear(tr.labels)
+	if len(tr.free) > 0 && len(tr.free[0]) != len(g.nodes) {
+		tr.free = nil // accumulators of another schema
+	}
+	switch strategy {
+	case RecCycleEX:
+		tr.recs = tr.tarjan(func(i, j, k int, e expath.Term) expath.Term {
+			if tr.t.Trivial(e) {
+				return e
+			}
+			return tr.bindVar(fmt.Sprintf("X[%d,%d,%d]", i, j, k), e, &tr.recVars)
+		})
+	case RecCycleE:
+		tr.recs = tr.tarjan(func(_, _, _ int, e expath.Term) expath.Term { return e })
+	default:
+		tr.flat = newFlatRec(tr)
+	}
+	return tr
+}
+
+// release empties the translator into the pool; one whose table grew past
+// 16k terms is left to the collector instead.
+func (tr *exTranslator) release() {
+	if tr.t.Len() > 1<<14 {
+		return
+	}
+	tr.t.Reset()
+	clear(tr.subs)
+	*tr = exTranslator{t: tr.t, subs: tr.subs[:0], memo: tr.memo[:0], pairs: tr.pairs[:0], labels: tr.labels,
+		recVars: tr.recVars[:0], vars: tr.vars[:0], free: tr.free}
+	translators.Put(tr)
+}
+
+// number lists the query's sub-paths and qualifiers in post-order (one walk)
+// and returns the root's index. A sub-path's memo class is the number of its
+// printed form (xpath.Classes): sub-paths share the memo when they print alike.
+func (tr *exTranslator) number(q xpath.Path) int32 {
+	classes, nc := xpath.Classes(q)
+	add := func(n sub) int32 {
+		tr.subs = append(tr.subs, n)
+		return int32(len(tr.subs) - 1)
+	}
+	var path func(p xpath.Path) int32
+	var qual func(q xpath.Qual) int32
+	path = func(p xpath.Path) int32 {
+		n := sub{p: p, l: -1, r: -1}
+		switch p := p.(type) {
+		case xpath.Label:
+			if b, ok := tr.g.num[p.Name]; ok {
+				n.l = b
+			}
+		case xpath.Seq:
+			n.l, n.r = path(p.L), path(p.R)
+		case xpath.Union:
+			n.l, n.r = path(p.L), path(p.R)
+		case xpath.Desc:
+			n.l = path(p.P)
+		case xpath.Filter:
+			n.l, n.r = path(p.P), qual(p.Q)
+		}
+		n.cls, classes = classes[0], classes[1:]
+		return add(n)
+	}
+	qual = func(q xpath.Qual) int32 {
+		n := sub{q: q, l: -1, r: -1}
+		switch q := q.(type) {
+		case xpath.QPath:
+			n.l = path(q.P)
+		case xpath.QNot:
+			n.l = qual(q.Q)
+		case xpath.QAnd:
+			n.l, n.r = qual(q.L), qual(q.R)
+		case xpath.QOr:
+			n.l, n.r = qual(q.L), qual(q.R)
+		}
+		return add(n)
+	}
+	root := path(q)
+	k := nc * len(tr.g.nodes)
+	tr.memo = slices.Grow(tr.memo[:0], k)[:k]
+	for i := range tr.memo {
+		tr.memo[i].from = -1
+	}
+	return root
+}
+
+// label is the child step to b, one term per type.
+func (tr *exTranslator) label(b int32) expath.Term {
+	if tr.labels[b] == expath.ZeroTerm {
+		tr.labels[b] = tr.t.Label(tr.g.nodes[b])
+	}
+	return tr.labels[b]
 }
 
 // rec returns the expression for all DTD paths from a to c (ε when a == c).
-func (tr *exTranslator) rec(a, c string) expath.Expr {
-	switch tr.strategy {
-	case RecCycleE:
-		return CycleE(tr.g, a, c)
-	case RecCycleEX:
-		return tr.recs.Rec(a, c)
-	default:
-		before := len(tr.flat.eqs)
-		e := tr.flat.Rec(a, c)
-		for _, eq := range tr.flat.eqs[before:] {
-			tr.defs[eq.X] = eq.E
-		}
-		return tr.annotateDesc(a, c, e)
+// The flat form is wrapped in a DescSelf annotation so the relational
+// translation can answer the descendant closure with a document-order
+// interval scan (falling back to the wrapped fixpoint plan when the stored
+// encoding is missing or mismatched). Trivial closures and the virtual
+// document root — which has no stored relation to anchor a containment scan —
+// stay unannotated.
+func (tr *exTranslator) rec(a, c int32) expath.Term {
+	if tr.flat == nil {
+		return tr.recs[a][c]
 	}
+	e := tr.flat.d(a, c)
+	if e == expath.ZeroTerm || e == expath.EpsTerm || a == 0 || c == 0 {
+		return e
+	}
+	return tr.t.Desc(tr.g.nodes[a], tr.g.nodes[c], e)
 }
 
-// annotateDesc wraps a rec(a, c) expression in a DescSelf annotation so the
-// relational translation can answer the descendant closure with a
-// document-order interval scan (falling back to the wrapped fixpoint plan
-// when the stored encoding is missing or mismatched). Trivial closures and
-// the virtual document root — which has no stored relation to anchor a
-// containment scan — stay unannotated.
-func (tr *exTranslator) annotateDesc(a, c string, e expath.Expr) expath.Expr {
-	switch e.(type) {
-	case expath.Zero, expath.Eps:
-		return e
-	}
-	if a == DocType || c == DocType {
-		return e
-	}
-	return expath.DescSelf{From: a, To: c, Alt: e}
+// bindVar binds e to the variable name and records it in vars.
+func (tr *exTranslator) bindVar(name string, e expath.Term, vars *[]expath.Term) expath.Term {
+	v := tr.t.Bind(name, e)
+	*vars = append(*vars, v)
+	return v
 }
 
 // bind ensures composite expressions are shared through a variable so the
 // output stays polynomial (the role of X_p(A,B) in Fig 8).
-func (tr *exTranslator) bind(e expath.Expr) expath.Expr {
-	switch e.(type) {
-	case expath.Zero, expath.Eps, expath.Label, expath.Edge, expath.Var:
+func (tr *exTranslator) bind(e expath.Term) expath.Term {
+	if tr.t.Trivial(e) {
 		return e
 	}
-	tr.counter++
-	x := fmt.Sprintf("Xp%d", tr.counter)
-	tr.eqs = append(tr.eqs, expath.Equation{X: x, E: e})
-	tr.defs[x] = e
-	return expath.Var{Name: x}
+	return tr.bindVar("Xp"+strconv.Itoa(len(tr.vars)+1), e, &tr.vars)
 }
 
-func pKey(p xpath.Path, a string) string { return p.String() + "\x00" + a }
-
-// translate computes the local translations x2e(p, A, B) for every B in
-// reach(p, A), returning the map B -> expression. Memoized on (p, A).
-type exprMap map[string]expath.Expr
-
-// targets lists the map's types in sorted order. Every loop whose body binds
-// a counter-named variable, emits an equation or extends a union walks the
-// map through it, so a translation's text never depends on map order.
-func (m exprMap) targets() []string {
-	out := make([]string, 0, len(m))
-	for b := range m {
-		out = append(out, b)
+// translate computes the local translations x2e(p, A, B) of sub-path i at
+// type a for every B in reach(p, A): the pairs (B, expression) in type order,
+// each composite expression bound to a variable. Memoized on (p, A). Every
+// loop whose body binds a counter-named variable, emits an equation or
+// extends a union walks pairs in type order — name order — so a
+// translation's text is a function of its input.
+func (tr *exTranslator) translate(i, a int32) []typed {
+	k := tr.subs[i].cls*int32(len(tr.g.nodes)) + a
+	if m := tr.memo[k]; m.from >= 0 {
+		return tr.pairs[m.from:m.to:m.to]
 	}
-	sort.Strings(out)
-	return out
-}
-
-func (tr *exTranslator) translate(p xpath.Path, a string) exprMap {
-	key := pKey(p, a)
-	if tr.reach[key] != nil {
-		out := exprMap{}
-		for b := range tr.reach[key] {
-			out[b] = tr.x2e[key+"\x00"+b]
+	var acc []expath.Term
+	if n := len(tr.free); n > 0 {
+		acc, tr.free = tr.free[n-1], tr.free[:n-1]
+	} else {
+		acc = make([]expath.Term, len(tr.g.nodes))
+	}
+	tr.local(i, a, acc)
+	from := int32(len(tr.pairs))
+	for b, e := range acc {
+		if e != expath.ZeroTerm {
+			tr.pairs = append(tr.pairs, typed{int32(b), tr.bind(e)})
+			acc[b] = expath.ZeroTerm
 		}
-		return out
 	}
-	out := tr.translateUncached(p, a)
-	reach := map[string]bool{}
-	for _, b := range out.targets() {
-		e := out[b]
-		if _, zero := e.(expath.Zero); zero {
-			delete(out, b)
-			continue
-		}
-		e = tr.bind(e)
-		out[b] = e
-		reach[b] = true
-		tr.x2e[key+"\x00"+b] = e
-	}
-	tr.reach[key] = reach
-	return out
+	tr.free = append(tr.free, acc)
+	tr.memo[k] = span{from, int32(len(tr.pairs))}
+	return tr.pairs[from:len(tr.pairs):len(tr.pairs)]
 }
 
-func (tr *exTranslator) translateUncached(p xpath.Path, a string) exprMap {
-	out := exprMap{}
-	switch p := p.(type) {
+// local accumulates the local translations of sub-path i at type a into acc,
+// indexed by target type (∅ where there is none).
+func (tr *exTranslator) local(i, a int32, acc []expath.Term) {
+	t, s := tr.t, tr.subs[i]
+	switch s.p.(type) {
 	case xpath.Empty: // case (1)
-		out[a] = expath.Eps{}
+		acc[a] = expath.EpsTerm
 	case xpath.Label: // case (2)
-		if tr.g.hasEdge(a, p.Name) {
-			out[p.Name] = expath.Label{Name: p.Name}
+		if s.l >= 0 && tr.g.hasEdge(a, s.l) {
+			acc[s.l] = tr.label(s.l)
 		}
 	case xpath.Wildcard: // case (3)
-		for _, b := range tr.g.children(a) {
-			out[b] = expath.Label{Name: b}
+		for _, b := range tr.g.kids[a] {
+			acc[b] = tr.label(b)
 		}
 	case xpath.Seq: // case (4): p1/p2
-		left := tr.translate(p.L, a)
-		for _, c := range left.targets() {
-			right := tr.translate(p.R, c)
-			for b, re := range right {
-				cat := expath.MkCat(left[c], re)
-				if prev, ok := out[b]; ok {
-					out[b] = expath.MkUnion(prev, cat)
-				} else {
-					out[b] = cat
-				}
+		for _, c := range tr.translate(s.l, a) {
+			for _, x := range tr.translate(s.r, c.b) {
+				acc[x.b] = t.Union(acc[x.b], t.Cat(c.e, x.e))
 			}
 		}
 	case xpath.Desc: // case (5): //p1
 		for _, c := range tr.g.reachOrSelf(a) {
-			recE := tr.rec(a, c)
-			if _, zero := recE.(expath.Zero); zero {
-				continue
-			}
-			inner := tr.translate(p.P, c)
-			for _, b := range inner.targets() {
-				cat := expath.MkCat(recE, inner[b])
-				if prev, ok := out[b]; ok {
-					out[b] = expath.MkUnion(prev, cat)
-				} else {
-					out[b] = cat
+			if recE := tr.rec(a, c); recE != expath.ZeroTerm {
+				for _, x := range tr.translate(s.l, c) {
+					acc[x.b] = t.Union(acc[x.b], t.Cat(recE, x.e))
 				}
 			}
 		}
 	case xpath.Union: // case (6)
-		for b, e := range tr.translate(p.L, a) {
-			out[b] = e
+		for _, x := range tr.translate(s.l, a) {
+			acc[x.b] = x.e
 		}
-		for b, e := range tr.translate(p.R, a) {
-			if prev, ok := out[b]; ok {
-				out[b] = expath.MkUnion(prev, e)
-			} else {
-				out[b] = e
-			}
+		for _, x := range tr.translate(s.r, a) {
+			acc[x.b] = t.Union(acc[x.b], x.e)
 		}
 	case xpath.Filter: // case (7): p1[q]
-		inner := tr.translate(p.P, a)
-		for _, b := range inner.targets() {
-			out[b] = expath.MkQual(inner[b], tr.rewQual(p.Q, b))
+		for _, x := range tr.translate(s.l, a) {
+			acc[x.b] = t.Qual(x.e, tr.rewQual(s.r, x.b))
 		}
 	}
-	return out
 }
 
-// rewQual is procedure RewQual (Fig 9): it translates a qualifier for
+// rewQual is procedure RewQual (Fig 9): it translates qualifier node j for
 // evaluation at an element of type at, statically deciding it from the DTD
-// structure when possible (QTrue / QFalse).
-func (tr *exTranslator) rewQual(q xpath.Qual, at string) expath.Qual {
-	switch q := q.(type) {
+// structure when possible (⊤ = ε, ⊥ = ∅).
+func (tr *exTranslator) rewQual(j, at int32) expath.Term {
+	t, s := tr.t, tr.subs[j]
+	switch q := s.q.(type) {
 	case xpath.QPath:
-		exprs := tr.translate(q.P, at)
-		if len(exprs) == 0 {
-			// No node is reachable via p from an 'at' element: [p] is
-			// statically false.
-			return expath.QFalse{}
-		}
-		var u expath.Expr = expath.Zero{}
-		nullable := false
-		for _, b := range exprs.targets() {
-			if tr.isNullable(exprs[b]) {
-				nullable = true
-			}
-			u = expath.MkUnion(u, exprs[b])
+		// No node reachable via p from an 'at' element makes [p] statically
+		// false (the union stays ∅); ε ∈ p at this context makes it true,
+		// the context node itself witnessing [p].
+		u, nullable := expath.ZeroTerm, false
+		for _, x := range tr.translate(s.l, at) {
+			nullable = t.Nullable(x.e) || nullable
+			u = t.Union(u, x.e)
 		}
 		if nullable {
-			// ε ∈ p at this context: the context node itself witnesses
-			// [p], so the qualifier is statically true.
-			return expath.QTrue{}
+			return expath.EpsTerm
 		}
-		return expath.QExpr{E: u}
+		return u
 	case xpath.QText:
-		return expath.QText{C: q.C}
+		return t.Text(q.C)
 	case xpath.QNot:
-		return expath.MkNot(tr.rewQual(q.Q, at))
+		return t.Not(tr.rewQual(s.l, at))
 	case xpath.QAnd:
-		return expath.MkAnd(tr.rewQual(q.L, at), tr.rewQual(q.R, at))
+		return t.And(tr.rewQual(s.l, at), tr.rewQual(s.r, at))
 	case xpath.QOr:
-		return expath.MkOr(tr.rewQual(q.L, at), tr.rewQual(q.R, at))
+		return t.Or(tr.rewQual(s.l, at), tr.rewQual(s.r, at))
 	}
-	return expath.QFalse{}
-}
-
-// isNullable reports whether the expression's language contains ε, chasing
-// variables through both the query-local and rec equations.
-func (tr *exTranslator) isNullable(e expath.Expr) bool {
-	memo := map[string]int{} // 0 unknown/in-progress, 1 false, 2 true
-	var nullable func(e expath.Expr) bool
-	lookup := func(x string) expath.Expr { return tr.defs[x] }
-	nullable = func(e expath.Expr) bool {
-		switch e := e.(type) {
-		case expath.Eps:
-			return true
-		case expath.Star:
-			return true
-		case expath.Cat:
-			return nullable(e.L) && nullable(e.R)
-		case expath.Union:
-			return nullable(e.L) || nullable(e.R)
-		case expath.Qualified:
-			// Conservative: a qualifier may fail at the context node, so a
-			// qualified ε is not statically true.
-			return false
-		case expath.DescSelf:
-			// Semantically transparent: same language as the alternative.
-			return nullable(e.Alt)
-		case expath.Var:
-			switch memo[e.Name] {
-			case 1:
-				return false
-			case 2:
-				return true
-			}
-			memo[e.Name] = 1 // assume false while in progress (lfp)
-			b := lookup(e.Name)
-			if b == nil {
-				return false
-			}
-			if nullable(b) {
-				memo[e.Name] = 2
-				return true
-			}
-			return false
-		}
-		return false
-	}
-	return nullable(e)
+	return expath.ZeroTerm
 }

@@ -17,7 +17,7 @@ package expath
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Expr is a node of the extended-XPath AST.
@@ -93,40 +93,47 @@ func (l Label) String() string { return l.Name }
 func (e Edge) String() string  { return "⟨" + e.From + "→" + e.To + "⟩" }
 func (v Var) String() string   { return v.Name }
 
-func (c Cat) String() string {
-	return paren(c.L, 1) + "/" + paren(c.R, 1)
-}
+func (c Cat) String() string       { return string(appendExpr(nil, c, 0)) }
+func (u Union) String() string     { return string(appendExpr(nil, u, 0)) }
+func (s Star) String() string      { return string(appendExpr(nil, s, 0)) }
+func (q Qualified) String() string { return string(appendExpr(nil, q, 0)) }
+func (d DescSelf) String() string  { return string(appendExpr(nil, d, 0)) }
 
-func (u Union) String() string {
-	return u.L.String() + " ∪ " + u.R.String()
-}
-
-func (s Star) String() string { return paren(s.E, 2) + "*" }
-
-func (q Qualified) String() string {
-	return paren(q.E, 1) + "[" + q.Q.String() + "]"
-}
-
-func (d DescSelf) String() string {
-	return "desc⟨" + d.From + "↝" + d.To + "⟩(" + d.Alt.String() + ")"
-}
-
-// paren parenthesizes operands whose precedence is below the context level:
-// level 1 = operand of '/', level 2 = operand of '*'.
-func paren(e Expr, level int) string {
+// appendExpr appends e's printed form to b, parenthesized when its precedence
+// is below the context level: 1 = operand of '/', 2 = operand of '*'.
+func appendExpr(b []byte, e Expr, level int) []byte {
+	wrap := false
 	switch e.(type) {
 	case Union:
-		return "(" + e.String() + ")"
-	case Cat:
-		if level >= 2 {
-			return "(" + e.String() + ")"
-		}
-	case Qualified:
-		if level >= 2 {
-			return "(" + e.String() + ")"
-		}
+		wrap = level >= 1
+	case Cat, Qualified:
+		wrap = level >= 2
 	}
-	return e.String()
+	if wrap {
+		b = append(b, '(')
+	}
+	switch e := e.(type) {
+	case Cat:
+		b = append(appendExpr(b, e.L, 1), '/')
+		b = appendExpr(b, e.R, 1)
+	case Union:
+		b = append(appendExpr(b, e.L, 0), " ∪ "...)
+		b = appendExpr(b, e.R, 0)
+	case Star:
+		b = append(appendExpr(b, e.E, 2), '*')
+	case Qualified:
+		b = append(appendExpr(b, e.E, 1), '[')
+		b = append(appendQual(b, e.Q), ']')
+	case DescSelf:
+		b = append(append(append(append(b, "desc⟨"...), e.From...), "↝"...), e.To...)
+		b = append(appendExpr(append(b, "⟩("...), e.Alt, 0), ')')
+	default:
+		b = append(b, e.String()...)
+	}
+	if wrap {
+		b = append(b, ')')
+	}
+	return b
 }
 
 // Qual is a qualifier over extended expressions.
@@ -167,11 +174,29 @@ func (QOr) isQual()    {}
 
 func (QTrue) String() string   { return "ε" }
 func (QFalse) String() string  { return "∅" }
-func (q QExpr) String() string { return q.E.String() }
-func (q QText) String() string { return fmt.Sprintf("text()=%q", q.C) }
-func (q QNot) String() string  { return "¬(" + q.Q.String() + ")" }
-func (q QAnd) String() string  { return "(" + q.L.String() + " ∧ " + q.R.String() + ")" }
-func (q QOr) String() string   { return "(" + q.L.String() + " ∨ " + q.R.String() + ")" }
+func (q QExpr) String() string { return string(appendQual(nil, q)) }
+func (q QText) String() string { return string(appendQual(nil, q)) }
+func (q QNot) String() string  { return string(appendQual(nil, q)) }
+func (q QAnd) String() string  { return string(appendQual(nil, q)) }
+func (q QOr) String() string   { return string(appendQual(nil, q)) }
+
+func appendQual(b []byte, q Qual) []byte {
+	switch q := q.(type) {
+	case QExpr:
+		return appendExpr(b, q.E, 0)
+	case QText:
+		return strconv.AppendQuote(append(b, "text()="...), q.C)
+	case QNot:
+		return append(appendQual(append(b, "¬("...), q.Q), ')')
+	case QAnd:
+		b = append(appendQual(append(b, '('), q.L), " ∧ "...)
+		return append(appendQual(b, q.R), ')')
+	case QOr:
+		b = append(appendQual(append(b, '('), q.L), " ∨ "...)
+		return append(appendQual(b, q.R), ')')
+	}
+	return append(b, q.String()...)
+}
 
 // Equation binds a variable to an expression.
 type Equation struct {
@@ -187,29 +212,25 @@ type Query struct {
 	Result Expr
 }
 
+// String prints the result and then the equations, last bound first, into
+// one buffer.
 func (q *Query) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "result = %s\n", q.Result.String())
+	b := append(appendExpr([]byte("result = "), q.Result, 0), '\n')
 	for i := len(q.Eqs) - 1; i >= 0; i-- {
-		fmt.Fprintf(&b, "%s = %s\n", q.Eqs[i].X, q.Eqs[i].E.String())
+		b = append(append(b, q.Eqs[i].X...), " = "...)
+		b = append(appendExpr(b, q.Eqs[i].E, 0), '\n')
 	}
-	return b.String()
-}
-
-// Lookup returns the expression bound to variable x, or nil.
-func (q *Query) Lookup(x string) Expr {
-	for i := range q.Eqs {
-		if q.Eqs[i].X == x {
-			return q.Eqs[i].E
-		}
-	}
-	return nil
+	return string(b)
 }
 
 // FreeVars returns the variables referenced by e, sorted.
 func FreeVars(e Expr) []string {
 	set := map[string]bool{}
-	collectVars(e, set)
+	walk(e, func(e Expr) {
+		if v, ok := e.(Var); ok {
+			set[v.Name] = true
+		}
+	})
 	out := make([]string, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -218,60 +239,65 @@ func FreeVars(e Expr) []string {
 	return out
 }
 
-func collectVars(e Expr, set map[string]bool) {
+// walk calls f on e and on every expression inside it, qualifiers included,
+// each occurrence once, parents first.
+func walk(e Expr, f func(Expr)) {
+	f(e)
 	switch e := e.(type) {
-	case Var:
-		set[e.Name] = true
 	case Cat:
-		collectVars(e.L, set)
-		collectVars(e.R, set)
+		walk(e.L, f)
+		walk(e.R, f)
 	case Union:
-		collectVars(e.L, set)
-		collectVars(e.R, set)
+		walk(e.L, f)
+		walk(e.R, f)
 	case Star:
-		collectVars(e.E, set)
+		walk(e.E, f)
 	case Qualified:
-		collectVars(e.E, set)
-		collectQualVars(e.Q, set)
+		walk(e.E, f)
+		walkQual(e.Q, f)
 	case DescSelf:
-		collectVars(e.Alt, set)
+		walk(e.Alt, f)
 	}
 }
 
-func collectQualVars(q Qual, set map[string]bool) {
+func walkQual(q Qual, f func(Expr)) {
 	switch q := q.(type) {
 	case QExpr:
-		collectVars(q.E, set)
+		walk(q.E, f)
 	case QNot:
-		collectQualVars(q.Q, set)
+		walkQual(q.Q, f)
 	case QAnd:
-		collectQualVars(q.L, set)
-		collectQualVars(q.R, set)
+		walkQual(q.L, f)
+		walkQual(q.R, f)
 	case QOr:
-		collectQualVars(q.L, set)
-		collectQualVars(q.R, set)
+		walkQual(q.L, f)
+		walkQual(q.R, f)
 	}
 }
 
 // Validate checks the dependency ordering invariant of the query and that
 // every referenced variable is bound.
 func (q *Query) Validate() error {
-	bound := map[string]bool{}
-	for i, eq := range q.Eqs {
-		for _, v := range FreeVars(eq.E) {
-			if !bound[v] {
-				return fmt.Errorf("expath: equation %d (%s) references unbound variable %s", i, eq.X, v)
+	bound := make(map[string]bool, len(q.Eqs))
+	unbound := func(e Expr) (name string) {
+		walk(e, func(e Expr) {
+			if v, ok := e.(Var); ok && name == "" && !bound[v.Name] {
+				name = v.Name
 			}
+		})
+		return name
+	}
+	for i, eq := range q.Eqs {
+		if v := unbound(eq.E); v != "" {
+			return fmt.Errorf("expath: equation %d (%s) references unbound variable %s", i, eq.X, v)
 		}
 		if bound[eq.X] {
 			return fmt.Errorf("expath: variable %s bound twice", eq.X)
 		}
 		bound[eq.X] = true
 	}
-	for _, v := range FreeVars(q.Result) {
-		if !bound[v] {
-			return fmt.Errorf("expath: result references unbound variable %s", v)
-		}
+	if v := unbound(q.Result); v != "" {
+		return fmt.Errorf("expath: result references unbound variable %s", v)
 	}
 	return nil
 }
@@ -288,61 +314,28 @@ func (c OpCounts) All() int { return c.Star + c.Cat + c.Union }
 
 // CountOps counts operators over the result expression and every equation
 // transitively reachable from it. Variable references are counted once per
-// occurrence (they are not expanded), matching CycleEX's accounting.
+// occurrence (they are not expanded), matching CycleEX's accounting; a
+// DescSelf annotation is not an operator, what its alternative costs is
+// counted.
 func (q *Query) CountOps() OpCounts {
 	var c OpCounts
 	needed := map[string]bool{}
-	mark := func(e Expr) {
-		for _, v := range FreeVars(e) {
-			needed[v] = true
-		}
-	}
-	mark(q.Result)
-	for i := len(q.Eqs) - 1; i >= 0; i-- {
-		if needed[q.Eqs[i].X] {
-			mark(q.Eqs[i].E)
-		}
-	}
-	var count func(e Expr)
-	var countQ func(qq Qual)
-	count = func(e Expr) {
-		switch e := e.(type) {
-		case Cat:
-			c.Cat++
-			count(e.L)
-			count(e.R)
-		case Union:
-			c.Union++
-			count(e.L)
-			count(e.R)
-		case Star:
-			c.Star++
-			count(e.E)
-		case Qualified:
-			count(e.E)
-			countQ(e.Q)
-		case DescSelf:
-			// An execution annotation, not an operator: count what the
-			// annotated alternative costs.
-			count(e.Alt)
-		}
-	}
-	countQ = func(qq Qual) {
-		switch qq := qq.(type) {
-		case QExpr:
-			count(qq.E)
-		case QNot:
-			countQ(qq.Q)
-		case QAnd:
-			countQ(qq.L)
-			countQ(qq.R)
-		case QOr:
-			countQ(qq.L)
-			countQ(qq.R)
-		}
+	count := func(e Expr) {
+		walk(e, func(e Expr) {
+			switch e := e.(type) {
+			case Var:
+				needed[e.Name] = true
+			case Cat:
+				c.Cat++
+			case Union:
+				c.Union++
+			case Star:
+				c.Star++
+			}
+		})
 	}
 	count(q.Result)
-	for i := range q.Eqs {
+	for i := len(q.Eqs) - 1; i >= 0; i-- {
 		if needed[q.Eqs[i].X] {
 			count(q.Eqs[i].E)
 		}
@@ -350,109 +343,41 @@ func (q *Query) CountOps() OpCounts {
 	return c
 }
 
-// --- Smart constructors with the ∅/ε algebra of §2.2 ---
+// Prune returns an equivalent query with
+//  1. equations X = ∅ removed (occurrences replaced by ∅ and re-simplified),
+//  2. alias equations X = Y and trivial bindings (X = ε, X = A) inlined, and
+//  3. equations not contributing to the result expression dropped.
+//
+// These are exactly the three pruning rules of Fig 7, line 15 (Table.Prune).
+func (q *Query) Prune() *Query {
+	t := NewTable()
+	vars := make([]Term, len(q.Eqs))
+	for i, eq := range q.Eqs {
+		vars[i] = t.Bind(eq.X, t.Intern(eq.E))
+	}
+	p, _ := t.Prune(vars, t.Intern(q.Result))
+	return p
+}
+
+// Inline eliminates every variable, producing a single regular-XPath
+// expression (no variables) equivalent to the query. This is the expansion
+// the paper proves may be exponentially larger than the equation form; it is
+// used by tests and by the CycleE comparison, never on user-facing paths.
+func (q *Query) Inline() Expr {
+	t := NewTable()
+	sub := func(v Term, x int32) Term {
+		if d := t.defs[x]; d >= 0 {
+			return d
+		}
+		return v
+	}
+	for _, eq := range q.Eqs {
+		t.Bind(eq.X, t.subst(t.Intern(eq.E), sub))
+	}
+	return t.Expr(t.subst(t.Intern(q.Result), sub))
+}
 
 // MkUnion builds L ∪ R simplifying ∅ ∪ p = p and deduplicating identical
-// operands.
-func MkUnion(l, r Expr) Expr {
-	if _, ok := l.(Zero); ok {
-		return r
-	}
-	if _, ok := r.(Zero); ok {
-		return l
-	}
-	if l.String() == r.String() {
-		return l
-	}
-	return Union{L: l, R: r}
-}
-
-// MkCat builds L/R simplifying p/∅ = ∅/p = ∅ and ε/p = p/ε = p.
-func MkCat(l, r Expr) Expr {
-	if _, ok := l.(Zero); ok {
-		return Zero{}
-	}
-	if _, ok := r.(Zero); ok {
-		return Zero{}
-	}
-	if _, ok := l.(Eps); ok {
-		return r
-	}
-	if _, ok := r.(Eps); ok {
-		return l
-	}
-	return Cat{L: l, R: r}
-}
-
-// MkStar builds E* simplifying ∅* = ε* = ε and (E*)* = E*.
-func MkStar(e Expr) Expr {
-	switch e.(type) {
-	case Zero, Eps:
-		return Eps{}
-	case Star:
-		return e
-	}
-	return Star{E: e}
-}
-
-// MkQual builds E[q], simplifying statically-decided qualifiers:
-// E[⊤] = E and E[⊥] = ∅ (XPathToEXp case 7).
-func MkQual(e Expr, q Qual) Expr {
-	if _, ok := e.(Zero); ok {
-		return Zero{}
-	}
-	switch q.(type) {
-	case QTrue:
-		return e
-	case QFalse:
-		return Zero{}
-	}
-	return Qualified{E: e, Q: q}
-}
-
-// MkNot simplifies ¬⊤ = ⊥ and ¬⊥ = ⊤ (procedure optimize, Fig 9).
-func MkNot(q Qual) Qual {
-	switch q := q.(type) {
-	case QTrue:
-		return QFalse{}
-	case QFalse:
-		return QTrue{}
-	case QNot:
-		return q.Q
-	}
-	return QNot{Q: q}
-}
-
-// MkAnd simplifies conjunction with static truth values.
-func MkAnd(l, r Qual) Qual {
-	if _, ok := l.(QFalse); ok {
-		return QFalse{}
-	}
-	if _, ok := r.(QFalse); ok {
-		return QFalse{}
-	}
-	if _, ok := l.(QTrue); ok {
-		return r
-	}
-	if _, ok := r.(QTrue); ok {
-		return l
-	}
-	return QAnd{L: l, R: r}
-}
-
-// MkOr simplifies disjunction with static truth values.
-func MkOr(l, r Qual) Qual {
-	if _, ok := l.(QTrue); ok {
-		return QTrue{}
-	}
-	if _, ok := r.(QTrue); ok {
-		return QTrue{}
-	}
-	if _, ok := l.(QFalse); ok {
-		return r
-	}
-	if _, ok := r.(QFalse); ok {
-		return l
-	}
-	return QOr{L: l, R: r}
-}
+// operands: it is Table.Union on the values, so operands are the same when
+// they print alike, except that a label and a variable of one name are not.
+func MkUnion(l, r Expr) Expr { t := NewTable(); return t.Expr(t.Union(t.Intern(l), t.Intern(r))) }

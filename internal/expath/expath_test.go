@@ -12,60 +12,43 @@ func uni(l, r Expr) Expr { return Union{L: l, R: r} }
 func star(e Expr) Expr   { return Star{E: e} }
 func v(s string) Expr    { return Var{Name: s} }
 
+// TestSmartConstructors: the ∅/ε algebra of §2.2 on a table's terms, ⊤ and
+// ⊥ being ε and ∅.
 func TestSmartConstructors(t *testing.T) {
-	if _, ok := MkUnion(Zero{}, lbl("a")).(Label); !ok {
-		t.Errorf("∅ ∪ a should be a")
+	tb := NewTable()
+	a, x := tb.Label("a"), tb.Text("x")
+	for _, c := range []struct {
+		what      string
+		got, want Term
+	}{
+		{"∅ ∪ a", tb.Union(ZeroTerm, a), a},
+		{"a ∪ ∅", tb.Union(a, ZeroTerm), a},
+		{"a ∪ a", tb.Union(a, tb.Label("a")), a},
+		{"∅/a", tb.Cat(ZeroTerm, a), ZeroTerm},
+		{"a/∅", tb.Cat(a, ZeroTerm), ZeroTerm},
+		{"ε/a", tb.Cat(EpsTerm, a), a},
+		{"a/ε", tb.Cat(a, EpsTerm), a},
+		{"∅*", tb.Star(ZeroTerm), EpsTerm},
+		{"ε*", tb.Star(EpsTerm), EpsTerm},
+		{"(a*)*", tb.Star(tb.Star(a)), tb.Star(a)},
+		{"a[⊤]", tb.Qual(a, EpsTerm), a},
+		{"a[⊥]", tb.Qual(a, ZeroTerm), ZeroTerm},
+		{"¬⊤", tb.Not(EpsTerm), ZeroTerm},
+		{"¬¬q", tb.Not(tb.Not(x)), x},
+		{"⊥ ∧ q", tb.And(ZeroTerm, x), ZeroTerm},
+		{"⊤ ∧ q", tb.And(EpsTerm, x), x},
+		{"⊤ ∨ q", tb.Or(EpsTerm, x), EpsTerm},
+		{"⊥ ∨ q", tb.Or(ZeroTerm, x), x},
+	} {
+		if !tb.Same(c.got, c.want) {
+			t.Errorf("%s = %s, want %s", c.what, tb.QualOf(c.got), tb.QualOf(c.want))
+		}
 	}
-	if _, ok := MkUnion(lbl("a"), Zero{}).(Label); !ok {
-		t.Errorf("a ∪ ∅ should be a")
+	if _, ok := MkUnion(Zero{}, lbl("a")).(Label); !ok {
+		t.Errorf("MkUnion(∅, a) should be a")
 	}
 	if got := MkUnion(lbl("a"), lbl("a")).String(); got != "a" {
-		t.Errorf("a ∪ a = %s", got)
-	}
-	if _, ok := MkCat(Zero{}, lbl("a")).(Zero); !ok {
-		t.Errorf("∅/a should be ∅")
-	}
-	if _, ok := MkCat(lbl("a"), Zero{}).(Zero); !ok {
-		t.Errorf("a/∅ should be ∅")
-	}
-	if got := MkCat(Eps{}, lbl("a")).String(); got != "a" {
-		t.Errorf("ε/a = %s", got)
-	}
-	if got := MkCat(lbl("a"), Eps{}).String(); got != "a" {
-		t.Errorf("a/ε = %s", got)
-	}
-	if _, ok := MkStar(Zero{}).(Eps); !ok {
-		t.Errorf("∅* should be ε")
-	}
-	if _, ok := MkStar(Eps{}).(Eps); !ok {
-		t.Errorf("ε* should be ε")
-	}
-	if got := MkStar(star(lbl("a"))).String(); got != "a*" {
-		t.Errorf("(a*)* = %s", got)
-	}
-	if _, ok := MkQual(lbl("a"), QTrue{}).(Label); !ok {
-		t.Errorf("a[⊤] should be a")
-	}
-	if _, ok := MkQual(lbl("a"), QFalse{}).(Zero); !ok {
-		t.Errorf("a[⊥] should be ∅")
-	}
-	if _, ok := MkNot(QTrue{}).(QFalse); !ok {
-		t.Errorf("¬⊤ should be ⊥")
-	}
-	if _, ok := MkNot(QNot{Q: QText{C: "x"}}).(QText); !ok {
-		t.Errorf("¬¬q should be q")
-	}
-	if _, ok := MkAnd(QFalse{}, QText{C: "x"}).(QFalse); !ok {
-		t.Errorf("⊥ ∧ q should be ⊥")
-	}
-	if _, ok := MkAnd(QTrue{}, QText{C: "x"}).(QText); !ok {
-		t.Errorf("⊤ ∧ q should be q")
-	}
-	if _, ok := MkOr(QTrue{}, QText{C: "x"}).(QTrue); !ok {
-		t.Errorf("⊤ ∨ q should be ⊤")
-	}
-	if _, ok := MkOr(QFalse{}, QText{C: "x"}).(QText); !ok {
-		t.Errorf("⊥ ∨ q should be q")
+		t.Errorf("MkUnion(a, a) = %s", got)
 	}
 }
 

@@ -66,7 +66,7 @@ func relEqual(x, y Rel) bool {
 	return true
 }
 
-// TestSmartConstructorsPreserveSemantics: MkCat/MkUnion/MkStar/MkQual agree
+// TestSmartConstructorsPreserveSemantics: a table's Cat, Union and Star agree
 // with the plain constructors on random expressions and documents.
 func TestSmartConstructorsPreserveSemantics(t *testing.T) {
 	f := func(seed int64) bool {
@@ -74,13 +74,15 @@ func TestSmartConstructorsPreserveSemantics(t *testing.T) {
 		doc := randomDoc(r, propLabels)
 		a := randomExpr(r, propLabels, 2)
 		b := randomExpr(r, propLabels, 2)
+		tb := NewTable()
+		ta, tbb := tb.Intern(a), tb.Intern(b)
 		pairs := []struct{ plain, smart Expr }{
-			{Cat{L: a, R: b}, MkCat(a, b)},
-			{Union{L: a, R: b}, MkUnion(a, b)},
-			{Star{E: a}, MkStar(a)},
-			{Cat{L: Eps{}, R: a}, MkCat(Eps{}, a)},
+			{Cat{L: a, R: b}, tb.Expr(tb.Cat(ta, tbb))},
+			{Union{L: a, R: b}, tb.Expr(tb.Union(ta, tbb))},
+			{Star{E: a}, tb.Expr(tb.Star(ta))},
+			{Cat{L: Eps{}, R: a}, tb.Expr(tb.Cat(EpsTerm, ta))},
 			{Union{L: Zero{}, R: a}, MkUnion(Zero{}, a)},
-			{Cat{L: a, R: Zero{}}, MkCat(a, Zero{})},
+			{Cat{L: a, R: Zero{}}, tb.Expr(tb.Cat(ta, ZeroTerm))},
 		}
 		for _, p := range pairs {
 			x, err := EvalExpr(p.plain, doc)
@@ -184,5 +186,73 @@ func TestPruneIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reshape returns an expression that prints as e does but is built
+// differently: ∪ and / re-associated, and a qualifier moved between a
+// concatenation and its last step, at random places.
+func reshape(r *rand.Rand, e Expr) Expr {
+	switch e := e.(type) {
+	case Union:
+		l, rr := reshape(r, e.L), reshape(r, e.R)
+		if u, ok := l.(Union); ok && r.Intn(2) == 0 {
+			return Union{L: u.L, R: Union{L: u.R, R: rr}}
+		}
+		if u, ok := rr.(Union); ok && r.Intn(2) == 0 {
+			return Union{L: Union{L: l, R: u.L}, R: u.R}
+		}
+		return Union{L: l, R: rr}
+	case Cat:
+		l, rr := reshape(r, e.L), reshape(r, e.R)
+		if c, ok := l.(Cat); ok && r.Intn(2) == 0 {
+			return Cat{L: c.L, R: Cat{L: c.R, R: rr}}
+		}
+		if c, ok := rr.(Cat); ok && r.Intn(2) == 0 {
+			return Cat{L: Cat{L: l, R: c.L}, R: c.R}
+		}
+		if q, ok := rr.(Qualified); ok && r.Intn(2) == 0 {
+			return Qualified{E: Cat{L: l, R: q.E}, Q: q.Q}
+		}
+		return Cat{L: l, R: rr}
+	case Qualified:
+		inner := reshape(r, e.E)
+		if c, ok := inner.(Cat); ok && r.Intn(2) == 0 {
+			return Cat{L: c.L, R: Qualified{E: c.R, Q: e.Q}}
+		}
+		return Qualified{E: inner, Q: e.Q}
+	case Star:
+		return Star{E: reshape(r, e.E)}
+	}
+	return e
+}
+
+// TestSameIsPrintedEquality: two terms of a table are Same exactly when they
+// print alike — ∪ and / associative, E[q] on a concatenation the same as on
+// its last step — over random expressions and reshaped copies of them.
+func TestSameIsPrintedEquality(t *testing.T) {
+	labels := []string{"a", "b", "X"}
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tb := NewTable()
+		for i := 0; i < 6; i++ {
+			e := randomExpr(r, labels, 3)
+			if r.Intn(3) == 0 {
+				e = Cat{L: Var{Name: "Y"}, R: Qualified{E: e, Q: QExpr{E: Label{Name: "b"}}}}
+			}
+			tb.Intern(e)
+			tb.Intern(reshape(r, e))
+		}
+		printed := make([]string, tb.Len())
+		for x := range printed {
+			printed[x] = tb.QualOf(Term(x)).String()
+		}
+		for a := range printed {
+			for b := a + 1; b < len(printed); b++ {
+				if tb.Same(Term(a), Term(b)) != (printed[a] == printed[b]) {
+					t.Fatalf("seed %d: %q and %q, Same %v", seed, printed[a], printed[b], tb.Same(Term(a), Term(b)))
+				}
+			}
+		}
 	}
 }

@@ -23,6 +23,12 @@ type Interner struct {
 // comparable only between plans numbered by the same interner.
 func NewInterner() *Interner { return &Interner{ids: map[string]int{}} }
 
+// Reset empties the interner for reuse, keeping its storage.
+func (in *Interner) Reset() {
+	clear(in.ids)
+	in.stack, in.Lookups = in.stack[:0], 0
+}
+
 // Len returns how many distinct plans have been numbered.
 func (in *Interner) Len() int { return len(in.ids) }
 

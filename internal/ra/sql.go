@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Dialect selects the SQL rendering of the LFP operator (Fig 4 of the
@@ -50,14 +51,7 @@ type SQLRenderOptions struct {
 // output use RenderSQL, which validates and returns typed errors instead.
 func (p *Program) SQL(opts SQLRenderOptions) string {
 	rs, _ := p.renderSQL(opts)
-	var b strings.Builder
-	for _, s := range rs.Stmts {
-		b.WriteString(s.SQL)
-		b.WriteString(";\n\n")
-	}
-	b.WriteString(rs.ResultQuery)
-	b.WriteString(";\n")
-	return b.String()
+	return rs.script
 }
 
 // SQLStmt is one rendered statement: the temporary table it creates and the
@@ -83,7 +77,12 @@ type RenderedSQL struct {
 	Stmts        []SQLStmt
 	ResultTable  string
 	ResultQuery  string
+	script       string // the text Stmts and ResultQuery are spans of
 }
+
+// Script returns the program as one text, the form Program.SQL returns:
+// every statement followed by ";\n\n", then the result query and ";\n".
+func (rs *RenderedSQL) Script() string { return rs.script }
 
 // RenderSQL renders the program for execution: the same statement sequence
 // as SQL, but validated — an unknown dialect returns ErrDialect, a plan with
@@ -100,8 +99,14 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 	if opts.NodesTable == "" {
 		opts.NodesTable = "all_nodes"
 	}
+	buf := scripts.Get().(*[]byte)
 	r := &sqlRenderer{opts: opts, names: map[string]string{}, lifted: map[int]string{}, in: NewInterner(),
-		used: map[string]bool{}, baseSeq: map[string]int{}}
+		used: map[string]bool{}, baseSeq: map[string]int{}, buf: (*buf)[:0]}
+	defer func() {
+		if *buf = r.buf[:0]; cap(*buf) <= 1<<20 {
+			scripts.Put(buf)
+		}
+	}()
 	// Pre-assign sanitized names for all statements.
 	for _, s := range p.Stmts {
 		r.names[s.Name] = r.fresh(s.Name)
@@ -121,35 +126,60 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 		r.lift(s.Plan)
 		r.statement(r.names[s.Name], func() { r.render(s.Plan, 0) })
 	}
-	rs.Stmts = r.stmts
 	rs.ResultTable = r.names[p.Result]
-	rs.ResultQuery = "SELECT DISTINCT T FROM " + rs.ResultTable
+	res := len(r.buf)
+	r.w("SELECT DISTINCT T FROM ", rs.ResultTable)
+	end := len(r.buf)
+	r.w(";\n")
+	// The statements are spans of the one text the renderer wrote.
+	rs.script, rs.Stmts = string(r.buf), r.stmts
+	for i, at := range r.at {
+		rs.Stmts[i].SQL = rs.script[at[0]:at[1]]
+	}
+	rs.ResultQuery = rs.script[res:end]
 	return rs, r.err
 }
 
-// topoStmts orders statements so every Temp reference points backwards.
+// scripts recycles the renderer's buffer: a script is written into one and
+// copied out of it once, so rendering allocates the text it returns and little
+// else. Buffers past 1 MiB are dropped, not kept.
+var scripts = sync.Pool{New: func() any { return new([]byte) }}
+
+// topoStmts orders statements so every Temp reference points backwards: in
+// program order, each preceded by its dependencies not yet placed, those in
+// name order. Only these few are sorted, in place on one stack of names.
 func topoStmts(p *Program) []Stmt {
-	byName := map[string]Stmt{}
-	for _, s := range p.Stmts {
-		byName[s.Name] = s
+	byName := make(map[string]int, len(p.Stmts))
+	for i, s := range p.Stmts {
+		byName[s.Name] = i
 	}
-	var order []Stmt
-	state := map[string]int{} // 0 new, 1 visiting, 2 done
-	var visit func(name string)
-	visit = func(name string) {
-		s, ok := byName[name]
-		if !ok || state[name] != 0 {
+	order := make([]Stmt, 0, len(p.Stmts))
+	state := make([]int8, len(p.Stmts)) // 0 new, 1 visiting, 2 done
+	var refs []string
+	var visit func(i int)
+	visit = func(i int) {
+		if state[i] != 0 {
 			return
 		}
-		state[name] = 1
-		for _, dep := range TempRefs(s.Plan) {
-			visit(dep)
+		state[i] = 1
+		base := len(refs)
+		refs = appendTempRefs(refs, p.Stmts[i].Plan, true)
+		deps := refs[base:base]
+		for _, name := range refs[base:] {
+			if j, ok := byName[name]; ok && state[j] == 0 {
+				deps = append(deps, name)
+			}
 		}
-		state[name] = 2
-		order = append(order, s)
+		slices.Sort(deps)
+		for _, name := range deps {
+			visit(byName[name])
+		}
+		refs = refs[:base]
+		state[i] = 2
+		order = append(order, p.Stmts[i])
 	}
 	for _, s := range p.Stmts {
-		visit(s.Name)
+		visit(byName[s.Name])
 	}
 	return order
 }
@@ -201,8 +231,9 @@ type sqlRenderer struct {
 	baseSeq map[string]int // next numeric suffix per colliding base name
 	aliasN  int
 	err     error
-	buf     []byte // the statement being written
+	buf     []byte // the whole script, the statement being written last
 	stmts   []SQLStmt
+	at      [][2]int // per statement: its span of buf
 }
 
 // fresh sanitizes a statement name into a unique SQL identifier, applying
@@ -250,12 +281,14 @@ func (r *sqlRenderer) alias() string {
 }
 
 // statement writes CREATE TEMPORARY TABLE table AS followed by what body
-// renders, and appends it to the output.
+// renders, and its separator, to the script.
 func (r *sqlRenderer) statement(table string, body func()) {
-	r.buf = r.buf[:0]
+	start := len(r.buf)
 	r.w("CREATE TEMPORARY TABLE ", table, " AS\n")
 	body()
-	r.stmts = append(r.stmts, SQLStmt{Table: table, SQL: string(r.buf)})
+	r.stmts = append(r.stmts, SQLStmt{Table: table})
+	r.at = append(r.at, [2]int{start, len(r.buf)})
+	r.w(";\n\n")
 }
 
 // aside renders p and takes the text back out of the statement — for an

@@ -50,52 +50,146 @@ func (Desc) isPath()     {}
 func (Union) isPath()    {}
 func (Filter) isPath()   {}
 
-func (Empty) String() string    { return "." }
-func (l Label) String() string  { return l.Name }
-func (Wildcard) String() string { return "*" }
+func (p Empty) String() string    { return printPath(p) }
+func (p Label) String() string    { return printPath(p) }
+func (p Wildcard) String() string { return printPath(p) }
+func (p Seq) String() string      { return printPath(p) }
+func (p Desc) String() string     { return printPath(p) }
+func (p Union) String() string    { return printPath(p) }
+func (p Filter) String() string   { return printPath(p) }
 
-func (s Seq) String() string {
-	l := parenUnion(s.L)
-	// p1//p2 prints without the redundant '/': Seq{p1, Desc{p2}}.
-	if d, ok := s.R.(Desc); ok {
-		return l + "//" + parenStep(d.P)
-	}
-	return l + "/" + parenStep(s.R)
+func printPath(p Path) string {
+	pr := printer{buf: make([]byte, 0, 64)}
+	pr.path(p)
+	return string(pr.buf)
 }
 
-func (d Desc) String() string { return "//" + parenStep(d.P) }
-
-func (u Union) String() string { return u.L.String() + " | " + u.R.String() }
-
-func (f Filter) String() string {
-	// Wrap multi-step operands: a reparsed trailing qualifier binds to the
-	// last step, so p1/p2[q] would change the AST.
-	switch f.P.(type) {
-	case Seq, Desc, Union:
-		return "(" + f.P.String() + ")[" + f.Q.String() + "]"
+// Classes numbers the sub-paths of p, in Subpaths order, by printed form: two
+// get one number exactly when their String() are equal. p is printed once,
+// every sub-path's form being a span of that text. It returns the numbers and
+// how many distinct ones there are.
+func Classes(p Path) ([]int32, int) {
+	pr := printer{mark: true}
+	pr.path(p)
+	text, ids := string(pr.buf), make(map[string]int32, len(pr.spans))
+	out := make([]int32, len(pr.spans))
+	for i, sp := range pr.spans {
+		c, ok := ids[text[sp[0]:sp[1]]]
+		if !ok {
+			c = int32(len(ids))
+			ids[text[sp[0]:sp[1]]] = c
+		}
+		out[i] = c
 	}
-	return parenStep(f.P) + "[" + f.Q.String() + "]"
+	return out, len(ids)
 }
 
-// parenUnion parenthesizes unions appearing as operands of '/' or '[...]'.
-func parenUnion(p Path) string {
-	if _, ok := p.(Union); ok {
-		return "(" + p.String() + ")"
-	}
-	return p.String()
+// printer writes a query front to back into one buffer. Every operand's own
+// text appears verbatim in its parent's, so a sub-path's printed form is a
+// span of the whole.
+type printer struct {
+	buf   []byte
+	spans [][2]int
+	mark  bool
 }
 
-// parenStep parenthesizes paths that cannot follow a '/' or '//' unwrapped:
-// unions and paths whose leftmost step is itself a descendant axis (which
-// would print as an unparseable run of slashes).
-func parenStep(p Path) string {
-	if _, ok := p.(Union); ok {
-		return "(" + p.String() + ")"
+func (pr *printer) w(s string) { pr.buf = append(pr.buf, s...) }
+
+func (pr *printer) path(p Path) {
+	start := len(pr.buf)
+	switch p := p.(type) {
+	case Empty:
+		pr.w(".")
+	case Label:
+		pr.w(p.Name)
+	case Wildcard:
+		pr.w("*")
+	case Seq:
+		pr.paren(p.L, isUnion(p.L))
+		// p1//p2 prints without the redundant '/': Seq{p1, Desc{p2}}.
+		if _, ok := p.R.(Desc); ok {
+			pr.path(p.R)
+		} else {
+			pr.w("/")
+			pr.step(p.R)
+		}
+	case Desc:
+		pr.w("//")
+		pr.step(p.P)
+	case Union:
+		pr.path(p.L)
+		pr.w(" | ")
+		pr.path(p.R)
+	case Filter:
+		// Wrap multi-step operands: a reparsed trailing qualifier binds to the
+		// last step, so p1/p2[q] would change the AST.
+		switch p.P.(type) {
+		case Seq, Desc, Union:
+			pr.paren(p.P, true)
+		default:
+			pr.step(p.P)
+		}
+		pr.w("[")
+		pr.qual(p.Q)
+		pr.w("]")
 	}
-	if leadsWithDesc(p) {
-		return "(" + p.String() + ")"
+	if pr.mark {
+		pr.spans = append(pr.spans, [2]int{start, len(pr.buf)})
 	}
-	return p.String()
+}
+
+// step prints a path that follows a '/' or '//', parenthesizing unions and
+// paths whose leftmost step is itself a descendant axis (which would print as
+// an unparseable run of slashes).
+func (pr *printer) step(p Path) { pr.paren(p, isUnion(p) || leadsWithDesc(p)) }
+
+func (pr *printer) paren(p Path, wrap bool) {
+	if wrap {
+		pr.w("(")
+	}
+	pr.path(p)
+	if wrap {
+		pr.w(")")
+	}
+}
+
+func (pr *printer) qual(q Qual) {
+	switch q := q.(type) {
+	case QPath:
+		pr.path(q.P)
+	case QText:
+		pr.w("text()=")
+		pr.w(quoteLiteral(q.C))
+	case QNot:
+		pr.w("not(")
+		pr.qual(q.Q)
+		pr.w(")")
+	case QAnd:
+		_, l := q.L.(QOr)
+		_, r := q.R.(QOr)
+		pr.qualParen(q.L, l)
+		pr.w(" and ")
+		pr.qualParen(q.R, r)
+	case QOr:
+		pr.qual(q.L)
+		pr.w(" or ")
+		pr.qual(q.R)
+	}
+}
+
+func (pr *printer) qualParen(q Qual, wrap bool) {
+	if wrap {
+		pr.w("(")
+	}
+	pr.qual(q)
+	if wrap {
+		pr.w(")")
+	}
+}
+
+func isUnion(p Path) bool {
+	_, ok := p.(Union)
+	return ok
 }
 
 // leadsWithDesc reports whether the printed form of p begins with "//".
@@ -139,15 +233,17 @@ func (QNot) isQual()  {}
 func (QAnd) isQual()  {}
 func (QOr) isQual()   {}
 
-func (q QPath) String() string { return q.P.String() }
-func (q QText) String() string { return "text()=" + quoteLiteral(q.C) }
-func (q QNot) String() string  { return "not(" + q.Q.String() + ")" }
+func (q QPath) String() string { return printQual(q) }
+func (q QText) String() string { return printQual(q) }
+func (q QNot) String() string  { return printQual(q) }
+func (q QAnd) String() string  { return printQual(q) }
+func (q QOr) String() string   { return printQual(q) }
 
-func (q QAnd) String() string {
-	return parenOr(q.L) + " and " + parenOr(q.R)
+func printQual(q Qual) string {
+	pr := printer{buf: make([]byte, 0, 64)}
+	pr.qual(q)
+	return string(pr.buf)
 }
-
-func (q QOr) String() string { return q.L.String() + " or " + q.R.String() }
 
 // quoteLiteral prints a string literal so that the parser reads back exactly
 // its bytes. The syntax has no escapes, so a literal is delimited by the quote
@@ -161,13 +257,6 @@ func quoteLiteral(c string) string {
 		return "'" + c + "'"
 	}
 	return `concat("` + strings.ReplaceAll(c, `"`, `",'"',"`) + `")`
-}
-
-func parenOr(q Qual) string {
-	if _, ok := q.(QOr); ok {
-		return "(" + q.String() + ")"
-	}
-	return q.String()
 }
 
 // Size returns the number of AST nodes of p (|Q| in the complexity bounds).

@@ -275,6 +275,34 @@ func TestSizeAndSubpaths(t *testing.T) {
 	}
 }
 
+// TestClassesArePrintedForms: two sub-paths share a class exactly when they
+// print alike.
+func TestClassesArePrintedForms(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		p := randomPath(r, 4)
+		classes, n := Classes(p)
+		subs := Subpaths(p)
+		if len(classes) != len(subs) {
+			t.Fatalf("%s: %d classes for %d sub-paths", p, len(classes), len(subs))
+		}
+		seen := map[int32]string{}
+		for k, s := range subs {
+			if prev, ok := seen[classes[k]]; ok && prev != s.String() {
+				t.Fatalf("%s: %q and %q share class %d", p, prev, s, classes[k])
+			}
+			seen[classes[k]] = s.String()
+		}
+		printed := map[string]bool{}
+		for _, s := range subs {
+			printed[s.String()] = true
+		}
+		if len(printed) != n || len(seen) != n {
+			t.Fatalf("%s: %d classes, %d printed forms", p, n, len(printed))
+		}
+	}
+}
+
 // TestEvalUnionDistributes: p1/(p2|p3) ≡ p1/p2 | p1/p3 on random docs.
 func TestEvalUnionDistributes(t *testing.T) {
 	d := doc(t, `<a><b><c/><d/></b><b><d><c/></d></b></a>`)

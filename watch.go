@@ -3,7 +3,6 @@ package xpath2sql
 import (
 	"context"
 
-	"xpath2sql/internal/core"
 	"xpath2sql/internal/ivm"
 	"xpath2sql/internal/ra"
 	"xpath2sql/internal/store"
@@ -67,7 +66,7 @@ func (e *Engine) NewWatchHub(st *store.Store, cfg WatchConfig) (*WatchHub, error
 			}
 			// The plan-cache key doubles as the view-sharing key: queries
 			// that canonicalize to the same plan share one standing view.
-			return res.Program, core.PlanKey(e.schema.Fingerprint(), q, e.opts), nil
+			return res.Program, e.planKey(q), nil
 		},
 		MaxSubscriptions:   cfg.MaxSubscriptions,
 		SubscriptionBuffer: cfg.SubscriptionBuffer,

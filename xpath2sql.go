@@ -43,7 +43,6 @@ package xpath2sql
 import (
 	"io"
 	"math/rand"
-	"strings"
 
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/dtd"
@@ -193,14 +192,7 @@ func (t *Translation) SQL(d Dialect, opts ...SQLOption) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	for _, s := range rs.Stmts {
-		b.WriteString(s.SQL)
-		b.WriteString(";\n\n")
-	}
-	b.WriteString(rs.ResultQuery)
-	b.WriteString(";\n")
-	return b.String(), nil
+	return rs.Script(), nil
 }
 
 // Shred maps a document into the per-type edge relations R_A(F, T, V) of
