@@ -7,14 +7,17 @@ package xpath2sql
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"xpath2sql/internal/backend"
 	"xpath2sql/internal/bench"
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/ra"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
+	"xpath2sql/internal/store"
 	"xpath2sql/internal/workload"
 	"xpath2sql/internal/xmlgen"
 	"xpath2sql/internal/xpath"
@@ -289,7 +292,12 @@ var readMix = []string{
 // BenchmarkExecute measures what a warm /v1/query executes, without the
 // harness or the server: the read-desc mix, one query per iteration, over a
 // generated dept document of the workload's size (35k elements, X_L 8, X_R 4)
-// through NewLocalBackend's serial pooled path.
+// through NewLocalBackend's serial pooled path. read-mix-after-updates runs
+// the same reads on a store's latest epoch, four reads then one update drawn
+// as write-mixed draws them (benchmark/gen.go: in the ratio 2:1:1, a 9-element
+// course inserted under the root, a delete of one inserted earlier, a text
+// update of an original cno), so a read meets the relations and indexes
+// updates leave; an iteration is one read or one update.
 func BenchmarkExecute(b *testing.B) {
 	d, err := ParseDTD(workload.DeptText)
 	if err != nil {
@@ -318,6 +326,47 @@ func BenchmarkExecute(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := plans[i%len(plans)].ExecuteOn(ctx, be); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read-mix-after-updates", func(b *testing.B) {
+		st, err := store.Open(store.Config{DTD: d, Seed: db, Fsync: store.FsyncNever})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		var leaves, mine []int
+		for _, w := range db.Rel("R_cno").Tuples() {
+			leaves = append(leaves, w.T)
+		}
+		r, reads := NewRand(1), 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%5 < 4 {
+				ep := st.View()
+				if _, err := plans[reads%len(plans)].executeSnap(ctx, backend.AdoptDB(ep.DB, ep.Seq)); err != nil {
+					b.Fatal(err)
+				}
+				reads++
+				continue
+			}
+			tag := "u" + strconv.Itoa(i)
+			switch k := r.Intn(4); {
+			case k == 2 && len(mine) > 0:
+				j := r.Intn(len(mine))
+				_, err = st.DeleteSubtree(mine[j])
+				mine[j], mine = mine[len(mine)-1], mine[:len(mine)-1]
+			case k == 3:
+				_, err = st.UpdateText(leaves[r.Intn(len(leaves))], tag)
+			default:
+				var ur store.UpdateResult
+				ur, err = st.InsertSubtree(1, "<course><cno>"+tag+"</cno><title>t-"+tag+"</title><prereq></prereq><takenBy></takenBy>"+
+					"<project><pno>p-"+tag+"</pno><ptitle>pt</ptitle><required></required></project></course>")
+				mine = append(mine, ur.NodeID)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

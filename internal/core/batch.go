@@ -67,6 +67,7 @@ func MergeBatch(results []*Result) (*BatchResult, error) {
 	// Sub-statement sharing: identical inline sub-plans (now spelled
 	// identically thanks to canonical temp names) get shared temps.
 	ExtractCommon(out.Program)
+	out.Program.StampKeys()
 	return out, nil
 }
 

@@ -115,6 +115,7 @@ func (s *Schema) Translate(q xpath.Path, opts Options) (*Result, error) {
 			return nil, err
 		}
 		prog.DTDFP, prog.Query = s.Fingerprint(), CanonicalQuery(q)
+		prog.StampKeys()
 		return &Result{Strategy: opts.Strategy, Program: prog}, nil
 	case StrategyCycleE, StrategyCycleEX:
 		rec := RecFlat
@@ -138,9 +139,11 @@ func (s *Schema) Translate(q xpath.Path, opts Options) (*Result, error) {
 		}
 		// Stamp the translation DTD so engines can check that a stored
 		// interval encoding (shredded against some DTD) matches before
-		// taking the DescScan fast path, and the query text for executors
-		// that ship text, not plans.
+		// taking the DescScan fast path, the query text for executors that
+		// ship text, not plans, and the keys executors and the SQL renderer
+		// skip dedup on.
 		prog.DTDFP, prog.Query = s.Fingerprint(), CanonicalQuery(q)
+		prog.StampKeys()
 		return &Result{Strategy: opts.Strategy, EQ: eq, Program: prog}, nil
 	}
 	return nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)

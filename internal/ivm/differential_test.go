@@ -11,6 +11,8 @@ import (
 
 	"xpath2sql"
 	"xpath2sql/internal/dtd"
+	"xpath2sql/internal/ra"
+	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/store"
 	"xpath2sql/internal/xmlgen"
 )
@@ -332,6 +334,7 @@ func differentialMaintenance(t *testing.T, opts ...xpath2sql.EngineOption) {
 						t.Fatalf("update %d (epoch %d): %s maintained %v, full re-execution %v",
 							i, ur.Epoch, w.q, w.ids, want)
 					}
+					heldKeys(t, e, st, w.q)
 				}
 			}
 
@@ -351,6 +354,62 @@ func differentialMaintenance(t *testing.T, opts ...xpath2sql.EngineOption) {
 			t.Logf("dtd seed %d: %d queries, maintained=%d reruns=%d %+v",
 				seed, len(views), stats.Maintained, stats.Reruns, by)
 		})
+	}
+}
+
+// heldKeys runs every operator of q's program, one at a time, on st's current
+// epoch and checks that its rows hold the keys the plan derives for it
+// (ra.Keys), on which the executor and the SQL renderer skip dedup: no (F, T)
+// pair twice; no F, no T twice where keyed on it; F the parent of T on an
+// edge, T or an ancestor of T going down; T a node of the type's relation.
+func heldKeys(t *testing.T, e *xpath2sql.Engine, st *store.Store, q string) {
+	t.Helper()
+	tr, err := e.TranslateString(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, db := tr.Program(), st.View().DB
+	var check func(pl ra.Plan)
+	check = func(pl ra.Plan) {
+		for _, k := range ra.Inputs(pl) {
+			check(k)
+		}
+		alone := &ra.Program{Stmts: append(slices.Clip(p.Stmts), ra.Stmt{Name: "\x00op", Plan: pl}), Result: "\x00op", DTDFP: p.DTDFP}
+		alone.StampKeys()
+		rel, err := rdb.NewExec(db).Run(alone)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", q, pl, err)
+		}
+		k := p.KeysOf(pl)
+		pairs, fs, ts := map[[2]int]bool{}, map[int]bool{}, map[int]bool{}
+		for _, w := range rel.Tuples() {
+			up := w.T
+			for up != 0 && up != w.F {
+				up = db.Parent(up)
+			}
+			msg := ""
+			switch {
+			case pairs[[2]int{w.F, w.T}]:
+				msg = "the pair twice"
+			case k.KeyedF && fs[w.F]:
+				msg = "F twice, keyed on F"
+			case k.KeyedT && ts[w.T]:
+				msg = "T twice, keyed on T"
+			case k.Edge && db.Parent(w.T) != w.F:
+				msg = "F not T's parent, an edge"
+			case k.Down && up != w.F:
+				msg = "F not T or above it, going down"
+			case k.Type != "" && !db.Rel(k.Type).Has(db.Parent(w.T), w.T):
+				msg = "T not a node of " + k.Type
+			}
+			if msg != "" {
+				t.Fatalf("%s: %s holds (%d, %d): %s (keys %+v)", q, pl, w.F, w.T, msg, k)
+			}
+			pairs[[2]int{w.F, w.T}], fs[w.F], ts[w.T] = true, true, true
+		}
+	}
+	for _, s := range p.Stmts {
+		check(s.Plan)
 	}
 }
 

@@ -276,6 +276,9 @@ type Program struct {
 	// client to a remote shard — ships it in place of the plan. Metadata, like
 	// DTDFP.
 	Query string
+	// Keys is the stamp StampKeys leaves: every statement's keys, derived from
+	// the plan (nil when not stamped). Metadata, like DTDFP.
+	Keys map[string]Keys
 }
 
 func (p *Program) String() string {

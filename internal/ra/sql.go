@@ -100,7 +100,7 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 		opts.NodesTable = "all_nodes"
 	}
 	buf := scripts.Get().(*[]byte)
-	r := &sqlRenderer{opts: opts, names: map[string]string{}, lifted: map[int]string{}, in: NewInterner(),
+	r := &sqlRenderer{opts: opts, prog: p, names: map[string]string{}, lifted: map[int]string{}, in: NewInterner(),
 		used: map[string]bool{}, baseSeq: map[string]int{}, buf: (*buf)[:0]}
 	defer func() {
 		if *buf = r.buf[:0]; cap(*buf) <= 1<<20 {
@@ -221,6 +221,7 @@ func appendTempRefs(dst []string, p Plan, alt bool) []string {
 // wrote.
 type sqlRenderer struct {
 	opts  SQLRenderOptions
+	prog  *Program
 	names map[string]string // statement name -> its table
 	// lifted maps a Fix or RecUnion, by its number in in, to the table of the
 	// statement it was lifted into: one per distinct plan, however often and
@@ -391,8 +392,11 @@ func (r *sqlRenderer) render(p Plan, depth int) {
 		r.sub(p.Child, depth)
 		r.w(" ", a)
 	case Compose:
-		l, rt := r.alias(), r.alias()
-		r.head(depth, "SELECT DISTINCT ", l, ".F, ", rt, ".T, ", rt, ".V FROM ")
+		l, rt, sel := r.alias(), r.alias(), "SELECT DISTINCT "
+		if r.prog.Distinct(p) {
+			sel = "SELECT "
+		}
+		r.head(depth, sel, l, ".F, ", rt, ".T, ", rt, ".V FROM ")
 		r.sub(p.L, depth)
 		r.w(" ", l, " JOIN ")
 		r.sub(p.R, depth)
@@ -401,9 +405,13 @@ func (r *sqlRenderer) render(p Plan, depth int) {
 		if len(p.Kids) == 0 {
 			r.head(depth, "SELECT F, T, V FROM (SELECT '_' AS F, '_' AS T, '' AS V) z WHERE 1 = 0")
 		}
+		op := "UNION\n"
+		if r.prog.Distinct(p) {
+			op = "UNION ALL\n"
+		}
 		for i, k := range p.Kids {
 			if i > 0 {
-				r.line(depth, "UNION\n")
+				r.line(depth, op)
 			}
 			r.setOperand(k, depth)
 		}

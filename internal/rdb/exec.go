@@ -429,6 +429,14 @@ func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 	return out, err
 }
 
+// distinct reports whether pl, an operator of the running program, derives no
+// pair twice (ra.Keys). Only a stamped program translated against the
+// database's DTD is known to: a hand-built program or a random database is
+// deduplicated.
+func (e *Exec) distinct(pl ra.Plan) bool {
+	return e.DB.fingerprintMatches(e.prog) && e.prog.Distinct(pl)
+}
+
 // identRel materializes R_id: (v, v, v.val) for every stored node, plus the
 // virtual document root (0, 0) so that ε holds at the top-level context.
 // A query answer of node 0 is filtered out at extraction time — the virtual

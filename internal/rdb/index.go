@@ -28,9 +28,10 @@ type colIndex struct {
 	offs  []int32
 	pos   []int32
 	// built is the number of leading tuples the snapshot covers; positions
-	// appended afterwards live in extra.
+	// appended afterwards live in extra, whose keys all lie in [xlo, xhi].
 	built    int
 	extra    map[int32][]int32
+	xlo, xhi int32
 	distinct int // number of distinct keys at build time
 
 	// sortBuf is the sparse build's scratch, kept only by a pooled relation's
@@ -364,24 +365,39 @@ func (idx *colIndex) lookup(k int32) (snap, over []int32) {
 	if k == 0 && idx.scoped {
 		return idx.rootSnap, idx.rootOver
 	}
+	return idx.snap(k), idx.over(k)
+}
+
+// snap returns the snapshot positions of a key.
+func (idx *colIndex) snap(k int32) []int32 {
 	if idx.sparse {
 		if b, ok := idx.bucketOf(k); ok {
-			snap = idx.pos[idx.offs[b]:idx.offs[b+1]]
+			return idx.pos[idx.offs[b]:idx.offs[b+1]]
 		}
 	} else if k >= 0 && int(k)+1 < len(idx.offs) {
-		snap = idx.pos[idx.offs[k]:idx.offs[k+1]]
+		return idx.pos[idx.offs[k]:idx.offs[k+1]]
 	}
-	if idx.extra != nil {
-		over = idx.extra[k]
+	return nil
+}
+
+// over returns the overflow positions of a key. A store update appends the
+// rows of new nodes, whose IDs are above every old one: a key outside the
+// overflow's range, as most old nodes are, skips the map.
+func (idx *colIndex) over(k int32) []int32 {
+	if k < idx.xlo || k > idx.xhi {
+		return nil
 	}
-	return snap, over
+	return idx.extra[k]
 }
 
 // contains reports whether any tuple holds the key — the membership probe
-// semijoin-style operators use instead of materializing a value set.
+// semijoin-style operators use instead of materializing a value set. The
+// snapshot answers first.
 func (idx *colIndex) contains(k int32) bool {
-	snap, over := idx.lookup(k)
-	return len(snap) > 0 || len(over) > 0
+	if k == 0 && idx.scoped {
+		return len(idx.rootSnap)+len(idx.rootOver) > 0
+	}
+	return len(idx.snap(k)) > 0 || len(idx.over(k)) > 0
 }
 
 // cloneFor returns the index for a clone of the relation, which has n rows: a
@@ -394,23 +410,15 @@ func (idx *colIndex) cloneFor(n int) *colIndex {
 	if n-idx.built > idx.built/foldShare+foldSlack {
 		return idx.folded(n)
 	}
-	c := &colIndex{
-		sparse:   idx.sparse,
-		keys:     idx.keys,
-		dir:      idx.dir,
-		shift:    idx.shift,
-		offs:     idx.offs,
-		pos:      idx.pos,
-		built:    idx.built,
-		distinct: idx.distinct,
-	}
+	c := *idx // a stored relation's index: not pooled, not scoped
+	c.extra = nil
 	if len(idx.extra) > 0 {
 		c.extra = make(map[int32][]int32, len(idx.extra))
 		for k, v := range idx.extra {
 			c.extra[k] = v[:len(v):len(v)]
 		}
 	}
-	return c
+	return &c
 }
 
 // add extends the index with one appended tuple.
@@ -418,5 +426,9 @@ func (idx *colIndex) add(k int32, pos int32) {
 	if idx.extra == nil {
 		idx.extra = map[int32][]int32{}
 	}
+	if len(idx.extra) == 0 {
+		idx.xlo, idx.xhi = k, k
+	}
+	idx.xlo, idx.xhi = min(idx.xlo, k), max(idx.xhi, k)
 	idx.extra[k] = append(idx.extra[k], pos)
 }

@@ -34,6 +34,11 @@ func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 				t.Fatalf("%s: onF=%v key %d: contains disagrees with lookup", step, onF, k)
 			}
 		}
+		for k := range idx.extra {
+			if k < idx.xlo || k > idx.xhi {
+				t.Fatalf("%s: onF=%v: overflow key %d outside its range [%d, %d]", step, onF, k, idx.xlo, idx.xhi)
+			}
+		}
 		if idx.built == len(r.rows) && idx.distinct != fresh.distinct {
 			t.Fatalf("%s: onF=%v: %d distinct keys carried, %d rebuilt", step, onF, idx.distinct, fresh.distinct)
 		}
@@ -164,6 +169,70 @@ func TestOverflowStaysBounded(t *testing.T) {
 		t.Fatalf("%d index builds and %d folds over 2000 appends; want none, and a fold now and then", r.IndexBuilds(), folds)
 	}
 	checkCarriedIndexes(t, "after 2000 appends", r, []int32{0, 1, 100, 4000, 18000, 1 << 20})
+}
+
+// TestOverflowProbeMatchesRebuild: a relation shaped by store updates — a
+// snapshot of old nodes, then appended rows of new nodes, above every old ID,
+// under old and new parents — answers lookup and contains as a fresh build
+// does for keys inside the snapshot, inside the overflow, between the two and
+// outside both: after appends, after a clone that copies the overflow
+// (cloneFor), after one that folds it into a snapshot (folded), and after
+// deletes compacted away (compact), of old rows and new.
+func TestOverflowProbeMatchesRebuild(t *testing.T) {
+	var keys []int32
+	for _, span := range [][2]int32{{-3, 130}, {990, 1400}, {5000, 5003}, {1 << 28, 1<<28 + 2}} {
+		for k := span[0]; k <= span[1]; k++ {
+			keys = append(keys, k)
+		}
+	}
+	r := NewRelation("R")
+	for id := int32(1); id <= 100; id++ {
+		r.addRow(row{f: id / 4, t: id})
+	}
+	r.ByF(0)
+	r.ByT(0)
+	next := int32(1000)
+	insert := func(parent int32, n int) {
+		for i := 0; i < n; i++ {
+			r.addRow(row{f: parent, t: next})
+			parent, next = next, next+2 // gaps: keys between overflow keys
+		}
+	}
+	drop := func(ts ...int32) {
+		for _, t := range ts {
+			for _, w := range r.rows {
+				if w.t == t {
+					r.Delete(int(w.f), int(w.t))
+				}
+			}
+		}
+		r.Compact()
+	}
+	insert(7, 5)
+	checkCarriedIndexes(t, "appended under an old parent", r, keys)
+	r = r.Clone()
+	insert(1002, 4)
+	checkCarriedIndexes(t, "cloned, then appended under a new parent", r, keys)
+	if r.idxT.Load().built != 100 {
+		t.Fatalf("the clone snapshot covers %d rows, want the overflow copied, not folded", r.idxT.Load().built)
+	}
+	drop(3, 1004)
+	checkCarriedIndexes(t, "an old and a new row compacted away", r, keys)
+	insert(50, 100)
+	r = r.Clone()
+	if r.idxT.Load().built != len(r.rows) {
+		t.Fatalf("the clone snapshot covers %d of %d rows, want the overflow folded", r.idxT.Load().built, len(r.rows))
+	}
+	checkCarriedIndexes(t, "folded", r, keys)
+	insert(1010, 3)
+	drop(1010, next-2)
+	checkCarriedIndexes(t, "appended after the fold, then compacted", r, keys)
+	drop(next-4, next-6)
+	if n := len(r.idxT.Load().extra); n != 0 {
+		t.Fatalf("%d keys left in the T overflow, want none", n)
+	}
+	insert(2, 2)
+	checkCarriedIndexes(t, "the overflow emptied and refilled", r, keys)
 }
 
 // TestSharedChunksDoNotPinTheirEpoch: the newest database shares node-table

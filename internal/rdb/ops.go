@@ -58,16 +58,18 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		e.Stats.TuplesOut += out.Len()
 		return out, nil
 	case ra.Compose:
-		return e.compose(in[0], in[1])
+		return e.compose(in[0], in[1], e.distinct(pl))
 	case ra.UnionAll:
 		out := e.newRel("")
+		distinct := e.distinct(pl)
 		for i, kr := range in {
 			if i > 0 {
 				e.Stats.Unions++
 			}
 			for _, w := range kr.rows {
-				// The first operand is a set: only the others can repeat a pair.
-				if i == 0 {
+				// The first operand is a set: only the others can repeat a pair,
+				// and not when the operands' types differ.
+				if i == 0 || distinct {
 					out.appendFrom(kr, w)
 				} else if !out.addFrom(kr, w) {
 					continue
@@ -201,9 +203,9 @@ func constraintOperands(start, end ra.Plan, rest []*Relation) (s, e *Relation) {
 // build side. Large probes run morsel-parallel; serial probes fold matches
 // straight into the output with no candidate buffer and no closure state,
 // producing the identical tuple order.
-// An output pair has one derivation, so needs no dedup, when l is keyed on F
-// or r on T. Stored edge relations are keyed on T (a node has one parent).
-func (e *Exec) compose(l, r *Relation) (*Relation, error) {
+// Unless distinct says each output pair has one derivation (ra.Keys), the
+// output is deduplicated as it is written.
+func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 	e.Stats.Joins++
 	out := e.newRel("")
 	// The probe side is scanned, the build side resolves index positions.
@@ -229,7 +231,6 @@ func (e *Exec) compose(l, r *Relation) (*Relation, error) {
 		e.Stats.TuplesOut += out.Len()
 		return out, nil
 	}
-	distinct := r.keyed(false) || l.keyed(true)
 	n := len(rrows)
 	if probeL {
 		n = len(lrows)
@@ -644,25 +645,21 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 		return nil, errNoDescKernel
 	}
 	// The To side is read only inside a source's interval, which a scope
-	// contains: no bound of its own. Distinct sources pair with distinct
-	// descendants unless a node is the T of two To rows.
+	// contains: no bound of its own.
 	toIdx, ok := st.indexFor(db.Rel(pl.To))
 	if !ok {
 		return nil, errNoDescKernel
 	}
-	distinct := db.Rel(pl.To).keyed(false)
-	// Distinct source nodes: the T values of R_From, in row order, filtered
-	// by the pushed start constraint (keyed on T, R_From lists each once). A
-	// source the encoding cannot place invalidates the whole scan.
+	// The sources: the T values of R_From, in row order, filtered by the
+	// pushed start constraint. Under the fingerprint gate R_From and R_To are
+	// a document's, keyed on T (ra.Keys): each source is listed once and pairs
+	// with each of its descendants once. A source the encoding cannot place
+	// invalidates the whole scan.
 	fromRel, err := e.stored(pl.From)
 	if err != nil {
 		return nil, err
 	}
 	frows := fromRel.rows
-	var seen map[int32]struct{}
-	if !fromRel.keyed(false) {
-		seen = e.idScratch(fromRel.distinctHint(fromRel.idxT.Load()))
-	}
 	type src struct {
 		id         int32
 		begin, end int64
@@ -670,11 +667,6 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 	var srcs []src
 	for i := range frows {
 		t := frows[i].t
-		if _, dup := seen[t]; dup {
-			continue
-		} else if seen != nil {
-			seen[t] = struct{}{}
-		}
 		if startIdx != nil && !startIdx.contains(t) {
 			continue
 		}
@@ -702,22 +694,19 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 		}
 		for _, buf := range bufs {
 			for _, c := range buf {
-				if out.put(c.out, distinct) {
-					e.Stats.TuplesOut++
-				}
+				out.appendDistinct(c.out)
 			}
 		}
-		return out, nil
+	} else {
+		// A serial scan folds matches straight into the output, in the same
+		// order, with no candidate buffer.
+		for _, x := range srcs {
+			toIdx.descendants(x.begin, x.end, endIdx, func(to row) {
+				out.appendDistinct(row{f: x.id, t: to.t, v: to.v})
+			})
+		}
 	}
-	// A serial scan folds matches straight into the output, in the same
-	// order, with no candidate buffer.
-	for _, x := range srcs {
-		toIdx.descendants(x.begin, x.end, endIdx, func(to row) {
-			if out.put(row{f: x.id, t: to.t, v: to.v}, distinct) {
-				e.Stats.TuplesOut++
-			}
-		})
-	}
+	e.Stats.TuplesOut += out.Len()
 	return out, nil
 }
 

@@ -54,8 +54,6 @@ type Relation struct {
 	// set holds the (F, T) pair of every live row once ensureSet has run. A
 	// stored relation, and one shared across goroutines, is never left short.
 	set pairSet
-	// within is the relation a filter kernel copied all r's rows from, if any.
-	within *Relation
 
 	// Index snapshots are built lazily on first probe. The pointers are
 	// atomic and the build is mutex-serialized because base relations are
@@ -131,7 +129,6 @@ func (r *Relation) addRow(w row) bool {
 	if !r.set.insert(packPair(w.f, w.t)) {
 		return false
 	}
-	r.within = nil
 	r.appendDistinct(w)
 	return true
 }
@@ -182,12 +179,11 @@ func (r *Relation) addFrom(src *Relation, w row) bool {
 	return r.Add(int(w.f), int(w.t), src.interner().Str(w.v))
 }
 
-// appendFrom is appendDistinct of a row of src, which r's rows all come from.
+// appendFrom is appendDistinct of a row of src.
 func (r *Relation) appendFrom(src *Relation, w row) {
 	if r.syms != src.syms && w.v != 0 {
 		w.v = r.interner().Intern(src.interner().Str(w.v))
 	}
-	r.within = src
 	r.appendDistinct(w)
 }
 
@@ -200,17 +196,6 @@ func (r *Relation) grow(n int) {
 	}
 	r.ensureSet()
 	r.set.reserve(n)
-}
-
-// keyed reports whether no two rows of r share their F (onF) or T: r has at
-// most one row, is within a keyed relation, or that column's index has a
-// bucket per row. Only an index that outlives the request is built for this.
-func (r *Relation) keyed(onF bool) bool {
-	if len(r.rows) <= 1 || r.within != nil && r.within.keyed(onF) {
-		return true
-	}
-	idx := r.index(onF, !r.pooled || r.base != nil)
-	return idx != nil && len(idx.extra) == 0 && idx.distinct == idx.built && idx.built == len(r.probeRows())
 }
 
 // Has reports whether (f, t) is present.
@@ -671,7 +656,7 @@ func (r *Relation) reset() {
 		r.rows, r.base = nil, nil
 	}
 	r.set.clear(r.rows)
-	r.rows, r.within = r.rows[:0], nil
+	r.rows = r.rows[:0]
 	r.idxF.Store(nil)
 	r.idxT.Store(nil)
 	if r.paths != nil {
