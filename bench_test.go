@@ -292,7 +292,8 @@ var readMix = []string{
 // BenchmarkExecute measures what a warm /v1/query executes, without the
 // harness or the server: the read-desc mix, one query per iteration, over a
 // generated dept document of the workload's size (35k elements, X_L 8, X_R 4)
-// through NewLocalBackend's serial pooled path. read-mix-after-updates runs
+// through NewLocalBackend's serial pooled path; query/<i> runs the mix's i-th
+// query alone, for a per-query profile. read-mix-after-updates runs
 // the same reads on a store's latest epoch, four reads then one update drawn
 // as write-mixed draws them (benchmark/gen.go: in the ratio 2:1:1, a 9-element
 // course inserted under the root, a delete of one inserted earlier, a text
@@ -330,6 +331,16 @@ func BenchmarkExecute(b *testing.B) {
 			}
 		}
 	})
+	for i, plan := range plans {
+		b.Run(fmt.Sprintf("query/%d", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for j := 0; j < b.N; j++ {
+				if _, err := plan.ExecuteOn(ctx, be); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("read-mix-after-updates", func(b *testing.B) {
 		st, err := store.Open(store.Config{DTD: d, Seed: db, Fsync: store.FsyncNever})
 		if err != nil {

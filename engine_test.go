@@ -307,15 +307,7 @@ func TestEngineBatchPerQueryStats(t *testing.T) {
 	}
 	var sum xpath2sql.ExecStats
 	for _, s := range ans.PerQuery {
-		sum.Joins += s.Joins
-		sum.Unions += s.Unions
-		sum.LFPs += s.LFPs
-		sum.LFPIters += s.LFPIters
-		sum.RecFixes += s.RecFixes
-		sum.TuplesOut += s.TuplesOut
-		sum.StmtsRun += s.StmtsRun
-		sum.Morsels += s.Morsels
-		sum.DescScans += s.DescScans
+		sum.Add(s)
 	}
 	if sum != ans.Stats {
 		t.Fatalf("per-query stats sum %+v != total %+v", sum, ans.Stats)
@@ -378,15 +370,7 @@ func TestEngineBatchParallelAgrees(t *testing.T) {
 	}
 	var sum xpath2sql.ExecStats
 	for _, s := range pAns.PerQuery {
-		sum.Joins += s.Joins
-		sum.Unions += s.Unions
-		sum.LFPs += s.LFPs
-		sum.LFPIters += s.LFPIters
-		sum.RecFixes += s.RecFixes
-		sum.TuplesOut += s.TuplesOut
-		sum.StmtsRun += s.StmtsRun
-		sum.Morsels += s.Morsels
-		sum.DescScans += s.DescScans
+		sum.Add(s)
 	}
 	if sum != pAns.Stats {
 		t.Fatalf("parallel per-query stats sum %+v != total %+v", sum, pAns.Stats)

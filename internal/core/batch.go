@@ -262,6 +262,8 @@ func (b *BatchResult) attributeStats(trace *obs.Trace) []rdb.Stats {
 		per[q].TuplesOut += ev.Ops.TuplesOut
 		per[q].Morsels += ev.Ops.Morsels
 		per[q].DescScans += ev.Ops.DescScans
+		per[q].StairScans += ev.Ops.StairScans
+		per[q].ExistsProbes += ev.Ops.ExistsProbes
 		per[q].StmtsRun++
 	}
 	return per

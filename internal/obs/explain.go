@@ -103,6 +103,12 @@ func Explain(p *ra.Program, t *Trace, cache *CacheStats) string {
 		if ev.Ops.DescScans > 0 {
 			fmt.Fprintf(&b, " descscans=%d", ev.Ops.DescScans)
 		}
+		if ev.Ops.StairScans > 0 {
+			fmt.Fprintf(&b, " stairscans=%d", ev.Ops.StairScans)
+		}
+		if ev.Ops.ExistsProbes > 0 {
+			fmt.Fprintf(&b, " exists=%d", ev.Ops.ExistsProbes)
+		}
 		b.WriteString("\n")
 	}
 	for _, ev := range others {

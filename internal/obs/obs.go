@@ -95,6 +95,9 @@ type OpStats struct {
 	TuplesOut int // tuples produced
 	Morsels   int // morsels scanned by intra-operator parallel sections
 	DescScans int // descendant closures answered by the interval kernel
+	// Of those, the ones seeded from their outermost sources, and the
+	// qualifier operators evaluated for their F column alone.
+	StairScans, ExistsProbes int
 }
 
 // Add accumulates b into s.
@@ -107,6 +110,8 @@ func (s *OpStats) Add(b OpStats) {
 	s.TuplesOut += b.TuplesOut
 	s.Morsels += b.Morsels
 	s.DescScans += b.DescScans
+	s.StairScans += b.StairScans
+	s.ExistsProbes += b.ExistsProbes
 }
 
 // Sub removes b from s.
@@ -119,6 +124,8 @@ func (s *OpStats) Sub(b OpStats) {
 	s.TuplesOut -= b.TuplesOut
 	s.Morsels -= b.Morsels
 	s.DescScans -= b.DescScans
+	s.StairScans -= b.StairScans
+	s.ExistsProbes -= b.ExistsProbes
 }
 
 // StmtEvent is the observation of one evaluated RA statement.

@@ -2,12 +2,14 @@ package rdb_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/obs"
 	"xpath2sql/internal/ra"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
@@ -20,18 +22,19 @@ import (
 
 // readMix is the read-desc workload's query mix (benchmark/gen.go), each
 // query with the pair-set work its plan cannot avoid: none where every join
-// has a keyed side and every union operands of different types (all), at most
-// the union's operand rows where the only dedup is a union (union), and
-// otherwise less than a hash of every tuple.
+// has a keyed side, every union operands of different types, and every
+// qualifier is probed for its witnesses alone, and otherwise less than a hash
+// of every tuple — the union of a // step's descendants with the context
+// itself.
 var readMix = []struct {
 	query string
-	needs string // "none", "union" or "some"
+	needs string // "none" or "some"
 }{
 	{"dept//project", "none"},
 	{"dept//cno", "none"},
 	{"dept//course//title", "some"},
-	{"dept//student[qualified//course]", "some"},
-	{"dept/course[cno and not(.//project)]", "union"},
+	{"dept//student[qualified//course]", "none"},
+	{"dept/course[cno and not(.//project)]", "none"},
 	{"dept/course/prereq//course/prereq/course", "some"},
 	{"dept//cno[text()='%s']", "none"}, // a cno value of the smallest document
 	{"dept//sno | dept//pno", "none"},
@@ -55,46 +58,6 @@ func deptDB(t *testing.T, elems int) *rdb.DB {
 		t.Fatal(err)
 	}
 	return db
-}
-
-// unionOperandRows sums, over every UnionAll the executor evaluates in p (a
-// DescScan's fixpoint alternative is not: the interval kernel answers it), the
-// rows of its operands, each operand run on its own.
-func unionOperandRows(t *testing.T, db *rdb.DB, p *ra.Program) int {
-	t.Helper()
-	rows, seen := 0, map[string]bool{}
-	var walk func(pl ra.Plan)
-	walk = func(pl ra.Plan) {
-		switch pl := pl.(type) {
-		case ra.Temp:
-			if !seen[pl.Name] {
-				seen[pl.Name] = true
-				walk(p.Lookup(pl.Name))
-			}
-			return
-		case ra.DescScan:
-			for _, k := range []ra.Plan{pl.Start, pl.End} {
-				if k != nil {
-					walk(k)
-				}
-			}
-			return
-		case ra.UnionAll:
-			for _, k := range pl.Kids {
-				stmts := append(p.Stmts[:len(p.Stmts):len(p.Stmts)], ra.Stmt{Name: "operand", Plan: k})
-				rel, err := rdb.NewExec(db).Run(&ra.Program{Stmts: stmts, Result: "operand"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows += rel.Len()
-			}
-		}
-		for _, k := range ra.Inputs(pl) {
-			walk(k)
-		}
-	}
-	walk(ra.Temp{Name: p.Result})
-	return rows
 }
 
 // hashing is what one pooled run of p on db produces and what its pair sets
@@ -166,7 +129,10 @@ func updated(t *testing.T, db *rdb.DB, n int) (after, fresh *rdb.DB) {
 // produces; and clearing a set writes slots in proportion to the keys it held
 // (at most 8 a key), not to its capacity. What may hash is decided from the
 // plan, so a read after 100 updates hashes exactly what the same read does on
-// a fresh load of the document the updates left.
+// a fresh load of the document the updates left. At 16×, the whole mix
+// produces at most 30 000 tuples and inserts at most 8 000 pairs, before the
+// updates and after (43 273 and 12 926 when every answer was derived once per
+// enclosing source and every qualifier was built whole).
 func TestReadMixHashesOnlyWhereDuplicatesArise(t *testing.T) {
 	const base = 1000
 	scales := []int{16, 4, 1}
@@ -191,20 +157,18 @@ func TestReadMixHashesOnlyWhereDuplicatesArise(t *testing.T) {
 	for si, scale := range scales {
 		db := dbs[si]
 		after, fresh := updated(t, db, 100)
+		var total, totalAfter [2]int // tuples, inserts
 		for i, m := range readMix {
 			q := queries[i]
 			tuples, inserts, cleared := hashing(t, db, progs[i])
-			_, afterInserts, _ := hashing(t, after, progs[i])
+			afterTuples, afterInserts, _ := hashing(t, after, progs[i])
+			total[0], total[1] = total[0]+tuples, total[1]+inserts
+			totalAfter[0], totalAfter[1] = totalAfter[0]+afterTuples, totalAfter[1]+afterInserts
 			_, freshInserts, _ := hashing(t, fresh, progs[i])
 			t.Logf("%2d× %-42s tuples %6d  inserts %6d  cleared %6d  after 100 updates %6d (fresh load %6d)",
 				scale, q, tuples, inserts, cleared, afterInserts, freshInserts)
-			switch {
-			case m.needs == "none" && (inserts != 0 || cleared != 0 || afterInserts != 0):
+			if m.needs == "none" && (inserts != 0 || cleared != 0 || afterInserts != 0) {
 				t.Errorf("%d× %s: %d pair-set inserts and %d slots cleared, %d inserts after 100 updates, want 0, 0 and 0", scale, q, inserts, cleared, afterInserts)
-			case m.needs == "union":
-				if rows := unionOperandRows(t, db, progs[i]); inserts > rows {
-					t.Errorf("%d× %s: %d pair-set inserts, want at most the %d rows of the union operands", scale, q, inserts, rows)
-				}
 			}
 			if afterInserts != freshInserts {
 				t.Errorf("%d× %s: %d pair-set inserts after 100 updates, %d on a fresh load of the same document", scale, q, afterInserts, freshInserts)
@@ -216,5 +180,53 @@ func TestReadMixHashesOnlyWhereDuplicatesArise(t *testing.T) {
 				t.Errorf("%d× %s: clearing wrote %d slots for %d inserts", scale, q, cleared, inserts)
 			}
 		}
+		t.Logf("%2d× the mix: tuples %d, inserts %d; after 100 updates %d, %d", scale, total[0], total[1], totalAfter[0], totalAfter[1])
+		if scale == 16 {
+			for _, tot := range [][2]int{total, totalAfter} {
+				if tot[0] > 30000 || tot[1] > 8000 {
+					t.Errorf("16×: the mix produced %d tuples and inserted %d pairs, want at most 30 000 and 8 000", tot[0], tot[1])
+				}
+			}
+		}
+	}
+}
+
+// TestReadMixTraceAddsUp runs the read mix traced: the per-statement events
+// Explain prints add up to the run's Stats — tuples= to TuplesOut, and every
+// other counter — and Explain names the staircase scans and the existence
+// probes where they ran.
+func TestReadMixTraceAddsUp(t *testing.T) {
+	db := deptDB(t, 1000)
+	cno := db.Rel("R_cno").Tuples()[0].V
+	var mix rdb.Stats
+	for _, m := range readMix {
+		q := strings.ReplaceAll(m.query, "%s", cno)
+		res, err := core.Translate(xpath.MustParse(q), workload.Dept(), core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := rdb.NewExec(db)
+		var tr obs.Trace
+		if _, err := ex.RunCtx(context.Background(), res.Program, &tr); err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, ev := range tr.Events {
+			sum += ev.Ops.TuplesOut
+		}
+		if sum != ex.Stats.TuplesOut || tr.Totals().Ops != ex.Stats.Ops() {
+			t.Errorf("%s: the statements' tuples= add up to %d and their counters to %+v; the run's are %d and %+v",
+				q, sum, tr.Totals().Ops, ex.Stats.TuplesOut, ex.Stats.Ops())
+		}
+		text := obs.Explain(res.Program, &tr, nil)
+		for word, n := range map[string]int{"stairscans=": ex.Stats.StairScans, "exists=": ex.Stats.ExistsProbes} {
+			if strings.Contains(text, word) != (n > 0) {
+				t.Errorf("%s: %d, and Explain prints %q: %v\n%s", q, n, word, strings.Contains(text, word), text)
+			}
+		}
+		mix.Add(ex.Stats)
+	}
+	if mix.StairScans == 0 || mix.ExistsProbes == 0 {
+		t.Fatalf("the read mix took no staircase scan or no existence probe: %+v", mix)
 	}
 }

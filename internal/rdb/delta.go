@@ -259,10 +259,10 @@ func (vs *ViewState) buildNode(pl ra.Plan) (*viewNode, error) {
 		return n, err
 	case ra.DescScan:
 		// Decide the maintenance strategy now: through the interval kernel
-		// when the database carries a matching encoding, else through the
-		// fixpoint alternative subtree.
-		if n.useFast = vs.descFastUsable(pl); n.useFast {
-			kids = kids[1:]
+		// when it opens on the view's epoch (the executor's gate), else
+		// through the fixpoint alternative subtree.
+		if _, err := vs.ex.openDesc(pl); err == nil {
+			n.useFast, kids = true, kids[1:]
 		}
 	}
 	for _, p := range kids {
@@ -273,17 +273,6 @@ func (vs *ViewState) buildNode(pl ra.Plan) (*viewNode, error) {
 		n.kids = append(n.kids, k)
 	}
 	return n, nil
-}
-
-// descFastUsable mirrors descScanFast's gate: a matching DTD fingerprint, a
-// valid encoding, and a buildable begin-sorted index over the To relation.
-func (vs *ViewState) descFastUsable(pl ra.DescScan) bool {
-	db := vs.ex.DB
-	if !db.fingerprintMatches(vs.prog) {
-		return false
-	}
-	_, ok := db.descIndexFor(db.Rel(pl.To))
-	return ok
 }
 
 // --- full evaluation -----------------------------------------------------
@@ -529,6 +518,11 @@ func (vs *ViewState) nodeDelta(n *viewNode, u *update) (*Relation, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	for _, r := range [2]*Relation{n.out, n.aux} {
+		if r != nil {
+			r.foldIndexes()
+		}
 	}
 	n.delta, n.round = d, vs.round
 	return d, nil
@@ -783,28 +777,31 @@ func (vs *ViewState) descGrow(n *viewNode, pl ra.DescScan, d *Relation, in, kd [
 		}
 		return nil
 	}
-	db := vs.ex.DB
-	if !db.fingerprintMatches(vs.prog) || !db.HasIntervals() {
+	db, st := vs.ex.DB, vs.ex.DB.encoding()
+	if !db.fingerprintMatches(vs.prog) || st == nil {
 		return ErrNonIncremental
 	}
 	fromRel, toRel := db.Rel(pl.From), db.Rel(pl.To)
 	var toIdx *descIndex
 	scanDown := func(x int32) error {
 		if toIdx == nil {
-			idx, ok := db.descIndexFor(toRel)
-			if !ok {
+			idx, err := st.indexFor(toRel)
+			if err != nil {
 				return ErrNonIncremental
 			}
 			toIdx = idx
 		}
-		iv, has := db.Interval(int(x))
+		iv, has := st.tab.get(int(x))
 		if !has {
 			return ErrNonIncremental
 		}
 		vs.ex.Stats.DescScans++
-		toIdx.descendants(iv.Begin, iv.End, endIdx, func(to row) {
-			vs.admit(n, d, row{f: x, t: to.t, v: to.v})
-		})
+		lo, hi := toIdx.rangeOf(0, iv.Begin, iv.End)
+		for _, to := range toIdx.rows[lo:hi] {
+			if endIdx == nil || endIdx.contains(to.t) {
+				vs.admit(n, d, row{f: x, t: to.t, v: to.v})
+			}
+		}
 		return nil
 	}
 	walkUp := func(t int32) {

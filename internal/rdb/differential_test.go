@@ -247,6 +247,135 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+
+	// The shapes where Exec computes less than a whole operator, over
+	// interval-encoded forests: every physical path — the interval kernel with
+	// its staircase and existence uses, the fixpoint alternative, the kernel
+	// forced — must answer what the naive evaluator does.
+	var used Stats
+	g := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		nRels := 1 + r.Intn(3)
+		db := makeForest(r, 4+r.Intn(40), 1+r.Intn(3), nRels)
+		p := kernelProgram(r, nRels)
+		want, err := NewNaiveExec(db).Run(p)
+		if err != nil {
+			t.Logf("naive: %v", err)
+			return false
+		}
+		for _, mode := range []IntervalMode{IntervalAuto, IntervalOff, IntervalForce} {
+			var stats [2]Stats
+			for i, workers := range []int{1, 4} {
+				ex := NewExec(db)
+				ex.IntervalMode, ex.Parallelism = mode, workers
+				got, err := ex.Run(p)
+				if err == nil && !sameTuples(want.Tuples(), got.Tuples()) {
+					err = fmt.Errorf("tuples differ from naive\nnaive: %v\ngot:   %v", canonTuples(want.Tuples()), canonTuples(got.Tuples()))
+				}
+				if err != nil {
+					t.Logf("seed=%d, %v, parallelism %d: %v\nprogram:\n%s", seed, mode, workers, err, p)
+					return false
+				}
+				stats[i] = ex.Stats
+				stats[i].Morsels = 0
+			}
+			if stats[0] != stats[1] {
+				t.Logf("seed=%d, %v: stats differ, serial %+v parallel %+v", seed, mode, stats[0], stats[1])
+				return false
+			}
+			if mode == IntervalAuto {
+				used.Add(stats[0])
+			}
+		}
+		sched, _, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4})
+		if err != nil || !sameTuples(want.Tuples(), sched.Tuples()) {
+			t.Logf("seed=%d, scheduler: %v\nprogram:\n%s", seed, err, p)
+			return false
+		}
+		if msg := distinctRuns(db, p, want.Tuples()); msg != "" {
+			t.Logf("seed=%d: %s\nprogram:\n%s", seed, msg, p)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("kernel programs under IntervalAuto: %+v", used)
+	if used.StairScans == 0 || used.ExistsProbes == 0 {
+		t.Fatalf("the kernel programs never took a partial path: %+v", used)
+	}
+}
+
+// kernelProgram draws, over a forest of nRels relations (makeForest), the
+// shapes where Exec computes less than a whole operator:
+//
+//   - ctx ⋈ DescScan{Start: ctx}, and the same without Start, with ctx of one
+//     F — the virtual root's over sources nested at every depth, a document
+//     root's — or of many;
+//   - semijoins and antijoins whose right operand is a DescScan, a compose
+//     chain ending in or passing through one, a union of such a chain, or a
+//     compose over a union.
+//
+// Every DescScan's Alt is the fixpoint form of what the kernel answers (the
+// closure of all edges, typed at both ends), so every path, and the naive
+// evaluator, answer alike.
+func kernelProgram(r *rand.Rand, nRels int) *ra.Program {
+	rel := func() string { return fmt.Sprintf("R%d", r.Intn(nRels)) }
+	var edges []ra.Plan
+	for i := 0; i < nRels; i++ {
+		edges = append(edges, ra.Base{Rel: fmt.Sprintf("R%d", i)})
+	}
+	closure := ra.Temp{Name: "closure"}
+	ctxs := []ra.Plan{
+		ra.Compose{L: ra.RootSeed{}, R: closure},
+		ra.Compose{L: ra.RootSeed{}, R: ra.TypeFilter{Child: closure, Rel: rel()}},
+		ra.Compose{L: ra.IdentOf{Child: ra.SelectRoot{Child: ra.Base{Rel: rel()}}}, R: closure},
+		ra.SelectRoot{Child: ra.Base{Rel: rel()}},
+		closure,
+		ra.Base{Rel: rel()},
+	}
+	ctx := ra.Temp{Name: "ctx"}
+	desc := func() ra.DescScan {
+		from, to := rel(), rel()
+		alt := ra.TypeFilter{Child: ra.TypeFilter{Child: closure, Rel: from, OnF: true}, Rel: to}
+		ds := ra.DescScan{From: from, To: to, Alt: alt}
+		if r.Intn(3) > 0 {
+			ds.Start = ctx
+		}
+		if r.Intn(2) == 0 {
+			ds.End = ra.Base{Rel: rel()}
+		}
+		return ds
+	}
+	operand := func() ra.Plan {
+		return []ra.Plan{ra.Base{Rel: rel()}, ctx, closure, ra.Temp{Name: "stair"}}[r.Intn(4)]
+	}
+	var right ra.Plan
+	switch r.Intn(6) {
+	case 0:
+		right = desc()
+	case 1:
+		right = ra.Compose{L: operand(), R: desc()}
+	case 2:
+		right = ra.Compose{L: ra.Compose{L: operand(), R: desc()}, R: operand()}
+	case 3:
+		right = ra.UnionAll{Kids: []ra.Plan{ra.Compose{L: operand(), R: desc()}, operand()}}
+	case 4:
+		right = ra.Compose{L: operand(), R: ra.UnionAll{Kids: []ra.Plan{desc(), operand()}}}
+	default:
+		right = ra.Compose{L: ra.UnionAll{Kids: []ra.Plan{operand(), operand()}}, R: desc()}
+	}
+	var qualified ra.Plan = ra.Semijoin{L: operand(), R: right}
+	if r.Intn(2) == 0 {
+		qualified = ra.Antijoin{L: operand(), R: right}
+	}
+	return &ra.Program{Stmts: []ra.Stmt{
+		{Name: "closure", Plan: ra.Fix{Seed: ra.UnionAll{Kids: edges}}},
+		{Name: "ctx", Plan: ctxs[r.Intn(len(ctxs))]},
+		{Name: "stair", Plan: ra.Compose{L: ctx, R: desc()}},
+		{Name: "result", Plan: ra.UnionAll{Kids: []ra.Plan{ra.Temp{Name: "stair"}, qualified}}},
+	}, Result: "result", DTDFP: "fp-tree-test"}
 }
 
 // repeatedPair describes an (F, T) pair r holds twice, or returns "". No

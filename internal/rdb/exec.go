@@ -15,28 +15,32 @@ import (
 // object of the HTTP API: the server encodes this struct and a router decodes
 // a shard's answer into it.
 type Stats struct {
-	StmtsRun  int `json:"stmts_run"`  // statements actually evaluated (lazy evaluation skips some)
-	Joins     int `json:"joins"`      // hash joins performed (compose/semi/anti + fixpoint steps)
-	Unions    int `json:"unions"`     // two-way unions performed
-	LFPs      int `json:"lfps"`       // Φ(R) operators evaluated
-	LFPIters  int `json:"lfp_iters"`  // total fixpoint iterations across all Φ and RecUnion
-	RecFixes  int `json:"rec_fixes"`  // multi-relation fixpoints evaluated (SQLGen-R)
-	TuplesOut int `json:"tuples_out"` // tuples produced across all operators
-	Morsels   int `json:"morsels"`    // morsels scanned by intra-operator parallel sections
-	DescScans int `json:"desc_scans"` // descendant closures answered by the interval kernel
+	StmtsRun     int `json:"stmts_run"`     // statements actually evaluated (lazy evaluation skips some)
+	Joins        int `json:"joins"`         // hash joins performed (compose/semi/anti + fixpoint steps)
+	Unions       int `json:"unions"`        // two-way unions performed
+	LFPs         int `json:"lfps"`          // Φ(R) operators evaluated
+	LFPIters     int `json:"lfp_iters"`     // total fixpoint iterations across all Φ and RecUnion
+	RecFixes     int `json:"rec_fixes"`     // multi-relation fixpoints evaluated (SQLGen-R)
+	TuplesOut    int `json:"tuples_out"`    // tuples produced across all operators
+	Morsels      int `json:"morsels"`       // morsels scanned by intra-operator parallel sections
+	DescScans    int `json:"desc_scans"`    // descendant closures answered by the interval kernel
+	StairScans   int `json:"stair_scans"`   // of those, scans of a one-F context from its outermost sources (Exec.eval)
+	ExistsProbes int `json:"exists_probes"` // qualifier operators evaluated for their F column alone (Exec.eval)
 }
 
 // Ops converts the counters to the per-statement shape of the obs layer.
 func (s Stats) Ops() obs.OpStats {
 	return obs.OpStats{
-		Joins:     s.Joins,
-		Unions:    s.Unions,
-		LFPs:      s.LFPs,
-		LFPIters:  s.LFPIters,
-		RecFixes:  s.RecFixes,
-		TuplesOut: s.TuplesOut,
-		Morsels:   s.Morsels,
-		DescScans: s.DescScans,
+		Joins:        s.Joins,
+		Unions:       s.Unions,
+		LFPs:         s.LFPs,
+		LFPIters:     s.LFPIters,
+		RecFixes:     s.RecFixes,
+		TuplesOut:    s.TuplesOut,
+		Morsels:      s.Morsels,
+		DescScans:    s.DescScans,
+		StairScans:   s.StairScans,
+		ExistsProbes: s.ExistsProbes,
 	}
 }
 
@@ -44,15 +48,17 @@ func (s Stats) Ops() obs.OpStats {
 // two snapshots of an executor's counters.
 func (a Stats) Minus(b Stats) Stats {
 	return Stats{
-		Joins:     a.Joins - b.Joins,
-		Unions:    a.Unions - b.Unions,
-		LFPs:      a.LFPs - b.LFPs,
-		LFPIters:  a.LFPIters - b.LFPIters,
-		RecFixes:  a.RecFixes - b.RecFixes,
-		TuplesOut: a.TuplesOut - b.TuplesOut,
-		StmtsRun:  a.StmtsRun - b.StmtsRun,
-		Morsels:   a.Morsels - b.Morsels,
-		DescScans: a.DescScans - b.DescScans,
+		Joins:        a.Joins - b.Joins,
+		Unions:       a.Unions - b.Unions,
+		LFPs:         a.LFPs - b.LFPs,
+		LFPIters:     a.LFPIters - b.LFPIters,
+		RecFixes:     a.RecFixes - b.RecFixes,
+		TuplesOut:    a.TuplesOut - b.TuplesOut,
+		StmtsRun:     a.StmtsRun - b.StmtsRun,
+		Morsels:      a.Morsels - b.Morsels,
+		DescScans:    a.DescScans - b.DescScans,
+		StairScans:   a.StairScans - b.StairScans,
+		ExistsProbes: a.ExistsProbes - b.ExistsProbes,
 	}
 }
 
@@ -68,6 +74,8 @@ func (s *Stats) Add(b Stats) {
 	s.StmtsRun += b.StmtsRun
 	s.Morsels += b.Morsels
 	s.DescScans += b.DescScans
+	s.StairScans += b.StairScans
+	s.ExistsProbes += b.ExistsProbes
 }
 
 // Exec evaluates programs against a database.
@@ -113,6 +121,7 @@ type Exec struct {
 	running map[string]bool
 	scope   *docScope   // resolved from Doc per run; nil = whole database
 	views   []*Relation // the run's scoped views of stored relations
+	wits    []*Relation // evalF's stack of witness relations
 	docID   *Relation   // the run's R_id under a scope
 	arena   *ExecState  // non-nil for pooled executors (AcquireState)
 
@@ -154,7 +163,7 @@ func (e *Exec) newRel(name string) *Relation {
 // prepare arms the cancellation/limit/trace state for one run and resolves
 // its document scope.
 func (e *Exec) prepare(ctx context.Context, trace *obs.Trace) error {
-	e.scope, e.views, e.docID = nil, e.views[:0], nil
+	e.scope, e.views, e.docID, e.wits = nil, e.views[:0], nil, e.wits[:0]
 	if e.Doc != 0 {
 		sc, err := e.DB.resolveScope(e.Doc)
 		if err != nil {
@@ -388,7 +397,8 @@ func (e *Exec) inputCard(pl ra.Plan) int {
 // eval is the pull driver of the operator kernels (ops.go): it resolves a
 // plan's operands — stored relations under the run's scope, memoised
 // statements, nested operators, in ra.Inputs order — and applies the operator
-// to them.
+// to them — only the part of an operator its consumer reads (evalDesc, evalF).
+// ViewState applies every operator whole: its Δ rules read them all.
 func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 	switch pl := pl.(type) {
 	case ra.Base:
@@ -397,17 +407,41 @@ func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 		return e.stmt(pl.Name)
 	case ra.Ident:
 		return e.identRel()
+	case ra.DescScan:
+		r, _, err := e.evalDesc(pl, descUse{})
+		return r, err
+	case ra.Compose:
+		ds, ok := pl.R.(ra.DescScan)
+		if !ok {
+			break
+		}
+		l, err := e.eval(pl.L)
+		if err != nil {
+			return nil, err
+		}
+		var stair *Relation
+		if oneF(l) {
+			stair = l
+		}
+		r, answered, err := e.evalDesc(ds, descUse{stair: stair})
+		if err != nil || answered && stair != nil {
+			return r, err
+		}
+		return e.compose(l, r, e.distinct(pl))
 	}
 	// Stack buffers: a warm pooled run must not allocate per operator.
 	var planBuf [4]ra.Plan
-	var relBuf [4]*Relation
+	var relBuf [8]*Relation
 	in := relBuf[:0]
-	ds, isDesc := pl.(ra.DescScan)
+	_, semi := pl.(ra.Semijoin)
+	_, anti := pl.(ra.Antijoin)
 	for i, p := range ra.AppendInputs(planBuf[:0], pl) {
-		if isDesc && i == 0 && e.IntervalMode != IntervalOff {
-			// The interval kernel goes first; the fixpoint alternative is
-			// resolved only if it bails.
-			in = append(in, nil)
+		if i == 1 && (semi || anti) {
+			at := len(e.wits)
+			if err := e.evalF(p, nil); err != nil {
+				return nil, err
+			}
+			in, e.wits = append(in, e.wits[at:]...), e.wits[:at]
 			continue
 		}
 		r, err := e.eval(p)
@@ -416,17 +450,107 @@ func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 		}
 		in = append(in, r)
 	}
-	out, err := e.apply(pl, in)
-	if isDesc && errors.Is(err, errNoDescKernel) {
-		if e.IntervalMode == IntervalForce {
-			return nil, fmt.Errorf("rdb: interval scan forced but unusable for %s→%s (missing or mismatched document-order encoding)", ds.From, ds.To)
+	return e.apply(pl, in)
+}
+
+// evalDesc evaluates a DescScan for use by the interval kernel or, if it cannot
+// answer (answered false), whole: the fixpoint alternative, filtered.
+func (e *Exec) evalDesc(pl ra.DescScan, use descUse) (out *Relation, answered bool, err error) {
+	var startIdx, endIdx *colIndex // w.f ∈ π_T(Start), w.t ∈ π_F(End)
+	if pl.Start != nil {
+		if out, err = e.eval(pl.Start); err != nil {
+			return nil, false, err
 		}
-		if in[0], err = e.eval(ds.Alt); err != nil {
-			return nil, err
-		}
-		out, err = e.apply(pl, in)
+		startIdx = out.tIndex()
 	}
-	return out, err
+	if pl.End != nil {
+		if out, err = e.eval(pl.End); err != nil {
+			return nil, false, err
+		}
+		endIdx = out.fIndex()
+	}
+	if e.IntervalMode != IntervalOff {
+		k, err := e.openDesc(pl)
+		if err == nil {
+			out, err = e.descScanFast(k, use, startIdx, endIdx)
+			return out, err == nil, err
+		}
+		if !errors.Is(err, errNoDescKernel) {
+			return nil, false, err
+		}
+		if e.IntervalMode == IntervalForce {
+			return nil, false, fmt.Errorf("rdb: interval scan forced but unusable for %s→%s (missing or mismatched document-order encoding)", pl.From, pl.To)
+		}
+	}
+	alt, err := e.eval(pl.Alt)
+	if err != nil {
+		return nil, false, err
+	}
+	return e.descFilter(alt, startIdx, endIdx), false, nil
+}
+
+// oneF reports whether r has rows and all of them hold one F value: a context
+// rooted at σ[F='_'].
+func oneF(r *Relation) bool {
+	for _, w := range r.rows {
+		if w.f != r.rows[0].f {
+			return false
+		}
+	}
+	return len(r.rows) > 0
+}
+
+// evalF pushes onto e.wits relations whose F columns together are π_F(p ∘ S),
+// S being s (π_F(p) when s is nil), without deriving p whole: a union is its
+// operands' sets; a compose is reduced from the right; a DescScan keeps the
+// sources with a descendant in S; any other plan is evaluated, then reduced
+// against S (witnessRows). No step does more work of any kind than the whole
+// plan, so a union under a compose (one join per operand) is evaluated whole.
+func (e *Exec) evalF(p ra.Plan, s []*Relation) error {
+	var r *Relation
+	var err error
+	switch p := p.(type) {
+	case ra.UnionAll:
+		if s != nil || len(p.Kids) == 0 {
+			r, err = e.eval(p)
+			break
+		}
+		e.Stats.ExistsProbes++
+		for _, k := range p.Kids {
+			if err := e.evalF(k, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	case ra.Compose:
+		e.Stats.ExistsProbes++
+		at := len(e.wits)
+		if err := e.evalF(p.R, s); err != nil {
+			return err
+		}
+		right := len(e.wits) // ≥ at+1: every case pushes a relation
+		if err := e.evalF(p.L, e.wits[at:right]); err != nil {
+			return err
+		}
+		e.wits = append(e.wits[:at], e.wits[right:]...)
+		return nil
+	case ra.DescScan:
+		var answered bool
+		r, answered, err = e.evalDesc(p, descUse{exists: true, s: s})
+		if answered {
+			s = nil
+		}
+	default:
+		r, err = e.eval(p)
+	}
+	if err != nil {
+		return err
+	}
+	if s != nil {
+		r = e.witnessRows(r, s)
+	}
+	e.wits = append(e.wits, r)
+	return nil
 }
 
 // distinct reports whether pl, an operator of the running program, derives no

@@ -15,9 +15,9 @@ import "slices"
 // compares a key or two. Tuples appended after the build —
 // the delta rows a semi-naive fixpoint adds while probing, the rows a store
 // update inserts — extend the index incrementally through a small overflow
-// table instead of invalidating it; a clone folds the overflow into a new
-// snapshot once it has grown past a fixed share of it (folded), and a
-// compaction carries the whole index over to the surviving rows (compact).
+// table instead of invalidating it; a clone or a view's materialization folds
+// the overflow into a new snapshot once it outgrows a fixed share of it
+// (folded), and a compaction carries the index over to the survivors (compact).
 type colIndex struct {
 	sparse bool
 	// Sparse form only: the distinct keys, ascending, and the directory over
@@ -50,10 +50,10 @@ const (
 	// denseLimit: build the dense form when maxKey is within this factor of
 	// the tuple count; beyond it the offsets array would dominate memory.
 	denseLimit = 8
-	// foldShare and foldSlack bound the overflow a clone carries along: past
-	// built/foldShare + foldSlack entries it is folded into the snapshot, so
-	// copying it stays a fixed share of copying the rows and a fold costs
-	// O(foldShare) per appended row.
+	// foldShare and foldSlack bound the overflow a clone carries along, and a
+	// view's materialization keeps: past built/foldShare + foldSlack entries it
+	// is folded into the snapshot, so copying or probing it stays a fixed share
+	// of the rows' cost and a fold costs O(foldShare) per appended row.
 	foldShare = 16
 	foldSlack = 64
 )
@@ -407,7 +407,7 @@ func (idx *colIndex) contains(k int32) bool {
 // past its bound is folded instead: the copy is what grows with it, and idx,
 // which a reader may hold, stays as it is.
 func (idx *colIndex) cloneFor(n int) *colIndex {
-	if n-idx.built > idx.built/foldShare+foldSlack {
+	if idx.overgrown(n) {
 		return idx.folded(n)
 	}
 	c := *idx // a stored relation's index: not pooled, not scoped
@@ -419,6 +419,11 @@ func (idx *colIndex) cloneFor(n int) *colIndex {
 		}
 	}
 	return &c
+}
+
+// overgrown reports whether, at n rows, the overflow is past its bound.
+func (idx *colIndex) overgrown(n int) bool {
+	return n-idx.built > idx.built/foldShare+foldSlack
 }
 
 // add extends the index with one appended tuple.

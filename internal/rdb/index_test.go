@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"xpath2sql/internal/ra"
 )
 
 // Tests of the column index across a relation's copy-on-write life: clones,
@@ -169,6 +171,66 @@ func TestOverflowStaysBounded(t *testing.T) {
 		t.Fatalf("%d index builds and %d folds over 2000 appends; want none, and a fold now and then", r.IndexBuilds(), folds)
 	}
 	checkCarriedIndexes(t, "after 2000 appends", r, []int32{0, 1, 100, 4000, 18000, 1 << 20})
+}
+
+// TestViewOverflowStaysBounded is TestOverflowStaysBounded for a view's
+// materializations, which are never cloned: every insert a delta rule admits
+// appends to them. Across 4 000 insert-only ApplyInserts into a 4-ary tree,
+// under a start-constrained closure (whose T index fixGrow probes) and a
+// compose over it, each built index's overflow stays within the bound a clone
+// keeps — folded now and then, never rebuilt — and the answer stays a fresh
+// build's.
+func TestViewOverflowStaysBounded(t *testing.T) {
+	db := NewDB()
+	db.Insert("E", 0, 1, "")
+	p := &ra.Program{Stmts: []ra.Stmt{
+		{Name: "closure", Plan: ra.Fix{Seed: ra.Base{Rel: "E"}, Start: ra.RootSeed{}}},
+		{Name: "result", Plan: ra.Compose{L: ra.Temp{Name: "closure"}, R: ra.Base{Rel: "E"}}},
+	}, Result: "result"}
+	vs, err := BuildViewState(db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds, folds := -1, 0
+	for id := 2; id <= 4001; id++ {
+		next := cowDB(db)
+		parent := (id-2)/4 + 1
+		next.Insert("E", parent, id, "")
+		before := map[*Relation]int{}
+		for _, r := range vs.materializations() {
+			if idx := r.idxT.Load(); idx != nil {
+				before[r] = idx.built
+			}
+		}
+		if _, err := vs.ApplyInsert(next, BaseDelta{Rows: map[string][]DeltaEdge{"E": {{F: parent, T: id}}}, NewIDs: []int{id}}); err != nil {
+			t.Fatal(err)
+		}
+		db = next
+		for path, r := range vs.materializations() {
+			for _, idx := range []*colIndex{r.idxF.Load(), r.idxT.Load()} {
+				if idx == nil {
+					continue
+				}
+				if over, bound := len(r.rows)-idx.built, idx.built/foldShare+foldSlack+1; over > bound {
+					t.Fatalf("insert %d: %s holds %d overflow entries over a snapshot of %d, want at most %d", id, path, over, idx.built, bound)
+				}
+			}
+			if idx := r.idxT.Load(); idx != nil && idx.built > before[r] && before[r] > 0 {
+				folds++
+			}
+		}
+		if builds < 0 {
+			builds = vs.IndexBuilds() // the first insert builds what the rules probe
+		} else if vs.IndexBuilds() != builds {
+			t.Fatalf("insert %d: %d index builds, %d after the first insert: an index was rebuilt", id, vs.IndexBuilds(), builds)
+		}
+	}
+	if folds < 10 {
+		t.Fatalf("%d folds over 4 000 inserts, want one now and then", folds)
+	}
+	if want := fullAnswer(t, db, p); !sameIDs(vs.AnswerIDs(), want) {
+		t.Fatalf("maintained answer (%d ids) differs from a fresh run (%d)", len(vs.AnswerIDs()), len(want))
+	}
 }
 
 // TestOverflowProbeMatchesRebuild: a relation shaped by store updates — a

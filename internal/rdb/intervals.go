@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"errors"
 	"sort"
 	"sync"
 
@@ -107,14 +108,14 @@ func (st *nodeState) inherit(prev *nodeState, db *DB) {
 }
 
 // descIndex lists a stored relation's live rows sorted by the T node's
-// begin position: begins[i] is the document-order key of rows[i]. A range
+// begin position: begins[i] and ends[i] are the interval of rows[i]. A range
 // [lo, hi) of begins inside a context node's interval is exactly its typed
 // descendant set, and the range inside a document root's interval is the
 // relation's share of that document — the run a document-scoped execution
 // iterates in place of the whole relation (see scope.go).
 type descIndex struct {
-	begins []int64
-	rows   []row
+	begins, ends []int64
+	rows         []row
 }
 
 // IntervalBuilder writes the label columns of a database's node table: a fresh
@@ -230,28 +231,34 @@ func (db *DB) RebuildIntervals() {
 	b.Adopt()
 }
 
-// descIndexFor returns the begin-sorted descendant index of a stored
-// relation, building and caching it on first use. It reports false when the
-// database has no valid encoding or the relation holds a node the encoding
-// does not cover (a stale encoding after an uncoordinated mutation).
-func (db *DB) descIndexFor(rel *Relation) (*descIndex, bool) {
-	st := db.encoding()
-	if st == nil {
-		return nil, false
-	}
-	return st.indexFor(rel)
-}
+// errPerRunIndex refuses a pooled temporary or a scoped view: cached by its
+// pointer, which the arena recycles, an index would answer for the next one.
+var errPerRunIndex = errors.New("rdb: descendant index asked of a per-run relation")
 
-// indexFor is descIndexFor against one pinned encoding.
-func (st *nodeState) indexFor(rel *Relation) (*descIndex, bool) {
+// strictPerRun turns that refusal into a panic; the package's tests set it.
+var strictPerRun bool
+
+// indexFor returns a stored relation's begin-sorted descendant index, built
+// and cached on first use; errNoDescKernel if the relation holds a node the
+// encoding does not cover (a stale encoding after an uncoordinated mutation).
+func (st *nodeState) indexFor(rel *Relation) (*descIndex, error) {
+	if rel.pooled || rel.base != nil {
+		if strictPerRun {
+			panic(errPerRunIndex)
+		}
+		return nil, errPerRunIndex
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if idx, ok := st.byRel[rel]; ok {
-		return idx, idx != nil
+	idx, ok := st.byRel[rel]
+	if !ok {
+		idx = buildDescIndex(st.tab, rel)
+		st.byRel[rel] = idx // nil caches the negative answer too
 	}
-	idx := buildDescIndex(st.tab, rel)
-	st.byRel[rel] = idx // nil caches the negative answer too
-	return idx, idx != nil
+	if idx == nil {
+		return nil, errNoDescKernel
+	}
+	return idx, nil
 }
 
 // buildDescIndex sorts a relation's live rows by the T node's begin
@@ -260,6 +267,7 @@ func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 	n := rel.Len()
 	idx := &descIndex{
 		begins: make([]int64, 0, n),
+		ends:   make([]int64, 0, n),
 		rows:   make([]row, 0, n),
 	}
 	for i := range rel.rows {
@@ -272,6 +280,7 @@ func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 			return nil
 		}
 		idx.begins = append(idx.begins, nv.Begin)
+		idx.ends = append(idx.ends, nv.End)
 		idx.rows = append(idx.rows, w)
 	}
 	sort.Sort((*descIndexSort)(idx))
@@ -279,31 +288,10 @@ func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 }
 
 // rangeOf returns the index slice [lo, hi) of nodes strictly inside the
-// interval (begin, end) — the proper descendants of the node owning it.
-func (d *descIndex) rangeOf(begin, end int64) (lo, hi int) {
-	lo = sort.Search(len(d.begins), func(i int) bool { return d.begins[i] > begin })
-	hi = lo + sort.Search(len(d.begins)-lo, func(i int) bool { return d.begins[lo+i] >= end })
-	return lo, hi
-}
-
-// descendants visits the rows whose T node lies strictly inside (begin, end) —
-// the typed proper descendants of the node owning that interval — and, when
-// endIdx is given, is a key of it. This is the interval kernel's one loop: the
-// executor runs it per source node, folding serially or buffering per morsel,
-// and a view runs it for a source an insert admits.
-func (d *descIndex) descendants(begin, end int64, endIdx *colIndex, visit func(to row)) {
-	lo, hi := d.rangeOf(begin, end)
-	for _, to := range d.rows[lo:hi] {
-		if endIdx == nil || endIdx.contains(to.t) {
-			visit(to)
-		}
-	}
-}
-
-// runOf returns the index slice [lo, hi) of nodes whose begin lies in the
-// half-open interval [begin, end) — the owner of the interval included.
-func (d *descIndex) runOf(begin, end int64) (lo, hi int) {
-	lo = sort.Search(len(d.begins), func(i int) bool { return d.begins[i] >= begin })
+// interval (begin, end) — the proper descendants of the node owning it —
+// searching from position from, which must not be past lo.
+func (d *descIndex) rangeOf(from int, begin, end int64) (lo, hi int) {
+	lo = from + sort.Search(len(d.begins)-from, func(i int) bool { return d.begins[from+i] > begin })
 	hi = lo + sort.Search(len(d.begins)-lo, func(i int) bool { return d.begins[lo+i] >= end })
 	return lo, hi
 }
@@ -314,5 +302,6 @@ func (s *descIndexSort) Len() int           { return len(s.begins) }
 func (s *descIndexSort) Less(i, j int) bool { return s.begins[i] < s.begins[j] }
 func (s *descIndexSort) Swap(i, j int) {
 	s.begins[i], s.begins[j] = s.begins[j], s.begins[i]
+	s.ends[i], s.ends[j] = s.ends[j], s.ends[i]
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 }

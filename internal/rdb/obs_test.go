@@ -277,3 +277,42 @@ func TestParallelCancel(t *testing.T) {
 		t.Fatalf("parallel cancellation took %v", elapsed)
 	}
 }
+
+// TestMaxTuplesTripsInsideKernelLoops: the staircase scan and the existence
+// probe check the bounds (the tuple count and the deadline alike) every
+// checkEvery sources, so a tuple bound trips part way through one operator
+// over 400 disjoint sources — not after it has produced everything.
+func TestMaxTuplesTripsInsideKernelLoops(t *testing.T) {
+	db := NewDB()
+	for id := 1; id <= 400*6; id += 6 {
+		db.Insert("R0", 0, id, "")
+		for c := 1; c <= 5; c++ {
+			db.Insert("R1", id, id+c, "")
+		}
+	}
+	db.DTDFP = "fp"
+	db.RebuildIntervals()
+	// R0's rows all have F = 0: a one-F context. Alt is exact here (every R1
+	// node is a child of an R0 node), though the kernel answers.
+	desc := ra.DescScan{From: "R0", To: "R1", Alt: ra.Base{Rel: "R1"}, Start: ra.Base{Rel: "R0"}}
+	for name, c := range map[string]struct {
+		plan       ra.Plan
+		max, whole int
+	}{
+		"staircase": {ra.Compose{L: ra.Base{Rel: "R0"}, R: desc}, 100, 2000},
+		"existence": {ra.Semijoin{L: ra.Base{Rel: "R0"}, R: desc}, 10, 400},
+	} {
+		p := prog(c.plan)
+		p.DTDFP = db.DTDFP
+		ex := NewExec(db)
+		ex.Limits = obs.Limits{MaxTuples: c.max}
+		_, err := ex.Run(p)
+		var le *obs.LimitError
+		if !errors.As(err, &le) || le.Kind != obs.LimitTuples || le.Actual >= int64(c.whole) {
+			t.Errorf("%s: err = %v, want a tuple-count LimitError before all %d tuples", name, err, c.whole)
+		}
+		if ex.Stats.DescScans != 1 {
+			t.Errorf("%s: the kernel did not run: %+v", name, ex.Stats)
+		}
+	}
+}

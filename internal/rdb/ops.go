@@ -3,6 +3,7 @@ package rdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"xpath2sql/internal/obs"
@@ -27,7 +28,7 @@ import (
 
 // errNoDescKernel reports that a DescScan asked for the interval kernel
 // (no Alt operand) on a database that cannot serve it. The executor recovers
-// by resolving Alt and applying again; a view, which chose the kernel when it
+// by resolving Alt and filtering it; a view, which chose the kernel when it
 // was built, gives up incremental maintenance.
 var errNoDescKernel = errors.New("rdb: interval kernel unusable for this descendant scan")
 
@@ -103,53 +104,9 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		e.Stats.TuplesOut += out.Len()
 		return out, nil
 	case ra.Semijoin:
-		l, r := in[0], in[1]
-		e.Stats.Joins++
-		out := e.newRel("")
-		if r.Len()*8 < l.Len() {
-			// Small witness side: probe L's T index with R's distinct F
-			// values — O(|R| + |out|) instead of a full scan of L. This is
-			// the shape merged batch programs produce (many per-query end
-			// filters against one shared closure), where L's index snapshot
-			// is built once and amortized across every filter probing it.
-			idx := l.tIndex()
-			lrows := l.probeRows()
-			seen := e.idScratch(r.distinctHint(r.idxF.Load()))
-			for _, w := range r.rows {
-				if _, dup := seen[w.f]; dup {
-					continue
-				}
-				seen[w.f] = struct{}{}
-				snap, over := idx.lookup(w.f)
-				for _, part := range [2][]int32{snap, over} {
-					for _, pos := range part {
-						out.appendFrom(l, lrows[pos])
-					}
-				}
-			}
-			e.Stats.TuplesOut += out.Len()
-			return out, nil
-		}
-		wit := r.fIndex()
-		for _, w := range l.rows {
-			if wit.contains(w.t) {
-				out.appendFrom(l, w)
-			}
-		}
-		e.Stats.TuplesOut += out.Len()
-		return out, nil
+		return e.semijoin(in[0], in[1:], false), nil
 	case ra.Antijoin:
-		l, r := in[0], in[1]
-		e.Stats.Joins++
-		wit := r.fIndex()
-		out := e.newRel("")
-		for _, w := range l.rows {
-			if !wit.contains(w.t) {
-				out.appendFrom(l, w)
-			}
-		}
-		e.Stats.TuplesOut += out.Len()
-		return out, nil
+		return e.semijoin(in[0], in[1:], true), nil
 	case ra.Diff:
 		l, r := in[0], in[1]
 		out := e.newRel("")
@@ -179,7 +136,22 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 	case ra.RecUnion:
 		return e.recUnion(pl, in)
 	case ra.DescScan:
-		return e.descScan(pl, in)
+		var startIdx, endIdx *colIndex // w.f ∈ π_T(Start), w.t ∈ π_F(End)
+		start, end := constraintOperands(pl.Start, pl.End, in[1:])
+		if start != nil {
+			startIdx = start.tIndex()
+		}
+		if end != nil {
+			endIdx = end.fIndex()
+		}
+		if in[0] != nil {
+			return e.descFilter(in[0], startIdx, endIdx), nil
+		}
+		k, err := e.openDesc(pl)
+		if err != nil {
+			return nil, err
+		}
+		return e.descScanFast(k, descUse{}, startIdx, endIdx)
 	}
 	return nil, fmt.Errorf("rdb: unsupported plan %T", pl)
 }
@@ -589,106 +561,102 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, tra
 	return next, nil
 }
 
-// descScan evaluates the interval-containment descendant scan. Without an Alt
-// operand (nil) it runs the interval kernel: with a valid document-order
-// encoding stamped with the program's DTD fingerprint, each From-typed source
-// node answers its To-typed proper descendants with one binary-searched range
-// over the To relation's begin-sorted index — no fixpoint iteration at all.
-// Given the materialized fixpoint alternative instead, the pushed constraints
-// are applied to it as post-filters, so the result is identical on every path.
-func (e *Exec) descScan(pl ra.DescScan, in []*Relation) (*Relation, error) {
-	// startIdx answers w.f ∈ π_T(Start); endIdx answers w.t ∈ π_F(End).
-	var startIdx, endIdx *colIndex
-	start, end := constraintOperands(pl.Start, pl.End, in[1:])
-	if start != nil {
-		startIdx = start.tIndex()
-	}
-	if end != nil {
-		endIdx = end.fIndex()
-	}
-	alt := in[0]
-	if alt == nil {
-		return e.descScanFast(pl, startIdx, endIdx)
-	}
+// descFilter answers a DescScan from its fixpoint alternative, the pushed
+// constraints applied as post-filters: the interval kernel's result.
+func (e *Exec) descFilter(alt *Relation, startIdx, endIdx *colIndex) *Relation {
 	if startIdx == nil && endIdx == nil {
-		return alt, nil
+		return alt
 	}
 	out := e.newRel("")
 	for _, w := range alt.rows {
-		if startIdx != nil && !startIdx.contains(w.f) {
-			continue
+		if (startIdx == nil || startIdx.contains(w.f)) && (endIdx == nil || endIdx.contains(w.t)) {
+			out.appendFrom(alt, w)
 		}
-		if endIdx != nil && !endIdx.contains(w.t) {
-			continue
-		}
-		out.appendFrom(alt, w)
 	}
 	e.Stats.TuplesOut += out.Len()
-	return out, nil
+	return out
 }
 
-// descScanFast is the interval kernel behind descScan. It returns
-// errNoDescKernel when the fast path cannot be taken: no stored encoding, a
-// DTD fingerprint mismatch (a program translated against a sub-DTD
-// under-approximates the descendant relation, so containment would
+// descKernel is what the interval kernel reads: the sources, R_From's rows in
+// begin order with their intervals, cut to the scope, and R_To's begin-sorted
+// index, read only inside a source (so in the scope). Both are keyed on T.
+type descKernel struct {
+	from         []row
+	begins, ends []int64
+	to           *descIndex
+}
+
+// openDesc opens the interval kernel for a DescScan, or returns
+// errNoDescKernel: no encoding, a DTD fingerprint mismatch (a program for a
+// sub-DTD under-approximates the descendant relation, so containment would
 // over-answer), or a relation node the encoding cannot place.
-func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relation, error) {
-	db := e.DB
-	if !db.fingerprintMatches(e.prog) {
-		return nil, errNoDescKernel
-	}
-	st := db.encoding()
+func (e *Exec) openDesc(pl ra.DescScan) (k descKernel, err error) {
+	st := e.DB.encoding()
 	if e.scope != nil {
 		st = e.scope.st
 	}
-	if st == nil {
-		return nil, errNoDescKernel
+	if st == nil || !e.DB.fingerprintMatches(e.prog) {
+		return k, errNoDescKernel
 	}
-	// The To side is read only inside a source's interval, which a scope
-	// contains: no bound of its own.
-	toIdx, ok := st.indexFor(db.Rel(pl.To))
-	if !ok {
-		return nil, errNoDescKernel
+	if k.to, err = st.indexFor(e.DB.Rel(pl.To)); err != nil {
+		return k, err
 	}
-	// The sources: the T values of R_From, in row order, filtered by the
-	// pushed start constraint. Under the fingerprint gate R_From and R_To are
-	// a document's, keyed on T (ra.Keys): each source is listed once and pairs
-	// with each of its descendants once. A source the encoding cannot place
-	// invalidates the whole scan.
-	fromRel, err := e.stored(pl.From)
-	if err != nil {
-		return nil, err
+	k.from, k.begins, k.ends, err = e.sortedRun(st, e.DB.Rel(pl.From))
+	return k, err
+}
+
+// descUse is what a DescScan's consumer reads of it: all (the zero value);
+// stair ⋈ DescScan, all of stair's rows holding one F; or, with exists, its F
+// column, of the sources with a descendant in F(s) (any, when s is nil).
+type descUse struct {
+	stair  *Relation
+	exists bool
+	s      []*Relation
+}
+
+// descScanFast is the interval kernel: each source passing the start
+// constraint answers its To-typed proper descendants with one searched range
+// of the To index — no fixpoint iteration — computing only what use reads.
+// stair ⋈ DescScan pairs stair's one F with the To nodes below its T's: in
+// begin order, the sources inside the last one kept add none and are skipped
+// — the staircase join's pruning (Grust, van Keulen, Teubner, VLDB 2003) —
+// and the disjoint kept ranges derive each pair once. For its F column, a
+// source's scan stops at its first descendant in F(s): the join DescScan ∘ S.
+func (e *Exec) descScanFast(k descKernel, use descUse, startIdx, endIdx *colIndex) (*Relation, error) {
+	var inStair *colIndex
+	switch {
+	case use.stair != nil:
+		e.Stats.StairScans++
+		inStair = use.stair.tIndex()
+	case use.exists:
+		e.Stats.ExistsProbes++
+		if use.s != nil {
+			e.Stats.Joins++
+			if len(use.s) == 1 && use.s[0].fIndex() == endIdx {
+				use.s = nil // the end constraint tests the same
+			}
+		}
 	}
-	frows := fromRel.rows
-	type src struct {
-		id         int32
-		begin, end int64
-	}
-	var srcs []src
-	for i := range frows {
-		t := frows[i].t
-		if startIdx != nil && !startIdx.contains(t) {
+	srcs := e.getRowBuf()        // per source, its position in k.from and the F of its pairs
+	kept := int64(math.MinInt64) // under a stair, the end of the last source kept
+	for i, w := range k.from {
+		if startIdx != nil && !startIdx.contains(w.t) || inStair != nil && (!inStair.contains(w.t) || k.begins[i] < kept) {
 			continue
 		}
-		iv, has := st.tab.get(int(t))
-		if !has {
-			return nil, errNoDescKernel
+		f := w.t
+		if inStair != nil {
+			f, kept = use.stair.rows[0].f, k.ends[i]
 		}
-		srcs = append(srcs, src{id: t, begin: iv.Begin, end: iv.End})
+		srcs = append(srcs, row{f: int32(i), t: f})
 	}
+	defer e.putRowBuf(srcs)
 	e.Stats.DescScans++
 	out := e.newRel("")
-	n := len(srcs)
-	if workers := e.parWorkers(n); workers > 1 {
-		scan := func(lo, hi int, buf []cand) []cand {
-			for _, x := range srcs[lo:hi] {
-				toIdx.descendants(x.begin, x.end, endIdx, func(to row) {
-					buf = append(buf, cand{out: row{f: x.id, t: to.t, v: to.v}})
-				})
-			}
+	if workers := e.parWorkers(len(srcs)); workers > 1 {
+		bufs, err := e.scanMorsels(len(srcs), workers, func(lo, hi int, buf []cand) []cand {
+			k.pairs(srcs[lo:hi], use, endIdx, func(w row) { buf = append(buf, cand{out: w}) })
 			return buf
-		}
-		bufs, err := e.scanMorsels(n, workers, scan)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -697,17 +665,110 @@ func (e *Exec) descScanFast(pl ra.DescScan, startIdx, endIdx *colIndex) (*Relati
 				out.appendDistinct(c.out)
 			}
 		}
+		e.Stats.TuplesOut += out.Len()
 	} else {
 		// A serial scan folds matches straight into the output, in the same
-		// order, with no candidate buffer.
-		for _, x := range srcs {
-			toIdx.descendants(x.begin, x.end, endIdx, func(to row) {
-				out.appendDistinct(row{f: x.id, t: to.t, v: to.v})
-			})
+		// order, with no candidate buffer, checking the bounds as it goes.
+		for lo := 0; lo < len(srcs); lo += checkEvery {
+			n := out.Len()
+			k.pairs(srcs[lo:min(lo+checkEvery, len(srcs))], use, endIdx, out.appendDistinct)
+			e.Stats.TuplesOut += out.Len() - n
+			if err := e.check(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// checkEvery is how many sources a serial kernel scans per bounds check.
+const checkEvery = 64
+
+// pairs emits the pairs of the sources at positions srcs, ascending, each
+// range sought from where the last one began.
+func (k *descKernel) pairs(srcs []row, use descUse, endIdx *colIndex, emit func(row)) {
+	at := 0
+	for _, x := range srcs {
+		var hi int
+		at, hi = k.to.rangeOf(at, k.begins[x.f], k.ends[x.f])
+		for _, to := range k.to.rows[at:hi] {
+			if (endIdx == nil || endIdx.contains(to.t)) && (use.s == nil || anyF(use.s, to.t)) {
+				emit(row{f: x.t, t: to.t, v: to.v})
+				if use.exists {
+					break
+				}
+			}
+		}
+	}
+}
+
+// anyF reports whether k is the F value of a row of one of rs.
+func anyF(rs []*Relation, k int32) bool {
+	for _, r := range rs {
+		if r.fIndex().contains(k) {
+			return true
+		}
+	}
+	return false
+}
+
+// witnessRows keeps one row of r per F value whose T is the F value of a row
+// of one of s: π_F(r ∘ S), the existence reduction of a compose, and a join.
+func (e *Exec) witnessRows(r *Relation, s []*Relation) *Relation {
+	e.Stats.Joins++
+	out := e.newRel("")
+	seen := e.idScratch(r.distinctHint(r.idxF.Load()))
+	for _, w := range r.rows {
+		if _, dup := seen[w.f]; !dup && anyF(s, w.t) {
+			seen[w.f] = struct{}{}
+			out.appendFrom(r, w)
 		}
 	}
 	e.Stats.TuplesOut += out.Len()
-	return out, nil
+	return out
+}
+
+// semijoin keeps the rows of l whose T is — or, anti, is not — the F value of
+// a row of one of wits.
+func (e *Exec) semijoin(l *Relation, wits []*Relation, anti bool) *Relation {
+	e.Stats.Joins++
+	out := e.newRel("")
+	n, hint := 0, 0
+	for _, r := range wits {
+		n, hint = n+r.Len(), hint+r.distinctHint(r.idxF.Load())
+	}
+	if !anti && n*8 < l.Len() {
+		// Small witness side: probe L's T index with the witnesses' distinct F
+		// values — O(|R| + |out|) instead of a full scan of L. This is the
+		// shape merged batch programs produce (many per-query end filters
+		// against one shared closure), where L's index snapshot is built once
+		// and amortized across every filter probing it.
+		idx := l.tIndex()
+		lrows := l.probeRows()
+		seen := e.idScratch(hint)
+		for _, r := range wits {
+			for _, w := range r.rows {
+				if _, dup := seen[w.f]; dup {
+					continue
+				}
+				seen[w.f] = struct{}{}
+				snap, over := idx.lookup(w.f)
+				for _, part := range [2][]int32{snap, over} {
+					for _, pos := range part {
+						out.appendFrom(l, lrows[pos])
+					}
+				}
+			}
+		}
+	} else {
+		for _, w := range l.rows {
+			if anyF(wits, w.t) != anti {
+				out.appendFrom(l, w)
+			}
+		}
+	}
+	e.Stats.TuplesOut += out.Len()
+	return out
 }
 
 // recUnion evaluates the SQL'99-style multi-relation fixpoint of SQLGen-R.

@@ -167,9 +167,9 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	warm := func(db *DB) map[string]*descIndex {
 		out := map[string]*descIndex{}
 		for name, rel := range db.Rels {
-			idx, ok := db.descIndexFor(rel)
-			if !ok {
-				t.Fatalf("no index for %s", name)
+			idx, err := db.encoding().indexFor(rel)
+			if err != nil {
+				t.Fatalf("no index for %s: %v", name, err)
 			}
 			out[name] = idx
 		}

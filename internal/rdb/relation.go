@@ -644,6 +644,17 @@ func (r *Relation) Clone() *Relation {
 	return c
 }
 
+// foldIndexes folds an overgrown index overflow into a new snapshot in place:
+// for a relation no reader shares and nothing clones — a view's
+// materialization, whose overflow every insert it admits would grow.
+func (r *Relation) foldIndexes() {
+	for _, p := range [2]*atomic.Pointer[colIndex]{&r.idxF, &r.idxT} {
+		if idx := p.Load(); idx != nil && idx.overgrown(len(r.rows)) {
+			p.Store(idx.folded(len(r.rows)))
+		}
+	}
+}
+
 // reset empties a pooled relation for reuse, retaining every capacity the
 // previous request grew: the row array, the pair-set slot array, the path
 // map buckets and the index scratch backings. The interner pointer is kept;

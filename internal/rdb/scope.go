@@ -83,16 +83,29 @@ func (e *Exec) view(base *Relation) (*Relation, error) {
 			return v, nil
 		}
 	}
-	idx, ok := e.scope.st.indexFor(base)
-	if !ok {
+	rows, _, _, err := e.sortedRun(e.scope.st, base)
+	if err != nil {
 		return nil, fmt.Errorf("%w: relation %s holds a node it does not cover", ErrScopeNeedsIntervals, base.Name)
 	}
-	lo, hi := idx.runOf(e.scope.begin, e.scope.end)
 	v := e.newRel(base.Name)
 	v.base = base
-	v.rows = idx.rows[lo:hi:hi]
+	v.rows = rows
 	e.views = append(e.views, v)
 	return v, nil
+}
+
+// sortedRun returns a stored relation's rows in begin order with their
+// intervals: its begin-sorted index, cut to the run's scope.
+func (e *Exec) sortedRun(st *nodeState, base *Relation) (rows []row, begins, ends []int64, err error) {
+	idx, err := st.indexFor(base)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	lo, hi := 0, len(idx.rows)
+	if e.scope != nil { // the nodes whose begin lies in [begin, end)
+		lo, hi = idx.rangeOf(0, e.scope.begin-1, e.scope.end)
+	}
+	return idx.rows[lo:hi:hi], idx.begins[lo:hi:hi], idx.ends[lo:hi:hi], nil
 }
 
 // scopedFIndex builds a view's F index: the base's, with key 0 narrowed to

@@ -194,6 +194,44 @@ func TestScopedPooledStateKeepsIndexIntact(t *testing.T) {
 	}
 }
 
+// TestIndexForRefusesPerRunRelations: the descendant-index cache is keyed by
+// *Relation, so it must never take a relation that lives for one run — a
+// pooled temporary or a scoped view, whose pointer the arena hands out again
+// (an index cached for one document's view answered the next document's run
+// with the first one's rows). A production run gets an error; this package's
+// tests panic.
+func TestIndexForRefusesPerRunRelations(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	db := makeForest(r, 30, 2, 2)
+	st := AcquireState(db)
+	defer st.Release()
+	ex := st.Exec()
+	ex.Doc = docRoots(db)[0]
+	if _, err := ex.Run(prog(ra.Base{Rel: "R0"})); err != nil {
+		t.Fatal(err)
+	}
+	enc := db.encoding()
+	t.Cleanup(func() { strictPerRun = true })
+	for name, rel := range map[string]*Relation{"pooled temporary": st.alloc("tmp"), "scoped view": ex.views[0]} {
+		strictPerRun = false
+		if _, err := enc.indexFor(rel); !errors.Is(err, errPerRunIndex) {
+			t.Errorf("%s: err = %v, want errPerRunIndex", name, err)
+		}
+		strictPerRun = true
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic under strictPerRun", name)
+				}
+			}()
+			_, _ = enc.indexFor(rel)
+		}()
+	}
+	if _, err := enc.indexFor(db.Rel("R0")); err != nil {
+		t.Fatalf("a stored relation: %v", err)
+	}
+}
+
 func TestScopeErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	db := makeForest(r, 20, 2, 2)

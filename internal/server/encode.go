@@ -47,6 +47,10 @@ func appendStats(b []byte, st *xpath2sql.ExecStats) []byte {
 	b = strconv.AppendInt(b, int64(st.Morsels), 10)
 	b = append(b, `,"desc_scans":`...)
 	b = strconv.AppendInt(b, int64(st.DescScans), 10)
+	b = append(b, `,"stair_scans":`...)
+	b = strconv.AppendInt(b, int64(st.StairScans), 10)
+	b = append(b, `,"exists_probes":`...)
+	b = strconv.AppendInt(b, int64(st.ExistsProbes), 10)
 	return append(b, '}')
 }
 
