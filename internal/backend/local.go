@@ -96,7 +96,7 @@ func (s *localSnap) Execute(ctx context.Context, prog *ra.Program, opts ExecOpti
 		if err != nil {
 			return nil, err
 		}
-		return &Result{IDs: ExtractIDs(rel), Stats: *stats}, nil
+		return &Result{IDs: rel.AnswerIDs(), Stats: *stats}, nil
 	}
 	st := rdb.AcquireState(s.db)
 	defer st.Release()
@@ -108,16 +108,5 @@ func (s *localSnap) Execute(ctx context.Context, prog *ra.Program, opts ExecOpti
 	if err != nil {
 		return nil, err
 	}
-	return &Result{IDs: ExtractIDs(rel), Stats: ex.Stats}, nil
-}
-
-// ExtractIDs pulls the answer node IDs from a result relation, dropping the
-// virtual document root (ID 0), which can enter a result via ε but is a
-// context, not a document node.
-func ExtractIDs(rel *rdb.Relation) []int {
-	ids := rel.TIDs()
-	if len(ids) > 0 && ids[0] == 0 {
-		ids = ids[1:]
-	}
-	return ids
+	return &Result{IDs: rel.AnswerIDs(), Stats: ex.Stats}, nil
 }

@@ -189,7 +189,7 @@ func (b *BatchResult) ExecuteCtx(ctx context.Context, db *rdb.DB, limits obs.Lim
 			return nil, nil, nil, err
 		}
 		perQuery[i] = ex.Stats.Minus(before)
-		answers[i] = ExtractIDs(rel)
+		answers[i] = rel.AnswerIDs()
 	}
 	total := ex.Stats
 	return answers, perQuery, &total, nil
@@ -216,7 +216,7 @@ func (b *BatchResult) ExecuteParallelCtx(ctx context.Context, db *rdb.DB, cfg rd
 	}
 	answers := make([][]int, len(b.ResultNames))
 	for i, name := range b.ResultNames {
-		answers[i] = ExtractIDs(done[name])
+		answers[i] = done[name].AnswerIDs()
 	}
 	return answers, b.attributeStats(cfg.Trace), total, nil
 }

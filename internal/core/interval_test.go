@@ -76,7 +76,7 @@ func runIntervalMode(t *testing.T, db *rdb.DB, res *core.Result, mode rdb.Interv
 	if err != nil {
 		t.Fatalf("Run(mode=%v): %v", mode, err)
 	}
-	return core.ExtractIDs(rel), ex.Stats
+	return rel.AnswerIDs(), ex.Stats
 }
 
 // TestIntervalDifferentialRandom: for random documents of the workload DTDs

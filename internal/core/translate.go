@@ -169,19 +169,5 @@ func (r *Result) ExecuteCtx(ctx context.Context, db *rdb.DB, limits obs.Limits, 
 	if err != nil {
 		return nil, nil, err
 	}
-	ids := rel.TIDs()
-	if len(ids) > 0 && ids[0] == 0 {
-		ids = ids[1:]
-	}
-	return ids, &ex.Stats, nil
-}
-
-// ExtractIDs pulls the answer node IDs from a result relation, dropping the
-// virtual document root (ID 0) — shared by every execution path.
-func ExtractIDs(rel *rdb.Relation) []int {
-	ids := rel.TIDs()
-	if len(ids) > 0 && ids[0] == 0 {
-		ids = ids[1:]
-	}
-	return ids
+	return rel.AnswerIDs(), &ex.Stats, nil
 }

@@ -42,11 +42,7 @@ func fullAnswer(t *testing.T, db *DB, p *ra.Program) []int {
 	if err != nil {
 		t.Fatalf("oracle run: %v", err)
 	}
-	ids := rel.TIDs()
-	if len(ids) > 0 && ids[0] == 0 {
-		ids = ids[1:]
-	}
-	return ids
+	return rel.AnswerIDs()
 }
 
 func diffIDs(old, new []int) (added, removed []int) {

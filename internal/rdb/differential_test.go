@@ -264,9 +264,14 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			return false
 		}
 		for _, mode := range []IntervalMode{IntervalAuto, IntervalOff, IntervalForce} {
-			var stats [2]Stats
-			for i, workers := range []int{1, 4} {
+			var stats [3]Stats
+			for i, workers := range []int{1, 4, 4} {
 				ex := NewExec(db)
+				if i == 2 { // pooled: the morsel workers read its temporaries' key sets
+					st := AcquireState(db)
+					defer st.Release()
+					ex = st.Exec()
+				}
 				ex.IntervalMode, ex.Parallelism = mode, workers
 				got, err := ex.Run(p)
 				if err == nil && !sameTuples(want.Tuples(), got.Tuples()) {
@@ -279,8 +284,8 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				stats[i] = ex.Stats
 				stats[i].Morsels = 0
 			}
-			if stats[0] != stats[1] {
-				t.Logf("seed=%d, %v: stats differ, serial %+v parallel %+v", seed, mode, stats[0], stats[1])
+			if stats[0] != stats[1] || stats[0] != stats[2] {
+				t.Logf("seed=%d, %v: stats differ, serial %+v parallel %+v, pooled parallel %+v", seed, mode, stats[0], stats[1], stats[2])
 				return false
 			}
 			if mode == IntervalAuto {
@@ -315,7 +320,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 //     root's — or of many;
 //   - semijoins and antijoins whose right operand is a DescScan, a compose
 //     chain ending in or passing through one, a union of such a chain, or a
-//     compose over a union.
+//     compose over a union, or of a union and a DescScan in either order.
 //
 // Every DescScan's Alt is the fixpoint form of what the kernel answers (the
 // closure of all edges, typed at both ends), so every path, and the naive
@@ -352,7 +357,7 @@ func kernelProgram(r *rand.Rand, nRels int) *ra.Program {
 		return []ra.Plan{ra.Base{Rel: rel()}, ctx, closure, ra.Temp{Name: "stair"}}[r.Intn(4)]
 	}
 	var right ra.Plan
-	switch r.Intn(6) {
+	switch r.Intn(7) {
 	case 0:
 		right = desc()
 	case 1:
@@ -363,6 +368,8 @@ func kernelProgram(r *rand.Rand, nRels int) *ra.Program {
 		right = ra.UnionAll{Kids: []ra.Plan{ra.Compose{L: operand(), R: desc()}, operand()}}
 	case 4:
 		right = ra.Compose{L: operand(), R: ra.UnionAll{Kids: []ra.Plan{desc(), operand()}}}
+	case 5: // the DescScan probes two witness relations
+		right = ra.Compose{L: desc(), R: ra.UnionAll{Kids: []ra.Plan{operand(), operand()}}}
 	default:
 		right = ra.Compose{L: ra.UnionAll{Kids: []ra.Plan{operand(), operand()}}, R: desc()}
 	}

@@ -461,13 +461,13 @@ func (e *Exec) evalDesc(pl ra.DescScan, use descUse) (out *Relation, answered bo
 		if out, err = e.eval(pl.Start); err != nil {
 			return nil, false, err
 		}
-		startIdx = out.tIndex()
+		startIdx = out.members(false)
 	}
 	if pl.End != nil {
 		if out, err = e.eval(pl.End); err != nil {
 			return nil, false, err
 		}
-		endIdx = out.fIndex()
+		endIdx = out.members(true)
 	}
 	if e.IntervalMode != IntervalOff {
 		k, err := e.openDesc(pl)
@@ -489,15 +489,20 @@ func (e *Exec) evalDesc(pl ra.DescScan, use descUse) (out *Relation, answered bo
 	return e.descFilter(alt, startIdx, endIdx), false, nil
 }
 
-// oneF reports whether r has rows and all of them hold one F value: a context
-// rooted at σ[F='_'].
-func oneF(r *Relation) bool {
-	for _, w := range r.rows {
-		if w.f != r.rows[0].f {
-			return false
+// oneF reports whether rs have rows and all of them hold one F value: a
+// context rooted at σ[F='_'].
+func oneF(rs ...*Relation) bool {
+	f, some := int32(0), false
+	for _, r := range rs {
+		for _, w := range r.rows {
+			if !some {
+				f, some = w.f, true
+			} else if w.f != f {
+				return false
+			}
 		}
 	}
-	return len(r.rows) > 0
+	return some
 }
 
 // evalF pushes onto e.wits relations whose F columns together are π_F(p ∘ S),

@@ -24,7 +24,7 @@ type ExecState struct {
 	free    []*Relation // reset pooled temporaries ready for reuse
 	owned   []*Relation // temporaries handed out since the last Release
 	rowBufs [][]row     // pooled fixpoint delta buffers
-	seen    map[int32]struct{}
+	seen    seenIDs
 	lastDB  *DB
 }
 
@@ -114,17 +114,49 @@ func (e *Exec) putRowBuf(b []row) {
 	}
 }
 
-// idScratch returns an empty int32 set for a single tight dedup loop. The
-// arena keeps one; a kernel (ops.go) holds it for one loop and never across
-// another kernel call.
-func (e *Exec) idScratch(hint int) map[int32]struct{} {
-	if e.arena != nil {
-		if e.arena.seen == nil {
-			e.arena.seen = make(map[int32]struct{}, hint)
-		} else {
-			clear(e.arena.seen)
-		}
-		return e.arena.seen
+// seenIDs is a node-ID dedup set: a bit set over the keys' span where it is
+// small enough (spans), a map otherwise.
+type seenIDs struct {
+	set    idSet
+	m      map[int32]struct{}
+	bitmap bool
+}
+
+// has reports whether k is in s.
+func (s *seenIDs) has(k int32) bool {
+	if s.bitmap {
+		return s.set.has(k)
 	}
-	return make(map[int32]struct{}, hint)
+	_, ok := s.m[k]
+	return ok
+}
+
+// add inserts k and reports whether it was new.
+func (s *seenIDs) add(k int32) bool {
+	if s.bitmap {
+		return s.set.add(k)
+	}
+	n := len(s.m)
+	s.m[k] = struct{}{}
+	return len(s.m) > n
+}
+
+// idScratch returns an empty node-ID set for a single tight dedup loop over
+// n keys in [lo, hi] (colSpan). The arena keeps one; a kernel (ops.go) holds
+// it for one loop and never across another kernel call.
+func (e *Exec) idScratch(lo, hi int32, n int) *seenIDs {
+	var s *seenIDs
+	if e.arena != nil {
+		s = &e.arena.seen
+	} else {
+		s = new(seenIDs)
+	}
+	if s.bitmap = spans(lo, hi, n); s.bitmap {
+		s.set.reset(lo, hi)
+	} else if s.m == nil {
+		s.m = make(map[int32]struct{}, n/4+8)
+	} else {
+		clear(s.m)
+	}
+	return s
 }

@@ -1,40 +1,147 @@
 package rdb
 
-import "slices"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// idSet is a set of int32 node IDs, one bit each over [lo, lo+64·len(words)):
+// what a column index's probes read (colIndex.set), what a pooled temporary
+// asked only for membership builds instead of an index (members), the
+// arena's dedup scratch (seenIDs) and the walk that lists an answer
+// (Relation.AnswerIDs). It is built only over keys that span little (spans);
+// past that bound each caller's searched, sorted or hashed path runs as
+// before.
+type idSet struct {
+	lo    int32
+	words []uint64
+}
+
+// spanPerKey bounds a set: n keys in [lo, hi] get one only when
+// hi − lo ≤ spanPerKey·n, so it costs at most about a word a key.
+const spanPerKey = 64
+
+// spans reports whether n keys in [lo, hi] get a set.
+func spans(lo, hi int32, n int) bool {
+	return lo <= hi && int64(hi)-int64(lo) <= spanPerKey*int64(n)
+}
+
+// rowSpan returns the least and the greatest key of the F (onF) or T column
+// of rows; lo > hi when there is none.
+func rowSpan(rows []row, onF bool) (lo, hi int32) {
+	lo, hi = math.MaxInt32, math.MinInt32
+	for _, w := range rows {
+		k := colKey(w, onF)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	return lo, hi
+}
+
+// colSpan is rowSpan over the rows of rs, with their count.
+func colSpan(onF bool, rs ...*Relation) (lo, hi int32, n int) {
+	lo, hi = math.MaxInt32, math.MinInt32
+	for _, r := range rs {
+		l, h := rowSpan(r.rows, onF)
+		lo, hi, n = min(lo, l), max(hi, h), n+len(r.rows)
+	}
+	return lo, hi, n
+}
+
+// reset empties s for keys in [lo, hi], reusing its words when they suffice.
+func (s *idSet) reset(lo, hi int32) {
+	s.lo = lo
+	s.words = sized(s.words, int((uint32(hi)-uint32(lo))>>6)+1)
+	clear(s.words)
+}
+
+// fill makes s the set of the F (onF) or T column of rows, or reports false,
+// s left empty, where the keys span too wide for one.
+func (s *idSet) fill(rows []row, onF bool) bool {
+	s.words = s.words[:0]
+	if len(rows) == 0 {
+		return true
+	}
+	lo, hi := rowSpan(rows, onF)
+	if !spans(lo, hi, len(rows)) {
+		return false
+	}
+	s.reset(lo, hi)
+	for _, w := range rows {
+		s.add(colKey(w, onF))
+	}
+	return true
+}
+
+// has reports whether k is in s; no key outside its span is.
+func (s *idSet) has(k int32) bool {
+	i := uint32(k) - uint32(s.lo)
+	return i>>6 < uint32(len(s.words)) && s.words[i>>6]&(1<<(i&63)) != 0
+}
+
+// add inserts k, which must lie in the span s was reset for, and reports
+// whether it was new.
+func (s *idSet) add(k int32) bool {
+	i := uint32(k) - uint32(s.lo)
+	w, bit := &s.words[i>>6], uint64(1)<<(i&63)
+	was := *w & bit
+	*w |= bit
+	return was == 0
+}
+
+// appendIDs appends the members of s not below from to dst, ascending.
+func appendIDs[T int | int32](dst []T, s *idSet, from int32) []T {
+	for j, w := range s.words {
+		base := int64(s.lo) + int64(j)<<6
+		if d := int64(from) - base; d >= 64 {
+			continue
+		} else if d > 0 {
+			w &= ^uint64(0) << d
+		}
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, T(base)+T(bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
 
 // colIndex maps a column value (F or T) to the positions of the tuples
 // holding it. It replaces the seed's lazy map[int][]int32 indexes, which were
 // discarded on every insert and rebuilt from scratch on the next probe.
 //
-// The index is built once over a snapshot of the relation, in CSR form: bucket
-// b holds pos[offs[b]:offs[b+1]], positions ascending. When the key range is
-// dense — the usual case, node IDs are dense — the bucket of a key is the key
-// itself; when it is sparse, the distinct keys are listed in ascending order
-// and a bucket is found by binary search, inside the slot of a directory that
-// cuts the key range into as many equal parts as there are keys, so a probe
-// compares a key or two. Tuples appended after the build —
+// The index is built once over a snapshot of the relation, in CSR form: the
+// distinct keys are listed in ascending order, and bucket b — that of keys[b]
+// — holds pos[offs[b]:offs[b+1]], positions ascending. Keys that span little
+// (spans) — the usual case, node IDs are dense — are also an idSet: contains
+// tests a bit, a key's bucket is the rank of its bit, and the build is a
+// counting sort on that rank. Keys that span wide are sorted, and a bucket is
+// found by binary search, inside the slot of a directory that cuts the key
+// range into as many equal parts as there are keys, so a probe compares a key
+// or two. Tuples appended after the build —
 // the delta rows a semi-naive fixpoint adds while probing, the rows a store
 // update inserts — extend the index incrementally through a small overflow
 // table instead of invalidating it; a clone or a view's materialization folds
 // the overflow into a new snapshot once it outgrows a fixed share of it
 // (folded), and a compaction carries the index over to the survivors (compact).
 type colIndex struct {
-	sparse bool
-	// Sparse form only: the distinct keys, ascending, and the directory over
-	// them — dir[j] is where the keys from keys[0] + j<<shift up begin.
-	keys  []int32
+	keys []int32
+	offs []int32
+	pos  []int32
+	// set holds the keys where they span little, ranks[j] the number of keys
+	// in set.words[:j]; where they span wide set has no words and dir[j] is
+	// where the keys from keys[0] + j<<shift up begin. All are shared by
+	// clones like the rest of the snapshot.
+	set   idSet
+	ranks []int32
 	dir   []int32
 	shift uint8
-	offs  []int32
-	pos   []int32
 	// built is the number of leading tuples the snapshot covers; positions
 	// appended afterwards live in extra, whose keys all lie in [xlo, xhi].
 	built    int
 	extra    map[int32][]int32
 	xlo, xhi int32
-	distinct int // number of distinct keys at build time
 
-	// sortBuf is the sparse build's scratch, kept only by a pooled relation's
+	// sortBuf is the sorting build's scratch, kept only by a pooled relation's
 	// index (see buildColIndexInto).
 	sortBuf []uint64
 
@@ -47,9 +154,6 @@ type colIndex struct {
 }
 
 const (
-	// denseLimit: build the dense form when maxKey is within this factor of
-	// the tuple count; beyond it the offsets array would dominate memory.
-	denseLimit = 8
 	// foldShare and foldSlack bound the overflow a clone carries along, and a
 	// view's materialization keeps: past built/foldShare + foldSlack entries it
 	// is folded into the snapshot, so copying or probing it stays a fixed share
@@ -57,11 +161,6 @@ const (
 	foldShare = 16
 	foldSlack = 64
 )
-
-// denseKeys reports whether n tuples with keys in [lo, hi] get the dense form.
-func denseKeys(lo, hi int32, n int) bool {
-	return lo >= 0 && int(hi)+2 <= denseLimit*n+64
-}
 
 // buildColIndex indexes rows on the F column (onF) or the T column.
 func buildColIndex(rows []row, onF bool) *colIndex {
@@ -91,63 +190,53 @@ func sized[T any](buf []T, n int) []T {
 // buildColIndexInto (re)builds idx over rows, reusing its backing arrays when
 // their capacity suffices — the pooled-execution path rebuilds indexes over
 // same-shaped temporaries every request, so after warmup a rebuild allocates
-// nothing. The dense placement runs fill-free: buckets are filled by advancing
-// offs[k] itself, which afterwards holds bucket ends, and one shift restores
-// the starts. The sparse placement sorts (key, position) pairs packed into one
-// word each.
+// nothing. Keys that span little are placed by rank, fill-free: buckets are
+// filled by advancing offs[b] itself, which afterwards holds bucket ends, and
+// one shift restores the starts. Keys that span wide are sorted as (key,
+// position) pairs packed into one word each.
 func buildColIndexInto(idx *colIndex, rows []row, onF bool) {
 	n := len(rows)
 	idx.built = n
 	if idx.extra != nil {
 		clear(idx.extra)
 	}
-	lo, hi := int32(0), int32(-1)
-	for i := 0; i < n; i++ {
-		k := colKey(rows[i], onF)
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	idx.sparse = !denseKeys(lo, hi, n)
 	idx.pos = sized(idx.pos, n)
 	pos := idx.pos
-	if idx.sparse {
-		buf := sized(idx.sortBuf, n)
-		for i := 0; i < n; i++ {
-			buf[i] = uint64(sortableKey(colKey(rows[i], onF)))<<32 | uint64(i)
+	if idx.set.fill(rows, onF) {
+		idx.rank()
+		idx.keys = appendIDs(idx.keys[:0], &idx.set, math.MinInt32)
+		offs := sized(idx.offs, len(idx.keys)+1)
+		clear(offs)
+		for _, w := range rows {
+			offs[idx.rankOf(colKey(w, onF))+1]++
 		}
-		slices.Sort(buf)
-		keys, offs := idx.keys[:0], idx.offs[:0]
-		for i, e := range buf {
-			if k := int32(sortableKey(int32(e >> 32))); i == 0 || k != keys[len(keys)-1] {
-				keys, offs = append(keys, k), append(offs, int32(i))
-			}
-			pos[i] = int32(uint32(e))
+		for b := 1; b < len(offs); b++ {
+			offs[b] += offs[b-1]
 		}
-		idx.offs, idx.sortBuf = append(offs, int32(n)), buf
-		idx.setKeys(keys)
-		idx.distinct = len(keys)
+		for i, w := range rows {
+			b := idx.rankOf(colKey(w, onF))
+			pos[offs[b]] = int32(i)
+			offs[b]++
+		}
+		copy(offs[1:], offs[:len(offs)-1])
+		offs[0] = 0
+		idx.offs = offs
 		return
 	}
-	idx.offs = sized(idx.offs, int(hi)+2)
-	offs := idx.offs
-	clear(offs)
+	buf := sized(idx.sortBuf, n)
 	for i := 0; i < n; i++ {
-		offs[colKey(rows[i], onF)+1]++
+		buf[i] = uint64(sortableKey(colKey(rows[i], onF)))<<32 | uint64(i)
 	}
-	distinct := 0
-	for k := 1; k < len(offs); k++ {
-		if offs[k] > 0 {
-			distinct++
+	slices.Sort(buf)
+	keys, offs := idx.keys[:0], idx.offs[:0]
+	for i, e := range buf {
+		if k := int32(sortableKey(int32(e >> 32))); i == 0 || k != keys[len(keys)-1] {
+			keys, offs = append(keys, k), append(offs, int32(i))
 		}
-		offs[k] += offs[k-1]
+		pos[i] = int32(uint32(e))
 	}
-	for i := 0; i < n; i++ {
-		k := colKey(rows[i], onF)
-		pos[offs[k]] = int32(i)
-		offs[k]++
-	}
-	copy(offs[1:], offs[:len(offs)-1])
-	offs[0] = 0
-	idx.distinct = distinct
+	idx.offs, idx.sortBuf = append(offs, int32(n)), buf
+	idx.layKeys(keys)
 }
 
 // sortableKey maps a key to the unsigned word that sorts as the key does, and
@@ -185,19 +274,20 @@ func (idx *colIndex) compact(remap []int32, firstDead int) {
 				distinct++
 			}
 		}
-		if idx.sparse && distinct < len(idx.keys) {
+		keys := idx.keys
+		if distinct < len(idx.keys) {
 			// A key whose bucket emptied leaves the key list.
-			keys, starts := make([]int32, 0, distinct), make([]int32, 0, distinct+1)
+			kept, starts := make([]int32, 0, distinct), make([]int32, 0, distinct+1)
 			for b, k := range idx.keys {
 				if offs[b+1] > offs[b] {
-					keys, starts = append(keys, k), append(starts, offs[b])
+					kept, starts = append(kept, k), append(starts, offs[b])
 				}
 			}
-			idx.dir = nil // the old one may be shared too
-			idx.setKeys(keys)
-			offs = append(starts, int32(len(pos)))
+			keys, offs = kept, append(starts, int32(len(pos)))
 		}
-		idx.offs, idx.pos, idx.built, idx.distinct = offs, pos, len(pos), distinct
+		idx.offs, idx.pos, idx.built = offs, pos, len(pos)
+		idx.set, idx.ranks, idx.dir = idSet{}, nil, nil // they may be shared too
+		idx.layKeys(keys)
 	}
 	// The overflow's slices share their arrays with the parent relation's too:
 	// the survivors go to one array of their own.
@@ -228,119 +318,100 @@ func (idx *colIndex) folded(n int) *colIndex {
 		xkeys = append(xkeys, k)
 	}
 	slices.Sort(xkeys)
-	nb := len(idx.offs) - 1
-	keyOf := func(b int) int32 {
-		if idx.sparse {
-			return idx.keys[b]
+	c := &colIndex{
+		built: n,
+		keys:  make([]int32, 0, len(idx.keys)+len(xkeys)),
+		offs:  make([]int32, 0, len(idx.keys)+len(xkeys)+1),
+		pos:   make([]int32, 0, n),
+	}
+	put := func(k int32, ps []int32) { // k is the last key opened or a later one
+		if len(ps) == 0 {
+			return
 		}
-		return int32(b)
-	}
-	lo, hi := int32(0), int32(-1)
-	if nb > 0 {
-		lo, hi = min(lo, keyOf(0)), keyOf(nb-1)
-	}
-	if len(xkeys) > 0 {
-		lo, hi = min(lo, xkeys[0]), max(hi, xkeys[len(xkeys)-1])
-	}
-	w := indexWriter{idx: &colIndex{built: n, pos: make([]int32, 0, n)}}
-	if w.idx.sparse = !denseKeys(lo, hi, n); w.idx.sparse {
-		w.idx.keys = make([]int32, 0, idx.distinct+len(xkeys))
-		w.idx.offs = make([]int32, 0, idx.distinct+len(xkeys)+1)
-	} else {
-		w.idx.offs = make([]int32, int(hi)+2)
+		if len(c.keys) == 0 || c.keys[len(c.keys)-1] != k {
+			c.keys, c.offs = append(c.keys, k), append(c.offs, int32(len(c.pos)))
+		}
+		c.pos = append(c.pos, ps...)
 	}
 	x := 0
-	for b := 0; b < nb; b++ {
-		snap := idx.pos[idx.offs[b]:idx.offs[b+1]]
-		if len(snap) == 0 && x == len(xkeys) {
-			continue
-		}
-		k := keyOf(b)
+	for b, k := range idx.keys {
 		for ; x < len(xkeys) && xkeys[x] < k; x++ {
-			w.put(xkeys[x], idx.extra[xkeys[x]])
+			put(xkeys[x], idx.extra[xkeys[x]])
 		}
-		w.put(k, snap)
+		put(k, idx.pos[idx.offs[b]:idx.offs[b+1]])
 		if x < len(xkeys) && xkeys[x] == k {
-			w.put(k, idx.extra[k])
+			put(k, idx.extra[k])
 			x++
 		}
 	}
 	for ; x < len(xkeys); x++ {
-		w.put(xkeys[x], idx.extra[xkeys[x]])
+		put(xkeys[x], idx.extra[xkeys[x]])
 	}
-	return w.finish()
+	c.offs = append(c.offs, int32(len(c.pos)))
+	c.layKeys(c.keys)
+	return c
 }
 
-// indexWriter lays a snapshot out bucket by bucket, keys ascending.
-type indexWriter struct {
-	idx  *colIndex
-	next int32 // dense form: the first key whose bucket has no start yet
-}
-
-// put appends ps to the bucket of k, which is the last one opened or a later
-// one.
-func (w *indexWriter) put(k int32, ps []int32) {
-	if len(ps) == 0 {
-		return
-	}
-	idx := w.idx
-	n := int32(len(idx.pos))
-	idx.pos = append(idx.pos, ps...)
-	switch {
-	case !idx.sparse:
-		if k >= w.next {
-			idx.distinct++
-		}
-		for ; w.next <= k; w.next++ {
-			idx.offs[w.next] = n
-		}
-	case len(idx.keys) == 0 || idx.keys[len(idx.keys)-1] != k:
-		idx.keys, idx.offs = append(idx.keys, k), append(idx.offs, n)
-		idx.distinct++
-	}
-}
-
-func (w *indexWriter) finish() *colIndex {
-	idx := w.idx
-	if idx.sparse {
-		idx.offs = append(idx.offs, int32(len(idx.pos)))
-		idx.setKeys(idx.keys)
-		return idx
-	}
-	for k := int(w.next); k < len(idx.offs); k++ {
-		idx.offs[k] = int32(len(idx.pos))
-	}
-	return idx
-}
-
-// setKeys installs the sparse form's key list and lays the directory out over
-// it: the smallest power-of-two slot width that needs fewer than two slots a
-// key.
-func (idx *colIndex) setKeys(keys []int32) {
+// layKeys installs the key list of a snapshot laid out by a sort, a
+// compaction or a fold: as a set with ranks where the keys span little, else
+// under a directory — the smallest power-of-two slot width that needs fewer
+// than two slots a key. It writes the set's and the directory's arrays in
+// place: the caller owns them.
+func (idx *colIndex) layKeys(keys []int32) {
 	idx.keys = keys
+	idx.set.words = idx.set.words[:0]
 	if len(keys) == 0 {
 		return
 	}
-	first := uint32(keys[0])
-	span := uint32(keys[len(keys)-1]) - first
+	first, last := keys[0], keys[len(keys)-1]
+	if spans(first, last, idx.built) {
+		idx.set.reset(first, last)
+		for _, k := range keys {
+			idx.set.add(k)
+		}
+		idx.rank()
+		return
+	}
+	span := uint32(last) - uint32(first)
 	idx.shift = 0
 	for span>>idx.shift >= uint32(2*len(keys)) {
 		idx.shift++
 	}
-	slots := int(span>>idx.shift) + 1
-	idx.dir = sized(idx.dir, slots+1)
+	idx.dir = sized(idx.dir, int(span>>idx.shift)+2)
 	b := 0
 	for j := range idx.dir {
-		for b < len(keys) && (uint32(keys[b])-first)>>idx.shift < uint32(j) {
+		for b < len(keys) && (uint32(keys[b])-uint32(first))>>idx.shift < uint32(j) {
 			b++
 		}
 		idx.dir[j] = int32(b)
 	}
 }
 
-// bucketOf finds the bucket of k in the sparse form: a binary search among
-// the keys of k's directory slot — one or two, unless the keys are bunched.
-func (idx *colIndex) bucketOf(k int32) (int, bool) {
+// rank lays out ranks over the set's words.
+func (idx *colIndex) rank() {
+	idx.ranks = sized(idx.ranks, len(idx.set.words))
+	n := int32(0)
+	for j, w := range idx.set.words {
+		idx.ranks[j], n = n, n+int32(bits.OnesCount64(w))
+	}
+}
+
+// rankOf returns the bucket of a key the set holds: the keys below it.
+func (idx *colIndex) rankOf(k int32) int {
+	i := uint32(k) - uint32(idx.set.lo)
+	return int(idx.ranks[i>>6]) + bits.OnesCount64(idx.set.words[i>>6]&(1<<(i&63)-1))
+}
+
+// bucket finds the bucket of k: the rank of its bit in the set or, without a
+// set, a binary search among the keys of k's directory slot — one or two,
+// unless the keys are bunched.
+func (idx *colIndex) bucket(k int32) (int, bool) {
+	if len(idx.set.words) > 0 {
+		if !idx.set.has(k) {
+			return 0, false
+		}
+		return idx.rankOf(k), true
+	}
 	keys := idx.keys
 	if len(keys) == 0 || k < keys[0] || k > keys[len(keys)-1] {
 		return 0, false
@@ -370,12 +441,8 @@ func (idx *colIndex) lookup(k int32) (snap, over []int32) {
 
 // snap returns the snapshot positions of a key.
 func (idx *colIndex) snap(k int32) []int32 {
-	if idx.sparse {
-		if b, ok := idx.bucketOf(k); ok {
-			return idx.pos[idx.offs[b]:idx.offs[b+1]]
-		}
-	} else if k >= 0 && int(k)+1 < len(idx.offs) {
-		return idx.pos[idx.offs[k]:idx.offs[k+1]]
+	if b, ok := idx.bucket(k); ok {
+		return idx.pos[idx.offs[b]:idx.offs[b+1]]
 	}
 	return nil
 }
@@ -392,12 +459,16 @@ func (idx *colIndex) over(k int32) []int32 {
 
 // contains reports whether any tuple holds the key — the membership probe
 // semijoin-style operators use instead of materializing a value set. The
-// snapshot answers first.
+// snapshot answers first: a bit of its set, or, without one, its bucket.
 func (idx *colIndex) contains(k int32) bool {
-	if k == 0 && idx.scoped {
+	switch {
+	case k == 0 && idx.scoped:
 		return len(idx.rootSnap)+len(idx.rootOver) > 0
+	case len(idx.set.words) > 0:
+		return idx.set.has(k) || len(idx.over(k)) > 0
 	}
-	return len(idx.snap(k)) > 0 || len(idx.over(k)) > 0
+	_, ok := idx.bucket(k)
+	return ok || len(idx.over(k)) > 0
 }
 
 // cloneFor returns the index for a clone of the relation, which has n rows: a

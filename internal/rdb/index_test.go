@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -17,7 +18,10 @@ import (
 
 // checkCarriedIndexes compares both indexes r carries with fresh builds over
 // its rows: the same positions for every key — stored or not — in the same
-// (insertion) order, and the same key list.
+// (insertion) order, and the same key list. Each carries its keys as a set
+// exactly when they span little, a set that holds the snapshot's keys and no
+// other; and a pooled temporary holding r's rows, asked for membership alone,
+// answers as the rebuild does.
 func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 	t.Helper()
 	for _, onF := range []bool{true, false} {
@@ -26,6 +30,11 @@ func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 			idx = r.fIndex()
 		}
 		fresh := buildColIndex(r.rows, onF)
+		hasSet := len(idx.set.words) > 0
+		if n := len(idx.keys); hasSet != (n > 0 && spans(idx.keys[0], idx.keys[n-1], idx.built)) {
+			t.Fatalf("%s: onF=%v: %d keys over %d rows, set %v", step, onF, n, idx.built, hasSet)
+		}
+		temp := &Relation{rows: r.rows, pooled: true}
 		for _, k := range keys {
 			snap, over := idx.lookup(k)
 			want, _ := fresh.lookup(k)
@@ -35,14 +44,20 @@ func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 			if idx.contains(k) != (len(want) > 0) {
 				t.Fatalf("%s: onF=%v key %d: contains disagrees with lookup", step, onF, k)
 			}
+			if hasSet && idx.set.has(k) != (len(snap) > 0) {
+				t.Fatalf("%s: onF=%v key %d: the set says %v, the snapshot finds rows %v", step, onF, k, idx.set.has(k), snap)
+			}
+			if temp.members(onF).contains(k) != (len(want) > 0) {
+				t.Fatalf("%s: onF=%v key %d: a membership-only key set disagrees with lookup", step, onF, k)
+			}
 		}
 		for k := range idx.extra {
 			if k < idx.xlo || k > idx.xhi {
 				t.Fatalf("%s: onF=%v: overflow key %d outside its range [%d, %d]", step, onF, k, idx.xlo, idx.xhi)
 			}
 		}
-		if idx.built == len(r.rows) && idx.distinct != fresh.distinct {
-			t.Fatalf("%s: onF=%v: %d distinct keys carried, %d rebuilt", step, onF, idx.distinct, fresh.distinct)
+		if idx.built == len(r.rows) && !slices.Equal(idx.keys, fresh.keys) {
+			t.Fatalf("%s: onF=%v: keys %v carried, %v rebuilt", step, onF, idx.keys, fresh.keys)
 		}
 	}
 	if r.Tombstones() == 0 {
@@ -57,11 +72,21 @@ func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 }
 
 // TestCarriedIndexMatchesRebuild: random add / delete / Compact / Clone
-// sequences over relations whose keys make the index dense, sparse, sparse
-// because negative, and overflowed (the snapshot is taken early and nearly
-// everything is appended after it). The relation that ends the walk never
-// built an index of its own.
+// sequences over relations whose keys span little (a set), span wide (a
+// directory), are negative, are overflowed (the snapshot is taken early and
+// nearly everything is appended after it), or reach to one key past, or just
+// to, the span bound of the first build — crossing it as rows come and go.
+// The relation that ends the walk never built an index of its own.
 func TestCarriedIndexMatchesRebuild(t *testing.T) {
+	const bound = spanPerKey * 50 // the span a set allows the first build's 50 rows
+	reaching := func(far int32) func(r *rand.Rand) int32 {
+		return func(r *rand.Rand) int32 {
+			if r.Intn(20) == 0 {
+				return far
+			}
+			return int32(r.Intn(40))
+		}
+	}
 	shapes := []struct {
 		name      string
 		key       func(r *rand.Rand) int32
@@ -71,12 +96,9 @@ func TestCarriedIndexMatchesRebuild(t *testing.T) {
 		{"sparse", func(r *rand.Rand) int32 { return int32(r.Intn(40)) * 100_003 }, 50},
 		{"negative", func(r *rand.Rand) int32 { return int32(r.Intn(40)) - 20 }, 50},
 		{"overflowed", func(r *rand.Rand) int32 { return int32(r.Intn(40)) }, 3},
-		{"dense-then-sparse", func(r *rand.Rand) int32 {
-			if r.Intn(30) == 0 {
-				return 1 << 28
-			}
-			return int32(r.Intn(40))
-		}, 50},
+		{"dense-then-sparse", reaching(1 << 28), 50},
+		{"at-the-bound", reaching(bound), 50},
+		{"past-the-bound", reaching(bound + 1), 50},
 	}
 	for _, sh := range shapes {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -89,7 +111,7 @@ func TestCarriedIndexMatchesRebuild(t *testing.T) {
 			for k := int32(-25); k < 45; k++ {
 				keys = append(keys, k, k*100_003)
 			}
-			keys = append(keys, 1<<28, 1<<28+1)
+			keys = append(keys, 1<<28, 1<<28+1, bound-1, bound, bound+1, bound+2)
 			r.ByF(0)
 			r.ByT(0)
 			var pinned *Relation // what a reader of an earlier epoch still holds
@@ -129,6 +151,65 @@ func TestCarriedIndexMatchesRebuild(t *testing.T) {
 			if n := r.IndexBuilds(); n != 0 {
 				t.Errorf("%s seed %d: the last clone built %d indexes, want both carried", sh.name, seed, n)
 			}
+		}
+	}
+}
+
+// TestKeySetSpanBound: n keys spanning exactly spanPerKey·n get a set, and
+// one more ID of span does not — for a column index and for a pooled
+// temporary's membership-only key set, which past the bound builds the index
+// instead — and either way contains and lookup answer what the rows do, for
+// every key in and around the span, negative keys included.
+func TestKeySetSpanBound(t *testing.T) {
+	for _, n := range []int{2, 3, 50} {
+		for _, lo := range []int32{-1000, -5, 0, 7} {
+			for _, past := range []int32{0, 1} {
+				name := fmt.Sprintf("%d keys from %d, %d past the bound", n, lo, past)
+				hi := lo + spanPerKey*int32(n) + past
+				r, count := NewRelation("R"), map[int32]int{}
+				for i := 0; i < n; i++ {
+					k := lo + int32(i)
+					if i == n-1 {
+						k = hi
+					}
+					r.addRow(row{f: k, t: k})
+					count[k]++
+				}
+				temp := &Relation{rows: r.rows, pooled: true}
+				idx, mem := r.fIndex(), temp.members(true)
+				if len(idx.set.words) > 0 != (past == 0) {
+					t.Fatalf("%s: the index has a set: %v", name, len(idx.set.words) > 0)
+				}
+				if len(mem.set.words) > 0 != (past == 0) || temp.IndexBuilds() != int(past) {
+					t.Fatalf("%s: the membership probe built a set: %v, and %d indexes", name, len(mem.set.words) > 0, temp.IndexBuilds())
+				}
+				for k := lo - 2; k <= hi+2; k++ {
+					if idx.contains(k) != (count[k] > 0) || mem.contains(k) != (count[k] > 0) || len(idx.snap(k)) != count[k] {
+						t.Fatalf("%s: key %d: contains %v and %v, %d rows found, want %d", name, k, idx.contains(k), mem.contains(k), len(idx.snap(k)), count[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRangeOfMatchesSearch: the galloping rangeOf finds, from any position
+// not past the answer, the range two binary searches over the whole index
+// find — for intervals before, around, inside and after the begins.
+func TestRangeOfMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		d, n := &descIndex{}, rng.Intn(200)
+		for b := int64(0); len(d.begins) < n; b += 1 + int64(rng.Intn(4)) {
+			d.begins = append(d.begins, b)
+		}
+		begin := int64(rng.Intn(500)) - 50
+		end := begin + 1 + int64(rng.Intn(300))
+		lo := sort.Search(len(d.begins), func(i int) bool { return d.begins[i] > begin })
+		hi := sort.Search(len(d.begins), func(i int) bool { return d.begins[i] >= end })
+		from := rng.Intn(lo + 1)
+		if gotLo, gotHi := d.rangeOf(from, begin, end); gotLo != lo || gotHi != hi {
+			t.Fatalf("begins %v, (%d, %d) from %d: [%d, %d), want [%d, %d)", d.begins, begin, end, from, gotLo, gotHi, lo, hi)
 		}
 	}
 }

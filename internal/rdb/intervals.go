@@ -289,11 +289,29 @@ func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 
 // rangeOf returns the index slice [lo, hi) of nodes strictly inside the
 // interval (begin, end) — the proper descendants of the node owning it —
-// searching from position from, which must not be past lo.
+// searching forward from position from, which must not be past lo. Sources
+// taken in begin order only move it forward, and a gallop finds a range near
+// the last one in a few compares.
 func (d *descIndex) rangeOf(from int, begin, end int64) (lo, hi int) {
-	lo = from + sort.Search(len(d.begins)-from, func(i int) bool { return d.begins[from+i] > begin })
-	hi = lo + sort.Search(len(d.begins)-lo, func(i int) bool { return d.begins[lo+i] >= end })
-	return lo, hi
+	lo = firstAbove(d.begins, from, begin)
+	return lo, firstAbove(d.begins, lo, end-1)
+}
+
+// firstAbove returns the first position from i on whose begin exceeds x:
+// steps doubling from i bracket it, a binary search finds it in the bracket.
+func firstAbove(bs []int64, i int, x int64) int {
+	lo, hi := i, i
+	for step := 1; hi < len(bs) && bs[hi] <= x; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	for hi = min(hi, len(bs)); lo < hi; {
+		if m := int(uint(lo+hi) >> 1); bs[m] <= x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 type descIndexSort descIndex

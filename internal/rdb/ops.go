@@ -44,17 +44,11 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 	case ra.IdentOf:
 		child := in[0]
 		out := e.newRel("")
-		seen := e.idScratch(child.distinctHint(nil))
-		for i := range child.rows {
-			id := child.rows[i].t
-			if pl.OnF {
-				id = child.rows[i].f
+		seen := e.idScratch(colSpan(pl.OnF, child))
+		for _, w := range child.rows {
+			if id := colKey(w, pl.OnF); seen.add(id) {
+				out.appendDistinct(row{f: id, t: id, v: e.DB.ValSym(int(id))})
 			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			out.appendDistinct(row{f: id, t: id, v: e.DB.ValSym(int(id))})
 		}
 		e.Stats.TuplesOut += out.Len()
 		return out, nil
@@ -63,6 +57,14 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 	case ra.UnionAll:
 		out := e.newRel("")
 		distinct := e.distinct(pl)
+		// Where every row holds one F — a // step's desc ∪ self under a rooted
+		// context — a pair is new exactly when its T is: dedup on a set of Ts.
+		var seen *seenIDs
+		if !distinct && len(in) > 1 && oneF(in...) {
+			if lo, hi, n := colSpan(false, in...); spans(lo, hi, n) {
+				seen = e.idScratch(lo, hi, n)
+			}
+		}
 		for i, kr := range in {
 			if i > 0 {
 				e.Stats.Unions++
@@ -70,9 +72,15 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 			for _, w := range kr.rows {
 				// The first operand is a set: only the others can repeat a pair,
 				// and not when the operands' types differ.
-				if i == 0 || distinct {
+				switch {
+				case seen != nil:
+					if !seen.add(w.t) {
+						continue
+					}
 					out.appendFrom(kr, w)
-				} else if !out.addFrom(kr, w) {
+				case i == 0 || distinct:
+					out.appendFrom(kr, w)
+				case !out.addFrom(kr, w):
 					continue
 				}
 				e.Stats.TuplesOut++
@@ -425,12 +433,11 @@ func (e *Exec) fixPrune(endRel *Relation) func(t int32) bool {
 		return nil
 	}
 	begins := make([]int64, 0, endRel.Len())
-	seen := e.idScratch(endRel.distinctHint(endRel.idxF.Load()))
+	seen := e.idScratch(colSpan(true, endRel))
 	for _, w := range endRel.rows {
-		if _, dup := seen[w.f]; dup {
+		if !seen.add(w.f) {
 			continue
 		}
-		seen[w.f] = struct{}{}
 		iv, has := st.tab.get(int(w.f))
 		if !has {
 			return nil
@@ -627,20 +634,24 @@ func (e *Exec) descScanFast(k descKernel, use descUse, startIdx, endIdx *colInde
 	switch {
 	case use.stair != nil:
 		e.Stats.StairScans++
-		inStair = use.stair.tIndex()
+		inStair = use.stair.members(false)
 	case use.exists:
 		e.Stats.ExistsProbes++
 		if use.s != nil {
 			e.Stats.Joins++
-			if len(use.s) == 1 && use.s[0].fIndex() == endIdx {
+			if len(use.s) == 1 && use.s[0].members(true) == endIdx {
 				use.s = nil // the end constraint tests the same
+			}
+			for _, r := range use.s {
+				r.members(true) // built here: morsel workers only read them
 			}
 		}
 	}
 	srcs := e.getRowBuf()        // per source, its position in k.from and the F of its pairs
 	kept := int64(math.MinInt64) // under a stair, the end of the last source kept
 	for i, w := range k.from {
-		if startIdx != nil && !startIdx.contains(w.t) || inStair != nil && (!inStair.contains(w.t) || k.begins[i] < kept) {
+		if inStair != nil && (k.begins[i] < kept || inStair != startIdx && !inStair.contains(w.t)) ||
+			startIdx != nil && !startIdx.contains(w.t) {
 			continue
 		}
 		f := w.t
@@ -705,7 +716,7 @@ func (k *descKernel) pairs(srcs []row, use descUse, endIdx *colIndex, emit func(
 // anyF reports whether k is the F value of a row of one of rs.
 func anyF(rs []*Relation, k int32) bool {
 	for _, r := range rs {
-		if r.fIndex().contains(k) {
+		if r.members(true).contains(k) {
 			return true
 		}
 	}
@@ -717,10 +728,10 @@ func anyF(rs []*Relation, k int32) bool {
 func (e *Exec) witnessRows(r *Relation, s []*Relation) *Relation {
 	e.Stats.Joins++
 	out := e.newRel("")
-	seen := e.idScratch(r.distinctHint(r.idxF.Load()))
+	seen := e.idScratch(colSpan(true, r))
 	for _, w := range r.rows {
-		if _, dup := seen[w.f]; !dup && anyF(s, w.t) {
-			seen[w.f] = struct{}{}
+		if !seen.has(w.f) && anyF(s, w.t) {
+			seen.add(w.f)
 			out.appendFrom(r, w)
 		}
 	}
@@ -733,9 +744,9 @@ func (e *Exec) witnessRows(r *Relation, s []*Relation) *Relation {
 func (e *Exec) semijoin(l *Relation, wits []*Relation, anti bool) *Relation {
 	e.Stats.Joins++
 	out := e.newRel("")
-	n, hint := 0, 0
+	n := 0
 	for _, r := range wits {
-		n, hint = n+r.Len(), hint+r.distinctHint(r.idxF.Load())
+		n += r.Len()
 	}
 	if !anti && n*8 < l.Len() {
 		// Small witness side: probe L's T index with the witnesses' distinct F
@@ -745,13 +756,12 @@ func (e *Exec) semijoin(l *Relation, wits []*Relation, anti bool) *Relation {
 		// and amortized across every filter probing it.
 		idx := l.tIndex()
 		lrows := l.probeRows()
-		seen := e.idScratch(hint)
+		seen := e.idScratch(colSpan(true, wits...))
 		for _, r := range wits {
 			for _, w := range r.rows {
-				if _, dup := seen[w.f]; dup {
+				if !seen.add(w.f) {
 					continue
 				}
-				seen[w.f] = struct{}{}
 				snap, over := idx.lookup(w.f)
 				for _, part := range [2][]int32{snap, over} {
 					for _, pos := range part {

@@ -57,10 +57,7 @@ func checkBuildMatchesExec(t *testing.T, db *DB, p *ra.Program, mode IntervalMod
 	if err != nil {
 		t.Fatalf("%s: exec: %v\n%s", label, err, p)
 	}
-	want := rel.TIDs()
-	if len(want) > 0 && want[0] == 0 {
-		want = want[1:]
-	}
+	want := rel.AnswerIDs()
 	partial := ex.Stats.StairScans+ex.Stats.ExistsProbes > 0
 	check := func(phase string, got Stats) {
 		t.Helper()
@@ -121,5 +118,62 @@ func TestViewBuildMatchesExec(t *testing.T) {
 	if maintained < 200 || scans == 0 || partial.StairScans == 0 || partial.ExistsProbes == 0 {
 		t.Fatalf("sample too thin: %d tree-maintained views, %d descendant scans, %d staircase scans, %d existence probes",
 			maintained, scans, partial.StairScans, partial.ExistsProbes)
+	}
+}
+
+// TestUnionOfOneFDedupsOnT: a union whose operands' rows all hold one F — the
+// desc ∪ self of a rooted // step — dedups on a set of its Ts and hashes no
+// pair; where the Fs differ, or the Ts span too wide for a set, the pair set
+// dedups as before. The answer is the set union either way, pooled or not.
+func TestUnionOfOneFDedupsOnT(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		f, far int32 // the F of B's rows, and a T of B's far from the rest
+		hashes bool
+	}{
+		{"one F", 0, 0, false},
+		{"two Fs", 1, 0, true},
+		{"one F, Ts spanning wide", 0, 1 << 28, true},
+	} {
+		db := NewDB()
+		want := map[[2]int32]bool{}
+		for k := int32(1); k <= 60; k++ {
+			if k <= 40 {
+				db.Rel("A").addRow(row{t: k})
+				want[[2]int32{0, k}] = true
+			}
+			if k >= 20 {
+				w := row{f: c.f, t: k}
+				if k == 60 && c.far != 0 {
+					w.t = c.far
+				}
+				db.Rel("B").addRow(w)
+				want[[2]int32{w.f, w.t}] = true
+			}
+		}
+		p := prog(ra.UnionAll{Kids: []ra.Plan{ra.Base{Rel: "A"}, ra.Base{Rel: "B"}}})
+		fresh, err := NewExec(db).Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := AcquireState(db)
+		pooled, err := st.Exec().Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range []*Relation{fresh, pooled} {
+			got := map[[2]int32]bool{}
+			for _, w := range out.rows {
+				if got[[2]int32{w.f, w.t}] = true; !want[[2]int32{w.f, w.t}] {
+					t.Fatalf("%s: (%d, %d) is in no operand", c.name, w.f, w.t)
+				}
+			}
+			if out.Len() != len(want) || len(got) != len(want) {
+				t.Fatalf("%s: %d rows, %d distinct, want the %d of the set union", c.name, out.Len(), len(got), len(want))
+			}
+		}
+		if inserts, _ := st.ReleaseCounted(); (inserts > 0) != c.hashes {
+			t.Fatalf("%s: %d pair-set inserts, want some: %v", c.name, inserts, c.hashes)
+		}
 	}
 }

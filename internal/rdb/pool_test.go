@@ -128,3 +128,40 @@ func TestWarmExecAllocsParallel(t *testing.T) {
 		t.Fatalf("warm pooled parallel run allocates %.0f times per request, want <= 500", allocs)
 	}
 }
+
+// TestPooledKeySetsStartEmpty: a request's temporary asked only for
+// membership builds a key set (Relation.members) that the next request, which
+// the arena hands the same relation with other rows of the same count, must
+// not read: the witnesses of one selection leaking into the next would keep
+// rows the next one's witnesses do not.
+func TestPooledKeySetsStartEmpty(t *testing.T) {
+	db := NewDB()
+	for k := 1; k <= 20; k++ {
+		db.Insert("R0", 0, k, "")
+	}
+	for k := 1; k <= 10; k++ {
+		v := "a"
+		if k > 5 {
+			v = "b"
+		}
+		db.Insert("R1", k, 100+k, v)
+	}
+	st := AcquireState(db)
+	for round, v := range []string{"a", "a", "b", "b", "a"} { // the arena hands temporaries out LIFO
+		p := prog(ra.Semijoin{L: ra.Base{Rel: "R0"}, R: ra.SelectVal{Child: ra.Base{Rel: "R1"}, Val: v}})
+		want, err := NewExec(db).Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Exec().Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := canonTuples(want.Tuples()), canonTuples(got.Tuples()); fmt.Sprint(w) != fmt.Sprint(g) {
+			t.Fatalf("round %d (%q): pooled %v, fresh %v", round, v, g, w)
+		}
+		st.Release()
+		st = AcquireState(db)
+	}
+	st.Release()
+}

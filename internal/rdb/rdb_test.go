@@ -266,12 +266,12 @@ func TestFixStartEndConstraints(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ts := db.Rel("S").TSet()
-		fs := db.Rel("S").FSet()
+		ts := colSet(db.Rel("S").rows, false)
+		fs := colSet(db.Rel("S").rows, true)
 		wantStart, wantEnd, wantBoth := 0, 0, 0
 		for _, tp := range full.Tuples() {
-			_, inS := ts[tp.F]
-			_, inE := fs[tp.T]
+			_, inS := ts[int32(tp.F)]
+			_, inE := fs[int32(tp.T)]
 			if inS {
 				wantStart++
 				if !started.Has(tp.F, tp.T) {

@@ -22,8 +22,8 @@ package rdb
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -83,6 +83,10 @@ type Relation struct {
 	// readers may hold indefinitely.
 	pooled             bool
 	fScratch, tScratch *colIndex
+	// mem holds the F and the T key set members built for a pooled
+	// temporary in place of an index; one is current while its built is the
+	// row count (reset sets it to -1).
+	mem [2]*colIndex
 
 	// base, when non-nil, marks a document-scoped view of the stored relation
 	// base (see scope.go): rows aliases the in-scope run of base's
@@ -497,6 +501,46 @@ func (r *Relation) tIndex() *colIndex {
 	return idx
 }
 
+// members returns what a probe that only asks "is k in the F (onF) or T
+// column" reads: the column's index, or — for a pooled temporary not indexed
+// on it — a key set of its own, built in one pass with no sort and no index
+// build. Keys too spread out for a set (spans) build the index after all.
+func (r *Relation) members(onF bool) *colIndex {
+	if idx := r.index(onF, false); idx != nil {
+		return idx
+	}
+	if m := r.keySet(onF); m != nil {
+		return m
+	}
+	return r.index(onF, true)
+}
+
+// keySet returns a pooled temporary's key set of the F (onF) or T column,
+// filled unless current — nil for any other relation, or where the keys span
+// too wide for a set. Its words stay with the relation the arena recycles.
+func (r *Relation) keySet(onF bool) *colIndex {
+	if !r.pooled || r.base != nil {
+		return nil
+	}
+	i := 0
+	if !onF {
+		i = 1
+	}
+	m := r.mem[i]
+	if m == nil {
+		m = &colIndex{built: -1}
+		r.mem[i] = m
+	}
+	if m.built != len(r.rows) {
+		if !m.set.fill(r.rows, onF) {
+			m.built = -1
+			return nil
+		}
+		m.built = len(r.rows)
+	}
+	return m
+}
+
 // index returns the F (onF) or T column's index, built on first use — or,
 // unless build, nil if it has not been.
 func (r *Relation) index(onF, build bool) *colIndex {
@@ -534,72 +578,33 @@ func mergedPositions(snap, over []int32) []int32 {
 	return append(out, over...)
 }
 
-// FSet returns the distinct F values. The map is sized by the indexed
-// distinct count when known, avoiding the seed's len(tuples) over-allocation
-// for sets that are usually far smaller.
-func (r *Relation) FSet() map[int]struct{} {
-	out := make(map[int]struct{}, r.distinctHint(r.idxF.Load()))
-	for i := range r.rows {
-		out[int(r.rows[i].f)] = struct{}{}
-	}
-	return out
-}
+// TIDs returns the sorted distinct T values.
+func (r *Relation) TIDs() []int { return r.idsFrom(math.MinInt32) }
 
-// TSet returns the distinct T values.
-func (r *Relation) TSet() map[int]struct{} {
-	out := make(map[int]struct{}, r.distinctHint(r.idxT.Load()))
-	for i := range r.rows {
-		out[int(r.rows[i].t)] = struct{}{}
-	}
-	return out
-}
+// AnswerIDs returns the answer node IDs of a query result: its sorted
+// distinct T values without the virtual root 0 (node IDs are positive), which
+// can enter a result via ε but is a context, not a document node.
+func (r *Relation) AnswerIDs() []int { return r.idsFrom(1) }
 
-// distinctHint estimates the distinct-key count of a column: exact when its
-// index snapshot exists and covers all rows, a fraction of the tuple count
-// otherwise.
-func (r *Relation) distinctHint(idx *colIndex) int {
-	if idx != nil && idx.built == len(r.rows) {
-		return idx.distinct
+// idsFrom lists the distinct T values not below from, ascending: a walk of a
+// set of the T column — a pooled temporary's own (keySet) — or, where the Ts
+// span too wide for one, a sort.
+func (r *Relation) idsFrom(from int32) []int {
+	out := make([]int, 0, len(r.rows))
+	if m := r.keySet(false); m != nil {
+		return appendIDs(out, &m.set, from)
 	}
-	return len(r.rows)/4 + 8
-}
-
-// TIDs returns the sorted distinct T values: the answer node IDs when the
-// relation is a query result: the keys of a built T index, else the T column
-// sorted — not into an index read once. (A scoped view's T index is its
-// base's: the view's own rows are the answer.)
-func (r *Relation) TIDs() []int {
-	idx := r.idxT.Load()
-	if idx == nil || r.base != nil {
-		out := make([]int, len(r.rows))
-		for i, w := range r.rows {
-			out[i] = int(w.t)
-		}
-		slices.Sort(out)
-		return slices.Compact(out)
+	var s idSet
+	if s.fill(r.rows, false) {
+		return appendIDs(out, &s, from)
 	}
-	out := make([]int, 0, idx.distinct+len(idx.extra))
-	if idx.sparse {
-		for _, k := range idx.keys {
-			out = append(out, int(k))
-		}
-	} else {
-		for k := 0; k+1 < len(idx.offs); k++ {
-			if idx.offs[k+1] > idx.offs[k] {
-				out = append(out, k)
-			}
+	for _, w := range r.rows {
+		if w.t >= from {
+			out = append(out, int(w.t))
 		}
 	}
-	if len(idx.extra) == 0 {
-		return out
-	}
-	for k := range idx.extra {
-		if snap, _ := idx.lookup(k); len(snap) == 0 {
-			out = append(out, int(k))
-		}
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SetPath records the witnessing path for (f, t) (P attribute, §5.2).
@@ -670,6 +675,12 @@ func (r *Relation) reset() {
 	r.rows = r.rows[:0]
 	r.idxF.Store(nil)
 	r.idxT.Store(nil)
+	r.idxBuilds.Store(0)
+	for _, m := range r.mem {
+		if m != nil {
+			m.built = -1
+		}
+	}
 	if r.paths != nil {
 		clear(r.paths)
 	}

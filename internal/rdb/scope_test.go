@@ -156,17 +156,20 @@ func TestScopedRunEqualsDocumentAlone(t *testing.T) {
 
 // TestScopedPooledStateKeepsIndexIntact: a view's rows alias the shared
 // begin-sorted index; recycling the view through the arena must not let a
-// later request's temporaries grow into it.
+// later request's temporaries grow into it. And a view's F index answers key
+// 0, the virtual root, with the scope's own root alone, though the key set it
+// shares with the base holds 0 for every relation some document's root is in:
+// the root probed against each relation answers as on the document alone.
 func TestScopedPooledStateKeepsIndexIntact(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	db := makeForest(r, 60, 3, 2)
+	db := makeForest(r, 60, 4, 2)
 	p := &ra.Program{
 		Stmts: []ra.Stmt{{Name: "result", Plan: ra.UnionAll{Kids: []ra.Plan{
 			ra.Base{Rel: "R0"}, ra.Compose{L: ra.Base{Rel: "R0"}, R: ra.Base{Rel: "R1"}},
 		}}}},
 		Result: "result", DTDFP: db.DTDFP,
 	}
-	run := func(doc int) []Tuple {
+	runOn := func(db *DB, p *ra.Program, doc int) []Tuple {
 		st := AcquireState(db)
 		defer st.Release()
 		st.Exec().Doc = doc
@@ -176,7 +179,29 @@ func TestScopedPooledStateKeepsIndexIntact(t *testing.T) {
 		}
 		return canonTuples(rel.Tuples())
 	}
+	run := func(doc int) []Tuple { return runOn(db, p, doc) }
 	roots := docRoots(db)
+	for _, rel := range []string{"R0", "R1"} {
+		holds := 0
+		for _, root := range roots {
+			if db.Rel(rel).Has(0, root) {
+				holds++
+			}
+		}
+		if holds == 0 || holds == len(roots) {
+			t.Fatalf("%s holds %d of the %d document roots; the forest must put some in each relation", rel, holds, len(roots))
+		}
+		atRoot := prog(ra.Semijoin{L: ra.RootSeed{}, R: ra.Base{Rel: rel}})
+		atRoot.DTDFP = db.DTDFP
+		for _, root := range roots {
+			want := runOn(docAlone(db, root), atRoot, 0)
+			for round := 0; round < 2; round++ {
+				if got := runOn(db, atRoot, root); !sameTuples(got, want) {
+					t.Fatalf("document %d, round %d: the root probed against %s answers %v, %v on the document alone", root, round, rel, got, want)
+				}
+			}
+		}
+	}
 	first := map[int][]Tuple{}
 	for _, root := range roots {
 		first[root] = run(root)

@@ -3,6 +3,7 @@ package rdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestIndexBuildCount(t *testing.T) {
 	if ps := r.ByT(3); len(ps) != 3 {
 		t.Fatalf("ByT(3) after extension = %d positions, want 3", len(ps))
 	}
-	if _, ok := r.TSet()[3]; !ok {
-		t.Fatal("TSet missing incrementally indexed key")
+	if !r.tIndex().contains(3) {
+		t.Fatal("contains misses an incrementally indexed key")
 	}
 	if got := r.IndexBuilds(); got != 2 {
 		t.Fatalf("IndexBuilds after extension probes = %d, want 2", got)
@@ -197,6 +198,46 @@ func TestColIndexSparseKeys(t *testing.T) {
 	want := []int{2, 9, 7_000_000}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("sparse TIDs = %v, want %v", got, want)
+	}
+}
+
+// TestAnswerIDsMatchSort: on random relations — Ts spanning little (a set
+// walk), negative, or spanning wide (the sort, as the 7 000 000 key of
+// TestColIndexSparseKeys) — TIDs is the T column sorted and compacted, and
+// AnswerIDs the same past the virtual root 0.
+func TestAnswerIDsMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	shapes := []struct {
+		name string
+		key  func() int32
+	}{
+		{"dense", func() int32 { return int32(rng.Intn(100)) }},
+		{"negative", func() int32 { return int32(rng.Intn(100)) - 50 }},
+		{"sparse", func() int32 { return int32(rng.Intn(40)) * 100_003 }},
+		{"one far", func() int32 { return []int32{0, 2, 9, 7_000_000}[rng.Intn(4)] }},
+	}
+	for _, sh := range shapes {
+		name, key := sh.name, sh.key
+		for _, n := range []int{0, 1, 2, 5, 300} {
+			r := NewRelation("r")
+			var want []int
+			for i := 0; i < n; i++ {
+				k := key()
+				r.addRow(row{f: int32(i), t: k})
+				want = append(want, int(k))
+			}
+			sort.Ints(want)
+			want = slices.Compact(want)
+			if got := r.TIDs(); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d rows: TIDs %v, want %v", name, n, got, want)
+			}
+			for len(want) > 0 && want[0] <= 0 {
+				want = want[1:]
+			}
+			if got := r.AnswerIDs(); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d rows: AnswerIDs %v, want %v", name, n, got, want)
+			}
+		}
 	}
 }
 

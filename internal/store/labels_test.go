@@ -283,7 +283,7 @@ func checkAgainstOracle(t *testing.T, step string, s *Store, m *mirror, d *dtd.D
 			if err != nil {
 				t.Fatalf("%s: %q (intervals %v): %v", step, qs, mode, err)
 			}
-			if got := core.ExtractIDs(rel); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := rel.AnswerIDs(); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: %q (intervals %v): store %v, native evaluator %v", step, qs, mode, got, want)
 			}
 		}
@@ -345,7 +345,7 @@ func scopedAnswers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, doc int) 
 	if err != nil {
 		t.Fatalf("scoped %q: %v", query, err)
 	}
-	return core.ExtractIDs(rel)
+	return rel.AnswerIDs()
 }
 
 // TestCanonicalImage: the saved image does not show the slack. A gapped

@@ -274,7 +274,7 @@ func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Stra
 		if err != nil {
 			t.Fatalf("run %q parallel: %v", query, err)
 		}
-		return core.ExtractIDs(rel)
+		return rel.AnswerIDs()
 	}
 	ids, _, err := res.ExecuteCtx(context.Background(), db, obs.Limits{}, nil)
 	if err != nil {
