@@ -112,7 +112,7 @@ func main() {
 	flag.StringVar(&o.sqlDSN, "sql-dsn", "memory://xpathd", "database/sql DSN for -backend sql")
 	flag.IntVar(&o.nodeIDBase, "node-id-base", 0, "offset this shard's node IDs by the base (xpathrouter fleets: give each shard a disjoint, generously spaced base, e.g. k<<24)")
 	flag.StringVar(&o.strategy, "strategy", "X", "translation strategy: X, E or R")
-	flag.IntVar(&o.workers, "parallel", runtime.GOMAXPROCS(0), "concurrent statement evaluations per query")
+	flag.IntVar(&o.workers, "parallel", runtime.GOMAXPROCS(0), "morsel workers per operator of a query (statements run one after another; an operator splits an input of 4096 rows or more into morsels)")
 	flag.IntVar(&o.cacheSize, "cache-size", xpath2sql.DefaultCacheSize, "prepared-plan cache capacity (<=0 disables caching)")
 	flag.IntVar(&o.maxConcurrent, "max-concurrent", runtime.GOMAXPROCS(0), "admission: concurrently executing requests")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "admission: waiting requests before 429 (default 4x max-concurrent)")

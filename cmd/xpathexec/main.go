@@ -48,7 +48,7 @@ func main() {
 	verify := flag.Bool("verify", false, "cross-check against the native evaluator")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	paths := flag.Bool("paths", false, "print each answer's label path")
-	workers := flag.Int("parallel", 1, "concurrent statement evaluations (>1 enables parallel execution)")
+	workers := flag.Int("parallel", 1, "morsel workers per operator (statements run one after another; >1 splits an operator input of 4096 rows or more into morsels)")
 	reconstruct := flag.Bool("reconstruct", false, "print the answers' reconstructed XML subtrees")
 	trace := flag.Bool("trace", false, "print the executed plan with observed cardinalities and timings")
 	timeout := flag.Duration("timeout", 0, "wall-clock execution budget, e.g. 500ms (0 = unlimited)")

@@ -127,9 +127,12 @@ func WithLimits(l Limits) EngineOption {
 	return func(e *Engine) { e.limits = l }
 }
 
-// WithParallelism makes execution evaluate up to workers independent
-// statements concurrently (workers > 1), for single translations and
-// batches alike.
+// WithParallelism caps the morsel fan-out of execution at workers, for
+// single translations and batches alike: statements run one after another
+// on one pooled executor, and an operator whose input reaches two morsels
+// (4096 rows: hash joins, fixpoint deltas, interval scans) splits it across
+// up to workers goroutines. Answers, traces and statistics other than the
+// morsel count are the same at every setting.
 func WithParallelism(workers int) EngineOption {
 	return func(e *Engine) {
 		if workers < 1 {
@@ -402,8 +405,9 @@ func (t *Translation) ExecuteOn(ctx context.Context, b Backend) (*Answer, error)
 //   - Limits: the translation's limits (the engine's WithLimits) are
 //     enforced by the snapshot's executor; breaches return *LimitError.
 //   - Parallelism: the translation's worker count (WithParallelism on the
-//     engine, or Translation.WithParallelism per run) bounds intra-query
-//     fan-out; 1 runs the serial pooled-state path.
+//     engine, or Translation.WithParallelism per run) caps the morsel
+//     fan-out inside large operators; statements run one after another on
+//     one pooled executor at every worker count.
 //   - Trace: every run records a per-statement trace into its Answer
 //     (Answer.Explain renders it); runs never share mutable state.
 //   - Cancellation: honored between statements and fixpoint iterations,
@@ -461,25 +465,14 @@ func (a *BatchAnswer) Explain() string {
 	return obs.Explain(a.prog, a.Trace, nil)
 }
 
-// ExecuteContext answers every query of the batch within one executor
-// (shared statements are evaluated once) under a context with the batch's
-// limits; cancellation and limit semantics are those of Translation
-// execution (ExecuteOn / Execute). A batch built by an engine with parallelism evaluates
-// independent statements of the merged program concurrently, still
-// computing shared statements exactly once.
+// ExecuteContext answers every query of the batch within one pooled
+// executor (shared statements are evaluated once) under a context with the
+// batch's limits; cancellation and limit semantics are those of Translation
+// execution (ExecuteOn / Execute). The batch's parallelism caps the morsel
+// fan-out inside large operators, as for a Translation.
 func (b *Batch) ExecuteContext(ctx context.Context, db *DB) (*BatchAnswer, error) {
 	trace := &obs.Trace{}
-	var (
-		ids   [][]int
-		per   []ExecStats
-		total *ExecStats
-		err   error
-	)
-	if b.workers > 1 {
-		ids, per, total, err = b.b.ExecuteParallelCtx(ctx, db, rdb.RunConfig{Workers: b.workers, Limits: b.limits, Trace: trace})
-	} else {
-		ids, per, total, err = b.b.ExecuteCtx(ctx, db, b.limits, trace)
-	}
+	ids, per, total, err := b.b.ExecuteCtx(ctx, db, b.workers, b.limits, trace)
 	if err != nil {
 		return nil, err
 	}

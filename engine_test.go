@@ -243,8 +243,9 @@ func TestEngineLFPIterLimit(t *testing.T) {
 	}
 }
 
-// TestEngineParallelAgrees: WithParallelism executes the same program
-// concurrently and returns identical answers with a deterministic trace.
+// TestEngineParallelAgrees: WithParallelism executes the same program with
+// morsel fan-out allowed and returns identical answers with a deterministic
+// trace.
 func TestEngineParallelAgrees(t *testing.T) {
 	d, doc, db := deptSetup(t)
 	ctx := context.Background()
@@ -327,9 +328,9 @@ func TestEngineBatchPerQueryStats(t *testing.T) {
 	}
 }
 
-// TestEngineBatchParallelAgrees: a batch built by a parallel engine runs the
-// merged program's DAG concurrently, returning the serial batch's answers
-// with per-query statistics that still sum to the aggregate.
+// TestEngineBatchParallelAgrees: a batch built by a parallel engine returns
+// the serial batch's answers with per-query statistics that still sum to the
+// aggregate.
 func TestEngineBatchParallelAgrees(t *testing.T) {
 	d, _, db := deptSetup(t)
 	ctx := context.Background()

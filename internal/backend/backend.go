@@ -42,7 +42,10 @@ var (
 // ExecOptions carries the per-run execution configuration every backend
 // must honor.
 type ExecOptions struct {
-	// Workers requests intra-query parallelism (<= 1 is serial). Backends
+	// Workers caps the morsel fan-out inside one operator (<= 1 is serial):
+	// statements still run one after another on one executor, and only an
+	// operator whose input reaches two morsels (4096 rows, rdb's
+	// 2·morselRows) splits it across up to Workers goroutines. Backends
 	// without a parallel evaluator may ignore it.
 	Workers int
 	// Limits bounds the run; exceeding a bound returns *obs.LimitError.

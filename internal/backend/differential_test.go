@@ -3,6 +3,7 @@ package backend_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"xpath2sql/internal/cluster"
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/dtd"
+	"xpath2sql/internal/ra"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/workload"
@@ -255,8 +257,8 @@ func TestDifferentialBackends(t *testing.T) {
 // qualifiers with negation and text() tests — and all three strategies, an
 // execution scoped to one document must equal (a) the native evaluator on
 // that document alone and (b) the unscoped answer cut to the document's ID
-// range, serially and on the scheduler, on the interval kernel and on the
-// fixpoint path. (The SQL backend refuses a scope: sqlbe.TestScopeRefused.)
+// range, at 1 and 4 workers, on the interval kernel and on the fixpoint
+// path. (The SQL backend refuses a scope: sqlbe.TestScopeRefused.)
 func TestDifferentialScoped(t *testing.T) {
 	dtds := map[string]*dtd.DTD{
 		"dept":  workload.Dept(),
@@ -398,7 +400,9 @@ func isRecursive(d *dtd.DTD) bool {
 }
 
 // TestParallelLocalMatchesSerial covers the Workers knob of ExecOptions on
-// the local backend against the same programs run serially.
+// the local backend against the same programs run serially: the same
+// answers and, the morsel count aside, the same work; and a join whose probe
+// side reaches two morsels (5 000 rows) does split it at 4 workers.
 func TestParallelLocalMatchesSerial(t *testing.T) {
 	d := workload.Dept()
 	doc, err := xmlgen.Generate(d, xmlgen.Options{XL: 6, XR: 3, Seed: 2, MaxNodes: 200, ValueFunc: valueFunc})
@@ -409,7 +413,6 @@ func TestParallelLocalMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ *rdb.DB = db
 	ctx := context.Background()
 	snap, err := backend.NewLocalDB(db).Snapshot(ctx)
 	if err != nil {
@@ -435,8 +438,96 @@ func TestParallelLocalMatchesSerial(t *testing.T) {
 		if !equalInts(par.IDs, serial.IDs) {
 			t.Fatalf("%s: parallel = %v, serial = %v", qs, par.IDs, serial.IDs)
 		}
+		if ps, ss := par.Stats, serial.Stats; ps.Minus(rdb.Stats{Morsels: ps.Morsels}) != ss.Minus(rdb.Stats{Morsels: ss.Morsels}) {
+			t.Fatalf("%s: parallel did %+v, serial %+v", qs, ps, ss)
+		}
 		if !equalInts(serial.IDs, oracle(q, doc)) {
 			t.Fatalf("%s: serial = %v, oracle = %v", qs, serial.IDs, oracle(q, doc))
+		}
+	}
+	wide := rdb.NewDB()
+	for i := 1; i <= 5000; i++ {
+		wide.Insert("E", i, 5000+i, "")
+		wide.Insert("E", 5000+i, 10000+i, "")
+	}
+	hop := &ra.Program{Stmts: []ra.Stmt{{Name: "r", Plan: ra.Compose{L: ra.Base{Rel: "E"}, R: ra.Base{Rel: "E"}}}}, Result: "r"}
+	var morsels [2]int
+	for i, workers := range []int{1, 4} {
+		res, err := backend.AdoptDB(wide, 1).Execute(ctx, hop, backend.ExecOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.IDs) != 5000 {
+			t.Fatalf("%d workers: %d answers, want 5000", workers, len(res.IDs))
+		}
+		morsels[i] = res.Stats.Morsels
+	}
+	if morsels[0] != 0 || morsels[1] == 0 {
+		t.Fatalf("morsels at 1 and 4 workers: %v; only the run at 4 may split the join", morsels)
+	}
+}
+
+// readMix is the read-desc workload's query mix (benchmark/gen.go).
+var readMix = []string{
+	"dept//project",
+	"dept//cno",
+	"dept//course//title",
+	"dept//student[qualified//course]",
+	"dept/course[cno and not(.//project)]",
+	"dept/course/prereq//course/prereq/course",
+	"dept//cno[text()='cno-5']",
+	"dept//sno | dept//pno",
+}
+
+// TestWarmWorkersAllocLikeSerial: Workers only caps the morsel fan-out of an
+// operator whose input passes the threshold, and the same pooled executor
+// runs every request, so a warm request at 4 workers whose operands all stay
+// under the threshold — the read mix on a small dept document — allocates
+// exactly what a serial one does.
+func TestWarmWorkersAllocLikeSerial(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; alloc counts need a normal build")
+	}
+	d := workload.Dept()
+	doc, err := xmlgen.Generate(d, xmlgen.Options{XL: 6, XR: 3, Seed: 2, MaxNodes: 2000, ValueFunc: valueFunc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := shred.Shred(doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ctx := backend.AdoptDB(db, 1), context.Background()
+	for _, qs := range readMix {
+		q, err := xpath.Parse(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Translate(q, d, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fewest of three measurements: a GC that empties the state pool
+		// mid-measurement costs one a fresh state.
+		allocs := func(workers int) float64 {
+			least := math.Inf(1)
+			for range 3 {
+				var stats rdb.Stats
+				least = min(least, testing.AllocsPerRun(50, func() {
+					ans, err := snap.Execute(ctx, res.Program, backend.ExecOptions{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					stats = ans.Stats
+				}))
+				if stats.Morsels != 0 {
+					t.Fatalf("%s at %d workers: %d morsels; the document must stay under the threshold", qs, workers, stats.Morsels)
+				}
+			}
+			return least
+		}
+		if serial, par := allocs(1), allocs(4); serial != par {
+			t.Errorf("%s: %v allocations a request at 4 workers, %v at 1", qs, par, serial)
 		}
 	}
 }

@@ -82,25 +82,17 @@ func (s *localSnap) Epoch() uint64 { return s.epoch }
 
 func (s *localSnap) Close() error { return nil }
 
-// Execute runs the program on the rdb engine: the morsel-parallel evaluator
-// when Workers > 1, the serial lazy executor otherwise. This is the single
-// home of the logic every in-process execution path used to duplicate. The
-// serial path runs on a pooled rdb.ExecState, so a warm request reuses the
-// previous request's relations, sets and index backings; the answer IDs are
-// copied out before the state is released.
+// Execute runs the program on the rdb engine: statements one after another
+// on one pooled rdb.ExecState, so a warm request reuses the previous request's
+// relations, sets and index backings, at any worker count — Workers only caps
+// the morsel fan-out of an operator whose input is large enough to split
+// (rdb.Exec.Parallelism). The answer IDs are copied out before the state is
+// released.
 func (s *localSnap) Execute(ctx context.Context, prog *ra.Program, opts ExecOptions) (*Result, error) {
-	if opts.Workers > 1 {
-		rel, stats, err := rdb.RunParallelWith(ctx, s.db, prog, rdb.RunConfig{
-			Workers: opts.Workers, Limits: opts.Limits, Trace: opts.Trace, Intervals: opts.Intervals, Doc: opts.Doc,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{IDs: rel.AnswerIDs(), Stats: *stats}, nil
-	}
 	st := rdb.AcquireState(s.db)
 	defer st.Release()
 	ex := st.Exec()
+	ex.Parallelism = opts.Workers
 	ex.Limits = opts.Limits
 	ex.IntervalMode = opts.Intervals
 	ex.Doc = opts.Doc

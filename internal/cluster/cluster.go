@@ -79,8 +79,8 @@ type Config struct {
 
 // ExecOptions configures one routed execution.
 type ExecOptions struct {
-	// Workers is the intra-query parallelism of each in-process shard
-	// execution (<= 1 is serial).
+	// Workers caps the morsel fan-out inside an operator of each in-process
+	// shard execution (<= 1 is serial; backend.ExecOptions.Workers).
 	Workers int
 	// Limits bounds each in-process shard execution.
 	Limits obs.Limits

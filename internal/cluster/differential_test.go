@@ -369,8 +369,8 @@ func TestClusterDifferential(t *testing.T) {
 								when, qstrs[i], ans.IDs, want, pl.Name(), shards)
 						}
 					}
-					// A document-scoped read of every query, serial and on the
-					// statement scheduler, must be the oracle answer restricted
+					// A document-scoped read of every query, at 1 and 3 workers,
+					// must be the oracle answer restricted
 					// to the document's subtree — after updates the root's
 					// interval has moved and the oracle walks parents, so the
 					// two sides share no mechanism.

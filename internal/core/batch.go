@@ -160,23 +160,25 @@ func mergeStmts(results []*Result) (*BatchResult, error) {
 // answers stripped, as in Result.Execute). All queries run within one
 // executor, so shared statements are evaluated once.
 func (b *BatchResult) Execute(db *rdb.DB) ([][]int, *rdb.Stats, error) {
-	answers, _, total, err := b.ExecuteCtx(context.Background(), db, obs.Limits{}, nil)
+	answers, _, total, err := b.ExecuteCtx(context.Background(), db, 1, obs.Limits{}, nil)
 	return answers, total, err
 }
 
 // ExecuteCtx runs the batch under a context with resource limits and
 // returns, besides the per-query answers, per-query execution statistics
-// alongside the executor's total. All queries share one executor (shared
-// statements are evaluated once), so the per-query stats are snapshot
-// deltas around each query's RunMore call: work is charged exactly once, to
-// the query whose evaluation performed it, and the deltas sum to the total
-// — statement stats are never double-counted across the shared executor's
-// RunMore calls. Limits.Timeout budgets each query's run separately; when
-// trace is non-nil all queries' statement events accumulate into it.
-func (b *BatchResult) ExecuteCtx(ctx context.Context, db *rdb.DB, limits obs.Limits, trace *obs.Trace) ([][]int, []rdb.Stats, *rdb.Stats, error) {
+// alongside the executor's total. All queries share one pooled executor
+// (shared statements are evaluated once), so the per-query stats are
+// snapshot deltas around each query's RunMore call: work is charged exactly
+// once, to the query whose evaluation performed it, and the deltas sum to
+// the total. workers caps the morsel fan-out inside an operator
+// (rdb.Exec.Parallelism). Limits.Timeout budgets each query's run
+// separately; when trace is non-nil all queries' statement events accumulate
+// into it.
+func (b *BatchResult) ExecuteCtx(ctx context.Context, db *rdb.DB, workers int, limits obs.Limits, trace *obs.Trace) ([][]int, []rdb.Stats, *rdb.Stats, error) {
 	st := rdb.AcquireState(db)
 	defer st.Release()
 	ex := st.Exec()
+	ex.Parallelism = workers
 	ex.Limits = limits
 	answers := make([][]int, len(b.ResultNames))
 	perQuery := make([]rdb.Stats, len(b.ResultNames))
@@ -193,78 +195,4 @@ func (b *BatchResult) ExecuteCtx(ctx context.Context, db *rdb.DB, limits obs.Lim
 	}
 	total := ex.Stats
 	return answers, perQuery, &total, nil
-}
-
-// ExecuteParallelCtx answers every query of the batch in one parallel pass:
-// the merged program's statement DAG is scheduled across up to cfg.Workers
-// concurrent evaluators (rdb.RunParallelRoots), so shared sub-queries are
-// evaluated exactly once and independent per-query sections run
-// concurrently. Per-query statistics are recovered from the statement trace
-// by charging each executed statement to the first (lowest-index) query
-// whose result reaches it — the same owner the serial executor's lazy
-// memoization produces when every reachable statement is needed — so the
-// per-query stats again sum to the total. Cancellation, limits and trace
-// determinism, interval mode and document scope are cfg's, as in any other
-// scheduler run (rdb.RunConfig).
-func (b *BatchResult) ExecuteParallelCtx(ctx context.Context, db *rdb.DB, cfg rdb.RunConfig) ([][]int, []rdb.Stats, *rdb.Stats, error) {
-	if cfg.Trace == nil {
-		cfg.Trace = &obs.Trace{} // attribution needs the per-statement events
-	}
-	done, total, err := rdb.RunParallelRoots(ctx, db, b.Program, b.ResultNames, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	answers := make([][]int, len(b.ResultNames))
-	for i, name := range b.ResultNames {
-		answers[i] = done[name].AnswerIDs()
-	}
-	return answers, b.attributeStats(cfg.Trace), total, nil
-}
-
-// attributeStats charges each traced statement event to the first query (in
-// batch order) whose result statement reaches it through temp references,
-// and rolls the events up into per-query statistics that sum to the run's
-// aggregate counters.
-func (b *BatchResult) attributeStats(trace *obs.Trace) []rdb.Stats {
-	byName := map[string]ra.Plan{}
-	for _, s := range b.Program.Stmts {
-		byName[s.Name] = s.Plan
-	}
-	owner := map[string]int{}
-	var claim func(name string, q int)
-	claim = func(name string, q int) {
-		if _, taken := owner[name]; taken {
-			return
-		}
-		plan, ok := byName[name]
-		if !ok {
-			return
-		}
-		owner[name] = q
-		for _, dep := range ra.TempRefs(plan) {
-			claim(dep, q)
-		}
-	}
-	for i, name := range b.ResultNames {
-		claim(name, i)
-	}
-	per := make([]rdb.Stats, len(b.ResultNames))
-	for _, ev := range trace.Events {
-		q, ok := owner[ev.Stmt]
-		if !ok {
-			continue // statement outside every query's cone (cannot happen)
-		}
-		per[q].Joins += ev.Ops.Joins
-		per[q].Unions += ev.Ops.Unions
-		per[q].LFPs += ev.Ops.LFPs
-		per[q].LFPIters += ev.Ops.LFPIters
-		per[q].RecFixes += ev.Ops.RecFixes
-		per[q].TuplesOut += ev.Ops.TuplesOut
-		per[q].Morsels += ev.Ops.Morsels
-		per[q].DescScans += ev.Ops.DescScans
-		per[q].StairScans += ev.Ops.StairScans
-		per[q].ExistsProbes += ev.Ops.ExistsProbes
-		per[q].StmtsRun++
-	}
-	return per
 }

@@ -146,8 +146,8 @@ type StmtEvent struct {
 }
 
 // Trace accumulates the events of one execution in completion order. It is
-// not safe for concurrent use; parallel executions record one Trace per
-// worker and Merge them.
+// not safe for concurrent use: an execution records its events from the one
+// goroutine that runs its statements, at every worker count.
 type Trace struct {
 	Events []StmtEvent
 }
@@ -183,31 +183,6 @@ func (t *Trace) Totals() Totals {
 		tot.Wall += ev.Wall
 	}
 	return tot
-}
-
-// Merge appends the events of every part into t, then orders all events
-// deterministically: by the given statement rank (program order) first, by
-// name second. Ranks missing from order sort last. Parallel executions use
-// it to combine per-worker traces into one reproducible sequence.
-func (t *Trace) Merge(order map[string]int, parts ...*Trace) {
-	for _, p := range parts {
-		if p != nil {
-			t.Events = append(t.Events, p.Events...)
-		}
-	}
-	rank := func(name string) int {
-		if r, ok := order[name]; ok {
-			return r
-		}
-		return int(^uint(0) >> 1) // unknown statements last
-	}
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		ri, rj := rank(t.Events[i].Stmt), rank(t.Events[j].Stmt)
-		if ri != rj {
-			return ri < rj
-		}
-		return t.Events[i].Stmt < t.Events[j].Stmt
-	})
 }
 
 // CacheStats reports the effectiveness counters of a prepared-query plan

@@ -76,26 +76,6 @@ func TestOpStatsAddSub(t *testing.T) {
 	}
 }
 
-func TestMergeDeterministicOrder(t *testing.T) {
-	order := map[string]int{"s0": 0, "s1": 1, "s2": 2}
-	w1 := &Trace{Events: []StmtEvent{{Stmt: "s2"}, {Stmt: "s0"}}}
-	w2 := &Trace{Events: []StmtEvent{{Stmt: "extra"}, {Stmt: "s1"}}}
-	var m1, m2 Trace
-	m1.Merge(order, w1, w2)
-	m2.Merge(order, w2, nil, w1) // different worker completion order, a nil part
-	want := []string{"s0", "s1", "s2", "extra"}
-	for i, tr := range []*Trace{&m1, &m2} {
-		if len(tr.Events) != len(want) {
-			t.Fatalf("merge %d: %d events", i, len(tr.Events))
-		}
-		for j, ev := range tr.Events {
-			if ev.Stmt != want[j] {
-				t.Fatalf("merge %d: order %v", i, tr.Events)
-			}
-		}
-	}
-}
-
 func TestSummary(t *testing.T) {
 	var tr Trace
 	if s := tr.Summary(5); !strings.Contains(s, "no statements") {

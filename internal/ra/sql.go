@@ -3,7 +3,6 @@ package ra
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,7 +162,7 @@ func topoStmts(p *Program) []Stmt {
 		}
 		state[i] = 1
 		base := len(refs)
-		refs = appendTempRefs(refs, p.Stmts[i].Plan, true)
+		refs = appendTempRefs(refs, p.Stmts[i].Plan)
 		deps := refs[base:base]
 		for _, name := range refs[base:] {
 			if j, ok := byName[name]; ok && state[j] == 0 {
@@ -184,33 +183,15 @@ func topoStmts(p *Program) []Stmt {
 	return order
 }
 
-// TempRefs lists the temp-table names referenced by a plan, sorted; it
-// defines the statement dependency graph used by parallel execution and the
-// SQL renderer's topological ordering.
-func TempRefs(p Plan) []string { return tempRefs(p, true) }
-
-// KernelTempRefs is TempRefs for an engine that answers every DescScan with
-// its interval kernel: the fixpoint alternative Alt is never read, so the
-// temps only it mentions are not dependencies.
-func KernelTempRefs(p Plan) []string { return tempRefs(p, false) }
-
-func tempRefs(p Plan, alt bool) []string {
-	out := appendTempRefs(nil, p, alt)
-	sort.Strings(out)
-	return slices.Compact(out)
-}
-
-func appendTempRefs(dst []string, p Plan, alt bool) []string {
+// appendTempRefs appends the temp-table names a plan references, in plan
+// order, repeats included.
+func appendTempRefs(dst []string, p Plan) []string {
 	if t, ok := p.(Temp); ok {
 		return append(dst, t.Name)
 	}
 	var buf [4]Plan
-	in := AppendInputs(buf[:0], p)
-	if _, ok := p.(DescScan); ok && !alt {
-		in = in[1:]
-	}
-	for _, k := range in {
-		dst = appendTempRefs(dst, k, alt)
+	for _, k := range AppendInputs(buf[:0], p) {
+		dst = appendTempRefs(dst, k)
 	}
 	return dst
 }

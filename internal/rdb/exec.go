@@ -63,7 +63,7 @@ func (a Stats) Minus(b Stats) Stats {
 }
 
 // Add accumulates b into s fieldwise: the inverse of Minus, used wherever
-// per-statement, per-worker or per-shard counters are summed.
+// per-query or per-shard counters are summed.
 func (s *Stats) Add(b Stats) {
 	s.Joins += b.Joins
 	s.Unions += b.Unions
@@ -87,10 +87,13 @@ type Exec struct {
 	// computed only when referenced. Disabled, statements run in order.
 	Lazy bool
 
-	// Parallelism is the number of worker goroutines morsel-driven operators
-	// (hash joins, fixpoint delta expansion) may fan out to. Values below 2
-	// keep every operator single-threaded. Results are identical at any
-	// setting: morsel buffers are merged deterministically.
+	// Parallelism is the number of worker goroutines a morsel-driven
+	// operator (hash joins, fixpoint delta expansion, interval scans) may fan
+	// out to once its input reaches 2·morselRows rows (parWorkers). Values
+	// below 2 keep every operator single-threaded. Statements always run one
+	// after another on the calling goroutine, and results, traces and every
+	// counter but Stats.Morsels are identical at any setting: morsel buffers
+	// are merged in morsel order.
 	Parallelism int
 
 	// Limits bounds the resources the next Run/RunCtx may consume;
@@ -160,9 +163,20 @@ func (e *Exec) newRel(name string) *Relation {
 	return newRelation(name, e.DB.Syms)
 }
 
-// prepare arms the cancellation/limit/trace state for one run and resolves
-// its document scope.
-func (e *Exec) prepare(ctx context.Context, trace *obs.Trace) error {
+// prepare arms the cancellation/limit/trace state for one run of p and
+// resolves its document scope. It refuses a program naming two statements
+// alike, whose lookup would silently take the first; the check borrows the
+// running set, empty between runs, so a warm run allocates nothing for it.
+func (e *Exec) prepare(ctx context.Context, p *ra.Program, trace *obs.Trace) error {
+	for _, s := range p.Stmts {
+		if e.running[s.Name] {
+			clear(e.running)
+			return fmt.Errorf("rdb: duplicate statement %q", s.Name)
+		}
+		e.running[s.Name] = true
+	}
+	clear(e.running)
+	e.prog = p
 	e.scope, e.views, e.docID, e.wits = nil, e.views[:0], nil, e.wits[:0]
 	if e.Doc != 0 {
 		sc, err := e.DB.resolveScope(e.Doc)
@@ -194,12 +208,11 @@ func (e *Exec) RunMore(p *ra.Program) (*Relation, error) {
 // RunMoreCtx is RunMore with cancellation, limits and tracing; see RunCtx.
 // The wall-clock budget of Limits.Timeout restarts at each call.
 func (e *Exec) RunMoreCtx(ctx context.Context, p *ra.Program, trace *obs.Trace) (*Relation, error) {
-	e.prog = p
 	if e.env == nil {
 		e.env = map[string]*Relation{}
 		e.running = map[string]bool{}
 	}
-	if err := e.prepare(ctx, trace); err != nil {
+	if err := e.prepare(ctx, p, trace); err != nil {
 		return nil, err
 	}
 	return e.stmt(p.Result)
@@ -219,7 +232,6 @@ func (e *Exec) Run(p *ra.Program) (*Relation, error) {
 // statement with its exclusive operator counts, cardinalities and wall time;
 // the trace totals then agree with e.Stats.
 func (e *Exec) RunCtx(ctx context.Context, p *ra.Program, trace *obs.Trace) (*Relation, error) {
-	e.prog = p
 	if e.env == nil {
 		e.env = map[string]*Relation{}
 		e.running = map[string]bool{}
@@ -227,7 +239,7 @@ func (e *Exec) RunCtx(ctx context.Context, p *ra.Program, trace *obs.Trace) (*Re
 		clear(e.env)
 		clear(e.running)
 	}
-	if err := e.prepare(ctx, trace); err != nil {
+	if err := e.prepare(ctx, p, trace); err != nil {
 		return nil, err
 	}
 	if !e.Lazy {

@@ -3,6 +3,7 @@ package rdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -176,8 +177,7 @@ func TestMaxTuples(t *testing.T) {
 // TestMaxTuplesWhateverTheProgramShape: the tuple bound holds on programs with
 // no fixpoint to check it between iterations — a lone statement, a chain whose
 // statements all start (lazily, from the result down) before any has produced
-// a tuple, a union of two — and the serial executor and the scheduler report
-// the same trip.
+// a tuple, a union of two — and it trips alike at every worker count.
 func TestMaxTuplesWhateverTheProgramShape(t *testing.T) {
 	db := chainDB(50)
 	hop := func(l ra.Plan) ra.Plan { return ra.Compose{L: l, R: ra.Base{Rel: "E"}} }
@@ -195,20 +195,22 @@ func TestMaxTuplesWhateverTheProgramShape(t *testing.T) {
 			{Name: "result", Plan: ra.UnionAll{Kids: []ra.Plan{ra.Temp{Name: "a"}, ra.Temp{Name: "b"}}}},
 		}},
 	} {
-		ex := NewExec(db)
-		ex.Limits = limits
-		_, serial := ex.RunCtx(context.Background(), p, nil)
-		_, _, scheduled := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 2, Limits: limits})
-		for driver, err := range map[string]error{"RunCtx": serial, "RunParallelWith": scheduled} {
+		for _, workers := range []int{1, 4} {
+			ex := NewExec(db)
+			ex.Limits, ex.Parallelism = limits, workers
+			_, err := ex.RunCtx(context.Background(), p, nil)
 			var le *obs.LimitError
 			if !errors.As(err, &le) || le.Kind != obs.LimitTuples || le.Limit != int64(limits.MaxTuples) || le.Actual <= le.Limit {
-				t.Errorf("%s, %s: err = %v, want a tuple-count LimitError over %d", name, driver, err, limits.MaxTuples)
+				t.Errorf("%s, parallelism %d: err = %v, want a tuple-count LimitError over %d", name, workers, err, limits.MaxTuples)
 			}
 		}
 	}
 }
 
+// TestParallelTraceDeterministic: at parallelism 4, with morsels of four
+// rows, the trace lists the statements in one order, round after round.
 func TestParallelTraceDeterministic(t *testing.T) {
+	forceTinyMorsels(t)
 	db := chainDB(40, [2]int{40, 7})
 	p := &ra.Program{
 		Stmts: []ra.Stmt{
@@ -221,11 +223,13 @@ func TestParallelTraceDeterministic(t *testing.T) {
 	var ref []string
 	for round := 0; round < 5; round++ {
 		var tr obs.Trace
-		rel, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4, Trace: &tr})
+		ex := NewExec(db)
+		ex.Parallelism = 4
+		rel, err := ex.RunCtx(context.Background(), p, &tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel.Len() == 0 || stats.TuplesOut == 0 {
+		if rel.Len() == 0 || ex.Stats.TuplesOut == 0 {
 			t.Fatalf("round %d: empty result", round)
 		}
 		var names []string
@@ -236,45 +240,58 @@ func TestParallelTraceDeterministic(t *testing.T) {
 			ref = names
 			continue
 		}
-		if len(names) != len(ref) {
-			t.Fatalf("round %d: %v vs %v", round, names, ref)
-		}
-		for i := range names {
-			if names[i] != ref[i] {
-				t.Fatalf("round %d: nondeterministic order %v vs %v", round, names, ref)
-			}
+		if fmt.Sprint(names) != fmt.Sprint(ref) {
+			t.Fatalf("round %d: nondeterministic order %v vs %v", round, names, ref)
 		}
 	}
 }
 
+// TestParallelLimits: the fixpoint bounds trip at parallelism 4 with every
+// iteration's delta split into morsels.
 func TestParallelLimits(t *testing.T) {
-	db := chainDB(200)
+	forceTinyMorsels(t)
 	p := prog(ra.Fix{Seed: ra.Base{Rel: "E"}})
-	_, _, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4, Limits: obs.Limits{MaxLFPIters: 1}})
+	run := func(limits obs.Limits) (Stats, error) {
+		ex := NewExec(chainDB(200))
+		ex.Limits, ex.Parallelism = limits, 4
+		_, err := ex.RunCtx(context.Background(), p, nil)
+		return ex.Stats, err
+	}
+	stats, err := run(obs.Limits{MaxLFPIters: 1})
 	var le *obs.LimitError
 	if !errors.As(err, &le) || le.Kind != obs.LimitLFPIters {
-		t.Fatalf("parallel err = %v, want LFP-iters LimitError", err)
+		t.Fatalf("err = %v, want LFP-iters LimitError", err)
 	}
-	_, _, err = RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4, Limits: obs.Limits{MaxTuples: 10}})
-	if !errors.Is(err, obs.ErrLimit) {
-		t.Fatalf("parallel err = %v, want ErrLimit", err)
+	if stats.Morsels == 0 {
+		t.Fatalf("stats %+v: no morsel ran", stats)
+	}
+	if _, err := run(obs.Limits{MaxTuples: 10}); !errors.As(err, &le) || le.Kind != obs.LimitTuples {
+		t.Fatalf("err = %v, want tuple-count LimitError", err)
 	}
 }
 
+// TestParallelCancel: cancelling mid-fixpoint at parallelism 4 returns
+// promptly with context.Canceled; the morsel workers check the context once
+// a morsel.
 func TestParallelCancel(t *testing.T) {
-	db := chainDB(4000)
+	forceTinyMorsels(t)
+	ex := NewExec(chainDB(4000))
+	ex.Parallelism = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
 	t0 := time.Now()
-	_, _, err := RunParallelWith(ctx, db, prog(ra.Fix{Seed: ra.Base{Rel: "E"}}), RunConfig{Workers: 2})
+	_, err := ex.RunCtx(ctx, prog(ra.Fix{Seed: ra.Base{Rel: "E"}}), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(t0); elapsed > 2*time.Second {
-		t.Fatalf("parallel cancellation took %v", elapsed)
+		t.Fatalf("cancellation took %v", elapsed)
+	}
+	if ex.Stats.Morsels == 0 {
+		t.Fatalf("stats %+v: no morsel ran before the cancel", ex.Stats)
 	}
 }
 

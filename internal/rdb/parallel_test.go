@@ -2,14 +2,123 @@ package rdb
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"testing/quick"
 
+	"xpath2sql/internal/obs"
 	"xpath2sql/internal/ra"
 )
 
-// diamond builds a program with a diamond dependency: two independent
-// branches joined at the top.
+// Exec.Parallelism only splits a large operator input into morsels, whose
+// buffers are merged in morsel order; statements run one after another on
+// one executor at every worker count. So a run at any worker count is the serial
+// run: tuple for tuple in row order, trace event for trace event, counter for
+// counter but the morsel count.
+
+// workerRun is what one run shows: its error, its tuples in row order, its
+// trace events without wall times and its counters, both without the morsel
+// count, which is kept apart.
+type workerRun struct {
+	err     string
+	tuples  []Tuple
+	events  []obs.StmtEvent
+	stats   Stats
+	morsels int
+}
+
+// runAtWorkers runs p on a pooled state, the serving path, at the given
+// parallelism, interval mode and document scope.
+func runAtWorkers(db *DB, p *ra.Program, mode IntervalMode, doc, workers int) workerRun {
+	st := AcquireState(db)
+	defer st.Release()
+	ex := st.Exec()
+	ex.Parallelism, ex.IntervalMode, ex.Doc = workers, mode, doc
+	var tr obs.Trace
+	rel, err := ex.RunCtx(context.Background(), p, &tr)
+	out := workerRun{stats: ex.Stats, morsels: ex.Stats.Morsels}
+	out.stats.Morsels = 0
+	if err != nil {
+		out.err = err.Error()
+	} else {
+		out.tuples = rel.Tuples()
+	}
+	for _, ev := range tr.Events {
+		ev.Wall, ev.Ops.Morsels = 0, 0
+		out.events = append(out.events, ev)
+	}
+	return out
+}
+
+// differs describes how b departs from a, or returns "".
+func (a workerRun) differs(b workerRun) string {
+	switch {
+	case a.err != b.err:
+		return fmt.Sprintf("errors differ: %q, %q", a.err, b.err)
+	case fmt.Sprint(a.tuples) != fmt.Sprint(b.tuples):
+		return fmt.Sprintf("tuples differ:\n  %v\n  %v", a.tuples, b.tuples)
+	case fmt.Sprint(a.events) != fmt.Sprint(b.events):
+		return fmt.Sprintf("trace events differ:\n  %+v\n  %+v", a.events, b.events)
+	case a.stats != b.stats:
+		return fmt.Sprintf("stats differ:\n  %+v\n  %+v", a.stats, b.stats)
+	}
+	return ""
+}
+
+// TestWorkerCountsAgree runs random programs — every operator (randProgram),
+// DescScan on both physical paths (randTreeProgram), the staircase and
+// existence uses of the interval kernel (kernelProgram) — over random forests
+// at parallelism 1, 2 and 4 with morsels of four rows, scoped to a document
+// and not, under IntervalAuto and IntervalOff. Every run must show what the
+// serial run shows.
+func TestWorkerCountsAgree(t *testing.T) {
+	forceTinyMorsels(t)
+	fanned := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		nRels := 1 + r.Intn(3)
+		nDocs := 1 + r.Intn(4)
+		db := makeForest(r, nDocs+4+r.Intn(60), nDocs, nRels)
+		var p *ra.Program
+		switch r.Intn(3) {
+		case 0:
+			p = randProgram(r, nRels)
+			p.DTDFP = db.DTDFP
+		case 1:
+			p = randTreeProgram(r, nRels, true)
+		default:
+			p = kernelProgram(r, nRels)
+		}
+		roots := docRoots(db)
+		for _, doc := range []int{0, roots[r.Intn(len(roots))]} {
+			for _, mode := range []IntervalMode{IntervalAuto, IntervalOff} {
+				serial := runAtWorkers(db, p, mode, doc, 1)
+				for _, workers := range []int{2, 4} {
+					got := runAtWorkers(db, p, mode, doc, workers)
+					if msg := serial.differs(got); msg != "" {
+						t.Logf("seed=%d, doc %d, %v, parallelism 1 against %d: %s\nprogram:\n%s", seed, doc, mode, workers, msg, p)
+						return false
+					}
+					if got.morsels > 0 {
+						fanned++
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if fanned == 0 {
+		t.Fatal("no run split an operator into morsels: the test compared serial runs")
+	}
+}
+
+// diamondProgram has a diamond dependency — two independent branches joined
+// at the top — and a statement nothing reads.
 func diamondProgram() *ra.Program {
 	return &ra.Program{
 		Stmts: []ra.Stmt{
@@ -24,102 +133,42 @@ func diamondProgram() *ra.Program {
 	}
 }
 
+// TestRunParallelMatchesSerial: the diamond program answers the same at
+// parallelism 1, 2 and 8, with morsels of four rows, as the serial run, and
+// at no worker count is the unread statement run.
 func TestRunParallelMatchesSerial(t *testing.T) {
+	forceTinyMorsels(t)
 	db := chainDB(30, [2]int{30, 5}, [2]int{12, 3})
 	for i := 1; i < 10; i++ {
 		db.Insert("BIG", i, i+1, "")
 	}
 	p := diamondProgram()
-	serialEx := NewExec(db)
-	serial, err := serialEx.Run(p)
+	serial, err := NewExec(db).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		par, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: workers})
+		ex := NewExec(db)
+		ex.Parallelism = workers
+		par, err := ex.Run(p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if par.Len() != serial.Len() {
-			t.Fatalf("workers=%d: %d tuples vs %d", workers, par.Len(), serial.Len())
+		if !sameTuples(serial.Tuples(), par.Tuples()) {
+			t.Fatalf("workers=%d: answered %v, serial %v", workers, canonTuples(par.Tuples()), canonTuples(serial.Tuples()))
 		}
-		for _, tp := range serial.Tuples() {
-			if !par.Has(tp.F, tp.T) {
-				t.Fatalf("workers=%d: missing %+v", workers, tp)
-			}
+		if ex.Stats.StmtsRun != 3 {
+			t.Fatalf("workers=%d: ran %d statements, want 3", workers, ex.Stats.StmtsRun)
 		}
-		// The unused statement must not run (reachability pruning).
-		if stats.StmtsRun != 3 {
-			t.Fatalf("workers=%d: ran %d statements, want 3", workers, stats.StmtsRun)
-		}
-	}
-}
-
-func TestRunParallelErrors(t *testing.T) {
-	db := chainDB(3)
-	bad := &ra.Program{
-		Stmts:  []ra.Stmt{{Name: "result", Plan: ra.Temp{Name: "ghost"}}},
-		Result: "result",
-	}
-	if _, _, err := RunParallelWith(context.Background(), db, bad, RunConfig{Workers: 4}); err == nil {
-		t.Fatal("unknown dependency accepted")
-	}
-	cyc := &ra.Program{
-		Stmts: []ra.Stmt{
-			{Name: "a", Plan: ra.Temp{Name: "b"}},
-			{Name: "b", Plan: ra.Temp{Name: "a"}},
-			{Name: "result", Plan: ra.Temp{Name: "a"}},
-		},
-		Result: "result",
-	}
-	if _, _, err := RunParallelWith(context.Background(), db, cyc, RunConfig{Workers: 4}); err == nil {
-		t.Fatal("cycle accepted")
-	}
-	noResult := &ra.Program{Result: "nope"}
-	if _, _, err := RunParallelWith(context.Background(), db, noResult, RunConfig{Workers: 4}); err == nil {
-		t.Fatal("missing result accepted")
-	}
-	dup := &ra.Program{
-		Stmts: []ra.Stmt{
-			{Name: "x", Plan: ra.Base{Rel: "E"}},
-			{Name: "x", Plan: ra.Base{Rel: "E"}},
-		},
-		Result: "x",
-	}
-	if _, _, err := RunParallelWith(context.Background(), db, dup, RunConfig{Workers: 4}); err == nil {
-		t.Fatal("duplicate statement accepted")
-	}
-}
-
-// TestRunParallelManyStatements stresses scheduling with a wide fan-in.
-func TestRunParallelManyStatements(t *testing.T) {
-	db := chainDB(20)
-	var stmts []ra.Stmt
-	var kids []ra.Plan
-	for i := 0; i < 40; i++ {
-		name := "s" + string(rune('A'+i%26)) + string(rune('0'+i/26))
-		stmts = append(stmts, ra.Stmt{Name: name, Plan: ra.Compose{L: ra.Base{Rel: "E"}, R: ra.Base{Rel: "E"}}})
-		kids = append(kids, ra.Temp{Name: name})
-	}
-	stmts = append(stmts, ra.Stmt{Name: "result", Plan: ra.UnionAll{Kids: kids}})
-	p := &ra.Program{Stmts: stmts, Result: "result"}
-	rel, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() == 0 {
-		t.Fatal("empty result")
-	}
-	if stats.StmtsRun != 41 {
-		t.Fatalf("ran %d statements", stats.StmtsRun)
 	}
 }
 
 // TestSchedulerDoesTheSerialWorkOnDescScan: with the interval kernel usable,
 // the statements only a DescScan's fixpoint alternative mentions are dead —
-// the lazy serial executor never reaches them — and the scheduler must not
-// run them either: every counter but the morsel count agrees.
+// the lazy executor never reaches them — at parallelism 4 as serially: every
+// counter but the morsel count agrees.
 func TestSchedulerDoesTheSerialWorkOnDescScan(t *testing.T) {
+	forceTinyMorsels(t)
 	altOnly := 0
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -131,17 +180,19 @@ func TestSchedulerDoesTheSerialWorkOnDescScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
-		got, stats, err := RunParallelWith(context.Background(), td.db, p, RunConfig{Workers: 4})
+		par := NewExec(td.db)
+		par.Parallelism = 4
+		got, err := par.Run(p)
 		if err != nil {
-			t.Fatalf("seed %d: scheduler: %v", seed, err)
+			t.Fatalf("seed %d: parallelism 4: %v", seed, err)
 		}
 		if !sameTuples(want.Tuples(), got.Tuples()) {
-			t.Fatalf("seed %d: scheduler answer differs from serial\n%s", seed, p)
+			t.Fatalf("seed %d: answer at parallelism 4 differs from serial\n%s", seed, p)
 		}
-		ss, ps := serial.Stats, *stats
+		ss, ps := serial.Stats, par.Stats
 		ss.Morsels, ps.Morsels = 0, 0
 		if ss != ps {
-			t.Fatalf("seed %d: scheduler did other work than the serial executor\n%sserial:    %+v\nscheduler: %+v", seed, p, ss, ps)
+			t.Fatalf("seed %d: parallelism 4 did other work than the serial run\n%sserial:        %+v\nparallelism 4: %+v", seed, p, ss, ps)
 		}
 		// How often the property had something to say: a run that skipped a
 		// statement the full dependency walk reaches.
@@ -154,28 +205,88 @@ func TestSchedulerDoesTheSerialWorkOnDescScan(t *testing.T) {
 	}
 }
 
-// reachable counts the statements ra.TempRefs reaches from the result.
+// reachable counts the statements the temp references reach from the result.
 func reachable(p *ra.Program) int {
 	seen := map[string]bool{}
-	var walk func(name string)
-	walk = func(name string) {
-		if seen[name] {
+	var walkPlan func(pl ra.Plan)
+	walk := func(name string) {
+		if !seen[name] {
+			seen[name] = true
+			walkPlan(p.Lookup(name))
+		}
+	}
+	walkPlan = func(pl ra.Plan) {
+		if tmp, ok := pl.(ra.Temp); ok {
+			walk(tmp.Name)
 			return
 		}
-		seen[name] = true
-		for _, d := range ra.TempRefs(p.Lookup(name)) {
-			walk(d)
+		for _, k := range ra.AppendInputs(nil, pl) {
+			walkPlan(k)
 		}
 	}
 	walk(p.Result)
 	return len(seen)
 }
 
-// TestSchedulerEvaluatesAltWhenKernelBails: the dependency walk skipped the
-// alternative's statements because the kernel looked usable; a relation the
-// encoding turns out not to cover makes it bail at run time, and the
-// statement's own executor then evaluates what the alternative needs.
-func TestSchedulerEvaluatesAltWhenKernelBails(t *testing.T) {
+// TestRunCtxErrors: a program the executor cannot run is refused at every
+// worker count, by RunCtx and RunMoreCtx alike — an unknown result, a
+// reference to no statement, a cycle, two statements of one name (also off
+// the result's path: Lookup would silently take the first) — and the state
+// that refused it runs the next program as a fresh one would.
+func TestRunCtxErrors(t *testing.T) {
+	db := chainDB(3)
+	e := ra.Base{Rel: "E"}
+	for name, c := range map[string]struct {
+		p    *ra.Program
+		want string
+	}{
+		"unknown result": {&ra.Program{Result: "nope"}, "unknown statement"},
+		"unknown reference": {&ra.Program{
+			Stmts:  []ra.Stmt{{Name: "result", Plan: ra.Temp{Name: "ghost"}}},
+			Result: "result",
+		}, "unknown statement"},
+		"cycle": {&ra.Program{
+			Stmts: []ra.Stmt{
+				{Name: "a", Plan: ra.Temp{Name: "b"}},
+				{Name: "b", Plan: ra.Temp{Name: "a"}},
+				{Name: "result", Plan: ra.Temp{Name: "a"}},
+			},
+			Result: "result",
+		}, "cyclic"},
+		"duplicate": {&ra.Program{
+			Stmts:  []ra.Stmt{{Name: "x", Plan: e}, {Name: "x", Plan: ra.Compose{L: e, R: e}}},
+			Result: "x",
+		}, "duplicate statement"},
+		"duplicate off the result's path": {&ra.Program{
+			Stmts:  []ra.Stmt{{Name: "x", Plan: e}, {Name: "y", Plan: e}, {Name: "y", Plan: e}},
+			Result: "x",
+		}, "duplicate statement"},
+	} {
+		for _, workers := range []int{1, 4} {
+			for driver, run := range map[string]func(*Exec, *ra.Program) (*Relation, error){
+				"RunCtx":     func(ex *Exec, p *ra.Program) (*Relation, error) { return ex.RunCtx(context.Background(), p, nil) },
+				"RunMoreCtx": func(ex *Exec, p *ra.Program) (*Relation, error) { return ex.RunMoreCtx(context.Background(), p, nil) },
+			} {
+				st := AcquireState(db)
+				ex := st.Exec()
+				ex.Parallelism = workers
+				if _, err := run(ex, c.p); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("%s, %s at parallelism %d: err = %v, want %q", name, driver, workers, err, c.want)
+				}
+				if rel, err := ex.RunCtx(context.Background(), prog(ra.Compose{L: e, R: e}), nil); err != nil || rel.Len() != 1 {
+					t.Errorf("%s, %s at parallelism %d: the next program answered %v, %v", name, driver, workers, rel, err)
+				}
+				st.Release()
+			}
+		}
+	}
+}
+
+// TestKernelBailEvaluatesAlt: a DescScan whose interval kernel turns out
+// unusable at run time (a relation node the encoding cannot place) is
+// answered by its fixpoint alternative, and the statement only the
+// alternative reads is evaluated then, at every worker count.
+func TestKernelBailEvaluatesAlt(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	td := makeTree(r, 25, 1)
 	db := cowDB(td.db)
@@ -187,22 +298,22 @@ func TestSchedulerEvaluatesAltWhenKernelBails(t *testing.T) {
 		},
 		Result: "result", DTDFP: db.DTDFP,
 	}
-	serial := NewExec(db)
-	want, err := serial.Run(p)
+	want, err := NewNaiveExec(db).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Stats.DescScans != 0 || serial.Stats.LFPs != 1 {
-		t.Fatalf("serial stats %+v: the kernel was meant to bail to the fixpoint", serial.Stats)
-	}
-	got, stats, err := RunParallelWith(context.Background(), db, p, RunConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameTuples(want.Tuples(), got.Tuples()) {
-		t.Fatalf("scheduler answered %v after the kernel bailed, serial %v", canonTuples(got.Tuples()), canonTuples(want.Tuples()))
-	}
-	if stats.StmtsRun != 2 || stats.LFPs != 1 {
-		t.Fatalf("scheduler stats %+v, want both statements run and one fixpoint", *stats)
+	for _, workers := range []int{1, 4} {
+		ex := NewExec(db)
+		ex.Parallelism = workers
+		got, err := ex.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTuples(want.Tuples(), got.Tuples()) {
+			t.Fatalf("parallelism %d answered %v after the kernel bailed, naive %v", workers, canonTuples(got.Tuples()), canonTuples(want.Tuples()))
+		}
+		if s := ex.Stats; s.DescScans != 0 || s.LFPs != 1 || s.StmtsRun != 2 {
+			t.Fatalf("parallelism %d: stats %+v, want no kernel scan, one fixpoint, both statements run", workers, s)
+		}
 	}
 }

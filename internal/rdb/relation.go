@@ -52,7 +52,7 @@ type Relation struct {
 	syms *Interner // shared with the owning DB; lazily private otherwise
 	rows []row
 	// set holds the (F, T) pair of every live row once ensureSet has run. A
-	// stored relation, and one shared across goroutines, is never left short.
+	// stored relation is never left short.
 	set pairSet
 
 	// Index snapshots are built lazily on first probe. The pointers are

@@ -1,8 +1,10 @@
 package rdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Document scope. A run with Exec.Doc set evaluates its program over the
@@ -123,7 +125,8 @@ func (r *Relation) scopedFIndex() *colIndex {
 
 // scopedIdent materializes R_id over the scope: (v, v, v.val) for every node
 // of the document — each is the T of exactly one stored row — plus the
-// virtual root.
+// virtual root, in node-ID order like the unscoped R_id (the relations are
+// visited in map order).
 func (e *Exec) scopedIdent() (*Relation, error) {
 	out := e.newRel("Rid")
 	out.addRow(row{})
@@ -136,5 +139,6 @@ func (e *Exec) scopedIdent() (*Relation, error) {
 			out.addRow(row{f: w.t, t: w.t, v: w.v})
 		}
 	}
+	slices.SortFunc(out.rows, func(a, b row) int { return cmp.Compare(a.t, b.t) })
 	return out, nil
 }

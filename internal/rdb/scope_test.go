@@ -1,7 +1,6 @@
 package rdb
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -87,7 +86,6 @@ func scopeProgram(r *rand.Rand, nRels int) *ra.Program {
 
 func TestScopedRunEqualsDocumentAlone(t *testing.T) {
 	forceTinyMorsels(t)
-	ctx := context.Background()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nRels := 1 + r.Intn(3)
@@ -136,14 +134,6 @@ func TestScopedRunEqualsDocumentAlone(t *testing.T) {
 			morsel.IntervalMode, morsel.Doc, morsel.Parallelism = mode, root, 4
 			rel, err = morsel.Run(p)
 			if !check("morsel", rel, morsel.Stats, err) {
-				return false
-			}
-			rel, stats, err := RunParallelWith(ctx, db, p, RunConfig{Workers: 4, Intervals: mode, Doc: root})
-			if err != nil {
-				t.Logf("scheduler (seed=%d, %v): %v", seed, mode, err)
-				return false
-			}
-			if !check("scheduler", rel, *stats, nil) {
 				return false
 			}
 		}
@@ -261,29 +251,32 @@ func TestScopeErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	db := makeForest(r, 20, 2, 2)
 	p := &ra.Program{Stmts: []ra.Stmt{{Name: "result", Plan: ra.Base{Rel: "R0"}}}, Result: "result"}
-	ctx := context.Background()
-	run := func(db *DB, doc int) (serial, sched error) {
+	run := func(db *DB, doc int) (serial, pooled error) {
 		ex := NewExec(db)
 		ex.Doc = doc
 		_, serial = ex.Run(p)
-		_, _, sched = RunParallelWith(ctx, db, p, RunConfig{Workers: 2, Doc: doc})
-		return serial, sched
+		st := AcquireState(db)
+		defer st.Release()
+		ex = st.Exec()
+		ex.Doc, ex.Parallelism = doc, 4
+		_, pooled = ex.Run(p)
+		return serial, pooled
 	}
 	for _, doc := range []int{3, 999, -1} { // an inner node, an unknown one, nonsense
 		if s, p := run(db, doc); !errors.Is(s, ErrNotDocumentRoot) || !errors.Is(p, ErrNotDocumentRoot) {
-			t.Fatalf("doc %d: serial %v, scheduler %v, want ErrNotDocumentRoot", doc, s, p)
+			t.Fatalf("doc %d: serial %v, pooled %v, want ErrNotDocumentRoot", doc, s, p)
 		}
 	}
 	bare := cowDB(db)
 	bare.InvalidateIntervals()
 	if s, p := run(bare, 1); !errors.Is(s, ErrScopeNeedsIntervals) || !errors.Is(p, ErrScopeNeedsIntervals) {
-		t.Fatalf("no encoding: serial %v, scheduler %v, want ErrScopeNeedsIntervals", s, p)
+		t.Fatalf("no encoding: serial %v, pooled %v, want ErrScopeNeedsIntervals", s, p)
 	}
 	// A node stored after the encoding was built: the encoding is stale for
 	// its relation, and a scoped read of it says so instead of guessing.
 	stale := cowDB(db)
 	stale.Insert("R0", 1, 99, "")
 	if s, p := run(stale, 1); !errors.Is(s, ErrScopeNeedsIntervals) || !errors.Is(p, ErrScopeNeedsIntervals) {
-		t.Fatalf("stale encoding: serial %v, scheduler %v, want ErrScopeNeedsIntervals", s, p)
+		t.Fatalf("stale encoding: serial %v, pooled %v, want ErrScopeNeedsIntervals", s, p)
 	}
 }

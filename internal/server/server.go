@@ -658,7 +658,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	// One admission slot per batch request: the merged program is one
-	// scheduler run, however many queries it answers.
+	// executor's run, however many queries it answers.
 	if err := s.adm.acquire(ctx); err != nil {
 		s.fail(w, err)
 		return

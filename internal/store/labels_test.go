@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"xpath2sql/internal/backend"
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
@@ -341,11 +342,11 @@ func scopedAnswers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, doc int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := rdb.RunParallelWith(context.Background(), db, res.Program, rdb.RunConfig{Workers: 1, Doc: doc})
+	ans, err := backend.AdoptDB(db, 0).Execute(context.Background(), res.Program, backend.ExecOptions{Doc: doc})
 	if err != nil {
 		t.Fatalf("scoped %q: %v", query, err)
 	}
-	return rel.AnswerIDs()
+	return ans.IDs
 }
 
 // TestCanonicalImage: the saved image does not show the slack. A gapped

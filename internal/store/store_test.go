@@ -13,9 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"xpath2sql/internal/backend"
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/dtd"
-	"xpath2sql/internal/obs"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/workload"
@@ -269,18 +269,11 @@ func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Stra
 	if err != nil {
 		t.Fatalf("translate %q (%v): %v", query, strat, err)
 	}
-	if workers > 1 {
-		rel, _, err := rdb.RunParallelWith(context.Background(), db, res.Program, rdb.RunConfig{Workers: workers})
-		if err != nil {
-			t.Fatalf("run %q parallel: %v", query, err)
-		}
-		return rel.AnswerIDs()
-	}
-	ids, _, err := res.ExecuteCtx(context.Background(), db, obs.Limits{}, nil)
+	res2, err := backend.AdoptDB(db, 0).Execute(context.Background(), res.Program, backend.ExecOptions{Workers: workers})
 	if err != nil {
-		t.Fatalf("run %q: %v", query, err)
+		t.Fatalf("run %q at %d workers: %v", query, workers, err)
 	}
-	return ids
+	return res2.IDs
 }
 
 // TestDifferentialRandomUpdates drives a random update sequence through the
