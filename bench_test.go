@@ -5,8 +5,10 @@
 package xpath2sql
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -378,6 +380,64 @@ func BenchmarkExecute(b *testing.B) {
 				mine = append(mine, ur.NodeID)
 			}
 			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkIngest profiles bulk loading without the harness, over a generated
+// dept document of ingest-stream's size and shape (8 MiB, X_L 8, X_R 6):
+// stream is one StreamShred pass with a worker per CPU, what ingest-stream
+// times; tree parses the text whole and shreds the tree (ParseXML, Shred);
+// load reads the document's Save image back (LoadDB).
+func BenchmarkIngest(b *testing.B) {
+	d, err := ParseDTD(workload.DeptText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if _, err := StreamGenerate(&doc, d, GenStreamOptions{XL: 8, XR: 6, Seed: 1, TargetBytes: 8 << 20}); err != nil {
+		b.Fatal(err)
+	}
+	text := doc.Bytes()
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(text)))
+		for i := 0; i < b.N; i++ {
+			if _, err := StreamShred(bytes.NewReader(text), d, ShredStreamOptions{Workers: runtime.NumCPU()}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	str := doc.String()
+	b.Run("tree", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(str)))
+		for i := 0; i < b.N; i++ {
+			parsed, err := ParseXML(str)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Shred(parsed, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		db, err := StreamShred(bytes.NewReader(text), d, ShredStreamOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var img bytes.Buffer
+		if err := SaveDB(db, &img); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.SetBytes(int64(img.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadDB(bytes.NewReader(img.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -37,4 +37,7 @@ var (
 	// ErrScopeNeedsIntervals: a document-scoped execution ran on a database
 	// without a valid document-order interval encoding.
 	ErrScopeNeedsIntervals = rdb.ErrScopeNeedsIntervals
+	// ErrDuplicateNode: LoadDB read an image that records one node twice in
+	// its catalog or its interval encoding; the message names the line.
+	ErrDuplicateNode = rdb.ErrDuplicateNode
 )

@@ -62,6 +62,14 @@ func TestErrNotInDTD(t *testing.T) {
 	}
 }
 
+func TestErrDuplicateNode(t *testing.T) {
+	img := "R R_a 0 1 \"\"\nN 1 0 \"a\" \"\"\nN 1 0 \"a\" \"\"\n"
+	_, err := xpath2sql.LoadDB(strings.NewReader(img))
+	if !errors.Is(err, xpath2sql.ErrDuplicateNode) || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("LoadDB of an image naming node 1 twice: %v, want ErrDuplicateNode at line 3", err)
+	}
+}
+
 func TestErrUnsupportedQueryMatchable(t *testing.T) {
 	// The SQLGen-R rejection sites wrap this sentinel; verify the facade
 	// re-export matches through wrapping the way those sites produce it.
@@ -77,6 +85,7 @@ func TestErrorSentinelsDistinct(t *testing.T) {
 		xpath2sql.ErrQueryParse,
 		xpath2sql.ErrUnsupportedQuery,
 		xpath2sql.ErrNotInDTD,
+		xpath2sql.ErrDuplicateNode,
 		xpath2sql.ErrLimit,
 	}
 	for i, a := range sentinels {

@@ -870,7 +870,8 @@ func lostKeys(gone, now *Relation, onF bool, visit func(key int32)) {
 
 // joins reports whether l∘r derives (f, t) — some m has (f, m) in l and
 // (m, t) in r — by walking the shorter of the two index buckets and probing
-// the other relation's pair set.
+// the other relation's membership (its pair set, or a stored relation's T
+// index).
 func joins(l, r *Relation, f, t int32) bool {
 	ls, lo := l.fIndex().lookup(f)
 	rs, ro := r.tIndex().lookup(t)

@@ -11,6 +11,16 @@ func (s *ExecState) ReleaseCounted() (inserts, cleared int) {
 	return inserts, cleared
 }
 
+// StoredSetInserts sums the pair-set inserts of db's stored relations, and the
+// slots their sets hold.
+func StoredSetInserts(db *DB) (inserts, slots int) {
+	for _, r := range db.Rels {
+		inserts += r.set.inserts
+		slots += len(r.set.slots)
+	}
+	return inserts, slots
+}
+
 // MemberTemps lists the request's temporaries that a membership probe read as
 // a key set of their own (Relation.members): each one's name — its
 // statement's, "" for an operand no statement names — and the index builds it

@@ -143,6 +143,15 @@ func (db *DB) NewIntervalBuilder() *IntervalBuilder {
 // Set records the interval of one node; iv.Level must not be negative.
 func (b *IntervalBuilder) Set(id int, iv NodeInterval) { b.tab.setLabel(id, iv) }
 
+// SetNode records node id in the catalog — parent, and text value as a symbol
+// of the database's Syms — beside its interval, in one write of the node's
+// row: the catalog writer of a bulk loader whose relation writers run apart
+// from it (shred.StreamShred).
+func (b *IntervalBuilder) SetNode(id, parent int, sym int32, iv NodeInterval) {
+	b.tab.put(id, int32(parent), sym)
+	b.tab.setLabel(id, iv)
+}
+
 // Adopt installs the built encoding on the database, replacing any previous
 // one. A patched encoding that moved no label keeps the descendant indexes of
 // the relations the database shares with the one it was derived from.

@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -103,15 +104,29 @@ func (db *DB) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// ErrDuplicateNode is wrapped by Load's error for an image that records one
+// node twice in its catalog (an N record) or its interval encoding (an O
+// record); the message names the line of the second record.
+var ErrDuplicateNode = errors.New("node recorded twice")
+
 // Load reads a database written by Save. Blank lines and lines starting
 // with '#' are skipped, so callers (e.g. the document store's snapshots)
 // may prefix the Save body with their own commented header.
+//
+// Tuples are appended without a probe while they arrive as Save writes them:
+// a run of one relation's lines, ascending on (F, T), that began on an empty
+// relation, where no tuple can repeat one before it. Any other tuple — a
+// relation's lines split into runs, or out of order — is probed through the
+// relation's T index, and a repeated one is dropped.
 func Load(r io.Reader) (*DB, error) {
 	db := NewDB()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	lineNo := 0
 	var iv *IntervalBuilder
+	var run *Relation // the relation the previous R line wrote
+	var last row      // and its tuple
+	sorted := false   // run's tuples so far are ascending onto an empty relation
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
@@ -145,7 +160,19 @@ func Load(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: bad value %q: %v", lineNo, vq, err)
 			}
-			db.Rel(name).Add(f, t, v)
+			w := row{f: int32(f), t: int32(t), v: db.sym(v)}
+			if run == nil || run.Name != name {
+				run = db.Rel(name)
+				sorted = run.Len() == 0
+			} else {
+				sorted = sorted && (w.f > last.f || w.f == last.f && w.t > last.t)
+			}
+			if sorted {
+				run.appendNew(w)
+			} else {
+				run.addRow(w)
+			}
+			last = w
 		case "E":
 			db.Rel(strings.TrimSpace(rest))
 		case "N":
@@ -173,7 +200,11 @@ func Load(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
-			db.nodes.Load().tab.put(id, int32(parent), db.sym(val))
+			tab := db.nodes.Load().tab
+			if tab.has(id) {
+				return nil, fmt.Errorf("rdb: line %d: a second N record for node %d: %w", lineNo, id, ErrDuplicateNode)
+			}
+			tab.put(id, int32(parent), db.sym(val))
 			db.Labels[id] = label
 		case "O":
 			parts := strings.Fields(rest)
@@ -204,6 +235,9 @@ func Load(r io.Reader) (*DB, error) {
 			}
 			if iv == nil {
 				iv = db.NewIntervalBuilder()
+			}
+			if _, ok := iv.tab.get(id); ok {
+				return nil, fmt.Errorf("rdb: line %d: a second O record for node %d: %w", lineNo, id, ErrDuplicateNode)
 			}
 			iv.Set(id, NodeInterval{Begin: begin, End: end, Level: int32(level)})
 		case "D":

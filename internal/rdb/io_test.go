@@ -1,8 +1,10 @@
 package rdb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -258,5 +260,61 @@ func TestLoadIntervalErrors(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "line 1") {
 			t.Errorf("Load(%q): error %q does not name the line", bad, err)
 		}
+	}
+}
+
+// TestLoadRefusesANodeRecordedTwice: an image whose catalog or interval
+// encoding names one node twice is refused with ErrDuplicateNode and the line
+// of the second record. Loaded, such an image left the catalog and the
+// relations disagreeing: Parent(3) == 2 while R_b held (1, 3) and (2, 3).
+func TestLoadRefusesANodeRecordedTwice(t *testing.T) {
+	db := NewDB()
+	db.InsertLabeled("R_a", "a", 0, 1, "")
+	db.InsertLabeled("R_b", "b", 1, 2, "x")
+	db.InsertLabeled("R_b", "b", 1, 3, "y")
+	db.RebuildIntervals()
+	var sb strings.Builder
+	if err := db.Save(&sb); err != nil {
+		t.Fatal(err)
+	}
+	img := sb.String()
+	lines := strings.Count(img, "\n")
+	for name, c := range map[string]struct{ extra, line string }{
+		"N": {"R R_b 2 3 \"z\"\nN 3 2 \"b\" \"y\"\n", fmt.Sprintf("line %d", lines+2)},
+		"O": {"O 2 1 2 1\n", fmt.Sprintf("line %d", lines+1)},
+	} {
+		_, err := Load(strings.NewReader(img + c.extra))
+		if !errors.Is(err, ErrDuplicateNode) || !strings.Contains(err.Error(), c.line) {
+			t.Errorf("a second %s record: Load returned %v, want ErrDuplicateNode naming %s", name, err, c.line)
+		}
+	}
+}
+
+// TestLoadDropsARepeatedTuple: Load appends the tuples of an image as Save
+// writes them without a probe, and any other tuple through one; a repeated
+// tuple is dropped wherever it stands — next to its twin, later in the run,
+// or in a second run of its relation — while a node that is the T of two
+// tuples with different Fs (an edge relation of any graph) keeps both.
+func TestLoadDropsARepeatedTuple(t *testing.T) {
+	img := "R R_e 1 2 \"a\"\nR R_e 1 2 \"a\"\nR R_e 1 3 \"\"\nR R_e 1 2 \"a\"\n" +
+		"R R_f 2 3 \"\"\nR R_e 1 3 \"\"\nR R_e 2 3 \"\"\nR R_e 0 1 \"\"\nR R_e 0 1 \"\"\n"
+	db, err := Load(strings.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Tuple{{F: 1, T: 2, V: "a"}, {F: 1, T: 3}, {F: 2, T: 3}, {F: 0, T: 1}}
+	if got := db.Rel("R_e").Tuples(); !slices.Equal(got, want) {
+		t.Fatalf("R_e holds %v, want %v", got, want)
+	}
+	if got := db.Rel("R_f").Tuples(); len(got) != 1 {
+		t.Fatalf("R_f holds %v, want its one tuple", got)
+	}
+	for _, p := range [][2]int{{1, 2}, {1, 3}, {2, 3}, {0, 1}} {
+		if !db.Rel("R_e").Has(p[0], p[1]) {
+			t.Errorf("R_e lost (%d, %d)", p[0], p[1])
+		}
+	}
+	if db.Rel("R_e").Has(2, 2) || db.Rel("R_e").PairSetBytes() != 0 {
+		t.Errorf("R_e holds (2, 2), or a pair set of %d bytes", db.Rel("R_e").PairSetBytes())
 	}
 }

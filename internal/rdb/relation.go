@@ -12,11 +12,14 @@
 //
 // Storage is compact: V strings are dictionary-encoded into int32 symbols by
 // a DB-level Interner, tuples are stored as three int32 columns in one row
-// array, (F, T) dedup runs through an open-addressing pair set only where a
-// duplicate can arise (see appendDistinct), and the per-column indexes are
-// CSR offset/position arrays built once per snapshot and extended as fixpoint
-// deltas append rows. Operators may run morsel-parallel; see ops.go (the
-// operator kernels) and morsel.go.
+// array, and the per-column indexes are CSR offset/position arrays built once
+// per snapshot and extended as fixpoint deltas append rows. (F, T) dedup of an
+// operator's output runs through an open-addressing pair set only where a
+// duplicate can arise (see appendDistinct). A stored relation holds no pair
+// set at all: in τd(T) every node is the T of exactly one tuple, so bulk
+// loaders append without a probe and its T index answers (F, T) membership
+// (see find). Operators may run morsel-parallel; see ops.go (the operator
+// kernels) and morsel.go.
 package rdb
 
 import (
@@ -51,8 +54,9 @@ type Relation struct {
 
 	syms *Interner // shared with the owning DB; lazily private otherwise
 	rows []row
-	// set holds the (F, T) pair of every live row once ensureSet has run. A
-	// stored relation is never left short.
+	// set holds the (F, T) pair of every live row of an operator's output once
+	// ensureSet has run. A stored relation never has one: its T index answers
+	// membership.
 	set pairSet
 
 	// Index snapshots are built lazily on first probe. The pointers are
@@ -81,7 +85,10 @@ type Relation struct {
 	// (fScratch/tScratch) so a warm request's index builds allocate nothing;
 	// shared relations keep allocating fresh snapshots, which concurrent
 	// readers may hold indefinitely.
-	pooled             bool
+	pooled bool
+	// stored marks a relation a DB holds (made by DB.Rel, or a Clone of one).
+	stored bool
+
 	fScratch, tScratch *colIndex
 	// mem holds the F and the T key set members built for a pooled
 	// temporary in place of an index; one is current while its built is the
@@ -129,6 +136,16 @@ func (r *Relation) Add(f, t int, v string) bool {
 // addRow inserts a stored-form row whose v symbol is already in r's
 // interner, ignoring a duplicate (F, T), and reports whether it was new.
 func (r *Relation) addRow(w row) bool {
+	if r.stored {
+		if r.find(w.f, w.t) >= 0 {
+			return false
+		}
+		r.appendDistinct(w)
+		// A stored relation is written by one writer no reader shares, so an
+		// overflow its inserts outgrow is folded here.
+		r.foldIndexes()
+		return true
+	}
 	r.ensureSet()
 	if !r.set.insert(packPair(w.f, w.t)) {
 		return false
@@ -160,8 +177,20 @@ func (r *Relation) appendDistinct(w row) {
 	}
 }
 
+// appendNew is appendDistinct for a bulk loader, whose every row is a node r
+// does not hold yet. The row array doubles as it fills: past 256 rows append
+// grows it by about a quarter, which copies a relation several times more
+// over a load.
+func (r *Relation) appendNew(w row) {
+	if n := len(r.rows); n == cap(r.rows) && n >= 256 {
+		r.grow(n)
+	}
+	r.appendDistinct(w)
+}
+
 // ensureSet hashes the rows distinct appends left out of the pair set. It is
-// the one funnel: everything that reads or writes the set calls it first.
+// the one funnel: everything that reads or writes the set calls it first, and
+// nothing calls it for a stored relation, whose membership goes through find.
 func (r *Relation) ensureSet() {
 	if r.base != nil || r.set.used == r.Len() {
 		return
@@ -198,8 +227,10 @@ func (r *Relation) grow(n int) {
 		copy(rows, r.rows)
 		r.rows = rows
 	}
-	r.ensureSet()
-	r.set.reserve(n)
+	if !r.stored {
+		r.ensureSet()
+		r.set.reserve(n)
+	}
 }
 
 // Has reports whether (f, t) is present.
@@ -210,11 +241,29 @@ func (r *Relation) Has(f, t int) bool {
 // hasPair is Has on a packed key. A scoped view answers from its base: a pair
 // whose endpoints are in scope is in the base iff it is in the view.
 func (r *Relation) hasPair(key uint64) bool {
-	if r.base != nil {
+	switch {
+	case r.base != nil:
 		return r.base.hasPair(key)
+	case r.stored:
+		return r.find(int32(key>>32), int32(key)) >= 0
 	}
 	r.ensureSet()
 	return r.set.has(key)
+}
+
+// find returns the position of the live row (f, t), or -1: a probe of the T
+// index, which a stored relation builds once, under idxMu, and shares with
+// its readers. A node is the T of one row, so the probe reads one position.
+func (r *Relation) find(f, t int32) int {
+	snap, over := r.tIndex().lookup(t)
+	for _, part := range [2][]int32{snap, over} {
+		for _, p := range part {
+			if r.rows[p].f == f && !r.isDead(int(p)) {
+				return int(p)
+			}
+		}
+	}
+	return -1
 }
 
 // probeRows returns the row array index positions refer to: the relation's
@@ -282,33 +331,12 @@ func (r *Relation) Delete(f, t int) bool {
 
 // take is Delete handing back the row it tombstoned.
 func (r *Relation) take(f, t int32) (row, bool) {
-	r.ensureSet()
-	if !r.set.remove(packPair(f, t)) {
+	pos := r.locate(f, t)
+	if pos < 0 {
 		return row{}, false
 	}
-	pos := -1
-	snap, over := r.tIndex().lookup(t)
-	for _, part := range [2][]int32{snap, over} {
-		for _, p := range part {
-			if w := r.rows[p]; w.t == t && w.f == f && !r.isDead(int(p)) {
-				pos = int(p)
-			}
-		}
-	}
-	if pos < 0 {
-		// The pair set said present, so a live row must exist; scan as a
-		// belt-and-braces fallback (e.g. an index keyed before a Compact).
-		for i, w := range r.rows {
-			if w.t == t && w.f == f && !r.isDead(i) {
-				pos = i
-				break
-			}
-		}
-	}
-	if pos < 0 {
-		// Inconsistent set/rows state; undo the set removal.
-		r.set.insert(packPair(f, t))
-		return row{}, false
+	if !r.stored {
+		r.set.remove(packPair(f, t))
 	}
 	if r.dead == nil {
 		r.dead = make([]bool, len(r.rows))
@@ -336,23 +364,31 @@ func (r *Relation) UpdateValue(f, t int, v string) bool {
 
 // updateSym is UpdateValue with the value interned already.
 func (r *Relation) updateSym(f, t int, sym int32) bool {
-	if !r.hasPair(packPair(int32(f), int32(t))) {
-		return false
+	pos := r.locate(int32(f), int32(t))
+	if pos >= 0 {
+		r.rows[pos].v = sym
 	}
-	for _, p := range r.ByT(t) {
-		w := r.rows[p]
-		if w.t == int32(t) && w.f == int32(f) && !r.isDead(int(p)) {
-			r.rows[p].v = sym
-			return true
-		}
+	return pos >= 0
+}
+
+// locate is find for any relation. An operator's output asks its pair set
+// first, and should the T index miss a row the set holds, scans for it.
+func (r *Relation) locate(f, t int32) int {
+	if r.stored {
+		return r.find(f, t)
+	}
+	if !r.hasPair(packPair(f, t)) {
+		return -1
+	}
+	if pos := r.find(f, t); pos >= 0 {
+		return pos
 	}
 	for i, w := range r.rows {
-		if w.t == int32(t) && w.f == int32(f) && !r.isDead(i) {
-			r.rows[i].v = sym
-			return true
+		if w.t == t && w.f == f && !r.isDead(i) {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // ChildrenOf materializes the live tuples whose F attribute equals f, in
@@ -400,14 +436,19 @@ func (r *Relation) CountF(f int) int {
 	return n
 }
 
+// PairSetBytes reports the memory r's pair set holds: none on a stored
+// relation, so none a Clone of one copies.
+func (r *Relation) PairSetBytes() int { return 8 * len(r.set.slots) }
+
 // Tombstones reports the number of deleted-but-not-compacted rows.
 func (r *Relation) Tombstones() int { return r.nDead }
 
 // Compact rewrites the relation without its tombstoned rows, restoring the
 // invariant query operators rely on (every stored row is live). Built indexes
-// are carried over, each position moving down by the dead rows before it. The
-// pair set dropped the pairs when they were deleted, and is rehashed only once
-// the tombstones they left fill a quarter of it, to keep its probes short.
+// are carried over, each position moving down by the dead rows before it. An
+// operator output's pair set dropped the pairs when they were deleted, and is
+// rehashed only once the tombstones they left fill a quarter of it, to keep
+// its probes short; a stored relation has none to rehash.
 func (r *Relation) Compact() {
 	if r.nDead == 0 {
 		return
@@ -427,8 +468,10 @@ func (r *Relation) Compact() {
 	}
 	r.rows = live
 	r.dead, r.nDead = nil, 0
-	if r.ensureSet(); r.set.dels*4 > len(r.set.slots) {
-		r.set.grow(r.set.used * 2)
+	if !r.stored {
+		if r.ensureSet(); r.set.dels*4 > len(r.set.slots) {
+			r.set.grow(r.set.used * 2)
+		}
 	}
 	for _, idx := range [2]*colIndex{r.idxF.Load(), r.idxT.Load()} {
 		if idx != nil {
@@ -626,12 +669,15 @@ func (r *Relation) PathOf(f, t int) []int {
 // them and copies only the overflow table its own appends will extend — or
 // folds it into a snapshot of its own once it has outgrown its bound.
 // Without this, every copy-on-write epoch pays an O(n) index rebuild on the
-// first probe after a constant-size update.
+// first probe after a constant-size update. A stored relation has no pair set
+// to copy.
 func (r *Relation) Clone() *Relation {
 	c := newRelation(r.Name, r.syms)
 	c.rows = append([]row(nil), r.rows...)
-	r.ensureSet()
-	c.set = r.set.clone()
+	if c.stored = r.stored; !r.stored {
+		r.ensureSet()
+		c.set = r.set.clone()
+	}
 	if r.nDead > 0 {
 		c.dead = append([]bool(nil), r.dead...)
 		c.nDead = r.nDead
@@ -650,8 +696,8 @@ func (r *Relation) Clone() *Relation {
 }
 
 // foldIndexes folds an overgrown index overflow into a new snapshot in place:
-// for a relation no reader shares and nothing clones — a view's
-// materialization, whose overflow every insert it admits would grow.
+// for a relation no reader shares — a view's materialization, whose overflow
+// every insert it admits would grow, or a stored relation DB.Insert writes.
 func (r *Relation) foldIndexes() {
 	for _, p := range [2]*atomic.Pointer[colIndex]{&r.idxF, &r.idxT} {
 		if idx := p.Load(); idx != nil && idx.overgrown(len(r.rows)) {
@@ -750,6 +796,7 @@ func (db *DB) Rel(name string) *Relation {
 	r, ok := db.Rels[name]
 	if !ok {
 		r = newRelation(name, db.Syms)
+		r.stored = true
 		db.Rels[name] = r
 	}
 	return r
@@ -775,8 +822,9 @@ func (db *DB) sym(v string) int32 {
 	return db.Syms.Intern(v)
 }
 
-// Insert adds a tuple to the named stored relation and records the node in
-// the catalog.
+// Insert adds a tuple to the named stored relation, ignoring a repeated
+// (F, T), and records the node in the catalog. Unlike a bulk loader's, its
+// rows may form any graph: the relation's T index is probed first.
 func (db *DB) Insert(rel string, f, t int, v string) {
 	w := row{f: int32(f), t: int32(t), v: db.sym(v)}
 	db.Rel(rel).addRow(w)
@@ -809,22 +857,17 @@ func (db *DB) UpdateValue(rel string, f, t int, v string) {
 	db.nodes.Load().tab.put(t, int32(f), sym)
 }
 
-// CatalogFromRows records every stored row (f, t, v) as node t of the catalog:
-// parent f, value v. It serves the bulk loader whose relation writers run
-// apart from its catalog writer (shred.StreamShred); every other writer
-// records the node with the row.
-func (db *DB) CatalogFromRows() {
-	tab := db.nodes.Load().tab
-	for _, rel := range db.Rels {
-		for _, w := range rel.rows {
-			tab.put(int(w.t), w.f, w.v)
-		}
-	}
+// AppendNode appends the tuple of node t — parent f, text value sym, a symbol
+// of the owning DB's Syms — without a probe: the bulk loaders' insert, for a
+// node the relation does not hold yet.
+func (r *Relation) AppendNode(f, t int, sym int32) {
+	r.appendNew(row{f: int32(f), t: int32(t), v: sym})
 }
 
 // Loader amortizes per-insert lookups for bulk shredding: it caches the
-// relation handle per name and interns each value exactly once per tuple
-// through the DB interner.
+// relation handle per name, interns each value exactly once per tuple through
+// the DB interner, and appends every row without a probe — a bulk load mints
+// each node, so no T it inserts is stored yet.
 type Loader struct {
 	db   *DB
 	rels map[string]*Relation
@@ -835,7 +878,8 @@ func (db *DB) NewLoader() *Loader {
 	return &Loader{db: db, rels: map[string]*Relation{}}
 }
 
-// Insert is InsertLabeled through the loader's relation cache.
+// Insert is InsertLabeled through the loader's relation cache, for a node t
+// the database does not hold yet.
 func (l *Loader) Insert(rel, label string, f, t int, v string) {
 	r, ok := l.rels[rel]
 	if !ok {
@@ -843,7 +887,7 @@ func (l *Loader) Insert(rel, label string, f, t int, v string) {
 		l.rels[rel] = r
 	}
 	w := row{f: int32(f), t: int32(t), v: l.db.sym(v)}
-	r.addRow(w)
+	r.appendNew(w)
 	l.db.nodes.Load().tab.put(t, w.f, w.v)
 	if label != "" {
 		l.db.ownLabels()[t] = label

@@ -2,7 +2,9 @@ package rdb
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -163,5 +165,78 @@ func TestCloneCarriesTombstones(t *testing.T) {
 	}
 	if c.Has(1, 13) || r.Has(1, 13) {
 		t.Fatal("deleted pair still present")
+	}
+}
+
+// TestStoredRelationMatchesModel is TestRelationDeleteCompact for a relation a
+// DB stores, which holds no pair set: its T index answers Has, Delete and
+// UpdateValue. DB.Insert repeats pairs, re-inserts deleted ones and gives a
+// node several parents, and the relation is compacted and cloned between the
+// writes — a clone carrying the indexes, tombstones and all — yet it always
+// holds the model's tuples, never a pair set, and no index overflow past the
+// bound a clone keeps.
+func TestStoredRelationMatchesModel(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDB()
+		model := map[[2]int]string{}
+		for i := 0; i < 600; i++ {
+			f, tt := rng.Intn(6), rng.Intn(24)
+			_, live := model[[2]int{f, tt}]
+			r := db.Rel("R_x")
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				v := fmt.Sprintf("v%d", rng.Intn(8))
+				db.Insert("R_x", f, tt, v)
+				if !live {
+					model[[2]int{f, tt}] = v
+				}
+			case 3:
+				if got := r.Delete(f, tt); got != live {
+					t.Fatalf("seed %d op %d: Delete(%d,%d)=%v, model says %v", seed, i, f, tt, got, live)
+				}
+				delete(model, [2]int{f, tt})
+			case 4:
+				v := fmt.Sprintf("u%d", i)
+				if got := r.UpdateValue(f, tt, v); got != live {
+					t.Fatalf("seed %d op %d: UpdateValue(%d,%d)=%v, model says %v", seed, i, f, tt, got, live)
+				}
+				if live {
+					model[[2]int{f, tt}] = v
+				}
+			case 5:
+				if got := r.Has(f, tt); got != live {
+					t.Fatalf("seed %d op %d: Has(%d,%d)=%v, model says %v", seed, i, f, tt, got, live)
+				}
+			case 6:
+				r.Compact()
+			case 7:
+				r.ByF(f) // a clone carries both indexes
+				db.Rels["R_x"] = r.Clone()
+			}
+			r = db.Rel("R_x")
+			if r.Len() != len(model) || r.PairSetBytes() != 0 {
+				t.Fatalf("seed %d op %d: Len=%d, model=%d; a pair set of %d bytes", seed, i, r.Len(), len(model), r.PairSetBytes())
+			}
+			for _, idx := range []*colIndex{r.idxF.Load(), r.idxT.Load()} {
+				if idx != nil && len(r.rows)-idx.built > idx.built/foldShare+foldSlack+1 {
+					t.Fatalf("seed %d op %d: %d overflow entries over a snapshot of %d", seed, i, len(r.rows)-idx.built, idx.built)
+				}
+			}
+		}
+		r := db.Rel("R_x")
+		r.Compact()
+		got := map[[2]int]string{}
+		for _, tp := range r.Tuples() {
+			got[[2]int{tp.F, tp.T}] = tp.V
+		}
+		if !maps.Equal(got, model) || len(got) != r.Len() {
+			t.Fatalf("seed %d: the relation holds %v, the model %v", seed, got, model)
+		}
+		for k := range model {
+			if !slices.ContainsFunc(r.ChildrenOf(k[0]), func(tp Tuple) bool { return tp.T == k[1] }) {
+				t.Fatalf("seed %d: ChildrenOf(%d) misses T=%d", seed, k[0], k[1])
+			}
+		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"unicode"
 
 	"xpath2sql/internal/dtd"
@@ -24,6 +26,7 @@ type StreamOptions struct {
 }
 
 const (
+	metaSlots       = 64
 	streamBatchSize = 4096
 	streamChanDepth = 4
 	streamBufSize   = 64 << 10
@@ -31,28 +34,73 @@ const (
 
 // streamRec is one shredded element. It is emitted when the element's end
 // tag is read: at that moment the subtree size — and hence the interval end
-// — is known exactly, and the element's direct text is complete.
+// — is known exactly, and the element's direct text is complete. It holds no
+// pointer: the element type is its number in DTD.Types() order, the text its
+// symbol in the database's interner, and begin is t−1.
 type streamRec struct {
-	label      string
-	val        string
-	f, t       int
-	begin, end int64
-	level      int32
-	worker     int32
+	typ, sym int32
+	f, t     int32
+	end      int32
+	level    int32
+}
+
+// streamBatch is one fan-out batch. The two catalog writers and every
+// relation worker read it; the last of them to release it puts it back on the
+// free list the parser fills its next batch from.
+type streamBatch struct {
+	recs []streamRec
+	refs atomic.Int32
+}
+
+// streamBatches recycles batches. A consumer holds at most its channel's
+// depth of them waiting and one it reads, and the parser one it fills, so a
+// free list of depth+2 drops none.
+type streamBatches struct {
+	free      chan *streamBatch
+	consumers int32
+	size      int
+}
+
+func newStreamBatches(consumers, size int) *streamBatches {
+	return &streamBatches{free: make(chan *streamBatch, streamChanDepth+2), consumers: int32(consumers), size: size}
+}
+
+// get returns an empty batch, recycled when one is free.
+func (bs *streamBatches) get() *streamBatch {
+	select {
+	case b := <-bs.free:
+		return b
+	default:
+		return &streamBatch{recs: make([]streamRec, 0, bs.size)}
+	}
+}
+
+// release drops one consumer's hold on b.
+func (bs *streamBatches) release(b *streamBatch) {
+	if b.refs.Add(-1) != 0 {
+		return
+	}
+	b.recs = b.recs[:0]
+	select {
+	case bs.free <- b:
+	default:
+	}
 }
 
 // StreamShred shreds an XML document read from r into the per-type edge
 // relations without materializing the tree: a single-pass SAX-style parser
-// assigns dense preorder IDs and document-order intervals as it reads, and
-// fans completed-element batches out to parallel relation loaders plus a
-// catalog writer. The result is the same relational instance, catalog and
-// interval encoding that Shred(xmltree.Parse(text), d) produces — only the
-// tuple insertion order differs (elements arrive in document postorder).
+// assigns dense preorder IDs and document-order intervals as it reads,
+// interns each text value, and fans completed-element batches out to
+// parallel relation loaders plus a catalog writer. The result is the same
+// relational instance, catalog and interval encoding that
+// Shred(xmltree.Parse(text), d) produces — only the tuple insertion order
+// differs (elements arrive in document postorder).
 //
 // Peak memory is the database being built plus O(buffer + open-element
 // stack + channel depth); the document text and the element tree are never
-// held. This is the bulk-ingest path for documents too large to parse into
-// an xmltree.Document.
+// held, and a pass allocates no record: batches are recycled, and a text
+// value is a string once per distinct value. This is the bulk-ingest path
+// for documents too large to parse into an xmltree.Document.
 func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	types := d.Types()
 	workers := opts.Workers
@@ -71,99 +119,102 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	}
 
 	db := rdb.NewDB()
-	for _, typ := range types {
-		db.Rel(RelName(typ))
-	}
-	// Types() is sorted, so the type→worker assignment is deterministic and
-	// each relation's tuple order reproduces run to run.
-	typeWorker := make(map[string]int, len(types))
+	// Types() is sorted, so the type→worker assignment (type i to worker
+	// i mod workers) is deterministic and each relation's tuple order
+	// reproduces run to run.
+	rels := make([]*rdb.Relation, len(types))
 	for i, typ := range types {
-		typeWorker[typ] = i % workers
+		rels[i] = db.Rel(RelName(typ))
 	}
 
-	catCh := make(chan []streamRec, streamChanDepth)
-	workCh := make([]chan []streamRec, workers)
-	for i := range workCh {
-		workCh[i] = make(chan []streamRec, streamChanDepth)
+	// Every batch goes to each consumer's channel: the two catalog writers',
+	// then each relation worker's.
+	outs := make([]chan *streamBatch, 2+workers)
+	for i := range outs {
+		outs[i] = make(chan *streamBatch, streamChanDepth)
 	}
+	labelCh, tableCh, workCh := outs[0], outs[1], outs[2:]
+	batches := newStreamBatches(len(outs), batchSize)
 
 	var wg sync.WaitGroup
-	// The catalog goroutine is the single writer of the DB's Labels map and of
-	// the node table, where it leaves the intervals; the table's parent and
-	// value columns are filled from the finished relations, whose workers
-	// interned the values.
-	iv := db.NewIntervalBuilder()
-	wg.Add(1)
+	// The catalog has two writers, each the single writer of what it writes:
+	// one fills the DB's Labels map, the other the node table — each node's
+	// parent, value and interval. Labels is the costlier by far; apart, its
+	// writer is the only one the parser waits for.
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for batch := range catCh {
-			for i := range batch {
-				rec := &batch[i]
-				db.Labels[rec.t] = rec.label
-				iv.Set(rec.t, rdb.NodeInterval{Begin: rec.begin, End: rec.end, Level: rec.level})
+		for b := range labelCh {
+			for i := range b.recs {
+				rec := &b.recs[i]
+				db.Labels[int(rec.t)] = types[rec.typ]
 			}
+			batches.release(b)
+		}
+	}()
+	iv := db.NewIntervalBuilder()
+	go func() {
+		defer wg.Done()
+		for b := range tableCh {
+			for i := range b.recs {
+				rec := &b.recs[i]
+				iv.SetNode(int(rec.t), int(rec.f), rec.sym, rdb.NodeInterval{Begin: int64(rec.t) - 1, End: int64(rec.end), Level: rec.level})
+			}
+			batches.release(b)
 		}
 	}()
 	// Relation workers: each batch is shared read-only across all workers;
-	// a worker inserts only the records of its own types, so every relation
-	// keeps a single writer. Value interning goes through the DB's
-	// concurrent interner.
+	// a worker appends only the records of its own types, so every relation
+	// keeps a single writer. Every record is a node no relation holds yet,
+	// so a row is appended without a probe.
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int32) {
+		go func(w int) {
 			defer wg.Done()
-			rels := map[string]*rdb.Relation{}
-			for typ, owner := range typeWorker {
-				if int32(owner) == w {
-					rels[typ] = db.Rels[RelName(typ)]
-				}
-			}
-			for batch := range workCh[int(w)] {
-				for i := range batch {
-					rec := &batch[i]
-					if rec.worker != w {
-						continue
+			for b := range workCh[w] {
+				for i := range b.recs {
+					rec := &b.recs[i]
+					if int(rec.typ)%workers == w {
+						rels[rec.typ].AppendNode(int(rec.f), int(rec.t), rec.sym)
 					}
-					rels[rec.label].Add(rec.f, rec.t, rec.val)
 				}
+				batches.release(b)
 			}
-		}(int32(w))
+		}(w)
 	}
 
 	p := &streamParser{
-		r:          r,
-		d:          d,
-		buf:        make([]byte, 0, streamBufSize),
-		names:      map[string]*labelMeta{},
-		typeWorker: typeWorker,
-		batchSize:  batchSize,
-		batch:      make([]streamRec, 0, batchSize),
-		catCh:      catCh,
-		workCh:     workCh,
+		r:        r,
+		d:        d,
+		buf:      make([]byte, 0, streamBufSize),
+		types:    types,
+		syms:     map[string]int32{},
+		interner: db.Syms,
+		batches:  batches,
+		outs:     outs,
 	}
+	p.batch = batches.get()
 	perr := p.run()
 	if perr == nil {
 		p.flushBatch()
 	}
-	close(catCh)
-	for _, ch := range workCh {
+	for _, ch := range outs {
 		close(ch)
 	}
 	wg.Wait()
 	if perr != nil {
 		return nil, perr
 	}
-	db.CatalogFromRows()
 	iv.Adopt()
 	db.DTDFP = d.Fingerprint()
 	return db, nil
 }
 
 // labelMeta is the per-element-type state the parser resolves once and then
-// reuses: the canonical (allocated-once) label string and the owning worker.
+// reuses: the canonical (allocated-once) label string and the type's number.
 type labelMeta struct {
-	name   string
-	worker int32
+	name string
+	typ  int32
 }
 
 // streamFrame is one open element on the parse stack.
@@ -186,8 +237,14 @@ type streamParser struct {
 	eof  bool  // r is exhausted
 	rerr error // non-EOF read error, surfaced on the next failure
 
-	names      map[string]*labelMeta
-	typeWorker map[string]int
+	// metas holds the element types met so far by metaSlot of their names;
+	// the few types of one slot are told apart by comparing names.
+	metas [metaSlots][]*labelMeta
+	types []string // DTD.Types(), numbering the element types
+	// syms caches the interner's symbol of every text value seen, so a
+	// repeated value is looked up by its bytes and never made a string.
+	syms     map[string]int32
+	interner *rdb.Interner
 
 	stack   []streamFrame
 	seg     []byte // raw text of the current inter-markup segment
@@ -195,10 +252,9 @@ type streamParser struct {
 
 	nextID int // last assigned preorder ID
 
-	batchSize int
-	batch     []streamRec
-	catCh     chan []streamRec
-	workCh    []chan []streamRec
+	batches *streamBatches
+	batch   *streamBatch
+	outs    []chan *streamBatch
 }
 
 var (
@@ -345,40 +401,56 @@ func (p *streamParser) skipDoctype() {
 	}
 }
 
-func isNameDelim(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '>' || c == '/' || c == '='
-}
+// nameDelims marks the bytes that end a tag or attribute name.
+var nameDelims = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '>': true, '/': true, '=': true}
 
-// scanName accumulates a tag or attribute name into the shared scratch
-// buffer; the result is only valid until the next scanName call.
+// scanName scans a tag or attribute name. The result is only valid until the
+// next scanName call or refill: a name the window holds whole is a slice of
+// the window, one that runs past it is gathered in the shared scratch buffer.
 func (p *streamParser) scanName() []byte {
+	i := p.pos
+	for i < len(p.buf) && !nameDelims[p.buf[i]] {
+		i++
+	}
+	if i < len(p.buf) || p.eof {
+		name := p.buf[p.pos:i]
+		p.pos = i
+		return name
+	}
 	p.scratch = p.scratch[:0]
 	for {
-		i := p.pos
-		for i < len(p.buf) && !isNameDelim(p.buf[i]) {
-			i++
-		}
 		p.scratch = append(p.scratch, p.buf[p.pos:i]...)
 		p.pos = i
 		if i < len(p.buf) || p.eof {
 			return p.scratch
 		}
 		p.refill()
+		for i = p.pos; i < len(p.buf) && !nameDelims[p.buf[i]]; i++ {
+		}
 	}
 }
 
-// metaOf resolves (and on first sight validates, copies and caches) an
-// element label held in scratch storage.
+// metaSlot spreads the element names of a DTD over the slots of
+// streamParser.metas.
+func metaSlot(name []byte) int {
+	return (len(name) ^ int(name[0])<<1 ^ int(name[len(name)-1])<<3) & (metaSlots - 1)
+}
+
+// metaOf resolves (and on first sight validates, copies and caches) the
+// element label scanName returned.
 func (p *streamParser) metaOf(name []byte) (*labelMeta, error) {
-	if m, ok := p.names[string(name)]; ok {
-		return m, nil
+	slot := &p.metas[metaSlot(name)]
+	for _, m := range *slot {
+		if string(name) == m.name {
+			return m, nil
+		}
 	}
 	s := string(name)
 	if !p.d.Has(s) {
 		return nil, fmt.Errorf("shred: element type %q %w", s, ErrNotInDTD)
 	}
-	m := &labelMeta{name: s, worker: int32(p.typeWorker[s])}
-	p.names[s] = m
+	m := &labelMeta{name: s, typ: int32(slices.Index(p.types, s))}
+	*slot = append(*slot, m)
 	return m, nil
 }
 
@@ -506,7 +578,7 @@ func (p *streamParser) openElement() error {
 		f = p.stack[n-1].id
 	}
 	if selfClose {
-		p.emit(meta, id, f, int32(len(p.stack)), "")
+		p.emit(meta, id, f, int32(len(p.stack)), 0)
 		return nil
 	}
 	// Push, reusing the popped frame's text capacity when available.
@@ -523,22 +595,26 @@ func (p *streamParser) openElement() error {
 func (p *streamParser) closeElement() error {
 	p.flushSeg()
 	p.pos += 2 // "</"
+	fr := p.top()
 	name := p.scanName()
+	// The name is read before the window can move.
+	match, shown := string(name) == fr.label.name, fr.label.name
+	if !match {
+		shown = string(name)
+	}
 	p.skipSpace()
 	if c, ok := p.peek(); !ok || c != '>' {
-		return p.errf("malformed end tag </%s", name)
+		return p.errf("malformed end tag </%s", shown)
 	}
 	p.pos++
-	fr := p.top()
-	if string(name) != fr.label.name {
-		return p.errf("mismatched end tag </%s> for <%s>", name, fr.label.name)
+	if !match {
+		return p.errf("mismatched end tag </%s> for <%s>", shown, fr.label.name)
 	}
 	f := 0
 	if n := len(p.stack); n >= 2 {
 		f = p.stack[n-2].id
 	}
-	val := string(bytes.TrimSpace(fr.text))
-	p.emit(fr.label, fr.id, f, int32(len(p.stack)-1), val)
+	p.emit(fr.label, fr.id, f, int32(len(p.stack)-1), p.intern(bytes.TrimSpace(fr.text)))
 	p.stack = p.stack[:len(p.stack)-1]
 	return nil
 }
@@ -607,35 +683,48 @@ func appendUnescaped(dst, src []byte) []byte {
 	}
 }
 
+// intern returns the symbol of a text value, made a string only on first
+// sight.
+func (p *streamParser) intern(v []byte) int32 {
+	if len(v) == 0 {
+		return 0
+	}
+	if sym, ok := p.syms[string(v)]; ok {
+		return sym
+	}
+	s := string(v)
+	sym := p.interner.Intern(s)
+	p.syms[s] = sym
+	return sym
+}
+
 // emit appends a completed element's record to the current batch and fans
 // the batch out when full. end is the last ID assigned so far: every ID in
 // (begin, end] belongs to the element's subtree.
-func (p *streamParser) emit(meta *labelMeta, id, f int, level int32, val string) {
-	p.batch = append(p.batch, streamRec{
-		label:  meta.name,
-		worker: meta.worker,
-		val:    val,
-		f:      f,
-		t:      id,
-		begin:  int64(id) - 1,
-		end:    int64(p.nextID),
-		level:  level,
+func (p *streamParser) emit(meta *labelMeta, id, f int, level int32, sym int32) {
+	p.batch.recs = append(p.batch.recs, streamRec{
+		typ:   meta.typ,
+		sym:   sym,
+		f:     int32(f),
+		t:     int32(id),
+		end:   int32(p.nextID),
+		level: level,
 	})
-	if len(p.batch) >= p.batchSize {
+	if len(p.batch.recs) >= p.batches.size {
 		p.flushBatch()
 	}
 }
 
-// flushBatch hands the current batch (shared, read-only) to the catalog
-// goroutine and every relation worker.
+// flushBatch hands the current batch (shared, read-only) to every consumer,
+// and starts the next one.
 func (p *streamParser) flushBatch() {
-	if len(p.batch) == 0 {
+	b := p.batch
+	if len(b.recs) == 0 {
 		return
 	}
-	b := p.batch
-	p.catCh <- b
-	for _, ch := range p.workCh {
+	b.refs.Store(p.batches.consumers)
+	for _, ch := range p.outs {
 		ch <- b
 	}
-	p.batch = make([]streamRec, 0, p.batchSize)
+	p.batch = p.batches.get()
 }

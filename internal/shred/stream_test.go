@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
@@ -163,7 +165,8 @@ func TestStreamShredIntervalSemantics(t *testing.T) {
 }
 
 // TestStreamShredErrors covers the rejection paths: undeclared element
-// types, mismatched tags, truncation and trailing garbage.
+// types, mismatched tags, truncation and trailing garbage — and a failure
+// deep into a document, after batches were recycled.
 func TestStreamShredErrors(t *testing.T) {
 	d := workload.Dept()
 	cases := map[string]string{
@@ -181,5 +184,43 @@ func TestStreamShredErrors(t *testing.T) {
 	}
 	if _, err := StreamShred(iotest.TimeoutReader(iotest.OneByteReader(strings.NewReader("<dept><co"))), d, StreamOptions{}); err == nil {
 		t.Error("read error swallowed")
+	}
+
+	// A mismatched tag after 602 complete elements, so that many batches
+	// were recycled before the error: the pass returns the error, every
+	// goroutine it started exits, and the next pass, of good input, builds
+	// Shred's database.
+	var body strings.Builder
+	body.WriteString("<dept>")
+	for c := 0; c < 120; c++ {
+		fmt.Fprintf(&body, "<course><cno>c%d</cno><title>t%d</title><prereq></prereq><takenBy></takenBy></course>", c, c%7)
+	}
+	good := body.String() + "</dept>"
+	bad := body.String() + "<course><cno>x</cno></course><course></dept>"
+	doc, err := xmltree.Parse(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Shred(doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []StreamOptions{{Workers: 1, BatchSize: 1}, {Workers: 1, BatchSize: 7}, {Workers: 3, BatchSize: 1}, {Workers: 3, BatchSize: 7}} {
+		start := runtime.NumGoroutine()
+		if _, err := StreamShred(strings.NewReader(bad), d, opts); err == nil || !strings.Contains(err.Error(), "mismatched end tag") {
+			t.Errorf("%+v: a mismatched tag after 602 elements: %v", opts, err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%+v: %d goroutines after the failed pass, %d before", opts, runtime.NumGoroutine(), start)
+			}
+		}
+		got, err := StreamShred(strings.NewReader(good), d, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if saveText(t, got) != saveText(t, want) {
+			t.Errorf("%+v: the pass after a failed one differs from Shred", opts)
+		}
 	}
 }

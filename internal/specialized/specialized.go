@@ -199,12 +199,13 @@ func Shred(doc *xmltree.Document, s *DTD) (*rdb.DB, error) {
 	for _, typ := range s.Inner.Types() {
 		db.Rel(shred.RelName(typ))
 	}
+	ld := db.NewLoader()
 	for _, n := range doc.Nodes() {
 		f := 0
 		if n.Parent != nil {
 			f = int(n.Parent.ID)
 		}
-		db.InsertLabeled(shred.RelName(types[n.ID]), n.Label, f, int(n.ID), n.Val)
+		ld.Insert(shred.RelName(types[n.ID]), n.Label, f, int(n.ID), n.Val)
 	}
 	return db, nil
 }

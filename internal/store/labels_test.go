@@ -148,9 +148,9 @@ func TestLabelWritesAreTheInsertsOwn(t *testing.T) {
 // it touches" for the node catalog and the column indexes. The same stream of
 // root appends, deletes and text updates, given the same node IDs by a common
 // allocator floor, copies the same node-table chunks update for update at 1×,
-// 4× and 16× the database; a text update copies one chunk and no map; and the
+// 4× and 16× the database; a text update copies one chunk and no map; the
 // relations the updates cloned and compacted carry their indexes, never
-// building one.
+// building one; and no relation holds a pair set, so no Clone copies one.
 func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 	const floor = 1 << 20 // above every scale's seed, on a chunk boundary
 	labelsOf := func(db *rdb.DB) uintptr { return reflect.ValueOf(db.Labels).Pointer() }
@@ -172,6 +172,13 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 			update()
 			n := s.Stats().CatalogChunksCopied - before
 			copied = append(copied, n)
+			// A stored relation holds no pair set, so the Clone an update
+			// makes of one copies no set bytes.
+			for name, rel := range s.View().DB.Rels {
+				if b := rel.PairSetBytes(); b != 0 {
+					t.Fatalf("%dx: update %d left %s holding a %d-byte pair set, which the next update's Clone copies", scale, len(copied), name, b)
+				}
+			}
 			return n
 		}
 		var mine []int
