@@ -18,6 +18,7 @@ package shred
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -132,9 +133,7 @@ func AncestorPath(db *rdb.DB, id int) (string, error) {
 		}
 		cur = db.Parent(cur)
 	}
-	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
-		labels[i], labels[j] = labels[j], labels[i]
-	}
+	slices.Reverse(labels)
 	return strings.Join(labels, "/"), nil
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -19,7 +21,7 @@ import (
 
 // saveText renders the database in Save's deterministic text form, the
 // byte-exact oracle for database equality.
-func saveText(t *testing.T, db *rdb.DB) string {
+func saveText(t testing.TB, db *rdb.DB) string {
 	t.Helper()
 	var b bytes.Buffer
 	if err := db.Save(&b); err != nil {
@@ -54,8 +56,8 @@ func TestStreamShredMatchesShred(t *testing.T) {
 			text := doc.Serialize()
 			for _, opts := range []StreamOptions{
 				{},
-				{Workers: 1, BatchSize: 1},
-				{Workers: 3, BatchSize: 7},
+				{Workers: 1, batchSize: 1},
+				{Workers: 3, batchSize: 7},
 			} {
 				got, err := StreamShred(strings.NewReader(text), d, opts)
 				if err != nil {
@@ -205,7 +207,7 @@ func TestStreamShredErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []StreamOptions{{Workers: 1, BatchSize: 1}, {Workers: 1, BatchSize: 7}, {Workers: 3, BatchSize: 1}, {Workers: 3, BatchSize: 7}} {
+	for _, opts := range []StreamOptions{{Workers: 1, batchSize: 1}, {Workers: 1, batchSize: 7}, {Workers: 3, batchSize: 1}, {Workers: 3, batchSize: 7}} {
 		start := runtime.NumGoroutine()
 		if _, err := StreamShred(strings.NewReader(bad), d, opts); err == nil || !strings.Contains(err.Error(), "mismatched end tag") {
 			t.Errorf("%+v: a mismatched tag after 602 elements: %v", opts, err)
@@ -223,4 +225,120 @@ func TestStreamShredErrors(t *testing.T) {
 			t.Errorf("%+v: the pass after a failed one differs from Shred", opts)
 		}
 	}
+}
+
+// abDTD declares two mutually recursive types, a and b: the labels of the
+// dialect case table.
+func abDTD() *dtd.DTD {
+	d := dtd.New("a")
+	d.SetProd("a", dtd.Star{Item: dtd.Name{Type: "b", Text: true}})
+	d.SetProd("b", dtd.Star{Item: dtd.Name{Type: "a", Text: true}})
+	return d
+}
+
+// sameOnBothPaths shreds text through xmltree.Parse and Shred and through
+// StreamShred. Both must refuse it, or both accept it with the same
+// database; it reports whether they accepted.
+func sameOnBothPaths(t testing.TB, d *dtd.DTD, text string) bool {
+	t.Helper()
+	var tree string
+	doc, terr := xmltree.Parse(text)
+	if terr == nil {
+		var db *rdb.DB
+		if db, terr = Shred(doc, d); terr == nil {
+			tree = saveText(t, db)
+		}
+	}
+	sdb, serr := StreamShred(strings.NewReader(text), d, StreamOptions{Workers: 1})
+	switch {
+	case (terr == nil) != (serr == nil):
+		t.Fatalf("%q: Parse+Shred err = %v, StreamShred err = %v", text, terr, serr)
+	case serr == nil && saveText(t, sdb) != tree:
+		t.Fatalf("%q: StreamShred database differs from Shred's", text)
+	}
+	return serr == nil
+}
+
+// readDialectCases reads the dialect case table of xmltree's tests.
+func readDialectCases(t testing.TB) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("../xmltree/testdata/dialect.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		verdict, lit, _ := strings.Cut(line, " ")
+		doc, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("dialect.txt: bad line %q", line)
+		}
+		cases[doc] = verdict == "accept"
+	}
+	return cases
+}
+
+// TestStreamShredDialectCases runs the dialect case table through both
+// shredding paths: each document gets its verdict on both.
+func TestStreamShredDialectCases(t *testing.T) {
+	d := abDTD()
+	for doc, accept := range readDialectCases(t) {
+		if got := sameOnBothPaths(t, d, doc); got != accept {
+			t.Errorf("%q: accepted = %v, want %v", doc, got, accept)
+		}
+	}
+}
+
+// dialectAtoms are the pieces TestStreamShredMatchesShredOnAtoms builds
+// documents from: tags, attributes, comments, PIs, DOCTYPE, entities, and
+// the bytes 0x85, 0xA0 and 0xC2.
+var dialectAtoms = []string{
+	"<a>", "</a>", "<b>", "</b>", "<a/>", "<b/>", `<a x="1">`, `<b y='&lt;' z/>`,
+	"<!--", "-->", "<!-- c -->", "<!-->", "<?", "?>", "<?pi x?>", "<?>",
+	"<!DOCTYPE a [<!ELEMENT a (b*)>]>", "<!DOCTYPE", "[", "]", ">", "<", "/>", "=", `"`,
+	"&lt;", "&amp;", "&apos;", "&am", "p;", "&", "t", "v w",
+	" ", "\n", "\t", "\r", "\x85", "\xa0", "\xc2", "\xc2\xa0", "\v",
+}
+
+// TestStreamShredMatchesShredOnAtoms is a seeded differential search: no
+// document of up to a dozen atoms is accepted by one shredding path and
+// refused by the other, or built into different databases.
+func TestStreamShredMatchesShredOnAtoms(t *testing.T) {
+	d := abDTD()
+	r := rand.New(rand.NewSource(1))
+	accepted := 0
+	for i := 0; i < 20000; i++ {
+		var b strings.Builder
+		wrap := r.Intn(2) == 0
+		if wrap {
+			b.WriteString("<a>")
+		}
+		for n := 1 + r.Intn(12); n > 0; n-- {
+			b.WriteString(dialectAtoms[r.Intn(len(dialectAtoms))])
+		}
+		if wrap {
+			b.WriteString("</a>")
+		}
+		if sameOnBothPaths(t, d, b.String()) {
+			accepted++
+		}
+	}
+	t.Logf("%d of 20000 documents accepted", accepted)
+}
+
+// FuzzStreamShredMatchesShred: StreamShred and Shred over xmltree.Parse
+// build the same database from any input, or both refuse it.
+func FuzzStreamShredMatchesShred(f *testing.F) {
+	for doc := range readDialectCases(f) {
+		f.Add([]byte(doc))
+	}
+	f.Add([]byte(`<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a (b*)>]><a id="1" flag> pre &lt;x&gt; ` +
+		`<!-- gap --> mid<b>one &amp; two</b><b/><b kind='y'> <a>spaced</a> </b> tail &quot;q&apos;</a><!-- end -->`))
+	d := abDTD()
+	f.Fuzz(func(t *testing.T, src []byte) {
+		sameOnBothPaths(t, d, string(src))
+	})
 }

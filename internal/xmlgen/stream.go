@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 
 	"xpath2sql/internal/dtd"
+	"xpath2sql/internal/xmltree"
 )
 
 // StreamOptions configures StreamGenerate. XL, XR, Seed and ValueFunc have
@@ -35,8 +35,6 @@ type StreamStats struct {
 	Elements int64
 	Bytes    int64
 }
-
-var streamEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 
 // StreamGenerate writes a random document conforming to d directly to w,
 // never materializing the tree: memory is bounded by the open-element depth
@@ -144,7 +142,7 @@ func (g *streamGen) content(c dtd.Content, label string, level int, minimal bool
 		return nil
 	case dtd.Name:
 		if c.Text {
-			g.writeString(streamEscaper.Replace(g.opts.ValueFunc(label, g.r)))
+			g.writeString(xmltree.EscapeText(g.opts.ValueFunc(label, g.r)))
 			return nil
 		}
 		return g.element(c.Type, level+1)

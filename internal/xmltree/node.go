@@ -7,7 +7,7 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -48,18 +48,26 @@ func NewDocument(root *Node) *Document {
 // called after structural edits made outside the package's builders.
 func (d *Document) Renumber() {
 	d.index = d.index[:0]
-	var walk func(n *Node, parent *Node)
-	walk = func(n, parent *Node) {
-		n.Parent = parent
-		d.index = append(d.index, n)
-		n.ID = NodeID(len(d.index))
+	if d.Root == nil {
+		return
+	}
+	d.Root.Parent = nil
+	d.index = preorder(d.index, d.Root)
+	for i, n := range d.index {
+		n.ID = NodeID(i + 1)
 		for _, c := range n.Children {
-			walk(c, n)
+			c.Parent = n
 		}
 	}
-	if d.Root != nil {
-		walk(d.Root, nil)
+}
+
+// preorder appends n and its descendants to out in preorder.
+func preorder(out []*Node, n *Node) []*Node {
+	out = append(out, n)
+	for _, c := range n.Children {
+		out = preorder(out, c)
 	}
+	return out
 }
 
 // Size reports the number of element nodes in the document.
@@ -86,23 +94,10 @@ func (n *Node) AddChild(label string) *Node {
 }
 
 // Descendants returns all proper descendants of n in preorder.
-func (n *Node) Descendants() []*Node {
-	var out []*Node
-	var walk func(m *Node)
-	walk = func(m *Node) {
-		for _, c := range m.Children {
-			out = append(out, c)
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
-}
+func (n *Node) Descendants() []*Node { return preorder(nil, n)[1:] }
 
 // DescendantsOrSelf returns n followed by all proper descendants in preorder.
-func (n *Node) DescendantsOrSelf() []*Node {
-	return append([]*Node{n}, n.Descendants()...)
-}
+func (n *Node) DescendantsOrSelf() []*Node { return preorder(nil, n) }
 
 // Depth reports the number of edges from the root element to n.
 func (n *Node) Depth() int {
@@ -131,9 +126,7 @@ func (n *Node) Path() string {
 	for m := n; m != nil; m = m.Parent {
 		labels = append(labels, m.Label)
 	}
-	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
-		labels[i], labels[j] = labels[j], labels[i]
-	}
+	slices.Reverse(labels)
 	return strings.Join(labels, "/")
 }
 
@@ -156,7 +149,7 @@ func (s NodeSet) IDs() []NodeID {
 	for n := range s {
 		ids = append(ids, n.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -1,216 +1,82 @@
 package xmltree
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
-	"unicode"
 )
 
-// Parse reads an XML document in the restricted dialect used by this
-// repository: elements, PCDATA text, comments, processing instructions and a
-// DOCTYPE preamble (the latter three are skipped). Attributes are parsed and
-// discarded. Mixed content is supported; the concatenated trimmed text of an
-// element becomes its Val.
+// Parse reads an XML document in the repository's dialect (see Tokenizer)
+// and builds its tree, numbering the elements in preorder. Mixed content is
+// supported: the concatenated, trimmed text of an element becomes its Val.
+// Each distinct label is one string, so the tree holds no part of the input.
 func Parse(input string) (*Document, error) {
-	p := &xmlParser{src: input}
-	p.skipProlog()
-	root, err := p.parseElement()
-	if err != nil {
-		return nil, err
+	t := NewTokenizer(strings.NewReader(input))
+	d := &Document{}
+	labels := map[string]string{}
+	var recent [64]string
+	// The open elements, and where each one's direct text starts in text:
+	// a child's text is appended after its parent's and cut off at its end.
+	type frame struct {
+		n    *Node
+		text int
 	}
-	p.skipSpaceAndMisc()
-	if p.pos < len(p.src) {
-		return nil, fmt.Errorf("xmltree: trailing content at offset %d", p.pos)
-	}
-	return NewDocument(root), nil
-}
-
-type xmlParser struct {
-	src string
-	pos int
-}
-
-func (p *xmlParser) errf(format string, args ...any) error {
-	return fmt.Errorf("xmltree: offset %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-func (p *xmlParser) skipProlog() {
-	p.skipSpaceAndMisc()
-}
-
-// skipSpaceAndMisc skips whitespace, comments, PIs and DOCTYPE declarations.
-func (p *xmlParser) skipSpaceAndMisc() {
+	stack, text := make([]frame, 0, 32), make([]byte, 0, 256) // on the stack until outgrown
 	for {
-		for p.pos < len(p.src) && unicode.IsSpace(rune(p.src[p.pos])) {
-			p.pos++
+		tok, err := t.Next()
+		if err == io.EOF {
+			return d, nil
 		}
-		switch {
-		case strings.HasPrefix(p.src[p.pos:], "<?"):
-			if i := strings.Index(p.src[p.pos:], "?>"); i >= 0 {
-				p.pos += i + 2
-				continue
-			}
-			p.pos = len(p.src)
-		case strings.HasPrefix(p.src[p.pos:], "<!--"):
-			if i := strings.Index(p.src[p.pos:], "-->"); i >= 0 {
-				p.pos += i + 3
-				continue
-			}
-			p.pos = len(p.src)
-		case strings.HasPrefix(p.src[p.pos:], "<!DOCTYPE"):
-			// Skip to the matching '>' accounting for an internal subset.
-			depth := 0
-			for ; p.pos < len(p.src); p.pos++ {
-				switch p.src[p.pos] {
-				case '[':
-					depth++
-				case ']':
-					depth--
-				case '>':
-					if depth <= 0 {
-						p.pos++
-						goto again
-					}
+		if err != nil {
+			return nil, err
+		}
+		switch tok.Kind {
+		case StartElement:
+			// A direct-mapped cache answers most lookups without hashing;
+			// a label it evicts goes to the map.
+			name := tok.Data
+			slot := &recent[(len(name)^int(name[0])<<1^int(name[len(name)-1])<<3)%len(recent)]
+			label := *slot
+			if label != string(name) {
+				if label != "" {
+					labels[label] = label
 				}
+				if label = labels[string(name)]; label == "" {
+					label = string(name)
+				}
+				*slot = label
 			}
-		default:
-			return
+			n := &Node{Label: label}
+			d.index = append(d.index, n)
+			n.ID = NodeID(len(d.index))
+			if len(stack) == 0 {
+				d.Root = n
+			} else {
+				n.Parent = stack[len(stack)-1].n
+				n.Parent.Children = append(n.Parent.Children, n)
+			}
+			if !tok.SelfClosing {
+				stack = append(stack, frame{n, len(text)})
+			}
+		case EndElement:
+			fr := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			fr.n.Val = string(bytes.TrimSpace(text[fr.text:]))
+			text = text[:fr.text]
+		case Text:
+			text = append(text, tok.Data...)
 		}
-	again:
 	}
 }
-
-func (p *xmlParser) parseElement() (*Node, error) {
-	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
-		return nil, p.errf("expected '<'")
-	}
-	p.pos++
-	name := p.parseName()
-	if name == "" {
-		return nil, p.errf("expected element name")
-	}
-	n := &Node{Label: name}
-	// Attributes (parsed, values discarded).
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) {
-			return nil, p.errf("unterminated start tag <%s", name)
-		}
-		if strings.HasPrefix(p.src[p.pos:], "/>") {
-			p.pos += 2
-			return n, nil
-		}
-		if p.src[p.pos] == '>' {
-			p.pos++
-			break
-		}
-		if attr := p.parseName(); attr == "" {
-			return nil, p.errf("malformed start tag <%s", name)
-		}
-		p.skipSpace()
-		if p.pos < len(p.src) && p.src[p.pos] == '=' {
-			p.pos++
-			p.skipSpace()
-			if _, err := p.parseQuoted(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Content.
-	var text strings.Builder
-	for {
-		if p.pos >= len(p.src) {
-			return nil, p.errf("unterminated element <%s>", name)
-		}
-		if strings.HasPrefix(p.src[p.pos:], "</") {
-			p.pos += 2
-			end := p.parseName()
-			p.skipSpace()
-			if p.pos >= len(p.src) || p.src[p.pos] != '>' {
-				return nil, p.errf("malformed end tag </%s", end)
-			}
-			p.pos++
-			if end != name {
-				return nil, p.errf("mismatched end tag </%s> for <%s>", end, name)
-			}
-			n.Val = strings.TrimSpace(text.String())
-			return n, nil
-		}
-		if strings.HasPrefix(p.src[p.pos:], "<!--") {
-			i := strings.Index(p.src[p.pos:], "-->")
-			if i < 0 {
-				return nil, p.errf("unterminated comment")
-			}
-			p.pos += i + 3
-			continue
-		}
-		if p.src[p.pos] == '<' {
-			child, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			child.Parent = n
-			n.Children = append(n.Children, child)
-			continue
-		}
-		start := p.pos
-		for p.pos < len(p.src) && p.src[p.pos] != '<' {
-			p.pos++
-		}
-		text.WriteString(unescape(p.src[start:p.pos]))
-	}
-}
-
-func (p *xmlParser) parseName() string {
-	start := p.pos
-	for p.pos < len(p.src) {
-		c := p.src[p.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '>' || c == '/' || c == '=' {
-			break
-		}
-		p.pos++
-	}
-	return p.src[start:p.pos]
-}
-
-func (p *xmlParser) parseQuoted() (string, error) {
-	if p.pos >= len(p.src) || (p.src[p.pos] != '"' && p.src[p.pos] != '\'') {
-		return "", p.errf("expected quoted attribute value")
-	}
-	q := p.src[p.pos]
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.src) && p.src[p.pos] != q {
-		p.pos++
-	}
-	if p.pos >= len(p.src) {
-		return "", p.errf("unterminated attribute value")
-	}
-	v := p.src[start:p.pos]
-	p.pos++
-	return unescape(v), nil
-}
-
-func (p *xmlParser) skipSpace() {
-	for p.pos < len(p.src) && unicode.IsSpace(rune(p.src[p.pos])) {
-		p.pos++
-	}
-}
-
-var unescaper = strings.NewReplacer(
-	"&lt;", "<", "&gt;", ">", "&amp;", "&", "&quot;", `"`, "&apos;", "'",
-)
 
 var escaper = strings.NewReplacer(
 	"&", "&amp;", "<", "&lt;", ">", "&gt;",
 )
 
-func unescape(s string) string {
-	if !strings.Contains(s, "&") {
-		return s
-	}
-	return unescaper.Replace(s)
-}
+// EscapeText escapes s for use as character data: '&', '<' and '>' become
+// entity references.
+func EscapeText(s string) string { return escaper.Replace(s) }
 
 // Serialize renders the document as indented XML text.
 func (d *Document) Serialize() string {
@@ -222,19 +88,15 @@ func (d *Document) Serialize() string {
 			fmt.Fprintf(&b, "%s<%s/>\n", indent, n.Label)
 			return
 		}
-		if len(n.Children) == 0 {
-			fmt.Fprintf(&b, "%s<%s>%s</%s>\n", indent, n.Label, escaper.Replace(n.Val), n.Label)
-			return
+		fmt.Fprintf(&b, "%s<%s>%s", indent, n.Label, EscapeText(n.Val))
+		if len(n.Children) > 0 {
+			b.WriteString("\n")
+			for _, c := range n.Children {
+				walk(c, depth+1)
+			}
+			b.WriteString(indent)
 		}
-		fmt.Fprintf(&b, "%s<%s>", indent, n.Label)
-		if n.Val != "" {
-			b.WriteString(escaper.Replace(n.Val))
-		}
-		b.WriteString("\n")
-		for _, c := range n.Children {
-			walk(c, depth+1)
-		}
-		fmt.Fprintf(&b, "%s</%s>\n", indent, n.Label)
+		fmt.Fprintf(&b, "</%s>\n", n.Label)
 	}
 	if d.Root != nil {
 		walk(d.Root, 0)

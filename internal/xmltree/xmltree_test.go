@@ -1,9 +1,15 @@
 package xmltree
 
 import (
+	"fmt"
+	"io"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseSimple(t *testing.T) {
@@ -25,15 +31,16 @@ func TestParseSimple(t *testing.T) {
 	}
 }
 
-func TestParseWithPrologAndComments(t *testing.T) {
-	src := `<?xml version="1.0"?>
+const prologDoc = `<?xml version="1.0"?>
 <!DOCTYPE a [ <!ELEMENT a (b*)> ]>
 <!-- a comment -->
 <a attr="x">
   <!-- inner comment -->
   <b k='v'>text &amp; more</b>
 </a>`
-	doc, err := Parse(src)
+
+func TestParseWithPrologAndComments(t *testing.T) {
+	doc, err := Parse(prologDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,4 +198,128 @@ func TestRenumberAfterEdit(t *testing.T) {
 	if doc.Node(3).Parent != doc.Root {
 		t.Fatalf("parent not fixed by Renumber")
 	}
+}
+
+// dialectCase is one line of testdata/dialect.txt.
+type dialectCase struct {
+	accept bool
+	doc    string
+}
+
+func readDialectCases(t testing.TB) []dialectCase {
+	t.Helper()
+	data, err := os.ReadFile("testdata/dialect.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []dialectCase
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		verdict, lit, _ := strings.Cut(line, " ")
+		doc, err := strconv.Unquote(lit)
+		if err != nil || (verdict != "accept" && verdict != "refuse") {
+			t.Fatalf("dialect.txt: bad line %q", line)
+		}
+		cases = append(cases, dialectCase{verdict == "accept", doc})
+	}
+	return cases
+}
+
+// TestParseDialect holds Parse to the verdicts of the dialect case table.
+func TestParseDialect(t *testing.T) {
+	for _, c := range readDialectCases(t) {
+		if _, err := Parse(c.doc); (err == nil) != c.accept {
+			t.Errorf("Parse(%q): err = %v, want accept = %v", c.doc, err, c.accept)
+		}
+	}
+}
+
+// tokens renders what a Tokenizer reads from r: every token, then the
+// error that ended the stream.
+func tokens(r io.Reader) string {
+	var b strings.Builder
+	tz := NewTokenizer(r)
+	for {
+		tok, err := tz.Next()
+		if err != nil {
+			fmt.Fprintf(&b, "%v", err)
+			return b.String()
+		}
+		fmt.Fprintf(&b, "%d %v %q\n", tok.Kind, tok.SelfClosing, tok.Data)
+	}
+}
+
+// TestTokenizerReadSizes: the tokens, text segments and errors do not
+// depend on how the reader splits the input, so a name, a segment or an
+// entity that straddles the window's edge reads as one.
+func TestTokenizerReadSizes(t *testing.T) {
+	docs := []string{prologDoc, strings.Repeat("<a>x &amp; y<!-- c --><b>&lt;</b>", 50) + strings.Repeat("</a>", 50)}
+	for _, c := range readDialectCases(t) {
+		docs = append(docs, c.doc)
+	}
+	for _, doc := range docs {
+		whole := tokens(strings.NewReader(doc))
+		for _, r := range []io.Reader{iotest.OneByteReader(strings.NewReader(doc)), iotest.HalfReader(strings.NewReader(doc))} {
+			if got := tokens(r); got != whole {
+				t.Errorf("%q: split reads give\n%s\nwhole reads\n%s", doc, got, whole)
+			}
+		}
+	}
+}
+
+// TestParseInternsLabels: every node of one label shares one string, and no
+// label points into the source text, even with more labels than the cache
+// in front of the label map has slots.
+func TestParseInternsLabels(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 200; i++ {
+			fmt.Fprintf(&b, "<l%d/>", i)
+		}
+	}
+	b.WriteString("</r>")
+	src := b.String()
+	doc, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	first := map[string]*byte{}
+	for _, n := range doc.Nodes() {
+		p := unsafe.StringData(n.Label)
+		if at := uintptr(unsafe.Pointer(p)); at >= lo && at < lo+uintptr(len(src)) {
+			t.Fatalf("label %q points into the source", n.Label)
+		}
+		if q, ok := first[n.Label]; ok && q != p {
+			t.Fatalf("label %q is two strings", n.Label)
+		}
+		first[n.Label] = p
+	}
+}
+
+// FuzzParse: Parse never panics, and a document it accepts survives
+// Serialize and a second Parse with its labels, values and shape.
+func FuzzParse(f *testing.F) {
+	for _, c := range readDialectCases(f) {
+		f.Add([]byte(c.doc))
+	}
+	f.Add([]byte(prologDoc))
+	f.Add([]byte(`<dept><course><cno>cs11</cno><prereq><course><cno>cs66</cno><prereq/></course></prereq></course></dept>`))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		doc, err := Parse(string(src))
+		if err != nil {
+			return
+		}
+		text := doc.Serialize()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Serialize output refused: %v\n%q", err, text)
+		}
+		if !treeEqual(doc.Root, again.Root) {
+			t.Fatalf("round trip changed the tree:\n%q\n%q", src, text)
+		}
+	})
 }

@@ -199,7 +199,7 @@ func (t *Translation) SQL(d Dialect, opts ...SQLOption) (string, error) {
 // the paper's storage model (§2.3).
 func Shred(doc *Document, d *DTD) (*DB, error) { return shred.Shred(doc, d) }
 
-// ShredStreamOptions configures StreamShred (worker count, batch size).
+// ShredStreamOptions configures StreamShred (its worker count).
 type ShredStreamOptions = shred.StreamOptions
 
 // StreamShred shreds an XML document read from r in one streaming pass,
