@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"xpath2sql/internal/backend"
@@ -12,149 +12,17 @@ import (
 	"xpath2sql/internal/backend/sqlbe"
 	"xpath2sql/internal/cluster"
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/ra"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/workload"
-	"xpath2sql/internal/xmlgen"
 	"xpath2sql/internal/xmltree"
 	"xpath2sql/internal/xpath"
 )
 
 var allStrategies = []core.Strategy{core.StrategyCycleEX, core.StrategyCycleE, core.StrategySQLGenR}
-
-// randQuery builds a random query of the paper's fragment whose labels are
-// drawn from the DTD's element types (same shape as the core differential
-// suite, so the two harnesses cover the same query distribution).
-func randQuery(r *rand.Rand, types []string, depth int) xpath.Path {
-	pick := func() string { return types[r.Intn(len(types))] }
-	if depth == 0 {
-		switch r.Intn(4) {
-		case 0:
-			return xpath.Wildcard{}
-		case 1:
-			return xpath.Empty{}
-		default:
-			return xpath.Label{Name: pick()}
-		}
-	}
-	switch r.Intn(8) {
-	case 0:
-		return xpath.Label{Name: pick()}
-	case 1:
-		return xpath.Seq{L: randQuery(r, types, depth-1), R: randQuery(r, types, depth-1)}
-	case 2:
-		return xpath.Desc{P: randQuery(r, types, depth-1)}
-	case 3:
-		return xpath.Seq{L: randQuery(r, types, depth-1), R: xpath.Desc{P: randQuery(r, types, depth-1)}}
-	case 4:
-		return xpath.Union{L: randQuery(r, types, depth-1), R: randQuery(r, types, depth-1)}
-	case 5, 6:
-		return xpath.Filter{P: randQuery(r, types, depth-1), Q: randQual(r, types, depth-1)}
-	default:
-		return xpath.Wildcard{}
-	}
-}
-
-func randQual(r *rand.Rand, types []string, depth int) xpath.Qual {
-	if depth == 0 {
-		return xpath.QPath{P: xpath.Label{Name: types[r.Intn(len(types))]}}
-	}
-	switch r.Intn(6) {
-	case 0, 1:
-		return xpath.QPath{P: randQuery(r, types, depth-1)}
-	case 2:
-		return xpath.QText{C: fmt.Sprintf("%s-%d", types[r.Intn(len(types))], r.Intn(5))}
-	case 3:
-		return xpath.QNot{Q: randQual(r, types, depth-1)}
-	case 4:
-		return xpath.QAnd{L: randQual(r, types, depth-1), R: randQual(r, types, depth-1)}
-	default:
-		return xpath.QOr{L: randQual(r, types, depth-1), R: randQual(r, types, depth-1)}
-	}
-}
-
-// valueFunc draws values from a small pool so text()=c qualifiers hit.
-func valueFunc(typ string, r *rand.Rand) string {
-	return fmt.Sprintf("%s-%d", typ, r.Intn(5))
-}
-
-// randDTD synthesizes a random recursive DTD: a chain t0 → t1 → … → tN
-// closed into a cycle by a random back edge, with random chord edges and a
-// couple of text leaves. Every instance is recursive by construction, so the
-// translations exercise Fix (CycleE/EX) and RecUnion (SQLGen-R) plans.
-func randDTD(seed int64) *dtd.DTD {
-	r := rand.New(rand.NewSource(seed))
-	n := 4 + r.Intn(3)
-	types := make([]string, n)
-	for i := range types {
-		types[i] = fmt.Sprintf("t%d", i)
-	}
-	leaves := []string{"val", "tag"}
-
-	kids := make(map[string][]string)
-	for i, typ := range types {
-		if i+1 < n {
-			kids[typ] = append(kids[typ], types[i+1])
-		}
-		for j := range types {
-			if j != i && r.Intn(4) == 0 {
-				kids[typ] = append(kids[typ], types[j])
-			}
-		}
-		if r.Intn(2) == 0 {
-			kids[typ] = append(kids[typ], leaves[r.Intn(len(leaves))])
-		}
-	}
-	// Close the chain into a cycle.
-	kids[types[n-1]] = append(kids[types[n-1]], types[r.Intn(n-1)])
-
-	d := dtd.New("doc")
-	d.SetProd("doc", dtd.Star{Item: dtd.Name{Type: types[0]}})
-	for _, typ := range types {
-		seen := map[string]bool{}
-		var items []dtd.Content
-		for _, k := range kids[typ] {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			items = append(items, dtd.Star{Item: dtd.Name{Type: k}})
-		}
-		if len(items) == 1 {
-			d.SetProd(typ, items[0])
-		} else {
-			d.SetProd(typ, dtd.Seq{Items: items})
-		}
-	}
-	for _, leaf := range leaves {
-		d.SetProd(leaf, dtd.Name{Text: true})
-	}
-	return d
-}
-
-func oracle(q xpath.Path, doc *xmltree.Document) []int {
-	set := xpath.EvalDoc(q, doc)
-	ids := set.IDs()
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // TestDifferentialBackends is the cross-backend property test: for random
 // documents of the workload DTDs plus randomly synthesized recursive DTDs,
@@ -167,78 +35,28 @@ func TestDifferentialBackends(t *testing.T) {
 		"dept":  workload.Dept(),
 		"cross": workload.Cross(),
 		"gedml": workload.GedML(),
-		"rand1": randDTD(101),
-		"rand2": randDTD(202),
-		"rand3": randDTD(303),
+		"rand1": difftest.RecDTD(difftest.Seed(101)).DTD,
+		"rand2": difftest.RecDTD(difftest.Seed(202)).DTD,
+		"rand3": difftest.RecDTD(difftest.Seed(303)).DTD,
 	}
 	queriesPerDTD := 18
 	if testing.Short() {
 		queriesPerDTD = 4
 	}
-	ctx := context.Background()
 	for name, d := range dtds {
 		t.Run(name, func(t *testing.T) {
 			if err := d.Check(); err != nil {
 				t.Fatalf("invalid DTD: %v", err)
 			}
-			types := d.Types()
-			r := rand.New(rand.NewSource(int64(len(name)) * 7919))
+			r := difftest.Seed(int64(len(name)) * 7919)
 			empties, answered := 0, 0
 			for docSeed := int64(0); docSeed < 2; docSeed++ {
-				doc, err := xmlgen.Generate(d, xmlgen.Options{
-					XL: 6, XR: 3, Seed: docSeed + 1, MaxNodes: 150, ValueFunc: valueFunc,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				db, err := shred.Shred(doc, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				dsn := fmt.Sprintf("memory://diff-%s-%d", name, docSeed)
-				fakedb.Reset(dsn)
-				be, err := sqlbe.Open(ctx, fakedb.DriverName, dsn, sqlbe.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { be.Close(); fakedb.Reset(dsn) }()
-				if err := be.Load(ctx, db); err != nil {
-					t.Fatalf("sqlbe Load: %v", err)
-				}
-				ssnap, err := be.Snapshot(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lsnap, err := backend.NewLocalDB(db).Snapshot(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-
+				b := loadBackends(t, d, difftest.Doc(t, d, docSeed+1, 150))
 				for i := 0; i < queriesPerDTD; i++ {
-					q := randQuery(r, types, 3)
-					want := oracle(q, doc)
-					if len(want) == 0 {
-						empties++
-					} else {
+					if checkBackends(t, b, r, allStrategies) {
 						answered++
-					}
-					for _, s := range allStrategies {
-						res, err := core.Translate(q, d, core.Options{Strategy: s, SQL: core.DefaultSQLOptions()})
-						if err != nil {
-							t.Fatalf("[%v] Translate(%s): %v", s, q, err)
-						}
-						check := func(which string, snap backend.Snapshot) {
-							got, err := snap.Execute(ctx, res.Program, backend.ExecOptions{})
-							if err != nil {
-								t.Fatalf("[%v] %s Execute(%s): %v", s, which, q, err)
-							}
-							if !equalInts(got.IDs, want) {
-								t.Fatalf("[%v] %s backend of %s = %v, want %v", s, which, q, got.IDs, want)
-							}
-						}
-						check("rdb", lsnap)
-						check("sql", ssnap)
+					} else {
+						empties++
 					}
 				}
 			}
@@ -249,6 +67,84 @@ func TestDifferentialBackends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzDifferentialBackends is TestDifferentialBackends on the instances the
+// fuzzer's bytes decode to: a workload DTD or (choice 3) a drawn recursive
+// one, a document, a query — over CycleEX and SQLGen-R.
+func FuzzDifferentialBackends(f *testing.F) {
+	f.Add([]byte{0, 1, 2})
+	f.Add([]byte{3, 1, 0, 2, 1, 0, 0, 9, 4, 1, 5, 5})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		src := difftest.FromBytes(in)
+		d := []*dtd.DTD{workload.Dept(), workload.Cross(), workload.GedML(), nil}[src.Intn(4)]
+		if d == nil {
+			d = difftest.RecDTD(src).DTD
+		}
+		// Not CycleE: its programs grow exponentially with the query (one
+		// drawn dept query translates to 47 264 statements), and a drawn input
+		// can take a fuzz worker's memory. The seeded suite runs it.
+		polynomial := []core.Strategy{core.StrategyCycleEX, core.StrategySQLGenR}
+		checkBackends(t, loadBackends(t, d, difftest.Doc(t, d, int64(src.Intn(256)), 150)), src, polynomial)
+	})
+}
+
+// backends is one document, loaded into the rdb backend and the SQL backend.
+type backends struct {
+	d        *dtd.DTD
+	doc      *xmltree.Document
+	rdb, sql backend.Snapshot
+}
+
+func loadBackends(t *testing.T, d *dtd.DTD, doc *xmltree.Document) backends {
+	t.Helper()
+	db, err := shred.Shred(doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dsn := fmt.Sprintf("memory://diff-%s-%p", t.Name(), doc)
+	fakedb.Reset(dsn)
+	be, err := sqlbe.Open(ctx, fakedb.DriverName, dsn, sqlbe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { be.Close(); fakedb.Reset(dsn) })
+	if err := be.Load(ctx, db); err != nil {
+		t.Fatalf("sqlbe Load: %v", err)
+	}
+	b := backends{d: d, doc: doc}
+	if b.sql, err = be.Snapshot(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if b.rdb, err = backend.NewLocalDB(db).Snapshot(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkBackends draws one query and checks the strategies on both backends
+// against the native evaluator. It reports whether the answer is non-empty.
+func checkBackends(t *testing.T, b backends, src difftest.Source, strategies []core.Strategy) bool {
+	t.Helper()
+	q := difftest.Query(src, b.d.Types(), 3)
+	want := difftest.Oracle(q, b.doc)
+	for _, s := range strategies {
+		res, err := core.Translate(q, b.d, core.Options{Strategy: s, SQL: core.DefaultSQLOptions()})
+		if err != nil {
+			t.Fatalf("[%v] Translate(%s): %v", s, q, err)
+		}
+		for which, snap := range map[string]backend.Snapshot{"rdb": b.rdb, "sql": b.sql} {
+			got, err := snap.Execute(context.Background(), res.Program, backend.ExecOptions{})
+			if err != nil {
+				t.Fatalf("[%v] %s Execute(%s): %v", s, which, q, err)
+			}
+			if !slices.Equal(got.IDs, want) {
+				t.Fatalf("[%v] %s backend of %s = %v, want %v", s, which, q, got.IDs, want)
+			}
+		}
+	}
+	return len(want) > 0
 }
 
 // TestDifferentialScoped is the document-scope property test: over
@@ -264,9 +160,9 @@ func TestDifferentialScoped(t *testing.T) {
 		"dept":  workload.Dept(),
 		"cross": workload.Cross(),
 		"gedml": workload.GedML(),
-		"rand1": randDTD(101),
-		"rand2": randDTD(202),
-		"rand3": randDTD(303),
+		"rand1": difftest.RecDTD(difftest.Seed(101)).DTD,
+		"rand2": difftest.RecDTD(difftest.Seed(202)).DTD,
+		"rand3": difftest.RecDTD(difftest.Seed(303)).DTD,
 	}
 	queriesPerDTD := 16
 	if testing.Short() {
@@ -275,19 +171,13 @@ func TestDifferentialScoped(t *testing.T) {
 	ctx := context.Background()
 	for name, d := range dtds {
 		t.Run(name, func(t *testing.T) {
-			types := d.Types()
-			r := rand.New(rand.NewSource(int64(len(name)) * 104729))
+			r := difftest.Seed(int64(len(name)) * 104729)
 			var docs []*xmltree.Document
 			var parts []*rdb.DB
 			var offsets []int
 			total := 0
 			for docSeed := int64(1); docSeed <= 4; docSeed++ {
-				doc, err := xmlgen.Generate(d, xmlgen.Options{
-					XL: 6, XR: 3, Seed: docSeed, MaxNodes: 60 + 40*int(docSeed), ValueFunc: valueFunc,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				doc := difftest.Doc(t, d, docSeed, 60+40*int(docSeed))
 				db, err := shred.Shred(doc, d)
 				if err != nil {
 					t.Fatal(err)
@@ -303,7 +193,7 @@ func TestDifferentialScoped(t *testing.T) {
 
 			answered := 0
 			for i := 0; i < queriesPerDTD; i++ {
-				q := randQuery(r, types, 3)
+				q := difftest.Query(r, d.Types(), 3)
 				for _, s := range allStrategies {
 					res, err := core.Translate(q, d, core.Options{Strategy: s, SQL: core.DefaultSQLOptions()})
 					if err != nil {
@@ -316,7 +206,7 @@ func TestDifferentialScoped(t *testing.T) {
 					for di, doc := range docs {
 						root, end := offsets[di]+1, offsets[di]+parts[di].NumNodes()
 						want := []int{}
-						for _, id := range oracle(q, doc) {
+						for _, id := range difftest.Oracle(q, doc) {
 							want = append(want, id+offsets[di])
 						}
 						cut := []int{}
@@ -325,7 +215,7 @@ func TestDifferentialScoped(t *testing.T) {
 								cut = append(cut, id)
 							}
 						}
-						if !equalInts(cut, want) {
+						if !slices.Equal(cut, want) {
 							t.Fatalf("[%v] unscoped %s cut to document %d = %v, native evaluator %v", s, q, di, cut, want)
 						}
 						if len(want) > 0 {
@@ -341,7 +231,7 @@ func TestDifferentialScoped(t *testing.T) {
 							if err != nil {
 								t.Fatalf("[%v] %s scoped to document %d (%+v): %v", s, q, di, opts, err)
 							}
-							if !equalInts(got.IDs, want) {
+							if !slices.Equal(got.IDs, want) {
 								t.Fatalf("[%v] %s scoped to document %d (workers %d, intervals %v) = %v, native evaluator on it alone %v\n%s",
 									s, q, di, opts.Workers, opts.Intervals, got.IDs, want, res.Program)
 							}
@@ -361,42 +251,14 @@ func TestDifferentialScoped(t *testing.T) {
 // plans (Fix and RecUnion), not just the workload graphs.
 func TestRandDTDsAreRecursive(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		d := randDTD(seed)
+		d := difftest.RecDTD(difftest.Seed(seed)).DTD
 		if err := d.Check(); err != nil {
 			t.Fatalf("seed %d: invalid DTD: %v", seed, err)
 		}
-		if !isRecursive(d) {
+		if !d.BuildGraph().Recursive() {
 			t.Fatalf("seed %d: DTD is not recursive:\n%s", seed, d)
 		}
 	}
-}
-
-// isRecursive reports whether the DTD graph has a cycle, via DFS.
-func isRecursive(d *dtd.DTD) bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	g := d.BuildGraph()
-	color := map[string]int{}
-	var visit func(string) bool
-	visit = func(typ string) bool {
-		color[typ] = gray
-		for _, e := range g.Out[typ] {
-			switch color[e.To] {
-			case gray:
-				return true
-			case white:
-				if visit(e.To) {
-					return true
-				}
-			}
-		}
-		color[typ] = black
-		return false
-	}
-	return visit(d.Root)
 }
 
 // TestParallelLocalMatchesSerial covers the Workers knob of ExecOptions on
@@ -405,10 +267,7 @@ func isRecursive(d *dtd.DTD) bool {
 // side reaches two morsels (5 000 rows) does split it at 4 workers.
 func TestParallelLocalMatchesSerial(t *testing.T) {
 	d := workload.Dept()
-	doc, err := xmlgen.Generate(d, xmlgen.Options{XL: 6, XR: 3, Seed: 2, MaxNodes: 200, ValueFunc: valueFunc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := difftest.Doc(t, d, 2, 200)
 	db, err := shred.Shred(doc, d)
 	if err != nil {
 		t.Fatal(err)
@@ -435,14 +294,14 @@ func TestParallelLocalMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalInts(par.IDs, serial.IDs) {
+		if !slices.Equal(par.IDs, serial.IDs) {
 			t.Fatalf("%s: parallel = %v, serial = %v", qs, par.IDs, serial.IDs)
 		}
 		if ps, ss := par.Stats, serial.Stats; ps.Minus(rdb.Stats{Morsels: ps.Morsels}) != ss.Minus(rdb.Stats{Morsels: ss.Morsels}) {
 			t.Fatalf("%s: parallel did %+v, serial %+v", qs, ps, ss)
 		}
-		if !equalInts(serial.IDs, oracle(q, doc)) {
-			t.Fatalf("%s: serial = %v, oracle = %v", qs, serial.IDs, oracle(q, doc))
+		if !slices.Equal(serial.IDs, difftest.Oracle(q, doc)) {
+			t.Fatalf("%s: serial = %v, oracle = %v", qs, serial.IDs, difftest.Oracle(q, doc))
 		}
 	}
 	wide := rdb.NewDB()
@@ -489,11 +348,7 @@ func TestWarmWorkersAllocLikeSerial(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector; alloc counts need a normal build")
 	}
 	d := workload.Dept()
-	doc, err := xmlgen.Generate(d, xmlgen.Options{XL: 6, XR: 3, Seed: 2, MaxNodes: 2000, ValueFunc: valueFunc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := shred.Shred(doc, d)
+	db, err := shred.Shred(difftest.Doc(t, d, 2, 2000), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"xpath2sql/internal/backend/fakedb"
 	"xpath2sql/internal/backend/sqlbe"
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/obs"
 	"xpath2sql/internal/ra"
@@ -52,28 +54,6 @@ func makeDoc(t *testing.T, d *dtd.DTD, seed int64, vf func(string, *rand.Rand) s
 	return doc, db
 }
 
-func oracle(q xpath.Path, doc *xmltree.Document) []int {
-	set := xpath.EvalDoc(q, doc)
-	ids := set.IDs()
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func runOn(t *testing.T, snap backend.Snapshot, prog *ra.Program, opts backend.ExecOptions) []int {
 	t.Helper()
 	res, err := snap.Execute(context.Background(), prog, opts)
@@ -89,8 +69,7 @@ func runOn(t *testing.T, snap backend.Snapshot, prog *ra.Program, opts backend.E
 // in-process rdb backend.
 func TestEndToEnd(t *testing.T) {
 	d := workload.Dept()
-	vf := func(typ string, r *rand.Rand) string { return fmt.Sprintf("%s-%d", typ, r.Intn(5)) }
-	doc, db := makeDoc(t, d, 5, vf)
+	doc, db := makeDoc(t, d, 5, difftest.Value)
 
 	be := openBackend(t, "e2e")
 	ctx := context.Background()
@@ -125,7 +104,7 @@ func TestEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", qs, err)
 		}
-		want := oracle(q, doc)
+		want := difftest.Oracle(q, doc)
 		if len(want) > 0 {
 			nonEmpty++
 		}
@@ -136,7 +115,7 @@ func TestEndToEnd(t *testing.T) {
 			}
 			var trace obs.Trace
 			got := runOn(t, snap, r.Program, backend.ExecOptions{Trace: &trace})
-			if !equalInts(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("[%v] sqlbe %s = %v, want %v\nSQL:\n%s",
 					s, qs, got, want, mustSQL(t, r.Program))
 			}
@@ -144,7 +123,7 @@ func TestEndToEnd(t *testing.T) {
 				t.Fatalf("[%v] %s: no trace events recorded", s, qs)
 			}
 			lgot := runOn(t, lsnap, r.Program, backend.ExecOptions{})
-			if !equalInts(lgot, got) {
+			if !slices.Equal(lgot, got) {
 				t.Fatalf("[%v] rdb backend %s = %v, sqlbe = %v", s, qs, lgot, got)
 			}
 		}
@@ -242,7 +221,7 @@ func TestHostileValues(t *testing.T) {
 				P: xpath.Desc{P: xpath.Label{Name: leaf}},
 				Q: xpath.QText{C: h},
 			}
-			want := oracle(q, doc)
+			want := difftest.Oracle(q, doc)
 			if len(want) > 0 {
 				hits++
 			}
@@ -252,11 +231,11 @@ func TestHostileValues(t *testing.T) {
 					t.Fatalf("[%v] Translate(//%s[text()=%q]): %v", s, leaf, h, err)
 				}
 				got := runOn(t, snap, r.Program, backend.ExecOptions{})
-				if !equalInts(got, want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("[%v] sqlbe //%s[text()=%q] = %v, want %v", s, leaf, h, got, want)
 				}
 				lgot := runOn(t, lsnap, r.Program, backend.ExecOptions{})
-				if !equalInts(lgot, got) {
+				if !slices.Equal(lgot, got) {
 					t.Fatalf("[%v] rdb //%s[text()=%q] = %v, sqlbe = %v", s, leaf, h, lgot, got)
 				}
 			}
@@ -352,7 +331,7 @@ func TestLimits(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	q, _ := xpath.Parse("dept//course")
-	if len(oracle(q, doc)) < 2 {
+	if len(difftest.Oracle(q, doc)) < 2 {
 		t.Fatal("test document too small to exercise limits")
 	}
 	r, err := core.Translate(q, d, core.DefaultOptions())
@@ -413,7 +392,7 @@ func TestMaxLFPItersPushdown(t *testing.T) {
 	defer snap.Close()
 
 	q, _ := xpath.Parse("dept//course")
-	want := oracle(q, doc)
+	want := difftest.Oracle(q, doc)
 	if len(want) != 12 {
 		t.Fatalf("oracle found %d courses, want 12", len(want))
 	}
@@ -438,7 +417,7 @@ func TestMaxLFPItersPushdown(t *testing.T) {
 		if err != nil {
 			t.Fatalf("limits %+v: %v", limits, err)
 		}
-		if !equalInts(res.IDs, want) {
+		if !slices.Equal(res.IDs, want) {
 			t.Fatalf("limits %+v: got %v, want %v", limits, res.IDs, want)
 		}
 	}
@@ -464,7 +443,7 @@ func TestConcurrentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := oracle(q, doc)
+	want := difftest.Oracle(q, doc)
 	errc := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
@@ -473,7 +452,7 @@ func TestConcurrentRuns(t *testing.T) {
 				errc <- err
 				return
 			}
-			if !equalInts(res.IDs, want) {
+			if !slices.Equal(res.IDs, want) {
 				errc <- fmt.Errorf("got %v, want %v", res.IDs, want)
 				return
 			}

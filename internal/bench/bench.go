@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -135,7 +136,7 @@ type Measurement struct {
 	Strategy  string
 	Seconds   float64
 	Stats     rdb.Stats
-	Answers   int
+	IDs       []int      // the answer nodes, ascending
 	TransSecs float64    // translation time (excluded from Seconds)
 	Trace     *obs.Trace // per-statement breakdown (Config.Trace runs only)
 }
@@ -178,7 +179,7 @@ func RunQueryCfg(c Config, ds *Dataset, query string, strategy core.Strategy) (M
 		Strategy:  strategy.String(),
 		Seconds:   time.Since(t1).Seconds(),
 		Stats:     *stats,
-		Answers:   len(ids),
+		IDs:       ids,
 		TransSecs: tTrans,
 		Trace:     trace,
 	}, nil
@@ -212,7 +213,7 @@ func (t *Table) Print(c Config) {
 			c.printf("%13.3fs", m.Seconds)
 		}
 		if len(r.Cells) > 0 {
-			c.printf("%10d", r.Cells[0].Answers)
+			c.printf("%10d", len(r.Cells[0].IDs))
 		}
 		c.printf("\n")
 		if c.Trace {
@@ -229,13 +230,20 @@ func (t *Table) Print(c Config) {
 	}
 }
 
-// checkAgreement verifies all cells of a row found the same answer count —
-// a guard against benchmarking strategies that disagree.
-func checkAgreement(r Row) error {
-	for i := 1; i < len(r.Cells); i++ {
-		if r.Cells[i].Answers != r.Cells[0].Answers {
-			return fmt.Errorf("bench: %s: %s found %d answers, %s found %d",
-				r.Label, r.Cells[i].Strategy, r.Cells[i].Answers, r.Cells[0].Strategy, r.Cells[0].Answers)
+// checkAgreement verifies, outside the timed region, that every cell of a
+// row found the nodes the native evaluator finds for query on doc — mapped
+// through sigma where doc is a view of the data (views.Extract) — a guard
+// against benchmarking strategies that disagree.
+func checkAgreement(r Row, query string, doc *xmltree.Document, sigma map[xmltree.NodeID]xmltree.NodeID) error {
+	want := xpath.EvalDoc(xpath.MustParse(query), doc).IDs()
+	for _, m := range r.Cells {
+		if !slices.EqualFunc(m.IDs, want, func(a int, b xmltree.NodeID) bool {
+			if sigma != nil {
+				b = sigma[b]
+			}
+			return a == int(b)
+		}) {
+			return fmt.Errorf("bench: %s: %s found %d answers, not the %d nodes of the native evaluator", r.Label, m.Strategy, len(m.IDs), len(want))
 		}
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"xpath2sql/internal/obs"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
+	"xpath2sql/internal/views"
 	"xpath2sql/internal/workload"
 	"xpath2sql/internal/xmlgen"
 	"xpath2sql/internal/xmltree"
@@ -59,7 +60,7 @@ func Exp1(c Config) ([]*Table, error) {
 					}
 					row.Cells = append(row.Cells, m)
 				}
-				if err := checkAgreement(row); err != nil {
+				if err := checkAgreement(row, query, ds.Doc, nil); err != nil {
 					return nil, err
 				}
 				tb.Rows = append(tb.Rows, row)
@@ -140,11 +141,11 @@ func Exp2(c Config) ([]*Table, error) {
 					Strategy: name,
 					Seconds:  time.Since(t0).Seconds(),
 					Stats:    *stats,
-					Answers:  len(ids),
+					IDs:      ids,
 					Trace:    trace,
 				})
 			}
-			if err := checkAgreement(row); err != nil {
+			if err := checkAgreement(row, sweep.query, ds.Doc, nil); err != nil {
 				return nil, err
 			}
 			tb.Rows = append(tb.Rows, row)
@@ -178,7 +179,7 @@ func Exp3(c Config) (*Table, error) {
 			}
 			row.Cells = append(row.Cells, m)
 		}
-		if err := checkAgreement(row); err != nil {
+		if err := checkAgreement(row, "a//d", ds.Doc, nil); err != nil {
 			return nil, err
 		}
 		tb.Rows = append(tb.Rows, row)
@@ -230,11 +231,15 @@ func Exp4BIOML(c Config) (*Table, error) {
 				Strategy: s.String(),
 				Seconds:  time.Since(t0).Seconds(),
 				Stats:    *stats,
-				Answers:  len(ids),
+				IDs:      ids,
 				Trace:    trace,
 			})
 		}
-		if err := checkAgreement(row); err != nil {
+		view, sigma, err := views.Extract(ds.Doc, caseDTD) // what the case's query answers
+		if err != nil {
+			return nil, err
+		}
+		if err := checkAgreement(row, cs.Query, view, sigma); err != nil {
 			return nil, err
 		}
 		tb.Rows = append(tb.Rows, row)
@@ -284,7 +289,7 @@ func Exp4GedML(c Config) ([]*Table, error) {
 				}
 				row.Cells = append(row.Cells, m)
 			}
-			if err := checkAgreement(row); err != nil {
+			if err := checkAgreement(row, "Even//Data", ds.Doc, nil); err != nil {
 				return nil, err
 			}
 			tb.Rows = append(tb.Rows, row)

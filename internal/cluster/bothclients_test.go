@@ -14,6 +14,7 @@ import (
 
 	"xpath2sql"
 	"xpath2sql/internal/cluster"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/server"
@@ -131,7 +132,8 @@ func (b *bothClients) same(t *testing.T, what string, tr *xpath2sql.Translation,
 // round-trips — and the fleet is asked exactly what the routing says: one
 // shard for a document read, one for an update.
 func TestRouterSameOverBothClients(t *testing.T) {
-	d, _, types := randRecDTD(41)
+	rec := rec41()
+	d, types := rec.DTD, rec.Types
 	collection := randCollection(t, d, 42, 6)
 	e := xpath2sql.New(d)
 	ctx := context.Background()
@@ -152,7 +154,7 @@ func TestRouterSameOverBothClients(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	var queries []string
 	for len(queries) < 10 {
-		q := randQueryStr(r, types)
+		q := difftest.QueryString(r, types)
 		if _, err := e.TranslateString(ctx, q); err == nil {
 			queries = append(queries, q)
 		}
@@ -255,7 +257,8 @@ func TestRouterSameOverBothClients(t *testing.T) {
 // through either client: a resource limit tripping on one shard under
 // best-effort, a "doc" that names no document root.
 func TestRequestFaultsThroughBothClients(t *testing.T) {
-	d, _, types := randRecDTD(41)
+	rec := rec41()
+	d, types := rec.DTD, rec.Types
 	collection := randCollection(t, d, 42, 6)
 	tight := xpath2sql.Limits{MaxTuples: 1}
 	b := openBoth(t, d, collection, 3, cluster.ReadBestEffort, tight)

@@ -17,7 +17,8 @@ import (
 // answer.
 func openTestCluster(t *testing.T, shards int, mode cluster.ReadMode) (*cluster.Cluster, *store.Store, *xpath2sql.Translation) {
 	t.Helper()
-	d, _, types := randRecDTD(41)
+	rec := rec41()
+	d, types := rec.DTD, rec.Types
 	collection := randCollection(t, d, 42, 4)
 	c, err := cluster.Open(cluster.Config{
 		DTD: d, Shards: shards, Mode: mode,
@@ -116,7 +117,7 @@ func TestKilledShardRefusesWrites(t *testing.T) {
 	c.Shard(victim).Kill()
 	accepted := 0
 	for _, root := range roots {
-		// Every randRecDTD document admits <t0> under its root (kids["doc"]
+		// Every rec41 document admits <t0> under its root (kids["doc"]
 		// is exactly {t0}, star-quantified).
 		_, err := c.Update(context.Background(), cluster.UpdateRequest{Op: store.OpInsert, Parent: root, Fragment: "<t0></t0>"})
 		switch dead := (cluster.RoundRobinPlacement{}).Owner(root, c.Shards()) == victim; {

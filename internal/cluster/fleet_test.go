@@ -33,7 +33,7 @@ const shardIDSpace = 1 << 20
 // plus each shard's live store.
 func newHTTPFleet(t *testing.T, n int) ([]*httptest.Server, []*store.Store) {
 	t.Helper()
-	d, _, _ := randRecDTD(41)
+	d := rec41().DTD
 	e := xpath2sql.New(d)
 	servers := make([]*httptest.Server, n)
 	stores := make([]*store.Store, n)
@@ -68,7 +68,7 @@ func newHTTPFleet(t *testing.T, n int) ([]*httptest.Server, []*store.Store) {
 }
 
 // shardDoc builds shard i's document: nested t0/t1 chains with distinct text
-// values per shard, valid under randRecDTD(41)'s productions (every child
+// values per shard, valid under rec41()'s productions (every child
 // list is star-quantified, t0 → t1 → …).
 func shardDoc(i int) string {
 	var b strings.Builder
@@ -91,7 +91,7 @@ func newRouter(t *testing.T, servers []*httptest.Server, mode cluster.ReadMode) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	d, _, _ := randRecDTD(41)
+	d := rec41().DTD
 	return serveCluster(t, d, cl)
 }
 
@@ -314,7 +314,7 @@ func TestFleetDegradation(t *testing.T) {
 func TestFleetRetry(t *testing.T) {
 	servers, _ := newHTTPFleet(t, 2)
 	ctx := context.Background()
-	d, _, _ := randRecDTD(41)
+	d := rec41().DTD
 	tr, err := xpath2sql.New(d).TranslateString(ctx, "doc//t1")
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,8 @@ func TestScopedWorkIsTheDocumentsWork(t *testing.T) {
 // as of the Watermark it reports: the scope's interval comes from the pinned
 // epoch's own encoding, never from a newer one.
 func TestScopedReadAtTheEpochItPinned(t *testing.T) {
-	d, kids, types := randRecDTD(41)
+	rec := rec41()
+	d, types := rec.DTD, rec.Types
 	collection := randCollection(t, d, 42, 4)
 	const shards = 2
 	pl := cluster.RoundRobinPlacement{}
@@ -188,7 +189,7 @@ func TestScopedReadAtTheEpochItPinned(t *testing.T) {
 		defer close(done)
 		r := rand.New(rand.NewSource(9))
 		for step := 0; step < 60; step++ {
-			if !applyBoth(t, r, c, st, kids) {
+			if !applyBoth(t, r, c, st, rec) {
 				continue
 			}
 			for i, sh := range c.Stats().Shards {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"xpath2sql/internal/core"
@@ -41,7 +42,7 @@ func TestBatchAgreesWithIndividual(t *testing.T) {
 		}
 		for i, q := range queries {
 			want := runStrategy(t, q, d, db, s)
-			if !equalInts(got[i], want) {
+			if !slices.Equal(got[i], want) {
 				t.Errorf("[%v] query %d (%s): batch %v, individual %v", s, i, q, got[i], want)
 			}
 		}

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
 	"xpath2sql/internal/workload"
@@ -370,10 +370,9 @@ func exprSize(e expath.Expr) int {
 
 // TestCycleEXRandomGraphs: language equivalence on random DTD graphs.
 func TestCycleEXRandomGraphs(t *testing.T) {
-	r := rand.New(rand.NewSource(2024))
+	r := difftest.Seed(2024)
 	for iter := 0; iter < 30; iter++ {
-		n := 3 + r.Intn(4)
-		d := randomDTD(r, n)
+		d := difftest.GraphDTD(r, 3+r.Intn(4), true)
 		g := d.BuildGraph()
 		tg := newTransGraph(g)
 		rs := CycleEX(tg)
@@ -391,31 +390,4 @@ func TestCycleEXRandomGraphs(t *testing.T) {
 			}
 		}
 	}
-}
-
-// randomDTD builds a random star-guarded DTD over n types with root t0.
-func randomDTD(r *rand.Rand, n int) *dtd.DTD {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = "t" + itoa(i+1)
-	}
-	d := dtd.New(names[0])
-	for i, t := range names {
-		var kids []dtd.Content
-		for j := range names {
-			if r.Intn(3) == 0 {
-				kids = append(kids, dtd.Star{Item: dtd.Name{Type: names[j]}})
-			}
-		}
-		// Guarantee reachability: t_i links to t_{i+1}.
-		if i+1 < n {
-			kids = append(kids, dtd.Star{Item: dtd.Name{Type: names[i+1]}})
-		}
-		if len(kids) == 0 {
-			d.SetProd(t, dtd.Epsilon{})
-		} else {
-			d.SetProd(t, dtd.Seq{Items: kids})
-		}
-	}
-	return d
 }

@@ -1,145 +1,96 @@
 package core_test
 
 import (
-	"fmt"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
 	"xpath2sql/internal/rdb"
-	"xpath2sql/internal/shred"
 	"xpath2sql/internal/workload"
-	"xpath2sql/internal/xmlgen"
 	"xpath2sql/internal/xmltree"
 	"xpath2sql/internal/xpath"
 )
-
-// randQuery builds a random query from the paper's fragment whose labels are
-// drawn from the DTD's element types.
-func randQuery(r *rand.Rand, types []string, depth int) xpath.Path {
-	pick := func() string { return types[r.Intn(len(types))] }
-	if depth == 0 {
-		switch r.Intn(4) {
-		case 0:
-			return xpath.Wildcard{}
-		case 1:
-			return xpath.Empty{}
-		default:
-			return xpath.Label{Name: pick()}
-		}
-	}
-	switch r.Intn(8) {
-	case 0:
-		return xpath.Label{Name: pick()}
-	case 1:
-		return xpath.Seq{L: randQuery(r, types, depth-1), R: randQuery(r, types, depth-1)}
-	case 2:
-		return xpath.Desc{P: randQuery(r, types, depth-1)}
-	case 3:
-		return xpath.Seq{L: randQuery(r, types, depth-1), R: xpath.Desc{P: randQuery(r, types, depth-1)}}
-	case 4:
-		return xpath.Union{L: randQuery(r, types, depth-1), R: randQuery(r, types, depth-1)}
-	case 5, 6:
-		return xpath.Filter{P: randQuery(r, types, depth-1), Q: randQual(r, types, depth-1)}
-	default:
-		return xpath.Wildcard{}
-	}
-}
-
-func randQual(r *rand.Rand, types []string, depth int) xpath.Qual {
-	if depth == 0 {
-		return xpath.QPath{P: xpath.Label{Name: types[r.Intn(len(types))]}}
-	}
-	switch r.Intn(6) {
-	case 0, 1:
-		return xpath.QPath{P: randQuery(r, types, depth-1)}
-	case 2:
-		return xpath.QText{C: fmt.Sprintf("%s-%d", types[r.Intn(len(types))], r.Intn(5))}
-	case 3:
-		return xpath.QNot{Q: randQual(r, types, depth-1)}
-	case 4:
-		return xpath.QAnd{L: randQual(r, types, depth-1), R: randQual(r, types, depth-1)}
-	default:
-		return xpath.QOr{L: randQual(r, types, depth-1), R: randQual(r, types, depth-1)}
-	}
-}
-
-// valueFunc draws values from a small pool so text()=c qualifiers hit.
-func valueFunc(typ string, r *rand.Rand) string {
-	return fmt.Sprintf("%s-%d", typ, r.Intn(5))
-}
 
 // TestDifferentialRandom is the repository's central property test: for
 // random documents of every workload DTD and random queries of the paper's
 // fragment, the three translation strategies, the extended-XPath evaluator
 // and the native XPath oracle must all agree.
 func TestDifferentialRandom(t *testing.T) {
-	dtds := map[string]*dtd.DTD{
-		"dept":  workload.Dept(),
-		"cross": workload.Cross(),
-		"bioml": workload.BIOML(),
-		"gedml": workload.GedML(),
-		"fig3d": workload.Fig3DPrime(),
-	}
 	queriesPerDTD := 40
 	if testing.Short() {
 		queriesPerDTD = 8
 	}
-	for name, d := range dtds {
-		t.Run(name, func(t *testing.T) {
-			types := d.Types()
-			r := rand.New(rand.NewSource(int64(len(name)) * 1237))
+	for _, c := range corpusDTDs()[:5] { // the paper's workloads
+		t.Run(c.name, func(t *testing.T) {
+			r := difftest.Seed(int64(len(c.name)) * 1237)
 			for docSeed := int64(0); docSeed < 3; docSeed++ {
-				doc, err := xmlgen.Generate(d, xmlgen.Options{
-					XL: 6, XR: 3, Seed: docSeed, MaxNodes: 300, ValueFunc: valueFunc,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				db, err := shred.Shred(doc, d)
-				if err != nil {
-					t.Fatal(err)
-				}
+				doc := difftest.Doc(t, c.d, docSeed, 300)
+				db := shredDoc(t, doc, c.d)
 				for i := 0; i < queriesPerDTD; i++ {
-					q := randQuery(r, types, 3)
-					want := oracle(q, doc)
-
-					// Extended-XPath evaluator agreement (CycleEX form).
-					eq, err := core.XPathToEXp(q, d, core.RecCycleEX)
-					if err != nil {
-						t.Fatalf("XPathToEXp(%s): %v", q, err)
-					}
-					rel, err := expath.EvalQuery(eq, doc)
-					if err != nil {
-						t.Fatalf("EvalQuery(%s): %v", q, err)
-					}
-					exGot := ids(expath.ResultAtRoot(rel, doc))
-					if !equalInts(exGot, want) {
-						t.Fatalf("expath eval of %s = %v, want %v\nEQ:\n%s", q, exGot, want, eq)
-					}
-
-					// All strategies against the oracle.
-					for _, s := range allStrategies {
-						got := runStrategy(t, q, d, db, s)
-						if !equalInts(got, want) {
-							t.Fatalf("[%v] doc seed %d, query %s: got %v, want %v", s, docSeed, q, got, want)
-						}
-					}
+					checkDifferential(t, c.d, doc, db, r, allStrategies)
 				}
 			}
 		})
 	}
 }
 
-func ids(set xmltree.NodeSet) []int {
-	raw := set.IDs()
-	out := make([]int, len(raw))
-	for i, id := range raw {
-		out[i] = int(id)
+// FuzzDifferentialRandom is TestDifferentialRandom on the instances the
+// fuzzer's bytes decode to: a corpus DTD or a drawn recursive one, a
+// document, a query — over the polynomial strategies (fuzzStrategies).
+func FuzzDifferentialRandom(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{5, 0, 9, 1, 1, 1, 7, 3, 1, 0, 5, 5, 2})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		src := difftest.FromBytes(b)
+		d, doc, db := fuzzInstance(t, src)
+		checkDifferential(t, d, doc, db, src, fuzzStrategies)
+	})
+}
+
+// fuzzInstance decodes a corpus DTD (or, choice 5, a drawn recursive DTD)
+// and a document of it.
+func fuzzInstance(t *testing.T, src difftest.Source) (*dtd.DTD, *xmltree.Document, *rdb.DB) {
+	var d *dtd.DTD
+	if i := src.Intn(6); i < 5 {
+		d = corpusDTDs()[i].d
+	} else {
+		d = difftest.RecDTD(src).DTD
 	}
-	return out
+	doc := difftest.Doc(t, d, int64(src.Intn(256)), 300)
+	return d, doc, shredDoc(t, doc, d)
+}
+
+// fuzzStrategies leaves CycleE out of the fuzz twins: its programs grow
+// exponentially with the query (one drawn dept query translates to 47 264
+// statements), and a drawn input can take a fuzz worker's memory. The seeded
+// suites run it.
+var fuzzStrategies = []core.Strategy{core.StrategyCycleEX, core.StrategySQLGenR}
+
+// checkDifferential draws one query and checks the extended-XPath evaluator
+// and the strategies against the native evaluator on doc.
+func checkDifferential(t *testing.T, d *dtd.DTD, doc *xmltree.Document, db *rdb.DB, src difftest.Source, strategies []core.Strategy) {
+	t.Helper()
+	q := difftest.Query(src, d.Types(), 3)
+	want := difftest.Oracle(q, doc)
+	eq, err := core.XPathToEXp(q, d, core.RecCycleEX)
+	if err != nil {
+		t.Fatalf("XPathToEXp(%s): %v", q, err)
+	}
+	rel, err := expath.EvalQuery(eq, doc)
+	if err != nil {
+		t.Fatalf("EvalQuery(%s): %v", q, err)
+	}
+	if got := difftest.IDs(expath.ResultAtRoot(rel, doc)); !slices.Equal(got, want) {
+		t.Fatalf("expath eval of %s = %v, want %v\nEQ:\n%s", q, got, want, eq)
+	}
+	for _, s := range strategies {
+		if got := runStrategy(t, q, d, db, s); !slices.Equal(got, want) {
+			t.Fatalf("[%v] query %s: got %v, want %v", s, q, got, want)
+		}
+	}
 }
 
 // TestDifferentialOptionMatrix re-runs a query battery under every SQL
@@ -147,26 +98,19 @@ func ids(set xmltree.NodeSet) []int {
 // selections, lazy vs eager execution.
 func TestDifferentialOptionMatrix(t *testing.T) {
 	d := workload.Dept()
-	doc, err := xmlgen.Generate(d, xmlgen.Options{XL: 6, XR: 3, Seed: 17, MaxNodes: 250, ValueFunc: valueFunc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := shred.Shred(doc, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(555))
-	types := d.Types()
+	doc := difftest.Doc(t, d, 17, 250)
+	db := shredDoc(t, doc, d)
+	r := difftest.Seed(555)
 	var queries []xpath.Path
 	for i := 0; i < 25; i++ {
-		queries = append(queries, randQuery(r, types, 3))
+		queries = append(queries, difftest.Query(r, d.Types(), 3))
 	}
 	queries = append(queries,
 		xpath.MustParse("dept//project"),
 		xpath.MustParse("dept/course[.//prereq/course and not(.//project)]"),
 	)
 	for _, q := range queries {
-		want := oracle(q, doc)
+		want := difftest.Oracle(q, doc)
 		for _, useRid := range []bool{false, true} {
 			for _, push := range []bool{false, true} {
 				for _, lazy := range []bool{false, true} {
@@ -183,7 +127,7 @@ func TestDifferentialOptionMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Run(%s rid=%v push=%v lazy=%v): %v", q, useRid, push, lazy, err)
 					}
-					if got := rel.TIDs(); !equalInts(got, want) {
+					if got := rel.TIDs(); !slices.Equal(got, want) {
 						t.Fatalf("%s rid=%v push=%v lazy=%v: got %v, want %v\nprogram:\n%s",
 							q, useRid, push, lazy, got, want, res.Program)
 					}

@@ -1,70 +1,16 @@
 package core_test
 
 import (
-	"fmt"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
-	"xpath2sql/internal/shred"
 	"xpath2sql/internal/workload"
-	"xpath2sql/internal/xmlgen"
+	"xpath2sql/internal/xmltree"
 )
-
-// randRecDTD synthesizes a random recursive DTD, the same construction as
-// the cross-backend harness: a type chain closed into a cycle by a back
-// edge, random chords, and text leaves. Recursive by construction, so the
-// plans contain fixpoints for the interval kernel to replace.
-func randRecDTD(seed int64) *dtd.DTD {
-	r := rand.New(rand.NewSource(seed))
-	n := 4 + r.Intn(3)
-	types := make([]string, n)
-	for i := range types {
-		types[i] = fmt.Sprintf("t%d", i)
-	}
-	leaves := []string{"val", "tag"}
-
-	kids := make(map[string][]string)
-	for i, typ := range types {
-		if i+1 < n {
-			kids[typ] = append(kids[typ], types[i+1])
-		}
-		for j := range types {
-			if j != i && r.Intn(4) == 0 {
-				kids[typ] = append(kids[typ], types[j])
-			}
-		}
-		if r.Intn(2) == 0 {
-			kids[typ] = append(kids[typ], leaves[r.Intn(len(leaves))])
-		}
-	}
-	kids[types[n-1]] = append(kids[types[n-1]], types[r.Intn(n-1)])
-
-	d := dtd.New("doc")
-	d.SetProd("doc", dtd.Star{Item: dtd.Name{Type: types[0]}})
-	for _, typ := range types {
-		seen := map[string]bool{}
-		var items []dtd.Content
-		for _, k := range kids[typ] {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			items = append(items, dtd.Star{Item: dtd.Name{Type: k}})
-		}
-		if len(items) == 1 {
-			d.SetProd(typ, items[0])
-		} else {
-			d.SetProd(typ, dtd.Seq{Items: items})
-		}
-	}
-	for _, leaf := range leaves {
-		d.SetProd(leaf, dtd.Name{Text: true})
-	}
-	return d
-}
 
 // runIntervalMode executes a translated program at the given interval mode
 // and returns the answer IDs plus the run's stats.
@@ -89,9 +35,9 @@ func TestIntervalDifferentialRandom(t *testing.T) {
 	dtds := map[string]*dtd.DTD{
 		"dept":  workload.Dept(),
 		"gedml": workload.GedML(),
-		"rand1": randRecDTD(1),
-		"rand2": randRecDTD(2),
-		"rand3": randRecDTD(3),
+		"rand1": difftest.RecDTD(difftest.Seed(1)).DTD,
+		"rand2": difftest.RecDTD(difftest.Seed(2)).DTD,
+		"rand3": difftest.RecDTD(difftest.Seed(3)).DTD,
 	}
 	queriesPerDTD := 30
 	if testing.Short() {
@@ -100,39 +46,12 @@ func TestIntervalDifferentialRandom(t *testing.T) {
 	totalDescScans := 0
 	for name, d := range dtds {
 		t.Run(name, func(t *testing.T) {
-			types := d.Types()
-			r := rand.New(rand.NewSource(int64(len(name)) * 7121))
+			r := difftest.Seed(int64(len(name)) * 7121)
 			for docSeed := int64(0); docSeed < 2; docSeed++ {
-				doc, err := xmlgen.Generate(d, xmlgen.Options{
-					XL: 6, XR: 3, Seed: docSeed, MaxNodes: 300, ValueFunc: valueFunc,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				db, err := shred.Shred(doc, d)
-				if err != nil {
-					t.Fatal(err)
-				}
+				doc := difftest.Doc(t, d, docSeed, 300)
+				db := shredDoc(t, doc, d)
 				for i := 0; i < queriesPerDTD; i++ {
-					q := randQuery(r, types, 3)
-					want := oracle(q, doc)
-					res, err := core.Translate(q, d, core.DefaultOptions())
-					if err != nil {
-						t.Fatalf("Translate(%s): %v", q, err)
-					}
-					offIDs, _ := runIntervalMode(t, db, res, rdb.IntervalOff)
-					autoIDs, autoStats := runIntervalMode(t, db, res, rdb.IntervalAuto)
-					forceIDs, _ := runIntervalMode(t, db, res, rdb.IntervalForce)
-					totalDescScans += autoStats.DescScans
-					if !equalInts(offIDs, want) {
-						t.Fatalf("doc seed %d, query %s: LFP got %v, want %v", docSeed, q, offIDs, want)
-					}
-					if !equalInts(autoIDs, want) {
-						t.Fatalf("doc seed %d, query %s: interval(auto) got %v, want %v", docSeed, q, autoIDs, want)
-					}
-					if !equalInts(forceIDs, want) {
-						t.Fatalf("doc seed %d, query %s: interval(force) got %v, want %v", docSeed, q, forceIDs, want)
-					}
+					totalDescScans += checkIntervalModes(t, d, doc, db, r)
 				}
 			}
 		})
@@ -140,4 +59,40 @@ func TestIntervalDifferentialRandom(t *testing.T) {
 	if totalDescScans == 0 {
 		t.Fatal("the suite never exercised the interval kernel")
 	}
+}
+
+// FuzzIntervalDifferentialRandom is TestIntervalDifferentialRandom on the
+// instances the fuzzer's bytes decode to (fuzzInstance).
+func FuzzIntervalDifferentialRandom(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 3, 2})
+	f.Add([]byte{5, 2, 3, 0, 1, 0, 1, 40, 2, 2, 2, 6})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		src := difftest.FromBytes(b)
+		d, doc, db := fuzzInstance(t, src)
+		checkIntervalModes(t, d, doc, db, src)
+	})
+}
+
+// checkIntervalModes draws one query and checks it at every interval mode
+// against the native evaluator on doc. It returns the descendant scans the
+// IntervalAuto run made.
+func checkIntervalModes(t *testing.T, d *dtd.DTD, doc *xmltree.Document, db *rdb.DB, src difftest.Source) int {
+	t.Helper()
+	q := difftest.Query(src, d.Types(), 3)
+	want := difftest.Oracle(q, doc)
+	res, err := core.Translate(q, d, core.DefaultOptions())
+	if err != nil {
+		t.Fatalf("Translate(%s): %v", q, err)
+	}
+	scans := 0
+	for _, mode := range []rdb.IntervalMode{rdb.IntervalOff, rdb.IntervalAuto, rdb.IntervalForce} {
+		got, stats := runIntervalMode(t, db, res, mode)
+		if mode == rdb.IntervalAuto {
+			scans = stats.DescScans
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %s: %v got %v, want %v", q, mode, got, want)
+		}
+	}
+	return scans
 }

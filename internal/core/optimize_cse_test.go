@@ -2,10 +2,10 @@ package core_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/ra"
 	"xpath2sql/internal/workload"
@@ -60,7 +60,7 @@ func TestExtractCommonMatchesStringKeyed(t *testing.T) {
 		"dept": workload.Dept(), "gedml": workload.GedML(), "cross": workload.Cross(), "bioml": workload.BIOML(),
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		dtds[fmt.Sprintf("rand%d", seed)] = randRecDTD(seed)
+		dtds[fmt.Sprintf("rand%d", seed)] = difftest.RecDTD(difftest.Seed(seed)).DTD
 	}
 	perDTD, batches := 400, 25
 	if testing.Short() {
@@ -68,10 +68,10 @@ func TestExtractCommonMatchesStringKeyed(t *testing.T) {
 	}
 	changed := 0
 	for name, d := range dtds {
-		r := rand.New(rand.NewSource(int64(len(name)) * 15485863))
+		r := difftest.Seed(int64(len(name)) * 15485863)
 		types := d.Types()
 		for i := 0; i < perDTD; i++ {
-			q := randQuery(r, types, 3)
+			q := difftest.Query(r, types, 3)
 			for _, rec := range []core.RecStrategy{core.RecFlat, core.RecCycleEX} {
 				if sameAsOracle(t, fmt.Sprintf("%s rec=%d %s", name, rec, q), preCSE(t, q, d, rec)) {
 					changed++
@@ -81,7 +81,7 @@ func TestExtractCommonMatchesStringKeyed(t *testing.T) {
 		for i := 0; i < batches; i++ {
 			var results []*core.Result
 			for j := 0; j < 4; j++ {
-				res, err := core.Translate(randQuery(r, types, 3), d, core.DefaultOptions())
+				res, err := core.Translate(difftest.Query(r, types, 3), d, core.DefaultOptions())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,12 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"os"
 	"strings"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/expath"
 	"xpath2sql/internal/ra"
 )
@@ -106,10 +106,9 @@ func handBuilt() []goldenCase {
 func renderCorpus(t *testing.T) []goldenCase {
 	var out []goldenCase
 	for _, c := range corpusDTDs() {
-		r := rand.New(rand.NewSource(int64(len(c.name))*104729 + 1))
-		types := c.d.Types()
+		r := difftest.Seed(int64(len(c.name))*104729 + 1)
 		for i := 0; i < 40; {
-			q := randQuery(r, types, 3)
+			q := difftest.Query(r, c.d.Types(), 3)
 			opts, form := core.DefaultOptions(), "X"
 			switch i % 8 {
 			case 0:

@@ -1,11 +1,11 @@
 package core_test
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/ra"
 	"xpath2sql/internal/workload"
@@ -24,7 +24,9 @@ func corpusDTDs() []struct {
 		{"dept", workload.Dept()}, {"cross", workload.Cross()},
 		{"bioml", workload.BIOML()}, {"gedml", workload.GedML()},
 		{"fig3d", workload.Fig3DPrime()},
-		{"rand1", randRecDTD(1)}, {"rand2", randRecDTD(2)}, {"rand3", randRecDTD(3)},
+		{"rand1", difftest.RecDTD(difftest.Seed(1)).DTD},
+		{"rand2", difftest.RecDTD(difftest.Seed(2)).DTD},
+		{"rand3", difftest.RecDTD(difftest.Seed(3)).DTD},
 	}
 }
 
@@ -54,10 +56,9 @@ func TestTranslateReproducible(t *testing.T) {
 		perDTD = 15
 	}
 	for _, c := range corpusDTDs() {
-		r := rand.New(rand.NewSource(int64(len(c.name)) * 7919))
-		types := c.d.Types()
+		r := difftest.Seed(int64(len(c.name)) * 7919)
 		for i := 0; i < perDTD; i++ {
-			q := randQuery(r, types, 3)
+			q := difftest.Query(r, c.d.Types(), 3)
 			for _, opts := range corpusOptions() {
 				if opts.Strategy == core.StrategyCycleE && (i >= 5 || strings.HasPrefix(c.name, "rand")) {
 					continue // exponential plans; the code path is CycleEX's

@@ -1,11 +1,11 @@
 package core_test
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/expath"
 )
 
@@ -27,10 +27,9 @@ func TestTermEqualityIsPrintedEquality(t *testing.T) {
 				t.Fatalf("%s: type %s may print like a variable", c.name, typ)
 			}
 		}
-		r := rand.New(rand.NewSource(int64(len(c.name))*31 + 5))
-		types := c.d.Types()
+		r := difftest.Seed(int64(len(c.name))*31 + 5)
 		for i := 0; i < perDTD; i++ {
-			q := randQuery(r, types, 3)
+			q := difftest.Query(r, c.d.Types(), 3)
 			for _, rec := range []core.RecStrategy{core.RecFlat, core.RecCycleEX, core.RecCycleE} {
 				if rec == core.RecCycleE && (i%5 != 0 || strings.HasPrefix(c.name, "rand")) {
 					continue // exponential printed forms

@@ -2,9 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
@@ -103,27 +105,14 @@ func runStrategy(t *testing.T, q xpath.Path, d *dtd.DTD, db *rdb.DB, s core.Stra
 	return ids
 }
 
-// oracle evaluates the query natively on the tree.
-func oracle(q xpath.Path, doc *xmltree.Document) []int {
-	set := xpath.EvalDoc(q, doc)
-	ids := set.IDs()
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
+// shredDoc shreds doc under d.
+func shredDoc(t testing.TB, doc *xmltree.Document, d *dtd.DTD) *rdb.DB {
+	t.Helper()
+	db, err := shred.Shred(doc, d)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return db
 }
 
 // checkAll asserts that every strategy agrees with the native oracle.
@@ -133,10 +122,10 @@ func checkAll(t *testing.T, query string, d *dtd.DTD, doc *xmltree.Document, db 
 	if err != nil {
 		t.Fatalf("parse %q: %v", query, err)
 	}
-	want := oracle(q, doc)
+	want := difftest.Oracle(q, doc)
 	for _, s := range allStrategies {
 		got := runStrategy(t, q, d, db, s)
-		if !equalInts(got, want) {
+		if !slices.Equal(got, want) {
 			t.Errorf("[%v] %s: got %v, want %v", s, query, got, want)
 		}
 	}
@@ -157,7 +146,7 @@ func TestDeptQ1(t *testing.T) {
 	}
 	for _, s := range allStrategies {
 		got := runStrategy(t, q, d, db, s)
-		if !equalInts(got, want) {
+		if !slices.Equal(got, want) {
 			t.Errorf("[%v] Q1: got %v, want %v", s, got, want)
 		}
 	}
@@ -177,13 +166,13 @@ func TestDeptQ2(t *testing.T) {
 	// must produce {c1}.
 	q2 := "dept/course[.//prereq/course[cno[text()='cs66']] and not(.//project) and not(takenBy/student/qualified//course[cno[text()='cs66']])]"
 	checkAll(t, q2, d, doc, db)
-	got := oracle(xpath.MustParse(q2), doc)
+	got := difftest.Oracle(xpath.MustParse(q2), doc)
 	if len(got) != 0 {
 		t.Errorf("Q2 oracle = %v, want empty", got)
 	}
 	q2a := "dept/course[.//prereq/course[cno[text()='cs66']]]"
 	checkAll(t, q2a, d, doc, db)
-	if got := oracle(xpath.MustParse(q2a), doc); !equalInts(got, []int{int(ids["c1"])}) {
+	if got := difftest.Oracle(xpath.MustParse(q2a), doc); !slices.Equal(got, []int{int(ids["c1"])}) {
 		t.Errorf("Q2a oracle = %v, want {c1}", got)
 	}
 }

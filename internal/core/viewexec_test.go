@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"xpath2sql/internal/core"
@@ -69,7 +70,7 @@ func TestTranslateOverContainedDTD(t *testing.T) {
 						if err != nil {
 							t.Fatalf("[%v] Execute(%s): %v", s, qs, err)
 						}
-						if !equalInts(got, want) {
+						if !slices.Equal(got, want) {
 							t.Errorf("[%v] seed %d, %s on view: got %v, want %v", s, seed, qs, got, want)
 						}
 					}

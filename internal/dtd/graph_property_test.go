@@ -1,14 +1,16 @@
-package dtd
+package dtd_test
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"xpath2sql/internal/difftest"
+	"xpath2sql/internal/dtd"
 )
 
 // bruteCycles counts simple cycles by plain DFS enumeration, as an
 // independent reference for Johnson's algorithm.
-func bruteCycles(g *Graph) int {
+func bruteCycles(g *dtd.Graph) int {
 	idx := map[string]int{}
 	for i, n := range g.Nodes {
 		idx[n] = i
@@ -47,35 +49,12 @@ func bruteCycles(g *Graph) int {
 	return count
 }
 
-// randomGraphDTD builds a DTD whose graph has random edges over n types.
-func randomGraphDTD(r *rand.Rand, n int) *DTD {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = string(rune('a' + i))
-	}
-	d := New(names[0])
-	for _, t := range names {
-		var items []Content
-		for _, u := range names {
-			if r.Intn(3) == 0 {
-				items = append(items, Star{Item: Name{Type: u}})
-			}
-		}
-		if len(items) == 0 {
-			d.SetProd(t, Epsilon{})
-		} else {
-			d.SetProd(t, Seq{Items: items})
-		}
-	}
-	return d
-}
-
 // TestSimpleCyclesMatchesBruteForce: Johnson's enumeration equals the DFS
 // count on random graphs.
 func TestSimpleCyclesMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomGraphDTD(r, 2+r.Intn(5)).BuildGraph()
+		r := difftest.Seed(seed)
+		g := difftest.GraphDTD(r, 2+r.Intn(5), false).BuildGraph()
 		return g.NumSimpleCycles() == bruteCycles(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -87,8 +66,8 @@ func TestSimpleCyclesMatchesBruteForce(t *testing.T) {
 // in the same non-trivial component reach each other.
 func TestSCCsPartition(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomGraphDTD(r, 2+r.Intn(6)).BuildGraph()
+		r := difftest.Seed(seed)
+		g := difftest.GraphDTD(r, 2+r.Intn(6), false).BuildGraph()
 		seen := map[string]int{}
 		for _, comp := range g.SCCs() {
 			for _, n := range comp {
@@ -120,8 +99,8 @@ func TestSCCsPartition(t *testing.T) {
 // TestRecursiveIffCycles: Recursive() agrees with NumSimpleCycles() > 0.
 func TestRecursiveIffCycles(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomGraphDTD(r, 2+r.Intn(6)).BuildGraph()
+		r := difftest.Seed(seed)
+		g := difftest.GraphDTD(r, 2+r.Intn(6), false).BuildGraph()
 		return g.Recursive() == (g.NumSimpleCycles() > 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -133,11 +112,38 @@ func TestRecursiveIffCycles(t *testing.T) {
 // edge-subset construction.
 func TestContainmentReflexiveTransitive(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomGraphDTD(r, 3+r.Intn(4)).BuildGraph()
+		r := difftest.Seed(seed)
+		g := difftest.GraphDTD(r, 3+r.Intn(4), false).BuildGraph()
 		return g.ContainedIn(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParse: a DTD Parse accepts prints in a form that parses again, to the
+// same print and the same fingerprint.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"<!ELEMENT a (b*, c?)>\n<!ELEMENT b (#PCDATA)>\n<!ELEMENT c (a | b)+>",
+		"<!DOCTYPE r [<!ELEMENT r ANY>]>",
+		"<!ELEMENT a EMPTY>",
+		"<!-- root: x -->\n<!ELEMENT x (y)*>\n<!ELEMENT y (x, (#PCDATA))>",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		d, err := dtd.Parse(in)
+		if err != nil {
+			return
+		}
+		s := d.String()
+		d2, err := dtd.Parse(s)
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", in, s, err)
+		}
+		if s2 := d2.String(); s2 != s || d2.Fingerprint() != d.Fingerprint() {
+			t.Fatalf("%q prints as %q, which prints as %q (fingerprints %s, %s)", in, s, s2, d.Fingerprint(), d2.Fingerprint())
+		}
+	})
 }

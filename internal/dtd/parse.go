@@ -26,16 +26,15 @@ func Parse(input string) (*DTD, error) {
 			break
 		}
 		// Root directive in a comment.
-		if j := strings.Index(rest, "<!--"); j == i {
-			end := strings.Index(rest, "-->")
-			if end < 0 {
+		if strings.HasPrefix(rest[i:], "<!--") {
+			body, after, ok := strings.Cut(rest[i+4:], "-->")
+			if !ok {
 				return nil, perrf("dtd: unterminated comment")
 			}
-			body := strings.TrimSpace(rest[j+4 : end])
-			if strings.HasPrefix(body, "root:") {
+			if body = strings.TrimSpace(body); strings.HasPrefix(body, "root:") {
 				root = strings.TrimSpace(strings.TrimPrefix(body, "root:"))
 			}
-			rest = rest[end+3:]
+			rest = after
 			continue
 		}
 		rest = rest[i+2:]
@@ -92,6 +91,9 @@ func desugarAny(c Content, types []string) Content {
 		for i, t := range types {
 			items[i] = Name{Type: t}
 		}
+		if len(items) == 1 { // (t)* would parse back as t*, a different content
+			return Star{Item: items[0]}
+		}
 		return Star{Item: Alt{Items: items}}
 	case Seq:
 		items := make([]Content, len(c.Items))
@@ -120,6 +122,9 @@ func parseElementDecl(s string) (string, Content, error) {
 	name := s[:i]
 	if name == "" {
 		return "", nil, perrf("dtd: ELEMENT declaration missing name")
+	}
+	if strings.ContainsAny(name, ",|()*+?") || name == "#PCDATA" || name == "EMPTY" || name == "ANY" {
+		return "", nil, perrf("dtd: %q cannot name an element: a content model would not read it as one", name)
 	}
 	body := strings.TrimSpace(s[i:])
 	switch body {

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/ra"
 )
 
@@ -69,71 +71,6 @@ func diffIDs(old, new []int) (added, removed []int) {
 	return added, removed
 }
 
-// randInsertablePlan generates plans inside the insert-maintainable fragment
-// (no Antijoin/Diff/RecUnion, no tracked paths); Semijoin and SelectVal are
-// in, so the generated views span the text-immune sub-fragment and its
-// complement.
-func randInsertablePlan(r *rand.Rand, depth, nRels int, temps []string) ra.Plan {
-	baseRel := func() string { return fmt.Sprintf("R%d", r.Intn(nRels)) }
-	if depth <= 0 {
-		switch r.Intn(4) {
-		case 0:
-			if len(temps) > 0 {
-				return ra.Temp{Name: temps[r.Intn(len(temps))]}
-			}
-			return ra.Base{Rel: baseRel()}
-		case 1:
-			return ra.RootSeed{}
-		default:
-			return ra.Base{Rel: baseRel()}
-		}
-	}
-	child := func() ra.Plan { return randInsertablePlan(r, depth-1, nRels, temps) }
-	switch r.Intn(10) {
-	case 0:
-		return ra.Compose{L: child(), R: child()}
-	case 1:
-		kids := []ra.Plan{child(), child()}
-		if r.Intn(2) == 0 {
-			kids = append(kids, child())
-		}
-		return ra.UnionAll{Kids: kids}
-	case 2, 3:
-		fx := ra.Fix{Seed: child()}
-		if r.Intn(2) == 0 {
-			fx.Start = child()
-		}
-		if r.Intn(2) == 0 {
-			fx.End = child()
-		}
-		return fx
-	case 4:
-		return ra.SelectVal{Child: child(), Val: []string{"a", "b", "z"}[r.Intn(3)]}
-	case 5:
-		return ra.SelectRoot{Child: child()}
-	case 6:
-		return ra.Semijoin{L: child(), R: child()}
-	case 7:
-		return ra.TypeFilter{Child: child(), Rel: baseRel(), OnF: r.Intn(2) == 0}
-	case 8:
-		return ra.IdentOf{Child: child(), OnF: r.Intn(2) == 0}
-	default:
-		return ra.Ident{}
-	}
-}
-
-func randInsertableProgram(r *rand.Rand, nRels int) *ra.Program {
-	nStmts := 1 + r.Intn(4)
-	var stmts []ra.Stmt
-	var temps []string
-	for i := 0; i < nStmts; i++ {
-		name := fmt.Sprintf("s%d", i)
-		stmts = append(stmts, ra.Stmt{Name: name, Plan: randInsertablePlan(r, 1+r.Intn(3), nRels, temps)})
-		temps = append(temps, name)
-	}
-	return &ra.Program{Stmts: stmts, Result: temps[len(temps)-1]}
-}
-
 // applyOrRebuild advances vs by the maintenance matrix a caller (the ivm
 // hub) uses, falling back to Rebuild exactly when the view or the update is
 // outside the incremental fragment. It returns the published delta.
@@ -162,14 +99,14 @@ func TestViewInsertDifferential(t *testing.T) {
 		nRels := 1 + r.Intn(3)
 		n := 3 + r.Intn(15)
 		db := randDB(r, n, nRels)
-		p := randInsertableProgram(r, nRels)
+		p := difftest.Program(r, nRels, insertOps)
 
 		vs, err := BuildViewState(db, p)
 		if err != nil {
 			t.Logf("build (seed=%d): %v", seed, err)
 			return false
 		}
-		if !sameIDs(vs.AnswerIDs(), fullAnswer(t, db, p)) {
+		if !slices.Equal(vs.AnswerIDs(), fullAnswer(t, db, p)) {
 			t.Logf("initial answer differs (seed=%d)", seed)
 			return false
 		}
@@ -207,13 +144,13 @@ func TestViewInsertDifferential(t *testing.T) {
 			}
 			db = db2
 			want := fullAnswer(t, db, p)
-			if !sameIDs(vs.AnswerIDs(), want) {
+			if !slices.Equal(vs.AnswerIDs(), want) {
 				t.Logf("answer differs after insert step %d (seed=%d)\nmaintained: %v\nfull:       %v",
 					step, seed, vs.AnswerIDs(), want)
 				return false
 			}
 			wantAdd, _ := diffIDs(prev, want)
-			if !sameIDs(added, wantAdd) {
+			if !slices.Equal(added, wantAdd) {
 				t.Logf("insert delta differs step %d (seed=%d): got %v want %v", step, seed, added, wantAdd)
 				return false
 			}
@@ -224,7 +161,7 @@ func TestViewInsertDifferential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return sameIDs(fresh.AnswerIDs(), vs.AnswerIDs())
+		return slices.Equal(fresh.AnswerIDs(), vs.AnswerIDs())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -239,7 +176,7 @@ type treeDoc struct {
 	nextID int
 }
 
-func makeTree(r *rand.Rand, n, nRels int) *treeDoc {
+func makeTree(r difftest.Source, n, nRels int) *treeDoc {
 	td := &treeDoc{db: NewDB(), relOf: map[int]string{}, nextID: n + 1}
 	vocab := []string{"", "a", "b", "c"}
 	for id := 1; id <= n; id++ {
@@ -273,7 +210,7 @@ func (td *treeDoc) subtree(root int) []int {
 
 // insert grafts a small chain of fresh nodes under an existing parent and
 // returns the new epoch plus the base delta, store-style.
-func (td *treeDoc) insert(r *rand.Rand) (*DB, BaseDelta) {
+func (td *treeDoc) insert(r difftest.Source) (*DB, BaseDelta) {
 	vocab := []string{"", "a", "b", "c"}
 	existing := nodeIDs(td.db)
 	parent := existing[r.Intn(len(existing))]
@@ -300,7 +237,7 @@ func (td *treeDoc) insert(r *rand.Rand) (*DB, BaseDelta) {
 // del removes a random non-root subtree and returns the new epoch, the
 // subtree root and the preorder deleted IDs. Returns nil when no deletable
 // node exists.
-func (td *treeDoc) del(r *rand.Rand) (*DB, int, []int) {
+func (td *treeDoc) del(r difftest.Source) (*DB, int, []int) {
 	var candidates []int
 	for _, id := range nodeIDs(td.db) {
 		if id != 1 {
@@ -335,85 +272,13 @@ func (td *treeDoc) delSubtree(root int) (*DB, []int) {
 
 // text rewrites one node's value in place, store-style (structure and
 // intervals untouched).
-func (td *treeDoc) text(r *rand.Rand) (*DB, int) {
+func (td *treeDoc) text(r difftest.Source) (*DB, int) {
 	existing := nodeIDs(td.db)
 	id := existing[r.Intn(len(existing))]
 	db2 := cowDB(td.db)
 	v := []string{"", "a", "b", "z"}[r.Intn(4)]
 	db2.UpdateValue(td.relOf[id], db2.Parent(id), id, v)
 	return db2, id
-}
-
-// randTreePlan adds DescScan (both the interval kernel and the generic
-// fallback) to the insertable fragment; withSemi gates Semijoin, whose rows
-// can lose a witness between two live nodes.
-func randTreePlan(r *rand.Rand, depth, nRels int, temps []string, withSemi bool) ra.Plan {
-	baseRel := func() string { return fmt.Sprintf("R%d", r.Intn(nRels)) }
-	if depth <= 0 {
-		switch r.Intn(4) {
-		case 0:
-			if len(temps) > 0 {
-				return ra.Temp{Name: temps[r.Intn(len(temps))]}
-			}
-			return ra.Base{Rel: baseRel()}
-		case 1:
-			return ra.RootSeed{}
-		default:
-			return ra.Base{Rel: baseRel()}
-		}
-	}
-	child := func() ra.Plan { return randTreePlan(r, depth-1, nRels, temps, withSemi) }
-	switch r.Intn(11) {
-	case 0:
-		return ra.Compose{L: child(), R: child()}
-	case 1:
-		return ra.UnionAll{Kids: []ra.Plan{child(), child()}}
-	case 2:
-		fx := ra.Fix{Seed: child()}
-		if r.Intn(2) == 0 {
-			fx.Start = child()
-		}
-		if r.Intn(2) == 0 {
-			fx.End = child()
-		}
-		return fx
-	case 3:
-		return ra.SelectVal{Child: child(), Val: []string{"a", "b", "z"}[r.Intn(3)]}
-	case 4:
-		return ra.SelectRoot{Child: child()}
-	case 5:
-		if withSemi {
-			return ra.Semijoin{L: child(), R: child()}
-		}
-		return ra.Compose{L: child(), R: child()}
-	case 6:
-		return ra.TypeFilter{Child: child(), Rel: baseRel(), OnF: r.Intn(2) == 0}
-	case 7:
-		return ra.IdentOf{Child: child(), OnF: r.Intn(2) == 0}
-	case 8, 9:
-		ds := ra.DescScan{From: baseRel(), To: baseRel(), Alt: ra.Fix{Seed: child()}}
-		if r.Intn(3) == 0 {
-			ds.Start = child()
-		}
-		if r.Intn(3) == 0 {
-			ds.End = child()
-		}
-		return ds
-	default:
-		return ra.Ident{}
-	}
-}
-
-func randTreeProgram(r *rand.Rand, nRels int, withSemi bool) *ra.Program {
-	nStmts := 1 + r.Intn(3)
-	var stmts []ra.Stmt
-	var temps []string
-	for i := 0; i < nStmts; i++ {
-		name := fmt.Sprintf("s%d", i)
-		stmts = append(stmts, ra.Stmt{Name: name, Plan: randTreePlan(r, 1+r.Intn(3), nRels, temps, withSemi)})
-		temps = append(temps, name)
-	}
-	return &ra.Program{Stmts: stmts, Result: temps[len(temps)-1], DTDFP: "fp-tree-test"}
 }
 
 // TestViewMixedUpdateDifferential: random view programs over random rooted
@@ -426,14 +291,14 @@ func TestViewMixedUpdateDifferential(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		nRels := 1 + r.Intn(3)
 		td := makeTree(r, 4+r.Intn(12), nRels)
-		p := randTreeProgram(r, nRels, r.Intn(2) == 0)
+		p := treeProgram(r, nRels, r.Intn(2) == 0)
 
 		vs, err := BuildViewState(td.db, p)
 		if err != nil {
 			t.Logf("build (seed=%d): %v", seed, err)
 			return false
 		}
-		if !sameIDs(vs.AnswerIDs(), fullAnswer(t, td.db, p)) {
+		if !slices.Equal(vs.AnswerIDs(), fullAnswer(t, td.db, p)) {
 			t.Logf("initial answer differs (seed=%d)", seed)
 			return false
 		}
@@ -490,13 +355,13 @@ func TestViewMixedUpdateDifferential(t *testing.T) {
 			}
 			td.db = db2
 			want := fullAnswer(t, td.db, p)
-			if !sameIDs(vs.AnswerIDs(), want) {
+			if !slices.Equal(vs.AnswerIDs(), want) {
 				t.Logf("answer differs after step %d (seed=%d)\nmaintained: %v\nfull:       %v",
 					step, seed, vs.AnswerIDs(), want)
 				return false
 			}
 			wantAdd, wantRem := diffIDs(prev, want)
-			if !sameIDs(gotAdd, wantAdd) || !sameIDs(gotRem, wantRem) {
+			if !slices.Equal(gotAdd, wantAdd) || !slices.Equal(gotRem, wantRem) {
 				t.Logf("delta differs at step %d (seed=%d): got (+%v,-%v) want (+%v,-%v)",
 					step, seed, gotAdd, gotRem, wantAdd, wantRem)
 				return false
@@ -506,7 +371,7 @@ func TestViewMixedUpdateDifferential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return sameIDs(fresh.AnswerIDs(), vs.AnswerIDs())
+		return slices.Equal(fresh.AnswerIDs(), vs.AnswerIDs())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -531,14 +396,14 @@ func forestDoc(db *DB) *treeDoc {
 // draws too rarely to test them: a union one side of which hangs on a witness,
 // a join of closures one of which does, a descendant scan whose start nodes are each admitted by several
 // such rows, and Φ over a seed whose edges, self-loops or shortcut edges do.
-func multiDerivationPlan(r *rand.Rand, nRels int, temps []string) ra.Plan {
+func multiDerivationPlan(r difftest.Source, nRels int, temps []string) ra.Plan {
 	// One edge relation throughout, so the pieces meet; a node is witnessed
 	// while it has a child of the next type, which a delete can take from it
 	// without touching the edges.
 	ri := r.Intn(nRels)
 	rel := fmt.Sprintf("R%d", ri)
 	base := ra.Base{Rel: rel}
-	any := func() ra.Plan { return randTreePlan(r, r.Intn(2), nRels, temps, true) }
+	any := func() ra.Plan { return difftest.Plan(r, r.Intn(2), nRels, temps, treeOps) }
 	witnessed := func(l ra.Plan) ra.Plan {
 		return ra.Semijoin{L: l, R: ra.Base{Rel: fmt.Sprintf("R%d", (ri+1)%nRels)}}
 	}
@@ -617,7 +482,7 @@ func checkAgainstFreshBuild(t *testing.T, label string, vs *ViewState, db *DB, p
 		}
 	}
 	wantAdd, wantRem := diffIDs(prev, fresh.AnswerIDs())
-	if !sameIDs(added, wantAdd) || !sameIDs(removed, wantRem) {
+	if !slices.Equal(added, wantAdd) || !slices.Equal(removed, wantRem) {
 		t.Fatalf("%s: published (+%v, -%v), the answers differ by (+%v, -%v)\n%s", label, added, removed, wantAdd, wantRem, p)
 	}
 }
@@ -637,80 +502,108 @@ func checkAgainstFreshBuild(t *testing.T, label string, vs *ViewState, db *DB, p
 func TestViewWalkEveryMaterialization(t *testing.T) {
 	for _, mode := range []string{"interval kernel", "fixpoint alternative"} {
 		t.Run(mode, func(t *testing.T) {
-			var applies, kernelNodes, auxNodes, retracted int
+			var n walkCounts
 			for seed := int64(0); seed < 600; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				nRels := 1 + r.Intn(3)
-				td := forestDoc(makeForest(r, 5+r.Intn(14), 1+r.Intn(2), nRels))
-				p := randTreeProgram(r, nRels, true)
-				if seed%4 != 0 {
-					var temps []string
-					for _, st := range p.Stmts {
-						temps = append(temps, st.Name)
-					}
-					p.Stmts = append(p.Stmts, ra.Stmt{Name: "multi", Plan: multiDerivationPlan(r, nRels, temps)})
-					p.Result = "multi"
-				}
-				if mode == "fixpoint alternative" {
-					p.DTDFP = "fp-of-another-dtd" // the kernel's soundness gate fails
-				}
-				build := func() *ViewState {
-					vs, err := BuildViewState(td.db, p)
-					if err != nil || vs.opaque {
-						t.Fatalf("seed %d: build: opaque=%v err=%v\n%s", seed, vs != nil && vs.opaque, err, p)
-					}
-					return vs
-				}
-				vs := build()
-				vs.eachNode(func(n *viewNode) {
-					if n.useFast {
-						kernelNodes++
-					}
-					if n.aux != nil {
-						auxNodes++
-					}
-				})
-				for step := 0; step < 8; step++ {
-					prev := vs.AnswerIDs()
-					var added, removed []int
-					var err error
-					if r.Intn(5) < 2 && td.db.NumNodes() > 1 {
-						root := nodeIDs(td.db)[1+r.Intn(td.db.NumNodes()-1)]
-						db2, deleted := td.delSubtree(root)
-						removed, err = vs.ApplyDelete(db2, td.db, root, deleted)
-						td.db = db2
-					} else {
-						db2, bd := td.insert(r)
-						added, err = vs.ApplyInsert(db2, bd)
-						td.db = db2
-					}
-					label := fmt.Sprintf("seed %d step %d", seed, step)
-					if err != nil {
-						t.Fatalf("%s: %v\n%s", label, err, p)
-					}
-					applies++
-					retracted += len(removed)
-					checkAgainstFreshBuild(t, label, vs, td.db, p, prev, added, removed)
-				}
-				for _, root := range nodeIDs(td.db)[1:] {
-					vs := build()
-					prev := vs.AnswerIDs()
-					db2, deleted := td.delSubtree(root)
-					label := fmt.Sprintf("seed %d, after the walk, step delete %d", seed, root)
-					removed, err := vs.ApplyDelete(db2, td.db, root, deleted)
-					if err != nil {
-						t.Fatalf("%s: %v\n%s", label, err, p)
-					}
-					applies++
-					checkAgainstFreshBuild(t, label, vs, db2, p, prev, nil, removed)
-				}
+				c := checkViewWalk(t, fmt.Sprintf("seed %d", seed), difftest.Seed(seed), seed%4 != 0, mode == "interval kernel")
+				n.applies, n.kernelNodes, n.auxNodes, n.retracted = n.applies+c.applies, n.kernelNodes+c.kernelNodes, n.auxNodes+c.auxNodes, n.retracted+c.retracted
 			}
-			t.Logf("%d applies, %d kernel scans, %d filtered closures, %d answers retracted", applies, kernelNodes, auxNodes, retracted)
-			if (kernelNodes > 0) != (mode == "interval kernel") || auxNodes == 0 || retracted == 0 {
-				t.Fatalf("sample misses a path: %d kernel scans, %d filtered closures, %d answers retracted", kernelNodes, auxNodes, retracted)
+			t.Logf("%d applies, %d kernel scans, %d filtered closures, %d answers retracted", n.applies, n.kernelNodes, n.auxNodes, n.retracted)
+			if (n.kernelNodes > 0) != (mode == "interval kernel") || n.auxNodes == 0 || n.retracted == 0 {
+				t.Fatalf("sample misses a path: %d kernel scans, %d filtered closures, %d answers retracted", n.kernelNodes, n.auxNodes, n.retracted)
 			}
 		})
 	}
+}
+
+// FuzzViewWalkEveryMaterialization is TestViewWalkEveryMaterialization on
+// the walks the fuzzer's bytes decode to.
+func FuzzViewWalkEveryMaterialization(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2})
+	f.Add([]byte{1, 1, 2, 9, 1, 3, 7, 9, 2, 2, 9, 1, 0, 4, 4, 1, 2, 2, 5})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		src := difftest.FromBytes(b)
+		multi, kernel := src.Intn(4) != 0, src.Intn(2) == 0
+		checkViewWalk(t, "input", src, multi, kernel)
+	})
+}
+
+// walkCounts is what a walk exercised: maintenance calls, descendant scans
+// on the kernel, filtered closures and retracted answers.
+type walkCounts struct{ applies, kernelNodes, auxNodes, retracted int }
+
+// checkViewWalk draws a forest and a monotone program — with multi, one
+// ending in a multiDerivationPlan — runs DescScan on the interval kernel or
+// (a program of another DTD) on its fixpoint alternative, walks eight drawn
+// inserts and subtree deletes, then tries every single subtree delete of the
+// epoch reached on a view of its own; after each step the view must pass
+// checkAgainstFreshBuild.
+func checkViewWalk(t *testing.T, name string, r difftest.Source, multi, kernel bool) (n walkCounts) {
+	t.Helper()
+	nRels := 1 + r.Intn(3)
+	td := forestDoc(makeForest(r, 5+r.Intn(14), 1+r.Intn(2), nRels))
+	p := treeProgram(r, nRels, true)
+	if multi {
+		var temps []string
+		for _, st := range p.Stmts {
+			temps = append(temps, st.Name)
+		}
+		p.Stmts = append(p.Stmts, ra.Stmt{Name: "multi", Plan: multiDerivationPlan(r, nRels, temps)})
+		p.Result = "multi"
+	}
+	if !kernel {
+		p.DTDFP = "fp-of-another-dtd" // the kernel's soundness gate fails
+	}
+	build := func() *ViewState {
+		vs, err := BuildViewState(td.db, p)
+		if err != nil || vs.opaque {
+			t.Fatalf("%s: build: opaque=%v err=%v\n%s", name, vs != nil && vs.opaque, err, p)
+		}
+		return vs
+	}
+	vs := build()
+	vs.eachNode(func(vn *viewNode) {
+		if vn.useFast {
+			n.kernelNodes++
+		}
+		if vn.aux != nil {
+			n.auxNodes++
+		}
+	})
+	for step := 0; step < 8; step++ {
+		prev := vs.AnswerIDs()
+		var added, removed []int
+		var err error
+		if r.Intn(5) < 2 && td.db.NumNodes() > 1 {
+			root := nodeIDs(td.db)[1+r.Intn(td.db.NumNodes()-1)]
+			db2, deleted := td.delSubtree(root)
+			removed, err = vs.ApplyDelete(db2, td.db, root, deleted)
+			td.db = db2
+		} else {
+			db2, bd := td.insert(r)
+			added, err = vs.ApplyInsert(db2, bd)
+			td.db = db2
+		}
+		label := fmt.Sprintf("%s step %d", name, step)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", label, err, p)
+		}
+		n.applies++
+		n.retracted += len(removed)
+		checkAgainstFreshBuild(t, label, vs, td.db, p, prev, added, removed)
+	}
+	for _, root := range nodeIDs(td.db)[1:] {
+		vs := build()
+		prev := vs.AnswerIDs()
+		db2, deleted := td.delSubtree(root)
+		label := fmt.Sprintf("%s, after the walk, step delete %d", name, root)
+		removed, err := vs.ApplyDelete(db2, td.db, root, deleted)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", label, err, p)
+		}
+		n.applies++
+		checkAgainstFreshBuild(t, label, vs, db2, p, prev, nil, removed)
+	}
+	return n
 }
 
 // TestViewOpaqueFallback: non-monotone plans must classify as opaque and
@@ -732,7 +625,7 @@ func TestViewOpaqueFallback(t *testing.T) {
 	if !vs.TextImmune() {
 		t.Fatal("antijoin over bases has no value selection; should be text-immune")
 	}
-	if !sameIDs(vs.AnswerIDs(), fullAnswer(t, db, p)) {
+	if !slices.Equal(vs.AnswerIDs(), fullAnswer(t, db, p)) {
 		t.Fatal("opaque initial answer differs")
 	}
 	prev := vs.AnswerIDs()
@@ -743,11 +636,11 @@ func TestViewOpaqueFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fullAnswer(t, db2, p)
-	if !sameIDs(vs.AnswerIDs(), want) {
+	if !slices.Equal(vs.AnswerIDs(), want) {
 		t.Fatalf("opaque answer differs after rebuild: got %v want %v", vs.AnswerIDs(), want)
 	}
 	wantAdd, wantRem := diffIDs(prev, want)
-	if !sameIDs(added, wantAdd) || !sameIDs(removed, wantRem) {
+	if !slices.Equal(added, wantAdd) || !slices.Equal(removed, wantRem) {
 		t.Fatalf("opaque rebuild delta: got (+%v,-%v) want (+%v,-%v)", added, removed, wantAdd, wantRem)
 	}
 }

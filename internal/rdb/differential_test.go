@@ -1,12 +1,15 @@
 package rdb
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/ra"
 )
 
@@ -21,7 +24,7 @@ import (
 // store writes, which is what lets Relation dedup on (F, T) alone and gives an
 // identity relation one row per node — with a value per edge the row an
 // operator keeps for a node depends on the order it met them in.
-func randDB(r *rand.Rand, n, nRels int) *DB {
+func randDB(r difftest.Source, n, nRels int) *DB {
 	db := NewDB()
 	vocab := []string{"", "a", "b", "c"}
 	vals := make([]string, n+1)
@@ -41,129 +44,50 @@ func randDB(r *rand.Rand, n, nRels int) *DB {
 	return db
 }
 
-// randPlan generates a random plan of bounded depth over the database's
-// relations and the program's earlier statements.
-func randPlan(r *rand.Rand, depth, nRels int, temps []string) ra.Plan {
-	baseRel := func() string { return fmt.Sprintf("R%d", r.Intn(nRels)) }
-	if depth <= 0 {
-		switch r.Intn(4) {
-		case 0:
-			if len(temps) > 0 {
-				return ra.Temp{Name: temps[r.Intn(len(temps))]}
-			}
-			return ra.Base{Rel: baseRel()}
-		case 1:
-			return ra.RootSeed{}
-		default:
-			return ra.Base{Rel: baseRel()}
-		}
+// The operator sets the suites draw programs from (difftest.Program).
+var (
+	// graphOps is every operator but DescScan, whose kernel needs an
+	// interval-encoded database.
+	graphOps = []difftest.Op{difftest.Compose, difftest.UnionAll, difftest.FixPaths, difftest.SelectVal,
+		difftest.SelectRoot, difftest.Semijoin, difftest.Antijoin, difftest.Diff, difftest.TypeFilter,
+		difftest.IdentOf, difftest.RecUnion, difftest.Ident}
+	// insertOps is the insert-maintainable fragment: no Antijoin, Diff,
+	// RecUnion or tracked paths. Semijoin and SelectVal are in, so the views
+	// span the text-immune sub-fragment and its complement.
+	insertOps = []difftest.Op{difftest.Compose, difftest.UnionAll, difftest.Fix, difftest.Fix, difftest.SelectVal,
+		difftest.SelectRoot, difftest.Semijoin, difftest.TypeFilter, difftest.IdentOf, difftest.Ident}
+	// treeOps adds DescScan, on the interval kernel and its fallback alike.
+	treeOps = []difftest.Op{difftest.Compose, difftest.UnionAll, difftest.Fix, difftest.SelectVal, difftest.SelectRoot,
+		difftest.Semijoin, difftest.TypeFilter, difftest.IdentOf, difftest.DescScan, difftest.DescScan, difftest.Ident}
+)
+
+// treeProgram draws a program of treeOps over an encoded forest's
+// relations; without semi it has no Semijoin, whose rows can lose a witness
+// between two live nodes.
+func treeProgram(r difftest.Source, nRels int, semi bool) *ra.Program {
+	ops := treeOps
+	if !semi {
+		ops = slices.DeleteFunc(slices.Clone(ops), func(op difftest.Op) bool { return op == difftest.Semijoin })
 	}
-	child := func() ra.Plan { return randPlan(r, depth-1, nRels, temps) }
-	switch r.Intn(12) {
-	case 0:
-		return ra.Compose{L: child(), R: child()}
-	case 1:
-		kids := []ra.Plan{child(), child()}
-		if r.Intn(2) == 0 {
-			kids = append(kids, child())
-		}
-		return ra.UnionAll{Kids: kids}
-	case 2:
-		fx := ra.Fix{Seed: child(), TrackPaths: r.Intn(3) == 0}
-		if r.Intn(2) == 0 {
-			fx.Start = child()
-		}
-		if r.Intn(2) == 0 {
-			fx.End = child()
-		}
-		return fx
-	case 3:
-		return ra.SelectVal{Child: child(), Val: []string{"a", "b", "z"}[r.Intn(3)]}
-	case 4:
-		return ra.SelectRoot{Child: child()}
-	case 5:
-		return ra.Semijoin{L: child(), R: child()}
-	case 6:
-		return ra.Antijoin{L: child(), R: child()}
-	case 7:
-		return ra.Diff{L: child(), R: child()}
-	case 8:
-		return ra.TypeFilter{Child: child(), Rel: baseRel(), OnF: r.Intn(2) == 0}
-	case 9:
-		return ra.IdentOf{Child: child(), OnF: r.Intn(2) == 0}
-	case 10:
-		rec := ra.RecUnion{
-			Init: []ra.Tagged{{Tag: "a", Plan: child()}},
-			Edges: []ra.RecEdge{
-				{FromTag: "a", ToTag: "b", Rel: ra.Base{Rel: baseRel()}},
-				{FromTag: "b", ToTag: "a", Rel: ra.Base{Rel: baseRel()}},
-			},
-			Pairs: r.Intn(2) == 0,
-		}
-		if r.Intn(2) == 0 {
-			rec.ResultTag = "b"
-		}
-		return rec
-	default:
-		return ra.Ident{}
-	}
+	p := difftest.Program(r, nRels, ops)
+	p.DTDFP = "fp-tree-test"
+	return p
 }
 
-func randProgram(r *rand.Rand, nRels int) *ra.Program {
-	nStmts := 1 + r.Intn(4)
-	var stmts []ra.Stmt
-	var temps []string
-	for i := 0; i < nStmts; i++ {
-		name := fmt.Sprintf("s%d", i)
-		stmts = append(stmts, ra.Stmt{Name: name, Plan: randPlan(r, 1+r.Intn(3), nRels, temps)})
-		temps = append(temps, name)
-	}
-	return &ra.Program{Stmts: stmts, Result: temps[len(temps)-1]}
-}
-
-// canon renders a relation's content as a canonical sorted triple list.
+// canonTuples sorts a copy of the tuples on (F, T, V).
 func canonTuples(tuples []Tuple) []Tuple {
-	out := append([]Tuple(nil), tuples...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].F != out[j].F {
-			return out[i].F < out[j].F
-		}
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
-		}
-		return out[i].V < out[j].V
+	out := slices.Clone(tuples)
+	slices.SortFunc(out, func(a, b Tuple) int {
+		return cmp.Or(cmp.Compare(a.F, b.F), cmp.Compare(a.T, b.T), strings.Compare(a.V, b.V))
 	})
 	return out
 }
 
-func sameTuples(a, b []Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ca, cb := canonTuples(a), canonTuples(b)
-	for i := range ca {
-		if ca[i] != cb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sameIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func sameTuples(a, b []Tuple) bool { return slices.Equal(canonTuples(a), canonTuples(b)) }
 
 // forceTinyMorsels shrinks the morsel size so even the small differential
 // databases cross the fan-out threshold and exercise the parallel kernels.
-func forceTinyMorsels(t *testing.T) {
+func forceTinyMorsels(t testing.TB) {
 	t.Helper()
 	old := morselRows
 	morselRows = 4
@@ -172,64 +96,7 @@ func forceTinyMorsels(t *testing.T) {
 
 func TestDifferentialRandomPrograms(t *testing.T) {
 	forceTinyMorsels(t)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		nRels := 1 + r.Intn(3)
-		db := randDB(r, 3+r.Intn(20), nRels)
-		p := randProgram(r, nRels)
-
-		want, err := NewNaiveExec(db).Run(p)
-		if err != nil {
-			t.Logf("naive: %v", err)
-			return false
-		}
-
-		se := NewExec(db)
-		serial, err := se.Run(p)
-		if err != nil {
-			t.Logf("serial: %v", err)
-			return false
-		}
-		par := NewExec(db)
-		par.Parallelism = 4
-		parRel, err := par.Run(p)
-		if err != nil {
-			t.Logf("parallel: %v", err)
-			return false
-		}
-		if msg := distinctRuns(db, p, want.Tuples(), se, par); msg != "" {
-			t.Logf("seed=%d: %s\nprogram:\n%s", seed, msg, p)
-			return false
-		}
-		for name, got := range map[string]*Relation{"serial": serial, "morsel": parRel} {
-			if !sameTuples(want.Tuples(), got.Tuples()) {
-				t.Logf("%s: tuples differ from naive (seed=%d)\nnaive: %v\n%s: %v",
-					name, seed, canonTuples(want.Tuples()), name, canonTuples(got.Tuples()))
-				return false
-			}
-			if !sameIDs(want.TIDs(), got.TIDs()) {
-				t.Logf("%s: TIDs differ from naive (seed=%d)", name, seed)
-				return false
-			}
-		}
-		// The morsel engine must agree with the serial engine on operator
-		// accounting (everything except the morsel counter itself).
-		se, pe := NewExec(db), NewExec(db)
-		pe.Parallelism = 4
-		if _, err := se.Run(p); err != nil {
-			return false
-		}
-		if _, err := pe.Run(p); err != nil {
-			return false
-		}
-		ss, ps := se.Stats, pe.Stats
-		ss.Morsels, ps.Morsels = 0, 0
-		if ss != ps {
-			t.Logf("stats differ (seed=%d): serial %+v parallel %+v", seed, ss, ps)
-			return false
-		}
-		return true
-	}
+	f := func(seed int64) bool { return checkRandomProgram(t, fmt.Sprintf("seed=%d", seed), difftest.Seed(seed)) }
 	// Two inputs on which the kernels and the naive evaluator used to disagree
 	// in V, when randDB still drew a value per edge.
 	for _, seed := range []int64{2139093835412509906, 3648113173184688121} {
@@ -247,49 +114,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	// forced — must answer what the naive evaluator does.
 	var used Stats
 	g := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		nRels := 1 + r.Intn(3)
-		db := makeForest(r, 4+r.Intn(40), 1+r.Intn(3), nRels)
-		p := kernelProgram(r, nRels)
-		want, err := NewNaiveExec(db).Run(p)
-		if err != nil {
-			t.Logf("naive: %v", err)
-			return false
-		}
-		for _, mode := range []IntervalMode{IntervalAuto, IntervalOff, IntervalForce} {
-			var stats [3]Stats
-			for i, workers := range []int{1, 4, 4} {
-				ex := NewExec(db)
-				if i == 2 { // pooled: the morsel workers read its temporaries' key sets
-					st := AcquireState(db)
-					defer st.Release()
-					ex = st.Exec()
-				}
-				ex.IntervalMode, ex.Parallelism = mode, workers
-				got, err := ex.Run(p)
-				if err == nil && !sameTuples(want.Tuples(), got.Tuples()) {
-					err = fmt.Errorf("tuples differ from naive\nnaive: %v\ngot:   %v", canonTuples(want.Tuples()), canonTuples(got.Tuples()))
-				}
-				if err != nil {
-					t.Logf("seed=%d, %v, parallelism %d: %v\nprogram:\n%s", seed, mode, workers, err, p)
-					return false
-				}
-				stats[i] = ex.Stats
-				stats[i].Morsels = 0
-			}
-			if stats[0] != stats[1] || stats[0] != stats[2] {
-				t.Logf("seed=%d, %v: stats differ, serial %+v parallel %+v, pooled parallel %+v", seed, mode, stats[0], stats[1], stats[2])
-				return false
-			}
-			if mode == IntervalAuto {
-				used.Add(stats[0])
-			}
-		}
-		if msg := distinctRuns(db, p, want.Tuples()); msg != "" {
-			t.Logf("seed=%d: %s\nprogram:\n%s", seed, msg, p)
-			return false
-		}
-		return true
+		ok, st := checkKernelProgram(t, fmt.Sprintf("seed=%d", seed), difftest.Seed(seed))
+		used.Add(st)
+		return ok
 	}
 	if err := quick.Check(g, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -298,6 +125,139 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	if used.StairScans == 0 || used.ExistsProbes == 0 {
 		t.Fatalf("the kernel programs never took a partial path: %+v", used)
 	}
+}
+
+// FuzzDifferentialRandomPrograms is TestDifferentialRandomPrograms on the
+// instances the fuzzer's bytes decode to: a random program over a random
+// graph, or (first byte odd) a kernel program over a forest.
+func FuzzDifferentialRandomPrograms(f *testing.F) {
+	forceTinyMorsels(f)
+	f.Add([]byte{0, 1, 5, 2, 3})
+	f.Add([]byte{1, 2, 30, 2, 0, 1, 3, 1})
+	f.Add([]byte{2, 2, 19, 3, 1, 3, 9, 4, 12, 1, 7, 2, 2, 11, 0, 6})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		src := difftest.FromBytes(b)
+		ok := false
+		if src.Intn(2) == 0 {
+			ok = checkRandomProgram(t, "input", src)
+		} else {
+			ok, _ = checkKernelProgram(t, "input", src)
+		}
+		if !ok {
+			t.Fail()
+		}
+	})
+}
+
+// checkRandomProgram draws a graph database and a program of graphOps, and
+// checks the serial and the morsel-parallel engine against the naive
+// evaluator: the same tuples, the same answer, the same operator accounting.
+func checkRandomProgram(t *testing.T, name string, r difftest.Source) bool {
+	t.Helper()
+	nRels := 1 + r.Intn(3)
+	db := randDB(r, 3+r.Intn(20), nRels)
+	p := difftest.Program(r, nRels, graphOps)
+
+	want, err := NewNaiveExec(db).Run(p)
+	if err != nil {
+		t.Logf("naive: %v", err)
+		return false
+	}
+
+	se := NewExec(db)
+	serial, err := se.Run(p)
+	if err != nil {
+		t.Logf("serial: %v", err)
+		return false
+	}
+	par := NewExec(db)
+	par.Parallelism = 4
+	parRel, err := par.Run(p)
+	if err != nil {
+		t.Logf("parallel: %v", err)
+		return false
+	}
+	if msg := distinctRuns(db, p, want.Tuples(), se, par); msg != "" {
+		t.Logf("%s: %s\nprogram:\n%s", name, msg, p)
+		return false
+	}
+	for engine, got := range map[string]*Relation{"serial": serial, "morsel": parRel} {
+		if !sameTuples(want.Tuples(), got.Tuples()) {
+			t.Logf("%s: tuples differ from naive (%s)\nnaive: %v\n%s: %v",
+				engine, name, canonTuples(want.Tuples()), engine, canonTuples(got.Tuples()))
+			return false
+		}
+		if !slices.Equal(want.TIDs(), got.TIDs()) {
+			t.Logf("%s: TIDs differ from naive (%s)", engine, name)
+			return false
+		}
+	}
+	// The morsel engine must agree with the serial engine on operator
+	// accounting (everything except the morsel counter itself).
+	se, pe := NewExec(db), NewExec(db)
+	pe.Parallelism = 4
+	if _, err := se.Run(p); err != nil {
+		return false
+	}
+	if _, err := pe.Run(p); err != nil {
+		return false
+	}
+	ss, ps := se.Stats, pe.Stats
+	ss.Morsels, ps.Morsels = 0, 0
+	if ss != ps {
+		t.Logf("stats differ (%s): serial %+v parallel %+v", name, ss, ps)
+		return false
+	}
+	return true
+}
+
+// checkKernelProgram draws a forest and a kernelProgram and checks every
+// physical path at 1 and 4 workers, pooled and not, against the naive
+// evaluator. It returns the accounting of the serial IntervalAuto run.
+func checkKernelProgram(t *testing.T, name string, r difftest.Source) (ok bool, used Stats) {
+	t.Helper()
+	nRels := 1 + r.Intn(3)
+	db := makeForest(r, 4+r.Intn(40), 1+r.Intn(3), nRels)
+	p := kernelProgram(r, nRels)
+	want, err := NewNaiveExec(db).Run(p)
+	if err != nil {
+		t.Logf("naive: %v", err)
+		return false, used
+	}
+	for _, mode := range []IntervalMode{IntervalAuto, IntervalOff, IntervalForce} {
+		var stats [3]Stats
+		for i, workers := range []int{1, 4, 4} {
+			ex := NewExec(db)
+			if i == 2 { // pooled: the morsel workers read its temporaries' key sets
+				st := AcquireState(db)
+				defer st.Release()
+				ex = st.Exec()
+			}
+			ex.IntervalMode, ex.Parallelism = mode, workers
+			got, err := ex.Run(p)
+			if err == nil && !sameTuples(want.Tuples(), got.Tuples()) {
+				err = fmt.Errorf("tuples differ from naive\nnaive: %v\ngot:   %v", canonTuples(want.Tuples()), canonTuples(got.Tuples()))
+			}
+			if err != nil {
+				t.Logf("%s, %v, parallelism %d: %v\nprogram:\n%s", name, mode, workers, err, p)
+				return false, used
+			}
+			stats[i] = ex.Stats
+			stats[i].Morsels = 0
+		}
+		if stats[0] != stats[1] || stats[0] != stats[2] {
+			t.Logf("%s, %v: stats differ, serial %+v parallel %+v, pooled parallel %+v", name, mode, stats[0], stats[1], stats[2])
+			return false, used
+		}
+		if mode == IntervalAuto {
+			used.Add(stats[0])
+		}
+	}
+	if msg := distinctRuns(db, p, want.Tuples()); msg != "" {
+		t.Logf("%s: %s\nprogram:\n%s", name, msg, p)
+		return false, used
+	}
+	return true, used
 }
 
 // kernelProgram draws, over a forest of nRels relations (makeForest), the
@@ -313,7 +273,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 // Every DescScan's Alt is the fixpoint form of what the kernel answers (the
 // closure of all edges, typed at both ends), so every path, and the naive
 // evaluator, answer alike.
-func kernelProgram(r *rand.Rand, nRels int) *ra.Program {
+func kernelProgram(r difftest.Source, nRels int) *ra.Program {
 	rel := func() string { return fmt.Sprintf("R%d", r.Intn(nRels)) }
 	var edges []ra.Plan
 	for i := 0; i < nRels; i++ {

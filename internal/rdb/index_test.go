@@ -309,7 +309,7 @@ func TestViewOverflowStaysBounded(t *testing.T) {
 	if folds < 10 {
 		t.Fatalf("%d folds over 4 000 inserts, want one now and then", folds)
 	}
-	if want := fullAnswer(t, db, p); !sameIDs(vs.AnswerIDs(), want) {
+	if want := fullAnswer(t, db, p); !slices.Equal(vs.AnswerIDs(), want) {
 		t.Fatalf("maintained answer (%d ids) differs from a fresh run (%d)", len(vs.AnswerIDs()), len(want))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -277,11 +278,10 @@ func TestParallelCancel(t *testing.T) {
 	forceTinyMorsels(t)
 	ex := NewExec(chainDB(4000))
 	ex.Parallelism = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
+	// Canceled at the 2 500th check: past the first fan-out's thousand
+	// morsels, long before the fixpoint's last round.
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.left.Store(2500)
 	t0 := time.Now()
 	_, err := ex.RunCtx(ctx, prog(ra.Fix{Seed: ra.Base{Rel: "E"}}), nil)
 	if !errors.Is(err, context.Canceled) {
@@ -293,6 +293,21 @@ func TestParallelCancel(t *testing.T) {
 	if ex.Stats.Morsels == 0 {
 		t.Fatalf("stats %+v: no morsel ran before the cancel", ex.Stats)
 	}
+}
+
+// countdownCtx is a context whose Err turns context.Canceled at its n-th
+// call, n the initial left: a cancel at a fixed point of a run, whatever the
+// scheduler does.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestMaxTuplesTripsInsideKernelLoops: the staircase scan and the existence

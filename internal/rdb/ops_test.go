@@ -2,8 +2,10 @@ package rdb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/ra"
 )
 
@@ -61,7 +63,7 @@ func checkBuildMatchesExec(t *testing.T, db *DB, p *ra.Program, mode IntervalMod
 	partial := ex.Stats.StairScans+ex.Stats.ExistsProbes > 0
 	check := func(phase string, got Stats) {
 		t.Helper()
-		if !sameIDs(vs.AnswerIDs(), want) {
+		if !slices.Equal(vs.AnswerIDs(), want) {
 			t.Fatalf("%s (%s): answers differ\nview: %v\nexec: %v\n%s", label, phase, vs.AnswerIDs(), want, p)
 		}
 		if w := kernelWork(ex.Stats); partial && !noMoreWork(w, kernelWork(got)) || !partial && w != kernelWork(got) {
@@ -90,11 +92,11 @@ func TestViewBuildMatchesExec(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		nRels := 1 + r.Intn(3)
 		db := randDB(r, 3+r.Intn(20), nRels)
-		p := randProgram(r, nRels)
+		p := difftest.Program(r, nRels, graphOps)
 		if i%2 == 1 {
-			// randProgram mostly leaves the maintainable fragment; keep the
+			// graphOps programs mostly leave the maintainable fragment; keep the
 			// sample dense with programs drawn inside it.
-			p = randInsertableProgram(r, nRels)
+			p = difftest.Program(r, nRels, insertOps)
 		}
 		if ok, st := checkBuildMatchesExec(t, db, p, IntervalOff, "graph"); ok {
 			maintained++
@@ -107,7 +109,7 @@ func TestViewBuildMatchesExec(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		nRels := 1 + r.Intn(3)
 		db := makeForest(r, 6+r.Intn(24), 1+r.Intn(3), nRels)
-		p := randTreeProgram(r, nRels, r.Intn(2) == 0)
+		p := treeProgram(r, nRels, r.Intn(2) == 0)
 		if ok, st := checkBuildMatchesExec(t, db, p, IntervalAuto, "forest"); ok {
 			maintained++
 			scans += p.Count().DescScan

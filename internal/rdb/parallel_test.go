@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/obs"
 	"xpath2sql/internal/ra"
 )
@@ -67,8 +68,8 @@ func (a workerRun) differs(b workerRun) string {
 	return ""
 }
 
-// TestWorkerCountsAgree runs random programs — every operator (randProgram),
-// DescScan on both physical paths (randTreeProgram), the staircase and
+// TestWorkerCountsAgree runs random programs — every operator (graphOps),
+// DescScan on both physical paths (treeProgram), the staircase and
 // existence uses of the interval kernel (kernelProgram) — over random forests
 // at parallelism 1, 2 and 4 with morsels of four rows, scoped to a document
 // and not, under IntervalAuto and IntervalOff. Every run must show what the
@@ -84,10 +85,10 @@ func TestWorkerCountsAgree(t *testing.T) {
 		var p *ra.Program
 		switch r.Intn(3) {
 		case 0:
-			p = randProgram(r, nRels)
+			p = difftest.Program(r, nRels, graphOps)
 			p.DTDFP = db.DTDFP
 		case 1:
-			p = randTreeProgram(r, nRels, true)
+			p = treeProgram(r, nRels, true)
 		default:
 			p = kernelProgram(r, nRels)
 		}
@@ -174,7 +175,7 @@ func TestSchedulerDoesTheSerialWorkOnDescScan(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		nRels := 1 + r.Intn(3)
 		td := makeTree(r, 4+r.Intn(30), nRels)
-		p := randTreeProgram(r, nRels, true)
+		p := treeProgram(r, nRels, true)
 		serial := NewExec(td.db)
 		want, err := serial.Run(p)
 		if err != nil {

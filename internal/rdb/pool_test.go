@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/ra"
 )
 
@@ -24,7 +25,7 @@ func TestPooledExecDifferential(t *testing.T) {
 	st := AcquireState(dbs[0])
 	for i := 0; i < 1000; i++ {
 		db := dbs[r.Intn(len(dbs))]
-		p := randProgram(r, 3)
+		p := difftest.Program(r, 3, graphOps)
 
 		fresh := NewExec(db)
 		want, wantErr := fresh.Run(p)

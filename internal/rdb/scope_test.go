@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/ra"
 )
 
@@ -19,7 +21,7 @@ import (
 // virtual root. Parents are random earlier nodes, so neither node IDs nor
 // insertion order follow document order: a view's run is contiguous only in
 // the begin-sorted index.
-func makeForest(r *rand.Rand, n, nDocs, nRels int) *DB {
+func makeForest(r difftest.Source, n, nDocs, nRels int) *DB {
 	db := NewDB()
 	vocab := []string{"", "a", "b", "c"}
 	for ri := 0; ri < nRels; ri++ {
@@ -72,16 +74,16 @@ func docRoots(db *DB) []int {
 	return roots
 }
 
-// scopeProgram draws from both generators: randProgram covers every operator
-// but DescScan (RecUnion, Diff and Antijoin included), randTreeProgram adds
+// scopeProgram draws from both operator sets: graphOps covers every operator
+// but DescScan (RecUnion, Diff and Antijoin included), treeProgram adds
 // DescScan.
-func scopeProgram(r *rand.Rand, nRels int) *ra.Program {
+func scopeProgram(r difftest.Source, nRels int) *ra.Program {
 	if r.Intn(2) == 0 {
-		p := randProgram(r, nRels)
+		p := difftest.Program(r, nRels, graphOps)
 		p.DTDFP = "fp-tree-test"
 		return p
 	}
-	return randTreeProgram(r, nRels, true)
+	return treeProgram(r, nRels, true)
 }
 
 func TestScopedRunEqualsDocumentAlone(t *testing.T) {
@@ -109,7 +111,7 @@ func TestScopedRunEqualsDocumentAlone(t *testing.T) {
 					t.Logf("%s (seed=%d, %v): %v", name, seed, mode, err)
 					return false
 				}
-				if !sameTuples(wantRel.Tuples(), got.Tuples()) || !sameIDs(wantRel.TIDs(), got.TIDs()) {
+				if !sameTuples(wantRel.Tuples(), got.Tuples()) || !slices.Equal(wantRel.TIDs(), got.TIDs()) {
 					t.Logf("%s differs from the document alone (seed=%d, %v, doc %d)\nprogram:\n%salone:  %v\nscoped: %v",
 						name, seed, mode, root, p, canonTuples(wantRel.Tuples()), canonTuples(got.Tuples()))
 					return false

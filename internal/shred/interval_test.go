@@ -1,15 +1,13 @@
 package shred
 
 import (
-	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/workload"
-	"xpath2sql/internal/xmlgen"
 	"xpath2sql/internal/xmltree"
 )
 
@@ -68,13 +66,9 @@ func TestShredIntervalInvariants(t *testing.T) {
 		"cross": workload.Cross(),
 		"gedml": workload.GedML(),
 	}
-	vf := func(typ string, r *rand.Rand) string { return fmt.Sprintf("%s-%d", typ, r.Intn(5)) }
 	for name, d := range dtds {
 		for seed := int64(0); seed < 3; seed++ {
-			doc, err := xmlgen.Generate(d, xmlgen.Options{XL: 6, XR: 3, Seed: seed, MaxNodes: 400, ValueFunc: vf})
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", name, seed, err)
-			}
+			doc := difftest.Doc(t, d, seed, 400)
 			db, err := Shred(doc, d)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)

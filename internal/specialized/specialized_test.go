@@ -1,11 +1,11 @@
 package specialized
 
 import (
-	"fmt"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"xpath2sql/internal/core"
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/xmlgen"
 	"xpath2sql/internal/xmltree"
@@ -142,7 +142,7 @@ func TestSpecializedPipeline(t *testing.T) {
 	}
 	for _, qs := range queries {
 		q := xpath.MustParse(qs)
-		want := xpath.EvalDoc(q, doc).IDs()
+		want := difftest.Oracle(q, doc)
 		for _, strat := range []core.Strategy{core.StrategyCycleEX, core.StrategyCycleE, core.StrategySQLGenR} {
 			opts := core.DefaultOptions()
 			opts.Strategy = strat
@@ -154,13 +154,8 @@ func TestSpecializedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatalf("[%v] %s: %v", strat, qs, err)
 			}
-			if len(got) != len(want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("[%v] %s: got %v, want %v", strat, qs, got, want)
-			}
-			for i := range got {
-				if got[i] != int(want[i]) {
-					t.Fatalf("[%v] %s: got %v, want %v", strat, qs, got, want)
-				}
 			}
 		}
 	}
@@ -172,7 +167,7 @@ func TestSpecializedPipeline(t *testing.T) {
 func TestSpecializedRandom(t *testing.T) {
 	s := bookstore(t)
 	surface := []string{"store", "section", "book", "title"}
-	r := rand.New(rand.NewSource(99))
+	r := difftest.Seed(99)
 	for seed := int64(0); seed < 4; seed++ {
 		inner, err := xmlgen.Generate(s.Inner, xmlgen.Options{XL: 6, XR: 3, Seed: seed, MaxNodes: 200})
 		if err != nil {
@@ -191,8 +186,8 @@ func TestSpecializedRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 15; i++ {
-			q := randomSurfaceQuery(r, surface, 3)
-			want := xpath.EvalDoc(q, doc).IDs()
+			q := difftest.Query(r, surface, 3)
+			want := difftest.Oracle(q, doc)
 			res, err := Translate(q, s, core.DefaultOptions())
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
@@ -201,43 +196,10 @@ func TestSpecializedRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			if fmt.Sprint(got) != fmt.Sprint(idsToInts(want)) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d query %s: got %v, want %v", seed, q, got, want)
 			}
 		}
-	}
-}
-
-func idsToInts(ids []xmltree.NodeID) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
-func randomSurfaceQuery(r *rand.Rand, labels []string, depth int) xpath.Path {
-	pick := func() string { return labels[r.Intn(len(labels))] }
-	if depth == 0 {
-		if r.Intn(4) == 0 {
-			return xpath.Wildcard{}
-		}
-		return xpath.Label{Name: pick()}
-	}
-	switch r.Intn(6) {
-	case 0:
-		return xpath.Label{Name: pick()}
-	case 1:
-		return xpath.Seq{L: randomSurfaceQuery(r, labels, depth-1), R: randomSurfaceQuery(r, labels, depth-1)}
-	case 2:
-		return xpath.Desc{P: randomSurfaceQuery(r, labels, depth-1)}
-	case 3:
-		return xpath.Union{L: randomSurfaceQuery(r, labels, depth-1), R: randomSurfaceQuery(r, labels, depth-1)}
-	case 4:
-		return xpath.Filter{P: randomSurfaceQuery(r, labels, depth-1),
-			Q: xpath.QPath{P: randomSurfaceQuery(r, labels, depth-1)}}
-	default:
-		return xpath.Wildcard{}
 	}
 }
 

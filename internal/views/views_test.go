@@ -2,10 +2,10 @@ package views
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 
+	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/workload"
 	"xpath2sql/internal/xmlgen"
@@ -114,8 +114,7 @@ func TestViewEquivalenceRandom(t *testing.T) {
 	}
 	for _, pc := range pairs {
 		t.Run(pc.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(31))
-			types := pc.d1.Types()
+			r := difftest.Seed(31)
 			for seed := int64(0); seed < 3; seed++ {
 				src, err := xmlgen.Generate(pc.d2, xmlgen.Options{XL: 5, XR: 3, Seed: seed, MaxNodes: 200})
 				if err != nil {
@@ -129,7 +128,8 @@ func TestViewEquivalenceRandom(t *testing.T) {
 					t.Fatal("containment violated")
 				}
 				for i := 0; i < 20; i++ {
-					q := randomViewQuery(r, types, 3)
+					// No text()=c: Extract and Generate draw values apart.
+					q := difftest.TextFreeQuery(r, pc.d1.Types(), 3)
 					// Answer on the source.
 					gotSrc, err := Answer(q, pc.d1, src)
 					if err != nil {
@@ -152,50 +152,6 @@ func TestViewEquivalenceRandom(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// randomViewQuery generates queries over the view DTD's types (no text
-// qualifiers: generated values differ between runs of Extract and Generate).
-func randomViewQuery(r *rand.Rand, types []string, depth int) xpath.Path {
-	pick := func() string { return types[r.Intn(len(types))] }
-	if depth == 0 {
-		switch r.Intn(3) {
-		case 0:
-			return xpath.Wildcard{}
-		default:
-			return xpath.Label{Name: pick()}
-		}
-	}
-	switch r.Intn(7) {
-	case 0:
-		return xpath.Label{Name: pick()}
-	case 1:
-		return xpath.Seq{L: randomViewQuery(r, types, depth-1), R: randomViewQuery(r, types, depth-1)}
-	case 2:
-		return xpath.Desc{P: randomViewQuery(r, types, depth-1)}
-	case 3:
-		return xpath.Union{L: randomViewQuery(r, types, depth-1), R: randomViewQuery(r, types, depth-1)}
-	case 4, 5:
-		return xpath.Filter{P: randomViewQuery(r, types, depth-1), Q: randomViewQual(r, types, depth-1)}
-	default:
-		return xpath.Empty{}
-	}
-}
-
-func randomViewQual(r *rand.Rand, types []string, depth int) xpath.Qual {
-	if depth == 0 {
-		return xpath.QPath{P: xpath.Label{Name: types[r.Intn(len(types))]}}
-	}
-	switch r.Intn(4) {
-	case 0:
-		return xpath.QPath{P: randomViewQuery(r, types, depth-1)}
-	case 1:
-		return xpath.QNot{Q: randomViewQual(r, types, depth-1)}
-	case 2:
-		return xpath.QAnd{L: randomViewQual(r, types, depth-1), R: randomViewQual(r, types, depth-1)}
-	default:
-		return xpath.QOr{L: randomViewQual(r, types, depth-1), R: randomViewQual(r, types, depth-1)}
 	}
 }
 

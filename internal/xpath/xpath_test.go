@@ -3,9 +3,9 @@ package xpath
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"xpath2sql/internal/xmltree"
 )
@@ -61,22 +61,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestPrintParseRoundtrip: parse(p.String()) == p for random ASTs.
-func TestPrintParseRoundtrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		p := randomPath(r, 4)
-		s := p.String()
-		p2, err := Parse(s)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v (AST %#v)", s, err, p)
-		}
-		if p2.String() != s {
-			t.Fatalf("roundtrip: %q -> %q", s, p2.String())
-		}
-	}
-}
-
 // TestLiteralRoundtrip: whatever bytes a text() literal holds — both quotes,
 // backslashes, control bytes, invalid UTF-8 — Parse(p.String()) is
 // structurally p, so the canonical text can stand in for the AST (plan-cache
@@ -112,61 +96,6 @@ func TestLiteralRoundtrip(t *testing.T) {
 	}
 }
 
-var labels = []string{"a", "b", "c", "order", "android", "nota"}
-
-func randomPath(r *rand.Rand, depth int) Path {
-	if depth == 0 {
-		switch r.Intn(3) {
-		case 0:
-			return Empty{}
-		case 1:
-			return Wildcard{}
-		default:
-			return Label{Name: labels[r.Intn(len(labels))]}
-		}
-	}
-	switch r.Intn(7) {
-	case 0:
-		return Label{Name: labels[r.Intn(len(labels))]}
-	case 1:
-		return Seq{L: randomPath(r, depth-1), R: randomPath(r, depth-1)}
-	case 2:
-		return Desc{P: randomStep(r, depth-1)}
-	case 3:
-		return Seq{L: randomPath(r, depth-1), R: Desc{P: randomStep(r, depth-1)}}
-	case 4:
-		return Union{L: randomPath(r, depth-1), R: randomPath(r, depth-1)}
-	case 5:
-		return Filter{P: randomStep(r, depth-1), Q: randomQual(r, depth-1)}
-	default:
-		return Empty{}
-	}
-}
-
-// randomStep avoids a union directly under '/' or '//' without parens in
-// printing; the printer adds parens, so any path works as a step.
-func randomStep(r *rand.Rand, depth int) Path {
-	return randomPath(r, depth)
-}
-
-func randomQual(r *rand.Rand, depth int) Qual {
-	if depth == 0 {
-		return QPath{P: Label{Name: labels[r.Intn(len(labels))]}}
-	}
-	switch r.Intn(5) {
-	case 0:
-		return QPath{P: randomPath(r, depth-1)}
-	case 1:
-		return QText{C: "v"}
-	case 2:
-		return QNot{Q: randomQual(r, depth-1)}
-	case 3:
-		return QAnd{L: randomQual(r, depth-1), R: randomQual(r, depth-1)}
-	default:
-		return QOr{L: randomQual(r, depth-1), R: randomQual(r, depth-1)}
-	}
-}
-
 func doc(t *testing.T, src string) *xmltree.Document {
 	t.Helper()
 	d, err := xmltree.Parse(src)
@@ -183,18 +112,6 @@ func ids(s xmltree.NodeSet) []int {
 		out[i] = int(id)
 	}
 	return out
-}
-
-func eq(a []int, b ...int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestEvalBasics(t *testing.T) {
@@ -234,7 +151,7 @@ func TestEvalBasics(t *testing.T) {
 			continue
 		}
 		got := ids(EvalDoc(p, d))
-		if !eq(got, tc.want...) {
+		if !slices.Equal(got, tc.want) {
 			t.Errorf("EvalDoc(%q) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
@@ -244,12 +161,12 @@ func TestEvalAtNode(t *testing.T) {
 	d := doc(t, `<a><b><c/></b><c/></a>`)
 	b := d.Node(2)
 	got := ids(Eval(MustParse("c"), b))
-	if !eq(got, 3) {
+	if !slices.Equal(got, []int{3}) {
 		t.Fatalf("Eval(c at b) = %v", got)
 	}
 	// Descendant-or-self at b: c under b only.
 	got = ids(Eval(MustParse("//c"), b))
-	if !eq(got, 3) {
+	if !slices.Equal(got, []int{3}) {
 		t.Fatalf("Eval(//c at b) = %v", got)
 	}
 }
@@ -272,83 +189,5 @@ func TestSizeAndSubpaths(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("missing subpath %q in %v", want, subs)
 		}
-	}
-}
-
-// TestClassesArePrintedForms: two sub-paths share a class exactly when they
-// print alike.
-func TestClassesArePrintedForms(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		p := randomPath(r, 4)
-		classes, n := Classes(p)
-		subs := Subpaths(p)
-		if len(classes) != len(subs) {
-			t.Fatalf("%s: %d classes for %d sub-paths", p, len(classes), len(subs))
-		}
-		seen := map[int32]string{}
-		for k, s := range subs {
-			if prev, ok := seen[classes[k]]; ok && prev != s.String() {
-				t.Fatalf("%s: %q and %q share class %d", p, prev, s, classes[k])
-			}
-			seen[classes[k]] = s.String()
-		}
-		printed := map[string]bool{}
-		for _, s := range subs {
-			printed[s.String()] = true
-		}
-		if len(printed) != n || len(seen) != n {
-			t.Fatalf("%s: %d classes, %d printed forms", p, n, len(printed))
-		}
-	}
-}
-
-// TestEvalUnionDistributes: p1/(p2|p3) ≡ p1/p2 | p1/p3 on random docs.
-func TestEvalUnionDistributes(t *testing.T) {
-	d := doc(t, `<a><b><c/><d/></b><b><d><c/></d></b></a>`)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p1 := randomPath(r, 2)
-		p2 := randomPath(r, 2)
-		p3 := randomPath(r, 2)
-		lhs := EvalDoc(Seq{L: p1, R: Union{L: p2, R: p3}}, d)
-		rhs := EvalDoc(Union{L: Seq{L: p1, R: p2}, R: Seq{L: p1, R: p3}}, d)
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEvalDescComposition: //(p) at v equals desc-or-self(v) then p.
-func TestEvalDescComposition(t *testing.T) {
-	d := doc(t, `<a><b><a><b/></a></b></a>`)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		p := randomPath(r, 2)
-		lhs := EvalDoc(Desc{P: p}, d)
-		// Equivalent formulation: .//p ≡ //p.
-		rhs := EvalDoc(Seq{L: Empty{}, R: Desc{P: p}}, d)
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeMorgan: [not(q1 and q2)] ≡ [not(q1) or not(q2)].
-func TestDeMorgan(t *testing.T) {
-	d := doc(t, `<a><b><c/></b><b><d/></b><b><c/><d/></b></a>`)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		q1 := randomQual(r, 2)
-		q2 := randomQual(r, 2)
-		base := MustParse("a/b")
-		lhs := EvalDoc(Filter{P: base, Q: QNot{Q: QAnd{L: q1, R: q2}}}, d)
-		rhs := EvalDoc(Filter{P: base, Q: QOr{L: QNot{Q: q1}, R: QNot{Q: q2}}}, d)
-		return lhs.Equal(rhs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
