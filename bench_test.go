@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -353,7 +354,7 @@ func BenchmarkExecute(b *testing.B) {
 		for _, w := range db.Rel("R_cno").Tuples() {
 			leaves = append(leaves, w.T)
 		}
-		r, reads := NewRand(1), 0
+		r, reads := rand.New(rand.NewSource(1)), 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -4,24 +4,15 @@ import (
 	"io"
 
 	"xpath2sql/internal/core"
-	"xpath2sql/internal/cost"
 	"xpath2sql/internal/obs"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/specialized"
 )
 
-// Narrow aliases keeping the facade's signatures tidy.
-type (
-	ioWriter = io.Writer
-	ioReader = io.Reader
-)
-
-var rdbLoad = rdb.Load
-
 // This file exposes the extension features: XML reconstruction of answers
-// (§5.2), multi-query translation, the strategy-advising cost model (§8),
-// and specialized DTDs — the paper's encoding of XML Schema (§8).
+// (§5.2), multi-query translation, and specialized DTDs — the paper's
+// encoding of XML Schema (§8).
 
 // Reconstruct rebuilds the XML subtrees of the given answer nodes from the
 // shredded relations alone, wrapped in a synthetic <result> root (§5.2
@@ -78,35 +69,10 @@ func Satisfiable(q Query, d *DTD) (bool, error) {
 
 // SaveDB writes a shredded database in a line-oriented text format;
 // LoadDB restores it, so documents are shredded once and reused.
-func SaveDB(db *DB, w ioWriter) error { return db.Save(w) }
+func SaveDB(db *DB, w io.Writer) error { return db.Save(w) }
 
 // LoadDB reads a database written by SaveDB.
-func LoadDB(r ioReader) (*DB, error) { return rdbLoad(r) }
-
-// Re-exported cost-model types.
-type (
-	// DBStats summarizes a shredded database for cost estimation.
-	DBStats = cost.DBStats
-	// CostEstimate is an estimated execution cost and result cardinality.
-	CostEstimate = cost.Estimate
-	// StrategyAdvice pairs a strategy with its estimate.
-	StrategyAdvice = cost.Advice
-)
-
-// GatherStats summarizes a database for the cost model.
-func GatherStats(db *DB) DBStats { return cost.Gather(db) }
-
-// EstimateCost estimates the execution cost of a translation on a database
-// with the given statistics.
-func EstimateCost(t *Translation, s DBStats) CostEstimate {
-	return cost.EstimateProgram(t.res.Program, s)
-}
-
-// AdviseStrategy estimates every applicable strategy for the query and
-// returns them best-first (§8's cost-model guidance).
-func AdviseStrategy(q Query, d *DTD, s DBStats) ([]StrategyAdvice, error) {
-	return cost.Choose(q, d, s)
-}
+func LoadDB(r io.Reader) (*DB, error) { return rdb.Load(r) }
 
 // SpecializedDTD is a specialized DTD (Ele', D', g) — the formal core of
 // XML Schema per §8: the same element name may follow different productions

@@ -77,29 +77,6 @@ func TestBatchFacade(t *testing.T) {
 	}
 }
 
-func TestCostFacade(t *testing.T) {
-	d, _ := xpath2sql.ParseDTD(deptDTD)
-	doc, _ := xpath2sql.ParseXML(deptXML)
-	db, _ := xpath2sql.Shred(doc, d)
-	stats := xpath2sql.GatherStats(db)
-	if stats.Nodes != doc.Size() {
-		t.Fatalf("stats nodes = %d", stats.Nodes)
-	}
-	tr, err := xpath2sql.New(d).PrepareString(context.Background(), "dept//project")
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := xpath2sql.EstimateCost(&tr.Translation, stats)
-	if est.Cost <= 0 {
-		t.Fatalf("cost = %f", est.Cost)
-	}
-	q, _ := xpath2sql.ParseQuery("dept//project")
-	advice, err := xpath2sql.AdviseStrategy(q, d, stats)
-	if err != nil || len(advice) == 0 {
-		t.Fatalf("advice: %v %v", advice, err)
-	}
-}
-
 func TestSpecializedFacade(t *testing.T) {
 	inner, err := xpath2sql.ParseDTD(`
 <!-- root: store -->

@@ -500,17 +500,8 @@ func exprsLocalTo(j *joined, exprs ...exprNode) bool {
 }
 
 func exprRefs(e exprNode) []*colRef {
-	switch e := e.(type) {
-	case *colRef:
-		return []*colRef{e}
-	case *concatExpr:
-		var out []*colRef
-		for _, p := range e.parts {
-			out = append(out, exprRefs(p)...)
-		}
-		return out
-	case *castExpr:
-		return exprRefs(e.e)
+	if c, ok := e.(*colRef); ok {
+		return []*colRef{c}
 	}
 	return nil
 }
@@ -836,19 +827,6 @@ func (ev *evaluator) evalExpr(e exprNode, env *rowEnv) (string, error) {
 			return "", fmt.Errorf("fakesql: missing bind argument %d", e.idx+1)
 		}
 		return ev.args[e.idx], nil
-	case *castExpr:
-		// Everything is a string already.
-		return ev.evalExpr(e.e, env)
-	case *concatExpr:
-		var b strings.Builder
-		for _, p := range e.parts {
-			v, err := ev.evalExpr(p, env)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(v)
-		}
-		return b.String(), nil
 	case *colRef:
 		for scope := env; scope != nil; scope = scope.parent {
 			if scope.j == nil {

@@ -9,11 +9,10 @@ import (
 // DDL/INSERT statements ra's emission helpers produce: CREATE TABLE,
 // CREATE TEMPORARY TABLE … AS, DROP TABLE [IF EXISTS], parameterized
 // INSERT … VALUES, and SELECT with DISTINCT, subqueries, JOIN … ON, comma
-// joins, WHERE conjunctions of =, IN (subquery), [NOT] EXISTS, the string
-// concatenation operator ||, CAST, UNION [ALL], EXCEPT, and
-// WITH [RECURSIVE] … AS (…) queries. Anything else is a parse error —
-// deliberately, so the differential suite catches renderer drift instead of
-// silently misreading it.
+// joins, WHERE conjunctions of =, IN (subquery), [NOT] EXISTS, UNION [ALL],
+// EXCEPT, and WITH [RECURSIVE] … AS (…) queries. Anything else is a parse
+// error — deliberately, so the differential suite catches renderer drift
+// instead of silently misreading it.
 
 type tokKind int
 
@@ -22,7 +21,7 @@ const (
 	tkIdent
 	tkString // contents already unescaped ('' -> ')
 	tkNumber
-	tkPunct // ( ) , . = ? and the two-byte ||
+	tkPunct // ( ) , . = ?
 )
 
 type token struct {
@@ -63,13 +62,6 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 			l.toks = append(l.toks, token{tkIdent, l.src[start:l.pos], start})
-		case c == '|':
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '|' {
-				l.toks = append(l.toks, token{tkPunct, "||", l.pos})
-				l.pos += 2
-			} else {
-				return nil, fmt.Errorf("fakesql: stray '|' at %d", l.pos)
-			}
 		case c == '(' || c == ')' || c == ',' || c == '.' || c == '=' || c == '?':
 			l.toks = append(l.toks, token{tkPunct, string(c), l.pos})
 			l.pos++
@@ -213,16 +205,10 @@ type numExpr struct{ s string }
 
 type paramExpr struct{ idx int }
 
-type concatExpr struct{ parts []exprNode }
-
-type castExpr struct{ e exprNode }
-
-func (*colRef) isExpr()     {}
-func (*litExpr) isExpr()    {}
-func (*numExpr) isExpr()    {}
-func (*paramExpr) isExpr()  {}
-func (*concatExpr) isExpr() {}
-func (*castExpr) isExpr()   {}
+func (*colRef) isExpr()    {}
+func (*litExpr) isExpr()   {}
+func (*numExpr) isExpr()   {}
+func (*paramExpr) isExpr() {}
 
 // ---- parser ----
 
@@ -707,25 +693,6 @@ func (p *parser) parenQuery() (queryNode, error) {
 }
 
 func (p *parser) expr() (exprNode, error) {
-	e, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind == tkPunct && p.cur().text == "||" {
-		parts := []exprNode{e}
-		for p.eatPunct("||") {
-			next, err := p.primary()
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, next)
-		}
-		return &concatExpr{parts: parts}, nil
-	}
-	return e, nil
-}
-
-func (p *parser) primary() (exprNode, error) {
 	t := p.cur()
 	switch t.kind {
 	case tkString:
@@ -742,26 +709,6 @@ func (p *parser) primary() (exprNode, error) {
 			return e, nil
 		}
 	case tkIdent:
-		if strings.EqualFold(t.text, "CAST") {
-			p.pos++
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			inner, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("AS"); err != nil {
-				return nil, err
-			}
-			if err := p.skipType(); err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return &castExpr{e: inner}, nil
-		}
 		p.pos++
 		if p.eatPunct(".") {
 			col, err := p.ident()

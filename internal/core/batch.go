@@ -114,11 +114,8 @@ func mergeStmts(results []*Result) (*BatchResult, error) {
 				}
 			}
 			p := ra.WithInputs(pl, ck)
-			if f, ok := p.(ra.Fix); ok {
-				if f.Start != nil && f.End != nil && !f.TrackPaths {
-					return ra.Semijoin{L: ra.Fix{Seed: f.Seed, Start: f.Start, Desc: f.Desc}, R: f.End}, nil
-				}
-				return f, nil
+			if f, ok := p.(ra.Fix); ok && f.Start != nil && f.End != nil {
+				return ra.Semijoin{L: ra.Fix{Seed: f.Seed, Start: f.Start, Desc: f.Desc}, R: f.End}, nil
 			}
 			return p, nil
 		}

@@ -127,7 +127,6 @@ func TestExtractCommonKeyAttributes(t *testing.T) {
 		"RecUnion.ToTag":   {ra.RecUnion{Init: []ra.Tagged{{Tag: "p", Plan: a}}, Edges: []ra.RecEdge{{FromTag: "p", ToTag: "q", Rel: b}}}, ra.RecUnion{Init: []ra.Tagged{{Tag: "p", Plan: a}}, Edges: []ra.RecEdge{{FromTag: "p", ToTag: "p", Rel: b}}}},
 		"RecUnion.split":   {ra.RecUnion{Init: []ra.Tagged{{Tag: "p", Plan: a}, {Tag: "p", Plan: b}}}, ra.RecUnion{Init: []ra.Tagged{{Tag: "p", Plan: a}}, Edges: []ra.RecEdge{{FromTag: "", ToTag: "p", Rel: b}}}},
 		"= Fix.Desc":       {ra.Fix{Seed: a, Desc: true}, ra.Fix{Seed: a}},
-		"= Fix.TrackPaths": {ra.Fix{Seed: a, TrackPaths: true}, ra.Fix{Seed: a}},
 		"= RecUnion.Pairs": {ra.RecUnion{Init: []ra.Tagged{{Tag: "p", Plan: a}}, Pairs: true}, ra.RecUnion{Init: []ra.Tagged{{Tag: "p", Plan: a}}, ResultTag: "p"}},
 		"= Base|Temp":      {ra.Compose{L: ra.Base{Rel: "x"}, R: b}, ra.Compose{L: x, R: b}},
 		"= Ident|Base":     {ra.IdentOf{Child: ra.Ident{}}, ra.IdentOf{Child: ra.Base{Rel: "Rid"}}},

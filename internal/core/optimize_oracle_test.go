@@ -152,7 +152,7 @@ func oracleRebuild(pl ra.Plan, kids []ra.Plan) ra.Plan {
 	case ra.UnionAll:
 		return ra.UnionAll{Kids: kids}
 	case ra.Fix:
-		f := ra.Fix{Seed: kids[0], TrackPaths: pl.TrackPaths, Desc: pl.Desc}
+		f := ra.Fix{Seed: kids[0], Desc: pl.Desc}
 		i := 1
 		if pl.Start != nil {
 			f.Start = kids[i]

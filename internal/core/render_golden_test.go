@@ -28,16 +28,6 @@ func sum(s string) string {
 	return fmt.Sprintf("%d:%016x", len(s), h.Sum64())
 }
 
-// mapPlan rebuilds a plan bottom-up, applying f to every operator.
-func mapPlan(pl ra.Plan, f func(ra.Plan) ra.Plan) ra.Plan {
-	in := ra.Inputs(pl)
-	kids := make([]ra.Plan, len(in))
-	for i, k := range in {
-		kids[i] = mapPlan(k, f)
-	}
-	return f(ra.WithInputs(pl, kids))
-}
-
 // goldenCase is one program of the corpus with the options it renders under
 // (the dialect is filled in per line).
 type goldenCase struct {
@@ -50,7 +40,7 @@ type goldenCase struct {
 // handBuilt covers what no translation produces: every operator of ra in
 // every position a renderer treats specially — constraints that are whole
 // plans (they consume aliases before the operand whose text precedes theirs),
-// path tracking, both RecUnion tuple semantics, set operations as operands of
+// both RecUnion tuple semantics, set operations as operands of
 // set operations, the empty union, quotes in literals.
 func handBuilt() []goldenCase {
 	b := func(n string) ra.Plan { return ra.Base{Rel: "R_" + n} }
@@ -61,19 +51,18 @@ func handBuilt() []goldenCase {
 		out = append(out, goldenCase{name: name, opts: opts,
 			prog: &ra.Program{Stmts: stmts, Result: stmts[len(stmts)-1].Name}})
 	}
-	for _, track := range []bool{false, true} {
-		for i, c := range []struct{ start, end ra.Plan }{
-			{nil, nil}, {join, nil}, {nil, sel}, {join, sel}, {ra.Temp{Name: "seed"}, ra.Temp{Name: "seed"}},
-		} {
-			fix := ra.Fix{Seed: ra.UnionAll{Kids: []ra.Plan{ra.Temp{Name: "seed"}, join}}, Start: c.start, End: c.end, TrackPaths: track}
-			add(fmt.Sprintf("fix/track=%v/%d", track, i), ra.SQLRenderOptions{MaxRecIters: i},
-				ra.Stmt{Name: "seed", Plan: ra.TypeFilter{Child: b("e"), Rel: "R_f", OnF: true}},
-				ra.Stmt{Name: "result", Plan: ra.SelectRoot{Child: ra.Compose{L: fix, R: ra.Compose{L: fix, R: b("g")}}}})
-			add(fmt.Sprintf("desc/track=%v/%d", track, i), ra.SQLRenderOptions{TempPrefix: "x_"},
-				ra.Stmt{Name: "result", Plan: ra.Antijoin{
-					L: ra.DescScan{From: "R_a", To: "R_b", Alt: ra.Compose{L: fix, R: sel}, Start: c.start, End: c.end},
-					R: ra.DescScan{From: "R_a", To: "R_b", Alt: ra.Fix{Seed: fix, Desc: true, TrackPaths: track}}}})
-		}
+	// "track=false" stays in the names: the golden file's lines carry them.
+	for i, c := range []struct{ start, end ra.Plan }{
+		{nil, nil}, {join, nil}, {nil, sel}, {join, sel}, {ra.Temp{Name: "seed"}, ra.Temp{Name: "seed"}},
+	} {
+		fix := ra.Fix{Seed: ra.UnionAll{Kids: []ra.Plan{ra.Temp{Name: "seed"}, join}}, Start: c.start, End: c.end}
+		add(fmt.Sprintf("fix/track=false/%d", i), ra.SQLRenderOptions{MaxRecIters: i},
+			ra.Stmt{Name: "seed", Plan: ra.TypeFilter{Child: b("e"), Rel: "R_f", OnF: true}},
+			ra.Stmt{Name: "result", Plan: ra.SelectRoot{Child: ra.Compose{L: fix, R: ra.Compose{L: fix, R: b("g")}}}})
+		add(fmt.Sprintf("desc/track=false/%d", i), ra.SQLRenderOptions{TempPrefix: "x_"},
+			ra.Stmt{Name: "result", Plan: ra.Antijoin{
+				L: ra.DescScan{From: "R_a", To: "R_b", Alt: ra.Compose{L: fix, R: sel}, Start: c.start, End: c.end},
+				R: ra.DescScan{From: "R_a", To: "R_b", Alt: ra.Fix{Seed: fix, Desc: true}}}})
 	}
 	for _, pairs := range []bool{false, true} {
 		for _, tag := range []string{"", "it's"} {
@@ -101,8 +90,7 @@ func handBuilt() []goldenCase {
 // queries with a non-trivial plan over each corpus DTD, cycling through the
 // translation forms (default, SQLGen-R, nested Fig 7 equations, naive R_id, unpushed
 // selections) and render options (recursion cap, temp prefix, catalog name),
-// every fourth default program once more with path tracking on each of its
-// fixpoints, and the hand-built programs.
+// and the hand-built programs.
 func renderCorpus(t *testing.T) []goldenCase {
 	var out []goldenCase
 	for _, c := range corpusDTDs() {
@@ -143,19 +131,6 @@ func renderCorpus(t *testing.T) []goldenCase {
 				gc.eq = res.EQ
 			}
 			out = append(out, gc)
-			if form == "X" && i%4 == 0 {
-				tracked := &ra.Program{Result: res.Program.Result}
-				for _, s := range res.Program.Stmts {
-					tracked.Stmts = append(tracked.Stmts, ra.Stmt{Name: s.Name, Plan: mapPlan(s.Plan, func(pl ra.Plan) ra.Plan {
-						if f, ok := pl.(ra.Fix); ok {
-							f.TrackPaths = true
-							return f
-						}
-						return pl
-					})})
-				}
-				out = append(out, goldenCase{name: name + "/tracked", prog: tracked, opts: ro})
-			}
 			i++
 		}
 	}

@@ -10,12 +10,11 @@ import (
 // engine takes; an operator named twice is drawn twice as often.
 type Op int
 
-// The operators. FixPaths is Fix, tracking paths in one draw in three.
+// The operators.
 const (
 	Compose Op = iota
 	UnionAll
 	Fix
-	FixPaths
 	SelectVal
 	SelectRoot
 	Semijoin
@@ -75,7 +74,7 @@ func Plan(src Source, depth, nRels int, temps []string, ops []Op) ra.Plan {
 		}
 		return nil
 	}
-	switch op := ops[k-1]; op {
+	switch ops[k-1] {
 	case Compose:
 		return ra.Compose{L: kid(), R: kid()}
 	case UnionAll:
@@ -84,8 +83,8 @@ func Plan(src Source, depth, nRels int, temps []string, ops []Op) ra.Plan {
 			kids = append(kids, third)
 		}
 		return ra.UnionAll{Kids: kids}
-	case Fix, FixPaths:
-		return ra.Fix{Seed: kid(), TrackPaths: op == FixPaths && src.Intn(3) == 2, Start: maybe(2), End: maybe(2)}
+	case Fix:
+		return ra.Fix{Seed: kid(), Start: maybe(2), End: maybe(2)}
 	case SelectVal:
 		return ra.SelectVal{Child: kid(), Val: []string{"a", "b", "z"}[src.Intn(3)]}
 	case SelectRoot:

@@ -8,8 +8,7 @@ import "encoding/binary"
 // numbers of its Inputs, so numbering a plan costs one map lookup per node
 // instead of one subtree print per node. A leaf keys by its printed form —
 // Base{"x"} and Temp{"x"} print alike and so number alike. Attributes outside
-// String() (Fix.Desc, Fix.TrackPaths, RecUnion.Pairs and ResultTag) are
-// outside the key. The zero value is not usable; call NewInterner.
+// String() (Fix.Desc, RecUnion.Pairs and ResultTag) are outside the key. The zero value is not usable; call NewInterner.
 type Interner struct {
 	ids   map[string]int
 	key   []byte

@@ -81,8 +81,8 @@ func TestWithInputsInvertsInputs(t *testing.T) {
 // TestInternerNumbersByPrintedForm: two plans get one number exactly when
 // their String() are equal — checked for every operator against every
 // change of one attribute, presence of one optional operand, and spelling of
-// one leaf. What String() does not show (Fix.Desc, Fix.TrackPaths,
-// RecUnion.Pairs and ResultTag) the number does not see either.
+// one leaf. What String() does not show (Fix.Desc, RecUnion.Pairs and
+// ResultTag) the number does not see either.
 func TestInternerNumbersByPrintedForm(t *testing.T) {
 	in := NewInterner()
 	// A plan is observed before the next flip: RecUnion's slices alias
@@ -133,8 +133,8 @@ func TestInternerNumbersByPrintedForm(t *testing.T) {
 			check(base, see(other.Interface().(Plan)))
 		}
 	}
-	if silent != 4 {
-		t.Errorf("%d attributes are outside the printed form, want the 4 documented ones", silent)
+	if silent != 3 {
+		t.Errorf("%d attributes are outside the printed form, want the 3 documented ones", silent)
 	}
 	// One constraint, on either side: same operands in the same order.
 	a, b := Base{Rel: "a"}, Base{Rel: "b"}

@@ -54,11 +54,6 @@ type Fix struct {
 	Seed  Plan
 	Start Plan
 	End   Plan
-	// TrackPaths adds the P attribute of §5.2 ("XML reconstruction"): the
-	// engine records, per (F, T) pair, the intermediate node sequence by
-	// concatenating edges as tuples join; the SQL rendering concatenates a
-	// path string column.
-	TrackPaths bool
 	// Desc marks a fixpoint that computes (part of) a descendant closure:
 	// every produced (F, T) pair relates a node to one of its proper
 	// descendants. It is an execution hint — engines with a document-order
@@ -379,9 +374,8 @@ func appendConstrained(dst []Plan, first, start, end Plan) []Plan {
 // WithInputs is the inverse of Inputs: pl with its operands replaced by kids,
 // which must hold as many plans as Inputs(pl) — an optional constraint of a
 // Fix or DescScan is replaced, never added or dropped. Every other attribute
-// is kept, the ones outside the printed form (Fix.TrackPaths, Fix.Desc,
-// RecUnion.Pairs and ResultTag) included; a leaf is returned as it is. kids
-// is not retained.
+// is kept, the ones outside the printed form (Fix.Desc, RecUnion.Pairs and
+// ResultTag) included; a leaf is returned as it is. kids is not retained.
 func WithInputs(pl Plan, kids []Plan) Plan {
 	switch pl := pl.(type) {
 	case Compose:
@@ -390,7 +384,7 @@ func WithInputs(pl Plan, kids []Plan) Plan {
 		return UnionAll{Kids: append([]Plan(nil), kids...)}
 	case Fix:
 		start, end := constraints(kids, pl.Start, pl.End)
-		return Fix{Seed: kids[0], Start: start, End: end, TrackPaths: pl.TrackPaths, Desc: pl.Desc}
+		return Fix{Seed: kids[0], Start: start, End: end, Desc: pl.Desc}
 	case DescScan:
 		start, end := constraints(kids, pl.Start, pl.End)
 		return DescScan{From: pl.From, To: pl.To, Alt: kids[0], Start: start, End: end}

@@ -546,14 +546,8 @@ func (r *sqlRenderer) renderFix(p Fix, depth int) {
 		}
 		return
 	}
-	// The P attribute of §5.2: path reconstruction by string concatenation
-	// (supported by both DB2 and Oracle).
-	cols, first, step, last := "F, T, V", "", "", ""
-	if p.TrackPaths {
-		cols, first, step, last = "F, T, V, P", ", CAST(s.T AS VARCHAR(1000))", ", fp.P || '/' || s.T", ", fp.P"
-	}
-	r.head(depth, "WITH RECURSIVE fp (", cols, ") AS (")
-	r.line(depth+1, "SELECT s.F, s.T, s.V", first, " FROM (\n")
+	r.head(depth, "WITH RECURSIVE fp (F, T, V) AS (")
+	r.line(depth+1, "SELECT s.F, s.T, s.V FROM (\n")
 	from := len(r.buf)
 	r.render(p.Seed, depth+1)
 	to := len(r.buf)
@@ -563,15 +557,15 @@ func (r *sqlRenderer) renderFix(p Fix, depth int) {
 		in("s.F", "T", p.Start, "st")
 	}
 	r.line(depth+1, "UNION ALL")
-	r.line(depth+1, "SELECT fp.F, s.T, s.V", step, " FROM fp JOIN (\n")
+	r.line(depth+1, "SELECT fp.F, s.T, s.V FROM fp JOIN (\n")
 	r.buf = append(r.buf, r.buf[from:to]...)
 	r.line(depth+1, ") s ON fp.T = s.F")
 	r.line(depth, ")")
 	if p.End == nil {
-		r.line(depth, "SELECT DISTINCT ", cols, " FROM fp")
+		r.line(depth, "SELECT DISTINCT F, T, V FROM fp")
 		return
 	}
-	r.line(depth, "SELECT DISTINCT fp.F, fp.T, fp.V", last, " FROM fp WHERE ")
+	r.line(depth, "SELECT DISTINCT fp.F, fp.T, fp.V FROM fp WHERE ")
 	in("fp.T", "F", p.End, "en")
 }
 

@@ -198,15 +198,11 @@ func (vs *ViewState) classify() (monotone, textImmune bool) {
 	walk = func(p ra.Plan) {
 		switch p := p.(type) {
 		case ra.Base, ra.Ident, ra.RootSeed, ra.Compose, ra.UnionAll, ra.SelectRoot, ra.TypeFilter,
-			ra.IdentOf, ra.Semijoin, ra.DescScan:
+			ra.IdentOf, ra.Semijoin, ra.DescScan, ra.Fix:
 		case ra.Temp:
 			if pl := vs.prog.Lookup(p.Name); pl != nil && !seen[p.Name] {
 				seen[p.Name] = true
 				walk(pl)
-			}
-		case ra.Fix:
-			if p.TrackPaths {
-				monotone = false
 			}
 		case ra.SelectVal:
 			textImmune = false
@@ -350,7 +346,7 @@ func (vs *ViewState) materialize(n *viewNode) error {
 			// end nodes to prune its frontier against.
 			pl.End = nil
 			if n.aux, err = vs.ex.apply(pl, in[:2]); err == nil {
-				n.out = vs.ex.fixEndFilter(n.aux, in[2], false)
+				n.out = vs.ex.fixEndFilter(n.aux, in[2])
 			}
 		} else {
 			n.out, err = vs.ex.apply(pl, in)
@@ -567,7 +563,7 @@ func (vs *ViewState) fixRounds(seed, out *Relation, frontier []row, dir fixDir) 
 	for len(delta) > 0 {
 		ex.Stats.LFPIters++
 		ex.Stats.Joins++
-		if next, err = ex.fixExpand(seed, out, delta, next[:0], dir, false, nil); err != nil {
+		if next, err = ex.fixExpand(seed, out, delta, next[:0], dir, nil); err != nil {
 			return err
 		}
 		ex.Stats.Unions++

@@ -671,8 +671,4 @@ func TestViewClassification(t *testing.T) {
 	if vs.TextImmune() {
 		t.Fatal("value selection must not be text-immune")
 	}
-	vs = mk(ra.Fix{Seed: ra.Base{Rel: "R0"}, TrackPaths: true})
-	if vs.Insertable() || vs.Deletable() {
-		t.Fatal("tracked paths must fall back to opaque")
-	}
 }

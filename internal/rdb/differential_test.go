@@ -3,7 +3,6 @@ package rdb
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -48,11 +47,11 @@ func randDB(r difftest.Source, n, nRels int) *DB {
 var (
 	// graphOps is every operator but DescScan, whose kernel needs an
 	// interval-encoded database.
-	graphOps = []difftest.Op{difftest.Compose, difftest.UnionAll, difftest.FixPaths, difftest.SelectVal,
+	graphOps = []difftest.Op{difftest.Compose, difftest.UnionAll, difftest.Fix, difftest.SelectVal,
 		difftest.SelectRoot, difftest.Semijoin, difftest.Antijoin, difftest.Diff, difftest.TypeFilter,
 		difftest.IdentOf, difftest.RecUnion, difftest.Ident}
-	// insertOps is the insert-maintainable fragment: no Antijoin, Diff,
-	// RecUnion or tracked paths. Semijoin and SelectVal are in, so the views
+	// insertOps is the insert-maintainable fragment: no Antijoin, Diff or
+	// RecUnion. Semijoin and SelectVal are in, so the views
 	// span the text-immune sub-fragment and its complement.
 	insertOps = []difftest.Op{difftest.Compose, difftest.UnionAll, difftest.Fix, difftest.Fix, difftest.SelectVal,
 		difftest.SelectRoot, difftest.Semijoin, difftest.TypeFilter, difftest.IdentOf, difftest.Ident}
@@ -429,69 +428,5 @@ func TestDistinctWhereDuplicatesArise(t *testing.T) {
 		if msg := distinctRuns(db, p, want.Tuples(), se, par); msg != "" {
 			t.Errorf("%s: %s", name, msg)
 		}
-	}
-}
-
-// TestDifferentialFixPaths: constrained, path-tracking fixpoints on random
-// graphs — identical (F, T) sets against the naive reference, and every
-// tracked path must be a valid edge walk ending at T.
-func TestDifferentialFixPaths(t *testing.T) {
-	forceTinyMorsels(t)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(25)
-		db := NewDB()
-		for i := 0; i < 3*n; i++ {
-			db.Insert("E", 1+r.Intn(n), 1+r.Intn(n), "")
-		}
-		for i := 0; i < 4; i++ {
-			db.Insert("S", 1+r.Intn(n), 1+r.Intn(n), "")
-		}
-		fx := ra.Fix{Seed: ra.Base{Rel: "E"}, TrackPaths: true}
-		switch r.Intn(4) {
-		case 1:
-			fx.Start = ra.Base{Rel: "S"}
-		case 2:
-			fx.End = ra.Base{Rel: "S"}
-		case 3:
-			fx.Start = ra.Base{Rel: "S"}
-			fx.End = ra.Base{Rel: "S"}
-		}
-		p := &ra.Program{Stmts: []ra.Stmt{{Name: "result", Plan: fx}}, Result: "result"}
-
-		want, err := NewNaiveExec(db).Run(p)
-		if err != nil {
-			return false
-		}
-		par := NewExec(db)
-		par.Parallelism = 4
-		got, err := par.Run(p)
-		if err != nil {
-			return false
-		}
-		if !sameTuples(want.Tuples(), got.Tuples()) {
-			t.Logf("tuples differ (seed=%d)", seed)
-			return false
-		}
-		edge := db.Rel("E")
-		for _, tp := range got.Tuples() {
-			path := got.PathOf(tp.F, tp.T)
-			if len(path) == 0 || path[len(path)-1] != tp.T {
-				t.Logf("bad path %v for %+v (seed=%d)", path, tp, seed)
-				return false
-			}
-			prev := tp.F
-			for _, node := range path {
-				if !edge.Has(prev, node) {
-					t.Logf("path %v uses non-edge %d→%d (seed=%d)", path, prev, node, seed)
-					return false
-				}
-				prev = node
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -113,6 +114,10 @@ var ErrDuplicateNode = errors.New("node recorded twice")
 // with '#' are skipped, so callers (e.g. the document store's snapshots)
 // may prefix the Save body with their own commented header.
 //
+// An image a database cannot hold is refused: a node ID outside 1…2³¹−1, an
+// F or a parent outside 0…2³¹−1 (0 is the virtual root), or a catalog whose
+// parent chains run in a cycle, which would never reach the root.
+//
 // Tuples are appended without a probe while they arrive as Save writes them:
 // a run of one relation's lines, ascending on (F, T), that began on an empty
 // relation, where no tuple can repeat one before it. Any other tuple — a
@@ -148,11 +153,11 @@ func Load(r io.Reader) (*DB, error) {
 			if !ok {
 				return nil, fmt.Errorf("rdb: line %d: malformed tuple", lineNo)
 			}
-			f, err := strconv.Atoi(fs)
+			f, err := parseID(fs, 0)
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
-			t, err := strconv.Atoi(ts)
+			t, err := parseID(ts, 1)
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
@@ -160,7 +165,7 @@ func Load(r io.Reader) (*DB, error) {
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: bad value %q: %v", lineNo, vq, err)
 			}
-			w := row{f: int32(f), t: int32(t), v: db.sym(v)}
+			w := row{f: f, t: t, v: db.sym(v)}
 			if run == nil || run.Name != name {
 				run = db.Rel(name)
 				sorted = run.Len() == 0
@@ -180,11 +185,11 @@ func Load(r io.Reader) (*DB, error) {
 			if parts == nil {
 				return nil, fmt.Errorf("rdb: line %d: malformed node entry", lineNo)
 			}
-			id, err := strconv.Atoi(parts[0])
+			id, err := parseID(parts[0], 1)
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
-			parent, err := strconv.Atoi(parts[1])
+			parent, err := parseID(parts[1], 0)
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
@@ -201,17 +206,17 @@ func Load(r io.Reader) (*DB, error) {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
 			tab := db.nodes.Load().tab
-			if tab.has(id) {
+			if tab.has(int(id)) {
 				return nil, fmt.Errorf("rdb: line %d: a second N record for node %d: %w", lineNo, id, ErrDuplicateNode)
 			}
-			tab.put(id, int32(parent), db.sym(val))
-			db.Labels[id] = label
+			tab.put(int(id), parent, db.sym(val))
+			db.Labels[int(id)] = label
 		case "O":
 			parts := strings.Fields(rest)
 			if len(parts) != 4 {
 				return nil, fmt.Errorf("rdb: line %d: malformed interval entry", lineNo)
 			}
-			id, err := strconv.Atoi(parts[0])
+			id, err := parseID(parts[0], 1)
 			if err != nil {
 				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
 			}
@@ -236,10 +241,10 @@ func Load(r io.Reader) (*DB, error) {
 			if iv == nil {
 				iv = db.NewIntervalBuilder()
 			}
-			if _, ok := iv.tab.get(id); ok {
+			if _, ok := iv.tab.get(int(id)); ok {
 				return nil, fmt.Errorf("rdb: line %d: a second O record for node %d: %w", lineNo, id, ErrDuplicateNode)
 			}
-			iv.Set(id, NodeInterval{Begin: begin, End: end, Level: int32(level)})
+			iv.Set(int(id), NodeInterval{Begin: begin, End: end, Level: int32(level)})
 		case "D":
 			db.DTDFP = strings.TrimSpace(rest)
 		default:
@@ -249,10 +254,61 @@ func Load(r io.Reader) (*DB, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	if err := checkParentChains(db.nodes.Load().tab); err != nil {
+		return nil, err
+	}
 	if iv != nil {
 		iv.Adopt()
 	}
 	return db, nil
+}
+
+// parseID parses a node ID of a record: an integer in lo…2³¹−1, where lo is 1
+// for a node and 0 for an F or a parent, which may be the virtual root.
+func parseID(s string, lo int64) (int32, error) {
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	if n < lo || n > math.MaxInt32 {
+		return 0, fmt.Errorf("node ID %d outside %d…%d", n, lo, math.MaxInt32)
+	}
+	return int32(n), nil
+}
+
+// checkParentChains refuses a catalog with a cycle of parents, naming a node
+// on it. A chain ends at the virtual root 0 or at a node outside the catalog,
+// and a cycle needs a node whose parent's ID is not below its own, so only
+// such nodes start a walk; a node whose chain is known to end is not walked
+// again, which keeps the pass O(nodes). A shredded document numbers parents
+// before children, so the pass starts no walk on it.
+func checkParentChains(tab *nodeTable) error {
+	const onChain, ends = 1, 2
+	var state map[int32]uint8
+	var err error
+	tab.eachNode(func(id int, parent, _ int32) {
+		if err != nil || int(parent) < id {
+			return
+		}
+		if state == nil {
+			state = map[int32]uint8{}
+		}
+		var chain []int32
+		cur := int32(id)
+		for cur != 0 && tab.has(int(cur)) && state[cur] != ends {
+			if state[cur] == onChain {
+				err = fmt.Errorf("rdb: node %d: its parent chain runs in a cycle through node %d", id, cur)
+				return
+			}
+			state[cur] = onChain
+			chain = append(chain, cur)
+			cur = tab.parentOf(int(cur))
+		}
+		for _, n := range chain {
+			state[n] = ends
+		}
+	})
+	return err
 }
 
 // splitN cuts the string into n fields, the last one keeping the remainder.

@@ -179,6 +179,96 @@ func TestLoadEmpty(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesACorruptCatalog: an image whose catalog runs in a cycle of
+// parents — on which a walk to the root, such as an answer's label path, never
+// returns — or whose records hold a node ID the database cannot hold (a
+// negative one, or one past 2³¹−1, which would wrap to another node) is
+// refused with an error naming the node.
+func TestLoadRefusesACorruptCatalog(t *testing.T) {
+	for _, c := range []struct{ name, img, node string }{
+		{"two-node cycle", "N 5 6 \"a\" \"\"\nN 6 5 \"a\" \"\"\n", "node 5"},
+		{"self parent", "N 1 0 \"a\" \"\"\nN 2 2 \"b\" \"\"\n", "node 2"},
+		{"cycle below a root", "N 1 0 \"a\" \"\"\nN 2 4 \"b\" \"\"\nN 3 2 \"b\" \"\"\nN 4 3 \"b\" \"\"\n", "node 2"},
+		{"negative N id", "N -1 0 \"a\" \"\"\n", "-1"},
+		{"negative parent", "N 1 -3 \"a\" \"\"\n", "-3"},
+		{"zero N id", "N 0 0 \"a\" \"\"\n", "node ID 0"},
+		{"N id past 2^31-1", "N 4294967297 0 \"a\" \"\"\n", "4294967297"},
+		{"parent past 2^31-1", "N 1 2147483648 \"a\" \"\"\n", "2147483648"},
+		{"negative F", "R R_a -1 1 \"\"\n", "-1"},
+		{"F past 2^31-1", "R R_a 4294967296 1 \"\"\n", "4294967296"},
+		{"negative T", "R R_a 0 -7 \"\"\n", "-7"},
+		{"T past 2^31-1", "R R_a 0 2147483649 \"\"\n", "2147483649"},
+		{"negative O id", "O -2 0 1 0\n", "-2"},
+		{"O id past 2^31-1", "O 2147483648 0 1 0\n", "2147483648"},
+	} {
+		if _, err := Load(strings.NewReader(c.img)); err == nil {
+			t.Errorf("%s: Load accepted\n%s", c.name, c.img)
+		} else if !strings.Contains(err.Error(), c.node) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.node)
+		}
+	}
+	// The largest IDs are a database's own: an image holding them loads.
+	img := "R R_a 0 2147483647 \"\"\nN 2147483647 0 \"a\" \"\"\nN 2147483646 2147483647 \"a\" \"\"\n"
+	db, err := Load(strings.NewReader(img))
+	if err != nil || db.Parent(2147483646) != 2147483647 || !db.Rel("R_a").Has(0, 2147483647) {
+		t.Fatalf("Load refused or misread the largest IDs: %v", err)
+	}
+}
+
+// FuzzLoad feeds Load arbitrary bytes. It must not panic; an image it accepts
+// saves to text that loads again and saves to the same bytes; and the walk to
+// the root from every node of the catalog ends — at the virtual root 0 or at a
+// node outside the catalog — as the walk that builds an answer's label path
+// must.
+func FuzzLoad(f *testing.F) {
+	db := NewDB()
+	db.InsertLabeled("R_a", "a", 0, 1, "root")
+	db.InsertLabeled("R_b", "b", 1, 2, `q"uote`)
+	db.InsertLabeled("R_b", "b", 1, 3, "")
+	db.Rel("R_empty")
+	db.RebuildIntervals()
+	db.DTDFP = "fp"
+	var sb strings.Builder
+	if err := db.Save(&sb); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(sb.String()))
+	f.Add([]byte("# header\n\nR R_e 1 2 \"a\"\nR R_e 1 2 \"a\"\nR R_e 0 1 \"\"\nE R_x\n"))
+	f.Add([]byte("N 5 6 \"a\" \"\"\nN 6 5 \"a\" \"\"\n"))
+	f.Add([]byte("N 2 7 \"b\" \"\"\nO 2 3 1 0\nO 9 0 4 2\n"))
+	f.Fuzz(func(t *testing.T, img []byte) {
+		db, err := Load(strings.NewReader(string(img)))
+		if err != nil {
+			return
+		}
+		var first strings.Builder
+		if err := db.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(strings.NewReader(first.String()))
+		if err != nil {
+			t.Fatalf("Load refused what Save wrote: %v\n%s", err, first.String())
+		}
+		var second strings.Builder
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("Save∘Load∘Save changed the image:\n%q\nvs\n%q", first.String(), second.String())
+		}
+		n := db.NumNodes()
+		db.EachNode(func(id int) {
+			cur := id
+			for steps := 0; cur != 0 && db.HasNode(cur); steps++ {
+				if steps > n {
+					t.Fatalf("the walk to the root from node %d does not end", id)
+				}
+				cur = db.Parent(cur)
+			}
+		})
+	})
+}
+
 // TestSaveLoadIntervals: a v2 image (O/D records) round-trips the interval
 // encoding and the DTD fingerprint, and saving the loaded copy reproduces
 // the exact text.

@@ -25,14 +25,6 @@ import (
 // tests can force multi-morsel scans on small inputs.
 var morselRows = 2048
 
-// cand is one candidate output tuple produced by a morsel scan. baseF/baseT
-// carry the delta tuple a fixpoint expansion extended, which the merge step
-// needs for witnessing-path bookkeeping; joins leave them zero.
-type cand struct {
-	out          row
-	baseF, baseT int32
-}
-
 // parWorkers returns how many workers a scan over n rows should use: never
 // more than the configured parallelism, never more than the morsel count,
 // and 1 when the input is too small to be worth fanning out.
@@ -70,9 +62,9 @@ func (e *Exec) morselCheck() error {
 // scanMorsels runs scan over [0, n) split into morsels on the given number
 // of workers and returns the per-morsel candidate buffers in morsel order.
 // scan must be read-only with respect to the executor and its relations.
-func (e *Exec) scanMorsels(n, workers int, scan func(lo, hi int, buf []cand) []cand) ([][]cand, error) {
+func (e *Exec) scanMorsels(n, workers int, scan func(lo, hi int, buf []row) []row) ([][]row, error) {
 	m := (n + morselRows - 1) / morselRows
-	bufs := make([][]cand, m)
+	bufs := make([][]row, m)
 	var (
 		next    atomic.Int64
 		stop    atomic.Bool

@@ -22,7 +22,6 @@ type naiveRel struct {
 	key    map[uint64]struct{}
 	byF    map[int][]int32
 	byT    map[int][]int32
-	paths  map[uint64][]int
 }
 
 func naiveKey(f, t int) uint64 {
@@ -85,17 +84,6 @@ func (r *naiveRel) tSet() map[int]struct{} {
 	return out
 }
 
-func (r *naiveRel) setPath(f, t int, path []int) {
-	if r.paths == nil {
-		r.paths = map[uint64][]int{}
-	}
-	r.paths[naiveKey(f, t)] = path
-}
-
-func (r *naiveRel) pathOf(f, t int) []int {
-	return r.paths[naiveKey(f, t)]
-}
-
 // NaiveResult is the answer of a naive run, in the seed's exchange form.
 type NaiveResult struct {
 	rel *naiveRel
@@ -109,9 +97,6 @@ func (n *NaiveResult) Has(f, t int) bool { return n.rel.has(f, t) }
 
 // Tuples returns the result tuples in insertion order.
 func (n *NaiveResult) Tuples() []Tuple { return n.rel.tuples }
-
-// PathOf returns the recorded witnessing path for (f, t), or nil.
-func (n *NaiveResult) PathOf(f, t int) []int { return n.rel.pathOf(f, t) }
 
 // TIDs returns the sorted distinct T values.
 func (n *NaiveResult) TIDs() []int {
@@ -460,30 +445,6 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 		}
 		return false
 	}
-	track := pl.TrackPaths
-	setSeedPath := func(t Tuple) {
-		if track {
-			out.setPath(t.F, t.T, []int{t.T})
-		}
-	}
-	extendPath := func(base Tuple, newT int) {
-		if track {
-			prev := out.pathOf(base.F, base.T)
-			path := make([]int, len(prev)+1)
-			copy(path, prev)
-			path[len(prev)] = newT
-			out.setPath(base.F, newT, path)
-		}
-	}
-	prependPath := func(newF int, base Tuple) {
-		if track {
-			prev := out.pathOf(base.F, base.T)
-			path := make([]int, 0, len(prev)+1)
-			path = append(path, base.F)
-			path = append(path, prev...)
-			out.setPath(newF, base.T, path)
-		}
-	}
 
 	switch {
 	case startSet != nil:
@@ -491,7 +452,6 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 		for _, t := range seed.tuples {
 			if _, ok := startSet[t.F]; ok {
 				if addOut(t.F, t.T, t.V) {
-					setSeedPath(t)
 					delta = append(delta, t)
 				}
 			}
@@ -504,7 +464,6 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 				for _, pos := range seed.indexF(d.T) {
 					st := seed.tuples[pos]
 					if addOut(d.F, st.T, st.V) {
-						extendPath(d, st.T)
 						next = append(next, Tuple{F: d.F, T: st.T, V: st.V})
 					}
 				}
@@ -517,9 +476,6 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 			for _, t := range out.tuples {
 				if _, ok := endSet[t.T]; ok {
 					filtered.add(t.F, t.T, t.V)
-					if track {
-						filtered.setPath(t.F, t.T, out.pathOf(t.F, t.T))
-					}
 				}
 			}
 			out = filtered
@@ -529,7 +485,6 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 		for _, t := range seed.tuples {
 			if _, ok := endSet[t.T]; ok {
 				if addOut(t.F, t.T, t.V) {
-					setSeedPath(t)
 					delta = append(delta, t)
 				}
 			}
@@ -542,7 +497,6 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 				for _, pos := range seed.indexT(d.F) {
 					st := seed.tuples[pos]
 					if addOut(st.F, d.T, d.V) {
-						prependPath(st.F, d)
 						next = append(next, Tuple{F: st.F, T: d.T, V: d.V})
 					}
 				}
@@ -553,9 +507,7 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 	default:
 		delta := append([]Tuple(nil), seed.tuples...)
 		for _, t := range delta {
-			if addOut(t.F, t.T, t.V) {
-				setSeedPath(t)
-			}
+			addOut(t.F, t.T, t.V)
 		}
 		for len(delta) > 0 {
 			e.Stats.LFPIters++
@@ -565,7 +517,6 @@ func (e *NaiveExec) fix(pl ra.Fix) (*naiveRel, error) {
 				for _, pos := range seed.indexF(d.T) {
 					st := seed.tuples[pos]
 					if addOut(d.F, st.T, st.V) {
-						extendPath(d, st.T)
 						next = append(next, Tuple{F: d.F, T: st.T, V: st.V})
 					}
 				}

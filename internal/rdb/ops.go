@@ -216,17 +216,17 @@ func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 		n = len(lrows)
 	}
 	if workers := e.parWorkers(n); workers > 1 {
-		var scan func(lo, hi int, buf []cand) []cand
+		var scan func(lo, hi int, buf []row) []row
 		if probeL {
 			idx := r.fIndex()
-			scan = func(lo, hi int, buf []cand) []cand {
+			scan = func(lo, hi int, buf []row) []row {
 				for i := lo; i < hi; i++ {
 					lt := lrows[i]
 					snap, over := idx.lookup(lt.t)
 					for _, part := range [2][]int32{snap, over} {
 						for _, pos := range part {
 							rt := rrows[pos]
-							buf = append(buf, cand{out: row{f: lt.f, t: rt.t, v: rt.v}})
+							buf = append(buf, row{f: lt.f, t: rt.t, v: rt.v})
 						}
 					}
 				}
@@ -234,14 +234,14 @@ func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 			}
 		} else {
 			idx := l.tIndex()
-			scan = func(lo, hi int, buf []cand) []cand {
+			scan = func(lo, hi int, buf []row) []row {
 				for i := lo; i < hi; i++ {
 					rt := rrows[i]
 					snap, over := idx.lookup(rt.f)
 					for _, part := range [2][]int32{snap, over} {
 						for _, pos := range part {
 							lt := lrows[pos]
-							buf = append(buf, cand{out: row{f: lt.f, t: rt.t, v: rt.v}})
+							buf = append(buf, row{f: lt.f, t: rt.t, v: rt.v})
 						}
 					}
 				}
@@ -253,8 +253,8 @@ func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 			return nil, err
 		}
 		for _, buf := range bufs {
-			for _, c := range buf {
-				if out.put(c.out, distinct) {
+			for _, w := range buf {
+				if out.put(w, distinct) {
 					e.Stats.TuplesOut++
 				}
 			}
@@ -326,25 +326,6 @@ func fixGate(start, end *Relation) (fixDir, *colIndex) {
 	return fixFwd, nil
 }
 
-// fixExtendPath / fixPrependPath maintain the P attribute of §5.2 ("XML
-// reconstruction"): the path of a new tuple concatenates the extending edge
-// onto the witnessing path.
-func fixExtendPath(out *Relation, baseF, baseT, newT int32) {
-	prev := out.PathOf(int(baseF), int(baseT))
-	path := make([]int, len(prev)+1)
-	copy(path, prev)
-	path[len(prev)] = int(newT)
-	out.SetPath(int(baseF), int(newT), path)
-}
-
-func fixPrependPath(out *Relation, newF, baseF, baseT int32) {
-	prev := out.PathOf(int(baseF), int(baseT))
-	path := make([]int, 0, len(prev)+1)
-	path = append(path, int(baseF))
-	path = append(path, prev...)
-	out.SetPath(int(newF), int(baseT), path)
-}
-
 // fix evaluates Φ(R) (Eq. 2): the transitive closure of the seed relation,
 // with optional pushed start/end constraints (§5.2). It is the closure kernel
 // followed, when both constraints are pushed, by the end filter; a caller that
@@ -356,7 +337,7 @@ func (e *Exec) fix(pl ra.Fix, in []*Relation) (*Relation, error) {
 	if err != nil || start == nil || end == nil {
 		return closure, err
 	}
-	return e.fixEndFilter(closure, end, pl.TrackPaths), nil
+	return e.fixEndFilter(closure, end), nil
 }
 
 // fixClosure is the semi-naive iteration: each round joins only the previous
@@ -375,14 +356,10 @@ func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, err
 	}
 
 	out := e.newRel("")
-	track := pl.TrackPaths
 	delta := e.getRowBuf()
 	for _, w := range seed.rows {
 		if (gate == nil || gate.contains(dir.anchor(w))) && out.addRow(w) {
 			e.Stats.TuplesOut++
-			if track {
-				out.SetPath(int(w.f), int(w.t), []int{int(w.t)})
-			}
 			if prune == nil || !prune(w.t) {
 				delta = append(delta, w)
 			}
@@ -407,7 +384,7 @@ func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, err
 			return nil, err
 		}
 		e.Stats.Joins++
-		if next, err = e.fixExpand(seed, out, delta, next[:0], dir, track, prune); err != nil {
+		if next, err = e.fixExpand(seed, out, delta, next[:0], dir, prune); err != nil {
 			return nil, err
 		}
 		e.Stats.Unions++
@@ -459,15 +436,12 @@ func (e *Exec) fixPrune(endRel *Relation) func(t int32) bool {
 // fixEndFilter keeps the closure tuples whose T is in π_F(End): with both
 // constraints pushed the forward closure is post-filtered by the end
 // constraint.
-func (e *Exec) fixEndFilter(closure, end *Relation, track bool) *Relation {
+func (e *Exec) fixEndFilter(closure, end *Relation) *Relation {
 	endIdx := end.fIndex()
 	out := e.newRel("")
 	for _, w := range closure.rows {
 		if endIdx.contains(w.t) {
 			out.appendDistinct(w)
-			if track {
-				out.SetPath(int(w.f), int(w.t), closure.PathOf(int(w.f), int(w.t)))
-			}
 		}
 	}
 	return out
@@ -478,7 +452,7 @@ func (e *Exec) fixEndFilter(closure, end *Relation, track bool) *Relation {
 // genuinely new ones to next. The parallel path scans into per-morsel
 // candidate buffers merged in morsel order, so results and statistics are
 // byte-identical to the serial fold.
-func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, track bool, prune func(t int32) bool) ([]row, error) {
+func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, prune func(t int32) bool) ([]row, error) {
 	var idx *colIndex
 	if dir == fixFwd {
 		idx = seed.fIndex()
@@ -487,7 +461,7 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, tra
 	}
 	srows := seed.probeRows()
 	if workers := e.parWorkers(len(delta)); workers > 1 {
-		scan := func(lo, hi int, buf []cand) []cand {
+		scan := func(lo, hi int, buf []row) []row {
 			for i := lo; i < hi; i++ {
 				d := delta[i]
 				key := d.t
@@ -504,7 +478,7 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, tra
 						} else {
 							nw = row{f: st.f, t: d.t, v: d.v}
 						}
-						buf = append(buf, cand{out: nw, baseF: d.f, baseT: d.t})
+						buf = append(buf, nw)
 					}
 				}
 			}
@@ -515,18 +489,11 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, tra
 			return next, err
 		}
 		for _, buf := range bufs {
-			for _, c := range buf {
-				if out.addRow(c.out) {
+			for _, nw := range buf {
+				if out.addRow(nw) {
 					e.Stats.TuplesOut++
-					if track {
-						if dir == fixFwd {
-							fixExtendPath(out, c.baseF, c.baseT, c.out.t)
-						} else {
-							fixPrependPath(out, c.out.f, c.baseF, c.baseT)
-						}
-					}
-					if prune == nil || !prune(c.out.t) {
-						next = append(next, c.out)
+					if prune == nil || !prune(nw.t) {
+						next = append(next, nw)
 					}
 				}
 			}
@@ -551,13 +518,6 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, tra
 				}
 				if out.addRow(nw) {
 					e.Stats.TuplesOut++
-					if track {
-						if dir == fixFwd {
-							fixExtendPath(out, d.f, d.t, nw.t)
-						} else {
-							fixPrependPath(out, nw.f, d.f, d.t)
-						}
-					}
 					if prune == nil || !prune(nw.t) {
 						next = append(next, nw)
 					}
@@ -664,16 +624,16 @@ func (e *Exec) descScanFast(k descKernel, use descUse, startIdx, endIdx *colInde
 	e.Stats.DescScans++
 	out := e.newRel("")
 	if workers := e.parWorkers(len(srcs)); workers > 1 {
-		bufs, err := e.scanMorsels(len(srcs), workers, func(lo, hi int, buf []cand) []cand {
-			k.pairs(srcs[lo:hi], use, endIdx, func(w row) { buf = append(buf, cand{out: w}) })
+		bufs, err := e.scanMorsels(len(srcs), workers, func(lo, hi int, buf []row) []row {
+			k.pairs(srcs[lo:hi], use, endIdx, func(w row) { buf = append(buf, w) })
 			return buf
 		})
 		if err != nil {
 			return nil, err
 		}
 		for _, buf := range bufs {
-			for _, c := range buf {
-				out.appendDistinct(c.out)
+			for _, w := range buf {
+				out.appendDistinct(w)
 			}
 		}
 		e.Stats.TuplesOut += out.Len()
@@ -883,7 +843,7 @@ func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 			rrows := rel.probeRows()
 			from, to := edgeFrom[i], edgeTo[i]
 			pairs := pl.Pairs
-			scan := func(lo, hi int, buf []cand) []cand {
+			scan := func(lo, hi int, buf []row) []row {
 				for j := lo; j < hi; j++ {
 					d := acc[j]
 					if d.tag != from {
@@ -895,10 +855,10 @@ func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 							et := rrows[pos]
 							if pairs {
 								// Keep the origin: (d.F, edge.T).
-								buf = append(buf, cand{out: row{f: d.w.f, t: et.t, v: et.v}})
+								buf = append(buf, row{f: d.w.f, t: et.t, v: et.v})
 							} else {
 								// Fig 2: insert the edge's own (F, T).
-								buf = append(buf, cand{out: et})
+								buf = append(buf, et)
 							}
 						}
 					}
@@ -911,13 +871,13 @@ func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 					return nil, err
 				}
 				for _, buf := range bufs {
-					for _, c := range buf {
-						add(to, c.out)
+					for _, w := range buf {
+						add(to, w)
 					}
 				}
 			} else {
-				for _, c := range scan(0, snapshot, nil) {
-					add(to, c.out)
+				for _, w := range scan(0, snapshot, nil) {
+					add(to, w)
 				}
 			}
 		}

@@ -458,3 +458,15 @@ func TestTempMemoization(t *testing.T) {
 		t.Fatalf("temp evaluated twice: LFPs = %d", ex.Stats.LFPs)
 	}
 }
+
+func TestDBLabelsAndParents(t *testing.T) {
+	db := NewDB()
+	db.InsertLabeled("R_a", "a", 0, 1, "")
+	db.InsertLabeled("R_b", "b", 1, 2, "x")
+	if db.Labels[2] != "b" || db.Labels[1] != "a" {
+		t.Fatalf("labels = %v", db.Labels)
+	}
+	if db.Parent(2) != 1 || db.Parent(1) != 0 || !db.HasNode(1) {
+		t.Fatalf("parents = %d, %d", db.Parent(2), db.Parent(1))
+	}
+}

@@ -69,10 +69,6 @@ type Relation struct {
 	idxMu      sync.Mutex
 	idxBuilds  atomic.Int32 // index snapshot builds performed (regression stat)
 
-	// paths, when non-nil, holds the P attribute of §5.2: per (F, T) pair
-	// the node sequence of one witnessing path (excluding F, including T).
-	paths map[uint64][]int
-
 	// dead marks tombstoned row positions (see Delete). Tombstones are a
 	// private write-side state: a relation handed to query operators must be
 	// compacted first (Tombstones() == 0), because operators scan rows and
@@ -345,9 +341,6 @@ func (r *Relation) take(f, t int32) (row, bool) {
 	}
 	r.dead[pos] = true
 	r.nDead++
-	if r.paths != nil {
-		delete(r.paths, packPair(f, t))
-	}
 	return r.rows[pos], true
 }
 
@@ -650,19 +643,6 @@ func (r *Relation) idsFrom(from int32) []int {
 	return slices.Compact(out)
 }
 
-// SetPath records the witnessing path for (f, t) (P attribute, §5.2).
-func (r *Relation) SetPath(f, t int, path []int) {
-	if r.paths == nil {
-		r.paths = map[uint64][]int{}
-	}
-	r.paths[packPair(int32(f), int32(t))] = path
-}
-
-// PathOf returns the recorded witnessing path for (f, t), or nil.
-func (r *Relation) PathOf(f, t int) []int {
-	return r.paths[packPair(int32(f), int32(t))]
-}
-
 // Clone returns a deep copy sharing the interner. Tombstone state and built
 // indexes are carried over: the index snapshot arrays are immutable once
 // built (non-pooled relations never rebuild in place), so the clone shares
@@ -726,9 +706,6 @@ func (r *Relation) reset() {
 		if m != nil {
 			m.built = -1
 		}
-	}
-	if r.paths != nil {
-		clear(r.paths)
 	}
 	r.dead, r.nDead = nil, 0
 }

@@ -42,7 +42,6 @@ package xpath2sql
 
 import (
 	"io"
-	"math/rand"
 
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/dtd"
@@ -256,6 +255,3 @@ func AnswerOnView(q Query, d1 *DTD, source *Document) ([]NodeID, error) {
 func RewriteForView(q Query, d1 *DTD) (*ExtendedQuery, error) {
 	return views.Rewrite(q, d1)
 }
-
-// Seed is re-exported so examples can build deterministic value functions.
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
