@@ -8,39 +8,57 @@
 //
 // With -show exp the intermediate extended-XPath query is printed, with
 // -show ra the relational-algebra statement sequence, and with -show sql
-// (default) the SQL text.
+// (default) the SQL text. A usage error — a missing flag, an unknown dialect
+// — exits 2, a failed translation 1.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"xpath2sql"
 )
 
-func main() {
-	dtdPath := flag.String("dtd", "", "path to the DTD file (required)")
-	query := flag.String("query", "", "XPath query (required)")
-	strategy := flag.String("strategy", "X", "translation strategy: X (CycleEX), E (CycleE), R (SQLGen-R)")
-	dialect := flag.String("dialect", "db2", "SQL dialect for the LFP operator: db2 or oracle")
-	show := flag.String("show", "sql", "comma-separated outputs: exp, ra, sql")
-	noPush := flag.Bool("nopush", false, "disable pushing selections into the LFP operator")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the command over its arguments, returning the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("xpath2sql", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	dtdPath := flags.String("dtd", "", "path to the DTD file (required)")
+	query := flags.String("query", "", "XPath query (required)")
+	strategy := flags.String("strategy", "X", "translation strategy: X (CycleEX), E (CycleE), R (SQLGen-R)")
+	dialect := flags.String("dialect", "db2", "SQL dialect for the LFP operator: db2 (or sql99) or oracle")
+	show := flags.String("show", "sql", "comma-separated outputs: exp, ra, sql")
+	noPush := flags.Bool("nopush", false, "disable pushing selections into the LFP operator")
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *dtdPath == "" || *query == "" {
-		flag.Usage()
-		os.Exit(2)
+		flags.Usage()
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "xpath2sql:", err)
+		return code
+	}
+	dl, err := xpath2sql.ParseDialect(*dialect)
+	if err != nil {
+		return fail(2, err)
 	}
 	src, err := os.ReadFile(*dtdPath)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	d, err := xpath2sql.ParseDTD(string(src))
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	opts := xpath2sql.DefaultOptions()
 	switch strings.ToUpper(*strategy) {
@@ -51,44 +69,36 @@ func main() {
 	case "R":
 		opts.Strategy = xpath2sql.StrategySQLGenR
 	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		return fail(1, fmt.Errorf("unknown strategy %q", *strategy))
 	}
 	opts.SQL.PushSelections = !*noPush
 	eng := xpath2sql.New(d, xpath2sql.WithOptions(opts))
 	tr, err := eng.TranslateString(context.Background(), *query)
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	for _, what := range strings.Split(*show, ",") {
 		switch strings.TrimSpace(what) {
 		case "exp":
 			if eq := tr.ExtendedXPath(); eq != nil {
-				fmt.Println("-- extended XPath --")
-				fmt.Print(eq.String())
+				fmt.Fprintln(stdout, "-- extended XPath --")
+				fmt.Fprint(stdout, eq.String())
 			} else {
-				fmt.Println("-- (SQLGen-R bypasses extended XPath) --")
+				fmt.Fprintln(stdout, "-- (SQLGen-R bypasses extended XPath) --")
 			}
 		case "ra":
-			fmt.Println("-- relational algebra --")
-			fmt.Print(tr.Program().String())
+			fmt.Fprintln(stdout, "-- relational algebra --")
+			fmt.Fprint(stdout, tr.Program().String())
 		case "sql":
-			dl := xpath2sql.DialectDB2
-			if strings.EqualFold(*dialect, "oracle") {
-				dl = xpath2sql.DialectOracle
-			}
 			sql, err := tr.SQL(dl)
 			if err != nil {
-				fatal(err)
+				return fail(1, err)
 			}
-			fmt.Print(sql)
+			fmt.Fprint(stdout, sql)
 		case "":
 		default:
-			fatal(fmt.Errorf("unknown -show item %q", what))
+			return fail(1, fmt.Errorf("unknown -show item %q", what))
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "xpath2sql:", err)
-	os.Exit(1)
+	return 0
 }

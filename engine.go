@@ -8,6 +8,7 @@ import (
 	"xpath2sql/internal/obs"
 	"xpath2sql/internal/plancache"
 	"xpath2sql/internal/rdb"
+	"xpath2sql/internal/xpath"
 )
 
 // IntervalMode selects the physical path for descendant steps: the
@@ -182,11 +183,14 @@ func (e *Engine) translate(ctx context.Context, q Query) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// One print of the query is the cache key's tail and, on a miss, the
+	// translation's query text and sub-path classes.
+	pq := xpath.Print(q)
 	if e.cache == nil {
-		return e.schema.Translate(q, e.opts)
+		return e.schema.TranslatePrinted(q, pq, e.opts)
 	}
-	v, err := e.cache.Do(ctx, e.planKey(q), func() (any, error) {
-		return e.schema.Translate(q, e.opts)
+	v, err := e.cache.Do(ctx, e.keyPrefix+pq.Text, func() (any, error) {
+		return e.schema.TranslatePrinted(q, pq, e.opts)
 	})
 	if err != nil {
 		return nil, err

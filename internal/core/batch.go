@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -96,28 +97,21 @@ func mergeStmts(results []*Result) (*BatchResult, error) {
 		prog := res.Program
 		local := map[string]string{} // source stmt name -> merged stmt name
 		var resolve func(name string) (string, error)
-		var canon func(pl ra.Plan) (ra.Plan, error)
-		canon = func(pl ra.Plan) (ra.Plan, error) {
+		var failed error
+		var canon func(pl ra.Plan) (ra.Plan, bool)
+		canon = func(pl ra.Plan) (ra.Plan, bool) {
 			if t, ok := pl.(ra.Temp); ok {
 				nm, err := resolve(t.Name)
-				if err != nil {
-					return nil, err
+				if failed = cmp.Or(failed, err); err != nil || nm == t.Name {
+					return pl, false
 				}
-				return ra.Temp{Name: nm}, nil
+				return ra.Temp{Name: nm}, true
 			}
-			kids := ra.Inputs(pl)
-			ck := make([]ra.Plan, len(kids))
-			for i, k := range kids {
-				var err error
-				if ck[i], err = canon(k); err != nil {
-					return nil, err
-				}
-			}
-			p := ra.WithInputs(pl, ck)
+			p, changed := mapInputs(pl, canon)
 			if f, ok := p.(ra.Fix); ok && f.Start != nil && f.End != nil {
-				return ra.Semijoin{L: ra.Fix{Seed: f.Seed, Start: f.Start, Desc: f.Desc}, R: f.End}, nil
+				return ra.Semijoin{L: ra.Fix{Seed: f.Seed, Start: f.Start, Desc: f.Desc}, R: f.End}, true
 			}
-			return p, nil
+			return p, changed
 		}
 		resolve = func(name string) (string, error) {
 			if nm, ok := local[name]; ok {
@@ -127,9 +121,9 @@ func mergeStmts(results []*Result) (*BatchResult, error) {
 			if src == nil {
 				return "", fmt.Errorf("core: batch query %d: unknown statement %q", qi, name)
 			}
-			plan, err := canon(src)
-			if err != nil {
-				return "", err
+			plan, _ := canon(src)
+			if failed != nil {
+				return "", failed
 			}
 			key := in.ID(plan)
 			nm, ok := defs[key]

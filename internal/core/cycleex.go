@@ -11,7 +11,6 @@ import (
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/expath"
-	"xpath2sql/internal/shred"
 )
 
 // DocType is the reserved element-type name of the virtual document root.
@@ -32,7 +31,6 @@ type transGraph struct {
 	num      map[string]int32
 	kids     [][]int32 // the child types of each type, sorted; #doc's is the root
 	edges    []bool    // edges[from*len(nodes)+to]
-	rels     []string  // the stored relation of each type
 	reach    []reachList
 	condOnce sync.Once
 	cond     *condensation
@@ -42,9 +40,9 @@ func newTransGraph(g *dtd.Graph) *transGraph {
 	n := len(g.Nodes) + 1
 	t := &transGraph{Graph: g, nodes: append(append(make([]string, 0, n), DocType), g.Nodes...),
 		num: make(map[string]int32, n), kids: make([][]int32, n), edges: make([]bool, n*n),
-		rels: make([]string, n), reach: make([]reachList, n)}
+		reach: make([]reachList, n)}
 	for i, name := range t.nodes {
-		t.num[name], t.rels[i] = int32(i), shred.RelName(name)
+		t.num[name] = int32(i)
 	}
 	t.kids[0] = []int32{t.num[g.Root]}
 	for i, name := range g.Nodes {
@@ -74,14 +72,6 @@ func (t *transGraph) hasEdgeNamed(from, to string) bool {
 	f, ok1 := t.num[from]
 	c, ok2 := t.num[to]
 	return ok1 && ok2 && t.hasEdge(f, c)
-}
-
-// relName is shred.RelName read off the table.
-func (t *transGraph) relName(typ string) string {
-	if i, ok := t.num[typ]; ok {
-		return t.rels[i]
-	}
-	return shred.RelName(typ)
 }
 
 // reachOrSelf returns {A} ∪ {types reachable from A}: A first, the rest in

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"xpath2sql/internal/expath"
 	"xpath2sql/internal/ra"
@@ -43,16 +45,15 @@ func EXpToSQL(q *expath.Query, opts SQLOptions) (*ra.Program, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.RelName == nil {
-		opts.RelName = shred.RelName
-	}
-	tr := &sqlTranslator{opts: opts, varInfo: map[string]tPlan{}}
+	tr := sqlTranslators.Get().(*sqlTranslator)
+	defer tr.release()
+	tr.opts, tr.prefix = opts, "tmp"
 	for _, eq := range q.Eqs {
 		p := tr.e2s(eq.E)
 		// Bind the equation to a temporary table; keep its nullability so
 		// later references can fold the ε part into their own context.
 		name := "T_" + eq.X
-		tr.emit(name, p.pos)
+		tr.stmts = append(tr.stmts, ra.Stmt{Name: name, Plan: p.pos})
 		tr.varInfo[eq.X] = tPlan{pos: ra.Temp{Name: name}, nullable: p.nullable}
 	}
 	res := tr.e2s(q.Result)
@@ -60,8 +61,7 @@ func EXpToSQL(q *expath.Query, opts SQLOptions) (*ra.Program, error) {
 	if opts.AtRoot {
 		final = ra.SelectRoot{Child: final}
 	}
-	tr.emit("result", final)
-	prog := &ra.Program{Stmts: tr.stmts, Result: "result"}
+	prog := &ra.Program{Stmts: append(tr.stmts, ra.Stmt{Name: "result", Plan: final}), Result: "result"}
 	if opts.PushSelections {
 		Optimize(prog)
 	}
@@ -78,26 +78,90 @@ type tPlan struct {
 }
 
 type sqlTranslator struct {
+	temps
 	opts    SQLOptions
-	stmts   []ra.Stmt
 	varInfo map[string]tPlan
-	counter int
+	// Kept under the default naming (shred.RelName): relations, step plans.
+	rels   map[string]string
+	leaves map[[2]string]ra.Plan
 }
 
-func (tr *sqlTranslator) emit(name string, p ra.Plan) {
-	tr.stmts = append(tr.stmts, ra.Stmt{Name: name, Plan: p})
+// sqlTranslators recycles translators, and with them rels and leaves: a plan
+// is never written into, so any number of programs may share one.
+var sqlTranslators = sync.Pool{New: func() any {
+	return &sqlTranslator{varInfo: map[string]tPlan{}, rels: map[string]string{}, leaves: map[[2]string]ra.Plan{}}
+}}
+
+func (tr *sqlTranslator) release() {
+	clear(tr.varInfo)
+	if len(tr.leaves)+len(tr.rels) > 1<<12 {
+		clear(tr.rels)
+		clear(tr.leaves)
+	}
+	*tr = sqlTranslator{varInfo: tr.varInfo, rels: tr.rels, leaves: tr.leaves}
+	sqlTranslators.Put(tr)
+}
+
+// rel is the stored relation of a type under the configured naming.
+func (tr *sqlTranslator) rel(typ string) string {
+	if tr.opts.RelName != nil {
+		return tr.opts.RelName(typ)
+	}
+	r, ok := tr.rels[typ]
+	if !ok {
+		r = shred.RelName(typ)
+		tr.rels[typ] = r
+	}
+	return r
+}
+
+// leaf is the plan of a child step to type to, typed by its source when from
+// is not "": under the default naming one node per (from, to), however often
+// and in however many programs it recurs.
+func (tr *sqlTranslator) leaf(from, to string) ra.Plan {
+	k, keep := [2]string{from, to}, tr.opts.RelName == nil
+	if p, ok := tr.leaves[k]; ok && keep {
+		return p
+	}
+	var p ra.Plan = ra.Base{Rel: tr.rel(to)}
+	if from != "" {
+		p = ra.TypeFilter{Child: p, Rel: tr.rel(from), OnF: true}
+	}
+	if keep {
+		tr.leaves[k] = p
+	}
+	return p
+}
+
+// once is asTemp for an operand referenced only where it stands: a Φ seed, a
+// DescScan's alternative, a qualifier's witness. Under PushSelections,
+// InlineSingleUse would substitute its temp straight back, so none is made.
+func (tr *sqlTranslator) once(p ra.Plan) ra.Plan { return tr.add(p, !tr.opts.PushSelections) }
+
+// temps makes the temporary statements of a translation or a pass, named
+// prefix1, prefix2, … in the order they are made.
+type temps struct {
+	prefix string
+	n      int
+	stmts  []ra.Stmt
 }
 
 // asTemp materializes a plan as a temporary statement when it is about to be
 // referenced more than once, so the engine computes it a single time.
-func (tr *sqlTranslator) asTemp(p ra.Plan) ra.Plan {
+func (t *temps) asTemp(p ra.Plan) ra.Plan { return t.add(p, true) }
+
+// add is asTemp, making the statement only when emit is set: the name is
+// spent either way, so the temps that stay keep theirs.
+func (t *temps) add(p ra.Plan, emit bool) ra.Plan {
 	switch p.(type) {
-	case ra.Temp, ra.Base, ra.Ident:
+	case ra.Temp, ra.Base, ra.Ident, ra.RootSeed:
 		return p
 	}
-	tr.counter++
-	name := fmt.Sprintf("tmp%d", tr.counter)
-	tr.emit(name, p)
+	if t.n++; !emit {
+		return p
+	}
+	name := t.prefix + strconv.Itoa(t.n)
+	t.stmts = append(t.stmts, ra.Stmt{Name: name, Plan: p})
 	return ra.Temp{Name: name}
 }
 
@@ -108,20 +172,27 @@ func isEmpty(p ra.Plan) bool {
 	return ok && len(u.Kids) == 0
 }
 
+// union is the union of ps, nested unions flattened, built in one slice of
+// the size it ends at.
 func union(ps ...ra.Plan) ra.Plan {
-	var kids []ra.Plan
+	n, last := 0, empty()
 	for _, p := range ps {
-		if isEmpty(p) {
-			continue
+		if u, ok := p.(ra.UnionAll); !ok {
+			n, last = n+1, p
+		} else if len(u.Kids) > 0 {
+			n, last = n+len(u.Kids), p
 		}
+	}
+	if n <= 1 {
+		return last // no union built here has one operand, so last is not one
+	}
+	kids := make([]ra.Plan, 0, n)
+	for _, p := range ps {
 		if u, ok := p.(ra.UnionAll); ok {
 			kids = append(kids, u.Kids...)
-			continue
+		} else {
+			kids = append(kids, p)
 		}
-		kids = append(kids, p)
-	}
-	if len(kids) == 1 {
-		return kids[0]
 	}
 	return ra.UnionAll{Kids: kids}
 }
@@ -144,15 +215,11 @@ func (tr *sqlTranslator) e2s(e expath.Expr) tPlan {
 		}
 		return tPlan{pos: empty(), nullable: true}
 	case expath.Label: // case (2)
-		return tPlan{pos: ra.Base{Rel: tr.opts.RelName(e.Name)}}
+		return tPlan{pos: tr.leaf("", e.Name)}
 	case expath.Edge:
 		// Source-typed step: To-children of From-typed nodes, the typed
 		// edge join of Example 3.5 (e.g. Rs/Rc) as an F-side semijoin.
-		return tPlan{pos: ra.TypeFilter{
-			Child: ra.Base{Rel: tr.opts.RelName(e.To)},
-			Rel:   tr.opts.RelName(e.From),
-			OnF:   true,
-		}}
+		return tPlan{pos: tr.leaf(e.From, e.To)}
 	case expath.Var: // case (3)
 		info, ok := tr.varInfo[e.Name]
 		if !ok {
@@ -201,7 +268,7 @@ func (tr *sqlTranslator) e2s(e expath.Expr) tPlan {
 		// Closures over child-step unions relate nodes to proper
 		// descendants; mark the fixpoint so interval-aware engines can
 		// prune expansion by containment.
-		fix := ra.Fix{Seed: tr.asTemp(seed), Desc: true}
+		fix := ra.Fix{Seed: tr.once(seed), Desc: true}
 		if tr.opts.UseRid {
 			return tPlan{pos: union(fix, ra.Ident{})}
 		}
@@ -220,9 +287,9 @@ func (tr *sqlTranslator) e2s(e expath.Expr) tPlan {
 		}
 		return tPlan{
 			pos: ra.DescScan{
-				From: tr.opts.RelName(e.From),
-				To:   tr.opts.RelName(e.To),
-				Alt:  tr.asTemp(inner.pos),
+				From: tr.rel(e.From),
+				To:   tr.rel(e.To),
+				Alt:  tr.once(inner.pos),
 			},
 			nullable: inner.nullable,
 		}
@@ -261,7 +328,7 @@ func (tr *sqlTranslator) applyQual(q expath.Qual, cand ra.Plan) ra.Plan {
 		if isEmpty(w.pos) {
 			return empty()
 		}
-		return ra.Semijoin{L: cand, R: tr.asTemp(w.pos)}
+		return ra.Semijoin{L: cand, R: tr.once(w.pos)}
 	case expath.QText:
 		return ra.SelectVal{Child: cand, Val: q.C}
 	case expath.QNot:
@@ -274,7 +341,7 @@ func (tr *sqlTranslator) applyQual(q expath.Qual, cand ra.Plan) ra.Plan {
 			if isEmpty(w.pos) {
 				return cand
 			}
-			return ra.Antijoin{L: cand, R: tr.asTemp(w.pos)}
+			return ra.Antijoin{L: cand, R: tr.once(w.pos)}
 		}
 		c := tr.asTemp(cand)
 		return ra.Diff{L: c, R: tr.applyQual(q.Q, c)}

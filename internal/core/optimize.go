@@ -30,12 +30,15 @@ func pushSelections(p *ra.Program) {
 	// referenced exactly once are first inlined into their use site (shared
 	// temps — the common sub-queries variables exist for — are kept).
 	InlineSingleUse(p)
-	o := &optimizer{prog: p}
-	for i := range p.Stmts {
-		p.Stmts[i].Plan = sinkRoot(p.Stmts[i].Plan)
-		p.Stmts[i].Plan = o.opt(p.Stmts[i].Plan)
+	// New statements go last: the executor and the renderer order by need.
+	o := &optimizer{temps{prefix: "opt"}}
+	stmts := make([]ra.Stmt, len(p.Stmts))
+	for i, s := range p.Stmts {
+		pl, _ := sinkRoot(s.Plan)
+		pl, _ = o.opt(pl)
+		stmts[i] = ra.Stmt{Name: s.Name, Plan: pl}
 	}
-	p.Stmts = append(p.Stmts, o.extra...)
+	p.Stmts = append(stmts, o.stmts...)
 }
 
 // ExtractCommon factors structurally identical non-trivial subplans that
@@ -55,16 +58,15 @@ func ExtractCommon(p *ra.Program) {
 	}
 	c.in.Reset()
 	clear(c.name)
+	clear(c.stmts)
 	clear(c.extra)
-	*c = cse{in: c.in, nodes: c.nodes[:0], kids: c.kids[:0], uses: c.uses[:0], name: c.name[:0], extra: c.extra[:0]}
+	*c = cse{in: c.in, nodes: c.nodes[:0], kids: c.kids[:0], uses: c.uses[:0], name: c.name[:0], stmts: c.stmts[:0], extra: c.extra[:0]}
 	cses.Put(c)
 }
 
 // cses recycles ExtractCommon's scratch — its node list, the counts and names
 // per plan number, the interner — emptied when put back, up to 64k nodes.
 var cses = sync.Pool{New: func() any { return &cse{in: ra.NewInterner()} }}
-
-func extractCommon(p *ra.Program, in *ra.Interner) { (&cse{in: in}).extract(p) }
 
 // cse is the state of one ExtractCommon run.
 type cse struct {
@@ -73,11 +75,11 @@ type cse struct {
 	kids  []int     // stack of operand numbers under construction
 	// uses counts, per plan number, the shareable nodes that carry it; name
 	// is the statement defining it once it is shared ("" before).
-	uses  []int
-	name  []string
-	pos   int // the rewrite's cursor into nodes
-	n     int // cse statements named so far
-	extra []ra.Stmt
+	uses         []int
+	name         []string
+	pos          int       // the rewrite's cursor into nodes
+	n            int       // cse statements named so far
+	stmts, extra []ra.Stmt // the program's statements rewritten, the cse ones
 }
 
 type cseNode struct {
@@ -107,10 +109,11 @@ func (c *cse) extract(p *ra.Program) {
 			c.uses[n.id] += 2 // force dedup against the stmt
 		}
 	}
-	for i := range p.Stmts {
-		p.Stmts[i].Plan = c.rewriteInputs(p.Stmts[i].Plan)
+	for _, s := range p.Stmts {
+		pl, _ := c.rewriteInputs(s.Plan)
+		c.stmts = append(c.stmts, ra.Stmt{Name: s.Name, Plan: pl})
 	}
-	p.Stmts = append(p.Stmts, c.extra...)
+	p.Stmts = slices.Concat(c.stmts, c.extra) // p's slice is replaced, not written into
 }
 
 // number records pl's subtree in c.nodes and returns pl's plan number.
@@ -118,7 +121,7 @@ func (c *cse) number(pl ra.Plan) int {
 	pos, base := len(c.nodes), len(c.kids)
 	c.nodes = append(c.nodes, cseNode{share: shareable(pl)})
 	var buf [4]ra.Plan
-	for _, k := range ra.AppendInputs(buf[:0], pl) {
+	for _, k := range ra.Operands(buf[:0], pl) {
 		id := c.number(k)
 		c.kids = append(c.kids, id)
 	}
@@ -131,7 +134,7 @@ func (c *cse) number(pl ra.Plan) int {
 // rewrite replaces the node under the cursor by a reference to its shared
 // statement when it occurs more than once, defining the statement at the
 // first occurrence.
-func (c *cse) rewrite(pl ra.Plan) ra.Plan {
+func (c *cse) rewrite(pl ra.Plan) (ra.Plan, bool) {
 	n := c.nodes[c.pos]
 	if !n.share || c.uses[n.id] < 2 {
 		return c.rewriteInputs(pl)
@@ -142,16 +145,16 @@ func (c *cse) rewrite(pl ra.Plan) ra.Plan {
 		c.name[n.id] = name
 		// The definition is computed before extra is read: rewriting it
 		// appends the statements of the common sub-plans inside it.
-		def := c.rewriteInputs(pl)
+		def, _ := c.rewriteInputs(pl)
 		c.extra = append(c.extra, ra.Stmt{Name: name, Plan: def})
 	} else {
 		c.pos = n.end
 	}
-	return ra.Temp{Name: c.name[n.id]}
+	return ra.Temp{Name: c.name[n.id]}, true
 }
 
 // rewriteInputs steps the cursor past pl and rewrites its operands.
-func (c *cse) rewriteInputs(pl ra.Plan) ra.Plan {
+func (c *cse) rewriteInputs(pl ra.Plan) (ra.Plan, bool) {
 	c.pos++
 	return mapInputs(pl, c.rewrite)
 }
@@ -171,15 +174,17 @@ func shareable(pl ra.Plan) bool {
 // never materializes results for non-root contexts. On recursive root types
 // (the cross-cycle DTD's 'a') this turns an all-contexts closure into a
 // single-source one.
-func sinkRoot(p ra.Plan) ra.Plan {
+func sinkRoot(p ra.Plan) (ra.Plan, bool) {
 	switch q := p.(type) {
 	case ra.SelectRoot:
-		return sinkRootInto(q.Child)
+		if r := sinkRootInto(q.Child); r != nil {
+			return r, true
+		}
+		return p, false
 	case ra.Fix:
-		q.Seed = sinkRoot(q.Seed)
-		return q
+		return mapInput(p, 0, sinkRoot)
 	case ra.DescScan, ra.RecUnion:
-		return p
+		return p, false
 	}
 	return mapInputs(p, sinkRoot)
 }
@@ -187,29 +192,43 @@ func sinkRoot(p ra.Plan) ra.Plan {
 // sinkRootInto rewrites a plan to its σ_{F='_'} restriction, descending the
 // operators whose F column is inherited from their left/only child: σ(L ∘ R)
 // = σ(L) ∘ R, and σ(L \ R) = σ(L) \ R since a root tuple of L is in R iff it
-// is in σ(R).
+// is in σ(R). It returns nil when the selection stays on top of p and p is
+// unchanged, so the caller can keep the σ(p) node it holds.
 func sinkRootInto(p ra.Plan) ra.Plan {
 	switch q := p.(type) {
 	case ra.SelectRoot:
-		return sinkRootInto(q.Child)
+		return rootOf(q.Child)
 	case ra.UnionAll:
-		return mapInputs(p, sinkRootInto)
+		r, _ := mapInputs(p, func(k ra.Plan) (ra.Plan, bool) { return rootOf(k), true })
+		return r
 	case ra.Compose, ra.SelectVal, ra.Semijoin, ra.Antijoin, ra.Diff, ra.TypeFilter:
 		var in, out [4]ra.Plan
 		kids := ra.AppendInputs(in[:0], p)
-		out[0] = sinkRootInto(kids[0])
+		out[0] = rootOf(kids[0])
 		for i := 1; i < len(kids); i++ {
-			out[i] = sinkRoot(kids[i])
+			out[i], _ = sinkRoot(kids[i])
 		}
 		return ra.WithInputs(p, out[:len(kids)])
 	case ra.Fix:
 		if q.Start == nil {
 			// σ_{F='_'}(Φ(R)) = paths starting at the virtual root.
-			q.Seed, q.Start = sinkRoot(q.Seed), ra.RootSeed{}
+			q.Seed, _ = sinkRoot(q.Seed)
+			q.Start = ra.RootSeed{}
 			return q
 		}
 	}
-	return ra.SelectRoot{Child: sinkRoot(p)}
+	if c, ok := sinkRoot(p); ok {
+		return ra.SelectRoot{Child: c}
+	}
+	return nil
+}
+
+// rootOf is sinkRootInto(p), or σ_{F='_'}(p) where that is nil.
+func rootOf(p ra.Plan) ra.Plan {
+	if r := sinkRootInto(p); r != nil {
+		return r
+	}
+	return ra.SelectRoot{Child: p}
 }
 
 // InlineSingleUse substitutes the plan of every statement referenced exactly
@@ -224,7 +243,7 @@ func InlineSingleUse(p *ra.Program) {
 			refs[t.Name]++
 		}
 		var buf [4]ra.Plan
-		for _, k := range ra.AppendInputs(buf[:0], pl) {
+		for _, k := range ra.Operands(buf[:0], pl) {
 			count(k)
 		}
 	}
@@ -240,11 +259,12 @@ func InlineSingleUse(p *ra.Program) {
 	if len(inline) == 0 {
 		return
 	}
-	var subst func(pl ra.Plan) ra.Plan
-	subst = func(pl ra.Plan) ra.Plan {
+	var subst func(pl ra.Plan) (ra.Plan, bool)
+	subst = func(pl ra.Plan) (ra.Plan, bool) {
 		if t, ok := pl.(ra.Temp); ok {
 			if def, ok := inline[t.Name]; ok {
-				return subst(def)
+				def, _ = subst(def)
+				return def, true
 			}
 		}
 		return mapInputs(pl, subst)
@@ -252,98 +272,107 @@ func InlineSingleUse(p *ra.Program) {
 	kept := make([]ra.Stmt, 0, len(p.Stmts)-len(inline))
 	for _, s := range p.Stmts {
 		if _, gone := inline[s.Name]; !gone {
-			kept = append(kept, ra.Stmt{Name: s.Name, Plan: subst(s.Plan)})
+			pl, _ := subst(s.Plan)
+			kept = append(kept, ra.Stmt{Name: s.Name, Plan: pl})
 		}
 	}
 	p.Stmts = kept
 }
 
-// mapInputs returns pl with f applied to each of its operands (pl itself
-// when it has none).
-func mapInputs(pl ra.Plan, f func(ra.Plan) ra.Plan) ra.Plan {
+// mapInputs returns pl with f applied to each of its operands, and whether f
+// changed any; like f, it returns pl itself when nothing changed. Every pass
+// rewrites so, copy-on-change (DESIGN.md): it writes into no node or Kids
+// slice it did not allocate, and allocates only along the paths it alters.
+func mapInputs(pl ra.Plan, f func(ra.Plan) (ra.Plan, bool)) (ra.Plan, bool) {
 	var in, out [4]ra.Plan
-	kids := out[:0]
-	for _, k := range ra.AppendInputs(in[:0], pl) {
-		kids = append(kids, f(k))
+	kids := ra.Operands(in[:0], pl)
+	var res []ra.Plan // nil until an operand changes
+	for i, k := range kids {
+		nk, changed := f(k)
+		if changed && res == nil {
+			res = append(out[:0], kids[:i]...)
+		}
+		if res != nil {
+			res = append(res, nk)
+		}
 	}
-	if len(kids) == 0 {
-		return pl
+	if res == nil {
+		return pl, false
 	}
-	return ra.WithInputs(pl, kids)
+	return ra.WithInputs(pl, res), true
 }
 
-type optimizer struct {
-	prog    *ra.Program
-	extra   []ra.Stmt
-	counter int
-}
-
-// asTemp makes a plan cheaply referenceable from two places. New statements
-// are appended to the program; the executor resolves temp references lazily
-// so definition order does not matter (the SQL renderer topo-sorts).
-func (o *optimizer) asTemp(p ra.Plan) ra.Plan {
-	switch p.(type) {
-	case ra.Temp, ra.Base, ra.Ident:
-		return p
+// mapInput is mapInputs applying f to pl's i-th operand alone.
+func mapInput(pl ra.Plan, i int, f func(ra.Plan) (ra.Plan, bool)) (ra.Plan, bool) {
+	var in [4]ra.Plan
+	kids := ra.AppendInputs(in[:0], pl)
+	k, ok := f(kids[i])
+	if !ok {
+		return pl, false
 	}
-	o.counter++
-	name := fmt.Sprintf("opt%d", o.counter)
-	o.extra = append(o.extra, ra.Stmt{Name: name, Plan: p})
-	return ra.Temp{Name: name}
+	kids[i] = k
+	return ra.WithInputs(pl, kids), true
 }
 
-func (o *optimizer) opt(p ra.Plan) ra.Plan {
-	switch p := p.(type) {
+type optimizer struct{ temps }
+
+func (o *optimizer) opt(p ra.Plan) (ra.Plan, bool) {
+	switch q := p.(type) {
 	case ra.Compose:
 		// Left-deep normalization: the path join is associative, and
 		// L ⋈ (A ⋈ B) ⇒ (L ⋈ A) ⋈ B lets the pushed start constraint of a
 		// fixpoint in B be the anchored prefix L ⋈ A instead of bare A.
-		for {
-			inner, ok := p.R.(ra.Compose)
-			if !ok {
-				break
-			}
-			p = ra.Compose{L: ra.Compose{L: p.L, R: inner.L}, R: inner.R}
+		changed := false
+		for inner, ok := q.R.(ra.Compose); ok; inner, ok = q.R.(ra.Compose) {
+			q, changed = ra.Compose{L: ra.Compose{L: q.L, R: inner.L}, R: inner.R}, true
 		}
 		// Distribute the join over a union that hides an unconstrained
 		// fixpoint (rule (i) of §5.2): L ⋈ (A ∪ B) ⇒ (L ⋈ A) ∪ (L ⋈ B), so
 		// each branch's fixpoint can be seeded by the full prefix L.
-		if u, ok := p.R.(ra.UnionAll); ok && containsOpenFix(p.R) {
-			l := o.asTemp(o.opt(p.L))
+		if u, ok := q.R.(ra.UnionAll); ok && containsOpenFix(q.R) {
+			l, _ := o.opt(q.L)
+			l = o.asTemp(l)
 			kids := make([]ra.Plan, len(u.Kids))
 			for i, k := range u.Kids {
-				kids[i] = o.opt(ra.Compose{L: l, R: k})
+				kids[i], _ = o.opt(ra.Compose{L: l, R: k})
 			}
-			return ra.UnionAll{Kids: kids}
+			return ra.UnionAll{Kids: kids}, true
 		}
-		l := o.opt(p.L)
-		r := o.opt(p.R)
+		l, lc := o.opt(q.L)
+		r, rc := o.opt(q.R)
 		// R1 ⋈ Φ: constrain the fixpoint's start nodes to π_T(R1).
 		if hasOpen(r, false) {
 			l = o.asTemp(l)
-			r = push(r, l, false)
+			r, _ = push(r, l, false)
+			changed = true
 		}
 		// Φ ⋈ R1: constrain the fixpoint's end nodes to π_F(R1).
 		if hasOpen(l, true) {
 			r = o.asTemp(r)
-			l = push(l, r, true)
+			l, _ = push(l, r, true)
+			changed = true
 		}
-		return ra.Compose{L: l, R: r}
+		if !changed && !lc && !rc {
+			return p, false
+		}
+		return ra.Compose{L: l, R: r}, true
 	case ra.Semijoin, ra.Antijoin:
 		var in [4]ra.Plan
 		kids := ra.AppendInputs(in[:0], p)
-		l, r := o.opt(kids[0]), o.opt(kids[1])
+		l, lc := o.opt(kids[0])
+		r, rc := o.opt(kids[1])
 		if hasOpen(r, false) {
 			l = o.asTemp(l)
-			r = push(r, l, false)
+			r, _ = push(r, l, false)
+			lc = true
 		}
-		return ra.WithInputs(p, []ra.Plan{l, r})
-	case ra.Fix:
-		p.Seed = o.opt(p.Seed)
-		return p
-	case ra.DescScan:
-		p.Alt = o.opt(p.Alt)
-		return p
+		if !lc && !rc {
+			return p, false
+		}
+		in[0], in[1] = l, r
+		return ra.WithInputs(p, in[:2]), true
+	case ra.Fix, ra.DescScan:
+		return mapInput(p, 0, o.opt)
 	case ra.UnionAll, ra.SelectVal, ra.SelectRoot, ra.IdentOf, ra.Diff:
 		// Never push into Diff.R: shrinking the subtrahend is unsound.
 		return mapInputs(p, o.opt)
@@ -351,7 +380,7 @@ func (o *optimizer) opt(p ra.Plan) ra.Plan {
 		// with…recursive is a black box (§3.1): nothing is pushed inside a
 		// RecUnion, which is precisely the limitation the paper contrasts
 		// against.
-		return p
+		return p, false
 	}
 }
 
@@ -369,12 +398,8 @@ func containsOpenFix(p ra.Plan) bool {
 	case ra.RecUnion:
 		return false
 	default:
-		for _, k := range ra.Inputs(p) {
-			if containsOpenFix(k) {
-				return true
-			}
-		}
-		return false
+		var in [4]ra.Plan
+		return slices.ContainsFunc(ra.Operands(in[:0], p), containsOpenFix)
 	}
 }
 
@@ -382,32 +407,30 @@ func containsOpenFix(p ra.Plan) bool {
 // its F column (end false) or its T column (end true), a fixpoint without
 // that constraint.
 func hasOpen(p ra.Plan, end bool) bool {
-	switch p := p.(type) {
+	switch q := p.(type) {
 	case ra.Fix:
-		return *side(&p.Start, &p.End, end) == nil
+		return *side(&q.Start, &q.End, end) == nil
 	case ra.DescScan:
-		return *side(&p.Start, &p.End, end) == nil
-	case ra.Compose:
-		if end {
-			return hasOpen(p.R, end)
-		}
-		return hasOpen(p.L, end)
+		return *side(&q.Start, &q.End, end) == nil
 	case ra.UnionAll:
-		for _, k := range p.Kids {
-			if hasOpen(k, end) {
-				return true
-			}
-		}
-		return false
-	case ra.SelectVal:
-		return hasOpen(p.Child, end)
-	case ra.Semijoin:
-		return hasOpen(p.L, end)
-	case ra.Antijoin:
-		return hasOpen(p.L, end)
-	default:
-		return false
+		return slices.ContainsFunc(q.Kids, func(k ra.Plan) bool { return hasOpen(k, end) })
 	}
+	var in [4]ra.Plan
+	i := column(p, end)
+	return i >= 0 && hasOpen(ra.AppendInputs(in[:0], p)[i], end)
+}
+
+// column is the operand whose F column (T column when end) p passes on as its
+// own, -1 for none: a composition's left (right) side, a filter's filtered.
+func column(p ra.Plan, end bool) int {
+	switch p.(type) {
+	case ra.Compose, ra.SelectVal, ra.Semijoin, ra.Antijoin:
+		if _, ok := p.(ra.Compose); ok && end {
+			return 1
+		}
+		return 0
+	}
+	return -1
 }
 
 // side is the start or, when isEnd, the end constraint of a fixpoint.
@@ -420,39 +443,30 @@ func side(start, end *ra.Plan, isEnd bool) *ra.Plan {
 
 // push adds the start constraint F ∈ π_T(c) (end false) or the end
 // constraint T ∈ π_F(c) (end true) to every reachable open fixpoint that
-// determines the plan's F or T column. A DescScan takes the constraint
-// itself, and its fallback alternative inherits it too, so a non-interval
-// engine also benefits.
-func push(p ra.Plan, c ra.Plan, end bool) ra.Plan {
-	switch p := p.(type) {
+// determines the plan's F or T column, and reports whether it found one:
+// only the operators on the way to one are rebuilt. A DescScan takes the
+// constraint itself, and its fallback alternative inherits it too, so a
+// non-interval engine also benefits.
+func push(p ra.Plan, c ra.Plan, end bool) (ra.Plan, bool) {
+	pushed := func(k ra.Plan) (ra.Plan, bool) { return push(k, c, end) }
+	switch q := p.(type) {
 	case ra.Fix:
-		if s := side(&p.Start, &p.End, end); *s == nil {
+		if s := side(&q.Start, &q.End, end); *s == nil {
 			*s = c
+			return q, true
 		}
-		return p
 	case ra.DescScan:
-		if s := side(&p.Start, &p.End, end); *s == nil {
-			*s, p.Alt = c, push(p.Alt, c, end)
+		if s := side(&q.Start, &q.End, end); *s == nil {
+			*s = c
+			q.Alt, _ = push(q.Alt, c, end)
+			return q, true
 		}
-		return p
-	case ra.Compose:
-		if end {
-			return ra.Compose{L: p.L, R: push(p.R, c, end)}
-		}
-		return ra.Compose{L: push(p.L, c, end), R: p.R}
 	case ra.UnionAll:
-		kids := make([]ra.Plan, len(p.Kids))
-		for i, k := range p.Kids {
-			kids[i] = push(k, c, end)
-		}
-		return ra.UnionAll{Kids: kids}
-	case ra.SelectVal:
-		return ra.SelectVal{Child: push(p.Child, c, end), Val: p.Val}
-	case ra.Semijoin:
-		return ra.Semijoin{L: push(p.L, c, end), R: p.R}
-	case ra.Antijoin:
-		return ra.Antijoin{L: push(p.L, c, end), R: p.R}
+		return mapInputs(p, pushed)
 	default:
-		return p
+		if i := column(p, end); i >= 0 {
+			return mapInput(p, i, pushed)
+		}
 	}
+	return p, false
 }

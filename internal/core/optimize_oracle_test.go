@@ -22,7 +22,7 @@ var (
 	ExtractCommonByString = extractCommonByString
 	PushSelections        = pushSelections
 	MergeStmts            = mergeStmts
-	ExtractCommonWith     = extractCommon
+	ExtractCommonWith     = func(p *ra.Program, in *ra.Interner) { (&cse{in: in}).extract(p) }
 )
 
 func extractCommonByString(p *ra.Program) {
@@ -209,7 +209,7 @@ func oracleRebuild(pl ra.Plan, kids []ra.Plan) ra.Plan {
 func TranslationTerms(q xpath.Path, d *dtd.DTD, strategy RecStrategy) (*expath.Table, error) {
 	tr := newExTranslator(NewSchema(d).g, strategy)
 	result := expath.ZeroTerm
-	for _, x := range tr.translate(tr.number(q), 0) {
+	for _, x := range tr.translate(tr.number(q, xpath.Print(q)), 0) {
 		result = tr.t.Union(result, x.e)
 	}
 	_, err := tr.t.Prune(append(tr.recVars, tr.vars...), result)

@@ -102,7 +102,7 @@ func TestExtractCommonReusesExistingStmt(t *testing.T) {
 
 func TestSinkRootThroughCompose(t *testing.T) {
 	in := ra.SelectRoot{Child: ra.Compose{L: ra.Base{Rel: "A"}, R: ra.Base{Rel: "B"}}}
-	out := sinkRoot(in)
+	out, _ := sinkRoot(in)
 	s := out.String()
 	// σ lands on the left input, not the join output.
 	if !strings.Contains(s, "σ[F='_'](A)") {
@@ -115,7 +115,7 @@ func TestSinkRootThroughCompose(t *testing.T) {
 
 func TestSinkRootIntoFixBecomesStart(t *testing.T) {
 	in := ra.SelectRoot{Child: ra.Fix{Seed: ra.Base{Rel: "E"}}}
-	out := sinkRoot(in)
+	out, _ := sinkRoot(in)
 	f, ok := out.(ra.Fix)
 	if !ok {
 		t.Fatalf("got %T", out)
@@ -127,7 +127,7 @@ func TestSinkRootIntoFixBecomesStart(t *testing.T) {
 
 func TestSinkRootKeepsDiffSubtrahend(t *testing.T) {
 	in := ra.SelectRoot{Child: ra.Diff{L: ra.Base{Rel: "A"}, R: ra.Base{Rel: "B"}}}
-	out := sinkRoot(in)
+	out, _ := sinkRoot(in)
 	d, ok := out.(ra.Diff)
 	if !ok {
 		t.Fatalf("got %T", out)

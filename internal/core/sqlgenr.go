@@ -30,7 +30,7 @@ func (s *Schema) sqlGenR(q xpath.Path) (*ra.Program, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	t := &rTranslator{g: s.g}
+	t := &rTranslator{temps: temps{prefix: "r"}, g: s.g}
 	alts, err := flattenAlts(q)
 	if err != nil {
 		return nil, err
@@ -43,8 +43,7 @@ func (s *Schema) sqlGenR(q xpath.Path) (*ra.Program, error) {
 		}
 		plans = append(plans, p)
 	}
-	t.emit("result", union(plans...))
-	return &ra.Program{Stmts: t.stmts, Result: "result"}, nil
+	return &ra.Program{Stmts: append(t.stmts, ra.Stmt{Name: "result", Plan: union(plans...)}), Result: "result"}, nil
 }
 
 // anchoredSpine translates one spine. Faithful to [39], evaluation is
@@ -178,24 +177,8 @@ func flattenAlts(p xpath.Path) ([][]rStep, error) {
 }
 
 type rTranslator struct {
-	g       *transGraph
-	stmts   []ra.Stmt
-	counter int
-}
-
-func (t *rTranslator) emit(name string, p ra.Plan) {
-	t.stmts = append(t.stmts, ra.Stmt{Name: name, Plan: p})
-}
-
-func (t *rTranslator) asTemp(p ra.Plan) ra.Plan {
-	switch p.(type) {
-	case ra.Temp, ra.Base, ra.RootSeed:
-		return p
-	}
-	t.counter++
-	name := fmt.Sprintf("r%d", t.counter)
-	t.emit(name, p)
-	return ra.Temp{Name: name}
+	temps
+	g *transGraph
 }
 
 // spine translates a step sequence starting from the context relation ctx

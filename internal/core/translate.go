@@ -108,13 +108,19 @@ func Translate(q xpath.Path, d *dtd.DTD, opts Options) (*Result, error) {
 
 // Translate is the package-level Translate over the schema's DTD.
 func (s *Schema) Translate(q xpath.Path, opts Options) (*Result, error) {
+	return s.TranslatePrinted(q, xpath.Print(q), opts)
+}
+
+// TranslatePrinted is Translate of q printed as pq: a plan cache keyed on
+// pq.Text passes it on, so a miss prints the query once.
+func (s *Schema) TranslatePrinted(q xpath.Path, pq xpath.Printed, opts Options) (*Result, error) {
 	switch opts.Strategy {
 	case StrategySQLGenR:
 		prog, err := s.sqlGenR(q)
 		if err != nil {
 			return nil, err
 		}
-		prog.DTDFP, prog.Query = s.Fingerprint(), CanonicalQuery(q)
+		prog.DTDFP, prog.Query = s.Fingerprint(), pq.Text
 		prog.StampKeys()
 		return &Result{Strategy: opts.Strategy, Program: prog}, nil
 	case StrategyCycleE, StrategyCycleEX:
@@ -125,15 +131,11 @@ func (s *Schema) Translate(q xpath.Path, opts Options) (*Result, error) {
 		if opts.Strategy == StrategyCycleE {
 			rec = RecCycleE
 		}
-		eq, err := s.xpathToEXp(q, rec)
+		eq, err := s.xpathToEXp(q, pq, rec)
 		if err != nil {
 			return nil, err
 		}
-		sqlOpts := opts.SQL
-		if sqlOpts.RelName == nil {
-			sqlOpts.RelName = s.g.relName // shred.RelName off the schema's table
-		}
-		prog, err := EXpToSQL(eq, sqlOpts)
+		prog, err := EXpToSQL(eq, opts.SQL)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +144,7 @@ func (s *Schema) Translate(q xpath.Path, opts Options) (*Result, error) {
 		// taking the DescScan fast path, the query text for executors that
 		// ship text, not plans, and the keys executors and the SQL renderer
 		// skip dedup on.
-		prog.DTDFP, prog.Query = s.Fingerprint(), CanonicalQuery(q)
+		prog.DTDFP, prog.Query = s.Fingerprint(), pq.Text
 		prog.StampKeys()
 		return &Result{Strategy: opts.Strategy, EQ: eq, Program: prog}, nil
 	}

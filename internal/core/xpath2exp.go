@@ -36,10 +36,11 @@ const (
 // anchored at the virtual document root: its result relation holds pairs
 // (root, answer).
 func XPathToEXp(q xpath.Path, d *dtd.DTD, strategy RecStrategy) (*expath.Query, error) {
-	return NewSchema(d).xpathToEXp(q, strategy)
+	return NewSchema(d).xpathToEXp(q, xpath.Print(q), strategy)
 }
 
-func (s *Schema) xpathToEXp(q xpath.Path, strategy RecStrategy) (*expath.Query, error) {
+// xpathToEXp is XPathToEXp over the schema's DTD; pq is q printed.
+func (s *Schema) xpathToEXp(q xpath.Path, pq xpath.Printed, strategy RecStrategy) (*expath.Query, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -49,7 +50,7 @@ func (s *Schema) xpathToEXp(q xpath.Path, strategy RecStrategy) (*expath.Query, 
 	// computed on demand per (sub-query, A), memoized: only reachable
 	// contexts matter.
 	result := expath.ZeroTerm
-	for _, x := range tr.translate(tr.number(q), 0) {
+	for _, x := range tr.translate(tr.number(q, pq), 0) {
 		result = tr.t.Union(result, x.e)
 	}
 	out, err := tr.t.Prune(append(tr.recVars, tr.vars...), result)
@@ -138,9 +139,10 @@ func (tr *exTranslator) release() {
 
 // number lists the query's sub-paths and qualifiers in post-order (one walk)
 // and returns the root's index. A sub-path's memo class is the number of its
-// printed form (xpath.Classes): sub-paths share the memo when they print alike.
-func (tr *exTranslator) number(q xpath.Path) int32 {
-	classes, nc := xpath.Classes(q)
+// printed form (xpath.Printed.Classes of pq, q printed): sub-paths share the
+// memo when they print alike.
+func (tr *exTranslator) number(q xpath.Path, pq xpath.Printed) int32 {
+	classes, nc := pq.Classes()
 	add := func(n sub) int32 {
 		tr.subs = append(tr.subs, n)
 		return int32(len(tr.subs) - 1)

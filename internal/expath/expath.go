@@ -127,6 +127,9 @@ func appendExpr(b []byte, e Expr, level int) []byte {
 	case DescSelf:
 		b = append(append(append(append(b, "desc⟨"...), e.From...), "↝"...), e.To...)
 		b = append(appendExpr(append(b, "⟩("...), e.Alt, 0), ')')
+	case Edge:
+		b = append(append(append(append(b, "⟨"...), e.From...), "→"...), e.To...)
+		b = append(b, "⟩"...)
 	default:
 		b = append(b, e.String()...)
 	}

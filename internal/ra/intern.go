@@ -35,7 +35,7 @@ func (in *Interner) Len() int { return len(in.ids) }
 func (in *Interner) ID(pl Plan) int {
 	var buf [4]Plan
 	base := len(in.stack)
-	for _, k := range AppendInputs(buf[:0], pl) {
+	for _, k := range Operands(buf[:0], pl) {
 		id := in.ID(k)
 		in.stack = append(in.stack, id)
 	}

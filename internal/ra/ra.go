@@ -12,6 +12,7 @@ package ra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -358,6 +359,15 @@ func AppendInputs(dst []Plan, pl Plan) []Plan {
 	return dst
 }
 
+// Operands is Inputs for reading: a union's own Kids, not a copy of its
+// (possibly many) operands, and any other operator's appended to buf.
+func Operands(buf []Plan, pl Plan) []Plan {
+	if u, ok := pl.(UnionAll); ok {
+		return u.Kids
+	}
+	return AppendInputs(buf, pl)
+}
+
 // appendConstrained appends a Fix/DescScan operand list: the main operand,
 // then the pushed constraints that are present.
 func appendConstrained(dst []Plan, first, start, end Plan) []Plan {
@@ -403,17 +413,14 @@ func WithInputs(pl Plan, kids []Plan) Plan {
 	case TypeFilter:
 		return TypeFilter{Child: kids[0], Rel: pl.Rel, OnF: pl.OnF}
 	case RecUnion:
-		out := RecUnion{Pairs: pl.Pairs, ResultTag: pl.ResultTag}
-		i := 0
-		for _, t := range pl.Init {
-			out.Init = append(out.Init, Tagged{Tag: t.Tag, Plan: kids[i]})
-			i++
+		pl.Init, pl.Edges = slices.Clone(pl.Init), slices.Clone(pl.Edges)
+		for i := range pl.Init {
+			pl.Init[i].Plan = kids[i]
 		}
-		for _, e := range pl.Edges {
-			out.Edges = append(out.Edges, RecEdge{FromTag: e.FromTag, ToTag: e.ToTag, Rel: kids[i]})
-			i++
+		for i := range pl.Edges {
+			pl.Edges[i].Rel = kids[len(pl.Init)+i]
 		}
-		return out
+		return pl
 	default:
 		return pl
 	}

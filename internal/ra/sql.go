@@ -98,17 +98,12 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 	if opts.NodesTable == "" {
 		opts.NodesTable = "all_nodes"
 	}
-	buf := scripts.Get().(*[]byte)
-	r := &sqlRenderer{opts: opts, prog: p, names: map[string]string{}, lifted: map[int]string{}, in: NewInterner(),
-		used: map[string]bool{}, baseSeq: map[string]int{}, buf: (*buf)[:0]}
-	defer func() {
-		if *buf = r.buf[:0]; cap(*buf) <= 1<<20 {
-			scripts.Put(buf)
-		}
-	}()
+	r := renderers.Get().(*sqlRenderer)
+	defer r.release()
+	r.opts, r.prog = opts, p
 	// Pre-assign sanitized names for all statements.
-	for _, s := range p.Stmts {
-		r.names[s.Name] = r.fresh(s.Name)
+	for i, s := range p.Stmts {
+		r.names[s.Name], r.byName[s.Name] = r.fresh(s.Name), i
 	}
 	rs := &RenderedSQL{}
 	if opts.MaxRecIters > 0 && opts.Dialect == DialectDB2 {
@@ -121,9 +116,10 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 	}
 	// Topologically ordered: the optimizer may append shared temps after
 	// their uses.
-	for _, s := range topoStmts(p) {
-		r.lift(s.Plan)
-		r.statement(r.names[s.Name], func() { r.render(s.Plan, 0) })
+	r.stmts = make([]SQLStmt, 0, len(p.Stmts))
+	r.state = slices.Grow(r.state, len(p.Stmts))[:len(p.Stmts)]
+	for _, s := range p.Stmts {
+		r.place(r.byName[s.Name])
 	}
 	rs.ResultTable = r.names[p.Result]
 	res := len(r.buf)
@@ -139,48 +135,55 @@ func (p *Program) renderSQL(opts SQLRenderOptions) (*RenderedSQL, error) {
 	return rs, r.err
 }
 
-// scripts recycles the renderer's buffer: a script is written into one and
-// copied out of it once, so rendering allocates the text it returns and little
-// else. Buffers past 1 MiB are dropped, not kept.
-var scripts = sync.Pool{New: func() any { return new([]byte) }}
+// renderers recycles renderers — maps, interner, buffer — so rendering
+// allocates the text it returns and little else: a script is written into the
+// buffer and copied out once. One whose buffer passed 1 MiB is dropped.
+var renderers = sync.Pool{New: func() any {
+	return &sqlRenderer{names: map[string]string{}, lifted: map[int]string{}, in: NewInterner(),
+		seq: map[string]int{}, byName: map[string]int{}}
+}}
 
-// topoStmts orders statements so every Temp reference points backwards: in
-// program order, each preceded by its dependencies not yet placed, those in
-// name order. Only these few are sorted, in place on one stack of names.
-func topoStmts(p *Program) []Stmt {
-	byName := make(map[string]int, len(p.Stmts))
-	for i, s := range p.Stmts {
-		byName[s.Name] = i
+func (r *sqlRenderer) release() {
+	if cap(r.buf) > 1<<20 {
+		return
 	}
-	order := make([]Stmt, 0, len(p.Stmts))
-	state := make([]int8, len(p.Stmts)) // 0 new, 1 visiting, 2 done
-	var refs []string
-	var visit func(i int)
-	visit = func(i int) {
-		if state[i] != 0 {
-			return
-		}
-		state[i] = 1
-		base := len(refs)
-		refs = appendTempRefs(refs, p.Stmts[i].Plan)
-		deps := refs[base:base]
-		for _, name := range refs[base:] {
-			if j, ok := byName[name]; ok && state[j] == 0 {
-				deps = append(deps, name)
-			}
-		}
-		slices.Sort(deps)
-		for _, name := range deps {
-			visit(byName[name])
-		}
-		refs = refs[:base]
-		state[i] = 2
-		order = append(order, p.Stmts[i])
+	clear(r.names)
+	clear(r.lifted)
+	clear(r.seq)
+	clear(r.byName)
+	clear(r.state)
+	clear(r.refs[:cap(r.refs)])
+	r.in.Reset()
+	*r = sqlRenderer{names: r.names, lifted: r.lifted, in: r.in, seq: r.seq,
+		buf: r.buf[:0], at: r.at[:0], byName: r.byName, state: r.state[:0], refs: r.refs[:0]}
+	renderers.Put(r)
+}
+
+// place writes statement i, unless it is written, after its dependencies not
+// yet placed, those in name order, so every Temp reference points backwards.
+// Only these few are sorted, in place on one stack of names.
+func (r *sqlRenderer) place(i int) {
+	if r.state[i] != 0 {
+		return
 	}
-	for _, s := range p.Stmts {
-		visit(byName[s.Name])
+	r.state[i] = 1
+	s := r.prog.Stmts[i]
+	base := len(r.refs)
+	r.refs = appendTempRefs(r.refs, s.Plan)
+	deps := r.refs[base:base]
+	for _, name := range r.refs[base:] {
+		if j, ok := r.byName[name]; ok && r.state[j] == 0 {
+			deps = append(deps, name)
+		}
 	}
-	return order
+	slices.Sort(deps)
+	for _, name := range deps {
+		r.place(r.byName[name])
+	}
+	r.refs = r.refs[:base]
+	r.state[i] = 2
+	r.lift(s.Plan)
+	r.statement(r.names[s.Name], func() { r.render(s.Plan, 0) })
 }
 
 // appendTempRefs appends the temp-table names a plan references, in plan
@@ -190,7 +193,7 @@ func appendTempRefs(dst []string, p Plan) []string {
 		return append(dst, t.Name)
 	}
 	var buf [4]Plan
-	for _, k := range AppendInputs(buf[:0], p) {
+	for _, k := range Operands(buf[:0], p) {
 		dst = appendTempRefs(dst, k)
 	}
 	return dst
@@ -207,15 +210,21 @@ type sqlRenderer struct {
 	// lifted maps a Fix or RecUnion, by its number in in, to the table of the
 	// statement it was lifted into: one per distinct plan, however often and
 	// wherever in the program it occurs.
-	lifted  map[int]string
-	in      *Interner
-	used    map[string]bool
-	baseSeq map[string]int // next numeric suffix per colliding base name
-	aliasN  int
-	err     error
-	buf     []byte // the whole script, the statement being written last
-	stmts   []SQLStmt
-	at      [][2]int // per statement: its span of buf
+	lifted map[int]string
+	in     *Interner
+	// seq holds every table name taken, with the next numeric suffix to try
+	// when the name is a colliding base (0 before the first collision).
+	seq    map[string]int
+	aliasN int
+	err    error
+	buf    []byte // the whole script, the statement being written last
+	stmts  []SQLStmt
+	at     [][2]int // per statement: its span of buf
+	// place's: statement numbers by name, their states (0 new, 1 visiting,
+	// 2 written), the stack of referenced names.
+	byName map[string]int
+	state  []int8
+	refs   []string
 }
 
 // fresh sanitizes a statement name into a unique SQL identifier, applying
@@ -234,26 +243,18 @@ func (r *sqlRenderer) fresh(name string) string {
 		s = "t"
 	}
 	s = r.opts.TempPrefix + s
-	if !r.used[s] {
-		r.used[s] = true
+	if _, used := r.seq[s]; !used {
+		r.seq[s] = 0
 		return s
 	}
 	// Collision: programs lift thousands of same-named fixpoint temps, so
 	// the suffix search must not restart from 2 each time.
-	base := s
-	i := r.baseSeq[base]
-	if i < 2 {
-		i = 2
+	base, i := s, max(r.seq[s], 2)
+	for used := true; used; i++ {
+		s = base + "_" + strconv.Itoa(i)
+		_, used = r.seq[s]
 	}
-	for {
-		s = fmt.Sprintf("%s_%d", base, i)
-		i++
-		if !r.used[s] {
-			break
-		}
-	}
-	r.baseSeq[base] = i
-	r.used[s] = true
+	r.seq[base], r.seq[s] = i, 0
 	return s
 }
 
@@ -320,7 +321,7 @@ func (r *sqlRenderer) sub(p Plan, depth int) {
 // fixpoints share one statement.
 func (r *sqlRenderer) lift(p Plan) {
 	var buf [4]Plan
-	for _, k := range AppendInputs(buf[:0], p) {
+	for _, k := range Operands(buf[:0], p) {
 		r.lift(k)
 	}
 	var prefix string

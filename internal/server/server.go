@@ -394,8 +394,9 @@ type batchResponse struct {
 
 type translateRequest struct {
 	Query string `json:"query"`
-	// Dialect selects the rendering: "db2" (WITH…RECURSIVE), "oracle"
-	// (CONNECT BY), or empty for both.
+	// Dialect selects the rendering, any name xpath2sql.ParseDialect reads:
+	// "db2" or "sql99" (WITH…RECURSIVE), "oracle" (CONNECT BY); empty for
+	// both.
 	Dialect string `json:"dialect,omitempty"`
 }
 
@@ -774,12 +775,15 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", `missing "query"`)
 		return
 	}
-	switch req.Dialect {
-	case "", "db2", "oracle":
-	default:
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("unknown dialect %q (want \"db2\" or \"oracle\")", req.Dialect))
-		return
+	// Empty renders both dialects; a name is what xpath2sql.ParseDialect reads.
+	dialects := []xpath2sql.Dialect{xpath2sql.DialectDB2, xpath2sql.DialectOracle}
+	if req.Dialect != "" {
+		d, err := xpath2sql.ParseDialect(req.Dialect)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			return
+		}
+		dialects = []xpath2sql.Dialect{d}
 	}
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
@@ -806,21 +810,13 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	if eq := p.ExtendedXPath(); eq != nil {
 		resp.ExtendedXPath = eq.String()
 	}
-	if req.Dialect == "" || req.Dialect == "db2" {
-		sql, err := p.SQL(xpath2sql.DialectDB2)
+	for _, d := range dialects {
+		sql, err := p.SQL(d)
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
-		resp.SQL["db2"] = sql
-	}
-	if req.Dialect == "" || req.Dialect == "oracle" {
-		sql, err := p.SQL(xpath2sql.DialectOracle)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		resp.SQL["oracle"] = sql
+		resp.SQL[d.String()] = sql
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -203,6 +203,32 @@ func TestTranslateEndpoint(t *testing.T) {
 	}
 }
 
+// TestTranslateDialectNames: /v1/translate reads "dialect" with
+// xpath2sql.ParseDialect, as the CLI does: every name it accepts answers 200
+// with that one rendering under its canonical key, and any other answers 400
+// with ParseDialect's error.
+func TestTranslateDialectNames(t *testing.T) {
+	s := newDeptServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, c := range []struct{ dialect, key string }{
+		{"db2", "db2"}, {"DB2", "db2"}, {"sql99", "db2"}, {"oracle", "oracle"}, {" Oracle ", "oracle"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/translate", translateRequest{Query: "dept//project", Dialect: c.dialect})
+		var tr translateResponse
+		if err := json.Unmarshal(body, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(tr.SQL) != 1 || tr.SQL[c.key] == "" {
+			t.Errorf("dialect %q: status %d, SQL for %d dialects, want %q alone: %s", c.dialect, resp.StatusCode, len(tr.SQL), c.key, body)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/translate", translateRequest{Query: "dept//project", Dialect: "mssql"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown SQL dialect: \"mssql\"`) {
+		t.Errorf("dialect mssql: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestErrorMapping: user faults map to 4xx with a kind, never 500.
 func TestErrorMapping(t *testing.T) {
 	s := newDeptServer(t, nil)

@@ -64,20 +64,32 @@ func printPath(p Path) string {
 	return string(pr.buf)
 }
 
-// Classes numbers the sub-paths of p, in Subpaths order, by printed form: two
-// get one number exactly when their String() are equal. p is printed once,
-// every sub-path's form being a span of that text. It returns the numbers and
-// how many distinct ones there are.
-func Classes(p Path) ([]int32, int) {
-	pr := printer{mark: true}
+// Printed is a query printed once: its String() and the span of every
+// sub-path's printed form in that text, in Subpaths order. One print serves
+// a plan-cache key, a program's query text and the translator's classes.
+type Printed struct {
+	Text  string
+	spans [][2]int
+}
+
+// Print prints p, marking where each sub-path's text lies.
+func Print(p Path) Printed {
+	pr := printer{buf: make([]byte, 0, 64), mark: true}
 	pr.path(p)
-	text, ids := string(pr.buf), make(map[string]int32, len(pr.spans))
-	out := make([]int32, len(pr.spans))
-	for i, sp := range pr.spans {
-		c, ok := ids[text[sp[0]:sp[1]]]
+	return Printed{Text: string(pr.buf), spans: pr.spans}
+}
+
+// Classes numbers the sub-paths, in Subpaths order, by printed form: two get
+// one number exactly when their String() are equal. It returns the numbers
+// and how many distinct ones there are.
+func (pq Printed) Classes() ([]int32, int) {
+	ids := make(map[string]int32, len(pq.spans))
+	out := make([]int32, len(pq.spans))
+	for i, sp := range pq.spans {
+		c, ok := ids[pq.Text[sp[0]:sp[1]]]
 		if !ok {
 			c = int32(len(ids))
-			ids[text[sp[0]:sp[1]]] = c
+			ids[pq.Text[sp[0]:sp[1]]] = c
 		}
 		out[i] = c
 	}

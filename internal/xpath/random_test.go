@@ -71,7 +71,11 @@ func TestClassesArePrintedForms(t *testing.T) {
 	r := difftest.Seed(3)
 	for i := 0; i < 500; i++ {
 		p := difftest.Query(r, labels, 4)
-		classes, n := xpath.Classes(p)
+		pq := xpath.Print(p)
+		if pq.Text != p.String() {
+			t.Fatalf("Print(%s).Text = %q", p, pq.Text)
+		}
+		classes, n := pq.Classes()
 		subs := xpath.Subpaths(p)
 		if len(classes) != len(subs) {
 			t.Fatalf("%s: %d classes for %d sub-paths", p, len(classes), len(subs))
