@@ -360,7 +360,7 @@ func BenchmarkExecute(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%5 < 4 {
 				ep := st.View()
-				if _, err := plans[reads%len(plans)].executeSnap(ctx, backend.AdoptDB(ep.DB, ep.Seq)); err != nil {
+				if _, err := plans[reads%len(plans)].ExecuteSnapshot(ctx, backend.AdoptDB(ep.DB, ep.Seq)); err != nil {
 					b.Fatal(err)
 				}
 				reads++

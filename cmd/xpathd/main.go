@@ -5,7 +5,7 @@
 // and updates over HTTP via internal/server.
 //
 //	POST /v1/query       {"query": "dept//project"}          → answer IDs
-//	POST /v1/batch       {"queries": ["a//b", "a//c"]}       → merged-run answers
+//	POST /v1/batch       {"queries": ["a//b", "a//c"]}       → answers, one version
 //	POST /v1/translate   {"query": "...", "dialect": "db2"}  → SQL text
 //	POST /v1/update      {"op": "insert_subtree", ...}       → applied epoch/LSN
 //	POST /v1/watch       {"query": "dept//course"}           → SSE snapshot+deltas

@@ -128,12 +128,12 @@ func WithLimits(l Limits) EngineOption {
 	return func(e *Engine) { e.limits = l }
 }
 
-// WithParallelism caps the morsel fan-out of execution at workers, for
-// single translations and batches alike: statements run one after another
-// on one pooled executor, and an operator whose input reaches two morsels
-// (4096 rows: hash joins, fixpoint deltas, interval scans) splits it across
-// up to workers goroutines. Answers, traces and statistics other than the
-// morsel count are the same at every setting.
+// WithParallelism caps the morsel fan-out of every execution at workers:
+// statements run one after another on one pooled executor, and an operator
+// whose input reaches two morsels (4096 rows: hash joins, fixpoint deltas,
+// interval scans) splits it across up to workers goroutines. Answers,
+// traces and statistics other than the morsel count are the same at every
+// setting.
 func WithParallelism(workers int) EngineOption {
 	return func(e *Engine) {
 		if workers < 1 {
@@ -281,30 +281,6 @@ func (e *Engine) Stats() EngineStats {
 	return s
 }
 
-// TranslateBatch translates several queries into one merged program with
-// cross-query common-sub-query sharing; the batch carries the engine's
-// limits and parallelism into its ExecuteContext call. Each member resolves
-// through the plan cache, so a batch of warm queries skips translation
-// entirely and only pays the (cheap, content-addressed) merge.
-func (e *Engine) TranslateBatch(ctx context.Context, queries []Query) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	results := make([]*core.Result, len(queries))
-	for i, q := range queries {
-		res, err := e.translate(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
-	}
-	b, err := core.MergeBatch(results)
-	if err != nil {
-		return nil, err
-	}
-	return &Batch{b: b, limits: e.limits, workers: e.workers}, nil
-}
-
 // DTD returns the engine's DTD.
 func (e *Engine) DTD() *DTD { return e.dtd }
 
@@ -400,11 +376,14 @@ func (t *Translation) ExecuteOn(ctx context.Context, b Backend) (*Answer, error)
 		return nil, err
 	}
 	defer snap.Close()
-	return t.executeSnap(ctx, snap)
+	return t.ExecuteSnapshot(ctx, snap)
 }
 
-// executeSnap is the single execution path every Execute variant funnels
-// into, with one documented semantics:
+// ExecuteSnapshot runs the translated program on a snapshot the caller has
+// pinned and still owns: several translations run on one snapshot read one
+// version of the document (the server's /v1/batch does this). It is the
+// single execution path every Execute variant funnels into, with one
+// documented semantics:
 //
 //   - Limits: the translation's limits (the engine's WithLimits) are
 //     enforced by the snapshot's executor; breaches return *LimitError.
@@ -419,7 +398,7 @@ func (t *Translation) ExecuteOn(ctx context.Context, b Backend) (*Answer, error)
 //   - Scope: a translation bound to a document (InDocument) runs over that
 //     document's sub-database; a backend that cannot scope refuses with
 //     ErrUnsupportedPlan rather than answer from the whole image.
-func (t *Translation) executeSnap(ctx context.Context, snap BackendSnapshot) (*Answer, error) {
+func (t *Translation) ExecuteSnapshot(ctx context.Context, snap BackendSnapshot) (*Answer, error) {
 	trace := &obs.Trace{}
 	res, err := snap.Execute(ctx, t.res.Program, backend.ExecOptions{
 		Workers:   t.workers,
@@ -445,40 +424,4 @@ func (t *Translation) executeSnap(ctx context.Context, snap BackendSnapshot) (*A
 // time — travel with each run's Answer; render them with Answer.Explain.
 func (t *Translation) Explain() string {
 	return obs.Explain(t.res.Program, nil, nil)
-}
-
-// BatchAnswer is the result of one Batch.ExecuteContext call: per-query
-// answers and statistics (work is charged once, to the query that performed
-// it, so PerQuery sums to Stats), the aggregate statistics, and the
-// combined trace.
-type BatchAnswer struct {
-	IDs      [][]int
-	PerQuery []ExecStats
-	Stats    ExecStats
-	Trace    *Trace
-
-	prog *Program
-}
-
-// Explain renders the merged batch program with this run's per-statement
-// annotations, exactly as Answer.Explain does for a single translation.
-func (a *BatchAnswer) Explain() string {
-	if a.prog == nil {
-		return "(no plan recorded)\n"
-	}
-	return obs.Explain(a.prog, a.Trace, nil)
-}
-
-// ExecuteContext answers every query of the batch within one pooled
-// executor (shared statements are evaluated once) under a context with the
-// batch's limits; cancellation and limit semantics are those of Translation
-// execution (ExecuteOn / Execute). The batch's parallelism caps the morsel
-// fan-out inside large operators, as for a Translation.
-func (b *Batch) ExecuteContext(ctx context.Context, db *DB) (*BatchAnswer, error) {
-	trace := &obs.Trace{}
-	ids, per, total, err := b.b.ExecuteCtx(ctx, db, b.workers, b.limits, trace)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchAnswer{IDs: ids, PerQuery: per, Stats: *total, Trace: trace, prog: b.b.Program}, nil
 }

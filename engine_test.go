@@ -279,108 +279,6 @@ func TestEngineParallelAgrees(t *testing.T) {
 	_ = doc
 }
 
-// TestEngineBatchPerQueryStats: batch execution reports per-query statistics
-// that sum to the aggregate (shared work charged exactly once), and each
-// query's answers match its standalone run.
-func TestEngineBatchPerQueryStats(t *testing.T) {
-	d, _, db := deptSetup(t)
-	ctx := context.Background()
-	queries := []string{"dept//project", "dept//course/cno", "dept//student"}
-	qs := make([]xpath2sql.Query, len(queries))
-	for i, s := range queries {
-		q, err := xpath2sql.ParseQuery(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs[i] = q
-	}
-	eng := xpath2sql.New(d)
-	batch, err := eng.TranslateBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := batch.ExecuteContext(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.IDs) != len(queries) || len(ans.PerQuery) != len(queries) {
-		t.Fatalf("batch shape: %d answers, %d stats", len(ans.IDs), len(ans.PerQuery))
-	}
-	var sum xpath2sql.ExecStats
-	for _, s := range ans.PerQuery {
-		sum.Add(s)
-	}
-	if sum != ans.Stats {
-		t.Fatalf("per-query stats sum %+v != total %+v", sum, ans.Stats)
-	}
-	for i, s := range queries {
-		tr, err := eng.TranslateString(ctx, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo, err := tr.ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(solo.IDs) != len(ans.IDs[i]) {
-			t.Fatalf("query %q: batch %v vs solo %v", s, ans.IDs[i], solo.IDs)
-		}
-	}
-}
-
-// TestEngineBatchParallelAgrees: a batch built by a parallel engine returns
-// the serial batch's answers with per-query statistics that still sum to the
-// aggregate.
-func TestEngineBatchParallelAgrees(t *testing.T) {
-	d, _, db := deptSetup(t)
-	ctx := context.Background()
-	queries := []string{"dept//project", "dept//course/cno", "dept//student[qualified//course]"}
-	qs := make([]xpath2sql.Query, len(queries))
-	for i, s := range queries {
-		q, err := xpath2sql.ParseQuery(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs[i] = q
-	}
-	serialBatch, err := xpath2sql.New(d).TranslateBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sAns, err := serialBatch.ExecuteContext(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parBatch, err := xpath2sql.New(d, xpath2sql.WithParallelism(4)).TranslateBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pAns, err := parBatch.ExecuteContext(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if len(pAns.IDs[i]) != len(sAns.IDs[i]) {
-			t.Fatalf("query %q: parallel %v vs serial %v", queries[i], pAns.IDs[i], sAns.IDs[i])
-		}
-		for j := range pAns.IDs[i] {
-			if pAns.IDs[i][j] != sAns.IDs[i][j] {
-				t.Fatalf("query %q: parallel %v vs serial %v", queries[i], pAns.IDs[i], sAns.IDs[i])
-			}
-		}
-	}
-	var sum xpath2sql.ExecStats
-	for _, s := range pAns.PerQuery {
-		sum.Add(s)
-	}
-	if sum != pAns.Stats {
-		t.Fatalf("parallel per-query stats sum %+v != total %+v", sum, pAns.Stats)
-	}
-	if len(pAns.Trace.Events) == 0 {
-		t.Fatal("parallel batch recorded no trace")
-	}
-}
-
 // TestEngineSharedSchemaConcurrent: what an Engine derives from its DTD once
 // (core.Schema: graph, reachability lists, component structure — the last two
 // filled in on first use) is shared by concurrent translations, and the

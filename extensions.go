@@ -4,15 +4,13 @@ import (
 	"io"
 
 	"xpath2sql/internal/core"
-	"xpath2sql/internal/obs"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/specialized"
 )
 
 // This file exposes the extension features: XML reconstruction of answers
-// (§5.2), multi-query translation, and specialized DTDs — the paper's
-// encoding of XML Schema (§8).
+// (§5.2) and specialized DTDs — the paper's encoding of XML Schema (§8).
 
 // Reconstruct rebuilds the XML subtrees of the given answer nodes from the
 // shredded relations alone, wrapped in a synthetic <result> root (§5.2
@@ -25,38 +23,6 @@ func Reconstruct(db *DB, answers []int) (*Document, error) {
 // from the shredded catalog (the P attribute's purpose in §5.2).
 func AnswerPath(db *DB, id int) (string, error) {
 	return shred.AncestorPath(db, id)
-}
-
-// Batch is a multi-query translation whose common sub-queries are shared
-// across queries. Batches built by an Engine carry its limits and
-// parallelism into ExecuteContext. Like Translation, a Batch is immutable
-// and safe for concurrent use.
-type Batch struct {
-	b       *core.BatchResult
-	limits  Limits
-	workers int
-}
-
-// Program returns the merged statement sequence.
-func (b *Batch) Program() *Program { return b.b.Program }
-
-// WithParallelism returns a copy of the batch bound to a different worker
-// count, leaving the receiver untouched — the batch analogue of
-// Translation.WithParallelism, for admission-aware serving layers.
-func (b *Batch) WithParallelism(workers int) *Batch {
-	if workers < 1 {
-		workers = 1
-	}
-	c := *b
-	c.workers = workers
-	return &c
-}
-
-// Explain renders the merged program's bare plan: one line per RA
-// statement, shared sub-queries appearing once. Per-run annotations travel
-// with each execution's BatchAnswer; render them with BatchAnswer.Explain.
-func (b *Batch) Explain() string {
-	return obs.Explain(b.b.Program, nil, nil)
 }
 
 // Satisfiable reports whether the query can match on some document of the

@@ -39,44 +39,6 @@ func TestReconstructFacade(t *testing.T) {
 	}
 }
 
-func TestBatchFacade(t *testing.T) {
-	d, _ := xpath2sql.ParseDTD(deptDTD)
-	doc, _ := xpath2sql.ParseXML(deptXML)
-	db, _ := xpath2sql.Shred(doc, d)
-	ctx := context.Background()
-	qs := make([]xpath2sql.Query, 2)
-	for i, s := range []string{"dept//project", "dept//course"} {
-		q, err := xpath2sql.ParseQuery(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs[i] = q
-	}
-	batch, err := xpath2sql.New(d).TranslateBatch(ctx, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := batch.ExecuteContext(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers := ans.IDs
-	if len(answers) != 2 || len(answers[0]) != 1 || len(answers[1]) != 2 {
-		t.Fatalf("answers = %v", answers)
-	}
-	if batch.Program() == nil {
-		t.Fatal("missing program")
-	}
-	// The bare-plan Explain lists every merged statement; the run's Explain
-	// annotates them.
-	if bare := batch.Explain(); !strings.Contains(bare, "result:") {
-		t.Fatalf("batch Explain:\n%s", bare)
-	}
-	if ann := ans.Explain(); !strings.Contains(ann, "tuples=") {
-		t.Fatalf("batch answer Explain not annotated:\n%s", ann)
-	}
-}
-
 func TestSpecializedFacade(t *testing.T) {
 	inner, err := xpath2sql.ParseDTD(`
 <!-- root: store -->

@@ -53,8 +53,7 @@ func preCSE(t *testing.T, q xpath.Path, d *dtd.DTD, rec core.RecStrategy) *ra.Pr
 // TestExtractCommonMatchesStringKeyed: the interner-based ExtractCommon names
 // and orders statements exactly as the string-keyed one it replaced
 // (optimize_oracle_test.go) did, on 8 000 translated programs — flat and
-// nested recursion over the paper's DTDs and six random recursive ones — and
-// on merged batch programs.
+// nested recursion over the paper's DTDs and six random recursive ones.
 func TestExtractCommonMatchesStringKeyed(t *testing.T) {
 	dtds := map[string]*dtd.DTD{
 		"dept": workload.Dept(), "gedml": workload.GedML(), "cross": workload.Cross(), "bioml": workload.BIOML(),
@@ -62,9 +61,9 @@ func TestExtractCommonMatchesStringKeyed(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		dtds[fmt.Sprintf("rand%d", seed)] = difftest.RecDTD(difftest.Seed(seed)).DTD
 	}
-	perDTD, batches := 400, 25
+	perDTD := 400
 	if testing.Short() {
-		perDTD, batches = 40, 5
+		perDTD = 40
 	}
 	changed := 0
 	for name, d := range dtds {
@@ -77,21 +76,6 @@ func TestExtractCommonMatchesStringKeyed(t *testing.T) {
 					changed++
 				}
 			}
-		}
-		for i := 0; i < batches; i++ {
-			var results []*core.Result
-			for j := 0; j < 4; j++ {
-				res, err := core.Translate(difftest.Query(r, types, 3), d, core.DefaultOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				results = append(results, res)
-			}
-			b, err := core.MergeStmts(results)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameAsOracle(t, fmt.Sprintf("%s batch %d", name, i), b.Program)
 		}
 	}
 	if changed < perDTD {

@@ -21,7 +21,6 @@ import (
 var (
 	ExtractCommonByString = extractCommonByString
 	PushSelections        = pushSelections
-	MergeStmts            = mergeStmts
 	ExtractCommonWith     = func(p *ra.Program, in *ra.Interner) { (&cse{in: in}).extract(p) }
 )
 

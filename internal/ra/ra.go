@@ -267,8 +267,7 @@ type Program struct {
 	// is metadata, not part of the printed plan.
 	DTDFP string
 	// Query is the canonical text of the query the program translates
-	// (core.CanonicalQuery; "" for a merged batch program or one built by
-	// hand). An executor that holds no relations of its own — a router's
+	// (core.CanonicalQuery; "" for a program built by hand). An executor that holds no relations of its own — a router's
 	// client to a remote shard — ships it in place of the plan. Metadata, like
 	// DTDFP.
 	Query string

@@ -13,9 +13,9 @@ package rdb
 //
 // Maintainability is a property of the plan. Two independent classes:
 //
-//   - monotone: no Antijoin/Diff/RecUnion and no path tracking. An insert can
-//     only add tuples and a delete only remove them, and per-operator delta
-//     rules are exact for both. The store assigns fresh node IDs to inserted
+//   - monotone: no Antijoin/Diff/RecUnion. An insert can only add tuples and
+//     a delete only remove them, and per-operator delta rules are exact for
+//     both. The store assigns fresh node IDs to inserted
 //     nodes (IDs are never reused), which the insert rules rely on: an old
 //     tuple can never newly enter a type relation or identity relation.
 //   - text-immune: no SelectVal — answers are node-ID sets and membership

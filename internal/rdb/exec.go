@@ -114,8 +114,7 @@ type Exec struct {
 	// node ID of its root. The executor then sees exactly the document's
 	// sub-database (see scope.go); a node that is not a document root returns
 	// ErrNotDocumentRoot, a database without a valid interval encoding
-	// ErrScopeNeedsIntervals. Runs sharing an environment (RunMore) must
-	// share the scope.
+	// ErrScopeNeedsIntervals.
 	Doc int
 
 	prog    *ra.Program
@@ -163,11 +162,18 @@ func (e *Exec) newRel(name string) *Relation {
 	return newRelation(name, e.DB.Syms)
 }
 
-// prepare arms the cancellation/limit/trace state for one run of p and
-// resolves its document scope. It refuses a program naming two statements
-// alike, whose lookup would silently take the first; the check borrows the
-// running set, empty between runs, so a warm run allocates nothing for it.
+// prepare empties the environment, arms the cancellation/limit/trace state
+// for one run of p and resolves its document scope. It refuses a program
+// naming two statements alike, whose lookup would silently take the first;
+// the check borrows the running set, so a warm run allocates nothing for it.
 func (e *Exec) prepare(ctx context.Context, p *ra.Program, trace *obs.Trace) error {
+	if e.env == nil {
+		e.env = map[string]*Relation{}
+		e.running = map[string]bool{}
+	} else {
+		clear(e.env)
+		clear(e.running)
+	}
 	for _, s := range p.Stmts {
 		if e.running[s.Name] {
 			clear(e.running)
@@ -197,27 +203,6 @@ func (e *Exec) prepare(ctx context.Context, p *ra.Program, trace *obs.Trace) err
 	return nil
 }
 
-// RunMore evaluates a program against the executor's existing memoized
-// environment: statements computed by earlier Run/RunMore calls (by name)
-// are reused, the execution side of multi-query optimization. The caller
-// must ensure statement names agree across calls.
-func (e *Exec) RunMore(p *ra.Program) (*Relation, error) {
-	return e.RunMoreCtx(context.Background(), p, nil)
-}
-
-// RunMoreCtx is RunMore with cancellation, limits and tracing; see RunCtx.
-// The wall-clock budget of Limits.Timeout restarts at each call.
-func (e *Exec) RunMoreCtx(ctx context.Context, p *ra.Program, trace *obs.Trace) (*Relation, error) {
-	if e.env == nil {
-		e.env = map[string]*Relation{}
-		e.running = map[string]bool{}
-	}
-	if err := e.prepare(ctx, p, trace); err != nil {
-		return nil, err
-	}
-	return e.stmt(p.Result)
-}
-
 // Run executes the program and returns its result relation.
 func (e *Exec) Run(p *ra.Program) (*Relation, error) {
 	return e.RunCtx(context.Background(), p, nil)
@@ -232,13 +217,6 @@ func (e *Exec) Run(p *ra.Program) (*Relation, error) {
 // statement with its exclusive operator counts, cardinalities and wall time;
 // the trace totals then agree with e.Stats.
 func (e *Exec) RunCtx(ctx context.Context, p *ra.Program, trace *obs.Trace) (*Relation, error) {
-	if e.env == nil {
-		e.env = map[string]*Relation{}
-		e.running = map[string]bool{}
-	} else {
-		clear(e.env)
-		clear(e.running)
-	}
 	if err := e.prepare(ctx, p, trace); err != nil {
 		return nil, err
 	}

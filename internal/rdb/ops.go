@@ -711,9 +711,9 @@ func (e *Exec) semijoin(l *Relation, wits []*Relation, anti bool) *Relation {
 	if !anti && n*8 < l.Len() {
 		// Small witness side: probe L's T index with the witnesses' distinct F
 		// values — O(|R| + |out|) instead of a full scan of L. This is the
-		// shape merged batch programs produce (many per-query end filters
-		// against one shared closure), where L's index snapshot is built once
-		// and amortized across every filter probing it.
+		// shape of a selective qualifier (a text-equality witness such as
+		// [cno='cs11'], a few rows) filtering a large closure or type
+		// relation, whose T index is built once per relation and reused.
 		idx := l.tIndex()
 		lrows := l.probeRows()
 		seen := e.idScratch(colSpan(true, wits...))

@@ -230,10 +230,10 @@ func reachable(p *ra.Program) int {
 }
 
 // TestRunCtxErrors: a program the executor cannot run is refused at every
-// worker count, by RunCtx and RunMoreCtx alike — an unknown result, a
-// reference to no statement, a cycle, two statements of one name (also off
-// the result's path: Lookup would silently take the first) — and the state
-// that refused it runs the next program as a fresh one would.
+// worker count — an unknown result, a reference to no statement, a cycle,
+// two statements of one name (also off the result's path: Lookup would
+// silently take the first) — and the state that refused it runs the next
+// program as a fresh one would.
 func TestRunCtxErrors(t *testing.T) {
 	db := chainDB(3)
 	e := ra.Base{Rel: "E"}
@@ -264,21 +264,16 @@ func TestRunCtxErrors(t *testing.T) {
 		}, "duplicate statement"},
 	} {
 		for _, workers := range []int{1, 4} {
-			for driver, run := range map[string]func(*Exec, *ra.Program) (*Relation, error){
-				"RunCtx":     func(ex *Exec, p *ra.Program) (*Relation, error) { return ex.RunCtx(context.Background(), p, nil) },
-				"RunMoreCtx": func(ex *Exec, p *ra.Program) (*Relation, error) { return ex.RunMoreCtx(context.Background(), p, nil) },
-			} {
-				st := AcquireState(db)
-				ex := st.Exec()
-				ex.Parallelism = workers
-				if _, err := run(ex, c.p); err == nil || !strings.Contains(err.Error(), c.want) {
-					t.Errorf("%s, %s at parallelism %d: err = %v, want %q", name, driver, workers, err, c.want)
-				}
-				if rel, err := ex.RunCtx(context.Background(), prog(ra.Compose{L: e, R: e}), nil); err != nil || rel.Len() != 1 {
-					t.Errorf("%s, %s at parallelism %d: the next program answered %v, %v", name, driver, workers, rel, err)
-				}
-				st.Release()
+			st := AcquireState(db)
+			ex := st.Exec()
+			ex.Parallelism = workers
+			if _, err := ex.RunCtx(context.Background(), c.p, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s at parallelism %d: err = %v, want %q", name, workers, err, c.want)
 			}
+			if rel, err := ex.RunCtx(context.Background(), prog(ra.Compose{L: e, R: e}), nil); err != nil || rel.Len() != 1 {
+				t.Errorf("%s at parallelism %d: the next program answered %v, %v", name, workers, rel, err)
+			}
+			st.Release()
 		}
 	}
 }

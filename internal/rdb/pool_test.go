@@ -54,8 +54,7 @@ func TestPooledExecDifferential(t *testing.T) {
 }
 
 // recursiveProgram is a small but representative serving plan: a typed edge
-// union, a constrained fixpoint (the shape MergeBatch emits after the
-// end-split: closure + semijoin filter) and a compose.
+// union, a start-constrained fixpoint filtered by a semijoin, and a compose.
 func recursiveProgram() *ra.Program {
 	edges := ra.UnionAll{Kids: []ra.Plan{ra.Base{Rel: "R0"}, ra.Base{Rel: "R1"}}}
 	return &ra.Program{

@@ -22,18 +22,7 @@ import (
 // with the document loaded into a SQL backend on the fake driver.
 func newBackendServer(t *testing.T) *Server {
 	t.Helper()
-	d, err := xpath2sql.ParseDTD(deptDTD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := xpath2sql.ParseXML(deptXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := xpath2sql.Shred(doc, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, db := deptFixture(t)
 	ctx := context.Background()
 	dsn := "memory://server-" + t.Name()
 	fakedb.Reset(dsn)

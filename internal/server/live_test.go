@@ -15,18 +15,7 @@ import (
 // be empty for an ephemeral store.
 func newLiveServer(t *testing.T, dir string, mutate func(*Config)) (*Server, *store.Store) {
 	t.Helper()
-	d, err := xpath2sql.ParseDTD(deptDTD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := xpath2sql.ParseXML(deptXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := xpath2sql.Shred(doc, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d, db := deptFixture(t)
 	st, err := store.Open(store.Config{DTD: d, Seed: db, Dir: dir, Fsync: store.FsyncNever})
 	if err != nil {
 		t.Fatal(err)

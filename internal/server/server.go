@@ -8,7 +8,7 @@
 // Endpoints:
 //
 //	POST /v1/query      one XPath query → JSON answer (optional Explain)
-//	POST /v1/batch      several queries → merged-program batch execution
+//	POST /v1/batch      several queries → their answers, run on one snapshot
 //	POST /v1/translate  SQL only: WITH…RECURSIVE and CONNECT BY renderings
 //	POST /v1/update     document update (live store only): insert_subtree,
 //	                    delete_subtree or update_text
@@ -164,12 +164,9 @@ func (c *Config) fillDefaults() {
 type Server struct {
 	cfg Config
 	eng *xpath2sql.Engine
-	// The source's parts: the one execution backend, the in-process DB
-	// resolver (nil in backend mode; with a live store it pins the current
-	// epoch, so a merged /v1/batch run sees one version however many updates
-	// land meanwhile) and the live store (nil when read-only).
+	// The source's parts: the one execution backend and the live store (nil
+	// when read-only).
 	execBe  xpath2sql.Backend
-	dbFn    func() (*xpath2sql.DB, uint64)
 	store   *store.Store
 	cluster *cluster.Cluster    // non-nil for FromCluster sources
 	hub     *xpath2sql.WatchHub // nil when read-only (no live store)
@@ -209,7 +206,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		eng:     cfg.Engine,
 		execBe:  src.be,
-		dbFn:    src.db,
 		store:   src.st,
 		cluster: src.cl,
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.QueueDepth),
@@ -266,15 +262,15 @@ func (s *Server) effectiveWorkers() int {
 	return w
 }
 
-// execute runs one prepared query against the server's data source — the
-// one execution path: every source is a Backend, every run goes through
-// Translation.ExecuteOn, with intra-query parallelism scaled by the current
-// admission load.
-func (s *Server) execute(ctx context.Context, t *xpath2sql.Translation) (*xpath2sql.Answer, error) {
+// execute runs one prepared query on snap, a snapshot of the server's data
+// source — the one execution path: every source is a Backend, every run goes
+// through Translation.ExecuteSnapshot, with intra-query parallelism scaled by
+// the current admission load.
+func (s *Server) execute(ctx context.Context, t *xpath2sql.Translation, snap xpath2sql.BackendSnapshot) (*xpath2sql.Answer, error) {
 	if w := s.effectiveWorkers(); w != s.eng.Parallelism() {
 		t = t.WithParallelism(w)
 	}
-	return t.ExecuteOn(ctx, s.execBe)
+	return t.ExecuteSnapshot(ctx, snap)
 }
 
 // Handler returns the server's HTTP handler (panic isolation included), for
@@ -385,10 +381,10 @@ type batchItem struct {
 type batchResponse struct {
 	Results   []batchItem         `json:"results"`
 	ElapsedMS float64             `json:"elapsed_ms"`
-	Stats     xpath2sql.ExecStats `json:"stats"` // aggregate; PerQuery sums to it
-	// Watermark is the epoch the batch was read at: the one pinned version of
-	// a merged run, the oldest among the queries of a query-by-query run.
-	// Omitted at 0, as on /v1/query.
+	Stats     xpath2sql.ExecStats `json:"stats"` // the sum of the results' stats
+	// Watermark is the epoch the batch was read at: the one pinned version,
+	// or through a cluster the oldest among the queries' watermarks. Omitted
+	// at 0, as on /v1/query.
 	Watermark uint64 `json:"watermark,omitempty"`
 }
 
@@ -626,7 +622,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Doc != 0 {
 		t = t.InDocument(req.Doc)
 	}
-	ans, err := s.execute(ctx, t)
+	snap, err := s.execBe.Snapshot(ctx)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer snap.Close()
+	ans, err := s.execute(ctx, t, snap)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -658,8 +660,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	// One admission slot per batch request: the merged program is one
-	// executor's run, however many queries it answers.
+	// One admission slot per batch request, however many queries it holds.
 	if err := s.adm.acquire(ctx); err != nil {
 		s.fail(w, err)
 		return
@@ -679,91 +680,70 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		queries[i] = q
 	}
 	t0 := time.Now()
-	if s.dbFn == nil {
-		// No merged-program executor behind this source, so the batch keeps
-		// its one admission slot and runs query by query: in turn on a
-		// backend, batchFanout at a time through a cluster, where a query is
-		// mostly a wait for shards — Q round trips overlap instead of adding
-		// up. Results are in request order, and so is the error reported.
-		results := make([]batchItem, len(queries))
-		epochs := make([]uint64, len(queries))
-		errs := make([]error, len(queries))
-		runOne := func(i int) {
-			p, err := s.eng.Prepare(ctx, queries[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ans, err := s.execute(ctx, &p.Translation)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = batchItem{IDs: ans.IDs, Count: len(ans.IDs), Stats: ans.Stats}
-			epochs[i] = ans.Epoch
-		}
-		if s.cluster == nil {
-			for i := range queries {
-				if runOne(i); errs[i] != nil {
-					break
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			slots := make(chan struct{}, batchFanout)
-			for i := range queries {
-				wg.Add(1)
-				slots <- struct{}{}
-				go func() {
-					defer wg.Done()
-					runOne(i)
-					<-slots
-				}()
-			}
-			wg.Wait()
-		}
-		var total xpath2sql.ExecStats
-		for i, err := range errs {
-			if err != nil {
-				s.fail(w, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			total.Add(results[i].Stats)
-		}
-		s.m.recordExec(total)
-		writeJSON(w, http.StatusOK, batchResponse{
-			ElapsedMS: time.Since(t0).Seconds() * 1000,
-			Stats:     total,
-			Results:   results,
-			Watermark: slices.Min(epochs),
-		})
-		return
-	}
-	b, err := s.eng.TranslateBatch(ctx, queries)
+	// A batch is its queries, each run as /v1/query runs it, on one snapshot:
+	// on a live store every member reads the same version however many
+	// updates land meanwhile.
+	snap, err := s.execBe.Snapshot(ctx)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if ew := s.effectiveWorkers(); ew != s.eng.Parallelism() {
-		b = b.WithParallelism(ew)
+	defer snap.Close()
+	results := make([]batchItem, len(queries))
+	epochs := make([]uint64, len(queries))
+	errs := make([]error, len(queries))
+	runOne := func(i int) {
+		p, err := s.eng.Prepare(ctx, queries[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		ans, err := s.execute(ctx, &p.Translation, snap)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		results[i] = batchItem{IDs: ans.IDs, Count: len(ans.IDs), Stats: ans.Stats}
+		epochs[i] = ans.Epoch
 	}
-	db, epoch := s.dbFn()
-	ans, err := b.ExecuteContext(ctx, db)
-	if err != nil {
-		s.fail(w, err)
-		return
+	if s.cluster == nil {
+		for i := range queries {
+			if runOne(i); errs[i] != nil {
+				break
+			}
+		}
+	} else {
+		// Through a cluster a query is mostly a wait for shards: batchFanout
+		// at a time, Q round trips overlap instead of adding up.
+		var wg sync.WaitGroup
+		slots := make(chan struct{}, batchFanout)
+		for i := range queries {
+			wg.Add(1)
+			slots <- struct{}{}
+			go func() {
+				defer wg.Done()
+				runOne(i)
+				<-slots
+			}()
+		}
+		wg.Wait()
 	}
-	s.m.recordExec(ans.Stats)
-	resp := batchResponse{
+	// Results are in request order, and so is the error reported.
+	var total xpath2sql.ExecStats
+	for i, err := range errs {
+		if err != nil {
+			s.fail(w, fmt.Errorf("query %d: %w", i, err))
+			return
+		}
+		total.Add(results[i].Stats)
+	}
+	s.m.recordExec(total)
+	writeJSON(w, http.StatusOK, batchResponse{
 		ElapsedMS: time.Since(t0).Seconds() * 1000,
-		Stats:     ans.Stats,
-		Results:   make([]batchItem, len(ans.IDs)),
-		Watermark: epoch,
-	}
-	for i, ids := range ans.IDs {
-		resp.Results[i] = batchItem{IDs: ids, Count: len(ids), Stats: ans.PerQuery[i]}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Stats:     total,
+		Results:   results,
+		Watermark: slices.Min(epochs),
+	})
 }
 
 func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {

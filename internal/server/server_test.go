@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"xpath2sql"
+	"xpath2sql/internal/store"
 )
 
 // The paper's dept running example (§2, Example 2.1): recursive through
@@ -48,9 +50,8 @@ const deptXML = `<dept>
   </course>
 </dept>`
 
-// newDeptServer builds a Server over the dept example with the given config
-// overrides applied after Engine/DB are filled in.
-func newDeptServer(t *testing.T, mutate func(*Config)) *Server {
+// deptFixture parses the dept example's DTD and shreds its document.
+func deptFixture(t *testing.T) (*xpath2sql.DTD, *xpath2sql.DB) {
 	t.Helper()
 	d, err := xpath2sql.ParseDTD(deptDTD)
 	if err != nil {
@@ -64,6 +65,14 @@ func newDeptServer(t *testing.T, mutate func(*Config)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d, db
+}
+
+// newDeptServer builds a Server over the dept example with the given config
+// overrides applied after Engine/DB are filled in.
+func newDeptServer(t *testing.T, mutate func(*Config)) *Server {
+	t.Helper()
+	d, db := deptFixture(t)
 	cfg := Config{Engine: xpath2sql.New(d), Source: FromDB(db)}
 	if mutate != nil {
 		mutate(&cfg)
@@ -132,40 +141,78 @@ func TestQueryHappyPath(t *testing.T) {
 	}
 }
 
+// TestBatchEndpoint: a /v1/batch member is the query /v1/query runs — the
+// same IDs and stats — on every source and in both interval modes, and the
+// batch's stats are its members' sum. Under IntervalOff no member reads the
+// interval kernel: the mode reaches a batch because its members are ordinary
+// Translations.
 func TestBatchEndpoint(t *testing.T) {
-	s := newDeptServer(t, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	queries := []string{"dept//project", "dept//course", "dept//student"}
+	wantCounts := []int{1, 2, 0} // one nested project, two courses, no students
+	sources := map[string]func(*testing.T, *xpath2sql.DTD, *xpath2sql.DB) Source{
+		"db": func(_ *testing.T, _ *xpath2sql.DTD, db *xpath2sql.DB) Source { return FromDB(db) },
+		"store": func(t *testing.T, d *xpath2sql.DTD, db *xpath2sql.DB) Source {
+			st, err := store.Open(store.Config{DTD: d, Seed: db, Fsync: store.FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			return FromStore(st)
+		},
+		"backend": func(_ *testing.T, _ *xpath2sql.DTD, db *xpath2sql.DB) Source {
+			return FromBackend(xpath2sql.NewLocalBackend(db))
+		},
+	}
+	for name, source := range sources {
+		for _, mode := range []xpath2sql.IntervalMode{xpath2sql.IntervalAuto, xpath2sql.IntervalOff} {
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				d, db := deptFixture(t)
+				s, err := New(Config{Engine: xpath2sql.New(d, xpath2sql.WithIntervalMode(mode)), Source: source(t, d, db)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(s.Handler())
+				defer ts.Close()
 
-	resp, body := postJSON(t, ts.URL+"/v1/batch", batchRequest{
-		Queries: []string{"dept//project", "dept//course", "dept//student"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var br batchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(br.Results))
-	}
-	if br.Results[0].Count != 1 { // dept//project
-		t.Fatalf("dept//project count = %d, want 1", br.Results[0].Count)
-	}
-	if br.Results[1].Count != 2 { // two course elements
-		t.Fatalf("dept//course count = %d, want 2", br.Results[1].Count)
-	}
-	if br.Results[2].Count != 0 { // no students in the fixture
-		t.Fatalf("dept//student count = %d, want 0", br.Results[2].Count)
-	}
-	// Per-query stats sum to the aggregate (work charged once).
-	sum := 0
-	for _, r := range br.Results {
-		sum += r.Stats.TuplesOut
-	}
-	if sum != br.Stats.TuplesOut {
-		t.Fatalf("per-query tuples %d != aggregate %d", sum, br.Stats.TuplesOut)
+				resp, body := postJSON(t, ts.URL+"/v1/batch", batchRequest{Queries: queries})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d: %s", resp.StatusCode, body)
+				}
+				var br batchResponse
+				if err := json.Unmarshal(body, &br); err != nil {
+					t.Fatal(err)
+				}
+				if len(br.Results) != len(queries) {
+					t.Fatalf("results = %d, want %d", len(br.Results), len(queries))
+				}
+				var sum xpath2sql.ExecStats
+				for i, q := range queries {
+					got := br.Results[i]
+					if got.Count != wantCounts[i] || len(got.IDs) != got.Count {
+						t.Fatalf("%s: count %d, %d IDs; want %d", q, got.Count, len(got.IDs), wantCounts[i])
+					}
+					_, qbody := postJSON(t, ts.URL+"/v1/query", queryRequest{Query: q})
+					var qr queryResponse
+					if err := json.Unmarshal(qbody, &qr); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.IDs, qr.IDs) || got.Stats != qr.Stats {
+						t.Fatalf("%s: batch member answered %v with %+v; /v1/query answered %v with %+v",
+							q, got.IDs, got.Stats, qr.IDs, qr.Stats)
+					}
+					sum.Add(got.Stats)
+				}
+				if sum != br.Stats {
+					t.Fatalf("batch stats %+v, want the members' sum %+v", br.Stats, sum)
+				}
+				if mode == xpath2sql.IntervalOff && (br.Stats.DescScans != 0 || br.Stats.LFPs == 0) {
+					t.Fatalf("IntervalOff batch read desc_scans=%d, lfps=%d; want 0 and > 0", br.Stats.DescScans, br.Stats.LFPs)
+				}
+				if mode == xpath2sql.IntervalAuto && br.Stats.DescScans == 0 {
+					t.Fatalf("IntervalAuto batch read no interval scan: %+v", br.Stats)
+				}
+			})
+		}
 	}
 }
 
@@ -247,6 +294,7 @@ func TestErrorMapping(t *testing.T) {
 		{"malformed json", "/v1/query", `{"query": `, http.StatusBadRequest, "bad_request"},
 		{"unknown field", "/v1/query", `{"qeury": "x"}`, http.StatusBadRequest, "bad_request"},
 		{"batch bad query", "/v1/batch", `{"queries": ["dept//project", "///"]}`, http.StatusBadRequest, "parse"},
+		{"empty batch", "/v1/batch", `{"queries": []}`, http.StatusBadRequest, "bad_request"},
 		{"bad dialect", "/v1/translate", `{"query": "dept", "dialect": "mssql"}`, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {

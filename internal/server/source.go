@@ -16,14 +16,9 @@ import (
 // its kind of source can do, and the server offers the endpoints that go with
 // it. The zero Source is not one.
 type Source struct {
-	// be is the execution target every single-query request runs on — the
-	// one execution path.
+	// be is the execution target every query runs on, a batch's members
+	// included — the one execution path.
 	be xpath2sql.Backend
-	// db resolves the in-process database for one merged /v1/batch run,
-	// pinning the current version and naming its epoch (0 for a database that
-	// has none); nil when the source has no in-process *DB (/v1/batch then
-	// runs query by query).
-	db func() (*xpath2sql.DB, uint64)
 	// st is the live document store behind the source, enabling the update,
 	// watch and snapshot endpoints; nil for read-only sources.
 	st *store.Store
@@ -34,26 +29,21 @@ type Source struct {
 }
 
 // FromDB serves a static shredded database through the bundled in-process
-// engine: merged /v1/batch runs, no update endpoints.
+// engine: no update endpoints.
 func FromDB(db *xpath2sql.DB) Source {
-	return Source{be: backend.NewLocalDB(db), db: func() (*xpath2sql.DB, uint64) { return db, 0 }}
+	return Source{be: backend.NewLocalDB(db)}
 }
 
-// FromStore serves a live document store: every request (and every merged
-// batch run) pins the store's current epoch — an immutable snapshot — and
-// the update, watch and snapshot endpoints are enabled.
+// FromStore serves a live document store: every request (a whole /v1/batch
+// included) pins the store's current epoch — an immutable snapshot — and the
+// update, watch and snapshot endpoints are enabled.
 func FromStore(st *store.Store) Source {
-	pin := func() (*xpath2sql.DB, uint64) {
-		v := st.View()
-		return v.DB, v.Seq
-	}
-	return Source{be: storeBackend{st: st}, db: pin, st: st}
+	return Source{be: storeBackend{st: st}, st: st}
 }
 
 // FromBackend serves through a storage-neutral Backend (e.g. the
 // database/sql executor shipping generated WITH RECURSIVE text to a real
-// RDBMS). Backend sources are read-only, and the merged batch program needs
-// the in-process executor, so /v1/batch runs query by query.
+// RDBMS). Backend sources are read-only.
 func FromBackend(b xpath2sql.Backend) Source {
 	return Source{be: b}
 }
@@ -62,8 +52,7 @@ func FromBackend(b xpath2sql.Backend) Source {
 // cluster.Connect's fleet): queries fan out to every shard (or to the single
 // owner when the request is document-scoped) and merge by sorted union,
 // updates route to the owning shard, and answers carry the cluster's
-// degraded-read metadata and watermark. There is no single in-process
-// database to merge a batch against, so /v1/batch runs its queries
+// degraded-read metadata and watermark. A /v1/batch runs its queries
 // concurrently through the cluster.
 func FromCluster(c *cluster.Cluster) Source {
 	return Source{be: c.Backend(), cl: c}

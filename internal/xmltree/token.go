@@ -40,7 +40,10 @@ const windowSize = 64 << 10
 //     and DOCTYPE declarations (internal subset included) before and after
 //     it, skipped; each is refused when unterminated;
 //   - inside the root, elements, character data and comments; a comment
-//     ends the text segment before it;
+//     ends the text segment before it; a CDATA section, a processing
+//     instruction or a DOCTYPE or other "<!" declaration there is refused
+//     with an error naming it (an element name never begins with '!' or
+//     '?');
 //   - attributes, parsed and discarded: a value is quoted, a bare name is
 //     allowed;
 //   - the entities &lt; &gt; &amp; &quot; &apos;, replaced within a text
@@ -272,6 +275,9 @@ func (t *Tokenizer) startTag() (Token, error) {
 	if i == t.pos {
 		return Token{}, t.errf("expected element name")
 	}
+	if name := t.buf[t.pos:i]; name[0] == '!' || name[0] == '?' {
+		return Token{}, t.errf("unsupported %s <%s", markupKind(name), name)
+	}
 	start := len(t.names)
 	t.names = append(t.names, t.buf[t.pos:i]...)
 	end := len(t.names)
@@ -311,6 +317,18 @@ func (t *Tokenizer) startTag() (Token, error) {
 			}
 		}
 	}
+}
+
+// markupKind names what a start tag whose name begins with '!' or '?' would
+// be: markup the dialect does not read where an element may start.
+func markupKind(name []byte) string {
+	switch {
+	case bytes.HasPrefix(name, []byte("![CDATA[")):
+		return "CDATA section"
+	case name[0] == '!':
+		return "markup declaration"
+	}
+	return "processing instruction"
 }
 
 // endTag consumes "</name>" and pops the open element it must close.

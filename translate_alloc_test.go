@@ -1,8 +1,6 @@
 package xpath2sql
 
 import (
-	"context"
-	"sync"
 	"testing"
 
 	"xpath2sql/internal/core"
@@ -43,47 +41,5 @@ func TestColdMissAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per cold translation and rendering", got)
 	if got > coldMissAllocs {
 		t.Errorf("a cold translation and rendering allocates %.1f objects, want at most %d", got, coldMissAllocs)
-	}
-}
-
-// TestBatchLeavesCachedPlansAlone: batches merge the plan cache's programs
-// without writing into them — each prints as it did before, however many
-// batches merged it at once (run it under -race).
-func TestBatchLeavesCachedPlansAlone(t *testing.T) {
-	eng, ctx := New(workload.GedML()), context.Background()
-	queries := make([]Query, len(gedmlCold))
-	want := make([]string, len(gedmlCold))
-	for i, q := range gedmlCold {
-		queries[i] = xpath.MustParse(q)
-		p, err := eng.Prepare(ctx, queries[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = p.Program().String()
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < 5; r++ {
-				if _, err := eng.TranslateBatch(ctx, append(queries[g:], queries[:g]...)); err != nil {
-					t.Error(err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, q := range queries {
-		p, err := eng.Prepare(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := p.Program().String(); got != want[i] {
-			t.Errorf("%s: cached program\n%s\nprints after batching as\n%s", q, want[i], got)
-		}
-	}
-	if st := eng.CacheStats(); st.Misses != int64(len(queries)) {
-		t.Errorf("cache stats %+v: want %d misses, every batch member a hit", st, len(queries))
 	}
 }
