@@ -142,7 +142,7 @@ func TestRouterSameOverBothClients(t *testing.T) {
 	// A text leaf of some document, to carry the hostile literals.
 	leaf, leafType := 0, ""
 	collection.EachNode(func(id int) {
-		if l := collection.Labels[id]; leaf == 0 && (l == "val" || l == "tag") {
+		if l, _ := collection.Label(id); leaf == 0 && (l == "val" || l == "tag") {
 			leaf, leafType = id, l
 		}
 	})

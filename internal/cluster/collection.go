@@ -24,7 +24,7 @@ func BuildCollection(d *dtd.DTD, docs []*rdb.DB) (*rdb.DB, error) {
 	for di, doc := range docs {
 		ids := sortedNodeIDs(doc)
 		for _, id := range ids {
-			label, ok := doc.Labels[id]
+			label, ok := doc.Label(id)
 			if !ok {
 				return nil, fmt.Errorf("cluster: document %d node %d has no label (was it built by Shred?)", di, id)
 			}
@@ -75,7 +75,7 @@ func SplitCollection(d *dtd.DTD, collection *rdb.DB, shards int, p Placement) ([
 			return nil, nil, fmt.Errorf("cluster: placement %s put document %d on shard %d of %d", p.Name(), root, sh, shards)
 		}
 		owner[id] = sh
-		label, ok := collection.Labels[id]
+		label, ok := collection.Label(id)
 		if !ok {
 			return nil, nil, fmt.Errorf("cluster: node %d has no label in the collection catalog", id)
 		}
@@ -103,7 +103,7 @@ func Rebase(d *dtd.DTD, db *rdb.DB, base int) (*rdb.DB, error) {
 	}
 	ld := out.NewLoader()
 	for _, id := range sortedNodeIDs(db) {
-		label, ok := db.Labels[id]
+		label, ok := db.Label(id)
 		if !ok {
 			return nil, fmt.Errorf("cluster: node %d has no label in the catalog (was it built by Shred?)", id)
 		}

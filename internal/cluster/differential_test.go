@@ -71,7 +71,7 @@ func oracleDocRoot(db *rdb.DB, id int) int {
 func applyBoth(t *testing.T, src difftest.Source, c *cluster.Cluster, st *store.Store, rec difftest.Rec) bool {
 	t.Helper()
 	db := st.View().DB
-	u, ok := rec.Update(src, liveNodes(db), db.Labels)
+	u, ok := rec.Update(src, liveNodes(db), db.Label)
 	if !ok {
 		return false
 	}
@@ -82,7 +82,8 @@ func applyBoth(t *testing.T, src difftest.Source, c *cluster.Cluster, st *store.
 	}[u.Op]
 	cres, err := c.Update(context.Background(), req)
 	if err != nil {
-		t.Fatalf("cluster %+v (a %s): %v", req, db.Labels[u.Node], err)
+		typ, _ := db.Label(u.Node)
+		t.Fatalf("cluster %+v (a %s): %v", req, typ, err)
 	}
 	ores, err := applyToStore(st, u)
 	if err != nil {

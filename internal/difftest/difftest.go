@@ -202,18 +202,19 @@ type Update struct {
 	Value    string
 }
 
-// Update draws an update over the live nodes ids, labelled by labels: in one
+// Update draws an update over the live nodes ids, each labelled by label: in one
 // draw in two, a fragment two levels deep inserted under an element that may
 // have children (which keeps a document from draining); in one in four, the
 // delete of a subtree other than a document's; else a new value of a leaf.
 // ok is false when the kind drawn has no target.
-func (r Rec) Update(src Source, ids []int, labels map[int]string) (u Update, ok bool) {
+func (r Rec) Update(src Source, ids []int, label func(id int) (string, bool)) (u Update, ok bool) {
 	u.Op = [4]UpdateOp{Insert, Insert, Delete, Text}[src.Intn(4)]
 	var cands []int
 	for _, id := range ids {
-		ks, inner := r.Kids[labels[id]]
+		typ, _ := label(id)
+		ks, inner := r.Kids[typ]
 		switch {
-		case u.Op == Insert && len(ks) > 0, u.Op == Delete && labels[id] != "doc", u.Op == Text && !inner:
+		case u.Op == Insert && len(ks) > 0, u.Op == Delete && typ != "doc", u.Op == Text && !inner:
 			cands = append(cands, id)
 		}
 	}
@@ -221,7 +222,7 @@ func (r Rec) Update(src Source, ids []int, labels map[int]string) (u Update, ok 
 		return u, false
 	}
 	u.Node = cands[src.Intn(len(cands))]
-	switch typ := labels[u.Node]; u.Op {
+	switch typ, _ := label(u.Node); u.Op {
 	case Insert:
 		ks := r.Kids[typ]
 		u.Fragment = r.Fragment(src, ks[src.Intn(len(ks))], 2)

@@ -32,7 +32,7 @@ func randUpdate(t *testing.T, src difftest.Source, st *store.Store, rec difftest
 	db := st.View().DB
 	ids := make([]int, 0, db.NumNodes())
 	db.EachNode(func(id int) { ids = append(ids, id) })
-	u, ok := rec.Update(src, ids, db.Labels)
+	u, ok := rec.Update(src, ids, db.Label)
 	if !ok {
 		return ur, false
 	}
@@ -46,7 +46,8 @@ func randUpdate(t *testing.T, src difftest.Source, st *store.Store, rec difftest
 		ur, err = st.UpdateText(u.Node, u.Value)
 	}
 	if err != nil {
-		t.Fatalf("%+v on a %s: %v", u, db.Labels[u.Node], err)
+		typ, _ := db.Label(u.Node)
+		t.Fatalf("%+v on a %s: %v", u, typ, err)
 	}
 	return ur, true
 }

@@ -334,7 +334,8 @@ func (h *Hub) dropView(v *view, err error) {
 func BaseDeltaOf(td store.TxnDelta) rdb.BaseDelta {
 	bd := rdb.BaseDelta{Rows: make(map[string][]rdb.DeltaEdge, 4), NewIDs: td.Inserted}
 	for _, id := range td.Inserted {
-		rel := shred.RelName(td.DB.Labels[id])
+		label, _ := td.DB.Label(id)
+		rel := shred.RelName(label)
 		bd.Rows[rel] = append(bd.Rows[rel], rdb.DeltaEdge{
 			F: td.DB.Parent(id), T: id, V: td.DB.Val(id),
 		})

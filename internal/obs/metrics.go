@@ -262,7 +262,11 @@ type StoreStats struct {
 	// parent, value, interval) updates copied before writing them — what the
 	// catalog and label side of a write costs, whatever the database's size.
 	CatalogChunksCopied int64
-	Apply               HistogramSnapshot
+	// LabelEntriesCopied counts the label-map entries structural updates
+	// copied before writing the map: the whole map, once per insert or
+	// delete — the part of a write that grows with the database.
+	LabelEntriesCopied int64
+	Apply              HistogramSnapshot
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -352,6 +356,7 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("store_relabels_total", "Inserts that had to relabel a subtree to make room for their interval labels.", st.Relabels)
 		counter("store_relabelled_nodes_total", "Interval labels rewritten by relabels.", st.RelabelledNodes)
 		counter("store_catalog_chunks_copied_total", "Node-table chunks copied by updates before writing them.", st.CatalogChunksCopied)
+		counter("store_label_entries_copied_total", "Label-map entries copied by updates before writing the map.", st.LabelEntriesCopied)
 		fmt.Fprintf(w, "# HELP %s_store_apply_seconds Update apply latency (validate+log+apply+publish).\n", p)
 		fmt.Fprintf(w, "# TYPE %s_store_apply_seconds histogram\n", p)
 		var cum int64

@@ -63,7 +63,7 @@ func (db *DB) Save(w io.Writer) error {
 	st.tab.eachNode(func(id int, parent, val int32) {
 		if err == nil {
 			_, err = fmt.Fprintf(bw, "N %d %d %s %s\n",
-				id, parent, strconv.Quote(db.Labels[id]), strconv.Quote(db.Syms.Str(val)))
+				id, parent, strconv.Quote(db.Syms.Str(db.Labels[id])), strconv.Quote(db.Syms.Str(val)))
 		}
 	})
 	if err != nil {
@@ -132,6 +132,8 @@ func Load(r io.Reader) (*DB, error) {
 	var run *Relation // the relation the previous R line wrote
 	var last row      // and its tuple
 	sorted := false   // run's tuples so far are ascending onto an empty relation
+	// The symbol of every element type read, by its quoted form.
+	labels := map[string]int32{}
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
@@ -197,9 +199,14 @@ func Load(r io.Reader) (*DB, error) {
 			if !ok {
 				return nil, fmt.Errorf("rdb: line %d: malformed node entry", lineNo)
 			}
-			label, err := strconv.Unquote(labelQ)
-			if err != nil {
-				return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
+			label, ok := labels[labelQ]
+			if !ok {
+				typ, err := strconv.Unquote(labelQ)
+				if err != nil {
+					return nil, fmt.Errorf("rdb: line %d: %v", lineNo, err)
+				}
+				label = db.Syms.Intern(typ)
+				labels[strings.Clone(labelQ)] = label
 			}
 			val, err := strconv.Unquote(valQ)
 			if err != nil {

@@ -37,8 +37,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	if got.Val(2) != db.Val(2) || got.Labels[2] != "b" || got.Parent(3) != 1 {
-		t.Fatalf("catalog mismatch: %q %v %d", got.Val(2), got.Labels, got.Parent(3))
+	if label, _ := got.Label(2); got.Val(2) != db.Val(2) || label != "b" || got.Parent(3) != 1 {
+		t.Fatalf("catalog mismatch: %q %q %d", got.Val(2), label, got.Parent(3))
 	}
 	// Determinism: saving again produces identical text.
 	var sb2 strings.Builder

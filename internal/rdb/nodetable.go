@@ -2,6 +2,7 @@ package rdb
 
 import (
 	"maps"
+	"math"
 	"slices"
 )
 
@@ -67,8 +68,12 @@ func (t *nodeTable) derive() *nodeTable {
 }
 
 // slot returns the chunk and offset of id; the chunk is nil when the table has
-// no row near it.
+// no row near it, and for an id no node can have (outside 0…2³¹−1), which
+// would otherwise alias a stored one.
 func (t *nodeTable) slot(id int) (*nodeChunk, int) {
+	if uint(id) > math.MaxInt32 {
+		return nil, 0
+	}
 	return t.chunks[int32(id>>nodeChunkBits)], id & (nodeChunkLen - 1)
 }
 

@@ -463,10 +463,12 @@ func TestDBLabelsAndParents(t *testing.T) {
 	db := NewDB()
 	db.InsertLabeled("R_a", "a", 0, 1, "")
 	db.InsertLabeled("R_b", "b", 1, 2, "x")
-	if db.Labels[2] != "b" || db.Labels[1] != "a" {
-		t.Fatalf("labels = %v", db.Labels)
+	b, _ := db.Label(2)
+	a, _ := db.Label(1)
+	if _, ok := db.Label(3); b != "b" || a != "a" || ok {
+		t.Fatalf("labels = %q, %q; node 3 labelled = %v", a, b, ok)
 	}
-	if db.Parent(2) != 1 || db.Parent(1) != 0 || !db.HasNode(1) {
+	if db.Parent(2) != 1 || db.Parent(1) != 0 || !db.HasNode(1) || db.HasNode(1<<32+1) || db.HasNode(-1) {
 		t.Fatalf("parents = %d, %d", db.Parent(2), db.Parent(1))
 	}
 }

@@ -261,7 +261,14 @@ func TestLoaderMatchesInsertLabeled(t *testing.T) {
 	if !sameTuples(a.Rel("R").Tuples(), b.Rel("R").Tuples()) {
 		t.Fatal("Loader produced different relation content than InsertLabeled")
 	}
-	if fmt.Sprint(a.Labels) != fmt.Sprint(b.Labels) || string(saved(t, a)) != string(saved(t, b)) {
+	for id := 0; id <= 51; id++ {
+		la, oka := a.Label(id)
+		lb, okb := b.Label(id)
+		if la != lb || oka != okb {
+			t.Fatalf("node %d: InsertLabeled labels it %q (%v), the Loader %q (%v)", id, la, oka, lb, okb)
+		}
+	}
+	if string(saved(t, a)) != string(saved(t, b)) {
 		t.Fatal("Loader produced different node metadata than InsertLabeled")
 	}
 }

@@ -91,7 +91,7 @@ func Reconstruct(db *rdb.DB, answers []int) (*xmltree.Document, error) {
 	}
 	var build func(id int) (*xmltree.Node, error)
 	build = func(id int) (*xmltree.Node, error) {
-		label, ok := db.Labels[id]
+		label, ok := db.Label(id)
 		if !ok {
 			return nil, fmt.Errorf("shred: node %d has no label in the catalog (was the database built by Shred?)", id)
 		}
@@ -123,7 +123,7 @@ func Reconstruct(db *rdb.DB, answers []int) (*xmltree.Document, error) {
 func AncestorPath(db *rdb.DB, id int) (string, error) {
 	var labels []string
 	for cur := id; cur != 0; {
-		label, ok := db.Labels[cur]
+		label, ok := db.Label(cur)
 		if !ok {
 			return "", fmt.Errorf("shred: node %d has no label in the catalog", cur)
 		}

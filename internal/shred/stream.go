@@ -111,8 +111,10 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	// i mod workers) is deterministic and each relation's tuple order
 	// reproduces run to run.
 	rels := make([]*rdb.Relation, len(types))
+	labels := make([]int32, len(types)) // each type's symbol, interned before the parse
 	for i, typ := range types {
 		rels[i] = db.Rel(RelName(typ))
+		labels[i] = db.Syms.Intern(typ)
 	}
 
 	// Every batch goes to each consumer's channel: the two catalog writers',
@@ -126,8 +128,9 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 
 	var wg sync.WaitGroup
 	// The catalog has two writers, each the single writer of what it writes:
-	// one fills the DB's Labels map, the other the node table — each node's
-	// parent, value and interval. Labels is the costlier by far; apart, its
+	// one fills the DB's label map, a symbol per node, the other the node
+	// table — each node's parent, value and interval. The label map is the
+	// costlier (a hash insert per node against a slot write); apart, its
 	// writer is the only one the shredder waits for.
 	wg.Add(2)
 	go func() {
@@ -135,7 +138,7 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 		for b := range labelCh {
 			for i := range b.recs {
 				rec := &b.recs[i]
-				db.Labels[int(rec.t)] = types[rec.typ]
+				db.SetLabel(int(rec.t), labels[rec.typ])
 			}
 			batches.release(b)
 		}

@@ -293,13 +293,14 @@ func TestStreamShredDialectCases(t *testing.T) {
 }
 
 // dialectAtoms are the pieces TestStreamShredMatchesShredOnAtoms builds
-// documents from: tags, attributes, comments, PIs, DOCTYPE, entities, and
-// the bytes 0x85, 0xA0 and 0xC2.
+// documents from: tags, attributes, comments, PIs, DOCTYPE, entities, numeric
+// character references and their pieces, and the bytes 0x85, 0xA0 and 0xC2.
 var dialectAtoms = []string{
 	"<a>", "</a>", "<b>", "</b>", "<a/>", "<b/>", `<a x="1">`, `<b y='&lt;' z/>`,
 	"<!--", "-->", "<!-- c -->", "<!-->", "<?", "?>", "<?pi x?>", "<?>",
 	"<!DOCTYPE a [<!ELEMENT a (b*)>]>", "<!DOCTYPE", "[", "]", ">", "<", "/>", "=", `"`,
 	"&lt;", "&amp;", "&apos;", "&am", "p;", "&", "t", "v w",
+	"&#60;", "&#x1F600;", "&#x85;", "&#0;", "&#xD800;", "&#", "x", "3C", "160", ";",
 	" ", "\n", "\t", "\r", "\x85", "\xa0", "\xc2", "\xc2\xa0", "\v",
 }
 

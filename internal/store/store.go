@@ -185,6 +185,7 @@ type Store struct {
 	relabels     atomic.Int64
 	relabelled   atomic.Int64
 	chunksCopied atomic.Int64
+	labelsCopied atomic.Int64
 	applyHist    *obs.Histogram
 }
 
@@ -450,6 +451,7 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 		s.relabelled.Add(int64(n))
 	}
 	s.chunksCopied.Add(int64(t.db.ChunksCopied()))
+	s.labelsCopied.Add(int64(t.db.LabelEntriesCopied()))
 
 	next := &Epoch{DB: t.db, Seq: ep.Seq + 1, LSN: rec.LSN}
 	s.lsn = rec.LSN
@@ -516,7 +518,8 @@ func applyInsert(t *txn, parentID, base int, frag *xmltree.Document) int {
 func applyDelete(t *txn, kids map[string][]childType, nodeID int) []int {
 	ids := collectSubtree(t.db, kids, nodeID)
 	for _, id := range ids {
-		t.db.Delete(t.rel(t.db.Labels[id]), t.db.Parent(id), id)
+		label, _ := t.db.Label(id)
+		t.db.Delete(t.rel(label), t.db.Parent(id), id)
 	}
 	return ids
 }
@@ -524,7 +527,8 @@ func applyDelete(t *txn, kids map[string][]childType, nodeID int) []int {
 // applyUpdateText rewrites the V attribute of nodeID's edge tuple and its
 // catalog value.
 func applyUpdateText(t *txn, nodeID int, value string) {
-	t.db.UpdateValue(t.rel(t.db.Labels[nodeID]), t.db.Parent(nodeID), nodeID, value)
+	label, _ := t.db.Label(nodeID)
+	t.db.UpdateValue(t.rel(label), t.db.Parent(nodeID), nodeID, value)
 }
 
 // childType is one child type of a production and the relation storing it.
@@ -548,7 +552,8 @@ func collectSubtree(db *rdb.DB, kids map[string][]childType, id int) []int {
 	out := []int{id}
 	for i := 0; i < len(out); i++ {
 		at := len(out)
-		for _, k := range kids[db.Labels[out[i]]] {
+		label, _ := db.Label(out[i])
+		for _, k := range kids[label] {
 			if rel, ok := db.Rels[k.rel]; ok {
 				out = rel.AppendChildIDs(out, out[i])
 			}
@@ -712,6 +717,7 @@ func (s *Store) Stats() obs.StoreStats {
 		Relabels:            s.relabels.Load(),
 		RelabelledNodes:     s.relabelled.Load(),
 		CatalogChunksCopied: s.chunksCopied.Load(),
+		LabelEntriesCopied:  s.labelsCopied.Load(),
 		Apply:               s.applyHist.Snapshot(),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -364,6 +365,82 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if st := s.Stats(); st.Rejected < int64(len(cases)-1) {
 		t.Errorf("Rejected = %d, want >= %d", st.Rejected, len(cases)-1)
+	}
+}
+
+// TestUnlabelledNodeIsCorrupt: validation finds a node in the node table and
+// its element type in the label map. A node the table holds without a type is
+// a corrupt catalog, not an unknown node, and no update naming it applies.
+func TestUnlabelledNodeIsCorrupt(t *testing.T) {
+	db, m := seedDB(t, 23, 250)
+	cno := m.byLabel("cno")[0]
+	bare := db.MaxNodeID() + 1
+	db.Insert(shred.RelName("prereq"), m.parent[cno], bare, "")
+	s, err := Open(Config{DTD: workload.Dept(), Seed: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for name, do := range map[string]func() error{
+		"insert under": func() error { _, err := s.InsertSubtree(bare, fragCourse(0)); return err },
+		"delete":       func() error { _, err := s.DeleteSubtree(bare); return err },
+		"update text":  func() error { _, err := s.UpdateText(bare, "x"); return err },
+	} {
+		if err := do(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s the unlabelled node: got %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := s.UpdateText(cno, "x"); err != nil {
+		t.Errorf("update text of a labelled node: %v", err)
+	}
+	for _, id := range []int{bare + 1, -1, 1<<32 + cno} {
+		if _, err := s.UpdateText(id, "x"); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("update text of node %d: got %v, want ErrUnknownNode", id, err)
+		}
+	}
+}
+
+// TestPinnedEpochLabels: readers resolve the label of every node of an epoch
+// pinned before a burst of inserts, deletes and text updates, and read that
+// epoch's labels throughout — the writer copies the label map it writes, and
+// the interner the labels resolve through grows under the readers.
+func TestPinnedEpochLabels(t *testing.T) {
+	s, m := openSeeded(t, "", 31, 250, Config{})
+	pinned := s.View()
+	want := maps.Clone(m.labels)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for id, typ := range want {
+					if got, ok := pinned.DB.Label(id); !ok || got != typ {
+						t.Errorf("epoch %d: node %d labelled %q (%v), want %q", pinned.Seq, id, got, ok, typ)
+						return
+					}
+				}
+				if n := pinned.DB.NumNodes(); n != len(want) {
+					t.Errorf("epoch %d holds %d nodes, want %d", pinned.Seq, n, len(want))
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 120; i++ {
+		applyRandomOp(t, s, m, rng, i)
+	}
+	close(stop)
+	wg.Wait()
+	if s.Stats().LabelEntriesCopied == 0 {
+		t.Fatal("no update copied the label map")
 	}
 }
 
@@ -733,8 +810,8 @@ func TestConcurrentReaders(t *testing.T) {
 				if i%7 == 0 {
 					ids := answers(t, ep.DB, d, "dept//course", core.StrategyCycleEX, 2)
 					for _, id := range ids {
-						if ep.DB.Labels[id] != "course" {
-							t.Errorf("epoch %d: answer %d is %q", ep.Seq, id, ep.DB.Labels[id])
+						if typ, _ := ep.DB.Label(id); typ != "course" {
+							t.Errorf("epoch %d: answer %d is %q", ep.Seq, id, typ)
 							return
 						}
 					}

@@ -37,9 +37,9 @@ func (s *Store) validateInsert(db *rdb.DB, parentID int, frag *xmltree.Document)
 	if parentID == 0 {
 		return fmt.Errorf("%w: cannot insert a second root element under the virtual root", ErrInvalid)
 	}
-	plabel, ok := db.Labels[parentID]
-	if !ok {
-		return fmt.Errorf("%w: parent %d", ErrUnknownNode, parentID)
+	plabel, err := labelOf(db, parentID, "parent")
+	if err != nil {
+		return err
 	}
 	prod, ok := s.dtd.Prods[plabel]
 	if !ok {
@@ -80,15 +80,18 @@ func (s *Store) validateSubtree(n *xmltree.Node) error {
 // validateDelete checks that nodeID exists, is not the root element, and
 // that its parent's production admits the remaining children.
 func (s *Store) validateDelete(db *rdb.DB, nodeID int) error {
-	label, ok := db.Labels[nodeID]
-	if !ok {
-		return fmt.Errorf("%w: node %d", ErrUnknownNode, nodeID)
+	label, err := labelOf(db, nodeID, "node")
+	if err != nil {
+		return err
 	}
 	parent := db.Parent(nodeID)
 	if parent == 0 {
 		return fmt.Errorf("%w: cannot delete the root element", ErrInvalid)
 	}
-	plabel := db.Labels[parent]
+	plabel, err := labelOf(db, parent, "parent")
+	if err != nil {
+		return err
+	}
 	prod, ok := s.dtd.Prods[plabel]
 	if !ok {
 		return fmt.Errorf("%w: parent type %q has no production", ErrInvalid, plabel)
@@ -109,8 +112,20 @@ func (s *Store) validateDelete(db *rdb.DB, nodeID int) error {
 // constrained by the DTD grammar (the data model attaches PCDATA to any
 // element), so existence is the only check.
 func (s *Store) validateUpdateText(db *rdb.DB, nodeID int) error {
-	if _, ok := db.Labels[nodeID]; !ok {
-		return fmt.Errorf("%w: node %d", ErrUnknownNode, nodeID)
+	_, err := labelOf(db, nodeID, "node")
+	return err
+}
+
+// labelOf returns the element type of a node the update names, what it is to
+// the update: ErrUnknownNode when the node table does not hold it, ErrCorrupt
+// when it does but the catalog records no type for it.
+func labelOf(db *rdb.DB, id int, what string) (string, error) {
+	if !db.HasNode(id) {
+		return "", fmt.Errorf("%w: %s %d", ErrUnknownNode, what, id)
 	}
-	return nil
+	label, ok := db.Label(id)
+	if !ok {
+		return "", fmt.Errorf("%w: %s %d is stored without an element type", ErrCorrupt, what, id)
+	}
+	return label, nil
 }

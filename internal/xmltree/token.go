@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind tells the tokens of Tokenizer.Next apart.
@@ -17,7 +19,8 @@ const (
 	// EndElement is an end tag; its name matched the start tag's.
 	EndElement
 	// Text is one segment of character data between two markups inside the
-	// root element, with the five predefined entities replaced.
+	// root element, with the five predefined entities and the numeric
+	// character references replaced.
 	Text
 )
 
@@ -46,8 +49,11 @@ const windowSize = 64 << 10
 //     '?');
 //   - attributes, parsed and discarded: a value is quoted, a bare name is
 //     allowed;
-//   - the entities &lt; &gt; &amp; &quot; &apos;, replaced within a text
-//     segment in one pass from left to right; any other '&' stays literal;
+//   - the entities &lt; &gt; &amp; &quot; &apos; and the numeric character
+//     references &#N; (decimal) and &#xH; (hexadecimal, either case of
+//     digit), replaced within a text segment in one pass from left to
+//     right; any other '&' stays literal, and so does a reference with no
+//     digits, no ';', or the value 0, a surrogate or one above U+10FFFF;
 //   - whitespace is space, tab, CR and LF; a name runs up to whitespace,
 //     '>', '/' or '='; a comment or PI terminator is searched after its
 //     opener, so "<!-->" is unterminated.
@@ -383,8 +389,9 @@ var entities = [...]struct {
 	c   byte
 }{{[]byte("&lt;"), '<'}, {[]byte("&gt;"), '>'}, {[]byte("&amp;"), '&'}, {[]byte("&quot;"), '"'}, {[]byte("&apos;"), '\''}}
 
-// appendUnescaped appends src to dst with the five predefined entities
-// replaced, in one pass from left to right; other entities stay literal.
+// appendUnescaped appends src to dst with the five predefined entities and
+// the numeric character references replaced, in one pass from left to right;
+// other entities stay literal.
 func appendUnescaped(dst, src []byte) []byte {
 	for {
 		i := bytes.IndexByte(src, '&')
@@ -393,6 +400,11 @@ func appendUnescaped(dst, src []byte) []byte {
 		}
 		dst = append(dst, src[:i]...)
 		src = src[i:]
+		if r, n := charRef(src); n > 0 {
+			dst = utf8.AppendRune(dst, r)
+			src = src[n:]
+			continue
+		}
 		n := 1
 		c := byte('&')
 		for _, e := range entities {
@@ -404,4 +416,45 @@ func appendUnescaped(dst, src []byte) []byte {
 		dst = append(dst, c)
 		src = src[n:]
 	}
+}
+
+// charRef decodes the numeric character reference src begins with, "&#"
+// decimal digits ";" or "&#x" hexadecimal digits ";", returning its code
+// point and length. n is 0 when src begins with none, or with one whose value
+// is no character: 0, a surrogate, or above U+10FFFF.
+func charRef(src []byte) (r rune, n int) {
+	if len(src) < 4 || src[1] != '#' {
+		return 0, 0
+	}
+	base, i := rune(10), 2
+	if src[2] == 'x' {
+		base, i = 16, 3
+	}
+	start := i
+	for ; i < len(src); i++ {
+		d := digit(src[i], base)
+		if d < 0 {
+			break
+		}
+		if r <= unicode.MaxRune { // past it the value only grows: stop before overflow
+			r = r*base + d
+		}
+	}
+	if i == start || i == len(src) || src[i] != ';' || r == 0 || r > unicode.MaxRune || 0xD800 <= r && r <= 0xDFFF {
+		return 0, 0
+	}
+	return r, i + 1
+}
+
+// digit returns the value of c as a digit in base 10 or 16, or -1.
+func digit(c byte, base rune) rune {
+	switch {
+	case '0' <= c && c <= '9':
+		return rune(c - '0')
+	case base == 16 && 'a' <= c && c <= 'f':
+		return rune(c-'a') + 10
+	case base == 16 && 'A' <= c && c <= 'F':
+		return rune(c-'A') + 10
+	}
+	return -1
 }

@@ -323,3 +323,34 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// TestCharacterReferences: a numeric character reference is its character,
+// decimal or hexadecimal, astral planes included; a malformed one stays
+// literal; and the value survives Serialize and a second Parse.
+func TestCharacterReferences(t *testing.T) {
+	for _, c := range []struct{ text, val string }{
+		{"&#60;", "<"},
+		{"&#x3C;&#x3c;&#0060;", "<<<"},
+		{"&#x1F600;&#128512;", "😀😀"},
+		{"&#x10FFFF;", "\U0010FFFF"},
+		{"a&#x20;b&#9;c", "a b\tc"},
+		{"&#38;lt;", "&lt;"},
+		{"&amp;#60;", "&#60;"},
+		{"&#32;x&#x85;", "x"},
+		{"&#;&#x;&#60 &#x3G;&#X3C;&#3c;&#", "&#;&#x;&#60 &#x3G;&#X3C;&#3c;&#"},
+		{"&#0;&#x0;&#xD800;&#57343;", "&#0;&#x0;&#xD800;&#57343;"},
+		{"&#x110000;&#1114112;&#99999999999999999999;", "&#x110000;&#1114112;&#99999999999999999999;"},
+	} {
+		doc, err := Parse("<a>" + c.text + "</a>")
+		if err != nil {
+			t.Fatalf("%q: %v", c.text, err)
+		}
+		if doc.Root.Val != c.val {
+			t.Errorf("%q reads as %q, want %q", c.text, doc.Root.Val, c.val)
+		}
+		again, err := Parse(doc.Serialize())
+		if err != nil || !treeEqual(doc.Root, again.Root) {
+			t.Errorf("%q: the round trip through %q gives %v, %v", c.text, doc.Serialize(), again, err)
+		}
+	}
+}
