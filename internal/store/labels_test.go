@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -155,6 +156,7 @@ func TestLabelWritesAreTheInsertsOwn(t *testing.T) {
 // building one; and no relation holds a pair set, so no Clone copies one.
 func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 	const floor = 1 << 20 // above every scale's seed, on a chunk boundary
+	labelsOf := func(db *rdb.DB) uintptr { return reflect.ValueOf(db.Labels).Pointer() }
 	var streams [][]int64
 	for _, scale := range []int{1, 4, 16} {
 		s, m := openCoursesWith(t, 20*scale, Config{MinNextID: floor})
@@ -211,14 +213,16 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 			if i%2 == 1 {
 				node = mine[len(mine)-1] + 1
 			}
+			was := s.View().DB
 			n := count(false, func() {
 				if _, err := s.UpdateText(node, fmt.Sprintf("v%d", i)); err != nil {
 					t.Fatal(err)
 				}
 				m.vals[node] = fmt.Sprintf("v%d", i)
 			})
-			if n != 1 {
-				t.Fatalf("%dx: text update %d copied %d chunks; want one", scale, i, n)
+			if now := s.View().DB; n != 1 || labelsOf(now) != labelsOf(was) {
+				t.Fatalf("%dx: text update %d copied %d chunks, Labels shared = %v; want one chunk and the same map",
+					scale, i, n, labelsOf(now) == labelsOf(was))
 			}
 		}
 		streams = append(streams, copied)

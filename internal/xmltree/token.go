@@ -54,6 +54,9 @@ const windowSize = 64 << 10
 //     digit), replaced within a text segment in one pass from left to
 //     right; any other '&' stays literal, and so does a reference with no
 //     digits, no ';', or the value 0, a surrogate or one above U+10FFFF;
+//     a node's value is trimmed of Unicode whitespace after decoding, so
+//     a reference to whitespace at either end of it (&#32;, &#xA0;) goes
+//     like a literal one;
 //   - whitespace is space, tab, CR and LF; a name runs up to whitespace,
 //     '>', '/' or '='; a comment or PI terminator is searched after its
 //     opener, so "<!-->" is unterminated.
