@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,6 +59,25 @@ func deptDB(t *testing.T, elems int) *rdb.DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// readMixPrograms translates the read mix, its text() query asking for a cno
+// value of db.
+func readMixPrograms(t *testing.T, db *rdb.DB) (queries []string, progs []*ra.Program) {
+	t.Helper()
+	cno := db.Rel("R_cno").Tuples()[0].V
+	for _, m := range readMix {
+		q := m.query
+		if strings.Contains(q, "%s") {
+			q = fmt.Sprintf(q, cno)
+		}
+		res, err := core.Translate(xpath.MustParse(q), workload.Dept(), core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries, progs = append(queries, q), append(progs, res.Program)
+	}
+	return queries, progs
 }
 
 // hashing is what one pooled run of p on db produces and what its pair sets
@@ -130,11 +150,28 @@ func membershipOnly(p *ra.Program) map[string]bool {
 	return asked
 }
 
-// updated applies n updates to db through a store, drawn as write-mixed draws
-// them: in the ratio 2:1:1, a 9-element course inserted under the root, a
-// delete of a course inserted earlier, a text update of a cno leaf of db. It
-// returns the last epoch's database and the same document loaded afresh.
+// updated applies n updates to db through a store (walkUpdates) and returns
+// the last epoch's database and the same document loaded afresh.
 func updated(t *testing.T, db *rdb.DB, n int) (after, fresh *rdb.DB) {
+	t.Helper()
+	after = walkUpdates(t, db, n, nil)
+	var img bytes.Buffer
+	if err := after.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := rdb.Load(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after, fresh
+}
+
+// walkUpdates applies n updates to db through a store, drawn as write-mixed
+// draws them: in the ratio 2:1:1, a 9-element course inserted under the root,
+// a delete of a course inserted earlier, a text update of a cno leaf of db.
+// Each new epoch is handed to each, if set, beside its parent and whether the
+// update relabelled. It returns the last epoch's database.
+func walkUpdates(t *testing.T, db *rdb.DB, n int, each func(prev, next *rdb.DB, relabelled bool)) *rdb.DB {
 	t.Helper()
 	st, err := store.Open(store.Config{DTD: workload.Dept(), Seed: db, Fsync: store.FsyncNever})
 	if err != nil {
@@ -147,6 +184,7 @@ func updated(t *testing.T, db *rdb.DB, n int) (after, fresh *rdb.DB) {
 	}
 	r := rand.New(rand.NewSource(int64(db.NumNodes())))
 	for i := 0; i < n; i++ {
+		prev, relabels := st.View().DB, st.Stats().Relabels
 		tag := fmt.Sprintf("u%d", i)
 		switch k := r.Intn(4); {
 		case k == 2 && len(mine) > 0:
@@ -164,16 +202,57 @@ func updated(t *testing.T, db *rdb.DB, n int) (after, fresh *rdb.DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if each != nil {
+			each(prev, st.View().DB, st.Stats().Relabels != relabels)
+		}
 	}
-	after = st.View().DB
-	var img bytes.Buffer
-	if err := after.Save(&img); err != nil {
-		t.Fatal(err)
+	return st.View().DB
+}
+
+// TestUpdatesLeaveIndexesWarm is the counted test of the writer's index
+// patches: along a 560-update write-mixed walk over dept databases of 1×, 4×
+// and 16× a base, the read mix on each new epoch builds no descendant index of
+// a relation its parent epoch had indexed — the update shared or patched every
+// one — but after a relabel, which carries nothing.
+func TestUpdatesLeaveIndexesWarm(t *testing.T) {
+	const base = 1000
+	var built []string
+	defer rdb.OnDescIndexBuild(func(rel string) { built = append(built, rel) })()
+	for _, scale := range []int{1, 4, 16} {
+		db := deptDB(t, scale*base)
+		_, progs := readMixPrograms(t, db)
+		readAll := func(db *rdb.DB) {
+			for _, p := range progs {
+				st := rdb.AcquireState(db)
+				if _, err := st.Exec().Run(p); err != nil {
+					t.Fatal(err)
+				}
+				st.Release()
+			}
+		}
+		readAll(db)
+		epochs, relabels, had := 0, 0, 0
+		walkUpdates(t, db, 560, func(prev, next *rdb.DB, relabelled bool) {
+			epochs++
+			indexed := rdb.DescIndexed(prev)
+			built = built[:0]
+			readAll(next)
+			if relabelled {
+				relabels++
+				return
+			}
+			had += len(indexed)
+			for _, name := range built {
+				if slices.Contains(indexed, name) {
+					t.Errorf("%d×, epoch %d: the read mix built an index of %s, which the parent epoch had", scale, epochs, name)
+				}
+			}
+		})
+		t.Logf("%2d×: %d epochs, %d relabelled; the others' parents held %d indexes", scale, epochs, relabels, had)
+		if relabels > 2 || had == 0 {
+			t.Errorf("%d×: %d of %d epochs relabelled, their parents held %d indexes", scale, relabels, epochs, had)
+		}
 	}
-	if fresh, err = rdb.Load(&img); err != nil {
-		t.Fatal(err)
-	}
-	return after, fresh
 }
 
 // TestReadMixHashesOnlyWhereDuplicatesArise counts the pair-set work of the
@@ -200,20 +279,7 @@ func TestReadMixHashesOnlyWhereDuplicatesArise(t *testing.T) {
 	for i, scale := range scales {
 		dbs[i] = deptDB(t, scale*base)
 	}
-	cno := dbs[len(dbs)-1].Rel("R_cno").Tuples()[0].V
-	queries, progs := make([]string, len(readMix)), make([]*ra.Program, len(readMix))
-	for i, m := range readMix {
-		q := m.query
-		if strings.Contains(q, "%s") {
-			q = fmt.Sprintf(q, cno)
-		}
-		queries[i] = q
-		res, err := core.Translate(xpath.MustParse(q), workload.Dept(), core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs[i] = res.Program
-	}
+	queries, progs := readMixPrograms(t, dbs[len(dbs)-1])
 	for si, scale := range scales {
 		db := dbs[si]
 		after, fresh := updated(t, db, 100)

@@ -579,7 +579,8 @@ func (e *Exec) identRel() (*Relation, error) {
 
 // newIdent builds the unscoped R_id. Allocated off-arena: pooled executors
 // retain it across requests against the same DB (AcquireState drops it on a
-// rebind), and a view node keeps its own copy to advance.
+// rebind, even to another epoch of the same store, whose nodes differ), and a
+// view node keeps its own copy to advance.
 func (e *Exec) newIdent() *Relation {
 	r := newRelation("Rid", e.DB.Syms)
 	tab := e.DB.nodes.Load().tab

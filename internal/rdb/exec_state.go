@@ -32,12 +32,16 @@ var statePool = sync.Pool{New: func() any { return new(ExecState) }}
 
 // AcquireState returns a pooled execution state bound to db, with lazy
 // evaluation, single-threaded operators and no limits — the same defaults
-// as NewExec. A state last used against a different DB drops its cached
-// relations (they reference the old interner) but is otherwise reused.
+// as NewExec. A state last used against a different DB drops its R_id, which
+// lists that DB's nodes, and keeps its free temporaries only when the new DB
+// shares the old one's interner — as every epoch of a store does — since a
+// temporary holds symbols of it.
 func AcquireState(db *DB) *ExecState {
 	s := statePool.Get().(*ExecState)
 	if s.lastDB != db {
-		s.free = s.free[:0]
+		if s.lastDB != nil && s.lastDB.Syms != db.Syms {
+			s.free = s.free[:0]
+		}
 		s.exec.ident = nil
 		s.lastDB = db
 	}

@@ -37,3 +37,24 @@ func (s *ExecState) MemberTemps() (names []string, builds []int) {
 // A descendant index asked of a per-run relation fails this package's tests
 // outright instead of surfacing as an error some tests would expect.
 func init() { strictPerRun = true }
+
+// OnDescIndexBuild runs fn with the name of each relation whose descendant
+// index a reader builds from now on, until the returned func is called.
+func OnDescIndexBuild(fn func(rel string)) (stop func()) {
+	buildHook = func(rel *Relation) { fn(rel.Name) }
+	return func() { buildHook = nil }
+}
+
+// DescIndexed names the relations db holds a built descendant index of.
+func DescIndexed(db *DB) []string {
+	st := db.nodes.Load()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var names []string
+	for rel, e := range st.byRel {
+		if idx, built := e.final(); built && idx != nil {
+			names = append(names, rel.Name)
+		}
+	}
+	return names
+}

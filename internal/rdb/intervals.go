@@ -2,8 +2,11 @@ package rdb
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"xpath2sql/internal/ra"
 )
@@ -70,20 +73,21 @@ func (m IntervalMode) String() string {
 // nodeState is one database's view of its node table: the table (immutable once
 // the database is published, and sharing its chunks with the neighbouring
 // epochs of a store), whether its label columns are a valid interval encoding,
-// and this database's lazily built per-relation descendant indexes. The whole
-// value is swapped atomically on adopt/rebuild/invalidate, so readers pin a
-// consistent encoding; the index cache inside is mutex-guarded because
-// concurrent queries may race to build the first index for a relation.
+// and this database's per-relation descendant indexes. The whole value is
+// swapped atomically on adopt/rebuild/invalidate, so readers pin a consistent
+// encoding. The index cache maps a relation to its entry under a mutex held
+// only for the lookup: concurrent queries may ask for the same relation's
+// index first, and one builds it while the others wait on its entry alone.
 type nodeState struct {
 	tab      *nodeTable
 	labelled bool
 
 	mu    sync.Mutex
-	byRel map[*Relation]*descIndex
+	byRel map[*Relation]*descEntry
 }
 
 func newNodeState(tab *nodeTable, labelled bool) *nodeState {
-	return &nodeState{tab: tab, labelled: labelled, byRel: map[*Relation]*descIndex{}}
+	return &nodeState{tab: tab, labelled: labelled, byRel: map[*Relation]*descEntry{}}
 }
 
 // encoding pins the database's interval encoding, nil when it has no valid one.
@@ -94,15 +98,69 @@ func (db *DB) encoding() *nodeState {
 	return nil
 }
 
-// inherit seeds the cache with prev's indexes of the relations db still
-// shares with it: same rows, and the caller vouches that none of their labels
-// moved. A relation the update cloned is re-indexed on its first read.
-func (st *nodeState) inherit(prev *nodeState, db *DB) {
+// descEntry is one relation's slot in an index cache: built once, by the first
+// reader that asks, or carried in final by the update that made the database.
+type descEntry struct {
+	once sync.Once
+	done atomic.Bool // idx is final
+	idx  *descIndex  // nil once final: a live row's node has no label
+}
+
+// index returns the entry's index, building it from tab on first use.
+func (e *descEntry) index(tab *nodeTable, rel *Relation) *descIndex {
+	if !e.done.Load() {
+		e.once.Do(func() {
+			if buildHook != nil {
+				buildHook(rel)
+			}
+			e.idx = buildDescIndex(tab, rel)
+			e.done.Store(true)
+		})
+	}
+	return e.idx
+}
+
+// final returns the entry's index without building it: ok is false while no
+// reader has finished building it.
+func (e *descEntry) final() (idx *descIndex, ok bool) {
+	if !e.done.Load() {
+		return nil, false
+	}
+	return e.idx, true
+}
+
+// carriedEntry is a final entry holding an index the update derived.
+func carriedEntry(idx *descIndex) *descEntry {
+	e := &descEntry{idx: idx}
+	e.done.Store(true)
+	return e
+}
+
+// buildHook, when set, runs before each index build; the package's tests set
+// it to count builds and to hold one up.
+var buildHook func(rel *Relation)
+
+// indexPatch derives the index of cur, the clone an update wrote of the parent
+// epoch's old, from idx, old's index there; nil leaves cur's index to its
+// first reader. It reads no row of cur it did not write: one memmove of idx.
+type indexPatch func(idx *descIndex, old, cur *Relation) *descIndex
+
+// inherit seeds the cache from prev's: the entry of every relation db still
+// shares with it, built or not, and the caller vouches that none of their
+// labels moved; and, through patch, the index of every relation the update
+// cloned that prev had built one for. Any other relation is indexed on its
+// first read.
+func (st *nodeState) inherit(prev *nodeState, db *DB, patch indexPatch) {
 	prev.mu.Lock()
 	defer prev.mu.Unlock()
-	for rel, idx := range prev.byRel {
-		if db.Rels[rel.Name] == rel {
-			st.byRel[rel] = idx
+	for rel, e := range prev.byRel {
+		cur := db.Rels[rel.Name]
+		if cur == rel {
+			st.byRel[rel] = e
+		} else if idx, ok := e.final(); ok && idx != nil && cur != nil {
+			if p := patch(idx, rel, cur); p != nil {
+				st.byRel[cur] = carriedEntry(p)
+			}
 		}
 	}
 }
@@ -154,11 +212,12 @@ func (b *IntervalBuilder) SetNode(id, parent int, sym int32, iv NodeInterval) {
 
 // Adopt installs the built encoding on the database, replacing any previous
 // one. A patched encoding that moved no label keeps the descendant indexes of
-// the relations the database shares with the one it was derived from.
+// the relations the database shares with the one it was derived from, and
+// splices the inserted rows into those of the relations it cloned.
 func (b *IntervalBuilder) Adopt() {
 	st := newNodeState(b.tab, true)
 	if b.prev != nil && b.relabelled == 0 {
-		st.inherit(b.prev, b.db)
+		st.inherit(b.prev, b.db, st.spliceInserted)
 	}
 	b.db.nodes.Store(st)
 }
@@ -208,14 +267,41 @@ func (db *DB) IntervalCount() int {
 // fixpoint until RebuildIntervals runs.
 func (db *DB) InvalidateIntervals() { db.nodes.Store(newNodeState(db.nodes.Load().tab, false)) }
 
-// ShareDescIndexes ends an update that moved no label — a delete, a text
-// update: db, derived from prev, takes over prev's descendant indexes of the
-// relations the two still share, so call it once db's relations are final; a
-// relation db cloned is re-indexed on its first read.
-func (db *DB) ShareDescIndexes(prev *DB) {
-	if st, was := db.encoding(), prev.encoding(); st != nil && was != nil {
-		st.inherit(was, db)
+// DeriveDelete ends a delete: db, derived from prev, no longer holds the
+// subtree rooted at root, and moved no label. It takes over prev's descendant
+// indexes of the relations the two still share, and cuts the subtree's range
+// out of prev's index of each relation it cloned; call it once db's relations
+// are final.
+func (db *DB) DeriveDelete(prev *DB, root int) {
+	st, was := db.encoding(), prev.encoding()
+	if st == nil || was == nil {
+		return
 	}
+	iv, ok := was.tab.get(root)
+	st.inherit(was, db, func(idx *descIndex, old, cur *Relation) *descIndex {
+		if !ok {
+			return nil
+		}
+		return idx.cut(iv, len(old.rows)-len(cur.rows))
+	})
+}
+
+// DeriveText ends a text update of node id: db, derived from prev, moved no
+// label. It takes over prev's descendant indexes of the relations the two
+// still share, and gives the relation it cloned prev's index with the node's
+// new value.
+func (db *DB) DeriveText(prev *DB, id int) {
+	st, was := db.encoding(), prev.encoding()
+	if st == nil || was == nil {
+		return
+	}
+	st.inherit(was, db, func(idx *descIndex, _, _ *Relation) *descIndex {
+		iv, ok := st.tab.get(id)
+		if !ok {
+			return nil
+		}
+		return idx.revalued(iv.Begin, int32(id), st.tab.valSym(id))
+	})
 }
 
 // RebuildIntervals recomputes the dense interval encoding from the catalog's
@@ -248,8 +334,10 @@ var errPerRunIndex = errors.New("rdb: descendant index asked of a per-run relati
 var strictPerRun bool
 
 // indexFor returns a stored relation's begin-sorted descendant index, built
-// and cached on first use; errNoDescKernel if the relation holds a node the
-// encoding does not cover (a stale encoding after an uncoordinated mutation).
+// on first use and cached, the negative answer too; errNoDescKernel if the
+// relation holds a node the encoding does not cover (a stale encoding after an
+// uncoordinated mutation). The build runs outside the cache's lock: a reader
+// of another relation does not wait for it.
 func (st *nodeState) indexFor(rel *Relation) (*descIndex, error) {
 	if rel.pooled || rel.base != nil {
 		if strictPerRun {
@@ -258,12 +346,13 @@ func (st *nodeState) indexFor(rel *Relation) (*descIndex, error) {
 		return nil, errPerRunIndex
 	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	idx, ok := st.byRel[rel]
+	e, ok := st.byRel[rel]
 	if !ok {
-		idx = buildDescIndex(st.tab, rel)
-		st.byRel[rel] = idx // nil caches the negative answer too
+		e = new(descEntry)
+		st.byRel[rel] = e
 	}
+	st.mu.Unlock()
+	idx := e.index(st.tab, rel)
 	if idx == nil {
 		return nil, errNoDescKernel
 	}
@@ -294,6 +383,101 @@ func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 	}
 	sort.Sort((*descIndexSort)(idx))
 	return idx
+}
+
+// spliceInserted derives the index of cur, which an insert that moved no label
+// made by appending rows to a clone of old: the new rows' begins, looked up in
+// st's table, form one block inside the parent's free range, so sorted they go
+// in at one position. It returns nil — leaving cur to be indexed on first read
+// — when the rows do not fit that shape.
+func (st *nodeState) spliceInserted(idx *descIndex, old, cur *Relation) *descIndex {
+	n := len(idx.rows)
+	if n != len(old.rows) || len(cur.rows) <= n || cur.nDead > 0 {
+		return nil
+	}
+	add := &descIndex{rows: slices.Clone(cur.rows[n:])}
+	for _, w := range add.rows {
+		nv, ok := st.tab.get(int(w.t))
+		if !ok {
+			return nil
+		}
+		add.begins = append(add.begins, nv.Begin)
+		add.ends = append(add.ends, nv.End)
+	}
+	sort.Sort((*descIndexSort)(add))
+	at := firstAbove(idx.begins, 0, add.begins[0])
+	if at > 0 && idx.begins[at-1] == add.begins[0] || at < n && idx.begins[at] <= add.begins[len(add.begins)-1] {
+		return nil
+	}
+	return &descIndex{
+		begins: slices.Concat(idx.begins[:at], add.begins, idx.begins[at:]),
+		ends:   slices.Concat(idx.ends[:at], add.ends, idx.ends[at:]),
+		rows:   slices.Concat(idx.rows[:at], add.rows, idx.rows[at:]),
+	}
+}
+
+// cut returns the index without the rows whose begin lies in iv — the subtree
+// a delete removed — or nil unless there are exactly want of them.
+func (d *descIndex) cut(iv NodeInterval, want int) *descIndex {
+	lo, hi := d.rangeOf(0, iv.Begin-1, iv.End)
+	if hi-lo != want {
+		return nil
+	}
+	return &descIndex{
+		begins: slices.Concat(d.begins[:lo], d.begins[hi:]),
+		ends:   slices.Concat(d.ends[:lo], d.ends[hi:]),
+		rows:   slices.Concat(d.rows[:lo], d.rows[hi:]),
+	}
+}
+
+// revalued returns the index with node t, which begins at begin, holding the
+// text value v: its labels shared, its rows copied. Nil when t is not there.
+func (d *descIndex) revalued(begin int64, t, v int32) *descIndex {
+	at := firstAbove(d.begins, 0, begin-1)
+	if at == len(d.begins) || d.begins[at] != begin || d.rows[at].t != t {
+		return nil
+	}
+	rows := slices.Clone(d.rows)
+	rows[at].v = v
+	return &descIndex{begins: d.begins, ends: d.ends, rows: rows}
+}
+
+// VerifyDescIndexes compares every descendant index db's cache holds with one
+// built afresh from its relation — begins, ends and rows, field by field — and
+// returns how many it compared and the first difference. It is the oracle of
+// the indexes an update carried over by patching the parent epoch's.
+func (db *DB) VerifyDescIndexes() (int, error) {
+	st := db.encoding()
+	if st == nil {
+		return 0, nil
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	n := 0
+	for rel, e := range st.byRel {
+		idx, ok := e.final()
+		if !ok {
+			continue
+		}
+		n++
+		want := buildDescIndex(st.tab, rel)
+		if idx == nil || want == nil {
+			if idx != want {
+				return n, fmt.Errorf("rdb: %s: cached index %v, a rebuild %v", rel.Name, idx != nil, want != nil)
+			}
+			continue
+		}
+		if len(idx.rows) != len(want.rows) || len(idx.begins) != len(want.rows) || len(idx.ends) != len(want.rows) {
+			return n, fmt.Errorf("rdb: %s: cached index of %d/%d/%d entries, a rebuild of %d", rel.Name, len(idx.begins), len(idx.ends), len(idx.rows), len(want.rows))
+		}
+		for i := range want.rows {
+			if idx.begins[i] != want.begins[i] || idx.ends[i] != want.ends[i] || idx.rows[i] != want.rows[i] {
+				return n, fmt.Errorf("rdb: %s: entry %d is [%d, %d) %+v, a rebuild's [%d, %d) %+v", rel.Name, i,
+					idx.begins[i], idx.ends[i], idx.rows[i], want.begins[i], want.ends[i], want.rows[i])
+			}
+		}
+	}
+	return n, nil
 }
 
 // rangeOf returns the index slice [lo, hi) of nodes strictly inside the

@@ -16,12 +16,16 @@ import (
 // TestPooledExecDifferential reuses one pooled state across 1k randomized
 // programs and databases, comparing every answer against a fresh executor's.
 // Reuse patterns are randomized too: the state is sometimes released and
-// re-acquired, sometimes rebound to a different DB, so stale-arena bugs
-// (relations, row buffers, dedup scratch leaking across requests) surface as
-// tuple diffs.
+// re-acquired, sometimes rebound to a different DB — of its own interner, or
+// another epoch of a chain sharing one, which keeps the arena's temporaries —
+// so stale-arena bugs (relations, row buffers, dedup scratch, R_id leaking
+// across requests) surface as tuple diffs.
 func TestPooledExecDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	dbs := []*DB{randDB(r, 8, 3), randDB(r, 12, 3), randDB(r, 5, 3)}
+	for i := 0; i < 4; i++ {
+		dbs = append(dbs, nextEpoch(r, dbs[len(dbs)-1], i))
+	}
 	st := AcquireState(dbs[0])
 	for i := 0; i < 1000; i++ {
 		db := dbs[r.Intn(len(dbs))]
@@ -51,6 +55,27 @@ func TestPooledExecDifferential(t *testing.T) {
 		}
 	}
 	st.Release()
+}
+
+// nextEpoch derives the next epoch of db, store-style: one relation cloned,
+// some of its edges deleted and others added, over db's interner, with values
+// db has never held.
+func nextEpoch(r *rand.Rand, db *DB, k int) *DB {
+	nd := db.Derive()
+	name := fmt.Sprintf("R%d", r.Intn(3))
+	rel := nd.Rels[name].Clone()
+	nd.Rels[name] = rel
+	for _, w := range rel.Tuples() {
+		if r.Intn(3) == 0 {
+			nd.Delete(name, w.F, w.T)
+		}
+	}
+	rel.Compact()
+	n := nd.MaxNodeID()
+	for i := 0; i < 4; i++ {
+		nd.Insert(name, r.Intn(n+1), 1+r.Intn(n+4), fmt.Sprintf("e%d-%d", k, i))
+	}
+	return nd
 }
 
 // recursiveProgram is a small but representative serving plan: a typed edge
@@ -94,6 +119,38 @@ func TestWarmExecAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("warm pooled serial run allocates %.1f times per request, want <= 2", allocs)
+	}
+}
+
+// TestWarmExecAllocsAcrossEpochs holds a warm read that alternates between
+// two epochs of one store — a DB and one derived from it, sharing its
+// interner — to TestWarmExecAllocs's bound: the rebind keeps the arena's
+// temporaries.
+func TestWarmExecAllocsAcrossEpochs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; alloc bounds need a normal build")
+	}
+	r := rand.New(rand.NewSource(11))
+	db := randDB(r, 200, 3)
+	epochs := []*DB{db, nextEpoch(r, db, 0)}
+	p := recursiveProgram()
+	run := func(db *DB) {
+		s := AcquireState(db)
+		if _, err := s.Exec().Run(p); err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
+	}
+	for _, db := range epochs {
+		run(db)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, db := range epochs {
+			run(db)
+		}
+	})
+	if perRun := allocs / float64(len(epochs)); perRun > 2 {
+		t.Fatalf("a warm pooled run alternating between two epochs allocates %.1f times, want <= 2", perRun)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 )
 
 // Tests of the derived interval encoding: across random inserts and deletes
@@ -73,7 +75,7 @@ func (td *treeDoc) prune(root int) *DB {
 	for rel := range touched {
 		db2.Rel(rel).Compact()
 	}
-	db2.ShareDescIndexes(td.db)
+	db2.DeriveDelete(td.db, root)
 	return db2
 }
 
@@ -153,15 +155,18 @@ func TestInsertTakesSlackNotNeighbours(t *testing.T) {
 
 // TestDescIndexesSurviveUntouchedEpochs: an epoch derived without moving a
 // label keeps the previous epoch's descendant indexes for the relations the
-// two share, re-sorts only what the update cloned, and never holds an index
-// of a relation it does not store; a relabel carries nothing over.
+// two share, derives the one the update cloned from its parent's instead of
+// re-sorting it, and never holds an index of a relation it does not store; a
+// relabel carries nothing over.
 func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	td := makeTree(r, 120, 3)
-	share := func(prev *DB, touch string) *DB {
+	retext := func(prev *DB, touch string, step int) *DB {
 		nd := prev.Derive()
 		nd.Rels[touch] = nd.Rels[touch].Clone()
-		nd.ShareDescIndexes(prev)
+		w := nd.Rels[touch].rows[r.Intn(len(nd.Rels[touch].rows))]
+		nd.UpdateValue(touch, int(w.f), int(w.t), fmt.Sprintf("v%d", step))
+		nd.DeriveText(prev, int(w.t))
 		return nd
 	}
 	warm := func(db *DB) map[string]*descIndex {
@@ -179,20 +184,25 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	db := td.db
 	for i := 0; i < 200; i++ { // a text-update stream: one relation cloned per epoch
 		touch := fmt.Sprintf("R%d", i%3)
-		db = share(db, touch)
-		if n := len(db.nodes.Load().byRel); n != 2 {
-			t.Fatalf("epoch %d inherited %d indexes, want the 2 untouched relations'", i, n)
+		db = retext(db, touch, i)
+		if n := len(db.nodes.Load().byRel); n != len(db.Rels) {
+			t.Fatalf("epoch %d carried %d indexes for %d relations", i, n, len(db.Rels))
+		}
+		if n, err := db.VerifyDescIndexes(); err != nil || n != len(db.Rels) {
+			t.Fatalf("epoch %d: %d indexes checked: %v", i, n, err)
 		}
 		warmed = warm(db)
-		if n := len(db.nodes.Load().byRel); n != len(db.Rels) {
-			t.Fatalf("epoch %d caches %d indexes for %d relations", i, n, len(db.Rels))
-		}
 	}
-	next := share(db, "R0")
+	next := retext(db, "R0", 200)
+	var built []string
+	defer OnDescIndexBuild(func(rel string) { built = append(built, rel) })()
 	for name, idx := range warm(next) {
 		if same := idx == warmed[name]; same == (name == "R0") {
 			t.Errorf("%s: index reused = %v", name, same)
 		}
+	}
+	if len(built) != 0 {
+		t.Errorf("reads of the last epoch built the indexes of %v, want none", built)
 	}
 	// A relabel moves labels under every relation: nothing is inherited.
 	td.db = next
@@ -202,6 +212,71 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	}
 	if got := len(db2.nodes.Load().byRel); got != 0 {
 		t.Fatalf("%d indexes carried across a relabel", got)
+	}
+}
+
+// TestIndexBuildsRunOutsideTheCacheLock: concurrent readers of one relation
+// build its descendant index once, and a reader of another relation does not
+// wait for that build — it gets its own index while the first is held up.
+func TestIndexBuildsRunOutsideTheCacheLock(t *testing.T) {
+	td := makeTree(rand.New(rand.NewSource(3)), 600, 3)
+	st := td.db.encoding()
+	var mu sync.Mutex
+	builds := map[string]int{}
+	started, release := make(chan struct{}), make(chan struct{})
+	defer OnDescIndexBuild(func(rel string) {
+		mu.Lock()
+		builds[rel]++
+		mu.Unlock()
+		if rel == "R0" {
+			close(started)
+			<-release
+		}
+	})()
+
+	const readers = 4
+	var held sync.WaitGroup
+	got := make([]*descIndex, readers)
+	for i := range readers {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			got[i], _ = st.indexFor(td.db.Rels["R0"])
+		}()
+	}
+	<-started
+	var others sync.WaitGroup
+	for i := range 2 * readers {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			if _, err := st.indexFor(td.db.Rels[fmt.Sprintf("R%d", 1+i%2)]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { others.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("readers of R1 and R2 waited for the build of R0's index")
+	}
+	close(release)
+	held.Wait()
+	<-done
+	for i := range got {
+		if got[i] == nil || got[i] != got[0] {
+			t.Fatalf("reader %d of R0 got index %p, reader 0 %p", i, got[i], got[0])
+		}
+	}
+	for _, name := range []string{"R0", "R1", "R2"} {
+		if builds[name] != 1 {
+			t.Errorf("%s: %d index builds, want 1", name, builds[name])
+		}
+	}
+	if n, err := td.db.VerifyDescIndexes(); n != 3 || err != nil {
+		t.Errorf("%d indexes checked: %v", n, err)
 	}
 }
 

@@ -760,8 +760,8 @@ func NewDB() *DB {
 // everything db holds and shares all of it. Its catalog and interval writes
 // copy the node-table chunks they touch, a structural write copies Labels, and
 // a relation must be replaced by its Clone before it is written; db itself
-// never changes. An update that stored a subtree ends with DeriveInsert, any
-// other with ShareDescIndexes.
+// never changes. An update ends with DeriveInsert, DeriveDelete or DeriveText,
+// which carry the parent's descendant indexes over to it.
 func (db *DB) Derive() *DB {
 	st := db.nodes.Load()
 	nd := &DB{Rels: maps.Clone(db.Rels), Syms: db.Syms, Labels: db.Labels, DTDFP: db.DTDFP, sharedLabels: true}

@@ -442,13 +442,19 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	// The new epoch's interval encoding is the previous one's, patched: a text
 	// update shares it, a delete's nodes took their labels with them, an insert
 	// labels the new subtree out of the slack before its parent's end —
-	// relabelling around it only when there is none left. Recovery replays
-	// through this same path.
-	if rec.Op != opInsert {
-		t.db.ShareDescIndexes(ep.DB)
-	} else if n := t.db.DeriveInsert(ep.DB, rec.Parent, rec.Base); n > 0 {
-		s.relabels.Add(1)
-		s.relabelled.Add(int64(n))
+	// relabelling around it only when there is none left. So are the
+	// descendant indexes the previous epoch's readers built, but after a
+	// relabel. Recovery replays through this same path.
+	switch rec.Op {
+	case opInsert:
+		if n := t.db.DeriveInsert(ep.DB, rec.Parent, rec.Base); n > 0 {
+			s.relabels.Add(1)
+			s.relabelled.Add(int64(n))
+		}
+	case opDelete:
+		t.db.DeriveDelete(ep.DB, rec.Node)
+	case opUpdateText:
+		t.db.DeriveText(ep.DB, rec.Node)
 	}
 	s.chunksCopied.Add(int64(t.db.ChunksCopied()))
 	s.labelsCopied.Add(int64(t.db.LabelEntriesCopied()))
