@@ -253,6 +253,9 @@ type StoreStats struct {
 	WALRecords  int64
 	Replayed    int64 // WAL records replayed during the last recovery
 	Checkpoints int64
+	// CheckpointFailures counts the automatic checkpoints that failed; the
+	// WAL keeps growing until one succeeds.
+	CheckpointFailures int64
 	// Relabels counts the inserts that found no free interval labels before
 	// their parent's end and had to respread a subtree (or the database) to
 	// make room; RelabelledNodes is how many labels those rewrote in all.
@@ -262,9 +265,9 @@ type StoreStats struct {
 	// parent, value, interval) updates copied before writing them — what the
 	// catalog and label side of a write costs, whatever the database's size.
 	CatalogChunksCopied int64
-	// LabelEntriesCopied counts the label-map entries structural updates
-	// copied before writing the map: the whole map, once per insert or
-	// delete — the part of a write that grows with the database.
+	// LabelEntriesCopied counts the label-map entries inserts copied before
+	// writing the map: the live entries, once per insert — the part of a
+	// write that grows with the database. A delete copies none.
 	LabelEntriesCopied int64
 	Apply              HistogramSnapshot
 }
@@ -353,10 +356,11 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("store_wal_records_total", "Records appended to the write-ahead log.", st.WALRecords)
 		counter("store_replayed_records_total", "WAL records replayed during recovery.", st.Replayed)
 		counter("store_checkpoints_total", "Snapshots written.", st.Checkpoints)
+		counter("store_checkpoint_failures_total", "Automatic checkpoints that failed.", st.CheckpointFailures)
 		counter("store_relabels_total", "Inserts that had to relabel a subtree to make room for their interval labels.", st.Relabels)
 		counter("store_relabelled_nodes_total", "Interval labels rewritten by relabels.", st.RelabelledNodes)
 		counter("store_catalog_chunks_copied_total", "Node-table chunks copied by updates before writing them.", st.CatalogChunksCopied)
-		counter("store_label_entries_copied_total", "Label-map entries copied by updates before writing the map.", st.LabelEntriesCopied)
+		counter("store_label_entries_copied_total", "Label-map entries copied by inserts before writing the map.", st.LabelEntriesCopied)
 		fmt.Fprintf(w, "# HELP %s_store_apply_seconds Update apply latency (validate+log+apply+publish).\n", p)
 		fmt.Fprintf(w, "# TYPE %s_store_apply_seconds histogram\n", p)
 		var cum int64

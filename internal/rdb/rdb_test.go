@@ -1,7 +1,10 @@
 package rdb
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -470,5 +473,80 @@ func TestDBLabelsAndParents(t *testing.T) {
 	}
 	if db.Parent(2) != 1 || db.Parent(1) != 0 || !db.HasNode(1) || db.HasNode(1<<32+1) || db.HasNode(-1) {
 		t.Fatalf("parents = %d, %d", db.Parent(2), db.Parent(1))
+	}
+}
+
+// TestDeletedLabelStaysDeleted: a delete on a derived database leaves the
+// label map it shares alone, so the deleted node's entry outlives it there.
+// On a chain of derived databases, and on a sibling that deletes from the same
+// parent, the node table hides every such entry, the next copy drops them, a
+// node inserted again under a deleted ID does not get its old type back, and
+// Save writes the new one.
+func TestDeletedLabelStaysDeleted(t *testing.T) {
+	base := NewDB()
+	base.InsertLabeled("R_a", "a", 0, 1, "")
+	for id := 2; id <= 9; id++ {
+		base.InsertLabeled("R_b", "b", 1, id, "x")
+	}
+	label := func(db *DB, id int) string {
+		if l, ok := db.Label(id); ok {
+			return l
+		}
+		return "-"
+	}
+	expect := func(name string, db *DB, want map[int]string) {
+		t.Helper()
+		for id, l := range want {
+			if got := label(db, id); got != l {
+				t.Errorf("%s: node %d labelled %q, want %q", name, id, got, l)
+			}
+		}
+	}
+	shares := func(a, b *DB) bool { return reflect.ValueOf(a.Labels).Pointer() == reflect.ValueOf(b.Labels).Pointer() }
+
+	c1 := base.Derive()
+	for _, id := range []int{2, 3, 6} {
+		c1.Delete("R_b", 1, id)
+	}
+	c2 := c1.Derive()
+	c2.Delete("R_b", 1, 4)
+	sibling := c1.Derive() // appends to a list c2 also extends
+	sibling.Delete("R_b", 1, 5)
+	if !shares(c2, base) || !shares(sibling, base) || c1.LabelEntriesCopied()+c2.LabelEntriesCopied()+sibling.LabelEntriesCopied() != 0 {
+		t.Fatal("a delete copied the shared label map")
+	}
+	expect("base", base, map[int]string{2: "b", 3: "b", 4: "b", 5: "b", 6: "b"})
+	expect("c1", c1, map[int]string{2: "-", 3: "-", 4: "b", 5: "b", 6: "-"})
+	expect("c2", c2, map[int]string{2: "-", 3: "-", 4: "-", 5: "b", 6: "-"})
+	expect("sibling", sibling, map[int]string{4: "b", 5: "-"})
+
+	// The chain's third database inserts: its copy drops every deleted entry.
+	c3 := c2.Derive()
+	c3.InsertLabeled("R_b", "b", 1, 10, "x")
+	if len(c3.Labels) != c3.NumNodes() || c3.LabelEntriesCopied() != c2.NumNodes() {
+		t.Errorf("c3: %d label entries for %d nodes, %d copied for c2's %d", len(c3.Labels), c3.NumNodes(), c3.LabelEntriesCopied(), c2.NumNodes())
+	}
+	expect("c3", c3, map[int]string{4: "-", 5: "b", 10: "b"})
+	sibling.InsertLabeled("R_b", "b", 1, 11, "x")
+	if len(sibling.Labels) != sibling.NumNodes() {
+		t.Errorf("sibling: %d label entries for %d nodes", len(sibling.Labels), sibling.NumNodes())
+	}
+	expect("sibling after its insert", sibling, map[int]string{4: "b", 5: "-", 11: "b"})
+
+	// A deleted ID inserted again without a type has none, in a database whose
+	// map still holds the old entry, and with one reads the new type.
+	bare := c2.Derive()
+	bare.Insert("R_b", 1, 2, "y")
+	retyped := c2.Derive()
+	retyped.InsertLabeled("R_c", "c", 1, 3, "z")
+	expect("bare", bare, map[int]string{2: "-"})
+	expect("retyped", retyped, map[int]string{3: "c"})
+	expect("c2 after its children", c2, map[int]string{2: "-", 3: "-"})
+	var buf bytes.Buffer
+	if err := retyped.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "N 3 1 \"c\" \"z\"\n") {
+		t.Errorf("Save of the retyped node:\n%s", buf.String())
 	}
 }

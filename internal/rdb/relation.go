@@ -724,9 +724,12 @@ type DB struct {
 	Syms *Interner
 	// Labels maps every stored node ID to its element type, a symbol of
 	// Syms; it supports XML reconstruction of query answers (§5.2). Read it
-	// through Label. The map holds no pointer, so copying it and scanning it
-	// cost the GC nothing per entry. A derived database shares the map with
-	// its parent until one of its own methods writes it.
+	// through Label, which answers only for a node the node table holds. The
+	// map holds no pointer, so copying it and scanning it cost the GC nothing
+	// per entry. A derived database shares the map with its parent until an
+	// insert writes it; a delete leaves a shared map alone and lists the node
+	// in gone instead. So the keys are the live labelled nodes plus gone, and
+	// a copied map holds exactly the live ones.
 	Labels map[int]int32
 	// DTDFP is the fingerprint of the DTD the document was shredded
 	// against ("" when unknown). The interval fast path compares it with
@@ -740,8 +743,11 @@ type DB struct {
 	// (intervals.go). Atomic because interval rebuilds race readers.
 	nodes atomic.Pointer[nodeState]
 	// sharedLabels says Labels is still the map of the database this one was
-	// derived from; labelsCopied counts the entries ownLabels copied from it.
+	// derived from; gone lists the nodes deleted since that map was copied,
+	// whose stale entries it still holds; labelsCopied counts the entries
+	// ownLabels kept when it copied the map.
 	sharedLabels bool
+	gone         []int
 	labelsCopied int
 }
 
@@ -758,13 +764,16 @@ func NewDB() *DB {
 
 // Derive starts the next version of a published database: the result holds
 // everything db holds and shares all of it. Its catalog and interval writes
-// copy the node-table chunks they touch, a structural write copies Labels, and
-// a relation must be replaced by its Clone before it is written; db itself
-// never changes. An update ends with DeriveInsert, DeriveDelete or DeriveText,
-// which carry the parent's descendant indexes over to it.
+// copy the node-table chunks they touch, an insert copies Labels (a delete
+// only lists the node in gone, which the result inherits capped, so its
+// appends never write into db's list), and a relation must be replaced by its
+// Clone before it is written; db itself never changes. An update ends with
+// DeriveInsert, DeriveDelete or DeriveText, which carry the parent's
+// descendant indexes over to it.
 func (db *DB) Derive() *DB {
 	st := db.nodes.Load()
-	nd := &DB{Rels: maps.Clone(db.Rels), Syms: db.Syms, Labels: db.Labels, DTDFP: db.DTDFP, sharedLabels: true}
+	nd := &DB{Rels: maps.Clone(db.Rels), Syms: db.Syms, Labels: db.Labels, DTDFP: db.DTDFP,
+		sharedLabels: true, gone: db.gone[:len(db.gone):len(db.gone)]}
 	nd.nodes.Store(newNodeState(st.tab.derive(), st.labelled))
 	return nd
 }
@@ -781,10 +790,11 @@ func (db *DB) Rel(name string) *Relation {
 	return r
 }
 
-// Label returns the element type of a stored node.
+// Label returns the element type of a stored node. A deleted node's entry
+// may outlive it in a shared map; the node table decides that it is gone.
 func (db *DB) Label(id int) (string, bool) {
 	sym, ok := db.Labels[id]
-	if !ok {
+	if !ok || !db.HasNode(id) {
 		return "", false
 	}
 	return db.Syms.Str(sym), true
@@ -795,11 +805,13 @@ func (db *DB) Label(id int) (string, bool) {
 func (db *DB) SetLabel(t int, sym int32) { db.ownLabels()[t] = sym }
 
 // LabelEntriesCopied reports how many label entries the database copied from
-// the one it was derived from: all of them at its first structural write,
+// the one it was derived from: the live ones at its first labelled write,
 // none otherwise.
 func (db *DB) LabelEntriesCopied() int { return db.labelsCopied }
 
-// ownLabels returns Labels for writing.
+// ownLabels returns Labels for writing. A shared map is copied first, and the
+// copy drops the entries of the nodes in gone, so no stale entry outlives it:
+// the copy costs O(live + gone).
 func (db *DB) ownLabels() map[int]int32 {
 	if db.sharedLabels {
 		// A loop into a presized map: maps.Clone of the 33.6k-entry symbol
@@ -809,8 +821,11 @@ func (db *DB) ownLabels() map[int]int32 {
 		for id, label := range db.Labels {
 			own[id] = label
 		}
-		db.labelsCopied += len(db.Labels)
-		db.Labels, db.sharedLabels = own, false
+		for _, id := range db.gone {
+			delete(own, id)
+		}
+		db.labelsCopied += len(own)
+		db.Labels, db.sharedLabels, db.gone = own, false, nil
 	}
 	return db.Labels
 }
@@ -825,11 +840,18 @@ func (db *DB) sym(v string) int32 {
 
 // Insert adds a tuple to the named stored relation, ignoring a repeated
 // (F, T), and records the node in the catalog. Unlike a bulk loader's, its
-// rows may form any graph: the relation's T index is probed first.
+// rows may form any graph: the relation's T index is probed first. A node
+// deleted since the label map was copied comes back without its old type.
 func (db *DB) Insert(rel string, f, t int, v string) {
 	w := row{f: int32(f), t: int32(t), v: db.sym(v)}
 	db.Rel(rel).addRow(w)
-	db.nodes.Load().tab.put(t, w.f, w.v)
+	tab := db.nodes.Load().tab
+	if db.sharedLabels && !tab.has(t) {
+		if _, stale := db.Labels[t]; stale {
+			delete(db.ownLabels(), t)
+		}
+	}
+	tab.put(t, w.f, w.v)
 }
 
 // InsertLabeled is Insert plus the node's element type, enabling XML
@@ -841,12 +863,15 @@ func (db *DB) InsertLabeled(rel, label string, f, t int, v string) {
 
 // Delete tombstones the tuple (f, t) of the named stored relation (see
 // Relation.Delete) and removes node t from the catalog, label and interval
-// included.
+// included. A shared label map is not copied for it: t joins gone, and its
+// entry leaves at the next copy.
 func (db *DB) Delete(rel string, f, t int) {
 	db.Rel(rel).Delete(f, t)
 	db.nodes.Load().tab.remove(t)
-	if _, ok := db.Labels[t]; ok {
-		delete(db.ownLabels(), t)
+	if !db.sharedLabels {
+		delete(db.Labels, t)
+	} else if _, ok := db.Labels[t]; ok {
+		db.gone = append(db.gone, t)
 	}
 }
 

@@ -245,6 +245,7 @@ func TestStoreMetricsExposed(t *testing.T) {
 		"xpathd_store_relabelled_nodes_total 0",
 		"xpathd_store_catalog_chunks_copied_total 1", // and writes one value, in one chunk
 		"xpathd_store_label_entries_copied_total 0",  // and copies no label
+		"xpathd_store_checkpoint_failures_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics lack %q", want)

@@ -150,9 +150,10 @@ func TestLabelWritesAreTheInsertsOwn(t *testing.T) {
 // it touches" for the node catalog and the column indexes. The same stream of
 // root appends, deletes and text updates, given the same node IDs by a common
 // allocator floor, copies the same node-table chunks update for update at 1×,
-// 4× and 16× the database; a text update copies one chunk and no label entry,
-// an insert or a delete the label map of the epoch before it, once; the
-// relations the updates cloned and compacted carry their indexes, never
+// 4× and 16× the database; a delete and a text update copy no label entry and
+// keep the very label map of the epoch before them, and an insert copies that
+// epoch's live entries, once, leaving a map of exactly its own epoch's nodes;
+// the relations the updates cloned and compacted carry their indexes, never
 // building one; and no relation holds a pair set, so no Clone copies one.
 func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 	const floor = 1 << 20 // above every scale's seed, on a chunk boundary
@@ -170,25 +171,30 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 			warm[name] = rel
 		}
 		var copied []int64
-		// count runs one update and returns the chunks it copied, holding its
-		// label entries copied to the whole label map of the epoch before it
-		// for a structural update and to none for a text update.
-		count := func(structural bool, update func()) int64 {
+		// count runs one update and returns the chunks it copied. An insert
+		// must copy one label entry per node of the epoch before it and leave
+		// one per node of its own; any other update none, sharing the map.
+		count := func(op string, update func()) int64 {
 			before, prev := s.Stats(), s.View().DB
 			update()
-			after := s.Stats()
+			after, now := s.Stats(), s.View().DB
 			n := after.CatalogChunksCopied - before.CatalogChunksCopied
 			copied = append(copied, n)
 			want := int64(0)
-			if structural {
-				want = int64(len(prev.Labels))
+			if op == "insert" {
+				want = int64(prev.NumNodes())
+				if len(now.Labels) != now.NumNodes() {
+					t.Fatalf("%dx: update %d (insert) left %d label entries for %d nodes", scale, len(copied), len(now.Labels), now.NumNodes())
+				}
+			} else if labelsOf(now) != labelsOf(prev) {
+				t.Fatalf("%dx: update %d (%s) replaced the label map; want the epoch before's", scale, len(copied), op)
 			}
 			if got := after.LabelEntriesCopied - before.LabelEntriesCopied; got != want {
-				t.Fatalf("%dx: update %d (structural %v) copied %d label entries, want %d", scale, len(copied), structural, got, want)
+				t.Fatalf("%dx: update %d (%s) copied %d label entries, want %d", scale, len(copied), op, got, want)
 			}
 			// A stored relation holds no pair set, so the Clone an update
 			// makes of one copies no set bytes.
-			for name, rel := range s.View().DB.Rels {
+			for name, rel := range now.Rels {
 				if b := rel.PairSetBytes(); b != 0 {
 					t.Fatalf("%dx: update %d left %s holding a %d-byte pair set, which the next update's Clone copies", scale, len(copied), name, b)
 				}
@@ -197,11 +203,11 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 		}
 		var mine []int
 		for i := 0; i < 240; i++ {
-			count(true, func() { mine = append(mine, insertBoth(t, s, m, dept, fragCourse(i)).NodeID) })
+			count("insert", func() { mine = append(mine, insertBoth(t, s, m, dept, fragCourse(i)).NodeID) })
 			if i%3 == 2 {
 				victim := mine[len(mine)/2]
 				mine = append(mine[:len(mine)/2], mine[len(mine)/2+1:]...)
-				count(true, func() {
+				count("delete", func() {
 					if _, err := s.DeleteSubtree(victim); err != nil {
 						t.Fatal(err)
 					}
@@ -213,16 +219,13 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 			if i%2 == 1 {
 				node = mine[len(mine)-1] + 1
 			}
-			was := s.View().DB
-			n := count(false, func() {
+			if n := count("text", func() {
 				if _, err := s.UpdateText(node, fmt.Sprintf("v%d", i)); err != nil {
 					t.Fatal(err)
 				}
 				m.vals[node] = fmt.Sprintf("v%d", i)
-			})
-			if now := s.View().DB; n != 1 || labelsOf(now) != labelsOf(was) {
-				t.Fatalf("%dx: text update %d copied %d chunks, Labels shared = %v; want one chunk and the same map",
-					scale, i, n, labelsOf(now) == labelsOf(was))
+			}); n != 1 {
+				t.Fatalf("%dx: text update %d copied %d chunks, want one", scale, i, n)
 			}
 		}
 		streams = append(streams, copied)

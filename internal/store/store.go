@@ -187,6 +187,8 @@ type Store struct {
 	chunksCopied atomic.Int64
 	labelsCopied atomic.Int64
 	applyHist    *obs.Histogram
+
+	checkpointFailures atomic.Int64 // automatic checkpoints that failed
 }
 
 // Open builds the store: from cfg.SnapshotPath if set, else from the newest
@@ -353,7 +355,14 @@ func (s *Store) apply(rec walRecord) (UpdateResult, error) {
 	}
 	if s.cfg.CheckpointEvery > 0 && s.sinceCkpt >= s.cfg.CheckpointEvery {
 		s.sinceCkpt = 0
-		go func() { _, _ = s.Checkpoint() }()
+		go func() {
+			// Nobody waits for this one: a failure (a full disk, say) is
+			// counted, and the WAL keeps every record until a checkpoint
+			// succeeds.
+			if _, err := s.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
+				s.checkpointFailures.Add(1)
+			}
+		}()
 	}
 	return res, nil
 }
@@ -720,6 +729,7 @@ func (s *Store) Stats() obs.StoreStats {
 		WALRecords:          s.walRecords.Load(),
 		Replayed:            s.replayed.Load(),
 		Checkpoints:         s.checkpoints.Load(),
+		CheckpointFailures:  s.checkpointFailures.Load(),
 		Relabels:            s.relabels.Load(),
 		RelabelledNodes:     s.relabelled.Load(),
 		CatalogChunksCopied: s.chunksCopied.Load(),

@@ -444,6 +444,89 @@ func TestPinnedEpochLabels(t *testing.T) {
 	}
 }
 
+// TestPinnedEpochKeepsDeletedLabels: a delete leaves the label map it shares
+// with the epoch before it alone, so a deleted node's entry stays in the map
+// until the next insert copies it. Readers pinned on the epoch before a burst
+// of deletes and inserts, and on epochs in the middle of it whose maps hold
+// such entries, resolve exactly the nodes of their own epoch — the ones later
+// deleted included — and the newest epoch resolves none of the deleted ones.
+func TestPinnedEpochKeepsDeletedLabels(t *testing.T) {
+	s, m := openSeeded(t, "", 37, 250, Config{})
+	dept := m.byLabel("dept")[0]
+	seen := maps.Clone(m.labels) // every node any epoch held
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stale := 0 // pinned epochs whose label maps hold deleted nodes' entries
+	pin := func() {
+		ep, want := s.View(), maps.Clone(m.labels)
+		if len(ep.DB.Labels) > ep.DB.NumNodes() {
+			stale++
+		}
+		var gone []int
+		for id := range seen {
+			if _, ok := want[id]; !ok {
+				gone = append(gone, id)
+			}
+		}
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					for id, typ := range want {
+						if got, ok := ep.DB.Label(id); !ok || got != typ {
+							t.Errorf("epoch %d: node %d labelled %q (%v), want %q", ep.Seq, id, got, ok, typ)
+							return
+						}
+					}
+					for _, id := range gone {
+						if got, ok := ep.DB.Label(id); ok {
+							t.Errorf("epoch %d: deleted node %d labelled %q", ep.Seq, id, got)
+							return
+						}
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+		}
+	}
+	pin()
+	rng := rand.New(rand.NewSource(37))
+	deletes := 0
+	for i := 0; i < 90; i++ {
+		if i%3 == 2 {
+			insertBoth(t, s, m, dept, fragCourse(i))
+		} else if victims := m.byLabel("course", "student", "project"); len(victims) > 0 {
+			victim := victims[rng.Intn(len(victims))]
+			if _, err := s.DeleteSubtree(victim); err != nil {
+				t.Fatal(err)
+			}
+			m.deleteSubtree(victim)
+			deletes++
+		}
+		maps.Copy(seen, m.labels)
+		if i%30 == 13 { // two deletes after an insert: the map holds their entries
+			pin()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if deletes < 30 || stale != 3 {
+		t.Fatalf("the burst deleted %d subtrees; %d of the 3 epochs pinned in it hold stale label entries", deletes, stale)
+	}
+	newest := s.View().DB
+	for id := range seen {
+		got, ok := newest.Label(id)
+		if typ, live := m.labels[id]; ok != live || got != typ {
+			t.Errorf("newest epoch: node %d labelled %q (%v), want %q (%v)", id, got, ok, typ, live)
+		}
+	}
+}
+
 func TestEpochIsolation(t *testing.T) {
 	s, m := openSeeded(t, "", 5, 200, Config{})
 	d := workload.Dept()
@@ -766,6 +849,63 @@ func TestAutoCheckpoint(t *testing.T) {
 			t.Fatalf("no automatic checkpoint after 12 updates with CheckpointEvery=5 (checkpoints=%d)", s.Stats().Checkpoints)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestAutoCheckpointFailure: an automatic checkpoint that cannot write its
+// snapshot — here a directory sits at the snapshot's path — is counted, the
+// store stays writable, and a checkpoint succeeds once the path is cleared.
+// Everything applied comes back from the directory.
+func TestAutoCheckpointFailure(t *testing.T) {
+	dir := t.TempDir()
+	const every = 5
+	s, m := openSeeded(t, dir, 19, 150, Config{Fsync: FsyncNever, CheckpointEvery: every})
+	rng := rand.New(rand.NewSource(4))
+	update := func(k int) {
+		for !applyRandomOp(t, s, m, rng, k) {
+		}
+	}
+	for i := 0; i < every-1; i++ {
+		update(i)
+	}
+	// The next update triggers the checkpoint, of the epoch it publishes.
+	blocker := filepath.Join(dir, snapName(s.View().LSN+1))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	update(every)
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().CheckpointFailures == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the automatic checkpoint's failure was not counted")
+		}
+	}
+	if st := s.Stats(); st.CheckpointFailures != 1 || st.Checkpoints != 1 {
+		t.Fatalf("%d checkpoint failures and %d checkpoints, want 1 and the boot snapshot's 1", st.CheckpointFailures, st.Checkpoints)
+	}
+	if _, err := s.Checkpoint(); err == nil {
+		t.Fatal("a checkpoint onto the directory succeeded")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after clearing the path: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		update(every + 1 + i)
+	}
+	if st := s.Stats(); st.CheckpointFailures != 1 || st.Checkpoints != 2 {
+		t.Fatalf("%d checkpoint failures and %d checkpoints, want 1 and 2", st.CheckpointFailures, st.Checkpoints)
+	}
+	want := saveBytes(t, s.View().DB)
+	s.Close()
+	r, err := Open(Config{DTD: workload.Dept(), Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !bytes.Equal(saveBytes(t, r.View().DB), want) || !bytes.Equal(want, saveBytes(t, m.buildDB(workload.Dept()))) {
+		t.Fatal("the reopened store diverges from the one closed")
 	}
 }
 
