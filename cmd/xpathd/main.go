@@ -1,7 +1,7 @@
 // Command xpathd is the query service daemon: it loads a DTD, builds a live
 // document store — booting from a snapshot + WAL tail when one exists, or by
 // stream-shredding (or generating) a document otherwise — wraps it in an
-// Engine (plan cache, limits, morsel parallelism) and serves XPath queries
+// Engine (plan cache, limits) and serves XPath queries
 // and updates over HTTP via internal/server.
 //
 //	POST /v1/query       {"query": "dept//project"}          → answer IDs
@@ -32,7 +32,7 @@
 //	xpathd -dtd dept.dtd -snapshot snap.rdb [-wal-dir ./data]
 //	       [-fsync always|interval|never] [-fsync-interval 50ms]
 //	       [-checkpoint-every 1000]
-//	       [-strategy X] [-parallel n] [-cache-size n]
+//	       [-strategy X] [-cache-size n]
 //	       [-max-concurrent n] [-queue-depth n] [-request-timeout 30s]
 //	       [-watch-max-subs 1024] [-watch-buffer 64]
 //	       [-max-lfp-iters n] [-max-tuples n] [-drain-timeout 10s]
@@ -81,7 +81,6 @@ type options struct {
 	nodeIDBase int
 
 	strategy      string
-	workers       int
 	cacheSize     int
 	maxConcurrent int
 	queueDepth    int
@@ -112,7 +111,6 @@ func main() {
 	flag.StringVar(&o.sqlDSN, "sql-dsn", "memory://xpathd", "database/sql DSN for -backend sql")
 	flag.IntVar(&o.nodeIDBase, "node-id-base", 0, "offset this shard's node IDs by the base (xpathrouter fleets: give each shard a disjoint, generously spaced base, e.g. k<<24)")
 	flag.StringVar(&o.strategy, "strategy", "X", "translation strategy: X, E or R")
-	flag.IntVar(&o.workers, "parallel", runtime.GOMAXPROCS(0), "morsel workers per operator of a query (statements run one after another; an operator splits an input of 4096 rows or more into morsels)")
 	flag.IntVar(&o.cacheSize, "cache-size", xpath2sql.DefaultCacheSize, "prepared-plan cache capacity (<=0 disables caching)")
 	flag.IntVar(&o.maxConcurrent, "max-concurrent", runtime.GOMAXPROCS(0), "admission: concurrently executing requests")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "admission: waiting requests before 429 (default 4x max-concurrent)")
@@ -277,7 +275,6 @@ func run(o options) error {
 	}
 	eng := xpath2sql.New(d,
 		xpath2sql.WithStrategy(strat),
-		xpath2sql.WithParallelism(o.workers),
 		xpath2sql.WithCacheSize(o.cacheSize),
 		xpath2sql.WithLimits(xpath2sql.Limits{MaxLFPIters: o.maxLFPIters, MaxTuples: o.maxTuples}),
 	)
@@ -342,8 +339,8 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("serving %d nodes on http://%s (strategy=%s parallel=%d max-concurrent=%d queue-depth=%d, %s)",
-		nodes, l.Addr(), strat, eng.Parallelism(), o.maxConcurrent, o.queueDepth, mode)
+	log.Printf("serving %d nodes on http://%s (strategy=%s max-concurrent=%d queue-depth=%d, %s)",
+		nodes, l.Addr(), strat, o.maxConcurrent, o.queueDepth, mode)
 
 	return srv.Run(l, o.drainTimeout)
 }

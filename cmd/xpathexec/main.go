@@ -17,7 +17,7 @@
 //	xpathexec -dtd dept.dtd -xml doc.xml -query 'dept//project' [-strategy X]
 //	          [-backend rdb|sql] [-sql-driver fakesql] [-sql-dsn memory://x]
 //	          [-verify] [-stats] [-paths] [-trace] [-timeout 5s]
-//	          [-max-lfp-iters n] [-max-tuples n] [-parallel n] [-cache-size n]
+//	          [-max-lfp-iters n] [-max-tuples n] [-cache-size n]
 //
 // With -backend sql the shredded relations are loaded into a database/sql
 // database and the generated WITH RECURSIVE text is executed there; the
@@ -48,7 +48,6 @@ func main() {
 	verify := flag.Bool("verify", false, "cross-check against the native evaluator")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	paths := flag.Bool("paths", false, "print each answer's label path")
-	workers := flag.Int("parallel", 1, "morsel workers per operator (statements run one after another; >1 splits an operator input of 4096 rows or more into morsels)")
 	reconstruct := flag.Bool("reconstruct", false, "print the answers' reconstructed XML subtrees")
 	trace := flag.Bool("trace", false, "print the executed plan with observed cardinalities and timings")
 	timeout := flag.Duration("timeout", 0, "wall-clock execution budget, e.g. 500ms (0 = unlimited)")
@@ -112,7 +111,6 @@ func main() {
 	}
 	eng := xpath2sql.New(d,
 		xpath2sql.WithStrategy(strat),
-		xpath2sql.WithParallelism(*workers),
 		xpath2sql.WithCacheSize(*cacheSize),
 		xpath2sql.WithBackend(be),
 		xpath2sql.WithLimits(xpath2sql.Limits{

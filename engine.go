@@ -81,7 +81,6 @@ type Engine struct {
 	opts      Options
 	dialect   Dialect
 	limits    Limits
-	workers   int
 	cacheSize int
 	cache     *plancache.Cache
 	schema    *core.Schema // what translation derives from the DTD alone
@@ -94,12 +93,12 @@ type Engine struct {
 type EngineOption func(*Engine)
 
 // New builds an Engine for the DTD with the recommended defaults (the
-// CycleEX strategy, DB2 dialect, no limits, serial execution, a plan cache
+// CycleEX strategy, DB2 dialect, no limits, a plan cache
 // of DefaultCacheSize entries), then applies the options. The DTD is
 // analyzed once here — validity, graph, component structure, fingerprint —
 // and must not be mutated afterwards.
 func New(d *DTD, options ...EngineOption) *Engine {
-	e := &Engine{dtd: d, opts: DefaultOptions(), dialect: DialectDB2, workers: 1, cacheSize: DefaultCacheSize}
+	e := &Engine{dtd: d, opts: DefaultOptions(), dialect: DialectDB2, cacheSize: DefaultCacheSize}
 	for _, o := range options {
 		o(e)
 	}
@@ -128,19 +127,10 @@ func WithLimits(l Limits) EngineOption {
 	return func(e *Engine) { e.limits = l }
 }
 
-// WithParallelism caps the morsel fan-out of every execution at workers:
-// statements run one after another on one pooled executor, and an operator
-// whose input reaches two morsels (4096 rows: hash joins, fixpoint deltas,
-// interval scans) splits it across up to workers goroutines. Answers,
-// traces and statistics other than the morsel count are the same at every
-// setting.
+// WithParallelism is ignored; kept only because benchmark/layers.go sets it;
+// ROADMAP item 1(1) deletes it. Every execution runs on one goroutine.
 func WithParallelism(workers int) EngineOption {
-	return func(e *Engine) {
-		if workers < 1 {
-			workers = 1
-		}
-		e.workers = workers
-	}
+	return func(*Engine) {}
 }
 
 // WithCacheSize bounds the plan cache to n translated programs (LRU
@@ -211,7 +201,7 @@ func (e *Engine) Translate(ctx context.Context, q Query) (*Translation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Translation{res: res, limits: e.limits, workers: e.workers, cache: e.cache, backend: e.backend, intervals: e.intervals}, nil
+	return &Translation{res: res, limits: e.limits, cache: e.cache, backend: e.backend, intervals: e.intervals}, nil
 }
 
 // TranslateString parses and translates in one step.
@@ -242,7 +232,7 @@ func (e *Engine) Prepare(ctx context.Context, q Query) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Translation{res: res, limits: e.limits, workers: e.workers, cache: e.cache, backend: e.backend, intervals: e.intervals}}, nil
+	return &Prepared{Translation{res: res, limits: e.limits, cache: e.cache, backend: e.backend, intervals: e.intervals}}, nil
 }
 
 // PrepareString parses and prepares in one step. The cache key is derived
@@ -266,14 +256,13 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // Stats is the engine's one aggregate stats surface: the plan-cache
-// counters plus the static execution configuration (parallelism, backend
-// kind), so callers — the /metrics endpoint in particular — need not stitch
-// CacheStats and Parallelism together themselves.
+// counters plus the static execution configuration (the backend kind), so
+// callers — the /metrics endpoint in particular — need not stitch accessors
+// together themselves.
 func (e *Engine) Stats() EngineStats {
 	s := EngineStats{
-		Cache:       e.CacheStats(),
-		Parallelism: e.workers,
-		Backend:     "local",
+		Cache:   e.CacheStats(),
+		Backend: "local",
 	}
 	if e.backend != nil {
 		s.Backend = e.backend.Name()
@@ -288,10 +277,6 @@ func (e *Engine) DTD() *DTD { return e.dtd }
 // unlimited). Serving layers use it to report configuration and to decide
 // how request deadlines compose with engine bounds.
 func (e *Engine) Limits() Limits { return e.limits }
-
-// Parallelism returns the per-execution worker count the engine was built
-// with (WithParallelism; 1 = serial).
-func (e *Engine) Parallelism() int { return e.workers }
 
 // Answer is the result of one execution: the answer node IDs
 // (ascending), the aggregate execution statistics, and the per-statement
@@ -326,21 +311,6 @@ func (a *Answer) Explain() string {
 		return "(no plan recorded)\n"
 	}
 	return obs.Explain(a.prog, a.Trace, a.cache)
-}
-
-// WithParallelism returns a copy of the translation bound to a different
-// intra-query worker count, leaving the receiver untouched. Serving layers
-// use it for admission-aware scheduling: the engine's configured
-// parallelism is a per-request ceiling, scaled down when many requests
-// execute concurrently so total worker fan-out never oversubscribes the
-// machine.
-func (t *Translation) WithParallelism(workers int) *Translation {
-	if workers < 1 {
-		workers = 1
-	}
-	c := *t
-	c.workers = workers
-	return &c
 }
 
 // InDocument returns a copy of the translation whose executions are scoped
@@ -387,10 +357,8 @@ func (t *Translation) ExecuteOn(ctx context.Context, b Backend) (*Answer, error)
 //
 //   - Limits: the translation's limits (the engine's WithLimits) are
 //     enforced by the snapshot's executor; breaches return *LimitError.
-//   - Parallelism: the translation's worker count (WithParallelism on the
-//     engine, or Translation.WithParallelism per run) caps the morsel
-//     fan-out inside large operators; statements run one after another on
-//     one pooled executor at every worker count.
+//   - Serial: statements and operators run one after another on the
+//     calling goroutine, on one pooled executor.
 //   - Trace: every run records a per-statement trace into its Answer
 //     (Answer.Explain renders it); runs never share mutable state.
 //   - Cancellation: honored between statements and fixpoint iterations,
@@ -401,7 +369,6 @@ func (t *Translation) ExecuteOn(ctx context.Context, b Backend) (*Answer, error)
 func (t *Translation) ExecuteSnapshot(ctx context.Context, snap BackendSnapshot) (*Answer, error) {
 	trace := &obs.Trace{}
 	res, err := snap.Execute(ctx, t.res.Program, backend.ExecOptions{
-		Workers:   t.workers,
 		Limits:    t.limits,
 		Trace:     trace,
 		Intervals: t.intervals,

@@ -3,6 +3,7 @@ package xpath2sql_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -243,9 +244,9 @@ func TestEngineLFPIterLimit(t *testing.T) {
 	}
 }
 
-// TestEngineParallelAgrees: WithParallelism executes the same program with
-// morsel fan-out allowed and returns identical answers with a deterministic
-// trace.
+// TestEngineParallelAgrees: WithParallelism is ignored, so an engine built
+// with it runs what the default engine runs: the same answers, the same work
+// and a trace.
 func TestEngineParallelAgrees(t *testing.T) {
 	d, doc, db := deptSetup(t)
 	ctx := context.Background()
@@ -265,16 +266,11 @@ func TestEngineParallelAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sAns.IDs) != len(pAns.IDs) {
-		t.Fatalf("serial %d answers, parallel %d", len(sAns.IDs), len(pAns.IDs))
-	}
-	for i := range sAns.IDs {
-		if sAns.IDs[i] != pAns.IDs[i] {
-			t.Fatalf("serial %v vs parallel %v", sAns.IDs, pAns.IDs)
-		}
+	if !slices.Equal(sAns.IDs, pAns.IDs) || sAns.Stats != pAns.Stats {
+		t.Fatalf("default engine %v %+v, WithParallelism(4) %v %+v", sAns.IDs, sAns.Stats, pAns.IDs, pAns.Stats)
 	}
 	if len(pAns.Trace.Events) == 0 {
-		t.Fatal("parallel run recorded no trace")
+		t.Fatal("the run recorded no trace")
 	}
 	_ = doc
 }

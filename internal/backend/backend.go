@@ -42,11 +42,9 @@ var (
 // ExecOptions carries the per-run execution configuration every backend
 // must honor.
 type ExecOptions struct {
-	// Workers caps the morsel fan-out inside one operator (<= 1 is serial):
-	// statements still run one after another on one executor, and only an
-	// operator whose input reaches two morsels (4096 rows, rdb's
-	// 2·morselRows) splits it across up to Workers goroutines. Backends
-	// without a parallel evaluator may ignore it.
+	// Workers is ignored; kept only because benchmark/ (layers.go,
+	// wl_docscope.go, wl_watch.go, wl_write.go) sets it; ROADMAP item 1(1)
+	// deletes it. Every run is serial.
 	Workers int
 	// Limits bounds the run; exceeding a bound returns *obs.LimitError.
 	Limits obs.Limits

@@ -3,7 +3,6 @@ package backend_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -14,12 +13,10 @@ import (
 	"xpath2sql/internal/core"
 	"xpath2sql/internal/difftest"
 	"xpath2sql/internal/dtd"
-	"xpath2sql/internal/ra"
 	"xpath2sql/internal/rdb"
 	"xpath2sql/internal/shred"
 	"xpath2sql/internal/workload"
 	"xpath2sql/internal/xmltree"
-	"xpath2sql/internal/xpath"
 )
 
 var allStrategies = []core.Strategy{core.StrategyCycleEX, core.StrategyCycleE, core.StrategySQLGenR}
@@ -153,8 +150,7 @@ func checkBackends(t *testing.T, b backends, src difftest.Source, strategies []c
 // qualifiers with negation and text() tests — and all three strategies, an
 // execution scoped to one document must equal (a) the native evaluator on
 // that document alone and (b) the unscoped answer cut to the document's ID
-// range, at 1 and 4 workers, on the interval kernel and on the fixpoint
-// path. (The SQL backend refuses a scope: sqlbe.TestScopeRefused.)
+// range, on the interval kernel and on the fixpoint path. (The SQL backend refuses a scope: sqlbe.TestScopeRefused.)
 func TestDifferentialScoped(t *testing.T) {
 	dtds := map[string]*dtd.DTD{
 		"dept":  workload.Dept(),
@@ -223,17 +219,15 @@ func TestDifferentialScoped(t *testing.T) {
 						}
 						for _, opts := range []backend.ExecOptions{
 							{Doc: root},
-							{Doc: root, Workers: 4},
 							{Doc: root, Intervals: rdb.IntervalOff},
-							{Doc: root, Intervals: rdb.IntervalOff, Workers: 4},
 						} {
 							got, err := snap.Execute(ctx, res.Program, opts)
 							if err != nil {
 								t.Fatalf("[%v] %s scoped to document %d (%+v): %v", s, q, di, opts, err)
 							}
 							if !slices.Equal(got.IDs, want) {
-								t.Fatalf("[%v] %s scoped to document %d (workers %d, intervals %v) = %v, native evaluator on it alone %v\n%s",
-									s, q, di, opts.Workers, opts.Intervals, got.IDs, want, res.Program)
+								t.Fatalf("[%v] %s scoped to document %d (intervals %v) = %v, native evaluator on it alone %v\n%s",
+									s, q, di, opts.Intervals, got.IDs, want, res.Program)
 							}
 						}
 					}
@@ -257,132 +251,6 @@ func TestRandDTDsAreRecursive(t *testing.T) {
 		}
 		if !d.BuildGraph().Recursive() {
 			t.Fatalf("seed %d: DTD is not recursive:\n%s", seed, d)
-		}
-	}
-}
-
-// TestParallelLocalMatchesSerial covers the Workers knob of ExecOptions on
-// the local backend against the same programs run serially: the same
-// answers and, the morsel count aside, the same work; and a join whose probe
-// side reaches two morsels (5 000 rows) does split it at 4 workers.
-func TestParallelLocalMatchesSerial(t *testing.T) {
-	d := workload.Dept()
-	doc := difftest.Doc(t, d, 2, 200)
-	db, err := shred.Shred(doc, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	snap, err := backend.NewLocalDB(db).Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, qs := range []string{"dept//course", "//course[.//prereq]//student"} {
-		q, err := xpath.Parse(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Translate(q, d, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := snap.Execute(ctx, res.Program, backend.ExecOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := snap.Execute(ctx, res.Program, backend.ExecOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(par.IDs, serial.IDs) {
-			t.Fatalf("%s: parallel = %v, serial = %v", qs, par.IDs, serial.IDs)
-		}
-		if ps, ss := par.Stats, serial.Stats; ps.Minus(rdb.Stats{Morsels: ps.Morsels}) != ss.Minus(rdb.Stats{Morsels: ss.Morsels}) {
-			t.Fatalf("%s: parallel did %+v, serial %+v", qs, ps, ss)
-		}
-		if !slices.Equal(serial.IDs, difftest.Oracle(q, doc)) {
-			t.Fatalf("%s: serial = %v, oracle = %v", qs, serial.IDs, difftest.Oracle(q, doc))
-		}
-	}
-	wide := rdb.NewDB()
-	for i := 1; i <= 5000; i++ {
-		wide.Insert("E", i, 5000+i, "")
-		wide.Insert("E", 5000+i, 10000+i, "")
-	}
-	hop := &ra.Program{Stmts: []ra.Stmt{{Name: "r", Plan: ra.Compose{L: ra.Base{Rel: "E"}, R: ra.Base{Rel: "E"}}}}, Result: "r"}
-	var morsels [2]int
-	for i, workers := range []int{1, 4} {
-		res, err := backend.AdoptDB(wide, 1).Execute(ctx, hop, backend.ExecOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.IDs) != 5000 {
-			t.Fatalf("%d workers: %d answers, want 5000", workers, len(res.IDs))
-		}
-		morsels[i] = res.Stats.Morsels
-	}
-	if morsels[0] != 0 || morsels[1] == 0 {
-		t.Fatalf("morsels at 1 and 4 workers: %v; only the run at 4 may split the join", morsels)
-	}
-}
-
-// readMix is the read-desc workload's query mix (benchmark/gen.go).
-var readMix = []string{
-	"dept//project",
-	"dept//cno",
-	"dept//course//title",
-	"dept//student[qualified//course]",
-	"dept/course[cno and not(.//project)]",
-	"dept/course/prereq//course/prereq/course",
-	"dept//cno[text()='cno-5']",
-	"dept//sno | dept//pno",
-}
-
-// TestWarmWorkersAllocLikeSerial: Workers only caps the morsel fan-out of an
-// operator whose input passes the threshold, and the same pooled executor
-// runs every request, so a warm request at 4 workers whose operands all stay
-// under the threshold — the read mix on a small dept document — allocates
-// exactly what a serial one does.
-func TestWarmWorkersAllocLikeSerial(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; alloc counts need a normal build")
-	}
-	d := workload.Dept()
-	db, err := shred.Shred(difftest.Doc(t, d, 2, 2000), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, ctx := backend.AdoptDB(db, 1), context.Background()
-	for _, qs := range readMix {
-		q, err := xpath.Parse(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Translate(q, d, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The fewest of three measurements: a GC that empties the state pool
-		// mid-measurement costs one a fresh state.
-		allocs := func(workers int) float64 {
-			least := math.Inf(1)
-			for range 3 {
-				var stats rdb.Stats
-				least = min(least, testing.AllocsPerRun(50, func() {
-					ans, err := snap.Execute(ctx, res.Program, backend.ExecOptions{Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					stats = ans.Stats
-				}))
-				if stats.Morsels != 0 {
-					t.Fatalf("%s at %d workers: %d morsels; the document must stay under the threshold", qs, workers, stats.Morsels)
-				}
-			}
-			return least
-		}
-		if serial, par := allocs(1), allocs(4); serial != par {
-			t.Errorf("%s: %v allocations a request at 4 workers, %v at 1", qs, par, serial)
 		}
 	}
 }

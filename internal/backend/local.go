@@ -8,7 +8,7 @@ import (
 	"xpath2sql/internal/rdb"
 )
 
-// Local is the default in-process backend: the rdb morsel engine running
+// Local is the default in-process backend: the rdb engine running
 // directly over an *rdb.DB. Load replaces the whole database pointer, so
 // snapshots taken before a Load keep reading the image they pinned — the
 // same pointer-swap isolation the store layer relies on.
@@ -84,15 +84,12 @@ func (s *localSnap) Close() error { return nil }
 
 // Execute runs the program on the rdb engine: statements one after another
 // on one pooled rdb.ExecState, so a warm request reuses the previous request's
-// relations, sets and index backings, at any worker count — Workers only caps
-// the morsel fan-out of an operator whose input is large enough to split
-// (rdb.Exec.Parallelism). The answer IDs are copied out before the state is
-// released.
+// relations, sets and index backings. The answer IDs are copied out before the
+// state is released.
 func (s *localSnap) Execute(ctx context.Context, prog *ra.Program, opts ExecOptions) (*Result, error) {
 	st := rdb.AcquireState(s.db)
 	defer st.Release()
 	ex := st.Exec()
-	ex.Parallelism = opts.Workers
 	ex.Limits = opts.Limits
 	ex.IntervalMode = opts.Intervals
 	ex.Doc = opts.Doc

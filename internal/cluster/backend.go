@@ -42,10 +42,9 @@ func (s clusterSnap) Epoch() uint64 { return 0 }
 
 func (s clusterSnap) Execute(ctx context.Context, prog *ra.Program, opts backend.ExecOptions) (*backend.Result, error) {
 	ans, err := s.c.Exec(ctx, prog, ExecOptions{
-		Workers: opts.Workers,
-		Limits:  opts.Limits,
-		Trace:   opts.Trace,
-		Doc:     opts.Doc,
+		Limits: opts.Limits,
+		Trace:  opts.Trace,
+		Doc:    opts.Doc,
 	})
 	if err != nil {
 		return nil, err

@@ -79,8 +79,8 @@ type Config struct {
 
 // ExecOptions configures one routed execution.
 type ExecOptions struct {
-	// Workers caps the morsel fan-out inside an operator of each in-process
-	// shard execution (<= 1 is serial; backend.ExecOptions.Workers).
+	// Workers is ignored; kept only because benchmark/wl_docscope.go sets
+	// it; ROADMAP item 1(1) deletes it. Every shard execution is serial.
 	Workers int
 	// Limits bounds each in-process shard execution.
 	Limits obs.Limits
@@ -345,7 +345,6 @@ func (c *Cluster) tryShard(ctx context.Context, sh *routedShard, prog *ra.Progra
 			trace = &obs.Trace{}
 		}
 		ans, err := sh.exec(ctx, prog, backend.ExecOptions{
-			Workers:   opts.Workers,
 			Limits:    opts.Limits,
 			Trace:     trace,
 			Intervals: c.cfg.Intervals,

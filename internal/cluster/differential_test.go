@@ -230,8 +230,8 @@ func checkCluster(t *testing.T, rec difftest.Rec, collSeed int64, shards int, r 
 					when, qstrs[i], ans.IDs, want, pl.Name(), shards)
 			}
 		}
-		// A document-scoped read of every query, at 1 and 3 workers,
-		// must be the oracle answer restricted
+		// A document-scoped read of every query must be the oracle
+		// answer restricted
 		// to the document's subtree — after updates the root's
 		// interval has moved and the oracle walks parents, so the
 		// two sides share no mechanism.
@@ -248,18 +248,16 @@ func checkCluster(t *testing.T, rec difftest.Rec, collSeed int64, shards int, r 
 					want = append(want, id)
 				}
 			}
-			for _, workers := range []int{1, 3} {
-				ans, err := c.Exec(context.Background(), tr.Program(), cluster.ExecOptions{Doc: root, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: %s scoped to %d (workers %d): %v", when, qstrs[i], root, workers, err)
-				}
-				if i < len(fixed) && len(want) > 0 {
-					scopedNonEmpty++
-				}
-				if !slices.Equal(append([]int{}, ans.IDs...), want) {
-					t.Fatalf("%s: %s scoped to %d (workers %d, %v) = %v, oracle restriction %v",
-						when, qstrs[i], root, workers, intervals, ans.IDs, want)
-				}
+			ans, err := c.Exec(context.Background(), tr.Program(), cluster.ExecOptions{Doc: root})
+			if err != nil {
+				t.Fatalf("%s: %s scoped to %d: %v", when, qstrs[i], root, err)
+			}
+			if i < len(fixed) && len(want) > 0 {
+				scopedNonEmpty++
+			}
+			if !slices.Equal(append([]int{}, ans.IDs...), want) {
+				t.Fatalf("%s: %s scoped to %d (%v) = %v, oracle restriction %v",
+					when, qstrs[i], root, intervals, ans.IDs, want)
 			}
 		}
 	}

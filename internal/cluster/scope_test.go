@@ -20,7 +20,7 @@ import (
 // TestScopedWorkIsTheDocumentsWork is proportionality on counts, not clocks:
 // in a collection of N equal documents, a run scoped to one of them performs
 // exactly the operator work of the same program on that document loaded
-// alone — for N = 1, 4 and 16, on both physical paths, serial and scheduled.
+// alone — for N = 1, 4 and 16, on both physical paths.
 // The unscoped run beside it shows the counters do move with N.
 func TestScopedWorkIsTheDocumentsWork(t *testing.T) {
 	d := workload.Dept()
@@ -66,43 +66,41 @@ func TestScopedWorkIsTheDocumentsWork(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range []rdb.IntervalMode{rdb.IntervalAuto, rdb.IntervalOff} {
-				for _, workers := range []int{1, 4} {
-					opts := backend.ExecOptions{Workers: workers, Intervals: mode}
-					want, err := alone.Execute(ctx, tr.Program(), opts)
+				opts := backend.ExecOptions{Intervals: mode}
+				want, err := alone.Execute(ctx, tr.Program(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.IDs) == 0 && qs != queries[3] {
+					t.Fatalf("%s answers empty on the document: the comparison would prove nothing", qs)
+				}
+				for _, i := range []int{0, n / 2, n - 1} {
+					opts.Doc = 1 + i*size
+					got, err := snap.Execute(ctx, tr.Program(), opts)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("N=%d %s in document %d: %v", n, qs, i, err)
 					}
-					if len(want.IDs) == 0 && qs != queries[3] {
-						t.Fatalf("%s answers empty on the document: the comparison would prove nothing", qs)
+					shifted := make([]int, len(want.IDs))
+					for k, id := range want.IDs {
+						shifted[k] = id + i*size
 					}
-					for _, i := range []int{0, n / 2, n - 1} {
-						opts.Doc = 1 + i*size
-						got, err := snap.Execute(ctx, tr.Program(), opts)
-						if err != nil {
-							t.Fatalf("N=%d %s in document %d: %v", n, qs, i, err)
-						}
-						shifted := make([]int, len(want.IDs))
-						for k, id := range want.IDs {
-							shifted[k] = id + i*size
-						}
-						if !slices.Equal(got.IDs, shifted) {
-							t.Fatalf("N=%d %s in document %d (%v, workers %d) = %v, the document alone answers %v",
-								n, qs, i, mode, workers, got.IDs, shifted)
-						}
-						if got.Stats != want.Stats {
-							t.Fatalf("N=%d %s in document %d (%v, workers %d) did\n  %+v\nthe document alone takes\n  %+v",
-								n, qs, i, mode, workers, got.Stats, want.Stats)
-						}
+					if !slices.Equal(got.IDs, shifted) {
+						t.Fatalf("N=%d %s in document %d (%v) = %v, the document alone answers %v",
+							n, qs, i, mode, got.IDs, shifted)
 					}
-					opts.Doc = 0
-					whole, err := snap.Execute(ctx, tr.Program(), opts)
-					if err != nil {
-						t.Fatal(err)
+					if got.Stats != want.Stats {
+						t.Fatalf("N=%d %s in document %d (%v) did\n  %+v\nthe document alone takes\n  %+v",
+							n, qs, i, mode, got.Stats, want.Stats)
 					}
-					if len(whole.IDs) != n*len(want.IDs) || (n > 1 && len(want.IDs) > 0 && whole.Stats.TuplesOut <= want.Stats.TuplesOut) {
-						t.Fatalf("N=%d %s unscoped: %d answers, %+v — expected %d answers and more work than one document's %+v",
-							n, qs, len(whole.IDs), whole.Stats, n*len(want.IDs), want.Stats)
-					}
+				}
+				opts.Doc = 0
+				whole, err := snap.Execute(ctx, tr.Program(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(whole.IDs) != n*len(want.IDs) || (n > 1 && len(want.IDs) > 0 && whole.Stats.TuplesOut <= want.Stats.TuplesOut) {
+					t.Fatalf("N=%d %s unscoped: %d answers, %+v — expected %d answers and more work than one document's %+v",
+						n, qs, len(whole.IDs), whole.Stats, n*len(want.IDs), want.Stats)
 				}
 			}
 		}

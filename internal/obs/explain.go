@@ -97,9 +97,6 @@ func Explain(p *ra.Program, t *Trace, cache *CacheStats) string {
 		}
 		fmt.Fprintf(&b, "  in=%-8d out=%-8d tuples=%-8d iters=%-5d %v",
 			ev.In, ev.Out, ev.Ops.TuplesOut, ev.Ops.LFPIters, ev.Wall.Round(time.Microsecond))
-		if ev.Ops.Morsels > 0 {
-			fmt.Fprintf(&b, " morsels=%d", ev.Ops.Morsels)
-		}
 		if ev.Ops.DescScans > 0 {
 			fmt.Fprintf(&b, " descscans=%d", ev.Ops.DescScans)
 		}
@@ -119,9 +116,6 @@ func Explain(p *ra.Program, t *Trace, cache *CacheStats) string {
 		tot := t.Totals()
 		fmt.Fprintf(&b, "   [%d statements run, %d tuples, %d joins, %d Φ (%d iterations), %v]",
 			tot.Stmts, tot.Ops.TuplesOut, tot.Ops.Joins, tot.Ops.LFPs, tot.Ops.LFPIters, tot.Wall.Round(time.Microsecond))
-		if tot.Ops.Morsels > 0 {
-			fmt.Fprintf(&b, "   [%d morsels scanned in parallel operators]", tot.Ops.Morsels)
-		}
 	}
 	if cache != nil {
 		fmt.Fprintf(&b, "   [%s]", cache)

@@ -330,7 +330,6 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 	counter("plancache_coalesced_total", "Plan-cache lookups coalesced onto an in-flight translation.", m.Engine.Cache.Coalesced)
 	counter("plancache_evictions_total", "Plan-cache entries evicted by the LRU bound.", m.Engine.Cache.Evictions)
 	gauge("plancache_entries", "Plans currently cached.", int64(m.Engine.Cache.Entries))
-	gauge("engine_parallelism", "Per-execution worker count the engine was built with.", int64(m.Engine.Parallelism))
 	fmt.Fprintf(w, "# HELP %s_engine_backend Execution backend, as an info-style gauge.\n", p)
 	fmt.Fprintf(w, "# TYPE %s_engine_backend gauge\n", p)
 	fmt.Fprintf(w, "%s_engine_backend{kind=%q} 1\n", p, m.Engine.Backend)
@@ -342,7 +341,6 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 	counter("exec_lfp_iterations_total", "Fixpoint iterations across all LFP operators.", int64(m.Exec.LFPIters))
 	counter("exec_rec_fixes_total", "Multi-relation fixpoints evaluated (SQLGen-R).", int64(m.Exec.RecFixes))
 	counter("exec_tuples_total", "Tuples produced across all operators.", int64(m.Exec.TuplesOut))
-	counter("exec_morsels_total", "Morsels scanned by intra-operator parallel sections.", int64(m.Exec.Morsels))
 
 	if st := m.Store; st != nil {
 		gauge("store_epoch", "Sequence number of the published store epoch.", int64(st.Epoch))

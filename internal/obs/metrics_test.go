@@ -90,8 +90,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 		InFlight:    1,
 		Rejections:  2,
 		LimitErrors: 1,
-		Engine:      EngineStats{Cache: CacheStats{Hits: 5, Misses: 2, Entries: 2}, Parallelism: 1, Backend: "rdb"},
-		Exec:        OpStats{Joins: 10, TuplesOut: 1000, LFPIters: 12, Morsels: 4},
+		Engine:      EngineStats{Cache: CacheStats{Hits: 5, Misses: 2, Entries: 2}, Backend: "rdb"},
+		Exec:        OpStats{Joins: 10, TuplesOut: 1000, LFPIters: 12},
 		StmtsRun:    20,
 		// Every optional section filled in: a metric family declared twice
 		// makes a Prometheus parser reject the scrape.

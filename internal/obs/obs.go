@@ -93,7 +93,6 @@ type OpStats struct {
 	LFPIters  int // fixpoint iterations (Φ and RecUnion)
 	RecFixes  int // multi-relation fixpoints (SQLGen-R)
 	TuplesOut int // tuples produced
-	Morsels   int // morsels scanned by intra-operator parallel sections
 	DescScans int // descendant closures answered by the interval kernel
 	// Of those, the ones seeded from their outermost sources, and the
 	// qualifier operators evaluated for their F column alone.
@@ -108,7 +107,6 @@ func (s *OpStats) Add(b OpStats) {
 	s.LFPIters += b.LFPIters
 	s.RecFixes += b.RecFixes
 	s.TuplesOut += b.TuplesOut
-	s.Morsels += b.Morsels
 	s.DescScans += b.DescScans
 	s.StairScans += b.StairScans
 	s.ExistsProbes += b.ExistsProbes
@@ -122,7 +120,6 @@ func (s *OpStats) Sub(b OpStats) {
 	s.LFPIters -= b.LFPIters
 	s.RecFixes -= b.RecFixes
 	s.TuplesOut -= b.TuplesOut
-	s.Morsels -= b.Morsels
 	s.DescScans -= b.DescScans
 	s.StairScans -= b.StairScans
 	s.ExistsProbes -= b.ExistsProbes
@@ -209,9 +206,6 @@ type EngineStats struct {
 	// Cache holds the plan cache's counters (all zero when caching is
 	// disabled).
 	Cache CacheStats
-	// Parallelism is the per-execution worker count the engine was built
-	// with (1 = serial).
-	Parallelism int
 	// Backend names the configured execution backend's kind ("rdb", "sql",
 	// ...); "local" when the engine executes in-process without a configured
 	// Backend.

@@ -124,7 +124,7 @@ type viewNode struct {
 func BuildViewState(db *DB, prog *ra.Program) (*ViewState, error) {
 	vs := &ViewState{
 		prog:   prog,
-		ex:     &Exec{DB: db, prog: prog, Parallelism: 1},
+		ex:     &Exec{DB: db, prog: prog},
 		syms:   db.Syms,
 		stmts:  map[string]*viewStmt{},
 		counts: map[int32]int{},
@@ -556,20 +556,16 @@ func colSet(rows []row, onF bool) map[int32]struct{} {
 // fixRounds runs Φ's semi-naive rounds from frontier, rows already in out,
 // with the executor's fixExpand kernel: what they derive over seed is appended
 // to out. frontier is consumed as scratch.
-func (vs *ViewState) fixRounds(seed, out *Relation, frontier []row, dir fixDir) error {
+func (vs *ViewState) fixRounds(seed, out *Relation, frontier []row, dir fixDir) {
 	ex := vs.ex
 	delta, next := frontier, []row(nil)
-	var err error
 	for len(delta) > 0 {
 		ex.Stats.LFPIters++
 		ex.Stats.Joins++
-		if next, err = ex.fixExpand(seed, out, delta, next[:0], dir, nil); err != nil {
-			return err
-		}
+		next = ex.fixExpand(seed, out, delta, next[:0], dir, nil)
 		ex.Stats.Unions++
 		delta, next = next, delta
 	}
-	return nil
 }
 
 // --- insert rules --------------------------------------------------------
@@ -711,9 +707,7 @@ func (vs *ViewState) fixGrow(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Rela
 			seed.rowsAt(false, g.f, collect)
 		}
 	}
-	if err := vs.fixRounds(seed, O, frontier, dir); err != nil {
-		return err
-	}
+	vs.fixRounds(seed, O, frontier, dir)
 	grown := O.rows[known:]
 	if !filtered {
 		for _, w := range grown {
@@ -1023,9 +1017,7 @@ func (vs *ViewState) fixShrink(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Re
 			}
 		})
 	}
-	if err := vs.fixRounds(seed, over, frontier, dir); err != nil {
-		return err
-	}
+	vs.fixRounds(seed, over, frontier, dir)
 	lostKeys(gateGone, gateNow, !fwd, func(g int32) {
 		O.rowsAt(fwd, g, func(o row) { over.addRow(o) })
 	})
@@ -1044,9 +1036,7 @@ func (vs *ViewState) fixShrink(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Re
 			frontier = append(frontier, w)
 		}
 	}
-	if err := vs.fixRounds(seed, O, frontier, dir); err != nil {
-		return err
-	}
+	vs.fixRounds(seed, O, frontier, dir)
 	for _, w := range taken {
 		switch {
 		case O.hasPair(packPair(w.f, w.t)): // re-derived

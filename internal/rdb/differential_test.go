@@ -13,9 +13,8 @@ import (
 )
 
 // The differential property tests: random ra.Programs run through the
-// compact morsel-parallel engine (serial, and intra-operator parallel with
-// tiny forced morsels) must produce (F, T, V) sets identical to the retained
-// naive seed evaluator (naive.go).
+// compact engine (unpooled and pooled) must produce (F, T, V) sets identical
+// to the retained naive seed evaluator (naive.go).
 
 // randDB builds a random database over nRels edge relations with node IDs
 // in [1, n] and values from a tiny vocabulary. A node has one value, whatever
@@ -84,17 +83,7 @@ func canonTuples(tuples []Tuple) []Tuple {
 
 func sameTuples(a, b []Tuple) bool { return slices.Equal(canonTuples(a), canonTuples(b)) }
 
-// forceTinyMorsels shrinks the morsel size so even the small differential
-// databases cross the fan-out threshold and exercise the parallel kernels.
-func forceTinyMorsels(t testing.TB) {
-	t.Helper()
-	old := morselRows
-	morselRows = 4
-	t.Cleanup(func() { morselRows = old })
-}
-
 func TestDifferentialRandomPrograms(t *testing.T) {
-	forceTinyMorsels(t)
 	f := func(seed int64) bool { return checkRandomProgram(t, fmt.Sprintf("seed=%d", seed), difftest.Seed(seed)) }
 	// Two inputs on which the kernels and the naive evaluator used to disagree
 	// in V, when randDB still drew a value per edge.
@@ -130,7 +119,6 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 // instances the fuzzer's bytes decode to: a random program over a random
 // graph, or (first byte odd) a kernel program over a forest.
 func FuzzDifferentialRandomPrograms(f *testing.F) {
-	forceTinyMorsels(f)
 	f.Add([]byte{0, 1, 5, 2, 3})
 	f.Add([]byte{1, 2, 30, 2, 0, 1, 3, 1})
 	f.Add([]byte{2, 2, 19, 3, 1, 3, 9, 4, 12, 1, 7, 2, 2, 11, 0, 6})
@@ -149,8 +137,8 @@ func FuzzDifferentialRandomPrograms(f *testing.F) {
 }
 
 // checkRandomProgram draws a graph database and a program of graphOps, and
-// checks the serial and the morsel-parallel engine against the naive
-// evaluator: the same tuples, the same answer, the same operator accounting.
+// checks the engine against the naive evaluator: the same tuples, the same
+// answer.
 func checkRandomProgram(t *testing.T, name string, r difftest.Source) bool {
 	t.Helper()
 	nRels := 1 + r.Intn(3)
@@ -163,56 +151,31 @@ func checkRandomProgram(t *testing.T, name string, r difftest.Source) bool {
 		return false
 	}
 
-	se := NewExec(db)
-	serial, err := se.Run(p)
+	ex := NewExec(db)
+	got, err := ex.Run(p)
 	if err != nil {
-		t.Logf("serial: %v", err)
+		t.Logf("exec: %v", err)
 		return false
 	}
-	par := NewExec(db)
-	par.Parallelism = 4
-	parRel, err := par.Run(p)
-	if err != nil {
-		t.Logf("parallel: %v", err)
-		return false
-	}
-	if msg := distinctRuns(db, p, want.Tuples(), se, par); msg != "" {
+	if msg := distinctRuns(db, p, want.Tuples(), ex); msg != "" {
 		t.Logf("%s: %s\nprogram:\n%s", name, msg, p)
 		return false
 	}
-	for engine, got := range map[string]*Relation{"serial": serial, "morsel": parRel} {
-		if !sameTuples(want.Tuples(), got.Tuples()) {
-			t.Logf("%s: tuples differ from naive (%s)\nnaive: %v\n%s: %v",
-				engine, name, canonTuples(want.Tuples()), engine, canonTuples(got.Tuples()))
-			return false
-		}
-		if !slices.Equal(want.TIDs(), got.TIDs()) {
-			t.Logf("%s: TIDs differ from naive (%s)", engine, name)
-			return false
-		}
-	}
-	// The morsel engine must agree with the serial engine on operator
-	// accounting (everything except the morsel counter itself).
-	se, pe := NewExec(db), NewExec(db)
-	pe.Parallelism = 4
-	if _, err := se.Run(p); err != nil {
+	if !sameTuples(want.Tuples(), got.Tuples()) {
+		t.Logf("tuples differ from naive (%s)\nnaive: %v\ngot:   %v", name, canonTuples(want.Tuples()), canonTuples(got.Tuples()))
 		return false
 	}
-	if _, err := pe.Run(p); err != nil {
-		return false
-	}
-	ss, ps := se.Stats, pe.Stats
-	ss.Morsels, ps.Morsels = 0, 0
-	if ss != ps {
-		t.Logf("stats differ (%s): serial %+v parallel %+v", name, ss, ps)
+	if !slices.Equal(want.TIDs(), got.TIDs()) {
+		t.Logf("TIDs differ from naive (%s)", name)
 		return false
 	}
 	return true
 }
 
 // checkKernelProgram draws a forest and a kernelProgram and checks every
-// physical path at 1 and 4 workers, pooled and not, against the naive
-// evaluator. It returns the accounting of the serial IntervalAuto run.
+// physical path, pooled and not, against the naive evaluator; the pooled run
+// must do the unpooled run's work. It returns the accounting of the unpooled
+// IntervalAuto run.
 func checkKernelProgram(t *testing.T, name string, r difftest.Source) (ok bool, used Stats) {
 	t.Helper()
 	nRels := 1 + r.Intn(3)
@@ -224,28 +187,27 @@ func checkKernelProgram(t *testing.T, name string, r difftest.Source) (ok bool, 
 		return false, used
 	}
 	for _, mode := range []IntervalMode{IntervalAuto, IntervalOff, IntervalForce} {
-		var stats [3]Stats
-		for i, workers := range []int{1, 4, 4} {
+		var stats [2]Stats
+		for i, run := range []string{"unpooled", "pooled"} {
 			ex := NewExec(db)
-			if i == 2 { // pooled: the morsel workers read its temporaries' key sets
+			if i == 1 {
 				st := AcquireState(db)
 				defer st.Release()
 				ex = st.Exec()
 			}
-			ex.IntervalMode, ex.Parallelism = mode, workers
+			ex.IntervalMode = mode
 			got, err := ex.Run(p)
 			if err == nil && !sameTuples(want.Tuples(), got.Tuples()) {
 				err = fmt.Errorf("tuples differ from naive\nnaive: %v\ngot:   %v", canonTuples(want.Tuples()), canonTuples(got.Tuples()))
 			}
 			if err != nil {
-				t.Logf("%s, %v, parallelism %d: %v\nprogram:\n%s", name, mode, workers, err, p)
+				t.Logf("%s, %v, %s: %v\nprogram:\n%s", name, mode, run, err, p)
 				return false, used
 			}
 			stats[i] = ex.Stats
-			stats[i].Morsels = 0
 		}
-		if stats[0] != stats[1] || stats[0] != stats[2] {
-			t.Logf("%s, %v: stats differ, serial %+v parallel %+v, pooled parallel %+v", name, mode, stats[0], stats[1], stats[2])
+		if stats[0] != stats[1] {
+			t.Logf("%s, %v: stats differ, unpooled %+v pooled %+v", name, mode, stats[0], stats[1])
 			return false, used
 		}
 		if mode == IntervalAuto {
@@ -348,37 +310,33 @@ func repeatedPair(r *Relation) string {
 
 // distinctRuns checks the duplicate-free invariant over every relation p's
 // runs built: the statements of the executors that already ran it, and every
-// temporary of a pooled run at parallelism 1 and 4 — whose answer must also
-// be the naive evaluator's.
+// temporary of a pooled run — whose answer must also be the naive
+// evaluator's.
 func distinctRuns(db *DB, p *ra.Program, want []Tuple, ran ...*Exec) string {
 	for _, ex := range ran {
 		for _, r := range ex.env {
 			if msg := repeatedPair(r); msg != "" {
-				return fmt.Sprintf("parallelism %d: %s", ex.Parallelism, msg)
+				return msg
 			}
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		st := AcquireState(db)
-		ex := st.Exec()
-		ex.Parallelism = workers
-		got, err := ex.Run(p)
-		msg := ""
-		switch {
-		case err != nil:
-			msg = err.Error()
-		case !sameTuples(want, got.Tuples()):
-			msg = fmt.Sprintf("tuples differ from naive\nnaive:  %v\npooled: %v", canonTuples(want), canonTuples(got.Tuples()))
+	st := AcquireState(db)
+	defer st.Release()
+	got, err := st.Exec().Run(p)
+	msg := ""
+	switch {
+	case err != nil:
+		msg = err.Error()
+	case !sameTuples(want, got.Tuples()):
+		msg = fmt.Sprintf("tuples differ from naive\nnaive:  %v\npooled: %v", canonTuples(want), canonTuples(got.Tuples()))
+	}
+	for _, r := range st.owned {
+		if msg == "" {
+			msg = repeatedPair(r)
 		}
-		for _, r := range st.owned {
-			if msg == "" {
-				msg = repeatedPair(r)
-			}
-		}
-		st.Release()
-		if msg != "" {
-			return fmt.Sprintf("pooled, parallelism %d: %s", workers, msg)
-		}
+	}
+	if msg != "" {
+		return "pooled: " + msg
 	}
 	return ""
 }
@@ -389,7 +347,6 @@ func distinctRuns(db *DB, p *ra.Program, want []Tuple, ran ...*Exec) string {
 // temporaries), unions of overlapping operands, and a Diff whose right operand
 // is a filter's unhashed output.
 func TestDistinctWhereDuplicatesArise(t *testing.T) {
-	forceTinyMorsels(t)
 	db := NewDB()
 	for b := 10; b < 30; b++ {
 		db.Insert("L", 1, b, "")
@@ -414,18 +371,15 @@ func TestDistinctWhereDuplicatesArise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se, par := NewExec(db), NewExec(db)
-		par.Parallelism = 4
-		for _, ex := range []*Exec{se, par} {
-			got, err := ex.Run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameTuples(want.Tuples(), got.Tuples()) {
-				t.Errorf("%s, parallelism %d: tuples differ from naive\nnaive: %v\ngot:   %v", name, ex.Parallelism, canonTuples(want.Tuples()), canonTuples(got.Tuples()))
-			}
+		ex := NewExec(db)
+		got, err := ex.Run(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if msg := distinctRuns(db, p, want.Tuples(), se, par); msg != "" {
+		if !sameTuples(want.Tuples(), got.Tuples()) {
+			t.Errorf("%s: tuples differ from naive\nnaive: %v\ngot:   %v", name, canonTuples(want.Tuples()), canonTuples(got.Tuples()))
+		}
+		if msg := distinctRuns(db, p, want.Tuples(), ex); msg != "" {
 			t.Errorf("%s: %s", name, msg)
 		}
 	}

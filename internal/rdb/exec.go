@@ -22,7 +22,6 @@ type Stats struct {
 	LFPIters     int `json:"lfp_iters"`     // total fixpoint iterations across all Φ and RecUnion
 	RecFixes     int `json:"rec_fixes"`     // multi-relation fixpoints evaluated (SQLGen-R)
 	TuplesOut    int `json:"tuples_out"`    // tuples produced across all operators
-	Morsels      int `json:"morsels"`       // morsels scanned by intra-operator parallel sections
 	DescScans    int `json:"desc_scans"`    // descendant closures answered by the interval kernel
 	StairScans   int `json:"stair_scans"`   // of those, scans of a one-F context from its outermost sources (Exec.eval)
 	ExistsProbes int `json:"exists_probes"` // qualifier operators evaluated for their F column alone (Exec.eval)
@@ -37,7 +36,6 @@ func (s Stats) Ops() obs.OpStats {
 		LFPIters:     s.LFPIters,
 		RecFixes:     s.RecFixes,
 		TuplesOut:    s.TuplesOut,
-		Morsels:      s.Morsels,
 		DescScans:    s.DescScans,
 		StairScans:   s.StairScans,
 		ExistsProbes: s.ExistsProbes,
@@ -55,7 +53,6 @@ func (a Stats) Minus(b Stats) Stats {
 		RecFixes:     a.RecFixes - b.RecFixes,
 		TuplesOut:    a.TuplesOut - b.TuplesOut,
 		StmtsRun:     a.StmtsRun - b.StmtsRun,
-		Morsels:      a.Morsels - b.Morsels,
 		DescScans:    a.DescScans - b.DescScans,
 		StairScans:   a.StairScans - b.StairScans,
 		ExistsProbes: a.ExistsProbes - b.ExistsProbes,
@@ -72,7 +69,6 @@ func (s *Stats) Add(b Stats) {
 	s.RecFixes += b.RecFixes
 	s.TuplesOut += b.TuplesOut
 	s.StmtsRun += b.StmtsRun
-	s.Morsels += b.Morsels
 	s.DescScans += b.DescScans
 	s.StairScans += b.StairScans
 	s.ExistsProbes += b.ExistsProbes
@@ -86,15 +82,6 @@ type Exec struct {
 	// Lazy enables the top-down evaluation strategy of §5.2: a statement is
 	// computed only when referenced. Disabled, statements run in order.
 	Lazy bool
-
-	// Parallelism is the number of worker goroutines a morsel-driven
-	// operator (hash joins, fixpoint delta expansion, interval scans) may fan
-	// out to once its input reaches 2·morselRows rows (parWorkers). Values
-	// below 2 keep every operator single-threaded. Statements always run one
-	// after another on the calling goroutine, and results, traces and every
-	// counter but Stats.Morsels are identical at any setting: morsel buffers
-	// are merged in morsel order.
-	Parallelism int
 
 	// Limits bounds the resources the next Run/RunCtx may consume;
 	// exceeding one returns a *obs.LimitError. The zero value is unlimited.
@@ -146,10 +133,9 @@ type execFrame struct {
 	began     time.Time
 }
 
-// NewExec returns an executor with lazy (top-down) evaluation enabled and
-// single-threaded operators.
+// NewExec returns an executor with lazy (top-down) evaluation enabled.
 func NewExec(db *DB) *Exec {
-	return &Exec{DB: db, Lazy: true, Parallelism: 1}
+	return &Exec{DB: db, Lazy: true}
 }
 
 // newRel returns an empty temporary sharing the database interner, so every
@@ -209,9 +195,9 @@ func (e *Exec) Run(p *ra.Program) (*Relation, error) {
 }
 
 // RunCtx executes the program under a context: ctx.Err() is checked between
-// statements, between fixpoint iterations and per morsel inside parallel
-// operators, so a cancelled or expired context makes the run return promptly
-// with context.Canceled or context.DeadlineExceeded. The executor's Limits
+// statements, between fixpoint iterations and every checkEvery sources of an
+// interval scan, so a cancelled or expired context makes the run return
+// promptly with context.Canceled or context.DeadlineExceeded. The executor's Limits
 // are enforced at the same points, returning typed *obs.LimitError values.
 // When trace is non-nil, one obs.StmtEvent is recorded per evaluated
 // statement with its exclusive operator counts, cardinalities and wall time;

@@ -31,7 +31,7 @@ type ExecState struct {
 var statePool = sync.Pool{New: func() any { return new(ExecState) }}
 
 // AcquireState returns a pooled execution state bound to db, with lazy
-// evaluation, single-threaded operators and no limits — the same defaults
+// evaluation and no limits — the same defaults
 // as NewExec. A state last used against a different DB drops its R_id, which
 // lists that DB's nodes, and keeps its free temporaries only when the new DB
 // shares the old one's interner — as every epoch of a store does — since a
@@ -48,7 +48,6 @@ func AcquireState(db *DB) *ExecState {
 	e := &s.exec
 	e.DB = db
 	e.Lazy = true
-	e.Parallelism = 1
 	e.Limits = obs.Limits{}
 	e.Stats = Stats{}
 	e.IntervalMode = IntervalAuto
@@ -57,8 +56,8 @@ func AcquireState(db *DB) *ExecState {
 	return s
 }
 
-// Exec returns the state's executor. Callers may set Parallelism and
-// Limits before running; the next AcquireState resets both.
+// Exec returns the state's executor. Callers may set Limits before running;
+// the next AcquireState resets them.
 func (s *ExecState) Exec() *Exec { return &s.exec }
 
 // Release resets every arena structure the request used and returns the

@@ -10,8 +10,8 @@ import (
 // This file retains the seed engine verbatim in spirit: map[uint64]struct{}
 // dedup, lazy map[int][]int32 indexes invalidated on every insert, 40-byte
 // string-carrying tuples, and strictly single-threaded operators. It is the
-// oracle of the differential property tests — the compact morsel-parallel
-// engine must produce identical (F, T) sets on random programs.
+// oracle of the differential property tests — the compact engine must
+// produce identical (F, T) sets on random programs.
 //
 // It must stay dumb. Do not optimize it.
 

@@ -178,7 +178,7 @@ func TestMaxTuples(t *testing.T) {
 // TestMaxTuplesWhateverTheProgramShape: the tuple bound holds on programs with
 // no fixpoint to check it between iterations — a lone statement, a chain whose
 // statements all start (lazily, from the result down) before any has produced
-// a tuple, a union of two — and it trips alike at every worker count.
+// a tuple, a union of two.
 func TestMaxTuplesWhateverTheProgramShape(t *testing.T) {
 	db := chainDB(50)
 	hop := func(l ra.Plan) ra.Plan { return ra.Compose{L: l, R: ra.Base{Rel: "E"}} }
@@ -196,22 +196,19 @@ func TestMaxTuplesWhateverTheProgramShape(t *testing.T) {
 			{Name: "result", Plan: ra.UnionAll{Kids: []ra.Plan{ra.Temp{Name: "a"}, ra.Temp{Name: "b"}}}},
 		}},
 	} {
-		for _, workers := range []int{1, 4} {
-			ex := NewExec(db)
-			ex.Limits, ex.Parallelism = limits, workers
-			_, err := ex.RunCtx(context.Background(), p, nil)
-			var le *obs.LimitError
-			if !errors.As(err, &le) || le.Kind != obs.LimitTuples || le.Limit != int64(limits.MaxTuples) || le.Actual <= le.Limit {
-				t.Errorf("%s, parallelism %d: err = %v, want a tuple-count LimitError over %d", name, workers, err, limits.MaxTuples)
-			}
+		ex := NewExec(db)
+		ex.Limits = limits
+		_, err := ex.RunCtx(context.Background(), p, nil)
+		var le *obs.LimitError
+		if !errors.As(err, &le) || le.Kind != obs.LimitTuples || le.Limit != int64(limits.MaxTuples) || le.Actual <= le.Limit {
+			t.Errorf("%s: err = %v, want a tuple-count LimitError over %d", name, err, limits.MaxTuples)
 		}
 	}
 }
 
-// TestParallelTraceDeterministic: at parallelism 4, with morsels of four
-// rows, the trace lists the statements in one order, round after round.
+// TestParallelTraceDeterministic: the trace lists the statements in one
+// order, round after round.
 func TestParallelTraceDeterministic(t *testing.T) {
-	forceTinyMorsels(t)
 	db := chainDB(40, [2]int{40, 7})
 	p := &ra.Program{
 		Stmts: []ra.Stmt{
@@ -225,7 +222,6 @@ func TestParallelTraceDeterministic(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		var tr obs.Trace
 		ex := NewExec(db)
-		ex.Parallelism = 4
 		rel, err := ex.RunCtx(context.Background(), p, &tr)
 		if err != nil {
 			t.Fatal(err)
@@ -247,41 +243,40 @@ func TestParallelTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelLimits: the fixpoint bounds trip at parallelism 4 with every
-// iteration's delta split into morsels.
+// TestParallelLimits: the fixpoint bounds trip between rounds of a running
+// fixpoint, after it has produced tuples, not before it starts.
 func TestParallelLimits(t *testing.T) {
-	forceTinyMorsels(t)
 	p := prog(ra.Fix{Seed: ra.Base{Rel: "E"}})
 	run := func(limits obs.Limits) (Stats, error) {
 		ex := NewExec(chainDB(200))
-		ex.Limits, ex.Parallelism = limits, 4
+		ex.Limits = limits
 		_, err := ex.RunCtx(context.Background(), p, nil)
 		return ex.Stats, err
 	}
-	stats, err := run(obs.Limits{MaxLFPIters: 1})
+	stats, err := run(obs.Limits{MaxLFPIters: 5})
 	var le *obs.LimitError
-	if !errors.As(err, &le) || le.Kind != obs.LimitLFPIters {
-		t.Fatalf("err = %v, want LFP-iters LimitError", err)
+	if !errors.As(err, &le) || le.Kind != obs.LimitLFPIters || le.Actual != 6 {
+		t.Fatalf("err = %v, want an LFP-iters LimitError at round 6", err)
 	}
-	if stats.Morsels == 0 {
-		t.Fatalf("stats %+v: no morsel ran", stats)
+	if stats.LFPIters != 6 || stats.TuplesOut <= 199 {
+		t.Fatalf("stats %+v: want five rounds run past the seed's 199 tuples", stats)
 	}
-	if _, err := run(obs.Limits{MaxTuples: 10}); !errors.As(err, &le) || le.Kind != obs.LimitTuples {
-		t.Fatalf("err = %v, want tuple-count LimitError", err)
+	stats, err = run(obs.Limits{MaxTuples: 1000})
+	if !errors.As(err, &le) || le.Kind != obs.LimitTuples || le.Actual <= 1000 {
+		t.Fatalf("err = %v, want a tuple-count LimitError over 1000", err)
+	}
+	if stats.LFPIters < 2 {
+		t.Fatalf("stats %+v: the tuple bound tripped before the second round", stats)
 	}
 }
 
-// TestParallelCancel: cancelling mid-fixpoint at parallelism 4 returns
-// promptly with context.Canceled; the morsel workers check the context once
-// a morsel.
+// TestParallelCancel: a context cancelled at a fixed check inside a long
+// fixpoint — the 50th, rounds before the closure of the 4000-node chain ends
+// — stops the run at that round with context.Canceled.
 func TestParallelCancel(t *testing.T) {
-	forceTinyMorsels(t)
 	ex := NewExec(chainDB(4000))
-	ex.Parallelism = 4
-	// Canceled at the 2 500th check: past the first fan-out's thousand
-	// morsels, long before the fixpoint's last round.
 	ctx := &countdownCtx{Context: context.Background()}
-	ctx.left.Store(2500)
+	ctx.left.Store(50)
 	t0 := time.Now()
 	_, err := ex.RunCtx(ctx, prog(ra.Fix{Seed: ra.Base{Rel: "E"}}), nil)
 	if !errors.Is(err, context.Canceled) {
@@ -290,8 +285,8 @@ func TestParallelCancel(t *testing.T) {
 	if elapsed := time.Since(t0); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	if ex.Stats.Morsels == 0 {
-		t.Fatalf("stats %+v: no morsel ran before the cancel", ex.Stats)
+	if it := ex.Stats.LFPIters; it < 40 || it > 50 {
+		t.Fatalf("stats %+v: want the cancel to land in round 40–50 of the fixpoint", ex.Stats)
 	}
 }
 

@@ -180,9 +180,8 @@ func constraintOperands(start, end ra.Plan, rest []*Relation) (s, e *Relation) {
 
 // compose performs the path join π_{l.F, r.T, r.V}(l ⋈_{l.T=r.F} r): the
 // smaller side is scanned as the probe, the larger side's CSR index is the
-// build side. Large probes run morsel-parallel; serial probes fold matches
-// straight into the output with no candidate buffer and no closure state,
-// producing the identical tuple order.
+// build side. Matches fold straight into the output with no candidate buffer
+// and no closure state.
 // Unless distinct says each output pair has one derivation (ra.Keys), the
 // output is deduplicated as it is written.
 func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
@@ -209,56 +208,6 @@ func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 			}
 		}
 		e.Stats.TuplesOut += out.Len()
-		return out, nil
-	}
-	n := len(rrows)
-	if probeL {
-		n = len(lrows)
-	}
-	if workers := e.parWorkers(n); workers > 1 {
-		var scan func(lo, hi int, buf []row) []row
-		if probeL {
-			idx := r.fIndex()
-			scan = func(lo, hi int, buf []row) []row {
-				for i := lo; i < hi; i++ {
-					lt := lrows[i]
-					snap, over := idx.lookup(lt.t)
-					for _, part := range [2][]int32{snap, over} {
-						for _, pos := range part {
-							rt := rrows[pos]
-							buf = append(buf, row{f: lt.f, t: rt.t, v: rt.v})
-						}
-					}
-				}
-				return buf
-			}
-		} else {
-			idx := l.tIndex()
-			scan = func(lo, hi int, buf []row) []row {
-				for i := lo; i < hi; i++ {
-					rt := rrows[i]
-					snap, over := idx.lookup(rt.f)
-					for _, part := range [2][]int32{snap, over} {
-						for _, pos := range part {
-							lt := lrows[pos]
-							buf = append(buf, row{f: lt.f, t: rt.t, v: rt.v})
-						}
-					}
-				}
-				return buf
-			}
-		}
-		bufs, err := e.scanMorsels(n, workers, scan)
-		if err != nil {
-			return nil, err
-		}
-		for _, buf := range bufs {
-			for _, w := range buf {
-				if out.put(w, distinct) {
-					e.Stats.TuplesOut++
-				}
-			}
-		}
 		return out, nil
 	}
 	if probeL {
@@ -341,12 +290,10 @@ func (e *Exec) fix(pl ra.Fix, in []*Relation) (*Relation, error) {
 }
 
 // fixClosure is the semi-naive iteration: each round joins only the previous
-// delta against the seed's CSR index; large deltas expand morsel-parallel,
-// with the per-worker candidate buffers merged in morsel order so results and
-// statistics match a serial run. Constraint membership probes go through the
-// constraint relation's column index instead of materializing per-Φ value-set
-// maps, and the serial path is free of heap-escaping closures — both for the
-// pooled zero-allocation serving contract (see ExecState).
+// delta against the seed's CSR index. Constraint membership probes go through
+// the constraint relation's column index instead of materializing per-Φ
+// value-set maps, and the iteration is free of heap-escaping closures — both
+// for the pooled zero-allocation serving contract (see ExecState).
 func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, error) {
 	e.Stats.LFPs++
 	dir, gate := fixGate(start, end)
@@ -368,7 +315,6 @@ func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, err
 
 	iters := 0
 	next := e.getRowBuf()
-	var err error
 	for len(delta) > 0 {
 		// Cancellation and limit checks happen here, between iterations, so
 		// an abandoned Φ leaves no shared state behind.
@@ -384,9 +330,7 @@ func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, err
 			return nil, err
 		}
 		e.Stats.Joins++
-		if next, err = e.fixExpand(seed, out, delta, next[:0], dir, prune); err != nil {
-			return nil, err
-		}
+		next = e.fixExpand(seed, out, delta, next[:0], dir, prune)
 		e.Stats.Unions++
 		delta, next = next, delta
 	}
@@ -449,10 +393,8 @@ func (e *Exec) fixEndFilter(closure, end *Relation) *Relation {
 
 // fixExpand runs one semi-naive iteration: every delta row probes the seed
 // index and the new tuples are folded into out in scan order, appending the
-// genuinely new ones to next. The parallel path scans into per-morsel
-// candidate buffers merged in morsel order, so results and statistics are
-// byte-identical to the serial fold.
-func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, prune func(t int32) bool) ([]row, error) {
+// genuinely new ones to next.
+func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, prune func(t int32) bool) []row {
 	var idx *colIndex
 	if dir == fixFwd {
 		idx = seed.fIndex()
@@ -460,46 +402,6 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, pru
 		idx = seed.tIndex()
 	}
 	srows := seed.probeRows()
-	if workers := e.parWorkers(len(delta)); workers > 1 {
-		scan := func(lo, hi int, buf []row) []row {
-			for i := lo; i < hi; i++ {
-				d := delta[i]
-				key := d.t
-				if dir == fixBwd {
-					key = d.f
-				}
-				snap, over := idx.lookup(key)
-				for _, part := range [2][]int32{snap, over} {
-					for _, pos := range part {
-						st := srows[pos]
-						var nw row
-						if dir == fixFwd {
-							nw = row{f: d.f, t: st.t, v: st.v}
-						} else {
-							nw = row{f: st.f, t: d.t, v: d.v}
-						}
-						buf = append(buf, nw)
-					}
-				}
-			}
-			return buf
-		}
-		bufs, err := e.scanMorsels(len(delta), workers, scan)
-		if err != nil {
-			return next, err
-		}
-		for _, buf := range bufs {
-			for _, nw := range buf {
-				if out.addRow(nw) {
-					e.Stats.TuplesOut++
-					if prune == nil || !prune(nw.t) {
-						next = append(next, nw)
-					}
-				}
-			}
-		}
-		return next, nil
-	}
 	for i := range delta {
 		d := delta[i]
 		key := d.t
@@ -525,7 +427,7 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, pru
 			}
 		}
 	}
-	return next, nil
+	return next
 }
 
 // descFilter answers a DescScan from its fixpoint alternative, the pushed
@@ -602,9 +504,6 @@ func (e *Exec) descScanFast(k descKernel, use descUse, startIdx, endIdx *colInde
 			if len(use.s) == 1 && use.s[0].members(true) == endIdx {
 				use.s = nil // the end constraint tests the same
 			}
-			for _, r := range use.s {
-				r.members(true) // built here: morsel workers only read them
-			}
 		}
 	}
 	srcs := e.getRowBuf()        // per source, its position in k.from and the F of its pairs
@@ -623,36 +522,20 @@ func (e *Exec) descScanFast(k descKernel, use descUse, startIdx, endIdx *colInde
 	defer e.putRowBuf(srcs)
 	e.Stats.DescScans++
 	out := e.newRel("")
-	if workers := e.parWorkers(len(srcs)); workers > 1 {
-		bufs, err := e.scanMorsels(len(srcs), workers, func(lo, hi int, buf []row) []row {
-			k.pairs(srcs[lo:hi], use, endIdx, func(w row) { buf = append(buf, w) })
-			return buf
-		})
-		if err != nil {
+	// Matches fold straight into the output, in source order, with no
+	// candidate buffer, checking the bounds as the scan goes.
+	for lo := 0; lo < len(srcs); lo += checkEvery {
+		n := out.Len()
+		k.pairs(srcs[lo:min(lo+checkEvery, len(srcs))], use, endIdx, out.appendDistinct)
+		e.Stats.TuplesOut += out.Len() - n
+		if err := e.check(); err != nil {
 			return nil, err
-		}
-		for _, buf := range bufs {
-			for _, w := range buf {
-				out.appendDistinct(w)
-			}
-		}
-		e.Stats.TuplesOut += out.Len()
-	} else {
-		// A serial scan folds matches straight into the output, in the same
-		// order, with no candidate buffer, checking the bounds as it goes.
-		for lo := 0; lo < len(srcs); lo += checkEvery {
-			n := out.Len()
-			k.pairs(srcs[lo:min(lo+checkEvery, len(srcs))], use, endIdx, out.appendDistinct)
-			e.Stats.TuplesOut += out.Len() - n
-			if err := e.check(); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return out, nil
 }
 
-// checkEvery is how many sources a serial kernel scans per bounds check.
+// checkEvery is how many sources the kernel scans per bounds check.
 const checkEvery = 64
 
 // pairs emits the pairs of the sources at positions srcs, ascending, each
@@ -752,9 +635,7 @@ func (e *Exec) semijoin(l *Relation, wits []*Relation, anti bool) *Relation {
 // little to optimize the operations inside the with…recursion expression",
 // §3.1), so no delta optimization is applied — that asymmetry against the
 // single-input Φ(R), which CONNECT BY evaluates level by level, is exactly
-// the effect the paper's experiments measure. The per-edge scan of the
-// accumulated relation does run morsel-parallel (an engine-level freedom the
-// black box leaves open), with the same join/union accounting.
+// the effect the paper's experiments measure.
 func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 	e.Stats.RecFixes++
 	type tagged struct {
@@ -842,42 +723,22 @@ func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 			idx := rel.fIndex()
 			rrows := rel.probeRows()
 			from, to := edgeFrom[i], edgeTo[i]
-			pairs := pl.Pairs
-			scan := func(lo, hi int, buf []row) []row {
-				for j := lo; j < hi; j++ {
-					d := acc[j]
-					if d.tag != from {
-						continue
-					}
-					snap, over := idx.lookup(d.w.t)
-					for _, part := range [2][]int32{snap, over} {
-						for _, pos := range part {
-							et := rrows[pos]
-							if pairs {
-								// Keep the origin: (d.F, edge.T).
-								buf = append(buf, row{f: d.w.f, t: et.t, v: et.v})
-							} else {
-								// Fig 2: insert the edge's own (F, T).
-								buf = append(buf, et)
-							}
+			for _, d := range acc[:snapshot] {
+				if d.tag != from {
+					continue
+				}
+				snap, over := idx.lookup(d.w.t)
+				for _, part := range [2][]int32{snap, over} {
+					for _, pos := range part {
+						et := rrows[pos]
+						if pl.Pairs {
+							// Keep the origin: (d.F, edge.T).
+							add(to, row{f: d.w.f, t: et.t, v: et.v})
+						} else {
+							// Fig 2: insert the edge's own (F, T).
+							add(to, et)
 						}
 					}
-				}
-				return buf
-			}
-			if workers := e.parWorkers(snapshot); workers > 1 {
-				bufs, err := e.scanMorsels(snapshot, workers, scan)
-				if err != nil {
-					return nil, err
-				}
-				for _, buf := range bufs {
-					for _, w := range buf {
-						add(to, w)
-					}
-				}
-			} else {
-				for _, w := range scan(0, snapshot, nil) {
-					add(to, w)
 				}
 			}
 		}

@@ -25,8 +25,7 @@ import (
 // exactly as much.
 
 // kernelWork projects the counters both drivers account for. StmtsRun is the
-// pull driver's alone (a view has no statements to run) and Morsels is zero
-// on these serial runs.
+// pull driver's alone (a view has no statements to run).
 func kernelWork(s Stats) Stats {
 	return Stats{
 		Joins: s.Joins, Unions: s.Unions, LFPs: s.LFPs, LFPIters: s.LFPIters,

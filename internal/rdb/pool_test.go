@@ -154,46 +154,6 @@ func TestWarmExecAllocsAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestWarmExecAllocsParallel bounds a warm run that does split operators
-// into morsels: fanning out inherently allocates (goroutines, per-morsel
-// candidate buffers), so the bound is loose — it guards against the
-// per-request cost regressing to the old build-everything-from-scratch
-// behavior. A run at parallelism 4 whose operands stay under the threshold
-// allocates exactly what a serial one does (backend.TestWarmWorkersAllocLikeSerial).
-func TestWarmExecAllocsParallel(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; alloc bounds need a normal build")
-	}
-	forceTinyMorsels(t)
-	r := rand.New(rand.NewSource(11))
-	db := randDB(r, 200, 3)
-	p := recursiveProgram()
-
-	st := AcquireState(db)
-	if _, err := st.Exec().Run(p); err != nil {
-		t.Fatal(err)
-	}
-	st.Release()
-
-	morsels := 0
-	allocs := testing.AllocsPerRun(20, func() {
-		s := AcquireState(db)
-		ex := s.Exec()
-		ex.Parallelism = 4
-		if _, err := ex.Run(p); err != nil {
-			t.Fatal(err)
-		}
-		morsels = ex.Stats.Morsels
-		s.Release()
-	})
-	if morsels == 0 {
-		t.Fatal("no operator was split into morsels")
-	}
-	if allocs > 500 {
-		t.Fatalf("warm pooled parallel run allocates %.0f times per request, want <= 500", allocs)
-	}
-}
-
 // TestPooledKeySetsStartEmpty: a request's temporary asked only for
 // membership builds a key set (Relation.members) that the next request, which
 // the arena hands the same relation with other rows of the same count, must

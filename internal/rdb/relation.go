@@ -18,8 +18,7 @@
 // duplicate can arise (see appendDistinct). A stored relation holds no pair
 // set at all: in τd(T) every node is the T of exactly one tuple, so bulk
 // loaders append without a probe and its T index answers (F, T) membership
-// (see find). Operators may run morsel-parallel; see ops.go (the operator
-// kernels) and morsel.go.
+// (see find). The operator kernels are in ops.go.
 package rdb
 
 import (

@@ -87,7 +87,6 @@ func scopeProgram(r difftest.Source, nRels int) *ra.Program {
 }
 
 func TestScopedRunEqualsDocumentAlone(t *testing.T) {
-	forceTinyMorsels(t)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nRels := 1 + r.Intn(3)
@@ -116,26 +115,27 @@ func TestScopedRunEqualsDocumentAlone(t *testing.T) {
 						name, seed, mode, root, p, canonTuples(wantRel.Tuples()), canonTuples(got.Tuples()))
 					return false
 				}
-				ws := want.Stats
-				ws.Morsels, stats.Morsels = 0, 0
-				if ws != stats {
+				if want.Stats != stats {
 					t.Logf("%s did other work than the document alone (seed=%d, %v)\nprogram:\n%salone:  %+v\nscoped: %+v",
-						name, seed, mode, p, ws, stats)
+						name, seed, mode, p, want.Stats, stats)
 					return false
 				}
 				return true
 			}
 
-			serial := NewExec(db)
-			serial.IntervalMode, serial.Doc = mode, root
-			rel, err := serial.Run(p)
-			if !check("serial", rel, serial.Stats, err) {
+			ex := NewExec(db)
+			ex.IntervalMode, ex.Doc = mode, root
+			rel, err := ex.Run(p)
+			if !check("unpooled", rel, ex.Stats, err) {
 				return false
 			}
-			morsel := NewExec(db)
-			morsel.IntervalMode, morsel.Doc, morsel.Parallelism = mode, root, 4
-			rel, err = morsel.Run(p)
-			if !check("morsel", rel, morsel.Stats, err) {
+			st := AcquireState(db)
+			ex = st.Exec()
+			ex.IntervalMode, ex.Doc = mode, root
+			rel, err = ex.Run(p)
+			ok := check("pooled", rel, ex.Stats, err)
+			st.Release()
+			if !ok {
 				return false
 			}
 		}
@@ -260,7 +260,7 @@ func TestScopeErrors(t *testing.T) {
 		st := AcquireState(db)
 		defer st.Release()
 		ex = st.Exec()
-		ex.Doc, ex.Parallelism = doc, 4
+		ex.Doc = doc
 		_, pooled = ex.Run(p)
 		return serial, pooled
 	}

@@ -273,34 +273,6 @@ func TestLoaderMatchesInsertLabeled(t *testing.T) {
 	}
 }
 
-// TestMorselsEngage: above the size threshold, a parallel join must
-// actually take the morsel path (a positive control for the differential
-// tests, which only prove the two paths agree).
-func TestMorselsEngage(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	db := NewDB()
-	for i := 0; i < 20_000; i++ {
-		db.Insert("L", r.Intn(10_000), 1+r.Intn(10_000), "")
-		db.Insert("R", r.Intn(10_000), 1+r.Intn(10_000), "")
-	}
-	p := &ra.Program{Stmts: []ra.Stmt{{Name: "j", Plan: ra.Compose{L: ra.Base{Rel: "L"}, R: ra.Base{Rel: "R"}}}}, Result: "j"}
-	ex := NewExec(db)
-	ex.Parallelism = 4
-	if _, err := ex.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	if ex.Stats.Morsels == 0 {
-		t.Fatal("parallel join scanned 0 morsels")
-	}
-	serial := NewExec(db)
-	if _, err := serial.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Stats.Morsels != 0 {
-		t.Fatalf("serial run charged %d morsels", serial.Stats.Morsels)
-	}
-}
-
 // TestCrossInternerCopy: relations created outside a DB (private interner)
 // must still compose correctly with DB relations — symbols are re-mapped
 // through strings when interners differ.

@@ -43,8 +43,6 @@ func appendStats(b []byte, st *xpath2sql.ExecStats) []byte {
 	b = strconv.AppendInt(b, int64(st.RecFixes), 10)
 	b = append(b, `,"tuples_out":`...)
 	b = strconv.AppendInt(b, int64(st.TuplesOut), 10)
-	b = append(b, `,"morsels":`...)
-	b = strconv.AppendInt(b, int64(st.Morsels), 10)
 	b = append(b, `,"desc_scans":`...)
 	b = strconv.AppendInt(b, int64(st.DescScans), 10)
 	b = append(b, `,"stair_scans":`...)

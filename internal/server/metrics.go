@@ -37,7 +37,6 @@ type metrics struct {
 	lfpIters  atomic.Int64
 	recFixes  atomic.Int64
 	tuplesOut atomic.Int64
-	morsels   atomic.Int64
 }
 
 type reqKey struct {
@@ -101,7 +100,6 @@ func (m *metrics) recordExec(st xpath2sql.ExecStats) {
 	m.lfpIters.Add(int64(st.LFPIters))
 	m.recFixes.Add(int64(st.RecFixes))
 	m.tuplesOut.Add(int64(st.TuplesOut))
-	m.morsels.Add(int64(st.Morsels))
 }
 
 // snapshot assembles the full MetricsSnapshot: server counters plus the
@@ -124,7 +122,6 @@ func (m *metrics) snapshot(service string, eng obs.EngineStats, adm *admission) 
 			LFPIters:  int(m.lfpIters.Load()),
 			RecFixes:  int(m.recFixes.Load()),
 			TuplesOut: int(m.tuplesOut.Load()),
-			Morsels:   int(m.morsels.Load()),
 		},
 	}
 	if adm != nil {

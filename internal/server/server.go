@@ -1,6 +1,6 @@
 // Package server is the production query service over the xpath2sql Engine:
 // a stdlib-only (net/http) daemon front end that turns the in-process
-// pipeline — plan-cached translation, morsel-parallel execution, typed
+// pipeline — plan-cached translation, pooled serial execution, typed
 // limits — into a network service (the "ship SQL to the RDBMS and return
 // the answer" arrow of the paper's Fig. 1, with the bundled engine standing
 // in for the RDBMS).
@@ -96,7 +96,7 @@ const (
 // Config assembles a Server. Engine and Source are required; everything else
 // has serving-grade defaults.
 type Config struct {
-	// Engine answers queries; its plan cache, limits and parallelism are
+	// Engine answers queries; its plan cache and limits are
 	// the server's. Required.
 	Engine *xpath2sql.Engine
 	// Source is the data source queries execute against: FromDB for a
@@ -237,40 +237,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
 	return s, nil
-}
-
-// effectiveWorkers is the admission-aware intra-query parallelism policy:
-// the engine's configured worker count is a per-request ceiling, scaled
-// down by the number of concurrently executing requests so total morsel
-// fan-out stays within GOMAXPROCS instead of multiplying with concurrency
-// (N requests × N workers oversubscribes the machine N-fold).
-func (s *Server) effectiveWorkers() int {
-	w := s.eng.Parallelism()
-	if w <= 1 {
-		return 1
-	}
-	inflight := s.adm.executing()
-	if inflight < 1 {
-		inflight = 1
-	}
-	if budget := runtime.GOMAXPROCS(0) / inflight; budget < w {
-		w = budget
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// execute runs one prepared query on snap, a snapshot of the server's data
-// source — the one execution path: every source is a Backend, every run goes
-// through Translation.ExecuteSnapshot, with intra-query parallelism scaled by
-// the current admission load.
-func (s *Server) execute(ctx context.Context, t *xpath2sql.Translation, snap xpath2sql.BackendSnapshot) (*xpath2sql.Answer, error) {
-	if w := s.effectiveWorkers(); w != s.eng.Parallelism() {
-		t = t.WithParallelism(w)
-	}
-	return t.ExecuteSnapshot(ctx, snap)
 }
 
 // Handler returns the server's HTTP handler (panic isolation included), for
@@ -628,7 +594,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer snap.Close()
-	ans, err := s.execute(ctx, t, snap)
+	ans, err := t.ExecuteSnapshot(ctx, snap)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -698,7 +664,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			errs[i] = err
 			return
 		}
-		ans, err := s.execute(ctx, &p.Translation, snap)
+		ans, err := p.ExecuteSnapshot(ctx, snap)
 		if err != nil {
 			errs[i] = err
 			return

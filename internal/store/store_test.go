@@ -256,9 +256,9 @@ var diffQueries = []string{
 	"dept//student[not(qualified//course)]",
 }
 
-// answers runs the query against db under the given strategy and worker
-// count, returning sorted answer IDs.
-func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Strategy, workers int) []int {
+// answers runs the query against db under the given strategy, returning
+// sorted answer IDs.
+func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Strategy) []int {
 	t.Helper()
 	q, err := xpath.Parse(query)
 	if err != nil {
@@ -270,9 +270,9 @@ func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Stra
 	if err != nil {
 		t.Fatalf("translate %q (%v): %v", query, strat, err)
 	}
-	res2, err := backend.AdoptDB(db, 0).Execute(context.Background(), res.Program, backend.ExecOptions{Workers: workers})
+	res2, err := backend.AdoptDB(db, 0).Execute(context.Background(), res.Program, backend.ExecOptions{})
 	if err != nil {
-		t.Fatalf("run %q at %d workers: %v", query, workers, err)
+		t.Fatalf("run %q: %v", query, err)
 	}
 	return res2.IDs
 }
@@ -280,8 +280,8 @@ func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Stra
 // TestDifferentialRandomUpdates drives a random update sequence through the
 // store and checks, at intervals, that the incrementally maintained database
 // is byte-identical (in rdb.Save form) to re-shredding the mutated document
-// from scratch, and that every translation strategy — serial and parallel —
-// returns the same answers on both.
+// from scratch, and that every translation strategy returns the same answers
+// on both.
 func TestDifferentialRandomUpdates(t *testing.T) {
 	d := workload.Dept()
 	for _, seed := range []int64{1, 7} {
@@ -304,12 +304,10 @@ func TestDifferentialRandomUpdates(t *testing.T) {
 			ref := m.buildDB(d)
 			for _, q := range diffQueries {
 				for _, strat := range []core.Strategy{core.StrategyCycleEX, core.StrategyCycleE, core.StrategySQLGenR} {
-					for _, workers := range []int{1, 4} {
-						got := answers(t, db, d, q, strat, workers)
-						want := answers(t, ref, d, q, strat, workers)
-						if fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Errorf("%q strategy %v workers %d: store %v, re-shredded %v", q, strat, workers, got, want)
-						}
+					got := answers(t, db, d, q, strat)
+					want := answers(t, ref, d, q, strat)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%q strategy %v: store %v, re-shredded %v", q, strat, got, want)
 					}
 				}
 			}
@@ -533,7 +531,7 @@ func TestEpochIsolation(t *testing.T) {
 	dept := m.byLabel("dept")[0]
 
 	old := s.View()
-	oldAns := answers(t, old.DB, d, "dept//course", core.StrategyCycleEX, 1)
+	oldAns := answers(t, old.DB, d, "dept//course", core.StrategyCycleEX)
 	oldScoped := scopedAnswers(t, old.DB, d, "dept//course", dept)
 	oldNodes := old.DB.NumNodes()
 	oldLabels := map[int]rdb.NodeInterval{}
@@ -555,7 +553,7 @@ func TestEpochIsolation(t *testing.T) {
 	if got := old.DB.NumNodes(); got != oldNodes {
 		t.Fatalf("pinned epoch mutated: %d -> %d nodes", oldNodes, got)
 	}
-	if got := answers(t, old.DB, d, "dept//course", core.StrategyCycleEX, 1); fmt.Sprint(got) != fmt.Sprint(oldAns) {
+	if got := answers(t, old.DB, d, "dept//course", core.StrategyCycleEX); fmt.Sprint(got) != fmt.Sprint(oldAns) {
 		t.Fatalf("pinned epoch answers changed: %v -> %v", oldAns, got)
 	}
 	if got := scopedAnswers(t, old.DB, d, "dept//course", dept); fmt.Sprint(got) != fmt.Sprint(oldScoped) || fmt.Sprint(got) != fmt.Sprint(oldAns) {
@@ -573,7 +571,7 @@ func TestEpochIsolation(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("the relabel moved no label in the new epoch: the test pins nothing")
 	}
-	newAns := answers(t, cur.DB, d, "dept//course", core.StrategyCycleEX, 1)
+	newAns := answers(t, cur.DB, d, "dept//course", core.StrategyCycleEX)
 	if len(newAns) != len(oldAns)+1 {
 		t.Fatalf("new epoch misses the insert: %d -> %d answers", len(oldAns), len(newAns))
 	}
@@ -694,7 +692,7 @@ func TestCrashRecovery(t *testing.T) {
 		applyRandomOp(t, s, m, rng, i)
 	}
 	want := saveBytes(t, s.View().DB)
-	wantAns := answers(t, s.View().DB, d, "dept//course", core.StrategyCycleEX, 1)
+	wantAns := answers(t, s.View().DB, d, "dept//course", core.StrategyCycleEX)
 	wantLSN := s.View().LSN
 	s.crash()
 
@@ -720,7 +718,7 @@ func TestCrashRecovery(t *testing.T) {
 	if got := saveBytes(t, r.View().DB); !bytes.Equal(got, want) {
 		t.Fatalf("recovered state differs from pre-crash state (%d vs %d bytes)", len(got), len(want))
 	}
-	if got := answers(t, r.View().DB, d, "dept//course", core.StrategyCycleEX, 1); fmt.Sprint(got) != fmt.Sprint(wantAns) {
+	if got := answers(t, r.View().DB, d, "dept//course", core.StrategyCycleEX); fmt.Sprint(got) != fmt.Sprint(wantAns) {
 		t.Fatalf("recovered answers differ: %v vs %v", got, wantAns)
 	}
 	if r.View().LSN != wantLSN {
@@ -948,7 +946,7 @@ func TestConcurrentReaders(t *testing.T) {
 					return
 				}
 				if i%7 == 0 {
-					ids := answers(t, ep.DB, d, "dept//course", core.StrategyCycleEX, 2)
+					ids := answers(t, ep.DB, d, "dept//course", core.StrategyCycleEX)
 					for _, id := range ids {
 						if typ, _ := ep.DB.Label(id); typ != "course" {
 							t.Errorf("epoch %d: answer %d is %q", ep.Seq, id, typ)

@@ -131,13 +131,12 @@ func ParseQuery(src string) (Query, error) { return xpath.Parse(src) }
 
 // Translation is a translated query: the extended-XPath intermediate form
 // (when the strategy uses one) and the relational program. Translations
-// built by an Engine carry its limits and parallelism into every execution.
+// built by an Engine carry its limits into every execution.
 // A Translation is immutable and safe for concurrent use; per-run state
 // (trace, statistics) lives in the Answer each execution returns.
 type Translation struct {
-	res     *core.Result
-	limits  Limits
-	workers int
+	res    *core.Result
+	limits Limits
 	// cache, when the translation came through a caching Engine, lets each
 	// Answer snapshot the plan-cache counters for its Explain footer.
 	cache *plancache.Cache
