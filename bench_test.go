@@ -303,25 +303,11 @@ var readMix = []string{
 // update of an original cno), so a read meets the relations and indexes
 // updates leave; an iteration is one read or one update.
 func BenchmarkExecute(b *testing.B) {
-	d, err := ParseDTD(workload.DeptText)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var doc strings.Builder
-	if _, err := StreamGenerate(&doc, d, GenStreamOptions{XL: 8, XR: 4, Seed: 1, TargetBytes: 35000 * 20}); err != nil {
-		b.Fatal(err)
-	}
-	parsed, err := ParseXML(doc.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := Shred(parsed, d)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d, db := deptDB35k(b)
 	eng, ctx, be := New(d), context.Background(), NewLocalBackend(db)
 	plans := make([]*Translation, len(readMix))
 	for i, q := range readMix {
+		var err error
 		if plans[i], err = eng.TranslateString(ctx, q); err != nil {
 			b.Fatal(err)
 		}
@@ -376,11 +362,66 @@ func BenchmarkExecute(b *testing.B) {
 				_, err = st.UpdateText(leaves[r.Intn(len(leaves))], tag)
 			default:
 				var ur store.UpdateResult
-				ur, err = st.InsertSubtree(1, "<course><cno>"+tag+"</cno><title>t-"+tag+"</title><prereq></prereq><takenBy></takenBy>"+
-					"<project><pno>p-"+tag+"</pno><ptitle>pt</ptitle><required></required></project></course>")
+				ur, err = st.InsertSubtree(1, courseFragment(tag))
 				mine = append(mine, ur.NodeID)
 			}
 			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// deptDB35k shreds the 35k-element dept document the benchmark's read-desc
+// and write-mixed workloads serve.
+func deptDB35k(b *testing.B) (*DTD, *DB) {
+	d, err := ParseDTD(workload.DeptText)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc strings.Builder
+	if _, err := StreamGenerate(&doc, d, GenStreamOptions{XL: 8, XR: 4, Seed: 1, TargetBytes: 35000 * 20}); err != nil {
+		b.Fatal(err)
+	}
+	parsed, err := ParseXML(doc.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := Shred(parsed, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, db
+}
+
+// courseFragment is the 9-element course write-mixed inserts under the root.
+func courseFragment(tag string) string {
+	return "<course><cno>" + tag + "</cno><title>t-" + tag + "</title><prereq></prereq><takenBy></takenBy>" +
+		"<project><pno>p-" + tag + "</pno><ptitle>pt</ptitle><required></required></project></course>"
+}
+
+// BenchmarkStoreUpdate times a store's write path on the same document: an
+// iteration inserts a 9-element course under the root, as write-mixed does,
+// and deletes it again. The first insert into a densely loaded store
+// relabels every node; it runs before the timer starts.
+func BenchmarkStoreUpdate(b *testing.B) {
+	d, db := deptDB35k(b)
+	st, err := store.Open(store.Config{DTD: d, Seed: db, Fsync: store.FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.InsertSubtree(1, courseFragment("warm")); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("insert-delete-pair", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ur, err := st.InsertSubtree(1, courseFragment("u"+strconv.Itoa(i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.DeleteSubtree(ur.NodeID); err != nil {
 				b.Fatal(err)
 			}
 		}

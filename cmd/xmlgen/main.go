@@ -7,6 +7,10 @@
 //	xmlgen -dtd dept.dtd [-xl 4] [-xr 12] [-seed 0] [-max 0] > doc.xml
 //	xmlgen -dtd dept.dtd -target-mb 512 > big.xml
 //
+// -max is an optional-content budget, not a size cap: once that many elements
+// exist the generator adds no optional content, but required content is
+// still generated, so a document can exceed it (-stats prints by how much).
+//
 // With -target-mb the document is streamed to stdout without ever being
 // held in memory: root-level collections keep growing until the byte target
 // is met, so arbitrarily large conforming documents can be produced for
@@ -27,7 +31,7 @@ func main() {
 	xl := flag.Int("xl", 4, "maximum number of levels (X_L)")
 	xr := flag.Int("xr", 12, "maximum repeats under * or + (X_R)")
 	seed := flag.Int64("seed", 0, "random seed")
-	maxNodes := flag.Int("max", 0, "element budget (0 = unlimited)")
+	maxNodes := flag.Int("max", 0, "optional-content budget; required content can exceed it (0 = unlimited)")
 	targetMB := flag.Int64("target-mb", 0, "stream a document of at least this many MiB (0 = in-memory generation)")
 	stats := flag.Bool("stats", false, "print element counts to stderr")
 	flag.Parse()
@@ -59,7 +63,7 @@ func main() {
 			fatal(err)
 		}
 		if *stats {
-			fmt.Fprintf(os.Stderr, "elements: %d, bytes: %d\n", st.Elements, st.Bytes)
+			fmt.Fprintf(os.Stderr, "elements: %d%s, bytes: %d\n", st.Elements, overshoot(st.Elements, *maxNodes), st.Bytes)
 		}
 		return
 	}
@@ -74,9 +78,18 @@ func main() {
 		for _, n := range doc.Nodes() {
 			counts[n.Label]++
 		}
-		fmt.Fprintf(os.Stderr, "elements: %d, height: %d, by type: %v\n",
-			doc.Size(), doc.Root.Height(), counts)
+		fmt.Fprintf(os.Stderr, "elements: %d%s, height: %d, by type: %v\n",
+			doc.Size(), overshoot(int64(doc.Size()), *maxNodes), doc.Root.Height(), counts)
 	}
+}
+
+// overshoot describes how far the document went past a -max budget: required
+// content is generated past it.
+func overshoot(elems int64, budget int) string {
+	if budget <= 0 {
+		return ""
+	}
+	return fmt.Sprintf(" (-max %d, overshoot %d)", budget, max(0, elems-int64(budget)))
 }
 
 func fatal(err error) {

@@ -262,14 +262,11 @@ type StoreStats struct {
 	Relabels        int64
 	RelabelledNodes int64
 	// CatalogChunksCopied counts the node-table chunks (1024 node IDs each:
-	// parent, value, interval) updates copied before writing them — what the
-	// catalog and label side of a write costs, whatever the database's size.
+	// parent, value, element type, interval) updates copied before writing
+	// them — what the catalog and label side of a write costs, whatever the
+	// database's size.
 	CatalogChunksCopied int64
-	// LabelEntriesCopied counts the label-map entries inserts copied before
-	// writing the map: the live entries, once per insert — the part of a
-	// write that grows with the database. A delete copies none.
-	LabelEntriesCopied int64
-	Apply              HistogramSnapshot
+	Apply               HistogramSnapshot
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -358,7 +355,6 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("store_relabels_total", "Inserts that had to relabel a subtree to make room for their interval labels.", st.Relabels)
 		counter("store_relabelled_nodes_total", "Interval labels rewritten by relabels.", st.RelabelledNodes)
 		counter("store_catalog_chunks_copied_total", "Node-table chunks copied by updates before writing them.", st.CatalogChunksCopied)
-		counter("store_label_entries_copied_total", "Label-map entries copied by inserts before writing the map.", st.LabelEntriesCopied)
 		fmt.Fprintf(w, "# HELP %s_store_apply_seconds Update apply latency (validate+log+apply+publish).\n", p)
 		fmt.Fprintf(w, "# TYPE %s_store_apply_seconds histogram\n", p)
 		var cum int64

@@ -572,7 +572,7 @@ func (e *Exec) newIdent() *Relation {
 	tab := e.DB.nodes.Load().tab
 	r.grow(tab.nodes + 1)
 	r.addRow(row{})
-	tab.eachNode(func(id int, _, val int32) {
+	tab.eachNode(func(id int, _, val, _ int32) {
 		r.addRow(row{f: int32(id), t: int32(id), v: val})
 	})
 	return r

@@ -201,12 +201,12 @@ func (db *DB) NewIntervalBuilder() *IntervalBuilder {
 // Set records the interval of one node; iv.Level must not be negative.
 func (b *IntervalBuilder) Set(id int, iv NodeInterval) { b.tab.setLabel(id, iv) }
 
-// SetNode records node id in the catalog — parent, and text value as a symbol
-// of the database's Syms — beside its interval, in one write of the node's
-// row: the catalog writer of a bulk loader whose relation writers run apart
-// from it (shred.StreamShred).
-func (b *IntervalBuilder) SetNode(id, parent int, sym int32, iv NodeInterval) {
-	b.tab.put(id, int32(parent), sym)
+// SetNode records node id in the catalog — parent, and text value and element
+// type as symbols of the database's Syms — beside its interval, in one write
+// of the node's row: the node-table writer of a bulk loader whose relation
+// writers run apart from it (shred.StreamShred).
+func (b *IntervalBuilder) SetNode(id, parent int, sym, typ int32, iv NodeInterval) {
+	b.tab.put(id, int32(parent), sym, typ)
 	b.tab.setLabel(id, iv)
 }
 
@@ -314,7 +314,7 @@ func (db *DB) DeriveText(prev *DB, id int) {
 func (db *DB) RebuildIntervals() {
 	tab := db.nodes.Load().tab.derive()
 	children := make(map[int32][]int32, tab.nodes)
-	tab.eachNode(func(id int, parent, _ int32) { // ascending, so every list comes out sorted
+	tab.eachNode(func(id int, parent, _, _ int32) { // ascending, so every list comes out sorted
 		children[parent] = append(children[parent], int32(id))
 	})
 	w := walkTree(0, func(buf []int32, f int32) []int32 { return append(buf, children[f]...) })

@@ -60,10 +60,10 @@ func (db *DB) Save(w io.Writer) error {
 	}
 	st := db.nodes.Load()
 	var err error
-	st.tab.eachNode(func(id int, parent, val int32) {
+	st.tab.eachNode(func(id int, parent, val, typ int32) {
 		if err == nil {
 			_, err = fmt.Fprintf(bw, "N %d %d %s %s\n",
-				id, parent, strconv.Quote(db.Syms.Str(db.Labels[id])), strconv.Quote(db.Syms.Str(val)))
+				id, parent, strconv.Quote(db.Syms.Str(typ)), strconv.Quote(db.Syms.Str(val)))
 		}
 	})
 	if err != nil {
@@ -216,8 +216,10 @@ func Load(r io.Reader) (*DB, error) {
 			if tab.has(int(id)) {
 				return nil, fmt.Errorf("rdb: line %d: a second N record for node %d: %w", lineNo, id, ErrDuplicateNode)
 			}
-			tab.put(int(id), parent, db.sym(val))
-			db.Labels[int(id)] = label
+			tab.put(int(id), parent, db.sym(val), label)
+			if label != 0 {
+				db.Labels[int(id)] = label
+			}
 		case "O":
 			parts := strings.Fields(rest)
 			if len(parts) != 4 {
@@ -293,7 +295,7 @@ func checkParentChains(tab *nodeTable) error {
 	const onChain, ends = 1, 2
 	var state map[int32]uint8
 	var err error
-	tab.eachNode(func(id int, parent, _ int32) {
+	tab.eachNode(func(id int, parent, _, _ int32) {
 		if err != nil || int(parent) < id {
 			return
 		}

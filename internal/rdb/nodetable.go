@@ -6,17 +6,18 @@ import (
 	"slices"
 )
 
-// The node table: one row per stored node ID, in five columns — the catalog's
-// (parent, value symbol), which define the domain of R_id (§5.1) and rebuild
-// answers (§5.2), and the interval encoding's (begin, end, level). The columns
-// sit in fixed-size chunks under a small top-level map keyed by
-// id >> nodeChunkBits, so a store whose IDs start at a large -node-id-base pays
-// for the chunks it occupies and nothing else. A published table is immutable.
-// The next epoch's table is derived from it: it shares every chunk it does not
-// write and copies a chunk the first time it does — an update costs the chunks
-// it touches, not the table. A chunk carries the mark of the table that
-// allocated it, and only that table writes it in place; that is the whole
-// sharing mechanism, for the catalog and the labels alike.
+// The node table: one row per stored node ID, in six columns — the catalog's
+// (parent, value symbol, element type symbol), which define the domain of R_id
+// (§5.1) and rebuild answers (§5.2), and the interval encoding's (begin, end,
+// level). The columns sit in fixed-size chunks under a small top-level map
+// keyed by id >> nodeChunkBits, so a store whose IDs start at a large
+// -node-id-base pays for the chunks it occupies and nothing else. A published
+// table is immutable. The next epoch's table is derived from it: it shares
+// every chunk it does not write and copies a chunk the first time it does — an
+// update costs the chunks it touches, not the table. A chunk carries the mark
+// of the table that allocated it, and only that table writes it in place; that
+// is the whole sharing mechanism, for the catalog, the element types and the
+// interval labels alike.
 
 const (
 	nodeChunkBits = 10
@@ -29,6 +30,7 @@ type nodeChunk struct {
 	depth      [nodeChunkLen]int32 // level+1, so the zero chunk is empty: 0 marks a node without a label
 	parent     [nodeChunkLen]int32
 	val        [nodeChunkLen]int32 // the text value's symbol in DB.Syms
+	typ        [nodeChunkLen]int32 // the element type's symbol in DB.Syms; 0 for a node without one
 	stored     [nodeChunkLen]bool  // the node is in the catalog
 	// Slots in the catalog and slots with a label; a chunk left with neither is
 	// dropped.
@@ -97,6 +99,14 @@ func (t *nodeTable) valSym(id int) int32 {
 	return 0
 }
 
+// typSym returns the element type's symbol of id, 0 for a node without one.
+func (t *nodeTable) typSym(id int) int32 {
+	if c, i := t.slot(id); c != nil {
+		return c.typ[i]
+	}
+	return 0
+}
+
 // get returns the label of id.
 func (t *nodeTable) get(id int) (NodeInterval, bool) {
 	c, i := t.slot(id)
@@ -121,11 +131,11 @@ func (t *nodeTable) eachChunk(fn func(base int, c *nodeChunk)) {
 
 // eachNode visits the catalog's nodes, eachLabel the labelled ones, in
 // ascending ID order.
-func (t *nodeTable) eachNode(fn func(id int, parent, val int32)) {
+func (t *nodeTable) eachNode(fn func(id int, parent, val, typ int32)) {
 	t.eachChunk(func(base int, c *nodeChunk) {
 		for i, stored := range c.stored[:] {
 			if stored {
-				fn(base|i, c.parent[i], c.val[i])
+				fn(base|i, c.parent[i], c.val[i], c.typ[i])
 			}
 		}
 	})
@@ -167,15 +177,15 @@ func (t *nodeTable) writable(id int) *nodeChunk {
 	return c
 }
 
-// put records id in the catalog.
-func (t *nodeTable) put(id int, parent, val int32) {
+// put records id in the catalog: its parent, value and element type.
+func (t *nodeTable) put(id int, parent, val, typ int32) {
 	c, i := t.writable(id), id&(nodeChunkLen-1)
 	if !c.stored[i] {
 		c.stored[i] = true
 		c.nodes++
 		t.nodes++
 	}
-	c.parent[i], c.val[i] = parent, val
+	c.parent[i], c.val[i], c.typ[i] = parent, val, typ
 }
 
 // setLabel records the label of id; iv.Level must not be negative.
@@ -188,7 +198,8 @@ func (t *nodeTable) setLabel(id int, iv NodeInterval) {
 	c.begin[i], c.end[i], c.depth[i] = iv.Begin, iv.End, iv.Level+1
 }
 
-// remove deletes the row of id, label included. Nothing else moves: the labels
+// remove deletes the row of id, element type and label included, so an ID
+// stored again starts without a type. Nothing else moves: the labels
 // around a gap are still in document order.
 func (t *nodeTable) remove(id int) {
 	if c, i := t.slot(id); c == nil || !c.stored[i] && c.depth[i] == 0 {
@@ -204,7 +215,7 @@ func (t *nodeTable) remove(id int) {
 		c.labels--
 		t.labels--
 	}
-	c.begin[i], c.end[i], c.depth[i], c.parent[i], c.val[i] = 0, 0, 0, 0, 0
+	c.begin[i], c.end[i], c.depth[i], c.parent[i], c.val[i], c.typ[i] = 0, 0, 0, 0, 0, 0
 	if c.nodes == 0 && c.labels == 0 {
 		// IDs are never reused, so a store that inserts and deletes for long
 		// enough would otherwise keep an empty chunk per 1024 IDs it ever
@@ -214,7 +225,8 @@ func (t *nodeTable) remove(id int) {
 	}
 }
 
-// clearLabels empties the label columns, keeping the catalog.
+// clearLabels empties the interval label columns, keeping the catalog and the
+// element types.
 func (t *nodeTable) clearLabels() {
 	if t.labels == 0 {
 		return
@@ -281,9 +293,9 @@ func (db *DB) Val(id int) string {
 
 // EachNode visits the stored nodes in ascending ID order.
 func (db *DB) EachNode(fn func(id int)) {
-	db.nodes.Load().tab.eachNode(func(id int, _, _ int32) { fn(id) })
+	db.nodes.Load().tab.eachNode(func(id int, _, _, _ int32) { fn(id) })
 }
 
 // ChunksCopied reports how many node-table chunks the database copied from
-// the one it was derived from — what its catalog and label writes cost.
+// the one it was derived from — what its catalog, type and label writes cost.
 func (db *DB) ChunksCopied() int { return db.nodes.Load().tab.copied }

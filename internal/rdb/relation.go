@@ -67,6 +67,7 @@ type Relation struct {
 	idxF, idxT atomic.Pointer[colIndex]
 	idxMu      sync.Mutex
 	idxBuilds  atomic.Int32 // index snapshot builds performed (regression stat)
+	rowCopies  int32        // row arrays Clone and Compact allocated (regression stat)
 
 	// dead marks tombstoned row positions (see Delete). Tombstones are a
 	// private write-side state: a relation handed to query operators must be
@@ -440,12 +441,27 @@ func (r *Relation) Tombstones() int { return r.nDead }
 // are carried over, each position moving down by the dead rows before it. An
 // operator output's pair set dropped the pairs when they were deleted, and is
 // rehashed only once the tombstones they left fill a quarter of it, to keep
-// its probes short; a stored relation has none to rehash.
-func (r *Relation) Compact() {
+// its probes short; a stored relation has none to rehash. The live rows go to
+// a new array, so a reader still scanning the old one is not disturbed. It
+// keeps the old one's capacity: a maintained view compacts after each delete
+// and grows again at the next insert, which would otherwise copy the rows
+// once more.
+func (r *Relation) Compact() { r.compact(false) }
+
+// CompactClone is Compact for a Clone no reader has seen — a store update's
+// copy of a relation before the update publishes it: the live rows are
+// filtered in place, so the update copies the relation's rows once.
+func (r *Relation) CompactClone() { r.compact(true) }
+
+func (r *Relation) compact(inPlace bool) {
 	if r.nDead == 0 {
 		return
 	}
-	live := make([]row, 0, len(r.rows)-r.nDead)
+	live := r.rows[:0]
+	if !inPlace {
+		live = make([]row, 0, cap(r.rows))
+		r.rowCopies++
+	}
 	remap := make([]int32, len(r.rows))
 	firstDead := -1
 	for i, w := range r.rows {
@@ -476,6 +492,11 @@ func (r *Relation) Compact() {
 // performed — the regression stat guarding against the seed behavior of
 // discarding indexes on every insert and rebuilding them per probe.
 func (r *Relation) IndexBuilds() int { return int(r.idxBuilds.Load()) }
+
+// RowCopies reports how many row arrays Clone and Compact allocated for the
+// relation: the copy a Clone starts with, and one per Compact that rewrote
+// the rows into a new array.
+func (r *Relation) RowCopies() int { return int(r.rowCopies) }
 
 // fIndex returns the F-column index, building the snapshot on first use.
 func (r *Relation) fIndex() *colIndex {
@@ -653,6 +674,7 @@ func (r *Relation) idsFrom(from int32) []int {
 func (r *Relation) Clone() *Relation {
 	c := newRelation(r.Name, r.syms)
 	c.rows = append([]row(nil), r.rows...)
+	c.rowCopies = 1
 	if c.stored = r.stored; !r.stored {
 		r.ensureSet()
 		c.set = r.set.clone()
@@ -721,14 +743,11 @@ type DB struct {
 	// relations of the DB — stored and temporary — share it, so operator
 	// pipelines move int32 symbols instead of strings.
 	Syms *Interner
-	// Labels maps every stored node ID to its element type, a symbol of
-	// Syms; it supports XML reconstruction of query answers (§5.2). Read it
-	// through Label, which answers only for a node the node table holds. The
-	// map holds no pointer, so copying it and scanning it cost the GC nothing
-	// per entry. A derived database shares the map with its parent until an
-	// insert writes it; a delete leaves a shared map alone and lists the node
-	// in gone instead. So the keys are the live labelled nodes plus gone, and
-	// a copied map holds exactly the live ones.
+	// Labels maps each labelled node of the newest database of a lineage to
+	// its type's symbol; Derive shares it, and its writers (InsertLabeled,
+	// Delete, Loader.Insert, SetLabel, Load) update it in place. Nothing here
+	// reads it — Label reads the node table — and it is kept only for
+	// benchmark/wl_write.go; ROADMAP item 1(1) deletes it.
 	Labels map[int]int32
 	// DTDFP is the fingerprint of the DTD the document was shredded
 	// against ("" when unknown). The interval fast path compares it with
@@ -736,18 +755,11 @@ type DB struct {
 	// under-approximate the descendant relation, so raw containment is only
 	// sound when translation and shredding agree on the DTD.
 	DTDFP string
-	// nodes holds the node table (nodetable.go): per stored node its parent
-	// and text value — the domain of the R_id identity relation (§5.1), read
-	// through HasNode, Parent, Val, EachNode — and its document-order interval
+	// nodes holds the node table (nodetable.go): per stored node its parent,
+	// value and type — the domain of R_id (§5.1), read through HasNode,
+	// Parent, Val, Label, EachNode — and its document-order interval
 	// (intervals.go). Atomic because interval rebuilds race readers.
 	nodes atomic.Pointer[nodeState]
-	// sharedLabels says Labels is still the map of the database this one was
-	// derived from; gone lists the nodes deleted since that map was copied,
-	// whose stale entries it still holds; labelsCopied counts the entries
-	// ownLabels kept when it copied the map.
-	sharedLabels bool
-	gone         []int
-	labelsCopied int
 }
 
 // NewDB returns an empty database.
@@ -762,17 +774,14 @@ func NewDB() *DB {
 }
 
 // Derive starts the next version of a published database: the result holds
-// everything db holds and shares all of it. Its catalog and interval writes
-// copy the node-table chunks they touch, an insert copies Labels (a delete
-// only lists the node in gone, which the result inherits capped, so its
-// appends never write into db's list), and a relation must be replaced by its
-// Clone before it is written; db itself never changes. An update ends with
-// DeriveInsert, DeriveDelete or DeriveText, which carry the parent's
-// descendant indexes over to it.
+// everything db holds and shares all of it. Its catalog, type and interval
+// writes copy the node-table chunks they touch, and a relation must be
+// replaced by its Clone before it is written; db itself never changes but for
+// the Labels map the two share. An update ends with DeriveInsert, DeriveDelete
+// or DeriveText, which carry the parent's descendant indexes over to it.
 func (db *DB) Derive() *DB {
 	st := db.nodes.Load()
-	nd := &DB{Rels: maps.Clone(db.Rels), Syms: db.Syms, Labels: db.Labels, DTDFP: db.DTDFP,
-		sharedLabels: true, gone: db.gone[:len(db.gone):len(db.gone)]}
+	nd := &DB{Rels: maps.Clone(db.Rels), Syms: db.Syms, Labels: db.Labels, DTDFP: db.DTDFP}
 	nd.nodes.Store(newNodeState(st.tab.derive(), st.labelled))
 	return nd
 }
@@ -789,45 +798,19 @@ func (db *DB) Rel(name string) *Relation {
 	return r
 }
 
-// Label returns the element type of a stored node. A deleted node's entry
-// may outlive it in a shared map; the node table decides that it is gone.
+// Label returns the element type of a stored node, read from its node-table
+// row; false for a node without one.
 func (db *DB) Label(id int) (string, bool) {
-	sym, ok := db.Labels[id]
-	if !ok || !db.HasNode(id) {
-		return "", false
+	if sym := db.nodes.Load().tab.typSym(id); sym != 0 {
+		return db.Syms.Str(sym), true
 	}
-	return db.Syms.Str(sym), true
+	return "", false
 }
 
-// SetLabel records sym, a symbol of Syms, as node t's element type: the bulk
-// loaders' write, which interned the type once before their first node.
-func (db *DB) SetLabel(t int, sym int32) { db.ownLabels()[t] = sym }
-
-// LabelEntriesCopied reports how many label entries the database copied from
-// the one it was derived from: the live ones at its first labelled write,
-// none otherwise.
-func (db *DB) LabelEntriesCopied() int { return db.labelsCopied }
-
-// ownLabels returns Labels for writing. A shared map is copied first, and the
-// copy drops the entries of the nodes in gone, so no stale entry outlives it:
-// the copy costs O(live + gone).
-func (db *DB) ownLabels() map[int]int32 {
-	if db.sharedLabels {
-		// A loop into a presized map: maps.Clone of the 33.6k-entry symbol
-		// map of a dept document takes 3.2–3.5 ms, the loop 2.7–3.0 (2-core
-		// VM, Go 1.24).
-		own := make(map[int]int32, len(db.Labels)+8)
-		for id, label := range db.Labels {
-			own[id] = label
-		}
-		for _, id := range db.gone {
-			delete(own, id)
-		}
-		db.labelsCopied += len(own)
-		db.Labels, db.sharedLabels, db.gone = own, false, nil
-	}
-	return db.Labels
-}
+// SetLabel records sym, a symbol of Syms, as node t's entry in Labels, and
+// only there: the label writer of shred.StreamShred, whose node-table writer
+// puts the type in the node's row (IntervalBuilder.SetNode).
+func (db *DB) SetLabel(t int, sym int32) { db.Labels[t] = sym }
 
 // sym interns a text value in the database's dictionary.
 func (db *DB) sym(v string) int32 {
@@ -838,48 +821,43 @@ func (db *DB) sym(v string) int32 {
 }
 
 // Insert adds a tuple to the named stored relation, ignoring a repeated
-// (F, T), and records the node in the catalog. Unlike a bulk loader's, its
-// rows may form any graph: the relation's T index is probed first. A node
-// deleted since the label map was copied comes back without its old type.
+// (F, T), and records the node in the catalog without an element type. Unlike
+// a bulk loader's, its rows may form any graph: the relation's T index is
+// probed first.
 func (db *DB) Insert(rel string, f, t int, v string) {
-	w := row{f: int32(f), t: int32(t), v: db.sym(v)}
-	db.Rel(rel).addRow(w)
-	tab := db.nodes.Load().tab
-	if db.sharedLabels && !tab.has(t) {
-		if _, stale := db.Labels[t]; stale {
-			delete(db.ownLabels(), t)
-		}
-	}
-	tab.put(t, w.f, w.v)
+	db.insert(rel, f, t, v, 0)
+	delete(db.Labels, t)
 }
 
 // InsertLabeled is Insert plus the node's element type, enabling XML
 // reconstruction of answers.
 func (db *DB) InsertLabeled(rel, label string, f, t int, v string) {
-	db.Insert(rel, f, t, v)
-	db.ownLabels()[t] = db.Syms.Intern(label)
+	typ := db.Syms.Intern(label)
+	db.insert(rel, f, t, v, typ)
+	db.Labels[t] = typ
+}
+
+func (db *DB) insert(rel string, f, t int, v string, typ int32) {
+	w := row{f: int32(f), t: int32(t), v: db.sym(v)}
+	db.Rel(rel).addRow(w)
+	db.nodes.Load().tab.put(t, w.f, w.v, typ)
 }
 
 // Delete tombstones the tuple (f, t) of the named stored relation (see
-// Relation.Delete) and removes node t from the catalog, label and interval
-// included. A shared label map is not copied for it: t joins gone, and its
-// entry leaves at the next copy.
+// Relation.Delete) and removes node t from the catalog, element type and
+// interval included.
 func (db *DB) Delete(rel string, f, t int) {
 	db.Rel(rel).Delete(f, t)
 	db.nodes.Load().tab.remove(t)
-	if !db.sharedLabels {
-		delete(db.Labels, t)
-	} else if _, ok := db.Labels[t]; ok {
-		db.gone = append(db.gone, t)
-	}
+	delete(db.Labels, t)
 }
 
 // UpdateValue replaces the text value of node t, in its tuple (f, t) of the
 // named stored relation and in the catalog.
 func (db *DB) UpdateValue(rel string, f, t int, v string) {
-	sym := db.sym(v)
+	sym, tab := db.sym(v), db.nodes.Load().tab
 	db.Rel(rel).updateSym(f, t, sym)
-	db.nodes.Load().tab.put(t, int32(f), sym)
+	tab.put(t, int32(f), sym, tab.typSym(t))
 }
 
 // AppendNode appends the tuple of node t — parent f, text value sym, a symbol
@@ -921,11 +899,11 @@ func (l *Loader) Insert(rel, label string, f, t int, v string) {
 	}
 	w := row{f: int32(f), t: int32(t), v: l.db.sym(v)}
 	c.r.appendNew(w)
-	l.db.nodes.Load().tab.put(t, w.f, w.v)
-	if label != "" {
-		if c.label != label {
-			c.label, c.sym = label, l.db.Syms.Intern(label)
-		}
-		l.db.ownLabels()[t] = c.sym
+	if c.label != label {
+		c.label, c.sym = label, l.db.Syms.Intern(label)
+	}
+	l.db.nodes.Load().tab.put(t, w.f, w.v, c.sym) // "" is symbol 0: no type
+	if c.sym != 0 {
+		l.db.Labels[t] = c.sym
 	}
 }

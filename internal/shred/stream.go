@@ -128,9 +128,9 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 
 	var wg sync.WaitGroup
 	// The catalog has two writers, each the single writer of what it writes:
-	// one fills the DB's label map, a symbol per node, the other the node
-	// table — each node's parent, value and interval. The label map is the
-	// costlier (a hash insert per node against a slot write); apart, its
+	// one fills the DB's Labels map, a symbol per node, the other the node
+	// table — each node's parent, value, element type and interval. The map is
+	// the costlier (a hash insert per node against a slot write); apart, its
 	// writer is the only one the shredder waits for.
 	wg.Add(2)
 	go func() {
@@ -149,7 +149,7 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 		for b := range tableCh {
 			for i := range b.recs {
 				rec := &b.recs[i]
-				iv.SetNode(int(rec.t), int(rec.f), rec.sym, rdb.NodeInterval{Begin: int64(rec.t) - 1, End: int64(rec.end), Level: rec.level})
+				iv.SetNode(int(rec.t), int(rec.f), rec.sym, labels[rec.typ], rdb.NodeInterval{Begin: int64(rec.t) - 1, End: int64(rec.end), Level: rec.level})
 			}
 			batches.release(b)
 		}

@@ -54,7 +54,9 @@ type Config struct {
 	// DTD validates every update. Required.
 	DTD *dtd.DTD
 	// Seed is the initial database (a freshly shredded document), used when
-	// neither SnapshotPath nor on-disk state in Dir provides one.
+	// neither SnapshotPath nor on-disk state in Dir provides one. The store
+	// takes it over: it adds relations to it, and its updates write the
+	// Labels map every epoch shares with it, so one seed serves one store.
 	Seed *rdb.DB
 	// Dir is the durability directory (WAL segments and snapshots). Empty
 	// means ephemeral: updates work, nothing is persisted.
@@ -185,7 +187,6 @@ type Store struct {
 	relabels     atomic.Int64
 	relabelled   atomic.Int64
 	chunksCopied atomic.Int64
-	labelsCopied atomic.Int64
 	applyHist    *obs.Histogram
 
 	checkpointFailures atomic.Int64 // automatic checkpoints that failed
@@ -466,7 +467,6 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 		t.db.DeriveText(ep.DB, rec.Node)
 	}
 	s.chunksCopied.Add(int64(t.db.ChunksCopied()))
-	s.labelsCopied.Add(int64(t.db.LabelEntriesCopied()))
 
 	next := &Epoch{DB: t.db, Seq: ep.Seq + 1, LSN: rec.LSN}
 	s.lsn = rec.LSN
@@ -506,10 +506,11 @@ func (t *txn) rel(label string) string {
 }
 
 // compact restores the no-tombstone invariant on every touched relation
-// before the epoch is published.
+// before the epoch is published. Each is the transaction's own clone, which no
+// reader has seen, so its rows are filtered in place.
 func (t *txn) compact() {
 	for _, r := range t.cloned {
-		r.Compact()
+		r.CompactClone()
 	}
 }
 
@@ -733,7 +734,6 @@ func (s *Store) Stats() obs.StoreStats {
 		Relabels:            s.relabels.Load(),
 		RelabelledNodes:     s.relabelled.Load(),
 		CatalogChunksCopied: s.chunksCopied.Load(),
-		LabelEntriesCopied:  s.labelsCopied.Load(),
 		Apply:               s.applyHist.Snapshot(),
 	}
 }

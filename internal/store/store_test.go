@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -398,101 +399,129 @@ func TestUnlabelledNodeIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestPinnedEpochLabels: readers resolve the label of every node of an epoch
-// pinned before a burst of inserts, deletes and text updates, and read that
-// epoch's labels throughout — the writer copies the label map it writes, and
-// the interner the labels resolve through grows under the readers.
-func TestPinnedEpochLabels(t *testing.T) {
-	s, m := openSeeded(t, "", 31, 250, Config{})
-	pinned := s.View()
-	want := maps.Clone(m.labels)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+// pinnedEpoch is an epoch a test pinned, with the node types the mirror held
+// when it did.
+type pinnedEpoch struct {
+	ep   *Epoch
+	want map[int]string
+}
+
+// pinReaders pins the store's current epoch and starts n readers on it that
+// run until stop closes. Each checks that Label answers exactly the epoch's
+// node types: a node of the epoch keeps its type however soon a later update
+// deletes it, a node of seen deleted before the pin has none, and neither has
+// an ID an update after the pin inserts.
+func pinReaders(t *testing.T, s *Store, m *mirror, seen map[int]string, n int, stop <-chan struct{}, wg *sync.WaitGroup) pinnedEpoch {
+	p := pinnedEpoch{s.View(), maps.Clone(m.labels)}
+	var gone []int
+	for id := range seen {
+		if _, ok := p.want[id]; !ok {
+			gone = append(gone, id)
+		}
+	}
+	next := p.ep.DB.MaxNodeID() + 1 // later inserts take IDs from here on
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
+				for id, typ := range p.want {
+					if got, ok := p.ep.DB.Label(id); !ok || got != typ {
+						t.Errorf("epoch %d: node %d labelled %q (%v), want %q", p.ep.Seq, id, got, ok, typ)
+						return
+					}
+				}
+				for _, id := range gone {
+					if got, ok := p.ep.DB.Label(id); ok {
+						t.Errorf("epoch %d: node %d, deleted before it, labelled %q", p.ep.Seq, id, got)
+						return
+					}
+				}
+				for id := next; id < next+200; id++ {
+					if got, ok := p.ep.DB.Label(id); ok {
+						t.Errorf("epoch %d: node %d, inserted after it, labelled %q", p.ep.Seq, id, got)
+						return
+					}
+				}
+				if nodes := p.ep.DB.NumNodes(); nodes != len(p.want) {
+					t.Errorf("epoch %d holds %d nodes, want %d", p.ep.Seq, nodes, len(p.want))
+					return
+				}
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				for id, typ := range want {
-					if got, ok := pinned.DB.Label(id); !ok || got != typ {
-						t.Errorf("epoch %d: node %d labelled %q (%v), want %q", pinned.Seq, id, got, ok, typ)
-						return
-					}
-				}
-				if n := pinned.DB.NumNodes(); n != len(want) {
-					t.Errorf("epoch %d holds %d nodes, want %d", pinned.Seq, n, len(want))
-					return
-				}
 			}
 		}()
 	}
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 120; i++ {
-		applyRandomOp(t, s, m, rng, i)
+	return p
+}
+
+// checkPinned checks, once the writer is done, that a pinned epoch answers
+// Label exactly for its own nodes among seen, and that it holds the newest
+// database's Labels map: no update copied it.
+func checkPinned(t *testing.T, p pinnedEpoch, seen map[int]string, newest *rdb.DB) {
+	t.Helper()
+	if reflect.ValueOf(p.ep.DB.Labels).Pointer() != reflect.ValueOf(newest.Labels).Pointer() {
+		t.Fatalf("epoch %d holds a label map of its own; an update copied it", p.ep.Seq)
 	}
-	close(stop)
-	wg.Wait()
-	if s.Stats().LabelEntriesCopied == 0 {
-		t.Fatal("no update copied the label map")
+	for id := range seen {
+		got, ok := p.ep.DB.Label(id)
+		if typ, live := p.want[id]; ok != live || got != typ {
+			t.Errorf("after the burst, epoch %d: node %d labelled %q (%v), want %q (%v)", p.ep.Seq, id, got, ok, typ, live)
+		}
 	}
 }
 
-// TestPinnedEpochKeepsDeletedLabels: a delete leaves the label map it shares
-// with the epoch before it alone, so a deleted node's entry stays in the map
-// until the next insert copies it. Readers pinned on the epoch before a burst
-// of deletes and inserts, and on epochs in the middle of it whose maps hold
-// such entries, resolve exactly the nodes of their own epoch — the ones later
-// deleted included — and the newest epoch resolves none of the deleted ones.
+// TestPinnedEpochLabels: readers resolve the type of every node of an epoch
+// pinned before a burst of inserts, deletes and text updates, and read that
+// epoch's types throughout. Run it under -race: a type is a node-table column
+// of the reader's epoch, while the writer updates the one Labels map every
+// epoch shares in place, and the interner the types resolve through grows
+// under the readers.
+func TestPinnedEpochLabels(t *testing.T) {
+	s, m := openSeeded(t, "", 37, 250, Config{})
+	seen := maps.Clone(m.labels) // every node any epoch held
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	p := pinReaders(t, s, m, seen, 4, stop, &wg)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 120; i++ {
+		applyRandomOp(t, s, m, rng, i)
+		maps.Copy(seen, m.labels)
+	}
+	close(stop)
+	wg.Wait()
+	checkPinned(t, p, seen, s.View().DB)
+	deleted, inserted := 0, 0
+	for id := range seen {
+		_, then := p.want[id]
+		_, now := m.labels[id]
+		if then && !now {
+			deleted++
+		} else if now && !then {
+			inserted++
+		}
+	}
+	if deleted == 0 || inserted == 0 {
+		t.Fatalf("the burst deleted %d of the pinned epoch's nodes and inserted %d", deleted, inserted)
+	}
+}
+
+// TestPinnedEpochKeepsDeletedLabels: a delete drops the node's entry from the
+// Labels map every epoch shares, but not its type from the epochs before.
+// Readers pinned on the epoch before a burst of deletes and inserts, and on
+// epochs in the middle of it, resolve exactly the nodes of their own epoch —
+// the ones the burst deletes later included — and the newest epoch resolves
+// none of the deleted ones.
 func TestPinnedEpochKeepsDeletedLabels(t *testing.T) {
 	s, m := openSeeded(t, "", 37, 250, Config{})
 	dept := m.byLabel("dept")[0]
 	seen := maps.Clone(m.labels) // every node any epoch held
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	stale := 0 // pinned epochs whose label maps hold deleted nodes' entries
-	pin := func() {
-		ep, want := s.View(), maps.Clone(m.labels)
-		if len(ep.DB.Labels) > ep.DB.NumNodes() {
-			stale++
-		}
-		var gone []int
-		for id := range seen {
-			if _, ok := want[id]; !ok {
-				gone = append(gone, id)
-			}
-		}
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					for id, typ := range want {
-						if got, ok := ep.DB.Label(id); !ok || got != typ {
-							t.Errorf("epoch %d: node %d labelled %q (%v), want %q", ep.Seq, id, got, ok, typ)
-							return
-						}
-					}
-					for _, id := range gone {
-						if got, ok := ep.DB.Label(id); ok {
-							t.Errorf("epoch %d: deleted node %d labelled %q", ep.Seq, id, got)
-							return
-						}
-					}
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				}
-			}()
-		}
-	}
-	pin()
+	pins := []pinnedEpoch{pinReaders(t, s, m, seen, 2, stop, &wg)}
 	rng := rand.New(rand.NewSource(37))
 	deletes := 0
 	for i := 0; i < 90; i++ {
@@ -507,22 +536,75 @@ func TestPinnedEpochKeepsDeletedLabels(t *testing.T) {
 			deletes++
 		}
 		maps.Copy(seen, m.labels)
-		if i%30 == 13 { // two deletes after an insert: the map holds their entries
-			pin()
+		if i%30 == 13 {
+			pins = append(pins, pinReaders(t, s, m, seen, 2, stop, &wg))
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if deletes < 30 || stale != 3 {
-		t.Fatalf("the burst deleted %d subtrees; %d of the 3 epochs pinned in it hold stale label entries", deletes, stale)
-	}
 	newest := s.View().DB
-	for id := range seen {
-		got, ok := newest.Label(id)
-		if typ, live := m.labels[id]; ok != live || got != typ {
-			t.Errorf("newest epoch: node %d labelled %q (%v), want %q (%v)", id, got, ok, typ, live)
+	kept := make([]int, len(pins)) // per pinned epoch, its nodes the burst deleted later
+	for i, p := range pins {
+		checkPinned(t, p, seen, newest)
+		for id := range p.want {
+			if _, live := m.labels[id]; !live {
+				kept[i]++
+			}
 		}
 	}
+	// A later delete may take only nodes inserted after a mid-burst pin, so
+	// the first pin and at least one mid-burst pin must hold deleted nodes.
+	mid := 0
+	for _, k := range kept[1:] {
+		if k > 0 {
+			mid++
+		}
+	}
+	if deletes < 30 || len(pins) != 4 || kept[0] == 0 || mid == 0 {
+		t.Fatalf("the burst deleted %d subtrees; the %d pinned epochs hold %v nodes deleted after their pin", deletes, len(pins), kept)
+	}
+	checkPinned(t, pinnedEpoch{s.View(), m.labels}, seen, newest)
+}
+
+// TestLabelsMapIsTheNewestEpochs: the Labels map, which every epoch shares and
+// only the writer touches, holds exactly the labelled nodes of the newest
+// epoch — after every step of a random walk of inserts, deletes and text
+// updates, and in a store reopened from a checkpoint and the WAL after it.
+// This is what the benchmark's write-mixed check reads once a run is quiet.
+func TestLabelsMapIsTheNewestEpochs(t *testing.T) {
+	dir := t.TempDir()
+	s, m := openSeeded(t, dir, 37, 250, Config{Fsync: FsyncNever})
+	check := func(step string, db *rdb.DB) {
+		t.Helper()
+		if len(db.Labels) != len(m.labels) || db.NumNodes() != len(m.labels) {
+			t.Fatalf("%s: %d label entries and %d nodes; the mirror holds %d", step, len(db.Labels), db.NumNodes(), len(m.labels))
+		}
+		for id, typ := range m.labels {
+			if sym, ok := db.Labels[id]; !ok || db.Syms.Str(sym) != typ {
+				t.Fatalf("%s: node %d has label entry %q (%v), want %q", step, id, db.Syms.Str(sym), ok, typ)
+			}
+		}
+	}
+	check("open", s.View().DB)
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 200; i++ {
+		applyRandomOp(t, s, m, rng, i)
+		check(fmt.Sprintf("update %d", i), s.View().DB)
+		if i == 99 {
+			if _, err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Config{DTD: workload.Dept(), Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check("reopened", r.View().DB)
 }
 
 func TestEpochIsolation(t *testing.T) {
