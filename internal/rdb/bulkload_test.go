@@ -17,7 +17,8 @@ import (
 // 1×, 4× and 16× a dept document: Shred, StreamShred, Load of the Save image,
 // and cluster's collection builders (BuildCollection, SplitCollection,
 // Rebase). Each mints every node it stores, so none inserts into a pair set
-// or holds one, none probes a relation — which would build its T index — and
+// or holds one, none probes a relation — which would build its T index —
+// none writes the Labels map, the node's type being a node-table column, and
 // each builds the database Shred does.
 func TestBulkLoadsHashNothing(t *testing.T) {
 	d := workload.Dept()
@@ -60,6 +61,9 @@ func TestBulkLoadsHashNothing(t *testing.T) {
 			"BuildCollection": collection, "SplitCollection[0]": parts[0], "SplitCollection[1]": parts[1], "Rebase": rebased,
 		}
 		for name, db := range built {
+			if n := len(db.Labels); n != 0 {
+				t.Errorf("%d× %s: %d Labels entries for %d nodes; want none", scale, name, n, db.NumNodes())
+			}
 			if inserts, slots := rdb.StoredSetInserts(db); inserts != 0 || slots != 0 {
 				t.Errorf("%d× %s: %d pair-set inserts, %d slots held; want 0 and 0", scale, name, inserts, slots)
 			}

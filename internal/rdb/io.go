@@ -123,6 +123,9 @@ var ErrDuplicateNode = errors.New("node recorded twice")
 // relation, where no tuple can repeat one before it. Any other tuple — a
 // relation's lines split into runs, or out of order — is probed through the
 // relation's T index, and a repeated one is dropped.
+//
+// A node's type goes to its node-table row alone: the loaded database's
+// Labels map is empty.
 func Load(r io.Reader) (*DB, error) {
 	db := NewDB()
 	sc := bufio.NewScanner(r)
@@ -217,9 +220,6 @@ func Load(r io.Reader) (*DB, error) {
 				return nil, fmt.Errorf("rdb: line %d: a second N record for node %d: %w", lineNo, id, ErrDuplicateNode)
 			}
 			tab.put(int(id), parent, db.sym(val), label)
-			if label != 0 {
-				db.Labels[int(id)] = label
-			}
 		case "O":
 			parts := strings.Fields(rest)
 			if len(parts) != 4 {

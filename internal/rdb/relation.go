@@ -743,11 +743,15 @@ type DB struct {
 	// relations of the DB — stored and temporary — share it, so operator
 	// pipelines move int32 symbols instead of strings.
 	Syms *Interner
-	// Labels maps each labelled node of the newest database of a lineage to
-	// its type's symbol; Derive shares it, and its writers (InsertLabeled,
-	// Delete, Loader.Insert, SetLabel, Load) update it in place. Nothing here
-	// reads it — Label reads the node table — and it is kept only for
-	// benchmark/wl_write.go; ROADMAP item 1(1) deletes it.
+	// Labels maps each node an InsertLabeled of this lineage stored, and no
+	// later Insert or Delete of the same ID removed, to its type's symbol.
+	// No bulk loader writes it: a database that Shred, StreamShred, Load or
+	// a Loader built starts with it empty, and a store holds in it only the
+	// nodes its live and replayed inserts wrote. Derive shares it, and its
+	// writers update it in place. Nothing here reads it — Label reads the
+	// node table — and it is kept only for benchmark/wl_write.go, which asks
+	// whether the inserts it was acknowledged are stored; ROADMAP item 1(1)
+	// deletes it.
 	Labels map[int]int32
 	// DTDFP is the fingerprint of the DTD the document was shredded
 	// against ("" when unknown). The interval fast path compares it with
@@ -806,11 +810,6 @@ func (db *DB) Label(id int) (string, bool) {
 	}
 	return "", false
 }
-
-// SetLabel records sym, a symbol of Syms, as node t's entry in Labels, and
-// only there: the label writer of shred.StreamShred, whose node-table writer
-// puts the type in the node's row (IntervalBuilder.SetNode).
-func (db *DB) SetLabel(t int, sym int32) { db.Labels[t] = sym }
 
 // sym interns a text value in the database's dictionary.
 func (db *DB) sym(v string) int32 {
@@ -871,7 +870,8 @@ func (r *Relation) AppendNode(f, t int, sym int32) {
 // relation handle per name beside the symbol of the element type last
 // stored in it, interns each value exactly once per tuple through the DB
 // interner, and appends every row without a probe — a bulk load mints each
-// node, so no T it inserts is stored yet.
+// node, so no T it inserts is stored yet. It writes each node once, as its
+// relation's row and its node-table row; the Labels map is left alone.
 type Loader struct {
 	db   *DB
 	rels map[string]*loaderRel
@@ -889,8 +889,9 @@ func (db *DB) NewLoader() *Loader {
 	return &Loader{db: db, rels: map[string]*loaderRel{}}
 }
 
-// Insert is InsertLabeled through the loader's relation cache, for a node t
-// the database does not hold yet.
+// Insert stores node t, which the database does not hold yet, as
+// InsertLabeled does but through the loader's relation cache and without a
+// Labels entry: the node-table row carries the type.
 func (l *Loader) Insert(rel, label string, f, t int, v string) {
 	c, ok := l.rels[rel]
 	if !ok {
@@ -903,7 +904,4 @@ func (l *Loader) Insert(rel, label string, f, t int, v string) {
 		c.label, c.sym = label, l.db.Syms.Intern(label)
 	}
 	l.db.nodes.Load().tab.put(t, w.f, w.v, c.sym) // "" is symbol 0: no type
-	if c.sym != 0 {
-		l.db.Labels[t] = c.sym
-	}
 }

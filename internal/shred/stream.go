@@ -43,8 +43,8 @@ type streamRec struct {
 	level    int32
 }
 
-// streamBatch is one fan-out batch. The two catalog writers and every
-// relation worker read it; the last of them to release it puts it back on the
+// streamBatch is one fan-out batch. The catalog writer and every relation
+// worker read it; the last of them to release it puts it back on the
 // free list the shredder fills its next batch from.
 type streamBatch struct {
 	recs []streamRec
@@ -86,7 +86,7 @@ func (bs *streamBatches) release(b *streamBatch) {
 // relations without materializing the tree: one pass over the tokens of an
 // xmltree.Tokenizer assigns dense preorder IDs and document-order intervals,
 // interns each text value, and fans completed-element batches out to
-// parallel relation loaders plus a catalog writer. The tokens are those
+// parallel relation loaders plus one catalog writer. The tokens are those
 // xmltree.Parse builds its tree from, so the result is the relational
 // instance, catalog and interval encoding of Shred(xmltree.Parse(text), d) —
 // only the tuple insertion order differs (elements arrive in document
@@ -117,32 +117,20 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 		labels[i] = db.Syms.Intern(typ)
 	}
 
-	// Every batch goes to each consumer's channel: the two catalog writers',
-	// then each relation worker's.
-	outs := make([]chan *streamBatch, 2+workers)
+	// Every batch goes to each consumer's channel: the catalog writer's, then
+	// each relation worker's.
+	outs := make([]chan *streamBatch, 1+workers)
 	for i := range outs {
 		outs[i] = make(chan *streamBatch, streamChanDepth)
 	}
-	labelCh, tableCh, workCh := outs[0], outs[1], outs[2:]
+	tableCh, workCh := outs[0], outs[1:]
 	batches := &streamBatches{free: make(chan *streamBatch, streamChanDepth+2), consumers: int32(len(outs)), size: batchSize}
 
 	var wg sync.WaitGroup
-	// The catalog has two writers, each the single writer of what it writes:
-	// one fills the DB's Labels map, a symbol per node, the other the node
-	// table — each node's parent, value, element type and interval. The map is
-	// the costlier (a hash insert per node against a slot write); apart, its
-	// writer is the only one the shredder waits for.
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for b := range labelCh {
-			for i := range b.recs {
-				rec := &b.recs[i]
-				db.SetLabel(int(rec.t), labels[rec.typ])
-			}
-			batches.release(b)
-		}
-	}()
+	// The catalog writer fills the node table — each node's parent, value,
+	// element type and interval, a slot write per node — and is its single
+	// writer. The DB's Labels map stays empty, as every bulk loader leaves it.
+	wg.Add(1)
 	iv := db.NewIntervalBuilder()
 	go func() {
 		defer wg.Done()

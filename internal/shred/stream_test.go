@@ -3,7 +3,6 @@ package shred
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
 	"os"
 	"runtime"
@@ -31,19 +30,10 @@ func saveText(t testing.TB, db *rdb.DB) string {
 	return b.String()
 }
 
-// labelEntries resolves the database's Labels map, which Save does not write.
-func labelEntries(db *rdb.DB) map[int]string {
-	out := make(map[int]string, len(db.Labels))
-	for id, sym := range db.Labels {
-		out[id] = db.Syms.Str(sym)
-	}
-	return out
-}
-
 // TestStreamShredMatchesShred: StreamShred over the serialized text produces
-// the same database — relations, catalog, intervals, fingerprint, and the
-// Labels map beside them — as Shred over the parsed tree, across DTD shapes,
-// worker counts and batch sizes.
+// the same database — relations, catalog with every node's type, intervals and
+// fingerprint — as Shred over the parsed tree, across DTD shapes, worker counts
+// and batch sizes, and each node's type reads the same through DB.Label.
 func TestStreamShredMatchesShred(t *testing.T) {
 	dtds := map[string]*dtd.DTD{
 		"dept":  workload.Dept(),
@@ -63,7 +53,7 @@ func TestStreamShredMatchesShred(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantText, wantLabels := saveText(t, want), labelEntries(want)
+			wantText := saveText(t, want)
 			text := doc.Serialize()
 			for _, opts := range []StreamOptions{
 				{},
@@ -77,9 +67,16 @@ func TestStreamShredMatchesShred(t *testing.T) {
 				if gotText := saveText(t, got); gotText != wantText {
 					t.Fatalf("%s seed %d %+v: StreamShred database differs from Shred", name, seed, opts)
 				}
-				if !maps.Equal(labelEntries(got), wantLabels) || len(wantLabels) != got.NumNodes() {
-					t.Fatalf("%s seed %d %+v: StreamShred's label map differs from Shred's", name, seed, opts)
+				if got.NumNodes() != want.NumNodes() {
+					t.Fatalf("%s seed %d %+v: %d nodes, Shred has %d", name, seed, opts, got.NumNodes(), want.NumNodes())
 				}
+				want.EachNode(func(id int) {
+					gl, gok := got.Label(id)
+					wl, wok := want.Label(id)
+					if gl != wl || !gok || !wok {
+						t.Fatalf("%s seed %d %+v: node %d labelled %q (%v), Shred %q (%v)", name, seed, opts, id, gl, gok, wl, wok)
+					}
+				})
 				if !got.HasIntervals() || got.DTDFP != d.Fingerprint() {
 					t.Fatalf("%s seed %d: stream DB missing interval encoding or fingerprint", name, seed)
 				}

@@ -13,12 +13,12 @@
 // database version as a copy-on-write epoch, derived from the current one
 // (rdb.DB.Derive): touched relations are cloned (deletes tombstone rows on
 // the clone and compact before publication, inserts extend the clone),
-// untouched relations are shared, and so is the node table — parents, values
-// and interval labels — but for the 1024-node chunks the update writes; a
-// structural update also copies the label map. The finished epoch is
-// published with one atomic pointer swap; readers pin an epoch with View and
-// never observe a half-applied update, take no locks, and keep executing
-// against their pinned epoch even as newer ones land.
+// untouched relations are shared, and so is the node table — parents,
+// values, types and interval labels — but for the 1024-node chunks the update
+// writes. The finished epoch is published with one atomic pointer swap;
+// readers pin an epoch with View and never observe a half-applied update,
+// take no locks, and keep executing against their pinned epoch even as newer
+// ones land.
 //
 // Durability. Every update is appended to a length-prefixed, CRC-checked
 // write-ahead log before it is applied (see wal.go), with a configurable
@@ -55,8 +55,9 @@ type Config struct {
 	DTD *dtd.DTD
 	// Seed is the initial database (a freshly shredded document), used when
 	// neither SnapshotPath nor on-disk state in Dir provides one. The store
-	// takes it over: it adds relations to it, and its updates write the
-	// Labels map every epoch shares with it, so one seed serves one store.
+	// takes it over: it adds relations to it, and its inserts and deletes
+	// write the Labels map every epoch shares with it (a bulk-loaded seed
+	// holds none), so one seed serves one store.
 	Seed *rdb.DB
 	// Dir is the durability directory (WAL segments and snapshots). Empty
 	// means ephemeral: updates work, nothing is persisted.

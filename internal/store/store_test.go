@@ -26,8 +26,14 @@ import (
 	"xpath2sql/internal/xpath"
 )
 
+// seedFloor is the fewest nodes a seed document may have. At X_L 4 and X_R 3
+// some seeds generate a bare <dept/>, on which a test checks nothing beyond
+// the root.
+const seedFloor = 10
+
 // seedDB generates a dept document and shreds it, returning the database and
-// a mirror initialized from the same document.
+// a mirror initialized from the same document. A seed whose document has
+// fewer than seedFloor nodes fails the test.
 func seedDB(t *testing.T, seed int64, maxNodes int) (*rdb.DB, *mirror) {
 	t.Helper()
 	d := workload.Dept()
@@ -35,6 +41,10 @@ func seedDB(t *testing.T, seed int64, maxNodes int) (*rdb.DB, *mirror) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
+	if doc.Size() < seedFloor {
+		t.Fatalf("seed %d generates %d nodes, fewer than %d: pick a seed with content", seed, doc.Size(), seedFloor)
+	}
+	t.Logf("seed %d: %d nodes", seed, doc.Size())
 	db, err := shred.Shred(doc, d)
 	if err != nil {
 		t.Fatalf("shred: %v", err)
@@ -317,7 +327,7 @@ func TestDifferentialRandomUpdates(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	s, m := openSeeded(t, "", 3, 200, Config{})
+	s, m := openSeeded(t, "", 4, 200, Config{})
 	dept := m.byLabel("dept")[0]
 
 	cases := []struct {
@@ -340,14 +350,15 @@ func TestValidationErrors(t *testing.T) {
 		{"checkpoint ephemeral", func() error { _, err := s.Checkpoint(); return err }, ErrNoDurability},
 	}
 	// Deleting a required child (cno of some course) must be rejected.
-	if cnos := m.byLabel("cno"); len(cnos) > 0 {
-		id := cnos[0]
-		cases = append(cases, struct {
-			name string
-			do   func() error
-			want error
-		}{"delete required child", func() error { _, err := s.DeleteSubtree(id); return err }, ErrInvalid})
+	cnos := m.byLabel("cno")
+	if len(cnos) == 0 {
+		t.Fatal("the seed document has no course, so no required child to delete")
 	}
+	cases = append(cases, struct {
+		name string
+		do   func() error
+		want error
+	}{"delete required child", func() error { _, err := s.DeleteSubtree(cnos[0]); return err }, ErrInvalid})
 
 	before := saveBytes(t, s.View().DB)
 	seq := s.View().Seq
@@ -367,8 +378,8 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestUnlabelledNodeIsCorrupt: validation finds a node in the node table and
-// its element type in the label map. A node the table holds without a type is
+// TestUnlabelledNodeIsCorrupt: validation finds a node and its element type
+// in the node table (DB.Label). A node the table holds without a type is
 // a corrupt catalog, not an unknown node, and no update naming it applies.
 func TestUnlabelledNodeIsCorrupt(t *testing.T) {
 	db, m := seedDB(t, 23, 250)
@@ -567,34 +578,73 @@ func TestPinnedEpochKeepsDeletedLabels(t *testing.T) {
 }
 
 // TestLabelsMapIsTheNewestEpochs: the Labels map, which every epoch shares and
-// only the writer touches, holds exactly the labelled nodes of the newest
-// epoch — after every step of a random walk of inserts, deletes and text
-// updates, and in a store reopened from a checkpoint and the WAL after it.
-// This is what the benchmark's write-mixed check reads once a run is quiet.
+// only the writer touches, holds exactly the live nodes this store's inserts
+// wrote, each with its type — nothing of the bulk-loaded seed — after every
+// step of a random walk of inserts, deletes and text updates; and a store
+// reopened from a checkpoint and the WAL after it holds exactly the live nodes
+// its replay inserted. This is what the benchmark's write-mixed check reads
+// once a run is quiet: every acknowledged insert of the running store.
 func TestLabelsMapIsTheNewestEpochs(t *testing.T) {
 	dir := t.TempDir()
 	s, m := openSeeded(t, dir, 37, 250, Config{Fsync: FsyncNever})
-	check := func(step string, db *rdb.DB) {
+	check := func(step string, db *rdb.DB, inserted map[int]bool) {
 		t.Helper()
-		if len(db.Labels) != len(m.labels) || db.NumNodes() != len(m.labels) {
-			t.Fatalf("%s: %d label entries and %d nodes; the mirror holds %d", step, len(db.Labels), db.NumNodes(), len(m.labels))
+		if len(db.Labels) != len(inserted) || db.NumNodes() != len(m.labels) {
+			t.Fatalf("%s: %d label entries and %d nodes; the store inserted %d live nodes, the mirror holds %d", step, len(db.Labels), db.NumNodes(), len(inserted), len(m.labels))
 		}
-		for id, typ := range m.labels {
-			if sym, ok := db.Labels[id]; !ok || db.Syms.Str(sym) != typ {
-				t.Fatalf("%s: node %d has label entry %q (%v), want %q", step, id, db.Syms.Str(sym), ok, typ)
+		for id := range inserted {
+			if sym, ok := db.Labels[id]; !ok || db.Syms.Str(sym) != m.labels[id] {
+				t.Fatalf("%s: node %d has label entry %q (%v), want %q", step, id, db.Syms.Str(sym), ok, m.labels[id])
 			}
 		}
 	}
-	check("open", s.View().DB)
+	// live and replayed track the live nodes inserted since the open and since
+	// the checkpoint, the ones the reopened store replays.
+	live, replayed := map[int]bool{}, map[int]bool{}
+	before := maps.Clone(m.labels)
+	track := func() {
+		for id := range m.labels {
+			if _, was := before[id]; !was {
+				live[id], replayed[id] = true, true
+			}
+		}
+		for _, set := range []map[int]bool{live, replayed} {
+			for id := range set {
+				if _, ok := m.labels[id]; !ok {
+					delete(set, id)
+				}
+			}
+		}
+		before = maps.Clone(m.labels)
+	}
+	checkpoint := func() {
+		if _, err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		clear(replayed)
+	}
+	check("open", s.View().DB, live)
+	dept := m.byLabel("dept")[0]
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 200; i++ {
 		applyRandomOp(t, s, m, rng, i)
-		check(fmt.Sprintf("update %d", i), s.View().DB)
+		track()
+		check(fmt.Sprintf("update %d", i), s.View().DB, live)
 		if i == 99 {
-			if _, err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			checkpoint()
 		}
+	}
+	// The walk's deletes may leave no inserted node standing: a course
+	// inserted before the last checkpoint and one after it give the reopened
+	// store a node it loads from the snapshot and one it replays.
+	insertBoth(t, s, m, dept, fragCourse(200))
+	track()
+	checkpoint()
+	insertBoth(t, s, m, dept, fragCourse(201))
+	track()
+	check("last insert", s.View().DB, live)
+	if len(replayed) == 0 || len(live) <= len(replayed) {
+		t.Fatalf("the walk left %d inserted nodes, %d of them after the checkpoint: nothing to tell the two apart", len(live), len(replayed))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -604,7 +654,8 @@ func TestLabelsMapIsTheNewestEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	check("reopened", r.View().DB)
+	check("reopened", r.View().DB, replayed)
+	t.Logf("%d nodes of the seed left; %d live inserted nodes, %d of them replayed", r.View().DB.NumNodes()-len(live), len(live), len(replayed))
 }
 
 func TestEpochIsolation(t *testing.T) {
@@ -762,7 +813,7 @@ func TestEpochIsolation(t *testing.T) {
 func TestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	d := workload.Dept()
-	s, m := openSeeded(t, dir, 11, 250, Config{Fsync: FsyncNever})
+	s, m := openSeeded(t, dir, 12, 250, Config{Fsync: FsyncNever})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 25; i++ {
 		applyRandomOp(t, s, m, rng, i)
@@ -836,7 +887,7 @@ func TestCrashRecovery(t *testing.T) {
 
 func TestCheckpointRotatesAndGCs(t *testing.T) {
 	dir := t.TempDir()
-	s, m := openSeeded(t, dir, 13, 150, Config{Fsync: FsyncNever})
+	s, m := openSeeded(t, dir, 15, 150, Config{Fsync: FsyncNever})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 10; i++ {
 		applyRandomOp(t, s, m, rng, i)
