@@ -19,7 +19,8 @@ import (
 // Rebase). Each mints every node it stores, so none inserts into a pair set
 // or holds one, none probes a relation — which would build its T index —
 // none writes the Labels map, the node's type being a node-table column, and
-// each builds the database Shred does.
+// each builds the database Shred does. The split puts one document on each
+// shard (OrdinalPlacement), so neither part is an empty database.
 func TestBulkLoadsHashNothing(t *testing.T) {
 	d := workload.Dept()
 	for _, scale := range []int{1, 4, 16} {
@@ -48,9 +49,20 @@ func TestBulkLoadsHashNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, _, err := cluster.SplitCollection(d, collection, 2, nil)
+		var roots []int
+		collection.EachNode(func(id int) {
+			if collection.Parent(id) == 0 {
+				roots = append(roots, id)
+			}
+		})
+		parts, _, err := cluster.SplitCollection(d, collection, 2, cluster.NewOrdinalPlacement(roots))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, part := range parts {
+			if n := part.NumNodes(); n != tree.NumNodes() {
+				t.Fatalf("%d× SplitCollection[%d]: %d nodes, want one document's %d", scale, i, n, tree.NumNodes())
+			}
 		}
 		rebased, err := cluster.Rebase(d, tree, 1<<24)
 		if err != nil {

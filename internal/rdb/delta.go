@@ -44,7 +44,8 @@ import (
 var ErrNonIncremental = errors.New("rdb: view not incrementally maintainable for this update")
 
 // DeltaEdge is one base-relation row added by an insert transaction, in
-// exchange form.
+// exchange form. Maintenance reads the row itself out of the epoch that
+// stores it (by T), whose value is a symbol already; V is not interned again.
 type DeltaEdge struct {
 	F, T int
 	V    string
@@ -163,7 +164,7 @@ func (vs *ViewState) TextImmune() bool { return vs.textImmune }
 
 // IndexBuilds sums Relation.IndexBuilds over the view's materializations: the
 // regression stat that maintenance carries their indexes from epoch to epoch —
-// across a delete's compaction too — instead of building them again.
+// across a compaction too — instead of building them again.
 func (vs *ViewState) IndexBuilds() int {
 	builds := 0
 	vs.eachNode(func(n *viewNode) {
@@ -376,7 +377,7 @@ func (vs *ViewState) refresh() error {
 		err := vs.materialize(vs.result.root)
 		if err == nil {
 			vs.FullStats.Add(vs.ex.Stats.Minus(snap))
-			vs.counts = countRows(vs.nodeOut(vs.result.root).rows)
+			vs.counts = countRows(vs.nodeOut(vs.result.root))
 			return nil
 		}
 		if !errors.Is(err, ErrNonIncremental) {
@@ -390,14 +391,17 @@ func (vs *ViewState) refresh() error {
 		return err
 	}
 	vs.FullStats.Add(ex.Stats)
-	vs.counts = countRows(rel.rows)
+	vs.counts = countRows(rel)
 	return nil
 }
 
-func countRows(rows []row) map[int32]int {
-	counts := make(map[int32]int, len(rows))
-	for _, w := range rows {
-		counts[w.t]++
+// countRows counts r's live rows per T.
+func countRows(r *Relation) map[int32]int {
+	counts := make(map[int32]int, r.Len())
+	for i, w := range r.rows {
+		if !r.isDead(i) {
+			counts[w.t]++
+		}
 	}
 	return counts
 }
@@ -524,14 +528,22 @@ func (vs *ViewState) nodeDelta(n *viewNode, u *update) (*Relation, error) {
 	return d, nil
 }
 
-// rowsAt visits the rows of r whose F (onF) or T column holds key, in
-// insertion order. visit may append to r.
+// rowsAt visits the live rows of r whose F (onF) or T column holds key, in
+// insertion order. They are collected before the first visit, so visit may
+// write r: append to it, or tombstone a row and compact it.
 func (r *Relation) rowsAt(onF bool, key int32, visit func(row)) {
+	var buf [8]row
+	at := buf[:0]
 	snap, over := r.index(onF, true).lookup(key)
 	for _, part := range [2][]int32{snap, over} {
 		for _, pos := range part {
-			visit(r.rows[pos])
+			if !r.isDead(int(pos)) {
+				at = append(at, r.rows[pos])
+			}
 		}
+	}
+	for _, w := range at {
+		visit(w)
 	}
 }
 
@@ -611,8 +623,11 @@ func withDelta(in, kd []*Relation, i int) []*Relation {
 func (vs *ViewState) grow(n *viewNode, d *Relation, in, kd []*Relation, bd *BaseDelta) error {
 	switch pl := n.plan.(type) {
 	case ra.Base:
+		// The new nodes' stored rows, out of the epoch that has them: their
+		// values are symbols already.
+		rel := vs.ex.DB.Rel(pl.Rel)
 		for _, e := range bd.Rows[pl.Rel] {
-			d.Add(e.F, e.T, e.V)
+			rel.rowsAt(false, int32(e.T), func(w row) { d.addRow(w) })
 		}
 	case ra.Ident:
 		for _, id := range bd.NewIDs {
@@ -833,8 +848,7 @@ func (vs *ViewState) descGrow(n *viewNode, pl ra.DescScan, d *Relation, in, kd [
 
 // retract removes the pair of w from n's materialization; a row that was
 // there is counted and joins d, the delta n propagates, as it was stored. The
-// row is tombstoned: shrink compacts the materialization before anything reads
-// it.
+// row is tombstoned, and the materialization compacts by the quarter rule.
 func (vs *ViewState) retract(n *viewNode, d *Relation, w row) {
 	if w, ok := n.out.take(w.f, w.t); ok {
 		vs.ex.Stats.TuplesOut++
@@ -859,16 +873,16 @@ func lostKeys(gone, now *Relation, onF bool, visit func(key int32)) {
 }
 
 // joins reports whether l∘r derives (f, t) — some m has (f, m) in l and
-// (m, t) in r — by walking the shorter of the two index buckets and probing
-// the other relation's membership (its pair set, or a stored relation's T
-// index).
+// (m, t) in r — by walking the live rows of the shorter of the two index
+// buckets and probing the other relation's membership (its pair set, or a
+// stored relation's T index).
 func joins(l, r *Relation, f, t int32) bool {
 	ls, lo := l.fIndex().lookup(f)
 	rs, ro := r.tIndex().lookup(t)
 	if len(ls)+len(lo) <= len(rs)+len(ro) {
 		for _, part := range [2][]int32{ls, lo} {
 			for _, pos := range part {
-				if r.hasPair(packPair(l.rows[pos].t, t)) {
+				if !l.isDead(int(pos)) && r.hasPair(packPair(l.rows[pos].t, t)) {
 					return true
 				}
 			}
@@ -877,7 +891,7 @@ func joins(l, r *Relation, f, t int32) bool {
 	}
 	for _, part := range [2][]int32{rs, ro} {
 		for _, pos := range part {
-			if l.hasPair(packPair(f, r.rows[pos].f)) {
+			if !r.isDead(int(pos)) && l.hasPair(packPair(f, r.rows[pos].f)) {
 				return true
 			}
 		}
@@ -970,7 +984,6 @@ func (vs *ViewState) shrink(n *viewNode, d *Relation, in, kd []*Relation, u *upd
 	default:
 		return ErrNonIncremental
 	}
-	n.out.Compact()
 	return nil
 }
 
@@ -1027,7 +1040,6 @@ func (vs *ViewState) fixShrink(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Re
 			taken = append(taken, w)
 		}
 	}
-	O.Compact()
 	frontier = frontier[:0]
 	for _, w := range taken {
 		direct := seed.hasPair(packPair(w.f, w.t)) && (gate == nil || gate.contains(dir.anchor(w)))

@@ -257,14 +257,8 @@ func (td *treeDoc) del(r difftest.Source) (*DB, int, []int) {
 func (td *treeDoc) delSubtree(root int) (*DB, []int) {
 	deleted := td.subtree(root)
 	db2 := cowDB(td.db)
-	touched := map[string]bool{}
 	for _, id := range deleted {
-		rel := td.relOf[id]
-		db2.Delete(rel, db2.Parent(id), id)
-		touched[rel] = true
-	}
-	for rel := range touched {
-		db2.Rel(rel).Compact()
+		db2.Delete(td.relOf[id], db2.Parent(id), id)
 	}
 	db2.RebuildIntervals()
 	return db2, deleted
@@ -459,9 +453,10 @@ func (vs *ViewState) materializations() map[string]*Relation {
 
 // checkAgainstFreshBuild compares a maintained view with a fresh build on the
 // same epoch: every operator node's materialization, aux closures included,
-// compacted and equal as (F, T, V) sets — an answer can stay right over a
-// wrong materialization for many steps — and the published delta equal to the
-// set difference of the answers.
+// holding fewer tombstones than the quarter rule allows and equal as
+// (F, T, V) sets — an answer can stay right over a wrong materialization for
+// many steps — and the published delta equal to the set difference of the
+// answers.
 func checkAgainstFreshBuild(t *testing.T, label string, vs *ViewState, db *DB, p *ra.Program, prev, added, removed []int) {
 	t.Helper()
 	fresh, err := BuildViewState(db, p)
@@ -473,8 +468,8 @@ func checkAgainstFreshBuild(t *testing.T, label string, vs *ViewState, db *DB, p
 		t.Fatalf("%s: %d materializations, a fresh build has %d", label, len(got), len(want))
 	}
 	for path, rel := range got {
-		if rel.Tombstones() != 0 {
-			t.Fatalf("%s: %s left %d tombstones", label, path, rel.Tombstones())
+		if n := rel.Tombstones(); n > 0 && n*deadShare >= len(rel.rows) {
+			t.Fatalf("%s: %s left %d tombstones among %d rows, past the quarter rule", label, path, n, len(rel.rows))
 		}
 		if !sameTuples(rel.Tuples(), want[path].Tuples()) {
 			t.Fatalf("%s: materialization %s differs from a fresh build\nmaintained: %v\nfresh:      %v\n%s",
@@ -670,5 +665,48 @@ func TestViewClassification(t *testing.T) {
 	vs = mk(ra.SelectVal{Child: ra.Base{Rel: "R0"}, Val: "a"})
 	if vs.TextImmune() {
 		t.Fatal("value selection must not be text-immune")
+	}
+}
+
+// TestViewInsertInternsNothing is the counted test of a view's insert rule at
+// a stored relation: it reads the new nodes' rows out of the epoch that stores
+// them, whose values are symbols already. Were it to intern the base delta's
+// text values again, each would be a locked lookup finding the string among
+// those interned since the dictionary's last promotion — a miss — and enough
+// misses copy the whole dictionary.
+func TestViewInsertInternsNothing(t *testing.T) {
+	db := NewDB()
+	for id := 1; id <= 1000; id++ { // a dictionary large enough that the inserts below promote nothing
+		db.Insert("R", (id-1)/3, id, fmt.Sprintf("v%d", id))
+	}
+	p := &ra.Program{Stmts: []ra.Stmt{{Name: "s", Plan: ra.Base{Rel: "R"}}}, Result: "s"}
+	vs, err := BuildViewState(db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, next := db.Syms, 1001
+	for round := 0; round < 10; round++ {
+		db2 := db.Derive()
+		db2.Rels["R"] = db2.Rels["R"].Clone()
+		bd := BaseDelta{Rows: map[string][]DeltaEdge{}}
+		for i := 0; i < 5; i++ {
+			v := fmt.Sprintf("new-%d", next) // interned by the write, not promoted yet
+			db2.Insert("R", 1, next, v)
+			bd.Rows["R"] = append(bd.Rows["R"], DeltaEdge{F: 1, T: next, V: v})
+			bd.NewIDs = append(bd.NewIDs, next)
+			next++
+		}
+		misses, snap := in.misses, in.clean.Load()
+		added, err := vs.ApplyInsert(db2, bd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.misses != misses || in.clean.Load() != snap {
+			t.Fatalf("round %d: maintaining the view cost %d dictionary misses and promoted: %v", round, in.misses-misses, in.clean.Load() != snap)
+		}
+		if !slices.Equal(added, bd.NewIDs) || !slices.Equal(vs.AnswerIDs(), fullAnswer(t, db2, p)) {
+			t.Fatalf("round %d: added %v, want %v", round, added, bd.NewIDs)
+		}
+		db = db2
 	}
 }

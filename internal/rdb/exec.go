@@ -396,10 +396,11 @@ func (e *Exec) eval(pl ra.Plan) (*Relation, error) {
 			return nil, err
 		}
 		var stair *Relation
-		if oneF(l) {
+		f, one := oneF(l)
+		if one {
 			stair = l
 		}
-		r, answered, err := e.evalDesc(ds, descUse{stair: stair})
+		r, answered, err := e.evalDesc(ds, descUse{stair: stair, stairF: f})
 		if err != nil || answered && stair != nil {
 			return r, err
 		}
@@ -465,20 +466,22 @@ func (e *Exec) evalDesc(pl ra.DescScan, use descUse) (out *Relation, answered bo
 	return e.descFilter(alt, startIdx, endIdx), false, nil
 }
 
-// oneF reports whether rs have rows and all of them hold one F value: a
-// context rooted at σ[F='_'].
-func oneF(rs ...*Relation) bool {
-	f, some := int32(0), false
+// oneF reports whether rs have live rows and all of them hold one F value, f:
+// a context rooted at σ[F='_'].
+func oneF(rs ...*Relation) (f int32, ok bool) {
 	for _, r := range rs {
-		for _, w := range r.rows {
-			if !some {
-				f, some = w.f, true
-			} else if w.f != f {
-				return false
+		dead := r.dead
+		for i, w := range r.rows {
+			switch {
+			case dead.has(i):
+			case !ok:
+				f, ok = w.f, true
+			case w.f != f:
+				return 0, false
 			}
 		}
 	}
-	return some
+	return f, ok
 }
 
 // evalF pushes onto e.wits relations whose F columns together are π_F(p ∘ S),

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 )
 
 // idSet is a set of int32 node IDs, one bit each over [lo, lo+64·len(words)):
@@ -123,6 +124,10 @@ func appendIDs[T int | int32](dst []T, s *idSet, from int32) []T {
 // table instead of invalidating it; a clone or a view's materialization folds
 // the overflow into a new snapshot once it outgrows a fixed share of it
 // (folded), and a compaction carries the index over to the survivors (compact).
+//
+// Positions of tombstoned rows stay in the index until a compaction: lookup
+// hands them out, and its callers skip them; contains answers for live rows
+// only, through rel.
 type colIndex struct {
 	keys []int32
 	offs []int32
@@ -140,6 +145,12 @@ type colIndex struct {
 	built    int
 	extra    map[int32][]int32
 	xlo, xhi int32
+	// shared, allocated with extra, is set once extra is another version's
+	// too (cloneFor): neither writes it again, the first write of either
+	// copies it (ownExtra). It lives beside the map, not in the index, so
+	// marking a parent's map writes no field of the parent's index, which its
+	// readers hold.
+	shared *atomic.Bool
 
 	// sortBuf is the sorting build's scratch, kept only by a pooled relation's
 	// index (see buildColIndexInto).
@@ -151,13 +162,22 @@ type colIndex struct {
 	// root row (rootSnap/rootOver, positions in the base's rows).
 	scoped             bool
 	rootSnap, rootOver []int32
+
+	// rel is the relation whose rows the positions index — the base relation
+	// for a scoped view's index — and whose tombstones contains skips; nil
+	// for a key set (members), whose relation has none. tombed says rel has
+	// tombstones; rel's take and compact keep it, so a relation without them
+	// answers contains without reading rel.
+	rel    *Relation
+	tombed bool
 }
 
 const (
-	// foldShare and foldSlack bound the overflow a clone carries along, and a
-	// view's materialization keeps: past built/foldShare + foldSlack entries it
-	// is folded into the snapshot, so copying or probing it stays a fixed share
-	// of the rows' cost and a fold costs O(foldShare) per appended row.
+	// foldShare and foldSlack bound the overflow a view's materialization
+	// keeps: past built/foldShare + foldSlack entries it is folded into the
+	// snapshot, so probing it stays a fixed share of the rows' cost and a fold
+	// costs O(foldShare) per appended row. A stored relation's bound is tighter
+	// (overgrown).
 	foldShare = 16
 	foldSlack = 64
 )
@@ -291,6 +311,7 @@ func (idx *colIndex) compact(remap []int32, firstDead int) {
 	}
 	// The overflow's slices share their arrays with the parent relation's too:
 	// the survivors go to one array of their own.
+	idx.ownExtra()
 	for k, ps := range idx.extra {
 		if int(ps[len(ps)-1]) < firstDead {
 			continue // ascending, so none of them moved
@@ -309,20 +330,22 @@ func (idx *colIndex) compact(remap []int32, firstDead int) {
 	}
 }
 
-// folded returns a snapshot of the whole index, overflow included, for a
-// relation of n rows: one merge of the snapshot's buckets with the overflow's
-// keys, sorted first.
-func (idx *colIndex) folded(n int) *colIndex {
+// folded returns a snapshot of the whole index, overflow included, for r:
+// one merge of the snapshot's buckets with the overflow's keys, sorted first.
+func (idx *colIndex) folded(r *Relation) *colIndex {
+	n := len(r.rows)
 	xkeys := make([]int32, 0, len(idx.extra))
 	for k := range idx.extra {
 		xkeys = append(xkeys, k)
 	}
 	slices.Sort(xkeys)
 	c := &colIndex{
-		built: n,
-		keys:  make([]int32, 0, len(idx.keys)+len(xkeys)),
-		offs:  make([]int32, 0, len(idx.keys)+len(xkeys)+1),
-		pos:   make([]int32, 0, n),
+		rel:    r,
+		tombed: r.nDead > 0,
+		built:  n,
+		keys:   make([]int32, 0, len(idx.keys)+len(xkeys)),
+		offs:   make([]int32, 0, len(idx.keys)+len(xkeys)+1),
+		pos:    make([]int32, 0, n),
 	}
 	put := func(k int32, ps []int32) { // k is the last key opened or a later one
 		if len(ps) == 0 {
@@ -457,50 +480,93 @@ func (idx *colIndex) over(k int32) []int32 {
 	return idx.extra[k]
 }
 
-// contains reports whether any tuple holds the key — the membership probe
-// semijoin-style operators use instead of materializing a value set. The
-// snapshot answers first: a bit of its set, or, without one, its bucket.
+// contains reports whether any live tuple holds the key — the membership
+// probe semijoin-style operators use instead of materializing a value set.
+// The snapshot answers first: a bit of its set, or, without one, its bucket.
+// Where the relation has tombstones a hit is confirmed on the key's rows: a
+// key all of whose rows are dead — a node whose last child a delete took — is
+// not held.
 func (idx *colIndex) contains(k int32) bool {
+	hit := false
 	switch {
 	case k == 0 && idx.scoped:
-		return len(idx.rootSnap)+len(idx.rootOver) > 0
+		return idx.liveKey(k)
 	case len(idx.set.words) > 0:
-		return idx.set.has(k) || len(idx.over(k)) > 0
+		hit = idx.set.has(k)
+	default:
+		_, hit = idx.bucket(k)
 	}
-	_, ok := idx.bucket(k)
-	return ok || len(idx.over(k)) > 0
+	if !hit && len(idx.over(k)) == 0 {
+		return false
+	}
+	return !idx.tombed || idx.liveKey(k)
 }
 
-// cloneFor returns the index for a clone of the relation, which has n rows: a
-// copy sharing the immutable snapshot arrays, in which only the overflow
-// table, which future adds mutate, is copied. The overflow slices are capped
-// so an append by either side reallocates instead of aliasing. An overflow
-// past its bound is folded instead: the copy is what grows with it, and idx,
-// which a reader may hold, stays as it is.
-func (idx *colIndex) cloneFor(n int) *colIndex {
-	if idx.overgrown(n) {
-		return idx.folded(n)
-	}
-	c := *idx // a stored relation's index: not pooled, not scoped
-	c.extra = nil
-	if len(idx.extra) > 0 {
-		c.extra = make(map[int32][]int32, len(idx.extra))
-		for k, v := range idx.extra {
-			c.extra[k] = v[:len(v):len(v)]
+// liveKey reports whether a live row holds k: contains' confirmation, kept
+// out of it so that a relation without tombstones pays no part of it.
+func (idx *colIndex) liveKey(k int32) bool {
+	snap, over := idx.lookup(k)
+	for _, part := range [2][]int32{snap, over} {
+		for _, p := range part {
+			if !idx.tombed || !idx.rel.isDead(int(p)) {
+				return true
+			}
 		}
 	}
-	return &c
+	return false
 }
 
-// overgrown reports whether, at n rows, the overflow is past its bound.
+// cloneFor returns the index for c, a clone of the relation holding the same
+// rows: a copy sharing the immutable snapshot arrays and, until one of the two
+// writes it, the overflow table (ownExtra) — a version that only tombstones,
+// as a delete's does, copies none of it. An overflow past its bound is folded
+// instead: the copy is what grows with it, and idx, which a reader may hold,
+// stays as it is.
+func (idx *colIndex) cloneFor(c *Relation) *colIndex {
+	if idx.overgrown(len(c.rows)) {
+		return idx.folded(c)
+	}
+	cp := *idx // not pooled, not scoped
+	cp.rel = c
+	if len(idx.extra) > 0 {
+		idx.shared.Store(true)
+	} else {
+		cp.extra = nil // an empty map would be shared unmarked
+	}
+	return &cp
+}
+
+// ownExtra makes the overflow table idx's own before a write: a shared one
+// is copied, its slices capped so an append reallocates instead of writing
+// into an array the other version reads.
+func (idx *colIndex) ownExtra() {
+	if idx.shared == nil || !idx.shared.Load() {
+		return
+	}
+	own := make(map[int32][]int32, len(idx.extra))
+	for k, v := range idx.extra {
+		own[k] = v[:len(v):len(v)]
+	}
+	idx.extra, idx.shared = own, new(atomic.Bool)
+}
+
+// overgrown reports whether, at n rows, the overflow is past its bound: a
+// fixed share of the snapshot, and for a stored relation at most about its
+// square root. A version of a stored relation that writes its overflow copies
+// it (ownExtra), so there a fold's O(built) every √built appended rows
+// balances the O(√built) each version's copy costs.
 func (idx *colIndex) overgrown(n int) bool {
+	if idx.rel != nil && idx.rel.stored {
+		return n-idx.built > min(idx.built/foldShare, int(math.Sqrt(float64(idx.built))))+foldSlack
+	}
 	return n-idx.built > idx.built/foldShare+foldSlack
 }
 
 // add extends the index with one appended tuple.
 func (idx *colIndex) add(k int32, pos int32) {
+	idx.ownExtra()
 	if idx.extra == nil {
-		idx.extra = map[int32][]int32{}
+		idx.extra, idx.shared = map[int32][]int32{}, new(atomic.Bool)
 	}
 	if len(idx.extra) == 0 {
 		idx.xlo, idx.xhi = k, k

@@ -16,10 +16,11 @@ import (
 // copy-on-write snapshot behind an atomic pointer (the same discipline as
 // Relation's index pointers). New strings go into a small mutex-guarded
 // dirty map that is promoted into a fresh snapshot once it has either grown
-// by a constant fraction of the snapshot or absorbed enough locked lookups
-// — the sync.Map promotion idea, with an insert-count trigger added so bulk
-// loads amortize to O(n) total promotion work. Steady-state serving, where
-// the working set of strings is already interned, touches no lock at all.
+// by a constant fraction of the snapshot or absorbed a constant fraction of
+// it in locked lookups — the sync.Map promotion idea, with both triggers
+// proportional so that bulk loads and lookup bursts amortize to O(n) total
+// promotion work. Steady-state serving, where the working set of strings is
+// already interned, touches no lock at all.
 type Interner struct {
 	// clean is the immutable snapshot: every symbol below len(clean.strs)
 	// resolves through it without locking.
@@ -75,13 +76,18 @@ func (in *Interner) Intern(s string) int32 {
 
 // missLocked counts a locked lookup that had to fall through to the dirty
 // map and promotes once enough of them accumulate, so a burst of new
-// strings followed by a read-heavy phase self-heals to lock-free.
+// strings followed by a read-heavy phase self-heals to lock-free. A
+// promotion copies the whole dictionary, so the count it waits for grows
+// with the dictionary: each miss pays for a bounded share of the copy.
 func (in *Interner) missLocked() {
 	in.misses++
-	if in.misses >= 64 {
+	if in.misses >= len(in.clean.Load().ids)/missShare+64 {
 		in.promoteLocked()
 	}
 }
+
+// missShare is the dictionary share a promotion on misses waits for.
+const missShare = 8
 
 // promoteLocked publishes a fresh immutable snapshot covering every interned
 // string. Callers hold mu.

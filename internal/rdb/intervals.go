@@ -282,7 +282,7 @@ func (db *DB) DeriveDelete(prev *DB, root int) {
 		if !ok {
 			return nil
 		}
-		return idx.cut(iv, len(old.rows)-len(cur.rows))
+		return idx.cut(iv, old.Len()-cur.Len())
 	})
 }
 
@@ -388,14 +388,16 @@ func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 // spliceInserted derives the index of cur, which an insert that moved no label
 // made by appending rows to a clone of old: the new rows' begins, looked up in
 // st's table, form one block inside the parent's free range, so sorted they go
-// in at one position. It returns nil — leaving cur to be indexed on first read
-// — when the rows do not fit that shape.
+// in at one position. The new rows are cur's last ones, whether or not an
+// append compacted cur, since an insert kills no row and a compaction keeps
+// the order. It returns nil — leaving cur to be indexed on first read — when
+// the rows do not fit that shape.
 func (st *nodeState) spliceInserted(idx *descIndex, old, cur *Relation) *descIndex {
-	n := len(idx.rows)
-	if n != len(old.rows) || len(cur.rows) <= n || cur.nDead > 0 {
+	n, k := len(idx.rows), cur.Len()-old.Len()
+	if n != old.Len() || k <= 0 || cur.nDead > old.nDead {
 		return nil
 	}
-	add := &descIndex{rows: slices.Clone(cur.rows[n:])}
+	add := &descIndex{rows: slices.Clone(cur.rows[len(cur.rows)-k:])}
 	for _, w := range add.rows {
 		nv, ok := st.tab.get(int(w.t))
 		if !ok {

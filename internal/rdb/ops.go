@@ -25,6 +25,12 @@ import (
 //
 // naive.go is deliberately not a third driver: it is the independent oracle
 // the differential suites compare both against.
+//
+// An operand may carry tombstones — a stored relation a store's delete wrote,
+// a view's materialization — so every kernel skips dead rows: in its scans,
+// among the positions an index probe hands back (those of the probed
+// relation), each against a local copy of the relation's bitmap (tombs), and
+// in key membership (colIndex.contains).
 
 // errNoDescKernel reports that a DescScan asked for the interval kernel
 // (no Alt operand) on a database that cannot serve it. The executor recovers
@@ -45,7 +51,11 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		child := in[0]
 		out := e.newRel("")
 		seen := e.idScratch(colSpan(pl.OnF, child))
-		for _, w := range child.rows {
+		dead := child.dead
+		for i, w := range child.rows {
+			if dead.has(i) {
+				continue
+			}
 			if id := colKey(w, pl.OnF); seen.add(id) {
 				out.appendDistinct(row{f: id, t: id, v: e.DB.ValSym(int(id))})
 			}
@@ -60,7 +70,7 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		// Where every row holds one F — a // step's desc ∪ self under a rooted
 		// context — a pair is new exactly when its T is: dedup on a set of Ts.
 		var seen *seenIDs
-		if !distinct && len(in) > 1 && oneF(in...) {
+		if _, one := oneF(in...); !distinct && len(in) > 1 && one {
 			if lo, hi, n := colSpan(false, in...); spans(lo, hi, n) {
 				seen = e.idScratch(lo, hi, n)
 			}
@@ -69,10 +79,13 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 			if i > 0 {
 				e.Stats.Unions++
 			}
-			for _, w := range kr.rows {
+			dead := kr.dead
+			for j, w := range kr.rows {
 				// The first operand is a set: only the others can repeat a pair,
 				// and not when the operands' types differ.
 				switch {
+				case dead.has(j):
+					continue
 				case seen != nil:
 					if !seen.add(w.t) {
 						continue
@@ -93,8 +106,9 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		child := in[0]
 		out := e.newRel("")
 		if sym, ok := child.symOf(pl.Val); ok {
-			for _, w := range child.rows {
-				if w.v == sym {
+			dead := child.dead
+			for i, w := range child.rows {
+				if w.v == sym && !dead.has(i) {
 					out.appendFrom(child, w)
 				}
 			}
@@ -104,8 +118,9 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 	case ra.SelectRoot:
 		child := in[0]
 		out := e.newRel("")
-		for _, w := range child.rows {
-			if w.f == 0 {
+		dead := child.dead
+		for i, w := range child.rows {
+			if w.f == 0 && !dead.has(i) {
 				out.appendFrom(child, w)
 			}
 		}
@@ -118,8 +133,9 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 	case ra.Diff:
 		l, r := in[0], in[1]
 		out := e.newRel("")
-		for _, w := range l.rows {
-			if !r.hasPair(packPair(w.f, w.t)) {
+		dead := l.dead
+		for i, w := range l.rows {
+			if !dead.has(i) && !r.hasPair(packPair(w.f, w.t)) {
 				out.appendFrom(l, w)
 			}
 		}
@@ -130,12 +146,9 @@ func (e *Exec) apply(pl ra.Plan, in []*Relation) (*Relation, error) {
 		e.Stats.Joins++
 		typed := e.DB.Rel(pl.Rel).tIndex()
 		out := e.newRel("")
-		for _, w := range child.rows {
-			col := w.t
-			if pl.OnF {
-				col = w.f
-			}
-			if typed.contains(col) {
+		dead := child.dead
+		for i, w := range child.rows {
+			if !dead.has(i) && typed.contains(colKey(w, pl.OnF)) {
 				out.appendFrom(child, w)
 			}
 		}
@@ -187,22 +200,19 @@ func constraintOperands(start, end ra.Plan, rest []*Relation) (s, e *Relation) {
 func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 	e.Stats.Joins++
 	out := e.newRel("")
-	// The probe side is scanned, the build side resolves index positions.
+	// The probe side is scanned, the build side resolves index positions
+	// against the relation it probed.
 	probeL := l.Len() <= r.Len()
-	lrows, rrows := l.probeRows(), r.rows
-	if probeL {
-		lrows, rrows = l.rows, r.probeRows()
+	probe, build := l, r
+	if !probeL {
+		probe, build = r, l
 	}
 	// A probe of at most one row, which keys the output, scans a request
 	// temporary with no index on the join column rather than sort it into one.
-	probe, build := lrows, r
-	if !probeL {
-		probe, build = rrows, l
-	}
-	if len(probe) <= 1 && build.pooled && build.base == nil && build.index(probeL, false) == nil {
-		for _, lt := range lrows {
-			for _, rt := range rrows {
-				if lt.t == rt.f {
+	if len(probe.rows) <= 1 && build.pooled && build.base == nil && build.index(probeL, false) == nil {
+		for i, lt := range l.rows {
+			for j, rt := range r.rows {
+				if lt.t == rt.f && !l.isDead(i) && !r.isDead(j) {
 					out.appendDistinct(row{f: lt.f, t: rt.t, v: rt.v})
 				}
 			}
@@ -211,12 +221,19 @@ func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 		return out, nil
 	}
 	if probeL {
-		idx := r.fIndex()
-		for i := range lrows {
-			lt := lrows[i]
+		idx, pr := r.fIndex(), r.probed()
+		ldead, rdead, rrows := l.dead, pr.dead, pr.rows
+		for i := range l.rows {
+			if ldead.has(i) {
+				continue
+			}
+			lt := l.rows[i]
 			snap, over := idx.lookup(lt.t)
 			for _, part := range [2][]int32{snap, over} {
 				for _, pos := range part {
+					if rdead.has(int(pos)) {
+						continue
+					}
 					rt := rrows[pos]
 					if out.put(row{f: lt.f, t: rt.t, v: rt.v}, distinct) {
 						e.Stats.TuplesOut++
@@ -225,12 +242,19 @@ func (e *Exec) compose(l, r *Relation, distinct bool) (*Relation, error) {
 			}
 		}
 	} else {
-		idx := l.tIndex()
-		for i := range rrows {
-			rt := rrows[i]
+		idx, pl := l.tIndex(), l.probed()
+		ldead, rdead, lrows := pl.dead, r.dead, pl.rows
+		for i := range r.rows {
+			if rdead.has(i) {
+				continue
+			}
+			rt := r.rows[i]
 			snap, over := idx.lookup(rt.f)
 			for _, part := range [2][]int32{snap, over} {
 				for _, pos := range part {
+					if ldead.has(int(pos)) {
+						continue
+					}
 					lt := lrows[pos]
 					if out.put(row{f: lt.f, t: rt.t, v: rt.v}, distinct) {
 						e.Stats.TuplesOut++
@@ -304,8 +328,9 @@ func (e *Exec) fixClosure(pl ra.Fix, seed, start, end *Relation) (*Relation, err
 
 	out := e.newRel("")
 	delta := e.getRowBuf()
-	for _, w := range seed.rows {
-		if (gate == nil || gate.contains(dir.anchor(w))) && out.addRow(w) {
+	dead := seed.dead
+	for i, w := range seed.rows {
+		if !dead.has(i) && (gate == nil || gate.contains(dir.anchor(w))) && out.addRow(w) {
 			e.Stats.TuplesOut++
 			if prune == nil || !prune(w.t) {
 				delta = append(delta, w)
@@ -355,8 +380,9 @@ func (e *Exec) fixPrune(endRel *Relation) func(t int32) bool {
 	}
 	begins := make([]int64, 0, endRel.Len())
 	seen := e.idScratch(colSpan(true, endRel))
-	for _, w := range endRel.rows {
-		if !seen.add(w.f) {
+	dead := endRel.dead
+	for i, w := range endRel.rows {
+		if dead.has(i) || !seen.add(w.f) {
 			continue
 		}
 		iv, has := st.tab.get(int(w.f))
@@ -383,8 +409,9 @@ func (e *Exec) fixPrune(endRel *Relation) func(t int32) bool {
 func (e *Exec) fixEndFilter(closure, end *Relation) *Relation {
 	endIdx := end.fIndex()
 	out := e.newRel("")
-	for _, w := range closure.rows {
-		if endIdx.contains(w.t) {
+	dead := closure.dead
+	for i, w := range closure.rows {
+		if !dead.has(i) && endIdx.contains(w.t) {
 			out.appendDistinct(w)
 		}
 	}
@@ -401,7 +428,8 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, pru
 	} else {
 		idx = seed.tIndex()
 	}
-	srows := seed.probeRows()
+	sr := seed.probed()
+	sdead, srows := sr.dead, sr.rows
 	for i := range delta {
 		d := delta[i]
 		key := d.t
@@ -411,6 +439,9 @@ func (e *Exec) fixExpand(seed, out *Relation, delta, next []row, dir fixDir, pru
 		snap, over := idx.lookup(key)
 		for _, part := range [2][]int32{snap, over} {
 			for _, pos := range part {
+				if sdead.has(int(pos)) {
+					continue
+				}
 				st := srows[pos]
 				var nw row
 				if dir == fixFwd {
@@ -437,8 +468,9 @@ func (e *Exec) descFilter(alt *Relation, startIdx, endIdx *colIndex) *Relation {
 		return alt
 	}
 	out := e.newRel("")
-	for _, w := range alt.rows {
-		if (startIdx == nil || startIdx.contains(w.f)) && (endIdx == nil || endIdx.contains(w.t)) {
+	dead := alt.dead
+	for i, w := range alt.rows {
+		if !dead.has(i) && (startIdx == nil || startIdx.contains(w.f)) && (endIdx == nil || endIdx.contains(w.t)) {
 			out.appendFrom(alt, w)
 		}
 	}
@@ -475,10 +507,12 @@ func (e *Exec) openDesc(pl ra.DescScan) (k descKernel, err error) {
 }
 
 // descUse is what a DescScan's consumer reads of it: all (the zero value);
-// stair ⋈ DescScan, all of stair's rows holding one F; or, with exists, its F
-// column, of the sources with a descendant in F(s) (any, when s is nil).
+// stair ⋈ DescScan, all of stair's live rows holding one F, stairF; or, with
+// exists, its F column, of the sources with a descendant in F(s) (any, when s
+// is nil).
 type descUse struct {
 	stair  *Relation
+	stairF int32
 	exists bool
 	s      []*Relation
 }
@@ -515,7 +549,7 @@ func (e *Exec) descScanFast(k descKernel, use descUse, startIdx, endIdx *colInde
 		}
 		f := w.t
 		if inStair != nil {
-			f, kept = use.stair.rows[0].f, k.ends[i]
+			f, kept = use.stairF, k.ends[i]
 		}
 		srcs = append(srcs, row{f: int32(i), t: f})
 	}
@@ -572,8 +606,9 @@ func (e *Exec) witnessRows(r *Relation, s []*Relation) *Relation {
 	e.Stats.Joins++
 	out := e.newRel("")
 	seen := e.idScratch(colSpan(true, r))
-	for _, w := range r.rows {
-		if !seen.has(w.f) && anyF(s, w.t) {
+	dead := r.dead
+	for i, w := range r.rows {
+		if !dead.has(i) && !seen.has(w.f) && anyF(s, w.t) {
 			seen.add(w.f)
 			out.appendFrom(r, w)
 		}
@@ -597,25 +632,29 @@ func (e *Exec) semijoin(l *Relation, wits []*Relation, anti bool) *Relation {
 		// shape of a selective qualifier (a text-equality witness such as
 		// [cno='cs11'], a few rows) filtering a large closure or type
 		// relation, whose T index is built once per relation and reused.
-		idx := l.tIndex()
-		lrows := l.probeRows()
+		idx, pl := l.tIndex(), l.probed()
+		ldead, lrows := pl.dead, pl.rows
 		seen := e.idScratch(colSpan(true, wits...))
 		for _, r := range wits {
-			for _, w := range r.rows {
-				if !seen.add(w.f) {
+			dead := r.dead
+			for i, w := range r.rows {
+				if dead.has(i) || !seen.add(w.f) {
 					continue
 				}
 				snap, over := idx.lookup(w.f)
 				for _, part := range [2][]int32{snap, over} {
 					for _, pos := range part {
-						out.appendFrom(l, lrows[pos])
+						if !ldead.has(int(pos)) {
+							out.appendFrom(l, lrows[pos])
+						}
 					}
 				}
 			}
 		}
 	} else {
-		for _, w := range l.rows {
-			if anyF(wits, w.t) != anti {
+		dead := l.dead
+		for i, w := range l.rows {
+			if !dead.has(i) && anyF(wits, w.t) != anti {
 				out.appendFrom(l, w)
 			}
 		}
@@ -686,7 +725,11 @@ func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 	for i, init := range pl.Init {
 		r := in[i]
 		tag := tagOf(init.Tag)
-		for _, w := range r.rows {
+		dead := r.dead
+		for j, w := range r.rows {
+			if dead.has(j) {
+				continue
+			}
 			if r.syms != all.syms && w.v != 0 {
 				w.v = all.interner().Intern(r.interner().Str(w.v))
 			}
@@ -720,8 +763,8 @@ func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 			e.Stats.Joins++
 			e.Stats.Unions++
 			rel := in[len(pl.Init)+i]
-			idx := rel.fIndex()
-			rrows := rel.probeRows()
+			idx, pr := rel.fIndex(), rel.probed()
+			dead, rrows := pr.dead, pr.rows
 			from, to := edgeFrom[i], edgeTo[i]
 			for _, d := range acc[:snapshot] {
 				if d.tag != from {
@@ -730,6 +773,9 @@ func (e *Exec) recUnion(pl ra.RecUnion, in []*Relation) (*Relation, error) {
 				snap, over := idx.lookup(d.w.t)
 				for _, part := range [2][]int32{snap, over} {
 					for _, pos := range part {
+						if dead.has(int(pos)) {
+							continue
+						}
 						et := rrows[pos]
 						if pl.Pairs {
 							// Keep the origin: (d.F, edge.T).

@@ -70,7 +70,6 @@ func nextEpoch(r *rand.Rand, db *DB, k int) *DB {
 			nd.Delete(name, w.F, w.T)
 		}
 	}
-	rel.Compact()
 	n := nd.MaxNodeID()
 	for i := 0; i < 4; i++ {
 		nd.Insert(name, r.Intn(n+1), 1+r.Intn(n+4), fmt.Sprintf("e%d-%d", k, i))

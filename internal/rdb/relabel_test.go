@@ -67,13 +67,8 @@ func (td *treeDoc) graft(r *rand.Rand, parent, n int) (db2 *DB, base, relabelled
 func (td *treeDoc) prune(root int) *DB {
 	deleted := td.subtree(root)
 	db2 := cowDB(td.db)
-	touched := map[string]bool{}
 	for _, id := range deleted {
 		db2.Delete(td.relOf[id], db2.Parent(id), id)
-		touched[td.relOf[id]] = true
-	}
-	for rel := range touched {
-		db2.Rel(rel).Compact()
 	}
 	db2.DeriveDelete(td.db, root)
 	return db2

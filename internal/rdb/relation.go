@@ -16,9 +16,15 @@
 // per snapshot and extended as fixpoint deltas append rows. (F, T) dedup of an
 // operator's output runs through an open-addressing pair set only where a
 // duplicate can arise (see appendDistinct). A stored relation holds no pair
-// set at all: in τd(T) every node is the T of exactly one tuple, so bulk
+// set at all: in τd(T) every node is the T of exactly one live tuple, so bulk
 // loaders append without a probe and its T index answers (F, T) membership
 // (see find). The operator kernels are in ops.go.
+//
+// A stored relation is versioned, not copied: the epochs of a store share one
+// row array (see Clone), a delete tombstones a row in place of removing it,
+// and a text update is a tombstone plus an append. Every reader — a scan, an
+// index probe, a key-membership test — therefore skips dead rows; a relation
+// compacts once a quarter of its rows are dead (take).
 package rdb
 
 import (
@@ -45,14 +51,23 @@ type row struct {
 	f, t, v int32
 }
 
+// fillMark is the length a shared row array has been filled to.
+type fillMark struct{ n atomic.Int64 }
+
 // Relation is a set of tuples, deduplicated on (F, T). V is functionally
 // determined by T in every relation the translation produces, so (F, T)
 // dedup is exact.
 type Relation struct {
 	Name string
 
-	syms *Interner // shared with the owning DB; lazily private otherwise
 	rows []row
+	// tip is the fill mark of the row array when versions of a stored
+	// relation share it (Clone): the length some version has extended it to.
+	// A version appends in place only while its length is the mark, and
+	// claims the next row by compare-and-swap; any other append copies the
+	// array once (claim). Nil while the array is this relation's alone.
+	tip  atomic.Pointer[fillMark]
+	syms *Interner // shared with the owning DB; lazily private otherwise
 	// set holds the (F, T) pair of every live row of an operator's output once
 	// ensureSet has run. A stored relation never has one: its T index answers
 	// membership.
@@ -67,13 +82,15 @@ type Relation struct {
 	idxF, idxT atomic.Pointer[colIndex]
 	idxMu      sync.Mutex
 	idxBuilds  atomic.Int32 // index snapshot builds performed (regression stat)
-	rowCopies  int32        // row arrays Clone and Compact allocated (regression stat)
+	// copied and compacted count the rows this version's writes copied into a
+	// new array (regression stats): to append past a tip another version had
+	// claimed, and in compactions.
+	copied, compacted int
 
-	// dead marks tombstoned row positions (see Delete). Tombstones are a
-	// private write-side state: a relation handed to query operators must be
-	// compacted first (Tombstones() == 0), because operators scan rows and
-	// probe index positions directly.
-	dead  []bool
+	// dead marks tombstoned row positions (see Delete): rows no reader may
+	// see, which keep their positions — and so every index entry — until a
+	// compaction drops them. Nil while no row is dead.
+	dead  tombs
 	nDead int
 
 	// pooled marks a request-private temporary owned by an ExecState arena.
@@ -162,7 +179,12 @@ func (r *Relation) put(w row, distinct bool) bool {
 // appendDistinct appends, without hashing, a row the caller knows r does not
 // hold: a kernel's output that is a subset of a set, or distinct by how it is
 // enumerated. Built indexes are extended, not discarded (the seed's bug).
+// Only an array shared with other versions (claim) costs more than the
+// append.
 func (r *Relation) appendDistinct(w row) {
+	if r.tip.Load() != nil {
+		r.claim()
+	}
 	pos := int32(len(r.rows))
 	r.rows = append(r.rows, w)
 	if idx := r.idxF.Load(); idx != nil {
@@ -170,6 +192,23 @@ func (r *Relation) appendDistinct(w row) {
 	}
 	if idx := r.idxT.Load(); idx != nil {
 		idx.add(w.t, pos)
+	}
+}
+
+// claim readies the row array r shares with other versions of a stored
+// relation for r's next row. r appends in place only while no version has
+// appended past r's length — the tip, which r's claim moves on by one;
+// otherwise r copies the array, once, and appends into its own. A full
+// shared array is compacted into one of twice the live rows.
+func (r *Relation) claim() {
+	n := len(r.rows)
+	switch {
+	case n == cap(r.rows):
+		r.compact()
+	case !r.tip.Load().n.CompareAndSwap(int64(n), int64(n)+1):
+		r.copied += n
+		r.rows = append(make([]row, 0, n+n/4+16), r.rows...)
+		r.tip.Store(nil)
 	}
 }
 
@@ -222,6 +261,7 @@ func (r *Relation) grow(n int) {
 		rows := make([]row, len(r.rows), len(r.rows)+n)
 		copy(rows, r.rows)
 		r.rows = rows
+		r.tip.Store(nil)
 	}
 	if !r.stored {
 		r.ensureSet()
@@ -262,13 +302,14 @@ func (r *Relation) find(f, t int32) int {
 	return -1
 }
 
-// probeRows returns the row array index positions refer to: the relation's
-// own rows, or the base relation's for a scoped view.
-func (r *Relation) probeRows() []row {
+// probed returns the relation whose rows index positions refer to: r, or
+// the base relation for a scoped view. Its rows and tombstones are what a
+// probe of r's indexes reads.
+func (r *Relation) probed() *Relation {
 	if r.base != nil {
-		return r.base.rows
+		return r.base
 	}
-	return r.rows
+	return r
 }
 
 // Len returns the live tuple count (tombstoned rows excluded).
@@ -308,45 +349,71 @@ func (r *Relation) Tuples() []Tuple {
 	return out
 }
 
-// isDead reports whether row i is tombstoned; rows appended after the dead
-// bitmap was sized are live by construction.
-func (r *Relation) isDead(i int) bool {
-	return r.nDead > 0 && i < len(r.dead) && r.dead[i]
-}
+// tombs is a tombstone bitmap, a bit a row position, nil when no row is
+// dead. A kernel copies a relation's into a local before its loop, so a row's
+// test reads no field of the relation.
+type tombs []uint64
+
+// has reports whether row i is dead; rows past the bitmap, appended after it
+// was sized, are live. An empty bitmap answers at its first compare, so a
+// reader that never meets a delete pays one predictable branch a row.
+func (d tombs) has(i int) bool { return i>>6 < len(d) && d[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// isDead reports whether row i is tombstoned.
+func (r *Relation) isDead(i int) bool { return r.dead.has(i) }
 
 // Delete tombstones the tuple (f, t), reporting whether it was present. The
-// row stays in place (marked dead) until Compact; Has and Tuples reflect the
-// deletion immediately, but scan/probe operators do not — callers must
-// Compact before handing the relation to query execution. This is the
-// write side of the store's copy-on-write epochs: deletes run on private
-// clones and every published relation is compacted.
+// row keeps its position, marked dead, and every reader skips it; a
+// compaction drops it once a quarter of the rows are dead. This is the write
+// side of the store's epochs: a delete sets a bit in its version of the
+// relation and copies no row.
 func (r *Relation) Delete(f, t int) bool {
 	_, ok := r.take(int32(f), int32(t))
 	return ok
 }
 
-// take is Delete handing back the row it tombstoned.
+// deadShare is the quarter rule: a relation compacts once at least
+// 1/deadShare of its rows are dead, so the dead rows readers skip stay a
+// bounded share, and each compaction's copy is paid for by the deletes
+// before it.
+const deadShare = 4
+
+// take is Delete handing back the row it tombstoned. It may compact r: a
+// caller iterating r's positions collects them first (see rowsAt).
 func (r *Relation) take(f, t int32) (row, bool) {
 	pos := r.locate(f, t)
 	if pos < 0 {
 		return row{}, false
 	}
+	w := r.rows[pos]
 	if !r.stored {
 		r.set.remove(packPair(f, t))
 	}
-	if r.dead == nil {
-		r.dead = make([]bool, len(r.rows))
-	} else if len(r.dead) < len(r.rows) {
-		r.dead = append(r.dead, make([]bool, len(r.rows)-len(r.dead))...)
+	if need := pos>>6 + 1; len(r.dead) < need {
+		r.dead = append(r.dead, make(tombs, need-len(r.dead))...)
 	}
-	r.dead[pos] = true
+	r.dead[pos>>6] |= 1 << (uint(pos) & 63)
 	r.nDead++
-	return r.rows[pos], true
+	r.markIndexes(true)
+	if r.nDead*deadShare >= len(r.rows) {
+		r.compact()
+	}
+	return w, true
+}
+
+// markIndexes records in r's built indexes whether it has tombstones. Each
+// index is r's own: a clone's are copies (cloneFor), and a scoped view's
+// index is its base's, which the view never writes.
+func (r *Relation) markIndexes(tombed bool) {
+	for _, idx := range [2]*colIndex{r.idxF.Load(), r.idxT.Load()} {
+		if idx != nil {
+			idx.tombed = tombed
+		}
+	}
 }
 
 // UpdateValue replaces the V attribute of the live tuple (f, t), reporting
-// whether it was present. V is not indexed, so no index maintenance is
-// needed; (F, T) identity is unchanged.
+// whether it was present. (F, T) identity is unchanged.
 func (r *Relation) UpdateValue(f, t int, v string) bool {
 	var sym int32
 	if v != "" {
@@ -355,13 +422,25 @@ func (r *Relation) UpdateValue(f, t int, v string) bool {
 	return r.updateSym(f, t, sym)
 }
 
-// updateSym is UpdateValue with the value interned already.
+// updateSym is UpdateValue with the value interned already. A stored
+// relation's rows may be shared with other versions, so its update is a
+// tombstone plus an append of the new row; any other relation's is written in
+// place.
 func (r *Relation) updateSym(f, t int, sym int32) bool {
-	pos := r.locate(int32(f), int32(t))
-	if pos >= 0 {
-		r.rows[pos].v = sym
+	if !r.stored {
+		pos := r.locate(int32(f), int32(t))
+		if pos >= 0 {
+			r.rows[pos].v = sym
+		}
+		return pos >= 0
 	}
-	return pos >= 0
+	w, ok := r.take(int32(f), int32(t))
+	if ok {
+		w.v = sym
+		r.appendDistinct(w)
+		r.foldIndexes()
+	}
+	return ok
 }
 
 // locate is find for any relation. An operator's output asks its pair set
@@ -433,34 +512,26 @@ func (r *Relation) CountF(f int) int {
 // relation, so none a Clone of one copies.
 func (r *Relation) PairSetBytes() int { return 8 * len(r.set.slots) }
 
-// Tombstones reports the number of deleted-but-not-compacted rows.
+// Tombstones reports the number of deleted-but-not-compacted rows: under a
+// quarter of the rows, by the quarter rule (take).
 func (r *Relation) Tombstones() int { return r.nDead }
 
-// Compact rewrites the relation without its tombstoned rows, restoring the
-// invariant query operators rely on (every stored row is live). Built indexes
-// are carried over, each position moving down by the dead rows before it. An
-// operator output's pair set dropped the pairs when they were deleted, and is
-// rehashed only once the tombstones they left fill a quarter of it, to keep
-// its probes short; a stored relation has none to rehash. The live rows go to
-// a new array, so a reader still scanning the old one is not disturbed. It
-// keeps the old one's capacity: a maintained view compacts after each delete
-// and grows again at the next insert, which would otherwise copy the rows
-// once more.
-func (r *Relation) Compact() { r.compact(false) }
-
-// CompactClone is Compact for a Clone no reader has seen — a store update's
-// copy of a relation before the update publishes it: the live rows are
-// filtered in place, so the update copies the relation's rows once.
-func (r *Relation) CompactClone() { r.compact(true) }
-
-func (r *Relation) compact(inPlace bool) {
+// compact moves the live rows into a new array of twice their number — the
+// old one may be shared with other versions, or be full — and drops the
+// tombstones: what the delete that kills a quarter of the rows, and the
+// append that finds a shared array full, call. Built indexes are carried over, each position moving down by
+// the dead rows before it; without dead rows no position moves. An operator
+// output's pair set dropped the pairs when they were deleted, and is rehashed
+// only once the tombstones they left fill a quarter of it, to keep its probes
+// short; a stored relation has none to rehash. A reader still scanning the
+// old array is not disturbed.
+func (r *Relation) compact() {
+	live := make([]row, 0, max(2*r.Len(), 16))
+	r.compacted += r.Len()
+	r.tip.Store(nil)
 	if r.nDead == 0 {
+		r.rows = append(live, r.rows...)
 		return
-	}
-	live := r.rows[:0]
-	if !inPlace {
-		live = make([]row, 0, cap(r.rows))
-		r.rowCopies++
 	}
 	remap := make([]int32, len(r.rows))
 	firstDead := -1
@@ -476,6 +547,7 @@ func (r *Relation) compact(inPlace bool) {
 	}
 	r.rows = live
 	r.dead, r.nDead = nil, 0
+	r.markIndexes(false)
 	if !r.stored {
 		if r.ensureSet(); r.set.dels*4 > len(r.set.slots) {
 			r.set.grow(r.set.used * 2)
@@ -493,10 +565,10 @@ func (r *Relation) compact(inPlace bool) {
 // discarding indexes on every insert and rebuilding them per probe.
 func (r *Relation) IndexBuilds() int { return int(r.idxBuilds.Load()) }
 
-// RowCopies reports how many row arrays Clone and Compact allocated for the
-// relation: the copy a Clone starts with, and one per Compact that rewrote
-// the rows into a new array.
-func (r *Relation) RowCopies() int { return int(r.rowCopies) }
+// RowCopies reports the rows this version of the relation copied into new
+// arrays since its Clone: outside compactions — to append past a tip another
+// version had claimed — and in them.
+func (r *Relation) RowCopies() (outside, compacting int) { return r.copied, r.compacted }
 
 // fIndex returns the F-column index, building the snapshot on first use.
 func (r *Relation) fIndex() *colIndex {
@@ -520,6 +592,7 @@ func (r *Relation) fIndex() *colIndex {
 	} else {
 		idx = buildColIndex(r.rows, true)
 	}
+	idx.rel, idx.tombed = r, r.nDead > 0
 	r.idxBuilds.Add(1)
 	r.idxF.Store(idx)
 	return idx
@@ -552,6 +625,7 @@ func (r *Relation) tIndex() *colIndex {
 	} else {
 		idx = buildColIndex(r.rows, false)
 	}
+	idx.rel, idx.tombed = r, r.nDead > 0
 	r.idxBuilds.Add(1)
 	r.idxT.Store(idx)
 	return idx
@@ -644,18 +718,18 @@ func (r *Relation) AnswerIDs() []int { return r.idsFrom(1) }
 
 // idsFrom lists the distinct T values not below from, ascending: a walk of a
 // set of the T column — a pooled temporary's own (keySet) — or, where the Ts
-// span too wide for one, a sort.
+// span too wide for one or some rows are dead, a sort.
 func (r *Relation) idsFrom(from int32) []int {
 	out := make([]int, 0, len(r.rows))
 	if m := r.keySet(false); m != nil {
 		return appendIDs(out, &m.set, from)
 	}
 	var s idSet
-	if s.fill(r.rows, false) {
+	if r.nDead == 0 && s.fill(r.rows, false) {
 		return appendIDs(out, &s, from)
 	}
-	for _, w := range r.rows {
-		if w.t >= from {
+	for i, w := range r.rows {
+		if w.t >= from && !r.isDead(i) {
 			out = append(out, int(w.t))
 		}
 	}
@@ -663,34 +737,47 @@ func (r *Relation) idsFrom(from int32) []int {
 	return slices.Compact(out)
 }
 
-// Clone returns a deep copy sharing the interner. Tombstone state and built
-// indexes are carried over: the index snapshot arrays are immutable once
-// built (non-pooled relations never rebuild in place), so the clone shares
-// them and copies only the overflow table its own appends will extend — or
-// folds it into a snapshot of its own once it has outgrown its bound.
-// Without this, every copy-on-write epoch pays an O(n) index rebuild on the
-// first probe after a constant-size update. A stored relation has no pair set
-// to copy.
+// Clone returns the next version of r, sharing the interner. A stored
+// relation's clone shares r's row array: each of the two appends into it only
+// while it holds the array's tip (see claim), and tombstones rows in a bitmap
+// of its own — the clone's a copy of r's — so making a version copies no row.
+// Any other relation's rows are copied, its pair set too. Built indexes are
+// carried over: the index snapshot arrays are immutable once built
+// (non-pooled relations never rebuild in place), so the clone shares them,
+// and the overflow table until either side writes it — or folds the overflow
+// into a snapshot of its own once it has outgrown its bound (cloneFor).
+// Without this, every epoch pays an O(n) index rebuild on the first probe
+// after a constant-size update.
 func (r *Relation) Clone() *Relation {
 	c := newRelation(r.Name, r.syms)
-	c.rows = append([]row(nil), r.rows...)
-	c.rowCopies = 1
-	if c.stored = r.stored; !r.stored {
+	if c.stored = r.stored; r.stored {
+		m := r.tip.Load()
+		if m == nil {
+			m = &fillMark{}
+			m.n.Store(int64(len(r.rows)))
+			if !r.tip.CompareAndSwap(nil, m) {
+				m = r.tip.Load()
+			}
+		}
+		c.rows = r.rows
+		c.tip.Store(m)
+	} else {
+		c.rows = append([]row(nil), r.rows...)
 		r.ensureSet()
 		c.set = r.set.clone()
 	}
 	if r.nDead > 0 {
-		c.dead = append([]bool(nil), r.dead...)
+		c.dead = append(tombs(nil), r.dead...)
 		c.nDead = r.nDead
 	}
 	if !r.pooled {
 		// Pooled relations rebuild indexes into scratch backings in place;
 		// those may not be shared across lifetimes.
 		if idx := r.idxF.Load(); idx != nil {
-			c.idxF.Store(idx.cloneFor(len(r.rows)))
+			c.idxF.Store(idx.cloneFor(c))
 		}
 		if idx := r.idxT.Load(); idx != nil {
-			c.idxT.Store(idx.cloneFor(len(r.rows)))
+			c.idxT.Store(idx.cloneFor(c))
 		}
 	}
 	return c
@@ -702,7 +789,7 @@ func (r *Relation) Clone() *Relation {
 func (r *Relation) foldIndexes() {
 	for _, p := range [2]*atomic.Pointer[colIndex]{&r.idxF, &r.idxT} {
 		if idx := p.Load(); idx != nil && idx.overgrown(len(r.rows)) {
-			p.Store(idx.folded(len(r.rows)))
+			p.Store(idx.folded(r))
 		}
 	}
 }

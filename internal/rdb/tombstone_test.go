@@ -46,7 +46,7 @@ func TestRelationDeleteCompact(t *testing.T) {
 				t.Fatalf("seed %d op %d: Len=%d, model=%d", seed, i, r.Len(), len(model))
 			}
 		}
-		r.Compact()
+		r.compact()
 		if r.Tombstones() != 0 {
 			t.Fatalf("seed %d: %d tombstones after Compact", seed, r.Tombstones())
 		}
@@ -156,7 +156,7 @@ func TestCloneCarriesTombstones(t *testing.T) {
 	if c.Len() != 9 || c.Tombstones() != 1 {
 		t.Fatalf("clone: Len=%d Tombstones=%d", c.Len(), c.Tombstones())
 	}
-	c.Compact()
+	c.compact()
 	if c.Len() != 9 || c.Tombstones() != 0 {
 		t.Fatalf("clone after Compact: Len=%d Tombstones=%d", c.Len(), c.Tombstones())
 	}
@@ -165,6 +165,62 @@ func TestCloneCarriesTombstones(t *testing.T) {
 	}
 	if c.Has(1, 13) || r.Has(1, 13) {
 		t.Fatal("deleted pair still present")
+	}
+}
+
+// TestVersionsShareRowsUntilTheyDiverge: two versions cloned from one stored
+// relation share its row array; the first to append claims the array's tip
+// and appends in place, the other copies the array once, and neither sees the
+// other's rows or tombstones — nor does the relation they were cloned from,
+// whose rows, tombstones and indexes stay as they were.
+func TestVersionsShareRowsUntilTheyDiverge(t *testing.T) {
+	db := NewDB()
+	p := db.Rel("R")
+	for i := 1; i <= 40; i++ {
+		db.Insert("R", 0, i, fmt.Sprintf("v%d", i))
+	}
+	p.Delete(0, 7)
+	p.ByF(0)
+	p.grow(8) // room for the versions' appends: a full array would compact instead
+	want := p.Tuples()
+	a, b := p.Clone(), p.Clone()
+	if &a.rows[0] != &p.rows[0] || &b.rows[0] != &p.rows[0] {
+		t.Fatal("a clone of a stored relation copied its rows")
+	}
+	a.Add(0, 100, "a")
+	b.Add(0, 200, "b")
+	a.Delete(0, 8)
+	b.UpdateValue(0, 9, "b9")
+	if out, c := a.RowCopies(); out != 0 || c != 0 {
+		t.Fatalf("the version holding the tip copied %d rows, %d compacting", out, c)
+	}
+	if out, _ := b.RowCopies(); out != len(p.rows) {
+		t.Fatalf("the version that lost the tip copied %d rows, want its %d", out, len(p.rows))
+	}
+	for _, c := range []struct {
+		r          *Relation
+		has, lacks [][2]int
+	}{
+		{p, [][2]int{{0, 8}, {0, 9}}, [][2]int{{0, 7}, {0, 100}, {0, 200}}},
+		{a, [][2]int{{0, 100}, {0, 9}}, [][2]int{{0, 7}, {0, 8}, {0, 200}}},
+		{b, [][2]int{{0, 200}, {0, 8}}, [][2]int{{0, 7}, {0, 100}}},
+	} {
+		for _, k := range c.has {
+			if !c.r.Has(k[0], k[1]) || !slices.Contains(c.r.AppendChildIDs(nil, 0), k[1]) {
+				t.Errorf("a version lost (%d, %d)", k[0], k[1])
+			}
+		}
+		for _, k := range c.lacks {
+			if c.r.Has(k[0], k[1]) || slices.Contains(c.r.AppendChildIDs(nil, 0), k[1]) {
+				t.Errorf("a version holds (%d, %d)", k[0], k[1])
+			}
+		}
+	}
+	if !slices.Equal(p.Tuples(), want) {
+		t.Fatal("the versions' writes changed the relation they were cloned from")
+	}
+	if got := b.ChildrenOf(0); got[len(got)-1] != (Tuple{F: 0, T: 9, V: "b9"}) {
+		t.Fatalf("a text update is not the version's last row: %v", got[len(got)-1])
 	}
 }
 
@@ -209,7 +265,7 @@ func TestStoredRelationMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d op %d: Has(%d,%d)=%v, model says %v", seed, i, f, tt, got, live)
 				}
 			case 6:
-				r.Compact()
+				r.compact()
 			case 7:
 				r.ByF(f) // a clone carries both indexes
 				db.Rels["R_x"] = r.Clone()
@@ -225,7 +281,7 @@ func TestStoredRelationMatchesModel(t *testing.T) {
 			}
 		}
 		r := db.Rel("R_x")
-		r.Compact()
+		r.compact()
 		got := map[[2]int]string{}
 		for _, tp := range r.Tuples() {
 			got[[2]int{tp.F, tp.T}] = tp.V

@@ -5,6 +5,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"slices"
@@ -252,56 +253,103 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 	t.Logf("%d updates copied %d chunks at every scale", len(streams[0]), total)
 }
 
-// TestUpdatesCopyRowsOnce is the counted test of an update's relation writes,
-// at 1×, 4× and 16× the database: every relation an update publishes
-// allocated one row array, its Clone's. An insert appends to the clone, a text
-// update rewrites one of its rows, and a delete filters it in place, where
-// compacting into a second array would make two. No update changes the epoch
-// before it.
-func TestUpdatesCopyRowsOnce(t *testing.T) {
+// TestUpdatesCopyNoRows is the counted test of an update's relation writes,
+// at 1×, 4× and 16× the database. An update's version of a relation shares
+// the rows of the epoch before it: an insert appends past them, a delete sets
+// tombstone bits, a text update does both, and none copies a row outside a
+// compaction. No update changes the epoch before it. A walk of 1000 updates
+// then bounds every row the updates copied, compactions included, by a
+// constant share of the rows they wrote (appended or tombstoned), whatever
+// the size of the database.
+func TestUpdatesCopyNoRows(t *testing.T) {
+	const walk, perWritten = 1000, 4
 	for _, scale := range []int{1, 4, 16} {
 		s, m := openCourses(t, 20*scale)
 		dept := m.byLabel("dept")[0]
 		courses := m.byLabel("course")
-		// check runs one update and checks the relations it wrote.
-		check := func(op string, wrote int, update func()) {
+		// run runs one update; it fails on a row copied outside a compaction,
+		// and returns the relations the update wrote and the rows their
+		// compactions copied.
+		run := func(op string, update func()) (touched, compacting int) {
 			prev := s.View().DB
-			image := saveBytes(t, prev)
 			update()
-			touched := 0
 			for name, rel := range s.View().DB.Rels {
 				if rel == prev.Rels[name] {
 					continue
 				}
 				touched++
-				if n := rel.RowCopies(); n != 1 {
-					t.Errorf("%dx: %s: %s allocated %d row arrays, want one", scale, op, name, n)
+				outside, c := rel.RowCopies()
+				if outside != 0 {
+					t.Errorf("%dx: %s: %s copied %d rows outside a compaction", scale, op, name, outside)
 				}
+				compacting += c
 			}
-			if touched != wrote {
+			return touched, compacting
+		}
+		check := func(op string, wrote int, update func()) {
+			image := saveBytes(t, s.View().DB)
+			prev := s.View().DB
+			if touched, _ := run(op, update); touched != wrote {
 				t.Fatalf("%dx: %s wrote %d relations, want %d", scale, op, touched, wrote)
 			}
 			if !bytes.Equal(image, saveBytes(t, prev)) {
 				t.Fatalf("%dx: %s changed the epoch before it", scale, op)
 			}
 		}
+		text := func(node int, v string) {
+			if _, err := s.UpdateText(node, v); err != nil {
+				t.Fatal(err)
+			}
+			m.vals[node] = v
+		}
+		del := func(node int) int {
+			res, err := s.DeleteSubtree(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.deleteSubtree(node)
+			return res.Nodes
+		}
 		for i := 0; i < 5; i++ {
 			// A fragCourse has elements of 5 types, a seeded course of 13.
 			check("insert", 5, func() { insertBoth(t, s, m, dept, fragCourse(i)) })
 			node := m.byLabel("cno")[i]
-			check("text update", 1, func() {
-				if _, err := s.UpdateText(node, fmt.Sprintf("v%d", i)); err != nil {
-					t.Fatal(err)
-				}
-				m.vals[node] = fmt.Sprintf("v%d", i)
-			})
+			check("text update", 1, func() { text(node, fmt.Sprintf("v%d", i)) })
 			victim := courses[i*len(courses)/5]
-			check("delete", 13, func() {
-				if _, err := s.DeleteSubtree(victim); err != nil {
-					t.Fatal(err)
-				}
-				m.deleteSubtree(victim)
-			})
+			check("delete", 13, func() { del(victim) })
+		}
+		// The walk: projects come and go under the seeded courses, courses
+		// under the root, and values change.
+		rng := rand.New(rand.NewSource(int64(scale)))
+		written, copied, mine := 0, 0, []int(nil)
+		for i := 0; i < walk; i++ {
+			var c int
+			switch op := rng.Intn(5); {
+			case op == 0:
+				cs := m.byLabel("course")
+				_, c = run("insert", func() { written += insertBoth(t, s, m, cs[rng.Intn(len(cs))], fragProject(i)).Nodes })
+			case op == 1 && len(m.byLabel("project")) > 0:
+				ps := m.byLabel("project")
+				_, c = run("delete", func() { written += del(ps[rng.Intn(len(ps))]) })
+			case op == 2:
+				_, c = run("insert", func() { mine = append(mine, insertBoth(t, s, m, dept, fragCourse(i)).NodeID) })
+				written += 5
+			case op == 3 && len(mine) > 0:
+				k := rng.Intn(len(mine))
+				victim := mine[k]
+				mine = append(mine[:k], mine[k+1:]...)
+				_, c = run("delete", func() { written += del(victim) })
+			default:
+				vs := m.byLabel("cno", "pno")
+				_, c = run("text update", func() { text(vs[rng.Intn(len(vs))], fmt.Sprintf("w%d", i)) })
+				written += 2 // a tombstone and an append
+			}
+			copied += c
+		}
+		t.Logf("%dx: %d nodes; %d updates wrote %d rows and copied %d in compactions (%.2f a row written)",
+			scale, s.View().DB.NumNodes(), walk, written, copied, float64(copied)/float64(written))
+		if copied > perWritten*written {
+			t.Errorf("%dx: %d rows copied for %d written, past %d a row", scale, copied, written, perWritten)
 		}
 		if got, want := saveBytes(t, s.View().DB), saveBytes(t, m.buildDB(workload.Dept())); !bytes.Equal(got, want) {
 			t.Fatalf("%dx: store diverges from the re-shredded mirror", scale)

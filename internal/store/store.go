@@ -10,15 +10,16 @@
 // inserts, the new subtree's interior need re-checking).
 //
 // Concurrency. One writer at a time (serialized by a mutex) builds each new
-// database version as a copy-on-write epoch, derived from the current one
-// (rdb.DB.Derive): touched relations are cloned (deletes tombstone rows on
-// the clone and compact before publication, inserts extend the clone),
-// untouched relations are shared, and so is the node table — parents,
-// values, types and interval labels — but for the 1024-node chunks the update
-// writes. The finished epoch is published with one atomic pointer swap;
-// readers pin an epoch with View and never observe a half-applied update,
-// take no locks, and keep executing against their pinned epoch even as newer
-// ones land.
+// database version as an epoch derived from the current one (rdb.DB.Derive):
+// a touched relation gets a new version (rdb.Relation.Clone) that shares the
+// previous one's rows — an insert appends past them, a delete tombstones rows
+// in its own bitmap, a text update does both — so an update copies no row
+// but in a relation's occasional compaction; untouched relations are shared,
+// and so is the node table — parents, values, types and interval labels — but
+// for the 1024-node chunks the update writes. The finished epoch is published
+// with one atomic pointer swap; readers pin an epoch with View and never
+// observe a half-applied update, take no locks, and keep executing against
+// their pinned epoch even as newer ones land.
 //
 // Durability. Every update is appended to a length-prefixed, CRC-checked
 // write-ahead log before it is applied (see wal.go), with a configurable
@@ -449,7 +450,6 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 		res.NodeID, res.Nodes = rec.Node, 1
 		s.textUpdates.Add(1)
 	}
-	t.compact()
 	// The new epoch's interval encoding is the previous one's, patched: a text
 	// update shares it, a delete's nodes took their labels with them, an insert
 	// labels the new subtree out of the slack before its parent's end —
@@ -482,10 +482,10 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	return res, nil
 }
 
-// txn accumulates one update's copy-on-write state: a database derived from
-// the parent epoch's, which shares the node catalog with it but for what the
-// update writes, and every relation but those the update writes, each cloned
-// exactly once, the first time it does.
+// txn accumulates one update's state: a database derived from the parent
+// epoch's, which shares the node catalog with it but for what the update
+// writes, and every relation but those the update writes, each given a new
+// version exactly once, the first time it does.
 type txn struct {
 	db     *rdb.DB
 	cloned map[string]*rdb.Relation
@@ -495,7 +495,7 @@ func newTxn(old *rdb.DB) *txn {
 	return &txn{db: old.Derive(), cloned: map[string]*rdb.Relation{}}
 }
 
-// rel makes the relation of an element type the transaction's private clone
+// rel makes the relation of an element type the transaction's own version
 // and returns its name.
 func (t *txn) rel(label string) string {
 	name := shred.RelName(label)
@@ -504,15 +504,6 @@ func (t *txn) rel(label string) string {
 		t.db.Rels[name], t.cloned[name] = c, c
 	}
 	return name
-}
-
-// compact restores the no-tombstone invariant on every touched relation
-// before the epoch is published. Each is the transaction's own clone, which no
-// reader has seen, so its rows are filtered in place.
-func (t *txn) compact() {
-	for _, r := range t.cloned {
-		r.CompactClone()
-	}
 }
 
 // applyInsert adds the fragment's nodes (preorder, IDs base, base+1, …) to
@@ -541,8 +532,8 @@ func applyDelete(t *txn, kids map[string][]childType, nodeID int) []int {
 	return ids
 }
 
-// applyUpdateText rewrites the V attribute of nodeID's edge tuple and its
-// catalog value.
+// applyUpdateText replaces nodeID's edge tuple by one with the new value (a
+// tombstone and an append) and rewrites its catalog value.
 func applyUpdateText(t *txn, nodeID int, value string) {
 	label, _ := t.db.Label(nodeID)
 	t.db.UpdateValue(t.rel(label), t.db.Parent(nodeID), nodeID, value)

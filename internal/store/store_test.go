@@ -10,8 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,11 +198,37 @@ func fragProject(k int) string {
 	return fmt.Sprintf(`<project><pno>p-%d</pno><ptitle>pt "%d"</ptitle><required></required></project>`, k, k)
 }
 
+// walkFloor is the fewest nodes a random walk leaves the document: a delete
+// is drawn among the subtrees whose removal keeps that many, and a step that
+// finds none inserts instead, so a walk never drains the document it tests.
+const walkFloor = 40
+
+// size returns the number of nodes in the subtree of id.
+func (m *mirror) size(id int) int {
+	n := 1
+	for _, k := range m.children[id] {
+		n += m.size(k)
+	}
+	return n
+}
+
 // applyRandomOp performs one random valid update on both the store and the
 // mirror, returning false if no target was available.
 func applyRandomOp(t *testing.T, s *Store, m *mirror, rng *rand.Rand, k int) bool {
 	t.Helper()
-	switch rng.Intn(4) {
+	op := rng.Intn(4)
+	var victims []int
+	if op == 2 {
+		for _, id := range m.byLabel("course", "student", "project") {
+			if len(m.labels)-m.size(id) >= walkFloor {
+				victims = append(victims, id)
+			}
+		}
+		if len(victims) == 0 {
+			op = 0
+		}
+	}
+	switch op {
 	case 0, 1: // insert
 		var parents []int
 		var frag string
@@ -232,11 +260,7 @@ func applyRandomOp(t *testing.T, s *Store, m *mirror, rng *rand.Rand, k int) boo
 		}
 		m.insert(res.NodeID, p, doc)
 	case 2: // delete
-		targets := m.byLabel("course", "student", "project")
-		if len(targets) == 0 {
-			return false
-		}
-		id := targets[rng.Intn(len(targets))]
+		id := victims[rng.Intn(len(victims))]
 		res, err := s.DeleteSubtree(id)
 		if err != nil {
 			t.Fatalf("delete %d (%s): %v", id, m.labels[id], err)
@@ -265,6 +289,9 @@ var diffQueries = []string{
 	"dept//project | dept//student",
 	"dept//course[prereq//course]",
 	"dept//student[not(qualified//course)]",
+	// A child witness: a course whose last project a delete took must leave
+	// the answer, although its key stays in the F index as a tombstone's.
+	"dept/course[project]",
 }
 
 // answers runs the query against db under the given strategy, returning
@@ -299,29 +326,35 @@ func TestDifferentialRandomUpdates(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			s, m := openSeeded(t, "", seed, 300, Config{})
 			rng := rand.New(rand.NewSource(seed * 101))
+			floor := min(walkFloor, len(m.labels))
 			const steps = 120
+			var sizes []int
 			for i := 0; i < steps; i++ {
 				applyRandomOp(t, s, m, rng, i)
+				if len(m.labels) < floor {
+					t.Fatalf("step %d: the walk drained the document to %d nodes, below its floor of %d", i, len(m.labels), floor)
+				}
 				if i%30 != 29 && i != steps-1 {
 					continue
 				}
-				got := saveBytes(t, s.View().DB)
-				want := saveBytes(t, m.buildDB(d))
+				sizes = append(sizes, len(m.labels))
+				db, ref := s.View().DB, m.buildDB(d)
+				got := saveBytes(t, db)
+				want := saveBytes(t, ref)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("step %d: incremental state diverges from re-shredded state\nincremental %d bytes, re-shredded %d bytes", i, len(got), len(want))
 				}
-			}
-			db := s.View().DB
-			ref := m.buildDB(d)
-			for _, q := range diffQueries {
-				for _, strat := range []core.Strategy{core.StrategyCycleEX, core.StrategyCycleE, core.StrategySQLGenR} {
-					got := answers(t, db, d, q, strat)
-					want := answers(t, ref, d, q, strat)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("%q strategy %v: store %v, re-shredded %v", q, strat, got, want)
+				for _, q := range diffQueries {
+					for _, strat := range []core.Strategy{core.StrategyCycleEX, core.StrategyCycleE, core.StrategySQLGenR} {
+						got := answers(t, db, d, q, strat)
+						want := answers(t, ref, d, q, strat)
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Errorf("step %d: %q strategy %v: store %v, re-shredded %v", i, q, strat, got, want)
+						}
 					}
 				}
 			}
+			t.Logf("document size at the checkpoints: %v nodes (floor %d)", sizes, floor)
 		})
 	}
 }
@@ -518,6 +551,99 @@ func TestPinnedEpochLabels(t *testing.T) {
 	if deleted == 0 || inserted == 0 {
 		t.Fatalf("the burst deleted %d of the pinned epoch's nodes and inserted %d", deleted, inserted)
 	}
+}
+
+// TestPinnedEpochSharesRows: readers query and Save an epoch pinned while
+// the writer's later versions of its relations share its row arrays —
+// appending into them past the pinned rows, tombstoning rows in bitmaps of
+// their own, rewriting values as a tombstone and an append, compacting into
+// new arrays — and read the pinned epoch's answers and image throughout. Run
+// it under -race: a write to a row, a tombstone bit or an index entry the
+// pinned epoch holds races with its readers, and changes what they read.
+func TestPinnedEpochSharesRows(t *testing.T) {
+	s, m := openCourses(t, 40)
+	d := workload.Dept()
+	dept := m.byLabel("dept")[0]
+	seeded := m.byLabel("course")
+	// The first insert into a densely loaded store relabels every node; pin
+	// after it, so what the writer shares with the pin is rows — and after a
+	// delete, so the pinned relations carry tombstones of their own.
+	insertBoth(t, s, m, dept, fragCourse(0))
+	last := seeded[len(seeded)-1]
+	if _, err := s.DeleteSubtree(last); err != nil {
+		t.Fatal(err)
+	}
+	m.deleteSubtree(last)
+	pin := s.View()
+	image := saveBytes(t, pin.DB)
+	want := map[string]string{}
+	for _, q := range diffQueries {
+		want[q] = fmt.Sprint(answers(t, pin.DB, d, q, core.StrategyCycleEX))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !bytes.Equal(saveBytes(t, pin.DB), image) {
+					t.Errorf("the pinned epoch %d saves another image", pin.Seq)
+					return
+				}
+				q := diffQueries[i%len(diffQueries)]
+				if got := fmt.Sprint(answers(t, pin.DB, d, q, core.StrategyCycleEX)); got != want[q] {
+					t.Errorf("the pinned epoch answers %q with %s, had %s", q, got, want[q])
+					return
+				}
+				reads.Add(1)
+			}
+		}(r)
+	}
+	// overlap lets the readers finish a few reads after each update, so every
+	// write runs beside them.
+	overlap := func() {
+		for n := reads.Load(); reads.Load() < n+3 && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	compactions := 0
+	for i := 0; i < 15; i++ {
+		insertBoth(t, s, m, dept, fragCourse(i+1))
+		cno := m.children[seeded[i]][0]
+		if _, err := s.UpdateText(cno, fmt.Sprintf("rewritten-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		m.vals[cno] = fmt.Sprintf("rewritten-%d", i)
+		if _, err := s.DeleteSubtree(seeded[i]); err != nil {
+			t.Fatal(err)
+		}
+		m.deleteSubtree(seeded[i])
+		for _, rel := range s.View().DB.Rels {
+			if _, c := rel.RowCopies(); c > 0 {
+				compactions++
+			}
+		}
+		overlap()
+	}
+	close(stop)
+	wg.Wait()
+	if !bytes.Equal(saveBytes(t, pin.DB), image) {
+		t.Fatal("the pinned epoch saves another image after the burst")
+	}
+	if got, want := saveBytes(t, s.View().DB), saveBytes(t, m.buildDB(d)); !bytes.Equal(got, want) {
+		t.Fatal("the newest epoch diverges from the re-shredded mirror")
+	}
+	if compactions == 0 {
+		t.Fatal("no update compacted a relation: the burst shared arrays and never replaced one")
+	}
+	t.Logf("%d relation versions compacted over the burst", compactions)
 }
 
 // TestPinnedEpochKeepsDeletedLabels: a delete drops the node's entry from the
@@ -717,14 +843,23 @@ func TestEpochIsolation(t *testing.T) {
 	if !found {
 		t.Fatalf("inserted course %d not in new epoch answers %v", res.NodeID, newAns)
 	}
-	// Published relations must be tombstone-free (the executor invariant).
+	// A published relation carries its deletes as tombstones, under a
+	// quarter of its rows (the quarter rule), and readers skip them.
 	if _, err := s.DeleteSubtree(res.NodeID); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
+	dead := 0
 	for name, rel := range s.View().DB.Rels {
-		if rel.Tombstones() != 0 {
-			t.Errorf("published relation %s has %d tombstones", name, rel.Tombstones())
+		if n := rel.Tombstones(); n*4 >= rel.Len()+n && n > 0 {
+			t.Errorf("published relation %s has %d tombstones beside %d live rows", name, n, rel.Len())
 		}
+		dead += rel.Tombstones()
+	}
+	if dead == 0 {
+		t.Error("the delete left no tombstone: a published epoch was compacted")
+	}
+	if got := answers(t, s.View().DB, d, "dept//course", core.StrategyCycleEX); fmt.Sprint(got) != fmt.Sprint(oldAns) {
+		t.Fatalf("after deleting the inserted course: %v, want the answers before it %v", got, oldAns)
 	}
 
 	// The catalog is shared by chunk between epochs. An epoch pinned now keeps
@@ -1068,8 +1203,8 @@ func TestConcurrentReaders(t *testing.T) {
 				lastSeq = ep.Seq
 				total := 0
 				for _, rel := range ep.DB.Rels {
-					if rel.Tombstones() != 0 {
-						t.Errorf("reader saw tombstones in published relation %s", rel.Name)
+					if n := rel.Tombstones(); n > 0 && n*4 >= rel.Len()+n {
+						t.Errorf("reader saw %d tombstones beside %d live rows in published relation %s", n, rel.Len(), rel.Name)
 						return
 					}
 					total += rel.Len()
