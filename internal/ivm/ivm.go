@@ -328,17 +328,15 @@ func (h *Hub) dropView(v *view, err error) {
 }
 
 // BaseDeltaOf converts a store transaction delta into the rdb exchange
-// form: the new base-relation rows, reconstructed from the inserted IDs and
-// the epoch's catalogs. Exported for benchmarks and tests that drive
+// form: the inserted IDs, grouped by the stored relation their element type
+// names in the epoch's catalog. Exported for benchmarks and tests that drive
 // rdb.ViewState maintenance directly.
 func BaseDeltaOf(td store.TxnDelta) rdb.BaseDelta {
 	bd := rdb.BaseDelta{Rows: make(map[string][]rdb.DeltaEdge, 4), NewIDs: td.Inserted}
 	for _, id := range td.Inserted {
 		label, _ := td.DB.Label(id)
 		rel := shred.RelName(label)
-		bd.Rows[rel] = append(bd.Rows[rel], rdb.DeltaEdge{
-			F: td.DB.Parent(id), T: id, V: td.DB.Val(id),
-		})
+		bd.Rows[rel] = append(bd.Rows[rel], rdb.DeltaEdge{T: id})
 	}
 	return bd
 }

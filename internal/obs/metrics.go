@@ -261,7 +261,7 @@ type StoreStats struct {
 	// make room; RelabelledNodes is how many labels those rewrote in all.
 	Relabels        int64
 	RelabelledNodes int64
-	// CatalogChunksCopied counts the node-table chunks (1024 node IDs each:
+	// CatalogChunksCopied counts the node-table chunks (128 node IDs each:
 	// parent, value, element type, interval) updates copied before writing
 	// them — what the catalog and label side of a write costs, whatever the
 	// database's size.

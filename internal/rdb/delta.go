@@ -43,12 +43,11 @@ import (
 // Rebuild is required before further deltas.
 var ErrNonIncremental = errors.New("rdb: view not incrementally maintainable for this update")
 
-// DeltaEdge is one base-relation row added by an insert transaction, in
-// exchange form. Maintenance reads the row itself out of the epoch that
-// stores it (by T), whose value is a symbol already; V is not interned again.
+// DeltaEdge is one base-relation row added by an insert transaction, named
+// by its node: maintenance reads the row itself — its F, and its value as a
+// symbol already — out of the epoch that stores it, by T.
 type DeltaEdge struct {
-	F, T int
-	V    string
+	T int
 }
 
 // BaseDelta names exactly what an insert transaction added: the new rows per
@@ -507,7 +506,14 @@ func (vs *ViewState) nodeDelta(n *viewNode, u *update) (*Relation, error) {
 		kd[len(in)-len(n.kids)+i] = kdi
 		quiet = quiet && kdi.Len() == 0
 	}
-	d := vs.newRel()
+	// A round's deltas are consumed inside it, so the node's delta of the
+	// round before is emptied and refilled rather than allocated anew.
+	d := n.delta
+	if d == nil {
+		d = vs.newRel()
+	} else {
+		d.reset()
+	}
 	var err error
 	switch {
 	case quiet:

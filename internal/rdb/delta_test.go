@@ -127,7 +127,7 @@ func TestViewInsertDifferential(t *testing.T) {
 				rel := fmt.Sprintf("R%d", r.Intn(nRels))
 				v := vocab[r.Intn(len(vocab))]
 				db2.Insert(rel, f, id, v)
-				bd.Rows[rel] = append(bd.Rows[rel], DeltaEdge{F: f, T: id, V: v})
+				bd.Rows[rel] = append(bd.Rows[rel], DeltaEdge{T: id})
 				bd.NewIDs = append(bd.NewIDs, id)
 			}
 			var added []int
@@ -226,7 +226,7 @@ func (td *treeDoc) insert(r difftest.Source) (*DB, BaseDelta) {
 		v := vocab[r.Intn(len(vocab))]
 		td.relOf[id] = rel
 		db2.Insert(rel, f, id, v)
-		bd.Rows[rel] = append(bd.Rows[rel], DeltaEdge{F: f, T: id, V: v})
+		bd.Rows[rel] = append(bd.Rows[rel], DeltaEdge{T: id})
 		bd.NewIDs = append(bd.NewIDs, id)
 		anchors = append(anchors, id)
 	}
@@ -692,7 +692,7 @@ func TestViewInsertInternsNothing(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			v := fmt.Sprintf("new-%d", next) // interned by the write, not promoted yet
 			db2.Insert("R", 1, next, v)
-			bd.Rows["R"] = append(bd.Rows["R"], DeltaEdge{F: 1, T: next, V: v})
+			bd.Rows["R"] = append(bd.Rows["R"], DeltaEdge{T: next})
 			bd.NewIDs = append(bd.NewIDs, next)
 			next++
 		}
@@ -708,5 +708,75 @@ func TestViewInsertInternsNothing(t *testing.T) {
 			t.Fatalf("round %d: added %v, want %v", round, added, bd.NewIDs)
 		}
 		db = db2
+	}
+}
+
+// TestViewDeltasAreReused is the counted test of a warm view's maintenance
+// rounds: a round's deltas are consumed inside it, so each node empties and
+// refills its delta relation of the round before instead of allocating one.
+// The view is a union of the nine compositions of three relations — 28
+// nodes, the stored relations' included, every one of them visited by every
+// round. The epochs, built first, alternate the insert of a fresh leaf into
+// R0 and its delete, and a round pair may allocate the two operand lists each
+// node builds each round and a few more: 4·28 + 16. A delta relation per node
+// per round, and the pair set each non-empty one grows, come on top of that
+// (211 allocations where the rounds allocated them).
+func TestViewDeltasAreReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need a normal build")
+	}
+	const runs = 50
+	r := rand.New(rand.NewSource(3))
+	td := makeTree(r, 60, 3)
+	var kids []ra.Plan
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			kids = append(kids, ra.Compose{L: ra.Base{Rel: fmt.Sprintf("R%d", i)}, R: ra.Base{Rel: fmt.Sprintf("R%d", j)}})
+		}
+	}
+	p := &ra.Program{Stmts: []ra.Stmt{{Name: "result", Plan: ra.UnionAll{Kids: kids}}}, Result: "result"}
+	vs, err := BuildViewState(td.db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := 0
+	vs.eachNode(func(*viewNode) { nodes++ })
+	type pair struct {
+		ins, del *DB
+		id       int
+	}
+	pairs := make([]pair, runs+2) // AllocsPerRun's warm-up run, the counted runs, and one more to warm the view first
+	for i := range pairs {
+		id := td.nextID
+		td.nextID++
+		ins := cowDB(td.db)
+		ins.Insert("R0", 1, id, "")
+		del := cowDB(ins)
+		del.Delete("R0", 1, id)
+		pairs[i], td.db = pair{ins, del, id}, del
+	}
+	next := 0
+	round := func() {
+		pr := pairs[next]
+		next++
+		bd := BaseDelta{Rows: map[string][]DeltaEdge{"R0": {{T: pr.id}}}, NewIDs: []int{pr.id}}
+		if _, err := vs.ApplyInsert(pr.ins, bd); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vs.ApplyDelete(pr.del, pr.ins, pr.id, []int{pr.id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	allocs := testing.AllocsPerRun(runs, round)
+	t.Logf("%d view nodes: %.1f allocations per insert+delete round pair", nodes, allocs)
+	if nodes != 28 {
+		t.Fatalf("the view has %d nodes, want 28", nodes)
+	}
+	if ceiling := 4*nodes + 16; allocs > float64(ceiling) {
+		t.Errorf("a warm round pair allocates %.1f times, want at most %d: a delta relation per node per round?", allocs, ceiling)
+	}
+	if !slices.Equal(vs.AnswerIDs(), fullAnswer(t, td.db, p)) {
+		t.Fatal("the maintained answer differs from a fresh run's")
 	}
 }

@@ -120,8 +120,8 @@ func appendIDs[T int | int32](dst []T, s *idSet, from int32) []T {
 // range into as many equal parts as there are keys, so a probe compares a key
 // or two. Tuples appended after the build —
 // the delta rows a semi-naive fixpoint adds while probing, the rows a store
-// update inserts — extend the index incrementally through a small overflow
-// table instead of invalidating it; a clone or a view's materialization folds
+// update inserts — extend the index incrementally through a small sorted
+// overflow instead of invalidating it; a clone or a view's materialization folds
 // the overflow into a new snapshot once it outgrows a fixed share of it
 // (folded), and a compaction carries the index over to the survivors (compact).
 //
@@ -140,16 +140,19 @@ type colIndex struct {
 	ranks []int32
 	dir   []int32
 	shift uint8
-	// built is the number of leading tuples the snapshot covers; positions
-	// appended afterwards live in extra, whose keys all lie in [xlo, xhi].
-	built    int
-	extra    map[int32][]int32
-	xlo, xhi int32
-	// shared, allocated with extra, is set once extra is another version's
-	// too (cloneFor): neither writes it again, the first write of either
-	// copies it (ownExtra). It lives beside the map, not in the index, so
-	// marking a parent's map writes no field of the parent's index, which its
-	// readers hold.
+	// built is the number of leading tuples the snapshot covers. Positions
+	// appended afterwards are the overflow: xpos[i] holds key xkeys[i], the
+	// pairs sorted by key and, within a key, by position; every key lies in
+	// [xlo, xhi]. Both arrays are pointer-free, so a copy is two memmoves and
+	// the GC scans neither.
+	built       int
+	xkeys, xpos []int32
+	xlo, xhi    int32
+	// shared, allocated with the overflow arrays, is set once they are
+	// another version's too (cloneFor): neither writes them again, the first
+	// write of either copies them (ownExtra). It lives beside the arrays, not
+	// in the index, so marking a parent's overflow writes no field of the
+	// parent's index, which its readers hold.
 	shared *atomic.Bool
 
 	// sortBuf is the sorting build's scratch, kept only by a pooled relation's
@@ -217,9 +220,7 @@ func sized[T any](buf []T, n int) []T {
 func buildColIndexInto(idx *colIndex, rows []row, onF bool) {
 	n := len(rows)
 	idx.built = n
-	if idx.extra != nil {
-		clear(idx.extra)
-	}
+	idx.xkeys, idx.xpos = idx.xkeys[:0], idx.xpos[:0]
 	idx.pos = sized(idx.pos, n)
 	pos := idx.pos
 	if idx.set.fill(rows, onF) {
@@ -270,9 +271,8 @@ func sortableKey(k int32) uint32 { return uint32(k) ^ 1<<31 }
 // pass; a snapshot that lost no row — the dropped rows were all appended after
 // it — is kept as it is. The snapshot arrays may be shared with the relation
 // this one was cloned from, so they are replaced, never written; the overflow
-// table is the relation's own.
+// is made the relation's own and filtered in place.
 func (idx *colIndex) compact(remap []int32, firstDead int) {
-	over := make([]int32, 0, len(remap)-idx.built)
 	if firstDead < idx.built {
 		pos := make([]int32, 0, len(idx.pos))
 		var gone []int32 // where in idx.pos the dropped entries were, ascending
@@ -309,42 +309,32 @@ func (idx *colIndex) compact(remap []int32, firstDead int) {
 		idx.set, idx.ranks, idx.dir = idSet{}, nil, nil // they may be shared too
 		idx.layKeys(keys)
 	}
-	// The overflow's slices share their arrays with the parent relation's too:
-	// the survivors go to one array of their own.
+	// remap keeps the rows' order, so the survivors stay sorted by key and,
+	// within a key, by position.
+	if len(idx.xkeys) > 0 && idx.rel != nil {
+		idx.rel.filtered++
+	}
 	idx.ownExtra()
-	for k, ps := range idx.extra {
-		if int(ps[len(ps)-1]) < firstDead {
-			continue // ascending, so none of them moved
-		}
-		at := len(over)
-		for _, p := range ps {
-			if np := remap[p]; np >= 0 {
-				over = append(over, np)
-			}
-		}
-		if at == len(over) {
-			delete(idx.extra, k)
-		} else {
-			idx.extra[k] = over[at:len(over):len(over)]
+	keys, pos := idx.xkeys[:0], idx.xpos[:0]
+	for i, p := range idx.xpos {
+		if np := remap[p]; np >= 0 {
+			keys, pos = append(keys, idx.xkeys[i]), append(pos, np)
 		}
 	}
+	idx.xkeys, idx.xpos = keys, pos
 }
 
 // folded returns a snapshot of the whole index, overflow included, for r:
-// one merge of the snapshot's buckets with the overflow's keys, sorted first.
+// one merge of the snapshot's buckets with the overflow, both sorted by key.
 func (idx *colIndex) folded(r *Relation) *colIndex {
 	n := len(r.rows)
-	xkeys := make([]int32, 0, len(idx.extra))
-	for k := range idx.extra {
-		xkeys = append(xkeys, k)
-	}
-	slices.Sort(xkeys)
+	r.folds++
 	c := &colIndex{
 		rel:    r,
 		tombed: r.nDead > 0,
 		built:  n,
-		keys:   make([]int32, 0, len(idx.keys)+len(xkeys)),
-		offs:   make([]int32, 0, len(idx.keys)+len(xkeys)+1),
+		keys:   make([]int32, 0, len(idx.keys)+len(idx.xkeys)),
+		offs:   make([]int32, 0, len(idx.keys)+len(idx.xkeys)+1),
 		pos:    make([]int32, 0, n),
 	}
 	put := func(k int32, ps []int32) { // k is the last key opened or a later one
@@ -356,19 +346,17 @@ func (idx *colIndex) folded(r *Relation) *colIndex {
 		}
 		c.pos = append(c.pos, ps...)
 	}
-	x := 0
+	// An overflow entry whose key a bucket holds too follows that bucket's
+	// positions: it is put once the loop has passed the key.
+	xkeys, x := idx.xkeys, 0
 	for b, k := range idx.keys {
 		for ; x < len(xkeys) && xkeys[x] < k; x++ {
-			put(xkeys[x], idx.extra[xkeys[x]])
+			put(xkeys[x], idx.xpos[x:x+1])
 		}
 		put(k, idx.pos[idx.offs[b]:idx.offs[b+1]])
-		if x < len(xkeys) && xkeys[x] == k {
-			put(k, idx.extra[k])
-			x++
-		}
 	}
 	for ; x < len(xkeys); x++ {
-		put(xkeys[x], idx.extra[xkeys[x]])
+		put(xkeys[x], idx.xpos[x:x+1])
 	}
 	c.offs = append(c.offs, int32(len(c.pos)))
 	c.layKeys(c.keys)
@@ -472,12 +460,35 @@ func (idx *colIndex) snap(k int32) []int32 {
 
 // over returns the overflow positions of a key. A store update appends the
 // rows of new nodes, whose IDs are above every old one: a key outside the
-// overflow's range, as most old nodes are, skips the map.
+// overflow's range, as most old nodes are, skips the search — inline, on
+// every probe of every index.
 func (idx *colIndex) over(k int32) []int32 {
 	if k < idx.xlo || k > idx.xhi {
 		return nil
 	}
-	return idx.extra[k]
+	return idx.overRun(k)
+}
+
+// overRun binary-searches the overflow for the positions of k.
+func (idx *colIndex) overRun(k int32) []int32 {
+	lo := keyBound(idx.xkeys, k, false)
+	hi := lo + keyBound(idx.xkeys[lo:], k, true)
+	return idx.xpos[lo:hi:hi]
+}
+
+// keyBound returns the number of ascending keys below k, or at most k where
+// past is set.
+func keyBound(keys []int32, k int32, past bool) int {
+	at, n := 0, len(keys)
+	for n > 0 {
+		half := n >> 1
+		if key := keys[at+half]; key < k || past && key == k {
+			at, n = at+half+1, n-half-1
+		} else {
+			n = half
+		}
+	}
+	return at
 }
 
 // contains reports whether any live tuple holds the key — the membership
@@ -518,8 +529,8 @@ func (idx *colIndex) liveKey(k int32) bool {
 
 // cloneFor returns the index for c, a clone of the relation holding the same
 // rows: a copy sharing the immutable snapshot arrays and, until one of the two
-// writes it, the overflow table (ownExtra) — a version that only tombstones,
-// as a delete's does, copies none of it. An overflow past its bound is folded
+// writes them, the overflow arrays (ownExtra) — a version that only
+// tombstones, as a delete's does, copies none of them. An overflow past its bound is folded
 // instead: the copy is what grows with it, and idx, which a reader may hold,
 // stays as it is.
 func (idx *colIndex) cloneFor(c *Relation) *colIndex {
@@ -528,26 +539,27 @@ func (idx *colIndex) cloneFor(c *Relation) *colIndex {
 	}
 	cp := *idx // not pooled, not scoped
 	cp.rel = c
-	if len(idx.extra) > 0 {
+	if len(idx.xkeys) > 0 {
 		idx.shared.Store(true)
 	} else {
-		cp.extra = nil // an empty map would be shared unmarked
+		cp.xkeys, cp.xpos = nil, nil // empty arrays would be shared unmarked
 	}
 	return &cp
 }
 
-// ownExtra makes the overflow table idx's own before a write: a shared one
-// is copied, its slices capped so an append reallocates instead of writing
-// into an array the other version reads.
+// ownExtra makes the overflow arrays idx's own before a write: shared ones
+// are copied, with room to grow, and the copy counted on idx's relation.
 func (idx *colIndex) ownExtra() {
 	if idx.shared == nil || !idx.shared.Load() {
 		return
 	}
-	own := make(map[int32][]int32, len(idx.extra))
-	for k, v := range idx.extra {
-		own[k] = v[:len(v):len(v)]
+	n := len(idx.xkeys)
+	idx.xkeys = append(make([]int32, 0, n+n/4+8), idx.xkeys...)
+	idx.xpos = append(make([]int32, 0, n+n/4+8), idx.xpos...)
+	idx.shared = new(atomic.Bool)
+	if idx.rel != nil {
+		idx.rel.overCopied += n
 	}
-	idx.extra, idx.shared = own, new(atomic.Bool)
 }
 
 // overgrown reports whether, at n rows, the overflow is past its bound: a
@@ -562,15 +574,22 @@ func (idx *colIndex) overgrown(n int) bool {
 	return n-idx.built > idx.built/foldShare+foldSlack
 }
 
-// add extends the index with one appended tuple.
+// add extends the index with one appended tuple, whose position is above
+// every indexed one: it goes after the key's other positions, and after every
+// pair where its key is the largest, as a new node's is.
 func (idx *colIndex) add(k int32, pos int32) {
 	idx.ownExtra()
-	if idx.extra == nil {
-		idx.extra, idx.shared = map[int32][]int32{}, new(atomic.Bool)
+	if idx.shared == nil {
+		idx.shared = new(atomic.Bool)
 	}
-	if len(idx.extra) == 0 {
+	if len(idx.xkeys) == 0 {
 		idx.xlo, idx.xhi = k, k
 	}
 	idx.xlo, idx.xhi = min(idx.xlo, k), max(idx.xhi, k)
-	idx.extra[k] = append(idx.extra[k], pos)
+	at := len(idx.xkeys)
+	if at > 0 && k < idx.xkeys[at-1] {
+		at = keyBound(idx.xkeys, k, true)
+	}
+	idx.xkeys = slices.Insert(idx.xkeys, at, k)
+	idx.xpos = slices.Insert(idx.xpos, at, pos)
 }

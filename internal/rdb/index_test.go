@@ -52,11 +52,7 @@ func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 				t.Fatalf("%s: onF=%v key %d: a membership-only key set disagrees with lookup", step, onF, k)
 			}
 		}
-		for k := range idx.extra {
-			if k < idx.xlo || k > idx.xhi {
-				t.Fatalf("%s: onF=%v: overflow key %d outside its range [%d, %d]", step, onF, k, idx.xlo, idx.xhi)
-			}
-		}
+		checkOverflow(t, fmt.Sprintf("%s: onF=%v", step, onF), idx)
 		if idx.built == len(r.rows) && !slices.Equal(idx.keys, fresh.keys) {
 			t.Fatalf("%s: onF=%v: keys %v carried, %v rebuilt", step, onF, idx.keys, fresh.keys)
 		}
@@ -70,6 +66,30 @@ func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 	}
 }
 
+// checkOverflow checks the layout of an index overflow: a key per position,
+// keys ascending, positions ascending within a key and above the snapshot's,
+// and every key in [xlo, xhi].
+func checkOverflow(t *testing.T, step string, idx *colIndex) {
+	t.Helper()
+	if len(idx.xkeys) != len(idx.xpos) {
+		t.Fatalf("%s: %d overflow keys for %d positions", step, len(idx.xkeys), len(idx.xpos))
+	}
+	for i, k := range idx.xkeys {
+		if k < idx.xlo || k > idx.xhi {
+			t.Fatalf("%s: overflow key %d outside its range [%d, %d]", step, k, idx.xlo, idx.xhi)
+		}
+		if p := idx.xpos[i]; int(p) < idx.built {
+			t.Fatalf("%s: overflow position %d inside the snapshot's %d rows", step, p, idx.built)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := idx.xkeys[i-1]; prev > k || prev == k && idx.xpos[i-1] >= idx.xpos[i] {
+			t.Fatalf("%s: overflow (%d, %d) before (%d, %d)", step, prev, idx.xpos[i-1], k, idx.xpos[i])
+		}
+	}
+}
+
 // TestCarriedIndexMatchesRebuild: random add / delete / Compact / Clone
 // sequences over relations whose keys span little (a set), span wide (a
 // directory), are negative, are overflowed (the snapshot is taken early and
@@ -78,8 +98,10 @@ func checkCarriedIndexes(t *testing.T, step string, r *Relation, keys []int32) {
 // Each walk runs on an operator's output, whose Clone copies its rows, and on
 // a stored relation, whose Clone shares them: there the version a reader
 // pinned must keep its rows and indexes while later versions append into the
-// array they share, tombstone and compact. Key membership answers for live
-// rows only. The relation that ends the walk never built an index of its own.
+// array they share, tombstone and compact, and its indexes' overflow arrays
+// must not change while later versions insert into copies of their own. Key
+// membership answers for live rows only. The relation that ends the walk
+// never built an index of its own.
 func TestCarriedIndexMatchesRebuild(t *testing.T) {
 	const bound = spanPerKey * 50 // the span a set allows the first build's 50 rows
 	reaching := func(far int32) func(r *rand.Rand) int32 {
@@ -118,7 +140,9 @@ func TestCarriedIndexMatchesRebuild(t *testing.T) {
 			keys = append(keys, 1<<28, 1<<28+1, bound-1, bound, bound+1, bound+2)
 			r.ByF(0)
 			r.ByT(0)
-			var pinned *Relation // what a reader of an earlier epoch still holds
+			var pinned *Relation         // what a reader of an earlier epoch still holds
+			var pinnedOver [2][2][]int32 // its F and T indexes' overflow keys and positions
+			overOf := func(idx *colIndex) [2][]int32 { return [2][]int32{slices.Clone(idx.xkeys), slices.Clone(idx.xpos)} }
 			for step := 0; step < 300; step++ {
 				name := fmt.Sprintf("%s seed %d step %d", sh.name, seed, step)
 				switch op := rng.Intn(10); {
@@ -141,12 +165,18 @@ func TestCarriedIndexMatchesRebuild(t *testing.T) {
 				default:
 					if r.Tombstones() == 0 {
 						pinned = r
+						pinnedOver = [2][2][]int32{overOf(r.idxF.Load()), overOf(r.idxT.Load())}
 					}
 					r = r.Clone()
 				}
 				checkCarriedIndexes(t, name, r, keys)
 				if pinned != nil {
 					checkCarriedIndexes(t, name+", the relation cloned from", pinned, keys)
+					for i, idx := range []*colIndex{pinned.idxF.Load(), pinned.idxT.Load()} {
+						if got := overOf(idx); !slices.Equal(got[0], pinnedOver[i][0]) || !slices.Equal(got[1], pinnedOver[i][1]) {
+							t.Fatalf("%s: the pinned relation's overflow changed from %v to %v", name, pinnedOver[i], got)
+						}
+					}
 				}
 			}
 			r = r.Clone()
@@ -233,7 +263,7 @@ func TestOverflowStaysBounded(t *testing.T) {
 	r.ByT(0)
 	folds := 0
 	for update := 0; update < 2000; update++ {
-		pinned, pinnedF, pinnedOver := r, r.idxF.Load(), len(r.idxF.Load().extra)
+		pinned, pinnedF, pinnedOver := r, r.idxF.Load(), len(r.idxF.Load().xkeys)
 		r = r.Clone()
 		if r.idxF.Load().built > pinnedF.built {
 			folds++
@@ -242,7 +272,7 @@ func TestOverflowStaysBounded(t *testing.T) {
 			id := int32(len(r.rows) + 1)
 			r.addRow(row{f: id / 4, t: id})
 		}
-		if pinned.idxF.Load() != pinnedF || len(pinnedF.extra) != pinnedOver {
+		if pinned.idxF.Load() != pinnedF || len(pinnedF.xkeys) != pinnedOver {
 			t.Fatalf("update %d: the clone changed the index of the relation it was cloned from", update)
 		}
 		for _, idx := range []*colIndex{r.idxF.Load(), r.idxT.Load()} {
@@ -287,7 +317,7 @@ func TestViewOverflowStaysBounded(t *testing.T) {
 				before[r] = idx.built
 			}
 		}
-		if _, err := vs.ApplyInsert(next, BaseDelta{Rows: map[string][]DeltaEdge{"E": {{F: parent, T: id}}}, NewIDs: []int{id}}); err != nil {
+		if _, err := vs.ApplyInsert(next, BaseDelta{Rows: map[string][]DeltaEdge{"E": {{T: id}}}, NewIDs: []int{id}}); err != nil {
 			t.Fatal(err)
 		}
 		db = next
@@ -375,8 +405,8 @@ func TestOverflowProbeMatchesRebuild(t *testing.T) {
 	drop(1010, next-2)
 	checkCarriedIndexes(t, "appended after the fold, then compacted", r, keys)
 	drop(next-4, next-6)
-	if n := len(r.idxT.Load().extra); n != 0 {
-		t.Fatalf("%d keys left in the T overflow, want none", n)
+	if n := len(r.idxT.Load().xkeys); n != 0 {
+		t.Fatalf("%d entries left in the T overflow, want none", n)
 	}
 	insert(2, 2)
 	checkCarriedIndexes(t, "the overflow emptied and refilled", r, keys)

@@ -276,25 +276,32 @@ func TestIndexBuildsRunOutsideTheCacheLock(t *testing.T) {
 }
 
 // TestEmptiedChunksAreDropped: node IDs are never reused, so a store that
-// inserts and deletes for long enough must not keep a chunk for every 1024 IDs
-// it ever assigned.
+// inserts and deletes for long enough must not keep a chunk for every 128 IDs
+// it ever assigned, nor a page or a top entry for every 32 768.
 func TestEmptiedChunksAreDropped(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	td := makeTree(r, 50, 3)
-	chunks := func() int { return len(td.db.nodes.Load().tab.chunks) }
-	if chunks() != 1 {
-		t.Fatalf("%d chunks for 50 nodes", chunks())
+	chunks := func() (n, top int) {
+		tab := td.db.nodes.Load().tab
+		tab.eachChunk(func(int, *nodeChunk) { n++ })
+		return n, len(tab.top)
+	}
+	if n, top := chunks(); n != 1 || top != 1 {
+		t.Fatalf("%d chunks under %d pages for 50 nodes", n, top)
 	}
 	for round := 0; round < 5; round++ {
 		td.nextID = (round + 2) * nodeChunkLen // a chunk of its own
+		if round >= 3 {
+			td.nextID = round << nodePageShift // a page of its own
+		}
 		db2, base, _ := td.graft(r, 1, 4)
 		td.db = db2
-		if chunks() != 2 {
-			t.Fatalf("round %d: %d chunks after the insert, want 2", round, chunks())
+		if n, _ := chunks(); n != 2 {
+			t.Fatalf("round %d: %d chunks after the insert, want 2", round, n)
 		}
 		td.db = td.prune(base)
-		if chunks() != 1 || td.db.IntervalCount() != 50 {
-			t.Fatalf("round %d: %d chunks, %d labels after the delete, want 1 and 50", round, chunks(), td.db.IntervalCount())
+		if n, top := chunks(); n != 1 || top != 1 || td.db.IntervalCount() != 50 {
+			t.Fatalf("round %d: %d chunks under %d pages, %d labels after the delete, want 1, 1 and 50", round, n, top, td.db.IntervalCount())
 		}
 		checkIsomorphic(t, fmt.Sprintf("round %d", round), td.db)
 	}

@@ -84,8 +84,13 @@ type Relation struct {
 	idxBuilds  atomic.Int32 // index snapshot builds performed (regression stat)
 	// copied and compacted count the rows this version's writes copied into a
 	// new array (regression stats): to append past a tip another version had
-	// claimed, and in compactions.
-	copied, compacted int
+	// claimed, and in compactions; overCopied counts the index overflow
+	// entries it copied from the version it was cloned from (ownExtra);
+	// folds counts the overflows it folded into a new snapshot (folded), and
+	// filtered the compactions that carried a non-empty overflow across
+	// (colIndex.compact).
+	copied, compacted, overCopied int
+	folds, filtered               int
 
 	// dead marks tombstoned row positions (see Delete): rows no reader may
 	// see, which keep their positions — and so every index entry — until a
@@ -570,6 +575,14 @@ func (r *Relation) IndexBuilds() int { return int(r.idxBuilds.Load()) }
 // version had claimed — and in them.
 func (r *Relation) RowCopies() (outside, compacting int) { return r.copied, r.compacted }
 
+// OverflowStats reports, since this version of the relation was cloned, the
+// index overflow entries it copied before its first write of each index, the
+// overflows it folded into a new snapshot, and its compactions that carried a
+// non-empty overflow across.
+func (r *Relation) OverflowStats() (copied, folded, filtered int) {
+	return r.overCopied, r.folds, r.filtered
+}
+
 // fIndex returns the F-column index, building the snapshot on first use.
 func (r *Relation) fIndex() *colIndex {
 	if idx := r.idxF.Load(); idx != nil {
@@ -744,7 +757,7 @@ func (r *Relation) idsFrom(from int32) []int {
 // Any other relation's rows are copied, its pair set too. Built indexes are
 // carried over: the index snapshot arrays are immutable once built
 // (non-pooled relations never rebuild in place), so the clone shares them,
-// and the overflow table until either side writes it — or folds the overflow
+// and the overflow arrays until either side writes them — or folds the overflow
 // into a snapshot of its own once it has outgrown its bound (cloneFor).
 // Without this, every epoch pays an O(n) index rebuild on the first probe
 // after a constant-size update.
@@ -797,7 +810,8 @@ func (r *Relation) foldIndexes() {
 // reset empties a pooled relation for reuse, retaining every capacity the
 // previous request grew: the row array, the pair-set slot array, the path
 // map buckets and the index scratch backings. The interner pointer is kept;
-// ExecState drops the relation instead when it is rebound to another DB.
+// ExecState drops the relation instead when it is rebound to another DB. A
+// view node's delta is reset the same way, round after round (nodeDelta).
 func (r *Relation) reset() {
 	r.Name = ""
 	if r.base != nil {

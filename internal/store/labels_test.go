@@ -5,6 +5,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -150,16 +151,33 @@ func TestLabelWritesAreTheInsertsOwn(t *testing.T) {
 // TestCatalogWritesAreTheUpdatesOwn is the counted test of "a write costs what
 // it touches" for the node catalog and the column indexes. The same stream of
 // root appends, deletes and text updates, given the same node IDs by a common
-// allocator floor, copies the same node-table chunks update for update at 1×,
-// 4× and 16× the database; no update copies a label entry: every epoch keeps
-// the very Labels map of the epoch before it, and a node's type is written in
-// the chunks the update copies anyway; the relations the updates cloned and
+// allocator floor 1<<20 IDs above the seed, copies the same node-table chunks,
+// the same chunk bytes and the same directory bytes update for update at 1×,
+// 4× and 16× the database: a chunk or two (of 128 IDs), two directory pages at
+// most and the top, one entry per 32 768 IDs of span, gap included. Each
+// update copies at most the index overflow its fold bound lets the written
+// relations keep, whatever the database's size, and never more than a fixed
+// ceiling here. No update copies a label entry: every epoch keeps the very
+// Labels map of the epoch before it, and a node's type is written in the
+// chunks the update copies anyway; the relations the updates cloned and
 // compacted carry their indexes, never building one; and no relation holds a
 // pair set, so no Clone copies one.
 func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
-	const floor = 1 << 20 // above every scale's seed, on a chunk boundary
+	const (
+		floor = 1 << 20 // above every scale's seed, on a chunk boundary
+		// What one update may copy: two 4.2 KB chunks, and two 2 KB
+		// directory pages under a top of 8 B a page of span (34 here).
+		chunkCeiling = 2 * 4300
+		dirCeiling   = 2*2100 + 8*(floor>>15+2)
+		// An index of a stored relation of n rows folds its overflow past
+		// min(n/16, √n) + 64 entries; the two indexes of the five relations
+		// a fragCourse writes, of at most 600 rows here, keep at most
+		// 2·5·(24+64) entries between them.
+		overCeiling = 2 * 5 * (24 + 64)
+	)
+	type copies struct{ chunks, chunkBytes, dirBytes int }
 	labelsOf := func(db *rdb.DB) uintptr { return reflect.ValueOf(db.Labels).Pointer() }
-	var streams [][]int64
+	var streams [][]copies
 	for _, scale := range []int{1, 4, 16} {
 		s, m := openCoursesWith(t, 20*scale, Config{MinNextID: floor})
 		dept := m.byLabel("dept")[0]
@@ -171,14 +189,33 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 			rel.ByT(0)
 			warm[name] = rel
 		}
-		var copied []int64
+		var copied []copies
+		overMax, overSum := 0, 0
 		// count runs one update and returns the chunks it copied.
 		count := func(op string, update func()) int64 {
 			before, prev := s.Stats(), s.View().DB
 			update()
 			after, now := s.Stats(), s.View().DB
 			n := after.CatalogChunksCopied - before.CatalogChunksCopied
-			copied = append(copied, n)
+			chunkBytes, dirBytes := now.CatalogBytesCopied()
+			copied = append(copied, copies{int(n), chunkBytes, dirBytes})
+			if chunkBytes > chunkCeiling || dirBytes > dirCeiling {
+				t.Fatalf("%dx: update %d (%s) copied %d chunk bytes and %d directory bytes; want at most %d and %d", scale, len(copied), op, chunkBytes, dirBytes, chunkCeiling, dirCeiling)
+			}
+			over, bound := 0, 0
+			for name, rel := range now.Rels {
+				if rel == prev.Rels[name] {
+					continue
+				}
+				copied, _, _ := rel.OverflowStats()
+				over += copied
+				rows := rel.Len() + rel.Tombstones()
+				bound += 2 * (min(rows/16, int(math.Sqrt(float64(rows)))) + 64)
+			}
+			if over > bound || over > overCeiling {
+				t.Fatalf("%dx: update %d (%s) copied %d index overflow entries; its relations' fold bound is %d, the ceiling %d", scale, len(copied), op, over, bound, overCeiling)
+			}
+			overMax, overSum = max(overMax, over), overSum+over
 			if labelsOf(now) != labelsOf(prev) {
 				t.Fatalf("%dx: update %d (%s) replaced the label map; want the epoch before's", scale, len(copied), op)
 			}
@@ -219,6 +256,7 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 			}
 		}
 		streams = append(streams, copied)
+		t.Logf("%dx: index overflow entries copied per update: %.1f on average, %d at most", scale, float64(overSum)/float64(len(copied)), overMax)
 		if st := s.Stats(); st.Relabels != 1 {
 			t.Fatalf("%dx: %d relabels, want only the first insert's", scale, st.Relabels)
 		}
@@ -243,14 +281,16 @@ func TestCatalogWritesAreTheUpdatesOwn(t *testing.T) {
 	}
 	for i, stream := range streams[1:] {
 		if !slices.Equal(stream, streams[0]) {
-			t.Errorf("chunks copied per update differ between 1x and %dx the database:\n%v\n%v", []int{4, 16}[i], streams[0], stream)
+			t.Errorf("chunks and directory copied per update differ between 1x and %dx the database:\n%v\n%v", []int{4, 16}[i], streams[0], stream)
 		}
 	}
-	total := int64(0)
-	for _, n := range streams[0] {
-		total += n
+	var total copies
+	for _, c := range streams[0] {
+		total = copies{total.chunks + c.chunks, total.chunkBytes + c.chunkBytes, total.dirBytes + c.dirBytes}
 	}
-	t.Logf("%d updates copied %d chunks at every scale", len(streams[0]), total)
+	n := len(streams[0])
+	t.Logf("%d updates copied %d chunks (%.0f B an update) and %.0f directory bytes an update at every scale",
+		n, total.chunks, float64(total.chunkBytes)/float64(n), float64(total.dirBytes)/float64(n))
 }
 
 // TestUpdatesCopyNoRows is the counted test of an update's relation writes,

@@ -16,10 +16,11 @@
 // in its own bitmap, a text update does both — so an update copies no row
 // but in a relation's occasional compaction; untouched relations are shared,
 // and so is the node table — parents, values, types and interval labels — but
-// for the 1024-node chunks the update writes. The finished epoch is published
-// with one atomic pointer swap; readers pin an epoch with View and never
-// observe a half-applied update, take no locks, and keep executing against
-// their pinned epoch even as newer ones land.
+// for the 128-node chunks the update writes and the directory pages above
+// them. The finished epoch is published with one atomic pointer swap; readers
+// pin an epoch with View and never observe a half-applied update, take no
+// locks, and keep executing against their pinned epoch even as newer ones
+// land.
 //
 // Durability. Every update is appended to a length-prefixed, CRC-checked
 // write-ahead log before it is applied (see wal.go), with a configurable

@@ -319,22 +319,47 @@ func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Stra
 // store and checks, at intervals, that the incrementally maintained database
 // is byte-identical (in rdb.Save form) to re-shredding the mutated document
 // from scratch, and that every translation strategy returns the same answers
-// on both.
+// on both. The growing walk also appends a course to the root every other
+// step, so that its stored relations fold their index overflows into new
+// snapshots, as well as compact away tombstones with an overflow to carry
+// across — each counted on the versions the updates made, so the fold's merge
+// and the compaction's filter are reached, not assumed (Relation.OverflowStats).
 func TestDifferentialRandomUpdates(t *testing.T) {
 	d := workload.Dept()
-	for _, seed := range []int64{1, 7} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	for _, w := range []struct {
+		name              string
+		seed              int64
+		steps, checkEvery int
+		grow              bool
+	}{
+		{"seed1", 1, 120, 30, false},
+		{"seed7", 7, 120, 30, false},
+		{"seed7-growing", 7, 360, 40, true},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			seed, steps := w.seed, w.steps
 			s, m := openSeeded(t, "", seed, 300, Config{})
 			rng := rand.New(rand.NewSource(seed * 101))
 			floor := min(walkFloor, len(m.labels))
-			const steps = 120
 			var sizes []int
+			folded, filtered := 0, 0
 			for i := 0; i < steps; i++ {
-				applyRandomOp(t, s, m, rng, i)
+				prev := s.View().DB
+				if w.grow && i%2 == 0 {
+					insertBoth(t, s, m, m.byLabel("dept")[0], fragCourse(i))
+				} else {
+					applyRandomOp(t, s, m, rng, i)
+				}
 				if len(m.labels) < floor {
 					t.Fatalf("step %d: the walk drained the document to %d nodes, below its floor of %d", i, len(m.labels), floor)
 				}
-				if i%30 != 29 && i != steps-1 {
+				for name, rel := range s.View().DB.Rels {
+					if rel != prev.Rels[name] {
+						_, f, c := rel.OverflowStats()
+						folded, filtered = folded+f, filtered+c
+					}
+				}
+				if i%w.checkEvery != w.checkEvery-1 && i != steps-1 {
 					continue
 				}
 				sizes = append(sizes, len(m.labels))
@@ -354,7 +379,10 @@ func TestDifferentialRandomUpdates(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("document size at the checkpoints: %v nodes (floor %d)", sizes, floor)
+			t.Logf("document size at the checkpoints: %v nodes (floor %d); %d overflow folds, %d compactions carrying an overflow", sizes, floor, folded, filtered)
+			if w.grow && (folded == 0 || filtered == 0) {
+				t.Errorf("%d updates folded %d index overflows and %d compactions carried one; want both", steps, folded, filtered)
+			}
 		})
 	}
 }
