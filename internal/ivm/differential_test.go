@@ -118,7 +118,9 @@ func FuzzDifferentialMaintenance(f *testing.F) {
 
 // checkMaintenance registers standing queries over a document of rec (xmlgen
 // seed docSeed) in a store, applies the drawn updates, and checks every view
-// against full re-execution after each. It returns the hub's counters.
+// against full re-execution after each. A third and two thirds of the way
+// through, the next update moves the store onto a compact dictionary, which
+// every view must follow by delta. It returns the hub's counters.
 func checkMaintenance(t *testing.T, rec difftest.Rec, docSeed int64, r difftest.Source, queriesPerRun, updatesPerRun int, opts ...xpath2sql.EngineOption) obs.WatchStats {
 	t.Helper()
 	d := rec.DTD
@@ -174,11 +176,17 @@ func checkMaintenance(t *testing.T, rec difftest.Rec, docSeed int64, r difftest.
 		}
 	})
 
+	forced, crossed := false, false
 	for i := 0; i < updatesPerRun; i++ {
+		if i == updatesPerRun/3 || i == 2*updatesPerRun/3 {
+			st.ForceSymbolCompaction()
+			forced = true
+		}
 		ur, ok := randUpdate(t, r, st, rec)
 		if !ok {
 			continue
 		}
+		crossed = crossed || forced
 		for _, w := range views {
 			ev := eventAtEpoch(t, w.sub, ur.Epoch)
 			w.ids = applyEvent(t, w.ids, ev)
@@ -190,6 +198,9 @@ func checkMaintenance(t *testing.T, rec difftest.Rec, docSeed int64, r difftest.
 		}
 	}
 
+	if crossed && st.Stats().SymbolCompactions == 0 {
+		t.Fatal("an update ran after a forced dictionary compaction, and the store counts none")
+	}
 	stats := h.Stats()
 	// A view reruns because its plan is not monotone or because a text
 	// update reached a value selection — every view here was registered

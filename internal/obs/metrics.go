@@ -266,7 +266,13 @@ type StoreStats struct {
 	// them — what the catalog and label side of a write costs, whatever the
 	// database's size.
 	CatalogChunksCopied int64
-	Apply               HistogramSnapshot
+	// Symbols is the size of the published epoch's dictionary: the distinct
+	// values and element types its interner holds, dead ones included until
+	// a compaction; SymbolCompactions counts the updates that moved the store
+	// onto a compact dictionary once a quarter of it was dead.
+	Symbols           int64
+	SymbolCompactions int64
+	Apply             HistogramSnapshot
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -355,6 +361,8 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("store_relabels_total", "Inserts that had to relabel a subtree to make room for their interval labels.", st.Relabels)
 		counter("store_relabelled_nodes_total", "Interval labels rewritten by relabels.", st.RelabelledNodes)
 		counter("store_catalog_chunks_copied_total", "Node-table chunks copied by updates before writing them.", st.CatalogChunksCopied)
+		gauge("store_symbols", "Symbols in the published epoch's dictionary, dead ones included until a compaction.", st.Symbols)
+		counter("store_symbol_compactions_total", "Updates that moved the store onto a compact dictionary.", st.SymbolCompactions)
 		fmt.Fprintf(w, "# HELP %s_store_apply_seconds Update apply latency (validate+log+apply+publish).\n", p)
 		fmt.Fprintf(w, "# TYPE %s_store_apply_seconds histogram\n", p)
 		var cum int64

@@ -468,7 +468,7 @@ func (vs *ViewState) ApplyDelete(newDB, prevDB *DB, root int, deleted []int) ([]
 // advance runs one maintenance round against newDB and returns the rows the
 // result relation gained (an insert) or lost (a delete).
 func (vs *ViewState) advance(newDB *DB, u *update) (*Relation, error) {
-	if vs.opaque || newDB.Syms != vs.syms {
+	if vs.opaque || !vs.follow(newDB) {
 		return nil, ErrNonIncremental
 	}
 	u.prev, vs.ex.DB = vs.ex.DB, newDB
@@ -480,6 +480,33 @@ func (vs *ViewState) advance(newDB *DB, u *update) (*Relation, error) {
 	}
 	vs.DeltaStats.Add(vs.ex.Stats.Minus(snap))
 	return d, nil
+}
+
+// follow moves the view onto newDB's dictionary: nothing to do when it is the
+// view's, and when newDB is the epoch that compacted the view's, every
+// materialization's values are rewritten by the move it made. It reports
+// false for any other dictionary, whose symbols the view cannot translate. A
+// delete's rows out of the epoch before keep that epoch's numbers: they are
+// taken out by (F, T), and no rule reads their values.
+func (vs *ViewState) follow(newDB *DB) bool {
+	if newDB.Syms == vs.syms {
+		return true
+	}
+	m := newDB.remap
+	if m == nil || m.from != vs.syms {
+		return false
+	}
+	done := map[*Relation]bool{}
+	vs.eachNode(func(n *viewNode) {
+		for _, r := range [3]*Relation{n.out, n.aux, n.delta} {
+			if r != nil && !done[r] {
+				done[r] = true
+				r.resym(newDB.Syms, m.to)
+			}
+		}
+	})
+	vs.syms, vs.ex.ident = newDB.Syms, nil
+	return true
 }
 
 // nodeDelta computes (once per round, post-order) the rows n's output gains
@@ -1083,7 +1110,7 @@ func (vs *ViewState) ApplyText(newDB *DB) error {
 	if !vs.textImmune {
 		return ErrNonIncremental
 	}
-	if !vs.opaque && newDB.Syms != vs.syms {
+	if !vs.follow(newDB) && !vs.opaque {
 		return ErrNonIncremental
 	}
 	vs.ex.DB = newDB
@@ -1099,13 +1126,9 @@ func (vs *ViewState) ApplyText(newDB *DB) error {
 // than) re-registering the view.
 func (vs *ViewState) Rebuild(newDB *DB) (added, removed []int, err error) {
 	old := vs.counts
-	vs.ex.DB = newDB
+	// Every materialization is made anew, on newDB's dictionary.
+	vs.ex.DB, vs.syms, vs.ex.ident = newDB, newDB.Syms, nil
 	vs.round++
-	if !vs.opaque && newDB.Syms != vs.syms {
-		// The interner changed under a tree view (not a store epoch):
-		// degrade rather than mix symbol spaces.
-		vs.degradeToOpaque()
-	}
 	vs.eachNode(func(n *viewNode) { n.out, n.aux, n.delta = nil, nil, nil })
 	if err := vs.refresh(); err != nil {
 		return nil, nil, err

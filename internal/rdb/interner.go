@@ -11,6 +11,13 @@ import (
 // relation of a DB (stored and temporary), so joins move symbols around
 // without ever touching string data; equality on V becomes an int32 compare.
 //
+// An interner only grows. What releases a symbol is its database's writer:
+// once dead symbols — values no stored row or node holds any more — make up a
+// quarter of the dictionary, the writer moves its next version onto a compact
+// copy of the live ones (DB.ReclaimSymbols, reclaim.go), and the old
+// dictionary goes when the last epoch holding it does. An interner's symbols
+// never change meaning: a compaction is a new interner.
+//
 // The interner is safe for concurrent use and, after a database is loaded,
 // lock-free on the read path: resolved symbols live in an immutable
 // copy-on-write snapshot behind an atomic pointer (the same discipline as
@@ -40,10 +47,61 @@ type internSnap struct {
 }
 
 // NewInterner returns an interner holding only the empty string (symbol 0).
-func NewInterner() *Interner {
-	in := &Interner{strs: []string{""}}
-	in.clean.Store(&internSnap{ids: map[string]int32{"": 0}, strs: in.strs[:1:1]})
+func NewInterner() *Interner { return internerOf([]string{""}) }
+
+// internerOf returns an interner holding strs, symbol i being strs[i]; strs[0]
+// must be the empty string, and any other empty string is a number no symbol
+// has.
+func internerOf(strs []string) *Interner {
+	ids := make(map[string]int32, len(strs))
+	for i, s := range strs {
+		if s != "" || i == 0 {
+			ids[s] = int32(i)
+		}
+	}
+	in := &Interner{strs: strs}
+	in.clean.Store(&internSnap{ids: ids, strs: strs[:len(strs):len(strs)]})
 	return in
+}
+
+// compacted returns an interner of the symbols below n that live marks, live
+// of them, and each old symbol's new one, -1 for a dead one. It has size
+// numbers, at least live and more than every symbol of keep, a subset of
+// live. A live symbol below size keeps its number, and one above it takes
+// the lowest number a dead symbol left: so the symbols of keep never move,
+// only the ones interned after the dead ones below them do, and what a
+// database writes to follow the move is where they are. A number left over
+// holds no symbol.
+func (in *Interner) compacted(marks, keep symMarks, n, live int) (*Interner, []int32) {
+	in.mu.Lock()
+	strs := in.strs[:n] // an append-only prefix: its strings are never rewritten
+	in.mu.Unlock()
+	size := live
+	for id := size; id < n; id++ {
+		if keep.has(int32(id)) {
+			size = id + 1
+		}
+	}
+	out := make([]string, size)
+	to := make([]int32, n)
+	hole := 0
+	for id := range n {
+		switch {
+		case !marks.has(int32(id)):
+			to[id] = -1
+			continue
+		case id >= size:
+			for marks.has(int32(hole)) {
+				hole++
+			}
+			to[id] = int32(hole)
+			hole++
+		default:
+			to[id] = int32(id)
+		}
+		out[to[id]] = strs[id]
+	}
+	return internerOf(out), to
 }
 
 // Intern returns the symbol for s, assigning a new one on first sight.

@@ -11,7 +11,8 @@
 // drivers the paper discusses.
 //
 // Storage is compact: V strings are dictionary-encoded into int32 symbols by
-// a DB-level Interner, tuples are stored as three int32 columns in one row
+// a DB-level Interner, which a store's writer compacts once a quarter of it is
+// dead (reclaim.go), tuples are stored as three int32 columns in one row
 // array, and the per-column indexes are CSR offset/position arrays built once
 // per snapshot and extended as fixpoint deltas append rows. (F, T) dedup of an
 // operator's output runs through an open-addressing pair set only where a
@@ -845,7 +846,8 @@ type DB struct {
 	// pipelines move int32 symbols instead of strings.
 	Syms *Interner
 	// Labels maps each node an InsertLabeled of this lineage stored, and no
-	// later Insert or Delete of the same ID removed, to its type's symbol.
+	// later Insert or Delete of the same ID removed, to its type's symbol (a
+	// dictionary compaction moves no type).
 	// No bulk loader writes it: a database that Shred, StreamShred, Load or
 	// a Loader built starts with it empty, and a store holds in it only the
 	// nodes its live and replayed inserts wrote. Derive shares it, and its
@@ -865,6 +867,9 @@ type DB struct {
 	// Parent, Val, Label, EachNode — and its document-order interval
 	// (intervals.go). Atomic because interval rebuilds race readers.
 	nodes atomic.Pointer[nodeState]
+	// remap, on the one version that moved its lineage onto a compact
+	// dictionary, is that move (reclaim.go); Derive does not carry it.
+	remap *symRemap
 }
 
 // NewDB returns an empty database.

@@ -121,7 +121,8 @@ func TestUpdateEndpoint(t *testing.T) {
 }
 
 // TestUpdateErrorMapping: store faults map to typed HTTP errors — unknown
-// node 404, DTD violation 422, bad fragment 400 — and never 500.
+// node 404, DTD violation 422, bad fragment 400 (one nested 100 000 deep
+// included, which the tokenizer refuses rather than walks) — and never 500.
 func TestUpdateErrorMapping(t *testing.T) {
 	s, _ := newLiveServer(t, "", nil)
 	ts := httptest.NewServer(s.Handler())
@@ -139,6 +140,7 @@ func TestUpdateErrorMapping(t *testing.T) {
 		{"dtd violation", updateRequest{Op: "insert_subtree", Parent: 1, Fragment: "<student><sno>s</sno><name>n</name><qualified></qualified></student>"}, http.StatusUnprocessableEntity, "invalid_update"},
 		{"delete root", updateRequest{Op: "delete_subtree", Node: 1}, http.StatusUnprocessableEntity, "invalid_update"},
 		{"bad fragment", updateRequest{Op: "insert_subtree", Parent: 1, Fragment: "<course><"}, http.StatusBadRequest, "bad_fragment"},
+		{"too deep", updateRequest{Op: "insert_subtree", Parent: 1, Fragment: strings.Repeat("<a>", 100_000) + strings.Repeat("</a>", 100_000)}, http.StatusBadRequest, "bad_fragment"},
 		{"missing fragment", updateRequest{Op: "insert_subtree", Parent: 1}, http.StatusBadRequest, "bad_request"},
 		{"unknown op", updateRequest{Op: "upsert"}, http.StatusBadRequest, "bad_request"},
 	}
@@ -244,6 +246,9 @@ func TestStoreMetricsExposed(t *testing.T) {
 		"xpathd_store_relabels_total 0", // a text update moves no label
 		"xpathd_store_relabelled_nodes_total 0",
 		"xpathd_store_catalog_chunks_copied_total 1", // and writes one value, in one chunk
+		"# TYPE xpathd_store_symbols gauge",
+		"# TYPE xpathd_store_symbol_compactions_total counter",
+		"xpathd_store_symbol_compactions_total 0",
 		"xpathd_store_checkpoint_failures_total 0",
 	} {
 		if !strings.Contains(text, want) {

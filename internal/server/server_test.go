@@ -86,11 +86,14 @@ func newDeptServer(t *testing.T, mutate func(*Config)) *Server {
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
-	blob, err := json.Marshal(body)
-	if err != nil {
+	// Markup goes as it is, not as \u003c: a fragment's bytes are the body's.
+	var blob bytes.Buffer
+	enc := json.NewEncoder(&blob)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
+	resp, err := http.Post(url, "application/json", &blob)
 	if err != nil {
 		t.Fatal(err)
 	}

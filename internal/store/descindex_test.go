@@ -79,9 +79,10 @@ func (w *indexWalk) lastOp(prev, db *rdb.DB) string {
 
 // TestPatchedDescIndexesEqualRebuilt is the differential test of the writer's
 // index patches: along a random walk of inserts (some at a pinned base past an
-// ID gap, some on a dense image, which relabel), deletes and text updates, and
-// then along the replay of the walk's WAL onto its boot snapshot, every index
-// an epoch holds equals one built afresh from its relation.
+// ID gap, some on a dense image, which relabel), deletes and text updates —
+// four of them moving the store onto a compact dictionary — and then along
+// the replay of the walk's WAL onto its boot snapshot, every index an epoch
+// holds equals one built afresh from its relation.
 func TestPatchedDescIndexesEqualRebuilt(t *testing.T) {
 	d := workload.Dept()
 	dir := t.TempDir()
@@ -89,6 +90,9 @@ func TestPatchedDescIndexesEqualRebuilt(t *testing.T) {
 	live := &indexWalk{t: t, s: s, carried: map[string]int{}}
 	rng := rand.New(rand.NewSource(55))
 	for i := 0; i < 200; i++ {
+		if i%50 == 20 {
+			s.ForceSymbolCompaction()
+		}
 		if i%10 != 9 {
 			live.step(func() { applyRandomOp(t, s, m, rng, i) })
 			continue
@@ -107,6 +111,9 @@ func TestPatchedDescIndexesEqualRebuilt(t *testing.T) {
 			}
 			m.insert(res.NodeID, p, doc)
 		})
+	}
+	if n := s.Stats().SymbolCompactions; n < 4 {
+		t.Errorf("%d dictionary compactions; want the four the walk forced at least", n)
 	}
 	want := saveBytes(t, s.View().DB)
 	if !bytes.Equal(want, saveBytes(t, m.buildDB(d))) {

@@ -17,10 +17,13 @@
 // but in a relation's occasional compaction; untouched relations are shared,
 // and so is the node table — parents, values, types and interval labels — but
 // for the 128-node chunks the update writes and the directory pages above
-// them. The finished epoch is published with one atomic pointer swap; readers
-// pin an epoch with View and never observe a half-applied update, take no
-// locks, and keep executing against their pinned epoch even as newer ones
-// land.
+// them. The text values are symbols of one dictionary the epochs share, which
+// the writer compacts by the quarter rule relations compact by
+// (reclaimSymbols), so a store holds the values its document holds, not every
+// value it was sent. The finished epoch is published with one atomic pointer
+// swap; readers pin an epoch with View and never observe a half-applied
+// update, take no locks, and keep executing against their pinned epoch even
+// as newer ones land.
 //
 // Durability. Every update is appended to a length-prefixed, CRC-checked
 // write-ahead log before it is applied (see wal.go), with a configurable
@@ -176,8 +179,17 @@ type Store struct {
 	sinceCkpt int
 	closed    bool
 	onApply   func(TxnDelta)
+	// The dictionary's quarter rule (reclaimSymbols): its size and live
+	// symbols at the last check, and whether the next update compacts it
+	// whatever the rule says (ForceSymbolCompaction).
+	symBase, symLive int
+	forceSyms        bool
 
-	ckptMu sync.Mutex // serializes snapshot file writes
+	ckptMu sync.Mutex     // serializes snapshot file writes
+	ckpts  sync.WaitGroup // automatic checkpoints in flight, which Close waits for
+	// snapshotHook, when set, runs as a checkpoint starts writing its
+	// snapshot; the package's tests hold a checkpoint there.
+	snapshotHook func()
 
 	inserts      atomic.Int64
 	deletes      atomic.Int64
@@ -190,6 +202,7 @@ type Store struct {
 	relabels     atomic.Int64
 	relabelled   atomic.Int64
 	chunksCopied atomic.Int64
+	symCompacts  atomic.Int64
 	applyHist    *obs.Histogram
 
 	checkpointFailures atomic.Int64 // automatic checkpoints that failed
@@ -271,6 +284,10 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s.nextID = next
 	s.lsn = lsn
+	// The loaded dictionary is the rule's baseline, all of it live: a bulk
+	// load never triggers a compaction.
+	s.symBase = db.Syms.Len()
+	s.symLive = s.symBase
 	s.cur.Store(&Epoch{DB: db, Seq: seq, LSN: lsn})
 
 	if s.dir != "" {
@@ -359,10 +376,12 @@ func (s *Store) apply(rec walRecord) (UpdateResult, error) {
 	}
 	if s.cfg.CheckpointEvery > 0 && s.sinceCkpt >= s.cfg.CheckpointEvery {
 		s.sinceCkpt = 0
+		s.ckpts.Add(1)
 		go func() {
-			// Nobody waits for this one: a failure (a full disk, say) is
-			// counted, and the WAL keeps every record until a checkpoint
-			// succeeds.
+			// No update waits for this one, only Close: a failure (a full
+			// disk, say) is counted, and the WAL keeps every record until a
+			// checkpoint succeeds.
+			defer s.ckpts.Done()
 			if _, err := s.Checkpoint(); err != nil && !errors.Is(err, ErrClosed) {
 				s.checkpointFailures.Add(1)
 			}
@@ -383,7 +402,7 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	case opInsert:
 		var err error
 		if frag, err = xmltree.Parse(rec.Fragment); err != nil {
-			return UpdateResult{}, fmt.Errorf("%w: %v", ErrBadFragment, err)
+			return UpdateResult{}, fmt.Errorf("%w: %w", ErrBadFragment, err)
 		}
 		if err := s.validateInsert(ep.DB, rec.Parent, frag); err != nil {
 			return UpdateResult{}, err
@@ -469,6 +488,7 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 		t.db.DeriveText(ep.DB, rec.Node)
 	}
 	s.chunksCopied.Add(int64(t.db.ChunksCopied()))
+	s.reclaimSymbols(t.db)
 
 	next := &Epoch{DB: t.db, Seq: ep.Seq + 1, LSN: rec.LSN}
 	s.lsn = rec.LSN
@@ -481,6 +501,35 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 	}
 	s.applyHist.Observe(time.Since(t0))
 	return res, nil
+}
+
+// reclaimSymbols applies the dictionary's quarter rule to the version an
+// update built. Once the symbols interned since the last check reach a
+// quarter of the store's nodes — or of the live symbols that check found,
+// when they are more — it marks the live symbols, and moves the version onto
+// a compact dictionary when at least a quarter are dead (rdb.ReclaimSymbols);
+// either way the check is the new baseline. A check scans the version, and the
+// symbols interned before it pay for that scan: O(1) amortized each, and
+// nothing at all for an update that interns none.
+func (s *Store) reclaimSymbols(db *rdb.DB) {
+	n := db.Syms.Len()
+	if !s.forceSyms && n-s.symBase <= max(db.NumNodes(), s.symLive)/4 {
+		return
+	}
+	live, compacted := db.ReclaimSymbols(s.forceSyms)
+	s.symBase, s.symLive, s.forceSyms = db.Syms.Len(), live, false
+	if compacted {
+		s.symCompacts.Add(1)
+	}
+}
+
+// ForceSymbolCompaction makes the next applied update compact the store's
+// dictionary whatever its dead share: the seam through which a test walk of
+// any length crosses a compaction.
+func (s *Store) ForceSymbolCompaction() {
+	s.mu.Lock()
+	s.forceSyms = true
+	s.mu.Unlock()
 }
 
 // txn accumulates one update's state: a database derived from the parent
@@ -613,6 +662,9 @@ func (s *Store) Checkpoint() (CheckpointInfo, error) {
 
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	if s.snapshotHook != nil {
+		s.snapshotHook()
+	}
 	path := filepath.Join(s.dir, snapName(ep.LSN))
 	if err := writeSnapshotFile(path, ep, next); err != nil {
 		return CheckpointInfo{}, err
@@ -680,20 +732,22 @@ func (s *Store) replayDir() error {
 	return nil
 }
 
-// Close syncs and closes the WAL. The last published epoch stays readable.
+// Close syncs and closes the WAL, and returns once an automatic checkpoint in
+// flight has finished: nothing writes the directory after it. The last
+// published epoch stays readable.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
+	var err error
+	if !s.closed {
+		s.closed = true
+		if s.w != nil {
+			err = s.w.close()
+			s.w = nil
+		}
 	}
-	s.closed = true
-	if s.w != nil {
-		err := s.w.close()
-		s.w = nil
-		return err
-	}
-	return nil
+	s.mu.Unlock()
+	s.ckpts.Wait()
+	return err
 }
 
 // crash abandons the store without flushing or syncing — the unclean-stop
@@ -727,6 +781,8 @@ func (s *Store) Stats() obs.StoreStats {
 		Relabels:            s.relabels.Load(),
 		RelabelledNodes:     s.relabelled.Load(),
 		CatalogChunksCopied: s.chunksCopied.Load(),
+		Symbols:             int64(ep.DB.Syms.Len()),
+		SymbolCompactions:   s.symCompacts.Load(),
 		Apply:               s.applyHist.Snapshot(),
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,6 +325,8 @@ func answers(t *testing.T, db *rdb.DB, d *dtd.DTD, query string, strat core.Stra
 // snapshots, as well as compact away tombstones with an overflow to carry
 // across — each counted on the versions the updates made, so the fold's merge
 // and the compaction's filter are reached, not assumed (Relation.OverflowStats).
+// Every walk also moves onto a compact dictionary at a third and at two thirds
+// of its steps, whatever share of it is dead, and the store counts the moves.
 func TestDifferentialRandomUpdates(t *testing.T) {
 	d := workload.Dept()
 	for _, w := range []struct {
@@ -345,6 +348,9 @@ func TestDifferentialRandomUpdates(t *testing.T) {
 			folded, filtered := 0, 0
 			for i := 0; i < steps; i++ {
 				prev := s.View().DB
+				if i == steps/3 || i == 2*steps/3 {
+					s.ForceSymbolCompaction()
+				}
 				if w.grow && i%2 == 0 {
 					insertBoth(t, s, m, m.byLabel("dept")[0], fragCourse(i))
 				} else {
@@ -379,7 +385,11 @@ func TestDifferentialRandomUpdates(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("document size at the checkpoints: %v nodes (floor %d); %d overflow folds, %d compactions carrying an overflow", sizes, floor, folded, filtered)
+			compactions := s.Stats().SymbolCompactions
+			t.Logf("document size at the checkpoints: %v nodes (floor %d); %d overflow folds, %d compactions carrying an overflow; %d dictionary compactions", sizes, floor, folded, filtered, compactions)
+			if compactions < 2 {
+				t.Errorf("%d dictionary compactions; want the two the walk forced at least", compactions)
+			}
 			if w.grow && (folded == 0 || filtered == 0) {
 				t.Errorf("%d updates folded %d index overflows and %d compactions carried one; want both", steps, folded, filtered)
 			}
@@ -397,6 +407,13 @@ func TestValidationErrors(t *testing.T) {
 		want error
 	}{
 		{"bad xml", func() error { _, err := s.InsertSubtree(dept, "<course><"); return err }, ErrBadFragment},
+		{"too deep", func() error {
+			_, err := s.InsertSubtree(dept, strings.Repeat("<course>", 100_000))
+			if de := (*xmltree.DepthError)(nil); !errors.As(err, &de) {
+				t.Errorf("a fragment 100 000 deep: %v, want a *xmltree.DepthError", err)
+			}
+			return err
+		}, ErrBadFragment},
 		{"unknown parent", func() error { _, err := s.InsertSubtree(999999, fragCourse(0)); return err }, ErrUnknownNode},
 		{"second root", func() error { _, err := s.InsertSubtree(0, fragCourse(0)); return err }, ErrInvalid},
 		{"wrong child type", func() error { _, err := s.InsertSubtree(dept, fragStudent(0)); return err }, ErrInvalid},
@@ -585,9 +602,11 @@ func TestPinnedEpochLabels(t *testing.T) {
 // the writer's later versions of its relations share its row arrays —
 // appending into them past the pinned rows, tombstoning rows in bitmaps of
 // their own, rewriting values as a tombstone and an append, compacting into
-// new arrays — and read the pinned epoch's answers and image throughout. Run
-// it under -race: a write to a row, a tombstone bit or an index entry the
-// pinned epoch holds races with its readers, and changes what they read.
+// new arrays, moving the store onto a compact dictionary halfway — and read
+// the pinned epoch's answers and image throughout. Run it under -race: a
+// write to a row, a tombstone bit, an index entry, a node-table chunk or a
+// dictionary the pinned epoch holds races with its readers, and changes what
+// they read.
 func TestPinnedEpochSharesRows(t *testing.T) {
 	s, m := openCourses(t, 40)
 	d := workload.Dept()
@@ -643,6 +662,9 @@ func TestPinnedEpochSharesRows(t *testing.T) {
 	}
 	compactions := 0
 	for i := 0; i < 15; i++ {
+		if i == 7 {
+			s.ForceSymbolCompaction()
+		}
 		insertBoth(t, s, m, dept, fragCourse(i+1))
 		cno := m.children[seeded[i]][0]
 		if _, err := s.UpdateText(cno, fmt.Sprintf("rewritten-%d", i)); err != nil {
@@ -670,6 +692,9 @@ func TestPinnedEpochSharesRows(t *testing.T) {
 	}
 	if compactions == 0 {
 		t.Fatal("no update compacted a relation: the burst shared arrays and never replaced one")
+	}
+	if s.Stats().SymbolCompactions == 0 || s.View().DB.Syms == pin.DB.Syms {
+		t.Fatal("the burst did not move the store onto a compact dictionary")
 	}
 	t.Logf("%d relation versions compacted over the burst", compactions)
 }

@@ -36,6 +36,23 @@ type Token struct {
 
 const windowSize = 64 << 10
 
+// MaxDepth is the deepest element nesting the tokenizer reads, the root
+// element at depth 1: far above any document the repository reads or
+// generates (the deepest, a test's chain of 3 000), and low enough that the
+// walks over a parsed tree that recurse — Serialize, validation, shredding —
+// stay shallow. A deeper element is refused with a *DepthError before its
+// name is read.
+const MaxDepth = 10_000
+
+// DepthError reports an element nested deeper than MaxDepth.
+type DepthError struct {
+	Offset int64 // of the start tag past the limit
+}
+
+func (e *DepthError) Error() string {
+	return fmt.Sprintf("xmltree: offset %d: elements nested deeper than %d", e.Offset, MaxDepth)
+}
+
 // Tokenizer is the repository's one XML lexer, a pull tokenizer over a
 // chunked window of its reader. Its dialect:
 //
@@ -59,7 +76,8 @@ const windowSize = 64 << 10
 //     like a literal one;
 //   - whitespace is space, tab, CR and LF; a name runs up to whitespace,
 //     '>', '/' or '='; a comment or PI terminator is searched after its
-//     opener, so "<!-->" is unterminated.
+//     opener, so "<!-->" is unterminated;
+//   - elements nest at most MaxDepth deep.
 //
 // End tags are checked against their start tags: tokens up to io.EOF form a
 // well-formed document.
@@ -279,6 +297,10 @@ func (t *Tokenizer) nameEnd() int {
 // startTag consumes "<name ...>" or "<name .../>", pushing the name of an
 // element that stays open. Attributes are parsed and discarded.
 func (t *Tokenizer) startTag() (Token, error) {
+	if len(t.open) == MaxDepth {
+		t.err = &DepthError{Offset: t.off + int64(t.pos)}
+		return Token{}, t.err
+	}
 	t.pos++ // '<'
 	i := t.nameEnd()
 	if i == t.pos {

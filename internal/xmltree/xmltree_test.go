@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -308,6 +309,7 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add([]byte(prologDoc))
 	f.Add([]byte(`<dept><course><cno>cs11</cno><prereq><course><cno>cs66</cno><prereq/></course></prereq></course></dept>`))
+	f.Add([]byte(deep(100_000, "")))
 	f.Fuzz(func(t *testing.T, src []byte) {
 		doc, err := Parse(string(src))
 		if err != nil {
@@ -322,6 +324,34 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed the tree:\n%q\n%q", src, text)
 		}
 	})
+}
+
+// deep returns n nested <a> elements, the innermost holding inner.
+func deep(n int, inner string) string {
+	return strings.Repeat("<a>", n) + inner + strings.Repeat("</a>", n)
+}
+
+// TestDepthLimit: elements nest MaxDepth deep and no deeper — a start tag
+// past the limit, self-closing or not, is refused with a *DepthError at its
+// offset, however deep the input goes on.
+func TestDepthLimit(t *testing.T) {
+	doc, err := Parse(deep(MaxDepth, "x"))
+	if err != nil {
+		t.Fatalf("%d deep: %v", MaxDepth, err)
+	}
+	if h := doc.Size(); h != MaxDepth {
+		t.Fatalf("%d deep: %d nodes", MaxDepth, h)
+	}
+	for _, src := range []string{deep(MaxDepth, "<b/>"), deep(MaxDepth+1, ""), deep(100_000, "")} {
+		_, err := Parse(src)
+		var de *DepthError
+		if !errors.As(err, &de) {
+			t.Fatalf("%d bytes: %v, want a *DepthError", len(src), err)
+		}
+		if want := int64(3 * MaxDepth); de.Offset != want {
+			t.Errorf("%d bytes: refused at offset %d, want %d", len(src), de.Offset, want)
+		}
+	}
 }
 
 // TestCharacterReferences: a numeric character reference is its character,
