@@ -85,17 +85,41 @@ func (g *Graph) Children(typ string) []string {
 }
 
 // Recursive reports whether the DTD is recursive, i.e. G_D is cyclic.
-func (g *Graph) Recursive() bool {
+func (g *Graph) Recursive() bool { return len(g.CyclicSCCs()) > 0 }
+
+// CyclicSCCs returns the strongly connected components that hold a cycle:
+// those of two or more types, and single types with an edge to themselves.
+func (g *Graph) CyclicSCCs() [][]string {
+	var out [][]string
 	for _, scc := range g.SCCs() {
-		if len(scc) > 1 {
-			return true
-		}
-		n := scc[0]
-		if g.HasEdge(n, n) {
-			return true
+		if len(scc) > 1 || g.HasEdge(scc[0], scc[0]) {
+			out = append(out, scc)
 		}
 	}
-	return false
+	return out
+}
+
+// Induced returns the subgraph of the types keep admits and the edges among
+// them; its root is g's if keep admits it, else "".
+func (g *Graph) Induced(keep func(typ string) bool) *Graph {
+	h := &Graph{Out: map[string][]Edge{}, In: map[string][]Edge{}, index: map[string]int{}}
+	if keep(g.Root) {
+		h.Root = g.Root
+	}
+	for _, n := range g.Nodes {
+		if !keep(n) {
+			continue
+		}
+		h.index[n] = len(h.Nodes)
+		h.Nodes = append(h.Nodes, n)
+		for _, e := range g.Out[n] {
+			if keep(e.To) {
+				h.Out[n] = append(h.Out[n], e)
+				h.In[e.To] = append(h.In[e.To], e)
+			}
+		}
+	}
+	return h
 }
 
 // Reachable returns the set of types reachable from typ via one or more

@@ -286,11 +286,15 @@ func TestDifferentialRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Abandoned below as a kill -9 would leave them, the store and the hub
+	// are released only once the test is over, after the reopened ones.
+	t.Cleanup(func() { st.Close() })
 	e := xpath2sql.New(d)
 	h, err := e.NewWatchHub(st, xpath2sql.WatchConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(h.Close)
 
 	queries := make([]string, 0, 4)
 	for len(queries) < 4 {

@@ -248,7 +248,7 @@ func (h *Hub) maintainView(v *view, q queued) {
 	case td.Epoch != v.epoch+1:
 		why = &h.rerunsBy.EpochGap
 	case td.Op == store.OpUpdateText && v.vs.TextImmune():
-		err = v.vs.ApplyText(td.DB)
+		err = v.vs.ApplyText(td.DB, td.Root)
 	case td.Op == store.OpUpdateText:
 		why = &h.rerunsBy.Text
 	case !v.vs.Insertable():

@@ -1102,18 +1102,27 @@ func (vs *ViewState) fixShrink(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Re
 
 // --- text updates --------------------------------------------------------
 
-// ApplyText advances the view to newDB after one UpdateText. For text-
-// immune views (no value selection anywhere in the plan) answers cannot
-// change and the materializations stay valid as ID sets, so this is a
-// repoint; otherwise the caller must Rebuild.
-func (vs *ViewState) ApplyText(newDB *DB) error {
+// ApplyText advances the view to newDB after one UpdateText of node id. For
+// text-immune views (no value selection anywhere in the plan) answers cannot
+// change and the materializations stay valid as ID sets, so this is a repoint
+// that writes the node's new value into the rows of every materialization
+// whose T is the node; otherwise the caller must Rebuild.
+func (vs *ViewState) ApplyText(newDB *DB, id int) error {
 	if !vs.textImmune {
 		return ErrNonIncremental
 	}
 	if !vs.follow(newDB) && !vs.opaque {
 		return ErrNonIncremental
 	}
-	vs.ex.DB = newDB
+	vs.ex.DB, vs.ex.ident = newDB, nil
+	v := newDB.ValSym(id)
+	vs.eachNode(func(n *viewNode) {
+		for _, r := range [2]*Relation{n.out, n.aux} {
+			if r != nil {
+				r.rowsAt(false, int32(id), func(w row) { r.updateSym(int(w.f), int(w.t), v) })
+			}
+		}
+	})
 	return nil
 }
 

@@ -320,9 +320,10 @@ func TestViewMixedUpdateDifferential(t *testing.T) {
 					}
 				}
 			case op == 1: // text update
-				db2, _ = td.text(r)
+				var id int
+				db2, id = td.text(r)
 				if vs.TextImmune() {
-					if err := vs.ApplyText(db2); err != nil {
+					if err := vs.ApplyText(db2, id); err != nil {
 						t.Logf("ApplyText (seed=%d): %v", seed, err)
 						return false
 					}

@@ -73,21 +73,22 @@ func (m IntervalMode) String() string {
 // nodeState is one database's view of its node table: the table (immutable once
 // the database is published, and sharing its chunks with the neighbouring
 // epochs of a store), whether its label columns are a valid interval encoding,
+// whether they keep every label of the database it was derived from (carry),
 // and this database's per-relation descendant indexes. The whole value is
 // swapped atomically on adopt/rebuild/invalidate, so readers pin a consistent
 // encoding. The index cache maps a relation to its entry under a mutex held
 // only for the lookup: concurrent queries may ask for the same relation's
 // index first, and one builds it while the others wait on its entry alone.
 type nodeState struct {
-	tab      *nodeTable
-	labelled bool
+	tab             *nodeTable
+	labelled, carry bool
 
 	mu    sync.Mutex
 	byRel map[*Relation]*descEntry
 }
 
-func newNodeState(tab *nodeTable, labelled bool) *nodeState {
-	return &nodeState{tab: tab, labelled: labelled, byRel: map[*Relation]*descEntry{}}
+func newNodeState(tab *nodeTable, labelled, carry bool) *nodeState {
+	return &nodeState{tab: tab, labelled: labelled, carry: carry, byRel: map[*Relation]*descEntry{}}
 }
 
 // encoding pins the database's interval encoding, nil when it has no valid one.
@@ -113,7 +114,7 @@ func (e *descEntry) index(tab *nodeTable, rel *Relation) *descIndex {
 			if buildHook != nil {
 				buildHook(rel)
 			}
-			e.idx = buildDescIndex(tab, rel)
+			e.idx = buildDescIndex(tab, rel, 0)
 			e.done.Store(true)
 		})
 	}
@@ -129,40 +130,95 @@ func (e *descEntry) final() (idx *descIndex, ok bool) {
 	return e.idx, true
 }
 
-// carriedEntry is a final entry holding an index the update derived.
-func carriedEntry(idx *descIndex) *descEntry {
-	e := &descEntry{idx: idx}
-	e.done.Store(true)
-	return e
-}
-
 // buildHook, when set, runs before each index build; the package's tests set
 // it to count builds and to hold one up.
 var buildHook func(rel *Relation)
 
-// indexPatch derives the index of cur, the clone an update wrote of the parent
-// epoch's old, from idx, old's index there; nil leaves cur's index to its
-// first reader. It reads no row of cur it did not write: one memmove of idx.
-type indexPatch func(idx *descIndex, old, cur *Relation) *descIndex
-
-// inherit seeds the cache from prev's: the entry of every relation db still
-// shares with it, built or not, and the caller vouches that none of their
-// labels moved; and, through patch, the index of every relation the update
-// cloned that prev had built one for. Any other relation is indexed on its
-// first read.
-func (st *nodeState) inherit(prev *nodeState, db *DB, patch indexPatch) {
+// inherit seeds the cache from prev's, whose labels st keeps: the entry of
+// every relation db still shares with it, built or not, and the index derived
+// from prev's of every relation whose version in db was cloned from prev's and
+// that prev had built one for; to is the move db made onto a compact
+// dictionary, nil for none. Any other relation is indexed on its first read.
+func (st *nodeState) inherit(prev *nodeState, db *DB, to []int32) {
 	prev.mu.Lock()
 	defer prev.mu.Unlock()
 	for rel, e := range prev.byRel {
 		cur := db.Rels[rel.Name]
 		if cur == rel {
 			st.byRel[rel] = e
-		} else if idx, ok := e.final(); ok && idx != nil && cur != nil {
-			if p := patch(idx, rel, cur); p != nil {
-				st.byRel[cur] = carriedEntry(p)
+		} else if idx, ok := e.final(); ok && idx != nil && cur != nil && cur.src == rel {
+			if d := st.derived(prev, idx, cur, to); d != nil {
+				c := &descEntry{idx: d}
+				c.done.Store(true)
+				st.byRel[cur] = c
 			}
 		}
 	}
+}
+
+// derived is the one rule by which a descendant index crosses into the next
+// epoch. idx is the index of cur.src in the parent epoch, whose labels are
+// was's; cur recorded what the update wrote since (Relation.src), and to is
+// the move the update made onto a compact dictionary, or nil. The entries of
+// the rows it killed go, each found by its begin in was's table; the rows it
+// appended come in, sorted by their begins in st's table; every kept value is
+// rewritten by to. The runs between those change points are copied once, and
+// an array the update leaves as it was is shared: a text update, whose new row
+// takes its node's labels over, copies only rows. It returns nil — cur is
+// indexed on its first read — when a row is not where the record puts it.
+func (st *nodeState) derived(was *nodeState, idx *descIndex, cur *Relation, to []int32) *descIndex {
+	drop := make([]int, 0, len(cur.killed))
+	for _, w := range cur.killed {
+		nv, ok := was.tab.get(int(w.t))
+		at := firstAbove(idx.begins, 0, nv.Begin-1)
+		if !ok || at == len(idx.rows) || idx.begins[at] != nv.Begin || idx.rows[at].t != w.t {
+			return nil
+		}
+		drop = append(drop, at)
+	}
+	slices.Sort(drop)
+	add := buildDescIndex(st.tab, cur, cur.born)
+	n := cur.Len()
+	if add == nil || len(idx.rows)-len(drop)+len(add.rows) != n {
+		return nil
+	}
+	if len(drop)+len(add.rows) == 0 && (to == nil || !slices.ContainsFunc(idx.rows, func(w row) bool { return to[w.v] != w.v })) {
+		return idx
+	}
+	// same: each new row has the labels of the dropped one it replaces.
+	same := len(drop) == len(add.rows)
+	for k := 0; same && k < len(drop); k++ {
+		same = idx.begins[drop[k]] == add.begins[k] && idx.ends[drop[k]] == add.ends[k]
+	}
+	out := &descIndex{begins: idx.begins, ends: idx.ends, rows: make([]row, 0, n)}
+	if !same {
+		out.begins, out.ends = make([]int64, 0, n), make([]int64, 0, n)
+	}
+	put := func(from *descIndex, lo, hi int) { // from's entries [lo, hi)
+		if !same {
+			out.begins = append(out.begins, from.begins[lo:hi]...)
+			out.ends = append(out.ends, from.ends[lo:hi]...)
+		}
+		at := len(out.rows)
+		out.rows = append(out.rows, from.rows[lo:hi]...)
+		for k := at; to != nil && from == idx && k < len(out.rows); k++ {
+			out.rows[k].v = to[out.rows[k].v]
+		}
+	}
+	i := 0 // the next entry of idx to copy
+	for a, d := 0, 0; a < len(add.rows) || d < len(drop); {
+		if d < len(drop) && (a == len(add.rows) || idx.begins[drop[d]] <= add.begins[a]) {
+			put(idx, i, drop[d])
+			i, d = drop[d]+1, d+1
+			continue
+		}
+		j := firstAbove(idx.begins, i, add.begins[a])
+		put(idx, i, j)
+		put(add, a, a+1)
+		i, a = j, a+1
+	}
+	put(idx, i, len(idx.rows))
+	return out
 }
 
 // descIndex lists a stored relation's live rows sorted by the T node's
@@ -178,15 +234,13 @@ type descIndex struct {
 
 // IntervalBuilder writes the label columns of a database's node table: a fresh
 // encoding for a bulk load (DB.NewIntervalBuilder; the shredders fill it node
-// by node instead of collecting a map first), or the patch a structural update
-// makes to the encoding its database was derived with. It has one writer and
+// by node instead of collecting a map first), or the labels an insert adds to
+// the encoding its database was derived with, where relabelled counts the
+// labels a relabel moved to make room (see relabel.go). It has one writer and
 // is dead once adopted.
 type IntervalBuilder struct {
-	db  *DB
-	tab *nodeTable
-	// prev is the encoding a patched one started from; relabelled counts the
-	// labels a relabel moved since (see relabel.go).
-	prev       *nodeState
+	db         *DB
+	tab        *nodeTable
 	relabelled int
 }
 
@@ -211,27 +265,8 @@ func (b *IntervalBuilder) SetNode(id, parent int, sym, typ int32, iv NodeInterva
 }
 
 // Adopt installs the built encoding on the database, replacing any previous
-// one. A patched encoding that moved no label keeps the descendant indexes of
-// the relations the database shares with the one it was derived from, and
-// splices the inserted rows into those of the relations it cloned.
-func (b *IntervalBuilder) Adopt() {
-	st := newNodeState(b.tab, true)
-	if b.prev != nil && b.relabelled == 0 {
-		st.inherit(b.prev, b.db, st.spliceInserted)
-	}
-	b.db.nodes.Store(st)
-}
-
-// AdoptIntervals installs a complete interval encoding, replacing any
-// previous one. Bulk loaders fill an IntervalBuilder directly instead of
-// collecting a map first.
-func (db *DB) AdoptIntervals(iv map[int]NodeInterval) {
-	b := db.NewIntervalBuilder()
-	for id, n := range iv {
-		b.Set(id, n)
-	}
-	b.Adopt()
-}
+// one: its labels are its own, so no descendant index carries over into it.
+func (b *IntervalBuilder) Adopt() { b.db.nodes.Store(newNodeState(b.tab, true, false)) }
 
 // HasIntervals reports whether the database carries a valid interval
 // encoding.
@@ -265,43 +300,28 @@ func (db *DB) IntervalCount() int {
 
 // InvalidateIntervals drops the interval encoding; queries fall back to the
 // fixpoint until RebuildIntervals runs.
-func (db *DB) InvalidateIntervals() { db.nodes.Store(newNodeState(db.nodes.Load().tab, false)) }
+func (db *DB) InvalidateIntervals() { db.nodes.Store(newNodeState(db.nodes.Load().tab, false, false)) }
 
-// DeriveDelete ends a delete: db, derived from prev, no longer holds the
-// subtree rooted at root, and moved no label. It takes over prev's descendant
-// indexes of the relations the two still share, and cuts the subtree's range
-// out of prev's index of each relation it cloned; call it once db's relations
-// are final.
-func (db *DB) DeriveDelete(prev *DB, root int) {
+// DeriveIndexes ends an update: db, derived from prev, is final — relations,
+// labels and dictionary — and about to be published. Unless the update moved
+// a label of prev's, db takes over prev's descendant indexes, each one shared
+// or derived by what the update's versions of the relation wrote (derived);
+// either way those records are then dropped, so the next update's start from
+// db. It runs once per update, whatever the update did.
+func (db *DB) DeriveIndexes(prev *DB) {
 	st, was := db.encoding(), prev.encoding()
-	if st == nil || was == nil {
-		return
+	var to []int32
+	if m := db.remap; m != nil && m.from == prev.Syms {
+		to = m.to
 	}
-	iv, ok := was.tab.get(root)
-	st.inherit(was, db, func(idx *descIndex, old, cur *Relation) *descIndex {
-		if !ok {
-			return nil
-		}
-		return idx.cut(iv, old.Len()-cur.Len())
-	})
-}
-
-// DeriveText ends a text update of node id: db, derived from prev, moved no
-// label. It takes over prev's descendant indexes of the relations the two
-// still share, and gives the relation it cloned prev's index with the node's
-// new value.
-func (db *DB) DeriveText(prev *DB, id int) {
-	st, was := db.encoding(), prev.encoding()
-	if st == nil || was == nil {
-		return
+	if st != nil && was != nil && st.carry && (to != nil || db.Syms == prev.Syms) {
+		st.inherit(was, db, to)
 	}
-	st.inherit(was, db, func(idx *descIndex, _, _ *Relation) *descIndex {
-		iv, ok := st.tab.get(id)
-		if !ok {
-			return nil
+	for _, r := range db.Rels {
+		if r.src != nil {
+			r.src, r.killed = nil, nil
 		}
-		return idx.revalued(iv.Begin, int32(id), st.tab.valSym(id))
-	})
+	}
 }
 
 // RebuildIntervals recomputes the dense interval encoding from the catalog's
@@ -359,16 +379,16 @@ func (st *nodeState) indexFor(rel *Relation) (*descIndex, error) {
 	return idx, nil
 }
 
-// buildDescIndex sorts a relation's live rows by the T node's begin
-// position. Returns nil when some live T node has no interval.
-func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
-	n := rel.Len()
+// buildDescIndex sorts a relation's live rows from position from on by the T
+// node's begin position. Returns nil when some live T node has no interval.
+func buildDescIndex(tab *nodeTable, rel *Relation, from int) *descIndex {
+	n := min(rel.Len(), len(rel.rows)-from)
 	idx := &descIndex{
 		begins: make([]int64, 0, n),
 		ends:   make([]int64, 0, n),
 		rows:   make([]row, 0, n),
 	}
-	for i := range rel.rows {
+	for i := from; i < len(rel.rows); i++ {
 		if rel.isDead(i) {
 			continue
 		}
@@ -385,69 +405,10 @@ func buildDescIndex(tab *nodeTable, rel *Relation) *descIndex {
 	return idx
 }
 
-// spliceInserted derives the index of cur, which an insert that moved no label
-// made by appending rows to a clone of old: the new rows' begins, looked up in
-// st's table, form one block inside the parent's free range, so sorted they go
-// in at one position. The new rows are cur's last ones, whether or not an
-// append compacted cur, since an insert kills no row and a compaction keeps
-// the order. It returns nil — leaving cur to be indexed on first read — when
-// the rows do not fit that shape.
-func (st *nodeState) spliceInserted(idx *descIndex, old, cur *Relation) *descIndex {
-	n, k := len(idx.rows), cur.Len()-old.Len()
-	if n != old.Len() || k <= 0 || cur.nDead > old.nDead {
-		return nil
-	}
-	add := &descIndex{rows: slices.Clone(cur.rows[len(cur.rows)-k:])}
-	for _, w := range add.rows {
-		nv, ok := st.tab.get(int(w.t))
-		if !ok {
-			return nil
-		}
-		add.begins = append(add.begins, nv.Begin)
-		add.ends = append(add.ends, nv.End)
-	}
-	sort.Sort((*descIndexSort)(add))
-	at := firstAbove(idx.begins, 0, add.begins[0])
-	if at > 0 && idx.begins[at-1] == add.begins[0] || at < n && idx.begins[at] <= add.begins[len(add.begins)-1] {
-		return nil
-	}
-	return &descIndex{
-		begins: slices.Concat(idx.begins[:at], add.begins, idx.begins[at:]),
-		ends:   slices.Concat(idx.ends[:at], add.ends, idx.ends[at:]),
-		rows:   slices.Concat(idx.rows[:at], add.rows, idx.rows[at:]),
-	}
-}
-
-// cut returns the index without the rows whose begin lies in iv — the subtree
-// a delete removed — or nil unless there are exactly want of them.
-func (d *descIndex) cut(iv NodeInterval, want int) *descIndex {
-	lo, hi := d.rangeOf(0, iv.Begin-1, iv.End)
-	if hi-lo != want {
-		return nil
-	}
-	return &descIndex{
-		begins: slices.Concat(d.begins[:lo], d.begins[hi:]),
-		ends:   slices.Concat(d.ends[:lo], d.ends[hi:]),
-		rows:   slices.Concat(d.rows[:lo], d.rows[hi:]),
-	}
-}
-
-// revalued returns the index with node t, which begins at begin, holding the
-// text value v: its labels shared, its rows copied. Nil when t is not there.
-func (d *descIndex) revalued(begin int64, t, v int32) *descIndex {
-	at := firstAbove(d.begins, 0, begin-1)
-	if at == len(d.begins) || d.begins[at] != begin || d.rows[at].t != t {
-		return nil
-	}
-	rows := slices.Clone(d.rows)
-	rows[at].v = v
-	return &descIndex{begins: d.begins, ends: d.ends, rows: rows}
-}
-
 // VerifyDescIndexes compares every descendant index db's cache holds with one
 // built afresh from its relation — begins, ends and rows, field by field — and
 // returns how many it compared and the first difference. It is the oracle of
-// the indexes an update carried over by patching the parent epoch's.
+// the indexes DeriveIndexes carried over from the parent epoch's.
 func (db *DB) VerifyDescIndexes() (int, error) {
 	st := db.encoding()
 	if st == nil {
@@ -462,7 +423,7 @@ func (db *DB) VerifyDescIndexes() (int, error) {
 			continue
 		}
 		n++
-		want := buildDescIndex(st.tab, rel)
+		want := buildDescIndex(st.tab, rel, 0)
 		if idx == nil || want == nil {
 			if idx != want {
 				return n, fmt.Errorf("rdb: %s: cached index %v, a rebuild %v", rel.Name, idx != nil, want != nil)

@@ -277,11 +277,11 @@ func TestSaveLoadIntervals(t *testing.T) {
 	db.InsertLabeled("R_a", "a", 0, 1, "")
 	db.InsertLabeled("R_b", "b", 1, 2, "x")
 	db.InsertLabeled("R_b", "b", 1, 3, "y")
-	db.AdoptIntervals(map[int]NodeInterval{
-		1: {Begin: 0, End: 3, Level: 1},
-		2: {Begin: 1, End: 2, Level: 2},
-		3: {Begin: 2, End: 3, Level: 2},
-	})
+	b := db.NewIntervalBuilder()
+	b.Set(1, NodeInterval{Begin: 0, End: 3, Level: 1})
+	b.Set(2, NodeInterval{Begin: 1, End: 2, Level: 2})
+	b.Set(3, NodeInterval{Begin: 2, End: 3, Level: 2})
+	b.Adopt()
 	db.DTDFP = "fp-test"
 	var sb strings.Builder
 	if err := db.Save(&sb); err != nil {

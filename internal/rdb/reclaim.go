@@ -11,9 +11,10 @@ import "math/bits"
 // Element types keep their numbers, so the node table's type column and the
 // type map every epoch shares never change. The move copies what holds a
 // moved value — the row arrays of the stored relations with one, the
-// node-table chunks with one, the descendant indexes with one — and nothing
-// else: positions and tombstones stay, so the F and T indexes and their
-// overflows carry over as they are. Older epochs keep their dictionary
+// node-table chunks with one — and nothing else: positions and tombstones
+// stay, so the F and T indexes and their overflows carry over as they are, and
+// DeriveIndexes rewrites the values of the descendant indexes it carries, by
+// the same rule as every update's. Older epochs keep their dictionary
 // and arrays by pointer, and read on undisturbed. The epoch that compacted
 // carries the old-to-new table, and a standing view one epoch behind rewrites
 // its materializations by it and stays incremental (ViewState.follow).
@@ -68,32 +69,17 @@ func (db *DB) ReclaimSymbols(force bool) (live int, compacted bool) {
 }
 
 // remapSymbols moves db onto syms, to taking each symbol of db.Syms to its
-// number there: every stored relation gets a version on syms, the node
-// table's values are rewritten, and the descendant indexes db's readers
-// would inherit are carried over with their rows rewritten. The node-table
-// chunks this copies are the compaction's, not counted against the update
-// (ChunksCopied).
+// number there: every stored relation gets a version on syms, and the node
+// table's values are rewritten. The node-table chunks this copies are the
+// compaction's, not counted against the update (ChunksCopied).
 func (db *DB) remapSymbols(syms *Interner, to []int32) {
-	moved := make(map[*Relation]*Relation, len(db.Rels))
 	for name, r := range db.Rels {
-		c := r.remapped(syms, to)
-		db.Rels[name], moved[r] = c, c
+		db.Rels[name] = r.remapped(syms, to)
 	}
-	old := db.nodes.Load()
-	tab := old.tab
+	tab := db.nodes.Load().tab
 	copied, dirCopied := tab.copied, tab.dirCopied
 	tab.remapSyms(to)
 	tab.copied, tab.dirCopied = copied, dirCopied
-	st := newNodeState(tab, old.labelled)
-	if old.labelled {
-		st.inherit(old, db, func(idx *descIndex, was, cur *Relation) *descIndex {
-			if moved[was] != cur {
-				return nil
-			}
-			return idx.remapped(to)
-		})
-	}
-	db.nodes.Store(st)
 	db.remap = &symRemap{from: db.Syms, to: to}
 	db.Syms = syms
 }
@@ -102,10 +88,14 @@ func (db *DB) remapSymbols(syms *Interner, to []int32) {
 // are r's, or — when a live row holds a symbol to moves — a copy of them with
 // every value rewritten (a dead row's to the empty string, which no reader
 // sees); positions and tombstones are r's either way, so the indexes Clone
-// carries over still hold.
+// carries over still hold, and so does the record of r's writes, which the
+// new version takes over when r is the update's own.
 func (r *Relation) remapped(syms *Interner, to []int32) *Relation {
 	c := r.Clone()
 	c.syms = syms
+	if r.src != nil {
+		c.src, c.born, c.killed = r.src, r.born, r.killed
+	}
 	dead := r.dead
 	for i, w := range r.rows {
 		if dead.has(i) || to[w.v] == w.v {
@@ -127,13 +117,17 @@ func (r *Relation) remapped(syms *Interner, to []int32) *Relation {
 	return c
 }
 
-// resym moves a relation no other version shares — a view's materialization —
-// onto syms, rewriting its values by to in place. A symbol to drops, or one
-// past it, becomes the empty string: only a row the update that compacted is
-// taking out holds one, or a text-immune view's row, whose value no rule
-// reads.
+// resym moves a view's materialization onto syms, rewriting its values by to
+// in place — in a row array of its own, first copied if it is a stored
+// relation's, whose other versions share it (Clone). A symbol to drops, or
+// one past it, becomes the empty string: only a row the update that compacted
+// is taking out holds one.
 func (r *Relation) resym(syms *Interner, to []int32) {
 	r.syms = syms
+	if r.tip.Load() != nil {
+		r.rows = append([]row(nil), r.rows...)
+		r.tip.Store(nil)
+	}
 	for i, w := range r.rows {
 		if w.v != 0 {
 			r.rows[i].v = 0
@@ -164,22 +158,4 @@ func (t *nodeTable) remapSyms(to []int32) {
 			}
 		}
 	}
-}
-
-// remapped returns the index with its rows' values rewritten by to: d itself
-// when none moves, else its labels shared and its rows copied.
-func (d *descIndex) remapped(to []int32) *descIndex {
-	for i, w := range d.rows {
-		if to[w.v] == w.v {
-			continue
-		}
-		rows := make([]row, len(d.rows))
-		copy(rows, d.rows[:i])
-		for j := i; j < len(rows); j++ {
-			rows[j] = d.rows[j]
-			rows[j].v = to[d.rows[j].v]
-		}
-		return &descIndex{begins: d.begins, ends: d.ends, rows: rows}
-	}
-	return d
 }

@@ -120,22 +120,26 @@ func (b *IntervalBuilder) spread(w treeWalk, from int, base, gap int64, level in
 	}
 }
 
-// DeriveInsert ends an insert: db, derived from prev, has stored the subtree
-// rooted at base as the last child of parent, and gets labels for it beside the
-// ones it shares with prev. It returns how many labels a relabel had to write
-// to make room, 0 when the subtree fitted the parent's free range. When prev has
-// no encoding, or it does not cover the place of the insert, db has none.
-func (db *DB) DeriveInsert(prev *DB, parent, base int) int {
+// DeriveInsert labels an insert: db, derived from a database with an
+// encoding, has stored the subtree rooted at base as the last child of parent,
+// and gets labels for it beside the ones it shares with that database. It
+// returns how many labels a relabel had to write to make room, 0 when the
+// subtree fitted the parent's free range; after a relabel db's encoding is its
+// own, and DeriveIndexes carries nothing into it. When db has no encoding, or
+// it does not cover the place of the insert, db has none.
+func (db *DB) DeriveInsert(parent, base int) int {
 	st := db.encoding()
 	if st == nil {
 		return 0
 	}
-	b := &IntervalBuilder{db: db, tab: st.tab, prev: prev.encoding()}
+	b := &IntervalBuilder{db: db, tab: st.tab}
 	if !b.insert(db.children(), int32(parent), int32(base)) {
 		db.InvalidateIntervals()
 		return 0
 	}
-	b.Adopt()
+	if b.relabelled > 0 {
+		b.Adopt()
+	}
 	return b.relabelled
 }
 

@@ -46,7 +46,7 @@ func checkIsomorphic(t *testing.T, step string, db *DB) {
 }
 
 // graft stores a random subtree of n fresh nodes as the last child of parent,
-// store-style, and derives the new epoch's labels.
+// store-style, and derives the new epoch's labels and indexes.
 func (td *treeDoc) graft(r *rand.Rand, parent, n int) (db2 *DB, base, relabelled int) {
 	db2 = cowDB(td.db)
 	base = td.nextID
@@ -60,17 +60,19 @@ func (td *treeDoc) graft(r *rand.Rand, parent, n int) (db2 *DB, base, relabelled
 		td.relOf[id] = rel
 		db2.Insert(rel, f, id, "")
 	}
-	return db2, base, db2.DeriveInsert(td.db, parent, base)
+	relabelled = db2.DeriveInsert(parent, base)
+	db2.DeriveIndexes(td.db)
+	return db2, base, relabelled
 }
 
-// prune removes the subtree of root, store-style, and derives the labels.
+// prune removes the subtree of root, store-style, and derives the indexes.
 func (td *treeDoc) prune(root int) *DB {
 	deleted := td.subtree(root)
 	db2 := cowDB(td.db)
 	for _, id := range deleted {
 		db2.Delete(td.relOf[id], db2.Parent(id), id)
 	}
-	db2.DeriveDelete(td.db, root)
+	db2.DeriveIndexes(td.db)
 	return db2
 }
 
@@ -151,8 +153,8 @@ func TestInsertTakesSlackNotNeighbours(t *testing.T) {
 // TestDescIndexesSurviveUntouchedEpochs: an epoch derived without moving a
 // label keeps the previous epoch's descendant indexes for the relations the
 // two share, derives the one the update cloned from its parent's instead of
-// re-sorting it, and never holds an index of a relation it does not store; a
-// relabel carries nothing over.
+// re-sorting it — a text update shares its begins and ends — and never holds
+// an index of a relation it does not store; a relabel carries nothing over.
 func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	td := makeTree(r, 120, 3)
@@ -161,7 +163,7 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 		nd.Rels[touch] = nd.Rels[touch].Clone()
 		w := nd.Rels[touch].rows[r.Intn(len(nd.Rels[touch].rows))]
 		nd.UpdateValue(touch, int(w.f), int(w.t), fmt.Sprintf("v%d", step))
-		nd.DeriveText(prev, int(w.t))
+		nd.DeriveIndexes(prev)
 		return nd
 	}
 	warm := func(db *DB) map[string]*descIndex {
@@ -194,6 +196,9 @@ func TestDescIndexesSurviveUntouchedEpochs(t *testing.T) {
 	for name, idx := range warm(next) {
 		if same := idx == warmed[name]; same == (name == "R0") {
 			t.Errorf("%s: index reused = %v", name, same)
+		}
+		if was := warmed[name]; &idx.begins[0] != &was.begins[0] || &idx.ends[0] != &was.ends[0] {
+			t.Errorf("%s: the text update copied the index's begins or ends", name)
 		}
 	}
 	if len(built) != 0 {

@@ -99,6 +99,14 @@ type Relation struct {
 	dead  tombs
 	nDead int
 
+	// src, on a version of a stored relation its update has not yet carried
+	// the descendant indexes across (DB.DeriveIndexes), is the version it was
+	// cloned from, and the rest is what it wrote since: the rows of src it
+	// killed, and its rows from born on, which it appended. Nil once carried.
+	src    *Relation
+	born   int
+	killed []row
+
 	// pooled marks a request-private temporary owned by an ExecState arena.
 	// Pooled relations rebuild their indexes into retained scratch structs
 	// (fScratch/tScratch) so a warm request's index builds allocate nothing;
@@ -394,6 +402,8 @@ func (r *Relation) take(f, t int32) (row, bool) {
 	w := r.rows[pos]
 	if !r.stored {
 		r.set.remove(packPair(f, t))
+	} else if r.src != nil && pos < r.born {
+		r.killed = append(r.killed, w)
 	}
 	if need := pos>>6 + 1; len(r.dead) < need {
 		r.dead = append(r.dead, make(tombs, need-len(r.dead))...)
@@ -525,8 +535,9 @@ func (r *Relation) Tombstones() int { return r.nDead }
 // compact moves the live rows into a new array of twice their number — the
 // old one may be shared with other versions, or be full — and drops the
 // tombstones: what the delete that kills a quarter of the rows, and the
-// append that finds a shared array full, call. Built indexes are carried over, each position moving down by
-// the dead rows before it; without dead rows no position moves. An operator
+// append that finds a shared array full, call. Built indexes are carried over,
+// each position moving down by the dead rows before it, and so is born; without
+// dead rows no position moves. An operator
 // output's pair set dropped the pairs when they were deleted, and is rehashed
 // only once the tombstones they left fill a quarter of it, to keep its probes
 // short; a stored relation has none to rehash. A reader still scanning the
@@ -540,18 +551,21 @@ func (r *Relation) compact() {
 		return
 	}
 	remap := make([]int32, len(r.rows))
-	firstDead := -1
+	firstDead, born := -1, r.born
 	for i, w := range r.rows {
 		if r.isDead(i) {
 			if remap[i] = -1; firstDead < 0 {
 				firstDead = i
+			}
+			if i < r.born {
+				born--
 			}
 			continue
 		}
 		remap[i] = int32(len(live))
 		live = append(live, w)
 	}
-	r.rows = live
+	r.rows, r.born = live, born
 	r.dead, r.nDead = nil, 0
 	r.markIndexes(false)
 	if !r.stored {
@@ -754,7 +768,8 @@ func (r *Relation) idsFrom(from int32) []int {
 // Clone returns the next version of r, sharing the interner. A stored
 // relation's clone shares r's row array: each of the two appends into it only
 // while it holds the array's tip (see claim), and tombstones rows in a bitmap
-// of its own — the clone's a copy of r's — so making a version copies no row.
+// of its own — the clone's a copy of r's — so making a version copies no row;
+// it records what it writes from then on (src).
 // Any other relation's rows are copied, its pair set too. Built indexes are
 // carried over: the index snapshot arrays are immutable once built
 // (non-pooled relations never rebuild in place), so the clone shares them,
@@ -775,6 +790,7 @@ func (r *Relation) Clone() *Relation {
 		}
 		c.rows = r.rows
 		c.tip.Store(m)
+		c.src, c.born = r, len(r.rows)
 	} else {
 		c.rows = append([]row(nil), r.rows...)
 		r.ensureSet()
@@ -879,7 +895,7 @@ func NewDB() *DB {
 		Syms:   NewInterner(),
 		Labels: map[int]int32{},
 	}
-	db.nodes.Store(newNodeState(newNodeTable(), false))
+	db.nodes.Store(newNodeState(newNodeTable(), false, false))
 	return db
 }
 
@@ -887,12 +903,13 @@ func NewDB() *DB {
 // everything db holds and shares all of it. Its catalog, type and interval
 // writes copy the node-table chunks they touch, and a relation must be
 // replaced by its Clone before it is written; db itself never changes but for
-// the Labels map the two share. An update ends with DeriveInsert, DeriveDelete
-// or DeriveText, which carry the parent's descendant indexes over to it.
+// the Labels map the two share. An insert labels its nodes with DeriveInsert,
+// and every update ends with DeriveIndexes, which carries db's descendant
+// indexes into the result by what the update's relation versions wrote.
 func (db *DB) Derive() *DB {
 	st := db.nodes.Load()
 	nd := &DB{Rels: maps.Clone(db.Rels), Syms: db.Syms, Labels: db.Labels, DTDFP: db.DTDFP}
-	nd.nodes.Store(newNodeState(st.tab.derive(), st.labelled))
+	nd.nodes.Store(newNodeState(st.tab.derive(), st.labelled, true))
 	return nd
 }
 

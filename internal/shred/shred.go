@@ -144,9 +144,9 @@ func AncestorPath(db *rdb.DB, id int) (string, error) {
 // A type becomes a subgraph root when it cannot be inlined into a unique
 // parent: it is the DTD root, the target of a starred edge (set-valued), or
 // has multiple incoming edges (shared). Recursion is then broken by making
-// one node per remaining all-inlined cycle a root (in the dept DTD of
-// Example 2.3 the shared course node already breaks every cycle, so prereq,
-// qualified and required inline into R_course).
+// the first type, by name, of each remaining all-inlined cycle a root (in the
+// dept DTD of Example 2.3 the shared course node already breaks every cycle,
+// so prereq, qualified and required inline into R_course).
 func Partition(g *dtd.Graph) (roots map[string]bool, owner map[string]string) {
 	roots = map[string]bool{g.Root: true}
 	for _, node := range g.Nodes {
@@ -161,25 +161,12 @@ func Partition(g *dtd.Graph) (roots map[string]bool, owner map[string]string) {
 			}
 		}
 	}
-	// Break cycles that consist entirely of inlined nodes.
-	for {
-		broke := false
-		for _, cyc := range g.SimpleCycles() {
-			hasRoot := false
-			for _, n := range cyc {
-				if roots[n] {
-					hasRoot = true
-					break
-				}
-			}
-			if !hasRoot {
-				roots[cyc[0]] = true
-				broke = true
-			}
-		}
-		if !broke {
-			break
-		}
+	// Break the cycles that consist entirely of inlined types. Each of them
+	// has one parent, so a cyclic component of the inlined types is one simple
+	// cycle, which one root breaks: a pass of Tarjan's algorithm, linear in
+	// the graph, where enumerating the simple cycles is exponential.
+	for _, scc := range g.Induced(func(n string) bool { return !roots[n] }).CyclicSCCs() {
+		roots[scc[0]] = true
 	}
 	// Assign every non-root type to the root whose subgraph reaches it via
 	// non-root intermediate nodes.

@@ -453,6 +453,12 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 			s.nextID = rec.Base + n
 		}
 		td.Parent, td.Root = rec.Parent, rec.Base
+		// The new subtree is labelled out of the slack before its parent's
+		// end, and only when there is none left are labels around it moved.
+		if moved := t.db.DeriveInsert(rec.Parent, rec.Base); moved > 0 {
+			s.relabels.Add(1)
+			s.relabelled.Add(int64(moved))
+		}
 		if s.onApply != nil {
 			td.Inserted = make([]int, n)
 			for i := range td.Inserted {
@@ -470,25 +476,12 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 		res.NodeID, res.Nodes = rec.Node, 1
 		s.textUpdates.Add(1)
 	}
-	// The new epoch's interval encoding is the previous one's, patched: a text
-	// update shares it, a delete's nodes took their labels with them, an insert
-	// labels the new subtree out of the slack before its parent's end —
-	// relabelling around it only when there is none left. So are the
-	// descendant indexes the previous epoch's readers built, but after a
-	// relabel. Recovery replays through this same path.
-	switch rec.Op {
-	case opInsert:
-		if n := t.db.DeriveInsert(ep.DB, rec.Parent, rec.Base); n > 0 {
-			s.relabels.Add(1)
-			s.relabelled.Add(int64(n))
-		}
-	case opDelete:
-		t.db.DeriveDelete(ep.DB, rec.Node)
-	case opUpdateText:
-		t.db.DeriveText(ep.DB, rec.Node)
-	}
+	// Unless an insert relabelled, the previous epoch's labels all hold, and
+	// one call carries its descendant indexes over, whatever the op.
+	// Recovery replays through this same path.
 	s.chunksCopied.Add(int64(t.db.ChunksCopied()))
 	s.reclaimSymbols(t.db)
+	t.db.DeriveIndexes(ep.DB)
 
 	next := &Epoch{DB: t.db, Seq: ep.Seq + 1, LSN: rec.LSN}
 	s.lsn = rec.LSN
