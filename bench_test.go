@@ -431,8 +431,10 @@ func BenchmarkStoreUpdate(b *testing.B) {
 // BenchmarkIngest profiles bulk loading without the harness, over a generated
 // dept document of ingest-stream's size and shape (8 MiB, X_L 8, X_R 6):
 // stream is one StreamShred pass with a worker per CPU, what ingest-stream
-// times; tree parses the text whole and shreds the tree (ParseXML, Shred);
-// load reads the document's Save image back (LoadDB).
+// times, and stream-w1 the same pass with the loader inline, so the two show
+// what the loader's own goroutine buys; tree parses the text whole and
+// shreds the tree (ParseXML, Shred); load reads the document's Save image
+// back (LoadDB).
 func BenchmarkIngest(b *testing.B) {
 	d, err := ParseDTD(workload.DeptText)
 	if err != nil {
@@ -443,15 +445,20 @@ func BenchmarkIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	text := doc.Bytes()
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(text)))
-		for i := 0; i < b.N; i++ {
-			if _, err := StreamShred(bytes.NewReader(text), d, ShredStreamOptions{Workers: runtime.NumCPU()}); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"stream", runtime.NumCPU()}, {"stream-w1", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(text)))
+			for i := 0; i < b.N; i++ {
+				if _, err := StreamShred(bytes.NewReader(text), d, ShredStreamOptions{Workers: c.workers}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 	str := doc.String()
 	b.Run("tree", func(b *testing.B) {
 		b.ReportAllocs()

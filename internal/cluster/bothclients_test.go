@@ -63,10 +63,7 @@ func openBoth(t *testing.T, d *dtd.DTD, collection *rdb.DB, shards int, mode clu
 		if i == 0 {
 			opts = append(opts, xpath2sql.WithLimits(shard0))
 		}
-		srv, err := server.New(server.Config{Engine: xpath2sql.New(d, opts...), Source: server.FromStore(st)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newServer(t, server.Config{Engine: xpath2sql.New(d, opts...), Source: server.FromStore(st)})
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/v1/") {
 				b.calls[i].Add(1)

@@ -55,10 +55,7 @@ func newHTTPFleet(t *testing.T, n int) ([]*httptest.Server, []*store.Store) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		srv, err := server.New(server.Config{Engine: e, Source: server.FromStore(st)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newServer(t, server.Config{Engine: e, Source: server.FromStore(st)})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		servers[i] = ts
@@ -95,13 +92,22 @@ func newRouter(t *testing.T, servers []*httptest.Server, mode cluster.ReadMode) 
 	return serveCluster(t, d, cl)
 }
 
-// serveCluster puts the server cmd/xpathrouter builds in front of a cluster.
-func serveCluster(t *testing.T, d *dtd.DTD, cl *cluster.Cluster, opts ...xpath2sql.EngineOption) *httptest.Server {
+// newServer builds a server of cfg and shuts it down when the test ends: a
+// store-backed one runs its watch hub until then.
+func newServer(t testing.TB, cfg server.Config) *server.Server {
 	t.Helper()
-	srv, err := server.New(server.Config{Engine: xpath2sql.New(d, opts...), Source: server.FromCluster(cl), Service: "xpathrouter"})
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	return srv
+}
+
+// serveCluster puts the server cmd/xpathrouter builds in front of a cluster.
+func serveCluster(t *testing.T, d *dtd.DTD, cl *cluster.Cluster, opts ...xpath2sql.EngineOption) *httptest.Server {
+	t.Helper()
+	srv := newServer(t, server.Config{Engine: xpath2sql.New(d, opts...), Source: server.FromCluster(cl), Service: "xpathrouter"})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts

@@ -5,6 +5,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -17,7 +18,14 @@ import (
 // more goroutines or descriptors than there were before them — after a
 // bounded wait for the ones still winding down — or an entry in that
 // directory.
+//
+// A fuzzing run (-test.fuzz) is only run: its coordinator kills its worker
+// processes, which leave what they held behind.
 func Main(m *testing.M) int {
+	flag.Parse()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		return m.Run()
+	}
 	tmp, err := os.MkdirTemp("", "leakcheck")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "leakcheck:", err)

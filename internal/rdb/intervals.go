@@ -257,8 +257,8 @@ func (b *IntervalBuilder) Set(id int, iv NodeInterval) { b.tab.setLabel(id, iv) 
 
 // SetNode records node id in the catalog — parent, and text value and element
 // type as symbols of the database's Syms — beside its interval, in one write
-// of the node's row: the node-table writer of a bulk loader whose relation
-// writers run apart from it (shred.StreamShred).
+// of the node's row: the node-table write of a bulk loader that appends the
+// relation row itself (shred.StreamShred's loader).
 func (b *IntervalBuilder) SetNode(id, parent int, sym, typ int32, iv NodeInterval) {
 	b.tab.put(id, int32(parent), sym, typ)
 	b.tab.setLabel(id, iv)

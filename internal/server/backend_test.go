@@ -35,11 +35,7 @@ func newBackendServer(t *testing.T) *Server {
 	if err := be.Load(ctx, db); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Engine: xpath2sql.New(d), Source: FromBackend(be)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newServer(t, Config{Engine: xpath2sql.New(d), Source: FromBackend(be)})
 }
 
 // TestBackendModeQuery: /v1/query over the SQL backend answers exactly as

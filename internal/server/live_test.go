@@ -25,11 +25,7 @@ func newLiveServer(t *testing.T, dir string, mutate func(*Config)) (*Server, *st
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, st
+	return newServer(t, cfg), st
 }
 
 func queryCount(t *testing.T, url, q string) int {

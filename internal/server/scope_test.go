@@ -76,10 +76,7 @@ func TestDocScopeOnSingleSources(t *testing.T) {
 	sources := map[string]Source{"FromDB": FromDB(coll), "FromStore": FromStore(st)}
 	for name, src := range sources {
 		t.Run(name, func(t *testing.T) {
-			s, err := New(Config{Engine: xpath2sql.New(d), Source: src})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newServer(t, Config{Engine: xpath2sql.New(d), Source: src})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 			for _, q := range []string{"dept//project", "dept//course", "//cno", "dept/course[not(.//project)]"} {
@@ -117,10 +114,7 @@ func TestDocScopeOnSingleSources(t *testing.T) {
 	}
 
 	t.Run("FromStore sees updates", func(t *testing.T) {
-		s, err := New(Config{Engine: xpath2sql.New(d), Source: sources["FromStore"]})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newServer(t, Config{Engine: xpath2sql.New(d), Source: sources["FromStore"]})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		before := make([]int, len(roots))
@@ -149,10 +143,7 @@ func TestDocScopeOnSingleSources(t *testing.T) {
 	// Scope is a property of one run: scoped and unscoped requests in flight
 	// side by side each get their own count.
 	t.Run("scoped and unscoped interleave", func(t *testing.T) {
-		s, err := New(Config{Engine: xpath2sql.New(d), Source: sources["FromDB"], MaxConcurrent: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newServer(t, Config{Engine: xpath2sql.New(d), Source: sources["FromDB"], MaxConcurrent: 8})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		const perDoc = 2 // the dept example holds two courses per document
@@ -193,10 +184,7 @@ func TestDocScopeOnSingleSources(t *testing.T) {
 		if err := be.Load(ctx, coll); err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Engine: xpath2sql.New(d), Source: FromBackend(be)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newServer(t, Config{Engine: xpath2sql.New(d), Source: FromBackend(be)})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		if code, _, er := scopedQuery(t, ts.URL, "dept//course", roots[1]); code != http.StatusUnprocessableEntity || er.Kind != "unsupported" {
@@ -252,10 +240,7 @@ func TestClusterBatchScattersConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	s, err := New(Config{Engine: xpath2sql.New(d), Source: FromCluster(cl)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, Config{Engine: xpath2sql.New(d), Source: FromCluster(cl)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

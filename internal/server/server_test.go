@@ -68,6 +68,18 @@ func deptFixture(t *testing.T) (*xpath2sql.DTD, *xpath2sql.DB) {
 	return d, db
 }
 
+// newServer builds a Server of cfg and shuts it down when the test ends: a
+// store-backed one runs its watch hub until then.
+func newServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	return s
+}
+
 // newDeptServer builds a Server over the dept example with the given config
 // overrides applied after Engine/DB are filled in.
 func newDeptServer(t *testing.T, mutate func(*Config)) *Server {
@@ -77,10 +89,7 @@ func newDeptServer(t *testing.T, mutate func(*Config)) *Server {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, cfg)
 	return s
 }
 
@@ -170,10 +179,7 @@ func TestBatchEndpoint(t *testing.T) {
 		for _, mode := range []xpath2sql.IntervalMode{xpath2sql.IntervalAuto, xpath2sql.IntervalOff} {
 			t.Run(name+"/"+mode.String(), func(t *testing.T) {
 				d, db := deptFixture(t)
-				s, err := New(Config{Engine: xpath2sql.New(d, xpath2sql.WithIntervalMode(mode)), Source: source(t, d, db)})
-				if err != nil {
-					t.Fatal(err)
-				}
+				s := newServer(t, Config{Engine: xpath2sql.New(d, xpath2sql.WithIntervalMode(mode)), Source: source(t, d, db)})
 				ts := httptest.NewServer(s.Handler())
 				defer ts.Close()
 
@@ -358,10 +364,7 @@ func TestLimitBreachIs422(t *testing.T) {
 	eng := xpath2sql.New(d,
 		xpath2sql.WithLimits(xpath2sql.Limits{MaxLFPIters: 1}),
 		xpath2sql.WithIntervalMode(xpath2sql.IntervalOff))
-	s, err := New(Config{Engine: eng, Source: FromDB(db)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newServer(t, Config{Engine: eng, Source: FromDB(db)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

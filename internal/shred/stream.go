@@ -5,9 +5,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"xpath2sql/internal/dtd"
 	"xpath2sql/internal/rdb"
@@ -16,159 +13,91 @@ import (
 
 // StreamOptions configures StreamShred.
 type StreamOptions struct {
-	// Workers is the number of relation-loading goroutines; values <= 0
-	// select min(GOMAXPROCS, number of element types). Every element type is
-	// owned by exactly one worker, so each relation has a single writer.
+	// Workers places the loader: 1 runs it inline on the caller's goroutine,
+	// between the parser's batches; any other value, 0 and below included,
+	// runs it on a goroutine of its own beside the parser. A pass has those
+	// two stages, so no value starts more than one goroutine.
 	Workers int
-	// batchSize is the number of completed-element records per fan-out
-	// batch; 0 selects 4096. Only the package's tests set it.
+	// batchSize is the number of completed-element records per batch; 0
+	// selects 4096. Only the package's tests set it.
 	batchSize int
 }
 
 const (
 	metaSlots       = 64
 	streamBatchSize = 4096
+	// streamChanDepth lets the parser run a few batches ahead of a loader
+	// that stalls on growing a relation's row arrays or the node table.
 	streamChanDepth = 4
+	// streamArenaBytes ends a batch early once its text arena holds this
+	// much, which bounds an arena — and keeps its offsets in an int32 —
+	// whatever the values' lengths.
+	streamArenaBytes = 1 << 20
 )
 
 // streamRec is one shredded element. It is emitted when the element's end
 // tag is read: at that moment the subtree size — and hence the interval end
 // — is known exactly, and the element's direct text is complete. It holds no
-// pointer: the element type is its number in DTD.Types() order, the text its
-// symbol in the database's interner, and begin is t−1.
+// pointer: the element type is its number in DTD.Types() order, the trimmed
+// text the n bytes at off in its batch's arena, and begin is t−1.
 type streamRec struct {
-	typ, sym int32
-	f, t     int32
-	end      int32
-	level    int32
+	typ    int32
+	f, t   int32
+	end    int32
+	level  int32
+	off, n int32
 }
 
-// streamBatch is one fan-out batch. The catalog writer and every relation
-// worker read it; the last of them to release it puts it back on the
-// free list the shredder fills its next batch from.
+// streamBatch is a run of records in document postorder and the arena that
+// holds their text. The parser fills it and the loader empties it; a
+// pipelined pass then hands it back to the parser through a free list.
 type streamBatch struct {
 	recs []streamRec
-	refs atomic.Int32
-}
-
-// streamBatches recycles batches. A consumer holds at most its channel's
-// depth of them waiting and one it reads, and the shredder one it fills, so a
-// free list of depth+2 drops none.
-type streamBatches struct {
-	free      chan *streamBatch
-	consumers int32
-	size      int
-}
-
-// get returns an empty batch, recycled when one is free.
-func (bs *streamBatches) get() *streamBatch {
-	select {
-	case b := <-bs.free:
-		return b
-	default:
-		return &streamBatch{recs: make([]streamRec, 0, bs.size)}
-	}
-}
-
-// release drops one consumer's hold on b.
-func (bs *streamBatches) release(b *streamBatch) {
-	if b.refs.Add(-1) != 0 {
-		return
-	}
-	b.recs = b.recs[:0]
-	select {
-	case bs.free <- b:
-	default:
-	}
+	text []byte
 }
 
 // StreamShred shreds an XML document read from r into the per-type edge
-// relations without materializing the tree: one pass over the tokens of an
-// xmltree.Tokenizer assigns dense preorder IDs and document-order intervals,
-// interns each text value, and fans completed-element batches out to
-// parallel relation loaders plus one catalog writer. The tokens are those
-// xmltree.Parse builds its tree from, so the result is the relational
-// instance, catalog and interval encoding of Shred(xmltree.Parse(text), d) —
-// only the tuple insertion order differs (elements arrive in document
-// postorder).
+// relations without materializing the tree. It runs as two stages. The
+// parser takes one pass over the tokens of an xmltree.Tokenizer, assigns
+// dense preorder IDs and document-order intervals, resolves element types,
+// and copies each element's trimmed text into its batch's arena. The loader
+// takes the batches in order, interns each value, and writes the node's
+// catalog row and its relation row. The tokens are those xmltree.Parse
+// builds its tree from, and the loader interns in record order, so the
+// result is the relational instance, catalog, interval encoding and symbol
+// numbering of Shred(xmltree.Parse(text), d) — only the tuple insertion
+// order differs (elements arrive in document postorder).
 //
 // Peak memory is the database being built plus O(window + open-element
-// stack + channel depth); the document text and the element tree are never
-// held, and a pass allocates no record: batches are recycled, and a text
-// value is a string once per distinct value. This is the bulk-ingest path
-// for documents too large to parse into an xmltree.Document.
+// stack + channel depth × batch); the document text and the element tree
+// are never held, and a pass allocates no record: batches are recycled, and
+// a text value is a string once per distinct value. This is the bulk-ingest
+// path for documents too large to parse into an xmltree.Document.
 func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 	types := d.Types()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(types)))
 	batchSize := cmp.Or(opts.batchSize, streamBatchSize)
 
+	// The loader is each relation's and the node table's single writer. The
+	// DB's Labels map stays empty, as every bulk loader leaves it.
 	db := rdb.NewDB()
-	// Types() is sorted, so the type→worker assignment (type i to worker
-	// i mod workers) is deterministic and each relation's tuple order
-	// reproduces run to run.
-	rels := make([]*rdb.Relation, len(types))
-	labels := make([]int32, len(types)) // each type's symbol, interned before the parse
+	l := &streamLoader{
+		rels:     make([]*rdb.Relation, len(types)),
+		labels:   make([]int32, len(types)),
+		iv:       db.NewIntervalBuilder(),
+		syms:     map[string]int32{},
+		interner: db.Syms,
+	}
 	for i, typ := range types {
-		rels[i] = db.Rel(RelName(typ))
-		labels[i] = db.Syms.Intern(typ)
-	}
-
-	// Every batch goes to each consumer's channel: the catalog writer's, then
-	// each relation worker's.
-	outs := make([]chan *streamBatch, 1+workers)
-	for i := range outs {
-		outs[i] = make(chan *streamBatch, streamChanDepth)
-	}
-	tableCh, workCh := outs[0], outs[1:]
-	batches := &streamBatches{free: make(chan *streamBatch, streamChanDepth+2), consumers: int32(len(outs)), size: batchSize}
-
-	var wg sync.WaitGroup
-	// The catalog writer fills the node table — each node's parent, value,
-	// element type and interval, a slot write per node — and is its single
-	// writer. The DB's Labels map stays empty, as every bulk loader leaves it.
-	wg.Add(1)
-	iv := db.NewIntervalBuilder()
-	go func() {
-		defer wg.Done()
-		for b := range tableCh {
-			for i := range b.recs {
-				rec := &b.recs[i]
-				iv.SetNode(int(rec.t), int(rec.f), rec.sym, labels[rec.typ], rdb.NodeInterval{Begin: int64(rec.t) - 1, End: int64(rec.end), Level: rec.level})
-			}
-			batches.release(b)
-		}
-	}()
-	// Relation workers: each batch is shared read-only across all workers;
-	// a worker appends only the records of its own types, so every relation
-	// keeps a single writer. Every record is a node no relation holds yet,
-	// so a row is appended without a probe.
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := range workCh[w] {
-				for i := range b.recs {
-					rec := &b.recs[i]
-					if int(rec.typ)%workers == w {
-						rels[rec.typ].AppendNode(int(rec.f), int(rec.t), rec.sym)
-					}
-				}
-				batches.release(b)
-			}
-		}(w)
+		l.rels[i] = db.Rel(RelName(typ))
+		l.labels[i] = db.Syms.Intern(typ)
 	}
 
 	p := &streamShredder{
-		tok:      xmltree.NewTokenizer(r),
-		types:    types,
-		syms:     map[string]int32{},
-		interner: db.Syms,
-		batches:  batches,
-		outs:     outs,
+		tok:     xmltree.NewTokenizer(r),
+		types:   types,
+		batch:   &streamBatch{recs: make([]streamRec, 0, batchSize)},
+		size:    batchSize,
+		handoff: l.load,
 	}
 	for i, typ := range types {
 		if typ != "" {
@@ -176,19 +105,38 @@ func StreamShred(r io.Reader, d *dtd.DTD, opts StreamOptions) (*rdb.DB, error) {
 			*slot = append(*slot, int32(i))
 		}
 	}
-	p.batch = batches.get()
+	wait := func() {}
+	if opts.Workers != 1 {
+		// The loader holds one batch, the channel depth more wait for it, and
+		// the parser fills one: a free list of depth+2 drops none.
+		full, free := make(chan *streamBatch, streamChanDepth), make(chan *streamBatch, streamChanDepth+2)
+		loaded := make(chan struct{})
+		go func() {
+			defer close(loaded)
+			for b := range full {
+				free <- l.load(b)
+			}
+		}()
+		p.handoff = func(b *streamBatch) *streamBatch {
+			full <- b
+			select {
+			case b = <-free:
+				return b
+			default:
+				return &streamBatch{recs: make([]streamRec, 0, batchSize)}
+			}
+		}
+		wait = func() { close(full); <-loaded }
+	}
 	perr := p.run()
 	if perr == nil {
-		p.flushBatch()
+		p.flush()
 	}
-	for _, ch := range outs {
-		close(ch)
-	}
-	wg.Wait()
+	wait()
 	if perr != nil {
 		return nil, perr
 	}
-	iv.Adopt()
+	l.iv.Adopt()
 	db.DTDFP = d.Fingerprint()
 	return db, nil
 }
@@ -200,19 +148,15 @@ type streamFrame struct {
 	text int // where the element's direct text starts in streamShredder.text
 }
 
-// streamShredder turns the tokens of one document into records: it numbers
-// the elements, resolves their types, interns their values and fans the
-// records out in batches.
+// streamShredder is the parser stage: it turns the tokens of one document
+// into records, numbering the elements and resolving their types, and hands
+// them on in batches.
 type streamShredder struct {
 	tok *xmltree.Tokenizer
 	// metas holds the numbers of the DTD's element types by metaSlot of
 	// their names; the few types of one slot are told apart by name.
 	metas [metaSlots][]int32
 	types []string // DTD.Types(), numbering the element types
-	// syms caches the interner's symbol of every text value seen, so a
-	// repeated value is looked up by its bytes and never made a string.
-	syms     map[string]int32
-	interner *rdb.Interner
 
 	stack []streamFrame
 	// text holds the open elements' unescaped direct text, outermost first:
@@ -220,9 +164,10 @@ type streamShredder struct {
 	text   []byte
 	nextID int // last assigned preorder ID
 
-	batches *streamBatches
-	batch   *streamBatch
-	outs    []chan *streamBatch
+	batch *streamBatch
+	size  int
+	// handoff gives the loader a full batch and returns an empty one.
+	handoff func(*streamBatch) *streamBatch
 }
 
 // run reads the document, emitting each element's record when it closes.
@@ -243,14 +188,14 @@ func (p *streamShredder) run() error {
 			}
 			p.nextID++
 			if tok.SelfClosing {
-				p.emit(typ, p.nextID, p.parent(), int32(len(p.stack)), 0)
+				p.emit(typ, p.nextID, p.parent(), int32(len(p.stack)), nil)
 			} else {
 				p.stack = append(p.stack, streamFrame{typ: typ, id: p.nextID, text: len(p.text)})
 			}
 		case xmltree.EndElement:
 			fr := p.stack[len(p.stack)-1]
 			p.stack = p.stack[:len(p.stack)-1]
-			p.emit(fr.typ, fr.id, p.parent(), int32(len(p.stack)), p.intern(bytes.TrimSpace(p.text[fr.text:])))
+			p.emit(fr.typ, fr.id, p.parent(), int32(len(p.stack)), bytes.TrimSpace(p.text[fr.text:]))
 			p.text = p.text[:fr.text]
 		case xmltree.Text:
 			p.text = append(p.text, tok.Data...)
@@ -282,41 +227,62 @@ func (p *streamShredder) parent() int {
 	return 0
 }
 
+// emit appends a completed element's record, and its text to the arena, to
+// the current batch, and hands the batch on when full. end is the last ID
+// assigned so far: every ID in (begin, end] belongs to the element's
+// subtree.
+func (p *streamShredder) emit(typ int32, id, f int, level int32, text []byte) {
+	b := p.batch
+	b.recs = append(b.recs, streamRec{typ: typ, f: int32(f), t: int32(id), end: int32(p.nextID), level: level, off: int32(len(b.text)), n: int32(len(text))})
+	b.text = append(b.text, text...)
+	if len(b.recs) >= p.size || len(b.text) >= streamArenaBytes {
+		p.flush()
+	}
+}
+
+// flush hands the current batch, unless empty, to the loader.
+func (p *streamShredder) flush() {
+	if len(p.batch.recs) > 0 {
+		p.batch = p.handoff(p.batch)
+	}
+}
+
+// streamLoader is the loader stage: it interns the records' values in record
+// order and writes each node's catalog row and relation row.
+type streamLoader struct {
+	rels   []*rdb.Relation // by type number
+	labels []int32         // each type's symbol, interned before the parse
+	iv     *rdb.IntervalBuilder
+	// syms caches the interner's symbol of every value seen, so a repeated
+	// value is looked up by its bytes and never made a string.
+	syms     map[string]int32
+	interner *rdb.Interner
+}
+
+// load stores a batch's records and returns the batch emptied. Every record
+// is a node no relation holds yet, so a row is appended without a probe.
+func (l *streamLoader) load(b *streamBatch) *streamBatch {
+	for i := range b.recs {
+		rec := &b.recs[i]
+		sym := l.intern(b.text[rec.off : rec.off+rec.n])
+		l.iv.SetNode(int(rec.t), int(rec.f), sym, l.labels[rec.typ], rdb.NodeInterval{Begin: int64(rec.t) - 1, End: int64(rec.end), Level: rec.level})
+		l.rels[rec.typ].AppendNode(int(rec.f), int(rec.t), sym)
+	}
+	b.recs, b.text = b.recs[:0], b.text[:0]
+	return b
+}
+
 // intern returns the symbol of a text value, made a string only on first
 // sight.
-func (p *streamShredder) intern(v []byte) int32 {
+func (l *streamLoader) intern(v []byte) int32 {
 	if len(v) == 0 {
 		return 0
 	}
-	if sym, ok := p.syms[string(v)]; ok {
+	if sym, ok := l.syms[string(v)]; ok {
 		return sym
 	}
 	s := string(v)
-	sym := p.interner.Intern(s)
-	p.syms[s] = sym
+	sym := l.interner.Intern(s)
+	l.syms[s] = sym
 	return sym
-}
-
-// emit appends a completed element's record to the current batch and fans
-// the batch out when full. end is the last ID assigned so far: every ID in
-// (begin, end] belongs to the element's subtree.
-func (p *streamShredder) emit(typ int32, id, f int, level int32, sym int32) {
-	p.batch.recs = append(p.batch.recs, streamRec{typ: typ, sym: sym, f: int32(f), t: int32(id), end: int32(p.nextID), level: level})
-	if len(p.batch.recs) >= p.batches.size {
-		p.flushBatch()
-	}
-}
-
-// flushBatch hands the current batch (shared, read-only) to every consumer,
-// and starts the next one.
-func (p *streamShredder) flushBatch() {
-	b := p.batch
-	if len(b.recs) == 0 {
-		return
-	}
-	b.refs.Store(p.batches.consumers)
-	for _, ch := range p.outs {
-		ch <- b
-	}
-	p.batch = p.batches.get()
 }

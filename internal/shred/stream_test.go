@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -235,6 +236,24 @@ func TestStreamShredErrors(t *testing.T) {
 		if saveText(t, got) != saveText(t, want) {
 			t.Errorf("%+v: the pass after a failed one differs from Shred", opts)
 		}
+	}
+}
+
+// TestStreamShredArenaEndsABatch: a batch whose text arena reaches
+// streamArenaBytes is handed on before its record count is reached, which
+// bounds each arena whatever the values' lengths.
+func TestStreamShredArenaEndsABatch(t *testing.T) {
+	var sizes []int
+	p := &streamShredder{batch: &streamBatch{}, size: streamBatchSize, handoff: func(b *streamBatch) *streamBatch {
+		sizes = append(sizes, len(b.recs))
+		return &streamBatch{}
+	}}
+	v := make([]byte, streamArenaBytes/2)
+	for id := 1; id <= 5; id++ {
+		p.emit(0, id, 0, 0, v)
+	}
+	if !slices.Equal(sizes, []int{2, 2}) || len(p.batch.recs) != 1 {
+		t.Fatalf("batches of %v records handed on, %d left; want [2 2] and 1", sizes, len(p.batch.recs))
 	}
 }
 

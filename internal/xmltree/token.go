@@ -362,23 +362,31 @@ func markupKind(name []byte) string {
 	return "processing instruction"
 }
 
-// endTag consumes "</name>" and pops the open element it must close.
+// endTag consumes "</name>" and pops the open element it must close. When
+// the window holds the open element's name followed directly by '>', one
+// compare closes it; any other form goes through nameEnd.
 func (t *Tokenizer) endTag() (Token, error) {
 	t.pos += 2 // "</"
-	start, i := t.open[len(t.open)-1], t.nameEnd()
-	name, got := t.names[start:], t.buf[t.pos:i]
-	match := bytes.Equal(got, name)
-	if got = name; !match {
-		got = bytes.Clone(t.buf[t.pos:i]) // for the error; the window may move
-	}
-	t.pos = i
-	t.skipSpace()
-	if !t.at('>') {
-		return Token{}, t.errf("malformed end tag </%s", got)
-	}
-	t.pos++
-	if !match {
-		return Token{}, t.errf("mismatched end tag </%s> for <%s>", got, name)
+	start := t.open[len(t.open)-1]
+	name := t.names[start:]
+	if w := t.buf[t.pos:]; len(w) > len(name) && w[len(name)] == '>' && bytes.Equal(w[:len(name)], name) {
+		t.pos += len(name) + 1
+	} else {
+		i := t.nameEnd()
+		got := t.buf[t.pos:i]
+		match := bytes.Equal(got, name)
+		if got = name; !match {
+			got = bytes.Clone(t.buf[t.pos:i]) // for the error; the window may move
+		}
+		t.pos = i
+		t.skipSpace()
+		if !t.at('>') {
+			return Token{}, t.errf("malformed end tag </%s", got)
+		}
+		t.pos++
+		if !match {
+			return Token{}, t.errf("mismatched end tag </%s> for <%s>", got, name)
+		}
 	}
 	t.names = t.names[:start]
 	t.open = t.open[:len(t.open)-1]

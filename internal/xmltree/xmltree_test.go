@@ -270,6 +270,36 @@ func TestTokenizerReadSizes(t *testing.T) {
 	}
 }
 
+// endTagForms are end tags around the one-compare close of endTag, each
+// with the tokens and the error a Tokenizer reads from it: the open
+// element's name then '>' is the fast path; whitespace before '>', a longer
+// or shorter name and the input ending inside the tag go the long way, with
+// its messages.
+var endTagForms = []struct{ doc, want string }{
+	{"<a><b></b></a>", "1 false \"a\"\n1 false \"b\"\n2 false \"b\"\n2 false \"a\"\nEOF"},
+	{"<a></a >", "1 false \"a\"\n2 false \"a\"\nEOF"},
+	{"<a></a\n>", "1 false \"a\"\n2 false \"a\"\nEOF"},
+	{"<course></cours>", "1 false \"course\"\nxmltree: offset 16: mismatched end tag </cours> for <course>"},
+	{"<a></ab>", "1 false \"a\"\nxmltree: offset 8: mismatched end tag </ab> for <a>"},
+	{"<ab></a>", "1 false \"ab\"\nxmltree: offset 8: mismatched end tag </a> for <ab>"},
+	{"<a></a", "1 false \"a\"\nxmltree: offset 6: malformed end tag </a"},
+	{"<a></", "1 false \"a\"\nxmltree: offset 5: malformed end tag </"},
+	{"<a></a/>", "1 false \"a\"\nxmltree: offset 6: malformed end tag </a"},
+}
+
+// TestEndTagForms: each end tag form reads as it did before the fast path,
+// whole and split one byte or half a read at a time, so the fast path meets
+// every window boundary and falls back where the window ends early.
+func TestEndTagForms(t *testing.T) {
+	for _, c := range endTagForms {
+		for _, r := range []io.Reader{strings.NewReader(c.doc), iotest.OneByteReader(strings.NewReader(c.doc)), iotest.HalfReader(strings.NewReader(c.doc))} {
+			if got := tokens(r); got != c.want {
+				t.Errorf("%q: read\n%s\nwant\n%s", c.doc, got, c.want)
+			}
+		}
+	}
+}
+
 // TestParseInternsLabels: every node of one label shares one string, and no
 // label points into the source text, even with more labels than the cache
 // in front of the label map has slots.
@@ -310,6 +340,9 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(prologDoc))
 	f.Add([]byte(`<dept><course><cno>cs11</cno><prereq><course><cno>cs66</cno><prereq/></course></prereq></course></dept>`))
 	f.Add([]byte(deep(100_000, "")))
+	for _, c := range endTagForms {
+		f.Add([]byte(c.doc))
+	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		doc, err := Parse(string(src))
 		if err != nil {

@@ -197,14 +197,16 @@ func (t *Translation) SQL(d Dialect, opts ...SQLOption) (string, error) {
 // the paper's storage model (§2.3).
 func Shred(doc *Document, d *DTD) (*DB, error) { return shred.Shred(doc, d) }
 
-// ShredStreamOptions configures StreamShred (its worker count).
+// ShredStreamOptions configures StreamShred: Workers 1 runs its loader on
+// the caller's goroutine, any other value beside the parser.
 type ShredStreamOptions = shred.StreamOptions
 
-// StreamShred shreds an XML document read from r in one streaming pass,
-// fanning completed-element batches out to parallel relation loaders. It
-// produces the same database as Shred over the parsed tree but never holds
-// the document text or the element tree, so it ingests documents far larger
-// than memory would allow the tree builder.
+// StreamShred shreds an XML document read from r in one streaming pass: a
+// parser numbers and types the elements and hands completed-element batches
+// to one loader, which interns their values and writes the catalog and the
+// relations. It produces the same database as Shred over the parsed tree
+// but never holds the document text or the element tree, so it ingests
+// documents far larger than memory would allow the tree builder.
 func StreamShred(r io.Reader, d *DTD, opts ShredStreamOptions) (*DB, error) {
 	return shred.StreamShred(r, d, opts)
 }
