@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -433,8 +434,8 @@ func BenchmarkStoreUpdate(b *testing.B) {
 // stream is one StreamShred pass with a worker per CPU, what ingest-stream
 // times, and stream-w1 the same pass with the loader inline, so the two show
 // what the loader's own goroutine buys; tree parses the text whole and
-// shreds the tree (ParseXML, Shred); load reads the document's Save image
-// back (LoadDB).
+// shreds the tree (ParseXML, Shred); save writes the document's Save image
+// (SaveDB) and load reads it back (LoadDB).
 func BenchmarkIngest(b *testing.B) {
 	d, err := ParseDTD(workload.DeptText)
 	if err != nil {
@@ -473,17 +474,25 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		}
 	})
-	b.Run("load", func(b *testing.B) {
-		db, err := StreamShred(bytes.NewReader(text), d, ShredStreamOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var img bytes.Buffer
-		if err := SaveDB(db, &img); err != nil {
-			b.Fatal(err)
-		}
+	db, err := StreamShred(bytes.NewReader(text), d, ShredStreamOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := SaveDB(db, &img); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
+		b.SetBytes(int64(img.Len()))
+		for i := 0; i < b.N; i++ {
+			if err := SaveDB(db, io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
 		b.SetBytes(int64(img.Len()))
 		for i := 0; i < b.N; i++ {
 			if _, err := LoadDB(bytes.NewReader(img.Bytes())); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
@@ -368,5 +369,42 @@ func TestReadMixTraceAddsUp(t *testing.T) {
 	}
 	if mix.StairScans == 0 || mix.ExistsProbes == 0 {
 		t.Fatalf("the read mix took no staircase scan or no existence probe: %+v", mix)
+	}
+}
+
+// TestImageCodecAllocs is the counted test of the image codec, on dept
+// databases of 1× and 4× a base: Save allocates at most once per distinct
+// symbol, and Load once per distinct symbol and per node-table chunk, beside
+// a constant per relation — nothing per record.
+func TestImageCodecAllocs(t *testing.T) {
+	if rdb.RaceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const base, perRel = 8000, 40
+	for _, scale := range []int{1, 4} {
+		db := deptDB(t, scale*base)
+		img := image(t, db)
+		syms, rels, nodes := db.Syms.Len(), len(db.Rels), db.NumNodes()
+		save := testing.AllocsPerRun(3, func() {
+			if err := db.Save(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var loaded *rdb.DB
+		load := testing.AllocsPerRun(3, func() {
+			var err error
+			if loaded, err = rdb.Load(bytes.NewReader(img)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		chunks := rdb.NodeChunks(loaded)
+		t.Logf("%d×: %d nodes, %d symbols, %d chunks, %d relations: Save %.0f allocations (%.3f a node), Load %.0f (%.3f a node)",
+			scale, nodes, syms, chunks, rels, save, save/float64(nodes), load, load/float64(nodes))
+		if limit := syms + perRel*rels; save > float64(limit) {
+			t.Errorf("%d×: Save made %.0f allocations, over %d (symbols + %d a relation)", scale, save, limit, perRel)
+		}
+		if limit := syms + chunks + perRel*rels; load > float64(limit) {
+			t.Errorf("%d×: Load made %.0f allocations, over %d (symbols + chunks + %d a relation)", scale, load, limit, perRel)
+		}
 	}
 }

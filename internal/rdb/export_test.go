@@ -58,3 +58,14 @@ func DescIndexed(db *DB) []string {
 	}
 	return names
 }
+
+// RaceEnabled reports whether the test binary was built with the race
+// detector.
+const RaceEnabled = raceEnabled
+
+// NodeChunks counts the chunks of db's node table.
+func NodeChunks(db *DB) int {
+	n := 0
+	db.nodes.Load().tab.eachChunk(func(int, *nodeChunk) { n++ })
+	return n
+}

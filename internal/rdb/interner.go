@@ -53,15 +53,25 @@ func NewInterner() *Interner { return internerOf([]string{""}) }
 // must be the empty string, and any other empty string is a number no symbol
 // has.
 func internerOf(strs []string) *Interner {
+	in := new(Interner)
+	in.fill(strs)
+	return in
+}
+
+// fill makes strs the interner's dictionary, as internerOf does: a
+// compaction's, or a bulk loader's, built without the promotions of an
+// interner that grows under readers.
+func (in *Interner) fill(strs []string) {
 	ids := make(map[string]int32, len(strs))
 	for i, s := range strs {
 		if s != "" || i == 0 {
 			ids[s] = int32(i)
 		}
 	}
-	in := &Interner{strs: strs}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.strs, in.dirty, in.misses, in.inserts = strs, nil, 0, 0
 	in.clean.Store(&internSnap{ids: ids, strs: strs[:len(strs):len(strs)]})
-	return in
 }
 
 // compacted returns an interner of the symbols below n that live marks, live

@@ -1,10 +1,15 @@
 package rdb
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -50,56 +55,194 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSaveLoadProperty round-trips randomly generated databases: arbitrary
-// relation shapes (including empty and declared-only relations), V values
-// drawn from an alphabet of quotes, backslashes, newlines, spaces and
-// non-ASCII text, and tombstoned rows (which Save must omit). The round trip
-// must reproduce the exact text on a second Save.
-func TestSaveLoadProperty(t *testing.T) {
-	pieces := []string{
-		`"`, `\`, "\n", "\t", " ", "plain", "ünïcode", "日本語", "€", `\"escaped\"`,
-		"line1\nline2", `trailing\`, "", "R 1 2", "# not a comment",
+// saveReference is the writer Save replaced, kept as its specification: each
+// record formatted by fmt, each value quoted by strconv.Quote, a relation's
+// tuples copied out as strings and sorted. Save must write its bytes.
+func saveReference(db *DB, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	var names []string
+	for name := range db.Rels {
+		names = append(names, name)
 	}
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := NewDB()
-		nRels := rng.Intn(5)
-		for r := 0; r < nRels; r++ {
-			name := fmt.Sprintf("R_t%d", r)
-			n := rng.Intn(6) // 0: declared but empty
-			if n == 0 {
-				db.Rel(name)
-				continue
+	sort.Strings(names)
+	for _, name := range names {
+		rel := db.Rels[name]
+		tuples := append([]Tuple(nil), rel.Tuples()...)
+		sort.Slice(tuples, func(i, j int) bool {
+			if tuples[i].F != tuples[j].F {
+				return tuples[i].F < tuples[j].F
 			}
-			for i := 0; i < n; i++ {
-				v := pieces[rng.Intn(len(pieces))] + pieces[rng.Intn(len(pieces))]
-				id := r*100 + i + 1
-				db.InsertLabeled(name, fmt.Sprintf("t%d", r), rng.Intn(id), id, v)
-			}
-			// Occasionally tombstone a row: Save writes live tuples only.
-			if rel := db.Rel(name); rng.Intn(2) == 0 && rel.Len() > 1 {
-				tp := rel.Tuples()[0]
-				db.Delete(name, tp.F, tp.T)
+			return tuples[i].T < tuples[j].T
+		})
+		for _, t := range tuples {
+			if _, err := fmt.Fprintf(bw, "R %s %d %d %s\n", name, t.F, t.T, strconv.Quote(t.V)); err != nil {
+				return err
 			}
 		}
-		var sb strings.Builder
+		if len(tuples) == 0 {
+			if _, err := fmt.Fprintf(bw, "E %s\n", name); err != nil {
+				return err
+			}
+		}
+	}
+	st := db.nodes.Load()
+	var err error
+	st.tab.eachNode(func(id int, parent, val, typ int32) {
+		if err == nil {
+			_, err = fmt.Fprintf(bw, "N %d %d %s %s\n",
+				id, parent, strconv.Quote(db.Syms.Str(typ)), strconv.Quote(db.Syms.Str(val)))
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if st.labelled {
+		n := int64(st.tab.labels)
+		dense := true
+		st.tab.eachLabel(func(_ int, iv NodeInterval) { dense = dense && 0 <= iv.Begin && iv.Begin < n })
+		var begins []int64
+		if !dense {
+			begins = make([]int64, 0, n)
+			st.tab.eachLabel(func(_ int, iv NodeInterval) { begins = append(begins, iv.Begin) })
+			slices.Sort(begins)
+		}
+		rank := func(label int64) int64 {
+			if dense {
+				return min(max(label, 0), n)
+			}
+			i, _ := slices.BinarySearch(begins, label)
+			return int64(i)
+		}
+		st.tab.eachLabel(func(id int, iv NodeInterval) {
+			if err == nil {
+				_, err = fmt.Fprintf(bw, "O %d %d %d %d\n", id, rank(iv.Begin), rank(iv.End), iv.Level)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if db.DTDFP != "" {
+		if _, err := fmt.Fprintf(bw, "D %s\n", db.DTDFP); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// oddValues are the pieces the property tests build values from: quotes,
+// backslashes, control characters, invalid UTF-8, runes strconv.Quote escapes
+// (U+0085, U+2028) and ones it keeps (U+FFFD), text that looks like a record
+// or a comment, and plain words.
+var oddValues = []string{
+	`"`, `\`, "\n", "\t", "\r", "\x00", "\xff", "\xc3(", "\uFFFD", "\u0085", "\u2028", " ",
+	"plain", "ünïcode", "日本語", "€", `\"escaped\"`, "line1\nline2", `trailing\`, "",
+	"R 1 2", "# not a comment", "`raw`",
+}
+
+// oddTypes are element types Save must quote: none holds a space, which ends
+// a type in an N record.
+var oddTypes = []string{"t", "t\x00", `t"`, "t\xff", "t\u2028", `t\`, "t\u0085"}
+
+// randomDB builds a database of arbitrary relation shapes — empty and
+// declared-only relations, tombstoned rows (which Save must omit) — whose
+// values and element types are drawn from oddValues and oddTypes, with a dense
+// interval encoding, a relabelled one (gaps between the begins) or none. A
+// value of long bytes, when long > 0, is stored in a relation of its own.
+func randomDB(seed int64, long int) *DB {
+	rng := rand.New(rand.NewSource(seed))
+	db := NewDB()
+	nRels := rng.Intn(5)
+	for r := 0; r < nRels; r++ {
+		name := fmt.Sprintf("R_t%d", r)
+		typ := fmt.Sprintf("t%d", r)
+		if rng.Intn(3) == 0 {
+			typ = oddTypes[rng.Intn(len(oddTypes))]
+		}
+		n := rng.Intn(6) // 0: declared but empty
+		if n == 0 {
+			db.Rel(name)
+			continue
+		}
+		for i := 0; i < n; i++ {
+			v := oddValues[rng.Intn(len(oddValues))] + oddValues[rng.Intn(len(oddValues))]
+			id := r*100 + i + 1
+			db.InsertLabeled(name, typ, rng.Intn(id), id, v)
+		}
+		// Occasionally tombstone a row: Save writes live tuples only.
+		if rel := db.Rel(name); rng.Intn(2) == 0 && rel.Len() > 1 {
+			tp := rel.Tuples()[0]
+			db.Delete(name, tp.F, tp.T)
+		}
+	}
+	if long > 0 {
+		var b strings.Builder
+		for b.Len() < long {
+			b.WriteString(oddValues[rng.Intn(len(oddValues))])
+		}
+		db.InsertLabeled("R_long", "long", 0, 1000, b.String())
+	}
+	switch rng.Intn(3) {
+	case 0:
+		db.RebuildIntervals()
+	case 1:
+		b, k := db.NewIntervalBuilder(), int64(0)
+		db.EachNode(func(id int) {
+			begin := 5*k + 2 + rng.Int63n(3)
+			b.Set(id, NodeInterval{Begin: begin, End: begin + rng.Int63n(40), Level: rng.Int31n(5)})
+			k++
+		})
+		b.Adopt()
+	}
+	if rng.Intn(2) == 0 {
+		db.DTDFP = fmt.Sprintf("fp%d", seed)
+	}
+	return db
+}
+
+// TestSaveLoadProperty round-trips randomly generated databases (randomDB),
+// one of them holding a 5 MiB value: Save must write the bytes saveReference
+// writes, and the round trip must reproduce them on a second Save.
+func TestSaveLoadProperty(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		long := 0
+		if seed == 7 {
+			long = 5 << 20
+		}
+		db := randomDB(seed, long)
+		var sb, ref strings.Builder
 		if err := db.Save(&sb); err != nil {
 			t.Fatalf("seed %d: Save: %v", seed, err)
 		}
+		if err := saveReference(db, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != ref.String() {
+			t.Fatalf("seed %d: Save differs from the reference writer:\n%.2000q\nvs\n%.2000q", seed, sb.String(), ref.String())
+		}
 		got, err := Load(strings.NewReader(sb.String()))
 		if err != nil {
-			t.Fatalf("seed %d: Load: %v\ntext:\n%s", seed, err, sb.String())
+			t.Fatalf("seed %d: Load: %v\ntext:\n%.2000s", seed, err, sb.String())
 		}
 		var sb2 strings.Builder
 		if err := got.Save(&sb2); err != nil {
 			t.Fatalf("seed %d: re-Save: %v", seed, err)
 		}
 		if sb.String() != sb2.String() {
-			t.Fatalf("seed %d: round trip not identical:\n%q\nvs\n%q", seed, sb.String(), sb2.String())
+			t.Fatalf("seed %d: round trip not identical:\n%.2000q\nvs\n%.2000q", seed, sb.String(), sb2.String())
 		}
-		if got.NumNodes() != db.NumNodes() {
-			t.Fatalf("seed %d: %d nodes loaded, want %d", seed, got.NumNodes(), db.NumNodes())
+		if got.NumNodes() != db.NumNodes() || got.IntervalCount() != db.IntervalCount() || got.DTDFP != db.DTDFP {
+			t.Fatalf("seed %d: %d nodes, %d intervals, fingerprint %q loaded, want %d, %d, %q",
+				seed, got.NumNodes(), got.IntervalCount(), got.DTDFP, db.NumNodes(), db.IntervalCount(), db.DTDFP)
 		}
+		db.EachNode(func(id int) {
+			gl, _ := got.Label(id)
+			wl, _ := db.Label(id)
+			if got.Val(id) != db.Val(id) || gl != wl || got.Parent(id) != db.Parent(id) {
+				t.Fatalf("seed %d: node %d loaded as (%q, %q, %d), want (%q, %q, %d)",
+					seed, id, got.Val(id), gl, got.Parent(id), db.Val(id), wl, db.Parent(id))
+			}
+		})
 		for name, rel := range db.Rels {
 			grel, ok := got.Rels[name]
 			if !ok {
@@ -114,6 +257,37 @@ func TestSaveLoadProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestImageCodecLongLine: a value of 5 MiB, longer than any line buffer,
+// saves and loads back, and the lines after it keep their numbers in
+// errors. A line-scanning reader that capped a line at 4 MiB refused the
+// image Save had written.
+func TestImageCodecLongLine(t *testing.T) {
+	long := strings.Repeat("x\"y", 5<<20/3)
+	db := NewDB()
+	db.InsertLabeled("R_a", "a", 0, 1, "")
+	db.InsertLabeled("R_b", "b", 1, 2, long)
+	db.RebuildIntervals()
+	var sb strings.Builder
+	if err := db.Save(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("Load refused a saved %d-byte value: %v", len(long), err)
+	}
+	if got.Val(2) != long {
+		t.Fatalf("the long value loaded as %d bytes, want %d", len(got.Val(2)), len(long))
+	}
+	var again strings.Builder
+	if err := got.Save(&again); err != nil || again.String() != sb.String() {
+		t.Fatalf("the long value's image does not round-trip: %v", err)
+	}
+	img := "R R_b 1 2 " + strconv.Quote(long) + "\r\n# note\nR R_b x 3 \"\"\n"
+	if _, err := Load(strings.NewReader(img)); err == nil || !strings.Contains(err.Error(), "line 3:") {
+		t.Fatalf("a bad record after a long line: %v, want an error naming line 3", err)
 	}
 }
 
@@ -236,6 +410,16 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("# header\n\nR R_e 1 2 \"a\"\nR R_e 1 2 \"a\"\nR R_e 0 1 \"\"\nE R_x\n"))
 	f.Add([]byte("N 5 6 \"a\" \"\"\nN 6 5 \"a\" \"\"\n"))
 	f.Add([]byte("N 2 7 \"b\" \"\"\nO 2 3 1 0\nO 9 0 4 2\n"))
+	for seed := int64(0); seed < 4; seed++ {
+		var img strings.Builder
+		if err := randomDB(seed, 0).Save(&img); err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(img.String()))
+	}
+	// Quoted forms that take Unquote's escape path, a raw string, a quote in
+	// the middle, invalid UTF-8 and CR-LF line ends.
+	f.Add([]byte("R R_v 0 1 \"\\x00\\u2028\\\"\"\r\nR R_v 0 2 `raw`\nR R_v 0 3 \"a\"b\"\nN 1 0 \"t\\xff\" \"\xff\"\r\n"))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		db, err := Load(strings.NewReader(string(img)))
 		if err != nil {
@@ -406,5 +590,26 @@ func TestLoadDropsARepeatedTuple(t *testing.T) {
 	}
 	if db.Rel("R_e").Has(2, 2) || db.Rel("R_e").PairSetBytes() != 0 {
 		t.Errorf("R_e holds (2, 2), or a pair set of %d bytes", db.Rel("R_e").PairSetBytes())
+	}
+}
+
+// TestImageNumbers: Load's number reader takes back the forms Save writes
+// and leaves every other to strconv, which words the errors.
+func TestImageNumbers(t *testing.T) {
+	for _, n := range []int64{0, 1, 9, 10, 99, 100, 123456789, 999999999, 1000000000,
+		math.MaxInt32, math.MaxUint32, math.MaxUint32 + 1, math.MaxInt64, -1, -10, math.MinInt32, math.MinInt64} {
+		s := strconv.FormatInt(n, 10)
+		if v, ok := digits([]byte(s)); ok != (0 <= n && n < 1e9) || ok && v != n {
+			t.Errorf("digits(%q) = %d, %v", s, v, ok)
+		}
+		if v, err := parseInt([]byte(s), 64); err != nil || v != n {
+			t.Errorf("parseInt(%q) = %d, %v", s, v, err)
+		}
+	}
+	for _, s := range []string{"", " ", "+1", "01", "1 ", "1x", "0000000001", "99999999999999999999"} {
+		want, werr := strconv.ParseInt(s, 10, 64)
+		if got, err := parseInt([]byte(s), 64); got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("parseInt(%q) = %d, %v, want %d, %v", s, got, err, want, werr)
+		}
 	}
 }

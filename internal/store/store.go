@@ -36,6 +36,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -862,6 +863,9 @@ func HasState(dir string) (bool, error) {
 
 const snapHeaderFmt = "# xpath2sql-snapshot v1 seq=%d lsn=%d next=%d"
 
+// snapHeaderMax bounds the header line: its text and three 20-digit numbers.
+const snapHeaderMax = 128
+
 // writeSnapshotFile persists ep in the rdb.Save format prefixed with the
 // store's metadata header, atomically (temp file + rename + directory sync).
 func writeSnapshotFile(path string, ep *Epoch, next int) error {
@@ -898,20 +902,26 @@ func writeSnapshotFile(path string, ep *Epoch, next int) error {
 }
 
 // loadSnapshotFile reads a snapshot written by Checkpoint, or a plain
-// rdb.Save file (headerless: LSN 0, next ID derived from the catalog).
+// rdb.Save file (headerless: LSN 0, next ID derived from the catalog). The
+// file is streamed: the header is peeked at, and rdb.Load reads the same
+// buffered reader from the first line, header included, so its line numbers
+// are the file's.
 func loadSnapshotFile(path string) (db *rdb.DB, seq, lsn uint64, next int, err error) {
-	blob, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	if line, _, ok := bytes.Cut(blob, []byte("\n")); ok {
+	defer f.Close()
+	br := bufio.NewReaderSize(f, rdb.ImageBufSize)
+	head, _ := br.Peek(snapHeaderMax)
+	if line, _, ok := bytes.Cut(head, []byte("\n")); ok {
 		var s2, l2 uint64
 		var n2 int
 		if _, err := fmt.Sscanf(string(line), snapHeaderFmt, &s2, &l2, &n2); err == nil {
 			seq, lsn, next = s2, l2, n2
 		}
 	}
-	db, err = rdb.Load(bytes.NewReader(blob))
+	db, err = rdb.Load(br)
 	if err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("store: snapshot %s: %w", path, err)
 	}

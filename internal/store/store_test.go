@@ -1363,3 +1363,47 @@ func TestFsyncPolicyParsing(t *testing.T) {
 		t.Error("Open accepted an unknown fsync policy")
 	}
 }
+
+// TestImageCodecLongLineReopens: a store seeded with a 5 MiB text value
+// writes it into its boot snapshot, and reopening the directory reads the
+// snapshot back — value, image and a text update after it. A snapshot reader
+// that capped a line at 4 MiB left such a store unable to reopen.
+func TestImageCodecLongLineReopens(t *testing.T) {
+	d, err := dtd.Parse("<!ELEMENT a (b)>\n<!ELEMENT b (#PCDATA)>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("long text ", 5<<20/10)
+	doc, err := xmltree.Parse("<a><b>" + long + "</b></a>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := shred.Shred(doc, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := Open(Config{DTD: d, Seed: seed, Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := saveBytes(t, s.View().DB)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(Config{DTD: d, Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s.Close()
+	db := s.View().DB
+	if got := saveBytes(t, db); !bytes.Equal(got, want) {
+		t.Fatal("the reopened store's image differs from the one it checkpointed")
+	}
+	if db.Val(2) != strings.TrimSpace(long) {
+		t.Fatalf("node 2 holds %d bytes, want %d", len(db.Val(2)), len(strings.TrimSpace(long)))
+	}
+	if _, err := s.UpdateText(2, "short"); err != nil {
+		t.Fatalf("update after reopen: %v", err)
+	}
+}
