@@ -266,11 +266,16 @@ type StoreStats struct {
 	// them — what the catalog and label side of a write costs, whatever the
 	// database's size.
 	CatalogChunksCopied int64
-	// Symbols is the size of the published epoch's dictionary: the distinct
-	// values and element types its interner holds, dead ones included until
-	// a compaction; SymbolCompactions counts the updates that moved the store
-	// onto a compact dictionary once a quarter of it was dead.
+	// Symbols is the strings the published epoch's dictionary holds: the
+	// distinct values and element types, dead ones included until a
+	// compaction. SymbolsLive is the live symbols the store's last check of
+	// the dictionary found (the whole dictionary of a fresh load), so
+	// Symbols − SymbolsLive is the dead ones at that check plus the strings
+	// interned since. SymbolCompactions counts the updates that moved the
+	// store onto a dictionary without its dead symbols once a quarter of the
+	// strings held were dead.
 	Symbols           int64
+	SymbolsLive       int64
 	SymbolCompactions int64
 	Apply             HistogramSnapshot
 }
@@ -361,7 +366,8 @@ func (m *MetricsSnapshot) WritePrometheus(w io.Writer) {
 		counter("store_relabels_total", "Inserts that had to relabel a subtree to make room for their interval labels.", st.Relabels)
 		counter("store_relabelled_nodes_total", "Interval labels rewritten by relabels.", st.RelabelledNodes)
 		counter("store_catalog_chunks_copied_total", "Node-table chunks copied by updates before writing them.", st.CatalogChunksCopied)
-		gauge("store_symbols", "Symbols in the published epoch's dictionary, dead ones included until a compaction.", st.Symbols)
+		gauge("store_symbols", "Strings the published epoch's dictionary holds, dead ones included until a compaction.", st.Symbols)
+		gauge("store_symbols_live", "Live symbols the last check of the dictionary found.", st.SymbolsLive)
 		counter("store_symbol_compactions_total", "Updates that moved the store onto a compact dictionary.", st.SymbolCompactions)
 		fmt.Fprintf(w, "# HELP %s_store_apply_seconds Update apply latency (validate+log+apply+publish).\n", p)
 		fmt.Fprintf(w, "# TYPE %s_store_apply_seconds histogram\n", p)

@@ -483,25 +483,22 @@ func (vs *ViewState) advance(newDB *DB, u *update) (*Relation, error) {
 }
 
 // follow moves the view onto newDB's dictionary: nothing to do when it is the
-// view's, and when newDB is the epoch that compacted the view's, every
-// materialization's values are rewritten by the move it made. It reports
-// false for any other dictionary, whose symbols the view cannot translate. A
-// delete's rows out of the epoch before keep that epoch's numbers: they are
-// taken out by (F, T), and no rule reads their values.
+// view's, and when it is a compaction's copy of the view's, which gives every
+// symbol it keeps the number it had, every materialization is repointed at
+// it. It reports false for any other dictionary, whose symbols the view
+// cannot read. A row that holds a symbol the copy dropped is one the update
+// that compacted takes out, by (F, T): no rule reads its value.
 func (vs *ViewState) follow(newDB *DB) bool {
 	if newDB.Syms == vs.syms {
 		return true
 	}
-	m := newDB.remap
-	if m == nil || m.from != vs.syms {
+	if newDB.Syms.line != vs.syms.line {
 		return false
 	}
-	done := map[*Relation]bool{}
 	vs.eachNode(func(n *viewNode) {
 		for _, r := range [3]*Relation{n.out, n.aux, n.delta} {
-			if r != nil && !done[r] {
-				done[r] = true
-				r.resym(newDB.Syms, m.to)
+			if r != nil {
+				r.syms = newDB.Syms
 			}
 		}
 	})

@@ -5,18 +5,22 @@ import (
 	"sync/atomic"
 )
 
-// Interner dictionary-encodes strings as dense int32 symbol IDs so relations
+// Interner dictionary-encodes strings as int32 symbol IDs so relations
 // store three machine words per tuple instead of carrying string headers.
 // Symbol 0 is always the empty string. One Interner is shared by every
 // relation of a DB (stored and temporary), so joins move symbols around
 // without ever touching string data; equality on V becomes an int32 compare.
 //
-// An interner only grows. What releases a symbol is its database's writer:
-// once dead symbols — values no stored row or node holds any more — make up a
-// quarter of the dictionary, the writer moves its next version onto a compact
-// copy of the live ones (DB.ReclaimSymbols, reclaim.go), and the old
-// dictionary goes when the last epoch holding it does. An interner's symbols
-// never change meaning: a compaction is a new interner.
+// A symbol's number is decided once, when its string is interned, and never
+// changes. What releases a symbol is its database's writer: once dead
+// symbols — values no stored row or node holds any more — make up a quarter
+// of the strings held, the writer moves its next version onto a copy of the
+// dictionary without them (DB.ReclaimSymbols, reclaim.go). The copy keeps
+// every live string at its number; a dead one's number becomes free, holding
+// "" and no map entry, and the next strings interned take the free numbers
+// before the dictionary grows. The old dictionary goes when the last epoch
+// holding it does. An interner's symbols never change meaning, and a
+// compaction's copy gives every symbol it keeps the meaning it had.
 //
 // The interner is safe for concurrent use and, after a database is loaded,
 // lock-free on the read path: resolved symbols live in an immutable
@@ -35,9 +39,16 @@ type Interner struct {
 
 	mu      sync.Mutex
 	dirty   map[string]int32 // strings interned since the last promotion
-	strs    []string         // all strings; clean.strs is a stable prefix
+	strs    []string         // all strings; clean.strs is a prefix of it
 	misses  int              // locked lookups that hit dirty
 	inserts int              // strings added since the last promotion
+	// free lists the numbers below len(strs) that hold no symbol, the
+	// highest first: a compaction's holes, taken lowest first by Intern.
+	free []int32
+	// line is shared by an interner NewInterner made and every compaction
+	// copied from it: two interners of one line give every symbol both hold
+	// the same string.
+	line uint64
 }
 
 // internSnap is one immutable snapshot of the dictionary.
@@ -46,23 +57,23 @@ type internSnap struct {
 	strs []string
 }
 
-// NewInterner returns an interner holding only the empty string (symbol 0).
-func NewInterner() *Interner { return internerOf([]string{""}) }
+// lines numbers the interners NewInterner makes.
+var lines atomic.Uint64
 
-// internerOf returns an interner holding strs, symbol i being strs[i]; strs[0]
-// must be the empty string, and any other empty string is a number no symbol
-// has.
-func internerOf(strs []string) *Interner {
+// NewInterner returns an interner holding only the empty string (symbol 0).
+func NewInterner() *Interner {
 	in := new(Interner)
-	in.fill(strs)
+	in.fill([]string{""}, nil)
+	in.line = lines.Add(1)
 	return in
 }
 
-// fill makes strs the interner's dictionary, as internerOf does: a
+// fill makes strs the interner's dictionary, symbol i being strs[i]: a
 // compaction's, or a bulk loader's, built without the promotions of an
-// interner that grows under readers.
-func (in *Interner) fill(strs []string) {
-	ids := make(map[string]int32, len(strs))
+// interner that grows under readers. strs[0] must be the empty string, and
+// the other empty strings are the free numbers, listed in free.
+func (in *Interner) fill(strs []string, free []int32) {
+	ids := make(map[string]int32, len(strs)-len(free))
 	for i, s := range strs {
 		if s != "" || i == 0 {
 			ids[s] = int32(i)
@@ -70,48 +81,33 @@ func (in *Interner) fill(strs []string) {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.strs, in.dirty, in.misses, in.inserts = strs, nil, 0, 0
+	in.strs, in.free, in.dirty, in.misses, in.inserts = strs, free, nil, 0, 0
 	in.clean.Store(&internSnap{ids: ids, strs: strs[:len(strs):len(strs)]})
 }
 
-// compacted returns an interner of the symbols below n that live marks, live
-// of them, and each old symbol's new one, -1 for a dead one. It has size
-// numbers, at least live and more than every symbol of keep, a subset of
-// live. A live symbol below size keeps its number, and one above it takes
-// the lowest number a dead symbol left: so the symbols of keep never move,
-// only the ones interned after the dead ones below them do, and what a
-// database writes to follow the move is where they are. A number left over
-// holds no symbol.
-func (in *Interner) compacted(marks, keep symMarks, n, live int) (*Interner, []int32) {
+// compacted returns a copy of the interner's symbols below n that live marks,
+// each at its number. The copy ends at the highest of them, and every number
+// below it that marks does not hold is free.
+func (in *Interner) compacted(marks symMarks, n int) *Interner {
 	in.mu.Lock()
-	strs := in.strs[:n] // an append-only prefix: its strings are never rewritten
+	strs := in.strs[:n] // only a free number's string is written after this
 	in.mu.Unlock()
-	size := live
-	for id := size; id < n; id++ {
-		if keep.has(int32(id)) {
-			size = id + 1
+	hi := n - 1
+	for !marks.has(int32(hi)) { // symbol 0 is always marked
+		hi--
+	}
+	kept := make([]string, hi+1)
+	var free []int32
+	for id := hi; id > 0; id-- {
+		if marks.has(int32(id)) {
+			kept[id] = strs[id]
+		} else {
+			free = append(free, int32(id))
 		}
 	}
-	out := make([]string, size)
-	to := make([]int32, n)
-	hole := 0
-	for id := range n {
-		switch {
-		case !marks.has(int32(id)):
-			to[id] = -1
-			continue
-		case id >= size:
-			for marks.has(int32(hole)) {
-				hole++
-			}
-			to[id] = int32(hole)
-			hole++
-		default:
-			to[id] = int32(id)
-		}
-		out[to[id]] = strs[id]
-	}
-	return internerOf(out), to
+	out := &Interner{line: in.line}
+	out.fill(kept, free)
+	return out
 }
 
 // Intern returns the symbol for s, assigning a new one on first sight.
@@ -129,8 +125,17 @@ func (in *Interner) Intern(s string) int32 {
 		in.missLocked()
 		return id
 	}
+	// Every free number is refilled before the array grows, so a refill
+	// always writes the array the clean snapshot reads (a compaction's copy
+	// is clean whole): Str finds the string there. No reader reads the slot
+	// before it learns the number, which only this write hands out.
 	id := int32(len(in.strs))
-	in.strs = append(in.strs, s)
+	if k := len(in.free); k > 0 {
+		id, in.free = in.free[k-1], in.free[:k-1]
+		in.strs[id] = s
+	} else {
+		in.strs = append(in.strs, s)
+	}
 	if in.dirty == nil {
 		in.dirty = map[string]int32{}
 	}
@@ -203,10 +208,20 @@ func (in *Interner) Str(id int32) string {
 	return s
 }
 
-// Len returns the number of distinct strings interned.
+// Len returns the numbers the dictionary spans: one past its highest
+// symbol, free numbers included.
 func (in *Interner) Len() int {
 	in.mu.Lock()
 	n := len(in.strs)
+	in.mu.Unlock()
+	return n
+}
+
+// Held returns the strings the dictionary holds, the empty string's symbol
+// 0 included: Len less its free numbers.
+func (in *Interner) Held() int {
+	in.mu.Lock()
+	n := len(in.strs) - len(in.free)
 	in.mu.Unlock()
 	return n
 }

@@ -137,9 +137,9 @@ var buildHook func(rel *Relation)
 // inherit seeds the cache from prev's, whose labels st keeps: the entry of
 // every relation db still shares with it, built or not, and the index derived
 // from prev's of every relation whose version in db was cloned from prev's and
-// that prev had built one for; to is the move db made onto a compact
-// dictionary, nil for none. Any other relation is indexed on its first read.
-func (st *nodeState) inherit(prev *nodeState, db *DB, to []int32) {
+// that prev had built one for. Any other relation is indexed on its first
+// read.
+func (st *nodeState) inherit(prev *nodeState, db *DB) {
 	prev.mu.Lock()
 	defer prev.mu.Unlock()
 	for rel, e := range prev.byRel {
@@ -147,7 +147,7 @@ func (st *nodeState) inherit(prev *nodeState, db *DB, to []int32) {
 		if cur == rel {
 			st.byRel[rel] = e
 		} else if idx, ok := e.final(); ok && idx != nil && cur != nil && cur.src == rel {
-			if d := st.derived(prev, idx, cur, to); d != nil {
+			if d := st.derived(prev, idx, cur); d != nil {
 				c := &descEntry{idx: d}
 				c.done.Store(true)
 				st.byRel[cur] = c
@@ -158,15 +158,14 @@ func (st *nodeState) inherit(prev *nodeState, db *DB, to []int32) {
 
 // derived is the one rule by which a descendant index crosses into the next
 // epoch. idx is the index of cur.src in the parent epoch, whose labels are
-// was's; cur recorded what the update wrote since (Relation.src), and to is
-// the move the update made onto a compact dictionary, or nil. The entries of
-// the rows it killed go, each found by its begin in was's table; the rows it
-// appended come in, sorted by their begins in st's table; every kept value is
-// rewritten by to. The runs between those change points are copied once, and
-// an array the update leaves as it was is shared: a text update, whose new row
-// takes its node's labels over, copies only rows. It returns nil — cur is
-// indexed on its first read — when a row is not where the record puts it.
-func (st *nodeState) derived(was *nodeState, idx *descIndex, cur *Relation, to []int32) *descIndex {
+// was's, and cur recorded what the update wrote since (Relation.src). The
+// entries of the rows it killed go, each found by its begin in was's table;
+// the rows it appended come in, sorted by their begins in st's table. The
+// runs between those change points are copied once, and an array the update
+// leaves as it was is shared: a text update, whose new row takes its node's
+// labels over, copies only rows. It returns nil — cur is indexed on its first
+// read — when a row is not where the record puts it.
+func (st *nodeState) derived(was *nodeState, idx *descIndex, cur *Relation) *descIndex {
 	drop := make([]int, 0, len(cur.killed))
 	for _, w := range cur.killed {
 		nv, ok := was.tab.get(int(w.t))
@@ -182,7 +181,7 @@ func (st *nodeState) derived(was *nodeState, idx *descIndex, cur *Relation, to [
 	if add == nil || len(idx.rows)-len(drop)+len(add.rows) != n {
 		return nil
 	}
-	if len(drop)+len(add.rows) == 0 && (to == nil || !slices.ContainsFunc(idx.rows, func(w row) bool { return to[w.v] != w.v })) {
+	if len(drop)+len(add.rows) == 0 {
 		return idx
 	}
 	// same: each new row has the labels of the dropped one it replaces.
@@ -199,11 +198,7 @@ func (st *nodeState) derived(was *nodeState, idx *descIndex, cur *Relation, to [
 			out.begins = append(out.begins, from.begins[lo:hi]...)
 			out.ends = append(out.ends, from.ends[lo:hi]...)
 		}
-		at := len(out.rows)
 		out.rows = append(out.rows, from.rows[lo:hi]...)
-		for k := at; to != nil && from == idx && k < len(out.rows); k++ {
-			out.rows[k].v = to[out.rows[k].v]
-		}
 	}
 	i := 0 // the next entry of idx to copy
 	for a, d := 0, 0; a < len(add.rows) || d < len(drop); {
@@ -310,12 +305,8 @@ func (db *DB) InvalidateIntervals() { db.nodes.Store(newNodeState(db.nodes.Load(
 // db. It runs once per update, whatever the update did.
 func (db *DB) DeriveIndexes(prev *DB) {
 	st, was := db.encoding(), prev.encoding()
-	var to []int32
-	if m := db.remap; m != nil && m.from == prev.Syms {
-		to = m.to
-	}
-	if st != nil && was != nil && st.carry && (to != nil || db.Syms == prev.Syms) {
-		st.inherit(was, db, to)
+	if st != nil && was != nil && st.carry {
+		st.inherit(was, db)
 	}
 	for _, r := range db.Rels {
 		if r.src != nil {

@@ -267,7 +267,7 @@ func Load(r io.Reader) (*DB, error) {
 	if err := checkParentChains(tab); err != nil {
 		return nil, err
 	}
-	db.Syms.fill(ir.strs)
+	db.Syms.fill(ir.strs, nil)
 	if iv != nil {
 		iv.Adopt()
 	}
@@ -333,9 +333,8 @@ func (ir *imageReader) sym(q []byte) (int32, error) {
 	}
 	key := string(q)
 	var v string
-	if n := len(q); n >= 2 && q[0] == '"' && q[n-1] == '"' &&
-		bytes.IndexAny(q[1:n-1], "\"\\\n") < 0 && utf8.Valid(q[1:n-1]) {
-		v = key[1 : n-1]
+	if plainQuoted(q) && utf8.Valid(q[1:len(q)-1]) {
+		v = key[1 : len(q)-1]
 	} else {
 		var err error
 		if v, err = strconv.Unquote(key); err != nil {
@@ -384,8 +383,17 @@ func readTuple(b []byte) (name []byte, f, t int32, vq []byte, err error) {
 	return name, f, t, vq, err
 }
 
+// plainQuoted reports whether q is a double-quoted string without an escape,
+// a newline or another double quote inside.
+func plainQuoted(q []byte) bool {
+	n := len(q)
+	return n >= 2 && q[0] == '"' && q[n-1] == '"' && bytes.IndexAny(q[1:n-1], "\"\\\n") < 0
+}
+
 // readNode reads an N record after its kind: the node's ID, its parent's,
-// and its quoted element type and value.
+// and its quoted element type and value. The type is read whole, as
+// strconv.QuotedPrefix finds it — it may hold a space — unless it ends at the
+// first space with no escape inside, which is the same.
 func readNode(b []byte) (id, parent int32, labelQ, valQ []byte, err error) {
 	ids, b, ok1 := bytes.Cut(b, space)
 	ps, b, ok2 := bytes.Cut(b, space)
@@ -398,10 +406,14 @@ func readNode(b []byte) (id, parent int32, labelQ, valQ []byte, err error) {
 	if parent, err = parseID(ps, 0); err != nil {
 		return 0, 0, nil, nil, err
 	}
-	if labelQ, valQ, ok1 = bytes.Cut(b, space); !ok1 {
-		err = errNode
+	n := bytes.IndexByte(b, ' ')
+	if n < 0 || !plainQuoted(b[:n]) {
+		q, qerr := strconv.QuotedPrefix(string(b))
+		if n = len(q); qerr != nil || n == len(b) || b[n] != ' ' {
+			return 0, 0, nil, nil, errNode
+		}
 	}
-	return id, parent, labelQ, valQ, err
+	return id, parent, b[:n], b[n+1:], nil
 }
 
 // readInterval reads an O record after its kind: the node's ID and label.

@@ -328,6 +328,45 @@ func TestLoadErrorLineNumbers(t *testing.T) {
 	}
 }
 
+// TestLoadTypeWithSpace: an N record's element type is a quoted string,
+// which may hold a space. Written with an escape, it loads; Save writes it
+// back with the space itself, and that image loads to the same database.
+// Other types with an escape or a raw quote read as they did.
+func TestLoadTypeWithSpace(t *testing.T) {
+	for img, want := range map[string]string{
+		"N 1 0 \"a\\x20b\" \"\"\n": "a b",
+		"N 1 0 \"a b\" \"v w\"\n":  "a b",
+		"N 1 0 `a b` \"\"\n":       "a b",
+		"N 1 0 \"a\\\" b\" \"\"\n": `a" b`,
+		"N 1 0 \"t\\xff\" \"\"\n":  "t\xff",
+	} {
+		db, err := Load(strings.NewReader(img))
+		if err != nil {
+			t.Fatalf("Load(%q): %v", img, err)
+		}
+		var first strings.Builder
+		if err := db.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(strings.NewReader(first.String()))
+		if err != nil {
+			t.Fatalf("Load refused what Save wrote of %q: %v\n%s", img, err, first.String())
+		}
+		var second strings.Builder
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _ := again.Label(1); typ != want || second.String() != first.String() {
+			t.Errorf("Load(%q) reloads as type %q, image\n%s; want %q, image\n%s", img, typ, second.String(), want, first.String())
+		}
+	}
+	for _, bad := range []string{"N 1 0 \"a b\"\n", "N 1 0 \"a b\"\"\"\n", "N 1 0 \"a b \"\"\n"} {
+		if _, err := Load(strings.NewReader(bad)); err == nil {
+			t.Errorf("Load(%q): expected an error", bad)
+		}
+	}
+}
+
 func TestLoadErrors(t *testing.T) {
 	for _, bad := range []string{
 		"X what is this",
@@ -420,6 +459,8 @@ func FuzzLoad(f *testing.F) {
 	// Quoted forms that take Unquote's escape path, a raw string, a quote in
 	// the middle, invalid UTF-8 and CR-LF line ends.
 	f.Add([]byte("R R_v 0 1 \"\\x00\\u2028\\\"\"\r\nR R_v 0 2 `raw`\nR R_v 0 3 \"a\"b\"\nN 1 0 \"t\\xff\" \"\xff\"\r\n"))
+	// An element type holding a space, escaped and as Save writes it.
+	f.Add([]byte("N 1 0 \"a\\x20b\" \"\"\nN 2 1 \"a b\" \"c d\"\n"))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		db, err := Load(strings.NewReader(string(img)))
 		if err != nil {

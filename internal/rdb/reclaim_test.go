@@ -4,21 +4,23 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"xpath2sql/internal/ra"
 )
 
-// TestViewFollowsSymbolRemap: standing views cross the epochs that move their
-// database onto a compact dictionary by delta — an insert, a delete and a text
-// update each — and stay incremental: no Rebuild, no full evaluation, the
-// answer equal to a full run on every epoch. Each compaction moves a value
-// the views' materializations hold — the first one the value the select view
-// selects — and every materialization, values included, equals the one a view
-// built afresh on the epoch holds: one left on the old numbers, or on a text
-// update's old value, reads other strings.
-func TestViewFollowsSymbolRemap(t *testing.T) {
+// TestViewFollowsSymbolCompaction: standing views cross the epochs that move
+// their database onto a compact dictionary by delta — an insert, a delete and
+// a text update each — and stay incremental: no Rebuild, no full evaluation,
+// the answer equal to a full run on every epoch. Each compaction frees the
+// numbers of values the views' materializations held and moves no value they
+// hold — not the one the select view selects — and the strings interned next
+// take the freed numbers. Every materialization, values included, equals the
+// one a view built afresh on the epoch holds: one that kept a freed number, or
+// a text update's old value, reads other strings.
+func TestViewFollowsSymbolCompaction(t *testing.T) {
 	db := NewDB()
 	db.Insert("E", 0, 1, "r")
 	for k := 2; k <= 21; k++ {
@@ -55,14 +57,11 @@ func TestViewFollowsSymbolRemap(t *testing.T) {
 			if !done {
 				t.Fatalf("%s: %d of %d symbols live, and no compaction", what, live, prev.Syms.Len())
 			}
-			moved := false
-			r := prev.Rels["E"]
+			r := db.Rels["E"]
 			for i, w := range r.rows {
-				to := db.remap.to[w.v]
-				moved = moved || !r.isDead(i) && to >= 0 && to != w.v
-			}
-			if !moved {
-				t.Fatalf("%s: the compaction moved no value the new epoch holds", what)
+				if was, now := prev.Syms.Str(w.v), db.Syms.Str(w.v); !r.isDead(i) && now != was {
+					t.Fatalf("%s: the compaction made symbol %d %q, was %q", what, w.v, now, was)
+				}
 			}
 		}
 		for name, vs := range views {
@@ -110,8 +109,8 @@ func TestViewFollowsSymbolRemap(t *testing.T) {
 	keep, _ := db.Syms.Lookup("keep")
 	w, a = ins([2]int{22, 24}, [2]int{1, 25})
 	step("insert across a compaction", true, w, a)
-	if now, _ := db.Syms.Lookup("keep"); now == keep {
-		t.Fatalf("the compaction left the selected value at symbol %d", keep)
+	if now, _ := db.Syms.Lookup("keep"); now != keep {
+		t.Fatalf("the compaction moved the selected value from symbol %d to %d", keep, now)
 	}
 	w, a = ins([2]int{23, 26}, [2]int{22, 27})
 	step("insert", false, w, a)
@@ -167,11 +166,12 @@ func sameMaterializations(t *testing.T, what string, vs *ViewState, db *DB) {
 	}
 }
 
-// TestCompactionKeepsTypes: a compaction moves values into the numbers dead
-// values left, and no element type — not even one first interned after them
-// — so a node's type and the Labels map's symbols read as before, while the
-// dictionary shrinks and the image is the same.
-func TestCompactionKeepsTypes(t *testing.T) {
+// TestCompactionKeepsSymbols: a compaction frees the numbers dead values held
+// and moves no symbol — no element type and no value, not even ones first
+// interned after the dead ones — so a node's type, its value and the Labels
+// map's symbols read as before, while the dictionary holds fewer strings and
+// the image is the same.
+func TestCompactionKeepsSymbols(t *testing.T) {
 	db := NewDB()
 	db.InsertLabeled("Ra", "a", 0, 1, "root")
 	for id := 2; id <= 40; id++ {
@@ -186,12 +186,13 @@ func TestCompactionKeepsTypes(t *testing.T) {
 	if err := next.Save(&before); err != nil {
 		t.Fatal(err)
 	}
-	n, late := next.Syms.Len(), next.Labels[41]
-	if live, done := next.ReclaimSymbols(false); !done || next.Syms.Len() >= n {
-		t.Fatalf("%d of %d symbols live: compacted %v to %d", live, n, done, next.Syms.Len())
+	n, late := next.Syms.Held(), next.Labels[41]
+	kept, _ := next.Syms.Lookup("kept")
+	if live, done := next.ReclaimSymbols(false); !done || next.Syms.Held() != live || live >= n {
+		t.Fatalf("%d of %d symbols live: compacted %v to %d", live, n, done, next.Syms.Held())
 	}
-	if kept, _ := next.Syms.Lookup("kept"); kept == next.remap.from.clean.Load().ids["kept"] {
-		t.Fatalf("the value interned last kept its number %d", kept)
+	if now, _ := next.Syms.Lookup("kept"); now != kept || next.Syms.Str(kept) != "kept" {
+		t.Fatalf("the value interned last moved from symbol %d to %d", kept, now)
 	}
 	if next.Labels[41] != late || next.Syms.Str(late) != "late" {
 		t.Fatalf("the late type is symbol %d (%q), was %d", next.Labels[41], next.Syms.Str(next.Labels[41]), late)
@@ -211,6 +212,119 @@ func TestCompactionKeepsTypes(t *testing.T) {
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("the compaction changed the image")
+	}
+}
+
+// TestCompactionMovesNoSymbol: text updates scattered over a database give
+// its nodes fresh values, and the compaction that follows drops the old ones.
+// Every live symbol keeps its number and its string, and the compaction
+// copies nothing that holds one: each stored relation's version on the new
+// dictionary shares its row array, and no row, node-table chunk or directory
+// byte is copied. The epoch before reads on undisturbed, and the strings
+// interned next take the freed numbers, lowest first, before the dictionary
+// grows.
+func TestCompactionMovesNoSymbol(t *testing.T) {
+	const nodes, updates = 4000, 1500
+	db := NewDB()
+	db.InsertLabeled("Ra", "a", 0, 1, "root")
+	for id := 2; id <= nodes; id++ {
+		db.InsertLabeled("Rb", "b", 1, id, fmt.Sprintf("v%d", id))
+	}
+	var image bytes.Buffer
+	if err := db.Save(&image); err != nil {
+		t.Fatal(err)
+	}
+	next := cowDB(db)
+	for k, i := range rand.New(rand.NewSource(1)).Perm(nodes - 1)[:updates] {
+		next.UpdateValue("Rb", 1, i+2, fmt.Sprintf("fresh%d", k))
+	}
+	tab := next.nodes.Load().tab
+	chunks := map[int]*nodeChunk{}
+	tab.eachChunk(func(base int, c *nodeChunk) { chunks[base] = c })
+	copied := next.ChunksCopied()
+	chunkBytes, dirBytes := next.CatalogBytesCopied()
+	rows := map[string]*row{}
+	for name, r := range next.Rels {
+		rows[name] = &r.rows[0]
+	}
+	held, n, old := next.Syms.Held(), next.Syms.Len(), next.Syms
+	live, done := next.ReclaimSymbols(false)
+	if !done || live != held-updates || next.Syms.Held() != live || next.Syms.Len() > n {
+		t.Fatalf("%d of %d symbols live over %d numbers: compacted %v, to %d over %d",
+			live, held, n, done, next.Syms.Held(), next.Syms.Len())
+	}
+	next.nodes.Load().tab.eachNode(func(id int, _, val, typ int32) {
+		for _, s := range [2]int32{val, typ} {
+			if got, want := next.Syms.Str(s), old.Str(s); got != want {
+				t.Fatalf("node %d: symbol %d reads %q, read %q", id, s, got, want)
+			}
+			if got, _ := next.Syms.Lookup(old.Str(s)); got != s {
+				t.Fatalf("node %d: %q moved from symbol %d to %d", id, old.Str(s), s, got)
+			}
+		}
+	})
+	if next.ChunksCopied() != copied {
+		t.Errorf("the compaction copied %d node-table chunks", next.ChunksCopied()-copied)
+	}
+	if c, d := next.CatalogBytesCopied(); c != chunkBytes || d != dirBytes {
+		t.Errorf("the compaction copied %d chunk and %d directory bytes", c-chunkBytes, d-dirBytes)
+	}
+	next.nodes.Load().tab.eachChunk(func(base int, c *nodeChunk) {
+		if chunks[base] != c {
+			t.Fatalf("the compaction replaced the node-table chunk at %d", base)
+		}
+	})
+	for name, r := range next.Rels {
+		if out, c := r.RowCopies(); &r.rows[0] != rows[name] || out+c != 0 {
+			t.Errorf("%s: the compaction copied the rows (%d outside a compaction, %d in one)", name, out, c)
+		}
+	}
+	var after bytes.Buffer
+	if err := db.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image.Bytes(), after.Bytes()) {
+		t.Fatal("the epoch before saves another image")
+	}
+	var free []int32
+	for id := 1; id < next.Syms.Len(); id++ {
+		if next.Syms.Str(int32(id)) == "" {
+			free = append(free, int32(id))
+		}
+	}
+	if len(free) != next.Syms.Len()-live {
+		t.Fatalf("%d numbers read as no symbol; want the %d the compaction freed", len(free), next.Syms.Len()-live)
+	}
+	// A reader resolves each new string as soon as it learns its number,
+	// and the live symbols throughout, while the free numbers are refilled.
+	type interned struct {
+		id int32
+		s  string
+	}
+	learnt, read := make(chan interned, 16), make(chan struct{})
+	go func() {
+		defer close(read)
+		for n := range learnt {
+			if got := next.Syms.Str(n.id); got != n.s {
+				t.Errorf("symbol %d reads %q to a reader; %q was interned", n.id, got, n.s)
+			}
+			if got := next.Syms.Str(next.ValSym(2)); got != old.Str(next.ValSym(2)) {
+				t.Errorf("node 2's value reads %q to a reader", got)
+			}
+		}
+	}()
+	for k, want := range free {
+		s := fmt.Sprintf("new%d", k)
+		got := next.Syms.Intern(s)
+		if got != want {
+			t.Errorf("%q took symbol %d; want the free number %d", s, got, want)
+		}
+		learnt <- interned{got, s}
+	}
+	close(learnt)
+	<-read
+	if got, want := next.Syms.Intern("past"), int32(len(free)+live); got != want || next.Syms.Held() != next.Syms.Len() {
+		t.Fatalf("with no number free, a string took symbol %d; want %d", got, want)
 	}
 }
 

@@ -862,8 +862,9 @@ type DB struct {
 	// pipelines move int32 symbols instead of strings.
 	Syms *Interner
 	// Labels maps each node an InsertLabeled of this lineage stored, and no
-	// later Insert or Delete of the same ID removed, to its type's symbol (a
-	// dictionary compaction moves no type).
+	// later Insert or Delete of the same ID removed, to its type's symbol,
+	// which keeps its number across dictionary compactions as every live
+	// symbol does.
 	// No bulk loader writes it: a database that Shred, StreamShred, Load or
 	// a Loader built starts with it empty, and a store holds in it only the
 	// nodes its live and replayed inserts wrote. Derive shares it, and its
@@ -883,9 +884,6 @@ type DB struct {
 	// Parent, Val, Label, EachNode — and its document-order interval
 	// (intervals.go). Atomic because interval rebuilds race readers.
 	nodes atomic.Pointer[nodeState]
-	// remap, on the one version that moved its lineage onto a compact
-	// dictionary, is that move (reclaim.go); Derive does not carry it.
-	remap *symRemap
 }
 
 // NewDB returns an empty database.

@@ -243,6 +243,7 @@ func TestStoreMetricsExposed(t *testing.T) {
 		"xpathd_store_relabelled_nodes_total 0",
 		"xpathd_store_catalog_chunks_copied_total 1", // and writes one value, in one chunk
 		"# TYPE xpathd_store_symbols gauge",
+		"# TYPE xpathd_store_symbols_live gauge",
 		"# TYPE xpathd_store_symbol_compactions_total counter",
 		"xpathd_store_symbol_compactions_total 0",
 		"xpathd_store_checkpoint_failures_total 0",

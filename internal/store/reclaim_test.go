@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -56,6 +57,60 @@ func TestInternerHeapIsFlat(t *testing.T) {
 	}
 	if st.SymbolCompactions == 0 {
 		t.Error("no update compacted the dictionary")
+	}
+}
+
+// TestSymbolBudget is the dictionary's stated budget. No number is reused
+// below the highest live symbol, so the dictionary costs a string header per
+// number up to it, and it keeps no dead string: a store filled with unique
+// values, 90% of whose nodes are then deleted and the dictionary compacted,
+// releases at least the deleted values' bytes, spans no number past its
+// highest live symbol, and reports the strings it holds and the live symbols
+// its last check found alike.
+func TestSymbolBudget(t *testing.T) {
+	const fill, width = 2000, 256
+	s, _ := openCourses(t, 20)
+	dept := 1
+	value := func(k int) string { return fmt.Sprintf("%0*d", width, k) }
+	ids := make([]int, fill)
+	for k := range ids {
+		res, err := s.InsertSubtree(dept, "<course><cno>"+value(k)+"</cno><title>t</title><prereq></prereq><takenBy></takenBy></course>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = res.NodeID
+	}
+	base := liveHeap()
+	deleted := fill * 9 / 10
+	for k, id := range ids[:deleted] {
+		if k == deleted-1 {
+			s.ForceSymbolCompaction()
+		}
+		if _, err := s.DeleteSubtree(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap, st, db := liveHeap(), s.Stats(), s.View().DB
+	t.Logf("live heap %.2f MB with %d unique values, %.2f MB with %d; %d compactions",
+		float64(base)/(1<<20), fill, float64(heap)/(1<<20), fill-deleted, st.SymbolCompactions)
+	if want := uint64(deleted * width); heap+want > base {
+		t.Errorf("deleting %d values of %d B freed %d B of live heap; want at least %d", deleted, width, int64(base)-int64(heap), want)
+	}
+	live := map[int32]bool{0: true}
+	hi := int32(0)
+	db.EachNode(func(id int) {
+		typ, _ := db.Label(id)
+		sym, _ := db.Syms.Lookup(typ)
+		for _, s := range [2]int32{db.ValSym(id), sym} {
+			live[s], hi = true, max(hi, s)
+		}
+	})
+	if n := db.Syms.Len(); n > int(hi)+1 {
+		t.Errorf("the dictionary spans %d numbers; its highest live symbol is %d", n, hi)
+	}
+	if st.SymbolCompactions == 0 || st.Symbols != int64(len(live)) || st.SymbolsLive != int64(len(live)) {
+		t.Errorf("after %d compactions the dictionary holds %d strings, %d live at its last check; want the %d symbols the document holds",
+			st.SymbolCompactions, st.Symbols, st.SymbolsLive, len(live))
 	}
 }
 

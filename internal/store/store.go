@@ -180,11 +180,11 @@ type Store struct {
 	sinceCkpt int
 	closed    bool
 	onApply   func(TxnDelta)
-	// The dictionary's quarter rule (reclaimSymbols): its size and live
-	// symbols at the last check, and whether the next update compacts it
-	// whatever the rule says (ForceSymbolCompaction).
-	symBase, symLive int
-	forceSyms        bool
+	// The dictionary's quarter rule (reclaimSymbols): the strings it held at
+	// the last check, and whether the next update compacts it whatever the
+	// rule says (ForceSymbolCompaction).
+	symBase   int
+	forceSyms bool
 
 	ckptMu sync.Mutex     // serializes snapshot file writes
 	ckpts  sync.WaitGroup // automatic checkpoints in flight, which Close waits for
@@ -204,6 +204,7 @@ type Store struct {
 	relabelled   atomic.Int64
 	chunksCopied atomic.Int64
 	symCompacts  atomic.Int64
+	symLive      atomic.Int64 // the live symbols the last check found
 	applyHist    *obs.Histogram
 
 	checkpointFailures atomic.Int64 // automatic checkpoints that failed
@@ -227,6 +228,10 @@ func Open(cfg Config) (*Store, error) {
 		cfg.FsyncInterval = 50 * time.Millisecond
 	}
 	s := &Store{dtd: cfg.DTD, kids: childTypes(cfg.DTD), cfg: cfg, dir: cfg.Dir, applyHist: obs.NewHistogram(nil)}
+	// The seed becomes the first epoch or goes unused. Kept here too, it
+	// would hold that epoch's dictionary, every value since dead included,
+	// for the store's life.
+	s.cfg.Seed = nil
 
 	if s.dir != "" {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
@@ -287,8 +292,8 @@ func Open(cfg Config) (*Store, error) {
 	s.lsn = lsn
 	// The loaded dictionary is the rule's baseline, all of it live: a bulk
 	// load never triggers a compaction.
-	s.symBase = db.Syms.Len()
-	s.symLive = s.symBase
+	s.symBase = db.Syms.Held()
+	s.symLive.Store(int64(s.symBase))
 	s.cur.Store(&Epoch{DB: db, Seq: seq, LSN: lsn})
 
 	if s.dir != "" {
@@ -498,20 +503,23 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 }
 
 // reclaimSymbols applies the dictionary's quarter rule to the version an
-// update built. Once the symbols interned since the last check reach a
+// update built. Once the strings interned since the last check reach a
 // quarter of the store's nodes — or of the live symbols that check found,
 // when they are more — it marks the live symbols, and moves the version onto
-// a compact dictionary when at least a quarter are dead (rdb.ReclaimSymbols);
-// either way the check is the new baseline. A check scans the version, and the
-// symbols interned before it pay for that scan: O(1) amortized each, and
-// nothing at all for an update that interns none.
+// a dictionary without the dead ones when at least a quarter of the strings
+// held are dead (rdb.ReclaimSymbols); either way the check is the new
+// baseline. The rule counts strings held, not numbers spanned: a string
+// interned into a free number counts, and a free number is no dead symbol. A
+// check scans the version, and the strings interned before it pay for that
+// scan: O(1) amortized each, and nothing at all for an update that interns
+// none.
 func (s *Store) reclaimSymbols(db *rdb.DB) {
-	n := db.Syms.Len()
-	if !s.forceSyms && n-s.symBase <= max(db.NumNodes(), s.symLive)/4 {
+	if !s.forceSyms && db.Syms.Held()-s.symBase <= max(db.NumNodes(), int(s.symLive.Load()))/4 {
 		return
 	}
 	live, compacted := db.ReclaimSymbols(s.forceSyms)
-	s.symBase, s.symLive, s.forceSyms = db.Syms.Len(), live, false
+	s.symBase, s.forceSyms = db.Syms.Held(), false
+	s.symLive.Store(int64(live))
 	if compacted {
 		s.symCompacts.Add(1)
 	}
@@ -775,7 +783,8 @@ func (s *Store) Stats() obs.StoreStats {
 		Relabels:            s.relabels.Load(),
 		RelabelledNodes:     s.relabelled.Load(),
 		CatalogChunksCopied: s.chunksCopied.Load(),
-		Symbols:             int64(ep.DB.Syms.Len()),
+		Symbols:             int64(ep.DB.Syms.Held()),
+		SymbolsLive:         s.symLive.Load(),
 		SymbolCompactions:   s.symCompacts.Load(),
 		Apply:               s.applyHist.Snapshot(),
 	}
