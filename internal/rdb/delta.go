@@ -483,11 +483,18 @@ func (vs *ViewState) advance(newDB *DB, u *update) (*Relation, error) {
 }
 
 // follow moves the view onto newDB's dictionary: nothing to do when it is the
-// view's, and when it is a compaction's copy of the view's, which gives every
-// symbol it keeps the number it had, every materialization is repointed at
-// it. It reports false for any other dictionary, whose symbols the view
-// cannot read. A row that holds a symbol the copy dropped is one the update
-// that compacted takes out, by (F, T): no rule reads its value.
+// view's, and when it is a compaction's copy of the view's, every
+// materialization is repointed at it. It reports false for a dictionary of
+// another line, whose symbols the view cannot read.
+//
+// The line check alone is weak: a copy several compactions on may have
+// given a number the view holds another string. follow relies on newDB
+// being the epoch immediately after the view's (the contract of ApplyInsert,
+// ApplyDelete and ApplyText). Its dictionary is then the view's or one
+// compaction's copy of it, made from the view's epoch, which keeps the
+// string of every symbol live there. A row that holds a symbol the copy
+// freed is one the update that compacted takes out, by (F, T): no rule reads
+// its value.
 func (vs *ViewState) follow(newDB *DB) bool {
 	if newDB.Syms == vs.syms {
 		return true
@@ -1099,7 +1106,8 @@ func (vs *ViewState) fixShrink(n *viewNode, pl ra.Fix, d *Relation, in, kd []*Re
 
 // --- text updates --------------------------------------------------------
 
-// ApplyText advances the view to newDB after one UpdateText of node id. For
+// ApplyText advances the view to newDB, which must be the epoch immediately
+// following the one the view is at, after one UpdateText of node id. For
 // text-immune views (no value selection anywhere in the plan) answers cannot
 // change and the materializations stay valid as ID sets, so this is a repoint
 // that writes the node's new value into the rows of every materialization

@@ -46,8 +46,11 @@ type Interner struct {
 	// highest first: a compaction's holes, taken lowest first by Intern.
 	free []int32
 	// line is shared by an interner NewInterner made and every compaction
-	// copied from it: two interners of one line give every symbol both hold
-	// the same string.
+	// copied from it, directly or through other copies. A copy keeps the
+	// string of every symbol that was live in its source when the copy was
+	// made; a number it freed may since hold another string. So two
+	// interners of one line agree only on the symbols live at the
+	// compactions between them, and the line alone does not say which.
 	line uint64
 }
 
