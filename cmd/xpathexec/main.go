@@ -123,8 +123,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	t := &prep.Translation
+	if *trace {
+		t = t.Traced()
+	}
 	t0 := time.Now()
-	ans, err := prep.Execute(ctx)
+	ans, err := t.Execute(ctx)
 	if err != nil {
 		fatal(err)
 	}

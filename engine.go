@@ -279,13 +279,15 @@ func (e *Engine) DTD() *DTD { return e.dtd }
 func (e *Engine) Limits() Limits { return e.limits }
 
 // Answer is the result of one execution: the answer node IDs
-// (ascending), the aggregate execution statistics, and the per-statement
-// trace whose totals agree with Stats. The annotated plan rendering travels
-// with the Answer (Explain), so concurrent executions of one shared
-// Translation or Prepared never contend on shared mutable state.
+// (ascending), the aggregate execution statistics and, for a traced
+// translation (Traced), the per-statement trace whose totals agree with
+// Stats. The annotated plan rendering travels with the Answer (Explain), so
+// concurrent executions of one shared Translation or Prepared never contend
+// on shared mutable state.
 type Answer struct {
 	IDs   []int
 	Stats ExecStats
+	// Trace is nil unless the translation was Traced.
 	Trace *Trace
 	// Epoch identifies the document version the answer was read at (0 when
 	// the backend does not know): the snapshot's, or — from a sharded backend
@@ -303,9 +305,11 @@ type Answer struct {
 // Explain renders the executed plan EXPLAIN ANALYZE style: one line per RA
 // statement annotated with the observed input/output cardinalities, tuples
 // produced, fixpoint iteration counts and wall time of this run. Statements
-// the lazy evaluation skipped are marked "not run". When the translation
-// came through a caching Engine, the footer carries the plan-cache counters
-// as of this execution.
+// the lazy evaluation skipped are marked "not run". An answer of a
+// translation that was not Traced has no trace to annotate with: every line
+// is then the bare plan's, as Translation.Explain renders it. When the
+// translation came through a caching Engine, the footer carries the
+// plan-cache counters as of this execution.
 func (a *Answer) Explain() string {
 	if a.prog == nil {
 		return "(no plan recorded)\n"
@@ -323,6 +327,17 @@ func (a *Answer) Explain() string {
 func (t *Translation) InDocument(root int) *Translation {
 	c := *t
 	c.doc = root
+	return &c
+}
+
+// Traced returns a copy of the translation whose executions record a
+// per-statement trace into each Answer, which Answer.Explain annotates the
+// plan with. An untraced execution records none: the trace's bookkeeping —
+// per-statement frames, input cardinalities, the events themselves — is paid
+// only by the calls that ask for it. The plan is shared.
+func (t *Translation) Traced() *Translation {
+	c := *t
+	c.trace = true
 	return &c
 }
 
@@ -359,15 +374,20 @@ func (t *Translation) ExecuteOn(ctx context.Context, b Backend) (*Answer, error)
 //     enforced by the snapshot's executor; breaches return *LimitError.
 //   - Serial: statements and operators run one after another on the
 //     calling goroutine, on one pooled executor.
-//   - Trace: every run records a per-statement trace into its Answer
-//     (Answer.Explain renders it); runs never share mutable state.
+//   - Trace: a Traced translation's runs record a per-statement trace into
+//     their Answer (Answer.Explain renders it); other runs record none, and
+//     their Answer.Trace is nil. Stats are on every Answer. Runs never share
+//     mutable state.
 //   - Cancellation: honored between statements and fixpoint iterations,
 //     returning the context's error.
 //   - Scope: a translation bound to a document (InDocument) runs over that
 //     document's sub-database; a backend that cannot scope refuses with
 //     ErrUnsupportedPlan rather than answer from the whole image.
 func (t *Translation) ExecuteSnapshot(ctx context.Context, snap BackendSnapshot) (*Answer, error) {
-	trace := &obs.Trace{}
+	var trace *obs.Trace
+	if t.trace {
+		trace = &obs.Trace{}
+	}
 	res, err := snap.Execute(ctx, t.res.Program, backend.ExecOptions{
 		Limits:    t.limits,
 		Trace:     trace,

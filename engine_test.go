@@ -40,7 +40,7 @@ func TestEngineAnswerMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := tr.ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
+	ans, err := tr.Traced().ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExplainAccountsForAllWork(t *testing.T) {
 	if text := tr.Explain(); !strings.Contains(text, "(not run)") {
 		t.Fatalf("bare-plan Explain:\n%s", text)
 	}
-	ans, err := tr.ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
+	ans, err := tr.Traced().ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +129,47 @@ func TestExplainAccountsForAllWork(t *testing.T) {
 	}
 	if strings.Contains(tr.Explain(), "cache:") {
 		t.Fatal("bare-plan Explain leaked cache stats")
+	}
+}
+
+// TestTraceOnlyWhenAsked: an ExecuteSnapshot of a translation that was not
+// Traced records no trace, and its Explain is the bare plan; the Traced copy
+// of the same translation records one event per statement run, and both
+// answer the same IDs with the same Stats.
+func TestTraceOnlyWhenAsked(t *testing.T) {
+	d, _, db := deptSetup(t)
+	ctx := context.Background()
+	tr, err := xpath2sql.New(d, xpath2sql.WithCacheSize(0)).TranslateString(ctx, "dept//course[.//project]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := xpath2sql.NewLocalBackend(db).Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	plain, err := tr.ExecuteSnapshot(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := tr.Traced().ExecuteSnapshot(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Trace != nil {
+		t.Fatalf("an unasked run recorded a trace of %d events", len(plain.Trace.Events))
+	}
+	if got, want := plain.Explain(), tr.Explain(); got != want {
+		t.Fatalf("an unasked answer's Explain:\n%s\nthe bare plan:\n%s", got, want)
+	}
+	if traced.Trace == nil || len(traced.Trace.Events) != traced.Stats.StmtsRun || traced.Stats.StmtsRun == 0 {
+		t.Fatalf("the traced run recorded %v for %d statements run", traced.Trace, traced.Stats.StmtsRun)
+	}
+	if !slices.Equal(plain.IDs, traced.IDs) || plain.Stats != traced.Stats {
+		t.Fatalf("untraced %v %+v, traced %v %+v", plain.IDs, plain.Stats, traced.IDs, traced.Stats)
+	}
+	if len(plain.IDs) == 0 {
+		t.Fatal("the query answered nothing; it tests nothing")
 	}
 }
 
@@ -262,7 +303,7 @@ func TestEngineParallelAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pAns, err := par.ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
+	pAns, err := par.Traced().ExecuteOn(ctx, xpath2sql.NewLocalBackend(db))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"xpath2sql/internal/obs"
@@ -143,7 +144,7 @@ func NewExec(db *DB) *Exec {
 // Pooled executors draw temporaries from their arena instead of the heap.
 func (e *Exec) newRel(name string) *Relation {
 	if e.arena != nil {
-		return e.arena.alloc(name)
+		return e.arena.alloc(name, false)
 	}
 	return newRelation(name, e.DB.Syms)
 }
@@ -315,59 +316,98 @@ func (e *Exec) stmt(name string) (*Relation, error) {
 	return r, nil
 }
 
-// inputCard sums the cardinalities of the distinct stored relations and
-// temporaries a plan reads — the "input cardinality" of its trace event.
-// Temporaries are read from the memoized environment, which holds them by
-// the time the statement's own event is recorded.
+// inputCard sums the cardinalities of the distinct relations a plan reads —
+// the "input cardinality" of its trace event: the memoized temporaries (the
+// environment holds them by the time the statement's own event is recorded),
+// R_id, the root seed and each stored relation the plan names — whole, or
+// under a scope its rows in the scope, so a scoped trace counts what the same
+// trace of the document alone does. It changes nothing the run does: a scoped
+// relation counts by the view the run cut of it, and one the run never cut a
+// view of (a TypeFilter's, which it only probes; a DescScan's, which the
+// kernel reads through its descendant index; one in the Alt the kernel
+// answered) by a pass over its rows, not by an index or a view of its own.
 func (e *Exec) inputCard(pl ra.Plan) int {
-	seen := map[string]bool{}
-	total := 0
-	base := func(rel string) {
-		if !seen["b\x00"+rel] {
-			seen["b\x00"+rel] = true
-			if r, err := e.stored(rel); err == nil {
-				total += r.Len()
+	c := inputCounter{e: e}
+	c.walk(pl)
+	return c.total
+}
+
+// inputCounter is one inputCard walk: what it counted so far.
+type inputCounter struct {
+	e           *Exec
+	stored      []*Relation // the stored relations counted
+	temps       []string    // the statements counted
+	ident, root bool
+	total       int
+}
+
+func (c *inputCounter) walk(p ra.Plan) {
+	switch p := p.(type) {
+	case ra.Base:
+		c.base(p.Rel)
+	case ra.TypeFilter:
+		c.base(p.Rel)
+	case ra.DescScan:
+		c.base(p.From)
+		c.base(p.To)
+	case ra.Temp:
+		if !slices.Contains(c.temps, p.Name) {
+			c.temps = append(c.temps, p.Name)
+			if r, ok := c.e.env[p.Name]; ok {
+				c.total += r.Len()
 			}
+		}
+	case ra.Ident:
+		if !c.ident {
+			c.ident = true
+			switch e := c.e; {
+			case e.docID != nil:
+				c.total += e.docID.Len()
+			case e.scope != nil: // the virtual root and each node's one row
+				c.total++
+				for _, rel := range e.DB.Rels {
+					c.total += e.inScope(rel)
+				}
+			default:
+				c.total += e.DB.NumNodes() + 1
+			}
+		}
+	case ra.RootSeed:
+		if !c.root {
+			c.root = true
+			c.total++
 		}
 	}
-	var walk func(p ra.Plan)
-	walk = func(p ra.Plan) {
-		switch p := p.(type) {
-		case ra.Base:
-			base(p.Rel)
-		case ra.Temp:
-			if !seen["t\x00"+p.Name] {
-				seen["t\x00"+p.Name] = true
-				if r, ok := e.env[p.Name]; ok {
-					total += r.Len()
-				}
-			}
-		case ra.Ident:
-			if !seen["\x00id"] {
-				seen["\x00id"] = true
-				if e.docID != nil {
-					total += e.docID.Len()
-				} else {
-					total += e.DB.NumNodes() + 1
-				}
-			}
-		case ra.RootSeed:
-			if !seen["\x00root"] {
-				seen["\x00root"] = true
-				total++
-			}
-		case ra.TypeFilter:
-			base(p.Rel)
-		case ra.DescScan:
-			base(p.From)
-			base(p.To)
-		}
-		for _, k := range ra.Inputs(p) {
-			walk(k)
+	var buf [4]ra.Plan
+	for _, k := range ra.AppendInputs(buf[:0], p) {
+		c.walk(k)
+	}
+}
+
+// base counts a stored relation once.
+func (c *inputCounter) base(name string) {
+	e := c.e
+	rel := e.DB.Rel(name)
+	if slices.Contains(c.stored, rel) {
+		return
+	}
+	c.stored = append(c.stored, rel)
+	if e.scope == nil {
+		c.total += rel.Len()
+	} else {
+		c.total += e.inScope(rel)
+	}
+}
+
+// inScope counts a stored relation's rows in the run's scope: its view's, if
+// the run cut one, or else a pass over its rows (docScope.count).
+func (e *Exec) inScope(rel *Relation) int {
+	for _, v := range e.views {
+		if v.base == rel {
+			return v.Len()
 		}
 	}
-	walk(pl)
-	return total
+	return e.scope.count(rel)
 }
 
 // eval is the pull driver of the operator kernels (ops.go): it resolves a

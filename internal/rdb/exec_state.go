@@ -20,12 +20,13 @@ import (
 // goroutine at a time; the package-level pool makes acquisition safe from
 // any number of concurrent requests.
 type ExecState struct {
-	exec    Exec
-	free    []*Relation // reset pooled temporaries ready for reuse
-	owned   []*Relation // temporaries handed out since the last Release
-	rowBufs [][]row     // pooled fixpoint delta buffers
-	seen    seenIDs
-	lastDB  *DB
+	exec      Exec
+	free      []*Relation // reset pooled temporaries ready for reuse
+	freeViews []*Relation // reset scoped views ready for reuse (alloc)
+	owned     []*Relation // temporaries and views handed out since the last Release
+	rowBufs   [][]row     // pooled fixpoint delta buffers
+	seen      seenIDs
+	lastDB    *DB
 }
 
 var statePool = sync.Pool{New: func() any { return new(ExecState) }}
@@ -33,15 +34,13 @@ var statePool = sync.Pool{New: func() any { return new(ExecState) }}
 // AcquireState returns a pooled execution state bound to db, with lazy
 // evaluation and no limits — the same defaults
 // as NewExec. A state last used against a different DB drops its R_id, which
-// lists that DB's nodes, and keeps its free temporaries only when the new DB
-// shares the old one's interner — as every epoch of a store does — since a
-// temporary holds symbols of it.
+// lists that DB's nodes, and keeps everything else: whatever DB it served —
+// another epoch of one store, another shard — a reset temporary holds no
+// symbol (its rows are emptied, its pair set, key sets and index scratch hold
+// node IDs), and alloc binds it to the new DB's interner.
 func AcquireState(db *DB) *ExecState {
 	s := statePool.Get().(*ExecState)
 	if s.lastDB != db {
-		if s.lastDB != nil && s.lastDB.Syms != db.Syms {
-			s.free = s.free[:0]
-		}
 		s.exec.ident = nil
 		s.lastDB = db
 	}
@@ -64,8 +63,12 @@ func (s *ExecState) Exec() *Exec { return &s.exec }
 // state to the pool. All relations the executor returned become invalid.
 func (s *ExecState) Release() {
 	for _, r := range s.owned {
+		list := &s.free
+		if r.base != nil {
+			list = &s.freeViews
+		}
 		r.reset()
-		s.free = append(s.free, r)
+		*list = append(*list, r)
 	}
 	s.owned = s.owned[:0]
 	e := &s.exec
@@ -81,12 +84,18 @@ func (s *ExecState) Release() {
 }
 
 // alloc hands out a pooled temporary relation bound to the current DB's
-// interner.
-func (s *ExecState) alloc(name string) *Relation {
+// interner: from free, or from freeViews for a scoped view. A view's rows
+// alias a shared index, so it never takes a temporary, whose row buffer it
+// would drop (reset), and a temporary never takes a view, which has none.
+func (s *ExecState) alloc(name string, view bool) *Relation {
+	list := &s.free
+	if view {
+		list = &s.freeViews
+	}
 	var r *Relation
-	if n := len(s.free); n > 0 {
-		r = s.free[n-1]
-		s.free = s.free[:n-1]
+	if n := len(*list); n > 0 {
+		r = (*list)[n-1]
+		*list = (*list)[:n-1]
 		r.Name = name
 		r.syms = s.exec.DB.Syms
 	} else {

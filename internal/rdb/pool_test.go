@@ -153,6 +153,98 @@ func TestWarmExecAllocsAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestWarmExecAllocsAcrossDatabases holds a warm read that alternates between
+// two databases of distinct interners — as a pooled state does between the
+// shards of one process — to TestWarmExecAllocs's bound: a reset temporary
+// holds no symbol, so the rebind keeps the arena's temporaries.
+func TestWarmExecAllocsAcrossDatabases(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; alloc bounds need a normal build")
+	}
+	r := rand.New(rand.NewSource(11))
+	dbs := []*DB{randDB(r, 200, 3), randDB(r, 200, 3)}
+	if dbs[0].Syms == dbs[1].Syms {
+		t.Fatal("the two databases share an interner")
+	}
+	p := recursiveProgram()
+	run := func(db *DB) {
+		s := AcquireState(db)
+		if _, err := s.Exec().Run(p); err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
+	}
+	for _, db := range dbs {
+		run(db)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, db := range dbs {
+			run(db)
+		}
+	})
+	t.Logf("%.1f allocations a run", allocs/float64(len(dbs)))
+	if perRun := allocs / float64(len(dbs)); perRun > 2 {
+		t.Fatalf("a warm pooled run alternating between two databases allocates %.1f times, want <= 2", perRun)
+	}
+}
+
+// scopedReadProgram has the shape of a document-scoped read: scans of stored
+// relations (each a view under a scope), a descendant step the interval
+// kernel answers, a qualifier probed for its witnesses, a type filter and a
+// join with a stored relation's index.
+func scopedReadProgram(fp string) *ra.Program {
+	return &ra.Program{
+		Stmts: []ra.Stmt{
+			{Name: "s0", Plan: ra.UnionAll{Kids: []ra.Plan{ra.Base{Rel: "R0"}, ra.Base{Rel: "R1"}}}},
+			{Name: "s1", Plan: ra.DescScan{From: "R0", To: "R1", Alt: ra.Fix{Seed: ra.Temp{Name: "s0"}}}},
+			{Name: "s2", Plan: ra.Semijoin{L: ra.Temp{Name: "s1"}, R: ra.Base{Rel: "R2"}}},
+			{Name: "s3", Plan: ra.TypeFilter{Child: ra.Temp{Name: "s0"}, Rel: "R2"}},
+			{Name: "s4", Plan: ra.UnionAll{Kids: []ra.Plan{ra.Temp{Name: "s2"}, ra.Compose{L: ra.Temp{Name: "s3"}, R: ra.Base{Rel: "R1"}}}}},
+		},
+		Result: "s4", DTDFP: fp,
+	}
+}
+
+// TestWarmScopedExecAllocs is TestWarmExecAllocs under a document scope: a
+// warm pooled run of scopedReadProgram over a 12-document forest, each run on
+// the next document, allocates at most 2 times. A view takes no temporary's
+// row buffer (it owns none, and the arena keeps views apart), and keeps its
+// scoped F index in the scratch the arena recycles with it.
+func TestWarmScopedExecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; alloc bounds need a normal build")
+	}
+	r := rand.New(rand.NewSource(11))
+	db := makeForest(r, 2000, 12, 3)
+	p := scopedReadProgram(db.DTDFP)
+	roots := docRoots(db)
+	var used Stats
+	run := func(doc int) {
+		s := AcquireState(db)
+		s.Exec().Doc = doc
+		if _, err := s.Exec().Run(p); err != nil {
+			t.Fatal(err)
+		}
+		used.Add(s.Exec().Stats)
+		s.Release()
+	}
+	for _, doc := range roots {
+		run(doc)
+	}
+	if used.DescScans == 0 || used.TuplesOut == 0 {
+		t.Fatalf("the warm-up took no interval scan or produced nothing: %+v", used)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(60, func() {
+		run(roots[i%len(roots)])
+		i++
+	})
+	t.Logf("%.1f allocations a run", allocs)
+	if allocs > 2 {
+		t.Fatalf("a warm pooled scoped run allocates %.1f times per request, want <= 2", allocs)
+	}
+}
+
 // TestPooledKeySetsStartEmpty: a request's temporary asked only for
 // membership builds a key set (Relation.members) that the next request, which
 // the arena hands the same relation with other rows of the same count, must

@@ -826,15 +826,19 @@ func (r *Relation) foldIndexes() {
 
 // reset empties a pooled relation for reuse, retaining every capacity the
 // previous request grew: the row array, the pair-set slot array, the path
-// map buckets and the index scratch backings. The interner pointer is kept;
-// ExecState drops the relation instead when it is rebound to another DB. A
+// map buckets and the index scratch backings. Nothing kept holds a symbol, so
+// the relation serves any DB next (ExecState.alloc rebinds its interner). A
 // view node's delta is reset the same way, round after round (nodeDelta).
 func (r *Relation) reset() {
 	r.Name = ""
 	if r.base != nil {
-		// A view's rows alias a shared index; keeping the capacity would let
-		// the next request append into it.
+		// A scoped view owns no rows: they alias a shared index, which keeping
+		// the capacity would let the next request append into. Its fScratch
+		// holds a copy of the base's F index (scopedFIndex), dropped too.
 		r.rows, r.base = nil, nil
+		if r.fScratch != nil {
+			*r.fScratch = colIndex{}
+		}
 	}
 	r.set.clear(r.rows)
 	r.rows = r.rows[:0]

@@ -68,6 +68,27 @@ func (db *DB) resolveScope(root int) (*docScope, error) {
 	return &docScope{root: int32(root), begin: iv.Begin, end: iv.End, st: st}, nil
 }
 
+// count returns the number of a stored relation's rows in the scope — the
+// length of the view the run would cut of it — by a pass over its rows,
+// building nothing; 0 when the encoding misses one of its nodes, whose view
+// the run could not cut either.
+func (sc *docScope) count(rel *Relation) int {
+	n := 0
+	for i, w := range rel.rows {
+		if rel.isDead(i) {
+			continue
+		}
+		iv, ok := sc.st.tab.get(int(w.t))
+		if !ok {
+			return 0
+		}
+		if iv.Begin >= sc.begin && iv.Begin < sc.end {
+			n++
+		}
+	}
+	return n
+}
+
 // stored returns the stored relation a plan reads: the relation itself, or
 // its view under the run's scope.
 func (e *Exec) stored(name string) (*Relation, error) {
@@ -89,7 +110,12 @@ func (e *Exec) view(base *Relation) (*Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: relation %s holds a node it does not cover", ErrScopeNeedsIntervals, base.Name)
 	}
-	v := e.newRel(base.Name)
+	var v *Relation
+	if e.arena != nil {
+		v = e.arena.alloc(base.Name, true)
+	} else {
+		v = newRelation(base.Name, e.DB.Syms)
+	}
 	v.base = base
 	v.rows = rows
 	e.views = append(e.views, v)
@@ -114,13 +140,23 @@ func (e *Exec) sortedRun(st *nodeState, base *Relation) (rows []row, begins, end
 // the scope's root row. Only a document root has F = 0, a root's interval
 // holds no other root, and the root opens its interval — so the row, if this
 // relation holds it, is the first of the run.
+//
+// A pooled view keeps the copy in its fScratch, which only ever holds such a
+// copy (ExecState keeps views apart from temporaries) and which reset clears.
 func (r *Relation) scopedFIndex() *colIndex {
-	idx := *r.base.fIndex()
+	idx := r.fScratch
+	if idx == nil {
+		idx = new(colIndex)
+		if r.pooled {
+			r.fScratch = idx
+		}
+	}
+	*idx = *r.base.fIndex()
 	idx.scoped = true
 	if len(r.rows) > 0 && r.rows[0].f == 0 {
 		idx.rootSnap, idx.rootOver = r.base.tIndex().lookup(r.rows[0].t)
 	}
-	return &idx
+	return idx
 }
 
 // scopedIdent materializes R_id over the scope: (v, v, v.val) for every node

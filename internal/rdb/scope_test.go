@@ -1,6 +1,7 @@
 package rdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"xpath2sql/internal/difftest"
+	"xpath2sql/internal/obs"
 	"xpath2sql/internal/ra"
 )
 
@@ -211,6 +213,68 @@ func TestScopedPooledStateKeepsIndexIntact(t *testing.T) {
 	}
 }
 
+// TestTracedRunBuildsWhatUntracedDoes: a trace resolves nothing the run does
+// not. The same program, traced and untraced, each on its own copy of a
+// forest, builds the same descendant indexes and does the same work — scoped
+// and not, on the interval kernel and on the fixpoint alternative. The first
+// program is a type filter, whose relation a scoped run probes and never
+// scans. And a scoped trace counts what the same trace of the document alone
+// does: the same events, each with the same In and Out.
+func TestTracedRunBuildsWhatUntracedDoes(t *testing.T) {
+	var built []string
+	defer OnDescIndexBuild(func(rel string) { built = append(built, rel) })()
+	run := func(db *DB, p *ra.Program, mode IntervalMode, doc int, trace *obs.Trace) ([]string, Stats) {
+		ex := NewExec(db)
+		ex.IntervalMode, ex.Doc = mode, doc
+		built = built[:0]
+		if _, err := ex.RunCtx(context.Background(), p, trace); err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(built)
+		return slices.Clone(built), ex.Stats
+	}
+	forest := func(seed int64) *DB { return makeForest(rand.New(rand.NewSource(seed)), 60, 4, 3) }
+	filter := prog(ra.TypeFilter{Child: ra.Base{Rel: "R0"}, Rel: "R1"})
+	filter.DTDFP = "fp-tree-test"
+	r := rand.New(rand.NewSource(3))
+	progs := []*ra.Program{filter, scopedReadProgram("fp-tree-test")}
+	for len(progs) < 100 {
+		progs = append(progs, scopeProgram(r, 3))
+	}
+	for i, p := range progs {
+		seed := int64(i)
+		root := docRoots(forest(seed))[1]
+		for _, mode := range []IntervalMode{IntervalAuto, IntervalOff} {
+			for _, doc := range []int{root, 0} {
+				plain, plainStats := run(forest(seed), p, mode, doc, nil)
+				var trace obs.Trace
+				traced, tracedStats := run(forest(seed), p, mode, doc, &trace)
+				if !slices.Equal(plain, traced) || plainStats != tracedStats {
+					t.Fatalf("program %d (%v, doc %d) untraced built %v and did %+v; traced built %v and did %+v\n%s",
+						i, mode, doc, plain, plainStats, traced, tracedStats, p)
+				}
+				if len(trace.Events) != tracedStats.StmtsRun {
+					t.Fatalf("program %d: %d trace events, %d statements run", i, len(trace.Events), tracedStats.StmtsRun)
+				}
+				if doc == 0 {
+					continue
+				}
+				var alone obs.Trace
+				run(docAlone(forest(seed), root), p, mode, 0, &alone)
+				counts := func(tr obs.Trace) (out [][3]any) {
+					for _, ev := range tr.Events {
+						out = append(out, [3]any{ev.Stmt, ev.In, ev.Out})
+					}
+					return out
+				}
+				if got, want := counts(trace), counts(alone); !slices.Equal(got, want) {
+					t.Fatalf("program %d (%v): the scoped trace counts (statement, in, out) %v, the document alone's %v\n%s", i, mode, got, want, p)
+				}
+			}
+		}
+	}
+}
+
 // TestIndexForRefusesPerRunRelations: the descendant-index cache is keyed by
 // *Relation, so it must never take a relation that lives for one run — a
 // pooled temporary or a scoped view, whose pointer the arena hands out again
@@ -229,7 +293,7 @@ func TestIndexForRefusesPerRunRelations(t *testing.T) {
 	}
 	enc := db.encoding()
 	t.Cleanup(func() { strictPerRun = true })
-	for name, rel := range map[string]*Relation{"pooled temporary": st.alloc("tmp"), "scoped view": ex.views[0]} {
+	for name, rel := range map[string]*Relation{"pooled temporary": st.alloc("tmp", false), "scoped view": ex.views[0]} {
 		strictPerRun = false
 		if _, err := enc.indexFor(rel); !errors.Is(err, errPerRunIndex) {
 			t.Errorf("%s: err = %v, want errPerRunIndex", name, err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,6 +155,33 @@ func TestUpdateErrorMapping(t *testing.T) {
 		if er.Kind != c.kind {
 			t.Errorf("%s: kind %q, want %q", c.name, er.Kind, c.kind)
 		}
+	}
+}
+
+// TestUpdateIDSpaceExhausted: an insert the store refuses for want of node
+// IDs (store.ErrIDSpace) is 507 id_space_exhausted, and the next read answers
+// as before.
+func TestUpdateIDSpaceExhausted(t *testing.T) {
+	d, db := deptFixture(t)
+	st, err := store.Open(store.Config{DTD: d, Seed: db, Fsync: store.FsyncNever, MinNextID: math.MaxInt32 - 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(newServer(t, Config{Engine: xpath2sql.New(d), Source: FromStore(st)}).Handler())
+	defer ts.Close()
+	before := queryCount(t, ts.URL, "dept//course")
+	resp, body := postJSON(t, ts.URL+"/v1/update", updateRequest{Op: "insert_subtree", Parent: 1,
+		Fragment: "<course><cno>x</cno><title>y</title><prereq></prereq><takenBy></takenBy></course>"})
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("%v in %s", err, body)
+	}
+	if resp.StatusCode != http.StatusInsufficientStorage || er.Kind != "id_space_exhausted" {
+		t.Fatalf("an insert past the node-ID space: status %d, kind %q; want 507 id_space_exhausted", resp.StatusCode, er.Kind)
+	}
+	if got := queryCount(t, ts.URL, "dept//course"); got != before {
+		t.Fatalf("dept//course = %d after the refused insert, want %d", got, before)
 	}
 }
 

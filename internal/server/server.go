@@ -307,8 +307,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type queryRequest struct {
 	Query string `json:"query"`
 	// TimeoutMS shortens (never extends) the server's request timeout.
-	TimeoutMS int  `json:"timeout_ms,omitempty"`
-	Explain   bool `json:"explain,omitempty"`
+	TimeoutMS int `json:"timeout_ms,omitempty"`
+	// Explain asks for the plan annotated with this run's per-statement
+	// cardinalities, iterations and times. Only such a request runs traced
+	// (Translation.Traced): the others pay for no trace.
+	Explain bool `json:"explain,omitempty"`
 	// Doc scopes the query to one document, named by its root's node ID: the
 	// answer is the query evaluated over that document alone, at the cost of
 	// the document, not of the collection. A cluster source routes it to the
@@ -472,6 +475,11 @@ func mapError(err error) (int, string) {
 		return http.StatusBadRequest, "bad_fragment"
 	case errors.Is(err, store.ErrNoDurability):
 		return http.StatusUnprocessableEntity, "no_durability"
+	case errors.Is(err, store.ErrIDSpace):
+		// The store's fault, not the request's: the same insert fits a store
+		// with IDs to spare. It stays full until rebuilt, so no retry helps
+		// (not 503); it is a known condition, not a bug (not 500).
+		return http.StatusInsufficientStorage, "id_space_exhausted"
 	case errors.Is(err, store.ErrClosed):
 		return http.StatusServiceUnavailable, "closed"
 	case errors.Is(err, cluster.ErrDegraded):
@@ -587,6 +595,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t := &p.Translation
 	if req.Doc != 0 {
 		t = t.InDocument(req.Doc)
+	}
+	if req.Explain {
+		t = t.Traced()
 	}
 	snap, err := s.execBe.Snapshot(ctx)
 	if err != nil {

@@ -18,4 +18,8 @@ var (
 	// ErrCorrupt: on-disk state (snapshot or non-tail WAL data) failed
 	// validation during recovery.
 	ErrCorrupt = errors.New("store: corrupt on-disk state")
+	// ErrIDSpace: an insert would give a node an ID past math.MaxInt32, the
+	// largest a row or an index can name. The store never frees a node ID, so
+	// the same insert fails until the store is rebuilt.
+	ErrIDSpace = errors.New("store: node ID space exhausted")
 )

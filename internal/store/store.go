@@ -40,6 +40,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -375,7 +376,7 @@ func (s *Store) apply(rec walRecord) (UpdateResult, error) {
 	}
 	res, err := s.applyRecord(rec, true)
 	if err != nil {
-		if errors.Is(err, ErrInvalid) || errors.Is(err, ErrUnknownNode) || errors.Is(err, ErrBadFragment) {
+		if errors.Is(err, ErrInvalid) || errors.Is(err, ErrUnknownNode) || errors.Is(err, ErrBadFragment) || errors.Is(err, ErrIDSpace) {
 			s.rejected.Add(1)
 		}
 		return res, err
@@ -423,6 +424,12 @@ func (s *Store) applyRecord(rec walRecord, log bool) (UpdateResult, error) {
 			// Replay and shipped records may leave allocator gaps (bases are
 			// assigned globally across shards) but can never go backwards.
 			return UpdateResult{}, fmt.Errorf("%w: insert record base %d below next node ID %d", ErrCorrupt, rec.Base, s.nextID)
+		}
+		if last := rec.Base + len(frag.Nodes()) - 1; log && last > math.MaxInt32 {
+			// Stored, the nodes past it would be lost: refused before the log
+			// holds the record.
+			return UpdateResult{}, fmt.Errorf("%w: an insert of %d nodes at base %d needs node ID %d, past %d",
+				ErrIDSpace, len(frag.Nodes()), rec.Base, last, math.MaxInt32)
 		}
 	case opDelete:
 		if err := s.validateDelete(ep.DB, rec.Node); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -454,6 +455,49 @@ func TestValidationErrors(t *testing.T) {
 	if st := s.Stats(); st.Rejected < int64(len(cases)-1) {
 		t.Errorf("Rejected = %d, want >= %d", st.Rejected, len(cases)-1)
 	}
+}
+
+// TestInsertPastIDSpaceRefused: an insert whose nodes would need an ID past
+// math.MaxInt32, which no row or index can name, fails with ErrIDSpace before
+// the log holds it — it is neither acknowledged and lost, nor replayed — and
+// every answer stays what it was. Of four 5-element courses from a floor 10
+// below the limit, the first two fit, ending at math.MaxInt32 - 1.
+func TestInsertPastIDSpaceRefused(t *testing.T) {
+	d := workload.Dept()
+	dir := t.TempDir()
+	s, m := openCoursesWith(t, 2, Config{Dir: dir, Fsync: FsyncNever, MinNextID: math.MaxInt32 - 10})
+	dept := m.byLabel("dept")[0]
+	var last int
+	for k := 0; k < 2; k++ {
+		res := insertBoth(t, s, m, dept, fragCourse(k))
+		last = res.NodeID + res.Nodes - 1
+	}
+	if last != math.MaxInt32-1 {
+		t.Fatalf("the two inserts that fit end at node %d, want %d", last, math.MaxInt32-1)
+	}
+	checkAgainstOracle(t, "before the refused inserts", s, m, d)
+	before, logged := s.View(), s.Stats().WALRecords
+	for k := 2; k < 4; k++ {
+		if res, err := s.InsertSubtree(dept, fragCourse(k)); !errors.Is(err, ErrIDSpace) {
+			t.Fatalf("insert %d: %+v, %v; want ErrIDSpace", k, res, err)
+		}
+	}
+	if after := s.View(); after != before {
+		t.Fatalf("the refused inserts published epoch %d over %d", after.Seq, before.Seq)
+	}
+	if got := s.Stats().WALRecords; got != logged {
+		t.Fatalf("the refused inserts logged %d records", got-logged)
+	}
+	checkAgainstOracle(t, "after the refused inserts", s, m, d)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{DTD: d, Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkAgainstOracle(t, "reopened", s, m, d)
 }
 
 // TestUnlabelledNodeIsCorrupt: validation finds a node and its element type

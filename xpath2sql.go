@@ -150,6 +150,8 @@ type Translation struct {
 	intervals IntervalMode
 	// doc scopes every execution to one document (InDocument); 0 = none.
 	doc int
+	// trace makes every execution record a per-statement trace (Traced).
+	trace bool
 }
 
 // Strategy reports which translation strategy produced this plan.
